@@ -186,12 +186,18 @@ def _case_parameters(
             "topology", topology_key, n,
             **case.get("topology_params", {})
         )
+        # The one connectivity sweep of the build; the overlay's own
+        # check reuses the number.
         connectivity = nx.node_connectivity(graph)
         f = case.get("f")
         if f is None:
             f = min(max_faults(n), connectivity - 1)
         overlay = simulate_full_connectivity(
-            graph, uniform_timings(graph, d, u), f, theta=theta
+            graph,
+            uniform_timings(graph, d, u),
+            f,
+            theta=theta,
+            connectivity=connectivity,
         )
         effective = {"d_eff": overlay.d_eff, "u_eff": overlay.u_eff}
         if "overlay" in ablate:

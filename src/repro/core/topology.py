@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
+from networkx.algorithms.connectivity import build_auxiliary_node_connectivity
+from networkx.algorithms.flow import build_residual_network
 
 from repro.core.params import ProtocolParameters, derive_parameters
 from repro.sim.errors import ConfigurationError
@@ -70,15 +72,24 @@ def required_connectivity(f: int, with_signatures: bool = True) -> int:
 
 
 def check_connectivity(
-    graph: nx.Graph, f: int, with_signatures: bool = True
+    graph: nx.Graph,
+    f: int,
+    with_signatures: bool = True,
+    connectivity: Optional[int] = None,
 ) -> None:
-    """Raise unless ``graph`` is connected enough to tolerate ``f`` faults."""
+    """Raise unless ``graph`` is connected enough to tolerate ``f`` faults.
+
+    ``connectivity`` is ``graph``'s node connectivity when the caller
+    already knows it (the sweep is the expensive part of the check).
+    """
     needed = required_connectivity(f, with_signatures)
     if graph.number_of_nodes() <= needed:
         raise ConfigurationError(
             f"need more than {needed} nodes for connectivity {needed}"
         )
-    actual = nx.node_connectivity(graph)
+    actual = (
+        nx.node_connectivity(graph) if connectivity is None else connectivity
+    )
     if actual < needed:
         raise ConfigurationError(
             f"graph has node connectivity {actual}, but tolerating f={f} "
@@ -181,6 +192,7 @@ def simulate_full_connectivity(
     with_signatures: bool = True,
     balance: bool = True,
     theta: float = 1.0,
+    connectivity: Optional[int] = None,
 ) -> SimulatedTopology:
     """Build the virtual fully connected overlay.
 
@@ -204,12 +216,14 @@ def simulate_full_connectivity(
     non-regular topologies is typically ``Theta(d_eff)`` and makes the
     derived CPS parameters infeasible — quantifying the paper's warning.
 
+    ``connectivity`` is forwarded to :func:`check_connectivity`.
+
     Raises :class:`ConfigurationError` if the graph's connectivity is
     insufficient or a link's timing is missing.
     """
     if theta < 1.0:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
-    check_connectivity(graph, f, with_signatures)
+    check_connectivity(graph, f, with_signatures, connectivity)
     needed = required_connectivity(f, with_signatures)
     missing = [
         edge
@@ -219,9 +233,19 @@ def simulate_full_connectivity(
     if missing:
         raise ConfigurationError(f"links without timing: {missing}")
 
+    # One flow network for all n(n-1) pairs: networkx would otherwise
+    # rebuild both per call.  Every ordered pair is still solved on its
+    # own and without a cutoff — reversing (dst, src) or stopping at
+    # f + 1 paths changes which paths are found, hence d_eff/u_eff.
+    auxiliary = build_auxiliary_node_connectivity(graph)
+    residual = build_residual_network(auxiliary, "capacity")
     paths: Dict[Tuple[int, int], List[PathTiming]] = {}
     for src, dst in itertools.permutations(sorted(graph.nodes), 2):
-        disjoint = list(nx.node_disjoint_paths(graph, src, dst))
+        disjoint = list(
+            nx.node_disjoint_paths(
+                graph, src, dst, auxiliary=auxiliary, residual=residual
+            )
+        )
         if len(disjoint) < needed:  # pragma: no cover - connectivity checked
             raise ConfigurationError(
                 f"only {len(disjoint)} disjoint paths between {src} and "
@@ -233,8 +257,7 @@ def simulate_full_connectivity(
         )[:needed]
 
     d_eff = max(
-        timing.d for path_list in paths.values() for path_list in [path_list]
-        for timing in path_list
+        timing.d for path_list in paths.values() for timing in path_list
     )
     if balance:
         u_eff = max(

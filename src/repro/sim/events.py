@@ -52,9 +52,15 @@ class TimerEvent:
     local_time: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DeliveryEvent:
-    """A message delivery: ``payload`` from ``src`` arriving at ``dst``."""
+    """A message delivery: ``payload`` from ``src`` arriving at ``dst``.
+
+    Not frozen, unlike its siblings: a run allocates one per message
+    (Θ(n³) a CPS round) and a frozen ``__init__`` assigns each field
+    through ``object.__setattr__``.  Nothing mutates a delivery once
+    it is on the queue.
+    """
 
     src: int
     dst: int

@@ -64,6 +64,18 @@ class NetworkConfig:
                 f"u_tilde must lie in [u={self.u}, d={self.d}], "
                 f"got {self.u_tilde}"
             )
+        # The two admissible intervals, computed once: delay_bounds runs
+        # per message (policy + validation).  Plain instance attributes,
+        # not fields, so equality, repr and replace() see only the model
+        # parameters.
+        object.__setattr__(
+            self, "_honest_bounds", (self.d - self.u, self.d)
+        )
+        object.__setattr__(
+            self,
+            "_faulty_bounds",
+            (self.d - self.faulty_uncertainty, self.d),
+        )
 
     @property
     def faulty_uncertainty(self) -> float:
@@ -72,8 +84,7 @@ class NetworkConfig:
 
     def delay_bounds(self, link_is_honest: bool) -> Tuple[float, float]:
         """Admissible ``(min, max)`` delay for a link."""
-        uncertainty = self.u if link_is_honest else self.faulty_uncertainty
-        return (self.d - uncertainty, self.d)
+        return self._honest_bounds if link_is_honest else self._faulty_bounds
 
     def validate_delay(
         self, delay: float, src_honest: bool, dst_honest: bool
@@ -97,6 +108,13 @@ class DelayPolicy:
 
     Subclasses override :meth:`delay`.  The default is the maximum delay
     ``d`` for every message, which is always admissible.
+
+    Ordering contract: the scheduler calls :meth:`delay` exactly once
+    per message, at send time, and a broadcast asks for its
+    destinations in ascending ``dst`` order (skipping the sender) —
+    the same sequence as a loop of unicast sends.  Stateful policies
+    (:class:`RandomDelayPolicy` draws from one RNG stream) rely on
+    this for reproducibility.
     """
 
     def delay(

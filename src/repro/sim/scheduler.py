@@ -24,9 +24,15 @@ integer kind priority carried by the heap key (no ``isinstance``), the
 pulse-quota stop condition is maintained as a counter instead of an
 O(honest) scan per event, trace records are allocated only at the levels
 that record them (:class:`~repro.sim.trace.TraceLevel`), and the queue's
-heap/slab are accessed through locals hoisted out of the loop.  None of
-this changes semantics: event order is still (time, priority, insertion
-seq), and pulse outputs are byte-identical across trace levels.
+heap/slab are accessed through locals hoisted out of the loop.  Sends
+are a fan-out: a broadcast enters the simulation once
+(:meth:`Simulation.honest_fanout`; a unicast is its one-destination
+case), which hoists everything invariant across destinations and
+pushes onto the heap/slab directly.  None of this changes semantics:
+event order is still (time, priority, insertion seq), each message
+still gets its own ``policy.delay`` call and admissibility check in
+ascending ``dst`` order, and pulse outputs are byte-identical across
+trace levels.
 
 Telemetry (:mod:`repro.telemetry`) follows the same
 zero-cost-when-unused contract as ``checks=`` and ``dynamics=``: with no
@@ -38,7 +44,9 @@ order, so instrumented runs stay byte-identical to bare ones.
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.crypto.pki import PublicKeyInfrastructure
@@ -91,7 +99,9 @@ class SimulationResult:
 class _SimNodeAPI(NodeAPI):
     """The :class:`NodeAPI` implementation backed by the simulator."""
 
-    __slots__ = ("_sim", "node_id", "n", "f", "_clock", "_key_pair")
+    __slots__ = (
+        "_sim", "node_id", "n", "f", "_clock", "_key_pair", "_peers"
+    )
 
     def __init__(self, sim: "Simulation", node_id: int) -> None:
         self._sim = sim
@@ -100,6 +110,8 @@ class _SimNodeAPI(NodeAPI):
         self.f = sim.f
         self._clock = sim.clocks[node_id]
         self._key_pair = sim.pki.key_pair(node_id)
+        # Broadcast destinations: everyone else, ascending.
+        self._peers = tuple(v for v in range(self.n) if v != node_id)
 
     def local_time(self) -> float:
         return self._clock.local_time(self._sim.now)
@@ -126,11 +138,7 @@ class _SimNodeAPI(NodeAPI):
         self._sim.honest_send(self.node_id, dst, payload)
 
     def broadcast(self, payload: Any) -> None:
-        sim = self._sim
-        node_id = self.node_id
-        for dst in range(self.n):
-            if dst != node_id:
-                sim.honest_send(node_id, dst, payload)
+        self._sim.honest_fanout(self.node_id, self._peers, payload)
 
     def sign(self, value: Hashable) -> Signature:
         return self._key_pair.sign(value)
@@ -222,11 +230,7 @@ class AdversaryContext:
         ``delay=None`` defers to the delay policy; an explicit delay is
         validated against the faulty-link bounds ``[d - u_tilde, d]``.
         """
-        if src not in self._sim.faulty:
-            raise SimulationError(
-                f"adversary cannot send from honest node {src}"
-            )
-        self._sim.faulty_send(src, dst, payload, delay)
+        self.broadcast_from(src, payload, delay, (dst,))
 
     def broadcast_from(
         self,
@@ -235,14 +239,18 @@ class AdversaryContext:
         delay: Optional[float] = None,
         targets: Optional[Iterable[int]] = None,
     ) -> None:
-        """Send from faulty ``src`` to ``targets`` (default: all others)."""
-        recipients = (
-            [v for v in range(self._sim.config.n) if v != src]
-            if targets is None
-            else list(targets)
-        )
-        for dst in recipients:
-            self.send_from(src, dst, payload, delay)
+        """Send from faulty ``src`` to ``targets`` (default: all others).
+
+        The sender and the payload's signatures are checked once, before
+        the first send; each recipient's delay is validated as it goes.
+        """
+        if src not in self._sim.faulty:
+            raise SimulationError(
+                f"adversary cannot send from honest node {src}"
+            )
+        if targets is None:
+            targets = [v for v in range(self._sim.config.n) if v != src]
+        self._sim.faulty_fanout(src, targets, payload, delay)
 
     def wake_at(self, time: float, tag: Any = None) -> None:
         """Request an ``on_wakeup(tag)`` callback at real ``time``."""
@@ -446,68 +454,103 @@ class Simulation:
 
     def honest_send(self, src: int, dst: int, payload: Any) -> None:
         """Dispatch a send by an honest node through the delay policy."""
+        self.honest_fanout(src, (dst,), payload)
+
+    def honest_fanout(
+        self, src: int, dsts: Iterable[int], payload: Any
+    ) -> None:
+        """Dispatch ``payload`` from honest ``src`` to each of ``dsts``.
+
+        The one honest send path: everything invariant across the
+        destinations is hoisted, and each destination then sees, in
+        order, ``policy.delay`` → admissibility check → ``SendRecord``
+        (when consumed) → queue push → telemetry → the adversary's
+        ``on_honest_send``, exactly as a loop of single sends would.
+        """
         now = self.now
-        link_is_honest = dst not in self.faulty  # src is honest here
-        delay = self.delay_policy.delay(
-            self.config, src, dst, now, payload, link_is_honest
-        )
-        delay = self.config.validate_delay(
-            delay, src_honest=True, dst_honest=link_is_honest
-        )
+        config = self.config
+        policy_delay = self.delay_policy.delay
+        validate_delay = config.validate_delay
+        honest_bounds = config.delay_bounds(True)
+        faulty_bounds = config.delay_bounds(False)
+        faulty = self.faulty
+        behavior = self.behavior
+        ctx = self._adversary_ctx
+        telemetry = self.telemetry
+        trace_full = self.trace.level >= TraceLevel.FULL
+        trace_records = self.trace.records
         # The SendRecord doubles as the trace entry and the adversary's
         # observation; build it once, and only when someone consumes it.
-        behavior = self.behavior
-        if behavior is not None or self.trace.level >= TraceLevel.FULL:
-            record = SendRecord(
+        recorded = trace_full or behavior is not None
+        # Push in place (EventQueue.push, inlined): the sequence counter
+        # is re-read per message because on_honest_send may send too.
+        queue = self.queue
+        heap = queue._heap
+        slab = queue._slab
+        for dst in dsts:
+            link_is_honest = dst not in faulty  # src is honest here
+            delay = policy_delay(
+                config, src, dst, now, payload, link_is_honest
+            )
+            low, high = honest_bounds if link_is_honest else faulty_bounds
+            if not low <= delay <= high:
+                # Raises ModelViolation beyond the EPS tolerance,
+                # clamps float noise within it.
+                delay = validate_delay(delay, True, link_is_honest)
+            if recorded:
+                record = SendRecord(now, src, dst, payload, delay, True)
+                if trace_full:
+                    trace_records.append(record)
+            seq = queue._next_seq
+            queue._next_seq = seq + 1
+            slab[seq] = DeliveryEvent(src, dst, payload, now)
+            heappush(heap, (now + delay, PRIORITY_DELIVERY, seq))
+            if telemetry is not None:
+                telemetry.on_honest_send(src, payload, delay)
+            if behavior is not None:
+                behavior.on_honest_send(ctx, record)
+
+    def faulty_fanout(
+        self,
+        src: int,
+        dsts: Iterable[int],
+        payload: Any,
+        delay: Optional[float],
+    ) -> None:
+        """Dispatch ``payload`` from faulty ``src`` to each of ``dsts``.
+
+        The payload is knowledge-checked once (nothing the adversary
+        learns changes between the sends of one fan-out); ``delay=None``
+        defers each message to the delay policy.
+        """
+        now = self.now
+        self.knowledge.check_payload(payload, now, src)
+        config = self.config
+        telemetry = self.telemetry
+        for dst in dsts:
+            chosen = delay
+            if chosen is None:
+                chosen = self.delay_policy.delay(
+                    config, src, dst, now, payload, False
+                )
+            chosen = config.validate_delay(
+                chosen, src_honest=False, dst_honest=dst not in self.faulty
+            )
+            self.trace.send(
                 time=now,
                 src=src,
                 dst=dst,
                 payload=payload,
-                delay=delay,
-                src_honest=True,
+                delay=chosen,
+                src_honest=False,
             )
-            if self.trace.level >= TraceLevel.FULL:
-                self.trace.records.append(record)
-        self.queue.push(
-            now + delay,
-            PRIORITY_DELIVERY,
-            DeliveryEvent(src, dst, payload, now),
-        )
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_honest_send(src, payload, delay)
-        if behavior is not None:
-            behavior.on_honest_send(self._adversary_ctx, record)
-
-    def faulty_send(
-        self, src: int, dst: int, payload: Any, delay: Optional[float]
-    ) -> None:
-        """Dispatch a send by a faulty node (knowledge-checked)."""
-        now = self.now
-        self.knowledge.check_payload(payload, now, src)
-        if delay is None:
-            delay = self.delay_policy.delay(
-                self.config, src, dst, now, payload, False
+            self.queue.push(
+                now + chosen,
+                PRIORITY_DELIVERY,
+                DeliveryEvent(src, dst, payload, now),
             )
-        delay = self.config.validate_delay(
-            delay, src_honest=False, dst_honest=dst not in self.faulty
-        )
-        self.trace.send(
-            time=now,
-            src=src,
-            dst=dst,
-            payload=payload,
-            delay=delay,
-            src_honest=False,
-        )
-        self.queue.push(
-            now + delay,
-            PRIORITY_DELIVERY,
-            DeliveryEvent(src, dst, payload, now),
-        )
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_faulty_send(delay)
+            if telemetry is not None:
+                telemetry.on_faulty_send(chosen)
 
     def record_pulse(self, node: int) -> None:
         pulse_list = self.pulses[node]
@@ -578,9 +621,6 @@ class Simulation:
         # Hot loop: everything dereferenced per event is hoisted into
         # locals; the queue's heap/slab are accessed directly (peek +
         # pop fused); dispatch keys on the heap priority int.
-        import heapq as _heapq
-
-        heappop = _heapq.heappop
         heap = self.queue._heap
         slab = self.queue._slab
         protocols = self._protocols
@@ -604,8 +644,6 @@ class Simulation:
         events_processed = self.events_processed
         until_cutoff = None if until is None else until + EPS
         if telemetry is not None:
-            import time as _time
-
             run_started = _time.perf_counter()
 
         try:

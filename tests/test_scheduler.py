@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import scenarios
+from repro.build import build_simulation
+from repro.crypto.pki import PublicKeyInfrastructure
 from repro.sim.adversary import (
     ByzantineBehavior,
     HonestUntilCrash,
@@ -11,11 +14,12 @@ from repro.sim.clocks import HardwareClock
 from repro.sim.errors import (
     ConfigurationError,
     ForgeryError,
+    ModelViolation,
     SimulationError,
 )
-from repro.sim.network import MaximumDelayPolicy, NetworkConfig
+from repro.sim.network import DelayPolicy, MaximumDelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
-from repro.sim.scheduler import Simulation
+from repro.sim.scheduler import Simulation, _SimNodeAPI
 from repro.sim.trace import DeliveryRecord, SendRecord
 
 
@@ -269,3 +273,157 @@ class TestHonestUntilCrash:
         senders = {s for s, _, _ in sim.protocol(0).received}
         # First broadcast would happen at t=10 > crash time 5.
         assert 2 not in senders
+
+
+class _Chatter(TimedProtocol):
+    """Pulse each period with a hello to all; echo each origin's first
+    hello to all.  ``fan(api, payload)`` is how "to all" is sent."""
+
+    def __init__(self, fan) -> None:
+        self.fan = fan
+        self.echoed = set()
+
+    def on_start(self, api: NodeAPI) -> None:
+        api.set_timer(10.0, "tick")
+
+    def on_message(self, api: NodeAPI, sender: int, payload) -> None:
+        if payload[0] == "hello" and payload[1:] not in self.echoed:
+            self.echoed.add(payload[1:])
+            self.fan(api, ("echo",) + payload[1:] + (api.node_id,))
+
+    def on_timer(self, api: NodeAPI, tag) -> None:
+        api.pulse()
+        self.fan(api, ("hello", api.node_id, api.local_time()))
+        api.set_timer(api.local_time() + 10.0, "tick")
+
+
+def _fan_broadcast(api, payload):
+    api.broadcast(payload)
+
+
+def _fan_unicast(api, payload):
+    for dst in range(api.n):
+        if dst != api.node_id:
+            api.send(dst, payload)
+
+
+class _RushFromSend(ByzantineBehavior):
+    """Answers every honest-to-honest send from inside the send itself,
+    at a policy-chosen delay: the sends (and a stateful policy's draws)
+    interleave with the fan-out that triggered them."""
+
+    def on_honest_send(self, ctx, record):
+        if record.dst in ctx.honest:
+            ctx.send_from(4, record.dst, ("rush", record.src, record.dst))
+
+
+def _queue_state(sim):
+    """What is still queued when the run stops, and under which seqs."""
+    queue = sim.queue
+    return list(queue._heap), dict(queue._slab), queue._next_seq
+
+
+DELAY_KEYS = scenarios.REGISTRY.keys("delay")
+
+
+class TestFanOutEquivalence:
+    """A broadcast is exactly a loop of unicast sends, ascending dst."""
+
+    @staticmethod
+    def chatter_run(delay_key, fan):
+        sim = Simulation(
+            NetworkConfig(5, d=1.0, u=0.2, u_tilde=0.5),
+            [HardwareClock.constant_rate(1.0 + 0.001 * v) for v in range(5)],
+            protocol_factory=lambda v: _Chatter(fan),
+            faulty=[4],
+            behavior=_RushFromSend(),
+            delay_policy=scenarios.create("delay", delay_key, 5),
+        )
+        result = sim.run(max_pulses=3)
+        return sim, result
+
+    @pytest.mark.parametrize("delay_key", DELAY_KEYS)
+    def test_adversary_sending_inside_the_send(self, delay_key):
+        one, one_result = self.chatter_run(delay_key, _fan_broadcast)
+        many, many_result = self.chatter_run(delay_key, _fan_unicast)
+        assert one.trace.records == many.trace.records
+        assert any(
+            isinstance(r, SendRecord) and not r.src_honest
+            for r in one.trace.records
+        )
+        assert _queue_state(one) == _queue_state(many)
+        assert one_result.pulses == many_result.pulses
+        assert one_result.events_processed == many_result.events_processed
+
+    @pytest.mark.parametrize("delay_key", DELAY_KEYS)
+    def test_cps_under_rushing_echo(self, delay_key, monkeypatch):
+        case = {"n": 6, "adversary": "rushing-echo", "delay": delay_key,
+                "u_tilde": 0.3}
+
+        def run():
+            built = build_simulation(case, seed=3, trace="full")
+            result = built.simulation.run(max_pulses=4)
+            return built.simulation, result
+
+        one, one_result = run()
+        monkeypatch.setattr(_SimNodeAPI, "broadcast", _fan_unicast)
+        many, many_result = run()
+        assert one.trace.records == many.trace.records
+        assert _queue_state(one) == _queue_state(many)
+        assert one_result.pulses == many_result.pulses
+
+    def test_inadmissible_delay_raises_at_its_destination(self):
+        class BadAtTwo(DelayPolicy):
+            def delay(self, config, src, dst, send_time, payload, honest):
+                if dst == 1:
+                    return config.d + 1e-12  # float noise: clamped
+                return 5.0 if dst == 2 else config.d
+
+        sim = Simulation(
+            NetworkConfig(4, d=1.0, u=0.2),
+            [HardwareClock.constant_rate() for _ in range(4)],
+            protocol_factory=lambda v: _Chatter(_fan_broadcast),
+            delay_policy=BadAtTwo(),
+        )
+        with pytest.raises(ModelViolation) as raised:
+            sim.run(max_pulses=1)
+        assert str(raised.value) == (
+            "delay 5.0 outside [0.8, 1.0] "
+            "(src_honest=True, dst_honest=True)"
+        )
+        # Node 0's broadcast got as far as dst 1 and stopped at dst 2.
+        sends = sim.trace.of_type(SendRecord)
+        assert [(r.src, r.dst, r.delay) for r in sends] == [(0, 1, 1.0)]
+        assert len(sim.queue._heap) == 3 + 1  # the other ticks + one send
+
+
+class TestBroadcastFrom:
+    def test_checks_run_once_before_the_first_send(self):
+        forged = PublicKeyInfrastructure(3).key_pair(0).sign("m")
+        calls = []
+
+        class Broadcaster(ByzantineBehavior):
+            def __init__(self, src, payload):
+                self.src, self.payload = src, payload
+
+            def on_start(self, ctx):
+                check = ctx.knowledge.check_payload
+                ctx.knowledge.check_payload = lambda *a: (
+                    calls.append(a), check(*a)
+                )
+                ctx.broadcast_from(self.src, self.payload)
+
+        sim = build(faulty=[2], behavior=Broadcaster(2, ("fine", 2)))
+        sim.run(max_pulses=1)
+        assert len(calls) == 1
+        assert [r.dst for r in sim.trace.of_type(SendRecord)][:2] == [0, 1]
+
+        for src, payload, error in (
+            (0, "spoof", SimulationError),
+            (2, forged, ForgeryError),
+        ):
+            sim = build(faulty=[2], behavior=Broadcaster(src, payload))
+            with pytest.raises(error):
+                sim.run(max_pulses=1)
+            # Raised before the first send.
+            assert not list(sim.trace.of_type(SendRecord))

@@ -1,10 +1,17 @@
 """Tests for the general-network translation layer (Appendix A)."""
 
+import itertools
+
 import networkx as nx
 import pytest
+from networkx.algorithms.flow import edmondskarp
 
+from repro import build, scenarios
+from repro.core import topology
+from repro.core.params import max_faults
 from repro.core.topology import (
     LinkTiming,
+    PathTiming,
     check_connectivity,
     circulant,
     required_connectivity,
@@ -169,3 +176,90 @@ class TestSimulateFullConnectivity:
         )
         with pytest.raises(ConfigurationError):
             overlay.derive_parameters(theta=1.0005)
+
+
+def _reference_overlay(graph, timings, f, theta):
+    """``paths, d_eff, u_eff`` the way the overlay was first built: a
+    fresh ``nx.node_disjoint_paths`` flow network for every pair."""
+    needed = f + 1
+    paths = {}
+    for src, dst in itertools.permutations(sorted(graph.nodes), 2):
+        found = []
+        for nodes in nx.node_disjoint_paths(graph, src, dst):
+            d_max = d_min = 0.0
+            for a, b in zip(nodes, nodes[1:]):
+                link = timings.get((a, b)) or timings[(b, a)]
+                d_max += link.d
+                d_min += link.d - link.u
+            found.append(PathTiming(tuple(nodes), d_max, d_min))
+        paths[(src, dst)] = sorted(found, key=lambda t: t.d)[:needed]
+    d_eff = max(t.d for found in paths.values() for t in found)
+    u_eff = max(
+        t.u + (d_eff - t.d) * (1.0 - 1.0 / theta)
+        for found in paths.values()
+        for t in found
+    )
+    return paths, d_eff, min(u_eff, d_eff)
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+TOPOLOGY_CELLS = [
+    (key, n)
+    for key in scenarios.REGISTRY.keys("topology")
+    for n in (8, 12, 16)
+]
+
+
+class TestFlowNetworkReuse:
+    """One auxiliary digraph + residual network per overlay, one
+    connectivity sweep per build — with the per-pair results intact."""
+
+    @pytest.mark.parametrize("key,n", TOPOLOGY_CELLS)
+    def test_matches_fresh_network_per_pair(self, key, n, monkeypatch):
+        graph = scenarios.create("topology", key, n)
+        timings = uniform_timings(graph, 1.0, 0.01)
+        f = min(max_faults(n), nx.node_connectivity(graph) - 1)
+        paths, d_eff, u_eff = _reference_overlay(graph, timings, f, 1.001)
+
+        ours = _counting(monkeypatch, topology, "build_residual_network")
+        theirs = _counting(
+            monkeypatch, edmondskarp, "build_residual_network"
+        )
+        overlay = simulate_full_connectivity(
+            graph, timings, f, theta=1.001, connectivity=f + 1
+        )
+        assert overlay.paths == paths
+        assert (overlay.d_eff, overlay.u_eff) == (d_eff, u_eff)
+        assert (len(ours), len(theirs)) == (1, 0)
+
+    @pytest.mark.parametrize("key,n", TOPOLOGY_CELLS)
+    def test_one_connectivity_sweep_per_build(self, key, n, monkeypatch):
+        sweeps = _counting(monkeypatch, nx, "node_connectivity")
+        # What the factory sweeps for itself (random-regular verifies
+        # every candidate it draws) is not the builder's to save.
+        scenarios.create("topology", key, n)
+        by_factory = len(sweeps)
+        build.build_simulation({"n": n, "topology": key})
+        assert len(sweeps) == 2 * by_factory + 1
+
+    def test_known_connectivity_is_trusted_by_the_check(self, monkeypatch):
+        sweeps = _counting(monkeypatch, nx, "node_connectivity")
+        graph = nx.cycle_graph(8)
+        check_connectivity(graph, f=1, connectivity=2)
+        with pytest.raises(ConfigurationError):
+            check_connectivity(graph, f=2, connectivity=2)
+        assert not sweeps
+        check_connectivity(graph, f=1)
+        assert len(sweeps) == 1
