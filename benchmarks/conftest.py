@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*`` file regenerates one experiment table (the paper has no
-empirical section, so the "tables/figures" are its quantitative claims —
-see the generated ``docs/EXPERIMENTS.md``).  Run with::
+``bench_experiments.py`` regenerates every experiment table (the paper
+has no empirical section, so the "tables/figures" are its quantitative
+claims — see the generated ``docs/EXPERIMENTS.md``).  Run with::
 
     pytest benchmarks/ --benchmark-only
 
@@ -18,8 +18,8 @@ checkout, ``scripts/verify.sh`` exports ``PYTHONPATH=src``.
 ``REPRO_BENCH_SCALE`` and campaign grids
 ----------------------------------------
 
-The experiments ported to the campaign engine (E1/E4/E5/E6) declare
-their grids per scale in a ``CampaignSpec`` (see
+Every experiment is a registered campaign that declares its grid per
+scale in a ``CampaignSpec`` (see
 ``repro.campaigns.spec``): the env var's value is passed straight
 through as the ``scale`` argument, so ``quick``/``full`` select the
 corresponding axes/case tiers and measurement settings
@@ -37,32 +37,12 @@ SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick")
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
-def bench_experiment(benchmark, capsys, name: str):
-    """Benchmark one experiment and print/persist its table."""
-    from repro.analysis.experiments import run_experiment
-
-    table = benchmark.pedantic(
-        run_experiment,
-        args=(name,),
-        kwargs={"scale": SCALE},
-        rounds=1,
-        iterations=1,
-    )
-    assert table.rows, f"experiment {name} produced no rows"
-    with capsys.disabled():
-        print()
-        print(table.render())
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    table.to_csv(os.path.join(RESULTS_DIR, f"{name.lower()}.csv"))
-    return table
-
-
 def bench_campaign(benchmark, capsys, name: str):
-    """Benchmark one campaign through the sweep engine.
+    """Benchmark one campaign through the sweep engine, print and
+    persist its table.
 
-    Like :func:`bench_experiment` but returns ``(run, table)`` so bench
-    files can assert on execution counters (failures, cache hits) as
-    well as table contents.
+    Returns ``(run, table)`` so bench files can assert on execution
+    counters (failures, cache hits) as well as table contents.
     """
     from repro.campaigns import campaign_definition, execute_campaign
 

@@ -21,16 +21,13 @@ the committed CSV snapshots live in ``results/``.
 from __future__ import annotations
 
 import os
-import re
 import sys
-from typing import Dict, List
+from typing import List
+
+from bench_experiments import CLAIMS
 
 from repro import scenarios
-from repro.campaigns import (
-    available_campaigns,
-    campaign_definition,
-    scales_of,
-)
+from repro.campaigns import campaign_definition, scales_of
 from repro.core.params import THETA_MAX
 
 REPO_ROOT = os.path.abspath(
@@ -259,8 +256,8 @@ HEADER = f"""# EXPERIMENTS — paper claims, grids, and scenarios
 The paper is a theory paper (PODC 2022) with no empirical section; its
 "tables and figures" are four algorithm boxes and a set of quantitative
 claims.  This catalog records, for every claim, what the paper states,
-what this reproduction measures, and — for the experiments ported to
-the campaign engine — the exact declarative grid behind each tier.
+what this reproduction measures, and — every experiment being a
+registered campaign — the exact declarative grid behind each tier.
 
 This file is **generated** from the campaign specs and the scenario
 registry; do not edit it by hand.  Regenerate with::
@@ -283,20 +280,6 @@ constants, so "within bound" is a *strict* check, not an asymptotic one.
 """
 
 
-def _bench_files() -> Dict[str, str]:
-    """Map experiment ids to their ``benchmarks/bench_*.py`` harness."""
-    mapping: Dict[str, str] = {}
-    pattern = re.compile(r"bench_([ea])(\d+)_")
-    for name in sorted(os.listdir(os.path.dirname(__file__))):
-        match = pattern.match(name)
-        if match:
-            experiment = f"{match.group(1).upper()}{int(match.group(2))}"
-            mapping[experiment] = f"benchmarks/{name}"
-        elif name.startswith("bench_stress_"):
-            mapping["STRESS"] = f"benchmarks/{name}"
-    return mapping
-
-
 def _campaign_scales(spec) -> List[str]:
     """Display order for a spec's tiers: quick, full, then the rest."""
     declared = scales_of(spec)
@@ -304,21 +287,21 @@ def _campaign_scales(spec) -> List[str]:
     return ordered + [s for s in declared if s not in ordered]
 
 
-def catalog_table(bench_files: Dict[str, str]) -> List[str]:
+def catalog_table() -> List[str]:
     lines = [
         "| id | claim | bench harness | campaign engine |",
         "|----|-------|---------------|-----------------|",
     ]
     for name in ORDER:
         title = COMMENTARY[name][0]
-        bench = bench_files.get(name)
-        bench_cell = f"`{bench}`" if bench else "—"
-        if name in available_campaigns():
-            campaign_cell = f"`repro campaign run {name}`"
-        else:
-            campaign_cell = "—"
+        bench = (
+            f"`benchmarks/bench_experiments.py[{name}]`"
+            if name in CLAIMS
+            else "—"
+        )
         lines.append(
-            f"| {name} | {title} | {bench_cell} | {campaign_cell} |"
+            f"| {name} | {title} | {bench} "
+            f"| `repro campaign run {name}` |"
         )
     return lines
 
@@ -376,22 +359,13 @@ def scenario_registry_section() -> List[str]:
 
 
 def generate() -> str:
-    bench_files = _bench_files()
     sections = [HEADER, "\n## Catalog\n"]
-    sections.extend(catalog_table(bench_files))
+    sections.extend(catalog_table())
     for name in ORDER:
         title, commentary = COMMENTARY[name]
         sections.append(f"\n## {name} — {title}\n")
         sections.append(commentary + "\n")
-        reproduce = []
-        if name in available_campaigns():
-            reproduce = campaign_grid_section(name)
-        elif name in bench_files:
-            reproduce = [
-                f"**Reproduce:** `repro run {name}` or "
-                f"`pytest {bench_files[name]} --benchmark-only`.",
-            ]
-        sections.extend(reproduce)
+        sections.extend(campaign_grid_section(name))
     sections.extend(scenario_registry_section())
     sections.append("")
     return "\n".join(sections)

@@ -70,7 +70,7 @@ def main() -> None:
     )
 
     simulation = assemble_cps_simulation(
-        params, faulty=list(range(N - F, N)), seed=5, trace=False
+        params, faulty=list(range(N - F, N)), seed=5, trace="none"
     )
     result = simulation.run(max_pulses=10)
     report = PulseReport.from_pulses(result.honest_pulses(), warmup=3)

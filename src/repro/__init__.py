@@ -44,11 +44,7 @@ from repro.build import (
     build_simulation,
     resolve_backend,
 )
-from repro.core.cps import (
-    CpsNode,
-    assemble_cps_simulation,
-    build_cps_simulation,
-)
+from repro.core.cps import CpsNode, assemble_cps_simulation
 from repro.core.lower_bound import run_lower_bound
 from repro.core.params import (
     THETA_MAX,
@@ -72,7 +68,6 @@ __all__ = [
     "UnknownBackendError",
     "__version__",
     "assemble_cps_simulation",
-    "build_cps_simulation",
     "build_simulation",
     "derive_parameters",
     "max_faults",

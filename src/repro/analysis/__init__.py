@@ -12,7 +12,7 @@ from repro.analysis.metrics import (
     skew_trajectory,
 )
 from repro.analysis.reporting import Table, format_value, geometric_mean, ratio
-from repro.analysis.runner import TrialOutcome, run_pulse_trial, sweep
+from repro.analysis.runner import TrialOutcome, run_pulse_trial
 
 __all__ = [
     "PulseReport",
@@ -30,5 +30,4 @@ __all__ = [
     "ratio",
     "run_pulse_trial",
     "skew_trajectory",
-    "sweep",
 ]

@@ -1,33 +1,37 @@
-"""Experiments E1-E10, ablations A1-A3, and the STRESS campaign.
+"""Every experiment id — E1-E10, A1-A3, STRESS, CHURN-STRESS, FUZZ,
+E9-SCALE, ABLATION — declared one way: a registered campaign.
 
 The paper is a theory paper without an empirical section, so each
 experiment operationalizes one stated claim (theorem/lemma/corollary) or
-one comparison from the introduction.  Every function returns a
-:class:`~repro.analysis.reporting.Table`; benchmarks, the CLI, and the
-generated ``docs/EXPERIMENTS.md`` all render these.
+one comparison from the introduction.  An experiment is three things:
+
+* a **spec** (``eN_campaign()``): the declarative grid per scale, with
+  any pinned seeds in the case and per-scale pulse counts in the
+  :class:`~repro.campaigns.spec.MeasurementSpec`;
+* a **builder** (:mod:`repro.campaigns.builders`, named in the spec):
+  runs one case and returns flat metrics;
+* a **table** (``eN_table(run)``): for the regular tables one
+  declarative column list (``header <- metric | case key, default``),
+  a plain function for the irregular ones (E5's optional column, E7's
+  derived note, E10's one row per pulse).
+
+:func:`run_experiment` — and with it ``repro run``, ``repro all``,
+``repro campaign run``, the benchmarks and the generated
+``docs/EXPERIMENTS.md`` — reads the campaign registry; nothing here
+runs at import time beyond the registrations at the bottom.
 
 ``scale="quick"`` keeps runtimes in seconds (CI-friendly);
-``scale="full"`` covers wider sweeps.  The campaign-ported experiments
-(E1/E4/E5/E6, plus the registry-driven STRESS campaign) additionally
-accept any scale a spec declares a tier for — E5 and STRESS define
-``"stress"`` tiers whose cases name scenario-registry entries.
+``scale="full"`` covers wider sweeps; any other tier a spec declares
+(E5, STRESS and E9-SCALE define ``"stress"``) is reachable through
+``repro campaign run``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.ablation import (
-    AblationSpec,
-    ablation_campaign_spec,
-    ablation_report,
-    ablation_table,
-    render_ablation_table,
-)
-from repro.analysis import metrics, theory
+from repro.ablation import ablation_campaign_spec, ablation_table
 from repro.analysis.reporting import Table
-from repro.analysis.runner import run_pulse_trial
 from repro.baselines.lynch_welch import lw_max_faults
 from repro.campaigns import (
     CampaignDefinition,
@@ -35,426 +39,291 @@ from repro.campaigns import (
     CampaignSpec,
     MeasurementSpec,
     ScenarioSpec,
+    campaign_definition,
     execute_campaign,
+    records_to_table,
     register_campaign,
 )
-from repro.campaigns.builders import (
-    APA_ADVERSARIES,
-    CPS_ADVERSARIES,
-    E6_ALGORITHMS,
-    cps_group_a as _cps_group_a,
-)
-from repro.core.attacks import (
-    CpsMimicDealerAttack,
-    CpsRushingEchoAttack,
-    FastToFaultyDelayPolicy,
-)
-from repro.core.cps import CpsNode, assemble_cps_simulation
-from repro.core.lower_bound import FixedPeriodProtocol, run_lower_bound
+from repro.campaigns.aggregate import Column
+from repro.campaigns.builders import E6_ALGORITHMS
 from repro.core.params import derive_parameters, max_faults
-from repro.sim.adversary import SilentAdversary
-from repro.sim.clocks import HardwareClock
-from repro.sim.network import RandomDelayPolicy
-from repro.sync.crusader import (
-    BOT,
-    CbEquivocatingDealer,
-    CbSubsetDealer,
-    CrusaderBroadcastNode,
-)
-from repro.sync.round_model import SynchronousNetwork
 
 # Canonical model parameters of the "typical regime" (u << d, theta-1 << 1)
 # the introduction argues about.  d normalizes the time unit.
 TYPICAL = {"theta": 1.001, "d": 1.0, "u": 0.01}
 
+#: The CPS attack suite of E4 and E9, in table row order.
+CPS_ADVERSARIES = ("silent", "mimic-split", "equivocating-subset")
 
-# ======================================================================
-# E1 — Theorem 9 / Corollary 2: APA convergence
-# ======================================================================
+#: id -> one-line description.  Literal on purpose: the registrations
+#: at the bottom, ``repro list`` and ``repro campaign list`` read it
+#: without building a single spec.
+DESCRIPTIONS = {
+    "E1": "APA convergence (Theorem 9, Corollary 2)",
+    "E2": "Crusader broadcast (Figure 4)",
+    "E3": "TCB estimate accuracy (Lemmas 10-13)",
+    "E4": "CPS skew vs bound (Theorem 17 / Corollary 4)",
+    "E5": "Resilience range (CPS vs Lynch-Welch)",
+    "E6": "Algorithm comparison (introduction / related work)",
+    "E7": "Lower bound (Theorem 5)",
+    "E8": "Skew vs faulty-link uncertainty (Section 1 discussion)",
+    "E9": "Period bounds (Theorem 17)",
+    "E10": "Convergence trajectory (Lemma 16)",
+    "A1": "Echo rejection ablation",
+    "A2": "Discard rule ablation (f-b vs f)",
+    "A3": "Dealer send offset ablation",
+    "STRESS": "Registry-driven stress scenarios "
+    "(adversary x delay x drift x topology)",
+    "CHURN-STRESS": "Fault-schedule stress: crash / recovery / late-join / "
+    "adversary-handoff dynamics",
+    "FUZZ": "Property-based fuzz shards: theorem-bound counterexample "
+    "search over valid and known-bad strategy spaces",
+    "E9-SCALE": "Vectorized-backend scale study: skew vs bound at "
+    "n = 100 / 1,000 / 10,000",
+    "ABLATION": "Protocol ablation matrix: per-component importance for "
+    "every theorem bound (baseline-plus-one-off)",
+}
+
+NAN, INF = float("nan"), float("inf")
+
+#: The Theorem 17 verdict columns E4, STRESS and E9-SCALE share.
+SKEW_VERDICT: Sequence[Column] = (
+    ("max skew", "max_skew", INF),
+    ("steady skew", "steady_skew", INF),
+    ("bound S", "bound_S", NAN),
+    ("within", "within", False),
+    ("live", "live", False),
+)
 
 
-def e1_campaign() -> CampaignSpec:
-    """The E1 grid as a declarative campaign."""
-    adversaries = tuple(APA_ADVERSARIES)
+def _design_f(case: Mapping[str, Any]) -> int:
+    """Default for an ``f`` column: error records carry no metrics."""
+    return max_faults(case["n"])
+
+
+def _title(name: str) -> str:
+    return f"{name} — {DESCRIPTIONS[name]}"
+
+
+def _table(
+    title: str, columns: Sequence[Column], note: Optional[str] = None
+) -> Callable[[CampaignRun], Table]:
+    """A table assembler from one declarative column list."""
+
+    def tabulate(run: CampaignRun) -> Table:
+        table = records_to_table(run.records, title, columns)
+        if note:
+            table.add_note(note)
+        return table
+
+    return tabulate
+
+
+def _campaign(
+    name: str,
+    builder: str,
+    tiers: Union[Tuple[int, int], Mapping[str, Tuple[int, int]]] = (0, 0),
+    seed: int = 0,
+    liveness: str = "tabulate",
+    backend: str = "event",
+    **grid: Any,
+) -> CampaignSpec:
+    """A single-scenario campaign — the shape of every experiment but
+    STRESS and FUZZ.  ``tiers`` is one ``(pulses, warmup)`` pair for
+    both ``quick`` and ``full``, or a ``{scale: pair}`` mapping;
+    ``grid`` is the :class:`ScenarioSpec` ``base``/``axes``/``cases``."""
+    if isinstance(tiers, tuple):
+        tiers = {"quick": tiers, "full": tiers}
     return CampaignSpec(
-        name="E1",
-        description="APA convergence (Theorem 9, Corollary 2)",
-        scenarios=(
-            ScenarioSpec(
-                builder="apa-convergence",
-                base={"initial_range": 64.0, "target": 1.0},
-                axes={
-                    "quick": {"n": (5, 9), "adversary": adversaries},
-                    "full": {
-                        "n": (5, 9, 16, 25),
-                        "adversary": adversaries,
-                    },
-                },
-            ),
-        ),
-        measurements={"*": MeasurementSpec(pulses=0, warmup=0)},
-    )
-
-
-def e1_table(run: CampaignRun) -> Table:
-    """Assemble the E1 table from campaign trial records."""
-    table = Table(
-        "E1 — APA convergence (Theorem 9, Corollary 2)",
-        [
-            "n",
-            "f",
-            "adversary",
-            "iterations",
-            "rounds",
-            "initial range",
-            "final range",
-            "bound (l/2^k)",
-            "halved every iter",
-            "validity ok",
-        ],
-    )
-    nan = float("nan")
-    for record in run.records:
-        m = record.metrics
-        table.add_row(
-            record.case["n"],
-            m.get("f", max_faults(record.case["n"])),
-            record.case["adversary"],
-            m.get("iterations", 0),
-            m.get("rounds", 0),
-            m.get("initial_range", nan),
-            m.get("final_range", nan),
-            m.get("halving_bound", nan),
-            m.get("halved", False),
-            m.get("validity", False),
-        )
-    table.add_note(
-        "Corollary 2: 2*ceil(log2(l/eps)) rounds reach eps at resilience "
-        "ceil(n/2)-1."
-    )
-    return table
-
-
-def e1_apa_convergence(scale: str = "quick") -> Table:
-    """Honest range halves per APA iteration, for every adversary."""
-    return e1_table(execute_campaign(e1_campaign(), scale=scale))
-
-
-# ======================================================================
-# E2 — Figure 4: crusader broadcast properties
-# ======================================================================
-
-
-def e2_crusader(scale: str = "quick") -> Table:
-    """Validity and crusader consistency of Algorithm CB."""
-    sizes = [4, 7] if scale == "quick" else [4, 7, 10, 15]
-    table = Table(
-        "E2 — Crusader broadcast (Figure 4)",
-        [
-            "n",
-            "f",
-            "scenario",
-            "outputs",
-            "validity ok",
-            "consistency ok",
-        ],
-    )
-    for n in sizes:
-        f = max_faults(n)
-        scenarios = []
-        # Honest dealer, all-silent faulty.
-        faulty = list(range(n - f, n))
-        scenarios.append(("honest-dealer", 0, faulty, None))
-        # Faulty dealer equivocating 0/1.
-        scenarios.append(
-            (
-                "equivocating-dealer",
-                n - 1,
-                faulty,
-                CbEquivocatingDealer(n - 1, 0, 1),
-            )
-        )
-        # Faulty dealer sending only to a subset.
-        honest = [v for v in range(n) if v not in faulty]
-        scenarios.append(
-            (
-                "subset-dealer",
-                n - 1,
-                faulty,
-                CbSubsetDealer(n - 1, 1, honest[: len(honest) // 2 + 1]),
-            )
-        )
-        for name, dealer, faulty_set, adversary in scenarios:
-            nodes = {
-                v: CrusaderBroadcastNode(dealer, input_value=1)
-                for v in range(n)
-                if v not in faulty_set
-            }
-            network = SynchronousNetwork(
-                dict(nodes), n, f, faulty_set, adversary
-            )
-            outputs = network.run(2)
-            values = set(outputs.values())
-            non_bot = {v for v in values if v is not BOT}
-            if dealer not in faulty_set:
-                validity = values == {1}
-            else:
-                validity = True  # vacuous for faulty dealers
-            consistency = len(non_bot) <= 1
-            rendered = ", ".join(
-                f"{node}:{output!r}" for node, output in sorted(outputs.items())
-            )
-            table.add_row(n, f, name, rendered, validity, consistency)
-    return table
-
-
-# ======================================================================
-# E3 — Lemmas 10-13: TCB acceptance and estimate accuracy
-# ======================================================================
-
-
-def e3_tcb_accuracy(scale: str = "quick") -> Table:
-    """Measured estimate errors against the delta bound."""
-    if scale == "quick":
-        configs = [(1.0005, 0.01), (1.002, 0.05), (1.005, 0.1)]
-    else:
-        configs = [
-            (1.0002, 0.005),
-            (1.0005, 0.01),
-            (1.001, 0.02),
-            (1.002, 0.05),
-            (1.005, 0.1),
-            (1.01, 0.2),
-        ]
-    table = Table(
-        "E3 — TCB estimate accuracy (Lemmas 10-13)",
-        [
-            "theta",
-            "u",
-            "honest accepts",
-            "validity err max",
-            "delta bound",
-            "within (L12)",
-            "faulty consistency err",
-            "within (L13)",
-        ],
-    )
-    n, pulses = 6, 10
-    for theta, u in configs:
-        params = derive_parameters(theta, 1.0, u, n)
-        faulty = list(range(n - params.f, n))
-        behavior = CpsMimicDealerAttack(params, _cps_group_a(n))
-        simulation = assemble_cps_simulation(
-            params,
-            faulty=faulty,
-            behavior=behavior,
-            delay_policy=RandomDelayPolicy(seed=7),
-            seed=11,
-        )
-        outcome = run_pulse_trial(simulation, pulses)
-        assert outcome.result is not None and outcome.live, outcome.error
-        honest_pulses = outcome.result.honest_pulses()
-        honest = sorted(honest_pulses)
-        validity_err = 0.0
-        consistency_err = 0.0
-        accepts = 0
-        rejections_of_honest = 0
-        for v in honest:
-            node = simulation.protocol(v)
-            for summary in node.summaries:
-                r = summary.pulse_round - 1
-                for w, estimate in summary.estimates.items():
-                    if w == v:
-                        continue
-                    if w in honest:
-                        if estimate is BOT:
-                            rejections_of_honest += 1
-                            continue
-                        accepts += 1
-                        true_offset = (
-                            honest_pulses[w][r] - honest_pulses[v][r]
-                        )
-                        error = estimate - true_offset
-                        validity_err = max(
-                            validity_err, abs(error) if error < 0 else error
-                        )
-        # Lemma 13: pairwise consistency for faulty dealers.
-        for r in range(pulses):
-            for x in faulty:
-                per_node = {}
-                for v in honest:
-                    summaries = simulation.protocol(v).summaries
-                    if r < len(summaries):
-                        estimate = summaries[r].estimates.get(x)
-                        if estimate is not BOT and estimate is not None:
-                            per_node[v] = estimate
-                for v in per_node:
-                    for w in per_node:
-                        if v == w:
-                            continue
-                        gap = (
-                            per_node[v]
-                            - per_node[w]
-                            - (
-                                honest_pulses[w][r]
-                                - honest_pulses[v][r]
-                            )
-                        )
-                        consistency_err = max(consistency_err, abs(gap))
-        table.add_row(
-            theta,
-            u,
-            accepts,
-            validity_err,
-            params.delta,
-            validity_err < params.delta + 1e-9,
-            consistency_err,
-            consistency_err < params.delta + 1e-9,
-        )
-    table.add_note(
-        "Lemma 10 additionally guarantees zero honest-dealer rejections "
-        "when faulty links respect d-u; asserted in the test suite."
-    )
-    return table
-
-
-# ======================================================================
-# E4 — Theorem 17 / Corollary 4: CPS skew
-# ======================================================================
-
-
-def _cps_adversaries(params) -> Dict[str, Callable[[], object]]:
-    """Adversary factories bound to ``params`` (used by E9)."""
-    return {
-        name: (lambda make=make: make(params))
-        for name, make in CPS_ADVERSARIES.items()
-    }
-
-
-def e4_campaign() -> CampaignSpec:
-    """The E4 grid: (n, u, theta) systems crossed with the attack suite."""
-    return CampaignSpec(
-        name="E4",
-        description="CPS skew vs bound (Theorem 17 / Corollary 4)",
-        scenarios=(
-            ScenarioSpec(
-                builder="cps-skew",
-                base={"d": 1.0, "seed": 3, "clock_style": "extreme"},
-                axes={"*": {"adversary": tuple(CPS_ADVERSARIES)}},
-                cases={
-                    "quick": (
-                        {"n": 6, "u": 0.01, "theta": 1.001},
-                        {"n": 9, "u": 0.05, "theta": 1.002},
-                    ),
-                    "full": (
-                        {"n": 6, "u": 0.01, "theta": 1.001},
-                        {"n": 9, "u": 0.05, "theta": 1.002},
-                        {"n": 12, "u": 0.01, "theta": 1.0005},
-                        {"n": 16, "u": 0.1, "theta": 1.005},
-                    ),
-                },
-            ),
-        ),
+        name=name,
+        description=DESCRIPTIONS[name],
+        seed=seed,
+        scenarios=(ScenarioSpec(builder=builder, **grid),),
         measurements={
-            "quick": MeasurementSpec(pulses=15, warmup=5),
-            "full": MeasurementSpec(pulses=30, warmup=5),
+            scale: MeasurementSpec(
+                pulses, warmup, liveness=liveness, backend=backend
+            )
+            for scale, (pulses, warmup) in tiers.items()
         },
     )
 
 
-def e4_table(run: CampaignRun) -> Table:
-    """Assemble the E4 table from campaign trial records."""
-    table = Table(
-        "E4 — CPS skew vs bound (Theorem 17 / Corollary 4)",
-        [
-            "n",
-            "f",
-            "u",
-            "theta",
-            "adversary",
-            "max skew",
-            "steady skew",
-            "bound S",
-            "within",
-            "live",
-        ],
+# --- E1 — Theorem 9 / Corollary 2: APA convergence --------------------
+
+
+def e1_campaign() -> CampaignSpec:
+    """Honest range halves per APA iteration, for every adversary."""
+    adversaries = ("extreme-values", "split-bot", "equivocating")
+    return _campaign(
+        "E1",
+        "apa-convergence",
+        base={"initial_range": 64.0, "target": 1.0},
+        axes={
+            "quick": {"n": (5, 9), "adversary": adversaries},
+            "full": {"n": (5, 9, 16, 25), "adversary": adversaries},
+        },
     )
-    for record in run.records:
-        case = record.case
-        m = record.metrics
-        table.add_row(
-            case["n"],
-            m.get("f", max_faults(case["n"])),
-            case["u"],
-            case["theta"],
-            case["adversary"],
-            m.get("max_skew", float("nan")),
-            m.get("steady_skew", float("nan")),
-            m.get("bound_S", float("nan")),
-            m.get("within", False),
-            m.get("live", False),
-        )
-    table.add_note(
-        "f = ceil(n/2)-1 everywhere — beyond the ceil(n/3)-1 barrier of "
-        "the signature-free setting."
+
+
+e1_table = _table(
+    _title("E1"),
+    [
+        "n",
+        ("f", "f", _design_f),
+        "adversary",
+        ("iterations", "iterations", 0),
+        ("rounds", "rounds", 0),
+        ("initial range", "initial_range", NAN),
+        ("final range", "final_range", NAN),
+        ("bound (l/2^k)", "halving_bound", NAN),
+        ("halved every iter", "halved", False),
+        ("validity ok", "validity", False),
+    ],
+    note="Corollary 2: 2*ceil(log2(l/eps)) rounds reach eps at resilience "
+    "ceil(n/2)-1.",
+)
+
+
+# --- E2 — Figure 4: crusader broadcast properties ---------------------
+
+
+def e2_campaign() -> CampaignSpec:
+    """Validity and crusader consistency of Algorithm CB."""
+    scenarios = ("honest-dealer", "equivocating-dealer", "subset-dealer")
+    return _campaign(
+        "E2",
+        "crusader-broadcast",
+        axes={
+            "quick": {"n": (4, 7), "scenario": scenarios},
+            "full": {"n": (4, 7, 10, 15), "scenario": scenarios},
+        },
     )
-    return table
 
 
-def e4_cps_skew(scale: str = "quick") -> Table:
-    """Measured worst-case skew against the proven bound S."""
-    return e4_table(execute_campaign(e4_campaign(), scale=scale))
+e2_table = _table(
+    _title("E2"),
+    [
+        "n",
+        ("f", "f", _design_f),
+        "scenario",
+        ("outputs", "outputs", ""),
+        ("validity ok", "validity", False),
+        ("consistency ok", "consistency", False),
+    ],
+)
 
 
-# ======================================================================
-# E5 — resilience range: CPS vs Lynch-Welch across f
-# ======================================================================
+# --- E3 — Lemmas 10-13: TCB acceptance and estimate accuracy ----------
 
 
-_E5_N = 9
+def e3_campaign() -> CampaignSpec:
+    """Measured estimate errors against the delta bound."""
+    return _campaign(
+        "E3",
+        "tcb-accuracy",
+        (10, 2),
+        liveness="require",
+        base={
+            "n": 6,
+            "d": 1.0,
+            "adversary": "mimic-split",
+            "delay": "random",
+            "delay_params": {"seed": 7},
+            "drift": "random",
+            "seed": 11,
+        },
+        cases={
+            "quick": (
+                {"theta": 1.0005, "u": 0.01},
+                {"theta": 1.002, "u": 0.05},
+                {"theta": 1.005, "u": 0.1},
+            ),
+            "full": (
+                {"theta": 1.0002, "u": 0.005},
+                {"theta": 1.0005, "u": 0.01},
+                {"theta": 1.001, "u": 0.02},
+                {"theta": 1.002, "u": 0.05},
+                {"theta": 1.005, "u": 0.1},
+                {"theta": 1.01, "u": 0.2},
+            ),
+        },
+    )
+
+
+e3_table = _table(
+    _title("E3"),
+    [
+        "theta",
+        "u",
+        ("honest accepts", "accepts", 0),
+        ("validity err max", "validity_err", NAN),
+        ("delta bound", "delta", NAN),
+        ("within (L12)", "validity_within", False),
+        ("faulty consistency err", "consistency_err", NAN),
+        ("within (L13)", "consistency_within", False),
+    ],
+    note="Lemma 10 additionally guarantees zero honest-dealer rejections "
+    "when faulty links respect d-u; asserted in the test suite.",
+)
+
+
+# --- E4 — Theorem 17 / Corollary 4: CPS skew --------------------------
+
+
+def e4_campaign() -> CampaignSpec:
+    """Measured worst-case skew against the proven bound S: (n, u,
+    theta) systems crossed with the attack suite.
+
+    The cases predate the scenario registry (``clock_style`` where the
+    facade says ``drift``, an implied ``skewing`` delay); the builder
+    maps them, so the case keys stay what every store already holds.
+    """
+    systems = (
+        {"n": 6, "u": 0.01, "theta": 1.001},
+        {"n": 9, "u": 0.05, "theta": 1.002},
+        {"n": 12, "u": 0.01, "theta": 1.0005},
+        {"n": 16, "u": 0.1, "theta": 1.005},
+    )
+    return _campaign(
+        "E4",
+        "cps-skew",
+        {"quick": (15, 5), "full": (30, 5)},
+        base={"d": 1.0, "seed": 3, "clock_style": "extreme"},
+        axes={"*": {"adversary": CPS_ADVERSARIES}},
+        cases={"quick": systems[:2], "full": systems},
+    )
+
+
+e4_table = _table(
+    _title("E4"),
+    ["n", ("f", "f", _design_f), "u", "theta", "adversary", *SKEW_VERDICT],
+    note="f = ceil(n/2)-1 everywhere — beyond the ceil(n/3)-1 barrier of "
+    "the signature-free setting.",
+)
+
+
+# --- E5 — resilience range: CPS vs Lynch-Welch across f ---------------
 
 
 def e5_campaign() -> CampaignSpec:
-    """The E5 grid: fault count crossed with {CPS, Lynch-Welch}.
+    """Same timing attack against CPS and LW for f = 0..ceil(n/2)-1.
 
     The ``stress`` tier additionally crosses the grid with registry-named
     delay policies — the same resilience question asked under an eclipse
     and a flickering partition instead of only the static timing split.
     """
-    f_axis = tuple(range(max_faults(_E5_N) + 1))
-    algorithms = ("CPS", "Lynch-Welch")
-    return CampaignSpec(
-        name="E5",
-        description="Resilience range (CPS vs Lynch-Welch)",
-        scenarios=(
-            ScenarioSpec(
-                builder="cps-vs-lw-resilience",
-                base={
-                    "n": _E5_N,
-                    "theta": 1.001,
-                    "d": 1.0,
-                    "u": 0.02,
-                    "seed": 5,
-                },
-                axes={
-                    "*": {"f": f_axis, "algorithm": algorithms},
-                    "stress": {
-                        "f": f_axis,
-                        "algorithm": algorithms,
-                        "delay": (
-                            "skewing",
-                            "eclipse",
-                            "flicker-partition",
-                        ),
-                    },
-                },
-            ),
-        ),
-        measurements={
-            "quick": MeasurementSpec(pulses=30, warmup=8),
-            "full": MeasurementSpec(pulses=60, warmup=8),
-            "stress": MeasurementSpec(pulses=40, warmup=8),
-        },
+    n = 9
+    grid = {
+        "f": tuple(range(max_faults(n) + 1)),
+        "algorithm": ("CPS", "Lynch-Welch"),
+    }
+    delays = ("skewing", "eclipse", "flicker-partition")
+    return _campaign(
+        "E5",
+        "cps-vs-lw-resilience",
+        {"quick": (30, 8), "full": (60, 8), "stress": (40, 8)},
+        base={"n": n, "theta": 1.001, "d": 1.0, "u": 0.02, "seed": 5},
+        axes={"*": grid, "stress": {**grid, "delay": delays}},
     )
 
 
@@ -466,343 +335,238 @@ def e5_table(run: CampaignRun) -> Table:
     byte-identical to the pre-registry output.
     """
     with_delay = any("delay" in record.case for record in run.records)
-    table = Table(
-        "E5 — Resilience range (CPS vs Lynch-Welch)",
+    table = records_to_table(
+        run.records,
+        _title("E5"),
         [
             "f",
             "algorithm",
-            *(["delay"] if with_delay else []),
-            "tolerated by design",
-            "max skew",
-            "steady skew",
-            "bound",
-            "steady within",
+            *([("delay", "delay", "skewing")] if with_delay else []),
+            ("tolerated by design", "tolerated", False),
+            ("max skew", "max_skew", INF),
+            ("steady skew", "steady_skew", INF),
+            ("bound", "bound", NAN),
+            ("steady within", "steady_within", False),
         ],
     )
-    n = _E5_N
-    for record in run.records:
-        m = record.metrics
-        n = record.case["n"]
-        table.add_row(
-            record.case["f"],
-            record.case["algorithm"],
-            *([record.case.get("delay", "skewing")] if with_delay else []),
-            m.get("tolerated", False),
-            m.get("max_skew", float("inf")),
-            m.get("steady_skew", float("inf")),
-            m.get("bound", float("nan")),
-            m.get("steady_within", False),
+    if run.records:
+        n = run.records[-1].case["n"]
+        table.add_note(
+            f"n={n}: LW tolerates f <= {lw_max_faults(n)}; CPS tolerates "
+            f"f <= {max_faults(n)} (Theorem 17).  Beyond its tolerance LW "
+            "stops contracting: the timing split pins each group to a "
+            "different honest extreme and drift accumulates unchecked."
         )
-    table.add_note(
-        f"n={n}: LW tolerates f <= {lw_max_faults(n)}; CPS tolerates "
-        f"f <= {max_faults(n)} (Theorem 17).  Beyond its tolerance LW "
-        "stops contracting: the timing split pins each group to a "
-        "different honest extreme and drift accumulates unchecked."
-    )
     return table
 
 
-def e5_resilience(scale: str = "quick") -> Table:
-    """Same timing attack against CPS and LW for f = 0..ceil(n/2)-1."""
-    return e5_table(execute_campaign(e5_campaign(), scale=scale))
-
-
-# ======================================================================
-# E6 — introduction comparison table: all four algorithms
-# ======================================================================
+# --- E6 — introduction comparison table: all four algorithms ----------
 
 
 def e6_campaign() -> CampaignSpec:
-    """The E6 grid: system size crossed with all four algorithms."""
-    return CampaignSpec(
-        name="E6",
-        description="Algorithm comparison (introduction / related work)",
-        scenarios=(
-            ScenarioSpec(
-                builder="algorithm-comparison",
-                base={**TYPICAL, "seed": 1},
-                axes={
-                    "quick": {"n": (5, 9), "algorithm": E6_ALGORITHMS},
-                    "full": {
-                        "n": (5, 9, 13, 17),
-                        "algorithm": E6_ALGORITHMS,
-                    },
-                },
-            ),
-        ),
-        measurements={
-            "quick": MeasurementSpec(pulses=10, warmup=3),
-            "full": MeasurementSpec(pulses=20, warmup=3),
+    """Skew of CPS vs the three baselines in the typical regime."""
+    return _campaign(
+        "E6",
+        "algorithm-comparison",
+        {"quick": (10, 3), "full": (20, 3)},
+        base={**TYPICAL, "seed": 1},
+        axes={
+            "quick": {"n": (5, 9), "algorithm": E6_ALGORITHMS},
+            "full": {"n": (5, 9, 13, 17), "algorithm": E6_ALGORITHMS},
         },
     )
 
 
-def e6_table(run: CampaignRun) -> Table:
-    """Assemble the E6 table from campaign trial records."""
-    table = Table(
-        "E6 — Algorithm comparison (introduction / related work)",
+e6_table = _table(
+    _title("E6"),
+    [
+        "algorithm",
+        "n",
+        ("f", "f", _design_f),
+        ("theory skew", "theory_skew", NAN),
+        ("steady skew", "steady_skew", INF),
+        ("skew / d", "skew_over_d", INF),
+    ],
+    note="Typical regime u << d, theta-1 << 1: CPS and LW sit near "
+    "u + (theta-1)d, signed relays near d, chain relays grow with f.",
+)
+
+
+# --- E7 — Theorem 5: lower bound construction -------------------------
+
+
+def e7_campaign() -> CampaignSpec:
+    """The three-execution adversary vs CPS and a fixed-period pulser.
+
+    No pulse counts: the builder derives each case's from its
+    saturation time.
+    """
+    protocols = ("CPS (n=3)", "fixed-period")
+    return _campaign(
+        "E7",
+        "lower-bound",
+        base={"theta": 1.02, "d": 1.0},
+        axes={
+            "quick": {"protocol": protocols, "u_tilde": (0.15, 0.45, 0.9)},
+            "full": {
+                "protocol": protocols,
+                "u_tilde": (0.05, 0.15, 0.3, 0.45, 0.6, 0.9),
+            },
+        },
+    )
+
+
+def e7_table(run: CampaignRun) -> Table:
+    """The note quotes the ``S`` CPS would claim on honest links alone."""
+    table = records_to_table(
+        run.records,
+        _title("E7"),
         [
-            "algorithm",
-            "n",
-            "f",
-            "theory skew",
-            "steady skew",
-            "skew / d",
+            "protocol",
+            ("u~", "u_tilde", NAN),
+            ("max exec skew", "max_exec_skew", NAN),
+            ("bound 2u~/3", "bound", NAN),
+            (">= bound", "meets_bound", False),
+            ("identity sum", "identity_sum", NAN),
+            ("2u~", "two_u_tilde", NAN),
+            ("well-defined", "well_defined", False),
         ],
+    )
+    if run.records:
+        case = run.records[0].case
+        claimed = derive_parameters(case["theta"], case["d"], 0.0, 3, f=1).S
+        table.add_note(
+            "CPS derived with u=0: its claimed S is "
+            f"{claimed:.4f} — the adversary exceeds it whenever "
+            "2u~/3 > S, i.e. the skew is governed by u~, not u."
+        )
+    return table
+
+
+# --- E8 — skew degradation when faulty links undercut d - u -----------
+
+
+def e8_campaign() -> CampaignSpec:
+    """CPS under the rushing-echo attack for growing u_tilde / u."""
+    return _campaign(
+        "E8",
+        "cps-fast-faulty-links",
+        {"quick": (12, 2), "full": (25, 2)},
+        base={
+            "n": 6,
+            "theta": 1.0005,
+            "d": 1.0,
+            "u": 0.01,
+            "adversary": "rushing-echo",
+            "delay": "fast-to-faulty",
+            "drift": "extreme",
+            "seed": 2,
+        },
+        axes={
+            "quick": {"multiplier": (1, 4, 16)},
+            "full": {"multiplier": (1, 2, 4, 8, 16, 32)},
+        },
+    )
+
+
+e8_table = _table(
+    _title("E8"),
+    [
+        ("u~/u", "multiplier", NAN),
+        ("u~", "u_tilde", NAN),
+        ("measured skew", "max_skew", INF),
+        ("bound S (for u)", "bound_S", NAN),
+        ("within S", "within", False),
+        ("honest-dealer rejections", "rejections", 0),
+    ],
+    note="u~ = u: Lemma 10 holds, zero honest rejections, skew <= S.  "
+    "u~ > u: rushed echoes force honest-dealer rejections and the "
+    "skew bound no longer holds (Theorem 5 explains why it cannot).",
+)
+
+
+# --- E9 — Theorem 17 period bounds ------------------------------------
+
+
+def e9_campaign() -> CampaignSpec:
+    """Measured P_min / P_max against the Theorem 17 bounds."""
+    systems = (
+        {"n": 6, "u": 0.01, "theta": 1.001},
+        {"n": 9, "u": 0.05, "theta": 1.002},
+        {"n": 12, "u": 0.1, "theta": 1.005},
+    )
+    return _campaign(
+        "E9",
+        "cps-skew",
+        {"quick": (15, 2), "full": (30, 2)},
+        base={
+            "d": 1.0,
+            "delay": "random",
+            "delay_params": {"seed": 13},
+            "drift": "extreme",
+            "seed": 13,
+        },
+        axes={"*": {"adversary": CPS_ADVERSARIES}},
+        cases={"quick": systems[:1], "full": systems},
+    )
+
+
+e9_table = _table(
+    _title("E9"),
+    [
+        "n",
+        "adversary",
+        ("P_min measured", "min_period", NAN),
+        ("P_min bound", "p_min_bound", NAN),
+        ("P_max measured", "max_period", NAN),
+        ("P_max bound", "p_max_bound", NAN),
+        ("within", "periods_within", False),
+    ],
+)
+
+
+# --- E10 — Lemma 16 dynamics: convergence from the worst allowed start
+
+
+def e10_campaign() -> CampaignSpec:
+    """Per-pulse skew trajectory from maximal initial offsets."""
+    return _campaign(
+        "E10",
+        "cps-convergence",
+        {"quick": (12, 0), "full": (25, 0)},
+        liveness="require",
+        base={
+            "n": 6,
+            "theta": 1.0005,
+            "d": 1.0,
+            "u": 0.02,
+            "adversary": "silent",
+            "delay": "random",
+            "delay_params": {"seed": 4},
+            "drift": "extreme",
+            "seed": 4,
+        },
+    )
+
+
+def e10_table(run: CampaignRun) -> Table:
+    """One row per pulse of the (single) trial's skew trajectory."""
+    table = Table(
+        _title("E10"),
+        ["pulse", "skew", "bound S", "halving ref", "floor 2*delta"],
     )
     for record in run.records:
         m = record.metrics
-        table.add_row(
-            record.case["algorithm"],
-            record.case["n"],
-            m.get("f", max_faults(record.case["n"])),
-            m.get("theory_skew", float("nan")),
-            m.get("steady_skew", float("inf")),
-            m.get("skew_over_d", float("inf")),
-        )
-    table.add_note(
-        "Typical regime u << d, theta-1 << 1: CPS and LW sit near "
-        "u + (theta-1)d, signed relays near d, chain relays grow with f."
-    )
-    return table
-
-
-def e6_baselines(scale: str = "quick") -> Table:
-    """Skew of CPS vs the three baselines in the typical regime."""
-    return e6_table(execute_campaign(e6_campaign(), scale=scale))
-
-
-# ======================================================================
-# E7 — Theorem 5: lower bound construction
-# ======================================================================
-
-
-def e7_lower_bound(scale: str = "quick") -> Table:
-    """The three-execution adversary vs CPS and a fixed-period pulser."""
-    d = 1.0
-    theta = 1.02
-    u_tildes = [0.15, 0.45, 0.9] if scale == "quick" else [
-        0.05, 0.15, 0.3, 0.45, 0.6, 0.9,
-    ]
-    table = Table(
-        "E7 — Lower bound (Theorem 5)",
-        [
-            "protocol",
-            "u~",
-            "max exec skew",
-            "bound 2u~/3",
-            ">= bound",
-            "identity sum",
-            "2u~",
-            "well-defined",
-        ],
-    )
-    cps_params = derive_parameters(theta, d, 0.0, 3, f=1)
-
-    def protocols():
-        yield "CPS (n=3)", lambda _v: CpsNode(cps_params)
-        yield "fixed-period", lambda _v: FixedPeriodProtocol(2.0 * d)
-
-    for name, factory in protocols():
-        for u_tilde in u_tildes:
-            # Run until well past the fast clocks' saturation time
-            # 2*u_tilde / (3 (theta-1)); periods are ~2d.
-            saturation = 2.0 * u_tilde / (3.0 * (theta - 1.0))
-            pulses = int(math.ceil(saturation / (1.5 * d))) + 6
-            result = run_lower_bound(
-                factory, theta, d, u_tilde, max_pulses=pulses
-            )
-            saturated = result.saturated_pulse_indices()
-            index = saturated[-1] if saturated else (
-                result.common_pulse_count() - 1
-            )
-            measured = result.max_skew_at(index)
-            identity = result.theorem_identity(index)
+        trajectory = m.get("trajectory", ())
+        floor = 2.0 * m.get("delta", NAN)
+        for index, value in enumerate(trajectory):
             table.add_row(
-                name,
-                u_tilde,
-                measured,
-                theory.lower_bound_skew(u_tilde),
-                measured >= theory.lower_bound_skew(u_tilde) - 1e-9,
-                identity,
-                2.0 * u_tilde,
-                True,  # run_lower_bound(check=True) raised otherwise
+                index + 1,
+                value,
+                m["bound_S"],
+                max(trajectory[0] / (2.0 ** index), floor),
+                floor,
             )
-    table.add_note(
-        "CPS derived with u=0: its claimed S is "
-        f"{cps_params.S:.4f} — the adversary exceeds it whenever "
-        "2u~/3 > S, i.e. the skew is governed by u~, not u."
-    )
-    return table
-
-
-# ======================================================================
-# E8 — skew degradation when faulty links undercut d - u
-# ======================================================================
-
-
-def e8_utilde_degradation(scale: str = "quick") -> Table:
-    """CPS under the rushing-echo attack for growing u_tilde / u."""
-    n = 6
-    theta, d, u = 1.0005, 1.0, 0.01
-    multipliers = [1, 4, 16] if scale == "quick" else [1, 2, 4, 8, 16, 32]
-    pulses = 12 if scale == "quick" else 25
-    params = derive_parameters(theta, d, u, n)
-    faulty = list(range(n - params.f, n))
-    table = Table(
-        "E8 — Skew vs faulty-link uncertainty (Section 1 discussion)",
-        [
-            "u~/u",
-            "u~",
-            "measured skew",
-            "bound S (for u)",
-            "within S",
-            "honest-dealer rejections",
-        ],
-    )
-    for multiplier in multipliers:
-        u_tilde = min(u * multiplier, d * 0.45)
-        simulation = assemble_cps_simulation(
-            params,
-            faulty=faulty,
-            behavior=CpsRushingEchoAttack(),
-            delay_policy=FastToFaultyDelayPolicy(),
-            u_tilde=u_tilde,
-            seed=2,
-            clock_style="extreme",
-        )
-        outcome = run_pulse_trial(simulation, pulses)
-        rejections = 0
-        if outcome.result is not None:
-            for record in outcome.result.trace.protocol_events("cps-round"):
-                summary = record.details
-                rejections += sum(
-                    1
-                    for w, estimate in summary.estimates.items()
-                    if estimate is BOT and w not in set(faulty)
-                )
-        measured = (
-            outcome.report.max_skew if outcome.report else float("inf")
-        )
-        table.add_row(
-            multiplier,
-            u_tilde,
-            measured,
-            params.S,
-            measured <= params.S + 1e-9,
-            rejections,
-        )
-    table.add_note(
-        "u~ = u: Lemma 10 holds, zero honest rejections, skew <= S.  "
-        "u~ > u: rushed echoes force honest-dealer rejections and the "
-        "skew bound no longer holds (Theorem 5 explains why it cannot)."
-    )
-    return table
-
-
-# ======================================================================
-# E9 — Theorem 17 period bounds
-# ======================================================================
-
-
-def e9_periods(scale: str = "quick") -> Table:
-    """Measured P_min / P_max against the Theorem 17 bounds."""
-    systems = (
-        [(6, 0.01, 1.001)]
-        if scale == "quick"
-        else [(6, 0.01, 1.001), (9, 0.05, 1.002), (12, 0.1, 1.005)]
-    )
-    pulses = 15 if scale == "quick" else 30
-    table = Table(
-        "E9 — Period bounds (Theorem 17)",
-        [
-            "n",
-            "adversary",
-            "P_min measured",
-            "P_min bound",
-            "P_max measured",
-            "P_max bound",
-            "within",
-        ],
-    )
-    for n, u, theta in systems:
-        params = derive_parameters(theta, 1.0, u, n)
-        faulty = list(range(n - params.f, n))
-        for name, make in _cps_adversaries(params).items():
-            simulation = assemble_cps_simulation(
-                params,
-                faulty=faulty,
-                behavior=make(),
-                delay_policy=RandomDelayPolicy(seed=13),
-                seed=13,
-                clock_style="extreme",
-            )
-            outcome = run_pulse_trial(simulation, pulses)
-            if outcome.report is None:
-                table.add_row(n, name, *(float("nan"),) * 4, False)
-                continue
-            report = outcome.report
-            within = (
-                report.min_period >= params.p_min_bound - 1e-9
-                and report.max_period <= params.p_max_bound + 1e-9
-            )
-            table.add_row(
-                n,
-                name,
-                report.min_period,
-                params.p_min_bound,
-                report.max_period,
-                params.p_max_bound,
-                within,
-            )
-    return table
-
-
-# ======================================================================
-# E10 — Lemma 16 dynamics: convergence from the worst allowed start
-# ======================================================================
-
-
-def e10_convergence(scale: str = "quick") -> Table:
-    """Per-pulse skew trajectory from maximal initial offsets."""
-    n = 6
-    theta, d, u = 1.0005, 1.0, 0.02
-    pulses = 12 if scale == "quick" else 25
-    params = derive_parameters(theta, d, u, n)
-    faulty = list(range(n - params.f, n))
-    clocks = [
-        HardwareClock.constant_rate(
-            1.0 if v % 2 == 0 else theta,
-            offset=0.0 if v % 2 == 0 else params.S,
-            theta=theta,
-        )
-        for v in range(n)
-    ]
-    simulation = assemble_cps_simulation(
-        params,
-        clocks=clocks,
-        faulty=faulty,
-        behavior=SilentAdversary(),
-        delay_policy=RandomDelayPolicy(seed=4),
-        seed=4,
-    )
-    outcome = run_pulse_trial(simulation, pulses, warmup=0)
-    assert outcome.result is not None and outcome.live, outcome.error
-    trajectory = metrics.skew_trajectory(outcome.result.honest_pulses())
-    table = Table(
-        "E10 — Convergence trajectory (Lemma 16)",
-        ["pulse", "skew", "bound S", "halving ref", "floor 2*delta"],
-    )
-    reference = trajectory[0]
-    floor = 2.0 * params.delta
-    for index, value in enumerate(trajectory):
-        table.add_row(
-            index + 1,
-            value,
-            params.S,
-            max(reference / (2.0 ** index), floor),
-            floor,
-        )
     table.add_note(
         "Lemma 16: skew' <= skew/2 + delta (+ drift terms); the trajectory "
         "contracts geometrically to an O(delta) floor."
@@ -810,186 +574,109 @@ def e10_convergence(scale: str = "quick") -> Table:
     return table
 
 
-# ======================================================================
-# Ablations
-# ======================================================================
+# --- A1-A3 — ablations: one CpsNode mechanism overridden per row ------
 
 
-def a1_no_echo_rejection(scale: str = "quick") -> Table:
+def _mechanism_campaign(
+    name: str, pulses: int, axis: str, values: Sequence[Any], **base: Any
+) -> CampaignSpec:
+    return _campaign(
+        name,
+        "cps-mechanism",
+        (pulses, 2),
+        base={"n": 6, "d": 1.0, **base},
+        axes={"*": {axis: tuple(values)}},
+    )
+
+
+def a1_campaign() -> CampaignSpec:
     """Disable Figure 2's echo-rejection rule; let dealers stagger sends.
 
     The rule's purpose is timed crusader consistency (Lemma 13): two
     honest nodes accepting the same dealer must compute estimates that
-    agree up to ``delta``.  A faulty dealer staggering its sends violates
-    that by the stagger amount — unless the rushed echo of the early copy
-    gets it rejected.
+    agree up to ``delta``.  A faulty dealer staggering its sends (here
+    by ``1.5 delta``, beyond what Lemma 13 permits) violates that by
+    the stagger amount — unless the rushed echo of the early copy gets
+    it rejected.
     """
-    n = 6
-    theta, d, u = 1.0005, 1.0, 0.01
-    pulses = 10
-    params = derive_parameters(theta, d, u, n)
-    faulty = list(range(n - params.f, n))
-    stagger = 1.5 * params.delta  # beyond what Lemma 13 permits
-    table = Table(
-        "A1 — Echo rejection ablation",
-        [
-            "echo rejection",
-            "stagger",
-            "faulty accepted",
-            "max consistency err",
-            "delta bound",
-            "within delta",
-        ],
+    return _mechanism_campaign(
+        "A1", 10, "echo_rejection", (True, False),
+        theta=1.0005, u=0.01, adversary="mimic-split", stagger=1.5, seed=6,
     )
-    for enabled in (True, False):
-        simulation = assemble_cps_simulation(
-            params,
-            faulty=faulty,
-            behavior=CpsMimicDealerAttack(
-                params, _cps_group_a(n), stagger=stagger
-            ),
-            seed=6,
-            echo_rejection=enabled,
-        )
-        outcome = run_pulse_trial(simulation, pulses)
-        assert outcome.result is not None and outcome.live, outcome.error
-        honest_pulses = outcome.result.honest_pulses()
-        honest = sorted(honest_pulses)
-        accepted = 0
-        worst = 0.0
-        for r in range(pulses):
-            for x in faulty:
-                per_node = {}
-                for v in honest:
-                    summaries = simulation.protocol(v).summaries
-                    if r < len(summaries):
-                        estimate = summaries[r].estimates.get(x)
-                        if estimate is not None and estimate is not BOT:
-                            per_node[v] = estimate
-                accepted += len(per_node)
-                for v in per_node:
-                    for w in per_node:
-                        if v == w:
-                            continue
-                        gap = abs(
-                            per_node[v]
-                            - per_node[w]
-                            - (honest_pulses[w][r] - honest_pulses[v][r])
-                        )
-                        worst = max(worst, gap)
-        table.add_row(
-            enabled,
-            stagger,
-            accepted,
-            worst,
-            params.delta,
-            worst <= params.delta + 1e-9,
-        )
-    table.add_note(
-        "With the rule the staggered dealer is either rejected or its "
-        "estimates agree within delta; without it, honest nodes accept "
-        "estimates a full stagger apart — the Lemma 13 invariant breaks "
-        "and with it the Theorem 17 analysis."
-    )
-    return table
 
 
-def a2_discard_rule(scale: str = "quick") -> Table:
+a1_table = _table(
+    _title("A1"),
+    [
+        ("echo rejection", "echo_rejection", NAN),
+        ("stagger", "stagger", NAN),
+        ("faulty accepted", "faulty_accepted", 0),
+        ("max consistency err", "consistency_err", NAN),
+        ("delta bound", "delta", NAN),
+        ("within delta", "consistency_within", False),
+    ],
+    note="With the rule the staggered dealer is either rejected or its "
+    "estimates agree within delta; without it, honest nodes accept "
+    "estimates a full stagger apart — the Lemma 13 invariant breaks "
+    "and with it the Theorem 17 analysis.",
+)
+
+
+def a2_campaign() -> CampaignSpec:
     """Replace the f-b discard with the signature-free fixed-f discard."""
-    n = 6
-    theta, d, u = 1.0005, 1.0, 0.02
-    pulses = 10
-    params = derive_parameters(theta, d, u, n)
-    faulty = list(range(n - params.f, n))
-    table = Table(
-        "A2 — Discard rule ablation (f-b vs f)",
-        ["rule", "f", "outcome", "measured skew", "bound S"],
+    return _mechanism_campaign(
+        "A2", 10, "discard_rule", ("f-b", "f"),
+        theta=1.0005, u=0.02, adversary="silent", seed=8,
     )
-    for rule in ("f-b", "f"):
-        simulation = assemble_cps_simulation(
-            params,
-            faulty=faulty,
-            behavior=SilentAdversary(),
-            seed=8,
-            discard_rule=rule,
-        )
-        outcome = run_pulse_trial(simulation, pulses)
-        if outcome.report is None:
-            table.add_row(
-                rule, params.f, outcome.error, float("nan"), params.S
-            )
-        else:
-            table.add_row(
-                rule,
-                params.f,
-                "ok",
-                outcome.report.max_skew,
-                params.S,
-            )
-    table.add_note(
-        "At f = ceil(n/2)-1 with silent faulty nodes, discarding a fixed f "
-        "per side leaves no values at all: the ⊥-aware rule is what makes "
-        "optimal resilience possible."
-    )
-    return table
 
 
-def a3_send_offset(scale: str = "quick") -> Table:
-    """Drop the theta*S dealer send offset; honest broadcasts get missed."""
-    n = 6
-    theta, d, u = 1.04, 1.0, 0.45  # regime with S > d - u
-    pulses = 8
-    params = derive_parameters(theta, d, u, n)
-    table = Table(
-        "A3 — Dealer send offset ablation",
-        [
-            "send offset",
-            "S",
-            "d-u",
-            "honest ⊥ outputs",
-            "measured skew",
-            "within S",
-        ],
-    )
-    for offset in (params.dealer_send_offset, 0.0):
-        simulation = assemble_cps_simulation(
-            params,
-            faulty=[],
-            seed=9,
-            clock_style="extreme",
-            dealer_send_offset=offset,
-        )
-        outcome = run_pulse_trial(simulation, pulses)
-        bots = 0
-        if outcome.result is not None:
-            for record in outcome.result.trace.protocol_events("cps-round"):
-                bots += sum(
-                    1
-                    for estimate in record.details.estimates.values()
-                    if estimate is BOT
-                )
-        measured = (
-            outcome.report.max_skew if outcome.report else float("inf")
-        )
-        table.add_row(
-            offset,
-            params.S,
-            params.d - params.u,
-            bots,
-            measured,
-            measured <= params.S + 1e-9,
-        )
-    table.add_note(
-        "With S > d-u, a dealer sending at its pulse reaches fast nodes "
-        "before slow nodes have pulsed; the theta*S wait is what makes "
-        "Lemma 10 hold."
-    )
-    return table
+a2_table = _table(
+    _title("A2"),
+    [
+        ("rule", "discard_rule", ""),
+        ("f", "f", _design_f),
+        ("outcome", "outcome", ""),
+        ("measured skew", "max_skew", NAN),
+        ("bound S", "bound_S", NAN),
+    ],
+    note="At f = ceil(n/2)-1 with silent faulty nodes, discarding a fixed f "
+    "per side leaves no values at all: the ⊥-aware rule is what makes "
+    "optimal resilience possible.",
+)
 
 
-# ======================================================================
-# STRESS — registry-driven scenario campaign
-# ======================================================================
+def a3_campaign() -> CampaignSpec:
+    """Drop the theta*S dealer send offset; honest broadcasts get missed.
+
+    Fault-free, in a regime with ``S > d - u``; ``None`` keeps the
+    prescribed offset.
+    """
+    return _mechanism_campaign(
+        "A3", 8, "dealer_send_offset", (None, 0.0),
+        theta=1.04, u=0.45, faults=0, drift="extreme", seed=9,
+    )
+
+
+a3_table = _table(
+    _title("A3"),
+    [
+        ("send offset", "send_offset", NAN),
+        ("S", "bound_S", NAN),
+        ("d-u", "d_minus_u", NAN),
+        ("honest ⊥ outputs", "honest_rejections", 0),
+        ("measured skew", "max_skew", INF),
+        ("within S", "within_S", False),
+    ],
+    note="With S > d-u, a dealer sending at its pulse reaches fast nodes "
+    "before slow nodes have pulsed; the theta*S wait is what makes "
+    "Lemma 10 hold.",
+)
+
+
+# --- STRESS — registry-driven scenario campaign -----------------------
+
+#: The model parameters STRESS and CHURN-STRESS run at.
+_STRESS_SYSTEM = {"d": 1.0, "u": 0.02, "theta": 1.001}
 
 
 def stress_campaign() -> CampaignSpec:
@@ -1000,54 +687,44 @@ def stress_campaign() -> CampaignSpec:
     time), so extending the stress surface is a registry entry plus one
     tuple element here — no builder code changes.
     """
+    adversaries = (
+        "silent",
+        "mimic-split",
+        "equivocating-subset",
+        "coordinated-offset",
+        "replay",
+    )
+    drifts = ("extreme", "mixed", "staggered")
+    topologies = ("complete", "circulant", "random-regular", "small-world")
     return CampaignSpec(
         name="STRESS",
-        description=(
-            "Registry-driven stress scenarios "
-            "(adversary x delay x drift x topology)"
-        ),
+        description=DESCRIPTIONS["STRESS"],
         seed=17,
         scenarios=(
             ScenarioSpec(
                 builder="cps-stress",
-                base={"d": 1.0, "u": 0.02, "theta": 1.001},
+                base=_STRESS_SYSTEM,
                 axes={
                     "quick": {
                         "n": (6,),
-                        "adversary": (
-                            "coordinated-offset",
-                            "mimic-split",
-                        ),
+                        "adversary": ("coordinated-offset", "mimic-split"),
                         "delay": ("eclipse", "skewing"),
                         "drift": ("mixed",),
                     },
                     "full": {
                         "n": (6, 9),
-                        "adversary": (
-                            "silent",
-                            "mimic-split",
-                            "equivocating-subset",
-                            "coordinated-offset",
-                            "replay",
-                        ),
+                        "adversary": adversaries,
                         "delay": (
                             "skewing",
                             "eclipse",
                             "flicker-partition",
                             "random",
                         ),
-                        "drift": ("extreme", "mixed", "staggered"),
+                        "drift": drifts,
                     },
                     "stress": {
                         "n": (9, 16, 25),
-                        "adversary": (
-                            "silent",
-                            "mimic-split",
-                            "equivocating-subset",
-                            "coordinated-offset",
-                            "replay",
-                            "rushing-echo",
-                        ),
+                        "adversary": (*adversaries, "rushing-echo"),
                         "delay": (
                             "skewing",
                             "eclipse",
@@ -1055,16 +732,14 @@ def stress_campaign() -> CampaignSpec:
                             "biased-partition",
                             "random",
                         ),
-                        "drift": ("extreme", "mixed", "staggered"),
+                        "drift": drifts,
                     },
                 },
             ),
             ScenarioSpec(
                 builder="cps-stress",
                 base={
-                    "d": 1.0,
-                    "u": 0.02,
-                    "theta": 1.001,
+                    **_STRESS_SYSTEM,
                     "adversary": "silent",
                     "delay": "random",
                     "drift": "random",
@@ -1074,24 +749,8 @@ def stress_campaign() -> CampaignSpec:
                         "n": (8,),
                         "topology": ("circulant", "random-regular"),
                     },
-                    "full": {
-                        "n": (8, 12),
-                        "topology": (
-                            "complete",
-                            "circulant",
-                            "random-regular",
-                            "small-world",
-                        ),
-                    },
-                    "stress": {
-                        "n": (12, 16),
-                        "topology": (
-                            "complete",
-                            "circulant",
-                            "random-regular",
-                            "small-world",
-                        ),
-                    },
+                    "full": {"n": (8, 12), "topology": topologies},
+                    "stress": {"n": (12, 16), "topology": topologies},
                 },
             ),
         ),
@@ -1103,57 +762,25 @@ def stress_campaign() -> CampaignSpec:
     )
 
 
-def stress_table(run: CampaignRun) -> Table:
-    """Assemble the STRESS table from campaign trial records."""
-    table = Table(
-        "STRESS — registry-driven scenarios "
-        "(adversary x delay x drift x topology)",
-        [
-            "n",
-            "f",
-            "topology",
-            "adversary",
-            "delay",
-            "drift",
-            "max skew",
-            "steady skew",
-            "bound S",
-            "within",
-            "live",
-        ],
-    )
-    for record in run.records:
-        case = record.case
-        m = record.metrics
-        table.add_row(
-            case["n"],
-            m.get("f", float("nan")),
-            case.get("topology", "-"),
-            case.get("adversary", "silent"),
-            case.get("delay", "maximum"),
-            case.get("drift", "random"),
-            m.get("max_skew", float("inf")),
-            m.get("steady_skew", float("inf")),
-            m.get("bound_S", float("nan")),
-            m.get("within", False),
-            m.get("live", False),
-        )
-    table.add_note(
-        "Every scenario axis value is a registry key (repro scenarios "
-        "list); topology rows run CPS on the Appendix A overlay and "
-        "compare against the overlay-derived bound."
-    )
-    return table
+stress_table = _table(
+    "STRESS — registry-driven scenarios "
+    "(adversary x delay x drift x topology)",
+    [
+        "n",
+        ("f", "f", NAN),
+        ("topology", "topology", "-"),
+        ("adversary", "adversary", "silent"),
+        ("delay", "delay", "maximum"),
+        ("drift", "drift", "random"),
+        *SKEW_VERDICT,
+    ],
+    note="Every scenario axis value is a registry key (repro scenarios "
+    "list); topology rows run CPS on the Appendix A overlay and "
+    "compare against the overlay-derived bound.",
+)
 
 
-def stress_scenarios(scale: str = "quick") -> Table:
-    """Registry-named adversary/delay/drift/topology cross products."""
-    return stress_table(execute_campaign(stress_campaign(), scale=scale))
-
-
-# ======================================================================
-# CHURN-STRESS — fault schedules over the registry scenarios
-# ======================================================================
+# --- CHURN-STRESS — fault schedules over the registry scenarios -------
 
 
 def churn_campaign() -> CampaignSpec:
@@ -1173,96 +800,52 @@ def churn_campaign() -> CampaignSpec:
         "flapping-node",
         "adversary-handoff",
     )
-    return CampaignSpec(
-        name="CHURN-STRESS",
-        description=(
-            "Fault-schedule stress: crash / recovery / late-join / "
-            "adversary-handoff dynamics"
-        ),
+    return _campaign(
+        "CHURN-STRESS",
+        "cps-churn",
+        # Rejoiners must catch up to the pulse quota after their
+        # outage, so churn runs use a higher budget than STRESS.
+        {"quick": (14, 3), "full": (24, 4)},
         seed=29,
-        scenarios=(
-            ScenarioSpec(
-                builder="cps-churn",
-                base={"d": 1.0, "u": 0.02, "theta": 1.001},
-                axes={
-                    "quick": {
-                        "n": (6,),
-                        "churn": profiles,
-                        "drift": ("extreme",),
-                    },
-                    "full": {
-                        "n": (6, 9),
-                        "churn": profiles,
-                        "drift": ("extreme", "mixed"),
-                        "delay": ("maximum", "random"),
-                    },
-                },
-            ),
-        ),
-        measurements={
-            # Rejoiners must catch up to the pulse quota after their
-            # outage, so churn runs use a higher budget than STRESS.
-            "quick": MeasurementSpec(pulses=14, warmup=3),
-            "full": MeasurementSpec(pulses=24, warmup=4),
+        base=_STRESS_SYSTEM,
+        axes={
+            "quick": {"n": (6,), "churn": profiles, "drift": ("extreme",)},
+            "full": {
+                "n": (6, 9),
+                "churn": profiles,
+                "drift": ("extreme", "mixed"),
+                "delay": ("maximum", "random"),
+            },
         },
     )
 
 
-def churn_table(run: CampaignRun) -> Table:
-    """Assemble the CHURN-STRESS table from campaign trial records."""
-    table = Table(
-        "CHURN-STRESS — fault schedules "
-        "(crash / recover / late-join / handoff)",
-        [
-            "n",
-            "f",
-            "churn",
-            "drift",
-            "delay",
-            "disruptions",
-            "resynced",
-            "resync pulses",
-            "envelope",
-            "cohort skew",
-            "bound S",
-            "cohort within",
-        ],
-    )
-    for record in run.records:
-        case = record.case
-        m = record.metrics
-        table.add_row(
-            case["n"],
-            m.get("f", float("nan")),
-            case.get("churn", "-"),
-            case.get("drift", "random"),
-            case.get("delay", "maximum"),
-            m.get("disruptions", 0),
-            m.get("resynced", False),
-            m.get("resync_pulses", 0),
-            m.get("envelope", float("nan")),
-            m.get("cohort_skew", float("inf")),
-            m.get("bound_S", float("nan")),
-            m.get("cohort_within", False),
-        )
-    table.add_note(
-        "Crashed, dormant, and corrupted nodes all spend the f budget; "
-        "'resync pulses' is the worst pulses-to-resync over the "
-        "schedule's recoveries/joins (time-aligned against the stable "
-        "cohort), 'cohort skew' the index-aligned Definition 3 skew of "
-        "the never-disturbed nodes."
-    )
-    return table
+churn_table = _table(
+    "CHURN-STRESS — fault schedules "
+    "(crash / recover / late-join / handoff)",
+    [
+        "n",
+        ("f", "f", NAN),
+        ("churn", "churn", "-"),
+        ("drift", "drift", "random"),
+        ("delay", "delay", "maximum"),
+        ("disruptions", "disruptions", 0),
+        ("resynced", "resynced", False),
+        ("resync pulses", "resync_pulses", 0),
+        ("envelope", "envelope", NAN),
+        ("cohort skew", "cohort_skew", INF),
+        ("bound S", "bound_S", NAN),
+        ("cohort within", "cohort_within", False),
+    ],
+    note="Crashed, dormant, and corrupted nodes all spend the f budget; "
+    "'resync pulses' is the worst pulses-to-resync over the "
+    "schedule's recoveries/joins (time-aligned against the stable "
+    "cohort), 'cohort skew' the index-aligned Definition 3 skew of "
+    "the never-disturbed nodes.",
+)
 
 
-def churn_scenarios(scale: str = "quick") -> Table:
-    """Fault-schedule dynamics: crashes, recoveries, joins, handoffs."""
-    return churn_table(execute_campaign(churn_campaign(), scale=scale))
-
-
-# ======================================================================
-# FUZZ — sharded property-based search for bound violations
-# ======================================================================
+# --- FUZZ — sharded property-based search for bound violations --------
 
 
 def fuzz_campaign() -> CampaignSpec:
@@ -1277,15 +860,11 @@ def fuzz_campaign() -> CampaignSpec:
     """
     return CampaignSpec(
         name="FUZZ",
-        description=(
-            "Property-based fuzz shards: theorem-bound counterexample "
-            "search over valid and known-bad strategy spaces"
-        ),
+        description=DESCRIPTIONS["FUZZ"],
         seed=43,
         scenarios=(
             ScenarioSpec(
                 builder="fuzz-probe",
-                base={},
                 axes={
                     "quick": {
                         "strategy": ("valid",),
@@ -1302,68 +881,37 @@ def fuzz_campaign() -> CampaignSpec:
             ScenarioSpec(
                 builder="fuzz-probe",
                 base={"strategy": "known-bad", "budget": 20},
-                axes={
-                    "quick": {"shard": (0,)},
-                    "full": {"shard": (0, 1)},
-                },
+                axes={"quick": {"shard": (0,)}, "full": {"shard": (0, 1)}},
             ),
         ),
-        measurements={
-            # The search loop owns its pulse counts (they are part of
-            # each synthesized case); the tier only sets trace level.
-            "quick": MeasurementSpec(pulses=0, warmup=0),
-            "full": MeasurementSpec(pulses=0, warmup=0),
-        },
+        # The search loop owns its pulse counts (they are part of each
+        # synthesized case); the measurement only sets the trace level.
+        measurements={"*": MeasurementSpec(pulses=0, warmup=0)},
     )
 
 
-def fuzz_table(run: CampaignRun) -> Table:
-    """Assemble the FUZZ table from campaign trial records."""
-    table = Table(
-        "FUZZ — property-based counterexample search "
-        "(sharded strategy spaces)",
-        [
-            "strategy",
-            "shard",
-            "budget",
-            "executions",
-            "found",
-            "ok",
-            "counterexample",
-            "interesting",
-        ],
-    )
-    for record in run.records:
-        case = record.case
-        m = record.metrics
-        table.add_row(
-            case.get("strategy", "valid"),
-            case.get("shard", 0),
-            case.get("budget", 0),
-            m.get("executions", 0),
-            m.get("found", False),
-            m.get("ok", False),
-            m.get("counterexample_id", "") or "-",
-            m.get("interesting", 0),
-        )
-    table.add_note(
-        "'ok' means the shard ended the way its space predicts: valid "
-        "spaces find nothing, the known-bad space (E8's u_tilde >> u "
-        "regime) always yields a shrunk counterexample; reproduce any "
-        "row with repro fuzz run --strategy S --budget B --seed "
-        "<derived>."
-    )
-    return table
+fuzz_table = _table(
+    "FUZZ — property-based counterexample search "
+    "(sharded strategy spaces)",
+    [
+        ("strategy", "strategy", "valid"),
+        ("shard", "shard", 0),
+        ("budget", "budget", 0),
+        ("executions", "executions", 0),
+        ("found", "found", False),
+        ("ok", "ok", False),
+        ("counterexample", "counterexample_id", "-"),
+        ("interesting", "interesting", 0),
+    ],
+    note="'ok' means the shard ended the way its space predicts: valid "
+    "spaces find nothing, the known-bad space (E8's u_tilde >> u "
+    "regime) always yields a shrunk counterexample; reproduce any "
+    "row with repro fuzz run --strategy S --budget B --seed "
+    "<derived>.",
+)
 
 
-def fuzz_scenarios(scale: str = "quick") -> Table:
-    """Sharded property-based search over the fuzz strategy spaces."""
-    return fuzz_table(execute_campaign(fuzz_campaign(), scale=scale))
-
-
-# ======================================================================
-# E9-SCALE — vectorized-backend scale study to n = 10,000
-# ======================================================================
+# --- E9-SCALE — vectorized-backend scale study to n = 10,000 ----------
 
 
 def e9_scale_campaign() -> CampaignSpec:
@@ -1381,164 +929,71 @@ def e9_scale_campaign() -> CampaignSpec:
     small n.  The u = 0.01 base keeps theta = 1.001 feasible while the
     extreme drift profile exercises the piecewise clock fast paths.
     """
-    return CampaignSpec(
-        name="E9-SCALE",
-        description=(
-            "Vectorized-backend scale study: skew vs bound at "
-            "n = 100 / 1,000 / 10,000"
-        ),
+    sizes = (100, 1000, 10000)
+    return _campaign(
+        "E9-SCALE",
+        "cps-stress",
+        {"quick": (5, 2), "full": (8, 2), "stress": (12, 3)},
         seed=29,
-        scenarios=(
-            ScenarioSpec(
-                builder="cps-stress",
-                base={
-                    "theta": 1.001,
-                    "d": 1.0,
-                    "u": 0.01,
-                    "adversary": "silent",
-                    "delay": "maximum",
-                    "drift": "extreme",
-                },
-                axes={
-                    "quick": {"n": (100, 1000, 10000)},
-                    "full": {"n": (100, 1000, 10000)},
-                    "stress": {"n": (1000, 10000)},
-                },
-            ),
-        ),
-        measurements={
-            "quick": MeasurementSpec(
-                pulses=5, warmup=2, backend="vectorized"
-            ),
-            "full": MeasurementSpec(
-                pulses=8, warmup=2, backend="vectorized"
-            ),
-            "stress": MeasurementSpec(
-                pulses=12, warmup=3, backend="vectorized"
-            ),
+        backend="vectorized",
+        base={
+            **TYPICAL,
+            "adversary": "silent",
+            "delay": "maximum",
+            "drift": "extreme",
+        },
+        axes={
+            "quick": {"n": sizes},
+            "full": {"n": sizes},
+            "stress": {"n": sizes[1:]},
         },
     )
 
 
-def e9_scale_table(run: CampaignRun) -> Table:
-    """Assemble the E9-SCALE table from campaign trial records."""
-    table = Table(
-        "E9-SCALE — vectorized backend at n = 100 / 1,000 / 10,000 "
-        "(silent adversary, maximum delays, extreme drift)",
-        [
-            "n",
-            "f",
-            "max skew",
-            "steady skew",
-            "bound S",
-            "within",
-            "live",
-            "modeled events",
-        ],
+e9_scale_table = _table(
+    "E9-SCALE — vectorized backend at n = 100 / 1,000 / 10,000 "
+    "(silent adversary, maximum delays, extreme drift)",
+    ["n", ("f", "f", NAN), *SKEW_VERDICT, ("modeled events", "events", 0)],
+    note="Runs on the round-batched numpy backend "
+    "(repro.sim.vectorized; see docs/VECTORIZED.md); 'modeled "
+    "events' counts the deliveries the event engine would have "
+    "dispatched, so events/second is comparable across backends. "
+    "The differential suite (tests/test_vectorized.py) pins both "
+    "backends verdict-identical at small n.",
+)
+
+
+# --- Registry ---------------------------------------------------------
+
+for _name, _factory, _tabulate in (
+    ("E1", e1_campaign, e1_table),
+    ("E2", e2_campaign, e2_table),
+    ("E3", e3_campaign, e3_table),
+    ("E4", e4_campaign, e4_table),
+    ("E5", e5_campaign, e5_table),
+    ("E6", e6_campaign, e6_table),
+    ("E7", e7_campaign, e7_table),
+    ("E8", e8_campaign, e8_table),
+    ("E9", e9_campaign, e9_table),
+    ("E10", e10_campaign, e10_table),
+    ("A1", a1_campaign, a1_table),
+    ("A2", a2_campaign, a2_table),
+    ("A3", a3_campaign, a3_table),
+    ("STRESS", stress_campaign, stress_table),
+    ("CHURN-STRESS", churn_campaign, churn_table),
+    ("FUZZ", fuzz_campaign, fuzz_table),
+    ("E9-SCALE", e9_scale_campaign, e9_scale_table),
+    # Per-component importance (see repro.ablation); ``repro ablate
+    # run`` is the full surface (--pairwise, the committed artifact).
+    ("ABLATION", ablation_campaign_spec, ablation_table),
+):
+    register_campaign(
+        CampaignDefinition(_name, _factory, _tabulate, DESCRIPTIONS[_name])
     )
-    for record in run.records:
-        m = record.metrics
-        table.add_row(
-            record.case["n"],
-            m.get("f", float("nan")),
-            m.get("max_skew", float("inf")),
-            m.get("steady_skew", float("inf")),
-            m.get("bound_S", float("nan")),
-            m.get("within", False),
-            m.get("live", False),
-            m.get("events", 0),
-        )
-    table.add_note(
-        "Runs on the round-batched numpy backend "
-        "(repro.sim.vectorized; see docs/VECTORIZED.md); 'modeled "
-        "events' counts the deliveries the event engine would have "
-        "dispatched, so events/second is comparable across backends. "
-        "The differential suite (tests/test_vectorized.py) pins both "
-        "backends verdict-identical at small n."
-    )
-    return table
-
-
-def e9_scale_study(scale: str = "quick") -> Table:
-    """Vectorized scale study: the bound holds out to n = 10,000."""
-    return e9_scale_table(
-        execute_campaign(e9_scale_campaign(), scale=scale)
-    )
-
-
-def ablation_matrix(scale: str = "quick") -> Table:
-    """Per-component ablation importance (see :mod:`repro.ablation`).
-
-    Executes the baseline-plus-one-off challenge matrix and renders the
-    monitor-flip table; ``repro ablate run`` is the full surface
-    (stores, pools, adaptive replication, the committed JSON artifact).
-    """
-    spec = AblationSpec()
-    run = execute_campaign(ablation_campaign_spec(spec), scale=scale)
-    return render_ablation_table(ablation_report(spec, run))
-
-
-# ======================================================================
-# Registry
-# ======================================================================
-
-EXPERIMENTS: Dict[str, Callable[..., Table]] = {
-    "E1": e1_apa_convergence,
-    "E2": e2_crusader,
-    "E3": e3_tcb_accuracy,
-    "E4": e4_cps_skew,
-    "E5": e5_resilience,
-    "E6": e6_baselines,
-    "E7": e7_lower_bound,
-    "E8": e8_utilde_degradation,
-    "E9": e9_periods,
-    "E10": e10_convergence,
-    "A1": a1_no_echo_rejection,
-    "A2": a2_discard_rule,
-    "A3": a3_send_offset,
-    "E9-SCALE": e9_scale_study,
-    "STRESS": stress_scenarios,
-    "CHURN-STRESS": churn_scenarios,
-    "FUZZ": fuzz_scenarios,
-    "ABLATION": ablation_matrix,
-}
 
 
 def run_experiment(name: str, scale: str = "quick") -> Table:
-    """Run one experiment by id (see :data:`EXPERIMENTS`)."""
-    try:
-        function = EXPERIMENTS[name.upper()]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; choose from "
-            f"{sorted(EXPERIMENTS)}"
-        ) from None
-    return function(scale=scale)
-
-
-# E1/E4/E5/E6 are ported to the campaign engine: their grids are
-# declarative specs, so ``repro campaign run E4 --workers 8`` executes
-# the same trials in parallel (with optional result-store caching) and
-# renders the identical table.  STRESS is campaign-native: its grid is
-# built entirely from scenario-registry keys.
-CAMPAIGN_PORTS = tuple(
-    register_campaign(
-        CampaignDefinition(
-            name=spec_factory().name,
-            spec=spec_factory,
-            tabulate=table_factory,
-            description=spec_factory().description,
-        )
-    )
-    for spec_factory, table_factory in (
-        (e1_campaign, e1_table),
-        (e4_campaign, e4_table),
-        (e5_campaign, e5_table),
-        (e6_campaign, e6_table),
-        (stress_campaign, stress_table),
-        (churn_campaign, churn_table),
-        (fuzz_campaign, fuzz_table),
-        (e9_scale_campaign, e9_scale_table),
-        (ablation_campaign_spec, ablation_table),
-    )
-)
+    """Run one registered experiment by id and assemble its table."""
+    definition = campaign_definition(name)
+    run = execute_campaign(definition.spec(), scale=scale)
+    return definition.tabulate(run)

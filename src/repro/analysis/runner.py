@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Optional
 
 from repro.analysis.metrics import PulseReport, check_liveness
 from repro.sim.scheduler import Simulation, SimulationResult
@@ -42,67 +42,3 @@ def run_pulse_trial(
     return TrialOutcome(
         PulseReport.from_pulses(honest, warmup=warmup), result, True
     )
-
-
-def _sweep_trial(
-    build: Callable[..., Simulation],
-    pulses: int,
-    warmup: int,
-    config: Dict[str, Any],
-) -> TrialOutcome:
-    """Top-level worker for :func:`sweep` (picklable for pool mode)."""
-    return run_pulse_trial(build(**config), pulses, warmup=warmup)
-
-
-def sweep(
-    configurations: List[Dict[str, Any]],
-    build: Callable[..., Simulation],
-    pulses: int,
-    warmup: int = 2,
-    seed: Optional[int] = None,
-    workers: int = 1,
-) -> List[Dict[str, Any]]:
-    """Run ``build(**config)`` for each configuration; attach outcomes.
-
-    Compatibility shim over :mod:`repro.campaigns.executor` — new code
-    should declare a :class:`~repro.campaigns.spec.CampaignSpec` instead.
-
-    With ``seed`` set, every configuration that does not pin its own
-    ``seed`` gets one derived from ``seed`` and the *canonical* content
-    of the configuration (independent of dict-key ordering and of the
-    execution schedule), and that seed is passed to ``build`` explicitly;
-    serial and parallel sweeps therefore produce identical records.  With
-    ``workers > 1`` the trials run on a process pool, which requires
-    ``build`` to be picklable (a module-level function).
-    """
-    import functools
-
-    from repro.campaigns.executor import ExecutionPolicy, map_trials
-    from repro.campaigns.spec import derive_seed
-
-    calls: List[Dict[str, Any]] = []
-    seeds: List[Optional[int]] = []
-    for config in configurations:
-        call = dict(config)
-        derived: Optional[int] = None
-        if seed is not None and "seed" not in call:
-            derived = derive_seed(
-                seed, getattr(build, "__name__", "build"), config
-            )
-            call["seed"] = derived
-        calls.append(call)
-        seeds.append(derived)
-
-    outcomes = map_trials(
-        functools.partial(_sweep_trial, build, pulses, warmup),
-        calls,
-        ExecutionPolicy(workers=workers),
-    )
-    rows = []
-    for config, derived, outcome in zip(configurations, seeds, outcomes):
-        record = dict(config)
-        if derived is not None:
-            record["seed"] = derived
-        record["outcome"] = outcome
-        rows.append(record)
-    return rows

@@ -306,7 +306,7 @@ def build_chain_simulation(
     behavior=None,
     delay_policy: Optional[DelayPolicy] = None,
     seed: int = 0,
-    trace: TraceSpec = True,
+    trace: TraceSpec = "full",
 ) -> Simulation:
     """Wire a ready-to-run chain-relay simulation."""
     import random

@@ -208,7 +208,7 @@ def build_lw_simulation(
     behavior=None,
     delay_policy: Optional[DelayPolicy] = None,
     seed: int = 0,
-    trace: TraceSpec = True,
+    trace: TraceSpec = "full",
 ) -> Simulation:
     """Wire a ready-to-run Lynch-Welch simulation (mirrors the CPS one)."""
     from repro.core.cps import default_clocks

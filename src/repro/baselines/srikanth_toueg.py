@@ -230,7 +230,7 @@ def build_st_simulation(
     behavior=None,
     delay_policy: Optional[DelayPolicy] = None,
     seed: int = 0,
-    trace: TraceSpec = True,
+    trace: TraceSpec = "full",
 ) -> Simulation:
     """Wire a ready-to-run signed-relay pulser simulation."""
     import random

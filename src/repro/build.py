@@ -15,11 +15,12 @@ simulation from a registry-keyed case dict on either execution backend:
     adversary; churn and active Byzantine behaviours raise
     :class:`~repro.sim.vectorized.UnsupportedScenarioError`.
 
-The facade subsumes the historical builder sprawl
-(``build_cps_simulation`` wiring plus the registry-keyed
-``build_registry_simulation``); both old names remain as thin
-deprecation shims, and every content-addressed hash they fed stays
-byte-identical.  The case-dict conventions are unchanged:
+Every CPS run in :mod:`repro` goes through this facade; the one
+low-level step underneath it is
+:func:`repro.core.cps.assemble_cps_simulation` (explicit clocks,
+behaviours and hooks, event engine only), which code outside this
+module calls directly only where it needs something no case key names.
+The case-dict conventions:
 
 >>> built = build_simulation(
 ...     {"n": 6, "adversary": "silent", "delay": "maximum",
@@ -150,11 +151,6 @@ class BuiltSimulation:
     f: int
     effective: Dict[str, float]
     backend: str
-
-    def legacy_tuple(self) -> Tuple[Any, ProtocolParameters, int, Dict]:
-        """The ``(simulation, params, f, effective)`` shape of the
-        deprecated ``build_registry_simulation``."""
-        return (self.simulation, self.params, self.f, self.effective)
 
 
 def _case_parameters(

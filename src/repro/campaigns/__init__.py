@@ -27,8 +27,8 @@ Scenario-typed case values (``adversary``/``delay``/``topology``/
 (:mod:`repro.scenarios`) and are validated at plan time — see
 :data:`~repro.campaigns.spec.SCENARIO_CASE_KEYS`.
 
-Named campaigns (the ported experiments E1/E4/E5/E6 plus the
-registry-driven STRESS campaign) register here via
+Named campaigns — every experiment id of
+:mod:`repro.analysis.experiments` — register here via
 :func:`register_campaign`; ``repro campaign run E4 --workers 8`` then
 executes the same grid that ``repro run E4`` renders, across all cores.
 """
@@ -89,7 +89,11 @@ from repro.campaigns.store import CorruptStoreError, ResultStore
 
 @dataclass(frozen=True)
 class CampaignDefinition:
-    """A named campaign: a spec factory plus its table assembler."""
+    """A named campaign: a spec factory plus its table assembler.
+
+    ``name`` and ``description`` are literals (not read off
+    ``spec()``) so that registering — and listing — builds no spec.
+    """
 
     name: str
     spec: Callable[[], CampaignSpec]

@@ -12,13 +12,12 @@ import math
 from collections import Counter
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.analysis.reporting import Table
@@ -78,29 +77,47 @@ def failure_counts(records: Iterable[TrialRecord]) -> Dict[str, int]:
     return dict(counter)
 
 
+#: A table column: a value name (the header is the name), or a
+#: ``(header, name, default)`` triple.
+Column = Union[str, Tuple[str, str, Any]]
+
+
 def records_to_table(
     records: Sequence[TrialRecord],
     title: str,
-    columns: Sequence[str],
-    row_of: Optional[Callable[[TrialRecord], Sequence[Any]]] = None,
+    columns: Sequence[Column],
 ) -> Table:
     """Build a :class:`Table`, one row per record in record order.
 
-    Without ``row_of``, each column name is looked up in the record's
-    case/metrics via :func:`value_of` (error records render their error
-    string in otherwise-missing cells).
+    Each column names a metric or, failing that, a case value (a
+    measured value wins over a same-named input, e.g. E1's
+    ``initial_range``).  A bare name is its own header and renders the
+    record's error string when the value is missing; a
+    ``(header, name, default)`` triple renders ``default`` instead —
+    called with the record's case when callable (error records carry
+    no metrics, so e.g. ``f`` can fall back to
+    ``max_faults(case["n"])``).
     """
-    table = Table(title, columns)
+    specs = [
+        (column, column, _MISSING) if isinstance(column, str) else column
+        for column in columns
+    ]
+    table = Table(title, [header for header, _name, _default in specs])
     for record in records:
-        if row_of is not None:
-            table.add_row(*row_of(record))
-        else:
-            table.add_row(
-                *(
-                    value_of(record, column, default=record.error)
-                    for column in columns
-                )
-            )
+        row = []
+        for _header, name, default in specs:
+            if name in record.metrics:
+                value = record.metrics[name]
+            elif name in record.case:
+                value = record.case[name]
+            elif default is _MISSING:
+                value = record.error
+            elif callable(default):
+                value = default(record.case)
+            else:
+                value = default
+            row.append(value)
+        table.add_row(*row)
     return table
 
 

@@ -13,12 +13,14 @@ multiprocessing start method.  Register your own with
 :func:`register_builder`, or pass a fully-qualified
 ``"package.module:function"`` name, which is imported on demand.
 
-The built-in builders carry the measurement logic of experiments E1
-(APA convergence), E4 (CPS skew), E5 (resilience range), E6 (baseline
-comparison), the registry-driven stress tier (``cps-stress``), and the
-sharded property-based fuzz budgets (``fuzz-probe``);
-``analysis/experiments.py`` declares the grids and assembles the
-tables.
+The built-in builders carry the measurement logic of every experiment
+id (E1-E10, A1-A3, the registry-driven ``cps-stress``/``cps-churn``
+tiers, the ablation matrix, and the sharded ``fuzz-probe`` budgets);
+``analysis/experiments.py`` declares the grids and the table columns.
+A CPS run is a case dict through :func:`repro.build.build_simulation`
+(see :func:`built_case`); only E5's CPS arm and the A-series builder
+wire :func:`~repro.core.cps.assemble_cps_simulation` themselves, for
+the reasons their docstrings give.
 
 Scenario-typed case keys (``adversary``, ``delay``, ``topology``,
 ``drift``) are resolved through the scenario registry
@@ -31,8 +33,7 @@ from __future__ import annotations
 
 import importlib
 import math
-import warnings
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro import scenarios
 from repro.analysis import metrics, theory
@@ -55,10 +56,17 @@ from repro.baselines.srikanth_toueg import (
 )
 from repro.campaigns.spec import MeasurementSpec
 from repro.core.attacks import timing_split_group
-from repro.core.cps import assemble_cps_simulation
+from repro.core.cps import CpsNode, assemble_cps_simulation
+from repro.core.lower_bound import FixedPeriodProtocol, run_lower_bound
 from repro.core.params import derive_parameters, max_faults
-from repro.sim.clocks import HardwareClock
 from repro.sync.approx_agreement import run_apa
+from repro.sync.crusader import (
+    BOT,
+    CbEquivocatingDealer,
+    CbSubsetDealer,
+    CrusaderBroadcastNode,
+)
+from repro.sync.round_model import SynchronousNetwork
 
 TrialBuilder = Callable[[Dict[str, Any], MeasurementSpec, int], Dict[str, Any]]
 
@@ -97,32 +105,30 @@ def resolve_builder(name: str) -> TrialBuilder:
 # ----------------------------------------------------------------------
 
 
-def cps_group_a(n: int) -> List[int]:
-    """The even-id half used as "group A" by the timing-split attacks."""
-    return timing_split_group(n)
+def built_case(
+    case: Dict[str, Any],
+    measurement: MeasurementSpec,
+    seed: int,
+    **defaults: Any,
+):
+    """The case through the build facade, on the measurement's backend.
 
+    ``defaults`` fill registry keys the case leaves out *without
+    entering its hash*: E4's cases predate the registry and say
+    ``clock_style`` where the facade says ``drift``, so the builder
+    supplies the mapping here and every committed case key, derived
+    seed and store stays valid.
+    """
+    # Resolved per call: the repo benchmark times this entry point by
+    # patching the module attribute.
+    from repro.build import build_simulation
 
-#: Adversary factories for CPS sweeps, keyed by the names used in the
-#: E4/E9 tables.  Each takes the derived protocol parameters.  Backed
-#: by the scenario registry; the explicit key order preserves the
-#: historical table row order.
-CPS_ADVERSARIES: Dict[str, Callable[[Any], Any]] = {
-    key: (
-        lambda params, _key=key: scenarios.create(
-            "adversary", _key, params
-        )
+    return build_simulation(
+        {**defaults, **case},
+        backend=measurement.backend,
+        seed=seed,
+        trace=measurement.trace,
     )
-    for key in ("silent", "mimic-split", "equivocating-subset")
-}
-
-#: Round-model adversary factories for the APA sweeps (E1), keyed by
-#: the names used in the tables.  Registry-backed like the above.
-APA_ADVERSARIES: Dict[str, Callable[[], Any]] = {
-    key: (
-        lambda _key=key: scenarios.create("adversary", _key, None)
-    )
-    for key in ("extreme-values", "split-bot", "equivocating")
-}
 
 
 def measured_pulse_trial(
@@ -161,6 +167,54 @@ def case_delay_policy(case: Dict[str, Any], n: int, default: str = "skewing"):
     )
 
 
+def _honest_rejections(simulation: Any) -> int:
+    """⊥ outputs for *honest* dealers over every honest node's rounds.
+
+    Lemma 10 says zero whenever the model assumptions hold; E8 and A3
+    count how many appear once one of them is dropped.
+    """
+    return sum(
+        1
+        for v in simulation.honest
+        for summary in simulation.protocol(v).summaries
+        for dealer, estimate in summary.estimates.items()
+        if estimate is BOT and dealer not in simulation.faulty
+    )
+
+
+def _faulty_dealer_consistency(
+    simulation: Any, honest_pulses: Dict[int, Any], pulses: int
+) -> Tuple[int, float]:
+    """Lemma 13 over the faulty dealers: ``(accepted, worst gap)``.
+
+    For every round and faulty dealer, the honest nodes that accepted
+    it must hold estimates that agree — after shifting by their own
+    pulse offset — up to ``delta``.  ``accepted`` counts the non-⊥
+    estimates, ``worst gap`` is the largest pairwise disagreement.
+    """
+    summaries = {
+        v: simulation.protocol(v).summaries for v in sorted(honest_pulses)
+    }
+    accepted, worst = 0, 0.0
+    for r in range(pulses):
+        for dealer in sorted(simulation.faulty):
+            per_node = {}
+            for v, rounds in summaries.items():
+                if r < len(rounds):
+                    estimate = rounds[r].estimates.get(dealer)
+                    if estimate is not None and estimate is not BOT:
+                        per_node[v] = estimate
+            accepted += len(per_node)
+            for v, estimate_v in per_node.items():
+                for w, estimate_w in per_node.items():
+                    if v != w:
+                        gap = estimate_v - estimate_w - (
+                            honest_pulses[w][r] - honest_pulses[v][r]
+                        )
+                        worst = max(worst, abs(gap))
+    return accepted, worst
+
+
 # ----------------------------------------------------------------------
 # E1 — APA convergence (Theorem 9 / Corollary 2)
 # ----------------------------------------------------------------------
@@ -177,7 +231,7 @@ def apa_convergence_trial(
     iterations = math.ceil(math.log2(initial_range / target))
     f = max_faults(n)
     faulty = list(range(n - f, n))
-    adversary = APA_ADVERSARIES[case["adversary"]]()
+    adversary = scenarios.create("adversary", case["adversary"], None)
     honest = [v for v in range(n) if v not in faulty]
     inputs = {
         v: initial_range * index / max(len(honest) - 1, 1)
@@ -207,7 +261,88 @@ def apa_convergence_trial(
 
 
 # ----------------------------------------------------------------------
-# E4 — CPS skew vs the Theorem 17 bound
+# E2 — crusader broadcast (Figure 4)
+# ----------------------------------------------------------------------
+
+
+@register_builder("crusader-broadcast")
+def crusader_broadcast_trial(
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
+) -> Dict[str, Any]:
+    """Two rounds of Algorithm CB under one dealer scenario."""
+    n = case["n"]
+    f = max_faults(n)
+    faulty = list(range(n - f, n))
+    honest = [v for v in range(n) if v not in faulty]
+    scenario = case["scenario"]
+    dealer = 0 if scenario == "honest-dealer" else n - 1
+    if scenario == "honest-dealer":
+        adversary = None
+    elif scenario == "equivocating-dealer":
+        adversary = CbEquivocatingDealer(dealer, 0, 1)
+    elif scenario == "subset-dealer":
+        adversary = CbSubsetDealer(
+            dealer, 1, honest[: len(honest) // 2 + 1]
+        )
+    else:
+        raise TrialFailure(f"unknown dealer scenario {scenario!r}")
+    nodes = {
+        v: CrusaderBroadcastNode(dealer, input_value=1) for v in honest
+    }
+    outputs = SynchronousNetwork(nodes, n, f, faulty, adversary).run(2)
+    values = set(outputs.values())
+    return {
+        "f": f,
+        "outputs": ", ".join(
+            f"{node}:{output!r}" for node, output in sorted(outputs.items())
+        ),
+        # Validity is vacuous for faulty dealers.
+        "validity": dealer in faulty or values == {1},
+        "consistency": len(values - {BOT}) <= 1,
+    }
+
+
+# ----------------------------------------------------------------------
+# E3 — TCB acceptance and estimate accuracy (Lemmas 10-13)
+# ----------------------------------------------------------------------
+
+
+@register_builder("tcb-accuracy")
+def tcb_accuracy_trial(
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
+) -> Dict[str, Any]:
+    """Offset-estimate errors of one CPS run against ``delta``."""
+    built = built_case(case, measurement, seed)
+    simulation, delta = built.simulation, built.params.delta
+    outcome = measured_pulse_trial(simulation, measurement)
+    honest_pulses = outcome.result.honest_pulses()
+    accepts = 0
+    validity_err = 0.0
+    for v in honest_pulses:
+        for summary in simulation.protocol(v).summaries:
+            r = summary.pulse_round - 1
+            for w, estimate in summary.estimates.items():
+                if w == v or w not in honest_pulses or estimate is BOT:
+                    continue
+                accepts += 1
+                true_offset = honest_pulses[w][r] - honest_pulses[v][r]
+                validity_err = max(validity_err, abs(estimate - true_offset))
+    _accepted, consistency_err = _faulty_dealer_consistency(
+        simulation, honest_pulses, measurement.pulses
+    )
+    return {
+        "accepts": accepts,
+        "validity_err": validity_err,
+        "delta": delta,
+        "validity_within": validity_err < delta + 1e-9,
+        "consistency_err": consistency_err,
+        "consistency_within": consistency_err < delta + 1e-9,
+        "events": _events_of(outcome),
+    }
+
+
+# ----------------------------------------------------------------------
+# E4 / E9 — CPS against the Theorem 17 skew and period bounds
 # ----------------------------------------------------------------------
 
 
@@ -215,40 +350,40 @@ def apa_convergence_trial(
 def cps_skew_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
-    """One CPS system under one adversary, skew measured against S."""
-    n, u, theta = case["n"], case["u"], case["theta"]
-    params = derive_parameters(theta, case.get("d", 1.0), u, n)
-    faulty = list(range(n - params.f, n))
-    behavior = CPS_ADVERSARIES[case["adversary"]](params)
-    simulation = assemble_cps_simulation(
-        params,
-        faulty=faulty,
-        behavior=behavior,
-        delay_policy=case_delay_policy(case, n),
-        seed=seed,
-        clock_style=case.get("clock_style", "extreme"),
-        trace=measurement.trace,
+    """One CPS system under one adversary, judged against Theorem 17:
+    the skew bound ``S`` (E4) and the period bounds (E9)."""
+    built = built_case(
+        case,
+        measurement,
+        seed,
+        delay="skewing",
+        drift=case.get("clock_style", "extreme"),
     )
-    outcome = measured_pulse_trial(simulation, measurement)
-    if outcome.report is None:
-        return {
-            "f": params.f,
-            "max_skew": float("nan"),
-            "steady_skew": float("nan"),
-            "bound_S": params.S,
-            "within": False,
-            "live": False,
-            "events": _events_of(outcome),
-        }
-    measured = outcome.report.max_skew
-    return {
+    params = built.params
+    outcome = measured_pulse_trial(built.simulation, measurement)
+    report = outcome.report
+    row = {
         "f": params.f,
-        "max_skew": measured,
-        "steady_skew": outcome.report.steady_skew,
         "bound_S": params.S,
-        "within": measured <= params.S + 1e-9,
         "live": outcome.live,
         "events": _events_of(outcome),
+    }
+    if report is None:
+        nan = float("nan")
+        return {**row, "max_skew": nan, "steady_skew": nan, "within": False}
+    return {
+        **row,
+        "max_skew": report.max_skew,
+        "steady_skew": report.steady_skew,
+        "within": report.max_skew <= params.S + 1e-9,
+        "min_period": report.min_period,
+        "p_min_bound": params.p_min_bound,
+        "max_period": report.max_period,
+        "p_max_bound": params.p_max_bound,
+        "periods_within": (
+            report.min_period >= params.p_min_bound - 1e-9
+            and report.max_period <= params.p_max_bound + 1e-9
+        ),
     }
 
 
@@ -257,27 +392,20 @@ def cps_skew_trial(
 # ----------------------------------------------------------------------
 
 
-def _extreme_clocks(params: Any, n: int, theta: float) -> List[HardwareClock]:
-    return [
-        HardwareClock.constant_rate(
-            1.0 if v % 2 == 0 else theta,
-            offset=0.0 if v % 2 == 0 else params.S,
-            theta=theta,
-        )
-        for v in range(n)
-    ]
-
-
 @register_builder("cps-vs-lw-resilience")
 def resilience_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
-    """The same timing attack against one algorithm at one fault count."""
+    """The same timing attack against one algorithm at one fault count.
+
+    The CPS arm wires the simulation itself rather than going through
+    the build facade: the *actual* fault count ``case["f"]`` sweeps
+    below the *design* resilience the protocol is parameterized for,
+    and the facade has (deliberately) one ``f`` for both.
+    """
     n, theta, d, u = case["n"], case["theta"], case["d"], case["u"]
     f = case["f"]
     algorithm = case["algorithm"]
-    faulty = list(range(n - f, n)) if f else []
-    delay_policy = case_delay_policy(case, n)
     if algorithm == "CPS":
         params = derive_parameters(theta, d, u, n, f=max_faults(n))
         behavior = (
@@ -285,32 +413,27 @@ def resilience_trial(
             if f
             else None
         )
-        simulation = assemble_cps_simulation(
-            params,
-            clocks=_extreme_clocks(params, n, theta),
-            faulty=faulty,
-            behavior=behavior,
-            delay_policy=delay_policy,
-            seed=seed,
-            trace=measurement.trace,
-        )
+        assemble = assemble_cps_simulation
         tolerated = f <= max_faults(n)
     elif algorithm == "Lynch-Welch":
         # The protocol is told the true f so it can discard.
         params = derive_lw_parameters(theta, d, u, n, f=max(f, 1))
-        behavior = LwTimingAttack(params, cps_group_a(n)) if f else None
-        simulation = build_lw_simulation(
-            params,
-            clocks=_extreme_clocks(params, n, theta),
-            faulty=faulty,
-            behavior=behavior,
-            delay_policy=delay_policy,
-            seed=seed,
-            trace=measurement.trace,
+        behavior = (
+            LwTimingAttack(params, timing_split_group(n)) if f else None
         )
+        assemble = build_lw_simulation
         tolerated = f <= lw_max_faults(n)
     else:
         raise TrialFailure(f"unknown algorithm {algorithm!r}")
+    simulation = assemble(
+        params,
+        clocks=scenarios.create("drift", "extreme", params, seed),
+        faulty=list(range(n - f, n)),
+        behavior=behavior,
+        delay_policy=case_delay_policy(case, n),
+        seed=seed,
+        trace=measurement.trace,
+    )
     outcome = measured_pulse_trial(simulation, measurement)
     measured, steady = _skew_metrics(outcome)
     return {
@@ -345,26 +468,27 @@ def algorithm_comparison_trial(
     f = max_faults(n)
     faulty = list(range(n - f, n))
     if algorithm == "CPS (this paper)":
-        params = derive_parameters(theta, d, u, n)
-        simulation = assemble_cps_simulation(
-            params,
-            faulty=faulty,
-            behavior=scenarios.create("adversary", "mimic-split", params),
-            delay_policy=case_delay_policy(case, n),
-            seed=seed,
-            clock_style="extreme",
-            trace=measurement.trace,
+        built = built_case(
+            case,
+            measurement,
+            seed,
+            adversary="mimic-split",
+            delay="skewing",
+            drift="extreme",
         )
-        theory_skew = params.S
+        simulation = built.simulation
+        theory_skew = built.params.S
     elif algorithm == "Lynch-Welch [25]":
         # Lynch-Welch runs at its own maximum resilience.
         f = lw_max_faults(n)
         params = derive_lw_parameters(theta, d, u, n, f=f)
         simulation = build_lw_simulation(
             params,
-            faulty=list(range(n - f, n)) if f else [],
+            faulty=list(range(n - f, n)),
             behavior=(
-                LwTimingAttack(params, cps_group_a(n)) if f else None
+                LwTimingAttack(params, timing_split_group(n))
+                if f
+                else None
             ),
             delay_policy=case_delay_policy(case, n),
             seed=seed,
@@ -407,34 +531,172 @@ def algorithm_comparison_trial(
 
 
 # ----------------------------------------------------------------------
-# Registry-driven stress trials: any adversary x delay x drift x topology
+# E7 — the Theorem 5 lower-bound construction
 # ----------------------------------------------------------------------
 
 
-def build_registry_simulation(
-    case: Dict[str, Any],
-    seed: int,
-    trace: Any = "pulses",
-    checks: Any = None,
-) -> Tuple[Any, Any, int, Dict[str, float]]:
-    """Deprecated alias of :func:`repro.build.build_simulation`.
+@register_builder("lower-bound")
+def lower_bound_trial(
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
+) -> Dict[str, Any]:
+    """The three-execution adversary around one protocol at one
+    ``u_tilde``; ``run_lower_bound(check=True)`` raises (and the row
+    tabulates as an error) if the construction is not well defined."""
+    theta, d, u_tilde = case["theta"], case["d"], case["u_tilde"]
+    protocol = case["protocol"]
+    if protocol == "CPS (n=3)":
+        params = derive_parameters(theta, d, 0.0, 3, f=1)
+        factory = lambda _v: CpsNode(params)  # noqa: E731
+    elif protocol == "fixed-period":
+        factory = lambda _v: FixedPeriodProtocol(2.0 * d)  # noqa: E731
+    else:
+        raise TrialFailure(f"unknown protocol {protocol!r}")
+    # Run until well past the fast clocks' saturation time
+    # 2*u_tilde / (3 (theta-1)); periods are ~2d.
+    saturation = 2.0 * u_tilde / (3.0 * (theta - 1.0))
+    pulses = int(math.ceil(saturation / (1.5 * d))) + 6
+    result = run_lower_bound(factory, theta, d, u_tilde, max_pulses=pulses)
+    saturated = result.saturated_pulse_indices()
+    index = saturated[-1] if saturated else result.common_pulse_count() - 1
+    measured = result.max_skew_at(index)
+    bound = theory.lower_bound_skew(u_tilde)
+    return {
+        "max_exec_skew": measured,
+        "bound": bound,
+        "meets_bound": measured >= bound - 1e-9,
+        "identity_sum": result.theorem_identity(index),
+        "two_u_tilde": 2.0 * u_tilde,
+        "well_defined": True,
+    }
 
-    The registry-keyed assembly moved to the unified facade (which also
-    selects the execution backend); this shim forwards verbatim on the
-    event backend and keeps the historical
-    ``(simulation, params, f, effective)`` return shape.
+
+# ----------------------------------------------------------------------
+# E8 — skew degradation when faulty links undercut d - u
+# ----------------------------------------------------------------------
+
+
+@register_builder("cps-fast-faulty-links")
+def fast_faulty_links_trial(
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
+) -> Dict[str, Any]:
+    """CPS with faulty links ``multiplier`` times faster than ``u``
+    permits (capped at 0.45 d), judged on skew and Lemma 10."""
+    u_tilde = min(case["u"] * case["multiplier"], 0.45 * case["d"])
+    built = built_case({**case, "u_tilde": u_tilde}, measurement, seed)
+    outcome = measured_pulse_trial(built.simulation, measurement)
+    measured, _steady = _skew_metrics(outcome)
+    return {
+        "u_tilde": u_tilde,
+        "max_skew": measured,
+        "bound_S": built.params.S,
+        "within": measured <= built.params.S + 1e-9,
+        "rejections": _honest_rejections(built.simulation),
+        "events": _events_of(outcome),
+    }
+
+
+# ----------------------------------------------------------------------
+# E10 — Lemma 16 dynamics: convergence from the worst allowed start
+# ----------------------------------------------------------------------
+
+
+@register_builder("cps-convergence")
+def convergence_trial(
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
+) -> Dict[str, Any]:
+    """The per-pulse skew trajectory of one CPS run."""
+    built = built_case(case, measurement, seed)
+    outcome = measured_pulse_trial(built.simulation, measurement)
+    return {
+        "trajectory": metrics.skew_trajectory(
+            outcome.result.honest_pulses()
+        ),
+        "bound_S": built.params.S,
+        "delta": built.params.delta,
+        "events": _events_of(outcome),
+    }
+
+
+# ----------------------------------------------------------------------
+# A1-A3 — one CpsNode mechanism overridden
+# ----------------------------------------------------------------------
+
+#: The :class:`~repro.core.cps.CpsNode` keyword arguments an A-series
+#: case may carry (each named exactly as the constructor names it).
+MECHANISM_KEYS: Tuple[str, ...] = (
+    "echo_rejection",
+    "discard_rule",
+    "dealer_send_offset",
+)
+
+
+@register_builder("cps-mechanism")
+def cps_mechanism_trial(
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
+) -> Dict[str, Any]:
+    """One CPS run with a Figure 2/3 mechanism overridden (A1-A3).
+
+    Wires the simulation itself: the overrides are ``CpsNode``
+    constructor arguments that no build-facade case key names (the
+    ablation catalog's ``echo-amplification`` and ``apa`` switch
+    *different* toggles — see docs/ARCHITECTURE.md).  ``faults`` caps the
+    number of actually-faulty nodes below the design ``f`` (A3 runs
+    fault-free) and ``stagger`` is in units of ``delta``.
+
+    A dead run tabulates: ``outcome`` carries the error, the measured
+    columns fall back to their table defaults.
     """
-    from repro.build import build_simulation
-
-    warnings.warn(
-        "build_registry_simulation is deprecated; use "
-        "repro.build.build_simulation(case, backend=...)",
-        DeprecationWarning,
-        stacklevel=2,
+    n = case["n"]
+    params = derive_parameters(case["theta"], case["d"], case["u"], n)
+    faulty = list(range(n - case.get("faults", params.f), n))
+    stagger = case.get("stagger", 0.0) * params.delta
+    simulation = assemble_cps_simulation(
+        params,
+        faulty=faulty,
+        behavior=(
+            scenarios.create(
+                "adversary",
+                case.get("adversary", "silent"),
+                params,
+                **({"stagger": stagger} if stagger else {}),
+            )
+            if faulty
+            else None
+        ),
+        seed=seed,
+        clock_style=case.get("drift", "random"),
+        trace=measurement.trace,
+        **{key: case[key] for key in MECHANISM_KEYS if key in case},
     )
-    return build_simulation(
-        case, seed=seed, trace=trace, checks=checks
-    ).legacy_tuple()
+    outcome = measured_pulse_trial(simulation, measurement)
+    row = {
+        "f": params.f,
+        "stagger": stagger,
+        "delta": params.delta,
+        "bound_S": params.S,
+        "d_minus_u": params.d - params.u,
+        "send_offset": simulation.protocol(0).dealer_send_offset,
+        "outcome": "ok" if outcome.report else outcome.error,
+        "honest_rejections": _honest_rejections(simulation),
+        "within_S": _skew_metrics(outcome)[0] <= params.S + 1e-9,
+        "events": _events_of(outcome),
+    }
+    if outcome.report is not None:
+        accepted, worst = _faulty_dealer_consistency(
+            simulation, outcome.result.honest_pulses(), measurement.pulses
+        )
+        row.update(
+            max_skew=outcome.report.max_skew,
+            faulty_accepted=accepted,
+            consistency_err=worst,
+            consistency_within=worst <= params.delta + 1e-9,
+        )
+    return row
+
+
+# ----------------------------------------------------------------------
+# Registry-driven stress trials: any adversary x delay x drift x topology
+# ----------------------------------------------------------------------
 
 
 @register_builder("cps-churn")
@@ -450,14 +712,8 @@ def cps_churn_trial(
     and the time-aligned stabilization metrics of
     :mod:`repro.analysis.metrics` for every applied activation.
     """
-    from repro.build import build_simulation
-
-    simulation, params, f, effective = build_simulation(
-        case,
-        backend=measurement.backend,
-        seed=seed,
-        trace=measurement.trace,
-    ).legacy_tuple()
+    built = built_case(case, measurement, seed)
+    simulation, params = built.simulation, built.params
     controller = simulation.dynamics
     if controller is None:
         raise TrialFailure("cps-churn cases must name a 'churn' profile")
@@ -491,7 +747,7 @@ def cps_churn_trial(
     # must not report vacuous success.
     scheduled = len(schedule.activations())
     return {
-        "f": f,
+        "f": built.f,
         "corruptions": schedule.corruptions,
         "disruptions": len(controller.applied),
         "activations": scheduled,
@@ -504,7 +760,7 @@ def cps_churn_trial(
         "bound_S": params.S,
         "cohort_within": cohort_skew <= params.S + 1e-9,
         "events": result.events_processed,
-        **effective,
+        **built.effective,
     }
 
 
@@ -542,7 +798,7 @@ def fuzz_probe_trial(
         "found": report.found,
         "ok": report.ok,
         "counterexample_id": (
-            f"fuzz-{counterexample['fixture_id']}" if counterexample else ""
+            f"fuzz-{counterexample['fixture_id']}" if counterexample else "-"
         ),
         "violations": (
             len(counterexample["summary"].get("violations", []))
@@ -563,25 +819,19 @@ def cps_stress_trial(
     ``measurement.backend`` selects the engine, which is how the
     E9-SCALE campaign reaches n = 10,000 on the vectorized backend.
     """
-    from repro.build import build_simulation
-
-    simulation, params, f, effective = build_simulation(
-        case,
-        backend=measurement.backend,
-        seed=seed,
-        trace=measurement.trace,
-    ).legacy_tuple()
+    built = built_case(case, measurement, seed)
+    simulation, params = built.simulation, built.params
     outcome = measured_pulse_trial(simulation, measurement)
     measured, steady = _skew_metrics(outcome)
     return {
-        "f": f,
+        "f": built.f,
         "max_skew": measured,
         "steady_skew": steady,
         "bound_S": params.S,
         "within": steady <= params.S + 1e-9,
         "live": outcome.live,
         "events": _events_of(outcome),
-        **effective,
+        **built.effective,
     }
 
 
@@ -606,7 +856,6 @@ def cps_ablation_trial(
     tabulates: the event queue drains, progress fails, and skews over
     the too-few pulses come back as ``inf``.
     """
-    from repro.build import build_simulation
     from repro.checks.conformance import (
         cps_check_set,
         churn_check_set,
@@ -614,12 +863,8 @@ def cps_ablation_trial(
     from repro.sim.errors import ConfigurationError
 
     pulses = int(case.get("pulses", measurement.pulses))
-    simulation, params, f, effective = build_simulation(
-        case,
-        backend=measurement.backend,
-        seed=seed,
-        trace=measurement.trace,
-    ).legacy_tuple()
+    built = built_case(case, measurement, seed)
+    simulation, params = built.simulation, built.params
     if case.get("churn") is not None:
         checks = churn_check_set(
             simulation.dynamics.schedule, params
@@ -641,7 +886,7 @@ def cps_ablation_trial(
     except ConfigurationError:
         measured = float("inf")
     return {
-        "f": f,
+        "f": built.f,
         "pulses": pulses,
         "live": all(
             len(result.pulses[v]) >= pulses for v in simulation.honest
@@ -653,5 +898,5 @@ def cps_ablation_trial(
             v.monitor: len(v.violations) for v in verdicts
         },
         "events": result.events_processed,
-        **effective,
+        **built.effective,
     }

@@ -254,10 +254,9 @@ def run_cps_conformance(
     levels and across backends (the vectorized engine must produce a
     verdict-identical monitor matrix).
     """
-    simulation, params, _f, _effective = build_simulation(
-        case, backend=backend, seed=seed, trace=trace
-    ).legacy_tuple()
-    checks = cps_check_set(params, simulation.honest, pulses)
+    built = build_simulation(case, backend=backend, seed=seed, trace=trace)
+    simulation = built.simulation
+    checks = cps_check_set(built.params, simulation.honest, pulses)
     simulation.attach_checks(checks)
     result = simulation.run(max_pulses=pulses)
     return checks.finish(), result
@@ -291,10 +290,9 @@ def run_churn_conformance(
     Returns ``(verdicts, simulation_result)`` like
     :func:`run_cps_conformance`.
     """
-    simulation, params, _f, _effective = build_simulation(
-        case, seed=seed, trace=trace
-    ).legacy_tuple()
-    checks = churn_check_set(simulation.dynamics.schedule, params)
+    built = build_simulation(case, seed=seed, trace=trace)
+    simulation = built.simulation
+    checks = churn_check_set(simulation.dynamics.schedule, built.params)
     simulation.attach_checks(checks)
     result = simulation.run(max_pulses=pulses)
     return checks.finish(), result

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
-from repro import scenarios
+from repro.build import build_simulation
 from repro.checks.conformance import churn_check_set, cps_check_set
 from repro.checks.monitors import MonitorVerdict
-from repro.core.cps import assemble_cps_simulation
-from repro.core.params import derive_parameters
-from repro.dynamics import ChurnController, FaultEvent, FaultSchedule
+from repro.dynamics import FaultEvent, FaultSchedule
 
 #: E8's model-violation regime: faulty links 16x faster than honest
 #: uncertainty permits.  The table shows the measured skew exceeding S.
@@ -45,18 +43,21 @@ def build_broken_simulation(seed: int = 2, trace: Any = "pulses"):
     Returns ``(simulation, check_set, params)``; running the simulation
     for :data:`BROKEN_PULSES` pulses makes the skew monitor fire.
     """
-    params = derive_parameters(BROKEN_THETA, BROKEN_D, BROKEN_U, BROKEN_N)
-    faulty = list(range(BROKEN_N - params.f, BROKEN_N))
-    simulation = assemble_cps_simulation(
-        params,
-        faulty=faulty,
-        behavior=scenarios.create("adversary", "rushing-echo", None),
-        delay_policy=scenarios.create("delay", "fast-to-faulty", BROKEN_N),
-        u_tilde=BROKEN_U_TILDE,
+    built = build_simulation(
+        {
+            "n": BROKEN_N,
+            "theta": BROKEN_THETA,
+            "d": BROKEN_D,
+            "u": BROKEN_U,
+            "adversary": "rushing-echo",
+            "delay": "fast-to-faulty",
+            "drift": "extreme",
+            "u_tilde": BROKEN_U_TILDE,
+        },
         seed=seed,
-        clock_style="extreme",
         trace=trace,
     )
+    simulation, params = built.simulation, built.params
     checks = cps_check_set(params, simulation.honest, BROKEN_PULSES)
     simulation.attach_checks(checks)
     return simulation, checks, params
@@ -96,34 +97,34 @@ def build_churn_fixture(seed: int = 3, trace: Any = "pulses"):
 
     Returns ``(simulation, check_set, params)``.
     """
-    params = derive_parameters(
-        CHURN_FIXTURE_THETA,
-        CHURN_FIXTURE_D,
-        CHURN_FIXTURE_U,
-        CHURN_FIXTURE_N,
-    )
-    crash = FaultEvent("crash", 0, at_pulse=CHURN_FIXTURE_CRASH_PULSE)
-    recover = FaultEvent(
-        "recover", 0, at_pulse=CHURN_FIXTURE_RECOVER_PULSE
-    )
-    executed = FaultSchedule(
-        events=(crash,),
-        corruptions=1,
-        description="crash only (the failure being detected)",
-    )
-    intended = FaultSchedule(
-        events=(crash, recover),
-        corruptions=1,
-        description="crash with the promised recovery",
-    )
-    simulation = assemble_cps_simulation(
-        params,
-        faulty=executed.initially_corrupted(params.n),
-        behavior=scenarios.create("adversary", "silent", params),
+    built = build_simulation(
+        {
+            "n": CHURN_FIXTURE_N,
+            "theta": CHURN_FIXTURE_THETA,
+            "d": CHURN_FIXTURE_D,
+            "u": CHURN_FIXTURE_U,
+            "adversary": "silent",
+            "drift": "extreme",
+            # The executed schedule: the crash only (the failure
+            # being detected).
+            "churn": "single-crash",
+            "churn_params": {
+                "node": 0,
+                "at_pulse": CHURN_FIXTURE_CRASH_PULSE,
+            },
+        },
         seed=seed,
-        clock_style="extreme",
         trace=trace,
-        dynamics=ChurnController(executed, params),
+    )
+    simulation, params = built.simulation, built.params
+    executed = simulation.dynamics.schedule
+    intended = FaultSchedule(
+        events=(
+            *executed.events,
+            FaultEvent("recover", 0, at_pulse=CHURN_FIXTURE_RECOVER_PULSE),
+        ),
+        corruptions=executed.corruptions,
+        description="crash with the promised recovery",
     )
     checks = churn_check_set(intended, params)
     simulation.attach_checks(checks)

@@ -4,15 +4,16 @@ Subcommands
 -----------
 
 ``list``
-    Show the experiment registry with one-line descriptions.
+    Show every experiment id with its one-line description.
 ``run E4 [--scale full] [--csv out.csv]``
-    Run one experiment and print its table.
+    Run one experiment and print its table (``campaign run E4`` with
+    default flags, minus the execution summary).
 ``all [--scale quick] [--out results/]``
     Run every experiment, printing tables (and writing CSVs if asked).
 ``params --theta 1.001 --d 1.0 --u 0.01 --n 8``
     Derive and display CPS parameters and every bound of Theorem 17.
 ``campaign list``
-    Show the declarative campaign catalog (the ported experiments).
+    Show the campaign catalog (every experiment id is one).
 ``campaign show E4 [--scale full] [--store results/store]``
     Describe a campaign's grid, trial count, spec key, and cache state.
 ``campaign run E4 [--scale] [--workers 8] [--store DIR] [--resume]
@@ -135,7 +136,6 @@ from typing import List, Optional
 
 from repro import scenarios
 from repro.analysis import theory
-from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.build import (
     UnknownBackendError,
     UnknownComponentError,
@@ -190,30 +190,121 @@ def _parse_param_overrides(pairs: Optional[List[str]]) -> dict:
     return overrides
 
 
-def _campaign_or_exit(name: str):
+def _campaign_or_exit(name: str, noun: str = "campaign"):
     try:
         return campaign_definition(name)
     except KeyError:
         raise _unknown_name_exit(
-            name, "campaign", available_campaigns()
+            name, noun, available_campaigns()
         ) from None
 
 
+def _experiment_ids() -> List[str]:
+    """Every registered id, A-series first, E1..E10 in numeric order."""
+    return sorted(available_campaigns(), key=lambda k: (k[0], len(k), k))
+
+
+def _execution_flags(
+    args: argparse.Namespace, *queue_flags: str
+) -> dict:
+    """The execution flags ``campaign run`` and ``ablate run`` share,
+    as :func:`_execute_or_exit` keywords (``queue_flags`` names the
+    extra :class:`ExecutionPolicy` fields only ``campaign run`` has)."""
+    if args.adaptive and args.ci_width is None:
+        raise SystemExit("--adaptive requires --ci-width")
+    if args.ci_width is not None and not args.adaptive:
+        raise SystemExit("--ci-width only makes sense with --adaptive")
+    return {
+        "policy": {
+            name: getattr(args, name)
+            for name in ("workers", "chunk_size", "timeout", *queue_flags)
+        },
+        "adaptive": (
+            {
+                "ci_width": args.ci_width,
+                "metric": args.ci_metric,
+                "confidence": args.ci_confidence,
+                "min_trials": args.min_trials,
+                "max_trials": args.max_trials,
+            }
+            if args.adaptive
+            else None
+        ),
+        "store": ResultStore(args.store) if args.store else None,
+        "fresh": args.fresh,
+        "progress": args.progress,
+    }
+
+
+def _execute_or_exit(
+    spec,
+    scale: str,
+    policy: Optional[dict] = None,
+    adaptive: Optional[dict] = None,
+    store: Optional[ResultStore] = None,
+    fresh: bool = False,
+    progress: bool = False,
+    instrumentation=None,
+):
+    """The one way the CLI executes a campaign: ``run``, ``all``,
+    ``campaign run`` and ``ablate run`` all end here.
+
+    ``policy`` / ``adaptive`` are keyword dicts for
+    :class:`ExecutionPolicy` / :class:`AdaptivePolicy`; both are
+    validated here so that a bad flag value — like every other
+    ``ValueError``/``QueueError`` of the engine — exits with its
+    one-line message instead of a traceback.
+    """
+    reporter = None
+    if progress:
+        from repro.telemetry.progress import ProgressReporter
+
+        reporter = ProgressReporter(label=f"{spec.name}/{scale}")
+    try:
+        shared = {
+            "scale": scale,
+            "policy": ExecutionPolicy(**(policy or {})),
+            "store": store,
+            "reuse": not fresh,
+            "progress": reporter.update if reporter is not None else None,
+        }
+        if adaptive is not None:
+            from repro.campaigns.adaptive import (
+                AdaptivePolicy,
+                execute_adaptive_campaign,
+            )
+
+            if instrumentation is not None:
+                print(
+                    "note: per-trial instrumentation is not applied "
+                    "under --adaptive; the sidecar records the "
+                    "stopping-rule summary instead"
+                )
+            run = execute_adaptive_campaign(
+                spec, adaptive=AdaptivePolicy(**adaptive), **shared
+            )
+        else:
+            run = execute_campaign(
+                spec, instrumentation=instrumentation, **shared
+            )
+    except (ValueError, QueueError) as exc:
+        raise SystemExit(str(exc)) from None
+    if reporter is not None:
+        reporter.finish()
+    return run
+
+
 def _command_list(_args: argparse.Namespace) -> int:
-    for name in sorted(EXPERIMENTS, key=lambda k: (k[0], len(k), k)):
-        doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
-        print(f"{name:<4} {doc}")
+    for name in _experiment_ids():
+        print(f"{name:<4} {campaign_definition(name).description}")
     return 0
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    # Validate the name up front: a KeyError raised *inside* a running
-    # experiment must surface as itself, not as "unknown experiment".
-    if args.experiment.upper() not in EXPERIMENTS:
-        raise _unknown_name_exit(
-            args.experiment, "experiment", sorted(EXPERIMENTS)
-        )
-    table = run_experiment(args.experiment, scale=args.scale)
+    definition = _campaign_or_exit(args.experiment, noun="experiment")
+    table = definition.tabulate(
+        _execute_or_exit(definition.spec(), args.scale)
+    )
     print(table.render())
     if args.csv:
         table.to_csv(args.csv)
@@ -222,8 +313,11 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_all(args: argparse.Namespace) -> int:
-    for name in sorted(EXPERIMENTS, key=lambda k: (k[0], len(k), k)):
-        table = run_experiment(name, scale=args.scale)
+    for name in _experiment_ids():
+        definition = campaign_definition(name)
+        table = definition.tabulate(
+            _execute_or_exit(definition.spec(), args.scale)
+        )
         print(table.render())
         print()
         if args.out:
@@ -302,10 +396,7 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
             "rule needs round barriers a detached worker fleet "
             "cannot provide"
         )
-    if args.adaptive and args.ci_width is None:
-        raise SystemExit("--adaptive requires --ci-width")
-    if args.ci_width is not None and not args.adaptive:
-        raise SystemExit("--ci-width only makes sense with --adaptive")
+    flags = _execution_flags(args, "queue", "worker_id", "lease_ttl")
     definition = _campaign_or_exit(args.campaign)
     spec = definition.spec()
     if args.backend is not None:
@@ -325,18 +416,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
                     for scale, m in spec.measurements.items()
                 },
             )
-    store = ResultStore(args.store) if args.store else None
-    try:
-        policy = ExecutionPolicy(
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            timeout=args.timeout,
-            queue=args.queue,
-            worker_id=args.worker_id,
-            lease_ttl=args.lease_ttl,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
     instrumentation = None
     if args.telemetry or args.profile:
         from repro.telemetry.campaign import InstrumentationPlan
@@ -346,62 +425,15 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
             profile=args.profile,
             profile_top=args.profile_top,
         )
-    reporter = None
-    if args.progress:
-        from repro.telemetry.progress import ProgressReporter
-
-        reporter = ProgressReporter(
-            label=f"{spec.name}/{args.scale}"
-        )
-    progress = reporter.update if reporter is not None else None
-    try:
-        if args.adaptive:
-            from repro.campaigns.adaptive import (
-                AdaptivePolicy,
-                execute_adaptive_campaign,
-            )
-
-            if instrumentation is not None:
-                print(
-                    "note: per-trial instrumentation is not applied "
-                    "under --adaptive; the sidecar records the "
-                    "stopping-rule summary instead"
-                )
-            adaptive = AdaptivePolicy(
-                ci_width=args.ci_width,
-                metric=args.ci_metric,
-                confidence=args.ci_confidence,
-                min_trials=args.min_trials,
-                max_trials=args.max_trials,
-            )
-            run = execute_adaptive_campaign(
-                spec,
-                scale=args.scale,
-                adaptive=adaptive,
-                policy=policy,
-                store=store,
-                reuse=not args.fresh,
-                progress=progress,
-            )
-        else:
-            run = execute_campaign(
-                spec,
-                scale=args.scale,
-                policy=policy,
-                store=store,
-                reuse=not args.fresh,
-                instrumentation=instrumentation,
-                progress=progress,
-            )
-    except (ValueError, QueueError) as exc:
-        raise SystemExit(str(exc)) from None
-    if reporter is not None:
-        reporter.finish()
+    run = _execute_or_exit(
+        spec, args.scale, instrumentation=instrumentation, **flags
+    )
+    store = flags["store"]
     table = definition.tabulate(run)
     print(table.render())
     print()
     print(run_summary_table(run).render())
-    print(run.summary() + f" (workers={policy.workers})")
+    print(run.summary() + f" (workers={args.workers})")
     if run.adaptive is not None:
         a = run.adaptive
         print(
@@ -706,66 +738,14 @@ def _command_ablate_run(args: argparse.Namespace) -> int:
     )
     from repro.campaigns.store import dump_json_summary
 
-    if args.adaptive and args.ci_width is None:
-        raise SystemExit("--adaptive requires --ci-width")
-    if args.ci_width is not None and not args.adaptive:
-        raise SystemExit("--ci-width only makes sense with --adaptive")
     spec = _ablation_spec(args)
-    campaign = ablation_campaign_spec(spec)
-    store = ResultStore(args.store) if args.store else None
-    try:
-        policy = ExecutionPolicy(
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            timeout=args.timeout,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    reporter = None
-    if args.progress:
-        from repro.telemetry.progress import ProgressReporter
-
-        reporter = ProgressReporter(
-            label=f"{campaign.name}/{args.tier}"
-        )
-    progress = reporter.update if reporter is not None else None
-    if args.adaptive:
-        from repro.campaigns.adaptive import (
-            AdaptivePolicy,
-            execute_adaptive_campaign,
-        )
-
-        adaptive = AdaptivePolicy(
-            ci_width=args.ci_width,
-            metric=args.ci_metric,
-            confidence=args.ci_confidence,
-            min_trials=args.min_trials,
-            max_trials=args.max_trials,
-        )
-        run = execute_adaptive_campaign(
-            campaign,
-            scale=args.tier,
-            adaptive=adaptive,
-            policy=policy,
-            store=store,
-            reuse=not args.fresh,
-            progress=progress,
-        )
-    else:
-        run = execute_campaign(
-            campaign,
-            scale=args.tier,
-            policy=policy,
-            store=store,
-            reuse=not args.fresh,
-            progress=progress,
-        )
-    if reporter is not None:
-        reporter.finish()
+    run = _execute_or_exit(
+        ablation_campaign_spec(spec), args.tier, **_execution_flags(args)
+    )
     payload = ablation_report(spec, run)
     print(render_ablation_table(payload).render())
     print()
-    print(run.summary() + f" (workers={policy.workers})")
+    print(run.summary() + f" (workers={args.workers})")
     if run.failed:
         for record in run.failures():
             print(f"  TRIAL ERROR {record.case_key}: {record.error}")

@@ -26,7 +26,6 @@ variant, and changing the dealer send offset.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -306,7 +305,7 @@ def assemble_cps_simulation(
     delay_policy: Optional[DelayPolicy] = None,
     u_tilde: Optional[float] = None,
     seed: int = 0,
-    trace: TraceSpec = True,
+    trace: TraceSpec = "full",
     clock_style: str = "random",
     checks=None,
     dynamics=None,
@@ -356,21 +355,3 @@ def assemble_cps_simulation(
         checks=checks,
         dynamics=dynamics,
     )
-
-
-def build_cps_simulation(*args: Any, **kwargs: Any) -> Simulation:
-    """Deprecated alias of :func:`assemble_cps_simulation`.
-
-    Prefer :func:`repro.build.build_simulation` for registry-keyed
-    cases and backend selection, or :func:`assemble_cps_simulation`
-    for low-level wiring.  This shim forwards verbatim, so the
-    returned simulation is identical to the facade's event backend.
-    """
-    warnings.warn(
-        "build_cps_simulation is deprecated; use "
-        "repro.build.build_simulation(case, backend=...) or, for "
-        "low-level wiring, repro.core.cps.assemble_cps_simulation",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return assemble_cps_simulation(*args, **kwargs)

@@ -60,9 +60,8 @@ def run_fuzz_case(
     trace: Any = "pulses",
 ) -> FuzzRun:
     """Execute one registry-keyed case with its monitors attached."""
-    simulation, params, _f, _effective = build_simulation(
-        case, seed=seed, trace=trace
-    ).legacy_tuple()
+    built = build_simulation(case, seed=seed, trace=trace)
+    simulation, params = built.simulation, built.params
     mode = "churn" if "churn" in case else "cps"
     if mode == "churn":
         checks = churn_check_set(simulation.dynamics.schedule, params)

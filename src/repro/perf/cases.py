@@ -146,59 +146,30 @@ def run_cases(
     "delay policies; the engine-rewrite reference workload",
 )
 def _e5_stress(scale: str) -> Tuple[int, Dict[str, object]]:
-    from repro import scenarios
-    from repro.analysis.runner import run_pulse_trial
-    from repro.baselines.lynch_welch import (
-        LwTimingAttack,
-        build_lw_simulation,
-        derive_lw_parameters,
-    )
-    from repro.campaigns.builders import _extreme_clocks, cps_group_a
-    from repro.core.cps import assemble_cps_simulation
-    from repro.core.params import derive_parameters, max_faults
+    from repro.campaigns.builders import resilience_trial
+    from repro.campaigns.spec import MeasurementSpec
+    from repro.core.params import max_faults
 
-    n, theta, d, u, seed = 9, 1.001, 1.0, 0.02, 5
+    n, seed = 9, 5
     pulses = 20 if scale == "quick" else 60
+    measurement = MeasurementSpec(pulses=pulses, warmup=8)
     total_events = 0
     trials = 0
     for delay_key in ("skewing", "eclipse", "flicker-partition"):
         for f in (0, max_faults(n)):
             for algorithm in ("CPS", "Lynch-Welch"):
-                faulty = list(range(n - f, n)) if f else []
-                delay_policy = scenarios.create("delay", delay_key, n)
-                if algorithm == "CPS":
-                    params = derive_parameters(theta, d, u, n, f=max_faults(n))
-                    behavior = (
-                        scenarios.create("adversary", "mimic-split", params)
-                        if f
-                        else None
-                    )
-                    simulation = assemble_cps_simulation(
-                        params,
-                        clocks=_extreme_clocks(params, n, theta),
-                        faulty=faulty,
-                        behavior=behavior,
-                        delay_policy=delay_policy,
-                        seed=seed,
-                        trace="pulses",
-                    )
-                else:
-                    params = derive_lw_parameters(theta, d, u, n, f=max(f, 1))
-                    behavior = (
-                        LwTimingAttack(params, cps_group_a(n)) if f else None
-                    )
-                    simulation = build_lw_simulation(
-                        params,
-                        clocks=_extreme_clocks(params, n, theta),
-                        faulty=faulty,
-                        behavior=behavior,
-                        delay_policy=delay_policy,
-                        seed=seed,
-                        trace="pulses",
-                    )
-                outcome = run_pulse_trial(simulation, pulses, warmup=8)
-                assert outcome.result is not None, outcome.error
-                total_events += outcome.result.events_processed
+                case = {
+                    "n": n,
+                    "theta": 1.001,
+                    "d": 1.0,
+                    "u": 0.02,
+                    "f": f,
+                    "algorithm": algorithm,
+                    "delay": delay_key,
+                }
+                events = resilience_trial(case, measurement, seed)["events"]
+                assert events, f"{algorithm} f={f} {delay_key} died"
+                total_events += events
                 trials += 1
     return total_events, {"trials": trials, "pulses": pulses}
 
@@ -209,23 +180,23 @@ def _e5_stress(scale: str) -> Tuple[int, Dict[str, object]]:
     "record-allocating path the examples and tests rely on",
 )
 def _cps_full_trace(scale: str) -> Tuple[int, Dict[str, object]]:
-    from repro import scenarios
     from repro.analysis.runner import run_pulse_trial
-    from repro.core.cps import assemble_cps_simulation
-    from repro.core.params import derive_parameters
+    from repro.build import build_simulation
 
     n = 9 if scale == "quick" else 13
     pulses = 25 if scale == "quick" else 50
-    params = derive_parameters(1.001, 1.0, 0.02, n)
-    faulty = list(range(n - params.f, n))
-    simulation = assemble_cps_simulation(
-        params,
-        faulty=faulty,
-        behavior=scenarios.create("adversary", "mimic-split", params),
+    simulation = build_simulation(
+        {
+            "n": n,
+            "theta": 1.001,
+            "d": 1.0,
+            "u": 0.02,
+            "adversary": "mimic-split",
+            "drift": "extreme",
+        },
         seed=3,
-        clock_style="extreme",
         trace="full",
-    )
+    ).simulation
     outcome = run_pulse_trial(simulation, pulses, warmup=5)
     assert outcome.result is not None, outcome.error
     return outcome.result.events_processed, {
@@ -257,27 +228,23 @@ def _stress_campaign(scale: str) -> Tuple[int, Dict[str, object]]:
 def _telemetry_overhead(scale: str) -> Tuple[int, Dict[str, object]]:
     import time as time_module
 
-    from repro import scenarios
     from repro.analysis.runner import run_pulse_trial
-    from repro.campaigns.builders import _extreme_clocks
-    from repro.core.cps import assemble_cps_simulation
-    from repro.core.params import derive_parameters, max_faults
+    from repro.build import build_simulation
     from repro.telemetry import Telemetry, telemetry_session
 
-    n, theta, d, u, seed = 9, 1.001, 1.0, 0.02, 5
     pulses = 15 if scale == "quick" else 45
-    params = derive_parameters(theta, d, u, n, f=max_faults(n))
+    case = {
+        "n": 9,
+        "theta": 1.001,
+        "d": 1.0,
+        "u": 0.02,
+        "adversary": "mimic-split",
+        "delay": "skewing",
+        "drift": "extreme",
+    }
 
     def build():  # one fresh instrumentable system per measurement
-        return assemble_cps_simulation(
-            params,
-            clocks=_extreme_clocks(params, n, theta),
-            faulty=list(range(n - params.f, n)),
-            behavior=scenarios.create("adversary", "mimic-split", params),
-            delay_policy=scenarios.create("delay", "skewing", n),
-            seed=seed,
-            trace="pulses",
-        )
+        return build_simulation(case, seed=5).simulation
 
     started = time_module.perf_counter()
     bare = run_pulse_trial(build(), pulses, warmup=8)

@@ -7,10 +7,10 @@ ensemble honours the model assumptions the simulations validate at
 start-up: initial offsets ``H_v(0) in [0, S]`` and rates in
 ``[1, theta]``.
 
-``random`` and ``extreme`` are the two ensembles the pre-registry code
-selected via ``assemble_cps_simulation(clock_style=...)``; ``mixed`` and
-``staggered`` are stress ensembles that combine stable, fast, and
-wandering hardware in one system.
+``random`` and ``extreme`` are the two ensembles the low-level
+``assemble_cps_simulation`` selects by its ``clock_style`` argument;
+``mixed`` and ``staggered`` are stress ensembles that combine stable,
+fast, and wandering hardware in one system.
 """
 
 from __future__ import annotations

@@ -44,13 +44,22 @@ class TraceLevel(IntEnum):
 
     @classmethod
     def coerce(
-        cls, value: Union["TraceLevel", str, bool, int, None]
+        cls, value: Union["TraceLevel", str, int, None]
     ) -> "TraceLevel":
-        """Accept a level, its lowercase name, or a legacy bool."""
-        if value is None or value is True:
+        """Accept a level, its lowercase name, or ``None`` (``FULL``).
+
+        Bools are rejected by name: ``bool`` is an ``int``, so
+        ``True`` would otherwise silently mean ``PULSES``.
+        """
+        if value is None:
             return cls.FULL
-        if value is False:
-            return cls.NONE
+        if isinstance(value, bool):
+            meant = "full" if value else "none"
+            raise ValueError(
+                f"trace={value!r} is not a trace level — "
+                f"did you mean {meant!r}? (choose from "
+                f"{[level.name.lower() for level in cls]})"
+            )
         if isinstance(value, str):
             try:
                 return cls[value.upper()]
@@ -129,10 +138,9 @@ class TruncationRecord:
 TraceRecord = Any
 
 #: What simulation builders accept for their ``trace`` parameter: a
-#: :class:`TraceLevel`, its lowercase name, a legacy bool
-#: (``True`` -> ``FULL``, ``False`` -> ``NONE``), or a pre-built
+#: :class:`TraceLevel`, its lowercase name, or a pre-built
 #: :class:`Trace` (e.g. one constructed with ``max_records=``).
-TraceSpec = Union[TraceLevel, str, bool, "Trace"]
+TraceSpec = Union[TraceLevel, str, "Trace"]
 
 
 class _BoundedRecords(list):

@@ -1,4 +1,4 @@
-"""Campaign engine: specs, executor, result store, aggregation, shim.
+"""Campaign engine: specs, executor, result store, aggregation.
 
 The satellite guarantees under test:
 
@@ -7,9 +7,7 @@ The satellite guarantees under test:
 * the result store round-trips records (including errors), hits the
   cache on identical keys, misses on changed parameters, and resumes
   partially-run campaigns by executing only the missing cases;
-* serial and process-pool execution produce identical aggregated rows;
-* ``analysis.runner.sweep`` stays a behavior-compatible shim that can
-  thread explicit seeds through ``build``.
+* serial and process-pool execution produce identical aggregated rows.
 """
 
 import math
@@ -17,7 +15,6 @@ import time
 
 import pytest
 
-from repro.analysis.runner import sweep
 from repro.campaigns import (
     CampaignSpec,
     ExecutionPolicy,
@@ -39,8 +36,6 @@ from repro.campaigns.aggregate import (
     summary_stats,
     value_of,
 )
-from repro.core.cps import assemble_cps_simulation
-from repro.core.params import derive_parameters
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +575,26 @@ class TestAggregate:
         )
         assert table.rows == [(2, 4), (3, 9)]
 
+    def test_records_to_table_column_triples(self):
+        run = execute_campaign(_square_spec(xs=(2,)))
+        record = run.records[0]
+        record.case["square"] = "shadowed input"
+        table = records_to_table(
+            [record],
+            "squares",
+            [
+                ("input", "x", None),
+                # a measured value wins over a same-named case key
+                ("x squared", "square", None),
+                ("absent", "nope", "-"),
+                ("from case", "nope", lambda case: case["x"] + 1),
+            ],
+        )
+        assert table.columns == [
+            "input", "x squared", "absent", "from case",
+        ]
+        assert table.rows == [(2, 4, "-", 3)]
+
     def test_run_summary_table_counts(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = _square_spec()
@@ -610,54 +625,6 @@ class TestCampaignPorts:
             definition.tabulate(live).render()
             == definition.tabulate(replay).render()
         )
-
-
-# ----------------------------------------------------------------------
-# The runner.sweep compatibility shim
-# ----------------------------------------------------------------------
-
-
-def _build_tiny_cps(n=4, seed=0):
-    params = derive_parameters(1.001, 1.0, 0.01, n)
-    return assemble_cps_simulation(params, seed=seed)
-
-
-class TestSweepShim:
-    def test_sweep_without_seed_is_backward_compatible(self):
-        rows = sweep([{"n": 4}], _build_tiny_cps, pulses=2)
-        assert len(rows) == 1
-        assert "seed" not in rows[0]
-        assert rows[0]["outcome"].live
-
-    def test_sweep_threads_derived_seeds_through_build(self):
-        rows = sweep(
-            [{"n": 4}, {"n": 5}], _build_tiny_cps, pulses=2, seed=77
-        )
-        assert all("seed" in row for row in rows)
-        assert rows[0]["seed"] != rows[1]["seed"]
-
-    def test_derived_seed_independent_of_config_key_order(self):
-        first = sweep(
-            [{"n": 4, "seed": 11}], _build_tiny_cps, pulses=2, seed=77
-        )
-        # pinned seed: not overridden, not re-derived
-        assert first[0]["seed"] == 11
-        a = sweep([{"n": 4}], _build_tiny_cps, pulses=2, seed=77)
-        b = sweep([{"n": 4}], _build_tiny_cps, pulses=2, seed=77)
-        assert a[0]["seed"] == b[0]["seed"]
-
-    def test_sweep_parallel_matches_serial(self):
-        configs = [{"n": 4}, {"n": 5}]
-        serial = sweep(configs, _build_tiny_cps, pulses=2, seed=3)
-        pooled = sweep(
-            configs, _build_tiny_cps, pulses=2, seed=3, workers=2
-        )
-        for left, right in zip(serial, pooled):
-            assert left["seed"] == right["seed"]
-            assert (
-                left["outcome"].report.max_skew
-                == right["outcome"].report.max_skew
-            )
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,17 @@ class TestErrorPaths:
         with pytest.raises(SystemExit, match="did you mean 'STRESS'"):
             main(["campaign", "run", "STRES"])
 
+    def test_bad_adaptive_flag_exits_with_one_line(self):
+        # `ablate run` used to copy `campaign run`'s execution block
+        # minus its `except ValueError`: the same bad flag printed a
+        # traceback there and a one-line message here.
+        flags = ["--adaptive", "--ci-width", "0.1", "--min-trials", "0"]
+        for command in (["campaign", "run", "E1"], ["ablate", "run"]):
+            with pytest.raises(
+                SystemExit, match="min_trials must be >= 2"
+            ):
+                main(command + flags)
+
     def test_unknown_campaign_show(self):
         with pytest.raises(SystemExit, match="unknown campaign"):
             main(["campaign", "show", "E99"])

@@ -490,7 +490,7 @@ class TestZeroCostWhenUnused:
             "delay": "maximum",
             "drift": "extreme",
         }
-        simulation, _params, _f, _eff = build_simulation(case, seed=3).legacy_tuple()
+        simulation = build_simulation(case, seed=3).simulation
         assert simulation.dynamics is None
 
     def test_empty_schedule_is_inert(self):

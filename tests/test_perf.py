@@ -190,12 +190,22 @@ class TestBaselineFiles:
 
 class TestTraceLevels:
     def test_coerce(self):
-        assert TraceLevel.coerce(True) is TraceLevel.FULL
-        assert TraceLevel.coerce(False) is TraceLevel.NONE
+        assert TraceLevel.coerce(None) is TraceLevel.FULL
         assert TraceLevel.coerce("pulses") is TraceLevel.PULSES
         assert TraceLevel.coerce(TraceLevel.FULL) is TraceLevel.FULL
+        assert TraceLevel.coerce(1) is TraceLevel.PULSES
         with pytest.raises(ValueError):
             TraceLevel.coerce("verbose")
+
+    def test_coerce_rejects_bools_by_name(self):
+        # bool is an int: without the explicit check True would
+        # silently mean PULSES (it used to mean FULL).
+        with pytest.raises(ValueError, match="did you mean 'full'"):
+            TraceLevel.coerce(True)
+        with pytest.raises(ValueError, match="did you mean 'none'"):
+            TraceLevel.coerce(False)
+        with pytest.raises(ValueError, match="did you mean 'full'"):
+            Trace.from_spec(True)
 
     def test_levels_gate_record_kinds(self):
         pulses_only = Trace(level="pulses")

@@ -122,7 +122,7 @@ def test_theorem17_holds_for_random_configurations(
         behavior=make_adversary(adversary_kind, params, group),
         delay_policy=make_policy(policy_kind, group, seed),
         seed=seed,
-        trace=False,
+        trace="none",
     )
     result = simulation.run(max_pulses=PULSES)
     pulses = result.honest_pulses()
@@ -149,7 +149,7 @@ def test_larger_system_spot_checks(seed):
         delay_policy=SkewingDelayPolicy(group),
         seed=seed,
         clock_style="extreme",
-        trace=False,
+        trace="none",
     )
     result = simulation.run(max_pulses=8)
     pulses = result.honest_pulses()

@@ -353,7 +353,7 @@ class TestTraceCap:
         trace = Trace(level="pulses", max_records=3)
         assert Trace.from_spec(trace) is trace
         assert Trace.from_spec("full").level is TraceLevel.FULL
-        assert Trace.from_spec(False).level is TraceLevel.NONE
+        assert Trace.from_spec("none").level is TraceLevel.NONE
 
 
 class _Record:

@@ -155,7 +155,7 @@ class TestSimulateFullConnectivity:
         )
         params = overlay.derive_parameters(theta=1.0005)
         simulation = assemble_cps_simulation(
-            params, faulty=[4, 5], seed=2, trace=False
+            params, faulty=[4, 5], seed=2, trace="none"
         )
         result = simulation.run(max_pulses=6)
         assert check_liveness(result.honest_pulses(), 6)

@@ -16,7 +16,6 @@ policies they mirror, and the CLI/perf ``--backend`` plumbing.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from repro.checks.conformance import (
     run_cps_conformance,
 )
 from repro.cli import main
-from repro.core.cps import assemble_cps_simulation, build_cps_simulation
 from repro.core.params import derive_parameters
 from repro.perf.cases import run_case
 from repro.scenarios import REGISTRY
@@ -155,10 +153,6 @@ class TestFacade:
         assert isinstance(built, BuiltSimulation)
         assert built.backend == "vectorized"
         assert isinstance(built.simulation, VectorizedSimulation)
-        simulation, params, f, effective = built.legacy_tuple()
-        assert simulation is built.simulation
-        assert params is built.params
-        assert f == built.f
 
     def test_event_default(self):
         built = build_simulation(_case())
@@ -241,32 +235,6 @@ class TestDelayMatrix:
                     assert matrix[i, j] == pytest.approx(
                         expected, abs=1e-12
                     ), key
-
-
-class TestDeprecationShims:
-    def test_build_cps_simulation_warns_and_matches(self):
-        params = derive_parameters(theta=1.001, u=0.02, d=1.0, n=4)
-        with pytest.warns(DeprecationWarning, match="assemble"):
-            deprecated = build_cps_simulation(params, seed=3)
-        reference = assemble_cps_simulation(params, seed=3)
-        old = deprecated.run(max_pulses=4)
-        new = reference.run(max_pulses=4)
-        assert old.pulses == new.pulses
-
-    def test_build_registry_simulation_warns_and_matches(self):
-        from repro.campaigns.builders import build_registry_simulation
-
-        case = _case(delay="skewing", drift="mixed")
-        with pytest.warns(DeprecationWarning, match="build_simulation"):
-            sim, params, f, effective = build_registry_simulation(
-                case, seed=9
-            )
-        built = build_simulation(case, seed=9)
-        assert f == built.f
-        assert params.S == built.params.S
-        old = sim.run(max_pulses=4)
-        new = built.simulation.run(max_pulses=4)
-        assert old.pulses == new.pulses
 
 
 class TestHashStability:
@@ -368,6 +336,6 @@ class TestE9ScaleCampaign:
         assert sorted(c["n"] for c in cases) == [100, 1000, 10000]
 
     def test_experiment_id_resolves(self):
-        from repro.analysis.experiments import EXPERIMENTS
+        from repro.campaigns import available_campaigns
 
-        assert "E9-SCALE" in EXPERIMENTS
+        assert "E9-SCALE" in available_campaigns()
