@@ -36,41 +36,45 @@ See ``docs/ARCHITECTURE.md`` for the package-to-paper mapping and the
 generated ``docs/EXPERIMENTS.md`` for the experiment catalog.
 """
 
-from repro.analysis.metrics import PulseReport
-from repro.build import (
-    BACKENDS,
-    BuiltSimulation,
-    UnknownBackendError,
-    build_simulation,
-    resolve_backend,
-)
-from repro.core.cps import CpsNode, assemble_cps_simulation
-from repro.core.lower_bound import run_lower_bound
-from repro.core.params import (
-    THETA_MAX,
-    ProtocolParameters,
-    derive_parameters,
-    max_faults,
-)
-from repro.sim.scheduler import Simulation, SimulationResult
+import importlib
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
-__all__ = [
-    "BACKENDS",
-    "BuiltSimulation",
-    "CpsNode",
-    "ProtocolParameters",
-    "PulseReport",
-    "Simulation",
-    "SimulationResult",
-    "THETA_MAX",
-    "UnknownBackendError",
-    "__version__",
-    "assemble_cps_simulation",
-    "build_simulation",
-    "derive_parameters",
-    "max_faults",
-    "resolve_backend",
-    "run_lower_bound",
-]
+#: Public name → defining module.  Resolved on first access (PEP 562),
+#: so ``import repro`` — and with it ``python -m repro --help`` —
+#: executes no engine module.
+_EXPORTS = {
+    "BACKENDS": "repro.build",
+    "BuiltSimulation": "repro.build",
+    "CpsNode": "repro.core.cps",
+    "ProtocolParameters": "repro.core.params",
+    "PulseReport": "repro.analysis.metrics",
+    "Simulation": "repro.sim.scheduler",
+    "SimulationResult": "repro.sim.scheduler",
+    "THETA_MAX": "repro.core.params",
+    "UnknownBackendError": "repro.build",
+    "assemble_cps_simulation": "repro.core.cps",
+    "build_simulation": "repro.build",
+    "derive_parameters": "repro.core.params",
+    "max_faults": "repro.core.params",
+    "resolve_backend": "repro.build",
+    "run_lower_bound": "repro.core.lower_bound",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

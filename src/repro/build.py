@@ -40,8 +40,6 @@ import difflib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-import networkx as nx
-
 from repro import scenarios
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import ProtocolParameters, derive_parameters, max_faults
@@ -178,6 +176,8 @@ def _case_parameters(
     topology_key = case.get("topology")
     network_timing: Optional[Tuple[float, float]] = None
     if topology_key is not None:
+        import networkx as nx
+
         graph = scenarios.create(
             "topology", topology_key, n,
             **case.get("topology_params", {})

@@ -1,0 +1,112 @@
+"""The one way the CLI looks up and executes a campaign — shared by the
+``experiments``, ``campaign``, ``ablate`` and ``telemetry`` groups."""
+
+from __future__ import annotations
+
+import argparse
+from typing import Optional
+
+from repro.campaigns import (
+    ExecutionPolicy,
+    QueueError,
+    ResultStore,
+    available_campaigns,
+    campaign_definition,
+    execute_campaign,
+)
+from repro.campaigns.adaptive import AdaptivePolicy, execute_adaptive_campaign
+from repro.cli.shared import unknown_name_exit
+
+
+def campaign_or_exit(name: str, noun: str = "campaign"):
+    try:
+        return campaign_definition(name)
+    except KeyError:
+        raise unknown_name_exit(
+            name, noun, available_campaigns()
+        ) from None
+
+
+def execution_flags(
+    args: argparse.Namespace, *queue_flags: str
+) -> dict:
+    """The execution flags ``campaign run`` and ``ablate run`` share,
+    as :func:`execute_or_exit` keywords (``queue_flags`` names the
+    extra :class:`ExecutionPolicy` fields only ``campaign run`` has)."""
+    if args.adaptive and args.ci_width is None:
+        raise SystemExit("--adaptive requires --ci-width")
+    if args.ci_width is not None and not args.adaptive:
+        raise SystemExit("--ci-width only makes sense with --adaptive")
+    return {
+        "policy": {
+            name: getattr(args, name)
+            for name in ("workers", "chunk_size", "timeout", *queue_flags)
+        },
+        "adaptive": (
+            {
+                "ci_width": args.ci_width,
+                "metric": args.ci_metric,
+                "confidence": args.ci_confidence,
+                "min_trials": args.min_trials,
+                "max_trials": args.max_trials,
+            }
+            if args.adaptive
+            else None
+        ),
+        "store": ResultStore(args.store) if args.store else None,
+        "fresh": args.fresh,
+        "progress": args.progress,
+    }
+
+
+def execute_or_exit(
+    spec,
+    scale: str,
+    policy: Optional[dict] = None,
+    adaptive: Optional[dict] = None,
+    store: Optional[ResultStore] = None,
+    fresh: bool = False,
+    progress: bool = False,
+    instrumentation=None,
+):
+    """The one way the CLI executes a campaign: ``run``, ``all``,
+    ``campaign run`` and ``ablate run`` all end here.
+
+    ``policy`` / ``adaptive`` are keyword dicts for
+    :class:`ExecutionPolicy` / :class:`AdaptivePolicy`; both are
+    validated here so that a bad flag value — like every other
+    ``ValueError``/``QueueError`` of the engine — exits with its
+    one-line message instead of a traceback.
+    """
+    reporter = None
+    if progress:
+        from repro.telemetry.progress import ProgressReporter
+
+        reporter = ProgressReporter(label=f"{spec.name}/{scale}")
+    try:
+        shared = {
+            "scale": scale,
+            "policy": ExecutionPolicy(**(policy or {})),
+            "store": store,
+            "reuse": not fresh,
+            "progress": reporter.update if reporter is not None else None,
+        }
+        if adaptive is not None:
+            if instrumentation is not None:
+                print(
+                    "note: per-trial instrumentation is not applied "
+                    "under --adaptive; the sidecar records the "
+                    "stopping-rule summary instead"
+                )
+            run = execute_adaptive_campaign(
+                spec, adaptive=AdaptivePolicy(**adaptive), **shared
+            )
+        else:
+            run = execute_campaign(
+                spec, instrumentation=instrumentation, **shared
+            )
+    except (ValueError, QueueError) as exc:
+        raise SystemExit(str(exc)) from None
+    if reporter is not None:
+        reporter.finish()
+    return run

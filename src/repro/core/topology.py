@@ -32,14 +32,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
-from networkx.algorithms.connectivity import build_auxiliary_node_connectivity
-from networkx.algorithms.flow import build_residual_network
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.params import ProtocolParameters, derive_parameters
 from repro.sim.errors import ConfigurationError
+
+# networkx costs ~140 ms to import: the functions that build or inspect
+# a graph import it on entry, so listings and parsers never pay for it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = Tuple[int, int]
 
@@ -82,6 +91,8 @@ def check_connectivity(
     ``connectivity`` is ``graph``'s node connectivity when the caller
     already knows it (the sweep is the expensive part of the check).
     """
+    import networkx as nx
+
     needed = required_connectivity(f, with_signatures)
     if graph.number_of_nodes() <= needed:
         raise ConfigurationError(
@@ -221,6 +232,10 @@ def simulate_full_connectivity(
     Raises :class:`ConfigurationError` if the graph's connectivity is
     insufficient or a link's timing is missing.
     """
+    import networkx as nx
+    from networkx.algorithms import connectivity as nx_connectivity
+    from networkx.algorithms import flow
+
     if theta < 1.0:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
     check_connectivity(graph, f, with_signatures, connectivity)
@@ -237,8 +252,8 @@ def simulate_full_connectivity(
     # rebuild both per call.  Every ordered pair is still solved on its
     # own and without a cutoff — reversing (dst, src) or stopping at
     # f + 1 paths changes which paths are found, hence d_eff/u_eff.
-    auxiliary = build_auxiliary_node_connectivity(graph)
-    residual = build_residual_network(auxiliary, "capacity")
+    auxiliary = nx_connectivity.build_auxiliary_node_connectivity(graph)
+    residual = flow.build_residual_network(auxiliary, "capacity")
     paths: Dict[Tuple[int, int], List[PathTiming]] = {}
     for src, dst in itertools.permutations(sorted(graph.nodes), 2):
         disjoint = list(
@@ -281,6 +296,8 @@ def circulant(n: int, jumps: Iterable[int]) -> nx.Graph:
     ``circulant(n, [1, 2])`` is 4-regular with node connectivity 4: it
     tolerates f = 3 with signatures while every node has only 4 links.
     """
+    import networkx as nx
+
     jumps = list(jumps)
     if n < 3 or not jumps:
         raise ConfigurationError("need n >= 3 and at least one jump")
@@ -299,6 +316,8 @@ def random_regular(n: int, degree: int = 4, seed: int = 0) -> nx.Graph:
     until one achieves full connectivity ``degree``, so the result is a
     pure function of ``(n, degree, seed)``.
     """
+    import networkx as nx
+
     if n <= degree:
         raise ConfigurationError(
             f"random_regular needs n > degree, got n={n}, degree={degree}"
@@ -332,6 +351,8 @@ def small_world(
     unless relays pad (see :func:`simulate_full_connectivity`).  The
     sample is deterministic in ``(n, k, p, seed)``.
     """
+    import networkx as nx
+
     if k >= n:
         raise ConfigurationError(
             f"small_world needs k < n, got n={n}, k={k}"

@@ -15,8 +15,6 @@ connectivity: with signatures, ``f <= connectivity - 1`` (the paper's
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.topology import circulant, random_regular, small_world
 from repro.scenarios.registry import ParamSpec, register_scenario
 
@@ -30,6 +28,8 @@ from repro.scenarios.registry import ParamSpec, register_scenario
     tags=("dense",),
 )
 def _complete(n: int):
+    import networkx as nx
+
     return nx.complete_graph(n)
 
 

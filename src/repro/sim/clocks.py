@@ -183,8 +183,6 @@ class HardwareClock:
             local += rate * duration
             t += duration
         segments.append(ClockSegment(t, local, tail_rate))
-        if len(segments) == 1:
-            return cls(segments, theta=theta)
         return cls(segments, theta=theta)
 
     @classmethod

@@ -1,12 +1,13 @@
-"""The CLI's observable surface, pinned before ``cli.py`` is split.
+"""The CLI's observable surface, pinned before ``cli.py`` was split.
 
 ``tests/data/cli_help.json`` holds ``format_help()`` of the top-level
 parser and of every group/subcommand parser, captured at 80 columns
-from the single-module CLI (regenerate with ``python
+from the single-module CLI; since then only the top-level entry has
+changed, by the ``--version`` flag (regenerate with ``python
 tests/test_cli_parity.py``, only when a flag or help string changes on
-purpose).  argparse's layout varies between Python minors, so the
-byte comparison runs on the minor the fixture was captured with; the
-set of parsers is compared everywhere.
+purpose, and read the fixture's diff).  argparse's layout varies
+between Python minors, so the byte comparison runs on the minor the
+fixture was captured with; the set of parsers is compared everywhere.
 """
 
 import argparse
@@ -97,33 +98,33 @@ def _clean_exit_cases():
     ]
 
 
+def _main_with_failing_handler(error):
+    """``main(["check", "list"])`` with the handler raising ``error``."""
+
+    def handler(_args):
+        raise error
+
+    args = cli.build_parser().parse_args(["check", "list"])
+    args.handler = handler
+    with mock.patch.object(cli, "build_parser") as fake_parser:
+        fake_parser.return_value.parse_args.return_value = args
+        return cli.main(["check", "list"])
+
+
 class TestCleanExits:
     @pytest.mark.parametrize(
-        "error,message", _clean_exit_cases(),
-        ids=lambda value: type(value).__name__,
+        "error,message",
+        _clean_exit_cases(),
+        ids=[type(error).__name__ for error, _ in _clean_exit_cases()],
     )
     def test_one_line_exit_with_the_exact_message(self, error, message):
-        def handler(_args):
-            raise error
-
-        args = cli.build_parser().parse_args(["check", "list"])
-        args.handler = handler
-        with mock.patch.object(cli, "build_parser") as fake_parser:
-            fake_parser.return_value.parse_args.return_value = args
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(["check", "list"])
+        with pytest.raises(SystemExit) as excinfo:
+            _main_with_failing_handler(error)
         assert excinfo.value.code == message
 
     def test_other_errors_are_not_swallowed(self):
-        def handler(_args):
-            raise RuntimeError("a bug, not a typo")
-
-        args = cli.build_parser().parse_args(["check", "list"])
-        args.handler = handler
-        with mock.patch.object(cli, "build_parser") as fake_parser:
-            fake_parser.return_value.parse_args.return_value = args
-            with pytest.raises(RuntimeError, match="a bug"):
-                cli.main(["check", "list"])
+        with pytest.raises(RuntimeError, match="a bug"):
+            _main_with_failing_handler(RuntimeError("a bug, not a typo"))
 
     def test_real_typos_reach_the_clean_exit(self):
         with pytest.raises(SystemExit, match="did you mean 'event'"):

@@ -7,6 +7,7 @@ choices — every draw must keep skew, periods, and liveness within the
 derived bounds.
 """
 
+import os
 import random
 
 import pytest
@@ -177,6 +178,15 @@ class TestPublicApi:
                 assert getattr(module, name) is not None
 
     def test_version(self):
+        # pyproject.toml reads the version from the package (one
+        # source), and `repro --version` prints the same string.
+        import re
+
         import repro
 
-        assert repro.__version__ == "1.0.0"
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as handle:
+            pyproject = handle.read()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "repro.__version__"}' in pyproject
