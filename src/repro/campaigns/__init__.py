@@ -1,23 +1,25 @@
 """Campaign engine: declarative sweeps, parallel execution, cached results.
 
-The subsystem splits a sweep into four orthogonal layers:
+A run is a source of plan batches, one replay-or-execute step, and a
+transport; the subsystem's six modules are:
 
 ``spec``
     :class:`ScenarioSpec`/:class:`CampaignSpec` — data-driven grids with
     per-scale tiers, deterministic per-case seeds, content hashes.
 ``executor``
-    :func:`execute_campaign` — serial or process-pool execution with
-    chunking, per-trial timeouts, and failure tabulation.
+    :func:`execute_campaign` — the one core: replay cached case keys,
+    run the misses in-process or on a process pool (chunking, per-trial
+    timeouts, failure tabulation), persist, assemble in plan order.
 ``store``
     :class:`ResultStore` — content-addressed, shard-aware JSONL
     records enabling cache replay, resume, and multi-writer merges.
 ``queue``
-    :class:`WorkQueue`/:func:`run_worker` — elastic execution: N
+    :class:`WorkQueue`/:func:`run_worker` — the elastic transport: N
     independent worker processes claim chunk leases from a shared
     directory and write disjoint store shards.
 ``adaptive``
-    :class:`AdaptivePolicy`/:func:`execute_adaptive_campaign` —
-    per-cell replication until a confidence-interval width target.
+    :class:`AdaptivePolicy` — a plan source: per-cell replication,
+    round by round, until a confidence-interval width target.
 ``aggregate``
     group-by/statistics helpers reducing trial records into
     :class:`~repro.analysis.reporting.Table` rows.
@@ -47,10 +49,7 @@ from repro.campaigns.aggregate import (
     summary_stats,
     value_of,
 )
-from repro.campaigns.adaptive import (
-    AdaptivePolicy,
-    execute_adaptive_campaign,
-)
+from repro.campaigns.adaptive import AdaptivePolicy
 from repro.campaigns.builders import (
     BUILDERS,
     TrialFailure,
@@ -81,7 +80,6 @@ from repro.campaigns.queue import (
     QueueError,
     WorkQueue,
     default_worker_id,
-    execute_campaign_queued,
     run_worker,
 )
 from repro.campaigns.store import CorruptStoreError, ResultStore
@@ -155,9 +153,7 @@ __all__ = [
     "canonical_json",
     "default_worker_id",
     "derive_seed",
-    "execute_adaptive_campaign",
     "execute_campaign",
-    "execute_campaign_queued",
     "failure_counts",
     "group_by",
     "map_trials",

@@ -26,10 +26,15 @@ records error out or produce non-finite metrics (dead runs tabulated
 as ``inf`` skew) never converge and run to the cap — a noisy cell is
 exactly the one that needs the draws.
 
-Rounds are barriers: which trials run next is decided only from
-completed, deterministic records, so the surviving trial set is
-identical for ``workers=1`` and ``workers=N`` (the same property the
-fixed executor has, lifted to the stopping rule).
+This module is a *plan source*, not an executor: :func:`sample_cells`
+decides which replicate plans a round needs and hands them to the
+step that :func:`~repro.campaigns.executor.execute_campaign` passes
+in — replay, execution, persistence and the transport (in-process,
+pool or queue) all live behind that callable.  Rounds are barriers
+because a round is one call of the step: which trials run next is
+decided only from completed, deterministic records, so the surviving
+trial set is identical for ``workers=1``, ``workers=N`` and a queue
+fleet (the property the fixed tier has, lifted to the stopping rule).
 
 The run's :class:`~repro.campaigns.executor.CampaignRun` carries an
 ``adaptive`` summary (cells, converged/exhausted counts, trials
@@ -43,16 +48,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaigns.executor import (
-    CampaignRun,
-    ExecutionPolicy,
-    TrialRecord,
-    _run_prepared,
-    _timeout_record,
-    map_trials,
-)
+from repro.campaigns.executor import TrialRecord
 from repro.campaigns.spec import CampaignSpec, TrialPlan
 
 
@@ -131,156 +129,65 @@ def _cell_width(
     return 2 * z * spread / math.sqrt(len(values))
 
 
-def execute_adaptive_campaign(
+def sample_cells(
     spec: CampaignSpec,
-    scale: str = "quick",
-    adaptive: Optional[AdaptivePolicy] = None,
-    policy: Optional[ExecutionPolicy] = None,
-    store: Optional[Any] = None,
-    reuse: bool = True,
-    progress: Optional[Callable[[int, int, TrialRecord], None]] = None,
-) -> CampaignRun:
-    """Run ``spec`` at ``scale`` under the adaptive stopping rule.
+    plans: Sequence[TrialPlan],
+    adaptive: AdaptivePolicy,
+    step: Callable[[List[TrialPlan], int], List[TrialRecord]],
+) -> Tuple[List[TrialRecord], Dict[str, Any]]:
+    """Replicate each tier plan until its CI width target is met.
 
-    Execution, caching, and failure tabulation follow
-    :func:`~repro.campaigns.executor.execute_campaign` conventions —
-    replicates persist to the store as they finish (pool-level failures
-    excluded), cached replicates replay without execution, and the
-    returned records are ordered cell-major (every replicate of plan 0,
-    then plan 1, ...) with sequential indices.
+    ``step(batch, total)`` turns a list of plans into one record per
+    plan, in list order (``total`` is the progress denominator: every
+    replicate wanted so far).  Returns the records cell-major (every
+    replicate of plan 0, then plan 1, ...) with sequential indices,
+    and the stopping-rule summary.
     """
-    if adaptive is None:
-        raise ValueError(
-            "execute_adaptive_campaign needs an AdaptivePolicy"
-        )
-    policy = policy or ExecutionPolicy()
-    if policy.queue is not None:
-        raise ValueError(
-            "adaptive sampling is incompatible with queue mode: the "
-            "stopping rule needs round barriers a detached worker "
-            "fleet cannot provide"
-        )
-
-    plans = spec.trials_for(scale)
-    key = spec.spec_key(scale) if store is not None else None
-    known: Dict[str, TrialRecord] = (
-        store.load(key) if store is not None and reuse else {}
-    )
     z = adaptive.z_value
-
-    cell_records: Dict[int, List[TrialRecord]] = {
-        cell: [] for cell in range(len(plans))
-    }
+    cells: List[List[TrialRecord]] = [[] for _ in plans]
     # Replicates wanted per cell; grows one per round for unconverged
     # cells until ci_width is met or max_trials is hit.
-    wanted = {cell: adaptive.min_trials for cell in range(len(plans))}
-    executed = 0
-    cached = 0
-    done = 0
-    transient: set = set()
-
-    def pool_failure(task: Any, exc: BaseException) -> TrialRecord:
-        plan = task[0]
-        transient.add(plan.case_key)
-        return _timeout_record(plan, exc)
-
+    wanted = [adaptive.min_trials] * len(plans)
     while True:
-        batch: List[Tuple[int, TrialPlan]] = []
-        for cell, plan in enumerate(plans):
-            for r in range(len(cell_records[cell]), wanted[cell]):
-                batch.append((cell, spec.replicate_plan(plan, r)))
+        batch = [
+            (cell, spec.replicate_plan(plan, r))
+            for cell, plan in enumerate(plans)
+            for r in range(len(cells[cell]), wanted[cell])
+        ]
         if not batch:
             break
-
-        fresh: List[Tuple[int, TrialPlan]] = []
-        for cell, rp in batch:
-            hit = known.get(rp.case_key)
-            if hit is not None:
-                cell_records[cell].append(
-                    replace(hit, index=rp.index, cached=True)
-                )
-                cached += 1
-                done += 1
-            else:
-                fresh.append((cell, rp))
-
-        if fresh:
-            def persist(record: TrialRecord) -> None:
-                nonlocal done
-                if (
-                    store is not None
-                    and record.case_key not in transient
-                ):
-                    store.append(key, record)
-                done += 1
-                if progress is not None:
-                    progress(done, sum(wanted.values()), record)
-
-            from repro.campaigns.builders import resolve_builder
-
-            prepared = []
-            for _cell, rp in fresh:
-                try:
-                    builder = resolve_builder(rp.builder)
-                except Exception:  # noqa: BLE001 - tabulated in-place
-                    builder = None
-                prepared.append((rp, builder))
-            results = map_trials(
-                _run_prepared,
-                prepared,
-                policy,
-                on_error=pool_failure,
-                on_result=persist,
-            )
-            for (cell, _rp), record in zip(fresh, results):
-                cell_records[cell].append(record)
-                # New records enter the replay map so a later round
-                # (or replicate-0 sharing with the fixed tier) hits.
-                if record.case_key not in transient:
-                    known[record.case_key] = record
-            executed += len(fresh)
-
+        records = step([plan for _cell, plan in batch], sum(wanted))
+        for (cell, _plan), record in zip(batch, records):
+            cells[cell].append(record)
         # Round barrier: grow only cells that are unconverged at their
         # current draw count and still under the cap.
-        for cell in range(len(plans)):
-            if wanted[cell] > len(cell_records[cell]):
-                continue  # still owed draws (shouldn't happen)
-            if wanted[cell] >= adaptive.max_trials:
-                continue
-            width = _cell_width(
-                cell_records[cell], adaptive.metric, z
-            )
-            if width > adaptive.ci_width:
+        for cell, drawn in enumerate(cells):
+            if (
+                wanted[cell] < adaptive.max_trials
+                and _cell_width(drawn, adaptive.metric, z)
+                > adaptive.ci_width
+            ):
                 wanted[cell] += 1
 
     per_cell = []
-    converged = 0
-    total_trials = 0
-    for cell, plan in enumerate(plans):
-        records = cell_records[cell]
-        total_trials += len(records)
-        width = _cell_width(records, adaptive.metric, z)
+    for plan, drawn in zip(plans, cells):
+        width = _cell_width(drawn, adaptive.metric, z)
         values = [
             v
-            for v in (
-                _metric_value(r, adaptive.metric) for r in records
-            )
+            for v in (_metric_value(r, adaptive.metric) for r in drawn)
             if v is not None
         ]
-        ok = width <= adaptive.ci_width
-        converged += 1 if ok else 0
         per_cell.append(
             {
                 "case_key": plan.case_key,
-                "n": len(records),
-                "mean": (
-                    statistics.fmean(values) if values else None
-                ),
+                "n": len(drawn),
+                "mean": statistics.fmean(values) if values else None,
                 "width": width,
-                "converged": ok,
+                "converged": width <= adaptive.ci_width,
             }
         )
-
+    converged = sum(1 for cell in per_cell if cell["converged"])
+    ordered = [record for drawn in cells for record in drawn]
     fixed_trials = len(plans) * adaptive.max_trials
     summary = {
         "metric": adaptive.metric,
@@ -291,20 +198,12 @@ def execute_adaptive_campaign(
         "cells": len(plans),
         "converged": converged,
         "exhausted": len(plans) - converged,
-        "trials": total_trials,
+        "trials": len(ordered),
         "fixed_trials": fixed_trials,
-        "saved": fixed_trials - total_trials,
+        "saved": fixed_trials - len(ordered),
+        "per_cell": per_cell,
     }
-
-    ordered: List[TrialRecord] = []
-    for cell in range(len(plans)):
-        for record in cell_records[cell]:
-            ordered.append(replace(record, index=len(ordered)))
-    return CampaignRun(
-        spec=spec,
-        scale=scale,
-        records=ordered,
-        executed=executed,
-        cached=cached,
-        adaptive={**summary, "per_cell": per_cell},
-    )
+    return [
+        replace(record, index=index)
+        for index, record in enumerate(ordered)
+    ], summary

@@ -1,38 +1,50 @@
-"""Campaign execution: serial or process-pool, never dying mid-sweep.
+"""Campaign execution: one replay-or-execute core, three transports.
 
-The executor consumes the ordered :class:`~repro.campaigns.spec.TrialPlan`
-list of a campaign and produces one :class:`TrialRecord` per plan, in
-plan order, regardless of how the work was scheduled.  Three properties
-make parallel sweeps safe drop-in replacements for the old in-process
-loops:
+A run is *a source of plan batches → one replay-or-execute step → a
+transport*.  :func:`execute_campaign` owns the step: replay the plans
+whose case key a :class:`~repro.campaigns.store.ResultStore` already
+holds, run the rest, persist what ran, and return one
+:class:`TrialRecord` per plan in list order, however the work was
+scheduled.  The fixed tier is one batch; adaptive sampling
+(:mod:`repro.campaigns.adaptive`) is a plan source that calls the step
+once per round.  The misses of a batch travel through the transport
+the :class:`ExecutionPolicy` names — in-process, a process pool
+(:func:`map_trials`), or a directory work queue
+(:mod:`repro.campaigns.queue`) — and every combination yields
+identical records:
 
 * **Determinism** — every plan carries its own derived seed and records
-  are re-ordered by plan index, so ``workers=1`` and ``workers=N`` yield
-  identical aggregated rows.
+  are aligned to plan position, so ``workers=1``, ``workers=N`` and
+  queue runs yield identical aggregated rows.
 * **Failure tabulation** — a builder exception becomes an ``error``
   record (the :class:`~repro.analysis.runner.TrialOutcome` convention),
   it never aborts the campaign.
-* **Caching** — with a :class:`~repro.campaigns.store.ResultStore`,
-  already-recorded case keys are replayed without execution and new
-  records are appended as soon as their chunk completes, so an
-  interrupted campaign resumes where it stopped.
+* **Caching** — already-recorded case keys are replayed without
+  execution and new records are appended as soon as their chunk
+  completes, so an interrupted campaign resumes where it stopped.
 
-Per-trial timeouts are enforced in pool mode only (a chunk is given
+A per-trial ``timeout`` always runs on a process pool, ``workers=1``
+included (an in-process trial cannot be preempted): a chunk is given
 ``timeout * len(chunk)``, measured from the moment a worker actually
-*starts* the chunk, and tabulated as timeout errors if exceeded);
-serial mode cannot preempt a running trial, so a requested timeout is
-dropped with a warning.
+*starts* the chunk, and tabulated as timeout errors if exceeded.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.campaigns.spec import CampaignSpec, TrialPlan
 
@@ -47,23 +59,25 @@ class ExecutionPolicy:
 
     ``workers == 1`` runs in-process; larger values use a
     ``ProcessPoolExecutor`` with ``chunk_size`` plans per task.
-    ``timeout`` is the per-trial budget in seconds (pool mode only) —
-    it is enforced per *chunk* (``timeout * len(chunk)``) against the
-    chunk's own execution time (stamped by the worker when it starts,
-    so queue-wait behind a slow sibling is never charged), and one slow
-    trial can still tabulate its whole chunk as timed out; pair
-    ``timeout`` with ``chunk_size=1`` when per-trial precision matters.
+    ``timeout`` is the per-trial budget in seconds; it needs a process
+    to preempt, so with a timeout ``workers == 1`` is a one-worker
+    pool.  It is enforced per *chunk* (``timeout * len(chunk)``)
+    against the chunk's own execution time (stamped by the worker when
+    it starts, so queue-wait behind a slow sibling is never charged),
+    and one slow trial can still tabulate its whole chunk as timed
+    out; pair ``timeout`` with ``chunk_size=1`` when per-trial
+    precision matters.
     Workers hung past their budget are terminated so the pool shutdown
     cannot block indefinitely.
 
-    ``queue`` switches to elastic queue execution: the campaign's
-    chunks are published as leases under the given directory and run by
-    any number of queue workers — the in-process coordinator plus every
-    ``repro campaign worker`` pointed at the same directory (see
-    :mod:`repro.campaigns.queue`).  ``worker_id`` names this process's
-    store shard (defaults to a host/pid-derived name) and ``lease_ttl``
-    is the heartbeat age after which another worker may reclaim a
-    chunk.
+    ``queue`` switches the transport to the elastic work queue: each
+    batch's misses are published as leases under the given directory
+    and run by any number of queue workers — the in-process
+    coordinator plus every ``repro campaign worker`` pointed at the
+    same directory (see :mod:`repro.campaigns.queue`).  ``worker_id``
+    names this process's store shard (defaults to a host/pid-derived
+    name) and ``lease_ttl`` is the heartbeat age after which another
+    worker may reclaim a chunk.
     """
 
     workers: int = 1
@@ -173,6 +187,37 @@ def _run_prepared(task: Any) -> TrialRecord:
     return run_trial(plan, builder=builder)
 
 
+def prepare_tasks(
+    plans: Sequence[TrialPlan], instrumentation: Optional[Any] = None
+) -> Tuple[Callable[[Any], TrialRecord], List[Any]]:
+    """Pick the runner for a batch and pre-resolve its builders.
+
+    The one place a batch meets the builder registry — the core and
+    the queue worker both run ``function(task) for task in tasks``.
+    Resolving up front lets functions travel to pool workers by pickle
+    reference (spawn-safe for module-level builders); an unknown name
+    stays ``None`` and is tabulated in-place by :func:`run_trial`.
+    """
+    from repro.campaigns.builders import resolve_builder
+
+    function: Callable[[Any], TrialRecord] = _run_prepared
+    options: Tuple[Any, ...] = ()
+    if instrumentation is not None and instrumentation.active:
+        # Imported lazily: the telemetry campaign layer imports this
+        # module, and bare runs must not pay for it.
+        from repro.telemetry.campaign import run_instrumented
+
+        function, options = run_instrumented, (instrumentation,)
+    tasks = []
+    for plan in plans:
+        try:
+            builder = resolve_builder(plan.builder)
+        except Exception:  # noqa: BLE001 - run_trial tabulates it
+            builder = None
+        tasks.append((plan, builder, *options))
+    return function, tasks
+
+
 def _run_batch(function: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
     """Top-level pool task (must be picklable by reference)."""
     return [function(item) for item in items]
@@ -225,18 +270,12 @@ def map_trials(
         if on_result is not None:
             on_result(result)
 
-    # The serial shortcut must not *silently* swallow a requested
-    # timeout: a single-item pool run is still the only way to preempt
-    # a hung trial, so workers >= 2 with one item keeps the pool.
-    if policy.workers <= 1 or (len(items) <= 1 and policy.timeout is None):
-        if policy.timeout is not None and policy.workers <= 1:
-            warnings.warn(
-                "ExecutionPolicy.timeout is ignored in serial mode "
-                "(workers=1): an in-process trial cannot be "
-                "preempted — use workers >= 2 to enforce the budget",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    # Serial only without a budget: an in-process trial cannot be
+    # preempted, so a requested timeout always gets a pool — a
+    # one-worker pool for workers=1, a pool for a single item.
+    if policy.timeout is None and (
+        policy.workers <= 1 or len(items) <= 1
+    ):
         for item in items:
             try:
                 result = function(item)
@@ -411,8 +450,8 @@ def _budgeted_round(
 class CampaignRun:
     """The outcome of executing one campaign at one scale.
 
-    ``adaptive`` is populated only by
-    :func:`repro.campaigns.adaptive.execute_adaptive_campaign` — a
+    ``adaptive`` is populated only when :func:`execute_campaign` ran
+    under an :class:`~repro.campaigns.adaptive.AdaptivePolicy` — a
     summary of the per-cell stopping rule (trials run vs. the fixed
     tier, converged cells, saved trials) that feeds the run summary
     table and the telemetry sidecar.
@@ -460,6 +499,7 @@ def execute_campaign(
     reuse: bool = True,
     instrumentation: Optional[Any] = None,
     progress: Optional[Callable[[int, int, TrialRecord], None]] = None,
+    adaptive: Optional[Any] = None,
 ) -> CampaignRun:
     """Run (or replay) every trial of ``spec`` at ``scale``.
 
@@ -472,108 +512,126 @@ def execute_campaign(
     (timeouts, broken pools) are environment artifacts and are *not*
     persisted, so a later run retries them.
 
+    ``adaptive`` (an :class:`~repro.campaigns.adaptive.AdaptivePolicy`)
+    replaces the single fixed-tier batch with rounds of replicate
+    plans; the records are then cell-major and ``CampaignRun.adaptive``
+    carries the stopping-rule summary.  Every batch, of either source,
+    goes through the same step and the transport ``policy`` names.
+
     ``instrumentation`` (a :class:`~repro.telemetry.campaign.
     InstrumentationPlan`) routes executed trials through the telemetry
     wrapper — an execution-time option that deliberately does not enter
     ``case_key``/``spec_key`` hashing, since instrumented trials produce
     identical metrics.  ``progress(done, total, record)`` is invoked for
-    every executed trial as soon as its record is available (after the
-    incremental store write); ``done`` counts cache replays as already
-    complete.
+    every trial this process executes as soon as its record is
+    available (after the incremental store write); ``done`` counts
+    cache replays as already complete.
+
+    Queue transport keeps three rules, because they are its protocol:
+    it needs a store (workers coordinate through it), always reuses it
+    (skipping persisted case keys *is* crash recovery), and excludes
+    ``timeout`` (a transient failure must not enter the store, and the
+    store is the only channel back).
     """
     policy = policy or ExecutionPolicy()
-    if policy.queue is not None:
-        # Elastic mode: publish chunk leases under the queue directory
-        # and run an in-process worker alongside any external
-        # ``repro campaign worker`` processes, then assemble the run
-        # from the shared store.
-        from repro.campaigns.queue import execute_campaign_queued
-
-        return execute_campaign_queued(
-            spec,
-            scale=scale,
-            policy=policy,
-            store=store,
-            reuse=reuse,
-            instrumentation=instrumentation,
-            progress=progress,
-        )
+    queued = policy.queue is not None
+    if queued:
+        if store is None:
+            raise ValueError(
+                "queue execution requires a result store: elastic "
+                "workers coordinate through it (pass store=/--store)"
+            )
+        if not reuse:
+            raise ValueError(
+                "queue execution always reuses the store (workers skip "
+                "persisted case keys); clear the store to force re-runs"
+            )
+        if policy.timeout is not None:
+            raise ValueError(
+                "per-trial timeouts are not supported in queue mode "
+                "(stale-lease reclaim bounds lost work instead)"
+            )
     plans = spec.trials_for(scale)
     key = spec.spec_key(scale) if store is not None else None
     known: Dict[str, TrialRecord] = (
         store.load(key) if store is not None and reuse else {}
     )
+    # Queue workers append to their own shards; the core persists only
+    # what its own transport ran.
+    sink = None if queued else store
+    executed = cached = done = 0
 
-    records: List[Optional[TrialRecord]] = [None] * len(plans)
-    pending: List[TrialPlan] = []
-    cached = 0
-    for plan in plans:
-        hit = known.get(plan.case_key)
-        if hit is not None:
-            records[plan.index] = replace(
-                hit, index=plan.index, cached=True
+    def step(batch: Sequence[TrialPlan], total: int) -> List[TrialRecord]:
+        """Replay-or-execute ``batch``; results by list position
+        (replicates share ``plan.index``).  ``total`` is the progress
+        denominator while this batch runs."""
+        nonlocal executed, cached, done
+        results: List[Any] = [None] * len(batch)
+        slots: List[int] = []
+        misses: List[TrialPlan] = []
+        for slot, plan in enumerate(batch):
+            hit = known.get(plan.case_key)
+            if hit is not None:
+                results[slot] = replace(
+                    hit, index=plan.index, cached=True
+                )
+            else:
+                slots.append(slot)
+                misses.append(plan)
+        cached += len(batch) - len(misses)
+        done += len(batch) - len(misses)
+        transient: set = set()
+
+        def pool_failure(task: Any, exc: BaseException) -> TrialRecord:
+            plan = task[0]
+            transient.add(plan.case_key)
+            return _timeout_record(plan, exc)
+
+        def persist(record: TrialRecord) -> None:
+            nonlocal done
+            if sink is not None and record.case_key not in transient:
+                sink.append(key, record)
+            done += 1
+            if progress is not None:
+                progress(done, total, record)
+
+        if not misses:
+            fresh: List[TrialRecord] = []
+        elif queued:
+            from repro.campaigns.queue import run_queued
+
+            fresh = run_queued(
+                spec, scale, misses, policy, store, instrumentation,
+                on_record=persist,
             )
-            cached += 1
         else:
-            pending.append(plan)
+            function, tasks = prepare_tasks(misses, instrumentation)
+            fresh = map_trials(
+                function,
+                tasks,
+                policy,
+                on_error=pool_failure,
+                on_result=persist,
+            )
+        executed += len(fresh)
+        for slot, record in zip(slots, fresh):
+            results[slot] = record
+            # Later batches (or a cell sharing a case key) hit.
+            if record.case_key not in transient:
+                known[record.case_key] = record
+        return results
 
-    transient: set = set()
-    done = cached
-    total = len(plans)
-
-    def pool_failure(task: Any, exc: BaseException) -> TrialRecord:
-        plan = task[0]
-        transient.add(plan.case_key)
-        return _timeout_record(plan, exc)
-
-    def persist(record: TrialRecord) -> None:
-        nonlocal done
-        records[record.index] = record
-        if store is not None and record.case_key not in transient:
-            store.append(key, record)
-        done += 1
-        if progress is not None:
-            progress(done, total, record)
-
-    # Resolve builders up front: unknown names are tabulated in-place
-    # by run_trial, and resolved functions travel to pool workers by
-    # pickle reference (spawn-safe for module-level builders).
-    from repro.campaigns.builders import resolve_builder
-
-    instrumented = instrumentation is not None and instrumentation.active
-    if instrumented:
-        # Imported lazily: the telemetry campaign layer imports this
-        # module, and bare runs must not pay for it.
-        from repro.telemetry.campaign import run_instrumented
-
-        function: Callable[[Any], TrialRecord] = run_instrumented
+    if adaptive is None:
+        records, summary = step(plans, len(plans)), None
     else:
-        function = _run_prepared
+        from repro.campaigns.adaptive import sample_cells
 
-    prepared = []
-    for plan in pending:
-        try:
-            builder = resolve_builder(plan.builder)
-        except Exception:  # noqa: BLE001 - run_trial tabulates it
-            builder = None
-        if instrumented:
-            prepared.append((plan, builder, instrumentation))
-        else:
-            prepared.append((plan, builder))
-
-    executed = map_trials(
-        function,
-        prepared,
-        policy,
-        on_error=pool_failure,
-        on_result=persist,
-    )
-
-    assert all(record is not None for record in records)
+        records, summary = sample_cells(spec, plans, adaptive, step)
     return CampaignRun(
         spec=spec,
         scale=scale,
-        records=[record for record in records if record is not None],
-        executed=len(executed),
+        records=records,
+        executed=executed,
         cached=cached,
+        adaptive=summary,
     )

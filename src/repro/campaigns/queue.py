@@ -1,21 +1,27 @@
-"""Elastic campaign execution over a directory-based work queue.
+"""The elastic transport: a campaign's misses over a directory queue.
 
-The pool executor scales to one machine; this module scales a campaign
-to *N independent worker processes* — started by hand, by CI, or on
-other machines — coordinating through nothing but a shared directory
-(local disk for same-host workers, a network mount for a fleet):
+The pool transport scales to one machine; this module scales a batch
+of plans to *N independent worker processes* — started by hand, by CI,
+or on other machines — coordinating through nothing but a shared
+directory (local disk for same-host workers, a network mount for a
+fleet):
 
-* ``WorkQueue.enqueue`` publishes a campaign's pending trials as chunk
-  files under the queue directory, plus a ``manifest.json`` naming the
-  campaign, scale, and spec key (written last, atomically, so a worker
-  that sees the manifest sees every chunk).
+* ``WorkQueue.enqueue`` publishes plans as chunk files under the queue
+  directory, plus a ``manifest.json`` naming the campaign, scale, spec
+  key and instrumentation options (written last, atomically, so a
+  worker that sees the manifest sees every chunk).  Publishing is
+  **idempotent per case key**: plans an existing chunk already names
+  are skipped and new chunks are numbered after the last one, so a
+  pre-enqueued queue is joined, a restarted coordinator joins its own
+  queue, and an adaptive round is just the next publish.
 * Workers (:func:`run_worker`, CLI ``repro campaign worker``) loop:
   **claim** a chunk by exclusively creating its ``.claim`` file
   (``O_CREAT | O_EXCL`` — the filesystem is the lock manager), run its
   trials, **heartbeat** by touching the claim's mtime between trials,
   and **complete** by writing a ``.done`` marker.  A claim whose
   heartbeat is older than the lease TTL is presumed dead and
-  **reclaimed** (removed and re-claimed) by any live worker.
+  **reclaimed** (removed and re-claimed) by any live worker.  A worker
+  leaves when every published chunk is done.
 * Every worker writes records to its *own shard* of the shared
   :class:`~repro.campaigns.store.ResultStore`
   (``<spec_key>/<worker_id>.jsonl``) — appends never interleave across
@@ -23,11 +29,11 @@ other machines — coordinating through nothing but a shared directory
   across shards by case key, so the rare double-execution after a
   reclaim race (a zombie worker finishing a chunk someone else
   re-claimed) is idempotent: records are deterministic per case key.
-* The coordinator (:func:`execute_campaign_queued`, reached via
-  ``ExecutionPolicy(queue=...)``) enqueues, joins the queue as one more
-  worker, and — once every chunk carries a ``.done`` marker — assembles
-  the :class:`~repro.campaigns.executor.CampaignRun` from the store in
-  plan order, exactly like the pool path.
+* :func:`run_queued` is what :func:`~repro.campaigns.executor.
+  execute_campaign` calls for ``ExecutionPolicy(queue=...)``: publish
+  the batch's misses, join the queue as one more worker — the only
+  one guaranteed to stay until the batch is done — and read the
+  records back from the store.
 
 Crash recovery falls out of the store contract: a worker killed
 mid-chunk leaves a stale claim and a partial shard; the reclaiming
@@ -37,8 +43,9 @@ trial per crash.
 
 Queue directory layout::
 
-    <queue>/manifest.json        campaign, scale, spec_key, chunk count
-    <queue>/chunk-00000.json     {"chunk": 0, "indices": [plan indices]}
+    <queue>/manifest.json        campaign, scale, spec_key, options
+    <queue>/chunk-00000.json     {"chunk": 0, "entries":
+                                  [[plan index, replicate, case_key]]}
     <queue>/chunk-00000.claim    held lease; mtime = last heartbeat
     <queue>/chunk-00000.done     completion marker
 
@@ -52,14 +59,13 @@ import os
 import re
 import socket
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaigns.executor import (
-    CampaignRun,
     ExecutionPolicy,
     TrialRecord,
-    run_trial,
+    prepare_tasks,
 )
 from repro.campaigns.spec import CampaignSpec, TrialPlan
 
@@ -67,7 +73,17 @@ _CHUNK_FILE = re.compile(r"^chunk-\d{5}\.json$")
 
 
 class QueueError(RuntimeError):
-    """A work-queue protocol violation (missing/mismatched manifest)."""
+    """A work-queue protocol violation (missing/mismatched manifest,
+    a worker whose grid differs from the enqueuer's)."""
+
+
+def _write_json(path: str, payload: Any, **layout: Any) -> None:
+    """Atomic publish: a reader sees the whole file or none of it."""
+    staging = path + ".tmp"
+    with open(staging, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, **layout)
+        handle.write("\n")
+    os.replace(staging, path)
 
 
 def default_worker_id() -> str:
@@ -79,10 +95,11 @@ def default_worker_id() -> str:
 
 @dataclass(frozen=True)
 class Lease:
-    """One claimed chunk: which plan indices, held by which worker."""
+    """One claimed chunk: its ``[plan index, replicate, case_key]``
+    entries, held by which worker."""
 
     chunk: str
-    indices: List[int]
+    entries: List[List[Any]]
     worker: str
     reclaimed: bool = False
 
@@ -124,54 +141,87 @@ class WorkQueue:
         scale: str,
         plans: Optional[List[TrialPlan]] = None,
         chunk_size: int = 4,
+        instrumentation: Optional[Any] = None,
+        store: Optional[Any] = None,
     ) -> Dict[str, Any]:
         """Publish ``plans`` (default: the full tier) as chunk files.
 
-        Chunk files land first and the manifest last (atomic rename),
-        so a worker that can read the manifest can rely on every chunk
-        file existing.  Re-enqueueing a populated queue directory is an
-        error — one directory holds one campaign run.
+        Idempotent per case key: a plan that an existing chunk already
+        names — or whose record ``store`` already holds — is skipped,
+        and new chunks are numbered after the last one.  Chunk files
+        land first and the manifest last (each an atomic rename), so a
+        worker that can read the manifest can rely on every chunk file
+        it names being whole.  One directory holds one (campaign,
+        scale) under one set of instrumentation options; anything else
+        is a :class:`QueueError`.
         """
-        if self.manifest() is not None:
-            raise QueueError(
-                f"queue at {self.root} already has a campaign "
-                f"enqueued; use a fresh directory per run"
-            )
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        key = spec.spec_key(scale)
+        options = (
+            asdict(instrumentation)
+            if instrumentation is not None and instrumentation.active
+            else None
+        )
+        manifest = self.manifest()
+        if manifest is not None:
+            if manifest["spec_key"] != key:
+                raise QueueError(
+                    f"queue at {self.root} holds campaign "
+                    f"{manifest['campaign']!r} [{manifest['scale']}], "
+                    f"not {spec.name!r} [{scale}]; use a fresh "
+                    f"directory per run"
+                )
+            if manifest["instrumentation"] != options:
+                raise QueueError(
+                    f"queue at {self.root} was published with "
+                    f"instrumentation {manifest['instrumentation']}, "
+                    f"this run asks for {options}"
+                )
         if plans is None:
             plans = spec.trials_for(scale)
         os.makedirs(self.root, exist_ok=True)
-        chunks = [
-            plans[start:start + chunk_size]
-            for start in range(0, len(plans), chunk_size)
-        ]
-        for number, chunk in enumerate(chunks):
-            payload = {
-                "chunk": number,
-                "indices": [plan.index for plan in chunk],
-            }
-            with open(
+        published = self.chunk_ids()
+        named = set(store.load(key)) if store is not None else set()
+        trials = 0
+        for chunk in published:
+            earlier = self._entries(chunk)
+            trials += len(earlier)
+            named.update(entry[2] for entry in earlier)
+        entries = []
+        for plan in plans:
+            if plan.case_key not in named:
+                named.add(plan.case_key)
+                entries.append(
+                    [plan.index, plan.replicate, plan.case_key]
+                )
+        first = int(published[-1][len("chunk-"):]) + 1 if published else 0
+        chunks = range(0, len(entries), chunk_size)
+        for number, start in enumerate(chunks, start=first):
+            _write_json(
                 self.chunk_path(f"chunk-{number:05d}"),
-                "w",
-                encoding="utf-8",
-            ) as handle:
-                json.dump(payload, handle)
-                handle.write("\n")
+                {
+                    "chunk": number,
+                    "entries": entries[start:start + chunk_size],
+                },
+            )
         manifest = {
             "campaign": spec.name,
             "scale": scale,
-            "spec_key": spec.spec_key(scale),
+            "spec_key": key,
             "chunk_size": chunk_size,
-            "chunks": len(chunks),
-            "trials": len(plans),
+            "chunks": len(published) + len(chunks),
+            "trials": trials + len(entries),
+            "instrumentation": options,
         }
-        staging = self.manifest_path() + ".tmp"
-        with open(staging, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(staging, self.manifest_path())
+        _write_json(
+            self.manifest_path(), manifest, indent=2, sort_keys=True
+        )
         return manifest
+
+    def _entries(self, chunk: str) -> List[List[Any]]:
+        with open(self.chunk_path(chunk), encoding="utf-8") as handle:
+            return json.load(handle)["entries"]
 
     # ------------------------------------------------------------------
     # Leases
@@ -233,13 +283,9 @@ class WorkQueue:
                 # Completed while we were claiming; release.
                 self._release(chunk)
                 continue
-            with open(
-                self.chunk_path(chunk), encoding="utf-8"
-            ) as handle:
-                indices = json.load(handle)["indices"]
             return Lease(
                 chunk=chunk,
-                indices=list(indices),
+                entries=self._entries(chunk),
                 worker=worker_id,
                 reclaimed=reclaimed,
             )
@@ -310,14 +356,17 @@ def run_worker(
 ) -> Dict[str, Any]:
     """Drain the queue: claim chunks, run trials, write our shard.
 
-    Runs until every chunk is done (waiting out — and eventually
-    reclaiming — other workers' leases), or until ``max_chunks`` of our
-    own are finished.  ``spec`` defaults to the catalog campaign named
-    by the queue manifest; passing it explicitly supports ad-hoc specs
-    whose builders are registered in this process.  Each chunk starts
-    with a store cache check, so trials another worker (or a previous
-    life of this chunk's lease) already persisted are skipped — crash
-    recovery re-executes at most the one trial that was in flight.
+    Runs until every published chunk is done (waiting out — and
+    eventually reclaiming — other workers' leases), or until
+    ``max_chunks`` of our own are finished.  ``spec`` defaults to the
+    catalog campaign named by the queue manifest; passing it explicitly
+    supports ad-hoc specs whose builders are registered in this
+    process.  Trials run through the runner the manifest's
+    instrumentation options name, so every worker produces what the
+    core would.  Each chunk starts with a store cache check, so trials
+    another worker (or a previous life of this chunk's lease) already
+    persisted are skipped — crash recovery re-executes at most the one
+    trial that was in flight.
     """
     queue = WorkQueue(queue_dir)
     manifest = queue.manifest()
@@ -340,7 +389,12 @@ def run_worker(
             f"{key[:12]}… — worker and enqueuer disagree about the "
             f"campaign definition"
         )
-    by_index = {plan.index: plan for plan in spec.trials_for(scale)}
+    instrumentation = None
+    if manifest["instrumentation"] is not None:
+        from repro.telemetry.campaign import InstrumentationPlan
+
+        instrumentation = InstrumentationPlan(**manifest["instrumentation"])
+    tier = spec.trials_for(scale)
     worker = worker_id or default_worker_id()
     stats: Dict[str, Any] = {
         "worker": worker,
@@ -359,12 +413,32 @@ def run_worker(
         if lease.reclaimed:
             stats["reclaimed"] += 1
         known = store.load(key)
-        for index in lease.indices:
-            plan = by_index[index]
-            if plan.case_key in known:
+        plans = []
+        for index, replicate, case_key in lease.entries:
+            if case_key in known:
                 stats["skipped"] += 1
                 continue
-            record = run_trial(plan)
+            # spec_key excludes the grid, so a checkout with another
+            # grid gets this far: rebuild the plan and compare keys
+            # rather than run whatever sits at that index.
+            plan = (
+                spec.replicate_plan(tier[index], replicate)
+                if 0 <= index < len(tier)
+                else None
+            )
+            if plan is None or plan.case_key != case_key:
+                queue._release(lease.chunk)
+                raise QueueError(
+                    f"{lease.chunk} names case {case_key[:12]}… at "
+                    f"plan {index} (replicate {replicate}) of "
+                    f"{manifest['campaign']!r} [{scale}], which this "
+                    f"process does not compute — worker and enqueuer "
+                    f"disagree about the campaign grid"
+                )
+            plans.append(plan)
+        function, tasks = prepare_tasks(plans, instrumentation)
+        for task in tasks:
+            record = function(task)
             store.append(key, record, shard=worker)
             stats["trials"] += 1
             if on_record is not None:
@@ -377,79 +451,30 @@ def run_worker(
     return stats
 
 
-def execute_campaign_queued(
+def run_queued(
     spec: CampaignSpec,
-    scale: str = "quick",
-    policy: Optional[ExecutionPolicy] = None,
-    store: Optional[Any] = None,
-    reuse: bool = True,
+    scale: str,
+    plans: List[TrialPlan],
+    policy: ExecutionPolicy,
+    store: Any,
     instrumentation: Optional[Any] = None,
-    progress: Optional[Callable[[int, int, TrialRecord], None]] = None,
-) -> CampaignRun:
-    """Run ``spec`` through the work queue named by ``policy.queue``.
+    on_record: Optional[Callable[[TrialRecord], None]] = None,
+) -> List[TrialRecord]:
+    """The queue transport: run ``plans`` through ``policy.queue``.
 
-    Enqueues the tier's pending (cache-missing) trials — unless the
-    queue already holds this campaign, e.g. pre-published with
-    ``repro campaign enqueue`` — then joins the queue as an in-process
-    worker alongside any external ``repro campaign worker`` processes,
-    and assembles the run from the shared store once every chunk is
-    done.  The record list, ordering, and cache accounting match the
-    pool path exactly.
+    Publishes the plans (idempotently — a pre-enqueued or restarted
+    queue is simply joined), works the queue as an in-process worker
+    alongside any external ``repro campaign worker`` processes until
+    every chunk is done, and reads the plans' records back from the
+    shared store, in ``plans`` order.
     """
-    policy = policy or ExecutionPolicy()
-    if policy.queue is None:
-        raise ValueError("execute_campaign_queued needs policy.queue")
-    if store is None:
-        raise ValueError(
-            "queue execution requires a result store: elastic workers "
-            "coordinate through it (pass store=/--store)"
-        )
-    if not reuse:
-        raise ValueError(
-            "queue execution always reuses the store (workers skip "
-            "persisted case keys); clear the store to force re-runs"
-        )
-    if instrumentation is not None and getattr(
-        instrumentation, "active", False
-    ):
-        raise ValueError(
-            "telemetry instrumentation is not supported in queue mode"
-        )
-    if policy.timeout is not None:
-        raise ValueError(
-            "per-trial timeouts are not supported in queue mode "
-            "(stale-lease reclaim bounds lost work instead)"
-        )
-
-    plans = spec.trials_for(scale)
-    key = spec.spec_key(scale)
-    known = store.load(key)
-    pending = [
-        plan for plan in plans if plan.case_key not in known
-    ]
-
-    queue = WorkQueue(policy.queue)
-    manifest = queue.manifest()
-    if manifest is None:
-        queue.enqueue(
-            spec, scale, plans=pending, chunk_size=policy.chunk_size
-        )
-    elif manifest["spec_key"] != key:
-        raise QueueError(
-            f"queue at {queue.root} holds campaign "
-            f"{manifest['campaign']!r} [{manifest['scale']}], not "
-            f"{spec.name!r} [{scale}]"
-        )
-
-    total = len(plans)
-    done = len(plans) - len(pending)
-
-    def on_record(record: TrialRecord) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(done, total, record)
-
+    WorkQueue(policy.queue).enqueue(
+        spec,
+        scale,
+        plans=plans,
+        chunk_size=policy.chunk_size,
+        instrumentation=instrumentation,
+    )
     run_worker(
         policy.queue,
         store,
@@ -458,8 +483,7 @@ def execute_campaign_queued(
         lease_ttl=policy.lease_ttl,
         on_record=on_record,
     )
-
-    final = store.load(key)
+    final = store.load(spec.spec_key(scale))
     records: List[TrialRecord] = []
     for plan in plans:
         record = final.get(plan.case_key)
@@ -469,17 +493,5 @@ def execute_campaign_queued(
                 f"campaign {spec.name!r} [{scale}] is missing from "
                 f"the store — was a worker's shard deleted?"
             )
-        records.append(
-            replace(
-                record,
-                index=plan.index,
-                cached=plan.case_key in known,
-            )
-        )
-    return CampaignRun(
-        spec=spec,
-        scale=scale,
-        records=records,
-        executed=len(pending),
-        cached=len(plans) - len(pending),
-    )
+        records.append(replace(record, index=plan.index))
+    return records

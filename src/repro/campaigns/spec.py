@@ -228,6 +228,12 @@ class TrialPlan:
     case_key: str
     index: int
 
+    @property
+    def replicate(self) -> int:
+        """Which re-sample of its cell this is — the inverse of
+        :meth:`CampaignSpec.replicate_plan` (0 for a tier plan)."""
+        return self.case.get("replicate", 0)
+
 
 @dataclass(frozen=True)
 class CampaignSpec:

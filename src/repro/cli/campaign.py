@@ -102,12 +102,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
             "--fresh is incompatible with --queue (workers skip "
             "persisted case keys); clear the store instead"
         )
-    if args.adaptive and args.queue:
-        raise SystemExit(
-            "--adaptive is incompatible with --queue: the stopping "
-            "rule needs round barriers a detached worker fleet "
-            "cannot provide"
-        )
     flags = execution_flags(args, "queue", "worker_id", "lease_ttl")
     definition = campaign_or_exit(args.campaign)
     spec = definition.spec()
@@ -222,20 +216,19 @@ def _command_campaign_enqueue(args: argparse.Namespace) -> int:
     definition = campaign_or_exit(args.campaign)
     spec = definition.spec()
     plans = spec.trials_for(args.scale)
-    total = len(plans)
-    if args.store:
-        known = ResultStore(args.store).load(spec.spec_key(args.scale))
-        plans = [p for p in plans if p.case_key not in known]
-    queue = WorkQueue(args.queue)
     try:
-        manifest = queue.enqueue(
-            spec, args.scale, plans=plans, chunk_size=args.chunk_size
+        manifest = WorkQueue(args.queue).enqueue(
+            spec,
+            args.scale,
+            plans=plans,
+            chunk_size=args.chunk_size,
+            store=ResultStore(args.store) if args.store else None,
         )
     except (QueueError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     print(
         f"enqueued campaign {spec.name} [{args.scale}]: "
-        f"{manifest['trials']}/{total} trials in "
+        f"{manifest['trials']}/{len(plans)} trials in "
         f"{manifest['chunks']} chunks at {args.queue}"
     )
     print(f"spec key {manifest['spec_key']}")
@@ -302,7 +295,7 @@ def register_campaign(parser: argparse.ArgumentParser) -> None:
     )
     campaign_run_parser.add_argument(
         "--timeout", type=float, default=None,
-        help="per-trial timeout in seconds (pool mode only)",
+        help="per-trial timeout in seconds (runs on a process pool)",
     )
     campaign_run_parser.add_argument(
         "--store", help="result-store directory (enables cache replay)"

@@ -7,6 +7,7 @@ import argparse
 from typing import Optional
 
 from repro.campaigns import (
+    AdaptivePolicy,
     ExecutionPolicy,
     QueueError,
     ResultStore,
@@ -14,7 +15,6 @@ from repro.campaigns import (
     campaign_definition,
     execute_campaign,
 )
-from repro.campaigns.adaptive import AdaptivePolicy, execute_adaptive_campaign
 from repro.cli.shared import unknown_name_exit
 
 
@@ -84,27 +84,20 @@ def execute_or_exit(
 
         reporter = ProgressReporter(label=f"{spec.name}/{scale}")
     try:
-        shared = {
-            "scale": scale,
-            "policy": ExecutionPolicy(**(policy or {})),
-            "store": store,
-            "reuse": not fresh,
-            "progress": reporter.update if reporter is not None else None,
-        }
-        if adaptive is not None:
-            if instrumentation is not None:
-                print(
-                    "note: per-trial instrumentation is not applied "
-                    "under --adaptive; the sidecar records the "
-                    "stopping-rule summary instead"
-                )
-            run = execute_adaptive_campaign(
-                spec, adaptive=AdaptivePolicy(**adaptive), **shared
-            )
-        else:
-            run = execute_campaign(
-                spec, instrumentation=instrumentation, **shared
-            )
+        run = execute_campaign(
+            spec,
+            scale=scale,
+            policy=ExecutionPolicy(**(policy or {})),
+            store=store,
+            reuse=not fresh,
+            instrumentation=instrumentation,
+            progress=reporter.update if reporter is not None else None,
+            adaptive=(
+                AdaptivePolicy(**adaptive)
+                if adaptive is not None
+                else None
+            ),
+        )
     except (ValueError, QueueError) as exc:
         raise SystemExit(str(exc)) from None
     if reporter is not None:

@@ -792,16 +792,29 @@ class TestExecutionPolicyValidation:
         with pytest.raises(ValueError, match="lease_ttl"):
             ExecutionPolicy(lease_ttl=0)
 
-    def test_serial_mode_warns_when_dropping_timeout(self):
-        from repro.campaigns import map_trials
-
-        with pytest.warns(RuntimeWarning, match="ignored in serial"):
-            results = map_trials(
-                lambda x: x + 1,
-                [1, 2],
-                ExecutionPolicy(workers=1, timeout=5.0),
-            )
-        assert results == [2, 3]
+    def test_one_worker_with_timeout_is_preempted(self):
+        # Replaces test_serial_mode_warns_when_dropping_timeout: a
+        # requested timeout is never dropped — workers=1 with a budget
+        # is a one-worker pool, so a hung trial comes back as a
+        # TimeoutError record instead of blocking forever.
+        spec = CampaignSpec(
+            name="hung-serial",
+            scenarios=(
+                ScenarioSpec(
+                    builder="test-sleep",
+                    base={"delay": 30.0},
+                    axes={"*": {"x": (1,)}},
+                ),
+            ),
+        )
+        start = time.perf_counter()
+        run = execute_campaign(
+            spec,
+            policy=ExecutionPolicy(workers=1, chunk_size=1, timeout=0.2),
+        )
+        assert time.perf_counter() - start < 10.0
+        assert run.failed == 1
+        assert "TimeoutError" in run.records[0].error
 
     def test_serial_mode_without_timeout_does_not_warn(self):
         import warnings as warnings_module

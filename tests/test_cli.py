@@ -478,12 +478,45 @@ class TestScalingCli:
         assert "0/6 trials in 0 chunks" in out
 
     def test_reenqueue_same_queue_exits(self, tmp_path, capsys):
+        # Rewritten: publishing is idempotent per case key, so the
+        # same campaign again adds nothing; a *different* campaign or
+        # scale in the directory still exits with the one-line error.
         queue = os.path.join(tmp_path, "q")
         enqueue = ["campaign", "enqueue", "E1", "--queue", queue]
         assert main(enqueue) == 0
+        first = capsys.readouterr().out
+        assert "6/6 trials in 2 chunks" in first
+        assert main(enqueue) == 0
+        assert capsys.readouterr().out == first
+        assert len(os.listdir(queue)) == 3  # manifest + two chunks
+        for other in (["E4"], ["E1", "--scale", "full"]):
+            with pytest.raises(
+                SystemExit, match=r"holds campaign 'E1' \[quick\]"
+            ):
+                main(["campaign", "enqueue", *other, "--queue", queue])
+
+    def test_adaptive_queue_run_matches_serial(self, tmp_path, capsys):
+        args = ["campaign", "run", "STRESS", "--adaptive"]
+        args += ["--ci-width", "1000", "--min-trials", "2"]
+        args += ["--max-trials", "3", "--telemetry"]
+        serial = os.path.join(tmp_path, "serial")
+        queued = os.path.join(tmp_path, "queued")
+        assert main(args + ["--store", serial]) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit, match="already has a campaign"):
-            main(enqueue)
+        queue = os.path.join(tmp_path, "q")
+        assert main(args + ["--store", queued, "--queue", queue]) == 0
+        out = capsys.readouterr().out
+        assert "adaptive[max_skew]: 12 trials over 6 cells" in out
+        assert "12/12 trials instrumented" in out
+        sidecars = []
+        for store in (serial, queued):
+            (name,) = [
+                n for n in os.listdir(store)
+                if n.endswith(".telemetry.json")
+            ]
+            with open(os.path.join(store, name), "rb") as handle:
+                sidecars.append(handle.read())
+        assert sidecars[0] == sidecars[1]
 
     def test_store_compact_reports_counts(self, tmp_path, capsys):
         store = os.path.join(tmp_path, "store")

@@ -1,0 +1,294 @@
+"""Queue + store protocol hardening (ROADMAP "one executor", 2nd half).
+
+Two adversarial views of the elastic transport:
+
+* a Hypothesis state machine that interleaves everything the protocol
+  allows — publishes (the tier, then later replicate rounds), claims,
+  heartbeats, single trials, completions, workers dying mid-chunk,
+  leases expiring under live *and* dead holders, real ``run_worker``
+  passes, ``merge`` and ``compact`` — and checks that the store never
+  holds a record that differs from the serial run's, and that a final
+  drain leaves exactly the published cases, each under its own key;
+* torn-write injection: a shard whose last line is cut at every byte
+  boundary is tolerated and costs a reclaiming worker exactly the one
+  lost trial, while the same cut in an interior line is refused with
+  the file and line named.
+"""
+
+import os
+import shutil
+import tempfile
+import time
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.campaigns import (
+    CampaignSpec,
+    CorruptStoreError,
+    ResultStore,
+    ScenarioSpec,
+    WorkQueue,
+    register_builder,
+    run_trial,
+    run_worker,
+)
+from repro.campaigns.store import record_line
+
+
+@register_builder("proto-cell")
+def _cell_trial(case, measurement, seed):
+    if case["x"] == 3:
+        raise ValueError("cell 3 always fails")
+    return {"value": 1000 * case["x"] + case.get("replicate", 0)}
+
+
+SPEC = CampaignSpec(
+    name="protocol",
+    scenarios=(
+        ScenarioSpec(
+            builder="proto-cell", axes={"*": {"x": (1, 2, 3, 4, 5)}}
+        ),
+    ),
+)
+KEY = SPEC.spec_key("quick")
+TIER = SPEC.trials_for("quick")
+ROUNDS = {
+    r: [SPEC.replicate_plan(plan, r) for plan in TIER] for r in (0, 1, 2)
+}
+#: The serial run of every plan the machine can publish.
+REFERENCE = {
+    plan.case_key: (record.metrics, record.error)
+    for plans in ROUNDS.values()
+    for plan in plans
+    for record in [run_trial(plan)]
+}
+WORKERS = ("wa", "wb", "wc")
+
+
+class QueueProtocol(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.mkdtemp(prefix="queue-protocol-")
+        self.queue = WorkQueue(os.path.join(self.tmp, "q"))
+        self.store = ResultStore(os.path.join(self.tmp, "store"))
+        self.published = set()
+        # worker -> (lease, entries still to run); a killed worker's
+        # lease stays on disk but leaves this map.
+        self.held = {}
+
+    def teardown(self):
+        try:
+            if self.queue.manifest() is not None:
+                self.drain_and_compare()
+        finally:
+            shutil.rmtree(self.tmp, ignore_errors=True)
+
+    # -- publishing -----------------------------------------------------
+
+    @rule(replicate=st.sampled_from(sorted(ROUNDS)))
+    def publish(self, replicate):
+        plans = ROUNDS[replicate]
+        before = len(self.queue.chunk_ids())
+        manifest = self.queue.enqueue(
+            SPEC, "quick", plans=plans, chunk_size=2
+        )
+        added = {p.case_key for p in plans} - self.published
+        self.published |= added
+        assert manifest["trials"] == len(self.published)
+        assert len(self.queue.chunk_ids()) - before == (
+            (len(added) + 1) // 2
+        )
+
+    # -- a hand-driven worker, one protocol step per rule ---------------
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def claim(self, worker):
+        if worker in self.held:
+            return
+        lease = self.queue.claim(worker, lease_ttl=60.0)
+        if lease is not None:
+            known = self.store.load(KEY)
+            self.held[worker] = (
+                lease,
+                [e for e in lease.entries if e[2] not in known],
+            )
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def run_one_trial_or_complete(self, data):
+        worker = data.draw(st.sampled_from(sorted(self.held)))
+        lease, todo = self.held[worker]
+        if not todo:
+            self.queue.complete(lease)
+            del self.held[worker]
+            return
+        index, replicate, case_key = todo.pop(0)
+        plan = SPEC.replicate_plan(TIER[index], replicate)
+        assert plan.case_key == case_key
+        self.store.append(KEY, run_trial(plan), shard=worker)
+        self.queue.heartbeat(lease)
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def kill(self, data):
+        # Dies mid-chunk: no completion, the claim file stays behind.
+        del self.held[data.draw(st.sampled_from(sorted(self.held)))]
+
+    @rule(data=st.data())
+    def expire_a_lease(self, data):
+        # Any claim may look dead — a killed holder's (crash recovery)
+        # or a live one's (the zombie double-execution case).
+        claimed = [
+            chunk
+            for chunk in self.queue.chunk_ids()
+            if os.path.exists(self.queue.claim_path(chunk))
+        ]
+        if claimed:
+            stale = time.time() - 120.0
+            path = self.queue.claim_path(data.draw(st.sampled_from(claimed)))
+            os.utime(path, (stale, stale))
+
+    # -- the real worker ------------------------------------------------
+
+    @precondition(lambda self: self.queue.status()["open"] > 0)
+    @rule()
+    def real_worker_takes_a_chunk(self):
+        stats = run_worker(
+            self.queue.root,
+            self.store,
+            spec=SPEC,
+            worker_id="real",
+            max_chunks=1,
+            on_record=self.check_record,
+        )
+        assert stats["chunks"] == 1
+
+    # -- store maintenance ----------------------------------------------
+
+    @rule()
+    def merge(self):
+        before = self.store.load(KEY)
+        self.store.merge(KEY)
+        assert self.store.shards(KEY) == []
+        assert set(self.store.load(KEY)) == set(before)
+
+    @rule()
+    def compact(self):
+        before = self.store.load(KEY)
+        self.store.compact(KEY)
+        assert set(self.store.load(KEY)) == set(before)
+
+    # -- what must always hold ------------------------------------------
+
+    @staticmethod
+    def check_record(record):
+        assert (record.metrics, record.error) == REFERENCE[record.case_key]
+
+    @invariant()
+    def store_only_holds_serial_records(self):
+        for case_key, record in self.store.load(KEY).items():
+            assert case_key in self.published
+            self.check_record(record)
+
+    def drain_and_compare(self):
+        run_worker(
+            self.queue.root,
+            self.store,
+            spec=SPEC,
+            worker_id="drain",
+            lease_ttl=1e-6,  # every leftover claim is reclaimable
+            poll=0.001,
+            on_record=self.check_record,
+        )
+        assert self.queue.all_done()
+        assert {
+            case_key: (record.metrics, record.error)
+            for case_key, record in self.store.load(KEY).items()
+        } == {k: REFERENCE[k] for k in self.published}
+
+
+QueueProtocol.TestCase.settings = settings(stateful_step_count=30)
+TestQueueProtocol = QueueProtocol.TestCase
+
+
+# ----------------------------------------------------------------------
+# Torn writes
+# ----------------------------------------------------------------------
+
+
+class TestTornWrites:
+    """Worker ``wa`` ran both trials of its chunk and died while the
+    second line was in flight; ``wb`` reclaims the lease."""
+
+    PAIR = CampaignSpec(
+        name="torn",
+        scenarios=(
+            ScenarioSpec(builder="proto-cell", axes={"*": {"x": (1, 2)}}),
+        ),
+    )
+
+    def _crashed_chunk(self, root, shard_bytes):
+        key = self.PAIR.spec_key("quick")
+        queue = WorkQueue(os.path.join(root, "q"))
+        queue.enqueue(self.PAIR, "quick", chunk_size=2)
+        lease = queue.claim("wa")
+        stale = time.time() - 120.0
+        os.utime(queue.claim_path(lease.chunk), (stale, stale))
+        store = ResultStore(os.path.join(root, "store"))
+        path = store.path_for(key, "wa")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(shard_bytes)
+        return store, key, path
+
+    def _reclaim(self, root, store):
+        return run_worker(
+            os.path.join(root, "q"),
+            store,
+            spec=self.PAIR,
+            worker_id="wb",
+            lease_ttl=60.0,
+        )
+
+    def test_a_torn_tail_costs_exactly_the_lost_trial(self, tmp_path):
+        first, second = (
+            record_line(run_trial(plan)).encode("utf-8")
+            for plan in self.PAIR.trials_for("quick")
+        )
+        for cut in range(len(second)):
+            root = str(tmp_path / f"tail-{cut}")
+            store, key, _path = self._crashed_chunk(
+                root, first + second[:cut]
+            )
+            # Only the newline missing: the record itself is whole.
+            lost = 0 if cut == len(second) - 1 else 1
+            assert len(store.load(key)) == 2 - lost
+            stats = self._reclaim(root, store)
+            assert stats["reclaimed"] == 1
+            assert (stats["skipped"], stats["trials"]) == (2 - lost, lost)
+            assert {
+                r.case["x"]: r.metrics for r in store.load(key).values()
+            } == {1: {"value": 1000}, 2: {"value": 2000}}
+
+    def test_the_same_cut_in_an_interior_line_is_refused(self, tmp_path):
+        first, second = (
+            record_line(run_trial(plan)).encode("utf-8")
+            for plan in self.PAIR.trials_for("quick")
+        )
+        for cut in range(1, len(first) - 1):
+            root = str(tmp_path / f"interior-{cut}")
+            store, key, path = self._crashed_chunk(
+                root, first[:cut] + b"\n" + second
+            )
+            with pytest.raises(CorruptStoreError) as info:
+                self._reclaim(root, store)
+            assert (info.value.path, info.value.line) == (path, 1)
+            assert f"{path}:1" in str(info.value)

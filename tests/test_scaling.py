@@ -15,6 +15,7 @@ Covers the scaling layer end to end:
   fixed replication.
 """
 
+import json
 import os
 import random
 import threading
@@ -30,13 +31,15 @@ from repro.campaigns import (
     ResultStore,
     ScenarioSpec,
     WorkQueue,
-    execute_adaptive_campaign,
     execute_campaign,
     register_builder,
     run_worker,
 )
 from repro.campaigns.queue import default_worker_id
-from repro.telemetry.campaign import campaign_telemetry
+from repro.telemetry.campaign import (
+    InstrumentationPlan,
+    campaign_telemetry,
+)
 
 
 @register_builder("scale-log")
@@ -99,6 +102,18 @@ def _noisy_spec(name="noisy", seed=0):
     )
 
 
+def _content(run):
+    """What every mode must agree on, record for record."""
+    return [
+        (
+            r.case_key,
+            {k: v for k, v in r.metrics.items() if k != "telemetry"},
+            r.error,
+        )
+        for r in run.records
+    ]
+
+
 def _log_counts(log_path):
     if not os.path.exists(log_path):
         return {}
@@ -131,12 +146,29 @@ class TestWorkQueue:
         ]
         assert not queue.all_done()
 
-    def test_reenqueue_is_an_error(self, tmp_path):
+    def test_reenqueue_is_idempotent_per_case_key(self, tmp_path):
+        # Rewritten from test_reenqueue_is_an_error: publishing is
+        # idempotent, so the same spec adds nothing, new plans land in
+        # chunks numbered after the last one, and only a *different*
+        # campaign/scale in the directory is an error.
         spec = _log_spec(tmp_path / "log")
         queue = WorkQueue(tmp_path / "q")
-        queue.enqueue(spec, "quick")
-        with pytest.raises(QueueError, match="already"):
-            queue.enqueue(spec, "quick")
+        first = queue.enqueue(spec, "quick")
+        assert queue.enqueue(spec, "quick") == first
+        assert queue.chunk_ids() == ["chunk-00000", "chunk-00001"]
+        plans = spec.trials_for("quick")
+        replicates = [spec.replicate_plan(plans[0], r) for r in (0, 1)]
+        again = queue.enqueue(spec, "quick", plans=replicates)
+        assert again["chunks"] == 3 and again["trials"] == 7
+        assert queue.manifest() == again
+        lease = [queue.claim("a") for _ in range(3)][-1]
+        assert lease.chunk == "chunk-00002"
+        assert lease.entries == [[0, 1, replicates[1].case_key]]
+        other = _log_spec(tmp_path / "log", name="other")
+        with pytest.raises(QueueError, match="holds campaign 'logged'"):
+            queue.enqueue(other, "quick")
+        with pytest.raises(QueueError, match="holds campaign 'logged'"):
+            queue.enqueue(spec, "full")
 
     def test_claims_are_mutually_exclusive_and_ordered(self, tmp_path):
         spec = _log_spec(tmp_path / "log")
@@ -146,7 +178,8 @@ class TestWorkQueue:
         second = queue.claim("b")
         assert first.chunk == "chunk-00000"
         assert second.chunk == "chunk-00001"
-        assert first.indices == [0, 1, 2]
+        keys = [p.case_key for p in spec.trials_for("quick")]
+        assert first.entries == [[i, 0, keys[i]] for i in (0, 1, 2)]
         assert queue.claim("c") is None  # both live, nothing open
 
     def test_complete_marks_done_and_releases(self, tmp_path):
@@ -218,6 +251,30 @@ class TestRunWorker:
                 ResultStore(tmp_path / "s"),
                 spec=other,
             )
+
+    def test_worker_with_a_different_grid_is_refused(self, tmp_path):
+        # spec_key excludes the grid on purpose, so a checkout that
+        # extended (or shrank) an axis passes the spec-key check; the
+        # case keys in the chunk entries are what stops it from running
+        # whatever sits at the published indices.
+        log = tmp_path / "log"
+        spec = _log_spec(log, xs=(1, 2, 3))
+        key = spec.spec_key("quick")
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue(spec, "quick", chunk_size=2)
+        store = ResultStore(tmp_path / "store")
+        for xs in ((0, 1, 2, 3), (1,)):  # shifted; index out of range
+            other = _log_spec(log, xs=xs)
+            assert other.spec_key("quick") == key
+            with pytest.raises(
+                QueueError, match="disagree about the campaign grid"
+            ):
+                run_worker(tmp_path / "q", store, spec=other)
+        assert _log_counts(log) == {} and store.load(key) == {}
+        # The refused workers gave their leases back: no TTL wait.
+        stats = run_worker(tmp_path / "q", store, spec=spec, poll=0.01)
+        assert stats["trials"] == 3 and stats["reclaimed"] == 0
+        assert _log_counts(log) == {1: 1, 2: 1, 3: 1}
 
     def test_single_worker_drains_and_matches_serial(self, tmp_path):
         spec = _log_spec(tmp_path / "log")
@@ -298,7 +355,7 @@ class TestRunWorker:
 
         plans = spec.trials_for("quick")
         dead = queue.claim("wa")
-        assert dead.indices == [0, 1]
+        assert [entry[0] for entry in dead.entries] == [0, 1]
         from repro.campaigns import run_trial
 
         store.append(key, run_trial(plans[0]), shard="wa")
@@ -452,7 +509,7 @@ class TestReplicatePlans:
 
 class TestAdaptiveSampling:
     def test_converged_cells_stop_early_wide_cells_run_to_cap(self):
-        run = execute_adaptive_campaign(
+        run = execute_campaign(
             _noisy_spec(),
             adaptive=AdaptivePolicy(
                 ci_width=0.01, min_trials=2, max_trials=6
@@ -472,10 +529,10 @@ class TestAdaptiveSampling:
         adaptive = AdaptivePolicy(
             ci_width=0.01, min_trials=2, max_trials=5
         )
-        serial = execute_adaptive_campaign(
+        serial = execute_campaign(
             _noisy_spec(), adaptive=adaptive
         )
-        pooled = execute_adaptive_campaign(
+        pooled = execute_campaign(
             _noisy_spec(),
             adaptive=adaptive,
             policy=ExecutionPolicy(workers=3, chunk_size=1),
@@ -496,7 +553,7 @@ class TestAdaptiveSampling:
                 ),
             ),
         )
-        run = execute_adaptive_campaign(
+        run = execute_campaign(
             spec,
             adaptive=AdaptivePolicy(
                 ci_width=10.0, min_trials=2, max_trials=4
@@ -511,10 +568,10 @@ class TestAdaptiveSampling:
         adaptive = AdaptivePolicy(
             ci_width=0.01, min_trials=2, max_trials=5
         )
-        first = execute_adaptive_campaign(
+        first = execute_campaign(
             _noisy_spec(), adaptive=adaptive, store=store
         )
-        again = execute_adaptive_campaign(
+        again = execute_campaign(
             _noisy_spec(), adaptive=adaptive, store=store
         )
         assert first.executed == first.adaptive["trials"]
@@ -525,16 +582,33 @@ class TestAdaptiveSampling:
             r.case_key for r in first.records
         ]
 
-    def test_queue_mode_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="incompatible"):
-            execute_adaptive_campaign(
-                _noisy_spec(),
-                adaptive=AdaptivePolicy(ci_width=1.0),
-                policy=ExecutionPolicy(queue=str(tmp_path / "q")),
-            )
+    def test_queue_mode_matches_serial(self, tmp_path):
+        # Rewritten from test_queue_mode_is_rejected: a round is one
+        # call of the core's step, so the queue transport keeps the
+        # round barrier and adaptive × queue is no longer refused.
+        adaptive = AdaptivePolicy(
+            ci_width=0.01, min_trials=2, max_trials=5
+        )
+        serial = execute_campaign(_noisy_spec(), adaptive=adaptive)
+        queued = execute_campaign(
+            _noisy_spec(),
+            adaptive=adaptive,
+            policy=ExecutionPolicy(
+                queue=str(tmp_path / "q"), worker_id="coord"
+            ),
+            store=ResultStore(tmp_path / "store"),
+        )
+        assert _content(queued) == _content(serial)
+        assert queued.adaptive == serial.adaptive
+        assert queued.executed == serial.executed
+        # Each round was one more publish into the same directory.
+        queue = WorkQueue(tmp_path / "q")
+        assert queue.all_done()
+        assert queue.manifest()["trials"] == serial.adaptive["trials"]
+        assert len(queue.chunk_ids()) > 2
 
     def test_telemetry_sidecar_records_the_summary(self):
-        run = execute_adaptive_campaign(
+        run = execute_campaign(
             _noisy_spec(),
             adaptive=AdaptivePolicy(
                 ci_width=0.01, min_trials=2, max_trials=4
@@ -545,3 +619,95 @@ class TestAdaptiveSampling:
         assert "per_cell" not in payload["adaptive"]
         fixed = execute_campaign(_noisy_spec(name="noisy-fixed"))
         assert "adaptive" not in campaign_telemetry(fixed)
+
+
+# ----------------------------------------------------------------------
+# Composition: {fixed, adaptive} x {serial, pool, queue} x {bare, telemetry}
+# ----------------------------------------------------------------------
+
+
+def _detached_worker(queue_dir, store, spec):
+    """A ``repro campaign worker`` stand-in: joins once the manifest
+    exists, leaves when every published chunk is done."""
+    stop = threading.Event()
+
+    def work():
+        while WorkQueue(queue_dir).manifest() is None:
+            if stop.wait(0.005):
+                return
+        run_worker(
+            queue_dir, store, spec=spec, worker_id="detached", poll=0.01
+        )
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    return thread, stop
+
+
+class TestComposition:
+    @pytest.mark.parametrize("telemetry", [False, True])
+    @pytest.mark.parametrize("transport", ["serial", "pool", "queue"])
+    @pytest.mark.parametrize("source", ["fixed", "adaptive"])
+    def test_every_mode_agrees_with_the_serial_run(
+        self, tmp_path, source, transport, telemetry
+    ):
+        if source == "fixed":
+            spec, adaptive = _log_spec(tmp_path / "log"), None
+        else:
+            spec = _noisy_spec()
+            adaptive = AdaptivePolicy(
+                ci_width=0.01, min_trials=2, max_trials=5
+            )
+        instrumentation = InstrumentationPlan(telemetry=telemetry)
+        reference = execute_campaign(
+            spec, adaptive=adaptive, instrumentation=instrumentation
+        )
+        store = ResultStore(tmp_path / "store")
+        policy = {
+            "serial": ExecutionPolicy(workers=1),
+            "pool": ExecutionPolicy(workers=2, chunk_size=1),
+            "queue": ExecutionPolicy(
+                queue=str(tmp_path / "q"), chunk_size=1, worker_id="coord"
+            ),
+        }[transport]
+
+        def run():
+            return execute_campaign(
+                spec,
+                policy=policy,
+                store=store,
+                adaptive=adaptive,
+                instrumentation=instrumentation,
+            )
+
+        if transport == "queue":
+            thread, stop = _detached_worker(tmp_path / "q", store, spec)
+            try:
+                first = run()
+            finally:
+                stop.set()
+                thread.join(timeout=30)
+            assert not thread.is_alive()
+        else:
+            first = run()
+        assert _content(first) == _content(reference)
+        assert first.adaptive == reference.adaptive
+        assert (first.executed, first.cached) == (
+            reference.executed,
+            reference.cached,
+        )
+        assert first.executed + first.cached == len(first.records)
+        payload = json.dumps(campaign_telemetry(first), sort_keys=True)
+        assert payload == json.dumps(
+            campaign_telemetry(reference), sort_keys=True
+        )
+        assert ("telemetry" in first.records[0].metrics) is telemetry
+
+        again = run()
+        assert again.executed == 0
+        assert again.cached == len(again.records) == len(first.records)
+        assert _content(again) == _content(reference)
+        assert again.adaptive == reference.adaptive
+        assert payload == json.dumps(
+            campaign_telemetry(again), sort_keys=True
+        )
