@@ -17,9 +17,9 @@ Package map:
 * :mod:`repro.build` — the unified :func:`build_simulation` facade:
   registry-keyed cases on a selectable ``event``/``vectorized`` backend;
 * :mod:`repro.core` — Algorithm CPS, TCB, parameters, the Theorem 5 lower
-  bound, and pulse-based logical clocks / synchronizers;
-* :mod:`repro.sync` — the synchronous substrate: crusader broadcast,
-  approximate agreement, Dolev-Strong;
+  bound, and the pulse-based round synchronizer;
+* :mod:`repro.sync` — the synchronous substrate: crusader broadcast
+  and approximate agreement;
 * :mod:`repro.sim` — discrete-event timed simulation (clocks, delays,
   Byzantine behaviours, signature-knowledge enforcement) plus the
   round-batched numpy engine in :mod:`repro.sim.vectorized`;

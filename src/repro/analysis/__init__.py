@@ -4,14 +4,13 @@ from repro.analysis.metrics import (
     PulseReport,
     check_liveness,
     common_pulse_count,
-    convergence_rounds,
     max_period,
     max_skew,
     min_period,
     pulse_skew,
     skew_trajectory,
 )
-from repro.analysis.reporting import Table, format_value, geometric_mean, ratio
+from repro.analysis.reporting import Table, format_value
 from repro.analysis.runner import TrialOutcome, run_pulse_trial
 
 __all__ = [
@@ -20,14 +19,11 @@ __all__ = [
     "TrialOutcome",
     "check_liveness",
     "common_pulse_count",
-    "convergence_rounds",
     "format_value",
-    "geometric_mean",
     "max_period",
     "max_skew",
     "min_period",
     "pulse_skew",
-    "ratio",
     "run_pulse_trial",
     "skew_trajectory",
 ]

@@ -105,19 +105,6 @@ class PulseReport:
         )
 
 
-def convergence_rounds(
-    trajectory: Sequence[float], floor: float, factor: float = 1.05
-) -> int:
-    """First pulse index whose skew is within ``factor * floor``.
-
-    Returns ``len(trajectory)`` if the trajectory never gets there.
-    """
-    for index, value in enumerate(trajectory):
-        if value <= floor * factor:
-            return index
-    return len(trajectory)
-
-
 # ----------------------------------------------------------------------
 # Stabilization metrics (churn / membership dynamics)
 #

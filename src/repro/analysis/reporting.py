@@ -8,9 +8,8 @@ shows it, and the benchmark harness persists CSV snapshots
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Sequence
+from typing import Any, List, Sequence
 
 
 def format_value(value: Any, precision: int = 6) -> str:
@@ -82,32 +81,3 @@ class Table:
             writer = csv.writer(handle)
             writer.writerow(self.columns)
             writer.writerows(self.rows)
-
-    def to_markdown(self, precision: int = 6) -> str:
-        """GitHub-flavoured markdown rendering (for generated docs)."""
-        header = "| " + " | ".join(str(c) for c in self.columns) + " |"
-        rule = "|" + "|".join("---" for _ in self.columns) + "|"
-        lines = [header, rule]
-        for row in self.rows:
-            lines.append(
-                "| "
-                + " | ".join(format_value(cell, precision) for cell in row)
-                + " |"
-            )
-        for note in self.notes:
-            lines.append(f"\n*{note}*")
-        return "\n".join(lines)
-
-
-def ratio(measured: float, bound: float) -> float:
-    """``measured / bound`` with a sane 0/0 convention."""
-    if bound == 0:
-        return math.inf if measured > 0 else 0.0
-    return measured / bound
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return float("nan")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -6,8 +6,6 @@ compare these numbers against measurements.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.baselines.chain_relay import ChainParameters
@@ -30,11 +28,6 @@ def cps_max_period_bound(params: ProtocolParameters) -> float:
     return params.p_max_bound
 
 
-def estimate_error_bound(params: ProtocolParameters) -> float:
-    """Lemmas 12/13: ``delta = 2u + (theta^2-1) d + 2(theta^3-theta^2) S``."""
-    return params.delta
-
-
 def tcb_consistency_bound(params: ProtocolParameters) -> float:
     """Lemma 11: honest acceptances of one dealer within
     ``(1 - 1/theta) d + 2u/theta`` real time."""
@@ -45,15 +38,6 @@ def apa_halving_bound(initial_range: float, iteration: int) -> float:
     """Theorem 9: range after ``iteration`` iterations is
     ``<= initial / 2^iteration``."""
     return initial_range / (2.0 ** iteration)
-
-
-def apa_round_count(initial_range: float, target: float) -> int:
-    """Corollary 2: ``2 * ceil(log2(ell / eps))`` rounds suffice."""
-    if target <= 0:
-        raise ValueError("target must be positive")
-    if initial_range <= target:
-        return 0
-    return 2 * math.ceil(math.log2(initial_range / target))
 
 
 def lower_bound_skew(u_tilde: float) -> float:
@@ -76,25 +60,6 @@ def st_skew_bound(params: StParameters) -> float:
 def chain_skew_bound(params: ChainParameters) -> float:
     """Θ(f (u + (theta-1) d)) for chain-relay timing."""
     return params.skew_bound
-
-
-@dataclass(frozen=True)
-class ResilienceClaims:
-    """The resilience table of the introduction."""
-
-    n: int
-
-    @property
-    def signatures_optimal(self) -> int:
-        return math.ceil(self.n / 2) - 1
-
-    @property
-    def no_signatures(self) -> int:
-        return math.ceil(self.n / 3) - 1
-
-    @property
-    def lynch_welch(self) -> int:
-        return max((self.n - 1) // 3, 0)
 
 
 def summary(params: ProtocolParameters) -> Dict[str, float]:

@@ -295,9 +295,6 @@ class ChainStretchAttack(ByzantineBehavior):
         for dst in victims:
             ctx.send_from(src, dst, message, low)
 
-    def describe(self) -> str:
-        return "chain-stretch"
-
 
 def build_chain_simulation(
     params: ChainParameters,
@@ -336,5 +333,5 @@ def build_chain_simulation(
         behavior=behavior,
         delay_policy=delay_policy,
         f=params.f,
-        trace=Trace.from_spec(trace),
+        trace=Trace(trace),
     )

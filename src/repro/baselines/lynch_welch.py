@@ -197,9 +197,6 @@ class LwTimingAttack(ByzantineBehavior):
                     low if phase == "early" else high,
                 )
 
-    def describe(self) -> str:
-        return "lw-timing-split"
-
 
 def build_lw_simulation(
     params: ProtocolParameters,
@@ -228,5 +225,5 @@ def build_lw_simulation(
         behavior=behavior,
         delay_policy=delay_policy,
         f=params.f,
-        trace=Trace.from_spec(trace),
+        trace=Trace(trace),
     )

@@ -94,10 +94,6 @@ class StParameters:
         """One relay delay plus processing slack: Θ(d)."""
         return self.d
 
-    @property
-    def p_max_bound(self) -> float:
-        return self.theta * self.period + self.d
-
 
 def derive_st_parameters(
     theta: float,
@@ -219,9 +215,6 @@ class StRushAttack(ByzantineBehavior):
             for dst in ctx.honest:
                 ctx.send_from(src, dst, StReady(pulse_round, signature), low)
 
-    def describe(self) -> str:
-        return "st-rush"
-
 
 def build_st_simulation(
     params: StParameters,
@@ -260,5 +253,5 @@ def build_st_simulation(
         behavior=behavior,
         delay_policy=delay_policy,
         f=params.f,
-        trace=Trace.from_spec(trace),
+        trace=Trace(trace),
     )

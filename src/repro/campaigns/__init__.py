@@ -43,11 +43,9 @@ from typing import Callable, Dict, List
 from repro.analysis.reporting import Table
 from repro.campaigns.aggregate import (
     failure_counts,
-    group_by,
     records_to_table,
     run_summary_table,
     summary_stats,
-    value_of,
 )
 from repro.campaigns.adaptive import AdaptivePolicy
 from repro.campaigns.builders import (
@@ -155,7 +153,6 @@ __all__ = [
     "derive_seed",
     "execute_campaign",
     "failure_counts",
-    "group_by",
     "map_trials",
     "records_to_table",
     "register_builder",
@@ -168,5 +165,4 @@ __all__ = [
     "stable_hash",
     "summary_stats",
     "validate_scenario_names",
-    "value_of",
 ]

@@ -17,10 +17,13 @@ cache and resume like any trial; replicate 0 is the tier's own plan and
 stays a cache hit against fixed-tier stores).  Execution proceeds in
 rounds: every cell first gets ``min_trials`` replicates, then each
 round adds one replicate to every unconverged cell, until the cell's
-normal-approximation CI width
+Student-t CI width
 
-    ``width = 2 * z * stdev / sqrt(n)``  (z from ``confidence``)
+    ``width = 2 * t * stdev / sqrt(n)``
 
+(``t`` the two-sided ``confidence`` critical value at ``n - 1``
+degrees of freedom — 4.30 at the default three draws, not the normal
+1.96, which would claim intervals less than half as wide as they are)
 drops to ``ci_width`` or the cell reaches ``max_trials``.  Cells whose
 records error out or produce non-finite metrics (dead runs tabulated
 as ``inf`` skew) never converge and run to the cap — a noisy cell is
@@ -59,8 +62,8 @@ class AdaptivePolicy:
     """The stopping rule: target CI width on one headline metric.
 
     ``ci_width`` is the full width (upper minus lower bound) of the
-    ``confidence``-level normal-approximation interval on the cell's
-    mean ``metric``.  ``min_trials`` draws are taken before the first
+    ``confidence``-level Student-t interval on the cell's mean
+    ``metric``.  ``min_trials`` draws are taken before the first
     width check (a width from fewer than two points is meaningless);
     ``max_trials`` caps every cell, converged or not.
     """
@@ -91,12 +94,61 @@ class AdaptivePolicy:
                 f"min_trials ({self.min_trials})"
             )
 
-    @property
-    def z_value(self) -> float:
-        """Two-sided normal critical value for ``confidence``."""
-        return statistics.NormalDist().inv_cdf(
-            (1 + self.confidence) / 2
-        )
+    def critical_value(self, n: int) -> float:
+        """Two-sided Student-t critical value for a cell of ``n``
+        draws (``n - 1`` degrees of freedom)."""
+        return t_critical(self.confidence, n - 1)
+
+
+def t_critical(confidence: float, df: int) -> float:
+    """``t`` with ``P(|T_df| <= t) = confidence`` (stdlib only).
+
+    Closed forms at one and two degrees of freedom; above that
+    G. W. Hill's inversion (CACM Algorithm 396, 1970), whose relative
+    error stays under 1e-5 for every ``df`` — the stopping rule needs
+    three digits.
+    """
+    if df < 1:
+        raise ValueError(f"need at least one degree of freedom, got {df}")
+    tail = 1.0 - confidence
+    if df == 1:
+        return 1.0 / math.tan(tail * math.pi / 2)
+    if df == 2:
+        return math.sqrt(2.0 / (tail * (2.0 - tail)) - 2.0)
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(
+        a * math.pi / 2
+    ) * df
+    y = (d * tail) ** (2.0 / df)
+    if y > 0.05 + a:
+        # Cornish-Fisher style expansion about the normal quantile.
+        x = statistics.NormalDist().inv_cdf(tail / 2)
+        y = x * x
+        if df < 5:
+            c += 0.3 * (df - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (
+            (((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0
+        ) / b + 1.0
+        y = math.expm1(a * (y * x) ** 2)
+    else:
+        # Far tail: expansion of the density's tail integral.
+        y = (
+            (
+                1.0
+                / (
+                    ((df + 6.0) / (df * y) - 0.089 * d - 0.822)
+                    * (df + 2.0)
+                    * 3.0
+                )
+                + 0.5 / (df + 4.0)
+            )
+            * y
+            - 1.0
+        ) * (df + 1.0) / (df + 2.0) + 1.0 / y
+    return math.sqrt(df * y)
 
 
 def _metric_value(
@@ -114,19 +166,20 @@ def _metric_value(
 
 
 def _cell_width(
-    records: List[TrialRecord], metric: str, z: float
+    records: List[TrialRecord], adaptive: AdaptivePolicy
 ) -> float:
     """CI width of a cell's metric; inf while unbounded or too small."""
     values = []
     for record in records:
-        value = _metric_value(record, metric)
+        value = _metric_value(record, adaptive.metric)
         if value is None:
             return math.inf
         values.append(value)
-    if len(values) < 2:
+    n = len(values)
+    if n < 2:
         return math.inf
     spread = statistics.stdev(values)
-    return 2 * z * spread / math.sqrt(len(values))
+    return 2 * adaptive.critical_value(n) * spread / math.sqrt(n)
 
 
 def sample_cells(
@@ -143,7 +196,6 @@ def sample_cells(
     replicate of plan 0, then plan 1, ...) with sequential indices,
     and the stopping-rule summary.
     """
-    z = adaptive.z_value
     cells: List[List[TrialRecord]] = [[] for _ in plans]
     # Replicates wanted per cell; grows one per round for unconverged
     # cells until ci_width is met or max_trials is hit.
@@ -164,14 +216,13 @@ def sample_cells(
         for cell, drawn in enumerate(cells):
             if (
                 wanted[cell] < adaptive.max_trials
-                and _cell_width(drawn, adaptive.metric, z)
-                > adaptive.ci_width
+                and _cell_width(drawn, adaptive) > adaptive.ci_width
             ):
                 wanted[cell] += 1
 
     per_cell = []
     for plan, drawn in zip(plans, cells):
-        width = _cell_width(drawn, adaptive.metric, z)
+        width = _cell_width(drawn, adaptive)
         values = [
             v
             for v in (_metric_value(r, adaptive.metric) for r in drawn)

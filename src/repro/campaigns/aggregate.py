@@ -26,32 +26,6 @@ from repro.campaigns.executor import CampaignRun, TrialRecord
 _MISSING = object()
 
 
-def value_of(record: TrialRecord, key: str, default: Any = _MISSING) -> Any:
-    """A named value from a record: case first, then metrics."""
-    if key in record.case:
-        return record.case[key]
-    if key in record.metrics:
-        return record.metrics[key]
-    if default is not _MISSING:
-        return default
-    raise KeyError(
-        f"record for {record.builder!r} has no value {key!r} "
-        f"(case keys {sorted(record.case)}, "
-        f"metric keys {sorted(record.metrics)})"
-    )
-
-
-def group_by(
-    records: Iterable[TrialRecord], keys: Sequence[str]
-) -> Dict[Tuple[Any, ...], List[TrialRecord]]:
-    """Group records by case/metric values, preserving first-seen order."""
-    groups: Dict[Tuple[Any, ...], List[TrialRecord]] = {}
-    for record in records:
-        group = tuple(value_of(record, key) for key in keys)
-        groups.setdefault(group, []).append(record)
-    return groups
-
-
 def summary_stats(values: Iterable[float]) -> Dict[str, float]:
     """count / mean / min / max over the finite entries of ``values``."""
     finite = [v for v in values if isinstance(v, (int, float))

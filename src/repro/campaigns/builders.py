@@ -845,10 +845,10 @@ def cps_ablation_trial(
     plus the optional ``ablate`` key (components switched off) and an
     optional ``pulses`` override (churn challenges need the longer
     conformance-tier run regardless of the measurement tier).  The row
-    is the per-monitor verdict map of the applicable conformance check
-    set (:func:`~repro.checks.conformance.cps_check_set`, or the
-    stabilization set for churn-keyed cases) plus skew metrics — what
-    the importance reporter diffs between baseline and ablated cells.
+    is the per-monitor verdict map of
+    :func:`~repro.checks.conformance.judged_run` plus skew metrics —
+    what the importance reporter diffs between baseline and ablated
+    cells.
 
     Ablated runs are *expected* to violate bounds; a failing monitor is
     a metric here, never a trial error.  A deadlocked run (the
@@ -856,24 +856,19 @@ def cps_ablation_trial(
     tabulates: the event queue drains, progress fails, and skews over
     the too-few pulses come back as ``inf``.
     """
-    from repro.checks.conformance import (
-        cps_check_set,
-        churn_check_set,
-    )
+    from repro.checks.conformance import judged_run
     from repro.sim.errors import ConfigurationError
 
     pulses = int(case.get("pulses", measurement.pulses))
-    built = built_case(case, measurement, seed)
+    run = judged_run(
+        case,
+        pulses,
+        seed,
+        backend=measurement.backend,
+        trace=measurement.trace,
+    )
+    built, result, verdicts = run.built, run.result, run.verdicts
     simulation, params = built.simulation, built.params
-    if case.get("churn") is not None:
-        checks = churn_check_set(
-            simulation.dynamics.schedule, params
-        )
-    else:
-        checks = cps_check_set(params, simulation.honest, pulses)
-    simulation.attach_checks(checks)
-    result = simulation.run(max_pulses=pulses)
-    verdicts = checks.finish()
     honest_pulses = {
         v: result.pulses[v]
         for v in simulation.honest

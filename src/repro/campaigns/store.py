@@ -284,19 +284,6 @@ class ResultStore:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
 
-    def clear(self, key: Optional[str] = None) -> None:
-        """Drop one spec's records, or every record when ``key`` is None."""
-        targets = [key] if key is not None else self.keys()
-        for target in targets:
-            for shard in self.shards(target):
-                os.remove(self.path_for(target, shard))
-            directory = self.shard_dir(target)
-            if os.path.isdir(directory) and not os.listdir(directory):
-                os.rmdir(directory)
-            path = self.path_for(target)
-            if os.path.exists(path):
-                os.remove(path)
-
 
 def _check_shard_name(shard: str) -> None:
     if not _SHARD_NAME.match(shard):

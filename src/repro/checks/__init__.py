@@ -10,16 +10,20 @@ machine-checked over every scenario the engine can produce:
     stabilization), fed online through the scheduler's ``checks=`` hook
     so they compose with the ``TraceLevel.PULSES`` fast path.
 ``conformance``
-    :func:`check_scenario` / :func:`conformance_matrix` — drop every
-    scenario-registry entry into a reference configuration and judge it
-    against the closed-form bounds (``repro check run/matrix``).
+    :func:`judged_run` — the one monitored execution (build, attach
+    the check set, run, collect verdicts) every judge in the package
+    calls; :func:`check_scenario` / :func:`conformance_matrix` drop
+    every scenario-registry entry into a reference configuration and
+    judge it against the closed-form bounds (``repro check
+    run/matrix``).
 ``campaign``
     :func:`campaign_conformance` — verdicts for the scenarios a
     campaign references, persisted as ``<spec_key>.check.json``
     side-cars by ``repro campaign run --check``.
 ``fixtures``
-    The deliberately-broken executions (E8's ``u_tilde >> u`` corner;
-    the crash-without-recovery schedule) proving the monitors actually
+    :data:`FIXTURES` / :func:`run_fixture` — the deliberately-broken
+    executions (E8's ``u_tilde >> u`` corner; the
+    crash-without-recovery schedule) proving the monitors actually
     fire.
 
 See ``docs/CONFORMANCE.md`` for the workflow.
@@ -39,27 +43,22 @@ from repro.checks.conformance import (
     FUZZ_MONITORS,
     MODE_MONITORS,
     MONITOR_CATALOG,
+    JudgedRun,
     ScenarioReport,
     applicable_monitors,
     check_scenario,
     churn_check_set,
     conformance_matrix,
     cps_check_set,
+    judged_run,
     matrix_payload_bytes,
     render_matrix,
     render_report,
     run_apa_conformance,
-    run_churn_conformance,
-    run_cps_conformance,
     scenario_case,
     scenario_mode,
 )
-from repro.checks.fixtures import (
-    build_broken_simulation,
-    build_churn_fixture,
-    run_broken_fixture,
-    run_churn_fixture,
-)
+from repro.checks.fixtures import FIXTURES, run_fixture
 from repro.checks.monitors import (
     TOLERANCE,
     ApaContractionMonitor,
@@ -78,6 +77,7 @@ __all__ = [
     "APA_MONITORS",
     "CHURN_MONITORS",
     "CPS_MONITORS",
+    "FIXTURES",
     "FUZZ_EXPECTATION_CLAIM",
     "FUZZ_EXPECTATION_MONITOR",
     "FUZZ_MONITORS",
@@ -86,6 +86,7 @@ __all__ = [
     "TOLERANCE",
     "ApaContractionMonitor",
     "CheckSet",
+    "JudgedRun",
     "Monitor",
     "MonitorVerdict",
     "PeriodWindowMonitor",
@@ -96,23 +97,19 @@ __all__ = [
     "TcbConsistencyMonitor",
     "Violation",
     "applicable_monitors",
-    "build_broken_simulation",
-    "build_churn_fixture",
     "campaign_conformance",
     "campaign_scenarios",
     "check_scenario",
     "churn_check_set",
     "conformance_matrix",
     "cps_check_set",
+    "judged_run",
     "matrix_payload_bytes",
     "render_campaign_conformance",
     "render_matrix",
     "render_report",
     "run_apa_conformance",
-    "run_broken_fixture",
-    "run_churn_conformance",
-    "run_churn_fixture",
-    "run_cps_conformance",
+    "run_fixture",
     "scenario_case",
     "scenario_mode",
 ]

@@ -8,13 +8,11 @@ execution modes cover the catalog:
 
 ``cps``
     Pulse-synchronization scenarios (``cps``-tagged adversaries, every
-    delay policy, drift profile, and topology).  The simulation is
-    assembled by the same registry-keyed facade the STRESS campaign
-    uses (:func:`repro.build.build_simulation`) with the Theorem 17 /
-    Lemma 11 monitors attached through the scheduler's ``checks=``
-    hook; ``backend=`` selects the event or vectorized engine, which is
-    how the cross-backend differential suite reuses this machinery as
-    its oracle.
+    delay policy, drift profile, and topology) go through
+    :func:`judged_run` with the Theorem 17 / Lemma 11 monitors;
+    ``backend=`` selects the event or vectorized engine, which is how
+    the cross-backend differential suite reuses this machinery as its
+    oracle.
 ``apa``
     Round-model adversaries (``apa``-tagged) run iterated approximate
     agreement and are judged by :class:`ApaContractionMonitor`
@@ -35,6 +33,11 @@ execution modes cover the catalog:
     the bounds still hold.  The fixture carries its own seed, so the
     sweep seed does not perturb the replay.
 
+Every monitored CPS execution in the package — matrix rows, the broken
+fixtures, fuzz cases and replays, ablation cells — is one call of
+:func:`judged_run`: build through the facade, attach the check set,
+run, collect verdicts.
+
 Everything here is deterministic given ``seed`` — verdict payloads
 contain no wall-clock data — which is what makes persisted conformance
 artifacts byte-stable across runs.
@@ -44,10 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import theory
-from repro.build import build_simulation
 from repro.campaigns.spec import derive_seed
 from repro.checks.monitors import (
     ApaContractionMonitor,
@@ -58,6 +60,7 @@ from repro.checks.monitors import (
     SkewBoundMonitor,
     StabilizationMonitor,
     TcbConsistencyMonitor,
+    Violation,
 )
 from repro.core.params import ProtocolParameters, max_faults
 from repro.scenarios import REGISTRY
@@ -180,12 +183,6 @@ class ScenarioReport:
     def ok(self) -> bool:
         return self.error is None and all(v.ok for v in self.verdicts)
 
-    def verdict_for(self, monitor: str) -> Optional[MonitorVerdict]:
-        for verdict in self.verdicts:
-            if verdict.monitor == monitor:
-                return verdict
-        return None
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
@@ -240,28 +237,6 @@ def conformance_seed(seed: int, kind: str, key: str) -> int:
     return derive_seed(seed, "conformance", {"kind": kind, "key": key})
 
 
-def run_cps_conformance(
-    case: Dict[str, Any],
-    pulses: int,
-    seed: int,
-    trace: Any = "pulses",
-    backend: str = "event",
-) -> Tuple[List[MonitorVerdict], Any]:
-    """Run one registry-keyed CPS case with monitors attached.
-
-    Returns ``(verdicts, simulation_result)``; the result is surfaced
-    so differential tests can compare pulse streams across trace
-    levels and across backends (the vectorized engine must produce a
-    verdict-identical monitor matrix).
-    """
-    built = build_simulation(case, backend=backend, seed=seed, trace=trace)
-    simulation = built.simulation
-    checks = cps_check_set(built.params, simulation.honest, pulses)
-    simulation.attach_checks(checks)
-    result = simulation.run(max_pulses=pulses)
-    return checks.finish(), result
-
-
 def churn_check_set(
     schedule: Any, params: ProtocolParameters
 ) -> CheckSet:
@@ -279,23 +254,67 @@ def churn_check_set(
     )
 
 
-def run_churn_conformance(
+@dataclass
+class JudgedRun:
+    """One monitored execution: verdicts plus the run's raw material.
+
+    ``built`` is the facade's
+    :class:`~repro.build.BuiltSimulation` (``.simulation`` /
+    ``.params`` / ``.f`` / ``.effective``); ``result`` is surfaced so
+    differential tests can compare pulse streams across trace levels
+    and backends.
+    """
+
+    verdicts: Tuple[MonitorVerdict, ...]
+    result: Any
+    built: Any
+    mode: str  # "cps" | "churn"
+
+    @property
+    def ok(self) -> bool:
+        return all(verdict.ok for verdict in self.verdicts)
+
+    def violations(self) -> List[Violation]:
+        return [
+            violation
+            for verdict in self.verdicts
+            for violation in verdict.violations
+        ]
+
+
+def judged_run(
     case: Dict[str, Any],
     pulses: int,
     seed: int,
+    *,
+    backend: str = "event",
     trace: Any = "pulses",
-) -> Tuple[List[MonitorVerdict], Any]:
-    """Run one churn-keyed CPS case with the stabilization monitor.
+    check_set: Optional[Callable[[Any, int], CheckSet]] = None,
+) -> JudgedRun:
+    """Build one registry-keyed CPS case, attach its monitors, run it.
 
-    Returns ``(verdicts, simulation_result)`` like
-    :func:`run_cps_conformance`.
+    A case naming a ``churn`` profile is judged by the stabilization
+    monitor against its executed schedule, any other case by the
+    Theorem 17 / Lemma 11 set.  ``check_set(built, pulses)`` overrides
+    that choice — the churn fixture judges against the schedule that
+    was *intended*, not the one that ran.
     """
-    built = build_simulation(case, seed=seed, trace=trace)
+    # Resolved per call: the repo benchmark times this entry point by
+    # patching the module attribute.
+    from repro.build import build_simulation
+
+    built = build_simulation(case, backend=backend, seed=seed, trace=trace)
     simulation = built.simulation
-    checks = churn_check_set(simulation.dynamics.schedule, built.params)
+    mode = "churn" if case.get("churn") is not None else "cps"
+    if check_set is not None:
+        checks = check_set(built, pulses)
+    elif mode == "churn":
+        checks = churn_check_set(simulation.dynamics.schedule, built.params)
+    else:
+        checks = cps_check_set(built.params, simulation.honest, pulses)
     simulation.attach_checks(checks)
     result = simulation.run(max_pulses=pulses)
-    return checks.finish(), result
+    return JudgedRun(tuple(checks.finish()), result, built, mode)
 
 
 def run_apa_conformance(
@@ -369,20 +388,17 @@ def check_scenario(
             payload = REGISTRY.create("fuzz", key, None)
             run = replay_fixture(payload, trace=trace)
             verdicts = [expectation_verdict(payload, run)]
-        elif mode == "churn":
-            pulses = CHURN_PULSES_BY_SCALE.get(
-                scale, CHURN_PULSES_BY_SCALE["quick"]
-            )
-            case = scenario_case(kind, key, overrides)
-            verdicts, _result = run_churn_conformance(
-                case, pulses, scenario_seed, trace=trace
-            )
         else:
-            pulses = PULSES_BY_SCALE.get(scale, PULSES_BY_SCALE["quick"])
-            case = scenario_case(kind, key, overrides)
-            verdicts, _result = run_cps_conformance(
-                case, pulses, scenario_seed, trace=trace, backend=backend
+            by_scale = (
+                CHURN_PULSES_BY_SCALE if mode == "churn" else PULSES_BY_SCALE
             )
+            verdicts = judged_run(
+                scenario_case(kind, key, overrides),
+                by_scale.get(scale, by_scale["quick"]),
+                scenario_seed,
+                backend=backend,
+                trace=trace,
+            ).verdicts
         error = None
     except Exception as exc:  # noqa: BLE001 - sweeps tabulate failures
         verdicts, error = [], f"{type(exc).__name__}: {exc}"

@@ -659,17 +659,3 @@ class CheckSet(SimulationChecks):
     def finish(self) -> List[MonitorVerdict]:
         """Finalize every monitor and collect the verdicts."""
         return [monitor.finish() for monitor in self.monitors]
-
-    def violations(self) -> List[Violation]:
-        return [
-            violation
-            for monitor in self.monitors
-            for violation in monitor.violations
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return all(monitor.ok for monitor in self.monitors)
-
-    def names(self) -> List[str]:
-        return [monitor.name for monitor in self.monitors]

@@ -32,14 +32,14 @@ from repro import scenarios
 from repro.build import resolve_backend
 from repro.campaigns.store import dump_json_summary
 from repro.checks import (
+    FIXTURES,
     MONITOR_CATALOG,
     applicable_monitors,
     check_scenario,
     conformance_matrix,
     render_matrix,
     render_report,
-    run_broken_fixture,
-    run_churn_fixture,
+    run_fixture,
 )
 from repro.cli.shared import backend_parent, unknown_name_exit
 
@@ -172,7 +172,7 @@ def _command_check_matrix(args: argparse.Namespace) -> int:
 def _replay_fuzz_fixture_path(path: str) -> int:
     """``check fixture`` on a serialized fuzz fixture: replay it and
     verify its recorded expectation (violation fixtures must fire)."""
-    from repro.fuzz import load_fixture, replay_fixture
+    from repro.fuzz import expectation_met, load_fixture, replay_fixture
     from repro.fuzz.corpus import MalformedFixtureError
 
     try:
@@ -191,23 +191,18 @@ def _replay_fuzz_fixture_path(path: str) -> int:
         )
     else:
         print(f"{name} fixture raised NO violations")
-    expected = payload.get("expect", "pass") == "violation"
-    if bool(violations) == expected:
+    if expectation_met(payload, run):
         return 0
     print(
         f"{name} expects "
-        + ("a violation" if expected else "no violations")
+        + ("no violations" if violations else "a violation")
         + " — the replay CONTRADICTS the recorded expectation"
     )
     return 1
 
 
 def _command_check_fixture(args: argparse.Namespace) -> int:
-    runners = {
-        "broken": lambda: run_broken_fixture(seed=args.seed),
-        "churn": lambda: run_churn_fixture(seed=args.seed),
-    }
-    if args.fixture not in (*runners, "all"):
+    if args.fixture not in (*FIXTURES, "all"):
         if os.path.exists(args.fixture) or args.fixture.endswith(".json"):
             return _replay_fuzz_fixture_path(args.fixture)
         raise SystemExit(
@@ -215,16 +210,11 @@ def _command_check_fixture(args: argparse.Namespace) -> int:
             f"path, got {args.fixture!r}"
         )
     names = (
-        list(runners) if args.fixture == "all" else [args.fixture]
+        list(FIXTURES) if args.fixture == "all" else [args.fixture]
     )
     exit_code = 0
     for name in names:
-        verdicts, _result = runners[name]()
-        violations = [
-            violation
-            for verdict in verdicts
-            for violation in verdict.violations
-        ]
+        violations = run_fixture(name, seed=args.seed).violations()
         for violation in violations:
             print(f"! {violation.describe()}")
         if violations:

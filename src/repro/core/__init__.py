@@ -5,8 +5,8 @@
 * :mod:`repro.core.cps` — the pulse-synchronization protocol (Figure 3);
 * :mod:`repro.core.attacks` — Byzantine strategies tailored to CPS;
 * :mod:`repro.core.lower_bound` — the executable Theorem 5 construction;
-* :mod:`repro.core.logical_clock`, :mod:`repro.core.synchronizer` — the
-  applications the introduction motivates.
+* :mod:`repro.core.synchronizer` — the round-simulation application the
+  introduction motivates.
 """
 
 from repro.core.attacks import (
@@ -14,18 +14,12 @@ from repro.core.attacks import (
     CpsMimicDealerAttack,
     CpsRushingEchoAttack,
     FastToFaultyDelayPolicy,
-    cps_attack_catalog,
 )
 from repro.core.cps import (
     CpsNode,
     CpsRoundSummary,
     assemble_cps_simulation,
     default_clocks,
-)
-from repro.core.logical_clock import (
-    LogicalClock,
-    build_logical_clocks,
-    logical_skew,
 )
 from repro.core.lower_bound import (
     FixedPeriodProtocol,
@@ -69,7 +63,6 @@ __all__ = [
     "FixedPeriodProtocol",
     "InfeasibleParameters",
     "LinkTiming",
-    "LogicalClock",
     "LowerBoundEngine",
     "LowerBoundResult",
     "ProtocolParameters",
@@ -81,13 +74,10 @@ __all__ = [
     "TcbState",
     "THETA_MAX",
     "assemble_cps_simulation",
-    "build_logical_clocks",
     "check_connectivity",
     "circulant",
-    "cps_attack_catalog",
     "default_clocks",
     "derive_parameters",
-    "logical_skew",
     "max_faults",
     "offset_estimate",
     "required_connectivity",

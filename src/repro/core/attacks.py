@@ -27,11 +27,11 @@ name them declaratively.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.core.messages import TcbMessage, tcb_tag
 from repro.core.params import ProtocolParameters
-from repro.sim.adversary import ByzantineBehavior, SilentAdversary
+from repro.sim.adversary import ByzantineBehavior
 from repro.sim.network import DelayPolicy
 from repro.sim.trace import DeliveryRecord
 
@@ -117,9 +117,6 @@ class CpsMimicDealerAttack(ByzantineBehavior):
                     if dst not in self.group_a:
                         ctx.send_from(src, dst, message, slow_delay)
 
-    def describe(self) -> str:
-        return f"mimic-split(spread={self.spread_fraction})"
-
 
 class CpsEquivocatingSubsetAttack(ByzantineBehavior):
     """Faulty dealers address only half the honest nodes.
@@ -164,11 +161,6 @@ class CpsEquivocatingSubsetAttack(ByzantineBehavior):
             )
             for dst in subset:
                 ctx.send_from(src, dst, message, ctx.config.d)
-
-    def describe(self) -> str:
-        if self.lateness:
-            return f"equivocating-subset(lateness={self.lateness})"
-        return "equivocating-subset"
 
 
 class CpsRushingEchoAttack(ByzantineBehavior):
@@ -218,9 +210,6 @@ class CpsRushingEchoAttack(ByzantineBehavior):
         for dst in victims:
             if dst != payload.dealer:
                 ctx.send_from(src, dst, payload, low)
-
-    def describe(self) -> str:
-        return "rushing-echo"
 
 
 class FastToFaultyDelayPolicy(DelayPolicy):
@@ -299,13 +288,6 @@ class CpsCoordinatedOffsetAttack(ByzantineBehavior):
             for dst in ctx.honest:
                 ctx.send_from(src, dst, message, delay)
 
-    def describe(self) -> str:
-        flavor = "alternating" if self.alternate else "steady"
-        return (
-            f"coordinated-offset({flavor}, "
-            f"fraction={self.offset_fraction})"
-        )
-
 
 class CpsEarlyExtremeAttack(ByzantineBehavior):
     """Predictively timed broadcasts that land just after each pulse.
@@ -369,9 +351,6 @@ class CpsEarlyExtremeAttack(ByzantineBehavior):
             for dst in targets:
                 ctx.send_from(src, dst, message, low)
 
-    def describe(self) -> str:
-        return f"early-extreme(margin={self.margin})"
-
 
 class CpsForgingImpersonatorAttack(ByzantineBehavior):
     """Forge ``<r>`` messages in honest dealers' names.
@@ -426,19 +405,3 @@ class CpsForgingImpersonatorAttack(ByzantineBehavior):
                 for dst in ctx.honest:
                     if dst != victim:
                         ctx.send_from(src, dst, forged, low)
-
-    def describe(self) -> str:
-        bound = "all" if self.rounds is None else self.rounds
-        return f"forging-impersonator(rounds={bound})"
-
-
-def cps_attack_catalog(
-    params: ProtocolParameters,
-) -> Dict[str, ByzantineBehavior]:
-    """The standard attack suite used by the E4/E5 sweeps."""
-    half = timing_split_group(params.n)
-    return {
-        "silent": SilentAdversary(),
-        "mimic-split": CpsMimicDealerAttack(params, half),
-        "equivocating-subset": CpsEquivocatingSubsetAttack(params),
-    }

@@ -351,7 +351,7 @@ def assemble_cps_simulation(
         behavior=behavior,
         delay_policy=delay_policy,
         f=params.f,
-        trace=Trace.from_spec(trace),
+        trace=Trace(trace),
         checks=checks,
         dynamics=dynamics,
     )

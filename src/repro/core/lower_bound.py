@@ -307,13 +307,6 @@ class LowerBoundEngine:
             return self.shift.inverse(local)
         raise SimulationError(f"node {node} is faulty in Ex^{k}")
 
-    def _honest_clock(self, k: int, node: int, t: float) -> float:
-        if node == (k + 1) % 3:
-            return t
-        if node == (k + 2) % 3:
-            return self.shift(t)
-        raise SimulationError(f"node {node} is faulty in Ex^{k}")
-
     def _build_result(self) -> LowerBoundResult:
         execution_pulses: Dict[int, Dict[int, List[float]]] = {}
         common = min(len(self.pulses_local[j]) for j in range(3))

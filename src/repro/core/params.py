@@ -32,7 +32,7 @@ CPS assumes ``H_v(0) in [0, S]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.errors import ConfigurationError
@@ -190,13 +190,6 @@ class ProtocolParameters:
             raise InfeasibleParameters(
                 f"Lemma 16 contraction violated: S(2-theta)={lhs} < {rhs}"
             )
-
-    def with_system(self, n: int, f: Optional[int] = None) -> "ProtocolParameters":
-        """Same timing parameters for a different system size."""
-        new_f = max_faults(n) if f is None else f
-        updated = replace(self, n=n, f=new_f)
-        updated.check_feasible()
-        return updated
 
 
 def derive_parameters(

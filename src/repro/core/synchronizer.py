@@ -42,9 +42,6 @@ class RoundSchedule:
     def rounds(self) -> int:
         return len(self.starts)
 
-    def durations(self) -> List[float]:
-        return [b - a for a, b in zip(self.starts, self.ends)]
-
 
 def verify_round_separation(
     pulses: Dict[int, List[float]], d: float

@@ -121,10 +121,6 @@ class PathTiming:
     def u(self) -> float:
         return self.d - self.d_min
 
-    @property
-    def hops(self) -> int:
-        return len(self.nodes) - 1
-
 
 @dataclass
 class SimulatedTopology:

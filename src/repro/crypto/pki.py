@@ -73,7 +73,3 @@ class PublicKeyInfrastructure:
             raise KeyError(
                 f"node {node_id} is not part of this PKI (n={self.n})"
             ) from None
-
-    def node_ids(self) -> range:
-        """All identities covered by this PKI."""
-        return range(self.n)

@@ -102,24 +102,6 @@ def verify_cache_stats() -> Any:
     return _verify_memo.cache_info()
 
 
-def verify_cache_counters() -> dict:
-    """JSON-ready verification-cache stats with a derived hit rate.
-
-    Consumed by ``repro perf run`` (printed per case and stored in the
-    ``BENCH_*.json`` meta) and by the telemetry layer's per-trial
-    ``crypto.verify.*`` counters.  ``hit_rate`` is ``None`` for
-    workloads that never verify a signature.
-    """
-    info = _verify_memo.cache_info()
-    lookups = info.hits + info.misses
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "size": info.currsize,
-        "hit_rate": info.hits / lookups if lookups else None,
-    }
-
-
 def clear_verify_cache() -> None:
     """Drop all memoized verification results (used by perf harnesses)."""
     _verify_memo.cache_clear()

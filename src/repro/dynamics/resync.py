@@ -152,6 +152,3 @@ class ResyncProtocol(TimedProtocol):
             inner.start_round = target_round
         self.inner = inner
         inner.on_start(api)
-
-    def describe(self) -> str:
-        return "resync-wrapper"

@@ -42,7 +42,7 @@ triggers coincide, and validation simulates the declared order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.sim.errors import ConfigurationError
 
@@ -116,14 +116,6 @@ class FaultEvent:
         if self.at is not None:
             return f"t={self.at:g}"
         return f"pulse {self.at_pulse}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "node": self.node,
-            "at": self.at,
-            "at_pulse": self.at_pulse,
-        }
 
 
 @dataclass(frozen=True)
@@ -298,13 +290,6 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     # Rendering / identity
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form (campaign case hashing, docs, CLI)."""
-        return {
-            "corruptions": self.corruptions,
-            "events": [event.as_dict() for event in self.events],
-        }
-
     def describe(self) -> str:
         """One line per event, for ``repro scenarios show``-style output."""
         lines = [
@@ -315,9 +300,6 @@ class FaultSchedule:
                 f"{event.trigger():>10}  {event.kind} node {event.node}"
             )
         return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 #: State machine per kind: (required current state, resulting state).

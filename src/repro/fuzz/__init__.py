@@ -17,10 +17,11 @@ content-hashed fixture and can be promoted into the scenario registry
     deliberately-broken :func:`known_bad_cases` region (E8's
     ``u_tilde >> u`` corner) used to sanity-gate the oracle.
 ``oracle``
-    :func:`run_fuzz_case` — one synthesized case through
-    :func:`repro.build.build_simulation` with
-    the applicable check set attached; :func:`replay_fixture` and the
-    byte-stable :func:`verdict_payload` for deterministic replay.
+    :func:`replay_fixture` — one payload through the conformance
+    engine's :func:`~repro.checks.conformance.judged_run` — the
+    byte-stable :func:`verdict_payload` for deterministic replay, and
+    :func:`expectation_met`, the one statement of what a fixture's
+    ``expect`` field demands.
 ``corpus``
     Content-hashed fixture files under ``results/fuzz/`` —
     save/load/list, promotion into the registry, and
@@ -56,11 +57,10 @@ from repro.fuzz.driver import (
     search,
 )
 from repro.fuzz.oracle import (
-    FuzzRun,
+    expectation_met,
     expectation_verdict,
     interest_score,
     replay_fixture,
-    run_fuzz_case,
     verdict_payload,
 )
 from repro.fuzz.strategies import (
@@ -77,8 +77,8 @@ __all__ = [
     "INTERESTING_FLOOR",
     "PROMOTED_DIR",
     "FuzzReport",
-    "FuzzRun",
     "available_strategies",
+    "expectation_met",
     "expectation_verdict",
     "fixture_id",
     "fixture_path",
@@ -93,7 +93,6 @@ __all__ = [
     "register_fixture",
     "render_fuzz_report",
     "replay_fixture",
-    "run_fuzz_case",
     "save_fixture",
     "search",
     "valid_cps_cases",

@@ -27,7 +27,7 @@ from hypothesis import seed as hypothesis_seed
 from hypothesis import settings as hypothesis_settings
 
 from repro.fuzz.corpus import fixture_id, make_fixture
-from repro.fuzz.oracle import interest_score, run_fuzz_case
+from repro.fuzz.oracle import interest_score, replay_fixture
 from repro.fuzz.strategies import (
     fuzz_cases,
     known_bad_cases,
@@ -91,18 +91,6 @@ class FuzzReport:
         """Did the search end the way its space predicts?"""
         return self.found == self.expects_violation
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "seed": self.seed,
-            "executions": self.executions,
-            "found": self.found,
-            "ok": self.ok,
-            "counterexample": self.counterexample,
-            "interesting": self.interesting,
-        }
-
 
 def available_strategies() -> List[str]:
     return list(STRATEGY_SPACES)
@@ -146,10 +134,7 @@ def search(
     @given(payload=space())
     def probe(payload: Dict[str, Any]) -> None:
         counter["executions"] += 1
-        run = run_fuzz_case(
-            payload["case"], payload["pulses"], payload["seed"],
-            trace=trace,
-        )
+        run = replay_fixture(payload, trace=trace)
         if not run.ok:
             captured["payload"] = payload
             captured["violations"] = [

@@ -1,12 +1,11 @@
 """The counterexample oracle: one fuzz payload through the monitors.
 
 A fuzz payload is runnable data — ``{"case", "pulses", "seed"}`` — and
-the oracle contract is exactly the conformance engine's: build the
-simulation with :func:`repro.build.build_simulation`, attach the
-applicable check set through the scheduler's ``checks=`` hook (the
-churn stabilization monitor when the case names a fault schedule, the
-Theorem 17 / Lemma 11 set otherwise), run, and collect verdicts.  Any
-verdict with violations is a counterexample.
+the oracle *is* the conformance engine's
+:func:`~repro.checks.conformance.judged_run` (the churn stabilization
+monitor when the case names a fault schedule, the Theorem 17 /
+Lemma 11 set otherwise).  Any verdict with violations is a
+counterexample.
 
 Everything is deterministic given the payload — replaying a fixture
 twice, or at different trace levels, produces byte-identical
@@ -17,76 +16,40 @@ twice, or at different trace levels, produces byte-identical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.analysis import metrics
-from repro.build import build_simulation
 from repro.checks.conformance import (
     FUZZ_EXPECTATION_CLAIM,
     FUZZ_EXPECTATION_MONITOR,
     RESYNC_PULSE_BUDGET,
-    churn_check_set,
-    cps_check_set,
+    JudgedRun,
+    judged_run,
 )
 from repro.checks.monitors import MonitorVerdict, Violation
 
 
-@dataclass
-class FuzzRun:
-    """One executed fuzz case: verdicts plus the run's raw material."""
-
-    verdicts: Tuple[MonitorVerdict, ...]
-    result: Any
-    params: Any
-    simulation: Any
-    mode: str  # "cps" | "churn"
-
-    @property
-    def ok(self) -> bool:
-        return all(verdict.ok for verdict in self.verdicts)
-
-    def violations(self) -> List[Violation]:
-        return [
-            violation
-            for verdict in self.verdicts
-            for violation in verdict.violations
-        ]
-
-
-def run_fuzz_case(
-    case: Dict[str, Any],
-    pulses: int,
-    seed: int,
-    trace: Any = "pulses",
-) -> FuzzRun:
-    """Execute one registry-keyed case with its monitors attached."""
-    built = build_simulation(case, seed=seed, trace=trace)
-    simulation, params = built.simulation, built.params
-    mode = "churn" if "churn" in case else "cps"
-    if mode == "churn":
-        checks = churn_check_set(simulation.dynamics.schedule, params)
-    else:
-        checks = cps_check_set(params, simulation.honest, pulses)
-    simulation.attach_checks(checks)
-    result = simulation.run(max_pulses=pulses)
-    return FuzzRun(
-        verdicts=tuple(checks.finish()),
-        result=result,
-        params=params,
-        simulation=simulation,
-        mode=mode,
-    )
-
-
-def replay_fixture(payload: Dict[str, Any], trace: Any = "pulses") -> FuzzRun:
+def replay_fixture(
+    payload: Dict[str, Any], trace: Any = "pulses"
+) -> JudgedRun:
     """Re-execute a serialized fixture (same engine path as the search)."""
-    return run_fuzz_case(
+    return judged_run(
         payload["case"], payload["pulses"], payload["seed"], trace=trace
     )
 
 
+def expectation_met(fixture: Dict[str, Any], run: JudgedRun) -> bool:
+    """Did the monitors fire exactly when the fixture says they must?
+
+    A *counterexample* fixture (``expect: violation``) holds while the
+    monitors still fire on it; an *interesting corner* (``expect:
+    pass``, the default) holds while the bounds still do.
+    """
+    return (not run.ok) == (fixture.get("expect", "pass") == "violation")
+
+
 def verdict_payload(
-    fixture: Dict[str, Any], run: FuzzRun
+    fixture: Dict[str, Any], run: JudgedRun
 ) -> Dict[str, Any]:
     """The canonical, byte-stable replay output of one fixture.
 
@@ -94,13 +57,11 @@ def verdict_payload(
     determinism test can assert byte identity across invocations and
     across ``PULSES`` vs ``FULL`` trace levels (no wall-clock data).
     """
-    expect = fixture.get("expect", "pass")
-    fired = not run.ok
     return {
         "fixture_id": fixture.get("fixture_id"),
-        "expect": expect,
+        "expect": fixture.get("expect", "pass"),
         "ok": run.ok,
-        "expectation_met": fired == (expect == "violation"),
+        "expectation_met": expectation_met(fixture, run),
         "verdicts": [verdict.as_dict() for verdict in run.verdicts],
         "pulses": {
             str(node): times
@@ -111,18 +72,14 @@ def verdict_payload(
 
 
 def expectation_verdict(
-    payload: Dict[str, Any], run: FuzzRun
+    payload: Dict[str, Any], run: JudgedRun
 ) -> MonitorVerdict:
-    """Judge a promoted fixture against its recorded expectation.
-
-    A fixture promoted as a *counterexample* (``expect: violation``)
-    passes conformance while the monitors still fire on it — it is a
-    regression gate on the oracle itself; an *interesting corner*
-    (``expect: pass``) passes while the bounds still hold.
-    """
+    """Judge a promoted fixture against its recorded expectation
+    (:func:`expectation_met`) — a regression gate on the oracle
+    itself."""
     expect = payload.get("expect", "pass")
     fired = not run.ok
-    ok = fired == (expect == "violation")
+    ok = expectation_met(payload, run)
     violations: Tuple[Violation, ...] = ()
     if not ok:
         violations = (
@@ -170,7 +127,7 @@ class InterestScore:
         }
 
 
-def interest_score(run: FuzzRun) -> InterestScore:
+def interest_score(run: JudgedRun) -> InterestScore:
     """Score a surviving example by how hard it pressed the bounds.
 
     ``skew_over_s``
@@ -182,9 +139,10 @@ def interest_score(run: FuzzRun) -> InterestScore:
     ``envelope_over_s``
         Worst post-resync alignment envelope over ``S`` (churn only).
     """
-    result, params = run.result, run.params
+    result, params = run.result, run.built.params
+    simulation = run.built.simulation
     if run.mode == "churn":
-        schedule = run.simulation.dynamics.schedule
+        schedule = simulation.dynamics.schedule
         cohort_ids = [
             v
             for v in schedule.stable_nodes(params.n)
@@ -197,7 +155,7 @@ def interest_score(run: FuzzRun) -> InterestScore:
             skew_ratio = 0.0
         resync_ratio = 0.0
         envelope_ratio = 0.0
-        for time, _kind, node in run.simulation.dynamics.activations_applied():
+        for time, _kind, node in simulation.dynamics.activations_applied():
             report = metrics.stabilization_report(
                 result.pulses, node, time, cohort_ids, params.S
             )
@@ -218,7 +176,7 @@ def interest_score(run: FuzzRun) -> InterestScore:
         )
     honest = {
         v: result.pulses[v]
-        for v in run.simulation.honest
+        for v in simulation.honest
         if result.pulses.get(v)
     }
     try:

@@ -34,7 +34,6 @@ from repro.perf.cases import (
     available_cases,
     register_case,
     run_case,
-    run_cases,
 )
 from repro.perf.probe import (
     PerfProbe,
@@ -62,7 +61,6 @@ __all__ = [
     "peak_rss_kib",
     "register_case",
     "run_case",
-    "run_cases",
     "trial_throughput",
     "write_baseline",
 ]

@@ -15,7 +15,7 @@ pre-rewrite scheduler processed at ~96k events/sec (FULL trace, one
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.perf.bench import BenchResult
 from repro.perf.probe import PerfProbe
@@ -127,12 +127,6 @@ def run_case(
             **best[2],
         ),
     )
-
-
-def run_cases(
-    names: List[str], scale: str = "quick", repeats: int = 3
-) -> Dict[str, BenchResult]:
-    return {name: run_case(name, scale, repeats) for name in names}
 
 
 # ----------------------------------------------------------------------

@@ -80,13 +80,6 @@ class ProbeReading:
     calibration: float
     meta: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def normalized_throughput(self) -> Optional[float]:
-        """Machine-independent throughput, or None without calibration."""
-        if self.calibration <= 0:
-            return None
-        return self.events_per_sec / self.calibration
-
 
 class PerfProbe:
     """Capture wall time, events/sec, and peak RSS around a workload.

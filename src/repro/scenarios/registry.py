@@ -39,7 +39,10 @@ can be resolved uniformly from a case dict:
     positional context is ignored (fixtures are self-contained).
     Entries of this kind are only registered by explicit promotion
     (:func:`repro.fuzz.corpus.register_fixture`), never at import
-    time, so catalogs and conformance baselines stay stable.
+    time, so catalogs and conformance baselines stay stable.  The
+    registry lives for one process and no command re-registers a
+    promoted corpus, so today only library callers see such entries
+    (``docs/FUZZING.md``, "The corpus").
 
 Keyword ``overrides`` correspond to the entry's declared
 :class:`ParamSpec` list; unknown keywords raise ``TypeError`` from the
@@ -119,17 +122,6 @@ class ScenarioEntry:
     def qualified(self) -> str:
         """The unambiguous ``kind:key`` name."""
         return f"{self.kind}:{self.key}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form (used by docs generation)."""
-        return {
-            "kind": self.kind,
-            "key": self.key,
-            "description": self.description,
-            "paper_ref": self.paper_ref,
-            "params": {spec.name: spec.default for spec in self.params},
-            "tags": sorted(self.tags),
-        }
 
 
 class ScenarioRegistry:

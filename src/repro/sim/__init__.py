@@ -14,7 +14,6 @@ This package realizes the paper's network and timing model:
 
 from repro.sim.adversary import (
     ByzantineBehavior,
-    HonestUntilCrash,
     ReplayAdversary,
     ScheduledSendAdversary,
     SilentAdversary,
@@ -34,7 +33,6 @@ from repro.sim.network import (
     MaximumDelayPolicy,
     MinimumDelayPolicy,
     NetworkConfig,
-    PerLinkDelayPolicy,
     RandomDelayPolicy,
     SkewingDelayPolicy,
 )
@@ -54,13 +52,11 @@ __all__ = [
     "EPS",
     "ForgeryError",
     "HardwareClock",
-    "HonestUntilCrash",
     "MaximumDelayPolicy",
     "MinimumDelayPolicy",
     "ModelViolation",
     "NetworkConfig",
     "NodeAPI",
-    "PerLinkDelayPolicy",
     "RandomDelayPolicy",
     "ReplayAdversary",
     "ScheduledSendAdversary",

@@ -13,10 +13,8 @@ CPS/TCB message format live in :mod:`repro.core.attacks`.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict
 
-from repro.crypto.signatures import Signature
-from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.trace import DeliveryRecord, SendRecord
 
 
@@ -38,10 +36,6 @@ class ByzantineBehavior:
     def on_pulse(self, ctx, node: int, index: int, time: float) -> None:
         """Called when an honest node generates a pulse (full visibility)."""
 
-    def describe(self) -> str:
-        """Short name for experiment tables."""
-        return type(self).__name__
-
 
 class SilentAdversary(ByzantineBehavior):
     """Faulty nodes crash immediately: they never send anything.
@@ -50,107 +44,6 @@ class SilentAdversary(ByzantineBehavior):
     exercises the ``f - b`` discard rule (ablation A2 flips that rule to
     show why it matters).
     """
-
-
-class _HostedNodeAPI(NodeAPI):
-    """A :class:`NodeAPI` that lets a behaviour host honest protocol code.
-
-    Used by :class:`HonestUntilCrash`: the faulty node *runs the real
-    protocol* (so its traffic is indistinguishable from honest traffic)
-    until a configured real time, then goes silent.
-    """
-
-    def __init__(self, behavior: "HonestUntilCrash", ctx, node_id: int):
-        self._behavior = behavior
-        self._ctx = ctx
-        self.node_id = node_id
-        self.n = ctx.config.n
-        self.f = ctx.f
-
-    def local_time(self) -> float:
-        return self._ctx.local_time_of(self.node_id)
-
-    def set_timer(self, local_when: float, tag: Any) -> None:
-        real = self._ctx.clock_of(self.node_id).real_time(local_when)
-        self._ctx.wake_at(
-            max(real, self._ctx.now), ("hosted-timer", self.node_id, tag)
-        )
-
-    def send(self, dst: int, payload: Any) -> None:
-        if not self._behavior.crashed(self._ctx, self.node_id):
-            self._ctx.send_from(self.node_id, dst, payload)
-
-    def broadcast(self, payload: Any) -> None:
-        for dst in range(self.n):
-            if dst != self.node_id:
-                self.send(dst, payload)
-
-    def sign(self, value: Hashable) -> Signature:
-        return self._ctx.sign_as(self.node_id, value)
-
-    def pulse(self) -> None:
-        self._behavior.hosted_pulses.setdefault(self.node_id, []).append(
-            self._ctx.now
-        )
-
-    def annotate(self, kind: str, details: Any) -> None:
-        pass
-
-
-class HonestUntilCrash(ByzantineBehavior):
-    """Faulty nodes execute the honest protocol, then crash.
-
-    Parameters
-    ----------
-    protocol_factory:
-        Builds the protocol instance each faulty node runs.
-    crash_times:
-        Real time at which each faulty node stops sending (``inf`` = never,
-        which makes the "adversary" a useful control case).
-    """
-
-    def __init__(
-        self,
-        protocol_factory: Callable[[int], TimedProtocol],
-        crash_times: Optional[Dict[int, float]] = None,
-        default_crash_time: float = float("inf"),
-    ) -> None:
-        self._factory = protocol_factory
-        self._crash_times = dict(crash_times or {})
-        self._default_crash = default_crash_time
-        self._protocols: Dict[int, TimedProtocol] = {}
-        self._apis: Dict[int, _HostedNodeAPI] = {}
-        self.hosted_pulses: Dict[int, list] = {}
-
-    def crashed(self, ctx, node_id: int) -> bool:
-        return ctx.now >= self._crash_times.get(node_id, self._default_crash)
-
-    def on_start(self, ctx) -> None:
-        for node_id in sorted(ctx.faulty):
-            protocol = self._factory(node_id)
-            api = _HostedNodeAPI(self, ctx, node_id)
-            self._protocols[node_id] = protocol
-            self._apis[node_id] = api
-            protocol.on_start(api)
-
-    def on_deliver(self, ctx, record: DeliveryRecord) -> None:
-        node_id = record.dst
-        if node_id in self._protocols and not self.crashed(ctx, node_id):
-            self._protocols[node_id].on_message(
-                self._apis[node_id], record.src, record.payload
-            )
-
-    def on_wakeup(self, ctx, tag: Any) -> None:
-        if not (isinstance(tag, tuple) and tag and tag[0] == "hosted-timer"):
-            return
-        _kind, node_id, inner_tag = tag
-        if node_id in self._protocols and not self.crashed(ctx, node_id):
-            self._protocols[node_id].on_timer(self._apis[node_id], inner_tag)
-
-    def describe(self) -> str:
-        if self._crash_times or self._default_crash != float("inf"):
-            return "honest-until-crash"
-        return "honest-equivalent"
 
 
 class ReplayAdversary(ByzantineBehavior):
@@ -173,9 +66,6 @@ class ReplayAdversary(ByzantineBehavior):
             dst = self._rng.choice(ctx.honest)
             delay = self._rng.uniform(low, high)
             ctx.send_from(src, dst, record.payload, delay)
-
-    def describe(self) -> str:
-        return "replay-fuzzer"
 
 
 class ScheduledSendAdversary(ByzantineBehavior):
@@ -201,14 +91,3 @@ class ScheduledSendAdversary(ByzantineBehavior):
             return
         for src, dst, payload_fn, delay in self._schedule.get(tag[1], []):
             ctx.send_from(src, dst, payload_fn(ctx), delay)
-
-    def describe(self) -> str:
-        return "scheduled-sends"
-
-
-def adversary_catalog() -> Dict[str, Callable[[], ByzantineBehavior]]:
-    """Generic behaviours by name (CPS-aware attacks are in core.attacks)."""
-    return {
-        "silent": SilentAdversary,
-        "replay": ReplayAdversary,
-    }

@@ -125,11 +125,6 @@ class HardwareClock:
         segment = self._segments[index]
         return segment.t_start + (local - segment.local_start) / segment.rate
 
-    def rate_at(self, t: float) -> float:
-        """Instantaneous rate at real time ``t`` (right-continuous)."""
-        index = bisect.bisect_right(self._starts, t) - 1
-        return self._segments[max(index, 0)].rate
-
     @property
     def offset_at_zero(self) -> float:
         """``H(0)``, the initial clock reading."""
@@ -234,12 +229,6 @@ class HardwareClock:
             ],
             theta=theta,
         )
-
-
-def max_clock_offset(clocks: Sequence[HardwareClock], t: float) -> float:
-    """Maximum pairwise difference of clock readings at real time ``t``."""
-    readings = [clock.local_time(t) for clock in clocks]
-    return max(readings) - min(readings)
 
 
 def validate_initial_skew(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Iterable, Optional, Set, Tuple
 
 from repro.sim.clocks import EPS
 from repro.sim.errors import ConfigurationError, ModelViolation
@@ -285,29 +285,3 @@ class FlickeringPartitionDelayPolicy(DelayPolicy):
             f"flicker(group_a={sorted(self.group_a)}, "
             f"period={self.period})"
         )
-
-
-class PerLinkDelayPolicy(DelayPolicy):
-    """Explicit per-link delays with a fallback policy.
-
-    ``overrides`` maps ``(src, dst)`` to a fixed delay.  Used by tests and
-    by the lower-bound cross-checks, where delays are dictated exactly.
-    """
-
-    def __init__(
-        self,
-        overrides: Dict[Tuple[int, int], float],
-        fallback: Optional[DelayPolicy] = None,
-    ) -> None:
-        self.overrides = dict(overrides)
-        self.fallback = fallback or MaximumDelayPolicy()
-
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        if (src, dst) in self.overrides:
-            return self.overrides[(src, dst)]
-        return self.fallback.delay(
-            config, src, dst, send_time, payload, link_is_honest
-        )
-
-    def describe(self) -> str:
-        return f"per-link({len(self.overrides)} overrides)"

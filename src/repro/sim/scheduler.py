@@ -183,30 +183,12 @@ class AdversaryContext:
         return self._sim.config
 
     @property
-    def f(self) -> int:
-        return self._sim.f
-
-    @property
     def faulty(self) -> Set[int]:
         return set(self._sim.faulty)
 
     @property
     def honest(self) -> List[int]:
         return list(self._sim.honest)
-
-    @property
-    def knowledge(self) -> SignatureKnowledge:
-        return self._sim.knowledge
-
-    def clock_of(self, node: int) -> HardwareClock:
-        """The adversary fixed the clocks; it may inspect them."""
-        return self._sim.clocks[node]
-
-    def pulses_of(self, node: int) -> List[float]:
-        return list(self._sim.pulses[node])
-
-    def local_time_of(self, node: int) -> float:
-        return self._sim.clocks[node].local_time(self._sim.now)
 
     # -- actions ----------------------------------------------------------
 
@@ -359,10 +341,6 @@ class Simulation:
     # All of them keep the hot loop's hoisted references valid: the
     # ``_protocols`` dict, ``faulty`` set, and ``knowledge`` object are
     # mutated in place, never rebound.
-
-    def node_active(self, node: int) -> bool:
-        """Is ``node`` currently executing a protocol instance?"""
-        return node in self._protocols
 
     def deactivate_node(self, node: int) -> None:
         """Crash an honest node: it stops executing immediately.

@@ -13,26 +13,18 @@ Recording is tiered by :class:`TraceLevel`:
   only tabulate skew metrics run here: per-message ``SendRecord`` /
   ``DeliveryRecord`` allocation is skipped entirely, which is a large
   fraction of the simulator's inner-loop cost.
-* ``NONE`` — nothing is recorded (``Trace(enabled=False)`` maps here).
+* ``NONE`` — nothing is recorded.
 
 The level only controls *recording*; pulse times themselves live on the
 simulation (``SimulationResult.pulses``) and are byte-identical across
 levels — asserted by ``tests/test_perf.py``.
-
-Long ``FULL`` runs can accumulate millions of records; ``Trace``
-accepts ``max_records=N`` to bound memory: the first ``N`` records are
-kept verbatim and everything past the cap is counted into a single
-trailing :class:`TruncationRecord` marker.  The cap lives inside the
-records list itself (:class:`_BoundedRecords`), because the scheduler's
-hot path appends to ``trace.records`` directly — a cap enforced only in
-the ``Trace`` methods would be bypassed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Callable, Iterator, List, Optional, Union
+from typing import Any, Iterator, List, Optional, Union
 
 
 class TraceLevel(IntEnum):
@@ -123,49 +115,11 @@ class ProtocolRecord:
     details: Any
 
 
-@dataclass(slots=True)
-class TruncationRecord:
-    """Marker terminating a capped trace: ``dropped`` records followed.
-
-    Mutable on purpose — the bounded list bumps ``dropped`` in place for
-    every record past the cap instead of allocating anything.
-    """
-
-    time: float
-    dropped: int
-
-
 TraceRecord = Any
 
 #: What simulation builders accept for their ``trace`` parameter: a
-#: :class:`TraceLevel`, its lowercase name, or a pre-built
-#: :class:`Trace` (e.g. one constructed with ``max_records=``).
-TraceSpec = Union[TraceLevel, str, "Trace"]
-
-
-class _BoundedRecords(list):
-    """A list that keeps the first ``max_records`` entries and folds the
-    overflow into one trailing :class:`TruncationRecord`."""
-
-    __slots__ = ("max_records", "marker")
-
-    def __init__(self, max_records: int) -> None:
-        super().__init__()
-        self.max_records = max_records
-        self.marker: Optional[TruncationRecord] = None
-
-    def append(self, record: TraceRecord) -> None:
-        marker = self.marker
-        if marker is not None:
-            marker.dropped += 1
-            return
-        if list.__len__(self) < self.max_records:
-            list.append(self, record)
-            return
-        self.marker = TruncationRecord(
-            time=getattr(record, "time", 0.0), dropped=1
-        )
-        list.append(self, self.marker)
+#: :class:`TraceLevel` or its lowercase name.
+TraceSpec = Union[TraceLevel, str]
 
 
 class Trace:
@@ -173,60 +127,15 @@ class Trace:
 
     __slots__ = ("level", "records")
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        level: Union[TraceLevel, str, None] = None,
-        max_records: Optional[int] = None,
-    ) -> None:
-        if level is None:
-            level = TraceLevel.FULL if enabled else TraceLevel.NONE
+    def __init__(self, level: Union[TraceLevel, str, None] = None) -> None:
         self.level = TraceLevel.coerce(level)
-        if max_records is not None and max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        self.records: List[TraceRecord] = (
-            [] if max_records is None else _BoundedRecords(max_records)
-        )
-
-    @classmethod
-    def from_spec(cls, spec: TraceSpec) -> "Trace":
-        """Build (or pass through) a trace from a builder's ``trace``
-        argument — a level spec, or an existing :class:`Trace` such as a
-        capped one."""
-        if isinstance(spec, Trace):
-            return spec
-        return cls(level=TraceLevel.coerce(spec))
-
-    @property
-    def enabled(self) -> bool:
-        """Legacy flag: does this trace record anything at all?"""
-        return self.level is not TraceLevel.NONE
-
-    @property
-    def truncated(self) -> bool:
-        """Did a ``max_records`` cap drop any records?"""
-        marker = getattr(self.records, "marker", None)
-        return marker is not None
-
-    @property
-    def dropped_records(self) -> int:
-        """How many records the ``max_records`` cap folded away."""
-        marker = getattr(self.records, "marker", None)
-        return 0 if marker is None else marker.dropped
-
-    def record(self, record: TraceRecord) -> None:
-        if self.level:
-            self.records.append(record)
+        self.records: List[TraceRecord] = []
 
     # Convenience constructors -----------------------------------------
 
     def send(self, **kwargs: Any) -> None:
         if self.level >= TraceLevel.FULL:
             self.records.append(SendRecord(**kwargs))
-
-    def delivery(self, **kwargs: Any) -> None:
-        if self.level >= TraceLevel.FULL:
-            self.records.append(DeliveryRecord(**kwargs))
 
     def timer(self, **kwargs: Any) -> None:
         if self.level >= TraceLevel.FULL:
@@ -246,14 +155,6 @@ class Trace:
         """All records of one record class, in chronological order."""
         return (r for r in self.records if isinstance(r, record_type))
 
-    def where(
-        self, predicate: Callable[[TraceRecord], bool]
-    ) -> Iterator[TraceRecord]:
-        return (r for r in self.records if predicate(r))
-
-    def pulses_of(self, node: int) -> List[PulseRecord]:
-        return [r for r in self.of_type(PulseRecord) if r.node == node]
-
     def protocol_events(
         self, kind: Optional[str] = None
     ) -> List[ProtocolRecord]:
@@ -261,6 +162,3 @@ class Trace:
         if kind is None:
             return events
         return [r for r in events if r.kind == kind]
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -43,7 +43,6 @@ from repro.sim.network import (
     MaximumDelayPolicy,
     MinimumDelayPolicy,
     NetworkConfig,
-    PerLinkDelayPolicy,
     RandomDelayPolicy,
     SkewingDelayPolicy,
 )
@@ -115,16 +114,6 @@ def delay_matrix(
         )[None, :]
         fast = np.where(phase == 0, same, ~same)
         matrix = np.where(fast, low, high)
-    elif kind is PerLinkDelayPolicy:
-        matrix = delay_matrix(
-            policy.fallback, config, senders, receivers, send_real, rng
-        )
-        for (src, dst), value in policy.overrides.items():
-            rows = [i for i, node in enumerate(receivers) if node == dst]
-            cols = [j for j, node in enumerate(senders) if node == src]
-            for i in rows:
-                for j in cols:
-                    matrix[i, j] = value
     elif kind in (MaximumDelayPolicy, DelayPolicy):
         matrix = np.full(shape, config.d)
     else:

@@ -152,7 +152,7 @@ class VectorizedSimulation:
             raise ConfigurationError("no honest nodes")
         self.delay_policy = delay_policy or MaximumDelayPolicy()
         self.seed = seed
-        self.trace = Trace.from_spec(trace)
+        self.trace = Trace(trace)
         self.checks = checks
         #: Surface parity with the scheduler: the vectorized backend
         #: never carries membership dynamics (the facade rejects churn).

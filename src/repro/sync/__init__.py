@@ -1,9 +1,8 @@
 """Synchronous-round substrate and protocols (Section 2 of the paper).
 
 Provides the compute-send-receive round engine with a rushing adversary,
-crusader broadcast (Algorithm CB, Figure 4), iterated approximate agreement
-(Algorithm APA, Figure 1 / Theorem 9 / Corollary 2), and Dolev-Strong
-authenticated broadcast (baseline substrate).
+crusader broadcast (Algorithm CB, Figure 4) and iterated approximate agreement
+(Algorithm APA, Figure 1 / Theorem 9 / Corollary 2).
 """
 
 from repro.sync.approx_agreement import (
@@ -24,7 +23,6 @@ from repro.sync.crusader import (
     resolve_crusader,
     signed_value_tag,
 )
-from repro.sync.dolev_strong import DolevStrongNode, DsMessage, ds_tag
 from repro.sync.round_model import (
     BROADCAST,
     RoundMessage,
@@ -46,15 +44,12 @@ __all__ = [
     "CbEcho",
     "CbValue",
     "CrusaderBroadcastNode",
-    "DolevStrongNode",
-    "DsMessage",
     "RoundMessage",
     "SyncAdversary",
     "SyncAdversaryContext",
     "SyncNode",
     "SyncNodeContext",
     "SynchronousNetwork",
-    "ds_tag",
     "iterations_for_target",
     "midpoint_rule",
     "resolve_crusader",

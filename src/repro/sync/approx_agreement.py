@@ -196,9 +196,6 @@ class ApaExtremeAdversary(SyncAdversary):
                     messages.append(RoundMessage(src, dst, echo))
         return messages
 
-    def describe(self) -> str:
-        return f"extreme-values({self.low}, {self.high})"
-
 
 class ApaSplitAdversary(SyncAdversary):
     """Faulty dealers send values only to half the honest nodes.
@@ -232,9 +229,6 @@ class ApaSplitAdversary(SyncAdversary):
                 messages.append(RoundMessage(src, dst, item))
         return messages
 
-    def describe(self) -> str:
-        return f"split-bot({self.low}, {self.high})"
-
 
 class ApaEquivocatingAdversary(SyncAdversary):
     """Faulty dealers sign *different* values for different honest nodes.
@@ -266,9 +260,6 @@ class ApaEquivocatingAdversary(SyncAdversary):
                 )
                 messages.append(RoundMessage(src, dst, item))
         return messages
-
-    def describe(self) -> str:
-        return f"equivocating({self.low}, {self.high})"
 
 
 # ----------------------------------------------------------------------

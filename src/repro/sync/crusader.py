@@ -163,9 +163,6 @@ class CbEquivocatingDealer:
                 messages.append(RoundMessage(self.dealer, dst, item))
         return messages
 
-    def describe(self) -> str:
-        return f"cb-equivocating({self.value_a}/{self.value_b})"
-
 
 class CbSubsetDealer:
     """Standalone-CB adversary: the faulty dealer addresses only a subset.
@@ -195,9 +192,6 @@ class CbSubsetDealer:
             RoundMessage(self.dealer, dst, item)
             for dst in sorted(self.subset)
         ]
-
-    def describe(self) -> str:
-        return "cb-subset"
 
 
 class CrusaderBroadcastNode(SyncNode):

@@ -96,10 +96,6 @@ class SyncAdversaryContext:
         return self._network.n
 
     @property
-    def f(self) -> int:
-        return self._network.f
-
-    @property
     def faulty(self) -> Set[int]:
         return set(self._network.faulty)
 
@@ -130,9 +126,6 @@ class SyncAdversary:
         honest_messages: List[RoundMessage],
     ) -> List[RoundMessage]:
         return []
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class SynchronousNetwork:

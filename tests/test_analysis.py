@@ -1,6 +1,5 @@
 """Tests for metrics, reporting, theory bounds, and the trial runner."""
 
-import math
 import os
 
 import pytest
@@ -12,19 +11,13 @@ from repro.analysis.metrics import (
     PulseReport,
     check_liveness,
     common_pulse_count,
-    convergence_rounds,
     max_period,
     max_skew,
     min_period,
     pulse_skew,
     skew_trajectory,
 )
-from repro.analysis.reporting import (
-    Table,
-    format_value,
-    geometric_mean,
-    ratio,
-)
+from repro.analysis.reporting import Table, format_value
 from repro.analysis.runner import run_pulse_trial
 from repro.core.params import derive_parameters
 from repro.sim.errors import ConfigurationError
@@ -76,11 +69,6 @@ class TestMetrics:
         assert report.pulses == 3
         assert report.max_skew == pytest.approx(0.4)
         assert report.steady_skew == pytest.approx(0.4)
-
-    def test_convergence_rounds(self):
-        trajectory = [8.0, 4.0, 2.0, 1.0, 1.0]
-        assert convergence_rounds(trajectory, floor=1.0) == 3
-        assert convergence_rounds(trajectory, floor=0.1) == 5
 
     @given(
         st.dictionaries(
@@ -137,28 +125,12 @@ class TestReporting:
         assert "a,b" in content
         assert "2.5" in content
 
-    def test_markdown(self):
-        table = Table("T", ["a"])
-        table.add_row(1)
-        markdown = table.to_markdown()
-        assert markdown.startswith("| a |")
-        assert "| 1 |" in markdown
-
     def test_format_value(self):
         assert format_value(True) == "yes"
         assert format_value(0.0) == "0"
         assert format_value(float("nan")) == "nan"
         assert "e" in format_value(1.23e-7)
         assert format_value("text") == "text"
-
-    def test_ratio(self):
-        assert ratio(1.0, 2.0) == 0.5
-        assert ratio(1.0, 0.0) == math.inf
-        assert ratio(0.0, 0.0) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert math.isnan(geometric_mean([]))
 
 
 class TestTheory:
@@ -175,25 +147,12 @@ class TestTheory:
             theory.cps_max_period_bound(self.params)
             == self.params.p_max_bound
         )
-        assert theory.estimate_error_bound(self.params) == self.params.delta
-
-    def test_apa_round_count(self):
-        assert theory.apa_round_count(64.0, 1.0) == 12
-        assert theory.apa_round_count(1.0, 2.0) == 0
-        with pytest.raises(ValueError):
-            theory.apa_round_count(1.0, 0.0)
 
     def test_apa_halving_bound(self):
         assert theory.apa_halving_bound(8.0, 3) == 1.0
 
     def test_lower_bound(self):
         assert theory.lower_bound_skew(0.9) == pytest.approx(0.6)
-
-    def test_resilience_claims(self):
-        claims = theory.ResilienceClaims(9)
-        assert claims.signatures_optimal == 4
-        assert claims.no_signatures == 2
-        assert claims.lynch_welch == 2
 
     def test_summary_keys(self):
         summary = theory.summary(self.params)

@@ -7,12 +7,11 @@ from repro.core.attacks import (
     CpsMimicDealerAttack,
     CpsRushingEchoAttack,
     FastToFaultyDelayPolicy,
-    cps_attack_catalog,
 )
 from repro.core.cps import assemble_cps_simulation
 from repro.core.messages import TcbMessage, tcb_tag
 from repro.core.params import derive_parameters
-from repro.sim.adversary import HonestUntilCrash, adversary_catalog
+from repro.dynamics import ChurnController, FaultEvent, FaultSchedule
 from repro.sim.network import NetworkConfig
 from repro.sync.crusader import BOT
 
@@ -40,22 +39,6 @@ class TestMessages:
 
     def test_tcb_tag_distinguishes_rounds(self):
         assert tcb_tag(1) != tcb_tag(2)
-
-
-class TestCatalogs:
-    def test_cps_attack_catalog(self, params):
-        catalog = cps_attack_catalog(params)
-        assert set(catalog) == {
-            "silent",
-            "mimic-split",
-            "equivocating-subset",
-        }
-        for behavior in catalog.values():
-            assert behavior.describe()
-
-    def test_generic_catalog(self):
-        catalog = adversary_catalog()
-        assert "silent" in catalog and "replay" in catalog
 
 
 class TestMimicAttack:
@@ -153,16 +136,21 @@ class TestCrashFaults:
     def test_crash_mid_run_keeps_guarantees(self, params):
         """Crash faults are a special case of Byzantine: guarantees hold."""
         from repro.analysis.metrics import check_liveness, max_skew
-        from repro.core.cps import CpsNode
 
-        crash_times = {4: 5.0, 5: 12.0}
-        behavior = HonestUntilCrash(
-            lambda v: CpsNode(params), crash_times=crash_times
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent("crash", 4, at=5.0),
+                FaultEvent("crash", 5, at=12.0),
+            )
         )
         simulation = assemble_cps_simulation(
-            params, faulty=[4, 5], behavior=behavior, seed=3
+            params, seed=3, dynamics=ChurnController(schedule, params)
         )
         result = simulation.run(max_pulses=10)
-        honest = result.honest_pulses()
-        assert check_liveness(honest, 10)
-        assert max_skew(honest) <= params.S + 1e-9
+        survivors = {
+            v: result.pulses[v] for v in schedule.stable_nodes(params.n)
+        }
+        assert sorted(survivors) == [0, 1, 2, 3]
+        assert check_liveness(survivors, 10)
+        assert max_skew(survivors) <= params.S + 1e-9
+        assert len(result.pulses[4]) < len(result.pulses[5]) < 10

@@ -30,11 +30,9 @@ from repro.campaigns import (
 )
 from repro.campaigns.aggregate import (
     failure_counts,
-    group_by,
     records_to_table,
     run_summary_table,
     summary_stats,
-    value_of,
 )
 
 
@@ -289,10 +287,6 @@ class TestResultStore:
         store.append("a", _record())
         store.append("b", _record())
         assert store.keys() == ["a", "b"]
-        store.clear("a")
-        assert store.keys() == ["b"]
-        store.clear()
-        assert store.keys() == []
 
 
 class TestCaching:
@@ -533,21 +527,11 @@ class TestExecutorParallel:
 
 
 class TestAggregate:
-    def test_value_of_prefers_case_then_metrics(self):
-        record = _record()
-        assert value_of(record, "x") == 1
-        assert value_of(record, "square") == 1
-        assert value_of(record, "missing", default=None) is None
-        with pytest.raises(KeyError):
-            value_of(record, "missing")
 
-    def test_group_by_and_summary_stats(self):
+    def test_summary_stats_over_campaign_records(self):
         run = execute_campaign(_square_spec(xs=(1, 2, 2, 3)))
-        groups = group_by(run.records, ["x"])
-        assert [key for key in groups] == [(1,), (2,), (3,)]
-        assert len(groups[(2,)]) == 2
         stats = summary_stats(
-            value_of(record, "square") for record in run.records
+            record.metrics["square"] for record in run.records
         )
         assert stats["count"] == 4
         assert stats["min"] == 1 and stats["max"] == 9
@@ -672,8 +656,6 @@ class TestShardedStore:
         store.append("only-sharded", _record(), shard="w1")
         store.append("flat", _record())
         assert store.keys() == ["flat", "only-sharded"]
-        store.clear()
-        assert store.keys() == []
 
     def test_merge_folds_shards_and_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path)

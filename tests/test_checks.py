@@ -9,7 +9,6 @@ import pytest
 
 from repro.campaigns import ResultStore
 from repro.checks import (
-    APA_MONITORS,
     CPS_MONITORS,
     MONITOR_CATALOG,
     ApaContractionMonitor,
@@ -24,12 +23,11 @@ from repro.checks import (
     campaign_scenarios,
     check_scenario,
     conformance_matrix,
-    cps_check_set,
+    judged_run,
     matrix_payload_bytes,
     render_matrix,
     render_report,
-    run_broken_fixture,
-    run_cps_conformance,
+    run_fixture,
     scenario_case,
     scenario_mode,
 )
@@ -225,8 +223,8 @@ class TestCheckSet:
         checks.on_pulse(5.0, 1, 1, 5.0)
         verdicts = checks.finish()
         assert [v.monitor for v in verdicts] == ["skew", "progress"]
-        assert not checks.ok
-        assert len(checks.violations()) == 1
+        assert [v.ok for v in verdicts] == [False, True]
+        assert [len(v.violations) for v in verdicts] == [1, 0]
 
 
 # ----------------------------------------------------------------------
@@ -428,14 +426,14 @@ class TestBrokenFixture:
     def test_monitors_fire_on_the_broken_execution(self):
         """The acceptance criterion: the deliberately-broken adversary
         fixture reports at least one Violation."""
-        verdicts, result = run_broken_fixture()
-        violations = [v for verdict in verdicts for v in verdict.violations]
+        run = run_fixture("broken")
+        violations = run.violations()
         assert violations
         skew = [v for v in violations if v.monitor == "skew"]
         assert skew, "the u_tilde >> u corner must break the skew bound"
         assert all(v.observed > v.bound for v in skew)
         # The run itself stays live — only the bound breaks.
-        assert result.honest_pulses()
+        assert run.result.honest_pulses()
 
 
 # ----------------------------------------------------------------------
@@ -461,13 +459,11 @@ class TestTraceLevelDifferential:
         case = scenario_case(kind, key)
         by_level = {}
         for level in ("pulses", "full"):
-            verdicts, result = run_cps_conformance(
-                case, pulses=6, seed=seed, trace=level
-            )
+            run = judged_run(case, pulses=6, seed=seed, trace=level)
             by_level[level] = (
-                result.pulses,
-                result.events_processed,
-                [v.as_dict() for v in verdicts],
+                run.result.pulses,
+                run.result.events_processed,
+                [v.as_dict() for v in run.verdicts],
             )
         assert by_level["pulses"] == by_level["full"]
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.sim.clocks import (
     ClockSegment,
     HardwareClock,
-    max_clock_offset,
     validate_initial_skew,
 )
 from repro.sim.errors import ClockError
@@ -70,11 +69,6 @@ class TestEvaluation:
         assert clock.local_time(10.0) == pytest.approx(11.0)
         assert clock.local_time(15.0) == pytest.approx(16.0)
 
-    def test_rate_at(self):
-        clock = HardwareClock.from_rates([(10.0, 1.1)], tail_rate=1.0)
-        assert clock.rate_at(5.0) == pytest.approx(1.1)
-        assert clock.rate_at(12.0) == pytest.approx(1.0)
-
     def test_negative_time_rejected(self):
         clock = HardwareClock.constant_rate()
         with pytest.raises(ClockError):
@@ -107,8 +101,10 @@ class TestRandomDrift:
         clock = HardwareClock.random_drift(
             random.Random(0), theta=1.05, horizon=100.0, segment_length=5.0
         )
-        for t in range(0, 120, 3):
-            assert 1.0 - 1e-9 <= clock.rate_at(float(t)) <= 1.05 + 1e-9
+        segments = clock.segments()
+        assert len(segments) > 1
+        for segment in segments:
+            assert 1.0 - 1e-9 <= segment.rate <= 1.05 + 1e-9
 
     def test_deterministic_given_seed(self):
         a = HardwareClock.random_drift(random.Random(42), 1.05)
@@ -118,13 +114,6 @@ class TestRandomDrift:
 
 
 class TestHelpers:
-    def test_max_clock_offset(self):
-        clocks = [
-            HardwareClock.constant_rate(1.0, offset=0.0),
-            HardwareClock.constant_rate(1.0, offset=0.3),
-        ]
-        assert max_clock_offset(clocks, 5.0) == pytest.approx(0.3)
-
     def test_validate_initial_skew_accepts(self):
         clocks = [
             HardwareClock.constant_rate(1.0, offset=0.0),

@@ -20,7 +20,7 @@ def pki():
 
 class TestPki:
     def test_issues_key_pairs_for_all_nodes(self, pki):
-        for node_id in pki.node_ids():
+        for node_id in range(pki.n):
             assert pki.key_pair(node_id).node_id == node_id
 
     def test_rejects_unknown_node(self, pki):

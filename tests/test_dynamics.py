@@ -19,8 +19,8 @@ from repro.checks import (
     MONITOR_CATALOG,
     applicable_monitors,
     check_scenario,
-    run_churn_conformance,
-    run_churn_fixture,
+    judged_run,
+    run_fixture,
     scenario_mode,
 )
 from repro.core.cps import assemble_cps_simulation
@@ -419,12 +419,7 @@ class TestChurnConformance:
             assert all(v.checked > 0 for v in report.verdicts)
 
     def test_fixture_fires(self):
-        verdicts, _result = run_churn_fixture()
-        violations = [
-            violation
-            for verdict in verdicts
-            for violation in verdict.violations
-        ]
+        violations = run_fixture("churn").violations()
         assert violations, "crash-without-recovery went undetected"
         messages = " ".join(v.message for v in violations)
         assert "never occurred" in messages
@@ -448,12 +443,10 @@ class TestChurnDeterminism:
             }
             by_level = {}
             for level in ("pulses", "full"):
-                verdicts, result = run_churn_conformance(
-                    case, pulses=12, seed=7, trace=level
-                )
+                run = judged_run(case, pulses=12, seed=7, trace=level)
                 by_level[level] = (
-                    [v.as_dict() for v in verdicts],
-                    result.pulses,
+                    [v.as_dict() for v in run.verdicts],
+                    run.result.pulses,
                 )
             assert by_level["pulses"] == by_level["full"]
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given
 
 from repro.checks import check_scenario
-from repro.checks.fixtures import BROKEN_N, BROKEN_PULSES
+from repro.checks.fixtures import BROKEN_CASE, BROKEN_PULSES
 from repro.cli import main
 from repro.fuzz import (
     FIXTURE_SCHEMA,
@@ -42,7 +42,6 @@ from repro.fuzz import (
     promote_fixture,
     register_fixture,
     replay_fixture,
-    run_fuzz_case,
     save_fixture,
     search,
     valid_churn_cases,
@@ -129,7 +128,7 @@ class TestSanityGate:
         assert fixture["summary"]["violations"]
         # No larger than the hand-written broken fixture (n=6, 12
         # pulses): shrinking found an equal-or-smaller reproduction.
-        assert fixture["case"]["n"] <= BROKEN_N
+        assert fixture["case"]["n"] <= BROKEN_CASE["n"]
         assert fixture["pulses"] <= BROKEN_PULSES
 
     def test_shrunk_fixture_fires_monitors_on_replay(
@@ -278,7 +277,7 @@ def _replay_bytes(fixture, trace):
 class TestDeterminism:
     def test_search_is_deterministic_in_its_triple(self, known_bad_report):
         again = search("known-bad", budget=25, seed=0)
-        assert again.as_dict() == known_bad_report.as_dict()
+        assert again == known_bad_report
 
     def test_replay_is_byte_identical_across_invocations(
         self, known_bad_report
@@ -296,8 +295,8 @@ class TestDeterminism:
 
     def test_valid_case_replay_is_deterministic(self):
         payload = {"case": CASE, "pulses": 5, "seed": 3}
-        first = run_fuzz_case(CASE, 5, 3)
-        second = run_fuzz_case(CASE, 5, 3)
+        first = replay_fixture(payload)
+        second = replay_fixture(payload)
         fixture = make_fixture(
             payload["case"], 5, 3,
             strategy="valid", origin="seed", expect="pass",
@@ -321,8 +320,9 @@ class TestConformanceFuzzMode:
         report = check_scenario("fuzz", key)
         assert report.mode == "fuzz"
         assert report.ok
-        verdict = report.verdict_for("fuzz-expectation")
-        assert verdict is not None and verdict.ok
+        assert [v.monitor for v in report.verdicts] == [
+            "fuzz-expectation"
+        ]
 
     def test_expectation_mismatch_fails_conformance(self):
         # A passing case promoted with expect=violation must FAIL.

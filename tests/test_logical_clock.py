@@ -1,13 +1,8 @@
-"""Tests for pulse-derived logical clocks and the synchronizer view."""
+"""Tests for the synchronizer view of pulses (round simulation)."""
 
 import pytest
 
 from repro.core.cps import assemble_cps_simulation
-from repro.core.logical_clock import (
-    LogicalClock,
-    build_logical_clocks,
-    logical_skew,
-)
 from repro.core.params import derive_parameters
 from repro.core.synchronizer import (
     supports_round_simulation,
@@ -15,54 +10,6 @@ from repro.core.synchronizer import (
     verify_round_separation,
 )
 from repro.sim.errors import ConfigurationError
-
-
-class TestLogicalClock:
-    def test_interpolates_between_pulses(self):
-        clock = LogicalClock((0.0, 2.0, 4.0), nominal_period=1.0)
-        assert clock.value(0.0) == 0.0
-        assert clock.value(1.0) == pytest.approx(0.5)
-        assert clock.value(2.0) == pytest.approx(1.0)
-        assert clock.value(3.0) == pytest.approx(1.5)
-
-    def test_extrapolates_after_last_pulse(self):
-        clock = LogicalClock((0.0, 2.0), nominal_period=1.0)
-        assert clock.value(4.0) == pytest.approx(2.0)
-
-    def test_extrapolates_before_first_pulse(self):
-        clock = LogicalClock((1.0, 3.0), nominal_period=1.0)
-        assert clock.value(0.0) == pytest.approx(-0.5)
-
-    def test_rate_bounds(self):
-        clock = LogicalClock((0.0, 1.0, 3.0), nominal_period=1.0)
-        low, high = clock.rate_bounds()
-        assert low == pytest.approx(0.5)
-        assert high == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LogicalClock((0.0,), 1.0)
-        with pytest.raises(ConfigurationError):
-            LogicalClock((0.0, 0.0), 1.0)
-        with pytest.raises(ConfigurationError):
-            LogicalClock((0.0, 1.0), 0.0)
-
-    def test_build_from_pulse_map(self):
-        clocks = build_logical_clocks(
-            {0: [0.0, 1.0], 1: [0.1, 1.1], 2: [5.0]}, 1.0
-        )
-        assert set(clocks) == {0, 1}
-
-    def test_logical_skew_measured(self):
-        clocks = build_logical_clocks(
-            {0: [0.0, 1.0, 2.0], 1: [0.1, 1.1, 2.1]}, 1.0
-        )
-        measured = logical_skew(clocks, 0.1, 2.0, samples=50)
-        assert measured == pytest.approx(0.1, abs=1e-9)
-
-    def test_logical_skew_needs_inputs(self):
-        with pytest.raises(ConfigurationError):
-            logical_skew({}, 0.0, 1.0)
 
 
 class TestSynchronizer:
@@ -80,7 +27,10 @@ class TestSynchronizer:
         )
         assert schedule.violations == []
         assert schedule.rounds == 7
-        assert all(duration >= params.d for duration in schedule.durations())
+        assert all(
+            end - start >= params.d
+            for start, end in zip(schedule.starts, schedule.ends)
+        )
 
     def test_round_overhead_close_to_nominal(self):
         params = derive_parameters(1.001, 1.0, 0.01, 6)

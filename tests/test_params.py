@@ -95,13 +95,6 @@ class TestDerivation:
         assert params.S > 0  # tiny positive placeholder
         params.check_feasible()
 
-    def test_with_system_rescales_f(self):
-        params = derive_parameters(1.001, 1.0, 0.01, 8)
-        bigger = params.with_system(12)
-        assert bigger.n == 12
-        assert bigger.f == max_faults(12)
-        assert bigger.S == params.S
-
     @given(
         theta=st.floats(min_value=1.0, max_value=1.07),
         d=st.floats(min_value=0.1, max_value=100.0),

@@ -21,7 +21,7 @@ from repro.perf import (
     load_results,
     write_baseline,
 )
-from repro.perf.probe import ProbeReading, machine_calibration
+from repro.perf.probe import machine_calibration
 from repro.sim.trace import Trace, TraceLevel
 
 
@@ -57,23 +57,9 @@ class TestPerfProbe:
         assert reading.peak_rss_kib > 0
 
     def test_calibration_is_positive_and_normalizes(self):
+        # Normalization by it is BenchResult's job
+        # (TestBenchResult.test_normalized_throughput).
         assert machine_calibration(spins=10_000, repeats=1) > 0
-        reading = ProbeReading(
-            wall_seconds=1.0,
-            events=100,
-            events_per_sec=100.0,
-            peak_rss_kib=1,
-            calibration=50.0,
-        )
-        assert reading.normalized_throughput == pytest.approx(2.0)
-        uncalibrated = ProbeReading(
-            wall_seconds=1.0,
-            events=100,
-            events_per_sec=100.0,
-            peak_rss_kib=1,
-            calibration=0.0,
-        )
-        assert uncalibrated.normalized_throughput is None
 
 
 def bench(name, events=1000, wall=2.0, calibration=100.0, **meta):
@@ -205,20 +191,18 @@ class TestTraceLevels:
         with pytest.raises(ValueError, match="did you mean 'none'"):
             TraceLevel.coerce(False)
         with pytest.raises(ValueError, match="did you mean 'full'"):
-            Trace.from_spec(True)
+            Trace(True)
 
     def test_levels_gate_record_kinds(self):
         pulses_only = Trace(level="pulses")
         pulses_only.send(
             time=0.0, src=0, dst=1, payload="m", delay=1.0, src_honest=True
         )
-        pulses_only.delivery(time=1.0, src=0, dst=1, payload="m")
         pulses_only.timer(time=1.0, node=0, tag="t", local_time=1.0)
         pulses_only.protocol(time=1.0, node=0, kind="k", details=None)
-        assert len(pulses_only) == 0
+        assert pulses_only.records == []
         pulses_only.pulse(time=1.0, node=0, index=1, local_time=1.0)
-        assert len(pulses_only) == 1
-        assert pulses_only.enabled
+        assert len(pulses_only.records) == 1
 
     def test_trace_level_none_matches_full_pulses(self):
         """The fast path is semantics-preserving: pulse times are
@@ -246,8 +230,10 @@ class TestTraceLevels:
         assert pulses.pulses == full.pulses
         assert none.events_processed == full.events_processed
         assert none.end_time == full.end_time
-        assert len(none.trace) == 0
-        assert len(full.trace) > len(pulses.trace) > 0
+        assert none.trace.records == []
+        assert (
+            len(full.trace.records) > len(pulses.trace.records) > 0
+        )
 
 
 class TestVerifyCache:

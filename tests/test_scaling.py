@@ -35,6 +35,8 @@ from repro.campaigns import (
     register_builder,
     run_worker,
 )
+from repro.campaigns.adaptive import _cell_width, t_critical
+from repro.campaigns.executor import TrialRecord
 from repro.campaigns.queue import default_worker_id
 from repro.telemetry.campaign import (
     InstrumentationPlan,
@@ -469,9 +471,51 @@ class TestAdaptivePolicy:
             AdaptivePolicy(ci_width=1.0, min_trials=4, max_trials=3)
 
     def test_z_value_matches_confidence(self):
-        assert AdaptivePolicy(
-            ci_width=1.0, confidence=0.95
-        ).z_value == pytest.approx(1.9599, abs=1e-3)
+        # The normal critical value is the large-n limit of the t one.
+        policy = AdaptivePolicy(ci_width=1.0, confidence=0.95)
+        assert policy.critical_value(10**6) == pytest.approx(
+            1.9599, abs=1e-3
+        )
+        # ... and nowhere near it at the default three draws.
+        assert policy.critical_value(3) == pytest.approx(4.3027, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "df,quantiles",
+        [
+            (1, (6.3138, 12.7062, 63.6567)),
+            (2, (2.9200, 4.3027, 9.9248)),
+            (4, (2.1318, 2.7764, 4.6041)),
+            (9, (1.8331, 2.2622, 3.2498)),
+            (29, (1.6991, 2.0452, 2.7564)),
+        ],
+    )
+    def test_t_critical_matches_the_published_table(self, df, quantiles):
+        for confidence, expected in zip((0.90, 0.95, 0.99), quantiles):
+            assert t_critical(confidence, df) == pytest.approx(
+                expected, abs=1e-3
+            )
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 30])
+    def test_interval_covers_the_mean_at_its_stated_rate(self, n):
+        """Seeded coverage check: over synthetic normal cells of ``n``
+        draws, the 95 % interval the stopping rule computes contains
+        the true mean 95 % of the time (±3 points; the z-interval it
+        replaces covers 82 % at n = 3)."""
+        rng = random.Random(1000 + n)
+        policy = AdaptivePolicy(ci_width=1.0, confidence=0.95)
+        trials, covered = 4000, 0
+        for _ in range(trials):
+            draws = [rng.gauss(5.0, 2.0) for _ in range(n)]
+            records = [
+                TrialRecord(
+                    "synthetic", "normal", {}, i, str(i), i,
+                    metrics={"max_skew": value},
+                )
+                for i, value in enumerate(draws)
+            ]
+            half = _cell_width(records, policy) / 2
+            covered += abs(sum(draws) / n - 5.0) <= half
+        assert covered / trials == pytest.approx(0.95, abs=0.03)
 
 
 class TestReplicatePlans:

@@ -398,6 +398,6 @@ class TestSchemaConformance:
         kind, _, key = qualified.partition(":")
         entry = scenarios.get(kind, key)
         assert entry.description, qualified
-        payload = entry.as_dict()
-        assert payload["kind"] == kind and payload["key"] == key
-        assert set(payload["params"]) == {s.name for s in entry.params}
+        assert entry.kind == kind and entry.key == key
+        names = [spec.name for spec in entry.params]
+        assert len(set(names)) == len(names), qualified

@@ -7,7 +7,6 @@ from repro.build import build_simulation
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.sim.adversary import (
     ByzantineBehavior,
-    HonestUntilCrash,
     ScheduledSendAdversary,
 )
 from repro.sim.clocks import HardwareClock
@@ -254,27 +253,6 @@ class TestAdversaryContext:
             build(faulty=[2], behavior=TooFast()).run(max_pulses=1)
 
 
-class TestHonestUntilCrash:
-    def test_hosted_protocol_behaves_honestly(self):
-        behavior = HonestUntilCrash(lambda v: EchoProtocol())
-        sim = build(faulty=[2], behavior=behavior)
-        sim.run(max_pulses=2)
-        # Honest node 0 heard from the hosted faulty node 2.
-        senders = {s for s, _, _ in sim.protocol(0).received}
-        assert 2 in senders
-        assert behavior.hosted_pulses[2]
-
-    def test_crash_silences_node(self):
-        behavior = HonestUntilCrash(
-            lambda v: EchoProtocol(), default_crash_time=5.0
-        )
-        sim = build(faulty=[2], behavior=behavior)
-        sim.run(max_pulses=3)
-        senders = {s for s, _, _ in sim.protocol(0).received}
-        # First broadcast would happen at t=10 > crash time 5.
-        assert 2 not in senders
-
-
 class _Chatter(TimedProtocol):
     """Pulse each period with a hello to all; echo each origin's first
     hello to all.  ``fan(api, payload)`` is how "to all" is sent."""
@@ -407,13 +385,13 @@ class TestBroadcastFrom:
                 self.src, self.payload = src, payload
 
             def on_start(self, ctx):
-                check = ctx.knowledge.check_payload
-                ctx.knowledge.check_payload = lambda *a: (
-                    calls.append(a), check(*a)
-                )
                 ctx.broadcast_from(self.src, self.payload)
 
         sim = build(faulty=[2], behavior=Broadcaster(2, ("fine", 2)))
+        check = sim.knowledge.check_payload
+        sim.knowledge.check_payload = lambda *a: (
+            calls.append(a), check(*a)
+        )
         sim.run(max_pulses=1)
         assert len(calls) == 1
         assert [r.dst for r in sim.trace.of_type(SendRecord)][:2] == [0, 1]

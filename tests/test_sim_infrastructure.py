@@ -17,13 +17,13 @@ from repro.sim.network import (
     MaximumDelayPolicy,
     MinimumDelayPolicy,
     NetworkConfig,
-    PerLinkDelayPolicy,
     RandomDelayPolicy,
     SkewingDelayPolicy,
 )
 from repro.sim.trace import (
-    DeliveryRecord,
+    PulseRecord,
     SendRecord,
+    TimerRecord,
     Trace,
 )
 
@@ -145,11 +145,6 @@ class TestDelayPolicies:
         assert self._delay(policy, 0, 1) == pytest.approx(1.0)
         assert self._delay(policy, 1, 0) == pytest.approx(0.8)
 
-    def test_per_link_overrides(self):
-        policy = PerLinkDelayPolicy({(0, 1): 0.85})
-        assert self._delay(policy, 0, 1) == pytest.approx(0.85)
-        assert self._delay(policy, 1, 0) == pytest.approx(1.0)  # fallback
-
     def test_describe_strings(self):
         assert "0.5" in ConstantFractionDelayPolicy(0.5).describe()
         assert "seed" in RandomDelayPolicy(7).describe()
@@ -209,24 +204,17 @@ class TestTrace:
         trace = Trace()
         trace.send(time=0.0, src=0, dst=1, payload="m", delay=1.0,
                    src_honest=True)
-        trace.delivery(time=1.0, src=0, dst=1, payload="m")
+        trace.timer(time=1.0, node=1, tag="t", local_time=1.1)
         trace.pulse(time=1.5, node=1, index=1, local_time=1.6)
         trace.protocol(time=2.0, node=1, kind="cps-round", details={})
-        assert len(trace) == 4
+        assert len(trace.records) == 4
         assert len(list(trace.of_type(SendRecord))) == 1
-        assert len(list(trace.of_type(DeliveryRecord))) == 1
-        assert trace.pulses_of(1)[0].index == 1
+        assert len(list(trace.of_type(TimerRecord))) == 1
+        assert [r.index for r in trace.of_type(PulseRecord)] == [1]
         assert trace.protocol_events("cps-round")[0].node == 1
         assert trace.protocol_events("other") == []
 
     def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
+        trace = Trace("none")
         trace.pulse(time=1.0, node=0, index=1, local_time=1.0)
-        assert len(trace) == 0
-
-    def test_where_predicate(self):
-        trace = Trace()
-        for i in range(3):
-            trace.pulse(time=float(i), node=i, index=1, local_time=float(i))
-        late = list(trace.where(lambda r: r.time >= 1.0))
-        assert len(late) == 2
+        assert trace.records == []

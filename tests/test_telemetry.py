@@ -7,8 +7,6 @@ The load-bearing guarantees:
   and FULL trace levels produce identical telemetry snapshots.
 * **Sidecar determinism** — campaign ``.telemetry.json`` payloads are
   byte-identical across worker counts.
-* **Bounded traces** — ``Trace(max_records=N)`` caps memory while
-  leaving simulated behaviour untouched.
 """
 
 import io
@@ -27,7 +25,6 @@ from repro.campaigns.store import dump_json_summary
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
 from repro.crypto.signatures import clear_verify_cache
-from repro.sim.trace import Trace, TraceLevel, TruncationRecord
 from repro.telemetry import (
     DELAY_BUCKETS,
     DISPATCH_NAMES,
@@ -313,47 +310,6 @@ class TestCampaignSidecars:
         for row in rows:
             assert set(row) == {"function", "calls", "tottime", "cumtime"}
         assert "tottime" in render_hotspots(rows)
-
-
-class TestTraceCap:
-    def test_capped_full_trace_is_bounded_and_marked(self):
-        cap = 50
-        capped = Trace(level=TraceLevel.FULL, max_records=cap)
-        result = build_small_cps(trace=capped).run(max_pulses=PULSES)
-        assert result.trace is capped
-        assert len(capped.records) == cap + 1
-        assert isinstance(capped.records[-1], TruncationRecord)
-        assert capped.truncated
-        assert capped.dropped_records > 0
-        uncapped = build_small_cps(trace="full").run(max_pulses=PULSES)
-        assert capped.dropped_records == (
-            len(uncapped.trace.records) - cap
-        )
-        assert capped.records[:cap] == uncapped.trace.records[:cap]
-
-    def test_cap_does_not_change_pulses(self):
-        capped = Trace(level=TraceLevel.FULL, max_records=10)
-        bounded = build_small_cps(trace=capped).run(max_pulses=PULSES)
-        plain = build_small_cps(trace="full").run(max_pulses=PULSES)
-        assert bounded.pulses == plain.pulses
-
-    def test_roomy_cap_never_truncates(self):
-        roomy = Trace(level=TraceLevel.FULL, max_records=10_000_000)
-        result = build_small_cps(trace=roomy).run(max_pulses=PULSES)
-        assert not roomy.truncated
-        assert roomy.dropped_records == 0
-        plain = build_small_cps(trace="full").run(max_pulses=PULSES)
-        assert result.trace.records == plain.trace.records
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_records"):
-            Trace(max_records=0)
-
-    def test_from_spec_passes_instances_through(self):
-        trace = Trace(level="pulses", max_records=3)
-        assert Trace.from_spec(trace) is trace
-        assert Trace.from_spec("full").level is TraceLevel.FULL
-        assert Trace.from_spec("none").level is TraceLevel.NONE
 
 
 class _Record:

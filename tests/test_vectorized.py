@@ -31,7 +31,7 @@ from repro.campaigns.spec import MeasurementSpec, canonical_json
 from repro.checks.conformance import (
     check_scenario,
     conformance_matrix,
-    run_cps_conformance,
+    judged_run,
 )
 from repro.cli import main
 from repro.core.params import derive_parameters
@@ -72,11 +72,12 @@ def _verdict_dicts(verdicts):
 
 
 def _run_both(case, pulses=6, seed=11):
-    event = run_cps_conformance(case, pulses, seed, backend="event")
-    vector = run_cps_conformance(
-        case, pulses, seed, backend="vectorized"
+    event = judged_run(case, pulses, seed, backend="event")
+    vector = judged_run(case, pulses, seed, backend="vectorized")
+    return (
+        (event.verdicts, event.result),
+        (vector.verdicts, vector.result),
     )
-    return event, vector
 
 
 class TestDifferentialOracle:
