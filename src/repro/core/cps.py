@@ -32,7 +32,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.messages import TcbMessage, tcb_tag
 from repro.core.params import ProtocolParameters
 from repro.core.tcb import TcbInstance, offset_estimate
-from repro.sim.clocks import EPS, HardwareClock, validate_initial_skew
+from repro.sim.clocks import (
+    EPS,
+    ClockEnsemble,
+    HardwareClock,
+    Row,
+    constant_row,
+    random_drift_row,
+    validate_initial_skew,
+)
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import DelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
@@ -252,49 +260,50 @@ class CpsNode(TimedProtocol):
 # Simulation assembly helpers
 
 
+def wandering_row(rng, params: ProtocolParameters, horizon: float) -> Row:
+    """One node of the ``random`` ensemble: offset drawn first, then
+    its rates (the order every seeded artifact depends on)."""
+    return random_drift_row(
+        rng,
+        params.theta,
+        offset=rng.uniform(0.0, params.S),
+        horizon=horizon,
+        segment_length=max(horizon / 40.0, params.d),
+    )
+
+
 def default_clocks(
     params: ProtocolParameters,
     seed: int = 0,
     horizon: float = 0.0,
     style: str = "random",
-) -> List[HardwareClock]:
+) -> ClockEnsemble:
     """Build a plausible clock ensemble for a CPS run.
 
     ``style`` selects the ensemble: ``"random"`` draws initial offsets in
     ``[0, S]`` and wandering rates in ``[1, theta]``; ``"extreme"`` puts
     half the nodes at rate 1 / offset 0 and half at rate theta / offset S
     (the adversarial corner the analysis is tight against).
+
+    The ``random`` ensemble re-draws its rates over ``[0, horizon]``
+    (default ``200 * d``) and runs at rate 1 afterwards: it stops
+    drifting after about 94 pulses at ``theta = 1.001``.  Every
+    committed run is shorter and nothing warns; pass a longer
+    ``horizon`` for a longer run.
     """
+    if style not in ("extreme", "random"):
+        raise ConfigurationError(f"unknown clock style {style!r}")
     rng = random.Random(seed)
     horizon = horizon or 200.0 * params.d
-    clocks: List[HardwareClock] = []
+    rows: List[Row] = []
     for node in range(params.n):
-        if style == "extreme":
-            if node % 2 == 0:
-                clocks.append(
-                    HardwareClock.constant_rate(
-                        1.0, offset=0.0, theta=params.theta
-                    )
-                )
-            else:
-                clocks.append(
-                    HardwareClock.constant_rate(
-                        params.theta, offset=params.S, theta=params.theta
-                    )
-                )
-        elif style == "random":
-            clocks.append(
-                HardwareClock.random_drift(
-                    rng,
-                    params.theta,
-                    offset=rng.uniform(0.0, params.S),
-                    horizon=horizon,
-                    segment_length=max(horizon / 40.0, params.d),
-                )
-            )
+        if style == "random":
+            rows.append(wandering_row(rng, params, horizon))
+        elif node % 2 == 0:
+            rows.append(constant_row(1.0, 0.0))
         else:
-            raise ConfigurationError(f"unknown clock style {style!r}")
-    return clocks
+            rows.append(constant_row(params.theta, params.S))
+    return ClockEnsemble(rows, params.theta)
 
 
 def assemble_cps_simulation(

@@ -2,10 +2,11 @@
 
 Factories follow the ``drift`` convention of
 :mod:`repro.scenarios.registry`: ``factory(params, seed, **overrides)``
-returns one :class:`~repro.sim.clocks.HardwareClock` per node.  Every
-ensemble honours the model assumptions the simulations validate at
-start-up: initial offsets ``H_v(0) in [0, S]`` and rates in
-``[1, theta]``.
+returns a :class:`~repro.sim.clocks.ClockEnsemble` — a
+``Sequence[HardwareClock]`` held as one table of segment rows, built
+without per-node objects.  Every ensemble honours the model
+assumptions the simulations validate at start-up: initial offsets
+``H_v(0) in [0, S]`` and rates in ``[1, theta]``.
 
 ``random`` and ``extreme`` are the two ensembles the low-level
 ``assemble_cps_simulation`` selects by its ``clock_style`` argument;
@@ -18,9 +19,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.core.cps import default_clocks
+from repro.core.cps import default_clocks, wandering_row
 from repro.scenarios.registry import register_scenario
-from repro.sim.clocks import HardwareClock
+from repro.sim.clocks import ClockEnsemble, Row, constant_row
 
 
 @register_scenario(
@@ -32,7 +33,7 @@ from repro.sim.clocks import HardwareClock
     "measurements)",
     tags=("benign",),
 )
-def _random_profile(params, seed: int = 0) -> List[HardwareClock]:
+def _random_profile(params, seed: int = 0) -> ClockEnsemble:
     return default_clocks(params, seed=seed, style="random")
 
 
@@ -45,7 +46,7 @@ def _random_profile(params, seed: int = 0) -> List[HardwareClock]:
     "against (E4/E5)",
     tags=("adversarial",),
 )
-def _extreme_profile(params, seed: int = 0) -> List[HardwareClock]:
+def _extreme_profile(params, seed: int = 0) -> ClockEnsemble:
     return default_clocks(params, seed=seed, style="extreme")
 
 
@@ -58,35 +59,19 @@ def _extreme_profile(params, seed: int = 0) -> List[HardwareClock]:
     "stresses the midpoint against heterogeneous drift",
     tags=("stress", "new"),
 )
-def _mixed_profile(params, seed: int = 0) -> List[HardwareClock]:
+def _mixed_profile(params, seed: int = 0) -> ClockEnsemble:
     rng = random.Random(seed)
     horizon = 200.0 * params.d
-    clocks: List[HardwareClock] = []
+    rows: List[Row] = []
     for node in range(params.n):
         style = node % 3
         if style == 0:
-            clocks.append(
-                HardwareClock.constant_rate(
-                    1.0, offset=0.0, theta=params.theta
-                )
-            )
+            rows.append(constant_row(1.0, 0.0))
         elif style == 1:
-            clocks.append(
-                HardwareClock.constant_rate(
-                    params.theta, offset=params.S, theta=params.theta
-                )
-            )
+            rows.append(constant_row(params.theta, params.S))
         else:
-            clocks.append(
-                HardwareClock.random_drift(
-                    rng,
-                    params.theta,
-                    offset=rng.uniform(0.0, params.S),
-                    horizon=horizon,
-                    segment_length=max(horizon / 40.0, params.d),
-                )
-            )
-    return clocks
+            rows.append(wandering_row(rng, params, horizon))
+    return ClockEnsemble(rows, params.theta)
 
 
 @register_scenario(
@@ -98,15 +83,11 @@ def _mixed_profile(params, seed: int = 0) -> List[HardwareClock]:
     "combined with maximal rate disagreement",
     tags=("stress", "new"),
 )
-def _staggered_profile(params, seed: int = 0) -> List[HardwareClock]:
+def _staggered_profile(params, seed: int = 0) -> ClockEnsemble:
     n = params.n
-    clocks: List[HardwareClock] = []
+    rows: List[Row] = []
     for node in range(n):
         offset = params.S * node / max(n - 1, 1)
         rate = 1.0 if node % 2 == 0 else params.theta
-        clocks.append(
-            HardwareClock.constant_rate(
-                rate, offset=offset, theta=params.theta
-            )
-        )
-    return clocks
+        rows.append(constant_row(rate, offset))
+    return ClockEnsemble(rows, params.theta)

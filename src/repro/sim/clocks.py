@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import abc
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.errors import ClockError
@@ -40,6 +43,97 @@ class ClockSegment:
     t_start: float
     local_start: float
     rate: float
+
+
+#: One clock as three parallel columns: every segment's ``t_start``,
+#: ``local_start`` and ``rate``.  The form ensembles are built and
+#: batch-evaluated in; a :class:`ClockSegment` is one column slice.
+Row = Tuple[List[float], List[float], List[float]]
+
+
+def _row_of(segments: Sequence[ClockSegment]) -> Row:
+    return (
+        [segment.t_start for segment in segments],
+        [segment.local_start for segment in segments],
+        [segment.rate for segment in segments],
+    )
+
+
+def check_row(row: Row, theta: Optional[float] = None) -> Row:
+    """``row``, or :class:`ClockError` unless it is an admissible clock:
+    first start at 0, positive rates (in ``[1, theta]`` when ``theta``
+    is given), strictly increasing starts, continuous, ``H(0) >= 0``."""
+    starts, local_starts, rates = row
+    if not starts:
+        raise ClockError("a clock needs at least one segment")
+    if abs(starts[0]) > EPS:
+        raise ClockError(
+            f"first segment must start at t=0, got {starts[0]}"
+        )
+    for index, rate in enumerate(rates):
+        if rate <= 0:
+            raise ClockError(
+                "clock rate must be positive: "
+                f"{ClockSegment(starts[index], local_starts[index], rate)}"
+            )
+        if theta is not None and not (1.0 - EPS <= rate <= theta + EPS):
+            raise ClockError(
+                f"rate {rate} outside [1, {theta}]: "
+                f"{ClockSegment(starts[index], local_starts[index], rate)}"
+            )
+        if index:
+            elapsed = starts[index] - starts[index - 1]
+            if elapsed <= 0:
+                raise ClockError("segments must have increasing t_start")
+            expected = local_starts[index - 1] + rates[index - 1] * elapsed
+            if abs(expected - local_starts[index]) > 1e-6:
+                raise ClockError(
+                    "discontinuous clock: expected local "
+                    f"{expected}, got {local_starts[index]}"
+                )
+    if local_starts[0] < -EPS:
+        raise ClockError("clock must be non-negative at t=0")
+    return row
+
+
+def constant_row(rate: float = 1.0, offset: float = 0.0) -> Row:
+    """The one-segment row ``H(t) = offset + rate * t``."""
+    return [0.0], [offset], [rate]
+
+
+def rate_row(
+    durations: Sequence[float],
+    rates: Sequence[float],
+    tail_rate: float = 1.0,
+    offset: float = 0.0,
+) -> Row:
+    """The row running at ``rates[i]`` for ``durations[i]``, then at
+    ``tail_rate``: running sums taken left to right (``t += duration``,
+    ``local += rate * duration``), which every seeded artifact pins."""
+    return (
+        list(accumulate(durations, initial=0.0)),
+        list(accumulate(map(mul, rates, durations), initial=offset)),
+        [*rates, tail_rate],
+    )
+
+
+def random_drift_row(
+    rng,
+    theta: float,
+    offset: float = 0.0,
+    horizon: float = 1000.0,
+    segment_length: float = 10.0,
+) -> Row:
+    """A row whose rate re-draws uniformly from ``[1, theta]`` every
+    ``segment_length`` over ``[0, horizon]`` and is 1 afterwards — the
+    one place the draw schedule of a wandering clock is written."""
+    durations: List[float] = []
+    t = 0.0
+    while t < horizon:
+        durations.append(segment_length)
+        t += segment_length
+    rates = [rng.uniform(1.0, theta) for _ in durations]
+    return rate_row(durations, rates, 1.0, offset)
 
 
 class HardwareClock:
@@ -63,40 +157,20 @@ class HardwareClock:
         segments: Sequence[ClockSegment],
         theta: Optional[float] = None,
     ) -> None:
-        if not segments:
-            raise ClockError("a clock needs at least one segment")
-        if abs(segments[0].t_start) > EPS:
-            raise ClockError(
-                f"first segment must start at t=0, got {segments[0].t_start}"
-            )
-        previous: Optional[ClockSegment] = None
-        for segment in segments:
-            if segment.rate <= 0:
-                raise ClockError(f"clock rate must be positive: {segment}")
-            if theta is not None and not (
-                1.0 - EPS <= segment.rate <= theta + EPS
-            ):
-                raise ClockError(
-                    f"rate {segment.rate} outside [1, {theta}]: {segment}"
-                )
-            if previous is not None:
-                if segment.t_start <= previous.t_start:
-                    raise ClockError("segments must have increasing t_start")
-                expected = previous.local_start + previous.rate * (
-                    segment.t_start - previous.t_start
-                )
-                if abs(expected - segment.local_start) > 1e-6:
-                    raise ClockError(
-                        "discontinuous clock: expected local "
-                        f"{expected}, got {segment.local_start}"
-                    )
-            previous = segment
-        if segments[0].local_start < -EPS:
-            raise ClockError("clock must be non-negative at t=0")
-        self._segments: List[ClockSegment] = list(segments)
-        self._starts = [segment.t_start for segment in self._segments]
-        self._local_starts = [seg.local_start for seg in self._segments]
+        self._starts, self._local_starts, self._rates = check_row(
+            _row_of(segments), theta
+        )
         self.theta = theta
+
+    @classmethod
+    def over_row(
+        cls, row: Row, theta: Optional[float] = None
+    ) -> "HardwareClock":
+        """A clock over a row that :func:`check_row` already passed."""
+        clock = cls.__new__(cls)
+        clock._starts, clock._local_starts, clock._rates = row
+        clock.theta = theta
+        return clock
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -107,8 +181,9 @@ class HardwareClock:
             raise ClockError(f"real time must be non-negative, got {t}")
         t = max(t, 0.0)
         index = bisect.bisect_right(self._starts, t) - 1
-        segment = self._segments[index]
-        return segment.local_start + segment.rate * (t - segment.t_start)
+        return self._local_starts[index] + self._rates[index] * (
+            t - self._starts[index]
+        )
 
     def real_time(self, local: float) -> float:
         """Evaluate ``H^{-1}(local)``: when does the clock read ``local``?
@@ -122,8 +197,9 @@ class HardwareClock:
             )
         index = bisect.bisect_right(self._local_starts, local) - 1
         index = max(index, 0)
-        segment = self._segments[index]
-        return segment.t_start + (local - segment.local_start) / segment.rate
+        return self._starts[index] + (
+            local - self._local_starts[index]
+        ) / self._rates[index]
 
     @property
     def offset_at_zero(self) -> float:
@@ -133,14 +209,17 @@ class HardwareClock:
     def segments(self) -> List[ClockSegment]:
         """The linear pieces, in order (a copy; clocks are immutable).
 
-        Consumers that batch-evaluate clocks — the vectorized backend
-        turns these into numpy arrays — read the piecewise form through
-        this accessor instead of re-deriving it by sampling.
+        Consumers that batch-evaluate clocks read the piecewise form
+        through this accessor (or, for a whole :class:`ClockEnsemble`,
+        its ``rows``) instead of re-deriving it by sampling.
         """
-        return list(self._segments)
+        return [
+            ClockSegment(*piece)
+            for piece in zip(self._starts, self._local_starts, self._rates)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HardwareClock({len(self._segments)} segments)"
+        return f"HardwareClock({len(self._starts)} segments)"
 
     # ------------------------------------------------------------------
     # Factories
@@ -153,7 +232,9 @@ class HardwareClock:
         theta: Optional[float] = None,
     ) -> "HardwareClock":
         """A clock with fixed rate: ``H(t) = offset + rate * t``."""
-        return cls([ClockSegment(0.0, offset, rate)], theta=theta)
+        return cls.over_row(
+            check_row(constant_row(rate, offset), theta), theta
+        )
 
     @classmethod
     def from_rates(
@@ -168,17 +249,15 @@ class HardwareClock:
         Example: ``from_rates([(5.0, 1.02)], tail_rate=1.0)`` runs 2% fast
         for five time units and at nominal rate afterwards.
         """
-        segments: List[ClockSegment] = []
-        t = 0.0
-        local = offset
-        for duration, rate in pieces:
+        durations = [duration for duration, _ in pieces]
+        for duration in durations:
             if duration <= 0:
-                raise ClockError(f"piece duration must be positive: {duration}")
-            segments.append(ClockSegment(t, local, rate))
-            local += rate * duration
-            t += duration
-        segments.append(ClockSegment(t, local, tail_rate))
-        return cls(segments, theta=theta)
+                raise ClockError(
+                    f"piece duration must be positive: {duration}"
+                )
+        rates = [rate for _, rate in pieces]
+        row = rate_row(durations, rates, tail_rate, offset)
+        return cls.over_row(check_row(row, theta), theta)
 
     @classmethod
     def random_drift(
@@ -195,12 +274,8 @@ class HardwareClock:
         the draw schedule covers ``[0, horizon]`` and continues at rate 1
         afterwards.
         """
-        pieces: List[Tuple[float, float]] = []
-        t = 0.0
-        while t < horizon:
-            pieces.append((segment_length, rng.uniform(1.0, theta)))
-            t += segment_length
-        return cls.from_rates(pieces, tail_rate=1.0, offset=offset, theta=theta)
+        row = random_drift_row(rng, theta, offset, horizon, segment_length)
+        return cls.over_row(check_row(row, theta), theta)
 
     @classmethod
     def fast_then_shifted(
@@ -231,11 +306,48 @@ class HardwareClock:
         )
 
 
-def validate_initial_skew(
-    clocks: Sequence[HardwareClock], bound: float
+class ClockEnsemble(abc.Sequence):
+    """The clocks of a whole system as a table of segment rows.
+
+    Drift profiles build one row per node directly (no per-node
+    objects), each row is validated once, here, by :func:`check_row`,
+    and the two engines read the same table: the vectorized engine lays
+    ``rows`` out as arrays, everything else treats the ensemble as the
+    ``Sequence[HardwareClock]`` it is — indexing and iteration hand out
+    a :class:`HardwareClock` over the already-validated row.
+    """
+
+    def __init__(
+        self, rows: Sequence[Row], theta: Optional[float] = None
+    ) -> None:
+        self.rows: List[Row] = [check_row(row, theta) for row in rows]
+        self.theta = theta
+
+    @classmethod
+    def of(cls, clocks: Sequence[HardwareClock]) -> "ClockEnsemble":
+        """``clocks`` itself when it is a table, else its tabulation."""
+        if isinstance(clocks, cls):
+            return clocks
+        return cls([_row_of(clock.segments()) for clock in clocks])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ClockEnsemble(self.rows[index], self.theta)
+        return HardwareClock.over_row(self.rows[index], self.theta)
+
+    def offsets(self, nodes: Sequence[int]) -> List[float]:
+        """``H_v(0)`` for each ``v`` in ``nodes``."""
+        return [self.rows[v][1][0] for v in nodes]
+
+
+def validate_offset_spread(
+    offsets: Sequence[float], bound: float
 ) -> None:
-    """Check the ``max |H_v(0) - H_w(0)| <= bound`` initialization assumption."""
-    offsets = [clock.offset_at_zero for clock in clocks]
+    """Check the initialization assumption on the ``H_v(0)`` column:
+    ``max |H_v(0) - H_w(0)| <= bound``."""
     spread = max(offsets) - min(offsets)
     if spread > bound + EPS:
         raise ClockError(
@@ -243,3 +355,12 @@ def validate_initial_skew(
         )
     if not all(math.isfinite(offset) for offset in offsets):
         raise ClockError("clock offsets must be finite")
+
+
+def validate_initial_skew(
+    clocks: Sequence[HardwareClock], bound: float
+) -> None:
+    """:func:`validate_offset_spread` of the clocks' ``H(0)``."""
+    validate_offset_spread(
+        [clock.offset_at_zero for clock in clocks], bound
+    )

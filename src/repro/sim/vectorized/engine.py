@@ -41,8 +41,14 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 from repro.core.cps import CpsRoundSummary
 from repro.core.params import ProtocolParameters
-from repro.sim.clocks import EPS, HardwareClock, validate_initial_skew
-from repro.sim.errors import ConfigurationError, SimulationError
+from repro.sim.clocks import (
+    EPS,
+    ClockEnsemble,
+    HardwareClock,
+    Row,
+    validate_offset_spread,
+)
+from repro.sim.errors import ClockError, ConfigurationError, SimulationError
 from repro.sim.network import (
     DelayPolicy,
     MaximumDelayPolicy,
@@ -78,27 +84,74 @@ def require_numpy() -> None:
         )
 
 
-class _VectorClock:
-    """A hardware clock's segments as arrays, for batched evaluation."""
+class ClockTable:
+    """Clock rows as ``(rows, K)`` arrays, evaluated in batches.
 
-    __slots__ = ("starts", "locals", "rates", "constant")
+    Row ``i`` holds one clock's segment ``starts`` / ``locals`` /
+    ``rates``; shorter rows are padded with ``+inf`` starts and locals,
+    which no finite query reaches.  Both evaluators choose a segment
+    as the scalar clock does — ``bisect_right(...) - 1`` clamped at 0,
+    i.e. the count of starts ``<= t``, minus one — and apply the same
+    arithmetic to it, so every result is bit-equal to
+    :meth:`HardwareClock.local_time` / :meth:`HardwareClock.real_time`.
+    """
 
-    def __init__(self, clock: HardwareClock) -> None:
-        segments = clock.segments()
-        self.starts = np.array([s.t_start for s in segments])
-        self.locals = np.array([s.local_start for s in segments])
-        self.rates = np.array([s.rate for s in segments])
-        self.constant = len(segments) == 1
-
-    def local_times(self, t: "np.ndarray") -> "np.ndarray":
-        """Vectorized ``H(t)`` over an array of real times."""
-        if self.constant:
-            return self.locals[0] + self.rates[0] * (t - self.starts[0])
-        index = np.searchsorted(self.starts, t, side="right") - 1
-        np.clip(index, 0, None, out=index)
-        return self.locals[index] + self.rates[index] * (
-            t - self.starts[index]
+    def __init__(self, rows: Sequence[Row]) -> None:
+        self.width = max(len(starts) for starts, _, _ in rows)
+        pad = [np.inf] * self.width
+        self.starts, self.locals, self.rates = (
+            np.array([row[k] + pad[len(row[k]):] for row in rows])
+            for k in range(3)
         )
+
+    def real_times(self, local: "np.ndarray") -> "np.ndarray":
+        """``H_i^{-1}(local[i])`` for every row ``i``."""
+        early = local < self.locals[:, 0] - EPS
+        if early.any():
+            i = int(np.argmax(early))
+            raise ClockError(
+                f"local time {local[i]} precedes clock start "
+                f"{self.locals[i, 0]}"
+            )
+        index = (self.locals <= local[:, None]).sum(axis=1) - 1
+        np.maximum(index, 0, out=index)
+        row = np.arange(len(local))
+        return self.starts[row, index] + (
+            local - self.locals[row, index]
+        ) / self.rates[row, index]
+
+    def local_times(self, rows: slice, t: "np.ndarray") -> "np.ndarray":
+        """``H_i(t[i - rows.start, j])`` for each row ``i`` in ``rows``,
+        for real times ``t >= 0`` (one block of arrivals).
+
+        One block's arrivals span at most a segment or two, so the
+        segment index is each row's index at its earliest query plus
+        one comparison per further segment its latest query reaches —
+        there is no per-element search and no ``(rows, queries, K)``
+        temporary.
+        """
+        starts = self.starts[rows]
+        locals_ = self.locals[rows]
+        rates = self.rates[rows]
+        if self.width == 1:
+            return locals_ + rates * (t - starts)
+        first = (starts <= t.min(axis=1)[:, None]).sum(axis=1) - 1
+        np.maximum(first, 0, out=first)
+        reach = (starts <= t.max(axis=1)[:, None]).sum(axis=1) - 1 - first
+        row = np.arange(len(first))
+        out = locals_[row, first, None] + rates[row, first, None] * (
+            t - starts[row, first, None]
+        )
+        for step in range(1, int(reach.max()) + 1):
+            # Rows that reach fewer segments re-evaluate their last one.
+            seg = first + np.minimum(step, reach)
+            start = starts[row, seg, None]
+            np.copyto(
+                out,
+                locals_[row, seg, None] + rates[row, seg, None] * (t - start),
+                where=t >= start,
+            )
+        return out
 
 
 class VectorizedSimulation:
@@ -144,8 +197,12 @@ class VectorizedSimulation:
         self.config = NetworkConfig(params.n, params.d, params.u, u_tilde)
         self.params = params
         self.f = params.f
-        self.clocks = list(clocks)
+        self.clocks = ClockEnsemble.of(clocks)
         faulty_set = set(faulty)
+        if any(v < 0 or v >= params.n for v in faulty_set):
+            raise ConfigurationError(
+                f"faulty set {faulty_set} out of range"
+            )
         self.faulty = sorted(faulty_set)
         self.honest = [v for v in range(params.n) if v not in faulty_set]
         if not self.honest:
@@ -159,8 +216,9 @@ class VectorizedSimulation:
         self.dynamics = None
         self.block_size = block_size
         self.warnings: List[str] = []
-        validate_initial_skew(
-            [self.clocks[v] for v in self.honest], params.S
+        self._ran = False
+        validate_offset_spread(
+            self.clocks.offsets(self.honest), params.S
         )
 
     # ------------------------------------------------------------------
@@ -188,6 +246,13 @@ class VectorizedSimulation:
             raise ConfigurationError(
                 "vectorized runs need max_pulses and/or until"
             )
+        if self._ran:
+            raise ConfigurationError(
+                "a vectorized simulation runs once: a second run() would "
+                "replay rounds into the same trace and checks (build a "
+                "new simulation, or use backend='event' to resume)"
+            )
+        self._ran = True
         params = self.params
         honest = self.honest
         nh = len(honest)
@@ -195,7 +260,7 @@ class VectorizedSimulation:
         observing = self.checks is not None or (
             self.trace.level >= TraceLevel.FULL
         )
-        vclocks = [_VectorClock(self.clocks[v]) for v in honest]
+        table = ClockTable([self.clocks.rows[v] for v in honest])
         rng = (
             delay_rng(self.delay_policy)
             if isinstance(self.delay_policy, RandomDelayPolicy)
@@ -212,12 +277,7 @@ class VectorizedSimulation:
         pulse_round = 0
         while max_pulses is None or pulse_round < max_pulses:
             pulse_round += 1
-            pulse_real = np.array(
-                [
-                    self.clocks[v].real_time(local[i])
-                    for i, v in enumerate(honest)
-                ]
-            )
+            pulse_real = table.real_times(local)
             if until is not None:
                 inside = pulse_real <= until + EPS
                 if not inside.all():
@@ -245,14 +305,7 @@ class VectorizedSimulation:
                 events += nh
                 end_time = max(end_time, float(pulse_real.max()))
                 break
-            send_real = np.array(
-                [
-                    self.clocks[v].real_time(
-                        local[i] + params.dealer_send_offset
-                    )
-                    for i, v in enumerate(honest)
-                ]
-            )
+            send_real = table.real_times(local + params.dealer_send_offset)
             correction = np.empty(nh)
             completion_local = np.empty(nh)
             accepted_total = 0
@@ -267,9 +320,7 @@ class VectorizedSimulation:
                     send_real, rng,
                 )
                 arrival = send_real[None, :] + delays
-                local_rx = np.empty_like(arrival)
-                for i, row in enumerate(rows):
-                    local_rx[i] = vclocks[row].local_times(arrival[i])
+                local_rx = table.local_times(slice(start, stop), arrival)
                 base = local[rows][:, None]
                 accept = (local_rx > base) & (
                     local_rx <= base + window + EPS
@@ -311,12 +362,7 @@ class VectorizedSimulation:
                         arrival, estimates, counts, low, high,
                         correction, pulse_round, local,
                     )
-            completion_real = np.array(
-                [
-                    self.clocks[v].real_time(completion_local[i])
-                    for i, v in enumerate(honest)
-                ]
-            )
+            completion_real = table.real_times(completion_local)
             end_time = max(end_time, float(completion_real.max()))
             if observing:
                 self._emit_round(

@@ -34,11 +34,13 @@ from repro.checks.conformance import (
     judged_run,
 )
 from repro.cli import main
+from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
 from repro.perf.cases import run_case
 from repro.scenarios import REGISTRY
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import NetworkConfig
+from repro.sim.trace import PulseRecord
 from repro.sim.vectorized import (
     UnsupportedScenarioError,
     VectorizedSimulation,
@@ -78,6 +80,10 @@ def _run_both(case, pulses=6, seed=11):
         (event.verdicts, event.result),
         (vector.verdicts, vector.result),
     )
+
+
+def _pulse_records(simulation):
+    return len(list(simulation.trace.of_type(PulseRecord)))
 
 
 class TestDifferentialOracle:
@@ -138,6 +144,24 @@ class TestDifferentialOracle:
             metrics.max_skew(honest_pulses(ev_result)), abs=1e-9
         )
 
+    def test_ragged_rows_across_segment_and_block_boundaries(self):
+        # What the seven n = 6 combos cannot reach: ragged rows
+        # (`mixed`), 14 pulses (two segment boundaries crossed) and
+        # receiver blocks of 5 rows, so every round splits into blocks
+        # whose arrivals straddle a segment start.
+        case = _case(n=24, delay="flicker-partition", drift="mixed")
+        (ev, ev_result), (vec, vec_result) = _run_both(case, pulses=14)
+        assert _verdict_dicts(ev) == _verdict_dicts(vec)
+        for node, times in ev_result.pulses.items():
+            assert vec_result.pulses[node] == pytest.approx(
+                times, abs=1e-9
+            )
+        small = build_simulation(
+            case, backend="vectorized", seed=11, trace="none"
+        ).simulation
+        small.block_size = 5
+        assert small.run(max_pulses=14).pulses == vec_result.pulses
+
 
 class TestFacade:
     def test_backend_catalog(self):
@@ -167,10 +191,48 @@ class TestFacade:
         ev = build_simulation(case, backend="event", seed=5)
         vec = build_simulation(case, backend="vectorized", seed=5)
         for a, b in zip(ev.simulation.clocks, vec.simulation.clocks):
+            assert a.segments() == b.segments()
             for t in (0.0, 1.0, 7.5, 31.25):
-                assert a.local_time(t) == pytest.approx(
-                    b.local_time(t), abs=1e-12
-                )
+                assert a.local_time(t) == b.local_time(t)
+
+
+class TestEnginesRefuseAlike:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_faulty_set_out_of_range(self, backend):
+        params = derive_parameters(theta=1.001, u=0.02, d=1.0, n=6)
+        clocks = REGISTRY.create("drift", "extreme", params, 0)
+        build = {
+            "event": lambda: assemble_cps_simulation(
+                params, clocks=clocks, faulty=[99]
+            ),
+            "vectorized": lambda: VectorizedSimulation(
+                params, clocks, faulty=[99]
+            ),
+        }[backend]
+        with pytest.raises(
+            ConfigurationError, match=r"faulty set \{99\} out of range"
+        ):
+            build()
+
+    def test_second_run_never_replays_pulses(self):
+        # The event engine resumes; the round-batched engine restarts
+        # from round 1, so it refuses instead of feeding pulses 1-3 to
+        # the same trace and checks twice.
+        case = _case(delay="maximum", drift="extreme")
+        event = build_simulation(case, backend="event").simulation
+        event.run(max_pulses=3)
+        resumed = event.run(max_pulses=5)
+        assert {len(p) for p in resumed.pulses.values() if p} == {5}
+        assert _pulse_records(event) == 5 * len(event.honest)
+        vector = build_simulation(case, backend="vectorized").simulation
+        first = vector.run(max_pulses=3)
+        with pytest.raises(ConfigurationError, match="runs once"):
+            vector.run(max_pulses=5)
+        assert _pulse_records(vector) == 3 * len(vector.honest)
+        for node, times in first.pulses.items():
+            assert times == pytest.approx(
+                resumed.pulses[node][:3], abs=1e-9
+            )
 
 
 class TestUnsupportedScenarios:
