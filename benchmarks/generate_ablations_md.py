@@ -20,13 +20,11 @@ import os
 import sys
 from typing import Any, Dict, List, Mapping
 
+from docgen import REPO_ROOT, emit
+
 from repro.ablation import COMPONENTS
 from repro.ablation.plan import ABLATION_SEED
 
-REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..")
-)
-OUTPUT_PATH = os.path.join(REPO_ROOT, "docs", "ABLATIONS.md")
 ARTIFACT_PATH = os.path.join(REPO_ROOT, "results", "ablation.json")
 
 HEADER = f"""# ABLATIONS — per-component importance, measured
@@ -170,29 +168,5 @@ def generate() -> str:
     return "\n".join(sections)
 
 
-def main() -> int:
-    check = "--check" in sys.argv[1:]
-    content = generate()
-    if check:
-        try:
-            with open(OUTPUT_PATH, encoding="utf-8") as handle:
-                existing = handle.read()
-        except FileNotFoundError:
-            existing = None
-        if existing != content:
-            print(
-                "docs/ABLATIONS.md is stale; regenerate with "
-                "'python benchmarks/generate_ablations_md.py'",
-                file=sys.stderr,
-            )
-            return 1
-        print("docs/ABLATIONS.md is up to date")
-        return 0
-    with open(OUTPUT_PATH, "w", encoding="utf-8") as handle:
-        handle.write(content)
-    print(f"wrote {OUTPUT_PATH}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(emit("docs/ABLATIONS.md", generate()))

@@ -14,26 +14,20 @@ Usage::
     python benchmarks/generate_experiments_md.py --check   # exit 1 if stale
 
 Measured tables themselves are reproduced on demand (``repro run E4``,
-``repro campaign run STRESS``, ``pytest benchmarks/ --benchmark-only``);
+``repro campaign run STRESS``, ``repro campaign run E4 --scale full``);
 the committed CSV snapshots live in ``results/``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import List
 
-from bench_experiments import CLAIMS
+from docgen import emit
 
 from repro import scenarios
 from repro.campaigns import campaign_definition, scales_of
 from repro.core.params import THETA_MAX
-
-REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..")
-)
-OUTPUT_PATH = os.path.join(REPO_ROOT, "docs", "EXPERIMENTS.md")
 
 COMMENTARY = {
     "E1": (
@@ -226,8 +220,9 @@ COMMENTARY = {
         "(`tests/test_vectorized.py`) pins the two engines verdict- "
         "and pulse-identical at small `n`.  Exactness argument and "
         "supported-scenario envelope in `docs/VECTORIZED.md`; "
-        "throughput points are tracked by the `e9-vectorized-*` perf "
-        "cases (`repro perf run --quick`).",
+        "throughput at n = 1,000 and 2,500 is tracked by the "
+        "`vector-scale` workload of the repo benchmark (`python3 -m "
+        "bench run --workload vector-scale`).",
     ),
     "ABLATION": (
         "Protocol ablation engine — per-component importance",
@@ -266,8 +261,8 @@ registry; do not edit it by hand.  Regenerate with::
 
 CI fails if the committed copy is stale (``--check``).  Reproduce the
 measured tables with ``repro run <id>`` / ``repro campaign run <id>``
-or ``pytest benchmarks/ --benchmark-only``; committed CSV snapshots
-live in ``results/``.
+(``--scale full`` for the wide grids); committed CSV snapshots live in
+``results/``.
 
 **Global fidelity note.** Our parameter constants follow the appendix
 derivation (Lemma 16 fixed point, Corollary 15 floor for `T`) exactly as
@@ -289,19 +284,13 @@ def _campaign_scales(spec) -> List[str]:
 
 def catalog_table() -> List[str]:
     lines = [
-        "| id | claim | bench harness | campaign engine |",
-        "|----|-------|---------------|-----------------|",
+        "| id | claim | campaign engine |",
+        "|----|-------|-----------------|",
     ]
     for name in ORDER:
         title = COMMENTARY[name][0]
-        bench = (
-            f"`benchmarks/bench_experiments.py[{name}]`"
-            if name in CLAIMS
-            else "—"
-        )
         lines.append(
-            f"| {name} | {title} | {bench} "
-            f"| `repro campaign run {name}` |"
+            f"| {name} | {title} | `repro campaign run {name}` |"
         )
     return lines
 
@@ -371,30 +360,5 @@ def generate() -> str:
     return "\n".join(sections)
 
 
-def main() -> int:
-    check = "--check" in sys.argv[1:]
-    content = generate()
-    if check:
-        try:
-            with open(OUTPUT_PATH, encoding="utf-8") as handle:
-                existing = handle.read()
-        except FileNotFoundError:
-            existing = None
-        if existing != content:
-            print(
-                "docs/EXPERIMENTS.md is stale; regenerate with "
-                "'python benchmarks/generate_experiments_md.py'",
-                file=sys.stderr,
-            )
-            return 1
-        print("docs/EXPERIMENTS.md is up to date")
-        return 0
-    os.makedirs(os.path.dirname(OUTPUT_PATH), exist_ok=True)
-    with open(OUTPUT_PATH, "w", encoding="utf-8") as handle:
-        handle.write(content)
-    print(f"wrote {OUTPUT_PATH}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(emit("docs/EXPERIMENTS.md", generate()))

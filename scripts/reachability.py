@@ -91,19 +91,21 @@ repro telemetry list
 repro telemetry show STRESS --store {tmp}/s --metric pulses.recorded
 repro telemetry aggregate --store {tmp}/s
 repro telemetry diff STRESS STRESS --store {tmp}/s
+python -m bench --workload campaign-overhead --seed 0 --seconds 6 --trace 0 \
+    --out {tmp}/bench
 repro perf list
-repro perf run --quick --out {tmp}/perf
-repro perf compare --current {tmp}/perf
-repro perf baseline --current {tmp}/perf --out {tmp}/baseline.json
+repro perf compare --current {tmp}/bench
+repro perf baseline --current {tmp}/bench --out {tmp}/h.jsonl
+repro perf overhead
 python examples/*.py
 python benchmarks/generate_experiments_md.py --check
 python benchmarks/generate_ablations_md.py --check
+python benchmarks/generate_perf_history_md.py --check
 python -m bench --workload event-stress --seconds 2
 python -m bench --workload event-judged --seconds 2
 python -m bench --workload vector-scale --seconds 2
 python -m bench --workload campaign-overhead --seconds 2
 python -m bench --workload cli-coldstart --seconds 2
-python -m pytest benchmarks/ --benchmark-only -q
 """
 
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full test suite plus the docs freshness
-# check (regenerating docs/EXPERIMENTS.md must produce no diff).
+# check (regenerating docs/EXPERIMENTS.md, docs/ABLATIONS.md and
+# docs/PERF_HISTORY.md must produce no diff).
 #
 # CI's verify matrix and local pre-push share this entry point:
 #
@@ -38,4 +39,5 @@ python -m pytest "${PYTEST_ARGS[@]}"
 if [[ "$FAST" -eq 0 ]]; then
   python benchmarks/generate_experiments_md.py --check
   python benchmarks/generate_ablations_md.py --check
+  python benchmarks/generate_perf_history_md.py --check
 fi

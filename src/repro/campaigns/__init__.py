@@ -22,7 +22,8 @@ transport; the subsystem's six modules are:
     round by round, until a confidence-interval width target.
 ``aggregate``
     group-by/statistics helpers reducing trial records into
-    :class:`~repro.analysis.reporting.Table` rows.
+    :class:`~repro.analysis.reporting.Table` rows, and the
+    ``--perf`` throughput summary of a run.
 
 Scenario-typed case values (``adversary``/``delay``/``topology``/
 ``drift``) name entries of the scenario registry
@@ -42,6 +43,7 @@ from typing import Callable, Dict, List
 
 from repro.analysis.reporting import Table
 from repro.campaigns.aggregate import (
+    campaign_throughput,
     failure_counts,
     records_to_table,
     run_summary_table,
@@ -148,6 +150,7 @@ __all__ = [
     "WorkQueue",
     "available_campaigns",
     "campaign_definition",
+    "campaign_throughput",
     "canonical_json",
     "default_worker_id",
     "derive_seed",

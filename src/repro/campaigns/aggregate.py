@@ -9,16 +9,23 @@ benchmarks, and CSV snapshots already render.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from typing import (
     Any,
     Dict,
     Iterable,
     List,
+    Optional,
     Sequence,
     Tuple,
     Union,
 )
+
+try:  # pragma: no cover - resource is POSIX-only
+    import resource
+except ImportError:  # pragma: no cover
+    resource = None  # type: ignore[assignment]
 
 from repro.analysis.reporting import Table
 from repro.campaigns.executor import CampaignRun, TrialRecord
@@ -134,6 +141,76 @@ def run_summary_table(run: CampaignRun) -> Table:
             f"{a['ci_width']} at {a['confidence']:.0%} confidence"
         )
     return table
+
+
+def peak_rss_kib() -> int:
+    """Peak resident set size in KiB of this process or any reaped
+    child, whichever is larger (0 if unknown).
+
+    With ``--workers N`` the trials run in pool children and the
+    coordinator idles; the pool is reaped before a run's summary is
+    built.  ``ru_maxrss`` is KiB on Linux and bytes on macOS.
+    """
+    if resource is None:  # pragma: no cover
+        return 0
+    peak = max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    if sys.platform == "darwin":  # pragma: no cover
+        peak //= 1024
+    return int(peak)
+
+
+def trial_throughput(record: Any) -> Optional[Dict[str, Any]]:
+    """Throughput of one executed trial, or None when unmeasurable.
+
+    Cached records replay in microseconds and carry their *original*
+    duration, so they are excluded rather than skewing the numbers.
+    """
+    events = record.metrics.get("events") if record.ok else None
+    if record.cached or not events or record.duration <= 0:
+        return None
+    return {
+        "case_key": record.case_key,
+        "builder": record.builder,
+        "case": dict(record.case),
+        "events": events,
+        "duration": record.duration,
+        "events_per_sec": events / record.duration,
+    }
+
+
+def campaign_throughput(run: CampaignRun) -> Dict[str, Any]:
+    """Per-case and total events/sec of a run (``--perf``).
+
+    Pulse-trial builders record the simulator events each trial
+    processed; with the executor's per-trial wall time that yields
+    events/sec without re-running anything.  ``repro campaign run
+    --perf`` persists this summary as ``<spec_key>.perf.json``.
+    """
+    cases = []
+    for record in run.records:
+        throughput = trial_throughput(record)
+        if throughput is not None:
+            cases.append(throughput)
+    total_events = sum(case["events"] for case in cases)
+    total_duration = sum(case["duration"] for case in cases)
+    return {
+        "campaign": run.spec.name,
+        "scale": run.scale,
+        "trials": len(run.records),
+        "measured": len(cases),
+        "cached": run.cached,
+        "failed": run.failed,
+        "events": total_events,
+        "duration": total_duration,
+        "events_per_sec": (
+            total_events / total_duration if total_duration > 0 else 0.0
+        ),
+        "peak_rss_kib": peak_rss_kib(),
+        "cases": cases,
+    }
 
 
 def _by_builder(

@@ -13,7 +13,7 @@ subcommands (``repro <command> --help`` prints the flags):
 ``ablate``          ``ablate plan|run|report`` — component importance
 ``check``           ``check list|run|matrix|fixture`` — conformance
 ``fuzz``            ``fuzz run|list|replay|promote`` — violation search
-``perf``            ``perf list|run|compare|baseline`` — perf tracking
+``perf``            ``perf compare|baseline|list|overhead`` — the perf gate
 ``telemetry``       ``telemetry list|show|aggregate|diff`` — sidecars
 ==================  =====================================================
 

@@ -45,6 +45,7 @@ from repro.campaigns import (
     ResultStore,
     available_campaigns,
     campaign_definition,
+    campaign_throughput,
     run_summary_table,
 )
 from repro.campaigns.queue import WorkQueue, run_worker
@@ -147,8 +148,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
             f"converged, {a['exhausted']} at cap)"
         )
     if args.perf:
-        from repro.perf import campaign_throughput
-
         throughput = campaign_throughput(run)
         print(
             f"throughput: {throughput['events']} events in "

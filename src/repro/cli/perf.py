@@ -1,14 +1,19 @@
-"""``repro perf`` — benchmark tracking.
+"""``repro perf`` — the perf gate and its history.
 
+``python3 -m bench run`` measures; these read what it wrote.
+
+``perf compare``
+    Grade a directory of ``RESULT_*.json`` files against the last line
+    of ``results/perf_history.jsonl``; exits non-zero on a regression,
+    a missing workload or an incorrect run (the CI gate).
+``perf baseline``
+    Append the directory's medians to the history as the new baseline.
 ``perf list``
-    Show the registered perf cases.
-``perf run [--quick] [--case NAME] [--out results/perf]``
-    Measure perf cases and write ``BENCH_<name>.json`` files.
-``perf compare --baseline results/perf_baseline.json [--tolerance 0.35]``
-    Grade fresh measurements against the committed baseline; exits
-    non-zero on a regression (the CI perf gate).
-``perf baseline [--out results/perf_baseline.json]``
-    Re-record the baseline from the current ``BENCH_*.json`` files.
+    Print the history: the trajectory of every workload.
+``perf overhead``
+    Telemetry on/off and trace ``full``/``pulses`` as ratios against a
+    bare run; exits non-zero when observing changed a pulse or costs
+    more than its limit.
 """
 
 from __future__ import annotations
@@ -16,176 +21,99 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.build import resolve_backend
-from repro.cli.shared import backend_parent, unknown_name_exit
-from repro.perf import (
-    PERF_CASES,
-    available_cases,
+from repro.perf.history import (
+    append_history,
     compare,
-    load_baseline,
-    load_results,
-    run_case,
-    write_baseline,
+    load_history,
+    read_results,
+    recording,
+    trajectory,
 )
 
-DEFAULT_BENCH_DIR = os.path.join("results", "perf")
-DEFAULT_BASELINE = os.path.join("results", "perf_baseline.json")
+#: ``python3 -m bench run``'s default ``--out``, from the repo root.
+DEFAULT_CURRENT = os.path.join(".bench_work", "out")
+DEFAULT_HISTORY = os.path.join("results", "perf_history.jsonl")
 
 
-def _command_perf_list(_args: argparse.Namespace) -> int:
-    """List both perf JSON namespaces (docs/PERFORMANCE.md has detail).
-
-    * registered cases — ``perf run`` writes ``BENCH_<name>.json``
-      under ``results/perf`` (gitignored; compared via ``perf
-      baseline`` / ``perf compare``);
-    * campaign sidecars — ``campaign run NAME --perf --store DIR``
-      writes ``<spec_key>.perf.json`` next to the campaign's results
-      (spec-keyed, so every measurement knob change re-keys the file).
-    """
-    print(
-        "registered cases — `repro perf run` writes "
-        f"{DEFAULT_BENCH_DIR}/BENCH_<name>.json:"
-    )
-    for name in sorted(PERF_CASES):
-        print(f"  {name:<18} {PERF_CASES[name].description}")
-    print()
-    print(
-        "campaign sidecars — `repro campaign run NAME --perf "
-        "--store DIR` writes <spec_key>.perf.json in DIR (spec-keyed "
-        "per measurement, including its backend)."
-    )
-    return 0
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError("must be in [0, 1)")
+    return value
 
 
-def _command_perf_run(args: argparse.Namespace) -> int:
-    names = args.case or available_cases()
-    unknown = sorted(set(names) - set(available_cases()))
-    if unknown:
-        raise unknown_name_exit(
-            unknown[0], "perf case", available_cases()
-        )
-    scale = "quick" if args.quick else "full"
-    # Only resolve an explicit override: ``None`` must stay ``None`` so
-    # backend-aware case bodies keep their own defaults (e9-vectorized-*
-    # default to the vectorized engine).
-    backend = (
-        resolve_backend(args.backend)
-        if args.backend is not None
-        else None
-    )
-    for name in names:
-        result = run_case(
-            name, scale=scale, repeats=args.repeats, backend=backend
-        )
-        path = result.write(args.out)
-        normalized = result.normalized_throughput
-        cache = result.meta.get("verify_cache") or {}
-        rate = cache.get("hit_rate")
-        cache_note = (
-            f"verify-cache {rate:.1%}" if rate is not None
-            else "verify-cache n/a"
-        )
-        print(
-            f"{name:<18} {result.events:>9} events  "
-            f"{result.wall_seconds:8.3f}s  "
-            f"{result.events_per_sec:>12,.0f} ev/s  "
-            f"norm {normalized:.4f}  {cache_note}  -> {path}"
-        )
-    return 0
-
-
-def _command_perf_compare(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.baseline):
-        raise SystemExit(f"baseline file not found: {args.baseline}")
-    baseline = load_baseline(args.baseline)
-    current = load_results(args.current)
-    if not current:
-        raise SystemExit(
-            f"no BENCH_*.json files under {args.current!r} "
-            f"(run 'repro perf run' first)"
-        )
-    comparison = compare(baseline.cases, current, tolerance=args.tolerance)
-    for verdict in comparison.verdicts:
+def _command_compare(args: argparse.Namespace) -> int:
+    baseline = load_history(args.baseline)[-1]
+    verdicts = compare(baseline, read_results(args.current), args.tolerance)
+    for verdict in verdicts:
         print(verdict.describe())
-    print(comparison.summary())
-    return 0 if comparison.ok else 1
+    failing = sum(not verdict.ok for verdict in verdicts)
+    print(f"{'FAIL' if failing else 'PASS'} (tolerance {args.tolerance:.0%})")
+    return 1 if failing else 0
 
 
-def _command_perf_baseline(args: argparse.Namespace) -> int:
-    results = load_results(args.current)
-    if not results:
-        raise SystemExit(
-            f"no BENCH_*.json files under {args.current!r} "
-            f"(run 'repro perf run' first)"
-        )
-    path = write_baseline(args.out, results, notes=args.notes)
-    print(f"wrote baseline with {len(results)} case(s) to {path}")
+def _command_baseline(args: argparse.Namespace) -> int:
+    line = recording(read_results(args.current), notes=args.notes)
+    append_history(args.out, line)
+    print(f"appended {len(line['workloads'])} workload(s) to {args.out}")
     return 0
+
+
+def _command_list(_args: argparse.Namespace) -> int:
+    print("\n".join(trajectory(load_history(DEFAULT_HISTORY))))
+    return 0
+
+
+def _command_overhead(_args: argparse.Namespace) -> int:
+    from repro.perf.overhead import overhead_report
+
+    ok, rows = overhead_report()
+    print("\n".join(rows))
+    return 0 if ok else 1
 
 
 def register_perf(parser: argparse.ArgumentParser) -> None:
     perf_sub = parser.add_subparsers(dest="perf_command", required=True)
+    current = argparse.ArgumentParser(add_help=False)
+    current.add_argument(
+        "--current", default=DEFAULT_CURRENT,
+        help="directory `python3 -m bench run --out` wrote "
+        f"(default {DEFAULT_CURRENT})",
+    )
 
     perf_sub.add_parser(
-        "list", help="list registered perf cases"
-    ).set_defaults(handler=_command_perf_list)
+        "list", help="print the recorded history, oldest first"
+    ).set_defaults(handler=_command_list)
 
-    perf_run_parser = perf_sub.add_parser(
-        "run", help="measure perf cases and write BENCH_<name>.json",
-        parents=[backend_parent()],
+    compare_parser = perf_sub.add_parser(
+        "compare", parents=[current],
+        help="grade RESULT_*.json files against the baseline (CI gate)",
     )
-    perf_run_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI-scale workloads (seconds, not minutes)",
+    compare_parser.add_argument(
+        "--baseline", default=DEFAULT_HISTORY,
+        help="history file whose last line is the baseline "
+        f"(default {DEFAULT_HISTORY})",
     )
-    perf_run_parser.add_argument(
-        "--case", action="append",
-        help="measure only this case (repeatable; default: all)",
-    )
-    perf_run_parser.add_argument(
-        "--out", default=DEFAULT_BENCH_DIR,
-        help=f"directory for BENCH_*.json (default {DEFAULT_BENCH_DIR})",
-    )
-    perf_run_parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats per case, best run kept (default 3)",
-    )
-    perf_run_parser.set_defaults(handler=_command_perf_run)
-
-    perf_compare_parser = perf_sub.add_parser(
-        "compare",
-        help="grade BENCH_*.json files against a baseline (CI gate)",
-    )
-    perf_compare_parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline JSON file (default {DEFAULT_BASELINE})",
-    )
-    perf_compare_parser.add_argument(
-        "--current", default=DEFAULT_BENCH_DIR,
-        help="directory of fresh BENCH_*.json files "
-        f"(default {DEFAULT_BENCH_DIR})",
-    )
-    perf_compare_parser.add_argument(
-        "--tolerance", type=float, default=0.35,
+    compare_parser.add_argument(
+        "--tolerance", type=_tolerance, default=0.35,
         help="accepted fractional throughput drop (default 0.35)",
     )
-    perf_compare_parser.set_defaults(handler=_command_perf_compare)
+    compare_parser.set_defaults(handler=_command_compare)
 
-    perf_baseline_parser = perf_sub.add_parser(
-        "baseline",
-        help="re-record the committed baseline from current results",
+    baseline_parser = perf_sub.add_parser(
+        "baseline", parents=[current],
+        help="append the current results to the history as the baseline",
     )
-    perf_baseline_parser.add_argument(
-        "--current", default=DEFAULT_BENCH_DIR,
-        help="directory of fresh BENCH_*.json files "
-        f"(default {DEFAULT_BENCH_DIR})",
+    baseline_parser.add_argument(
+        "--out", default=DEFAULT_HISTORY,
+        help=f"history file to append to (default {DEFAULT_HISTORY})",
     )
-    perf_baseline_parser.add_argument(
-        "--out", default=DEFAULT_BASELINE,
-        help=f"baseline file to write (default {DEFAULT_BASELINE})",
+    baseline_parser.add_argument(
+        "--notes", default="", help="why the numbers moved"
     )
-    perf_baseline_parser.add_argument(
-        "--notes", default="",
-        help="free-form provenance note stored in the baseline",
-    )
-    perf_baseline_parser.set_defaults(handler=_command_perf_baseline)
+    baseline_parser.set_defaults(handler=_command_baseline)
+
+    perf_sub.add_parser(
+        "overhead",
+        help="telemetry and full-trace cost as ratios against a bare run",
+    ).set_defaults(handler=_command_overhead)

@@ -21,8 +21,8 @@ def unknown_name_exit(
 
 def backend_parent() -> argparse.ArgumentParser:
     """The ``--backend`` flag shared by every simulation-executing
-    subcommand (``campaign run``, ``check run``, ``check matrix``,
-    ``perf run``), validated with a did-you-mean by
+    subcommand (``campaign run``, ``check run``, ``check matrix``),
+    validated with a did-you-mean by
     :func:`repro.build.resolve_backend`.  Default ``None`` = "whatever
     the spec or engine defaults to", so campaign specs that pin a
     backend are not silently overridden."""

@@ -138,12 +138,6 @@ class TestErrorPaths:
         with pytest.raises(SystemExit, match="unknown campaign"):
             main(["campaign", "show", "E99"])
 
-    def test_unknown_perf_case_suggests_close_match(self):
-        with pytest.raises(
-            SystemExit, match="did you mean 'queue-churn'"
-        ):
-            main(["perf", "run", "--case", "queue-churns", "--quick"])
-
     def test_perf_compare_missing_baseline(self, tmp_path):
         missing = os.path.join(tmp_path, "nope.json")
         with pytest.raises(SystemExit, match="baseline file not found"):
@@ -353,18 +347,6 @@ class TestTelemetryCli:
         out = capsys.readouterr().out
         assert "tottime" in out
         assert "scheduler" in out
-
-    def test_perf_run_prints_verify_cache_rate(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "perf", "run", "--quick", "--case", "queue-churn",
-                    "--repeats", "1", "--out", str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "verify-cache" in capsys.readouterr().out
 
     def test_unknown_campaign_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown campaign") as info:

@@ -98,6 +98,16 @@ class TestColdStartImports:
         ]
         assert _loaded(imported, ("repro.campaigns",)) == []
 
+    def test_the_perf_gate_reads_files_and_runs_nothing(self):
+        # ``perf list`` reads results/perf_history.jsonl of the cwd.
+        out, imported = _repro("perf", "list")
+        assert "| workload | # | date |" in out
+        assert _loaded(imported, GRAPH_AND_NUMERIC + ENGINE) == []
+        assert _loaded(imported, ("repro",)) == [
+            "repro", "repro.cli", "repro.cli.perf", "repro.perf",
+            "repro.perf.history",
+        ]
+
 
 class TestLazyPackageRoot:
     def test_import_repro_executes_no_engine_module(self):

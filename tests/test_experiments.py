@@ -171,6 +171,18 @@ class TestClaims:
         assert rows["f-b"][2] == "ok"
         assert rows["f"][2] != "ok"
 
+    def test_stress_live_rows_within_their_bound(self, tables):
+        # Every live run stays within its derived bound S (topology
+        # rows are judged against the *overlay* bound); some run is live.
+        table = tables["STRESS"]
+        live = table.column("live")
+        assert any(live)
+        assert all(
+            within
+            for within, alive in zip(table.column("within"), live)
+            if alive
+        )
+
     def test_e9_scale_bound_holds_at_all_sizes(self, tables):
         table = tables["E9-SCALE"]
         assert sorted(table.column("n")) == [100, 1000, 10000]

@@ -1,177 +1,380 @@
-"""Tests for the perf subsystem and the trace-level fast path."""
+"""Tests for the perf gate, its history and the trace-level fast path."""
 
 import json
 import math
-import time
+import os
 
 import pytest
 
 from repro import scenarios
 from repro.analysis.runner import run_pulse_trial
+from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
 from repro.crypto.signatures import clear_verify_cache, verify_cache_stats
-from repro.perf import (
-    BenchResult,
-    PerfProbe,
-    available_cases,
-    campaign_throughput,
+from repro.perf import overhead
+from repro.perf.history import (
+    METRICS,
+    append_history,
     compare,
-    load_baseline,
-    load_results,
-    write_baseline,
+    load_history,
+    read_results,
+    recording,
+    trajectory,
 )
-from repro.perf.probe import machine_calibration
 from repro.sim.trace import Trace, TraceLevel
 
-
-class TestPerfProbe:
-    def test_captures_wall_time_and_events(self):
-        probe = PerfProbe(calibrate=False)
-        with probe:
-            time.sleep(0.01)
-            probe.add_events(500)
-        reading = probe.reading()
-        assert reading.wall_seconds >= 0.01
-        assert reading.events == 500
-        assert reading.events_per_sec == pytest.approx(
-            500 / reading.wall_seconds
-        )
-
-    def test_accumulates_across_blocks(self):
-        probe = PerfProbe(calibrate=False)
-        for _ in range(3):
-            with probe:
-                probe.add_events(10)
-        assert probe.events == 30
-        assert probe.reading().events == 30
-
-    def test_not_reentrant(self):
-        probe = PerfProbe(calibrate=False)
-        with probe:
-            with pytest.raises(RuntimeError):
-                probe.__enter__()
-
-    def test_peak_rss_captured_on_posix(self):
-        reading = PerfProbe(calibrate=False).reading()
-        assert reading.peak_rss_kib > 0
-
-    def test_calibration_is_positive_and_normalizes(self):
-        # Normalization by it is BenchResult's job
-        # (TestBenchResult.test_normalized_throughput).
-        assert machine_calibration(spins=10_000, repeats=1) > 0
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def bench(name, events=1000, wall=2.0, calibration=100.0, **meta):
-    return BenchResult(
-        name=name,
-        events=events,
-        wall_seconds=wall,
-        events_per_sec=events / wall,
-        peak_rss_kib=4096,
-        calibration=calibration,
-        created="2026-01-01T00:00:00",
-        meta=meta,
+def result(workload, ops=100.0, calibration=1e7, **fields):
+    """A ``bench-result/1`` payload as ``bench/measure.py`` writes it."""
+    values = dict.fromkeys(METRICS, 1.0)
+    values.update(ops_per_s=ops, events_per_s=ops)
+    return {
+        "schema": "bench-result/1",
+        "workload": workload,
+        "seed": 0,
+        "trace": 0,
+        "smoke": False,
+        "correct": True,
+        "noisy": False,
+        "environment": {"nproc": 2, "python": "3.11.7", "loadavg_1m": 0.5},
+        "calibration_ops_per_s": {
+            "before": calibration * 0.98, "after": calibration * 1.02,
+        },
+        "metrics": {
+            name: {"value": value, "unit": "x"}
+            for name, value in values.items()
+        },
+        "not_applicable": ["events_per_s", "skew_over_bound_max"],
+        **fields,
+    }
+
+
+def write_results(directory, *results):
+    """Write payloads the way repeated ``bench run --out`` calls do."""
+    os.makedirs(directory, exist_ok=True)
+    counts = {}
+    for payload in results:
+        name = payload["workload"]
+        index = counts[name] = counts.get(name, -1) + 1
+        path = os.path.join(directory, f"RESULT_{name}.{index:03d}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+    return str(directory)
+
+
+def baseline_of(*results):
+    return recording(
+        {r["workload"]: [r] for r in results}, notes="synthetic"
     )
 
 
-class TestBenchResult:
-    def test_json_round_trip(self):
-        original = bench("alpha", trials=12)
-        back = BenchResult.from_json_dict(
-            json.loads(json.dumps(original.to_json_dict()))
+def graded(baseline_results, current_results, tolerance=0.35):
+    runs = {}
+    for payload in current_results:
+        runs.setdefault(payload["workload"], []).append(payload)
+    verdicts = compare(baseline_of(*baseline_results), runs, tolerance)
+    return {verdict.name: verdict for verdict in verdicts}
+
+
+class TestReadResults:
+    def test_scans_directory_and_groups_runs(self, tmp_path):
+        write_results(
+            tmp_path, result("alpha"), result("alpha"), result("beta")
         )
-        assert back == original
-
-    def test_write_and_load_file(self, tmp_path):
-        result = bench("alpha")
-        path = result.write(str(tmp_path))
-        assert path.endswith("BENCH_alpha.json")
-        assert BenchResult.load(path) == result
-
-    def test_load_results_scans_directory(self, tmp_path):
-        bench("alpha").write(str(tmp_path))
-        bench("beta").write(str(tmp_path))
         (tmp_path / "unrelated.json").write_text("{}")
-        results = load_results(str(tmp_path))
-        assert sorted(results) == ["alpha", "beta"]
-        assert load_results(str(tmp_path / "missing")) == {}
+        runs = read_results(str(tmp_path))
+        assert {name: len(rs) for name, rs in runs.items()} == {
+            "alpha": 2, "beta": 1,
+        }
 
-    def test_normalized_throughput(self):
-        assert bench("a").normalized_throughput == pytest.approx(5.0)
-        assert bench("a", calibration=0.0).normalized_throughput is None
+    def test_empty_or_missing_directory_is_one_line(self, tmp_path):
+        for directory in (tmp_path, tmp_path / "missing"):
+            with pytest.raises(SystemExit, match="no RESULT_"):
+                read_results(str(directory))
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{not json", "not JSON"),
+            ("[1, 2]", "not a JSON object"),
+            (json.dumps(result("a", schema="bench-result/0")), "schema"),
+            (json.dumps(result("a", trace=1)), "traced run"),
+            (json.dumps(result("a", smoke=True)), "--smoke"),
+            (
+                json.dumps(result("a", calibration_ops_per_s=None)),
+                "calibration",
+            ),
+            (json.dumps(result("a", calibration=0.0)), "calibration"),
+            (json.dumps(result("a", metrics={})), "metric"),
+        ],
+    )
+    def test_ungradeable_file_names_itself_and_the_reason(
+        self, tmp_path, text, reason
+    ):
+        write_results(tmp_path, result("good"))
+        (tmp_path / "RESULT_bad.000.json").write_text(text)
+        with pytest.raises(SystemExit) as info:
+            read_results(str(tmp_path))
+        message = str(info.value)
+        assert "RESULT_bad.000.json" in message and reason in message
+        assert "\n" not in message
+
+    def test_metric_names_are_the_contract(self):
+        with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as handle:
+            contract = json.load(handle)
+        assert list(METRICS) == [
+            entry["name"] for entry in contract["end_to_end"]
+        ]
 
 
 class TestCompare:
     def test_improvement_within_tolerance_regression(self):
-        baseline = {
-            "up": bench("up"),
-            "flat": bench("flat"),
-            "down": bench("down"),
-        }
-        current = {
-            "up": bench("up", events=2000),  # 2.0x
-            "flat": bench("flat", events=800),  # 0.8x, within 0.35
-            "down": bench("down", events=500),  # 0.5x, regression
-        }
-        comparison = compare(baseline, current, tolerance=0.35)
-        by_name = {v.name: v for v in comparison.verdicts}
+        by_name = graded(
+            [result("up"), result("flat"), result("down")],
+            [
+                result("up", ops=200.0),  # 2.0x
+                result("flat", ops=80.0),  # 0.8x, within 0.35
+                result("down", ops=50.0),  # 0.5x, regression
+            ],
+        )
         assert by_name["up"].status == "improvement"
         assert by_name["flat"].status == "within-tolerance"
         assert by_name["down"].status == "regression"
         assert by_name["down"].ratio == pytest.approx(0.5)
-        assert not comparison.ok
-        assert "FAIL" in comparison.summary()
+        assert not by_name["down"].ok
+        assert "down: regression (ratio 0.500)" in by_name["down"].describe()
 
     def test_all_good_passes(self):
-        baseline = {"a": bench("a")}
-        current = {"a": bench("a", events=990)}  # 1% drop
-        comparison = compare(baseline, current, tolerance=0.35)
-        assert comparison.ok
-        assert "PASS" in comparison.summary()
+        by_name = graded([result("a")], [result("a", ops=99.0)])
+        assert all(verdict.ok for verdict in by_name.values())
 
     def test_missing_case_fails_new_case_passes(self):
-        comparison = compare(
-            {"gone": bench("gone")}, {"fresh": bench("fresh")}
-        )
-        by_name = {v.name: v for v in comparison.verdicts}
+        by_name = graded([result("gone")], [result("fresh")])
         assert by_name["gone"].status == "missing"
         assert by_name["fresh"].status == "new"
-        assert not comparison.ok
-        assert compare({}, {"fresh": bench("fresh")}).ok
+        assert not by_name["gone"].ok and by_name["fresh"].ok
 
     def test_normalization_cancels_machine_speed(self):
-        # Same workload, but the "current" machine is 3x faster across
-        # the board: raw throughput tripled AND calibration tripled.
-        baseline = {"a": bench("a", events=1000, calibration=100.0)}
-        current = {"a": bench("a", events=3000, calibration=300.0)}
-        verdict = compare(baseline, current).verdicts[0]
+        # Equal work on a "machine" twice as fast: ops_per_s doubled
+        # AND the calibration doubled.
+        verdict = graded(
+            [result("a", ops=100.0, calibration=1e7)],
+            [result("a", ops=200.0, calibration=2e7)],
+        )["a"]
         assert verdict.ratio == pytest.approx(1.0)
-        assert verdict.ok
+        assert verdict.status in ("within-tolerance", "improvement")
 
-    def test_raw_fallback_without_calibration(self):
-        baseline = {"a": bench("a", calibration=0.0)}
-        current = {"a": bench("a", events=400, calibration=0.0)}
-        verdict = compare(baseline, current, tolerance=0.35).verdicts[0]
-        assert verdict.status == "regression"
-        assert verdict.baseline_value == pytest.approx(500.0)
+    def test_median_over_the_runs_of_one_workload(self):
+        # .000/.001/.002: one wild run moves neither side.
+        verdict = graded(
+            [result("a")],
+            [result("a", ops=90.0), result("a", ops=5.0),
+             result("a", ops=95.0)],
+        )["a"]
+        assert verdict.ratio == pytest.approx(0.9)
+        assert verdict.status == "within-tolerance"
 
-    def test_tolerance_validated(self):
-        with pytest.raises(ValueError):
-            compare({}, {}, tolerance=1.5)
+    def test_incorrect_run_fails_whatever_its_speed(self):
+        verdict = graded(
+            [result("a")], [result("a", ops=500.0, correct=False)]
+        )["a"]
+        assert verdict.status == "incorrect" and not verdict.ok
+
+    def test_noisy_run_is_graded_and_flagged(self):
+        verdict = graded([result("a")], [result("a", noisy=True)])["a"]
+        assert verdict.ok and verdict.noisy
+        assert "noisy" in verdict.describe()
+
+    def test_baseline_entry_without_calibration_cannot_gate(self):
+        line = baseline_of(result("a"))
+        line["workloads"]["a"]["calibration_ops_per_s"] = None
+        with pytest.raises(SystemExit, match="'a'"):
+            compare(line, {"a": [result("a")]})
+
+    def test_tolerance_validated(self, capsys):
+        # A usage error (exit 2) from argparse, not a traceback.
+        with pytest.raises(SystemExit) as info:
+            main(["perf", "compare", "--tolerance", "1.5"])
+        assert info.value.code == 2
+        assert "must be in [0, 1)" in capsys.readouterr().err
+
+
+class TestGate:
+    """``repro perf compare`` end to end on synthetic directories."""
+
+    NAMES = ("event-stress", "cli-coldstart")
+
+    def recorded(self, tmp_path):
+        before = write_results(
+            tmp_path / "before", *(result(name) for name in self.NAMES)
+        )
+        history = str(tmp_path / "history.jsonl")
+        assert main(
+            ["perf", "baseline", "--current", before, "--out", history,
+             "--notes", "synthetic"]
+        ) == 0
+        return before, history
+
+    def test_recorded_directory_passes_its_own_baseline(
+        self, tmp_path, capsys
+    ):
+        before, history = self.recorded(tmp_path)
+        assert main(
+            ["perf", "compare", "--current", before, "--baseline", history]
+        ) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_halved_ops_at_equal_calibration_exits_one(
+        self, tmp_path, capsys
+    ):
+        # The test that proves the gate can fail.
+        _before, history = self.recorded(tmp_path)
+        after = write_results(
+            tmp_path / "after",
+            result("event-stress", ops=50.0), result("cli-coldstart"),
+        )
+        assert main(
+            ["perf", "compare", "--current", after, "--baseline", history]
+        ) == 1
+        out = capsys.readouterr().out
+        assert "event-stress: regression" in out
+        assert "cli-coldstart: improvement" in out
+        assert "FAIL" in out
+
+    def test_the_baseline_is_the_last_line(self, tmp_path):
+        _before, history = self.recorded(tmp_path)
+        slower = write_results(
+            tmp_path / "slower", *(result(n, ops=50.0) for n in self.NAMES)
+        )
+        compare_slower = [
+            "perf", "compare", "--current", slower, "--baseline", history,
+        ]
+        assert main(compare_slower) == 1
+        main(["perf", "baseline", "--current", slower, "--out", history])
+        assert main(compare_slower) == 0
 
 
 class TestBaselineFiles:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "nested" / "baseline.json")
-        write_baseline(
-            path, {"a": bench("a")}, notes="why", meta={"host": "ci"}
+        path = str(tmp_path / "history.jsonl")
+        first = baseline_of(result("a"))
+        second = recording(
+            {"a": [result("a", ops=120.0), result("a", ops=80.0),
+                   result("a", ops=110.0)]},
+            notes="why",
         )
-        baseline = load_baseline(path)
-        assert baseline.cases["a"] == bench("a")
-        assert baseline.notes == "why"
-        assert baseline.meta == {"host": "ci"}
-        assert baseline.created
+        append_history(path, first)
+        append_history(path, second)
+        assert load_history(path) == [first, second]
+        entry = second["workloads"]["a"]
+        assert entry["runs"] == 3
+        assert entry["calibration_ops_per_s"] == pytest.approx(1e7)
+        assert entry["metrics"]["ops_per_s"] == 110.0
+        # Metrics that do not apply to the workload are absent, not 1.0.
+        assert "skew_over_bound_max" not in entry["metrics"]
+        assert second["notes"] == "why" and second["date"]
+        assert second["environment"] == {"nproc": 2, "python": "3.11.7"}
+
+    def test_malformed_line_names_its_number(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        append_history(str(path), baseline_of(result("a")))
+        for bad in ("{broken\n", '{"schema": "perf-history/0"}\n',
+                    '{"schema": "perf-history/1", "workloads": [1]}\n'):
+            path.write_text(path.read_text().splitlines()[0] + "\n" + bad)
+            with pytest.raises(SystemExit, match="line 2: malformed"):
+                load_history(str(path))
+
+    def test_missing_and_empty_files_are_one_line(self, tmp_path):
+        with pytest.raises(SystemExit, match="baseline file not found"):
+            load_history(str(tmp_path / "nope.jsonl"))
+        (tmp_path / "empty.jsonl").write_text("")
+        with pytest.raises(SystemExit, match="no recording"):
+            load_history(str(tmp_path / "empty.jsonl"))
+
+    def test_trajectory_has_a_row_per_line_and_workload(self):
+        seeded = {
+            "schema": "perf-history/1", "date": "2026-09-30",
+            "notes": "from prose", "environment": {},
+            "workloads": {"a": {"runs": 10, "metrics": {"wall_s": 2.5}}},
+        }
+        rows = trajectory([seeded, baseline_of(result("a"), result("b"))])
+        table = [row for row in rows if row.startswith("| `")]
+        assert [row.split(" | ")[:2] for row in table] == [
+            ["| `a`", "1"], ["| `a`", "2"], ["| `b`", "2"],
+        ]
+        assert "| 2.5 |" in table[0] and "—" in table[0]
+        assert rows[-2:] == [
+            "1. 2026-09-30 — from prose",
+            f"2. {baseline_of(result('a'))['date']} — synthetic",
+        ]
+
+    def test_committed_history_gates(self):
+        # The tracked file loads, and its last line can be a baseline
+        # for every workload of the benchmark.
+        lines = load_history(
+            os.path.join(REPO_ROOT, "results", "perf_history.jsonl")
+        )
+        with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as handle:
+            names = [w["name"] for w in json.load(handle)["workloads"]]
+        runs = {name: [result(name)] for name in names}
+        verdicts = compare(lines[-1], runs)
+        assert sorted(v.name for v in verdicts) == sorted(names)
+        assert all(v.ratio is not None for v in verdicts)
+
+
+class TestOverhead:
+    @pytest.fixture
+    def fake_runs(self, monkeypatch):
+        """``timed_run`` replaced by a table of (wall, pulses, events)."""
+        table = {
+            ("pulses", False): (1.0, {0: [1.0, 2.0]}, 100),
+            ("pulses", True): (1.2, {0: [1.0, 2.0]}, 100),
+            ("full", False): (1.5, {0: [1.0, 2.0]}, 100),
+        }
+        monkeypatch.setattr(
+            overhead, "timed_run", lambda *variant: table[variant]
+        )
+        return table
+
+    def test_within_limits_exits_zero(self, fake_runs, capsys):
+        assert main(["perf", "overhead"]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry on / bare: ratio 1.200" in out
+        assert "trace full / bare: ratio 1.500" in out
+
+    def test_dropped_pulse_exits_one(self, fake_runs, capsys):
+        fake_runs[("pulses", True)] = (1.2, {0: [1.0]}, 100)
+        assert main(["perf", "overhead"]) == 1
+        assert "pulses or event count differ" in capsys.readouterr().out
+
+    def test_changed_event_count_exits_one(self, fake_runs):
+        fake_runs[("full", False)] = (1.5, {0: [1.0, 2.0]}, 101)
+        assert main(["perf", "overhead"]) == 1
+
+    @pytest.mark.parametrize(
+        "variant, limit",
+        [
+            (("pulses", True), overhead.MAX_TELEMETRY_RATIO),
+            (("full", False), overhead.MAX_FULL_TRACE_RATIO),
+        ],
+    )
+    def test_ratio_over_the_constant_exits_one(
+        self, fake_runs, capsys, variant, limit
+    ):
+        fake_runs[variant] = (limit * 1.01, {0: [1.0, 2.0]}, 100)
+        assert main(["perf", "overhead"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_real_runs_observe_without_perturbing(self, monkeypatch):
+        monkeypatch.setattr(overhead, "REPEATS", 1)
+        monkeypatch.setattr(overhead, "PULSES", 12)
+        _ok, rows = overhead.overhead_report()  # speed is not asserted
+        assert len(rows) == 2
+        assert not any("differ" in row for row in rows)
+        assert not any(" 0 events" in row for row in rows)
 
 
 class TestTraceLevels:
@@ -252,48 +455,9 @@ class TestVerifyCache:
         assert verify_cache_stats().hits == 0
 
 
-class TestPerfCases:
-    def test_registry_names(self):
-        assert "e5-stress" in available_cases()
-        assert "telemetry-overhead" in available_cases()
-
-    def test_queue_churn_runs(self):
-        from repro.perf import run_case
-
-        result = run_case("queue-churn", scale="quick", repeats=1)
-        assert result.events == 100_000
-        assert result.events_per_sec > 0
-        assert result.normalized_throughput is not None
-
-    def test_meta_reports_verify_cache_stats(self):
-        from repro.perf import run_case
-
-        result = run_case("queue-churn", scale="quick", repeats=1)
-        cache = result.meta["verify_cache"]
-        assert set(cache) == {"hits", "misses", "hit_rate"}
-        assert cache["hits"] >= 0 and cache["misses"] >= 0
-        # The round trip through BENCH_*.json keeps the stats.
-        restored = BenchResult.from_json_dict(result.to_json_dict())
-        assert restored.meta["verify_cache"] == cache
-
-    def test_telemetry_overhead_case_asserts_identity(self):
-        from repro.perf import run_case
-
-        result = run_case(
-            "telemetry-overhead", scale="quick", repeats=1
-        )
-        meta = result.meta
-        assert meta["bare_seconds"] > 0
-        assert meta["instrumented_seconds"] > 0
-        assert "overhead_fraction" in meta
-        assert meta["dispatched"] == result.events // 2
-        cache = meta["verify_cache"]
-        assert cache["hits"] + cache["misses"] > 0
-
-
 class TestCampaignThroughput:
     def test_aggregates_executed_trials(self):
-        from repro.campaigns import execute_campaign
+        from repro.campaigns import campaign_throughput, execute_campaign
         from repro.campaigns.spec import (
             CampaignSpec,
             MeasurementSpec,
@@ -319,3 +483,26 @@ class TestCampaignThroughput:
         assert summary["events_per_sec"] > 0
         assert not math.isnan(summary["duration"])
         assert summary["cases"][0]["builder"] == "cps-skew"
+        assert summary["peak_rss_kib"] > 0
+
+    def test_peak_rss_counts_reaped_children(self, monkeypatch):
+        # With --workers N the trials run in pool children; the
+        # coordinator's own peak says nothing about them.
+        from types import SimpleNamespace
+
+        from repro.campaigns import aggregate
+
+        peaks = {"self": 1000, "children": 5000}
+        monkeypatch.setattr(
+            aggregate,
+            "resource",
+            SimpleNamespace(
+                RUSAGE_SELF="self",
+                RUSAGE_CHILDREN="children",
+                getrusage=lambda who: SimpleNamespace(ru_maxrss=peaks[who]),
+            ),
+        )
+        monkeypatch.setattr(aggregate.sys, "platform", "linux")
+        assert aggregate.peak_rss_kib() == 5000
+        peaks["children"] = 10
+        assert aggregate.peak_rss_kib() == 1000

@@ -12,7 +12,7 @@ unattainable by construction (see ``repro.sim.vectorized.delays``).
 The rest covers the facade contract (backend resolution, deprecation
 shims, hash stability of ``MeasurementSpec.backend``), the unsupported-
 scenario envelope, the delay-matrix fast paths against the scalar
-policies they mirror, and the CLI/perf ``--backend`` plumbing.
+policies they mirror, and the CLI ``--backend`` plumbing.
 """
 
 import json
@@ -36,7 +36,6 @@ from repro.checks.conformance import (
 from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
-from repro.perf.cases import run_case
 from repro.scenarios import REGISTRY
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import NetworkConfig
@@ -371,18 +370,6 @@ class TestCliBackendFlag:
         out = capsys.readouterr().out
         assert "not overwriting" in out
         assert not (tmp_path / "results" / "conformance.json").exists()
-
-
-class TestPerfBackendThreading:
-    def test_override_rejected_for_unaware_case(self):
-        with pytest.raises(ConfigurationError, match="e9-vectorized"):
-            run_case("queue-churn", backend="vectorized")
-
-    def test_e9_case_defaults_to_vectorized(self):
-        result = run_case("e9-vectorized-1k", repeats=1)
-        assert result.meta["backend"] == "vectorized"
-        assert result.meta["n"] == 1000
-        assert result.meta["max_skew"] <= result.meta["bound_S"] + 1e-9
 
 
 class TestE9ScaleCampaign:
