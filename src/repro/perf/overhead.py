@@ -14,8 +14,9 @@ import time
 from contextlib import nullcontext
 from typing import Any, List, Tuple
 
-#: Ratio limits, ≈ 3× the largest overhead (ratio − 1) of the ten
-#: readings in docs/PERFORMANCE.md ("Observation overheads").
+#: Ratio limits, set at ≈ 3× the largest overhead (ratio − 1) of PR 18's
+#: ten readings; the current readings (higher since PR 21 made the bare
+#: run cheaper) are in docs/PERFORMANCE.md ("Observation overheads").
 MAX_TELEMETRY_RATIO = 2.0
 MAX_FULL_TRACE_RATIO = 3.5
 

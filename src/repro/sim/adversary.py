@@ -19,7 +19,18 @@ from repro.sim.trace import DeliveryRecord, SendRecord
 
 
 class ByzantineBehavior:
-    """Base behaviour: all hooks are no-ops (i.e. crashed from the start)."""
+    """Base behaviour: all hooks are no-ops (i.e. crashed from the start).
+
+    Hook contract: *a hook runs iff it is overridden* — on a subclass,
+    as an instance attribute, or on a duck-typed object that never
+    subclassed.  The scheduler compares each per-message and per-pulse
+    hook (``on_honest_send``, ``on_deliver``, ``on_pulse``) against the
+    no-op below and does not call one that was inherited unchanged.
+    Overriding a hook is also what switches its per-message record on:
+    below ``trace="full"`` a ``SendRecord`` / ``DeliveryRecord`` is
+    built only for a hook that will receive it, and at ``full`` the
+    hook is handed the trace's own record.
+    """
 
     def on_start(self, ctx) -> None:
         """Called once at time 0, after honest nodes started."""

@@ -35,6 +35,11 @@ class SignatureKnowledge:
         # compare by (signer, value), so equal payloads contain equal
         # signature sets by construction.
         self._collected: Dict[Any, Tuple[Signature, ...]] = {}
+        # Identity memo of learn_payload(): the same broadcast *object*
+        # reaches every faulty node, so re-learning it at a later time
+        # returns before hashing.  The entry keeps a reference to the
+        # payload, so its id() cannot be recycled while it is a key.
+        self._learned: Dict[int, Tuple[Any, float]] = {}
 
     def stats(self) -> Dict[str, int]:
         """Deterministic table sizes for the telemetry layer."""
@@ -55,9 +60,19 @@ class SignatureKnowledge:
         return cached
 
     def learn_payload(self, payload: Any, time: float) -> None:
-        """Record all signatures inside ``payload`` as known from ``time``."""
+        """Record all signatures inside ``payload`` as known from ``time``.
+
+        A payload object already learned at a time ``<= time`` can teach
+        nothing new (:meth:`learn` keeps the earliest) and is skipped;
+        an earlier time, or an equal payload that is another object,
+        takes the full path.  Payloads are immutable once sent.
+        """
+        learned = self._learned.get(id(payload))
+        if learned is not None and learned[1] <= time:
+            return
         for signature in self.signatures_of(payload):
             self.learn(signature, time)
+        self._learned[id(payload)] = (payload, time)
 
     def learn(self, signature: Signature, time: float) -> None:
         """Record ``signature`` as known from ``time`` (keep the earliest)."""

@@ -22,9 +22,12 @@ Hot path
 The main loop is written for throughput: events are dispatched on the
 integer kind priority carried by the heap key (no ``isinstance``), the
 pulse-quota stop condition is maintained as a counter instead of an
-O(honest) scan per event, trace records are allocated only at the levels
-that record them (:class:`~repro.sim.trace.TraceLevel`), and the queue's
-heap/slab are accessed through locals hoisted out of the loop.  Sends
+O(honest) scan per event, and the queue's heap/slab are accessed through
+locals hoisted out of the loop.  One rule holds at every per-message
+site: *work is done for a consumer only if the consumer exists* — a
+record is built for the trace at the level that stores it
+(:class:`~repro.sim.trace.TraceLevel`) or for an adversary hook that
+somebody overrode (:func:`_live_hook`), and for nobody else.  Sends
 are a fan-out: a broadcast enters the simulation once
 (:meth:`Simulation.honest_fanout`; a unicast is its one-destination
 case), which hoists everything invariant across destinations and
@@ -51,6 +54,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.signatures import Signature
+from repro.sim.adversary import ByzantineBehavior
 from repro.sim.clocks import EPS, HardwareClock
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.events import (
@@ -73,7 +77,10 @@ from repro.sim.runtime import (
 )
 from repro.sim.trace import (
     DeliveryRecord,
+    ProtocolRecord,
+    PulseRecord,
     SendRecord,
+    TimerRecord,
     Trace,
     TraceLevel,
 )
@@ -94,6 +101,23 @@ class SimulationResult:
     def honest_pulses(self) -> Dict[int, List[float]]:
         """Pulse-time lists restricted to honest nodes."""
         return {v: self.pulses[v] for v in self.honest}
+
+
+def _live_hook(behavior: Any, name: str):
+    """``behavior``'s bound ``name`` hook, or ``None`` if nobody listens.
+
+    A hook is live iff it is overridden: on a subclass, as an instance
+    attribute, or on a duck-typed object that never subclassed.  The
+    base class's own no-op and ``behavior=None`` both resolve to
+    ``None``, so a call site tests one local and builds the hook's
+    record only for an observer that exists.
+    """
+    if behavior is None:
+        return None
+    hook = getattr(behavior, name)
+    if getattr(hook, "__func__", None) is getattr(ByzantineBehavior, name):
+        return None
+    return hook
 
 
 class _SimNodeAPI(NodeAPI):
@@ -154,9 +178,11 @@ class _SimNodeAPI(NodeAPI):
         checks = sim.checks
         if checks is not None:
             checks.on_annotate(sim.now, self.node_id, kind, details)
-        sim.trace.protocol(
-            time=sim.now, node=self.node_id, kind=kind, details=details
-        )
+        trace = sim.trace
+        if trace.level >= TraceLevel.FULL:
+            trace.records.append(
+                ProtocolRecord(sim.now, self.node_id, kind, details)
+            )
 
 
 class AdversaryContext:
@@ -305,6 +331,7 @@ class Simulation:
         # the main loop tests one counter instead of scanning all nodes.
         self._pulse_quota: Optional[int] = None
         self._quota_open = 0
+        self._started = False
 
         self._protocol_factory = protocol_factory
         self._protocols: Dict[int, TimedProtocol] = {}
@@ -452,14 +479,14 @@ class Simulation:
         honest_bounds = config.delay_bounds(True)
         faulty_bounds = config.delay_bounds(False)
         faulty = self.faulty
-        behavior = self.behavior
+        on_honest_send = _live_hook(self.behavior, "on_honest_send")
         ctx = self._adversary_ctx
         telemetry = self.telemetry
         trace_full = self.trace.level >= TraceLevel.FULL
         trace_records = self.trace.records
         # The SendRecord doubles as the trace entry and the adversary's
         # observation; build it once, and only when someone consumes it.
-        recorded = trace_full or behavior is not None
+        recorded = trace_full or on_honest_send is not None
         # Push in place (EventQueue.push, inlined): the sequence counter
         # is re-read per message because on_honest_send may send too.
         queue = self.queue
@@ -485,8 +512,8 @@ class Simulation:
             heappush(heap, (now + delay, PRIORITY_DELIVERY, seq))
             if telemetry is not None:
                 telemetry.on_honest_send(src, payload, delay)
-            if behavior is not None:
-                behavior.on_honest_send(ctx, record)
+            if on_honest_send is not None:
+                on_honest_send(ctx, record)
 
     def faulty_fanout(
         self,
@@ -504,25 +531,24 @@ class Simulation:
         now = self.now
         self.knowledge.check_payload(payload, now, src)
         config = self.config
+        policy_delay = self.delay_policy.delay
+        validate_delay = config.validate_delay
+        faulty = self.faulty
+        push = self.queue.push
         telemetry = self.telemetry
+        trace_full = self.trace.level >= TraceLevel.FULL
+        trace_records = self.trace.records
         for dst in dsts:
             chosen = delay
             if chosen is None:
-                chosen = self.delay_policy.delay(
-                    config, src, dst, now, payload, False
+                chosen = policy_delay(config, src, dst, now, payload, False)
+            # The only check on this path: every message pays it.
+            chosen = validate_delay(chosen, False, dst not in faulty)
+            if trace_full:
+                trace_records.append(
+                    SendRecord(now, src, dst, payload, chosen, False)
                 )
-            chosen = config.validate_delay(
-                chosen, src_honest=False, dst_honest=dst not in self.faulty
-            )
-            self.trace.send(
-                time=now,
-                src=src,
-                dst=dst,
-                payload=payload,
-                delay=chosen,
-                src_honest=False,
-            )
-            self.queue.push(
+            push(
                 now + chosen,
                 PRIORITY_DELIVERY,
                 DeliveryEvent(src, dst, payload, now),
@@ -531,28 +557,25 @@ class Simulation:
                 telemetry.on_faulty_send(chosen)
 
     def record_pulse(self, node: int) -> None:
+        now = self.now
         pulse_list = self.pulses[node]
-        pulse_list.append(self.now)
-        quota = self._pulse_quota
-        if quota is not None and len(pulse_list) == quota:
+        pulse_list.append(now)
+        index = len(pulse_list)
+        if index == self._pulse_quota:
             self._quota_open -= 1
-        local = self.clocks[node].local_time(self.now)
+        local = self.clocks[node].local_time(now)
         if self.telemetry is not None:
             self.telemetry.incr("pulses.recorded")
         if self.checks is not None:
-            self.checks.on_pulse(self.now, node, len(pulse_list), local)
+            self.checks.on_pulse(now, node, index, local)
         if self.dynamics is not None:
-            self.dynamics.on_pulse(self, self.now, node, len(pulse_list))
-        self.trace.pulse(
-            time=self.now,
-            node=node,
-            index=len(pulse_list),
-            local_time=local,
-        )
-        if self.behavior is not None and node not in self.faulty:
-            self.behavior.on_pulse(
-                self._adversary_ctx, node, len(pulse_list), self.now
-            )
+            self.dynamics.on_pulse(self, now, node, index)
+        trace = self.trace
+        if trace.level >= TraceLevel.PULSES:
+            trace.records.append(PulseRecord(now, node, index, local))
+        on_pulse = _live_hook(self.behavior, "on_pulse")
+        if on_pulse is not None and node not in self.faulty:
+            on_pulse(self._adversary_ctx, node, index, now)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -589,12 +612,15 @@ class Simulation:
                 for v in self.honest
                 if v in self._protocols and len(self.pulses[v]) < max_pulses
             )
-        for v in self.honest:
-            protocol = self._protocols.get(v)
-            if protocol is not None:  # dormant late joiners skip start
-                protocol.on_start(self._apis[v])
-        if self.behavior is not None:
-            self.behavior.on_start(self._adversary_ctx)
+        if not self._started:
+            # Once per Simulation: a later run() resumes from the queue.
+            self._started = True
+            for v in self.honest:
+                protocol = self._protocols.get(v)
+                if protocol is not None:  # dormant late joiners skip start
+                    protocol.on_start(self._apis[v])
+            if self.behavior is not None:
+                self.behavior.on_start(self._adversary_ctx)
 
         # Hot loop: everything dereferenced per event is hoisted into
         # locals; the queue's heap/slab are accessed directly (peek +
@@ -606,10 +632,10 @@ class Simulation:
         faulty = self.faulty
         knowledge = self.knowledge
         behavior = self.behavior
+        on_deliver = _live_hook(behavior, "on_deliver")
         ctx = self._adversary_ctx
-        trace = self.trace
-        trace_full = trace.level >= TraceLevel.FULL
-        trace_records = trace.records
+        trace_full = self.trace.level >= TraceLevel.FULL
+        trace_records = self.trace.records
         # Telemetry hot-path slots: the loop indexes `telem_dispatch`
         # by event priority and bumps plain dict entries — no method
         # calls, no allocation.  Both are None when uninstrumented.
@@ -655,11 +681,10 @@ class Simulation:
                     )
                 if priority == PRIORITY_TIMER:
                     if trace_full:
-                        trace.timer(
-                            time=time,
-                            node=event.node,
-                            tag=event.tag,
-                            local_time=event.local_time,
+                        trace_records.append(
+                            TimerRecord(
+                                time, event.node, event.tag, event.local_time
+                            )
                         )
                     protocol = protocols.get(event.node)
                     if protocol is not None:
@@ -669,14 +694,10 @@ class Simulation:
                 elif priority == PRIORITY_DELIVERY:
                     dst = event.dst
                     if trace_full:
-                        trace_records.append(
-                            DeliveryRecord(
-                                time=time,
-                                src=event.src,
-                                dst=dst,
-                                payload=event.payload,
-                            )
+                        record = DeliveryRecord(
+                            time, event.src, dst, event.payload
                         )
+                        trace_records.append(record)
                     if dst in faulty:
                         # Knowledge pools across faulty nodes at
                         # reception time.
@@ -685,16 +706,13 @@ class Simulation:
                             telem_counters[
                                 "messages.delivered.adversary"
                             ] += 1
-                        if behavior is not None:
-                            behavior.on_deliver(
-                                ctx,
-                                DeliveryRecord(
-                                    time=time,
-                                    src=event.src,
-                                    dst=dst,
-                                    payload=event.payload,
-                                ),
-                            )
+                        if on_deliver is not None:
+                            # One record serves the trace and the hook.
+                            if not trace_full:
+                                record = DeliveryRecord(
+                                    time, event.src, dst, event.payload
+                                )
+                            on_deliver(ctx, record)
                     else:
                         protocol = protocols.get(dst)
                         if protocol is not None:

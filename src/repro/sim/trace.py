@@ -10,9 +10,10 @@ Recording is tiered by :class:`TraceLevel`:
 
 * ``FULL`` — every record type (the default; what tests and examples use).
 * ``PULSES`` — only :class:`PulseRecord` entries.  Campaign sweeps that
-  only tabulate skew metrics run here: per-message ``SendRecord`` /
-  ``DeliveryRecord`` allocation is skipped entirely, which is a large
-  fraction of the simulator's inner-loop cost.
+  only tabulate skew metrics run here: no per-message ``SendRecord`` /
+  ``DeliveryRecord`` is allocated, except for an adversary hook that
+  was overridden to receive it — a large fraction of the simulator's
+  inner-loop cost.
 * ``NONE`` — nothing is recorded.
 
 The level only controls *recording*; pulse times themselves live on the
@@ -132,14 +133,6 @@ class Trace:
         self.records: List[TraceRecord] = []
 
     # Convenience constructors -----------------------------------------
-
-    def send(self, **kwargs: Any) -> None:
-        if self.level >= TraceLevel.FULL:
-            self.records.append(SendRecord(**kwargs))
-
-    def timer(self, **kwargs: Any) -> None:
-        if self.level >= TraceLevel.FULL:
-            self.records.append(TimerRecord(**kwargs))
 
     def pulse(self, **kwargs: Any) -> None:
         if self.level >= TraceLevel.PULSES:

@@ -398,26 +398,23 @@ class TestTraceLevels:
 
     def test_levels_gate_record_kinds(self):
         pulses_only = Trace(level="pulses")
-        pulses_only.send(
-            time=0.0, src=0, dst=1, payload="m", delay=1.0, src_honest=True
-        )
-        pulses_only.timer(time=1.0, node=0, tag="t", local_time=1.0)
         pulses_only.protocol(time=1.0, node=0, kind="k", details=None)
         assert pulses_only.records == []
         pulses_only.pulse(time=1.0, node=0, index=1, local_time=1.0)
         assert len(pulses_only.records) == 1
 
     def test_trace_level_none_matches_full_pulses(self):
-        """The fast path is semantics-preserving: pulse times are
+        """The fast path is semantics-preserving: under every registry
+        adversary of the event engine, pulse times and event counts are
         byte-identical whether or not records are allocated."""
         params = derive_parameters(1.001, 1.0, 0.02, 6)
         faulty = list(range(6 - params.f, 6))
 
-        def run(level):
+        def run(adversary, level):
             simulation = assemble_cps_simulation(
                 params,
                 faulty=faulty,
-                behavior=scenarios.create("adversary", "mimic-split", params),
+                behavior=scenarios.create("adversary", adversary, params),
                 seed=11,
                 clock_style="extreme",
                 trace=level,
@@ -426,17 +423,28 @@ class TestTraceLevels:
             assert outcome.result is not None, outcome.error
             return outcome.result
 
-        full = run("full")
-        none = run("none")
-        pulses = run("pulses")
-        assert none.pulses == full.pulses
-        assert pulses.pulses == full.pulses
-        assert none.events_processed == full.events_processed
-        assert none.end_time == full.end_time
-        assert none.trace.records == []
-        assert (
-            len(full.trace.records) > len(pulses.trace.records) > 0
-        )
+        adversaries = [
+            entry.key
+            for entry in scenarios.REGISTRY.entries("adversary")
+            if "cps" in entry.tags
+        ]
+        assert {"silent", "replay", "rushing-echo"} <= set(adversaries)
+        for adversary in adversaries:
+            full = run(adversary, "full")
+            none = run(adversary, "none")
+            pulses = run(adversary, "pulses")
+            assert none.pulses == full.pulses, adversary
+            assert pulses.pulses == full.pulses, adversary
+            assert (
+                none.events_processed
+                == pulses.events_processed
+                == full.events_processed
+            ), adversary
+            assert none.end_time == pulses.end_time == full.end_time
+            assert none.trace.records == []
+            assert (
+                len(full.trace.records) > len(pulses.trace.records) > 0
+            )
 
 
 class TestVerifyCache:

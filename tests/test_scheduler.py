@@ -5,6 +5,7 @@ import pytest
 from repro import scenarios
 from repro.build import build_simulation
 from repro.crypto.pki import PublicKeyInfrastructure
+from repro.sim import scheduler
 from repro.sim.adversary import (
     ByzantineBehavior,
     ScheduledSendAdversary,
@@ -19,7 +20,7 @@ from repro.sim.errors import (
 from repro.sim.network import DelayPolicy, MaximumDelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation, _SimNodeAPI
-from repro.sim.trace import DeliveryRecord, SendRecord
+from repro.sim.trace import DeliveryRecord, SendRecord, Trace
 
 
 class EchoProtocol(TimedProtocol):
@@ -253,6 +254,86 @@ class TestAdversaryContext:
             build(faulty=[2], behavior=TooFast()).run(max_pulses=1)
 
 
+def _counted(monkeypatch, name):
+    """Every ``name`` record the scheduler constructs from here on."""
+    made = []
+    real = getattr(scheduler, name)
+
+    def construct(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(scheduler, name, construct)
+    return made
+
+
+def _ids(records):
+    return [id(record) for record in records]
+
+
+class TestHookLiveness:
+    """Per-message records exist only for a consumer that exists: the
+    trace at ``full``, or an adversary hook somebody overrode."""
+
+    CASE = {"n": 6, "delay": "random", "drift": "extreme"}
+
+    def test_records_are_built_only_for_a_live_hook(self, monkeypatch):
+        sends = _counted(monkeypatch, "SendRecord")
+        deliveries = _counted(monkeypatch, "DeliveryRecord")
+        silent = build_simulation(
+            {**self.CASE, "adversary": "silent"}, seed=3, trace="pulses"
+        ).simulation
+        assert silent.run(max_pulses=4).events_processed > 100
+        assert sends == [] and deliveries == []
+
+        replay = build_simulation(
+            {**self.CASE, "adversary": "replay"}, seed=3, trace="pulses"
+        ).simulation
+        heard = []
+        on_deliver = replay.behavior.on_deliver
+        replay.behavior.on_deliver = lambda ctx, record: (
+            heard.append(record), on_deliver(ctx, record)
+        )
+        replay.run(max_pulses=4)
+        assert sends == []  # replayed sends are recorded at full only
+        # One record per call, and the very object the hook was given.
+        assert _ids(deliveries) == _ids(heard) != []
+
+    def test_hooks_get_the_trace_records_at_any_level(self):
+        class Observer(ByzantineBehavior):
+            def __init__(self):
+                self.sends, self.deliveries = [], []
+
+            def on_honest_send(self, ctx, record):
+                self.sends.append(record)
+
+            def on_deliver(self, ctx, record):
+                self.deliveries.append(record)
+
+        def run(level):
+            sim = build_simulation(
+                {**self.CASE, "adversary": "silent"}, seed=3, trace=level
+            ).simulation
+            sim.behavior = observer = Observer()
+            return sim, observer, sim.run(max_pulses=3)
+
+        sim, lean, lean_result = run("pulses")
+        full_sim, full, full_result = run("full")
+        assert lean_result.pulses == full_result.pulses
+        traced_sends = list(full_sim.trace.of_type(SendRecord))
+        traced_deliveries = [
+            record
+            for record in full_sim.trace.of_type(DeliveryRecord)
+            if record.dst in full_sim.faulty
+        ]
+        assert lean.sends == traced_sends != []
+        assert lean.deliveries == traced_deliveries != []
+        assert not list(sim.trace.of_type(SendRecord))
+        # At full the hook's object *is* the trace's: built once.
+        assert _ids(full.sends) == _ids(traced_sends)
+        assert _ids(full.deliveries) == _ids(traced_deliveries)
+
+
 class _Chatter(TimedProtocol):
     """Pulse each period with a hello to all; echo each origin's first
     hello to all.  ``fan(api, payload)`` is how "to all" is sent."""
@@ -285,14 +366,51 @@ def _fan_unicast(api, payload):
             api.send(dst, payload)
 
 
-class _RushFromSend(ByzantineBehavior):
-    """Answers every honest-to-honest send from inside the send itself,
-    at a policy-chosen delay: the sends (and a stateful policy's draws)
+def _rush(ctx, record):
+    """Answer an honest-to-honest send from inside the send itself, at
+    a policy-chosen delay: the sends (and a stateful policy's draws)
     interleave with the fan-out that triggered them."""
+    if record.dst in ctx.honest:
+        ctx.send_from(4, record.dst, ("rush", record.src, record.dst))
+
+
+class _RushFromSend(ByzantineBehavior):
+    def on_honest_send(self, ctx, record):
+        _rush(ctx, record)
+
+
+def _rush_by_instance_attribute():
+    behavior = ByzantineBehavior()
+    behavior.on_honest_send = _rush
+    return behavior
+
+
+class _DuckRusher:
+    """Has the five hooks, never subclassed ``ByzantineBehavior``."""
+
+    def on_start(self, ctx):
+        pass
 
     def on_honest_send(self, ctx, record):
-        if record.dst in ctx.honest:
-            ctx.send_from(4, record.dst, ("rush", record.src, record.dst))
+        _rush(ctx, record)
+
+    def on_deliver(self, ctx, record):
+        pass
+
+    def on_wakeup(self, ctx, tag):
+        pass
+
+    def on_pulse(self, ctx, node, index, time):
+        pass
+
+
+#: Every way a behaviour can (or can not) listen to a hook.
+BEHAVIOR_SHAPES = {
+    "subclass": _RushFromSend,
+    "instance-attribute": _rush_by_instance_attribute,
+    "duck-typed": _DuckRusher,
+    "none": lambda: None,
+}
 
 
 def _queue_state(sim):
@@ -308,14 +426,15 @@ class TestFanOutEquivalence:
     """A broadcast is exactly a loop of unicast sends, ascending dst."""
 
     @staticmethod
-    def chatter_run(delay_key, fan):
+    def chatter_run(delay_key, fan, shape="subclass", trace="full"):
         sim = Simulation(
             NetworkConfig(5, d=1.0, u=0.2, u_tilde=0.5),
             [HardwareClock.constant_rate(1.0 + 0.001 * v) for v in range(5)],
             protocol_factory=lambda v: _Chatter(fan),
             faulty=[4],
-            behavior=_RushFromSend(),
+            behavior=BEHAVIOR_SHAPES[shape](),
             delay_policy=scenarios.create("delay", delay_key, 5),
+            trace=Trace(trace),
         )
         result = sim.run(max_pulses=3)
         return sim, result
@@ -332,6 +451,26 @@ class TestFanOutEquivalence:
         assert _queue_state(one) == _queue_state(many)
         assert one_result.pulses == many_result.pulses
         assert one_result.events_processed == many_result.events_processed
+
+    @pytest.mark.parametrize("delay_key", DELAY_KEYS)
+    @pytest.mark.parametrize("shape", BEHAVIOR_SHAPES)
+    def test_every_behaviour_shape(self, shape, delay_key):
+        """A hook runs iff it is overridden, however that was done, and
+        with no record in the trace to pay for it."""
+        one, one_result = self.chatter_run(
+            delay_key, _fan_broadcast, shape, "pulses"
+        )
+        many, many_result = self.chatter_run(
+            delay_key, _fan_unicast, shape, "pulses"
+        )
+        assert _queue_state(one) == _queue_state(many)
+        assert one_result.pulses == many_result.pulses
+        assert one_result.events_processed == many_result.events_processed
+        _unheard, quiet = self.chatter_run(
+            delay_key, _fan_broadcast, "none", "pulses"
+        )
+        rushed = one_result.events_processed > quiet.events_processed
+        assert rushed == (shape != "none")
 
     @pytest.mark.parametrize("delay_key", DELAY_KEYS)
     def test_cps_under_rushing_echo(self, delay_key, monkeypatch):

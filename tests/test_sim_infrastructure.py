@@ -1,6 +1,8 @@
 """Unit tests for events, network/delay policies, knowledge, and traces."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.sim.errors import ConfigurationError, ForgeryError, ModelViolation
@@ -199,12 +201,108 @@ class TestSignatureKnowledge:
         assert self.knowledge.knows(second, 1.0)
 
 
+class _AlwaysWalks(SignatureKnowledge):
+    """The reference: every ``learn_payload`` walks the payload."""
+
+    def learn_payload(self, payload, time):
+        for signature in self.signatures_of(payload):
+            self.learn(signature, time)
+
+
+#: Payload shapes: ints stand for signatures, tuples nest.
+PAYLOAD_SPECS = st.recursive(
+    st.one_of(st.integers(0, 7), st.just("text")),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+KNOWLEDGE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["learn", "learn-ephemeral", "check"]),
+        st.integers(0, 7),
+        st.integers(0, 6).map(float),
+    ),
+    max_size=40,
+)
+
+
+def _realize(spec, pki):
+    """A fresh payload object of the given shape."""
+    if isinstance(spec, tuple):
+        # From a list: an exact-size allocation, which is what takes
+        # over the id() of a tuple of that size that just died.
+        return tuple([_realize(item, pki) for item in spec])
+    if isinstance(spec, int):
+        return pki.key_pair(spec % 4).sign(("value", spec // 4))
+    return spec
+
+
+class TestLearnPayloadIdentityMemo:
+    """Skipping an already-learned payload object changes nothing a
+    caller can see: the earliest-known table, ``stats()`` and every
+    ``ForgeryError`` equal those of a model that always walks."""
+
+    @given(st.lists(PAYLOAD_SPECS, min_size=1, max_size=4), KNOWLEDGE_OPS)
+    # The same object again at an earlier time must be walked again.
+    @example(
+        [(0, (1,))],
+        [("learn", 0, 5.0), ("check", 0, 4.0), ("learn", 0, 3.0),
+         ("check", 0, 4.0), ("check", 0, 2.0)],
+    )
+    # Short-lived payloads of one shape: the second copy of a content
+    # dies after its call and hands its id() to the next, new content,
+    # which a memo that kept no reference would take for learned.
+    @example(
+        [(0,), (1,), (2,), (4,)],
+        [("learn-ephemeral", slot // 2, float(slot)) for slot in range(8)]
+        + [("check", slot, 20.0) for slot in range(4)],
+    )
+    def test_matches_a_model_that_always_walks(self, specs, ops):
+        pki = PublicKeyInfrastructure(4)
+        # Repeated objects (a slot drawn twice) and equal-content
+        # distinct objects (each spec realized twice).
+        pool = [_realize(spec, pki) for spec in specs + specs]
+        memo = SignatureKnowledge(faulty=[3])
+        model = _AlwaysWalks(faulty=[3])
+        forgeries = {id(memo): [], id(model): []}
+        for step, (op, slot, time) in enumerate(ops):
+            payload = pool[slot % len(pool)]
+            if op == "learn-ephemeral":
+                payload = _realize(specs[slot % len(specs)], pki)
+            for knowledge in (memo, model):
+                if op != "check":
+                    knowledge.learn_payload(payload, time)
+                    continue
+                try:
+                    knowledge.check_payload(payload, time, sender=3)
+                except ForgeryError as error:
+                    forgeries[id(knowledge)].append((step, str(error)))
+            del payload
+            assert memo._earliest == model._earliest
+            assert memo.stats() == model.stats()
+        assert forgeries[id(memo)] == forgeries[id(model)]
+
+    def test_only_the_same_object_at_a_later_time_is_skipped(self):
+        pki = PublicKeyInfrastructure(4)
+        knowledge = SignatureKnowledge(faulty=[3])
+        payload, twin = (_realize((0, (1,)), pki) for _ in range(2))
+        walked = []
+        walk = knowledge.signatures_of
+        knowledge.signatures_of = lambda p: (walked.append(p), walk(p))[1]
+        for time in (2.0, 2.0, 3.0):
+            knowledge.learn_payload(payload, time)
+        assert walked == [payload]
+        knowledge.learn_payload(payload, 1.0)  # earlier: walked again
+        knowledge.learn_payload(twin, 9.0)  # equal, but another object
+        assert [id(p) for p in walked] == [
+            id(payload), id(payload), id(twin)
+        ]
+
+
 class TestTrace:
     def test_records_in_order_and_filters(self):
         trace = Trace()
-        trace.send(time=0.0, src=0, dst=1, payload="m", delay=1.0,
-                   src_honest=True)
-        trace.timer(time=1.0, node=1, tag="t", local_time=1.1)
+        trace.records.append(SendRecord(0.0, 0, 1, "m", 1.0, True))
+        trace.records.append(TimerRecord(1.0, 1, "t", 1.1))
         trace.pulse(time=1.5, node=1, index=1, local_time=1.6)
         trace.protocol(time=2.0, node=1, kind="cps-round", details={})
         assert len(trace.records) == 4

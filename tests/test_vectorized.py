@@ -214,19 +214,35 @@ class TestEnginesRefuseAlike:
             build()
 
     def test_second_run_never_replays_pulses(self):
-        # The event engine resumes; the round-batched engine restarts
-        # from round 1, so it refuses instead of feeding pulses 1-3 to
-        # the same trace and checks twice.
+        # The event engine resumes — a second run() continues from the
+        # queue and equals one fresh run to the same quota; the
+        # round-batched engine would restart from round 1, so it
+        # refuses instead of feeding pulses 1-3 to the same trace and
+        # checks twice.
         case = _case(delay="maximum", drift="extreme")
-        event = build_simulation(case, backend="event").simulation
-        event.run(max_pulses=3)
-        resumed = event.run(max_pulses=5)
-        assert {len(p) for p in resumed.pulses.values() if p} == {5}
-        assert _pulse_records(event) == 5 * len(event.honest)
-        vector = build_simulation(case, backend="vectorized").simulation
+        for event_case in (
+            _case(n=9, adversary="rushing-echo", delay="maximum",
+                  drift="extreme"),
+            case,
+        ):
+            event = build_simulation(event_case, seed=1).simulation
+            event.run(max_pulses=3)
+            resumed = event.run(max_pulses=6)
+            fresh = build_simulation(event_case, seed=1).simulation.run(
+                max_pulses=6
+            )
+            assert resumed.pulses == fresh.pulses
+            assert resumed.events_processed == fresh.events_processed
+            assert resumed.end_time == fresh.end_time
+            assert resumed.warnings == fresh.warnings == []
+            assert resumed.trace.records == fresh.trace.records
+            assert _pulse_records(event) == 6 * len(event.honest)
+        vector = build_simulation(
+            case, seed=1, backend="vectorized"
+        ).simulation
         first = vector.run(max_pulses=3)
         with pytest.raises(ConfigurationError, match="runs once"):
-            vector.run(max_pulses=5)
+            vector.run(max_pulses=6)
         assert _pulse_records(vector) == 3 * len(vector.honest)
         for node, times in first.pulses.items():
             assert times == pytest.approx(
