@@ -8,7 +8,11 @@ and prints every function definition never entered.  ``--check`` exits
 1 on an unreached definition that is neither named in
 ``scripts/reachability_keep.txt`` (``qualified.name<TAB>reason``) nor
 referenced from a reached module (function-level tracing misses error
-paths).  Stdlib only; about eight minutes.
+paths).  ``--lines`` swaps the hook for ``sys.settrace`` and prints, per
+module, the executable lines never run, split into lines of a ``raise``
+statement, ``except`` clauses, ``__repr__``/``describe`` bodies and the
+rest (what a function-level sweep cannot see: dead branches); it gates
+nothing.  Stdlib only; about four minutes, six with ``--lines``.
 """
 
 import argparse
@@ -41,6 +45,40 @@ sys.setprofile(_hook)
 threading.setprofile(_hook)
 """
 
+# Line mode.  Each code object keeps the set of its lines not yet run; a
+# line is logged the first time it runs and a code object whose lines
+# have all run is no longer traced, so hot loops pay only while they
+# still have something to report.  A function's first line carries no
+# line event (it is the ``def`` that ran in the enclosing scope).
+LINE_HOOK = """\
+import os, sys, threading
+_log = open(os.path.join(os.environ["REACH_OUT"], "%d.log" % os.getpid()),
+            "a", buffering=1)
+_src, _left = os.environ["REACH_SRC"], {}
+def _local(frame, event, arg):
+    if event == "line":
+        code = frame.f_code
+        left = _left[code]
+        if frame.f_lineno in left:
+            left.discard(frame.f_lineno)
+            _log.write("%s:%d\\n" % (code.co_filename, frame.f_lineno))
+            if not left:
+                return None
+    return _local
+def _hook(frame, event, arg):
+    code = frame.f_code
+    if not code.co_filename.startswith(_src):
+        return None
+    left = _left.get(code)
+    if left is None:
+        left = _left[code] = {n for _a, _b, n in code.co_lines() if n}
+        left.discard(code.co_firstlineno)
+        _log.write("%s:%d\\n" % (code.co_filename, code.co_firstlineno))
+    return _local if left else None
+sys.settrace(_hook)
+threading.settrace(_hook)
+"""
+
 # One argv per line: "repro" is ``python -m repro``, {tmp} a scratch
 # directory, a glob token fans the line out per match.  ``--profile``
 # hands the profile hook to cProfile, so that leg is traced only up to
@@ -61,8 +99,11 @@ repro check matrix --out {tmp}/conformance.json
 repro check matrix --backend vectorized --kind delay --kind drift --out ""
 repro check fixture --fixture all
 repro check fixture --fixture results/fuzz/corpus/*.json
+repro check fixture --fixture results/fuzz/promoted/*.json
 repro ablate plan
 repro ablate run --tier quick --workers 2 --out {tmp}/ablation.json
+repro ablate run --tier quick --check
+repro ablate run --tier quick --pairwise --out {tmp}/p.json
 repro ablate report --path {tmp}/ablation.json
 repro fuzz list
 repro fuzz run --strategy valid --budget 25 --out {tmp}/fuzz
@@ -74,6 +115,7 @@ repro campaign run STRESS --workers 2 --store {tmp}/s --check --perf \
     --telemetry --progress
 repro campaign run STRESS --store {tmp}/s --resume
 repro campaign run STRESS --profile
+repro campaign run STRESS --backend event --csv {tmp}/s.csv
 repro campaign run STRESS --workers 2 --timeout 30
 repro campaign run STRESS --workers 2 --timeout 0.001
 repro campaign run STRESS --adaptive --ci-width 0.5 --workers 2 --store {tmp}/a
@@ -135,14 +177,74 @@ def definitions(tree, prefix):
         yield from definitions(child, name if scoped else prefix)
 
 
+def code_lines(code):
+    """Every line some instruction of ``code`` or a nested code object
+    is attributed to."""
+    lines = {line for _start, _end, line in code.co_lines() if line}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= code_lines(const)
+    return lines
+
+
+def line_kinds(tree):
+    """line -> "raise" | "except" | "repr" for the lines of ``raise``
+    statements, ``except`` clauses and ``__repr__``/``describe`` bodies
+    (the first that applies); every other line is "other"."""
+    kinds = {}
+    for kind, wanted in (
+        ("repr", lambda node: isinstance(node, DEFS)
+            and node.name in ("__repr__", "describe")),
+        ("except", lambda node: isinstance(node, ast.ExceptHandler)),
+        ("raise", lambda node: isinstance(node, ast.Raise)),
+    ):
+        for node in filter(wanted, ast.walk(tree)):
+            for line in range(node.lineno, node.end_lineno + 1):
+                kinds[line] = kind
+    return kinds
+
+
+def report_lines(entered) -> None:
+    """Per module: executable lines, lines never run, and their split."""
+    header = ("executable", "never", "raise", "except", "repr", "other")
+    print(f"{'module':<44}" + "".join(f"{name:>11}" for name in header))
+    total = dict.fromkeys(header, 0)
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        source = path.read_text()
+        executable = code_lines(compile(source, str(path), "exec"))
+        kinds = line_kinds(ast.parse(source))
+        never = [
+            kinds.get(line, "other")
+            for line in executable
+            if f"{path}:{line}" not in entered
+        ]
+        row = {"executable": len(executable), "never": len(never)}
+        row.update({kind: never.count(kind) for kind in header[2:]})
+        for name in header:
+            total[name] += row[name]
+        if never:
+            module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+            print(
+                f"{module:<44}"
+                + "".join(f"{row[name]:>11}" for name in header)
+            )
+    print(f"{'total':<44}" + "".join(f"{total[n]:>11}" for n in header))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true")
+    parser.add_argument(
+        "--lines", action="store_true",
+        help="report never-run lines per module instead of definitions",
+    )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "out")
         out.mkdir()
-        Path(tmp, "sitecustomize.py").write_text(HOOK)
+        Path(tmp, "sitecustomize.py").write_text(
+            LINE_HOOK if args.lines else HOOK
+        )
         env = {
             **os.environ,
             "REACH_OUT": str(out),
@@ -157,6 +259,9 @@ def main() -> int:
             for log in out.glob("*.log")
             for line in log.read_text().splitlines()
         }
+    if args.lines:
+        report_lines(entered)
+        return 0
     keep = {line.split("\t")[0] for line in KEEP.read_text().splitlines()}
     unreached, mentioned = [], set()
     for path in sorted((SRC / "repro").rglob("*.py")):

@@ -16,7 +16,6 @@ byte-stable across runs, machines, and worker counts — the property the
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -29,6 +28,7 @@ from repro.ablation.plan import (
 )
 from repro.analysis.reporting import Table
 from repro.campaigns.spec import canonical_json
+from repro.campaigns.store import summary_bytes
 
 
 def _finite(value: Any) -> Optional[float]:
@@ -210,12 +210,9 @@ def ablation_report(
     }
 
 
-def ablation_payload_bytes(payload: Mapping[str, Any]) -> bytes:
-    """The exact bytes :func:`~repro.campaigns.store.dump_json_summary`
-    persists — the CI byte-identity contract."""
-    return (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
+#: The exact bytes ``dump_json_summary`` persists — the CI
+#: byte-identity contract, under the name the benchmark imports.
+ablation_payload_bytes = summary_bytes
 
 
 def render_ablation_table(payload: Mapping[str, Any]) -> Table:

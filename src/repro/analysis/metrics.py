@@ -14,9 +14,20 @@ from repro.sim.errors import ConfigurationError
 
 Pulses = Dict[int, List[float]]
 
-#: Numerical slack applied to bound comparisons (matches the experiment
-#: tables and the conformance monitors).
+#: Numerical slack of every comparison of a measurement with a bound —
+#: experiment tables and conformance monitors alike, through the two
+#: functions below and nowhere else.
 TOLERANCE = 1e-9
+
+
+def within(observed: float, bound: float) -> bool:
+    """``observed <= bound``, up to :data:`TOLERANCE` (False for NaN)."""
+    return observed <= bound + TOLERANCE
+
+
+def at_least(observed: float, bound: float) -> bool:
+    """``observed >= bound``, up to :data:`TOLERANCE` (False for NaN)."""
+    return observed >= bound - TOLERANCE
 
 
 def common_pulse_count(pulses: Pulses) -> int:
@@ -44,6 +55,23 @@ def max_skew(pulses: Pulses, skip: int = 0) -> float:
     if not trajectory:
         raise ConfigurationError(f"no pulses left after skipping {skip}")
     return max(trajectory)
+
+
+def cohort_skew(
+    pulses: Pulses,
+    nodes: Sequence[int],
+    skip: int = 0,
+    default: float = float("inf"),
+) -> float:
+    """:func:`max_skew` over the ``nodes`` that pulsed at all;
+    ``default`` when none did or fewer than ``skip + 1`` pulses are
+    common (a deadlocked or truncated run has no skew to report)."""
+    try:
+        return max_skew(
+            {v: pulses[v] for v in nodes if pulses.get(v)}, skip=skip
+        )
+    except ConfigurationError:
+        return default
 
 
 def min_period(pulses: Pulses) -> float:
@@ -103,6 +131,13 @@ class PulseReport:
             min_period=min_period(pulses),
             max_period=max_period(pulses),
         )
+
+
+#: What a row reports for a run that died before its pulse quota.
+DEAD_REPORT = PulseReport(
+    nodes=0, pulses=0, max_skew=float("inf"), steady_skew=float("inf"),
+    min_period=float("nan"), max_period=float("nan"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +232,7 @@ def stabilization_report(
     # non-evaluable pulses (run truncation) are neutral.
     resync_index: Optional[int] = 0 if post else None
     for index, value in enumerate(envelopes):
-        if value is not None and value > bound + TOLERANCE:
+        if value is not None and not within(value, bound):
             resync_index = index + 1
     if resync_index is not None and resync_index >= len(post):
         resync_index = None  # never settled (or never pulsed again)
@@ -219,5 +254,40 @@ def stabilization_report(
         trajectory=tuple(
             float("nan") if value is None else value
             for value in envelopes
+        ),
+    )
+
+
+def stabilization_reports(
+    pulses: Pulses,
+    stable_nodes: Sequence[int],
+    activations: Sequence[Tuple[float, str, int]],
+    bound: float,
+) -> Tuple[List[int], List[StabilizationReport]]:
+    """The reference cohort (stable nodes that pulsed) and one
+    :func:`stabilization_report` against it per applied
+    ``(time, kind, node)`` activation."""
+    cohort = [v for v in stable_nodes if pulses.get(v)]
+    return cohort, [
+        stabilization_report(pulses, node, time, cohort, bound)
+        for time, _kind, node in activations
+    ]
+
+
+def worst_resync(
+    reports: Sequence[StabilizationReport],
+) -> Tuple[int, float]:
+    """``(most pulses to resync, worst post-resync envelope)`` over the
+    reports that resynced; ``(0, 0.0)`` when none did."""
+    resynced = [report for report in reports if report.resynced]
+    return (
+        max((report.pulses_to_resync for report in resynced), default=0),
+        max(
+            (
+                report.envelope
+                for report in resynced
+                if report.envelope == report.envelope  # drop NaNs
+            ),
+            default=0.0,
         ),
     )

@@ -18,9 +18,13 @@ id (E1-E10, A1-A3, the registry-driven ``cps-stress``/``cps-churn``
 tiers, the ablation matrix, and the sharded ``fuzz-probe`` budgets);
 ``analysis/experiments.py`` declares the grids and the table columns.
 A CPS run is a case dict through :func:`repro.build.build_simulation`
-(see :func:`built_case`); only E5's CPS arm and the A-series builder
-wire :func:`~repro.core.cps.assemble_cps_simulation` themselves, for
-the reasons their docstrings give.
+(see :func:`built_case`) and its row is :func:`cps_measurement` — the
+report's numbers plus the Theorem 17 monitors' verdicts; only E5's CPS
+arm and the A-series builder wire
+:func:`~repro.core.cps.assemble_cps_simulation` themselves, for the
+reasons their docstrings give.  No builder compares a measurement with
+a bound except through :mod:`repro.checks` or
+:func:`repro.analysis.metrics.within`.
 
 Scenario-typed case keys (``adversary``, ``delay``, ``topology``,
 ``drift``) are resolved through the scenario registry
@@ -59,7 +63,6 @@ from repro.core.attacks import timing_split_group
 from repro.core.cps import CpsNode, assemble_cps_simulation
 from repro.core.lower_bound import FixedPeriodProtocol, run_lower_bound
 from repro.core.params import derive_parameters, max_faults
-from repro.sync.approx_agreement import run_apa
 from repro.sync.crusader import (
     BOT,
     CbEquivocatingDealer,
@@ -143,11 +146,54 @@ def measured_pulse_trial(
     return outcome
 
 
-def _skew_metrics(outcome: TrialOutcome) -> Tuple[float, float]:
-    """(max skew, steady skew), inf when the run died."""
-    if outcome.report is None:
-        return float("inf"), float("inf")
-    return outcome.report.max_skew, outcome.report.steady_skew
+def cps_measurement(
+    case: Dict[str, Any],
+    measurement: MeasurementSpec,
+    seed: int,
+    **defaults: Any,
+) -> Tuple[Any, TrialOutcome, Dict[str, Any]]:
+    """One CPS pulse trial through the facade: ``(built, outcome, row)``.
+
+    The row is what every CPS experiment tabulates from: the
+    :class:`~repro.analysis.metrics.PulseReport` measurements, the
+    bounds they are read against, and the verdicts of
+    :func:`~repro.checks.conformance.judge_pulses` — ``within`` is the
+    ``skew`` monitor's (Theorem 17 over *every* pulse; ``steady_skew``
+    is a measurement, not a verdict) and ``periods_within`` the
+    ``period`` monitor's.  A dead run reports ``inf`` skews, ``nan``
+    periods and ``False`` verdicts.
+    """
+    from repro.checks.conformance import judge_pulses
+
+    built = built_case(case, measurement, seed, **defaults)
+    params = built.params
+    outcome = measured_pulse_trial(built.simulation, measurement)
+    # A report exists iff the run was live (run_pulse_trial).
+    report = outcome.report or metrics.DEAD_REPORT
+    verdicts = (
+        judge_pulses(
+            params, outcome.result.honest_pulses(), measurement.pulses
+        )
+        if outcome.live
+        else {}
+    )
+    row = {
+        "f": built.f,
+        "max_skew": report.max_skew,
+        "steady_skew": report.steady_skew,
+        "bound_S": params.S,
+        "within": outcome.live and verdicts["skew"].ok,
+        "live": outcome.live,
+        "events": _events_of(outcome),
+        **built.effective,
+        "delta": params.delta,
+        "min_period": report.min_period,
+        "p_min_bound": params.p_min_bound,
+        "max_period": report.max_period,
+        "p_max_bound": params.p_max_bound,
+        "periods_within": outcome.live and verdicts["period"].ok,
+    }
+    return built, outcome, row
 
 
 def _events_of(outcome: TrialOutcome) -> int:
@@ -225,31 +271,26 @@ def apa_convergence_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
     """Iterated APA from a spread of honest inputs under one adversary."""
-    n = case["n"]
-    initial_range = case.get("initial_range", 64.0)
-    target = case.get("target", 1.0)
-    iterations = math.ceil(math.log2(initial_range / target))
-    f = max_faults(n)
-    faulty = list(range(n - f, n))
-    adversary = scenarios.create("adversary", case["adversary"], None)
-    honest = [v for v in range(n) if v not in faulty]
-    inputs = {
-        v: initial_range * index / max(len(honest) - 1, 1)
-        for index, v in enumerate(honest)
-    }
-    low, high = min(inputs.values()), max(inputs.values())
-    outcome = run_apa(inputs, n, f, faulty, adversary, iterations=iterations)
-    ranges = outcome.ranges()
+    from repro.checks.conformance import apa_reference_run
+
+    outcome = apa_reference_run(
+        case["n"],
+        case["adversary"],
+        case.get("initial_range", 64.0),
+        case.get("target", 1.0),
+    )
+    ranges, iterations = outcome.ranges(), outcome.iterations
+    low, high = min(outcome.inputs.values()), max(outcome.inputs.values())
     halved = all(
-        ranges[i + 1] <= ranges[i] / 2.0 + 1e-9
-        for i in range(len(ranges) - 1)
+        metrics.within(after, before / 2.0)
+        for before, after in zip(ranges, ranges[1:])
     )
     validity = all(
-        low - 1e-9 <= value <= high + 1e-9
+        metrics.at_least(value, low) and metrics.within(value, high)
         for value in outcome.outputs.values()
     )
     return {
-        "f": f,
+        "f": max_faults(case["n"]),
         "iterations": iterations,
         "rounds": 2 * iterations,
         "initial_range": ranges[0],
@@ -312,9 +353,8 @@ def tcb_accuracy_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
     """Offset-estimate errors of one CPS run against ``delta``."""
-    built = built_case(case, measurement, seed)
+    built, outcome, row = cps_measurement(case, measurement, seed)
     simulation, delta = built.simulation, built.params.delta
-    outcome = measured_pulse_trial(simulation, measurement)
     honest_pulses = outcome.result.honest_pulses()
     accepts = 0
     validity_err = 0.0
@@ -331,13 +371,12 @@ def tcb_accuracy_trial(
         simulation, honest_pulses, measurement.pulses
     )
     return {
+        **row,
         "accepts": accepts,
         "validity_err": validity_err,
-        "delta": delta,
-        "validity_within": validity_err < delta + 1e-9,
+        "validity_within": metrics.within(validity_err, delta),
         "consistency_err": consistency_err,
-        "consistency_within": consistency_err < delta + 1e-9,
-        "events": _events_of(outcome),
+        "consistency_within": metrics.within(consistency_err, delta),
     }
 
 
@@ -352,39 +391,13 @@ def cps_skew_trial(
 ) -> Dict[str, Any]:
     """One CPS system under one adversary, judged against Theorem 17:
     the skew bound ``S`` (E4) and the period bounds (E9)."""
-    built = built_case(
+    return cps_measurement(
         case,
         measurement,
         seed,
         delay="skewing",
         drift=case.get("clock_style", "extreme"),
-    )
-    params = built.params
-    outcome = measured_pulse_trial(built.simulation, measurement)
-    report = outcome.report
-    row = {
-        "f": params.f,
-        "bound_S": params.S,
-        "live": outcome.live,
-        "events": _events_of(outcome),
-    }
-    if report is None:
-        nan = float("nan")
-        return {**row, "max_skew": nan, "steady_skew": nan, "within": False}
-    return {
-        **row,
-        "max_skew": report.max_skew,
-        "steady_skew": report.steady_skew,
-        "within": report.max_skew <= params.S + 1e-9,
-        "min_period": report.min_period,
-        "p_min_bound": params.p_min_bound,
-        "max_period": report.max_period,
-        "p_max_bound": params.p_max_bound,
-        "periods_within": (
-            report.min_period >= params.p_min_bound - 1e-9
-            and report.max_period <= params.p_max_bound + 1e-9
-        ),
-    }
+    )[2]
 
 
 # ----------------------------------------------------------------------
@@ -435,13 +448,13 @@ def resilience_trial(
         trace=measurement.trace,
     )
     outcome = measured_pulse_trial(simulation, measurement)
-    measured, steady = _skew_metrics(outcome)
+    report = outcome.report or metrics.DEAD_REPORT
     return {
         "tolerated": tolerated,
-        "max_skew": measured,
-        "steady_skew": steady,
+        "max_skew": report.max_skew,
+        "steady_skew": report.steady_skew,
         "bound": params.S,
-        "steady_within": steady <= params.S + 1e-9,
+        "steady_within": metrics.within(report.steady_skew, params.S),
         "events": _events_of(outcome),
     }
 
@@ -518,9 +531,7 @@ def algorithm_comparison_trial(
     else:
         raise TrialFailure(f"unknown algorithm {algorithm!r}")
     outcome = measured_pulse_trial(simulation, measurement)
-    steady = (
-        outcome.report.steady_skew if outcome.report else float("inf")
-    )
+    steady = (outcome.report or metrics.DEAD_REPORT).steady_skew
     return {
         "f": f,
         "theory_skew": theory_skew,
@@ -563,7 +574,7 @@ def lower_bound_trial(
     return {
         "max_exec_skew": measured,
         "bound": bound,
-        "meets_bound": measured >= bound - 1e-9,
+        "meets_bound": metrics.at_least(measured, bound),
         "identity_sum": result.theorem_identity(index),
         "two_u_tilde": 2.0 * u_tilde,
         "well_defined": True,
@@ -582,16 +593,13 @@ def fast_faulty_links_trial(
     """CPS with faulty links ``multiplier`` times faster than ``u``
     permits (capped at 0.45 d), judged on skew and Lemma 10."""
     u_tilde = min(case["u"] * case["multiplier"], 0.45 * case["d"])
-    built = built_case({**case, "u_tilde": u_tilde}, measurement, seed)
-    outcome = measured_pulse_trial(built.simulation, measurement)
-    measured, _steady = _skew_metrics(outcome)
+    built, _outcome, row = cps_measurement(
+        {**case, "u_tilde": u_tilde}, measurement, seed
+    )
     return {
+        **row,
         "u_tilde": u_tilde,
-        "max_skew": measured,
-        "bound_S": built.params.S,
-        "within": measured <= built.params.S + 1e-9,
         "rejections": _honest_rejections(built.simulation),
-        "events": _events_of(outcome),
     }
 
 
@@ -605,15 +613,12 @@ def convergence_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
     """The per-pulse skew trajectory of one CPS run."""
-    built = built_case(case, measurement, seed)
-    outcome = measured_pulse_trial(built.simulation, measurement)
+    _built, outcome, row = cps_measurement(case, measurement, seed)
     return {
+        **row,
         "trajectory": metrics.skew_trajectory(
             outcome.result.honest_pulses()
         ),
-        "bound_S": built.params.S,
-        "delta": built.params.delta,
-        "events": _events_of(outcome),
     }
 
 
@@ -646,6 +651,8 @@ def cps_mechanism_trial(
     A dead run tabulates: ``outcome`` carries the error, the measured
     columns fall back to their table defaults.
     """
+    from repro.checks.conformance import judge_pulses
+
     n = case["n"]
     params = derive_parameters(case["theta"], case["d"], case["u"], n)
     faulty = list(range(n - case.get("faults", params.f), n))
@@ -678,18 +685,22 @@ def cps_mechanism_trial(
         "send_offset": simulation.protocol(0).dealer_send_offset,
         "outcome": "ok" if outcome.report else outcome.error,
         "honest_rejections": _honest_rejections(simulation),
-        "within_S": _skew_metrics(outcome)[0] <= params.S + 1e-9,
+        "within_S": False,
         "events": _events_of(outcome),
     }
     if outcome.report is not None:
+        honest_pulses = outcome.result.honest_pulses()
         accepted, worst = _faulty_dealer_consistency(
-            simulation, outcome.result.honest_pulses(), measurement.pulses
+            simulation, honest_pulses, measurement.pulses
         )
         row.update(
             max_skew=outcome.report.max_skew,
+            within_S=judge_pulses(
+                params, honest_pulses, measurement.pulses
+            )["skew"].ok,
             faulty_accepted=accepted,
             consistency_err=worst,
-            consistency_within=worst <= params.delta + 1e-9,
+            consistency_within=metrics.within(worst, params.delta),
         )
     return row
 
@@ -719,29 +730,16 @@ def cps_churn_trial(
         raise TrialFailure("cps-churn cases must name a 'churn' profile")
     result = simulation.run(max_pulses=measurement.pulses)
     schedule = controller.schedule
-    stable = [
-        v
-        for v in schedule.stable_nodes(params.n)
-        if result.pulses[v]
-    ]
-    cohort = {v: result.pulses[v] for v in stable}
-    cohort_skew = (
-        metrics.max_skew(cohort, skip=measurement.warmup)
-        if stable
-        else float("inf")
+    stable, reports = metrics.stabilization_reports(
+        result.pulses,
+        schedule.stable_nodes(params.n),
+        controller.activations_applied(),
+        params.S,
     )
-    reports = [
-        metrics.stabilization_report(
-            result.pulses, node, time, stable, params.S
-        )
-        for time, _kind, node in controller.activations_applied()
-    ]
-    resynced = [report for report in reports if report.resynced]
-    envelopes = [
-        report.envelope
-        for report in resynced
-        if report.envelope == report.envelope  # drop NaNs
-    ]
+    cohort_skew = metrics.cohort_skew(
+        result.pulses, stable, skip=measurement.warmup
+    )
+    resync_pulses, envelope = metrics.worst_resync(reports)
     # "resynced" demands every *scheduled* activation was applied and
     # healed — an activation whose trigger never fired (run too short)
     # must not report vacuous success.
@@ -751,14 +749,13 @@ def cps_churn_trial(
         "corruptions": schedule.corruptions,
         "disruptions": len(controller.applied),
         "activations": scheduled,
-        "resynced": len(resynced) == len(reports) == scheduled,
-        "resync_pulses": max(
-            (report.pulses_to_resync for report in resynced), default=0
-        ),
-        "envelope": max(envelopes, default=0.0),
+        "resynced": len(reports) == scheduled
+        and all(report.resynced for report in reports),
+        "resync_pulses": resync_pulses,
+        "envelope": envelope,
         "cohort_skew": cohort_skew,
         "bound_S": params.S,
-        "cohort_within": cohort_skew <= params.S + 1e-9,
+        "cohort_within": metrics.within(cohort_skew, params.S),
         "events": result.events_processed,
         **built.effective,
     }
@@ -809,6 +806,14 @@ def fuzz_probe_trial(
     }
 
 
+#: The metrics of a ``cps-stress`` record — frozen: the repo benchmark
+#: digests STRESS records, key set and values.
+STRESS_KEYS: Tuple[str, ...] = (
+    "f", "max_skew", "steady_skew", "bound_S", "within", "live", "events",
+    "d_eff", "u_eff",
+)
+
+
 @register_builder("cps-stress")
 def cps_stress_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
@@ -819,20 +824,8 @@ def cps_stress_trial(
     ``measurement.backend`` selects the engine, which is how the
     E9-SCALE campaign reaches n = 10,000 on the vectorized backend.
     """
-    built = built_case(case, measurement, seed)
-    simulation, params = built.simulation, built.params
-    outcome = measured_pulse_trial(simulation, measurement)
-    measured, steady = _skew_metrics(outcome)
-    return {
-        "f": built.f,
-        "max_skew": measured,
-        "steady_skew": steady,
-        "bound_S": params.S,
-        "within": steady <= params.S + 1e-9,
-        "live": outcome.live,
-        "events": _events_of(outcome),
-        **built.effective,
-    }
+    row = cps_measurement(case, measurement, seed)[2]
+    return {key: row[key] for key in STRESS_KEYS}
 
 
 @register_builder("cps-ablation")
@@ -857,7 +850,6 @@ def cps_ablation_trial(
     the too-few pulses come back as ``inf``.
     """
     from repro.checks.conformance import judged_run
-    from repro.sim.errors import ConfigurationError
 
     pulses = int(case.get("pulses", measurement.pulses))
     run = judged_run(
@@ -869,24 +861,17 @@ def cps_ablation_trial(
     )
     built, result, verdicts = run.built, run.result, run.verdicts
     simulation, params = built.simulation, built.params
-    honest_pulses = {
-        v: result.pulses[v]
-        for v in simulation.honest
-        if result.pulses[v]
-    }
-    try:
-        measured = metrics.max_skew(
-            honest_pulses, skip=measurement.warmup
-        )
-    except ConfigurationError:
-        measured = float("inf")
     return {
         "f": built.f,
         "pulses": pulses,
         "live": all(
             len(result.pulses[v]) >= pulses for v in simulation.honest
         ),
-        "max_skew": measured,
+        # Misnamed by frozen contract (the benchmark digests these
+        # records): the skew *after* warm-up, not PulseReport.max_skew.
+        "max_skew": metrics.cohort_skew(
+            result.pulses, simulation.honest, skip=measurement.warmup
+        ),
         "bound_S": params.S,
         "monitors": {v.monitor: v.ok for v in verdicts},
         "violations": {

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.campaigns.executor import TrialRecord
 
@@ -68,17 +68,24 @@ class CorruptStoreError(RuntimeError):
         self.line = line
 
 
-def dump_json_summary(path: str, payload: Dict) -> str:
+def summary_bytes(payload: Mapping) -> bytes:
     """Canonical side-car serialization: indent 2, sorted keys, LF.
 
-    Shared by :meth:`ResultStore.write_summary` and
-    ``repro check matrix --out`` so every persisted verdict artifact is
-    byte-stable in exactly the same format — the round-trip stability
-    tests depend on both call sites staying identical.
+    The one serializer of every persisted verdict artifact —
+    :func:`dump_json_summary` writes these bytes and the byte-identity
+    checks (``matrix_payload_bytes``, ``ablation_payload_bytes``)
+    compare against them under their own names.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return text.encode("utf-8")
+
+
+def dump_json_summary(path: str, payload: Mapping) -> str:
+    """Write ``payload`` as :func:`summary_bytes`, creating the
+    directory if need be; returns ``path``."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(summary_bytes(payload))
     return path
 
 
@@ -274,7 +281,6 @@ class ResultStore:
         self, key: str, payload: Dict, kind: str = "perf"
     ) -> str:
         """Write a JSON side-car next to the spec's trial records."""
-        os.makedirs(self.root, exist_ok=True)
         return dump_json_summary(self.summary_path(key, kind), payload)
 
     def load_summary(self, key: str, kind: str = "perf") -> Optional[Dict]:

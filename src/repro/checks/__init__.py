@@ -12,10 +12,12 @@ machine-checked over every scenario the engine can produce:
 ``conformance``
     :func:`judged_run` — the one monitored execution (build, attach
     the check set, run, collect verdicts) every judge in the package
-    calls; :func:`check_scenario` / :func:`conformance_matrix` drop
-    every scenario-registry entry into a reference configuration and
-    judge it against the closed-form bounds (``repro check
-    run/matrix``).
+    calls, and :func:`judge_pulses`, the same monitors fed from a
+    finished run's pulse trains (what every experiment row's
+    ``within`` is); :func:`check_scenario` /
+    :func:`conformance_matrix` drop every scenario-registry entry
+    into a reference configuration and judge it against the
+    closed-form bounds (``repro check run/matrix``).
 ``campaign``
     :func:`campaign_conformance` — verdicts for the scenarios a
     campaign references, persisted as ``<spec_key>.check.json``
@@ -38,9 +40,6 @@ from repro.checks.conformance import (
     APA_MONITORS,
     CHURN_MONITORS,
     CPS_MONITORS,
-    FUZZ_EXPECTATION_CLAIM,
-    FUZZ_EXPECTATION_MONITOR,
-    FUZZ_MONITORS,
     MODE_MONITORS,
     MONITOR_CATALOG,
     JudgedRun,
@@ -50,17 +49,16 @@ from repro.checks.conformance import (
     churn_check_set,
     conformance_matrix,
     cps_check_set,
+    judge_pulses,
     judged_run,
     matrix_payload_bytes,
     render_matrix,
     render_report,
-    run_apa_conformance,
     scenario_case,
     scenario_mode,
 )
 from repro.checks.fixtures import FIXTURES, run_fixture
 from repro.checks.monitors import (
-    TOLERANCE,
     ApaContractionMonitor,
     CheckSet,
     Monitor,
@@ -78,12 +76,8 @@ __all__ = [
     "CHURN_MONITORS",
     "CPS_MONITORS",
     "FIXTURES",
-    "FUZZ_EXPECTATION_CLAIM",
-    "FUZZ_EXPECTATION_MONITOR",
-    "FUZZ_MONITORS",
     "MODE_MONITORS",
     "MONITOR_CATALOG",
-    "TOLERANCE",
     "ApaContractionMonitor",
     "CheckSet",
     "JudgedRun",
@@ -103,12 +97,12 @@ __all__ = [
     "churn_check_set",
     "conformance_matrix",
     "cps_check_set",
+    "judge_pulses",
     "judged_run",
     "matrix_payload_bytes",
     "render_campaign_conformance",
     "render_matrix",
     "render_report",
-    "run_apa_conformance",
     "run_fixture",
     "scenario_case",
     "scenario_mode",

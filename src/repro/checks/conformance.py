@@ -25,18 +25,14 @@ execution modes cover the catalog:
     must stay live.  The static Theorem 17 monitors do not apply — a
     recovering node legitimately pulses outside the skew bound while it
     contracts.
-``fuzz``
-    Promoted fuzz fixtures (registry kind ``fuzz``, see
-    :mod:`repro.fuzz`) replay their stored case and are judged against
-    their recorded *expectation*: a shrunk counterexample passes while
-    the monitors still fire on it, an interesting corner passes while
-    the bounds still hold.  The fixture carries its own seed, so the
-    sweep seed does not perturb the replay.
 
 Every monitored CPS execution in the package — matrix rows, the broken
 fixtures, fuzz cases and replays, ablation cells — is one call of
 :func:`judged_run`: build through the facade, attach the check set,
-run, collect verdicts.
+run, collect verdicts.  Experiment rows that run unobserved get the
+same monitors' verdicts afterwards, from the recorded pulse trains
+(:func:`judge_pulses`) — one definition of "within the bound" either
+way (docs/CONFORMANCE.md, "What *within* means").
 
 Everything here is deterministic given ``seed`` — verdict payloads
 contain no wall-clock data — which is what makes persisted conformance
@@ -45,12 +41,12 @@ artifacts byte-stable across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import theory
 from repro.campaigns.spec import derive_seed
+from repro.campaigns.store import summary_bytes
 from repro.checks.monitors import (
     ApaContractionMonitor,
     CheckSet,
@@ -64,14 +60,10 @@ from repro.checks.monitors import (
 )
 from repro.core.params import ProtocolParameters, max_faults
 from repro.scenarios import REGISTRY
-from repro.sync.approx_agreement import run_apa
-
-#: Promoted fuzz fixtures are judged by a single expectation check: a
-#: counterexample fixture must still make the monitors fire, an
-#: interesting corner must still pass (see :mod:`repro.fuzz`).
-FUZZ_EXPECTATION_MONITOR = "fuzz-expectation"
-FUZZ_EXPECTATION_CLAIM = (
-    "Fuzz: a promoted fixture reproduces its recorded expectation"
+from repro.sync.approx_agreement import (
+    ApaResult,
+    iterations_for_target,
+    run_apa,
 )
 
 #: Monitor catalog in display order: name -> claim (matrix columns).
@@ -82,7 +74,6 @@ MONITOR_CATALOG: Dict[str, str] = {
     TcbConsistencyMonitor.name: TcbConsistencyMonitor.claim,
     ApaContractionMonitor.name: ApaContractionMonitor.claim,
     StabilizationMonitor.name: StabilizationMonitor.claim,
-    FUZZ_EXPECTATION_MONITOR: FUZZ_EXPECTATION_CLAIM,
 }
 
 #: Monitors applicable to each execution mode.
@@ -94,14 +85,12 @@ CPS_MONITORS: Tuple[str, ...] = (
 )
 APA_MONITORS: Tuple[str, ...] = (ApaContractionMonitor.name,)
 CHURN_MONITORS: Tuple[str, ...] = (StabilizationMonitor.name,)
-FUZZ_MONITORS: Tuple[str, ...] = (FUZZ_EXPECTATION_MONITOR,)
 
 #: Monitors per execution mode (used by the matrix renderer too).
 MODE_MONITORS: Dict[str, Tuple[str, ...]] = {
     "cps": CPS_MONITORS,
     "apa": APA_MONITORS,
     "churn": CHURN_MONITORS,
-    "fuzz": FUZZ_MONITORS,
 }
 
 #: The reference configuration conformance runs drop scenarios into —
@@ -164,6 +153,30 @@ def cps_check_set(
     )
 
 
+def judge_pulses(
+    params: ProtocolParameters,
+    honest_pulses: Dict[int, Sequence[float]],
+    expected_pulses: int,
+) -> Dict[str, MonitorVerdict]:
+    """Verdicts of :func:`cps_check_set` over *recorded* pulse trains.
+
+    The monitors :func:`judged_run` attaches, fed after the run instead
+    of during it — so an experiment row's ``within`` is a monitor's
+    verdict without the run having been observed (nothing reaches the
+    event hot path, and the vectorized engine materialises no
+    annotations at n = 10,000).  Pulse verdicts (``skew`` / ``period``
+    / ``progress``) do not depend on feed order; ``tcb-consistency``
+    needs annotations a finished run no longer has and reports zero
+    checks.
+    """
+    checks = cps_check_set(params, sorted(honest_pulses), expected_pulses)
+    for node, times in honest_pulses.items():
+        for index, time in enumerate(times, start=1):
+            # No monitor of the set reads the local-time argument.
+            checks.on_pulse(time, node, index, time)
+    return {verdict.monitor: verdict for verdict in checks.finish()}
+
+
 @dataclass(frozen=True)
 class ScenarioReport:
     """Conformance verdicts of one scenario in one mode."""
@@ -196,15 +209,13 @@ class ScenarioReport:
 
 
 def scenario_mode(kind: str, key: str) -> str:
-    """``"cps"``, ``"apa"``, ``"churn"``, or ``"fuzz"`` — how a
-    registry entry is conformance-run."""
+    """``"cps"``, ``"apa"`` or ``"churn"`` — how a registry entry is
+    conformance-run."""
     entry = REGISTRY.get(kind, key)
     if entry.kind == "adversary" and "apa" in entry.tags:
         return "apa"
     if entry.kind == "churn":
         return "churn"
-    if entry.kind == "fuzz":
-        return "fuzz"
     return "cps"
 
 
@@ -317,29 +328,29 @@ def judged_run(
     return JudgedRun(tuple(checks.finish()), result, built, mode)
 
 
-def run_apa_conformance(
-    key: str,
-    seed: int,
+def apa_reference_run(
+    n: int,
+    adversary: str,
+    initial_range: float = APA_INITIAL_RANGE,
+    target: float = APA_TARGET,
+    seed: int = 0,
     overrides: Optional[Dict[str, Any]] = None,
-) -> Tuple[List[MonitorVerdict], Any]:
-    """Run iterated APA under one registry adversary with the Theorem 9
-    monitor."""
-    n = APA_N
+) -> ApaResult:
+    """Iterated APA under one registry adversary, from evenly spread
+    honest inputs down to ``target`` with the last ``ceil(n/2) - 1``
+    nodes faulty — the run E1 tabulates and the ``apa`` conformance
+    mode judges."""
     f = max_faults(n)
-    faulty = list(range(n - f, n))
-    iterations = math.ceil(math.log2(APA_INITIAL_RANGE / APA_TARGET))
-    adversary = REGISTRY.create("adversary", key, None, **(overrides or {}))
-    honest = [v for v in range(n) if v not in faulty]
-    inputs = {
-        v: APA_INITIAL_RANGE * index / max(len(honest) - 1, 1)
-        for index, v in enumerate(honest)
-    }
-    outcome = run_apa(
-        inputs, n, f, faulty, adversary, iterations=iterations, seed=seed
+    honest = n - f
+    return run_apa(
+        {v: initial_range * v / max(honest - 1, 1) for v in range(honest)},
+        n,
+        f,
+        list(range(honest, n)),
+        REGISTRY.create("adversary", adversary, None, **(overrides or {})),
+        iterations=iterations_for_target(initial_range, target),
+        seed=seed,
     )
-    monitor = ApaContractionMonitor()
-    monitor.observe_ranges(outcome.ranges())
-    return [monitor.finish()], outcome
 
 
 def check_scenario(
@@ -375,19 +386,13 @@ def check_scenario(
                 f"scenarios; use backend='event'"
             )
         if mode == "apa":
-            verdicts, _outcome = run_apa_conformance(
-                key, scenario_seed, overrides
+            monitor = ApaContractionMonitor()
+            monitor.observe_ranges(
+                apa_reference_run(
+                    APA_N, key, seed=scenario_seed, overrides=overrides
+                ).ranges()
             )
-        elif mode == "fuzz":
-            # Lazy import: repro.fuzz builds on this module.
-            from repro.fuzz.oracle import (
-                expectation_verdict,
-                replay_fixture,
-            )
-
-            payload = REGISTRY.create("fuzz", key, None)
-            run = replay_fixture(payload, trace=trace)
-            verdicts = [expectation_verdict(payload, run)]
+            verdicts = [monitor.finish()]
         else:
             by_scale = (
                 CHURN_PULSES_BY_SCALE if mode == "churn" else PULSES_BY_SCALE
@@ -451,19 +456,10 @@ def conformance_matrix(
     return payload
 
 
-def matrix_payload_bytes(payload: Dict[str, Any]) -> bytes:
-    """The canonical on-disk serialization of a verdict payload.
-
-    Byte-for-byte what :func:`~repro.campaigns.store.dump_json_summary`
-    writes (indent 2, sorted keys, trailing LF) — the byte-identity
-    regression test compares a freshly computed matrix against the
-    committed ``results/conformance.json`` through this function, so it
-    must stay in lockstep with the store's serializer.
-    """
-    import json
-
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return text.encode("utf-8")
+#: The canonical on-disk bytes of a verdict payload: the byte-identity
+#: test compares a fresh matrix with the committed
+#: ``results/conformance.json`` through the serializer that wrote it.
+matrix_payload_bytes = summary_bytes
 
 
 def render_matrix(payload: Dict[str, Any]) -> str:

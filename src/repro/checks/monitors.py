@@ -34,8 +34,9 @@ Churn runs are bounded (the conformance tiers cap pulses), so the state
 stays small; the other monitors keep their streaming discipline.
 
 All bounds come from :mod:`repro.analysis.theory` /
-:class:`~repro.core.params.ProtocolParameters`; the shared numerical
-tolerance matches the ``1e-9`` the experiment tables use.
+:class:`~repro.core.params.ProtocolParameters`; every comparison is
+:func:`repro.analysis.metrics.within` / ``at_least`` — the one
+tolerance the experiment tables use too.
 """
 
 from __future__ import annotations
@@ -43,15 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import stabilization_report
+from repro.analysis.metrics import (
+    at_least,
+    stabilization_reports,
+    within,
+)
 from repro.dynamics.schedule import FaultSchedule
 from repro.sim.runtime import SimulationChecks
 from repro.sync.crusader import BOT
-
-#: Numerical slack applied to every bound comparison (matches the
-#: experiment tables' tolerance).
-TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -226,7 +226,7 @@ class SkewBoundMonitor(Monitor):
         entry.add(time)
         self.checked += 1
         if (
-            entry.spread > self.bound + TOLERANCE
+            not within(entry.spread, self.bound)
             and index not in self._flagged
         ):
             self._flagged.add(index)
@@ -284,7 +284,7 @@ class PeriodWindowMonitor(Monitor):
         self.checked += 1
         minimum = entry.low - previous.high
         maximum = entry.high - previous.low
-        if minimum < self.p_min - TOLERANCE:
+        if not at_least(minimum, self.p_min):
             self.violate(
                 "period below the Theorem 17 minimum P_min",
                 observed=minimum,
@@ -292,7 +292,7 @@ class PeriodWindowMonitor(Monitor):
                 time=time,
                 pulse=index,
             )
-        if maximum > self.p_max + TOLERANCE:
+        if not within(maximum, self.p_max):
             self.violate(
                 "period above the Theorem 17 maximum P_max",
                 observed=maximum,
@@ -425,7 +425,7 @@ class TcbConsistencyMonitor(Monitor):
                 continue
             self.checked += 1
             spread = max(times) - min(times)
-            if spread > self.window + TOLERANCE:
+            if not within(spread, self.window):
                 self.violate(
                     f"acceptances of dealer {dealer} spread beyond the "
                     f"Lemma 11 window",
@@ -457,7 +457,7 @@ class ApaContractionMonitor(Monitor):
         for index in range(len(ranges) - 1):
             self.checked += 1
             before, after = ranges[index], ranges[index + 1]
-            if after > before / 2.0 + TOLERANCE:
+            if not within(after, before / 2.0):
                 self.violate(
                     f"iteration {index + 1} contracted "
                     f"{before:.6g} -> {after:.6g} (needs halving)",
@@ -469,7 +469,7 @@ class ApaContractionMonitor(Monitor):
             self.checked += 1
             iterations = len(ranges) - 1
             cumulative = ranges[0] / (2.0 ** iterations)
-            if ranges[-1] > cumulative + TOLERANCE:
+            if not within(ranges[-1], cumulative):
                 self.violate(
                     f"final range after {iterations} iterations exceeds "
                     f"the cumulative bound",
@@ -538,38 +538,31 @@ class StabilizationMonitor(Monitor):
     # -- end-of-run evaluation -----------------------------------------
 
     def on_finish(self) -> None:
-        reference = [
-            v
-            for v in self.schedule.stable_nodes(self.n)
-            if self._pulses.get(v)
-        ]
-        self._check_activations(reference)
+        self._check_activations()
         self._check_tail_liveness()
 
-    def _observed_activation(
-        self, kind: str, node: int, occurrence: int
-    ) -> Optional[float]:
-        """Time of the ``occurrence``-th applied ``(kind, node)``
-        change."""
-        seen = 0
-        for time, applied_kind, applied_node in self._applied:
-            if applied_kind == kind and applied_node == node:
-                if seen == occurrence:
-                    return time
-                seen += 1
-        return None
-
-    def _check_activations(self, reference: Sequence[int]) -> None:
-        occurrences: Dict[Tuple[str, int], int] = {}
+    def _check_activations(self) -> None:
+        # The k-th scheduled (kind, node) change is the k-th applied one.
+        pending = list(self._applied)
+        observed = []
         for event in self.schedule.activations():
-            key = (event.kind, event.node)
-            occurrence = occurrences.get(key, 0)
-            occurrences[key] = occurrence + 1
-            self.checked += 1
-            time = self._observed_activation(
-                event.kind, event.node, occurrence
+            entry = next(
+                (a for a in pending if a[1:] == (event.kind, event.node)),
+                None,
             )
-            if time is None:
+            if entry is not None:
+                pending.remove(entry)
+            observed.append((event, entry))
+        _cohort, reports = stabilization_reports(
+            self._pulses,
+            self.schedule.stable_nodes(self.n),
+            [entry for _event, entry in observed if entry is not None],
+            self.envelope,
+        )
+        reports = iter(reports)
+        for event, entry in observed:
+            self.checked += 1
+            if entry is None:
                 self.violate(
                     f"scheduled {event.kind} of node {event.node} at "
                     f"{event.trigger()} never occurred",
@@ -578,13 +571,7 @@ class StabilizationMonitor(Monitor):
                     node=event.node,
                 )
                 continue
-            report = stabilization_report(
-                self._pulses,
-                event.node,
-                time,
-                reference,
-                self.envelope,
-            )
+            time, report = entry[0], next(reports)
             self.checked += 1
             if not report.resynced:
                 worst = max(
@@ -625,7 +612,7 @@ class StabilizationMonitor(Monitor):
             self.checked += 1
             times = self._pulses.get(node, [])
             last = times[-1] if times else float("-inf")
-            if last < horizon - TOLERANCE:
+            if not at_least(last, horizon):
                 self.violate(
                     f"node {node} fell silent: last pulse "
                     f"{last_any - last:.6g} before the end of the run "

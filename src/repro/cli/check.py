@@ -107,13 +107,6 @@ def _resolve_check_monitors(
     return list(requested)
 
 
-def _write_conformance_json(path: str, payload) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    dump_json_summary(path, payload)
-
-
 def _command_check_list(_args: argparse.Namespace) -> int:
     counts = {name: 0 for name in MONITOR_CATALOG}
     for entry in scenarios.entries():
@@ -164,7 +157,7 @@ def _command_check_matrix(args: argparse.Namespace) -> int:
                 f"{backend!r}-backend matrix (pass --out explicitly)"
             )
         else:
-            _write_conformance_json(args.out, payload)
+            dump_json_summary(args.out, payload)
             print(f"wrote {args.out}")
     return 0 if payload["pass"] else 1
 
@@ -172,13 +165,10 @@ def _command_check_matrix(args: argparse.Namespace) -> int:
 def _replay_fuzz_fixture_path(path: str) -> int:
     """``check fixture`` on a serialized fuzz fixture: replay it and
     verify its recorded expectation (violation fixtures must fire)."""
-    from repro.fuzz import expectation_met, load_fixture, replay_fixture
-    from repro.fuzz.corpus import MalformedFixtureError
+    from repro.cli.fuzz import load_fixture_or_exit
+    from repro.fuzz import expectation_met, replay_fixture
 
-    try:
-        payload = load_fixture(path)
-    except MalformedFixtureError as exc:
-        raise SystemExit(str(exc)) from None
+    payload = load_fixture_or_exit(path)
     run = replay_fixture(payload)
     violations = run.violations()
     for violation in violations:

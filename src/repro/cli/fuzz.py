@@ -1,7 +1,7 @@
 """``repro fuzz`` — property-based search for bound violations.
 
 ``fuzz run [--strategy valid|cps|churn|known-bad] [--budget 100]
-[--seed 0] [--out results/fuzz/corpus] [--promote]``
+[--seed 0] [--out results/fuzz/corpus]``
     Property-based search for theorem-bound violations: synthesized
     registry cases through the conformance monitors, with Hypothesis
     shrinking any violation to a minimal content-hashed fixture.
@@ -14,8 +14,9 @@
     (byte-identical across invocations and trace levels); non-zero
     exit when the recorded expectation is not reproduced.
 ``fuzz promote FIXTURE [--dest results/fuzz/promoted]``
-    Persist a fixture under ``promoted/`` and register it as a
-    ``fuzz``-kind scenario entry (a permanent regression gate).
+    Persist a fixture under ``promoted/``, the directory CI replays
+    through ``repro check fixture --fixture PATH`` (a permanent
+    regression gate).
 """
 
 from __future__ import annotations
@@ -55,13 +56,8 @@ def _command_fuzz_run(args: argparse.Namespace) -> int:
     fixtures = list(report.interesting)
     if report.counterexample is not None:
         fixtures.insert(0, report.counterexample)
-    if not args.no_save:
-        for fixture in fixtures:
-            path = save_fixture(fixture, args.out)
-            print(f"wrote {path}")
-            if args.promote:
-                key, promoted = promote_fixture(fixture)
-                print(f"promoted fuzz:{key} -> {promoted}")
+    for fixture in fixtures:
+        print(f"wrote {save_fixture(fixture, args.out)}")
     return 0 if report.ok else 1
 
 
@@ -98,11 +94,16 @@ def _command_fuzz_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_fuzz_replay(args: argparse.Namespace) -> int:
+def load_fixture_or_exit(path: str) -> dict:
+    """A fixture file's payload, or a one-line CLI error."""
     try:
-        payload = load_fixture(args.fixture)
+        return load_fixture(path)
     except MalformedFixtureError as exc:
         raise SystemExit(str(exc)) from None
+
+
+def _command_fuzz_replay(args: argparse.Namespace) -> int:
+    payload = load_fixture_or_exit(args.fixture)
     run = replay_fixture(payload, trace=args.trace)
     verdicts = verdict_payload(payload, run)
     print(json.dumps(verdicts, indent=2, sort_keys=True))
@@ -110,17 +111,10 @@ def _command_fuzz_replay(args: argparse.Namespace) -> int:
 
 
 def _command_fuzz_promote(args: argparse.Namespace) -> int:
-    try:
-        payload = load_fixture(args.fixture)
-    except MalformedFixtureError as exc:
-        raise SystemExit(str(exc)) from None
-    key, path = promote_fixture(payload, directory=args.dest)
-    print(f"promoted fuzz:{key} -> {path}")
-    print(
-        "replayable via 'repro check run "
-        f"{key} --kind fuzz' once registered (fixtures register on "
-        "promotion and via repro.fuzz.load_promoted)"
-    )
+    payload = load_fixture_or_exit(args.fixture)
+    path = promote_fixture(payload, directory=args.dest)
+    print(f"promoted fuzz-{payload['fixture_id']} -> {path}")
+    print(f"gate it with: repro check fixture --fixture {path}")
     return 0
 
 
@@ -152,15 +146,6 @@ def register_fuzz(parser: argparse.ArgumentParser) -> None:
         help="directory for found fixtures "
         "(default results/fuzz/corpus)",
     )
-    fuzz_run_parser.add_argument(
-        "--no-save", action="store_true",
-        help="report only; do not write fixture files",
-    )
-    fuzz_run_parser.add_argument(
-        "--promote", action="store_true",
-        help="also promote saved fixtures into results/fuzz/promoted "
-        "and the scenario registry",
-    )
     fuzz_run_parser.set_defaults(handler=_command_fuzz_run)
 
     fuzz_list_parser = fuzz_sub.add_parser(
@@ -188,8 +173,8 @@ def register_fuzz(parser: argparse.ArgumentParser) -> None:
 
     fuzz_promote_parser = fuzz_sub.add_parser(
         "promote",
-        help="persist a fixture under promoted/ and register it as a "
-        "fuzz-kind scenario entry",
+        help="persist a fixture under promoted/, which CI replays via "
+        "'repro check fixture'",
     )
     fuzz_promote_parser.add_argument(
         "fixture", help="path to a fuzz fixture JSON file"

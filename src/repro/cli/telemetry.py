@@ -109,9 +109,6 @@ def _command_telemetry_aggregate(args: argparse.Namespace) -> int:
     )
     print(render_aggregate(merged["aggregate"]))
     if args.out:
-        directory = os.path.dirname(args.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         dump_json_summary(args.out, merged)
         print(f"wrote {args.out}")
     return 0

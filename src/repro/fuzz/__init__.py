@@ -8,8 +8,9 @@ adversary primitives, fault schedules validated against the ``f``
 budget — and a driver runs each one through the scheduler's ``checks=``
 hook.  Any monitor FAIL is a found counterexample; Hypothesis shrinking
 reduces it to a minimal case that is serialized as a deterministic,
-content-hashed fixture and can be promoted into the scenario registry
-(kind ``fuzz``) as a permanent regression gate.
+content-hashed fixture and can be promoted into
+``results/fuzz/promoted/``, which CI replays as a permanent regression
+gate.
 
 ``strategies``
     The search spaces: :func:`valid_cps_cases`,
@@ -24,8 +25,8 @@ content-hashed fixture and can be promoted into the scenario registry
     ``expect`` field demands.
 ``corpus``
     Content-hashed fixture files under ``results/fuzz/`` —
-    save/load/list, promotion into the registry, and
-    :func:`load_promoted` to re-register a committed corpus.
+    save/load/list and promotion into the replayed ``promoted/``
+    directory.
 ``driver``
     :func:`search` — the budgeted Hypothesis loop with shrink capture
     and interesting-corner scoring (near-bound skew, envelope-grazing
@@ -42,10 +43,8 @@ from repro.fuzz.corpus import (
     fixture_path,
     list_fixtures,
     load_fixture,
-    load_promoted,
     make_fixture,
     promote_fixture,
-    register_fixture,
     save_fixture,
 )
 from repro.fuzz.driver import (
@@ -58,7 +57,6 @@ from repro.fuzz.driver import (
 )
 from repro.fuzz.oracle import (
     expectation_met,
-    expectation_verdict,
     interest_score,
     replay_fixture,
     verdict_payload,
@@ -79,7 +77,6 @@ __all__ = [
     "FuzzReport",
     "available_strategies",
     "expectation_met",
-    "expectation_verdict",
     "fixture_id",
     "fixture_path",
     "fuzz_cases",
@@ -87,10 +84,8 @@ __all__ = [
     "known_bad_cases",
     "list_fixtures",
     "load_fixture",
-    "load_promoted",
     "make_fixture",
     "promote_fixture",
-    "register_fixture",
     "render_fuzz_report",
     "replay_fixture",
     "save_fixture",

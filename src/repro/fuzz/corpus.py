@@ -18,13 +18,8 @@ Layout under ``results/fuzz/``::
     corpus/    fuzz-<id>.json   found by `repro fuzz run` (seed corpus
                entries are committed; CI finds are uploaded artifacts)
     promoted/  fuzz-<id>.json   promoted via `repro fuzz promote` —
-               re-registered into the scenario registry (kind ``fuzz``)
-               by :func:`load_promoted`
-
-Registration is *never* import-time: the conformance matrix and the
-scenario catalog only see fuzz entries after an explicit
-:func:`register_fixture` / :func:`load_promoted` call, which keeps the
-committed ``results/conformance.json`` baseline byte-stable.
+               committed regression gates: CI replays each through
+               `repro check fixture --fixture PATH`
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.campaigns.spec import stable_hash
 from repro.campaigns.store import dump_json_summary
-from repro.scenarios import REGISTRY
-from repro.scenarios.registry import ScenarioRegistry
 
 #: Schema tag every fixture file carries (versioned for migrations).
 FIXTURE_SCHEMA = "fuzz-fixture/v1"
@@ -94,10 +87,7 @@ def fixture_path(payload: Dict[str, Any], directory: str) -> str:
 
 def save_fixture(payload: Dict[str, Any], directory: str) -> str:
     """Write a fixture canonically; returns the content-addressed path."""
-    os.makedirs(directory, exist_ok=True)
-    path = fixture_path(payload, directory)
-    dump_json_summary(path, payload)
-    return path
+    return dump_json_summary(fixture_path(payload, directory), payload)
 
 
 def load_fixture(path: str) -> Dict[str, Any]:
@@ -134,76 +124,9 @@ def list_fixtures(directory: str) -> List[str]:
     return sorted(glob.glob(os.path.join(directory, "fuzz-*.json")))
 
 
-def register_fixture(
-    payload: Dict[str, Any],
-    registry: ScenarioRegistry = REGISTRY,
-) -> str:
-    """Register a fixture as a ``fuzz`` scenario entry; returns the key.
-
-    Idempotent: re-registering the same content hash is a no-op (the
-    registry otherwise refuses re-registration), so loading a promoted
-    corpus twice is safe.
-    """
-    key = payload["fixture_id"]
-    if registry.has("fuzz", key):
-        return key
-    frozen = json.loads(json.dumps(payload))
-    summary = payload.get("summary", {})
-    violations = summary.get("violations") or []
-    if payload["expect"] == "violation":
-        what = (
-            f"shrunk counterexample ({len(violations)} violation(s))"
-            if violations
-            else "shrunk counterexample"
-        )
-    else:
-        score = (summary.get("score") or {}).get("score")
-        what = (
-            f"interesting corner (score {score:.3f})"
-            if isinstance(score, (int, float))
-            else "interesting corner"
-        )
-    description = (
-        f"promoted fuzz fixture: {what}, strategy "
-        f"{payload.get('strategy', '?')}"
-    )
-
-    @registry.register(
-        "fuzz",
-        key,
-        description=description,
-        paper_ref="Thm 17 / Lemma 11 bounds as a counterexample oracle",
-        tags=("fuzz", payload.get("origin", "seed"), payload["expect"]),
-    )
-    def _fixture_factory(params: Any = None, **_overrides: Any):
-        return json.loads(json.dumps(frozen))
-
-    return key
-
-
 def promote_fixture(
-    payload: Dict[str, Any],
-    registry: ScenarioRegistry = REGISTRY,
-    directory: str = PROMOTED_DIR,
-) -> tuple:
-    """Promote a fixture: persist it under ``promoted/`` and register
-    it as a ``fuzz`` scenario entry.
-
-    Returns ``(key, path)``.  The file is the durable half (the
-    registry is per-process); :func:`load_promoted` re-registers a
-    committed corpus.
-    """
-    path = save_fixture(payload, directory)
-    key = register_fixture(payload, registry)
-    return key, path
-
-
-def load_promoted(
-    registry: ScenarioRegistry = REGISTRY,
-    directory: str = PROMOTED_DIR,
-) -> List[str]:
-    """Register every promoted fixture on disk; returns their keys."""
-    keys = []
-    for path in list_fixtures(directory):
-        keys.append(register_fixture(load_fixture(path), registry))
-    return keys
+    payload: Dict[str, Any], directory: str = PROMOTED_DIR
+) -> str:
+    """Persist a fixture under ``promoted/``, where CI replays it on
+    every push; returns the path."""
+    return save_fixture(payload, directory)

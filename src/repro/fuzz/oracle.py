@@ -15,18 +15,15 @@ twice, or at different trace levels, produces byte-identical
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict
 
 from repro.analysis import metrics
 from repro.checks.conformance import (
-    FUZZ_EXPECTATION_CLAIM,
-    FUZZ_EXPECTATION_MONITOR,
     RESYNC_PULSE_BUDGET,
     JudgedRun,
     judged_run,
 )
-from repro.checks.monitors import MonitorVerdict, Violation
 
 
 def replay_fixture(
@@ -71,37 +68,6 @@ def verdict_payload(
     }
 
 
-def expectation_verdict(
-    payload: Dict[str, Any], run: JudgedRun
-) -> MonitorVerdict:
-    """Judge a promoted fixture against its recorded expectation
-    (:func:`expectation_met`) — a regression gate on the oracle
-    itself."""
-    expect = payload.get("expect", "pass")
-    fired = not run.ok
-    ok = expectation_met(payload, run)
-    violations: Tuple[Violation, ...] = ()
-    if not ok:
-        violations = (
-            Violation(
-                monitor=FUZZ_EXPECTATION_MONITOR,
-                message=(
-                    f"fixture expects {expect!r} but the monitors "
-                    + ("fired" if fired else "stayed silent")
-                ),
-                observed=float(fired),
-                bound=float(expect == "violation"),
-            ),
-        )
-    return MonitorVerdict(
-        monitor=FUZZ_EXPECTATION_MONITOR,
-        claim=FUZZ_EXPECTATION_CLAIM,
-        ok=ok,
-        checked=len(run.verdicts),
-        violations=violations,
-    )
-
-
 @dataclass(frozen=True)
 class InterestScore:
     """How close a *passing* run came to its bounds (0 = slack, 1 =
@@ -110,7 +76,6 @@ class InterestScore:
     skew_over_s: float = 0.0
     resync_over_budget: float = 0.0
     envelope_over_s: float = 0.0
-    components: Dict[str, float] = field(default_factory=dict)
 
     @property
     def score(self) -> float:
@@ -141,46 +106,18 @@ def interest_score(run: JudgedRun) -> InterestScore:
     """
     result, params = run.result, run.built.params
     simulation = run.built.simulation
+    cohort, reports = simulation.honest, []
     if run.mode == "churn":
-        schedule = simulation.dynamics.schedule
-        cohort_ids = [
-            v
-            for v in schedule.stable_nodes(params.n)
-            if result.pulses.get(v)
-        ]
-        cohort = {v: result.pulses[v] for v in cohort_ids}
-        try:
-            skew_ratio = metrics.max_skew(cohort) / params.S
-        except Exception:  # noqa: BLE001 - empty cohort scores zero
-            skew_ratio = 0.0
-        resync_ratio = 0.0
-        envelope_ratio = 0.0
-        for time, _kind, node in simulation.dynamics.activations_applied():
-            report = metrics.stabilization_report(
-                result.pulses, node, time, cohort_ids, params.S
-            )
-            if not report.resynced:
-                continue
-            resync_ratio = max(
-                resync_ratio,
-                report.pulses_to_resync / RESYNC_PULSE_BUDGET,
-            )
-            if report.envelope == report.envelope:  # drop NaNs
-                envelope_ratio = max(
-                    envelope_ratio, report.envelope / params.S
-                )
-        return InterestScore(
-            skew_over_s=skew_ratio,
-            resync_over_budget=resync_ratio,
-            envelope_over_s=envelope_ratio,
+        cohort, reports = metrics.stabilization_reports(
+            result.pulses,
+            simulation.dynamics.schedule.stable_nodes(params.n),
+            simulation.dynamics.activations_applied(),
+            params.S,
         )
-    honest = {
-        v: result.pulses[v]
-        for v in simulation.honest
-        if result.pulses.get(v)
-    }
-    try:
-        skew_ratio = metrics.max_skew(honest) / params.S
-    except Exception:  # noqa: BLE001 - no pulses scores zero
-        skew_ratio = 0.0
-    return InterestScore(skew_over_s=skew_ratio)
+    resync_pulses, envelope = metrics.worst_resync(reports)
+    return InterestScore(
+        skew_over_s=metrics.cohort_skew(result.pulses, cohort, default=0.0)
+        / params.S,
+        resync_over_budget=resync_pulses / RESYNC_PULSE_BUDGET,
+        envelope_over_s=envelope / params.S,
+    )

@@ -33,17 +33,6 @@ can be resolved uniformly from a case dict:
     dynamics of a run (crashes, recoveries, late joins, Byzantine
     flips), sized from ``params.n`` / ``params.f`` so one profile
     composes with any deployment.
-``fuzz``
-    ``factory(params, **overrides) -> dict`` — a promoted fuzz
-    fixture's replay payload (case, pulses, seed, expectation); the
-    positional context is ignored (fixtures are self-contained).
-    Entries of this kind are only registered by explicit promotion
-    (:func:`repro.fuzz.corpus.register_fixture`), never at import
-    time, so catalogs and conformance baselines stay stable.  The
-    registry lives for one process and no command re-registers a
-    promoted corpus, so today only library callers see such entries
-    (``docs/FUZZING.md``, "The corpus").
-
 Keyword ``overrides`` correspond to the entry's declared
 :class:`ParamSpec` list; unknown keywords raise ``TypeError`` from the
 factory itself, so schema drift is caught at call time.
@@ -76,7 +65,6 @@ KINDS: Tuple[str, ...] = (
     "topology",
     "drift",
     "churn",
-    "fuzz",
 )
 
 

@@ -12,21 +12,18 @@ The satellite guarantees under test:
   ``repro check fixture`` confirms the monitors fire on it;
 * a default-budget search over the valid space finds nothing;
 * fixtures are content-hashed, byte-stable on disk, idempotently
-  promotable into the scenario registry, and replay deterministically
+  promotable into ``promoted/``, and replay deterministically
   — byte-identical verdicts and pulse streams across invocations and
   across ``PULSES`` vs ``FULL`` trace levels;
-* the conformance engine's ``fuzz`` mode judges promoted fixtures
-  against their recorded expectation;
-* the ``repro fuzz run/list/replay/promote`` CLI round-trips.
+* the ``repro fuzz run/list/replay/promote`` CLI round-trips, and the
+  gate command ``promote`` prints works.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import given
 
-from repro.checks import check_scenario
 from repro.checks.fixtures import BROKEN_CASE, BROKEN_PULSES
 from repro.cli import main
 from repro.fuzz import (
@@ -37,10 +34,8 @@ from repro.fuzz import (
     known_bad_cases,
     list_fixtures,
     load_fixture,
-    load_promoted,
     make_fixture,
     promote_fixture,
-    register_fixture,
     replay_fixture,
     save_fixture,
     search,
@@ -52,7 +47,6 @@ from repro.fuzz.corpus import MalformedFixtureError
 from repro.fuzz.driver import UnknownStrategyError, render_fuzz_report
 from repro.fuzz.strategies import CPS_ADVERSARIES, CPS_DELAYS
 from repro.scenarios import REGISTRY
-from repro.scenarios.registry import ScenarioRegistry
 
 
 @pytest.fixture(scope="module")
@@ -240,26 +234,15 @@ class TestCorpus:
             load_fixture(str(bad))
 
     def test_promotion_is_idempotent(self, tmp_path):
-        registry = ScenarioRegistry()
         fixture = self.make()
-        key, path = promote_fixture(
-            fixture, registry, directory=str(tmp_path)
-        )
-        assert key == fixture["fixture_id"]
-        assert os.path.exists(path)
-        assert registry.has("fuzz", key)
-        # Re-promoting (and re-loading the directory) is a no-op.
-        assert promote_fixture(
-            fixture, registry, directory=str(tmp_path)
-        )[0] == key
-        assert load_promoted(registry, directory=str(tmp_path)) == [key]
-        entry = registry.get("fuzz", key)
-        assert "fuzz" in entry.tags and "pass" in entry.tags
-        payload = registry.create("fuzz", key, None)
-        assert payload == fixture
-        # The factory hands out copies, not the shared object.
-        payload["pulses"] = 99
-        assert registry.create("fuzz", key, None)["pulses"] == 5
+        path = promote_fixture(fixture, directory=str(tmp_path))
+        assert path == fixture_path(fixture, str(tmp_path))
+        first = open(path, "rb").read()
+        # Re-promoting rewrites the same content-addressed file.
+        assert promote_fixture(fixture, directory=str(tmp_path)) == path
+        assert open(path, "rb").read() == first
+        assert list_fixtures(str(tmp_path)) == [path]
+        assert load_fixture(path) == fixture
 
 
 # ----------------------------------------------------------------------
@@ -308,39 +291,6 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Conformance: the fuzz mode judges recorded expectations
-# ----------------------------------------------------------------------
-
-
-class TestConformanceFuzzMode:
-    def test_promoted_counterexample_passes_conformance(
-        self, known_bad_report
-    ):
-        key = register_fixture(known_bad_report.counterexample)
-        report = check_scenario("fuzz", key)
-        assert report.mode == "fuzz"
-        assert report.ok
-        assert [v.monitor for v in report.verdicts] == [
-            "fuzz-expectation"
-        ]
-
-    def test_expectation_mismatch_fails_conformance(self):
-        # A passing case promoted with expect=violation must FAIL.
-        fixture = make_fixture(
-            CASE, 5, 7,
-            strategy="valid", origin="seed", expect="violation",
-        )
-        registry = ScenarioRegistry()
-        register_fixture(fixture, registry)
-        run = replay_fixture(fixture)
-        from repro.fuzz import expectation_verdict
-
-        verdict = expectation_verdict(fixture, run)
-        assert not verdict.ok
-        assert verdict.violations[0].monitor == "fuzz-expectation"
-
-
-# ----------------------------------------------------------------------
 # CLI round-trip
 # ----------------------------------------------------------------------
 
@@ -368,7 +318,13 @@ class TestCli:
         assert main([
             "fuzz", "promote", paths[0], "--dest", promoted,
         ]) == 0
-        assert len(list_fixtures(promoted)) == 1
+        (gate,) = list_fixtures(promoted)
+        # The instruction promote prints is a command that works.
+        assert (
+            f"repro check fixture --fixture {gate}"
+            in capsys.readouterr().out
+        )
+        assert main(["check", "fixture", "--fixture", gate]) == 0
 
     def test_run_valid_space_exits_clean(self, tmp_path, capsys):
         assert main([

@@ -1,0 +1,250 @@
+"""One judge: a row's "within the bound" is a monitor's verdict.
+
+Every CPS experiment row comes from
+:func:`repro.campaigns.builders.cps_measurement`, whose ``within`` /
+``periods_within`` are the ``skew`` / ``period`` verdicts of
+:func:`repro.checks.conformance.judge_pulses`; every comparison of a
+measurement with a bound is :func:`repro.analysis.metrics.within` or
+``at_least``.  The facade is stubbed where a test needs a pulse train
+no protocol run produces.
+"""
+
+import math
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.analysis.metrics import TOLERANCE, at_least, within
+from repro.build import BuiltSimulation
+from repro.campaigns.builders import STRESS_KEYS, resolve_builder
+from repro.campaigns.spec import MeasurementSpec
+from repro.checks import (
+    ApaContractionMonitor,
+    PeriodWindowMonitor,
+    SkewBoundMonitor,
+    StabilizationMonitor,
+    TcbConsistencyMonitor,
+)
+from repro.core.params import derive_parameters
+from repro.dynamics.schedule import FaultEvent, FaultSchedule
+from repro.sim.scheduler import SimulationResult
+from repro.sim.vectorized import VectorizedSimulation
+
+PARAMS = derive_parameters(1.001, 1.0, 0.01, 4)
+HONEST = [0, 1, 2]
+CASE = {"n": 4, "theta": 1.001, "d": 1.0, "u": 0.01, "multiplier": 1}
+MEASUREMENT = MeasurementSpec(pulses=6, warmup=2)
+CPS_ROW_BUILDERS = ("cps-stress", "cps-skew", "cps-fast-faulty-links")
+
+
+class _StubSimulation:
+    """A finished run with a prescribed pulse train."""
+
+    honest, faulty = HONEST, [3]
+
+    def __init__(self, pulses):
+        self.pulses = pulses
+
+    def run(self, max_pulses=None, until=None):
+        if self.pulses is None:
+            raise RuntimeError("boom")
+        return SimulationResult(
+            pulses={**self.pulses, 3: []},
+            honest=HONEST,
+            trace=None,
+            events_processed=17,
+        )
+
+    def protocol(self, node):
+        return self  # ``summaries`` is all a row builder reads
+
+    summaries = ()
+
+
+def _stub_facade(monkeypatch, pulses):
+    def build_simulation(case, backend="event", seed=0, trace="pulses"):
+        return BuiltSimulation(
+            _StubSimulation(pulses),
+            PARAMS,
+            PARAMS.f,
+            {"d_eff": 1.0, "u_eff": 0.01},
+            backend,
+        )
+
+    monkeypatch.setattr("repro.build.build_simulation", build_simulation)
+
+
+def _train(first_spread, count=6):
+    """Pulses a legal period apart; only the first one is spread."""
+    period = (PARAMS.p_min_bound + PARAMS.p_max_bound) / 2.0
+    return {
+        v: [
+            1.0 + period * i + (first_spread * v / 2.0 if i == 0 else 0.0)
+            for i in range(count)
+        ]
+        for v in HONEST
+    }
+
+
+@pytest.mark.parametrize("name", CPS_ROW_BUILDERS)
+def test_warm_up_is_not_excused(monkeypatch, name):
+    # Theorem 17 bounds every pulse (the build validates H_v(0) in
+    # [0, S]); at the parent cps-stress read steady_skew and said True.
+    _stub_facade(monkeypatch, _train(first_spread=2.0 * PARAMS.S))
+    row = resolve_builder(name)(CASE, MEASUREMENT, 0)
+    assert row["max_skew"] == pytest.approx(2.0 * PARAMS.S)
+    assert row["within"] is False
+    if name != "cps-stress":
+        assert row["steady_skew"] == 0.0 and row["periods_within"]
+
+
+@pytest.mark.parametrize("name", CPS_ROW_BUILDERS)
+def test_a_train_inside_every_bound_is_within(monkeypatch, name):
+    _stub_facade(monkeypatch, _train(first_spread=0.5 * PARAMS.S))
+    assert resolve_builder(name)(CASE, MEASUREMENT, 0)["within"] is True
+
+
+@pytest.mark.parametrize("pulses", [None, _train(0.0, count=3)])
+@pytest.mark.parametrize("name", CPS_ROW_BUILDERS)
+def test_a_dead_run_tabulates(monkeypatch, name, pulses):
+    # The run raised, or stopped short of its quota.
+    _stub_facade(monkeypatch, pulses)
+    row = resolve_builder(name)(CASE, MEASUREMENT, 0)
+    assert row["max_skew"] == math.inf and row["within"] is False
+    assert row["events"] == (0 if pulses is None else 17)
+    if name != "cps-stress":
+        assert math.isnan(row["min_period"])
+        assert row["live"] is False and row["periods_within"] is False
+
+
+def test_stress_records_keep_their_nine_keys():
+    # Digested by the repo benchmark: key set, order and values.
+    assert STRESS_KEYS == (
+        "f", "max_skew", "steady_skew", "bound_S", "within", "live",
+        "events", "d_eff", "u_eff",
+    )
+    row = resolve_builder("cps-stress")(
+        {**CASE, "n": 6, "delay": "random"}, MEASUREMENT, 0
+    )
+    assert tuple(row) == STRESS_KEYS and row["within"] and row["live"]
+
+
+def test_a_vectorized_stress_trial_runs_unobserved(monkeypatch):
+    # E9-SCALE reaches n = 10,000 because nothing is attached:
+    # observing materialises O(n^2) annotation objects per round.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the trial attached an observer")
+
+    monkeypatch.setattr(VectorizedSimulation, "_collect_round", refuse)
+    monkeypatch.setattr(VectorizedSimulation, "attach_checks", refuse)
+    row = resolve_builder("cps-stress")(
+        {"n": 40, "theta": 1.001, "d": 1.0, "u": 0.01},
+        MeasurementSpec(pulses=5, warmup=2, trace="none",
+                        backend="vectorized"),
+        0,
+    )
+    assert row["within"] and row["live"]
+
+
+# ----------------------------------------------------------------------
+# ``within`` is the comparison every monitor's verdict flips on
+# ----------------------------------------------------------------------
+
+
+# Each probe feeds one monitor a single observation ``value`` against
+# ``bound`` and returns (verdict.ok, the float the monitor compared).
+
+
+def _skew(value, bound):
+    monitor = SkewBoundMonitor(bound, 2)
+    monitor.on_pulse(5.0, 0, 1, 5.0)
+    monitor.on_pulse(5.0 + value, 1, 1, 5.0)
+    return monitor.finish().ok, (5.0 + value) - 5.0
+
+
+def _period(value, bound, upper=True):
+    # Two single-node pulses ``value`` apart; the other side is slack.
+    monitor = (
+        PeriodWindowMonitor(0.0, bound, 1)
+        if upper
+        else PeriodWindowMonitor(bound, math.inf, 1)
+    )
+    monitor.on_pulse(5.0, 0, 1, 5.0)
+    monitor.on_pulse(5.0 + value, 0, 2, 5.0)
+    return monitor.finish().ok, (5.0 + value) - 5.0
+
+
+def _tcb(value, bound):
+    monitor = TcbConsistencyMonitor(bound, 2)
+    for node, time in ((0, 5.0), (1, 5.0 + value)):
+        monitor.on_annotate(time, node, "tcb-accept", (1, 2))
+    summary = SimpleNamespace(pulse_round=1, estimates={2: 0.0})
+    for node in (0, 1):
+        monitor.on_annotate(9.0, node, "cps-round", summary)
+    return monitor.finish().ok, (5.0 + value) - 5.0
+
+
+def _apa(value, bound):
+    # One iteration: the halving and the cumulative bound coincide.
+    monitor = ApaContractionMonitor()
+    monitor.observe_ranges([2.0 * bound, value])
+    return monitor.finish().ok, value
+
+
+def _stabilization(value, bound):
+    # Node 1 recovers at t = 1 and pulses ``value`` off node 0's train.
+    schedule = FaultSchedule(
+        [FaultEvent("crash", 1, at=0.5), FaultEvent("recover", 1, at=1.0)]
+    )
+    monitor = StabilizationMonitor(
+        schedule, 2, envelope=bound, resync_budget=1, tail_window=100.0
+    )
+    monitor.on_annotate(1.0, 1, "churn", {"action": "recover"})
+    monitor.on_pulse(5.0, 0, 1, 5.0)
+    monitor.on_pulse(5.0 + value, 1, 1, 5.0)
+    monitor.on_pulse(50.0, 0, 2, 50.0)
+    return monitor.finish().ok, (5.0 + value) - 5.0
+
+
+UPPER_BOUNDED = {
+    "skew": _skew,
+    "period": _period,
+    "tcb-consistency": _tcb,
+    "apa-contraction": _apa,
+    "stabilization": _stabilization,
+}
+
+#: Either side of the flip point and on it: bound ± 1e-9 ± 1e-12.
+OFFSETS = st.sampled_from(
+    [
+        sign * TOLERANCE + nudge
+        for sign in (-1.0, 1.0)
+        for nudge in (-1e-12, 0.0, 1e-12)
+    ]
+)
+BOUNDS = st.floats(min_value=0.25, max_value=4.0)
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_BOUNDED))
+@given(BOUNDS, OFFSETS)
+def test_an_upper_bound_verdict_is_within(name, bound, offset):
+    ok, observed = UPPER_BOUNDED[name](bound + offset, bound)
+    assert ok == within(observed, bound)
+    if abs(offset) != TOLERANCE:  # on the flip point rounding decides
+        assert ok == (offset < TOLERANCE)
+
+
+@given(BOUNDS, OFFSETS)
+def test_the_minimum_period_verdict_is_at_least(bound, offset):
+    ok, observed = _period(bound + offset, bound, upper=False)
+    assert ok == at_least(observed, bound)
+    if abs(offset) != TOLERANCE:
+        assert ok == (offset > -TOLERANCE)
+
+
+def test_within_and_at_least_flip_at_the_tolerance():
+    assert within(1.0 + TOLERANCE, 1.0) and not within(1.0 + 2e-9, 1.0)
+    assert at_least(1.0 - TOLERANCE, 1.0) and not at_least(1.0 - 2e-9, 1.0)
+    assert not within(math.nan, 1.0) and not at_least(math.nan, 1.0)

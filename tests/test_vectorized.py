@@ -16,6 +16,7 @@ policies they mirror, and the CLI ``--backend`` plumbing.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.campaigns.spec import MeasurementSpec, canonical_json
 from repro.checks.conformance import (
     check_scenario,
     conformance_matrix,
+    judge_pulses,
     judged_run,
 )
 from repro.cli import main
@@ -101,6 +103,30 @@ class TestDifferentialOracle:
             assert vec_result.pulses[node] == pytest.approx(
                 times, abs=1e-9
             )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "scenario",
+        DETERMINISTIC_SCENARIOS,
+        ids=lambda s: f"{s['delay']}-{s['drift']}",
+    )
+    def test_judging_the_recorded_pulses_equals_the_attached_monitors(
+        self, scenario, backend
+    ):
+        # One definition of "within": the check set fed after the run
+        # (what experiment rows use) reaches the verdicts of the check
+        # set attached during it, in any node order.
+        run = judged_run(_case(**scenario), 6, 11, backend=backend)
+        attached = {v.monitor: v for v in run.verdicts}
+        trains = run.result.honest_pulses()
+        order = random.Random(0).sample(sorted(trains), len(trains))
+        assert order != sorted(trains)
+        for pulses in (trains, {v: trains[v] for v in order}):
+            replayed = judge_pulses(run.built.params, pulses, 6)
+            assert list(replayed) == list(attached)
+            for name in ("skew", "period", "progress"):
+                assert replayed[name].as_dict() == attached[name].as_dict()
+                assert replayed[name].checked > 0
 
     def test_random_delays_verdict_level_only(self):
         # Different (but both admissible) delay draws: the monitor
