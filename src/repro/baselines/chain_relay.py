@@ -34,14 +34,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
+from repro.baselines.relay import relay_simulation
 from repro.crypto.signatures import Signature, verify
 from repro.sim.adversary import ByzantineBehavior
-from repro.sim.clocks import HardwareClock, validate_initial_skew
+from repro.sim.clocks import HardwareClock
 from repro.sim.errors import ConfigurationError
-from repro.sim.network import DelayPolicy, NetworkConfig
+from repro.sim.network import DelayPolicy
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation
-from repro.sim.trace import DeliveryRecord, Trace, TraceSpec
+from repro.sim.trace import DeliveryRecord, TraceSpec
 
 
 def chain_tag(pulse_round: int) -> Tuple[str, int]:
@@ -306,32 +307,7 @@ def build_chain_simulation(
     trace: TraceSpec = "full",
 ) -> Simulation:
     """Wire a ready-to-run chain-relay simulation."""
-    import random
-
-    config = NetworkConfig(params.n, params.d, params.u)
-    if clocks is None:
-        rng = random.Random(seed)
-        clocks = [
-            HardwareClock.random_drift(
-                rng,
-                params.theta,
-                offset=rng.uniform(0.0, params.initial_skew),
-                horizon=60.0 * params.period,
-                segment_length=params.period,
-            )
-            for _ in range(params.n)
-        ]
-    validate_initial_skew(
-        [clocks[v] for v in range(params.n) if v not in set(faulty)],
-        params.initial_skew,
-    )
-    return Simulation(
-        config=config,
-        clocks=clocks,
-        protocol_factory=lambda v: ChainRelayNode(params),
-        faulty=faulty,
-        behavior=behavior,
-        delay_policy=delay_policy,
-        f=params.f,
-        trace=Trace(trace),
+    return relay_simulation(
+        params, ChainRelayNode, 60.0, clocks, faulty, behavior,
+        delay_policy, seed, trace,
     )

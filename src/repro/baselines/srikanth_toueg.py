@@ -21,14 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
+from repro.baselines.relay import relay_simulation
 from repro.crypto.signatures import Signature, verify
 from repro.sim.adversary import ByzantineBehavior
-from repro.sim.clocks import HardwareClock, validate_initial_skew
+from repro.sim.clocks import HardwareClock
 from repro.sim.errors import ConfigurationError
-from repro.sim.network import DelayPolicy, NetworkConfig
+from repro.sim.network import DelayPolicy
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation
-from repro.sim.trace import Trace, TraceSpec
+from repro.sim.trace import TraceSpec
 
 
 def st_tag(pulse_round: int) -> Tuple[str, int]:
@@ -226,32 +227,7 @@ def build_st_simulation(
     trace: TraceSpec = "full",
 ) -> Simulation:
     """Wire a ready-to-run signed-relay pulser simulation."""
-    import random
-
-    config = NetworkConfig(params.n, params.d, params.u)
-    if clocks is None:
-        rng = random.Random(seed)
-        clocks = [
-            HardwareClock.random_drift(
-                rng,
-                params.theta,
-                offset=rng.uniform(0.0, params.initial_skew),
-                horizon=100.0 * params.period,
-                segment_length=params.period,
-            )
-            for _ in range(params.n)
-        ]
-    validate_initial_skew(
-        [clocks[v] for v in range(params.n) if v not in set(faulty)],
-        params.initial_skew,
-    )
-    return Simulation(
-        config=config,
-        clocks=clocks,
-        protocol_factory=lambda v: SrikanthTouegNode(params),
-        faulty=faulty,
-        behavior=behavior,
-        delay_policy=delay_policy,
-        f=params.f,
-        trace=Trace(trace),
+    return relay_simulation(
+        params, SrikanthTouegNode, 100.0, clocks, faulty, behavior,
+        delay_policy, seed, trace,
     )

@@ -514,6 +514,7 @@ def algorithm_comparison_trial(
             params,
             faulty=faulty,
             behavior=StRushAttack(params),
+            delay_policy=case_delay_policy(case, n, default="maximum"),
             seed=seed,
             trace=measurement.trace,
         )
@@ -524,6 +525,7 @@ def algorithm_comparison_trial(
             params,
             faulty=faulty,
             behavior=ChainStretchAttack(params),
+            delay_policy=case_delay_policy(case, n, default="maximum"),
             seed=seed,
             trace=measurement.trace,
         )

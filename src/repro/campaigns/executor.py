@@ -23,18 +23,21 @@ identical records:
   execution and new records are appended as soon as their chunk
   completes, so an interrupted campaign resumes where it stopped.
 
-A per-trial ``timeout`` always runs on a process pool, ``workers=1``
-included (an in-process trial cannot be preempted): a chunk is given
-``timeout * len(chunk)``, measured from the moment a worker actually
-*starts* the chunk, and tabulated as timeout errors if exceeded.
+The pool transport is one loop over pool generations; a per-trial
+``timeout`` is a parameter of that loop, not a second one.  It always
+runs on a process pool, ``workers=1`` included (an in-process trial
+cannot be preempted): a chunk is given ``timeout * len(chunk)``,
+measured from the moment a worker actually *starts* the chunk, and
+tabulated as timeout errors if exceeded.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -58,7 +61,8 @@ class ExecutionPolicy:
     """How a campaign is scheduled.
 
     ``workers == 1`` runs in-process; larger values use a
-    ``ProcessPoolExecutor`` with ``chunk_size`` plans per task.
+    ``ProcessPoolExecutor`` with ``chunk_size`` plans per task: every
+    chunk is submitted at once and the futures are read in order.
     ``timeout`` is the per-trial budget in seconds; it needs a process
     to preempt, so with a timeout ``workers == 1`` is a one-worker
     pool.  It is enforced per *chunk* (``timeout * len(chunk)``)
@@ -68,7 +72,9 @@ class ExecutionPolicy:
     out; pair ``timeout`` with ``chunk_size=1`` when per-trial
     precision matters.
     Workers hung past their budget are terminated so the pool shutdown
-    cannot block indefinitely.
+    cannot block indefinitely, and the chunks they had not finished run
+    in a fresh pool generation.  Only a timeout starts the manager
+    process that carries the stamps, and only then does the parent poll.
 
     ``queue`` switches the transport to the elastic work queue: each
     batch's misses are published as leases under the given directory
@@ -218,27 +224,24 @@ def prepare_tasks(
     return function, tasks
 
 
-def _run_batch(function: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-    """Top-level pool task (must be picklable by reference)."""
-    return [function(item) for item in items]
-
-
-def _run_stamped_batch(
+def _run_batch(
     function: Callable[[Any], Any],
     items: Sequence[Any],
-    stamps: Any,
-    index: int,
+    stamps: Any = None,
+    index: Optional[int] = None,
 ) -> List[Any]:
-    """Pool task that stamps its own start time before running.
+    """Top-level pool task (must be picklable by reference).
 
-    ``stamps`` is a manager-dict proxy shared with the parent; the
+    Under a budget ``stamps`` is a manager-dict proxy shared with the
+    parent and the task stamps its own start time before running; the
     stamp is what lets the parent charge the chunk's budget against
     *execution* time instead of time-in-queue — a chunk stuck behind a
     hung sibling has no stamp and is never tabulated as timed out.
     ``time.monotonic`` is a system-wide clock on the platforms we
     support, so parent and worker readings are comparable.
     """
-    stamps[index] = time.monotonic()
+    if stamps is not None:
+        stamps[index] = time.monotonic()
     return [function(item) for item in items]
 
 
@@ -257,6 +260,16 @@ def map_trials(
     available (the hook behind incremental store writes).  In pool mode
     ``function`` and ``items`` must be picklable — module-level functions
     and plain-data items.
+
+    Two paths: in-process, or pool generations
+    (:func:`_pool_generation`).  Without a timeout the pool path is one
+    generation — submit every chunk, read the futures in order — and
+    starts no manager process; with one, workers stamp each chunk's
+    start into a shared manager dict and a generation torn down for a
+    hung chunk hands its unfinished chunks to the next.  Each torn-down
+    generation tabulates at least one chunk, so the loop terminates.
+    Batches are emitted in chunk order, each as soon as every earlier
+    chunk has settled.
     """
     policy = policy or ExecutionPolicy()
     if on_error is None:
@@ -291,79 +304,37 @@ def map_trials(
         list(items[start:start + policy.chunk_size])
         for start in range(0, len(items), policy.chunk_size)
     ]
-    if policy.timeout is None:
-        pool = ProcessPoolExecutor(max_workers=policy.workers)
-        try:
-            futures = [
-                pool.submit(_run_batch, function, chunk)
-                for chunk in chunks
-            ]
-            for chunk, future in zip(chunks, futures):
-                try:
-                    batch = future.result()
-                except Exception as exc:  # noqa: BLE001 - broken pool
-                    batch = [on_error(item, exc) for item in chunk]
-                for result in batch:
-                    emit(result)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        return results
-
-    _map_chunks_budgeted(function, chunks, policy, on_error, emit)
-    return results
-
-
-def _map_chunks_budgeted(
-    function: Callable[[Any], Any],
-    chunks: List[List[Any]],
-    policy: ExecutionPolicy,
-    on_error: Callable[[Any, BaseException], Any],
-    emit: Callable[[Any], None],
-) -> None:
-    """Pool rounds with per-chunk budgets charged from worker start.
-
-    Workers stamp each chunk's start into a shared manager dict; the
-    parent tabulates a chunk as timed out only once ``now - start``
-    exceeds ``timeout * len(chunk)``.  A chunk still waiting for a
-    worker carries no stamp and is never charged — when a hung chunk
-    forces the pool to be torn down, every started-but-unfinished and
-    never-started chunk is resubmitted to a fresh pool, so innocent
-    work queued behind the hang runs instead of being billed for it.
-    Each torn-down round tabulates at least one chunk, so the loop
-    terminates.  Batches are emitted in chunk order, each as soon as
-    every earlier chunk has settled (the incremental-store-write hook).
-    """
     batches: Dict[int, List[Any]] = {}
-    settled: set = set()
-    pending = list(range(len(chunks)))
     next_emit = 0
 
     def settle(index: int, batch: List[Any]) -> None:
         nonlocal next_emit
         batches[index] = batch
-        settled.add(index)
         while next_emit in batches:
             for result in batches.pop(next_emit):
                 emit(result)
             next_emit += 1
 
-    with multiprocessing.Manager() as manager:
-        stamps = manager.dict()
+    with ExitStack() as stack:
+        stamps = None
+        if policy.timeout is not None:
+            manager = stack.enter_context(multiprocessing.Manager())
+            stamps = manager.dict()
+        pending = list(range(len(chunks)))
         while pending:
-            # Stale stamps from a killed round would bill a resubmitted
-            # chunk for its previous, terminated attempt.
-            for index in pending:
-                stamps.pop(index, None)
-            _budgeted_round(
+            pending = _pool_generation(
                 function, chunks, pending, policy, stamps, settle,
                 on_error,
             )
-            pending = [
-                index for index in pending if index not in settled
-            ]
+            # Only a budgeted generation leaves work behind.  A stale
+            # stamp would bill a resubmitted chunk for its previous,
+            # terminated attempt.
+            for index in pending:
+                stamps.pop(index, None)
+    return results
 
 
-def _budgeted_round(
+def _pool_generation(
     function: Callable[[Any], Any],
     chunks: List[List[Any]],
     pending: List[int],
@@ -371,71 +342,75 @@ def _budgeted_round(
     stamps: Any,
     settle: Callable[[int, List[Any]], None],
     on_error: Callable[[Any, BaseException], Any],
-) -> None:
-    """One pool generation; settles every chunk it finishes or bills."""
-    assert policy.timeout is not None
+) -> List[int]:
+    """One pool generation over ``pending``; returns what to resubmit.
+
+    Waits on the head future — indefinitely without a budget, in
+    ``_POLL_SECONDS`` slices with one — and settles it when done.
+    Between slices a started chunk is billed once ``now - start``
+    exceeds ``timeout * len(chunk)``; a chunk still waiting for a
+    worker carries no stamp and is never charged.  A billed chunk
+    forces the pool down: whatever else finished is harvested, and
+    every started-but-unfinished and never-started chunk is returned,
+    so innocent work queued behind the hang runs in the next
+    generation instead of being billed for it.
+    """
+    poll = None if policy.timeout is None else _POLL_SECONDS
     pool = ProcessPoolExecutor(max_workers=policy.workers)
-    timed_out = False
+    overdue: set = set()
+    leftover: List[int] = []
     try:
         futures = {
             index: pool.submit(
-                _run_stamped_batch, function, chunks[index], stamps,
-                index,
+                _run_batch, function, chunks[index], stamps, index
             )
             for index in pending
         }
-        waiting = list(pending)
+
+        def harvest(index: int) -> None:
+            try:
+                batch = futures[index].result()
+            except Exception as exc:  # noqa: BLE001 - broken pool
+                batch = [on_error(item, exc) for item in chunks[index]]
+            settle(index, batch)
+
+        waiting = deque(pending)
         while waiting:
             head = waiting[0]
-            try:
-                batch = futures[head].result(timeout=_POLL_SECONDS)
-            except FutureTimeoutError:
-                now = time.monotonic()
-                overdue = [
-                    index
-                    for index in waiting
-                    if not futures[index].done()
-                    and stamps.get(index) is not None
-                    and now - stamps[index]
-                    > policy.timeout * len(chunks[index])
-                ]
-                if not overdue:
-                    continue
-                timed_out = True
-                for index in overdue:
-                    settle(index, [
-                        on_error(
-                            item,
-                            TimeoutError(
-                                f"trial chunk exceeded "
-                                f"{policy.timeout}s per trial"
-                            ),
-                        )
-                        for item in chunks[index]
-                    ])
-                # Harvest whatever completed before the teardown; the
-                # rest is resubmitted in the next round.
-                for index in waiting:
-                    if index in overdue or not futures[index].done():
-                        continue
-                    try:
-                        settle(index, futures[index].result())
-                    except Exception as exc:  # noqa: BLE001
-                        settle(index, [
-                            on_error(item, exc)
-                            for item in chunks[index]
-                        ])
-                break
-            except Exception as exc:  # noqa: BLE001 - broken pool
-                settle(head, [
-                    on_error(item, exc) for item in chunks[head]
-                ])
-                waiting.pop(0)
-            else:
-                settle(head, batch)
-                waiting.pop(0)
+            # wait(), not result(timeout=): a TimeoutError raised by
+            # the task itself is a failure of the task, not a poll tick.
+            if wait([futures[head]], timeout=poll).done:
+                harvest(head)
+                waiting.popleft()
+                continue
+            now = time.monotonic()
+            started = stamps.copy()
+            overdue = {
+                index
+                for index in waiting
+                if not futures[index].done()
+                and index in started
+                and now - started[index]
+                > policy.timeout * len(chunks[index])
+            }
+            if not overdue:
+                continue
+            late = TimeoutError(
+                f"trial chunk exceeded {policy.timeout}s per trial"
+            )
+            for index in waiting:
+                if index in overdue:
+                    settle(
+                        index,
+                        [on_error(item, late) for item in chunks[index]],
+                    )
+                elif futures[index].done():
+                    harvest(index)
+                else:
+                    leftover.append(index)
+            break
     finally:
-        if timed_out:
+        if overdue:
             # shutdown(wait=True) would block on the hung worker until
             # its trial returns — possibly forever.  Every outstanding
             # chunk is either settled or resubmitted, so kill the
@@ -444,6 +419,7 @@ def _budgeted_round(
             for process in list(processes.values()):
                 process.terminate()
         pool.shutdown(wait=True, cancel_futures=True)
+    return leftover
 
 
 @dataclass

@@ -110,6 +110,8 @@ class ResultStore:
         if shard is not None:
             _check_shard_name(shard)
         self.shard = shard
+        # Paths whose tail this instance has already checked (append).
+        self._appended: set = set()
 
     def path_for(self, key: str, shard: Optional[str] = None) -> str:
         if shard is None:
@@ -143,11 +145,16 @@ class ResultStore:
         ``write()`` call on an ``O_APPEND`` descriptor, so concurrent
         appenders to the same file cannot interleave partial lines and
         a crash can only lose the line in flight, never tear an
-        earlier one.
+        earlier one.  This instance's first append to a path repairs
+        the unterminated tail such a crash leaves (:func:`_heal_tail`),
+        so a restarted writer never glues a record onto a fragment.
         """
         shard = shard if shard is not None else self.shard
         path = self.path_for(key, shard)
         os.makedirs(os.path.dirname(path), exist_ok=True)
+        if path not in self._appended:
+            _heal_tail(path)
+            self._appended.add(path)
         line = record_line(record)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(line)
@@ -297,6 +304,39 @@ def _check_shard_name(shard: str) -> None:
             f"invalid shard name {shard!r} (want letters, digits, "
             f"'.', '_', '-'; no leading separator)"
         )
+
+
+def _heal_tail(path: str) -> None:
+    """Make ``path`` end in a newline, the way :func:`_iter_file` reads it.
+
+    An interrupted append can leave a last line without its newline.
+    A fragment that does not decode is what ``load`` ignores: cut it
+    off, or the next record is glued onto it and swallowed with it
+    (and the glued line turns into interior corruption one append
+    later).  A complete record missing only its newline is one ``load``
+    returns — a resuming run skips its case — so it is terminated, not
+    dropped.  Safe because a file has one writer at a time.
+    """
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        handle.seek(size - 1)
+        if handle.read(1) == b"\n":
+            return
+        handle.seek(0)
+        data = handle.read()
+        cut = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[cut:])
+        except ValueError:
+            handle.truncate(cut)
+        else:
+            handle.write(b"\n")
 
 
 def _iter_file(

@@ -31,6 +31,7 @@ from repro.ablation import (
 )
 from repro.campaigns.store import dump_json_summary
 from repro.cli.execution import execute_or_exit, execution_flags
+from repro.cli.shared import execution_parent
 
 DEFAULT_ABLATION = os.path.join("results", "ablation.json")
 
@@ -167,55 +168,7 @@ def register_ablate(parser: argparse.ArgumentParser) -> None:
     ablate_run_parser = ablate_sub.add_parser(
         "run",
         help="execute the matrix and write the importance artifact",
-        parents=[ablate_shared],
-    )
-    ablate_run_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size (1 = in-process serial)",
-    )
-    ablate_run_parser.add_argument(
-        "--chunk-size", type=int, default=4,
-        help="trials per pool task",
-    )
-    ablate_run_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial budget in seconds (pool mode)",
-    )
-    ablate_run_parser.add_argument(
-        "--store", help="result-store directory (cache/resume)"
-    )
-    ablate_run_parser.add_argument(
-        "--fresh", action="store_true",
-        help="ignore cached records; re-execute every trial",
-    )
-    ablate_run_parser.add_argument(
-        "--adaptive", action="store_true",
-        help="replicate each cell until the CI on --ci-metric is "
-        "narrower than --ci-width",
-    )
-    ablate_run_parser.add_argument(
-        "--ci-width", type=float, default=None,
-        help="target confidence-interval width (requires --adaptive)",
-    )
-    ablate_run_parser.add_argument(
-        "--ci-metric", default="max_skew",
-        help="metric the stopping rule watches (default max_skew)",
-    )
-    ablate_run_parser.add_argument(
-        "--ci-confidence", type=float, default=0.95,
-        help="confidence level (default 0.95)",
-    )
-    ablate_run_parser.add_argument(
-        "--min-trials", type=int, default=3,
-        help="replicates before the stopping rule may fire",
-    )
-    ablate_run_parser.add_argument(
-        "--max-trials", type=int, default=12,
-        help="replication cap per cell",
-    )
-    ablate_run_parser.add_argument(
-        "--progress", action="store_true",
-        help="live per-trial progress line on stderr",
+        parents=[ablate_shared, execution_parent(max_trials=12)],
     )
     ablate_run_parser.add_argument(
         "--out", default=DEFAULT_ABLATION,

@@ -54,7 +54,7 @@ from repro.cli.execution import (
     execute_or_exit,
     execution_flags,
 )
-from repro.cli.shared import backend_parent
+from repro.cli.shared import backend_parent, execution_parent
 
 
 def _command_campaign_list(_args: argparse.Namespace) -> int:
@@ -280,32 +280,13 @@ def register_campaign(parser: argparse.ArgumentParser) -> None:
 
     campaign_run_parser = campaign_sub.add_parser(
         "run", help="execute a campaign through the sweep engine",
-        parents=[backend_parent()],
+        parents=[backend_parent(), execution_parent(max_trials=8)],
     )
     campaign_run_parser.add_argument("campaign", help="campaign id")
     campaign_run_parser.add_argument("--scale", default="quick")
     campaign_run_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size (1 = in-process serial)",
-    )
-    campaign_run_parser.add_argument(
-        "--chunk-size", type=int, default=4,
-        help="trials per pool task",
-    )
-    campaign_run_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial timeout in seconds (runs on a process pool)",
-    )
-    campaign_run_parser.add_argument(
-        "--store", help="result-store directory (enables cache replay)"
-    )
-    campaign_run_parser.add_argument(
         "--resume", action="store_true",
         help="complete a partially-run campaign (requires --store)",
-    )
-    campaign_run_parser.add_argument(
-        "--fresh", action="store_true",
-        help="ignore cached records and re-execute every trial",
     )
     campaign_run_parser.add_argument(
         "--csv", help="also write the table as CSV"
@@ -335,11 +316,6 @@ def register_campaign(parser: argparse.ArgumentParser) -> None:
         help="hotspot rows kept per trial and printed (default 15)",
     )
     campaign_run_parser.add_argument(
-        "--progress", action="store_true",
-        help="print live heartbeats (trials done, rolling events/sec, "
-        "ETA) to stderr",
-    )
-    campaign_run_parser.add_argument(
         "--queue",
         help="run through a work-queue directory instead of a local "
         "pool: enqueue pending chunks there (unless already "
@@ -355,34 +331,6 @@ def register_campaign(parser: argparse.ArgumentParser) -> None:
         "--lease-ttl", type=float, default=60.0,
         help="seconds without a heartbeat before a queue chunk lease "
         "is presumed dead and reclaimed (default 60)",
-    )
-    campaign_run_parser.add_argument(
-        "--adaptive", action="store_true",
-        help="per-cell adaptive sampling: replicate each grid cell "
-        "until the CI width target (--ci-width) is hit, bounded by "
-        "--max-trials",
-    )
-    campaign_run_parser.add_argument(
-        "--ci-width", type=float, default=None,
-        help="target confidence-interval width on the headline metric "
-        "(enables the adaptive stopping rule)",
-    )
-    campaign_run_parser.add_argument(
-        "--ci-metric", default="max_skew",
-        help="metric the stopping rule targets (default max_skew)",
-    )
-    campaign_run_parser.add_argument(
-        "--ci-confidence", type=float, default=0.95,
-        help="confidence level of the interval (default 0.95)",
-    )
-    campaign_run_parser.add_argument(
-        "--min-trials", type=int, default=3,
-        help="replicates per cell before the first width check "
-        "(default 3)",
-    )
-    campaign_run_parser.add_argument(
-        "--max-trials", type=int, default=8,
-        help="replicate cap per cell, converged or not (default 8)",
     )
     campaign_run_parser.set_defaults(handler=_command_campaign_run)
 

@@ -33,3 +33,65 @@ def backend_parent() -> argparse.ArgumentParser:
         "or 'vectorized' (round-batched numpy engine)",
     )
     return parent
+
+
+def execution_parent(max_trials: int) -> argparse.ArgumentParser:
+    """The scheduling, store and adaptive-sampling flags of ``campaign
+    run`` and ``ablate run``, consumed by
+    :func:`repro.cli.execution.execution_flags`.  The two commands
+    differ in one default: the replicate cap per cell."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--workers", type=int, default=1,
+        help="process-pool size (1 = in-process serial)",
+    )
+    parent.add_argument(
+        "--chunk-size", type=int, default=4,
+        help="trials per pool task",
+    )
+    parent.add_argument(
+        "--timeout", type=float, default=None,
+        help="per-trial timeout in seconds (runs on a process pool)",
+    )
+    parent.add_argument(
+        "--store", help="result-store directory (enables cache replay)"
+    )
+    parent.add_argument(
+        "--fresh", action="store_true",
+        help="ignore cached records and re-execute every trial",
+    )
+    parent.add_argument(
+        "--progress", action="store_true",
+        help="print live heartbeats (trials done, rolling events/sec, "
+        "ETA) to stderr",
+    )
+    parent.add_argument(
+        "--adaptive", action="store_true",
+        help="per-cell adaptive sampling: replicate each grid cell "
+        "until the CI width target (--ci-width) is hit, bounded by "
+        "--max-trials",
+    )
+    parent.add_argument(
+        "--ci-width", type=float, default=None,
+        help="target confidence-interval width on the headline metric "
+        "(enables the adaptive stopping rule)",
+    )
+    parent.add_argument(
+        "--ci-metric", default="max_skew",
+        help="metric the stopping rule targets (default max_skew)",
+    )
+    parent.add_argument(
+        "--ci-confidence", type=float, default=0.95,
+        help="confidence level of the interval (default 0.95)",
+    )
+    parent.add_argument(
+        "--min-trials", type=int, default=3,
+        help="replicates per cell before the first width check "
+        "(default 3)",
+    )
+    parent.add_argument(
+        "--max-trials", type=int, default=max_trials,
+        help="replicate cap per cell, converged or not "
+        f"(default {max_trials})",
+    )
+    return parent

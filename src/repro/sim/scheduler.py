@@ -47,7 +47,6 @@ order, so instrumented runs stay byte-identical to bare ones.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set
@@ -647,8 +646,6 @@ class Simulation:
         quota_gated = max_pulses is not None and bool(self.honest)
         events_processed = self.events_processed
         until_cutoff = None if until is None else until + EPS
-        if telemetry is not None:
-            run_started = _time.perf_counter()
 
         try:
             while True:
@@ -741,9 +738,7 @@ class Simulation:
             self._pulse_quota = None
             self._quota_open = 0
             if telemetry is not None:
-                telemetry.observe_span(
-                    "sim.run", _time.perf_counter() - run_started
-                )
+                telemetry.observe_span("sim.run")
                 telemetry.finalize(self)
 
         return SimulationResult(

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, wall-time spans.
+"""The metrics registry: counters, gauges, histograms, span counts.
 
 One :class:`Telemetry` handle instruments one unit of work (a campaign
 trial, a perf-case run, an ad-hoc simulation).  The simulator feeds it
@@ -12,10 +12,9 @@ Determinism contract
 
 :meth:`Telemetry.as_dict` (the snapshot persisted into campaign
 sidecars) contains **only deterministic quantities**: counters, gauges,
-and histograms of simulated values, plus span *counts*.  Wall-clock
-span timings are kept on the handle (:meth:`Telemetry.span_timings`)
-and never serialized, so ``<spec_key>.telemetry.json`` sidecars are
-byte-identical across worker counts and machines.  The campaign trial
+and histograms of simulated values, plus span *counts* — the handle
+holds no wall-clock reading, so ``<spec_key>.telemetry.json`` sidecars
+are byte-identical across worker counts and machines.  The campaign trial
 wrapper clears the process-global signature-verification memo at trial
 start, which makes the ``crypto.verify.*`` deltas per-trial exact and
 independent of how trials were partitioned over pool workers.
@@ -23,10 +22,8 @@ independent of how trials were partitioned over pool workers.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.signatures import verify_cache_stats
 
@@ -170,7 +167,7 @@ class Telemetry:
         self.meta: Dict[str, Any] = {}
         self.delay_hist = Histogram(DELAY_BUCKETS)
         self.histograms["messages.delay"] = self.delay_hist
-        self._spans: Dict[str, List[float]] = {}
+        self._spans: Dict[str, int] = {}
         self._verify_base = verify_cache_stats()
         self._policies: set = set()
 
@@ -182,32 +179,9 @@ class Telemetry:
 
     # -- spans ----------------------------------------------------------
 
-    def observe_span(self, name: str, elapsed: float) -> None:
-        entry = self._spans.get(name)
-        if entry is None:
-            entry = self._spans[name] = [0, 0.0, 0.0]
-        entry[0] += 1
-        entry[1] += elapsed
-        if elapsed > entry[2]:
-            entry[2] = elapsed
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Time a block of work under ``name`` (wall-clock, not
-        serialized into snapshots)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe_span(name, time.perf_counter() - start)
-
-    def span_timings(self) -> Dict[str, Dict[str, float]]:
-        """Wall-clock span stats (count/total/max seconds) — live
-        consumption only; deliberately absent from :meth:`as_dict`."""
-        return {
-            name: {"count": entry[0], "total_s": entry[1], "max_s": entry[2]}
-            for name, entry in sorted(self._spans.items())
-        }
+    def observe_span(self, name: str) -> None:
+        """Count one completed ``name`` span (e.g. one ``sim.run``)."""
+        self._spans[name] = self._spans.get(name, 0) + 1
 
     # -- simulator hooks (cold paths; the hot loop uses the hoisted
     # ``counters`` / ``dispatch`` references directly) ------------------
@@ -280,8 +254,7 @@ class Telemetry:
                 if histogram.count
             },
             "spans": {
-                name: int(entry[0])
-                for name, entry in sorted(self._spans.items())
+                name: self._spans[name] for name in sorted(self._spans)
             },
             "meta": {key: self.meta[key] for key in sorted(self.meta)},
         }

@@ -228,3 +228,62 @@ class TestChainRelay:
             result = simulation.run(max_pulses=8)
             measured[n] = max_skew(result.honest_pulses(), skip=2)
         assert measured[13] > 1.8 * measured[5]
+
+
+class TestComparisonDelayAxis:
+    """E6's ``delay`` key reaches every arm or fails at plan time."""
+
+    @pytest.mark.parametrize(
+        "algorithm, entry",
+        [
+            ("Signed relay [28]/[21]", "build_st_simulation"),
+            ("Chain relay [2]-style", "build_chain_simulation"),
+        ],
+    )
+    def test_relay_arms_honour_the_case_delay(
+        self, monkeypatch, algorithm, entry
+    ):
+        from repro.campaigns import MeasurementSpec, builders
+        from repro.sim.network import MaximumDelayPolicy, MinimumDelayPolicy
+
+        seen = []
+        build = getattr(builders, entry)
+
+        def spy(params, **wiring):
+            seen.append(type(wiring["delay_policy"]))
+            return build(params, **wiring)
+
+        monkeypatch.setattr(builders, entry, spy)
+        case = {
+            "n": 5, "theta": 1.001, "d": 1.0, "u": 0.01,
+            "algorithm": algorithm,
+        }
+        measurement = MeasurementSpec(pulses=4, warmup=1)
+        default = builders.algorithm_comparison_trial(case, measurement, 1)
+        explicit = builders.algorithm_comparison_trial(
+            {**case, "delay": "maximum"}, measurement, 1
+        )
+        builders.algorithm_comparison_trial(
+            {**case, "delay": "minimum"}, measurement, 1
+        )
+        assert default == explicit
+        assert seen == [
+            MaximumDelayPolicy, MaximumDelayPolicy, MinimumDelayPolicy
+        ]
+
+    def test_an_unknown_delay_fails_at_plan_time(self):
+        from repro.campaigns import CampaignSpec, ScenarioSpec
+        from repro.scenarios import UnknownScenarioError
+
+        spec = CampaignSpec(
+            name="e6-typo",
+            scenarios=(
+                ScenarioSpec(
+                    builder="algorithm-comparison",
+                    base={"delay": "maximun"},
+                    axes={"*": {"n": (5,)}},
+                ),
+            ),
+        )
+        with pytest.raises(UnknownScenarioError):
+            spec.trials_for("quick")

@@ -58,6 +58,10 @@ def _sleep_trial(case, measurement, seed):
     return {"slept": True}
 
 
+def _raise_timeout(item):
+    raise TimeoutError(f"task {item} says so")
+
+
 def _square_spec(xs=(1, 2, 3), name="squares", seed=0):
     return CampaignSpec(
         name=name,
@@ -872,3 +876,41 @@ class TestTimeoutAccounting:
         )
         assert run.failed == 0
         assert all(r.metrics == {"slept": True} for r in run.records)
+
+    def test_only_a_budget_starts_a_manager(self, monkeypatch):
+        # One pool loop, the budget its parameter: an unbudgeted pool
+        # run spawns no manager process (and so has nothing to poll).
+        import multiprocessing
+
+        from repro.campaigns import map_trials
+
+        entered = []
+        real_manager = multiprocessing.Manager
+
+        def manager():
+            entered.append(True)
+            return real_manager()
+
+        monkeypatch.setattr(multiprocessing, "Manager", manager)
+        items = list(range(7))
+        policy = ExecutionPolicy(workers=2, chunk_size=2)
+        assert map_trials(abs, items, policy) == items
+        assert not entered
+        budgeted = ExecutionPolicy(workers=2, chunk_size=2, timeout=5.0)
+        assert map_trials(abs, items, budgeted) == items
+        assert entered == [True]
+
+    @pytest.mark.parametrize("timeout", [None, 5.0])
+    def test_a_task_raising_timeout_error_is_a_task_failure(
+        self, timeout
+    ):
+        # Under a budget the parent polls with a timeout of its own;
+        # the task's TimeoutError must not be mistaken for a poll tick
+        # (which would wait forever on a future that is already done).
+        from repro.campaigns import map_trials
+
+        policy = ExecutionPolicy(workers=2, chunk_size=1, timeout=timeout)
+        assert map_trials(
+            _raise_timeout, [1, 2], policy,
+            on_error=lambda item, exc: (item, str(exc)),
+        ) == [(1, "task 1 says so"), (2, "task 2 says so")]

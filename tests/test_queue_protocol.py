@@ -12,11 +12,15 @@ Two adversarial views of the elastic transport:
 * torn-write injection: a shard whose last line is cut at every byte
   boundary is tolerated and costs a reclaiming worker exactly the one
   lost trial, while the same cut in an interior line is refused with
-  the file and line named.
+  the file and line named — and a writer restarted on its own torn
+  shard (same store file, same ``--worker-id``) repairs the tail before
+  it appends, down to a worker process killed with ``SIGKILL``.
 """
 
+import multiprocessing
 import os
 import shutil
+import signal
 import tempfile
 import time
 
@@ -71,6 +75,34 @@ REFERENCE = {
     for record in [run_trial(plan)]
 }
 WORKERS = ("wa", "wb", "wc")
+
+
+def _slow_cell(case, measurement, seed):
+    """Slow enough to be killed mid-chunk; workers import it by name."""
+    time.sleep(case["delay"])
+    return {"value": 1000 * case["x"]}
+
+
+SLOW = CampaignSpec(
+    name="slow",
+    scenarios=(
+        ScenarioSpec(
+            builder=f"{__name__}:_slow_cell",
+            base={"delay": 0.2},
+            axes={"*": {"x": (1, 2, 3)}},
+        ),
+    ),
+)
+
+
+def _drain_as_w(root):
+    return run_worker(
+        os.path.join(root, "q"),
+        ResultStore(os.path.join(root, "store")),
+        spec=SLOW,
+        worker_id="w",
+        poll=0.05,
+    )
 
 
 class QueueProtocol(RuleBasedStateMachine):
@@ -292,3 +324,83 @@ class TestTornWrites:
                 self._reclaim(root, store)
             assert (info.value.path, info.value.line) == (path, 1)
             assert f"{path}:1" in str(info.value)
+
+    def test_a_restarted_writer_appends_after_its_own_torn_tail(
+        self, tmp_path
+    ):
+        # The writer that tore the file comes back (``--resume`` on the
+        # base file, or the same ``--worker-id`` on a shard) and
+        # appends: nothing may be glued onto the fragment.
+        records = [run_trial(TIER[i]) for i in (0, 1, 3)]
+        first, second, third = (
+            record_line(record).encode("utf-8") for record in records
+        )
+        for shard in (None, "w"):
+            for cut in range(len(second)):
+                store = ResultStore(tmp_path / f"{shard}-{cut}")
+                path = store.path_for(KEY, shard)
+                os.makedirs(os.path.dirname(path))
+                with open(path, "wb") as handle:
+                    handle.write(first + second[:cut])
+                store.append(KEY, records[1], shard=shard)
+                store.append(KEY, records[2], shard=shard)
+                assert {
+                    key: (record.metrics, record.error)
+                    for key, record in store.load(KEY).items()
+                } == {
+                    record.case_key: REFERENCE[record.case_key]
+                    for record in records
+                }
+                if cut < len(second) - 1:
+                    # The fragment is gone; an untorn file (cut 0) is
+                    # appended to exactly as before.
+                    with open(path, "rb") as handle:
+                        assert handle.read() == first + second + third
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGKILL"), reason="needs SIGKILL"
+    )
+    def test_a_killed_worker_restarts_under_its_own_id(self, tmp_path):
+        root = str(tmp_path)
+        plans = SLOW.trials_for("quick")
+        key = SLOW.spec_key("quick")
+        serial = {
+            plan.case_key: (record.metrics, record.error)
+            for plan in plans
+            for record in [run_trial(plan)]
+        }
+        queue = WorkQueue(os.path.join(root, "q"))
+        queue.enqueue(SLOW, "quick", chunk_size=len(plans))
+        store = ResultStore(os.path.join(root, "store"))
+        shard = store.path_for(key, "w")
+        child = multiprocessing.Process(target=_drain_as_w, args=(root,))
+        child.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not (
+                os.path.exists(shard) and os.path.getsize(shard)
+            ):
+                assert time.monotonic() < deadline, "no record landed"
+                time.sleep(0.01)
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=10.0)
+        assert not child.is_alive()
+        with open(shard, "rb") as handle:
+            landed = handle.read().count(b"\n")
+        assert 1 <= landed < len(plans)
+        # The write that was in flight when the process died.
+        in_flight = record_line(run_trial(plans[landed]))
+        with open(shard, "ab") as handle:
+            handle.write(in_flight[:25].encode("utf-8"))
+        stale = time.time() - 120.0
+        os.utime(queue.claim_path("chunk-00000"), (stale, stale))
+        stats = _drain_as_w(root)
+        assert stats["reclaimed"] == 1
+        assert stats["skipped"] == landed
+        assert stats["trials"] == len(plans) - landed
+        assert store.shards(key) == ["w"]
+        assert {
+            case_key: (record.metrics, record.error)
+            for case_key, record in store.load(key).items()
+        } == serial
