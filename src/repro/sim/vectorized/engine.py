@@ -10,8 +10,9 @@ full CPS round with array operations:
 3. accept — the TCB window test ``P < h <= P + window`` as a boolean
    mask over (receiver, dealer) pairs;
 4. vote — offset estimates ``h - P - d + u - S`` where accepted (⊥
-   elsewhere, 0 for self), sorted per receiver, the ``f - b`` discard
-   applied by index arithmetic, midpoint taken;
+   elsewhere, 0 for self); per receiver the two order statistics the
+   ``f - b`` discard leaves outermost are selected (nothing is
+   sorted) and their midpoint taken;
 5. advance — next pulse at local ``P + Delta + T``.
 
 This is exact — not approximate — for the scenarios the backend
@@ -25,9 +26,12 @@ where that argument breaks — actively Byzantine behaviours, membership
 churn — raise :class:`UnsupportedScenarioError` instead of silently
 degrading.
 
-Memory is bounded by processing receivers in blocks of ``block_size``
-rows (block × n arrays, never n × n), which is what lets n = 10,000
-runs fit comfortably in memory.
+Receivers are processed in blocks of rows sized so that one
+(rows × honest) float64 array stays near :data:`BLOCK_BYTES` — small
+enough to live in cache and to be reused instead of mapped afresh for
+every elementwise step, and never n × n, which is what lets n = 10,000
+runs fit in a few dozen MiB.  Every quantity is computed per receiver
+row, so no output depends on where the block boundaries fall.
 """
 
 from __future__ import annotations
@@ -57,8 +61,13 @@ from repro.sim.network import (
 )
 from repro.sim.scheduler import SimulationResult
 from repro.sim.trace import Trace, TraceLevel, TraceSpec
-from repro.sim.vectorized.delays import delay_matrix, delay_rng
+from repro.sim.vectorized.delays import delay_rng, round_delays
 from repro.sync.crusader import BOT
+
+#: Target size of one (rows x honest) float64 block array.  Measured
+#: flat from 256 KiB to 1 MiB and 10-30 % slower at 4 MiB for n >= 2,500
+#: (docs/PERFORMANCE.md, "The vectorized engine's blocks").
+BLOCK_BYTES = 1 << 20
 
 
 class UnsupportedScenarioError(ConfigurationError):
@@ -134,14 +143,17 @@ class ClockTable:
         locals_ = self.locals[rows]
         rates = self.rates[rows]
         if self.width == 1:
-            return locals_ + rates * (t - starts)
+            out = t - starts
+            out *= rates
+            out += locals_
+            return out
         first = (starts <= t.min(axis=1)[:, None]).sum(axis=1) - 1
         np.maximum(first, 0, out=first)
         reach = (starts <= t.max(axis=1)[:, None]).sum(axis=1) - 1 - first
         row = np.arange(len(first))
-        out = locals_[row, first, None] + rates[row, first, None] * (
-            t - starts[row, first, None]
-        )
+        out = t - starts[row, first, None]
+        out *= rates[row, first, None]
+        out += locals_[row, first, None]
         for step in range(1, int(reach.max()) + 1):
             # Rows that reach fewer segments re-evaluate their last one.
             seg = first + np.minimum(step, reach)
@@ -181,15 +193,13 @@ class VectorizedSimulation:
         seed: int = 0,
         trace: TraceSpec = "pulses",
         checks: Any = None,
-        block_size: int = 1024,
+        block_size: Optional[int] = None,
     ) -> None:
         require_numpy()
         if len(clocks) != params.n:
             raise ConfigurationError(
                 f"need {params.n} clocks, got {len(clocks)}"
             )
-        if block_size < 1:
-            raise ConfigurationError("block_size must be >= 1")
         # u_tilde only weakens links with a faulty endpoint; silent
         # faulty nodes never use their links, so it cannot affect any
         # vectorized execution — it is accepted (and validated) for
@@ -214,6 +224,9 @@ class VectorizedSimulation:
         #: Surface parity with the scheduler: the vectorized backend
         #: never carries membership dynamics (the facade rejects churn).
         self.dynamics = None
+        #: Optional cap on the receiver rows of one block; ``None``
+        #: derives them from :data:`BLOCK_BYTES` alone.  Read (and
+        #: validated) by :meth:`run`, so assigning it afterwards works.
         self.block_size = block_size
         self.warnings: List[str] = []
         self._ran = False
@@ -226,6 +239,19 @@ class VectorizedSimulation:
     def attach_checks(self, checks: Any) -> None:
         """Install (or clear) the streaming conformance observer."""
         self.checks = checks
+
+    def _rows_per_block(self) -> int:
+        """Receiver rows per block: as many as keep one (rows x honest)
+        float64 array near :data:`BLOCK_BYTES`, at least one, at most
+        ``block_size`` when that is set."""
+        rows = max(1, BLOCK_BYTES // (8 * len(self.honest)))
+        if self.block_size is None:
+            return rows
+        if self.block_size < 1:
+            raise ConfigurationError(
+                f"block_size must be >= 1, got {self.block_size}"
+            )
+        return min(rows, self.block_size)
 
     # ------------------------------------------------------------------
 
@@ -246,6 +272,7 @@ class VectorizedSimulation:
             raise ConfigurationError(
                 "vectorized runs need max_pulses and/or until"
             )
+        block_rows = self._rows_per_block()
         if self._ran:
             raise ConfigurationError(
                 "a vectorized simulation runs once: a second run() would "
@@ -306,30 +333,32 @@ class VectorizedSimulation:
                 end_time = max(end_time, float(pulse_real.max()))
                 break
             send_real = table.real_times(local + params.dealer_send_offset)
+            block_delays = round_delays(
+                self.delay_policy, self.config, honest, send_real, rng
+            )
+            # Per-receiver vectors of the round.  The association is
+            # part of the pinned arithmetic: (P + window) + EPS.
+            window_end = local + window + EPS
+            window_close = local + window + 2.0 * EPS
             correction = np.empty(nh)
             completion_local = np.empty(nh)
             accepted_total = 0
             accepts: List[Any] = []
             summaries: List[Any] = []
-            for start in range(0, nh, self.block_size):
-                stop = min(start + self.block_size, nh)
+            for start in range(0, nh, block_rows):
+                stop = min(start + block_rows, nh)
                 rows = np.arange(start, stop)
+                row_index = rows - start
                 receivers = honest[start:stop]
-                delays = delay_matrix(
-                    self.delay_policy, self.config, honest, receivers,
-                    send_real, rng,
-                )
-                arrival = send_real[None, :] + delays
+                # Two float buffers a block: delays become arrivals,
+                # local receive times become estimates.
+                arrival = block_delays(receivers)
+                np.add(send_real, arrival, out=arrival)
                 local_rx = table.local_times(slice(start, stop), arrival)
-                base = local[rows][:, None]
-                accept = (local_rx > base) & (
-                    local_rx <= base + window + EPS
-                )
-                accept[np.arange(len(rows)), rows] = False
-                estimates = np.where(
-                    accept, local_rx - base - offset_shift, np.nan
-                )
-                estimates[np.arange(len(rows)), rows] = 0.0
+                base = local[start:stop, None]
+                accept = local_rx > base
+                accept &= local_rx <= window_end[start:stop, None]
+                accept[row_index, rows] = False
                 counts = 1 + accept.sum(axis=1)
                 num_bot = n - counts
                 discard = np.maximum(params.f - num_bot, 0)
@@ -340,22 +369,34 @@ class VectorizedSimulation:
                         f"estimates at node {receivers[bad]}, got "
                         f"{int(counts[bad])}"
                     )
-                ordered = np.sort(estimates, axis=1)
-                row_index = np.arange(len(rows))
-                low = ordered[row_index, discard]
-                high = ordered[row_index, counts - 1 - discard]
-                correction[rows] = (low + high) / 2.0
-                finalize = np.where(
-                    accept, local_rx + fin_wait, -np.inf
-                )
-                latest = finalize.max(axis=1)
-                window_close = local[rows] + window + 2.0 * EPS
-                completion_local[rows] = np.where(
+                # Rounding is monotone, so the latest h + wait is the
+                # latest accepted h, plus the wait.
+                latest = local_rx.max(
+                    axis=1, where=accept, initial=-np.inf
+                ) + fin_wait
+                completion_local[start:stop] = np.where(
                     num_bot > 0,
-                    np.maximum(latest, window_close),
+                    np.maximum(latest, window_close[start:stop]),
                     latest,
                 )
-                accepted_total += int(accept.sum())
+                accepted_total += int(counts.sum()) - len(rows)
+                estimates = local_rx  # overwritten from here on
+                estimates -= base
+                estimates -= offset_shift
+                np.copyto(estimates, np.nan, where=~accept)
+                estimates[row_index, rows] = 0.0
+                # The vote reads two order statistics per row: select
+                # them (NaN orders last, as in a sort).  Observers are
+                # handed the estimates by dealer, so then the selection
+                # shuffles a copy.
+                top = counts - 1 - discard
+                ordered = estimates.copy() if observing else estimates
+                ordered.partition(
+                    sorted({*discard.tolist(), *top.tolist()}), axis=1
+                )
+                low = ordered[row_index, discard]
+                high = ordered[row_index, top]
+                correction[start:stop] = (low + high) / 2.0
                 if observing:
                     self._collect_round(
                         accepts, summaries, rows, receivers, accept,

@@ -20,6 +20,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.build import (
     BACKENDS,
@@ -32,6 +34,7 @@ from repro.campaigns.spec import MeasurementSpec, canonical_json
 from repro.checks.conformance import (
     check_scenario,
     conformance_matrix,
+    cps_check_set,
     judge_pulses,
     judged_run,
 )
@@ -39,14 +42,23 @@ from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
 from repro.scenarios import REGISTRY
-from repro.sim.errors import ConfigurationError
-from repro.sim.network import NetworkConfig
+from repro.sim.errors import ConfigurationError, ModelViolation
+from repro.sim.network import (
+    DelayPolicy,
+    NetworkConfig,
+    RandomDelayPolicy,
+)
 from repro.sim.trace import PulseRecord
 from repro.sim.vectorized import (
     UnsupportedScenarioError,
     VectorizedSimulation,
 )
-from repro.sim.vectorized.delays import delay_matrix
+from repro.sim.vectorized.delays import (
+    delay_matrix,
+    delay_rng,
+    round_delays,
+)
+from repro.sync.crusader import BOT
 
 BASE_CASE = {"n": 6, "theta": 1.001, "d": 1.0, "u": 0.02}
 
@@ -188,6 +200,172 @@ class TestDifferentialOracle:
         assert small.run(max_pulses=14).pulses == vec_result.pulses
 
 
+@st.composite
+def _block_specs(draw):
+    """One vectorized system and a ``block_size`` to split it by.
+
+    The faulty *set* has 0, 1 or ``f`` members while ``params.f`` stays
+    at its maximum, so the vote discards ``f``, ``f - 1`` and 0 values
+    a side and the selected positions differ.
+    """
+    n = draw(st.integers(6, 40))
+    params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=n)
+    faulty = draw(st.sampled_from([0, 1, params.f]))
+    return {
+        "params": params,
+        "delay": draw(st.sampled_from(sorted(REGISTRY.keys("delay")))),
+        "drift": draw(st.sampled_from(sorted(REGISTRY.keys("drift")))),
+        "faulty": list(range(n - faulty, n)),
+        "pulses": draw(st.integers(3, 14)),
+        "seed": draw(st.integers(0, 5)),
+        "block_size": draw(st.integers(1, n - faulty + 2)),
+    }
+
+
+def _block_run(spec, block_size, trace="none", judged=False):
+    """``(result, verdict dicts or None)`` of one run of ``spec``."""
+    params = spec["params"]
+    simulation = VectorizedSimulation(
+        params,
+        clocks=_block_clocks(spec),
+        faulty=spec["faulty"],
+        delay_policy=REGISTRY.create("delay", spec["delay"], params.n),
+        trace=trace,
+        block_size=block_size,
+    )
+    checks = None
+    if judged:
+        checks = cps_check_set(params, simulation.honest, spec["pulses"])
+        simulation.attach_checks(checks)
+    result = simulation.run(max_pulses=spec["pulses"])
+    verdicts = _verdict_dicts(checks.finish()) if judged else None
+    return result, verdicts
+
+
+def _block_clocks(spec):
+    return REGISTRY.create(
+        "drift", spec["drift"], spec["params"], spec["seed"]
+    )
+
+
+def _same_execution(left, right):
+    return (
+        left.pulses == right.pulses
+        and left.events_processed == right.events_processed
+        and left.end_time == right.end_time
+    )
+
+
+class TestBlocks:
+    """No output depends on where the receiver-block boundaries fall,
+    and observers are handed what the kernel computed — not a buffer
+    it has since reused."""
+
+    @given(_block_specs())
+    def test_block_invariance(self, spec):
+        block_size = spec["block_size"]
+        whole, _ = _block_run(spec, None)
+        split, _ = _block_run(spec, block_size)
+        assert _same_execution(whole, split)
+
+        whole_judged, whole_verdicts = _block_run(
+            spec, None, trace="pulses", judged=True
+        )
+        split_judged, split_verdicts = _block_run(
+            spec, block_size, trace="pulses", judged=True
+        )
+        assert whole_verdicts == split_verdicts
+        assert _same_execution(whole, whole_judged)
+        assert _same_execution(whole, split_judged)
+
+        whole_full, _ = _block_run(spec, None, trace="full")
+        split_full, _ = _block_run(spec, block_size, trace="full")
+        assert _same_execution(whole, split_full)
+        for kind in ("tcb-accept", "cps-round"):
+            assert split_full.trace.protocol_events(
+                kind
+            ) == whole_full.trace.protocol_events(kind)
+        self._annotations_are_the_kernels(spec, split_full.trace)
+
+    @staticmethod
+    def _annotations_are_the_kernels(spec, trace):
+        # Recompute every summary from the scalar clock and the
+        # acceptance times: an `arrival` or `estimates` array that was
+        # overwritten (or reordered by the selection) before
+        # `_collect_round` read it cannot pass.
+        params = spec["params"]
+        clocks = _block_clocks(spec)
+        offset_shift = params.d - params.u + params.S
+        accepted_at = {
+            (record.node, record.details): record.time
+            for record in trace.protocol_events("tcb-accept")
+        }
+        rounds = trace.protocol_events("cps-round")
+        honest = params.n - len(spec["faulty"])
+        assert len(rounds) == honest * (spec["pulses"] - 1)
+        for record in rounds:
+            summary = record.details
+            clock = clocks[record.node]
+            for dealer, estimate in summary.estimates.items():
+                if dealer == record.node:
+                    assert estimate == 0.0
+                elif dealer in spec["faulty"]:
+                    assert estimate is BOT
+                else:
+                    arrival = accepted_at[
+                        record.node, (summary.pulse_round, dealer)
+                    ]
+                    assert estimate == (
+                        clock.local_time(arrival) - summary.pulse_local
+                    ) - offset_shift
+            assert summary.num_bot == len(spec["faulty"])
+            ordered = sorted(
+                e for e in summary.estimates.values() if e is not BOT
+            )
+            discard = params.f - summary.num_bot
+            low, high = ordered[discard], ordered[-1 - discard]
+            assert summary.interval == (low, high)
+            assert summary.correction == (low + high) / 2.0
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_block_size_is_validated_where_it_is_used(self, bad):
+        # Every caller that sets a block size assigns the attribute
+        # after construction; a bad one must be refused by run() before
+        # any round is computed, not die in range() mid-run.
+        case = _case(n=9, delay="random", drift="mixed")
+        simulation = build_simulation(
+            case, backend="vectorized", seed=2
+        ).simulation
+        simulation.block_size = bad
+        with pytest.raises(ConfigurationError, match="block_size"):
+            simulation.run(max_pulses=4)
+        assert _pulse_records(simulation) == 0
+        simulation.block_size = 2
+        fresh = build_simulation(
+            case, backend="vectorized", seed=2
+        ).simulation
+        assert _same_execution(
+            simulation.run(max_pulses=4), fresh.run(max_pulses=4)
+        )
+
+    @pytest.mark.parametrize("n", [30, 2500])
+    def test_default_blocks_are_sized_by_bytes(self, n):
+        from repro.sim.vectorized.engine import BLOCK_BYTES
+
+        params = derive_parameters(theta=1.001, d=1.0, u=0.01, n=n)
+        simulation = VectorizedSimulation(
+            params,
+            clocks=REGISTRY.create("drift", "extreme", params, 0),
+            faulty=range(n - params.f, n),
+        )
+        row_bytes = 8 * len(simulation.honest)
+        derived = simulation._rows_per_block()
+        assert derived * row_bytes <= BLOCK_BYTES < (derived + 1) * row_bytes
+        for cap, rows in ((5, 5), (10 ** 9, derived)):
+            simulation.block_size = cap
+            assert simulation._rows_per_block() == rows
+
+
 class TestFacade:
     def test_backend_catalog(self):
         assert BACKENDS == ("event", "vectorized")
@@ -321,10 +499,14 @@ class TestDelayMatrix:
             )
             assert matrix.shape == (3, self.N), key
 
+    #: Per-sender send times over more than three flicker periods
+    #: (10.0 each), two of them exact multiples of the period.
+    SEND_REAL = (2.0, 9.999, 10.0, 17.5, 20.0, 31.25)
+
     def test_fast_paths_match_scalar_policies(self):
         config = NetworkConfig(n=self.N, d=1.0, u=0.02)
         senders = list(range(self.N))
-        send_real = np.full(self.N, 2.0)
+        send_real = np.array(self.SEND_REAL)
         for key, policy in self._policies():
             if key == "random":
                 continue
@@ -333,12 +515,59 @@ class TestDelayMatrix:
             )
             for i in senders:
                 for j in senders:
-                    expected = policy.delay(
-                        config, j, i, 2.0, None, True
-                    )
-                    assert matrix[i, j] == pytest.approx(
-                        expected, abs=1e-12
-                    ), key
+                    assert matrix[i, j] == policy.delay(
+                        config, j, i, self.SEND_REAL[j], None, True
+                    ), (key, i, j)
+
+    def test_row_blocks_concatenate_to_the_one_shot_matrix(self):
+        config = NetworkConfig(n=self.N, d=1.0, u=0.02)
+        senders = list(range(self.N))
+        send_real = np.array(self.SEND_REAL)
+
+        def rng_of(policy):
+            seeded = isinstance(policy, RandomDelayPolicy)
+            return delay_rng(policy) if seeded else None
+
+        for key, policy in self._policies():
+            whole = delay_matrix(
+                policy, config, senders, senders, send_real,
+                rng_of(policy),
+            )
+            for rows in (1, 3, self.N):
+                block = round_delays(
+                    policy, config, senders, send_real, rng_of(policy)
+                )
+                stacked = np.concatenate([
+                    block(senders[start:start + rows])
+                    for start in range(0, self.N, rows)
+                ])
+                assert stacked.tolist() == whole.tolist(), (key, rows)
+
+    def test_every_block_is_checked_for_admissibility(self):
+        class LateToOne(DelayPolicy):
+            """A custom policy, inadmissible towards one receiver."""
+
+            def delay(self, config, src, dst, send_time, payload, honest):
+                return config.d + (0.5 if dst == 4 else 0.0)
+
+        config = NetworkConfig(n=self.N, d=1.0, u=0.02)
+        senders = list(range(self.N))
+        block = round_delays(
+            LateToOne(), config, senders, np.array(self.SEND_REAL)
+        )
+        assert block(senders[:3]).tolist() == [[1.0] * self.N] * 3
+        with pytest.raises(ModelViolation, match="outside"):
+            block(senders[3:])
+        params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=self.N)
+        simulation = VectorizedSimulation(
+            params,
+            clocks=REGISTRY.create("drift", "extreme", params, 0),
+            faulty=[5],
+            delay_policy=LateToOne(),
+            block_size=2,
+        )
+        with pytest.raises(ModelViolation, match="outside"):
+            simulation.run(max_pulses=3)
 
 
 class TestHashStability:
