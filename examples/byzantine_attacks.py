@@ -8,7 +8,7 @@ undercut the honest minimum delay — which is exactly the gap Theorem 5
 proves fundamental.
 """
 
-from repro import assemble_cps_simulation, derive_parameters
+from repro import assemble_cps_simulation, derive_parameters, scenarios
 from repro.analysis.metrics import PulseReport
 from repro.analysis.reporting import Table
 from repro.core.attacks import (
@@ -33,7 +33,7 @@ def run(params, behavior, delay_policy=None, u_tilde=None):
         delay_policy=delay_policy,
         u_tilde=u_tilde,
         seed=7,
-        clock_style="extreme",
+        clocks=scenarios.create("drift", "extreme", params),
     )
     result = simulation.run(max_pulses=PULSES)
     report = PulseReport.from_pulses(result.honest_pulses(), warmup=4)
@@ -62,7 +62,7 @@ def main() -> None:
         ],
     )
 
-    scenarios = [
+    attacks = [
         (
             "silent (crash all f)",
             SilentAdversary(),
@@ -88,7 +88,7 @@ def main() -> None:
             "per-round signed tags; stale sigs are noise",
         ),
     ]
-    for name, behavior, policy, defence in scenarios:
+    for name, behavior, policy, defence in attacks:
         report, rejections = run(params, behavior, policy)
         table.add_row(
             name,

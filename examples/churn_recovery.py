@@ -13,6 +13,7 @@ Walks the churn engine end to end:
    Theorem 17 envelope.
 """
 
+from repro import scenarios
 from repro.analysis.metrics import max_skew, stabilization_report
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
@@ -62,7 +63,7 @@ simulation = assemble_cps_simulation(
     params,
     faulty=schedule.initially_corrupted(params.n),
     seed=11,
-    clock_style="extreme",
+    clocks=scenarios.create("drift", "extreme", params),
     trace="pulses",
     dynamics=controller,
 )

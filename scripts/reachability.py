@@ -97,7 +97,7 @@ repro check list
 repro check run eclipse --kind delay
 repro check matrix --out {tmp}/conformance.json
 repro check matrix --backend vectorized --kind delay --kind drift --out ""
-repro check fixture --fixture all
+repro check fixture
 repro check fixture --fixture results/fuzz/corpus/*.json
 repro check fixture --fixture results/fuzz/promoted/*.json
 repro ablate plan

@@ -213,8 +213,6 @@ def build_simulation(
     backend: str = DEFAULT_BACKEND,
     seed: int = 0,
     trace: Any = "pulses",
-    checks: Any = None,
-    dynamics: Any = None,
 ) -> BuiltSimulation:
     """Assemble a CPS simulation from scenario-registry keys.
 
@@ -224,12 +222,13 @@ def build_simulation(
     factories.  Without a topology the run uses the paper's base model
     (a clique with the given ``d``/``u``); with one, the Appendix A
     translation is applied first and CPS runs with the effective
-    ``(d_eff, u_eff)``.
+    ``(d_eff, u_eff)``.  The case dict is the whole description: no
+    object hook rides beside it, and monitors are attached afterwards
+    through ``simulation.attach_checks``.
 
     A ``churn`` key attaches a fault schedule through the scheduler's
-    dynamics hook (event backend only); an explicit ``dynamics`` hook
-    takes precedence over the key.  An optional ``u_tilde`` case key
-    overrides the faulty-link uncertainty (experiment E8's
+    dynamics hook (event backend only).  An optional ``u_tilde`` case
+    key overrides the faulty-link uncertainty (experiment E8's
     model-violation regime when ``u_tilde > u``).
 
     An optional ``ablate`` key lists protocol components to switch
@@ -273,7 +272,7 @@ def build_simulation(
                 "the vectorized backend does not support ablated "
                 "protocol components; use backend='event'"
             )
-        if dynamics is not None or churn_key is not None:
+        if churn_key is not None:
             raise UnsupportedScenarioError(
                 "the vectorized backend does not support membership "
                 "dynamics (churn); use backend='event'"
@@ -291,10 +290,10 @@ def build_simulation(
             u_tilde=case.get("u_tilde"),
             seed=seed,
             trace=trace,
-            checks=checks,
         )
         return BuiltSimulation(simulation, params, f, effective, backend)
-    if dynamics is None and churn_key is not None:
+    dynamics = None
+    if churn_key is not None:
         from repro.dynamics import ChurnController
 
         schedule = scenarios.create(
@@ -331,7 +330,6 @@ def build_simulation(
         u_tilde=case.get("u_tilde"),
         seed=seed,
         trace=trace,
-        checks=checks,
         dynamics=dynamics,
         network_timing=network_timing,
         **node_kwargs,

@@ -672,8 +672,10 @@ def cps_mechanism_trial(
             if faulty
             else None
         ),
+        clocks=scenarios.create(
+            "drift", case.get("drift", "random"), params, seed
+        ),
         seed=seed,
-        clock_style=case.get("drift", "random"),
         trace=measurement.trace,
         **{key: case[key] for key in MECHANISM_KEYS if key in case},
     )

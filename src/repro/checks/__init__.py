@@ -22,13 +22,12 @@ machine-checked over every scenario the engine can produce:
     :func:`campaign_conformance` — verdicts for the scenarios a
     campaign references, persisted as ``<spec_key>.check.json``
     side-cars by ``repro campaign run --check``.
-``fixtures``
-    :data:`FIXTURES` / :func:`run_fixture` — the deliberately-broken
-    executions (E8's ``u_tilde >> u`` corner; the
-    crash-without-recovery schedule) proving the monitors actually
-    fire.
 
-See ``docs/CONFORMANCE.md`` for the workflow.
+The deliberately-broken executions proving the monitors actually fire
+are data, not code: ``fuzz-fixture/v1`` files under
+``results/fuzz/promoted/`` that ``repro check fixture`` replays (see
+:mod:`repro.fuzz.corpus`).  See ``docs/CONFORMANCE.md`` for the
+workflow.
 """
 
 from repro.checks.campaign import (
@@ -57,7 +56,6 @@ from repro.checks.conformance import (
     scenario_case,
     scenario_mode,
 )
-from repro.checks.fixtures import FIXTURES, run_fixture
 from repro.checks.monitors import (
     ApaContractionMonitor,
     CheckSet,
@@ -75,7 +73,6 @@ __all__ = [
     "APA_MONITORS",
     "CHURN_MONITORS",
     "CPS_MONITORS",
-    "FIXTURES",
     "MODE_MONITORS",
     "MONITOR_CATALOG",
     "ApaContractionMonitor",
@@ -103,7 +100,6 @@ __all__ = [
     "render_campaign_conformance",
     "render_matrix",
     "render_report",
-    "run_fixture",
     "scenario_case",
     "scenario_mode",
 ]

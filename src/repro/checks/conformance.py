@@ -26,13 +26,14 @@ execution modes cover the catalog:
     recovering node legitimately pulses outside the skew bound while it
     contracts.
 
-Every monitored CPS execution in the package — matrix rows, the broken
-fixtures, fuzz cases and replays, ablation cells — is one call of
-:func:`judged_run`: build through the facade, attach the check set,
-run, collect verdicts.  Experiment rows that run unobserved get the
-same monitors' verdicts afterwards, from the recorded pulse trains
-(:func:`judge_pulses`) — one definition of "within the bound" either
-way (docs/CONFORMANCE.md, "What *within* means").
+Every monitored CPS execution in the package — matrix rows, fixture
+files, fuzz cases and replays, ablation cells — is one call of
+:func:`judged_run` on ``(case, pulses, seed)``: build through the
+facade, attach the check set, run, collect verdicts.  Experiment rows
+that run unobserved get the same monitors' verdicts afterwards, from
+the recorded pulse trains (:func:`judge_pulses`) — one definition of
+"within the bound" either way (docs/CONFORMANCE.md, "What *within*
+means").
 
 Everything here is deterministic given ``seed`` — verdict payloads
 contain no wall-clock data — which is what makes persisted conformance
@@ -42,7 +43,7 @@ artifacts byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import theory
 from repro.campaigns.spec import derive_seed
@@ -300,15 +301,14 @@ def judged_run(
     *,
     backend: str = "event",
     trace: Any = "pulses",
-    check_set: Optional[Callable[[Any, int], CheckSet]] = None,
 ) -> JudgedRun:
     """Build one registry-keyed CPS case, attach its monitors, run it.
 
-    A case naming a ``churn`` profile is judged by the stabilization
-    monitor against its executed schedule, any other case by the
-    Theorem 17 / Lemma 11 set.  ``check_set(built, pulses)`` overrides
-    that choice — the churn fixture judges against the schedule that
-    was *intended*, not the one that ran.
+    The run is the data ``(case, pulses, seed)`` — the shape of a
+    fixture file, a conformance row, a fuzz replay and an ablation
+    cell.  A case naming a ``churn`` profile is judged by the
+    stabilization monitor against its schedule, any other case by the
+    Theorem 17 / Lemma 11 set.
     """
     # Resolved per call: the repo benchmark times this entry point by
     # patching the module attribute.
@@ -317,9 +317,7 @@ def judged_run(
     built = build_simulation(case, backend=backend, seed=seed, trace=trace)
     simulation = built.simulation
     mode = "churn" if case.get("churn") is not None else "cps"
-    if check_set is not None:
-        checks = check_set(built, pulses)
-    elif mode == "churn":
+    if mode == "churn":
         checks = churn_check_set(simulation.dynamics.schedule, built.params)
     else:
         checks = cps_check_set(built.params, simulation.honest, pulses)

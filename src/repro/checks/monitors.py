@@ -491,8 +491,8 @@ class StabilizationMonitor(Monitor):
 
     1. every scheduled activation (recover / join / restore) was
        actually applied — a node that silently stays down is exactly
-       the failure mode the crash-without-recovery fixture proves
-       detectable;
+       the failure mode the promoted churn fixture (a recovery
+       scheduled after the run ends) proves detectable;
     2. each activated node re-stabilizes: within ``resync_budget`` of
        its post-activation pulses, its nearest-pulse alignment envelope
        against the stable cohort drops to ``envelope`` (the skew bound

@@ -9,7 +9,9 @@
     Execute the matrix through the campaign engine, print the
     per-component importance table (monitor flips + skew deltas), and
     write the byte-stable committed artifact — or, with ``--check``,
-    verify the committed copy is fresh (the CI gate).
+    verify the committed copy is fresh (the CI gate).  A run narrowed
+    by ``--component`` / ``--pairwise`` / ``--tier`` / ``--seed``
+    rewrites the committed file only via ``--out``.
 ``ablate report [--path results/ablation.json]``
     Render the committed importance artifact without executing
     anything.  Catalog semantics in ``docs/ABLATIONS.md``.
@@ -31,7 +33,7 @@ from repro.ablation import (
 )
 from repro.campaigns.store import dump_json_summary
 from repro.cli.execution import execute_or_exit, execution_flags
-from repro.cli.shared import execution_parent
+from repro.cli.shared import artifact_out, execution_parent
 
 DEFAULT_ABLATION = os.path.join("results", "ablation.json")
 
@@ -87,22 +89,34 @@ def _command_ablate_run(args: argparse.Namespace) -> int:
             print(f"  TRIAL ERROR {record.case_key}: {record.error}")
         return 1
     if args.check:
+        path = args.out or DEFAULT_ABLATION
         fresh = ablation_payload_bytes(payload)
         try:
-            with open(args.out, "rb") as handle:
+            with open(path, "rb") as handle:
                 committed = handle.read()
         except FileNotFoundError:
-            print(f"{args.out} is missing; run 'repro ablate run' "
+            print(f"{path} is missing; run 'repro ablate run' "
                   "to create it")
             return 1
         if committed != fresh:
-            print(f"{args.out} is stale; re-run 'repro ablate run' "
+            print(f"{path} is stale; re-run 'repro ablate run' "
                   "and commit the result")
             return 1
-        print(f"{args.out} is up to date")
+        print(f"{path} is up to date")
         return 0
-    dump_json_summary(args.out, payload)
-    print(f"wrote {args.out}")
+    out = artifact_out(
+        args.out,
+        DEFAULT_ABLATION,
+        {
+            "--component": (spec.components, ()),
+            "--pairwise": (args.pairwise, False),
+            "--tier": (args.tier, "quick"),
+            "--seed": (args.seed, 53),
+        },
+    )
+    if out:
+        dump_json_summary(out, payload)
+        print(f"wrote {out}")
     return 0
 
 
@@ -171,7 +185,7 @@ def register_ablate(parser: argparse.ArgumentParser) -> None:
         parents=[ablate_shared, execution_parent(max_trials=12)],
     )
     ablate_run_parser.add_argument(
-        "--out", default=DEFAULT_ABLATION,
+        "--out", default=None,
         help=f"importance artifact path (default {DEFAULT_ABLATION})",
     )
     ablate_run_parser.add_argument(

@@ -12,12 +12,15 @@
 ``check matrix [--scale quick] [--out results/conformance.json]``
     Sweep every applicable registry scenario and render the
     scenario x monitor pass/fail matrix (the CI conformance gate).
-``check fixture [--fixture broken|churn|all|PATH]``
-    Run the deliberately-broken executions and verify the monitors
-    fire (exit non-zero if no violation is detected): ``broken`` is
-    the E8 ``u_tilde >> u`` corner, ``churn`` the crash whose
-    scheduled recovery never happens.  A path to a serialized fuzz
-    fixture replays it instead and verifies its recorded expectation.
+    A sweep narrowed by ``--kind`` / ``--scale`` / ``--seed`` /
+    ``--backend`` rewrites the committed file only via ``--out``.
+``check fixture [--fixture PATH ...]``
+    Replay fixture files against their recorded expectations (exit
+    non-zero if any replay contradicts its file) — by default every
+    file under ``results/fuzz/promoted/``, which holds the
+    deliberately-broken executions proving the monitors fire (the E8
+    ``u_tilde >> u`` corner, a recovery that never happens, a shrunk
+    fuzz counterexample).
 """
 
 from __future__ import annotations
@@ -32,16 +35,18 @@ from repro import scenarios
 from repro.build import resolve_backend
 from repro.campaigns.store import dump_json_summary
 from repro.checks import (
-    FIXTURES,
     MONITOR_CATALOG,
     applicable_monitors,
     check_scenario,
     conformance_matrix,
     render_matrix,
     render_report,
-    run_fixture,
 )
-from repro.cli.shared import backend_parent, unknown_name_exit
+from repro.cli.shared import (
+    artifact_out,
+    backend_parent,
+    unknown_name_exit,
+)
 
 DEFAULT_CONFORMANCE = os.path.join("results", "conformance.json")
 
@@ -148,23 +153,25 @@ def _command_check_matrix(args: argparse.Namespace) -> int:
         scale=args.scale, seed=args.seed, kinds=kinds, backend=backend
     )
     print(render_matrix(payload))
-    if args.out:
-        if backend != "event" and args.out == DEFAULT_CONFORMANCE:
-            # The committed artifact is the event-backend matrix;
-            # don't let an exploratory vectorized sweep clobber it.
-            print(
-                f"not overwriting {DEFAULT_CONFORMANCE} with a "
-                f"{backend!r}-backend matrix (pass --out explicitly)"
-            )
-        else:
-            dump_json_summary(args.out, payload)
-            print(f"wrote {args.out}")
+    out = artifact_out(
+        args.out,
+        DEFAULT_CONFORMANCE,
+        {
+            "--kind": (kinds, None),
+            "--scale": (args.scale, "quick"),
+            "--seed": (args.seed, 0),
+            "--backend": (backend, "event"),
+        },
+    )
+    if out:
+        dump_json_summary(out, payload)
+        print(f"wrote {out}")
     return 0 if payload["pass"] else 1
 
 
-def _replay_fuzz_fixture_path(path: str) -> int:
-    """``check fixture`` on a serialized fuzz fixture: replay it and
-    verify its recorded expectation (violation fixtures must fire)."""
+def _replay_fixture_file(path: str) -> bool:
+    """Replay one fixture file; ``True`` iff the run still does what
+    the file records (a ``violation`` fixture must fire)."""
     from repro.cli.fuzz import load_fixture_or_exit
     from repro.fuzz import expectation_met, replay_fixture
 
@@ -182,43 +189,24 @@ def _replay_fuzz_fixture_path(path: str) -> int:
     else:
         print(f"{name} fixture raised NO violations")
     if expectation_met(payload, run):
-        return 0
+        return True
     print(
         f"{name} expects "
         + ("no violations" if violations else "a violation")
         + " — the replay CONTRADICTS the recorded expectation"
     )
-    return 1
+    return False
 
 
 def _command_check_fixture(args: argparse.Namespace) -> int:
-    if args.fixture not in (*FIXTURES, "all"):
-        if os.path.exists(args.fixture) or args.fixture.endswith(".json"):
-            return _replay_fuzz_fixture_path(args.fixture)
-        raise SystemExit(
-            f"--fixture expects broken|churn|all or a fuzz fixture "
-            f"path, got {args.fixture!r}"
-        )
-    names = (
-        list(FIXTURES) if args.fixture == "all" else [args.fixture]
-    )
-    exit_code = 0
-    for name in names:
-        violations = run_fixture(name, seed=args.seed).violations()
-        for violation in violations:
-            print(f"! {violation.describe()}")
-        if violations:
-            print(
-                f"{name} fixture raised {len(violations)} "
-                f"violation(s) — the monitors fire"
-            )
-        else:
-            print(
-                f"{name} fixture raised NO violations — the "
-                f"conformance engine is not detecting anything"
-            )
-            exit_code = 1
-    return exit_code
+    from repro.fuzz.corpus import PROMOTED_DIR, list_fixtures
+
+    paths = args.fixture or list_fixtures(PROMOTED_DIR)
+    if not paths:
+        raise SystemExit(f"no fixture files under {PROMOTED_DIR}")
+    # Every file is replayed, failing or not.
+    held = [_replay_fixture_file(path) for path in paths]
+    return 0 if all(held) else 1
 
 
 def register_check(parser: argparse.ArgumentParser) -> None:
@@ -272,7 +260,7 @@ def register_check(parser: argparse.ArgumentParser) -> None:
         help="restrict to one scenario kind (repeatable)",
     )
     check_matrix_parser.add_argument(
-        "--out", default=DEFAULT_CONFORMANCE,
+        "--out", default=None,
         help=f"JSON verdicts file (default {DEFAULT_CONFORMANCE}; "
         "empty string to skip)",
     )
@@ -280,15 +268,12 @@ def register_check(parser: argparse.ArgumentParser) -> None:
 
     check_fixture_parser = check_sub.add_parser(
         "fixture",
-        help="run the deliberately-broken executions and verify the "
-        "monitors fire",
+        help="replay fixture files against their recorded expectations",
     )
-    check_fixture_parser.add_argument("--seed", type=int, default=2)
     check_fixture_parser.add_argument(
-        "--fixture", default="all",
-        help="which broken execution to run: the E8 u~>>u corner "
-        "('broken'), the crash-without-recovery schedule ('churn'), "
-        "both ('all', default), or a path to a serialized fuzz "
-        "fixture to replay against its recorded expectation",
+        "--fixture", nargs="+", action="extend", metavar="PATH",
+        help="fixture files to replay against their recorded "
+        "expectations (repeatable; default: every file under "
+        "results/fuzz/promoted/)",
     )
     check_fixture_parser.set_defaults(handler=_command_check_fixture)

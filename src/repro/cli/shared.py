@@ -4,7 +4,36 @@ from __future__ import annotations
 
 import argparse
 import difflib
-from typing import List
+from typing import Any, Dict, List, Optional, Tuple
+
+
+def artifact_out(
+    out: Optional[str],
+    default: str,
+    selection: Dict[str, Tuple[Any, Any]],
+) -> Optional[str]:
+    """Where a sweep writes its artifact (``None``: nowhere).
+
+    An explicit ``--out`` always wins.  Otherwise the sweep may only
+    rewrite the committed artifact at ``default`` with the selection
+    that artifact was made with: ``selection`` maps each selecting flag
+    to ``(this run's value, the committed artifact's)``, and a run that
+    differs in any of them leaves the committed file alone.
+    """
+    if out is not None:
+        return out
+    changed = [
+        flag
+        for flag, (value, committed) in selection.items()
+        if value != committed
+    ]
+    if not changed:
+        return default
+    print(
+        f"not overwriting {default} with a sweep filtered by "
+        f"{', '.join(changed)} (pass --out explicitly)"
+    )
+    return None
 
 
 def unknown_name_exit(

@@ -37,7 +37,6 @@ from repro.sim.clocks import (
     ClockEnsemble,
     HardwareClock,
     Row,
-    constant_row,
     random_drift_row,
     validate_initial_skew,
 )
@@ -71,8 +70,6 @@ class CpsNode(TimedProtocol):
         echo_rejection: bool = True,
         discard_rule: str = "f-b",
         dealer_send_offset: Optional[float] = None,
-        start_local: Optional[float] = None,
-        start_round: Optional[int] = None,
         verify_signatures: bool = True,
         relay_echo: bool = True,
         window_filter: bool = True,
@@ -85,12 +82,12 @@ class CpsNode(TimedProtocol):
         self.params = params
         # First-pulse phase and round number; None = the Figure 3
         # defaults (local time S, round 1).  The resynchronization
-        # wrapper (repro.dynamics.resync) injects the phase *and* the
+        # wrapper (repro.dynamics.resync) sets the phase *and* the
         # cohort round a recovering node voted for — TCB instances are
         # tagged by round, so a rejoiner numbering its rounds from 1
         # would discard every cohort message as a mismatch.
-        self.start_local = start_local
-        self.start_round = start_round
+        self.start_local: Optional[float] = None
+        self.start_round: Optional[int] = None
         self.echo_rejection = echo_rejection
         self.discard_rule = discard_rule
         # Ablation toggles (see repro.ablation): trust-all signature
@@ -273,36 +270,20 @@ def wandering_row(rng, params: ProtocolParameters, horizon: float) -> Row:
 
 
 def default_clocks(
-    params: ProtocolParameters,
-    seed: int = 0,
-    horizon: float = 0.0,
-    style: str = "random",
+    params: ProtocolParameters, seed: int = 0
 ) -> ClockEnsemble:
-    """Build a plausible clock ensemble for a CPS run.
+    """The ``random`` clock ensemble (the drift registry's default):
+    initial offsets in ``[0, S]`` and wandering rates in ``[1, theta]``.
 
-    ``style`` selects the ensemble: ``"random"`` draws initial offsets in
-    ``[0, S]`` and wandering rates in ``[1, theta]``; ``"extreme"`` puts
-    half the nodes at rate 1 / offset 0 and half at rate theta / offset S
-    (the adversarial corner the analysis is tight against).
-
-    The ``random`` ensemble re-draws its rates over ``[0, horizon]``
-    (default ``200 * d``) and runs at rate 1 afterwards: it stops
-    drifting after about 94 pulses at ``theta = 1.001``.  Every
-    committed run is shorter and nothing warns; pass a longer
-    ``horizon`` for a longer run.
+    Rates are re-drawn over ``[0, 200 d]`` and stay at rate 1
+    afterwards: the ensemble stops drifting after about 94 pulses at
+    ``theta = 1.001``.  Every committed run is shorter and nothing
+    warns.  The other ensembles are registry entries
+    (:mod:`repro.scenarios.drift`).
     """
-    if style not in ("extreme", "random"):
-        raise ConfigurationError(f"unknown clock style {style!r}")
     rng = random.Random(seed)
-    horizon = horizon or 200.0 * params.d
-    rows: List[Row] = []
-    for node in range(params.n):
-        if style == "random":
-            rows.append(wandering_row(rng, params, horizon))
-        elif node % 2 == 0:
-            rows.append(constant_row(1.0, 0.0))
-        else:
-            rows.append(constant_row(params.theta, params.S))
+    horizon = 200.0 * params.d
+    rows = [wandering_row(rng, params, horizon) for _ in range(params.n)]
     return ClockEnsemble(rows, params.theta)
 
 
@@ -315,7 +296,6 @@ def assemble_cps_simulation(
     u_tilde: Optional[float] = None,
     seed: int = 0,
     trace: TraceSpec = "full",
-    clock_style: str = "random",
     checks=None,
     dynamics=None,
     network_timing: Optional[Tuple[float, float]] = None,
@@ -330,7 +310,10 @@ def assemble_cps_simulation(
     use instead.
 
     ``node_kwargs`` are forwarded to :class:`CpsNode` (ablation hooks).
-    Initial clock offsets are validated against the ``H_v(0) in [0, S]``
+    ``clocks`` defaults to the seeded ``random`` ensemble; any other
+    comes from the drift registry
+    (``scenarios.create("drift", key, params, seed)``).  Initial clock
+    offsets are validated against the ``H_v(0) in [0, S]``
     assumption of Figure 3.  ``checks`` installs a streaming
     :class:`~repro.sim.runtime.SimulationChecks` observer (conformance
     monitors; see :mod:`repro.checks`); ``dynamics`` installs a
@@ -347,7 +330,7 @@ def assemble_cps_simulation(
     )
     config = NetworkConfig(params.n, net_d, net_u, u_tilde)
     if clocks is None:
-        clocks = default_clocks(params, seed=seed, style=clock_style)
+        clocks = default_clocks(params, seed=seed)
     validate_initial_skew(
         [clocks[v] for v in range(params.n) if v not in set(faulty)],
         params.S,

@@ -1,9 +1,10 @@
 """The fuzz corpus: content-hashed, replayable fixture files.
 
-A fixture is the serialized form of one fuzz payload plus provenance —
-the same shape the hand-written broken fixtures expose through
-``repro check fixture``: everything needed to re-execute the case
-deterministically, plus what the search observed when it found it.
+A fixture is the serialized form of one runnable payload plus
+provenance: everything needed to re-execute the case deterministically,
+plus what the search observed when it found it.  It is the repo's one
+fixture format — the hand-written broken executions are files too
+(``origin: "seed"``).
 
 Identity is content-addressed: :func:`fixture_id` hashes the runnable
 triple ``(case, pulses, seed)`` through the campaign engine's
@@ -17,9 +18,9 @@ Layout under ``results/fuzz/``::
 
     corpus/    fuzz-<id>.json   found by `repro fuzz run` (seed corpus
                entries are committed; CI finds are uploaded artifacts)
-    promoted/  fuzz-<id>.json   promoted via `repro fuzz promote` —
-               committed regression gates: CI replays each through
-               `repro check fixture --fixture PATH`
+    promoted/  fuzz-<id>.json   every committed fixture, promoted via
+               `repro fuzz promote` or written by hand — regression
+               gates a bare `repro check fixture` replays
 """
 
 from __future__ import annotations

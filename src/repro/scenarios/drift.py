@@ -8,10 +8,11 @@ without per-node objects.  Every ensemble honours the model
 assumptions the simulations validate at start-up: initial offsets
 ``H_v(0) in [0, S]`` and rates in ``[1, theta]``.
 
-``random`` and ``extreme`` are the two ensembles the low-level
-``assemble_cps_simulation`` selects by its ``clock_style`` argument;
-``mixed`` and ``staggered`` are stress ensembles that combine stable,
-fast, and wandering hardware in one system.
+``random`` is also the ensemble the low-level
+``assemble_cps_simulation`` builds when given no clocks; ``extreme`` is
+the corner the analysis is tight against; ``mixed`` and ``staggered``
+are stress ensembles that combine stable, fast, and wandering hardware
+in one system.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.sim.clocks import ClockEnsemble, Row, constant_row
     tags=("benign",),
 )
 def _random_profile(params, seed: int = 0) -> ClockEnsemble:
-    return default_clocks(params, seed=seed, style="random")
+    return default_clocks(params, seed=seed)
 
 
 @register_scenario(
@@ -47,7 +48,13 @@ def _random_profile(params, seed: int = 0) -> ClockEnsemble:
     tags=("adversarial",),
 )
 def _extreme_profile(params, seed: int = 0) -> ClockEnsemble:
-    return default_clocks(params, seed=seed, style="extreme")
+    rows = [
+        constant_row(1.0, 0.0)
+        if node % 2 == 0
+        else constant_row(params.theta, params.S)
+        for node in range(params.n)
+    ]
+    return ClockEnsemble(rows, params.theta)
 
 
 @register_scenario(

@@ -14,10 +14,9 @@ real time, matching the model ("nodes have no access to the true time").
 Observation hooks stack on this interface without touching protocol
 code: ``checks=`` (streaming conformance monitors), ``dynamics=``
 (membership churn), and the telemetry handle
-(:mod:`repro.telemetry`, adopted from the ambient context or passed as
-``telemetry=``) are all zero-cost when unused — each instrumentation
-site in the scheduler is one ``is None`` test — and none of them may
-perturb event order.
+(:mod:`repro.telemetry`, adopted from the ambient session) are all
+zero-cost when unused — each instrumentation site in the scheduler is
+one ``is None`` test — and none of them may perturb event order.
 """
 
 from __future__ import annotations

@@ -285,7 +285,6 @@ class Simulation:
         trace: Optional[Trace] = None,
         checks: Optional[SimulationChecks] = None,
         dynamics: Optional[DynamicsHook] = None,
-        telemetry: Optional[Any] = None,
     ) -> None:
         self.config = config
         if len(clocks) != config.n:
@@ -310,13 +309,11 @@ class Simulation:
         self.queue = EventQueue()
         self.trace = trace if trace is not None else Trace()
         self.checks = checks
-        # Telemetry: an explicit handle wins; otherwise adopt the ambient
-        # per-process session (how campaign trials instrument simulations
-        # built inside registered builders).  Both default to None, so
-        # uninstrumented runs pay a single `is None` test per site.
-        self.telemetry = (
-            telemetry if telemetry is not None else active_telemetry()
-        )
+        # Telemetry: the ambient per-process session (how campaign
+        # trials instrument simulations built inside registered
+        # builders).  None without one, so uninstrumented runs pay a
+        # single `is None` test per site.
+        self.telemetry = active_telemetry()
         if self.telemetry is not None:
             self.telemetry.attach(self)
         self.now = 0.0

@@ -171,7 +171,7 @@ class VectorizedSimulation:
 
     Accepts the assembly-level inputs of
     :func:`repro.core.cps.assemble_cps_simulation` (parameters, clocks,
-    faulty set, delay policy, trace spec, checks) and produces a
+    faulty set, delay policy, trace spec) and produces a
     :class:`~repro.sim.scheduler.SimulationResult`; ``run`` /
     ``attach_checks`` / ``honest`` match the scheduler's surface, so
     :func:`~repro.analysis.runner.run_pulse_trial`, the conformance
@@ -192,7 +192,6 @@ class VectorizedSimulation:
         u_tilde: Optional[float] = None,
         seed: int = 0,
         trace: TraceSpec = "pulses",
-        checks: Any = None,
         block_size: Optional[int] = None,
     ) -> None:
         require_numpy()
@@ -220,7 +219,7 @@ class VectorizedSimulation:
         self.delay_policy = delay_policy or MaximumDelayPolicy()
         self.seed = seed
         self.trace = Trace(trace)
-        self.checks = checks
+        self.checks: Any = None
         #: Surface parity with the scheduler: the vectorized backend
         #: never carries membership dynamics (the facade rejects churn).
         self.dynamics = None

@@ -1,12 +1,12 @@
 """Ambient telemetry session: how instrumentation reaches every builder.
 
-A :class:`~repro.telemetry.metrics.Telemetry` handle can be passed to
-:class:`~repro.sim.scheduler.Simulation` explicitly (``telemetry=``),
-but campaign trials construct their simulations deep inside registered
-builders whose signatures must not change (they feed the content-hashed
-``case_key``).  Instead, the campaign layer *activates* a handle for the
-duration of one trial and ``Simulation.__init__`` picks it up when no
-explicit handle was given:
+Campaign trials construct their simulations deep inside registered
+builders whose signatures must not change (they feed the
+content-hashed ``case_key``), so a
+:class:`~repro.telemetry.metrics.Telemetry` handle is never passed to
+:class:`~repro.sim.scheduler.Simulation`.  Instead, the caller
+*activates* a handle for the duration of a run and
+``Simulation.__init__`` picks it up:
 
 * :func:`activate` / :func:`deactivate` — install/remove the ambient
   handle for the current process;

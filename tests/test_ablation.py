@@ -294,6 +294,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tcb-filter" in out
 
+    def test_filtered_run_keeps_the_committed_artifact(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        os.makedirs("results")
+        committed = os.path.join("results", "ablation.json")
+        with open(committed, "w", encoding="utf-8") as handle:
+            handle.write("committed\n")
+        assert main(["ablate", "run", "--component", "tcb-filter"]) == 0
+        out = capsys.readouterr().out
+        assert "pass --out explicitly" in out
+        with open(committed, encoding="utf-8") as handle:
+            assert handle.read() == "committed\n"
+
     def test_report_missing_artifact_hints_at_run(self, tmp_path):
         missing = os.path.join(tmp_path, "nope.json")
         with pytest.raises(SystemExit, match="repro ablate run"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import scenarios
 from repro.core.attacks import (
     CpsEquivocatingSubsetAttack,
     CpsMimicDealerAttack,
@@ -113,7 +114,7 @@ class TestRushingEcho:
             behavior=attack,
             delay_policy=FastToFaultyDelayPolicy(),
             u_tilde=8 * params.u,
-            clock_style="extreme",
+            clocks=scenarios.create("drift", "extreme", params),
         )
         result = simulation.run(max_pulses=6)
         rejected_dealers = set()

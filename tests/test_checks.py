@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import scenarios
 from repro.campaigns import ResultStore
 from repro.checks import (
     CPS_MONITORS,
@@ -27,15 +28,20 @@ from repro.checks import (
     matrix_payload_bytes,
     render_matrix,
     render_report,
-    run_fixture,
     scenario_case,
     scenario_mode,
 )
 from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
+from repro.fuzz import load_fixture, replay_fixture
 from repro.scenarios import REGISTRY
 from repro.sim.adversary import SilentAdversary
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROMOTED = os.path.join(ROOT, "results", "fuzz", "promoted")
+#: E8's u_tilde = 16 u corner, hand-written: n = 6, 12 pulses, seed 2.
+BROKEN_FIXTURE = os.path.join(PROMOTED, "fuzz-89ee3cb088aca93d.json")
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +266,7 @@ class TestChecksHook:
             faulty=faulty,
             behavior=SilentAdversary(),
             seed=7,
-            clock_style="extreme",
+            clocks=scenarios.create("drift", "extreme", params),
             trace=trace,
             checks=checks,
         )
@@ -426,7 +432,7 @@ class TestBrokenFixture:
     def test_monitors_fire_on_the_broken_execution(self):
         """The acceptance criterion: the deliberately-broken adversary
         fixture reports at least one Violation."""
-        run = run_fixture("broken")
+        run = replay_fixture(load_fixture(BROKEN_FIXTURE))
         violations = run.violations()
         assert violations
         skew = [v for v in violations if v.monitor == "skew"]
@@ -570,10 +576,48 @@ class TestCheckCli:
         assert payload["pass"] is True
         assert payload["total"] == len(REGISTRY.entries("drift"))
 
-    def test_fixture_detects_violations(self, capsys):
+    def test_fixture_detects_violations(self, capsys, monkeypatch):
+        # With no --fixture, every promoted file is replayed.
+        monkeypatch.chdir(ROOT)
         assert main(["check", "fixture"]) == 0
         out = capsys.readouterr().out
+        names = sorted(os.listdir(PROMOTED))
+        assert len(names) >= 3
+        for name in names:
+            assert f"{name[:-len('.json')]} fixture raised" in out
+        assert "NO violations" not in out
+
+    def test_fixture_contradicting_its_file_exits_1(self, tmp_path, capsys):
+        payload = dict(load_fixture(BROKEN_FIXTURE), expect="pass")
+        path = os.path.join(tmp_path, "contradicted.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert (
+            main(["check", "fixture", "--fixture", BROKEN_FIXTURE, path])
+            == 1
+        )
+        out = capsys.readouterr().out
+        assert "CONTRADICTS" in out
+        # The good file before it was still replayed.
         assert "the monitors fire" in out
+
+    def test_fixture_takes_paths_only(self):
+        with pytest.raises(SystemExit, match="not found: broken"):
+            main(["check", "fixture", "--fixture", "broken"])
+
+    def test_filtered_matrix_keeps_the_committed_artifact(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        os.makedirs("results")
+        committed = os.path.join("results", "conformance.json")
+        with open(committed, "w", encoding="utf-8") as handle:
+            handle.write("committed\n")
+        assert main(["check", "matrix", "--kind", "drift"]) == 0
+        out = capsys.readouterr().out
+        assert "pass --out explicitly" in out
+        with open(committed, encoding="utf-8") as handle:
+            assert handle.read() == "committed\n"
 
 
 class TestCheckCliErrors:

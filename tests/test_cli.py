@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 class TestList:
     def test_lists_all_experiments(self, capsys):
@@ -248,7 +250,10 @@ class TestChurnCli:
         assert "[churn]" in out
 
     def test_check_fixture_churn_fires(self, capsys):
-        assert main(["check", "fixture", "--fixture", "churn"]) == 0
+        fixture = os.path.join(
+            ROOT, "results", "fuzz", "promoted", "fuzz-ad402acf2e439286.json"
+        )
+        assert main(["check", "fixture", "--fixture", fixture]) == 0
         out = capsys.readouterr().out
         assert "never occurred" in out
         assert "monitors fire" in out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import scenarios
 from repro.analysis.metrics import (
     check_liveness,
     max_period,
@@ -72,12 +73,14 @@ class TestFaultFree:
         _, result = run_cps(
             params6,
             delay_policy=SkewingDelayPolicy(group_a(6)),
-            clock_style="extreme",
+            clocks=scenarios.create("drift", "extreme", params6),
         )
         assert_theorem17(params6, result)
 
     def test_skew_contracts_from_initial_offset(self, params6):
-        _, result = run_cps(params6, clock_style="extreme")
+        _, result = run_cps(
+            params6, clocks=scenarios.create("drift", "extreme", params6)
+        )
         trajectory = skew_trajectory(result.honest_pulses())
         assert trajectory[0] == pytest.approx(params6.S, rel=1e-6)
         assert min(trajectory) < params6.S / 4
@@ -87,7 +90,7 @@ class TestFaultFree:
         simulation, result = run_cps(
             params6,
             delay_policy=SkewingDelayPolicy(group_a(6)),
-            clock_style="extreme",
+            clocks=scenarios.create("drift", "extreme", params6),
         )
         for record in result.trace.protocol_events("cps-round"):
             assert record.details.num_bot == 0
@@ -110,7 +113,7 @@ class TestByzantine:
             faulty=faulty,
             behavior=ADVERSARIES[name](params6),
             delay_policy=SkewingDelayPolicy(group_a(6)),
-            clock_style="extreme",
+            clocks=scenarios.create("drift", "extreme", params6),
         )
         assert_theorem17(params6, result)
 
@@ -224,7 +227,7 @@ class TestUtildeGap:
             behavior=CpsRushingEchoAttack(),
             delay_policy=FastToFaultyDelayPolicy(),
             u_tilde=8 * params6.u,
-            clock_style="extreme",
+            clocks=scenarios.create("drift", "extreme", params6),
         )
         honest = set(result.honest)
         honest_rejections = sum(
@@ -266,11 +269,12 @@ class TestAblationsAndConfig:
         with pytest.raises(ClockError):
             assemble_cps_simulation(params6, clocks=clocks)
 
-    def test_default_clock_styles(self, params6):
-        assert len(default_clocks(params6, style="random")) == 6
-        assert len(default_clocks(params6, style="extreme")) == 6
-        with pytest.raises(ConfigurationError):
-            default_clocks(params6, style="nope")
+    def test_default_clocks_are_the_random_profile(self, params6):
+        assert (
+            default_clocks(params6, seed=4).rows
+            == scenarios.create("drift", "random", params6, 4).rows
+        )
+        assert len(scenarios.create("drift", "extreme", params6)) == 6
 
     def test_round_summaries_record_corrections(self, params6):
         simulation, result = run_cps(params6, pulses=5)

@@ -1,8 +1,11 @@
 """Tests for the churn subsystem: schedules, injection, resync,
 stabilization metrics/monitor, and churn determinism."""
 
+import os
+
 import pytest
 
+from repro import scenarios
 from repro.analysis.metrics import (
     alignment_envelope,
     nearest_pulse_gap,
@@ -20,7 +23,6 @@ from repro.checks import (
     applicable_monitors,
     check_scenario,
     judged_run,
-    run_fixture,
     scenario_mode,
 )
 from repro.core.cps import assemble_cps_simulation
@@ -31,8 +33,14 @@ from repro.dynamics import (
     FaultSchedule,
     MalformedScheduleError,
 )
+from repro.fuzz import load_fixture, replay_fixture
 from repro.scenarios import REGISTRY
 from repro.sim.errors import SimulationError
+
+CHURN_FIXTURE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "results", "fuzz", "promoted", "fuzz-ad402acf2e439286.json",
+)
 
 PROFILES = (
     "single-crash",
@@ -65,7 +73,7 @@ def _run(schedule, pulses=14, seed=0, n=6, trace="pulses"):
         params,
         faulty=schedule.initially_corrupted(n),
         seed=seed,
-        clock_style="extreme",
+        clocks=scenarios.create("drift", "extreme", params),
         trace=trace,
         dynamics=controller,
     )
@@ -298,7 +306,7 @@ class TestInjection:
                 params,
                 faulty=[4, 5],
                 seed=0,
-                clock_style="extreme",
+                clocks=scenarios.create("drift", "extreme", params),
                 dynamics=ChurnController(schedule, params),
             )
 
@@ -307,7 +315,10 @@ class TestInjection:
         # even if a hand-rolled hook tries it.
         params = _params()
         simulation = assemble_cps_simulation(
-            params, faulty=[4, 5], seed=0, clock_style="extreme"
+            params,
+            faulty=[4, 5],
+            seed=0,
+            clocks=scenarios.create("drift", "extreme", params),
         )
         with pytest.raises(SimulationError, match="budget"):
             simulation.corrupt_node(0)
@@ -419,11 +430,12 @@ class TestChurnConformance:
             assert all(v.checked > 0 for v in report.verdicts)
 
     def test_fixture_fires(self):
-        violations = run_fixture("churn").violations()
-        assert violations, "crash-without-recovery went undetected"
+        # flapping-node, cycles=3, 12 pulses: the third recovery is
+        # scheduled for pulse 14, after the run ends.
+        violations = replay_fixture(load_fixture(CHURN_FIXTURE)).violations()
+        assert violations, "a recovery that never happens went undetected"
         messages = " ".join(v.message for v in violations)
-        assert "never occurred" in messages
-        assert "fell silent" in messages
+        assert "recover of node 0 at pulse 14 never occurred" in messages
 
 
 class TestChurnDeterminism:
@@ -489,7 +501,10 @@ class TestZeroCostWhenUnused:
     def test_empty_schedule_is_inert(self):
         params = _params()
         base = assemble_cps_simulation(
-            params, faulty=[4, 5], seed=1, clock_style="extreme"
+            params,
+            faulty=[4, 5],
+            seed=1,
+            clocks=scenarios.create("drift", "extreme", params),
         )
         base_result = base.run(max_pulses=8)
         controller = ChurnController(
@@ -499,7 +514,7 @@ class TestZeroCostWhenUnused:
             params,
             faulty=[4, 5],
             seed=1,
-            clock_style="extreme",
+            clocks=scenarios.create("drift", "extreme", params),
             dynamics=controller,
         )
         churn_result = churned.run(max_pulses=8)

@@ -20,11 +20,11 @@ The satellite guarantees under test:
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import given
 
-from repro.checks.fixtures import BROKEN_CASE, BROKEN_PULSES
 from repro.cli import main
 from repro.fuzz import (
     FIXTURE_SCHEMA,
@@ -47,6 +47,12 @@ from repro.fuzz.corpus import MalformedFixtureError
 from repro.fuzz.driver import UnknownStrategyError, render_fuzz_report
 from repro.fuzz.strategies import CPS_ADVERSARIES, CPS_DELAYS
 from repro.scenarios import REGISTRY
+
+#: The hand-written E8 corner (n = 6, 12 pulses), as a promoted file.
+BROKEN_FIXTURE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "results", "fuzz", "promoted", "fuzz-89ee3cb088aca93d.json",
+)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +128,9 @@ class TestSanityGate:
         assert fixture["summary"]["violations"]
         # No larger than the hand-written broken fixture (n=6, 12
         # pulses): shrinking found an equal-or-smaller reproduction.
-        assert fixture["case"]["n"] <= BROKEN_CASE["n"]
-        assert fixture["pulses"] <= BROKEN_PULSES
+        broken = load_fixture(BROKEN_FIXTURE)
+        assert fixture["case"]["n"] <= broken["case"]["n"]
+        assert fixture["pulses"] <= broken["pulses"]
 
     def test_shrunk_fixture_fires_monitors_on_replay(
         self, known_bad_report

@@ -4,7 +4,10 @@
 — where build → attach the check set → run → finish was written out
 six times (two conformance runners, the fuzz oracle, two fixture
 builders, the ablation builder) — and every entry is re-derived here
-through the one function that replaced them, byte for byte.
+through the one function that replaced them, byte for byte.  The
+``fixture:broken`` entry comes from its fixture file; the two
+``fixture:churn`` entries from a run built by hand, because their
+monitor watches a schedule the run does not execute.
 """
 
 import glob
@@ -13,7 +16,9 @@ import os
 
 import pytest
 
-from repro.checks import judged_run, run_fixture, scenario_case
+from repro.build import build_simulation
+from repro.checks import churn_check_set, judged_run, scenario_case
+from repro.dynamics import FaultEvent, FaultSchedule
 from repro.fuzz import load_fixture, replay_fixture
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -25,38 +30,80 @@ with open(
 CORPUS = sorted(
     glob.glob(os.path.join(ROOT, "results", "fuzz", "corpus", "*.json"))
 )
+BROKEN_FIXTURE = os.path.join(
+    ROOT, "results", "fuzz", "promoted", "fuzz-89ee3cb088aca93d.json"
+)
+
+#: A crash at pulse 3 that is executed, and a recovery at pulse 6 that
+#: was promised but never scheduled.
+CHURN_CASE = {
+    "n": 6,
+    "theta": 1.001,
+    "d": 1.0,
+    "u": 0.02,
+    "adversary": "silent",
+    "drift": "extreme",
+    "churn": "single-crash",
+    "churn_params": {"node": 0, "at_pulse": 3},
+}
+CHURN_PULSES = 14
 
 
 def _entry_bytes(entry):
     return json.dumps(entry, indent=1, sort_keys=True).encode()
 
 
-def _run_bytes(run):
+def _run_bytes(verdicts, result):
     return _entry_bytes(
         {
-            "verdicts": [v.as_dict() for v in run.verdicts],
+            "verdicts": [v.as_dict() for v in verdicts],
             "pulses": {
                 str(node): times
-                for node, times in sorted(run.result.pulses.items())
+                for node, times in sorted(result.pulses.items())
             },
-            "events": run.result.events_processed,
+            "events": result.events_processed,
         }
     )
 
 
-@pytest.mark.parametrize(
-    "key,name,seed",
-    [
-        ("fixture:broken", "broken", None),
-        ("fixture:churn", "churn", None),
-        # `repro check fixture` passes its own --seed (default 2).
-        ("fixture:churn@seed2", "churn", 2),
-    ],
-)
-def test_fixtures_match_the_parent(key, name, seed):
-    run = run_fixture(name, seed=seed)
-    assert _run_bytes(run) == _entry_bytes(PARITY[key])
+def test_broken_fixture_file_matches_the_parent():
+    run = replay_fixture(load_fixture(BROKEN_FIXTURE))
+    assert _run_bytes(run.verdicts, run.result) == _entry_bytes(
+        PARITY["fixture:broken"]
+    )
     assert run.violations()
+
+
+@pytest.mark.parametrize(
+    "key,seed", [("fixture:churn", 3), ("fixture:churn@seed2", 2)]
+)
+def test_intended_schedule_watchdog_matches_the_parent(key, seed):
+    """The stabilization monitor judges the run against the schedule
+    that was *intended* — the executed crash plus the recovery that
+    never happens — and reports both the missing recovery and the
+    node's tail silence."""
+    built = build_simulation(CHURN_CASE, seed=seed)
+    executed = built.simulation.dynamics.schedule
+    intended = FaultSchedule(
+        events=(
+            *executed.events,
+            FaultEvent("recover", 0, at_pulse=6),
+        ),
+        corruptions=executed.corruptions,
+        description="crash with the promised recovery",
+    )
+    checks = churn_check_set(intended, built.params)
+    built.simulation.attach_checks(checks)
+    result = built.simulation.run(max_pulses=CHURN_PULSES)
+    verdicts = checks.finish()
+    assert _run_bytes(verdicts, result) == _entry_bytes(PARITY[key])
+    messages = " ".join(
+        violation.message
+        for verdict in verdicts
+        for violation in verdict.violations
+    )
+    assert "never occurred" in messages
+    assert "fell silent" in messages
 
 
 def test_corpus_replays_match_the_parent():
@@ -64,7 +111,7 @@ def test_corpus_replays_match_the_parent():
     for path in CORPUS:
         payload = load_fixture(path)
         run = replay_fixture(payload)
-        assert _run_bytes(run) == _entry_bytes(
+        assert _run_bytes(run.verdicts, run.result) == _entry_bytes(
             PARITY[f"corpus:{payload['fixture_id']}"]
         ), path
 
@@ -81,4 +128,6 @@ def test_conformance_sample_matches_the_parent(level):
             seed=int(seed),
             trace=level,
         )
-        assert _run_bytes(run) == _entry_bytes(PARITY[key]), key
+        assert _run_bytes(run.verdicts, run.result) == _entry_bytes(
+            PARITY[key]
+        ), key

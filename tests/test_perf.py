@@ -416,7 +416,7 @@ class TestTraceLevels:
                 faulty=faulty,
                 behavior=scenarios.create("adversary", adversary, params),
                 seed=11,
-                clock_style="extreme",
+                clocks=scenarios.create("drift", "extreme", params),
                 trace=level,
             )
             outcome = run_pulse_trial(simulation, 12, warmup=3)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import scenarios
 from repro.analysis.metrics import (
     check_liveness,
     max_period,
@@ -149,7 +150,7 @@ def test_larger_system_spot_checks(seed):
         behavior=CpsMimicDealerAttack(params, group),
         delay_policy=SkewingDelayPolicy(group),
         seed=seed,
-        clock_style="extreme",
+        clocks=scenarios.create("drift", "extreme", params),
         trace="none",
     )
     result = simulation.run(max_pulses=8)
