@@ -16,6 +16,10 @@ segment tables (PR 17) and compared against ever since by
     (so segment boundaries are crossed), a small ``block_size`` at the
     middle n (so block boundaries are too).
 
+A third capture, ``tests/data/clock_parity_full.txt``, holds the 48
+``--full`` lines (taken at the commit before the vote read row
+extremes); CI's ``vectorized-diff`` job diffs a fresh run against it.
+
 Usage::
 
     python scripts/clock_parity.py --dump     # rewrite both files
@@ -23,8 +27,11 @@ Usage::
                                               # n in {30, 400, 1500},
                                               # one line each, to diff
                                               # between two checkouts
+    python scripts/clock_parity.py --full | diff - \
+        tests/data/clock_parity_full.txt      # the CI gate
 
-Only ``--dump`` at a commit whose numbers are *meant* to change.
+Only ``--dump`` (or a new ``--full`` capture) at a commit whose
+numbers are *meant* to change.
 """
 
 import argparse

@@ -7,23 +7,25 @@ full CPS round with array operations:
 2. broadcast — each honest dealer's ``<r>_v`` leaves at local
    ``H_v(p^r_v) + theta S``; a per-round delay matrix
    (:mod:`repro.sim.vectorized.delays`) gives every arrival time;
-3. accept — the TCB window test ``P < h <= P + window`` as a boolean
-   mask over (receiver, dealer) pairs;
-4. vote — offset estimates ``h - P - d + u - S`` where accepted (⊥
-   elsewhere, 0 for self); per receiver the two order statistics the
-   ``f - b`` discard leaves outermost are selected (nothing is
-   sorted) and their midpoint taken;
+3. accept — Lemma 10 puts every other honest dealer's message inside
+   the TCB window ``P < h <= P + window``; two row reductions (the
+   earliest and latest ``h`` per receiver) check it, and a message
+   outside raises :class:`SimulationError`;
+4. vote — offset estimates ``h - P - d + u - S`` (⊥ for each faulty
+   dealer, 0 for self); per receiver the two order statistics the
+   ``f - b`` discard leaves outermost are read — the row extremes when
+   nothing is discarded, a selection otherwise (nothing is sorted) —
+   and their midpoint taken;
 5. advance — next pulse at local ``P + Delta + T``.
 
 This is exact — not approximate — for the scenarios the backend
 accepts: with silent faulty nodes and admissible honest-link delays,
-Lemma 10 puts every honest dealer's message inside every honest
-receiver's round-``r`` window, the event engine's early/stale-message
-guards reduce to the same ``P < h <= P + window`` comparison, and echo
-rejection provably never fires, so simulating echoes (and per-message
-event interleavings generally) cannot change any output.  Scenarios
-where that argument breaks — actively Byzantine behaviours, membership
-churn — raise :class:`UnsupportedScenarioError` instead of silently
+Lemma 10 holds, the event engine's early/stale-message guards reduce to
+the same ``P < h <= P + window`` comparison, and echo rejection
+provably never fires, so simulating echoes (and per-message event
+interleavings generally) cannot change any output.  Scenarios where
+that argument breaks — actively Byzantine behaviours, membership churn
+— raise :class:`UnsupportedScenarioError` instead of silently
 degrading.
 
 Receivers are processed in blocks of rows sized so that one
@@ -36,7 +38,7 @@ row, so no output depends on where the block boundaries fall.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 try:  # gated dependency: the event engine must work without numpy
     import numpy as np
@@ -63,6 +65,7 @@ from repro.sim.scheduler import SimulationResult
 from repro.sim.trace import Trace, TraceLevel, TraceSpec
 from repro.sim.vectorized.delays import delay_rng, round_delays
 from repro.sync.crusader import BOT
+from repro.telemetry.context import active_telemetry
 
 #: Target size of one (rows x honest) float64 block array.  Measured
 #: flat from 256 KiB to 1 MiB and 10-30 % slower at 4 MiB for n >= 2,500
@@ -232,6 +235,11 @@ class VectorizedSimulation:
         validate_offset_spread(
             self.clocks.offsets(self.honest), params.S
         )
+        # The ambient session, adopted as the event engine adopts it;
+        # run() records its round totals once, at the end.
+        self.telemetry = active_telemetry()
+        if self.telemetry is not None:
+            self.telemetry.attach(self)
 
     # ------------------------------------------------------------------
 
@@ -286,6 +294,11 @@ class VectorizedSimulation:
         observing = self.checks is not None or (
             self.trace.level >= TraceLevel.FULL
         )
+        # Unobserved pulses are appended a round at a time; the trains
+        # of one node do not depend on the order a round emits them.
+        pulses_observed = self.checks is not None or (
+            self.trace.level >= TraceLevel.PULSES
+        )
         table = ClockTable([self.clocks.rows[v] for v in honest])
         rng = (
             delay_rng(self.delay_policy)
@@ -295,7 +308,19 @@ class VectorizedSimulation:
         window = params.tcb_window
         fin_wait = params.tcb_finalize_wait
         offset_shift = params.d - params.u + params.S
+        # Lemma 10 (checked every block): each receiver accepts every
+        # other honest dealer and a ⊥ for each faulty one, so the vote
+        # sizes are per run.  The midpoint needs nh > 2 * discard, which
+        # always holds: discard is 0 for num_bot >= f, and otherwise
+        # nh - 2 * discard = n + num_bot - 2f > 0 as 2f < n.
+        num_bot = n - nh
+        discard = max(params.f - num_bot, 0)
+        top = nh - 1 - discard
+        kth = sorted({discard, top})
+        accepted = nh * (nh - 1)
+        accepted_total = 0
         pulses: Dict[int, List[float]] = {v: [] for v in range(n)}
+        trains = [pulses[v] for v in honest]
         events = 0
         end_time = 0.0
         # Next-pulse local targets; Figure 3 starts at local time S.
@@ -316,12 +341,15 @@ class VectorizedSimulation:
                             events += 1
                     end_time = until
                     break
-            order = np.argsort(pulse_real, kind="stable")
-            for i in order:
-                self._emit_pulse(
-                    pulses, float(pulse_real[i]), honest[i],
-                    pulse_round, float(local[i]),
-                )
+            if pulses_observed:
+                for i in np.argsort(pulse_real, kind="stable"):
+                    self._emit_pulse(
+                        pulses, float(pulse_real[i]), honest[i],
+                        pulse_round, float(local[i]),
+                    )
+            else:
+                for train, time in zip(trains, pulse_real.tolist()):
+                    train.append(time)
             if max_pulses is not None and pulse_round >= max_pulses:
                 # The event engine halts the instant the slowest node
                 # emits its quota-filling pulse, so the final round's
@@ -341,66 +369,56 @@ class VectorizedSimulation:
             window_close = local + window + 2.0 * EPS
             correction = np.empty(nh)
             completion_local = np.empty(nh)
-            accepted_total = 0
             accepts: List[Any] = []
             summaries: List[Any] = []
             for start in range(0, nh, block_rows):
                 stop = min(start + block_rows, nh)
                 rows = np.arange(start, stop)
-                row_index = rows - start
+                self_cells = (rows - start, rows)
                 receivers = honest[start:stop]
                 # Two float buffers a block: delays become arrivals,
                 # local receive times become estimates.
                 arrival = block_delays(receivers)
                 np.add(send_real, arrival, out=arrival)
                 local_rx = table.local_times(slice(start, stop), arrival)
-                base = local[start:stop, None]
-                accept = local_rx > base
-                accept &= local_rx <= window_end[start:stop, None]
-                accept[row_index, rows] = False
-                counts = 1 + accept.sum(axis=1)
-                num_bot = n - counts
-                discard = np.maximum(params.f - num_bot, 0)
-                if np.any(counts <= 2 * discard):
-                    bad = int(np.argmax(counts <= 2 * discard))
-                    raise SimulationError(
-                        f"need more than {2 * int(discard[bad])} non-bot "
-                        f"estimates at node {receivers[bad]}, got "
-                        f"{int(counts[bad])}"
-                    )
+                local_rx[self_cells] = np.nan  # no self-message
+                base = local[start:stop]
+                first, last = self._window_extremes(
+                    local_rx, start, pulse_round, base,
+                    window_end[start:stop],
+                )
                 # Rounding is monotone, so the latest h + wait is the
-                # latest accepted h, plus the wait.
-                latest = local_rx.max(
-                    axis=1, where=accept, initial=-np.inf
-                ) + fin_wait
-                completion_local[start:stop] = np.where(
-                    num_bot > 0,
-                    np.maximum(latest, window_close[start:stop]),
-                    latest,
+                # latest h, plus the wait.
+                latest = last + fin_wait
+                completion_local[start:stop] = (
+                    np.maximum(latest, window_close[start:stop])
+                    if num_bot else latest
                 )
-                accepted_total += int(counts.sum()) - len(rows)
-                estimates = local_rx  # overwritten from here on
-                estimates -= base
-                estimates -= offset_shift
-                np.copyto(estimates, np.nan, where=~accept)
-                estimates[row_index, rows] = 0.0
-                # The vote reads two order statistics per row: select
-                # them (NaN orders last, as in a sort).  Observers are
-                # handed the estimates by dealer, so then the selection
-                # shuffles a copy.
-                top = counts - 1 - discard
-                ordered = estimates.copy() if observing else estimates
-                ordered.partition(
-                    sorted({*discard.tolist(), *top.tolist()}), axis=1
-                )
-                low = ordered[row_index, discard]
-                high = ordered[row_index, top]
+                if observing or discard:
+                    estimates = local_rx  # overwritten from here on
+                    estimates -= base[:, None]
+                    estimates -= offset_shift
+                    estimates[self_cells] = 0.0
+                if discard:
+                    # Select the two order statistics the vote reads.
+                    # Observers are handed the estimates by dealer, so
+                    # then the selection shuffles a copy.
+                    ordered = estimates.copy() if observing else estimates
+                    ordered.partition(kth, axis=1)
+                    low = ordered[:, discard]
+                    high = ordered[:, top]
+                else:
+                    # x -> (x - P) - shift is monotone under rounding,
+                    # so the extreme estimates are the extreme h's,
+                    # shifted; 0 is the self-estimate.
+                    low = np.minimum(0.0, (first - base) - offset_shift)
+                    high = np.maximum(0.0, (last - base) - offset_shift)
                 correction[start:stop] = (low + high) / 2.0
                 if observing:
                     self._collect_round(
-                        accepts, summaries, rows, receivers, accept,
-                        arrival, estimates, counts, low, high,
-                        correction, pulse_round, local,
+                        accepts, summaries, rows, receivers, arrival,
+                        estimates, low, high, correction, pulse_round,
+                        local,
                     )
             completion_real = table.real_times(completion_local)
             end_time = max(end_time, float(completion_real.max()))
@@ -413,11 +431,21 @@ class VectorizedSimulation:
             # an acceptance, and per timer the event engine would fire.
             events += (
                 nh * (n - 1)
-                + accepted_total * (n - 1)
+                + accepted * (n - 1)
                 + 3 * nh
-                + accepted_total
+                + accepted
             )
+            accepted_total += accepted
             local = local + correction + params.T
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.incr(
+                "pulses.recorded", sum(len(train) for train in trains)
+            )
+            telemetry.incr("tcb.accepts", accepted_total)
+            telemetry.gauges["events.processed"] = events
+            telemetry.gauges["sim.end_time"] = end_time
+            telemetry.observe_span("sim.run")
         return SimulationResult(
             pulses=pulses,
             honest=list(honest),
@@ -444,16 +472,49 @@ class VectorizedSimulation:
         if self.checks is not None:
             self.checks.on_pulse(time, node, index, local_time)
 
+    def _window_extremes(
+        self,
+        local_rx: "np.ndarray",
+        start: int,
+        pulse_round: int,
+        base: "np.ndarray",
+        window_end: "np.ndarray",
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(first, last)``: per receiver row, the earliest and latest
+        local receive time of the other honest dealers' broadcasts (the
+        self column is NaN and ignored) — after checking Lemma 10, i.e.
+        that every one lies in the row's window ``P < h <= window_end``.
+
+        A message outside it would meet the event engine's early/stale
+        guards or echo rejection, which this engine does not model, so
+        the run raises instead of computing something else.  A row with
+        no other honest dealer reads ``(+inf, -inf)`` and passes.
+        """
+        first = np.fmin.reduce(local_rx, axis=1, initial=np.inf)
+        last = np.fmax.reduce(local_rx, axis=1, initial=-np.inf)
+        outside = first <= base
+        outside |= last > window_end
+        if outside.any():
+            i = int(np.argmax(outside))
+            row = local_rx[i]
+            j = int(np.argmax((row <= base[i]) | (row > window_end[i])))
+            raise SimulationError(
+                f"round {pulse_round}: node {self.honest[start + i]} "
+                f"received dealer {self.honest[j]}'s broadcast at local "
+                f"time {row[j]}, outside its window ({base[i]}, "
+                f"{window_end[i]}] — Lemma 10 fails, so this backend "
+                "would not be exact (use backend='event')"
+            )
+        return first, last
+
     def _collect_round(
         self,
         accepts: List[Any],
         summaries: List[Any],
         rows: "np.ndarray",
         receivers: Sequence[int],
-        accept: "np.ndarray",
         arrival: "np.ndarray",
         estimates: "np.ndarray",
-        counts: "np.ndarray",
         low: "np.ndarray",
         high: "np.ndarray",
         correction: "np.ndarray",
@@ -462,9 +523,10 @@ class VectorizedSimulation:
     ) -> None:
         """Materialize per-node annotations (small-n observation path).
 
-        Only runs when checks or a FULL trace are attached — the
-        O(n^2) Python-object cost would dominate large-scale runs, and
-        those run unobserved by construction.
+        Every honest dealer but the node itself is accepted (Lemma 10,
+        checked by the kernel).  Only runs when checks or a FULL trace
+        are attached — the O(n^2) Python-object cost would dominate
+        large-scale runs, and those run unobserved by construction.
         """
         honest = self.honest
         for i, node in enumerate(receivers):
@@ -472,7 +534,7 @@ class VectorizedSimulation:
             for j, dealer in enumerate(honest):
                 if dealer == node:
                     row_estimates[node] = 0.0
-                elif accept[i, j]:
+                else:
                     row_estimates[dealer] = float(estimates[i, j])
                     accepts.append(
                         (
@@ -481,8 +543,6 @@ class VectorizedSimulation:
                             (pulse_round, dealer),
                         )
                     )
-                else:
-                    row_estimates[dealer] = BOT
             for dealer in self.faulty:
                 row_estimates[dealer] = BOT
             summaries.append(
@@ -492,7 +552,7 @@ class VectorizedSimulation:
                         pulse_round=pulse_round,
                         pulse_local=float(local[rows[i]]),
                         estimates=row_estimates,
-                        num_bot=int(self.params.n - counts[i]),
+                        num_bot=len(self.faulty),
                         interval=(float(low[i]), float(high[i])),
                         correction=float(correction[rows[i]]),
                     ),

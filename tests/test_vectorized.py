@@ -15,6 +15,7 @@ scenario envelope, the delay-matrix fast paths against the scalar
 policies they mirror, and the CLI ``--backend`` plumbing.
 """
 
+import dataclasses
 import json
 import random
 
@@ -42,7 +43,12 @@ from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
 from repro.scenarios import REGISTRY
-from repro.sim.errors import ConfigurationError, ModelViolation
+from repro.sim.clocks import HardwareClock
+from repro.sim.errors import (
+    ConfigurationError,
+    ModelViolation,
+    SimulationError,
+)
 from repro.sim.network import (
     DelayPolicy,
     NetworkConfig,
@@ -59,6 +65,7 @@ from repro.sim.vectorized.delays import (
     round_delays,
 )
 from repro.sync.crusader import BOT
+from repro.telemetry import Telemetry, telemetry_session
 
 BASE_CASE = {"n": 6, "theta": 1.001, "d": 1.0, "u": 0.02}
 
@@ -364,6 +371,160 @@ class TestBlocks:
         for cap, rows in ((5, 5), (10 ** 9, derived)):
             simulation.block_size = cap
             assert simulation._rows_per_block() == rows
+
+
+class _LateOnePair(DelayPolicy):
+    """``d - u`` on every link but ``src -> dst``, which takes ``d``."""
+
+    def __init__(self, src, dst):
+        self.src, self.dst = src, dst
+
+    def delay(self, config, src, dst, send_time, payload, honest):
+        late = (src, dst) == (self.src, self.dst)
+        return config.d if late else config.d - config.u
+
+
+def _perfect_clocks(n):
+    return [HardwareClock.over_row(([0.0], [0.0], [1.0]))] * n
+
+
+class TestLemma10:
+    """The window test is a checked invariant: a message outside its
+    receiver's window raises, naming the round, receiver and dealer,
+    instead of being voted on."""
+
+    def test_a_late_broadcast_raises_and_names_it(self):
+        # Perfect clocks, so every round-1 message arrives theta S +
+        # delay after the receiver's pulse.  A window cut between d - u
+        # and d (parameters Lemma 10 does not cover; the links keep the
+        # original d) leaves exactly 2 -> 4 outside it.
+        params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6)
+        simulation = VectorizedSimulation(
+            params,
+            clocks=_perfect_clocks(6),
+            faulty=[5],
+            delay_policy=_LateOnePair(2, 4),
+        )
+        theta, S = params.theta, params.S
+        simulation.params = dataclasses.replace(
+            params, d=(theta * S + 0.99) / theta - (theta + 1.0) * S
+        )
+        with pytest.raises(
+            SimulationError,
+            match=r"round 1: node 4 received dealer 2's broadcast .* "
+            r"outside its window",
+        ):
+            simulation.run(max_pulses=3)
+
+    def test_window_bounds_are_the_event_engines(self):
+        # P < h <= window_end: the end is in, P itself and one ulp past
+        # the end are out.  The NaN self column is ignored, and a row
+        # without another honest dealer reads (+inf, -inf).
+        params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6)
+        simulation = VectorizedSimulation(
+            params,
+            clocks=REGISTRY.create("drift", "extreme", params, 0),
+            faulty=[5],
+        )
+        nan = np.nan
+        local_rx = np.array([
+            [nan, 1.5, 2.0, 1.25, 1.75],
+            [1.5, nan, 1.5, 1.5, 1.5],
+        ])
+        base, window_end = np.array([1.0, 1.0]), np.array([2.0, 2.0])
+        first, last = simulation._window_extremes(
+            local_rx, 0, 3, base, window_end
+        )
+        assert first.tolist() == [1.25, 1.5]
+        assert last.tolist() == [2.0, 1.5]
+        for (i, j, h) in ((1, 3, np.nextafter(2.0, 3.0)), (0, 2, 1.0)):
+            outside = local_rx.copy()
+            outside[i, j] = h
+            with pytest.raises(
+                SimulationError,
+                match=rf"round 3: node {i} received dealer {j}'s",
+            ):
+                simulation._window_extremes(
+                    outside, 0, 3, base, window_end
+                )
+        alone = np.full((1, 1), nan)
+        first, last = simulation._window_extremes(
+            alone, 0, 1, base[:1], window_end[:1]
+        )
+        assert (first.tolist(), last.tolist()) == ([np.inf], [-np.inf])
+
+    @pytest.mark.parametrize("trace", ["none", "full"])
+    def test_a_single_honest_node_matches_the_parent(self, trace):
+        # The vacuous vote: no other honest dealer, so the interval is
+        # the self-estimate alone.  Pinned from the masked kernel.
+        params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=5)
+        simulation = VectorizedSimulation(
+            params,
+            clocks=REGISTRY.create("drift", "random", params, 4),
+            faulty=range(1, 5),
+            trace=trace,
+        )
+        result = simulation.run(max_pulses=6)
+        assert [t.hex() for t in result.pulses[0]] == [
+            "0x1.16b239af143d8p-4", "0x1.25ed27129edcep+1",
+            "0x1.21925e2be28c0p+2", "0x1.b025c05c18380p+2",
+            "0x1.1f5b6d5ad19e2p+3", "0x1.66a65cf2c234bp+3",
+        ]
+        assert result.events_processed == 36
+        assert float(result.end_time).hex() == "0x1.66a65cf2c234bp+3"
+        rounds = result.trace.protocol_events("cps-round")
+        assert len(rounds) == (5 if trace == "full" else 0)
+        for record in rounds:
+            assert record.details.interval == (0.0, 0.0)
+            assert record.details.num_bot == 4
+
+
+class TestTelemetry:
+    """The vectorized engine adopts the ambient telemetry session and
+    records its round totals once a run."""
+
+    CASE = _case(delay="maximum", drift="extreme")
+
+    def _run(self, backend="vectorized", telemetry=None):
+        # A simulation adopts the session it is built in.
+        with telemetry_session(telemetry):
+            built = build_simulation(self.CASE, backend=backend, seed=3)
+        return built.simulation.run(max_pulses=6)
+
+    def test_instrumenting_a_run_changes_nothing(self):
+        bare = self._run()
+        instrumented = self._run(telemetry=Telemetry())
+        assert _same_execution(bare, instrumented)
+
+    def test_snapshots_are_deterministic(self):
+        first, second = Telemetry(), Telemetry()
+        self._run(telemetry=first)
+        self._run(telemetry=second)
+        assert first.as_dict() == second.as_dict()
+        snapshot = first.as_dict()
+        assert snapshot["spans"] == {"sim.run": 1}
+        assert snapshot["meta"]["n"] == BASE_CASE["n"]
+
+    def test_the_filled_names_read_as_the_event_engines(self):
+        vector, event = Telemetry(), Telemetry()
+        result = self._run(telemetry=vector)
+        self._run(backend="event", telemetry=event)
+        honest = len(result.honest)
+        assert vector.counters["pulses.recorded"] == 6 * honest
+        assert (
+            vector.counters["pulses.recorded"]
+            == event.counters["pulses.recorded"]
+        )
+        # The quota-stopped final round is not counted; the event
+        # engine may have accepted part of it before it stopped.
+        assert vector.counters["tcb.accepts"] == 5 * honest * (honest - 1)
+        assert vector.counters["tcb.accepts"] <= event.counters[
+            "tcb.accepts"
+        ]
+        assert vector.gauges["events.processed"] == (
+            result.events_processed
+        )
+        assert vector.gauges["sim.end_time"] == result.end_time
 
 
 class TestFacade:
