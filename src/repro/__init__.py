@@ -37,44 +37,66 @@ generated ``docs/EXPERIMENTS.md`` for the experiment catalog.
 """
 
 import importlib
+import sys
 
 __version__ = "1.1.0"
 
-#: Public name → defining module.  Resolved on first access (PEP 562),
-#: so ``import repro`` — and with it ``python -m repro --help`` —
-#: executes no engine module.
-_EXPORTS = {
-    "BACKENDS": "repro.build",
-    "BuiltSimulation": "repro.build",
-    "CpsNode": "repro.core.cps",
-    "ProtocolParameters": "repro.core.params",
-    "PulseReport": "repro.analysis.metrics",
-    "Simulation": "repro.sim.scheduler",
-    "SimulationResult": "repro.sim.scheduler",
-    "THETA_MAX": "repro.core.params",
-    "UnknownBackendError": "repro.build",
-    "assemble_cps_simulation": "repro.core.cps",
-    "build_simulation": "repro.build",
-    "derive_parameters": "repro.core.params",
-    "max_faults": "repro.core.params",
-    "resolve_backend": "repro.build",
-    "run_lower_bound": "repro.core.lower_bound",
-}
 
-__all__ = sorted([*_EXPORTS, "__version__"])
+def lazy_exports(package, table, *inline):
+    """A package's PEP 562 exports: ``(__getattr__, __dir__, __all__)``.
 
+    ``table`` maps a submodule, relative to ``package``, to the public
+    names it defines; ``inline`` names what the package body defines
+    itself.  Importing the package executes none of the submodules: a
+    name is imported from its submodule when it is first read, then
+    bound on the package, so later reads are plain attribute lookups.
+    """
+    owners = {
+        name: f"{package}.{module}"
+        for module, names in table.items()
+        for name in names
+    }
+    names = sorted([*owners, *inline])
 
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
+    def __getattr__(name):
+        try:
+            module = owners[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted({*vars(sys.modules[package]), *names})
+
+    return __getattr__, __dir__, names
 
 
-def __dir__():
-    return sorted({*globals(), *__all__})
+# ``import repro`` — and with it ``python -m repro --help`` — executes
+# no engine module.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "analysis.metrics": ("PulseReport",),
+        "build": (
+            "BACKENDS",
+            "BuiltSimulation",
+            "UnknownBackendError",
+            "build_simulation",
+            "resolve_backend",
+        ),
+        "core.cps": ("CpsNode", "assemble_cps_simulation"),
+        "core.lower_bound": ("run_lower_bound",),
+        "core.params": (
+            "ProtocolParameters",
+            "THETA_MAX",
+            "derive_parameters",
+            "max_faults",
+        ),
+        "sim.scheduler": ("Simulation", "SimulationResult"),
+    },
+    "__version__",
+)

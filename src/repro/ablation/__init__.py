@@ -25,44 +25,28 @@ CLI surface: ``repro ablate plan | run | report``; the generated
 catalog document is ``docs/ABLATIONS.md``.
 """
 
-from repro.ablation.components import (
-    AblationComponent,
-    COMPONENT_INDEX,
-    COMPONENTS,
-)
-from repro.ablation.plan import (
-    ABLATION_BUILDER,
-    ABLATION_CAMPAIGN_NAME,
-    ABLATION_SEED,
-    AblationSpec,
-    PlannedRun,
-    ablation_campaign_spec,
-    planned_runs,
-    planned_trials,
-)
-from repro.ablation.report import (
-    ablation_payload_bytes,
-    ablation_report,
-    ablation_table,
-    monitor_flips,
-    render_ablation_table,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AblationComponent",
-    "COMPONENTS",
-    "COMPONENT_INDEX",
-    "ABLATION_BUILDER",
-    "ABLATION_CAMPAIGN_NAME",
-    "ABLATION_SEED",
-    "AblationSpec",
-    "PlannedRun",
-    "ablation_campaign_spec",
-    "planned_runs",
-    "planned_trials",
-    "ablation_payload_bytes",
-    "ablation_report",
-    "ablation_table",
-    "monitor_flips",
-    "render_ablation_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "components": ("AblationComponent", "COMPONENTS", "COMPONENT_INDEX"),
+        "plan": (
+            "ABLATION_BUILDER",
+            "ABLATION_CAMPAIGN_NAME",
+            "ABLATION_SEED",
+            "AblationSpec",
+            "PlannedRun",
+            "ablation_campaign_spec",
+            "planned_runs",
+            "planned_trials",
+        ),
+        "report": (
+            "ablation_payload_bytes",
+            "ablation_report",
+            "ablation_table",
+            "monitor_flips",
+            "render_ablation_table",
+        ),
+    },
+)

@@ -1,29 +1,21 @@
 """Measurement, theory bounds, reporting, and the experiment registry."""
 
-from repro.analysis.metrics import (
-    PulseReport,
-    check_liveness,
-    common_pulse_count,
-    max_period,
-    max_skew,
-    min_period,
-    pulse_skew,
-    skew_trajectory,
-)
-from repro.analysis.reporting import Table, format_value
-from repro.analysis.runner import TrialOutcome, run_pulse_trial
+from repro import lazy_exports
 
-__all__ = [
-    "PulseReport",
-    "Table",
-    "TrialOutcome",
-    "check_liveness",
-    "common_pulse_count",
-    "format_value",
-    "max_period",
-    "max_skew",
-    "min_period",
-    "pulse_skew",
-    "run_pulse_trial",
-    "skew_trajectory",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "metrics": (
+            "PulseReport",
+            "check_liveness",
+            "common_pulse_count",
+            "max_period",
+            "max_skew",
+            "min_period",
+            "pulse_skew",
+            "skew_trajectory",
+        ),
+        "reporting": ("Table", "format_value"),
+        "runner": ("TrialOutcome", "run_pulse_trial"),
+    },
+)

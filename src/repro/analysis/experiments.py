@@ -18,7 +18,9 @@ one comparison from the introduction.  An experiment is three things:
 :func:`run_experiment` — and with it ``repro run``, ``repro all``,
 ``repro campaign run``, the benchmarks and the generated
 ``docs/EXPERIMENTS.md`` — reads the campaign registry; nothing here
-runs at import time beyond the registrations at the bottom.
+runs at import time beyond the registrations at the bottom, and a
+spec or a table imports the campaign layer, builders and baselines it
+uses when it is called, so listing the catalog loads none of them.
 
 ``scale="quick"`` keeps runtimes in seconds (CI-friendly);
 ``scale="full"`` covers wider sweeps; any other tier a spec declares
@@ -28,25 +30,29 @@ runs at import time beyond the registrations at the bottom.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.ablation import ablation_campaign_spec, ablation_table
-from repro.analysis.reporting import Table
-from repro.baselines.lynch_welch import lw_max_faults
 from repro.campaigns import (
     CampaignDefinition,
-    CampaignRun,
-    CampaignSpec,
-    MeasurementSpec,
-    ScenarioSpec,
     campaign_definition,
-    execute_campaign,
-    records_to_table,
     register_campaign,
 )
-from repro.campaigns.aggregate import Column
-from repro.campaigns.builders import E6_ALGORITHMS
 from repro.core.params import derive_parameters, max_faults
+
+if TYPE_CHECKING:
+    from repro.analysis.reporting import Table
+    from repro.campaigns.aggregate import Column
+    from repro.campaigns.executor import CampaignRun
+    from repro.campaigns.spec import CampaignSpec
 
 # Canonical model parameters of the "typical regime" (u << d, theta-1 << 1)
 # the introduction argues about.  d normalizes the time unit.
@@ -111,6 +117,8 @@ def _table(
     """A table assembler from one declarative column list."""
 
     def tabulate(run: CampaignRun) -> Table:
+        from repro.campaigns.aggregate import records_to_table
+
         table = records_to_table(run.records, title, columns)
         if note:
             table.add_note(note)
@@ -132,6 +140,12 @@ def _campaign(
     STRESS and FUZZ.  ``tiers`` is one ``(pulses, warmup)`` pair for
     both ``quick`` and ``full``, or a ``{scale: pair}`` mapping;
     ``grid`` is the :class:`ScenarioSpec` ``base``/``axes``/``cases``."""
+    from repro.campaigns.spec import (
+        CampaignSpec,
+        MeasurementSpec,
+        ScenarioSpec,
+    )
+
     if isinstance(tiers, tuple):
         tiers = {"quick": tiers, "full": tiers}
     return CampaignSpec(
@@ -334,6 +348,9 @@ def e5_table(run: CampaignRun) -> Table:
     extra column appears only then, so quick/full tables stay
     byte-identical to the pre-registry output.
     """
+    from repro.baselines.lynch_welch import lw_max_faults
+    from repro.campaigns.aggregate import records_to_table
+
     with_delay = any("delay" in record.case for record in run.records)
     table = records_to_table(
         run.records,
@@ -365,6 +382,8 @@ def e5_table(run: CampaignRun) -> Table:
 
 def e6_campaign() -> CampaignSpec:
     """Skew of CPS vs the three baselines in the typical regime."""
+    from repro.campaigns.builders import E6_ALGORITHMS
+
     return _campaign(
         "E6",
         "algorithm-comparison",
@@ -418,6 +437,8 @@ def e7_campaign() -> CampaignSpec:
 
 def e7_table(run: CampaignRun) -> Table:
     """The note quotes the ``S`` CPS would claim on honest links alone."""
+    from repro.campaigns.aggregate import records_to_table
+
     table = records_to_table(
         run.records,
         _title("E7"),
@@ -551,6 +572,8 @@ def e10_campaign() -> CampaignSpec:
 
 def e10_table(run: CampaignRun) -> Table:
     """One row per pulse of the (single) trial's skew trajectory."""
+    from repro.analysis.reporting import Table
+
     table = Table(
         _title("E10"),
         ["pulse", "skew", "bound S", "halving ref", "floor 2*delta"],
@@ -687,6 +710,12 @@ def stress_campaign() -> CampaignSpec:
     time), so extending the stress surface is a registry entry plus one
     tuple element here — no builder code changes.
     """
+    from repro.campaigns.spec import (
+        CampaignSpec,
+        MeasurementSpec,
+        ScenarioSpec,
+    )
+
     adversaries = (
         "silent",
         "mimic-split",
@@ -858,6 +887,12 @@ def fuzz_campaign() -> CampaignSpec:
     must report zero counterexamples; the ``known-bad`` shards (full
     scale) must each find one — they regression-test the oracle itself.
     """
+    from repro.campaigns.spec import (
+        CampaignSpec,
+        MeasurementSpec,
+        ScenarioSpec,
+    )
+
     return CampaignSpec(
         name="FUZZ",
         description=DESCRIPTIONS["FUZZ"],
@@ -963,6 +998,23 @@ e9_scale_table = _table(
 )
 
 
+# --- ABLATION — per-component importance (see repro.ablation) ---------
+
+
+def ablation_campaign() -> CampaignSpec:
+    """The baseline-plus-one-off matrix; ``repro ablate run`` is the full
+    surface (--pairwise, the committed artifact)."""
+    from repro.ablation import plan
+
+    return plan.ablation_campaign_spec()
+
+
+def ablation_table(run: CampaignRun) -> Table:
+    from repro.ablation import report
+
+    return report.ablation_table(run)
+
+
 # --- Registry ---------------------------------------------------------
 
 for _name, _factory, _tabulate in (
@@ -983,9 +1035,7 @@ for _name, _factory, _tabulate in (
     ("CHURN-STRESS", churn_campaign, churn_table),
     ("FUZZ", fuzz_campaign, fuzz_table),
     ("E9-SCALE", e9_scale_campaign, e9_scale_table),
-    # Per-component importance (see repro.ablation); ``repro ablate
-    # run`` is the full surface (--pairwise, the committed artifact).
-    ("ABLATION", ablation_campaign_spec, ablation_table),
+    ("ABLATION", ablation_campaign, ablation_table),
 ):
     register_campaign(
         CampaignDefinition(_name, _factory, _tabulate, DESCRIPTIONS[_name])
@@ -994,6 +1044,8 @@ for _name, _factory, _tabulate in (
 
 def run_experiment(name: str, scale: str = "quick") -> Table:
     """Run one registered experiment by id and assemble its table."""
+    from repro.campaigns.executor import execute_campaign
+
     definition = campaign_definition(name)
     run = execute_campaign(definition.spec(), scale=scale)
     return definition.tabulate(run)

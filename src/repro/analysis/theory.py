@@ -6,11 +6,13 @@ compare these numbers against measurements.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.baselines.chain_relay import ChainParameters
-from repro.baselines.srikanth_toueg import StParameters
 from repro.core.params import ProtocolParameters
+
+if TYPE_CHECKING:
+    from repro.baselines.chain_relay import ChainParameters
+    from repro.baselines.srikanth_toueg import StParameters
 
 
 def cps_skew_bound(params: ProtocolParameters) -> float:

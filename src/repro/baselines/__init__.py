@@ -8,54 +8,37 @@
   resilience ``ceil(n/2) - 1``, skew ``Θ(f (u + (theta-1) d))``.
 """
 
-from repro.baselines.chain_relay import (
-    ChainMessage,
-    ChainParameters,
-    ChainRelayNode,
-    ChainStretchAttack,
-    build_chain_simulation,
-    chain_tag,
-    derive_chain_parameters,
-)
-from repro.baselines.lynch_welch import (
-    LwMessage,
-    LwTimingAttack,
-    LynchWelchNode,
-    build_lw_simulation,
-    derive_lw_parameters,
-    lw_max_faults,
-)
-from repro.baselines.srikanth_toueg import (
-    SrikanthTouegNode,
-    StBundle,
-    StParameters,
-    StReady,
-    StRushAttack,
-    build_st_simulation,
-    derive_st_parameters,
-    st_tag,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ChainMessage",
-    "ChainParameters",
-    "ChainRelayNode",
-    "ChainStretchAttack",
-    "LwMessage",
-    "LwTimingAttack",
-    "LynchWelchNode",
-    "SrikanthTouegNode",
-    "StBundle",
-    "StParameters",
-    "StReady",
-    "StRushAttack",
-    "build_chain_simulation",
-    "build_lw_simulation",
-    "build_st_simulation",
-    "chain_tag",
-    "derive_chain_parameters",
-    "derive_lw_parameters",
-    "derive_st_parameters",
-    "lw_max_faults",
-    "st_tag",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "chain_relay": (
+            "ChainMessage",
+            "ChainParameters",
+            "ChainRelayNode",
+            "ChainStretchAttack",
+            "build_chain_simulation",
+            "chain_tag",
+            "derive_chain_parameters",
+        ),
+        "lynch_welch": (
+            "LwMessage",
+            "LwTimingAttack",
+            "LynchWelchNode",
+            "build_lw_simulation",
+            "derive_lw_parameters",
+            "lw_max_faults",
+        ),
+        "srikanth_toueg": (
+            "SrikanthTouegNode",
+            "StBundle",
+            "StParameters",
+            "StReady",
+            "StRushAttack",
+            "build_st_simulation",
+            "derive_st_parameters",
+            "st_tag",
+        ),
+    },
+)

@@ -38,12 +38,10 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro import scenarios
-from repro.core.cps import assemble_cps_simulation
-from repro.core.params import ProtocolParameters, derive_parameters, max_faults
-from repro.core.topology import simulate_full_connectivity, uniform_timings
+if TYPE_CHECKING:
+    from repro.core.params import ProtocolParameters
 
 #: The registered execution backends, in documentation order.
 BACKENDS: Tuple[str, ...] = ("event", "vectorized")
@@ -169,6 +167,13 @@ def _case_parameters(
     overlay's real effective delays — exactly the mismatch Appendix A's
     translation exists to prevent.
     """
+    from repro import scenarios
+    from repro.core.params import derive_parameters, max_faults
+    from repro.core.topology import (
+        simulate_full_connectivity,
+        uniform_timings,
+    )
+
     n = case["n"]
     theta = case.get("theta", 1.001)
     d = case.get("d", 1.0)
@@ -244,6 +249,9 @@ def build_simulation(
     identical clocks and parameters on both backends, which is what
     the cross-backend differential suite leans on.
     """
+    from repro import scenarios
+    from repro.core.cps import assemble_cps_simulation
+
     backend = resolve_backend(backend)
     n = case["n"]
     ablate = resolve_ablation(case.get("ablate"))

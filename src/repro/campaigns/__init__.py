@@ -39,50 +39,65 @@ executes the same grid that ``repro run E4`` renders, across all cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
-from repro.analysis.reporting import Table
-from repro.campaigns.aggregate import (
-    campaign_throughput,
-    failure_counts,
-    records_to_table,
-    run_summary_table,
-    summary_stats,
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.reporting import Table
+    from repro.campaigns.executor import CampaignRun
+    from repro.campaigns.spec import CampaignSpec
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "adaptive": ("AdaptivePolicy",),
+        "aggregate": (
+            "campaign_throughput",
+            "failure_counts",
+            "records_to_table",
+            "run_summary_table",
+            "summary_stats",
+        ),
+        "builders": (
+            "BUILDERS",
+            "TrialFailure",
+            "register_builder",
+            "resolve_builder",
+        ),
+        "executor": (
+            "CampaignRun",
+            "ExecutionPolicy",
+            "execute_campaign",
+            "map_trials",
+            "run_trial",
+        ),
+        "queue": (
+            "QueueError",
+            "WorkQueue",
+            "default_worker_id",
+            "run_worker",
+        ),
+        "spec": (
+            "SCENARIO_CASE_KEYS",
+            "CampaignSpec",
+            "MeasurementSpec",
+            "ScenarioSpec",
+            "TrialPlan",
+            "canonical_json",
+            "derive_seed",
+            "scales_of",
+            "stable_hash",
+            "validate_scenario_names",
+        ),
+        "store": ("CorruptStoreError", "ResultStore", "TrialRecord"),
+    },
+    "CATALOG",
+    "CampaignDefinition",
+    "available_campaigns",
+    "campaign_definition",
+    "register_campaign",
 )
-from repro.campaigns.adaptive import AdaptivePolicy
-from repro.campaigns.builders import (
-    BUILDERS,
-    TrialFailure,
-    register_builder,
-    resolve_builder,
-)
-from repro.campaigns.executor import (
-    CampaignRun,
-    ExecutionPolicy,
-    TrialRecord,
-    execute_campaign,
-    map_trials,
-    run_trial,
-)
-from repro.campaigns.spec import (
-    SCENARIO_CASE_KEYS,
-    CampaignSpec,
-    MeasurementSpec,
-    ScenarioSpec,
-    TrialPlan,
-    canonical_json,
-    derive_seed,
-    scales_of,
-    stable_hash,
-    validate_scenario_names,
-)
-from repro.campaigns.queue import (
-    QueueError,
-    WorkQueue,
-    default_worker_id,
-    run_worker,
-)
-from repro.campaigns.store import CorruptStoreError, ResultStore
 
 
 @dataclass(frozen=True)
@@ -129,43 +144,3 @@ def campaign_definition(name: str) -> CampaignDefinition:
             f"{sorted(CATALOG)}"
         ) from None
 
-
-__all__ = [
-    "BUILDERS",
-    "CATALOG",
-    "SCENARIO_CASE_KEYS",
-    "AdaptivePolicy",
-    "CampaignDefinition",
-    "CampaignRun",
-    "CampaignSpec",
-    "CorruptStoreError",
-    "ExecutionPolicy",
-    "MeasurementSpec",
-    "QueueError",
-    "ResultStore",
-    "ScenarioSpec",
-    "TrialFailure",
-    "TrialPlan",
-    "TrialRecord",
-    "WorkQueue",
-    "available_campaigns",
-    "campaign_definition",
-    "campaign_throughput",
-    "canonical_json",
-    "default_worker_id",
-    "derive_seed",
-    "execute_campaign",
-    "failure_counts",
-    "map_trials",
-    "records_to_table",
-    "register_builder",
-    "register_campaign",
-    "resolve_builder",
-    "run_summary_table",
-    "run_trial",
-    "run_worker",
-    "scales_of",
-    "stable_hash",
-    "summary_stats",
-    "validate_scenario_names",
-]

@@ -53,8 +53,8 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaigns.executor import TrialRecord
 from repro.campaigns.spec import CampaignSpec, TrialPlan
+from repro.campaigns.store import TrialRecord
 
 
 @dataclass(frozen=True)

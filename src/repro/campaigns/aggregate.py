@@ -1,6 +1,6 @@
 """Reduce campaign trial records into the repo's ``Table`` rows.
 
-The executor yields flat :class:`~repro.campaigns.executor.TrialRecord`
+The executor yields flat :class:`~repro.campaigns.store.TrialRecord`
 lists; experiments group them, pull case/metric values, and emit the
 same :class:`~repro.analysis.reporting.Table` objects the CLI,
 benchmarks, and CSV snapshots already render.
@@ -28,7 +28,8 @@ except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
 from repro.analysis.reporting import Table
-from repro.campaigns.executor import CampaignRun, TrialRecord
+from repro.campaigns.executor import CampaignRun
+from repro.campaigns.store import TrialRecord
 
 _MISSING = object()
 

@@ -38,7 +38,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -50,6 +50,7 @@ from typing import (
 )
 
 from repro.campaigns.spec import CampaignSpec, TrialPlan
+from repro.campaigns.store import TrialRecord
 
 #: How often the parent re-checks chunk start stamps while waiting on a
 #: budgeted future.  Bounds timeout-detection latency, not throughput.
@@ -103,53 +104,6 @@ class ExecutionPolicy:
             raise ValueError("chunk_size must be >= 1")
         if self.lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
-
-
-@dataclass
-class TrialRecord:
-    """One executed (or cached / failed) trial."""
-
-    campaign: str
-    builder: str
-    case: Dict[str, Any]
-    seed: int
-    case_key: str
-    index: int
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    error: Optional[str] = None
-    duration: float = 0.0
-    cached: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "campaign": self.campaign,
-            "builder": self.builder,
-            "case": self.case,
-            "seed": self.seed,
-            "case_key": self.case_key,
-            "index": self.index,
-            "metrics": self.metrics,
-            "error": self.error,
-            "duration": self.duration,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Dict[str, Any]) -> "TrialRecord":
-        return cls(
-            campaign=payload["campaign"],
-            builder=payload["builder"],
-            case=payload["case"],
-            seed=payload["seed"],
-            case_key=payload["case_key"],
-            index=payload["index"],
-            metrics=payload.get("metrics") or {},
-            error=payload.get("error"),
-            duration=payload.get("duration", 0.0),
-        )
 
 
 def run_trial(

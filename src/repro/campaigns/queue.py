@@ -62,12 +62,9 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.campaigns.executor import (
-    ExecutionPolicy,
-    TrialRecord,
-    prepare_tasks,
-)
+from repro.campaigns.executor import ExecutionPolicy, prepare_tasks
 from repro.campaigns.spec import CampaignSpec, TrialPlan
+from repro.campaigns.store import TrialRecord
 
 _CHUNK_FILE = re.compile(r"^chunk-\d{5}\.json$")
 

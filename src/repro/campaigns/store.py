@@ -42,9 +42,16 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
-
-from repro.campaigns.executor import TrialRecord
+from dataclasses import dataclass, field
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 #: Shard names become file names; keep them portable and unambiguous.
 _SHARD_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -87,6 +94,53 @@ def dump_json_summary(path: str, payload: Mapping) -> str:
     with open(path, "wb") as handle:
         handle.write(summary_bytes(payload))
     return path
+
+
+@dataclass
+class TrialRecord:
+    """One executed (or cached / failed) trial."""
+
+    campaign: str
+    builder: str
+    case: Dict[str, Any]
+    seed: int
+    case_key: str
+    index: int
+    metrics: Dict[str, Any] = field(default_factory=dict)
+    error: Optional[str] = None
+    duration: float = 0.0
+    cached: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+    def to_json_dict(self) -> Dict[str, Any]:
+        return {
+            "campaign": self.campaign,
+            "builder": self.builder,
+            "case": self.case,
+            "seed": self.seed,
+            "case_key": self.case_key,
+            "index": self.index,
+            "metrics": self.metrics,
+            "error": self.error,
+            "duration": self.duration,
+        }
+
+    @classmethod
+    def from_json_dict(cls, payload: Dict[str, Any]) -> "TrialRecord":
+        return cls(
+            campaign=payload["campaign"],
+            builder=payload["builder"],
+            case=payload["case"],
+            seed=payload["seed"],
+            case_key=payload["case_key"],
+            index=payload["index"],
+            metrics=payload.get("metrics") or {},
+            error=payload.get("error"),
+            duration=payload.get("duration", 0.0),
+        )
 
 
 def record_line(record: TrialRecord) -> str:

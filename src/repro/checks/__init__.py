@@ -30,76 +30,48 @@ are data, not code: ``fuzz-fixture/v1`` files under
 workflow.
 """
 
-from repro.checks.campaign import (
-    campaign_conformance,
-    campaign_scenarios,
-    render_campaign_conformance,
-)
-from repro.checks.conformance import (
-    APA_MONITORS,
-    CHURN_MONITORS,
-    CPS_MONITORS,
-    MODE_MONITORS,
-    MONITOR_CATALOG,
-    JudgedRun,
-    ScenarioReport,
-    applicable_monitors,
-    check_scenario,
-    churn_check_set,
-    conformance_matrix,
-    cps_check_set,
-    judge_pulses,
-    judged_run,
-    matrix_payload_bytes,
-    render_matrix,
-    render_report,
-    scenario_case,
-    scenario_mode,
-)
-from repro.checks.monitors import (
-    ApaContractionMonitor,
-    CheckSet,
-    Monitor,
-    MonitorVerdict,
-    PeriodWindowMonitor,
-    ProgressMonitor,
-    SkewBoundMonitor,
-    StabilizationMonitor,
-    TcbConsistencyMonitor,
-    Violation,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "APA_MONITORS",
-    "CHURN_MONITORS",
-    "CPS_MONITORS",
-    "MODE_MONITORS",
-    "MONITOR_CATALOG",
-    "ApaContractionMonitor",
-    "CheckSet",
-    "JudgedRun",
-    "Monitor",
-    "MonitorVerdict",
-    "PeriodWindowMonitor",
-    "ProgressMonitor",
-    "ScenarioReport",
-    "SkewBoundMonitor",
-    "StabilizationMonitor",
-    "TcbConsistencyMonitor",
-    "Violation",
-    "applicable_monitors",
-    "campaign_conformance",
-    "campaign_scenarios",
-    "check_scenario",
-    "churn_check_set",
-    "conformance_matrix",
-    "cps_check_set",
-    "judge_pulses",
-    "judged_run",
-    "matrix_payload_bytes",
-    "render_campaign_conformance",
-    "render_matrix",
-    "render_report",
-    "scenario_case",
-    "scenario_mode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "campaign": (
+            "campaign_conformance",
+            "campaign_scenarios",
+            "render_campaign_conformance",
+        ),
+        "conformance": (
+            "APA_MONITORS",
+            "CHURN_MONITORS",
+            "CPS_MONITORS",
+            "JudgedRun",
+            "MODE_MONITORS",
+            "MONITOR_CATALOG",
+            "ScenarioReport",
+            "applicable_monitors",
+            "check_scenario",
+            "churn_check_set",
+            "conformance_matrix",
+            "cps_check_set",
+            "judge_pulses",
+            "judged_run",
+            "matrix_payload_bytes",
+            "render_matrix",
+            "render_report",
+            "scenario_case",
+            "scenario_mode",
+        ),
+        "monitors": (
+            "ApaContractionMonitor",
+            "CheckSet",
+            "Monitor",
+            "MonitorVerdict",
+            "PeriodWindowMonitor",
+            "ProgressMonitor",
+            "SkewBoundMonitor",
+            "StabilizationMonitor",
+            "TcbConsistencyMonitor",
+            "Violation",
+        ),
+    },
+)

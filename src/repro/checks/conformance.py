@@ -43,10 +43,8 @@ artifacts byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import theory
-from repro.campaigns.spec import derive_seed
 from repro.campaigns.store import summary_bytes
 from repro.checks.monitors import (
     ApaContractionMonitor,
@@ -61,11 +59,9 @@ from repro.checks.monitors import (
 )
 from repro.core.params import ProtocolParameters, max_faults
 from repro.scenarios import REGISTRY
-from repro.sync.approx_agreement import (
-    ApaResult,
-    iterations_for_target,
-    run_apa,
-)
+
+if TYPE_CHECKING:
+    from repro.sync.approx_agreement import ApaResult
 
 #: Monitor catalog in display order: name -> claim (matrix columns).
 MONITOR_CATALOG: Dict[str, str] = {
@@ -137,6 +133,8 @@ def cps_check_set(
     expected_pulses: int,
 ) -> CheckSet:
     """The Theorem 17 / Lemma 11 monitors for one CPS deployment."""
+    from repro.analysis import theory
+
     honest = list(honest)
     return CheckSet(
         [
@@ -246,6 +244,8 @@ def scenario_case(
 
 def conformance_seed(seed: int, kind: str, key: str) -> int:
     """Deterministic per-scenario seed (independent of sweep order)."""
+    from repro.campaigns.spec import derive_seed
+
     return derive_seed(seed, "conformance", {"kind": kind, "key": key})
 
 
@@ -338,6 +338,8 @@ def apa_reference_run(
     honest inputs down to ``target`` with the last ``ceil(n/2) - 1``
     nodes faulty — the run E1 tabulates and the ``apa`` conformance
     mode judges."""
+    from repro.sync.approx_agreement import iterations_for_target, run_apa
+
     f = max_faults(n)
     honest = n - f
     return run_apa(

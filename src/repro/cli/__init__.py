@@ -19,12 +19,13 @@ subcommands (``repro <command> --help`` prints the flags):
 
 The import rule: **a command imports its own subsystem and nothing
 else.**  This module holds only the table below; a group module imports
-its subsystem at its own top and is itself imported when
+what its parsers and listings read (a catalog) at its own top, what a
+handler runs inside that handler, and is itself imported when
 :func:`main` sees one of its commands in ``argv`` (or when
 :func:`build_parser` is asked for the whole tree).  ``repro --help``,
 ``repro --version`` and an unknown command are answered from the table
-alone; graph libraries load on first graph (see
-:mod:`repro.core.topology`).
+alone; a listing loads its catalog and nothing behind it; graph
+libraries load on first graph (see :mod:`repro.core.topology`).
 """
 
 from __future__ import annotations

@@ -39,16 +39,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from repro.build import resolve_backend
-from repro.campaigns import (
-    QueueError,
-    ResultStore,
-    available_campaigns,
-    campaign_definition,
-    campaign_throughput,
-    run_summary_table,
-)
-from repro.campaigns.queue import WorkQueue, run_worker
+from repro.campaigns import available_campaigns, campaign_definition
 from repro.cli.execution import (
     campaign_or_exit,
     execute_or_exit,
@@ -65,6 +56,8 @@ def _command_campaign_list(_args: argparse.Namespace) -> int:
 
 
 def _command_campaign_show(args: argparse.Namespace) -> int:
+    from repro.campaigns.store import ResultStore
+
     definition = campaign_or_exit(args.campaign)
     spec = definition.spec()
     info = spec.describe(args.scale)
@@ -91,6 +84,12 @@ def _command_campaign_show(args: argparse.Namespace) -> int:
 
 
 def _command_campaign_run(args: argparse.Namespace) -> int:
+    from repro.build import resolve_backend
+    from repro.campaigns.aggregate import (
+        campaign_throughput,
+        run_summary_table,
+    )
+
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store")
     if args.queue and not args.store:
@@ -212,6 +211,9 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _command_campaign_enqueue(args: argparse.Namespace) -> int:
+    from repro.campaigns.queue import QueueError, WorkQueue
+    from repro.campaigns.store import ResultStore
+
     definition = campaign_or_exit(args.campaign)
     spec = definition.spec()
     plans = spec.trials_for(args.scale)
@@ -239,6 +241,9 @@ def _command_campaign_enqueue(args: argparse.Namespace) -> int:
 
 
 def _command_campaign_worker(args: argparse.Namespace) -> int:
+    from repro.campaigns.queue import QueueError, run_worker
+    from repro.campaigns.store import ResultStore
+
     store = ResultStore(args.store)
     try:
         stats = run_worker(

@@ -32,16 +32,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro import scenarios
-from repro.build import resolve_backend
-from repro.campaigns.store import dump_json_summary
-from repro.checks import (
-    MONITOR_CATALOG,
-    applicable_monitors,
-    check_scenario,
-    conformance_matrix,
-    render_matrix,
-    render_report,
-)
+from repro.checks import MONITOR_CATALOG, applicable_monitors
 from repro.cli.shared import (
     artifact_out,
     backend_parent,
@@ -123,6 +114,9 @@ def _command_check_list(_args: argparse.Namespace) -> int:
 
 
 def _command_check_run(args: argparse.Namespace) -> int:
+    from repro.build import resolve_backend
+    from repro.checks import check_scenario, render_report
+
     entry = _resolve_check_scenario(args.key, args.kind)
     monitors = _resolve_check_monitors(
         args.monitor, entry.kind, entry.key
@@ -147,6 +141,10 @@ def _command_check_run(args: argparse.Namespace) -> int:
 
 
 def _command_check_matrix(args: argparse.Namespace) -> int:
+    from repro.build import resolve_backend
+    from repro.campaigns.store import dump_json_summary
+    from repro.checks import conformance_matrix, render_matrix
+
     kinds = args.kind if args.kind else None
     backend = resolve_backend(args.backend)
     payload = conformance_matrix(

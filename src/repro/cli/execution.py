@@ -4,18 +4,13 @@
 from __future__ import annotations
 
 import argparse
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.campaigns import (
-    AdaptivePolicy,
-    ExecutionPolicy,
-    QueueError,
-    ResultStore,
-    available_campaigns,
-    campaign_definition,
-    execute_campaign,
-)
+from repro.campaigns import available_campaigns, campaign_definition
 from repro.cli.shared import unknown_name_exit
+
+if TYPE_CHECKING:
+    from repro.campaigns.store import ResultStore
 
 
 def campaign_or_exit(name: str, noun: str = "campaign"):
@@ -33,6 +28,8 @@ def execution_flags(
     """The execution flags ``campaign run`` and ``ablate run`` share,
     as :func:`execute_or_exit` keywords (``queue_flags`` names the
     extra :class:`ExecutionPolicy` fields only ``campaign run`` has)."""
+    from repro.campaigns.store import ResultStore
+
     if args.adaptive and args.ci_width is None:
         raise SystemExit("--adaptive requires --ci-width")
     if args.ci_width is not None and not args.adaptive:
@@ -78,6 +75,10 @@ def execute_or_exit(
     ``ValueError``/``QueueError`` of the engine — exits with its
     one-line message instead of a traceback.
     """
+    from repro.campaigns.adaptive import AdaptivePolicy
+    from repro.campaigns.executor import ExecutionPolicy, execute_campaign
+    from repro.campaigns.queue import QueueError
+
     reporter = None
     if progress:
         from repro.telemetry.progress import ProgressReporter

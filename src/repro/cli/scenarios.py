@@ -17,7 +17,6 @@ import argparse
 
 from repro import scenarios
 from repro.cli.shared import unknown_name_exit
-from repro.core.params import derive_parameters
 
 
 def _command_scenarios_list(args: argparse.Namespace) -> int:
@@ -70,6 +69,7 @@ def _command_scenarios_show(args: argparse.Namespace) -> int:
         # events as a table (trigger / kind / node) at the reference
         # configuration instead of leaving the schedule opaque.
         from repro.checks.conformance import CPS_BASE_CASE
+        from repro.core.params import derive_parameters
 
         params = derive_parameters(
             theta=CPS_BASE_CASE["theta"],

@@ -9,83 +9,53 @@
   introduction motivates.
 """
 
-from repro.core.attacks import (
-    CpsEquivocatingSubsetAttack,
-    CpsMimicDealerAttack,
-    CpsRushingEchoAttack,
-    FastToFaultyDelayPolicy,
-)
-from repro.core.cps import (
-    CpsNode,
-    CpsRoundSummary,
-    assemble_cps_simulation,
-    default_clocks,
-)
-from repro.core.lower_bound import (
-    FixedPeriodProtocol,
-    LowerBoundEngine,
-    LowerBoundResult,
-    ShiftFunction,
-    run_lower_bound,
-)
-from repro.core.messages import TcbMessage, tcb_tag
-from repro.core.params import (
-    THETA_MAX,
-    InfeasibleParameters,
-    ProtocolParameters,
-    derive_parameters,
-    max_faults,
-)
-from repro.core.synchronizer import (
-    RoundSchedule,
-    supports_round_simulation,
-    synchronous_round_overhead,
-    verify_round_separation,
-)
-from repro.core.tcb import TcbInstance, TcbState, offset_estimate
-from repro.core.topology import (
-    LinkTiming,
-    SimulatedTopology,
-    check_connectivity,
-    circulant,
-    required_connectivity,
-    simulate_full_connectivity,
-    uniform_timings,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CpsEquivocatingSubsetAttack",
-    "CpsMimicDealerAttack",
-    "CpsNode",
-    "CpsRoundSummary",
-    "CpsRushingEchoAttack",
-    "FastToFaultyDelayPolicy",
-    "FixedPeriodProtocol",
-    "InfeasibleParameters",
-    "LinkTiming",
-    "LowerBoundEngine",
-    "LowerBoundResult",
-    "ProtocolParameters",
-    "RoundSchedule",
-    "ShiftFunction",
-    "SimulatedTopology",
-    "TcbInstance",
-    "TcbMessage",
-    "TcbState",
-    "THETA_MAX",
-    "assemble_cps_simulation",
-    "check_connectivity",
-    "circulant",
-    "default_clocks",
-    "derive_parameters",
-    "max_faults",
-    "offset_estimate",
-    "required_connectivity",
-    "run_lower_bound",
-    "simulate_full_connectivity",
-    "supports_round_simulation",
-    "synchronous_round_overhead",
-    "tcb_tag",
-    "uniform_timings",
-    "verify_round_separation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "attacks": (
+            "CpsEquivocatingSubsetAttack",
+            "CpsMimicDealerAttack",
+            "CpsRushingEchoAttack",
+            "FastToFaultyDelayPolicy",
+        ),
+        "cps": (
+            "CpsNode",
+            "CpsRoundSummary",
+            "assemble_cps_simulation",
+            "default_clocks",
+        ),
+        "lower_bound": (
+            "FixedPeriodProtocol",
+            "LowerBoundEngine",
+            "LowerBoundResult",
+            "ShiftFunction",
+            "run_lower_bound",
+        ),
+        "messages": ("TcbMessage", "tcb_tag"),
+        "params": (
+            "InfeasibleParameters",
+            "ProtocolParameters",
+            "THETA_MAX",
+            "derive_parameters",
+            "max_faults",
+        ),
+        "synchronizer": (
+            "RoundSchedule",
+            "supports_round_simulation",
+            "synchronous_round_overhead",
+            "verify_round_separation",
+        ),
+        "tcb": ("TcbInstance", "TcbState", "offset_estimate"),
+        "topology": (
+            "LinkTiming",
+            "SimulatedTopology",
+            "check_connectivity",
+            "circulant",
+            "required_connectivity",
+            "simulate_full_connectivity",
+            "uniform_timings",
+        ),
+    },
+)

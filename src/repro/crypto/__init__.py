@@ -10,19 +10,17 @@ and the simulation layer additionally tracks *when* each signature became
 known to the adversary (see :mod:`repro.sim.knowledge`).
 """
 
-from repro.crypto.pki import KeyPair, PublicKeyInfrastructure
-from repro.crypto.signatures import (
-    Signature,
-    SignatureError,
-    collect_signatures,
-    verify,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "KeyPair",
-    "PublicKeyInfrastructure",
-    "Signature",
-    "SignatureError",
-    "collect_signatures",
-    "verify",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "pki": ("KeyPair", "PublicKeyInfrastructure"),
+        "signatures": (
+            "Signature",
+            "SignatureError",
+            "collect_signatures",
+            "verify",
+        ),
+    },
+)

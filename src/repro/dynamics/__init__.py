@@ -24,24 +24,20 @@ conformance monitor in :mod:`repro.checks.monitors`.  See
 ``docs/DYNAMICS.md``.
 """
 
-from repro.dynamics.injector import ChurnController
-from repro.dynamics.resync import ResyncProtocol
-from repro.dynamics.schedule import (
-    ACTIVATION_KINDS,
-    DEACTIVATION_KINDS,
-    EVENT_KINDS,
-    FaultEvent,
-    FaultSchedule,
-    MalformedScheduleError,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ACTIVATION_KINDS",
-    "ChurnController",
-    "DEACTIVATION_KINDS",
-    "EVENT_KINDS",
-    "FaultEvent",
-    "FaultSchedule",
-    "MalformedScheduleError",
-    "ResyncProtocol",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "injector": ("ChurnController",),
+        "resync": ("ResyncProtocol",),
+        "schedule": (
+            "ACTIVATION_KINDS",
+            "DEACTIVATION_KINDS",
+            "EVENT_KINDS",
+            "FaultEvent",
+            "FaultSchedule",
+            "MalformedScheduleError",
+        ),
+    },
+)

@@ -35,62 +35,42 @@ gate.
 See ``docs/FUZZING.md`` for the workflow.
 """
 
-from repro.fuzz.corpus import (
-    CORPUS_DIR,
-    FIXTURE_SCHEMA,
-    PROMOTED_DIR,
-    fixture_id,
-    fixture_path,
-    list_fixtures,
-    load_fixture,
-    make_fixture,
-    promote_fixture,
-    save_fixture,
-)
-from repro.fuzz.driver import (
-    DEFAULT_BUDGET,
-    INTERESTING_FLOOR,
-    FuzzReport,
-    available_strategies,
-    render_fuzz_report,
-    search,
-)
-from repro.fuzz.oracle import (
-    expectation_met,
-    interest_score,
-    replay_fixture,
-    verdict_payload,
-)
-from repro.fuzz.strategies import (
-    fuzz_cases,
-    known_bad_cases,
-    valid_cps_cases,
-    valid_churn_cases,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CORPUS_DIR",
-    "DEFAULT_BUDGET",
-    "FIXTURE_SCHEMA",
-    "INTERESTING_FLOOR",
-    "PROMOTED_DIR",
-    "FuzzReport",
-    "available_strategies",
-    "expectation_met",
-    "fixture_id",
-    "fixture_path",
-    "fuzz_cases",
-    "interest_score",
-    "known_bad_cases",
-    "list_fixtures",
-    "load_fixture",
-    "make_fixture",
-    "promote_fixture",
-    "render_fuzz_report",
-    "replay_fixture",
-    "save_fixture",
-    "search",
-    "valid_cps_cases",
-    "valid_churn_cases",
-    "verdict_payload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "corpus": (
+            "CORPUS_DIR",
+            "FIXTURE_SCHEMA",
+            "PROMOTED_DIR",
+            "fixture_id",
+            "fixture_path",
+            "list_fixtures",
+            "load_fixture",
+            "make_fixture",
+            "promote_fixture",
+            "save_fixture",
+        ),
+        "driver": (
+            "DEFAULT_BUDGET",
+            "FuzzReport",
+            "INTERESTING_FLOOR",
+            "available_strategies",
+            "render_fuzz_report",
+            "search",
+        ),
+        "oracle": (
+            "expectation_met",
+            "interest_score",
+            "replay_fixture",
+            "verdict_payload",
+        ),
+        "strategies": (
+            "fuzz_cases",
+            "known_bad_cases",
+            "valid_churn_cases",
+            "valid_cps_cases",
+        ),
+    },
+)

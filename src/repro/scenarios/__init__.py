@@ -16,7 +16,9 @@ all share one catalog:
 
 Importing this package imports the catalog modules, so the registry is
 fully populated as a side effect — the same pattern the campaign
-catalog uses.  Register your own entries with
+catalog uses.  A catalog module imports what an entry builds inside
+that entry's factory, so populating (and listing) the registry loads
+no engine.  Register your own entries with
 :func:`register_scenario`; unknown keys raise
 :class:`UnknownScenarioError` (with a did-you-mean hint) at campaign
 *plan* time, before any trial runs.

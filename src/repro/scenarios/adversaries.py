@@ -14,22 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.attacks import (
-    CpsCoordinatedOffsetAttack,
-    CpsEarlyExtremeAttack,
-    CpsEquivocatingSubsetAttack,
-    CpsForgingImpersonatorAttack,
-    CpsMimicDealerAttack,
-    CpsRushingEchoAttack,
-    timing_split_group,
-)
 from repro.scenarios.registry import ParamSpec, register_scenario
-from repro.sim.adversary import ReplayAdversary, SilentAdversary
-from repro.sync.approx_agreement import (
-    ApaEquivocatingAdversary,
-    ApaExtremeAdversary,
-    ApaSplitAdversary,
-)
 
 
 @register_scenario(
@@ -41,6 +26,8 @@ from repro.sync.approx_agreement import (
     tags=("cps", "generic"),
 )
 def _silent(params=None):
+    from repro.sim.adversary import SilentAdversary
+
     return SilentAdversary()
 
 
@@ -58,6 +45,8 @@ def _silent(params=None):
     tags=("cps", "generic"),
 )
 def _replay(params=None, seed: int = 0, copies: int = 1):
+    from repro.sim.adversary import ReplayAdversary
+
     return ReplayAdversary(seed=seed, copies=copies)
 
 
@@ -81,6 +70,8 @@ def _replay(params=None, seed: int = 0, copies: int = 1):
     tags=("cps",),
 )
 def _mimic_split(params, spread_fraction: float = 0.9, stagger: float = 0.0):
+    from repro.core.attacks import CpsMimicDealerAttack, timing_split_group
+
     return CpsMimicDealerAttack(
         params,
         timing_split_group(params.n),
@@ -106,6 +97,8 @@ def _mimic_split(params, spread_fraction: float = 0.9, stagger: float = 0.0):
     tags=("cps",),
 )
 def _equivocating_subset(params, lateness: float = 0.0):
+    from repro.core.attacks import CpsEquivocatingSubsetAttack
+
     return CpsEquivocatingSubsetAttack(params, lateness=lateness)
 
 
@@ -122,6 +115,8 @@ def _equivocating_subset(params, lateness: float = 0.0):
     tags=("cps",),
 )
 def _rushing_echo(params=None, victims: Optional[tuple] = None):
+    from repro.core.attacks import CpsRushingEchoAttack
+
     return CpsRushingEchoAttack(victims=victims)
 
 
@@ -146,6 +141,8 @@ def _rushing_echo(params=None, victims: Optional[tuple] = None):
 def _coordinated_offset(
     params, offset_fraction: float = 1.0, alternate: bool = True
 ):
+    from repro.core.attacks import CpsCoordinatedOffsetAttack
+
     return CpsCoordinatedOffsetAttack(
         params, offset_fraction=offset_fraction, alternate=alternate
     )
@@ -168,6 +165,8 @@ def _coordinated_offset(
     tags=("cps", "new"),
 )
 def _early_extreme(params, margin: Optional[float] = None):
+    from repro.core.attacks import CpsEarlyExtremeAttack
+
     return CpsEarlyExtremeAttack(params, margin=margin)
 
 
@@ -188,6 +187,8 @@ def _early_extreme(params, margin: Optional[float] = None):
     tags=("cps", "new"),
 )
 def _forging_impersonator(params, rounds: Optional[int] = None):
+    from repro.core.attacks import CpsForgingImpersonatorAttack
+
     return CpsForgingImpersonatorAttack(params, rounds=rounds)
 
 
@@ -211,6 +212,8 @@ _APA_RANGE = (
     tags=("apa",),
 )
 def _apa_extreme(params=None, low: float = -1000.0, high: float = 1000.0):
+    from repro.sync.approx_agreement import ApaExtremeAdversary
+
     return ApaExtremeAdversary(low, high)
 
 
@@ -224,6 +227,8 @@ def _apa_extreme(params=None, low: float = -1000.0, high: float = 1000.0):
     tags=("apa",),
 )
 def _apa_split(params=None, low: float = -1000.0, high: float = 1000.0):
+    from repro.sync.approx_agreement import ApaSplitAdversary
+
     return ApaSplitAdversary(low, high)
 
 
@@ -240,4 +245,6 @@ def _apa_split(params=None, low: float = -1000.0, high: float = 1000.0):
 def _apa_equivocating(
     params=None, low: float = -1000.0, high: float = 1000.0
 ):
+    from repro.sync.approx_agreement import ApaEquivocatingAdversary
+
     return ApaEquivocatingAdversary(low, high)

@@ -21,11 +21,6 @@ magnitude.
 
 from __future__ import annotations
 
-from repro.dynamics.schedule import (
-    FaultEvent,
-    FaultSchedule,
-    MalformedScheduleError,
-)
 from repro.scenarios.registry import ParamSpec, register_scenario
 
 
@@ -33,6 +28,8 @@ def _budget(params, reserve: int) -> int:
     """Corruptions leaving ``reserve`` budget slots for churn."""
     corruptions = params.f - reserve
     if corruptions < 0:
+        from repro.dynamics.schedule import MalformedScheduleError
+
         raise MalformedScheduleError(
             f"profile needs {reserve} free fault slots but the "
             f"deployment only has f={params.f}"
@@ -53,6 +50,8 @@ def _budget(params, reserve: int) -> int:
     tags=("churn", "cps"),
 )
 def _single_crash(params, node: int = 0, at_pulse: int = 3):
+    from repro.dynamics.schedule import FaultEvent, FaultSchedule
+
     return FaultSchedule(
         events=(FaultEvent("crash", node, at_pulse=at_pulse),),
         corruptions=_budget(params, 1),
@@ -74,6 +73,8 @@ def _single_crash(params, node: int = 0, at_pulse: int = 3):
     tags=("churn", "cps"),
 )
 def _rolling_crashes(params, gap: int = 4):
+    from repro.dynamics.schedule import FaultEvent, FaultSchedule
+
     events = []
     pulse = 2
     for node in (0, 1):
@@ -99,6 +100,8 @@ def _rolling_crashes(params, gap: int = 4):
     tags=("churn", "cps"),
 )
 def _crash_recover_wave(params, at_pulse: int = 2):
+    from repro.dynamics.schedule import FaultEvent, FaultSchedule
+
     return FaultSchedule(
         events=(
             FaultEvent("crash", 0, at_pulse=at_pulse),
@@ -124,6 +127,8 @@ def _crash_recover_wave(params, at_pulse: int = 2):
     tags=("churn", "cps"),
 )
 def _late_join_cohort(params, at_pulse: int = 2):
+    from repro.dynamics.schedule import FaultEvent, FaultSchedule
+
     return FaultSchedule(
         events=(
             FaultEvent("join", 0, at_pulse=at_pulse),
@@ -148,6 +153,12 @@ def _late_join_cohort(params, at_pulse: int = 2):
     tags=("churn", "cps"),
 )
 def _flapping_node(params, cycles: int = 2, node: int = 0):
+    from repro.dynamics.schedule import (
+        FaultEvent,
+        FaultSchedule,
+        MalformedScheduleError,
+    )
+
     if cycles < 1:
         raise MalformedScheduleError(
             f"flapping-node needs cycles >= 1, got {cycles}"
@@ -178,6 +189,12 @@ def _flapping_node(params, cycles: int = 2, node: int = 0):
     tags=("churn", "cps"),
 )
 def _adversary_handoff(params, at_pulse: int = 3):
+    from repro.dynamics.schedule import (
+        FaultEvent,
+        FaultSchedule,
+        MalformedScheduleError,
+    )
+
     if params.f < 1:
         raise MalformedScheduleError(
             "adversary-handoff needs f >= 1 (someone to release)"

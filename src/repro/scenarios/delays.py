@@ -16,21 +16,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.attacks import FastToFaultyDelayPolicy, timing_split_group
 from repro.scenarios.registry import ParamSpec, register_scenario
-from repro.sim.network import (
-    BiasedPartitionDelayPolicy,
-    ConstantFractionDelayPolicy,
-    EclipseDelayPolicy,
-    FlickeringPartitionDelayPolicy,
-    MaximumDelayPolicy,
-    MinimumDelayPolicy,
-    RandomDelayPolicy,
-    SkewingDelayPolicy,
-)
 
 
 def _group(n: int, group: Optional[Sequence[int]]) -> Sequence[int]:
+    from repro.core.attacks import timing_split_group
+
     return timing_split_group(n) if group is None else group
 
 
@@ -42,6 +33,8 @@ def _group(n: int, group: Optional[Sequence[int]]) -> Sequence[int]:
     tags=("benign",),
 )
 def _maximum(n=None):
+    from repro.sim.network import MaximumDelayPolicy
+
     return MaximumDelayPolicy()
 
 
@@ -54,6 +47,8 @@ def _maximum(n=None):
     tags=("benign",),
 )
 def _minimum(n=None):
+    from repro.sim.network import MinimumDelayPolicy
+
     return MinimumDelayPolicy()
 
 
@@ -69,6 +64,8 @@ def _minimum(n=None):
     tags=("benign",),
 )
 def _constant_fraction(n=None, fraction: float = 0.5):
+    from repro.sim.network import ConstantFractionDelayPolicy
+
     return ConstantFractionDelayPolicy(fraction)
 
 
@@ -82,6 +79,8 @@ def _constant_fraction(n=None, fraction: float = 0.5):
     tags=("benign",),
 )
 def _random(n=None, seed: int = 0):
+    from repro.sim.network import RandomDelayPolicy
+
     return RandomDelayPolicy(seed=seed)
 
 
@@ -98,6 +97,8 @@ def _random(n=None, seed: int = 0):
     tags=("adversarial",),
 )
 def _biased_partition(n, group: Optional[Sequence[int]] = None):
+    from repro.sim.network import BiasedPartitionDelayPolicy
+
     return BiasedPartitionDelayPolicy(_group(n, group))
 
 
@@ -113,6 +114,8 @@ def _biased_partition(n, group: Optional[Sequence[int]] = None):
     tags=("adversarial",),
 )
 def _skewing(n, slow: Optional[Sequence[int]] = None):
+    from repro.sim.network import SkewingDelayPolicy
+
     return SkewingDelayPolicy(_group(n, slow))
 
 
@@ -125,6 +128,8 @@ def _skewing(n, slow: Optional[Sequence[int]] = None):
     tags=("adversarial",),
 )
 def _fast_to_faulty(n=None):
+    from repro.core.attacks import FastToFaultyDelayPolicy
+
     return FastToFaultyDelayPolicy()
 
 
@@ -141,6 +146,8 @@ def _fast_to_faulty(n=None):
     tags=("adversarial", "new"),
 )
 def _eclipse(n, victims: Optional[Sequence[int]] = None):
+    from repro.sim.network import EclipseDelayPolicy
+
     return EclipseDelayPolicy((0,) if victims is None else victims)
 
 
@@ -160,4 +167,6 @@ def _eclipse(n, victims: Optional[Sequence[int]] = None):
 def _flicker_partition(
     n, group: Optional[Sequence[int]] = None, period: float = 10.0
 ):
+    from repro.sim.network import FlickeringPartitionDelayPolicy
+
     return FlickeringPartitionDelayPolicy(_group(n, group), period)

@@ -18,11 +18,12 @@ in one system.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.core.cps import default_clocks, wandering_row
 from repro.scenarios.registry import register_scenario
-from repro.sim.clocks import ClockEnsemble, Row, constant_row
+
+if TYPE_CHECKING:
+    from repro.sim.clocks import ClockEnsemble, Row
 
 
 @register_scenario(
@@ -35,6 +36,8 @@ from repro.sim.clocks import ClockEnsemble, Row, constant_row
     tags=("benign",),
 )
 def _random_profile(params, seed: int = 0) -> ClockEnsemble:
+    from repro.core.cps import default_clocks
+
     return default_clocks(params, seed=seed)
 
 
@@ -48,6 +51,8 @@ def _random_profile(params, seed: int = 0) -> ClockEnsemble:
     tags=("adversarial",),
 )
 def _extreme_profile(params, seed: int = 0) -> ClockEnsemble:
+    from repro.sim.clocks import ClockEnsemble, constant_row
+
     rows = [
         constant_row(1.0, 0.0)
         if node % 2 == 0
@@ -67,6 +72,9 @@ def _extreme_profile(params, seed: int = 0) -> ClockEnsemble:
     tags=("stress", "new"),
 )
 def _mixed_profile(params, seed: int = 0) -> ClockEnsemble:
+    from repro.core.cps import wandering_row
+    from repro.sim.clocks import ClockEnsemble, constant_row
+
     rng = random.Random(seed)
     horizon = 200.0 * params.d
     rows: List[Row] = []
@@ -91,6 +99,8 @@ def _mixed_profile(params, seed: int = 0) -> ClockEnsemble:
     tags=("stress", "new"),
 )
 def _staggered_profile(params, seed: int = 0) -> ClockEnsemble:
+    from repro.sim.clocks import ClockEnsemble, constant_row
+
     n = params.n
     rows: List[Row] = []
     for node in range(n):

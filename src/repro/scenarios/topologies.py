@@ -15,7 +15,6 @@ connectivity: with signatures, ``f <= connectivity - 1`` (the paper's
 
 from __future__ import annotations
 
-from repro.core.topology import circulant, random_regular, small_world
 from repro.scenarios.registry import ParamSpec, register_scenario
 
 
@@ -46,6 +45,8 @@ def _complete(n: int):
     tags=("sparse",),
 )
 def _circulant(n: int, jumps=(1, 2)):
+    from repro.core.topology import circulant
+
     return circulant(n, jumps)
 
 
@@ -63,6 +64,8 @@ def _circulant(n: int, jumps=(1, 2)):
     tags=("sparse", "new"),
 )
 def _random_regular(n: int, degree: int = 4, seed: int = 0):
+    from repro.core.topology import random_regular
+
     return random_regular(n, degree=degree, seed=seed)
 
 
@@ -81,4 +84,6 @@ def _random_regular(n: int, degree: int = 4, seed: int = 0):
     tags=("sparse", "new"),
 )
 def _small_world(n: int, k: int = 4, p: float = 0.25, seed: int = 0):
+    from repro.core.topology import small_world
+
     return small_world(n, k=k, p=p, seed=seed)

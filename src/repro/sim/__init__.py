@@ -12,60 +12,37 @@ This package realizes the paper's network and timing model:
 * :mod:`repro.sim.trace` — structured execution records.
 """
 
-from repro.sim.adversary import (
-    ByzantineBehavior,
-    ReplayAdversary,
-    ScheduledSendAdversary,
-    SilentAdversary,
-)
-from repro.sim.clocks import EPS, ClockSegment, HardwareClock
-from repro.sim.errors import (
-    ClockError,
-    ConfigurationError,
-    ForgeryError,
-    ModelViolation,
-    SimulationError,
-)
-from repro.sim.network import (
-    BiasedPartitionDelayPolicy,
-    ConstantFractionDelayPolicy,
-    DelayPolicy,
-    MaximumDelayPolicy,
-    MinimumDelayPolicy,
-    NetworkConfig,
-    RandomDelayPolicy,
-    SkewingDelayPolicy,
-)
-from repro.sim.runtime import NodeAPI, TimedProtocol
-from repro.sim.scheduler import AdversaryContext, Simulation, SimulationResult
-from repro.sim.trace import Trace, TraceLevel
+from repro import lazy_exports
 
-__all__ = [
-    "AdversaryContext",
-    "BiasedPartitionDelayPolicy",
-    "ByzantineBehavior",
-    "ClockError",
-    "ClockSegment",
-    "ConfigurationError",
-    "ConstantFractionDelayPolicy",
-    "DelayPolicy",
-    "EPS",
-    "ForgeryError",
-    "HardwareClock",
-    "MaximumDelayPolicy",
-    "MinimumDelayPolicy",
-    "ModelViolation",
-    "NetworkConfig",
-    "NodeAPI",
-    "RandomDelayPolicy",
-    "ReplayAdversary",
-    "ScheduledSendAdversary",
-    "SilentAdversary",
-    "SimulationError",
-    "Simulation",
-    "SimulationResult",
-    "SkewingDelayPolicy",
-    "TimedProtocol",
-    "Trace",
-    "TraceLevel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "adversary": (
+            "ByzantineBehavior",
+            "ReplayAdversary",
+            "ScheduledSendAdversary",
+            "SilentAdversary",
+        ),
+        "clocks": ("ClockSegment", "EPS", "HardwareClock"),
+        "errors": (
+            "ClockError",
+            "ConfigurationError",
+            "ForgeryError",
+            "ModelViolation",
+            "SimulationError",
+        ),
+        "network": (
+            "BiasedPartitionDelayPolicy",
+            "ConstantFractionDelayPolicy",
+            "DelayPolicy",
+            "MaximumDelayPolicy",
+            "MinimumDelayPolicy",
+            "NetworkConfig",
+            "RandomDelayPolicy",
+            "SkewingDelayPolicy",
+        ),
+        "runtime": ("NodeAPI", "TimedProtocol"),
+        "scheduler": ("AdversaryContext", "Simulation", "SimulationResult"),
+        "trace": ("Trace", "TraceLevel"),
+    },
+)

@@ -22,40 +22,33 @@ The subsystem splits into five small layers:
     Per-trial cProfile capture and cross-trial hotspot tabulation
     behind ``repro campaign run --profile``.
 
-Only the light layers (metrics, context) are imported here; the
-simulator imports :mod:`repro.telemetry.context` at module load, so
-this package must not pull in the campaign stack.
+Only the light layers (metrics, context) are exported here, and only
+on first use; the simulator imports :mod:`repro.telemetry.context` at
+module load, so this package must not pull in the campaign stack.
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog, sidecar format,
 and profiling workflow.
 """
 
-from repro.telemetry.context import (
-    activate,
-    active_telemetry,
-    deactivate,
-    telemetry_session,
-)
-from repro.telemetry.metrics import (
-    DELAY_BUCKETS,
-    DISPATCH_NAMES,
-    METRIC_CATALOG,
-    Histogram,
-    Telemetry,
-    available_metrics,
-    merge_snapshots,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DELAY_BUCKETS",
-    "DISPATCH_NAMES",
-    "METRIC_CATALOG",
-    "Histogram",
-    "Telemetry",
-    "activate",
-    "active_telemetry",
-    "available_metrics",
-    "deactivate",
-    "merge_snapshots",
-    "telemetry_session",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "context": (
+            "activate",
+            "active_telemetry",
+            "deactivate",
+            "telemetry_session",
+        ),
+        "metrics": (
+            "DELAY_BUCKETS",
+            "DISPATCH_NAMES",
+            "Histogram",
+            "METRIC_CATALOG",
+            "Telemetry",
+            "available_metrics",
+            "merge_snapshots",
+        ),
+    },
+)

@@ -1,4 +1,5 @@
-"""Import hygiene: a command imports its own subsystem and nothing else.
+"""Import hygiene: a command imports its own subsystem and nothing else,
+and a listing imports its catalog and nothing behind it.
 
 Each case starts a fresh interpreter (``sys.modules`` of the test
 process says nothing about cold start), runs ``python -m repro ...``
@@ -6,6 +7,7 @@ in it and reads back the child's ``sys.modules``.  (``-X importtime``
 would miss the group modules: it does not see ``importlib.import_module``.)
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -35,6 +37,22 @@ GRAPH_AND_NUMERIC = ("networkx", "numpy", "hypothesis")
 ENGINE = (
     "multiprocessing", "concurrent.futures", "repro.sim.scheduler",
     "repro.campaigns",
+)
+#: What stands behind a catalog: the engines, the pool and the campaign
+#: layer's execution half.  Listing a catalog loads none of it.
+BEHIND_CATALOGS = (
+    "multiprocessing", "concurrent.futures", "repro.sim.scheduler",
+    "repro.sim.vectorized", "repro.core.cps", "repro.campaigns.executor",
+    "repro.campaigns.builders",
+)
+LISTINGS = [("scenarios", "list"), ("check", "list"), ("campaign", "list")]
+
+#: Every package whose ``__init__`` is one ``lazy_exports`` table.
+LAZY_PACKAGES = (
+    "repro", "repro.ablation", "repro.analysis", "repro.baselines",
+    "repro.campaigns", "repro.checks", "repro.core", "repro.crypto",
+    "repro.dynamics", "repro.fuzz", "repro.sim", "repro.sync",
+    "repro.telemetry",
 )
 
 
@@ -82,14 +100,19 @@ class TestColdStartImports:
         assert _loaded(imported, GRAPH_AND_NUMERIC + ENGINE) == []
         assert _loaded(imported, ("repro",)) == ["repro", "repro.cli"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [("scenarios", "list"), ("check", "list"), ("campaign", "list")],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", LISTINGS, ids=" ".join)
     def test_listings_load_no_graph_or_numeric_library(self, argv):
         _out, imported = _repro(*argv)
         assert _loaded(imported, GRAPH_AND_NUMERIC) == []
+        assert _loaded(imported, BEHIND_CATALOGS) == []
+
+    def test_the_scenario_listing_reads_its_catalog_alone(self):
+        _out, imported = _repro("scenarios", "list")
+        assert [
+            module for module in _loaded(imported, ("repro",))
+            if module != "repro"
+            and not module.startswith(("repro.cli", "repro.scenarios"))
+        ] == []
 
     def test_a_command_imports_only_its_own_group(self):
         _out, imported = _repro("scenarios", "list")
@@ -109,27 +132,32 @@ class TestColdStartImports:
         ]
 
 
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
 class TestLazyPackageRoot:
-    def test_import_repro_executes_no_engine_module(self):
+    def test_import_executes_no_submodule(self, package):
         done = _python(
             "-c",
-            "import sys, repro\n"
-            "assert 'repro.build' not in sys.modules\n"
-            "assert [m for m in sys.modules if m.startswith('repro')]"
-            " == ['repro']\n"
-            "for name in repro.__all__:\n"
-            "    assert getattr(repro, name) is not None, name\n"
-            "assert 'repro.build' in sys.modules\n",
+            "import importlib, sys\n"
+            f"package = importlib.import_module({package!r})\n"
+            "loaded = {m for m in sys.modules if m.startswith('repro')}\n"
+            f"assert loaded == {{'repro', {package!r}}}, loaded\n"
+            "for name in package.__all__:\n"
+            "    assert getattr(package, name) is not None, name\n",
         )
         assert done.returncode == 0, done.stderr
 
-    def test_dir_and_star_import_cover_all(self):
-        assert set(dir(repro)) >= set(repro.__all__)
+    def test_dir_and_star_import_cover_all(self, package):
+        module = importlib.import_module(package)
+        assert set(dir(module)) >= set(module.__all__)
         namespace = {}
-        exec("from repro import *", namespace)
-        assert set(repro.__all__) <= set(namespace)
-        assert namespace["build_simulation"] is repro.build_simulation
+        exec(f"from {package} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
 
-    def test_unknown_attribute_names_itself(self):
-        with pytest.raises(AttributeError, match="no attribute 'nope'"):
-            repro.nope
+    def test_unknown_attribute_names_itself(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(
+            AttributeError, match=f"'{package}' has no attribute 'nope'"
+        ):
+            module.nope

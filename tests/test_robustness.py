@@ -176,16 +176,12 @@ def _packages():
 
 class TestPublicApi:
     def test_top_level_exports(self):
-        import importlib
-
         import repro
 
+        # A lazy name is read off the module its table lists it under,
+        # so resolving it proves that module really defines it.
         for name in repro.__all__:
             assert getattr(repro, name) is not None
-        # The lazy root's table: every target module really defines
-        # the name it is listed under.
-        for name, module in repro._EXPORTS.items():
-            assert hasattr(importlib.import_module(module), name), name
 
     def test_subpackage_exports(self):
         """Every ``__all__`` entry resolves and none is listed twice —

@@ -495,6 +495,23 @@ class TestAdaptivePolicy:
                 expected, abs=1e-3
             )
 
+    @pytest.mark.parametrize(
+        "confidence", [0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999]
+    )
+    def test_t_critical_is_within_its_stated_error_of_scipy(
+        self, confidence
+    ):
+        """The docstring's claim, relative error under 1e-5, at every
+        ``df`` the stopping rule can meet and far past it (the worst
+        case is 6.98e-6, at 0.9 and df = 3).  scipy is no dependency:
+        the cross-check skips without it."""
+        stats = pytest.importorskip("scipy.stats")
+        for df in [*range(1, 301), 500, 10**3, 10**4, 10**5]:
+            exact = stats.t.ppf((1 + confidence) / 2, df)
+            assert t_critical(confidence, df) == pytest.approx(
+                exact, rel=1e-5
+            ), df
+
     @pytest.mark.parametrize("n", [3, 5, 10, 30])
     def test_interval_covers_the_mean_at_its_stated_rate(self, n):
         """Seeded coverage check: over synthetic normal cells of ``n``
