@@ -80,9 +80,7 @@ threading.settrace(_hook)
 """
 
 # One argv per line: "repro" is ``python -m repro``, {tmp} a scratch
-# directory, a glob token fans the line out per match.  ``--profile``
-# hands the profile hook to cProfile, so that leg is traced only up to
-# the profiler's start.
+# directory, a glob token fans the line out per match.
 DRIVERS = """
 repro list
 repro params --theta 1.001 --d 1.0 --u 0.01 --n 8
@@ -113,14 +111,9 @@ repro fuzz replay {tmp}/fuzz/*.json
 repro fuzz promote {tmp}/fuzz/*.json --dest {tmp}/promoted
 repro campaign run STRESS --workers 2 --store {tmp}/s --check --perf \
     --telemetry --progress
-repro campaign run STRESS --store {tmp}/s --resume
-repro campaign run STRESS --profile
 repro campaign run STRESS --backend event --csv {tmp}/s.csv
 repro campaign run STRESS --workers 2 --timeout 30
 repro campaign run STRESS --workers 2 --timeout 0.001
-repro campaign run STRESS --adaptive --ci-width 0.5 --workers 2 --store {tmp}/a
-repro campaign run STRESS --adaptive --ci-width 0.5 --queue {tmp}/aq \
-    --store {tmp}/aqs
 repro campaign enqueue STRESS --queue {tmp}/q --store {tmp}/qs
 repro campaign worker --queue {tmp}/q --store {tmp}/qs
 repro store list --store {tmp}/qs

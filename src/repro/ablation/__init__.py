@@ -15,7 +15,7 @@ Layers:
 ``plan``
     :class:`AblationSpec` -> baseline-plus-one-off (optionally
     pairwise) matrix as an ordinary campaign spec (stable case keys,
-    caching, pools, adaptive replication).
+    caching, pools).
 ``report``
     Importance payload (monitor flips + skew deltas), byte-stable for
     the committed ``results/ablation.json`` artifact, plus the table

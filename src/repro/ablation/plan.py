@@ -10,9 +10,9 @@ components off).
 The expansion is an ordinary :class:`~repro.campaigns.spec.CampaignSpec`
 (name ``ABLATION``, builder ``cps-ablation``), so every planned run gets
 the campaign engine's stable content-addressed ``case_key``, result-store
-caching, process-pool execution, and adaptive ``--ci-width`` replication
-for free.  Baseline cases carry no ``ablate`` key at all, so they hash
-identically to the same scenarios anywhere else in the repo.
+caching and process-pool execution for free.  Baseline cases carry no
+``ablate`` key at all, so they hash identically to the same scenarios
+anywhere else in the repo.
 """
 
 from __future__ import annotations

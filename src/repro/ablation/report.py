@@ -40,21 +40,16 @@ def _finite(value: Any) -> Optional[float]:
     return float(value)
 
 
-def _base_case(case: Mapping[str, Any]) -> Dict[str, Any]:
-    """The case without the adaptive engine's replicate marker."""
-    return {k: v for k, v in case.items() if k != "replicate"}
-
-
 def _variant_summary(
     run: PlannedRun, case_key: str, records: Sequence[Any]
 ) -> Dict[str, Any]:
     """Aggregate one matrix cell's records into a payload entry.
 
-    Non-adaptive runs have exactly one record per cell.  Under
-    adaptive replication, monitor verdicts take the *worst* over
-    replicates (a bound that fails in any replicate is broken) and
-    ``max_skew`` averages the finite replicate values — both reductions
-    are order-independent, keeping the payload deterministic.
+    A cell has one record per trial whose case it names — one, unless
+    two cells share a case (say, two components with one challenge
+    baseline).  Monitor verdicts take the *worst* over the records and
+    ``max_skew`` averages their finite values — both reductions are
+    order-independent, keeping the payload deterministic.
     """
     errors = sorted(
         {record.error for record in records if record.error}
@@ -113,12 +108,12 @@ def ablation_report(
     ``campaign_run`` is the :class:`~repro.campaigns.executor
     .CampaignRun` of :func:`~repro.ablation.plan.ablation_campaign_spec`
     at some scale; records are matched to matrix rows by case content
-    (so adaptive replicates fold into their cell).
+    (not case key, which a ``--backend`` override re-keys).
     """
     scale = campaign_run.scale
     records_by_case: Dict[str, List[Any]] = {}
     for record in campaign_run.records:
-        key = canonical_json(_base_case(record.case))
+        key = canonical_json(record.case)
         records_by_case.setdefault(key, []).append(record)
 
     cells: Dict[str, Dict[str, Any]] = {}

@@ -1,7 +1,7 @@
 """Campaign engine: declarative sweeps, parallel execution, cached results.
 
-A run is a source of plan batches, one replay-or-execute step, and a
-transport; the subsystem's six modules are:
+A run is a campaign's grid, one replay-or-execute step, and a
+transport; the subsystem's five modules are:
 
 ``spec``
     :class:`ScenarioSpec`/:class:`CampaignSpec` — data-driven grids with
@@ -17,9 +17,6 @@ transport; the subsystem's six modules are:
     :class:`WorkQueue`/:func:`run_worker` — the elastic transport: N
     independent worker processes claim chunk leases from a shared
     directory and write disjoint store shards.
-``adaptive``
-    :class:`AdaptivePolicy` — a plan source: per-cell replication,
-    round by round, until a confidence-interval width target.
 ``aggregate``
     group-by/statistics helpers reducing trial records into
     :class:`~repro.analysis.reporting.Table` rows, and the
@@ -51,7 +48,6 @@ if TYPE_CHECKING:
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "adaptive": ("AdaptivePolicy",),
         "aggregate": (
             "campaign_throughput",
             "failure_counts",

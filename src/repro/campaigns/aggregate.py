@@ -129,18 +129,6 @@ def run_summary_table(run: CampaignRun) -> Table:
         )
     for error_type, count in sorted(failure_counts(run.records).items()):
         table.add_note(f"{count} failure(s) of type {error_type}")
-    if run.adaptive is not None:
-        a = run.adaptive
-        table.add_note(
-            f"adaptive: {a['trials']} trials over {a['cells']} cells "
-            f"({a['converged']} converged, {a['exhausted']} at cap) — "
-            f"saved {a['saved']} vs fixed "
-            f"{a['max_trials']}x replication"
-        )
-        table.add_note(
-            f"adaptive target: {a['metric']} CI width <= "
-            f"{a['ci_width']} at {a['confidence']:.0%} confidence"
-        )
     return table
 
 

@@ -1,14 +1,12 @@
 """Campaign execution: one replay-or-execute core, three transports.
 
-A run is *a source of plan batches → one replay-or-execute step → a
-transport*.  :func:`execute_campaign` owns the step: replay the plans
-whose case key a :class:`~repro.campaigns.store.ResultStore` already
-holds, run the rest, persist what ran, and return one
-:class:`TrialRecord` per plan in list order, however the work was
-scheduled.  The fixed tier is one batch; adaptive sampling
-(:mod:`repro.campaigns.adaptive`) is a plan source that calls the step
-once per round.  The misses of a batch travel through the transport
-the :class:`ExecutionPolicy` names — in-process, a process pool
+A run is *a campaign's grid at one scale → one replay-or-execute step
+→ a transport*.  :func:`execute_campaign` owns the step: replay the
+plans whose case key a :class:`~repro.campaigns.store.ResultStore`
+already holds, run the rest, persist what ran, and return one
+:class:`TrialRecord` per plan in plan order, however the work was
+scheduled.  The misses travel through the transport the
+:class:`ExecutionPolicy` names — in-process, a process pool
 (:func:`map_trials`), or a directory work queue
 (:mod:`repro.campaigns.queue`) — and every combination yields
 identical records:
@@ -77,8 +75,8 @@ class ExecutionPolicy:
     in a fresh pool generation.  Only a timeout starts the manager
     process that carries the stamps, and only then does the parent poll.
 
-    ``queue`` switches the transport to the elastic work queue: each
-    batch's misses are published as leases under the given directory
+    ``queue`` switches the transport to the elastic work queue: the
+    run's misses are published as leases under the given directory
     and run by any number of queue workers — the in-process
     coordinator plus every ``repro campaign worker`` pointed at the
     same directory (see :mod:`repro.campaigns.queue`).  ``worker_id``
@@ -148,11 +146,11 @@ def _run_prepared(task: Any) -> TrialRecord:
 
 
 def prepare_tasks(
-    plans: Sequence[TrialPlan], instrumentation: Optional[Any] = None
+    plans: Sequence[TrialPlan], telemetry: bool = False
 ) -> Tuple[Callable[[Any], TrialRecord], List[Any]]:
-    """Pick the runner for a batch and pre-resolve its builders.
+    """Pick the runner for some plans and pre-resolve their builders.
 
-    The one place a batch meets the builder registry — the core and
+    The one place a plan meets the builder registry — the core and
     the queue worker both run ``function(task) for task in tasks``.
     Resolving up front lets functions travel to pool workers by pickle
     reference (spawn-safe for module-level builders); an unknown name
@@ -161,20 +159,19 @@ def prepare_tasks(
     from repro.campaigns.builders import resolve_builder
 
     function: Callable[[Any], TrialRecord] = _run_prepared
-    options: Tuple[Any, ...] = ()
-    if instrumentation is not None and instrumentation.active:
+    if telemetry:
         # Imported lazily: the telemetry campaign layer imports this
         # module, and bare runs must not pay for it.
         from repro.telemetry.campaign import run_instrumented
 
-        function, options = run_instrumented, (instrumentation,)
+        function = run_instrumented
     tasks = []
     for plan in plans:
         try:
             builder = resolve_builder(plan.builder)
         except Exception:  # noqa: BLE001 - run_trial tabulates it
             builder = None
-        tasks.append((plan, builder, *options))
+        tasks.append((plan, builder))
     return function, tasks
 
 
@@ -378,21 +375,13 @@ def _pool_generation(
 
 @dataclass
 class CampaignRun:
-    """The outcome of executing one campaign at one scale.
-
-    ``adaptive`` is populated only when :func:`execute_campaign` ran
-    under an :class:`~repro.campaigns.adaptive.AdaptivePolicy` — a
-    summary of the per-cell stopping rule (trials run vs. the fixed
-    tier, converged cells, saved trials) that feeds the run summary
-    table and the telemetry sidecar.
-    """
+    """The outcome of executing one campaign at one scale."""
 
     spec: CampaignSpec
     scale: str
     records: List[TrialRecord]
     executed: int
     cached: int
-    adaptive: Optional[Dict[str, Any]] = None
 
     @property
     def failed(self) -> int:
@@ -427,9 +416,8 @@ def execute_campaign(
     policy: Optional[ExecutionPolicy] = None,
     store: Optional[Any] = None,
     reuse: bool = True,
-    instrumentation: Optional[Any] = None,
+    telemetry: bool = False,
     progress: Optional[Callable[[int, int, TrialRecord], None]] = None,
-    adaptive: Optional[Any] = None,
 ) -> CampaignRun:
     """Run (or replay) every trial of ``spec`` at ``scale``.
 
@@ -442,15 +430,9 @@ def execute_campaign(
     (timeouts, broken pools) are environment artifacts and are *not*
     persisted, so a later run retries them.
 
-    ``adaptive`` (an :class:`~repro.campaigns.adaptive.AdaptivePolicy`)
-    replaces the single fixed-tier batch with rounds of replicate
-    plans; the records are then cell-major and ``CampaignRun.adaptive``
-    carries the stopping-rule summary.  Every batch, of either source,
-    goes through the same step and the transport ``policy`` names.
-
-    ``instrumentation`` (a :class:`~repro.telemetry.campaign.
-    InstrumentationPlan`) routes executed trials through the telemetry
-    wrapper — an execution-time option that deliberately does not enter
+    ``telemetry`` routes executed trials through the telemetry wrapper
+    (:func:`~repro.telemetry.campaign.run_instrumented`) — an
+    execution-time option that deliberately does not enter
     ``case_key``/``spec_key`` hashing, since instrumented trials produce
     identical metrics.  ``progress(done, total, record)`` is invoked for
     every trial this process executes as soon as its record is
@@ -486,82 +468,59 @@ def execute_campaign(
     known: Dict[str, TrialRecord] = (
         store.load(key) if store is not None and reuse else {}
     )
+    records: List[Any] = [None] * len(plans)
+    slots: List[int] = []
+    misses: List[TrialPlan] = []
+    for slot, plan in enumerate(plans):
+        hit = known.get(plan.case_key)
+        if hit is not None:
+            records[slot] = replace(hit, index=plan.index, cached=True)
+        else:
+            slots.append(slot)
+            misses.append(plan)
+    cached = done = len(plans) - len(misses)
     # Queue workers append to their own shards; the core persists only
     # what its own transport ran.
     sink = None if queued else store
-    executed = cached = done = 0
+    transient: set = set()
 
-    def step(batch: Sequence[TrialPlan], total: int) -> List[TrialRecord]:
-        """Replay-or-execute ``batch``; results by list position
-        (replicates share ``plan.index``).  ``total`` is the progress
-        denominator while this batch runs."""
-        nonlocal executed, cached, done
-        results: List[Any] = [None] * len(batch)
-        slots: List[int] = []
-        misses: List[TrialPlan] = []
-        for slot, plan in enumerate(batch):
-            hit = known.get(plan.case_key)
-            if hit is not None:
-                results[slot] = replace(
-                    hit, index=plan.index, cached=True
-                )
-            else:
-                slots.append(slot)
-                misses.append(plan)
-        cached += len(batch) - len(misses)
-        done += len(batch) - len(misses)
-        transient: set = set()
+    def pool_failure(task: Any, exc: BaseException) -> TrialRecord:
+        plan = task[0]
+        transient.add(plan.case_key)
+        return _timeout_record(plan, exc)
 
-        def pool_failure(task: Any, exc: BaseException) -> TrialRecord:
-            plan = task[0]
-            transient.add(plan.case_key)
-            return _timeout_record(plan, exc)
+    def persist(record: TrialRecord) -> None:
+        nonlocal done
+        if sink is not None and record.case_key not in transient:
+            sink.append(key, record)
+        done += 1
+        if progress is not None:
+            progress(done, len(plans), record)
 
-        def persist(record: TrialRecord) -> None:
-            nonlocal done
-            if sink is not None and record.case_key not in transient:
-                sink.append(key, record)
-            done += 1
-            if progress is not None:
-                progress(done, total, record)
+    if not misses:
+        fresh: List[TrialRecord] = []
+    elif queued:
+        from repro.campaigns.queue import run_queued
 
-        if not misses:
-            fresh: List[TrialRecord] = []
-        elif queued:
-            from repro.campaigns.queue import run_queued
-
-            fresh = run_queued(
-                spec, scale, misses, policy, store, instrumentation,
-                on_record=persist,
-            )
-        else:
-            function, tasks = prepare_tasks(misses, instrumentation)
-            fresh = map_trials(
-                function,
-                tasks,
-                policy,
-                on_error=pool_failure,
-                on_result=persist,
-            )
-        executed += len(fresh)
-        for slot, record in zip(slots, fresh):
-            results[slot] = record
-            # Later batches (or a cell sharing a case key) hit.
-            if record.case_key not in transient:
-                known[record.case_key] = record
-        return results
-
-    if adaptive is None:
-        records, summary = step(plans, len(plans)), None
+        fresh = run_queued(
+            spec, scale, misses, policy, store, telemetry,
+            on_record=persist,
+        )
     else:
-        from repro.campaigns.adaptive import sample_cells
-
-        records, summary = sample_cells(spec, plans, adaptive, step)
+        function, tasks = prepare_tasks(misses, telemetry)
+        fresh = map_trials(
+            function,
+            tasks,
+            policy,
+            on_error=pool_failure,
+            on_result=persist,
+        )
+    for slot, record in zip(slots, fresh):
+        records[slot] = record
     return CampaignRun(
         spec=spec,
         scale=scale,
         records=records,
-        executed=executed,
+        executed=len(fresh),
         cached=cached,
-        adaptive=summary,
     )

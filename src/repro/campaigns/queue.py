@@ -8,12 +8,13 @@ fleet):
 
 * ``WorkQueue.enqueue`` publishes plans as chunk files under the queue
   directory, plus a ``manifest.json`` naming the campaign, scale, spec
-  key and instrumentation options (written last, atomically, so a
-  worker that sees the manifest sees every chunk).  Publishing is
+  key and whether trials run instrumented (written last, atomically,
+  so a worker that sees the manifest sees every chunk).  Publishing is
   **idempotent per case key**: plans an existing chunk already names
   are skipped and new chunks are numbered after the last one, so a
   pre-enqueued queue is joined, a restarted coordinator joins its own
-  queue, and an adaptive round is just the next publish.
+  queue, and a grid extended since the last publish adds only its new
+  cases.
 * Workers (:func:`run_worker`, CLI ``repro campaign worker``) loop:
   **claim** a chunk by exclusively creating its ``.claim`` file
   (``O_CREAT | O_EXCL`` — the filesystem is the lock manager), run its
@@ -31,9 +32,9 @@ fleet):
   re-claimed) is idempotent: records are deterministic per case key.
 * :func:`run_queued` is what :func:`~repro.campaigns.executor.
   execute_campaign` calls for ``ExecutionPolicy(queue=...)``: publish
-  the batch's misses, join the queue as one more worker — the only
-  one guaranteed to stay until the batch is done — and read the
-  records back from the store.
+  the run's misses, join the queue as one more worker — the only one
+  guaranteed to stay until the run is done — and read the records
+  back from the store.
 
 Crash recovery falls out of the store contract: a worker killed
 mid-chunk leaves a stale claim and a partial shard; the reclaiming
@@ -43,9 +44,9 @@ trial per crash.
 
 Queue directory layout::
 
-    <queue>/manifest.json        campaign, scale, spec_key, options
+    <queue>/manifest.json        campaign, scale, spec_key, telemetry
     <queue>/chunk-00000.json     {"chunk": 0, "entries":
-                                  [[plan index, replicate, case_key]]}
+                                  [[plan index, case_key]]}
     <queue>/chunk-00000.claim    held lease; mtime = last heartbeat
     <queue>/chunk-00000.done     completion marker
 
@@ -59,7 +60,7 @@ import os
 import re
 import socket
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaigns.executor import ExecutionPolicy, prepare_tasks
@@ -92,8 +93,8 @@ def default_worker_id() -> str:
 
 @dataclass(frozen=True)
 class Lease:
-    """One claimed chunk: its ``[plan index, replicate, case_key]``
-    entries, held by which worker."""
+    """One claimed chunk: its ``[plan index, case_key]`` entries,
+    held by which worker."""
 
     chunk: str
     entries: List[List[Any]]
@@ -138,7 +139,7 @@ class WorkQueue:
         scale: str,
         plans: Optional[List[TrialPlan]] = None,
         chunk_size: int = 4,
-        instrumentation: Optional[Any] = None,
+        telemetry: bool = False,
         store: Optional[Any] = None,
     ) -> Dict[str, Any]:
         """Publish ``plans`` (default: the full tier) as chunk files.
@@ -149,17 +150,12 @@ class WorkQueue:
         land first and the manifest last (each an atomic rename), so a
         worker that can read the manifest can rely on every chunk file
         it names being whole.  One directory holds one (campaign,
-        scale) under one set of instrumentation options; anything else
-        is a :class:`QueueError`.
+        scale), instrumented or not; anything else is a
+        :class:`QueueError`.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         key = spec.spec_key(scale)
-        options = (
-            asdict(instrumentation)
-            if instrumentation is not None and instrumentation.active
-            else None
-        )
         manifest = self.manifest()
         if manifest is not None:
             if manifest["spec_key"] != key:
@@ -169,11 +165,11 @@ class WorkQueue:
                     f"not {spec.name!r} [{scale}]; use a fresh "
                     f"directory per run"
                 )
-            if manifest["instrumentation"] != options:
+            if manifest["telemetry"] != telemetry:
                 raise QueueError(
                     f"queue at {self.root} was published with "
-                    f"instrumentation {manifest['instrumentation']}, "
-                    f"this run asks for {options}"
+                    f"telemetry={manifest['telemetry']}, this run asks "
+                    f"for telemetry={telemetry}"
                 )
         if plans is None:
             plans = spec.trials_for(scale)
@@ -184,14 +180,12 @@ class WorkQueue:
         for chunk in published:
             earlier = self._entries(chunk)
             trials += len(earlier)
-            named.update(entry[2] for entry in earlier)
+            named.update(case_key for _index, case_key in earlier)
         entries = []
         for plan in plans:
             if plan.case_key not in named:
                 named.add(plan.case_key)
-                entries.append(
-                    [plan.index, plan.replicate, plan.case_key]
-                )
+                entries.append([plan.index, plan.case_key])
         first = int(published[-1][len("chunk-"):]) + 1 if published else 0
         chunks = range(0, len(entries), chunk_size)
         for number, start in enumerate(chunks, start=first):
@@ -209,7 +203,7 @@ class WorkQueue:
             "chunk_size": chunk_size,
             "chunks": len(published) + len(chunks),
             "trials": trials + len(entries),
-            "instrumentation": options,
+            "telemetry": telemetry,
         }
         _write_json(
             self.manifest_path(), manifest, indent=2, sort_keys=True
@@ -358,11 +352,10 @@ def run_worker(
     ``max_chunks`` of our own are finished.  ``spec`` defaults to the
     catalog campaign named by the queue manifest; passing it explicitly
     supports ad-hoc specs whose builders are registered in this
-    process.  Trials run through the runner the manifest's
-    instrumentation options name, so every worker produces what the
-    core would.  Each chunk starts with a store cache check, so trials
-    another worker (or a previous life of this chunk's lease) already
-    persisted are skipped — crash recovery re-executes at most the one
+    process.  Trials run instrumented iff the manifest says so, so
+    every worker produces what the core would.  Each chunk starts with
+    a store cache check, so trials another worker (or a previous life
+    of this chunk's lease) already persisted are skipped — crash recovery re-executes at most the one
     trial that was in flight.
     """
     queue = WorkQueue(queue_dir)
@@ -386,11 +379,6 @@ def run_worker(
             f"{key[:12]}… — worker and enqueuer disagree about the "
             f"campaign definition"
         )
-    instrumentation = None
-    if manifest["instrumentation"] is not None:
-        from repro.telemetry.campaign import InstrumentationPlan
-
-        instrumentation = InstrumentationPlan(**manifest["instrumentation"])
     tier = spec.trials_for(scale)
     worker = worker_id or default_worker_id()
     stats: Dict[str, Any] = {
@@ -411,29 +399,25 @@ def run_worker(
             stats["reclaimed"] += 1
         known = store.load(key)
         plans = []
-        for index, replicate, case_key in lease.entries:
+        for index, case_key in lease.entries:
             if case_key in known:
                 stats["skipped"] += 1
                 continue
             # spec_key excludes the grid, so a checkout with another
             # grid gets this far: rebuild the plan and compare keys
             # rather than run whatever sits at that index.
-            plan = (
-                spec.replicate_plan(tier[index], replicate)
-                if 0 <= index < len(tier)
-                else None
-            )
+            plan = tier[index] if 0 <= index < len(tier) else None
             if plan is None or plan.case_key != case_key:
                 queue._release(lease.chunk)
                 raise QueueError(
                     f"{lease.chunk} names case {case_key[:12]}… at "
-                    f"plan {index} (replicate {replicate}) of "
-                    f"{manifest['campaign']!r} [{scale}], which this "
-                    f"process does not compute — worker and enqueuer "
-                    f"disagree about the campaign grid"
+                    f"plan {index} of {manifest['campaign']!r} "
+                    f"[{scale}], which this process does not compute "
+                    f"— worker and enqueuer disagree about the "
+                    f"campaign grid"
                 )
             plans.append(plan)
-        function, tasks = prepare_tasks(plans, instrumentation)
+        function, tasks = prepare_tasks(plans, manifest["telemetry"])
         for task in tasks:
             record = function(task)
             store.append(key, record, shard=worker)
@@ -454,7 +438,7 @@ def run_queued(
     plans: List[TrialPlan],
     policy: ExecutionPolicy,
     store: Any,
-    instrumentation: Optional[Any] = None,
+    telemetry: bool = False,
     on_record: Optional[Callable[[TrialRecord], None]] = None,
 ) -> List[TrialRecord]:
     """The queue transport: run ``plans`` through ``policy.queue``.
@@ -470,7 +454,7 @@ def run_queued(
         scale,
         plans=plans,
         chunk_size=policy.chunk_size,
-        instrumentation=instrumentation,
+        telemetry=telemetry,
     )
     run_worker(
         policy.queue,

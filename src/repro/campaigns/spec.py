@@ -228,12 +228,6 @@ class TrialPlan:
     case_key: str
     index: int
 
-    @property
-    def replicate(self) -> int:
-        """Which re-sample of its cell this is — the inverse of
-        :meth:`CampaignSpec.replicate_plan` (0 for a tier plan)."""
-        return self.case.get("replicate", 0)
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -285,47 +279,12 @@ class CampaignSpec:
                 )
         return plans
 
-    def replicate_plan(
-        self, plan: TrialPlan, replicate: int
-    ) -> TrialPlan:
-        """Derive the ``replicate``-th re-sample of ``plan``'s cell.
-
-        Replicate 0 is the plan itself (the tier's own trial).  Later
-        replicates add a ``replicate`` axis to the case — giving each a
-        distinct derived seed and case key, so adaptive sampling's
-        extra draws are cached, resumed, and deduped like any other
-        trial — while leaving the base case untouched, so a fixed-tier
-        store stays a cache hit for replicate 0.  A pinned ``seed``
-        steps by the replicate index (derivation would collapse every
-        replicate onto the pinned value).
-        """
-        if replicate == 0:
-            return plan
-        case = dict(plan.case)
-        case["replicate"] = replicate
-        if "seed" in plan.case:
-            seed = int(plan.case["seed"]) + replicate
-        else:
-            seed = derive_seed(self.seed, plan.builder, case)
-        case_key = stable_hash(
-            plan.builder, case, plan.measurement.as_dict(), seed
-        )
-        return TrialPlan(
-            campaign=plan.campaign,
-            scenario=plan.scenario,
-            builder=plan.builder,
-            case=case,
-            measurement=plan.measurement,
-            seed=seed,
-            case_key=case_key,
-            index=plan.index,
-        )
-
     def spec_key(self, scale: str) -> str:
         """Content address of this (campaign, scale) in a result store.
 
         Excludes the grid on purpose: extending an axis keeps the same
-        store file, so ``--resume`` only runs the missing cases.
+        store file, so a re-run with the store only runs the missing
+        cases.
         Per-case identity lives in each trial's ``case_key``.
         """
         return stable_hash(

@@ -7,7 +7,7 @@ subcommands (``repro <command> --help`` prints the flags):
 ``experiments``     ``list`` / ``run E4`` / ``all`` / ``params`` — the
                     experiment catalog and the Theorem 17 calculator
 ``campaign``        ``campaign list|show|run|enqueue|worker`` — the sweep
-                    engine (pools, stores, queues, adaptive sampling)
+                    engine (pools, stores, queues)
 ``store``           ``store list|merge|compact`` — result-store upkeep
 ``scenarios``       ``scenarios list|show`` — the scenario registry
 ``ablate``          ``ablate plan|run|report`` — component importance
@@ -73,7 +73,11 @@ COMMANDS: Dict[str, Tuple[str, str]] = {
         "property-based search for theorem-bound violations "
         "(Hypothesis strategies over the scenario registry)",
     ),
-    "perf": ("perf", "benchmark tracking (probes, baselines, CI gate)"),
+    "perf": (
+        "perf",
+        "the perf gate over 'python3 -m bench run' results "
+        "(compare, baseline, list, overhead)",
+    ),
     "telemetry": (
         "telemetry",
         "inspect campaign telemetry sidecars (counters, spans, "

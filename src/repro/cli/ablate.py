@@ -5,7 +5,7 @@
     component, optionally pairwise) and show every planned trial with
     its content-addressed case key.
 ``ablate run [--tier quick] [--workers 8] [--store DIR]
-[--adaptive --ci-width X] [--out results/ablation.json] [--check]``
+[--out results/ablation.json] [--check]``
     Execute the matrix through the campaign engine, print the
     per-component importance table (monitor flips + skew deltas), and
     write the byte-stable committed artifact — or, with ``--check``,
@@ -182,7 +182,7 @@ def register_ablate(parser: argparse.ArgumentParser) -> None:
     ablate_run_parser = ablate_sub.add_parser(
         "run",
         help="execute the matrix and write the importance artifact",
-        parents=[ablate_shared, execution_parent(max_trials=12)],
+        parents=[ablate_shared, execution_parent()],
     )
     ablate_run_parser.add_argument(
         "--out", default=None,

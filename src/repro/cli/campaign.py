@@ -4,15 +4,13 @@
     Show the campaign catalog (every experiment id is one).
 ``campaign show E4 [--scale full] [--store results/store]``
     Describe a campaign's grid, trial count, spec key, and cache state.
-``campaign run E4 [--scale] [--workers 8] [--store DIR] [--resume]
-[--fresh] [--timeout S] [--csv out.csv]``
+``campaign run E4 [--scale] [--workers 8] [--store DIR] [--fresh]
+[--timeout S] [--csv out.csv]``
     Execute a campaign through the sweep engine — serially or on a
     process pool — replaying cached trials from the result store, then
     print its table and execution summary.  ``--queue DIR`` switches
-    to elastic execution (enqueue chunk leases, join as one worker);
-    ``--adaptive --ci-width X`` replicates each grid cell until the
-    confidence interval on the headline metric is narrow enough
-    (see ``docs/SCALING.md``).
+    to elastic execution (enqueue chunk leases, join as one worker;
+    see ``docs/SCALING.md``).
 ``campaign enqueue E4 --queue DIR [--scale] [--chunk-size 4]
 [--store DIR]``
     Publish a campaign's pending chunks to a work-queue directory for
@@ -29,9 +27,8 @@ as ``<spec_key>.check.json`` (mirroring ``--perf``).
 ``campaign run --telemetry`` instruments every executed trial with the
 metrics registry, prints the aggregated counters, and, with
 ``--store``, persists the byte-stable ``<spec_key>.telemetry.json``
-sidecar; ``--profile`` attaches cProfile per trial and tabulates the
-top hotspots; ``--progress`` prints live heartbeats (trials done,
-rolling events/sec, ETA) to stderr.
+sidecar; ``--progress`` prints live heartbeats (trials done, rolling
+events/sec, ETA) to stderr.
 """
 
 from __future__ import annotations
@@ -90,8 +87,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
         run_summary_table,
     )
 
-    if args.resume and not args.store:
-        raise SystemExit("--resume requires --store")
     if args.queue and not args.store:
         raise SystemExit(
             "--queue requires --store: elastic workers coordinate "
@@ -120,17 +115,8 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
                     for scale, m in spec.measurements.items()
                 },
             )
-    instrumentation = None
-    if args.telemetry or args.profile:
-        from repro.telemetry.campaign import InstrumentationPlan
-
-        instrumentation = InstrumentationPlan(
-            telemetry=args.telemetry,
-            profile=args.profile,
-            profile_top=args.profile_top,
-        )
     run = execute_or_exit(
-        spec, args.scale, instrumentation=instrumentation, **flags
+        spec, args.scale, telemetry=args.telemetry, **flags
     )
     store = flags["store"]
     table = definition.tabulate(run)
@@ -138,14 +124,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
     print()
     print(run_summary_table(run).render())
     print(run.summary() + f" (workers={args.workers})")
-    if run.adaptive is not None:
-        a = run.adaptive
-        print(
-            f"adaptive[{a['metric']}]: {a['trials']} trials over "
-            f"{a['cells']} cells — saved {a['saved']} vs fixed "
-            f"{a['max_trials']}x replication ({a['converged']} "
-            f"converged, {a['exhausted']} at cap)"
-        )
     if args.perf:
         throughput = campaign_throughput(run)
         print(
@@ -176,17 +154,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
                 kind="telemetry",
             )
             print(f"wrote {path}")
-    if args.profile:
-        from repro.telemetry.profiler import (
-            aggregate_hotspots,
-            render_hotspots,
-        )
-
-        print(
-            render_hotspots(
-                aggregate_hotspots(run.records, top=args.profile_top)
-            )
-        )
     if args.check:
         from repro.checks import (
             campaign_conformance,
@@ -285,14 +252,10 @@ def register_campaign(parser: argparse.ArgumentParser) -> None:
 
     campaign_run_parser = campaign_sub.add_parser(
         "run", help="execute a campaign through the sweep engine",
-        parents=[backend_parent(), execution_parent(max_trials=8)],
+        parents=[backend_parent(), execution_parent()],
     )
     campaign_run_parser.add_argument("campaign", help="campaign id")
     campaign_run_parser.add_argument("--scale", default="quick")
-    campaign_run_parser.add_argument(
-        "--resume", action="store_true",
-        help="complete a partially-run campaign (requires --store)",
-    )
     campaign_run_parser.add_argument(
         "--csv", help="also write the table as CSV"
     )
@@ -310,15 +273,6 @@ def register_campaign(parser: argparse.ArgumentParser) -> None:
         "--telemetry", action="store_true",
         help="instrument executed trials with the metrics registry and, "
         "with --store, persist <spec_key>.telemetry.json",
-    )
-    campaign_run_parser.add_argument(
-        "--profile", action="store_true",
-        help="attach cProfile to every executed trial and tabulate the "
-        "top hotspots across the run",
-    )
-    campaign_run_parser.add_argument(
-        "--profile-top", type=int, default=15,
-        help="hotspot rows kept per trial and printed (default 15)",
     )
     campaign_run_parser.add_argument(
         "--queue",

@@ -30,26 +30,11 @@ def execution_flags(
     extra :class:`ExecutionPolicy` fields only ``campaign run`` has)."""
     from repro.campaigns.store import ResultStore
 
-    if args.adaptive and args.ci_width is None:
-        raise SystemExit("--adaptive requires --ci-width")
-    if args.ci_width is not None and not args.adaptive:
-        raise SystemExit("--ci-width only makes sense with --adaptive")
     return {
         "policy": {
             name: getattr(args, name)
             for name in ("workers", "chunk_size", "timeout", *queue_flags)
         },
-        "adaptive": (
-            {
-                "ci_width": args.ci_width,
-                "metric": args.ci_metric,
-                "confidence": args.ci_confidence,
-                "min_trials": args.min_trials,
-                "max_trials": args.max_trials,
-            }
-            if args.adaptive
-            else None
-        ),
         "store": ResultStore(args.store) if args.store else None,
         "fresh": args.fresh,
         "progress": args.progress,
@@ -60,22 +45,19 @@ def execute_or_exit(
     spec,
     scale: str,
     policy: Optional[dict] = None,
-    adaptive: Optional[dict] = None,
     store: Optional[ResultStore] = None,
     fresh: bool = False,
     progress: bool = False,
-    instrumentation=None,
+    telemetry: bool = False,
 ):
     """The one way the CLI executes a campaign: ``run``, ``all``,
     ``campaign run`` and ``ablate run`` all end here.
 
-    ``policy`` / ``adaptive`` are keyword dicts for
-    :class:`ExecutionPolicy` / :class:`AdaptivePolicy`; both are
-    validated here so that a bad flag value — like every other
+    ``policy`` is a keyword dict for :class:`ExecutionPolicy`, validated
+    here so that a bad flag value — like every other
     ``ValueError``/``QueueError`` of the engine — exits with its
     one-line message instead of a traceback.
     """
-    from repro.campaigns.adaptive import AdaptivePolicy
     from repro.campaigns.executor import ExecutionPolicy, execute_campaign
     from repro.campaigns.queue import QueueError
 
@@ -91,13 +73,8 @@ def execute_or_exit(
             policy=ExecutionPolicy(**(policy or {})),
             store=store,
             reuse=not fresh,
-            instrumentation=instrumentation,
+            telemetry=telemetry,
             progress=reporter.update if reporter is not None else None,
-            adaptive=(
-                AdaptivePolicy(**adaptive)
-                if adaptive is not None
-                else None
-            ),
         )
     except (ValueError, QueueError) as exc:
         raise SystemExit(str(exc)) from None

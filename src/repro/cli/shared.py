@@ -64,11 +64,9 @@ def backend_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def execution_parent(max_trials: int) -> argparse.ArgumentParser:
-    """The scheduling, store and adaptive-sampling flags of ``campaign
-    run`` and ``ablate run``, consumed by
-    :func:`repro.cli.execution.execution_flags`.  The two commands
-    differ in one default: the replicate cap per cell."""
+def execution_parent() -> argparse.ArgumentParser:
+    """The scheduling and store flags of ``campaign run`` and ``ablate
+    run``, consumed by :func:`repro.cli.execution.execution_flags`."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--workers", type=int, default=1,
@@ -93,34 +91,5 @@ def execution_parent(max_trials: int) -> argparse.ArgumentParser:
         "--progress", action="store_true",
         help="print live heartbeats (trials done, rolling events/sec, "
         "ETA) to stderr",
-    )
-    parent.add_argument(
-        "--adaptive", action="store_true",
-        help="per-cell adaptive sampling: replicate each grid cell "
-        "until the CI width target (--ci-width) is hit, bounded by "
-        "--max-trials",
-    )
-    parent.add_argument(
-        "--ci-width", type=float, default=None,
-        help="target confidence-interval width on the headline metric "
-        "(enables the adaptive stopping rule)",
-    )
-    parent.add_argument(
-        "--ci-metric", default="max_skew",
-        help="metric the stopping rule targets (default max_skew)",
-    )
-    parent.add_argument(
-        "--ci-confidence", type=float, default=0.95,
-        help="confidence level of the interval (default 0.95)",
-    )
-    parent.add_argument(
-        "--min-trials", type=int, default=3,
-        help="replicates per cell before the first width check "
-        "(default 3)",
-    )
-    parent.add_argument(
-        "--max-trials", type=int, default=max_trials,
-        help="replicate cap per cell, converged or not "
-        f"(default {max_trials})",
     )
     return parent

@@ -60,11 +60,15 @@ def _load_telemetry_sidecar(name: str, scale: str, store_dir):
 
 
 def _check_metric_names(
-    requested: Optional[List[str]], payload=None
+    requested: Optional[List[str]], *payloads
 ) -> Optional[List[str]]:
+    """``requested`` if every name is in the catalog or in one of
+    ``payloads`` (a diff names metrics either side recorded)."""
     if not requested:
         return None
-    available = available_metrics(payload)
+    available = sorted(
+        {name for payload in payloads for name in available_metrics(payload)}
+    )
     for name in requested:
         if name not in available:
             raise unknown_name_exit(name, "metric", available)
@@ -118,7 +122,7 @@ def _command_telemetry_diff(args: argparse.Namespace) -> int:
     left = _load_telemetry_sidecar(args.a, args.scale, args.store)
     right = _load_telemetry_sidecar(args.b, args.scale, args.store)
     rows = diff_rows(left, right)
-    metrics = _check_metric_names(args.metric, left)
+    metrics = _check_metric_names(args.metric, left, right)
     print(
         f"telemetry diff: a={left.get('campaign', '?')}"
         f"[{left.get('scale', '?')}] "

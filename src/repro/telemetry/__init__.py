@@ -1,6 +1,6 @@
-"""Observability: metrics registry, campaign sidecars, progress, profiling.
+"""Observability: metrics registry, campaign sidecars, progress.
 
-The subsystem splits into five small layers:
+The subsystem splits into four small layers:
 
 ``metrics``
     :class:`Telemetry` — counters/gauges/histograms/spans with a
@@ -18,16 +18,13 @@ The subsystem splits into five small layers:
 ``progress``
     Live heartbeats (trials done/total, rolling events/sec, ETA) on
     stderr so long full-tier runs are no longer silent.
-``profiler``
-    Per-trial cProfile capture and cross-trial hotspot tabulation
-    behind ``repro campaign run --profile``.
 
 Only the light layers (metrics, context) are exported here, and only
 on first use; the simulator imports :mod:`repro.telemetry.context` at
 module load, so this package must not pull in the campaign stack.
 
-See ``docs/OBSERVABILITY.md`` for the metric catalog, sidecar format,
-and profiling workflow.
+See ``docs/OBSERVABILITY.md`` for the metric catalog and sidecar
+format.
 """
 
 from repro import lazy_exports

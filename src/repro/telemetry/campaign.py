@@ -25,7 +25,6 @@ the same cache entries, as they produce identical metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaigns.executor import CampaignRun, run_trial
@@ -38,56 +37,24 @@ from repro.telemetry.metrics import Telemetry, merge_snapshots
 SIDECAR_KIND = "telemetry"
 
 
-@dataclass(frozen=True)
-class InstrumentationPlan:
-    """Picklable per-trial instrumentation options (pool-safe)."""
-
-    telemetry: bool = False
-    profile: bool = False
-    profile_top: int = 15
-
-    @property
-    def active(self) -> bool:
-        return self.telemetry or self.profile
-
-
 def run_instrumented(task: Any) -> Any:
-    """Top-level runner for (plan, builder, :class:`InstrumentationPlan`)
-    triples — the instrumented sibling of the executor's plain runner.
+    """Top-level runner for (plan, builder) pairs — the instrumented
+    sibling of the executor's plain runner.
 
     Clearing the verification memo at trial start makes the per-trial
     ``crypto.verify.*`` deltas independent of which trials shared this
     worker process before — the memo is semantics-free, so this only
     affects timing, never results.
     """
-    plan, builder, options = task
-    telemetry = None
-    profiler = None
-    if options.telemetry:
-        clear_verify_cache()
-        telemetry = Telemetry(label=plan.case_key)
+    plan, builder = task
+    clear_verify_cache()
+    telemetry = Telemetry(label=plan.case_key)
+    activate(telemetry)
     try:
-        if telemetry is not None:
-            activate(telemetry)
-        if options.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
         record = run_trial(plan, builder=builder)
     finally:
-        if profiler is not None:
-            profiler.disable()
-        if telemetry is not None:
-            deactivate()
-    if telemetry is not None:
-        record.metrics["telemetry"] = telemetry.as_dict()
-    if profiler is not None:
-        from repro.telemetry.profiler import profile_rows
-
-        record.metrics["profile"] = profile_rows(
-            profiler, options.profile_top
-        )
+        deactivate()
+    record.metrics["telemetry"] = telemetry.as_dict()
     return record
 
 
@@ -117,7 +84,7 @@ def campaign_telemetry(run: CampaignRun) -> Dict[str, Any]:
             }
         )
         snapshots.append(snapshot)
-    payload = {
+    return {
         "campaign": run.spec.name,
         "scale": run.scale,
         "spec_key": run.spec.spec_key(run.scale),
@@ -127,14 +94,6 @@ def campaign_telemetry(run: CampaignRun) -> Dict[str, Any]:
         "aggregate": merge_snapshots(snapshots),
         "records": trials,
     }
-    if run.adaptive is not None:
-        # Only present on adaptive runs, so fixed-tier sidecars stay
-        # byte-identical; per_cell is dropped (it scales with the grid
-        # and duplicates what the store already holds).
-        payload["adaptive"] = {
-            k: v for k, v in run.adaptive.items() if k != "per_cell"
-        }
-    return payload
 
 
 def aggregate_payloads(

@@ -1,12 +1,37 @@
 """Tests for the command-line interface."""
 
+import cProfile
 import os
+import pstats
+import re
 
 import pytest
 
 from repro.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The two commands that take the execution flags, on a small input.
+EXECUTING = {
+    "campaign-run": ["campaign", "run", "E1"],
+    "ablate-run": ["ablate", "run"],
+}
+
+_ADAPTIVE_FLAGS = (
+    ["--adaptive"],
+    ["--ci-width", "0.1"],
+    ["--ci-metric", "max_skew"],
+    ["--ci-confidence", "0.95"],
+    ["--min-trials", "2"],
+    ["--max-trials", "4"],
+)
+
+#: Flags each command no longer has.
+REMOVED_FLAGS = {
+    "campaign-run": _ADAPTIVE_FLAGS
+    + (["--profile"], ["--profile-top", "3"], ["--resume"]),
+    "ablate-run": _ADAPTIVE_FLAGS,
+}
 
 
 class TestList:
@@ -56,18 +81,9 @@ class TestCampaign:
         store = os.path.join(tmp_path, "store")
         assert main(["campaign", "run", "E1", "--store", store]) == 0
         capsys.readouterr()
-        assert (
-            main(
-                ["campaign", "run", "E1", "--store", store, "--resume"]
-            )
-            == 0
-        )
+        assert main(["campaign", "run", "E1", "--store", store]) == 0
         out = capsys.readouterr().out
         assert "0 executed, 6 cached, 0 failed" in out
-
-    def test_resume_requires_store(self):
-        with pytest.raises(SystemExit):
-            main(["campaign", "run", "E1", "--resume"])
 
     def test_unknown_campaign(self):
         with pytest.raises(SystemExit, match="unknown campaign"):
@@ -125,16 +141,25 @@ class TestErrorPaths:
         with pytest.raises(SystemExit, match="did you mean 'STRESS'"):
             main(["campaign", "run", "STRES"])
 
-    def test_bad_adaptive_flag_exits_with_one_line(self):
-        # `ablate run` used to copy `campaign run`'s execution block
-        # minus its `except ValueError`: the same bad flag printed a
-        # traceback there and a one-line message here.
-        flags = ["--adaptive", "--ci-width", "0.1", "--min-trials", "0"]
-        for command in (["campaign", "run", "E1"], ["ablate", "run"]):
-            with pytest.raises(
-                SystemExit, match="min_trials must be >= 2"
-            ):
-                main(command + flags)
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command, flags in REMOVED_FLAGS.items()
+            for flag in flags
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_removed_flag_is_refused(self, capsys, command, flag):
+        # Adaptive sampling, per-trial --profile and the no-op --resume
+        # are gone: a script still passing one fails loudly in the
+        # parser instead of running something else.
+        with pytest.raises(SystemExit) as info:
+            main(EXECUTING[command] + flag)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in (
+            capsys.readouterr().err
+        )
 
     def test_unknown_campaign_show(self):
         with pytest.raises(SystemExit, match="unknown campaign"):
@@ -339,19 +364,35 @@ class TestTelemetryCli:
         assert "done:" in captured.err
         assert "[E4/quick]" not in captured.out
 
-    def test_profile_prints_hotspots(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign", "run", "E4", "--profile",
-                    "--profile-top", "3",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "tottime" in out
-        assert "scheduler" in out
+    def test_stdlib_profiler_covers_a_campaign_run(self, tmp_path, capsys):
+        # `python -m cProfile -o out.prof -m repro campaign run X` is
+        # the profiler: one profile of the whole run, engine included.
+        profiler = cProfile.Profile()
+        assert profiler.runcall(main, ["campaign", "run", "E4"]) == 0
+        path = str(tmp_path / "out.prof")
+        profiler.dump_stats(path)
+        files = {filename for filename, _, _ in pstats.Stats(path).stats}
+        scheduler = os.path.join("repro", "sim", "scheduler.py")
+        assert any(name.endswith(scheduler) for name in files)
+        assert "0 failed" in capsys.readouterr().out
+
+    def test_diff_accepts_a_metric_only_one_side_recorded(
+        self, tmp_path, capsys
+    ):
+        # E4 runs no churn, so its sidecar has no dynamics.* names; a
+        # diff validates --metric against both sides, whichever is left.
+        store = self._sidecar(tmp_path, capsys)
+        run = ["campaign", "run", "CHURN-STRESS", "--telemetry"]
+        assert main(run + ["--store", store]) == 0
+        capsys.readouterr()
+        metric = ["--store", store, "--metric", "dynamics.applied.crash"]
+        for a, b, row in (
+            ("E4", "CHURN-STRESS", r"\b0\s+7\s+\+7$"),
+            ("CHURN-STRESS", "E4", r"\b7\s+0\s+-7$"),
+        ):
+            assert main(["telemetry", "diff", a, b, *metric]) == 0
+            out = capsys.readouterr().out
+            assert re.search(row, out, re.MULTILINE), out
 
     def test_unknown_campaign_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown campaign") as info:
@@ -405,17 +446,38 @@ class TestScalingCli:
         with pytest.raises(SystemExit, match="incompatible"):
             main(args + ["--store", store, "--fresh"])
 
-    def test_adaptive_requires_ci_width(self):
-        with pytest.raises(SystemExit, match="requires --ci-width"):
-            main(["campaign", "run", "E1", "--adaptive"])
-
-    def test_ci_width_requires_adaptive(self):
-        with pytest.raises(SystemExit, match="--adaptive"):
-            main(["campaign", "run", "E1", "--ci-width", "0.1"])
-
     def test_workers_zero_is_rejected(self):
-        with pytest.raises(SystemExit, match="workers must be >= 1"):
-            main(["campaign", "run", "E1", "--workers", "0"])
+        # Both commands reach the engine through execute_or_exit, so a
+        # bad flag value is the same one-line exit, never a traceback.
+        for command in (["campaign", "run", "E1"], ["ablate", "run"]):
+            with pytest.raises(
+                SystemExit, match="workers must be >= 1"
+            ):
+                main(command + ["--workers", "0"])
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            (["--workers", "-3"], "workers must be >= 1"),
+            (["--chunk-size", "0"], "chunk_size must be >= 1"),
+        ],
+        ids=["workers", "chunk-size"],
+    )
+    @pytest.mark.parametrize("command", sorted(EXECUTING))
+    def test_bad_execution_flag_exits_with_one_line(
+        self, command, flag, message
+    ):
+        with pytest.raises(SystemExit, match=message) as info:
+            main(EXECUTING[command] + flag)
+        assert "\n" not in str(info.value.code)
+
+    def test_queue_rejects_timeout(self, tmp_path):
+        # The third queue rule: the store is the only channel back, and
+        # a timeout's transient failure must not enter it.
+        args = ["campaign", "run", "E1", "--queue", str(tmp_path / "q")]
+        args += ["--store", str(tmp_path / "store"), "--timeout", "5"]
+        with pytest.raises(SystemExit, match="timeouts are not supported"):
+            main(args)
 
     def test_worker_without_enqueue_exits(self, tmp_path):
         store = os.path.join(tmp_path, "store")
@@ -449,8 +511,7 @@ class TestScalingCli:
         assert "merged 1 shard(s)" in out
         assert "6 record(s), 0 superseded" in out
         # The merged store replays as a pure cache hit.
-        rerun = ["campaign", "run", "E1", "--store", store]
-        assert main(rerun + ["--resume"]) == 0
+        assert main(["campaign", "run", "E1", "--store", store]) == 0
         out = capsys.readouterr().out
         assert "0 executed, 6 cached" in out
 
@@ -482,29 +543,6 @@ class TestScalingCli:
             ):
                 main(["campaign", "enqueue", *other, "--queue", queue])
 
-    def test_adaptive_queue_run_matches_serial(self, tmp_path, capsys):
-        args = ["campaign", "run", "STRESS", "--adaptive"]
-        args += ["--ci-width", "1000", "--min-trials", "2"]
-        args += ["--max-trials", "3", "--telemetry"]
-        serial = os.path.join(tmp_path, "serial")
-        queued = os.path.join(tmp_path, "queued")
-        assert main(args + ["--store", serial]) == 0
-        capsys.readouterr()
-        queue = os.path.join(tmp_path, "q")
-        assert main(args + ["--store", queued, "--queue", queue]) == 0
-        out = capsys.readouterr().out
-        assert "adaptive[max_skew]: 12 trials over 6 cells" in out
-        assert "12/12 trials instrumented" in out
-        sidecars = []
-        for store in (serial, queued):
-            (name,) = [
-                n for n in os.listdir(store)
-                if n.endswith(".telemetry.json")
-            ]
-            with open(os.path.join(store, name), "rb") as handle:
-                sidecars.append(handle.read())
-        assert sidecars[0] == sidecars[1]
-
     def test_store_compact_reports_counts(self, tmp_path, capsys):
         store = os.path.join(tmp_path, "store")
         assert main(["campaign", "run", "E1", "--store", store]) == 0
@@ -512,14 +550,3 @@ class TestScalingCli:
         assert main(["store", "compact", "--store", store]) == 0
         out = capsys.readouterr().out
         assert "compacted — 6 record(s) kept, 0 line(s) dropped" in out
-
-    def test_adaptive_run_prints_savings(self, tmp_path, capsys):
-        args = ["campaign", "run", "STRESS", "--adaptive"]
-        args += ["--ci-width", "1000"]
-        args += ["--min-trials", "2", "--max-trials", "4"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "adaptive[max_skew]: 12 trials over 6 cells" in out
-        assert "saved 12 vs fixed 4x replication" in out
-        assert "6 converged, 0 at cap" in out
-        assert "adaptive target: max_skew CI width <= 1000" in out

@@ -3,7 +3,8 @@
 Two adversarial views of the elastic transport:
 
 * a Hypothesis state machine that interleaves everything the protocol
-  allows — publishes (the tier, then later replicate rounds), claims,
+  allows — publishes (disjoint slices of a tier, the repeat publish of
+  ``campaign enqueue`` followed by ``campaign run --queue``), claims,
   heartbeats, single trials, completions, workers dying mid-chunk,
   leases expiring under live *and* dead holders, real ``run_worker``
   passes, ``merge`` and ``compact`` — and checks that the store never
@@ -51,27 +52,25 @@ from repro.campaigns.store import record_line
 def _cell_trial(case, measurement, seed):
     if case["x"] == 3:
         raise ValueError("cell 3 always fails")
-    return {"value": 1000 * case["x"] + case.get("replicate", 0)}
+    return {"value": 1000 * case["x"]}
 
 
 SPEC = CampaignSpec(
     name="protocol",
     scenarios=(
         ScenarioSpec(
-            builder="proto-cell", axes={"*": {"x": (1, 2, 3, 4, 5)}}
+            builder="proto-cell", axes={"*": {"x": tuple(range(1, 16))}}
         ),
     ),
 )
 KEY = SPEC.spec_key("quick")
 TIER = SPEC.trials_for("quick")
-ROUNDS = {
-    r: [SPEC.replicate_plan(plan, r) for plan in TIER] for r in (0, 1, 2)
-}
+#: What one publish may name: disjoint slices of the tier.
+SLICES = {part: TIER[5 * part:5 * part + 5] for part in (0, 1, 2)}
 #: The serial run of every plan the machine can publish.
 REFERENCE = {
     plan.case_key: (record.metrics, record.error)
-    for plans in ROUNDS.values()
-    for plan in plans
+    for plan in TIER
     for record in [run_trial(plan)]
 }
 WORKERS = ("wa", "wb", "wc")
@@ -125,9 +124,9 @@ class QueueProtocol(RuleBasedStateMachine):
 
     # -- publishing -----------------------------------------------------
 
-    @rule(replicate=st.sampled_from(sorted(ROUNDS)))
-    def publish(self, replicate):
-        plans = ROUNDS[replicate]
+    @rule(part=st.sampled_from(sorted(SLICES)))
+    def publish(self, part):
+        plans = SLICES[part]
         before = len(self.queue.chunk_ids())
         manifest = self.queue.enqueue(
             SPEC, "quick", plans=plans, chunk_size=2
@@ -150,7 +149,7 @@ class QueueProtocol(RuleBasedStateMachine):
             known = self.store.load(KEY)
             self.held[worker] = (
                 lease,
-                [e for e in lease.entries if e[2] not in known],
+                [e for e in lease.entries if e[1] not in known],
             )
 
     @precondition(lambda self: self.held)
@@ -162,8 +161,8 @@ class QueueProtocol(RuleBasedStateMachine):
             self.queue.complete(lease)
             del self.held[worker]
             return
-        index, replicate, case_key = todo.pop(0)
-        plan = SPEC.replicate_plan(TIER[index], replicate)
+        index, case_key = todo.pop(0)
+        plan = TIER[index]
         assert plan.case_key == case_key
         self.store.append(KEY, run_trial(plan), shard=worker)
         self.queue.heartbeat(lease)
@@ -328,8 +327,9 @@ class TestTornWrites:
     def test_a_restarted_writer_appends_after_its_own_torn_tail(
         self, tmp_path
     ):
-        # The writer that tore the file comes back (``--resume`` on the
-        # base file, or the same ``--worker-id`` on a shard) and
+        # The writer that tore the file comes back (a re-run with the
+        # same ``--store`` on the base file, or the same
+        # ``--worker-id`` on a shard) and
         # appends: nothing may be glued onto the fragment.
         records = [run_trial(TIER[i]) for i in (0, 1, 3)]
         first, second, third = (

@@ -1,4 +1,4 @@
-"""Elastic queue execution and adaptive sampling (ISSUE 9 tentpole).
+"""Elastic queue execution.
 
 Covers the scaling layer end to end:
 
@@ -9,22 +9,19 @@ Covers the scaling layer end to end:
 * two concurrent writers produce a store whose ``load()`` equals the
   serial run's;
 * the queued coordinator path matches the pool path record for
-  record;
-* adaptive sampling — per-cell stopping on a CI-width target that is
-  deterministic across worker counts and demonstrably cheaper than
-  fixed replication.
+  record, and every transport composes with telemetry, with a repeat
+  publish of an extended grid, with any other transport's store, with
+  builder failures and with progress reporting.
 """
 
 import json
 import os
-import random
 import threading
 import time
 
 import pytest
 
 from repro.campaigns import (
-    AdaptivePolicy,
     CampaignSpec,
     ExecutionPolicy,
     QueueError,
@@ -35,13 +32,8 @@ from repro.campaigns import (
     register_builder,
     run_worker,
 )
-from repro.campaigns.adaptive import _cell_width, t_critical
-from repro.campaigns.executor import TrialRecord
 from repro.campaigns.queue import default_worker_id
-from repro.telemetry.campaign import (
-    InstrumentationPlan,
-    campaign_telemetry,
-)
+from repro.telemetry.campaign import campaign_telemetry
 
 
 @register_builder("scale-log")
@@ -51,14 +43,6 @@ def _logged_trial(case, measurement, seed):
     with open(case["log"], "a", encoding="utf-8") as handle:
         handle.write(f"{case['x']}\n")
     return {"square": case["x"] ** 2, "max_skew": float(case["x"])}
-
-
-@register_builder("scale-noisy")
-def _noisy_trial(case, measurement, seed):
-    """A seed-deterministic noisy metric: cells with small ``spread``
-    converge fast under the adaptive stopping rule, wide ones don't."""
-    rng = random.Random(seed)
-    return {"max_skew": case["base"] + rng.random() * case["spread"]}
 
 
 @register_builder("scale-slow")
@@ -85,25 +69,6 @@ def _log_spec(log_path, xs=(1, 2, 3, 4, 5, 6), name="logged"):
     )
 
 
-def _noisy_spec(name="noisy", seed=0):
-    return CampaignSpec(
-        name=name,
-        scenarios=(
-            ScenarioSpec(
-                builder="scale-noisy",
-                cases={
-                    "*": (
-                        {"base": 1.0, "spread": 0.001},
-                        {"base": 2.0, "spread": 0.001},
-                        {"base": 3.0, "spread": 5.0},
-                    )
-                },
-            ),
-        ),
-        seed=seed,
-    )
-
-
 def _content(run):
     """What every mode must agree on, record for record."""
     return [
@@ -114,6 +79,20 @@ def _content(run):
         )
         for r in run.records
     ]
+
+
+TRANSPORTS = ("serial", "pool", "queue")
+
+
+def _policy(transport, queue_dir):
+    """The same grid on each of the executor's three transports."""
+    return {
+        "serial": ExecutionPolicy(workers=1),
+        "pool": ExecutionPolicy(workers=2, chunk_size=1),
+        "queue": ExecutionPolicy(
+            queue=str(queue_dir), chunk_size=1, worker_id="coord"
+        ),
+    }[transport]
 
 
 def _log_counts(log_path):
@@ -149,23 +128,25 @@ class TestWorkQueue:
         assert not queue.all_done()
 
     def test_reenqueue_is_idempotent_per_case_key(self, tmp_path):
-        # Rewritten from test_reenqueue_is_an_error: publishing is
-        # idempotent, so the same spec adds nothing, new plans land in
-        # chunks numbered after the last one, and only a *different*
-        # campaign/scale in the directory is an error.
+        # Publishing is idempotent, so the same spec adds nothing; an
+        # extended grid (same spec key: it excludes the grid) adds only
+        # its new cases, in chunks numbered after the last one; and
+        # only a *different* campaign/scale in the directory is an
+        # error.
         spec = _log_spec(tmp_path / "log")
         queue = WorkQueue(tmp_path / "q")
         first = queue.enqueue(spec, "quick")
         assert queue.enqueue(spec, "quick") == first
         assert queue.chunk_ids() == ["chunk-00000", "chunk-00001"]
-        plans = spec.trials_for("quick")
-        replicates = [spec.replicate_plan(plans[0], r) for r in (0, 1)]
-        again = queue.enqueue(spec, "quick", plans=replicates)
+        extended = _log_spec(tmp_path / "log", xs=(1, 2, 3, 4, 5, 6, 7))
+        assert extended.spec_key("quick") == spec.spec_key("quick")
+        again = queue.enqueue(extended, "quick")
         assert again["chunks"] == 3 and again["trials"] == 7
         assert queue.manifest() == again
         lease = [queue.claim("a") for _ in range(3)][-1]
         assert lease.chunk == "chunk-00002"
-        assert lease.entries == [[0, 1, replicates[1].case_key]]
+        new = extended.trials_for("quick")[6]
+        assert lease.entries == [[6, new.case_key]]
         other = _log_spec(tmp_path / "log", name="other")
         with pytest.raises(QueueError, match="holds campaign 'logged'"):
             queue.enqueue(other, "quick")
@@ -181,7 +162,7 @@ class TestWorkQueue:
         assert first.chunk == "chunk-00000"
         assert second.chunk == "chunk-00001"
         keys = [p.case_key for p in spec.trials_for("quick")]
-        assert first.entries == [[i, 0, keys[i]] for i in (0, 1, 2)]
+        assert first.entries == [[i, keys[i]] for i in (0, 1, 2)]
         assert queue.claim("c") is None  # both live, nothing open
 
     def test_complete_marks_done_and_releases(self, tmp_path):
@@ -455,235 +436,7 @@ class TestQueueCoordinator:
 
 
 # ----------------------------------------------------------------------
-# Adaptive sampling
-# ----------------------------------------------------------------------
-
-
-class TestAdaptivePolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="ci_width"):
-            AdaptivePolicy(ci_width=0)
-        with pytest.raises(ValueError, match="confidence"):
-            AdaptivePolicy(ci_width=1.0, confidence=1.0)
-        with pytest.raises(ValueError, match="min_trials"):
-            AdaptivePolicy(ci_width=1.0, min_trials=1)
-        with pytest.raises(ValueError, match="max_trials"):
-            AdaptivePolicy(ci_width=1.0, min_trials=4, max_trials=3)
-
-    def test_z_value_matches_confidence(self):
-        # The normal critical value is the large-n limit of the t one.
-        policy = AdaptivePolicy(ci_width=1.0, confidence=0.95)
-        assert policy.critical_value(10**6) == pytest.approx(
-            1.9599, abs=1e-3
-        )
-        # ... and nowhere near it at the default three draws.
-        assert policy.critical_value(3) == pytest.approx(4.3027, abs=1e-3)
-
-    @pytest.mark.parametrize(
-        "df,quantiles",
-        [
-            (1, (6.3138, 12.7062, 63.6567)),
-            (2, (2.9200, 4.3027, 9.9248)),
-            (4, (2.1318, 2.7764, 4.6041)),
-            (9, (1.8331, 2.2622, 3.2498)),
-            (29, (1.6991, 2.0452, 2.7564)),
-        ],
-    )
-    def test_t_critical_matches_the_published_table(self, df, quantiles):
-        for confidence, expected in zip((0.90, 0.95, 0.99), quantiles):
-            assert t_critical(confidence, df) == pytest.approx(
-                expected, abs=1e-3
-            )
-
-    @pytest.mark.parametrize(
-        "confidence", [0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999]
-    )
-    def test_t_critical_is_within_its_stated_error_of_scipy(
-        self, confidence
-    ):
-        """The docstring's claim, relative error under 1e-5, at every
-        ``df`` the stopping rule can meet and far past it (the worst
-        case is 6.98e-6, at 0.9 and df = 3).  scipy is no dependency:
-        the cross-check skips without it."""
-        stats = pytest.importorskip("scipy.stats")
-        for df in [*range(1, 301), 500, 10**3, 10**4, 10**5]:
-            exact = stats.t.ppf((1 + confidence) / 2, df)
-            assert t_critical(confidence, df) == pytest.approx(
-                exact, rel=1e-5
-            ), df
-
-    @pytest.mark.parametrize("n", [3, 5, 10, 30])
-    def test_interval_covers_the_mean_at_its_stated_rate(self, n):
-        """Seeded coverage check: over synthetic normal cells of ``n``
-        draws, the 95 % interval the stopping rule computes contains
-        the true mean 95 % of the time (±3 points; the z-interval it
-        replaces covers 82 % at n = 3)."""
-        rng = random.Random(1000 + n)
-        policy = AdaptivePolicy(ci_width=1.0, confidence=0.95)
-        trials, covered = 4000, 0
-        for _ in range(trials):
-            draws = [rng.gauss(5.0, 2.0) for _ in range(n)]
-            records = [
-                TrialRecord(
-                    "synthetic", "normal", {}, i, str(i), i,
-                    metrics={"max_skew": value},
-                )
-                for i, value in enumerate(draws)
-            ]
-            half = _cell_width(records, policy) / 2
-            covered += abs(sum(draws) / n - 5.0) <= half
-        assert covered / trials == pytest.approx(0.95, abs=0.03)
-
-
-class TestReplicatePlans:
-    def test_replicate_zero_is_the_plan_itself(self):
-        spec = _noisy_spec()
-        plan = spec.trials_for("quick")[0]
-        assert spec.replicate_plan(plan, 0) is plan
-
-    def test_replicates_get_distinct_seeds_and_keys(self):
-        spec = _noisy_spec()
-        plan = spec.trials_for("quick")[0]
-        reps = [spec.replicate_plan(plan, r) for r in range(4)]
-        assert len({rp.case_key for rp in reps}) == 4
-        assert len({rp.seed for rp in reps}) == 4
-        assert reps[2].case["replicate"] == 2
-        assert "replicate" not in plan.case
-
-    def test_pinned_seed_steps_by_replicate(self):
-        spec = CampaignSpec(
-            name="pinned",
-            scenarios=(
-                ScenarioSpec(
-                    builder="scale-noisy",
-                    cases={
-                        "*": (
-                            {"base": 0.0, "spread": 1.0, "seed": 100},
-                        )
-                    },
-                ),
-            ),
-        )
-        plan = spec.trials_for("quick")[0]
-        assert spec.replicate_plan(plan, 3).seed == 103
-
-
-class TestAdaptiveSampling:
-    def test_converged_cells_stop_early_wide_cells_run_to_cap(self):
-        run = execute_campaign(
-            _noisy_spec(),
-            adaptive=AdaptivePolicy(
-                ci_width=0.01, min_trials=2, max_trials=6
-            ),
-        )
-        a = run.adaptive
-        assert a["cells"] == 3
-        assert a["converged"] == 2 and a["exhausted"] == 1
-        per_cell = {c["case_key"]: c for c in a["per_cell"]}
-        ns = sorted(c["n"] for c in per_cell.values())
-        assert ns[:2] == [2, 2]  # tight cells stopped at min_trials
-        assert ns[2] == 6  # the wide cell hit the cap
-        assert a["trials"] == sum(ns) == len(run.records)
-        assert a["saved"] == a["fixed_trials"] - a["trials"] > 0
-
-    def test_deterministic_across_worker_counts(self):
-        adaptive = AdaptivePolicy(
-            ci_width=0.01, min_trials=2, max_trials=5
-        )
-        serial = execute_campaign(
-            _noisy_spec(), adaptive=adaptive
-        )
-        pooled = execute_campaign(
-            _noisy_spec(),
-            adaptive=adaptive,
-            policy=ExecutionPolicy(workers=3, chunk_size=1),
-        )
-        assert [r.case_key for r in serial.records] == [
-            r.case_key for r in pooled.records
-        ]
-        for left, right in zip(serial.records, pooled.records):
-            assert left.metrics == right.metrics
-        assert serial.adaptive == pooled.adaptive
-
-    def test_error_cells_never_converge(self):
-        spec = CampaignSpec(
-            name="adaptive-boom",
-            scenarios=(
-                ScenarioSpec(
-                    builder="scale-boom", axes={"*": {"x": (1,)}}
-                ),
-            ),
-        )
-        run = execute_campaign(
-            spec,
-            adaptive=AdaptivePolicy(
-                ci_width=10.0, min_trials=2, max_trials=4
-            ),
-        )
-        assert run.adaptive["converged"] == 0
-        assert run.adaptive["per_cell"][0]["n"] == 4
-        assert run.failed == 4
-
-    def test_store_resume_replays_every_replicate(self, tmp_path):
-        store = ResultStore(tmp_path)
-        adaptive = AdaptivePolicy(
-            ci_width=0.01, min_trials=2, max_trials=5
-        )
-        first = execute_campaign(
-            _noisy_spec(), adaptive=adaptive, store=store
-        )
-        again = execute_campaign(
-            _noisy_spec(), adaptive=adaptive, store=store
-        )
-        assert first.executed == first.adaptive["trials"]
-        assert again.executed == 0
-        assert again.cached == first.adaptive["trials"]
-        assert again.adaptive == first.adaptive
-        assert [r.case_key for r in again.records] == [
-            r.case_key for r in first.records
-        ]
-
-    def test_queue_mode_matches_serial(self, tmp_path):
-        # Rewritten from test_queue_mode_is_rejected: a round is one
-        # call of the core's step, so the queue transport keeps the
-        # round barrier and adaptive × queue is no longer refused.
-        adaptive = AdaptivePolicy(
-            ci_width=0.01, min_trials=2, max_trials=5
-        )
-        serial = execute_campaign(_noisy_spec(), adaptive=adaptive)
-        queued = execute_campaign(
-            _noisy_spec(),
-            adaptive=adaptive,
-            policy=ExecutionPolicy(
-                queue=str(tmp_path / "q"), worker_id="coord"
-            ),
-            store=ResultStore(tmp_path / "store"),
-        )
-        assert _content(queued) == _content(serial)
-        assert queued.adaptive == serial.adaptive
-        assert queued.executed == serial.executed
-        # Each round was one more publish into the same directory.
-        queue = WorkQueue(tmp_path / "q")
-        assert queue.all_done()
-        assert queue.manifest()["trials"] == serial.adaptive["trials"]
-        assert len(queue.chunk_ids()) > 2
-
-    def test_telemetry_sidecar_records_the_summary(self):
-        run = execute_campaign(
-            _noisy_spec(),
-            adaptive=AdaptivePolicy(
-                ci_width=0.01, min_trials=2, max_trials=4
-            ),
-        )
-        payload = campaign_telemetry(run)
-        assert payload["adaptive"]["metric"] == "max_skew"
-        assert "per_cell" not in payload["adaptive"]
-        fixed = execute_campaign(_noisy_spec(name="noisy-fixed"))
-        assert "adaptive" not in campaign_telemetry(fixed)
-
-
-# ----------------------------------------------------------------------
-# Composition: {fixed, adaptive} x {serial, pool, queue} x {bare, telemetry}
+# Composition: {fixed, extended} x {serial, pool, queue} x {bare, telemetry}
 # ----------------------------------------------------------------------
 
 
@@ -707,38 +460,33 @@ def _detached_worker(queue_dir, store, spec):
 
 class TestComposition:
     @pytest.mark.parametrize("telemetry", [False, True])
-    @pytest.mark.parametrize("transport", ["serial", "pool", "queue"])
-    @pytest.mark.parametrize("source", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("source", ["fixed", "extended"])
     def test_every_mode_agrees_with_the_serial_run(
         self, tmp_path, source, transport, telemetry
     ):
-        if source == "fixed":
-            spec, adaptive = _log_spec(tmp_path / "log"), None
-        else:
-            spec = _noisy_spec()
-            adaptive = AdaptivePolicy(
-                ci_width=0.01, min_trials=2, max_trials=5
-            )
-        instrumentation = InstrumentationPlan(telemetry=telemetry)
-        reference = execute_campaign(
-            spec, adaptive=adaptive, instrumentation=instrumentation
-        )
+        # "fixed" runs the tier from an empty store; "extended" finds
+        # its first half already run through the same transport (for
+        # the queue: published and done), so the run is the repeat
+        # publish that `campaign enqueue` + `campaign run --queue`
+        # performs — spec_key excludes the grid.
+        log = tmp_path / "log"
+        spec = _log_spec(log)
+        reference = execute_campaign(spec, telemetry=telemetry)
         store = ResultStore(tmp_path / "store")
-        policy = {
-            "serial": ExecutionPolicy(workers=1),
-            "pool": ExecutionPolicy(workers=2, chunk_size=1),
-            "queue": ExecutionPolicy(
-                queue=str(tmp_path / "q"), chunk_size=1, worker_id="coord"
-            ),
-        }[transport]
+        policy = _policy(transport, tmp_path / "q")
+        if source == "extended":
+            execute_campaign(
+                _log_spec(log, xs=(1, 2, 3)),
+                policy=policy,
+                store=store,
+                telemetry=telemetry,
+            )
+        expected = {"fixed": (6, 0), "extended": (3, 3)}[source]
 
         def run():
             return execute_campaign(
-                spec,
-                policy=policy,
-                store=store,
-                adaptive=adaptive,
-                instrumentation=instrumentation,
+                spec, policy=policy, store=store, telemetry=telemetry
             )
 
         if transport == "queue":
@@ -752,12 +500,10 @@ class TestComposition:
         else:
             first = run()
         assert _content(first) == _content(reference)
-        assert first.adaptive == reference.adaptive
-        assert (first.executed, first.cached) == (
-            reference.executed,
-            reference.cached,
-        )
+        assert (first.executed, first.cached) == expected
         assert first.executed + first.cached == len(first.records)
+        # Once for the reference, once across this transport's runs.
+        assert _log_counts(log) == {x: 2 for x in range(1, 7)}
         payload = json.dumps(campaign_telemetry(first), sort_keys=True)
         assert payload == json.dumps(
             campaign_telemetry(reference), sort_keys=True
@@ -768,7 +514,89 @@ class TestComposition:
         assert again.executed == 0
         assert again.cached == len(again.records) == len(first.records)
         assert _content(again) == _content(reference)
-        assert again.adaptive == reference.adaptive
         assert payload == json.dumps(
             campaign_telemetry(again), sort_keys=True
+        )
+
+
+# ----------------------------------------------------------------------
+# Every transport: replay, failures, progress
+# ----------------------------------------------------------------------
+
+
+class TestTransports:
+    @pytest.mark.parametrize("reader", TRANSPORTS)
+    @pytest.mark.parametrize("writer", TRANSPORTS)
+    def test_a_store_replays_under_every_transport(
+        self, tmp_path, writer, reader
+    ):
+        # Queue runs write worker shards, the others the default file;
+        # a store is one store whichever transport wrote it.
+        log = tmp_path / "log"
+        spec = _log_spec(log)
+        store = ResultStore(tmp_path / "store")
+        first = execute_campaign(
+            spec, policy=_policy(writer, tmp_path / "q-w"), store=store
+        )
+        again = execute_campaign(
+            spec, policy=_policy(reader, tmp_path / "q-r"), store=store
+        )
+        assert (again.executed, again.cached) == (0, 6)
+        assert all(record.cached for record in again.records)
+        assert _content(again) == _content(first)
+        assert [r.index for r in again.records] == list(range(6))
+        assert _log_counts(log) == {x: 1 for x in range(1, 7)}
+
+    @pytest.mark.parametrize("kind", ["raises", "unknown"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_builder_failures_are_tabulated_and_cached(
+        self, tmp_path, transport, kind
+    ):
+        builder = {"raises": "scale-boom", "unknown": "scale-missing"}
+        spec = CampaignSpec(
+            name=f"failing-{kind}",
+            scenarios=(
+                ScenarioSpec(
+                    builder=builder[kind], axes={"*": {"x": (1, 2, 3)}}
+                ),
+            ),
+        )
+        store = ResultStore(tmp_path / "store")
+        run = execute_campaign(
+            spec, policy=_policy(transport, tmp_path / "q"), store=store
+        )
+        assert run.failed == 3 and run.executed == 3
+        prefix = {
+            "raises": "ValueError: boom",
+            "unknown": "KeyError: \"unknown builder 'scale-missing'",
+        }[kind]
+        assert all(r.error.startswith(prefix) for r in run.records)
+        # A builder failure is deterministic, so it is cached like a
+        # success: the re-run replays it instead of retrying.
+        again = execute_campaign(spec, store=store)
+        assert (again.executed, again.cached, again.failed) == (0, 3, 3)
+        assert _content(again) == _content(run)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_progress_counts_replays_as_done(self, tmp_path, transport):
+        log = tmp_path / "log"
+        store = ResultStore(tmp_path / "store")
+        execute_campaign(_log_spec(log, xs=(1, 2)), store=store)
+        spec = _log_spec(log)
+        calls = []
+        run = execute_campaign(
+            spec,
+            policy=_policy(transport, tmp_path / "q"),
+            store=store,
+            progress=lambda done, total, record: calls.append(
+                (done, total, record.case_key)
+            ),
+        )
+        assert (run.executed, run.cached) == (4, 2)
+        # One call per executed trial, after the two replays.
+        assert [(done, total) for done, total, _ in calls] == [
+            (3, 6), (4, 6), (5, 6), (6, 6)
+        ]
+        assert sorted(key for _, _, key in calls) == sorted(
+            r.case_key for r in run.records[2:]
         )

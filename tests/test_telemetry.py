@@ -37,17 +37,11 @@ from repro.telemetry import (
     telemetry_session,
 )
 from repro.telemetry.campaign import (
-    InstrumentationPlan,
     aggregate_payloads,
     campaign_telemetry,
     diff_rows,
     render_campaign_telemetry,
     render_diff,
-)
-from repro.telemetry.profiler import (
-    aggregate_hotspots,
-    profile_rows,
-    render_hotspots,
 )
 from repro.telemetry.progress import ProgressReporter
 
@@ -262,7 +256,7 @@ class TestCampaignSidecars:
             definition.spec(),
             scale="quick",
             policy=policy,
-            instrumentation=InstrumentationPlan(telemetry=True),
+            telemetry=True,
         )
 
     def test_sidecar_identical_across_worker_counts(self, tmp_path):
@@ -294,25 +288,14 @@ class TestCampaignSidecars:
         assert "tcb.echoes" not in text
 
     def test_instrumentation_plan_activity(self):
-        assert not InstrumentationPlan().active
-        assert InstrumentationPlan(telemetry=True).active
-        assert InstrumentationPlan(profile=True).active
-
-    def test_profile_mode_attaches_hotspot_rows(self):
-        definition = campaign_definition("E4")
-        run = execute_campaign(
-            definition.spec(),
-            scale="quick",
-            instrumentation=InstrumentationPlan(
-                profile=True, profile_top=5
-            ),
-        )
-        rows = aggregate_hotspots(run.records, top=5)
-        assert rows
-        assert len(rows) <= 5
-        for row in rows:
-            assert set(row) == {"function", "calls", "tottime", "cumtime"}
-        assert "tottime" in render_hotspots(rows)
+        # The plan is one bool: off, a run attaches no snapshot and its
+        # sidecar counts nothing instrumented; on, every executed
+        # record carries one.
+        bare = execute_campaign(campaign_definition("E4").spec())
+        assert not any("telemetry" in r.metrics for r in bare.records)
+        assert campaign_telemetry(bare)["instrumented"] == 0
+        instrumented = self._run(workers=1)
+        assert all("telemetry" in r.metrics for r in instrumented.records)
 
 
 class _Record:
@@ -379,24 +362,3 @@ class TestProgressReporter:
         clock_value[0] = 2.5
         reporter.finish()
         assert "done: 1/1 trials in 2.5s" in stream.getvalue()
-
-
-class TestProfiler:
-    def test_profile_rows_reduce_a_real_profile(self):
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        sum(range(1000))
-        profiler.disable()
-        rows = profile_rows(profiler, top=3)
-        assert 0 < len(rows) <= 3
-        for row in rows:
-            assert row["tottime"] >= 0
-            assert row["calls"] >= 1
-        assert rows == sorted(
-            rows, key=lambda row: (-row["tottime"], row["function"])
-        )
-
-    def test_render_handles_empty_input(self):
-        assert "no profile data" in render_hotspots([])
