@@ -221,9 +221,8 @@ class FastToFaultyDelayPolicy(DelayPolicy):
     learns signatures as early as the model permits).
     """
 
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, high = config.delay_bounds(link_is_honest)
-        return high if link_is_honest else low
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        return link_is_honest
 
     def describe(self) -> str:
         return "fast-to-faulty"

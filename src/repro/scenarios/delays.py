@@ -19,10 +19,21 @@ from typing import Optional, Sequence
 from repro.scenarios.registry import ParamSpec, register_scenario
 
 
-def _group(n: int, group: Optional[Sequence[int]]) -> Sequence[int]:
-    from repro.core.attacks import timing_split_group
+def _group(key: str, param: str, n: int, group: Optional[Sequence[int]]):
+    """``group`` or the even-id half; an id outside ``range(n)``, which
+    would match no node, is refused."""
+    if group is None:
+        from repro.core.attacks import timing_split_group
 
-    return timing_split_group(n) if group is None else group
+        return timing_split_group(n)
+    bad = sorted({v for v in group if not 0 <= v < n})
+    if bad:
+        from repro.sim.errors import ConfigurationError
+
+        raise ConfigurationError(
+            f"delay {key!r}: {param} ids {bad} outside range(n={n})"
+        )
+    return group
 
 
 @register_scenario(
@@ -99,7 +110,9 @@ def _random(n=None, seed: int = 0):
 def _biased_partition(n, group: Optional[Sequence[int]] = None):
     from repro.sim.network import BiasedPartitionDelayPolicy
 
-    return BiasedPartitionDelayPolicy(_group(n, group))
+    return BiasedPartitionDelayPolicy(
+        _group("biased-partition", "group", n, group)
+    )
 
 
 @register_scenario(
@@ -116,7 +129,7 @@ def _biased_partition(n, group: Optional[Sequence[int]] = None):
 def _skewing(n, slow: Optional[Sequence[int]] = None):
     from repro.sim.network import SkewingDelayPolicy
 
-    return SkewingDelayPolicy(_group(n, slow))
+    return SkewingDelayPolicy(_group("skewing", "slow", n, slow))
 
 
 @register_scenario(
@@ -148,7 +161,9 @@ def _fast_to_faulty(n=None):
 def _eclipse(n, victims: Optional[Sequence[int]] = None):
     from repro.sim.network import EclipseDelayPolicy
 
-    return EclipseDelayPolicy((0,) if victims is None else victims)
+    return EclipseDelayPolicy(
+        _group("eclipse", "victims", n, (0,) if victims is None else victims)
+    )
 
 
 @register_scenario(
@@ -169,4 +184,6 @@ def _flicker_partition(
 ):
     from repro.sim.network import FlickeringPartitionDelayPolicy
 
-    return FlickeringPartitionDelayPolicy(_group(n, group), period)
+    return FlickeringPartitionDelayPolicy(
+        _group("flicker-partition", "group", n, group), period
+    )

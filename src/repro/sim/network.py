@@ -7,18 +7,19 @@ links with a faulty endpoint may instead only guarantee a *weaker* minimum
 delay ``d - u_tilde`` with ``u_tilde in [u, d]``.
 
 The adversary controls delays within these bounds.  We expose that control
-as a :class:`DelayPolicy`: a callback invoked per message at send time, so
-policies may be adaptive (they see the full send context).  The scheduler
-validates every returned delay against the model bounds and raises
-:class:`~repro.sim.errors.ModelViolation` otherwise, so a misbehaving policy
-cannot silently break an experiment.
+as a :class:`DelayPolicy`: one rule over membership, send time and link
+honesty only, evaluated by both engines.  Adaptive, payload-aware delay
+control is a Byzantine behaviour's job, through ``send_from(..., delay)``.
+The scheduler validates every delay against the model bounds and raises
+:class:`~repro.sim.errors.ModelViolation` otherwise, so a misbehaving
+policy cannot silently break an experiment.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, FrozenSet, Iterable, Optional, Tuple
 
 from repro.sim.clocks import EPS
 from repro.sim.errors import ConfigurationError, ModelViolation
@@ -106,8 +107,16 @@ class NetworkConfig:
 class DelayPolicy:
     """Chooses the delay of each message (the adversary's delay control).
 
-    Subclasses override :meth:`delay`.  The default is the maximum delay
-    ``d`` for every message, which is always admissible.
+    One rule, which both engines evaluate: a message takes its link's
+    maximum delay where :meth:`slow` holds and its minimum elsewhere —
+    or the ``(fast, slow)`` pair ``levels(low, high)`` makes of them.
+    ``slow`` sees the endpoints' membership in ``members``, the send
+    time and the link's honesty, and uses only ``==``, ``!=``, ``|``,
+    ``&`` and ``//``: it works on bools (:meth:`delay`) and on numpy
+    arrays (the vectorized engine).  The base rule is ``d`` for every
+    message.  Overriding :meth:`delay` confines a policy to the event
+    engine, but for :class:`RandomDelayPolicy`, whose draws the
+    vectorized engine makes from its own stream.
 
     Ordering contract: the scheduler calls :meth:`delay` exactly once
     per message, at send time, and a broadcast asks for its
@@ -116,6 +125,13 @@ class DelayPolicy:
     (:class:`RandomDelayPolicy` draws from one RNG stream) rely on
     this for reproducibility.
     """
+
+    members: FrozenSet[int] = frozenset()
+    levels: Optional[Callable[[float, float], Tuple[float, float]]] = None
+
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        """Where a message takes the slow delay (elementwise)."""
+        return True
 
     def delay(
         self,
@@ -126,7 +142,20 @@ class DelayPolicy:
         payload: Any,
         link_is_honest: bool,
     ) -> float:
-        return config.d
+        """The rule at one message."""
+        # delay_bounds, inlined: this runs once per message.
+        fast, slow = (
+            config._honest_bounds if link_is_honest else config._faulty_bounds
+        )
+        levels = self.levels
+        if levels is not None:
+            fast, slow = levels(fast, slow)
+        members = self.members
+        if self.slow(
+            src in members, dst in members, send_time, link_is_honest
+        ):
+            return slow
+        return fast
 
     def describe(self) -> str:
         """Short human-readable policy description.
@@ -147,9 +176,8 @@ class MaximumDelayPolicy(DelayPolicy):
 class MinimumDelayPolicy(DelayPolicy):
     """Every message takes the minimum admissible delay for its link."""
 
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, _high = config.delay_bounds(link_is_honest)
-        return low
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        return False
 
 
 class ConstantFractionDelayPolicy(DelayPolicy):
@@ -166,9 +194,9 @@ class ConstantFractionDelayPolicy(DelayPolicy):
             )
         self.fraction = fraction
 
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, high = config.delay_bounds(link_is_honest)
-        return high - self.fraction * (high - low)
+    def levels(self, low, high):
+        value = high - self.fraction * (high - low)
+        return value, value
 
     def describe(self) -> str:
         return f"constant(fraction={self.fraction})"
@@ -199,12 +227,10 @@ class BiasedPartitionDelayPolicy(DelayPolicy):
     """
 
     def __init__(self, group_a: Iterable[int]) -> None:
-        self.group_a: Set[int] = set(group_a)
+        self.members = self.group_a = frozenset(group_a)
 
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, high = config.delay_bounds(link_is_honest)
-        same_group = (src in self.group_a) == (dst in self.group_a)
-        return low if same_group else high
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        return src_in != dst_in
 
     def describe(self) -> str:
         return f"biased(group_a={sorted(self.group_a)})"
@@ -220,11 +246,10 @@ class SkewingDelayPolicy(DelayPolicy):
     """
 
     def __init__(self, slow_senders: Iterable[int]) -> None:
-        self.slow_senders: Set[int] = set(slow_senders)
+        self.members = self.slow_senders = frozenset(slow_senders)
 
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, high = config.delay_bounds(link_is_honest)
-        return high if src in self.slow_senders else low
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        return src_in
 
     def describe(self) -> str:
         return f"skewing(slow={sorted(self.slow_senders)})"
@@ -242,12 +267,10 @@ class EclipseDelayPolicy(DelayPolicy):
     """
 
     def __init__(self, victims: Iterable[int]) -> None:
-        self.victims: Set[int] = set(victims)
+        self.members = self.victims = frozenset(victims)
 
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, high = config.delay_bounds(link_is_honest)
-        touched = src in self.victims or dst in self.victims
-        return high if touched else low
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        return src_in | dst_in
 
     def describe(self) -> str:
         return f"eclipse(victims={sorted(self.victims)})"
@@ -270,15 +293,11 @@ class FlickeringPartitionDelayPolicy(DelayPolicy):
             raise ConfigurationError(
                 f"period must be positive, got {period}"
             )
-        self.group_a: Set[int] = set(group_a)
+        self.members = self.group_a = frozenset(group_a)
         self.period = period
 
-    def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, high = config.delay_bounds(link_is_honest)
-        same_group = (src in self.group_a) == (dst in self.group_a)
-        phase = int(send_time // self.period) % 2
-        fast = same_group if phase == 0 else not same_group
-        return low if fast else high
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        return (src_in != dst_in) == (send_time // self.period % 2 == 0)
 
     def describe(self) -> str:
         return (

@@ -1,20 +1,22 @@
 """Per-round delay matrices for the vectorized backend.
 
-The event engine asks the :class:`~repro.sim.network.DelayPolicy` for
-one delay per message; the vectorized engine needs the same answers as
-``(receivers, senders)`` arrays, one per block of receiver rows, every
-pulse round.  :func:`round_delays` does the sender-side work once per
-round and returns the function the engine calls per block;
-:func:`delay_matrix` is that function at one block.  Every built-in
-policy has a closed-form fast path here (the formulas mirror the
-scalar ``delay()`` implementations line for line); unknown policy
-subclasses fall back to per-pair scalar calls, which keeps any custom
-policy *correct* on this backend, just not fast.
+A :class:`~repro.sim.network.DelayPolicy` is one rule — ``members``,
+an elementwise ``slow`` and optional ``levels`` — over membership,
+send time and link honesty only (adaptive, payload-aware delay control
+is a Byzantine behaviour's job, through ``send_from(..., delay)``).
+The event engine evaluates it per message on bools; here it is
+evaluated on arrays.  A receiver enters it through its membership
+alone, so :func:`round_delays` evaluates it once a round over the
+senders, for a non-member and for a member receiver, and returns the
+function the engine calls per block of receiver rows, which picks each
+row from those two; :func:`delay_matrix` is that function at one
+block.  The engine refuses a policy that overrides ``delay()`` (but
+:class:`~repro.sim.network.RandomDelayPolicy`) at construction.
 
 Two deliberate semantic notes:
 
 * Only honest→honest links matter — silent faulty nodes send nothing —
-  so every sampled delay uses the honest-link bounds ``[d - u, d]``.
+  so every delay uses the honest-link bounds ``[d - u, d]``.
   Columns belonging to faulty senders are masked out by the engine
   before use.
 * :class:`~repro.sim.network.RandomDelayPolicy` draws from a
@@ -37,18 +39,7 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 from repro.sim.clocks import EPS
 from repro.sim.errors import ModelViolation
-from repro.sim.network import (
-    BiasedPartitionDelayPolicy,
-    ConstantFractionDelayPolicy,
-    DelayPolicy,
-    EclipseDelayPolicy,
-    FlickeringPartitionDelayPolicy,
-    MaximumDelayPolicy,
-    MinimumDelayPolicy,
-    NetworkConfig,
-    RandomDelayPolicy,
-    SkewingDelayPolicy,
-)
+from repro.sim.network import DelayPolicy, NetworkConfig, RandomDelayPolicy
 
 
 def delay_rng(policy: RandomDelayPolicy):
@@ -72,8 +63,8 @@ def round_delays(
     """One round's dealer-broadcast delays, as a function of the
     receiver block.
 
-    Everything that depends on the senders alone — membership masks,
-    the flicker phase of each send time — is computed here, once per
+    Everything that depends on the senders alone — their membership,
+    the policy's rule at their send times — is computed here, once per
     round; the returned ``block(receivers)`` gives the
     ``(len(receivers), len(senders))`` delays of one block of receiver
     rows as a fresh array the caller may overwrite, and checks that
@@ -89,71 +80,29 @@ def round_delays(
     """
     width = len(senders)
     low, high = config.delay_bounds(True)
-    kind = type(policy)
 
-    def constant(value: float):
-        return lambda receivers: np.full((len(receivers), width), value)
-
-    def by_receiver(group, inside, outside):
-        # Sender-side rows: `inside` for receivers in `group`,
-        # `outside` for the rest.
-        return lambda receivers: np.where(
-            _membership(receivers, group)[:, None], inside, outside
-        )
-
-    if kind is MinimumDelayPolicy:
-        fill = constant(low)
-    elif kind is ConstantFractionDelayPolicy:
-        fill = constant(high - policy.fraction * (high - low))
-    elif kind is RandomDelayPolicy:
+    if isinstance(policy, RandomDelayPolicy):
         def fill(receivers):
             return rng.uniform(low, high, size=(len(receivers), width))
-    elif kind is BiasedPartitionDelayPolicy:
-        src_a = _membership(senders, policy.group_a)
-        fill = by_receiver(
-            policy.group_a,
-            np.where(src_a, low, high),
-            np.where(src_a, high, low),
-        )
-    elif kind is SkewingDelayPolicy:
-        row = np.where(_membership(senders, policy.slow_senders), high, low)
-
-        def fill(receivers):
-            return np.tile(row, (len(receivers), 1))
-    elif kind is EclipseDelayPolicy:
-        src_v = _membership(senders, policy.victims)
-        fill = by_receiver(
-            policy.victims, high, np.where(src_v, high, low)
-        )
-    elif kind is FlickeringPartitionDelayPolicy:
-        src_a = _membership(senders, policy.group_a)
-        phase = (
-            np.floor_divide(send_real, policy.period).astype(np.int64) % 2
-        )
-        # To a receiver in group A the fast senders are its own group
-        # in even phases and the other group in odd ones; to any other
-        # receiver, the complement.
-        fast = src_a == (phase == 0)
-        fill = by_receiver(
-            policy.group_a,
-            np.where(fast, low, high),
-            np.where(fast, high, low),
-        )
-    elif kind in (MaximumDelayPolicy, DelayPolicy):
-        fill = constant(config.d)
     else:
-        # Generic subclass: fall back to the scalar protocol so any
-        # custom policy stays correct (O(senders x receivers) calls).
-        times = send_real.tolist()
+        levels = policy.levels
+        fast, slow = (low, high) if levels is None else levels(low, high)
+        members = policy.members
+        src_in = _membership(senders, members)
+        # Row 0: the delays to a non-member receiver; row 1: to a member.
+        by_class = np.array([
+            np.where(
+                np.broadcast_to(
+                    policy.slow(src_in, dst_in, send_real, True), width
+                ),
+                slow,
+                fast,
+            )
+            for dst_in in (False, True)
+        ])
 
         def fill(receivers):
-            matrix = np.empty((len(receivers), width))
-            for i, dst in enumerate(receivers):
-                for j, src in enumerate(senders):
-                    matrix[i, j] = policy.delay(
-                        config, src, dst, times[j], None, True
-                    )
-            return matrix
+            return by_class[_membership(receivers, members).astype(np.intp)]
 
     def block(receivers: Sequence[int]) -> "np.ndarray":
         matrix = fill(receivers)

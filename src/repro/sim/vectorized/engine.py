@@ -220,6 +220,13 @@ class VectorizedSimulation:
         if not self.honest:
             raise ConfigurationError("no honest nodes")
         self.delay_policy = delay_policy or MaximumDelayPolicy()
+        if type(self.delay_policy).delay not in (
+            DelayPolicy.delay, RandomDelayPolicy.delay
+        ):
+            raise UnsupportedScenarioError(
+                f"delay policy {self.delay_policy.describe()} overrides "
+                "delay(), which only backend='event' evaluates"
+            )
         self.seed = seed
         self.trace = Trace(trace)
         self.checks: Any = None

@@ -18,6 +18,7 @@ import inspect
 import pytest
 
 from repro import scenarios
+from repro.build import build_simulation
 from repro.campaigns import (
     CampaignSpec,
     MeasurementSpec,
@@ -30,6 +31,7 @@ from repro.cli import main
 from repro.core.params import derive_parameters
 from repro.scenarios import UnknownScenarioError
 from repro.sim.clocks import EPS
+from repro.sim.errors import ConfigurationError
 from repro.sim.network import NetworkConfig
 
 
@@ -131,6 +133,41 @@ class TestDelayEntries:
                     )
                     low, high = config.delay_bounds(honest)
                     assert low - EPS <= delay <= high + EPS
+
+    @pytest.mark.parametrize(
+        "key, param",
+        [
+            ("biased-partition", "group"),
+            ("skewing", "slow"),
+            ("eclipse", "victims"),
+            ("flicker-partition", "group"),
+        ],
+    )
+    def test_member_ids_outside_the_system_are_refused(self, key, param):
+        # An id outside range(n) matches no node: `skewing` with
+        # slow=[42] would silently run `minimum`.
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"delay '{key}': {param} ids \[-1, 42\] outside "
+            r"range\(n=6\)",
+        ):
+            scenarios.create("delay", key, 6, **{param: [0, 42, -1, 42]})
+        with pytest.raises(ConfigurationError, match=r"ids \[6\]"):
+            build_simulation(
+                {"n": 6, "delay": key, "delay_params": {param: [6]}}
+            )
+
+    def test_check_run_reports_an_out_of_range_id(self, capsys):
+        assert main(
+            ["check", "run", "skewing", "--kind", "delay",
+             "--param", "slow=[42]"]
+        ) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert (
+            "error      ConfigurationError: delay 'skewing': slow ids "
+            "[42] outside range(n=6)"
+        ) in out
 
     def test_eclipse_semantics(self):
         config = NetworkConfig(n=4, d=1.0, u=0.2)

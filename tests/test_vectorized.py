@@ -9,14 +9,18 @@ Random-delay scenarios are compared at the verdict level only: the two
 engines deliver messages in different orders, so draw-order equality is
 unattainable by construction (see ``repro.sim.vectorized.delays``).
 
+A Hypothesis property runs both engines over drawn delay parameters
+and holds every ``round_delays`` entry to the scalar ``delay()`` of the
+same rule.
+
 The rest covers the facade contract (backend resolution, deprecation
 shims, hash stability of ``MeasurementSpec.backend``), the unsupported-
-scenario envelope, the delay-matrix fast paths against the scalar
-policies they mirror, and the CLI ``--backend`` plumbing.
+scenario envelope, and the CLI ``--backend`` plumbing.
 """
 
 import dataclasses
 import json
+import os
 import random
 
 import numpy as np
@@ -66,6 +70,8 @@ from repro.sim.vectorized.delays import (
 )
 from repro.sync.crusader import BOT
 from repro.telemetry import Telemetry, telemetry_session
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE_CASE = {"n": 6, "theta": 1.001, "d": 1.0, "u": 0.02}
 
@@ -205,6 +211,94 @@ class TestDifferentialOracle:
         ).simulation
         small.block_size = 5
         assert small.run(max_pulses=14).pulses == vec_result.pulses
+
+    def test_conformance_slice_equals_the_committed_event_rows(self):
+        # `repro check matrix --backend vectorized --kind delay --kind
+        # drift`: every row — seed, verdicts and checked counts — is
+        # the event engine's committed row.
+        with open(os.path.join(ROOT, "results", "conformance.json")) as f:
+            committed = {
+                (row["kind"], row["key"]): row
+                for row in json.load(f)["scenarios"]
+            }
+        vector = conformance_matrix(
+            kinds=("delay", "drift"), backend="vectorized"
+        )["scenarios"]
+        assert len(vector) == len(REGISTRY.keys("delay")) + len(
+            REGISTRY.keys("drift")
+        )
+        for row in vector:
+            assert row == committed[row["kind"], row["key"]], row["key"]
+
+
+#: The factory parameter holding each group policy's member ids.
+GROUP_PARAMS = {
+    "biased-partition": "group",
+    "eclipse": "victims",
+    "flicker-partition": "group",
+    "skewing": "slow",
+}
+
+#: Every delay policy whose rule the two engines evaluate alike.
+DETERMINISTIC_DELAYS = sorted(set(REGISTRY.keys("delay")) - {"random"})
+
+
+@st.composite
+def _delay_cases(draw):
+    """A silent-adversary case over a drawn deterministic delay policy:
+    its member ids any subset of ``range(n)``, its period or fraction
+    drawn, with the drift and the pulse count."""
+    n = draw(st.integers(4, 16))
+    delay = draw(st.sampled_from(DETERMINISTIC_DELAYS))
+    delay_params = {}
+    if delay in GROUP_PARAMS:
+        delay_params[GROUP_PARAMS[delay]] = sorted(
+            draw(st.sets(st.integers(0, n - 1)))
+        )
+    if delay == "flicker-partition":
+        delay_params["period"] = draw(st.floats(0.5, 20.0))
+    if delay == "constant-fraction":
+        delay_params["fraction"] = draw(st.floats(0.0, 1.0))
+    case = _case(
+        n=n,
+        delay=delay,
+        delay_params=delay_params,
+        drift=draw(st.sampled_from(sorted(REGISTRY.keys("drift")))),
+    )
+    return case, draw(st.integers(3, 8))
+
+
+class TestDelaySearch:
+    """Both engines evaluate one delay rule: they agree on drawn
+    parameters, not only on the registry's default groups."""
+
+    @given(_delay_cases(), st.data())
+    def test_engines_agree_over_drawn_delay_parameters(self, drawn, data):
+        case, pulses = drawn
+        n = case["n"]
+        policy = REGISTRY.create(
+            "delay", case["delay"], n, **case["delay_params"]
+        )
+        times = data.draw(
+            st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n)
+        )
+        config = NetworkConfig(n=n, d=1.0, u=0.02)
+        nodes = list(range(n))
+        matrix = round_delays(policy, config, nodes, np.array(times))(nodes)
+        for i in nodes:
+            for j in nodes:
+                assert matrix[i, j] == policy.delay(
+                    config, j, i, times[j], None, True
+                ), (i, j)
+
+        (ev, ev_result), (vec, vec_result) = _run_both(case, pulses)
+        assert _verdict_dicts(ev) == _verdict_dicts(vec)
+        assert set(ev_result.pulses) == set(vec_result.pulses)
+        for node, train in ev_result.pulses.items():
+            assert len(vec_result.pulses[node]) == len(train)
+            assert vec_result.pulses[node] == pytest.approx(
+                train, abs=1e-9
+            )
 
 
 @st.composite
@@ -373,15 +467,15 @@ class TestBlocks:
             assert simulation._rows_per_block() == rows
 
 
-class _LateOnePair(DelayPolicy):
-    """``d - u`` on every link but ``src -> dst``, which takes ``d``."""
+class _LatePairs(DelayPolicy):
+    """``d - u`` on every link but those between two members, which
+    take ``d``."""
 
-    def __init__(self, src, dst):
-        self.src, self.dst = src, dst
+    def __init__(self, members):
+        self.members = frozenset(members)
 
-    def delay(self, config, src, dst, send_time, payload, honest):
-        late = (src, dst) == (self.src, self.dst)
-        return config.d if late else config.d - config.u
+    def slow(self, src_in, dst_in, send_time, link_is_honest):
+        return src_in & dst_in
 
 
 def _perfect_clocks(n):
@@ -397,13 +491,14 @@ class TestLemma10:
         # Perfect clocks, so every round-1 message arrives theta S +
         # delay after the receiver's pulse.  A window cut between d - u
         # and d (parameters Lemma 10 does not cover; the links keep the
-        # original d) leaves exactly 2 -> 4 outside it.
+        # original d) leaves exactly 2 -> 4 and 4 -> 2 outside it, and
+        # receiver 2's row comes first.
         params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6)
         simulation = VectorizedSimulation(
             params,
             clocks=_perfect_clocks(6),
             faulty=[5],
-            delay_policy=_LateOnePair(2, 4),
+            delay_policy=_LatePairs({2, 4}),
         )
         theta, S = params.theta, params.S
         simulation.params = dataclasses.replace(
@@ -411,7 +506,7 @@ class TestLemma10:
         )
         with pytest.raises(
             SimulationError,
-            match=r"round 1: node 4 received dealer 2's broadcast .* "
+            match=r"round 1: node 2 received dealer 4's broadcast .* "
             r"outside its window",
         ):
             simulation.run(max_pulses=3)
@@ -664,22 +759,6 @@ class TestDelayMatrix:
     #: (10.0 each), two of them exact multiples of the period.
     SEND_REAL = (2.0, 9.999, 10.0, 17.5, 20.0, 31.25)
 
-    def test_fast_paths_match_scalar_policies(self):
-        config = NetworkConfig(n=self.N, d=1.0, u=0.02)
-        senders = list(range(self.N))
-        send_real = np.array(self.SEND_REAL)
-        for key, policy in self._policies():
-            if key == "random":
-                continue
-            matrix = delay_matrix(
-                policy, config, senders, senders, send_real, None
-            )
-            for i in senders:
-                for j in senders:
-                    assert matrix[i, j] == policy.delay(
-                        config, j, i, self.SEND_REAL[j], None, True
-                    ), (key, i, j)
-
     def test_row_blocks_concatenate_to_the_one_shot_matrix(self):
         config = NetworkConfig(n=self.N, d=1.0, u=0.02)
         senders = list(range(self.N))
@@ -708,8 +787,13 @@ class TestDelayMatrix:
         class LateToOne(DelayPolicy):
             """A custom policy, inadmissible towards one receiver."""
 
-            def delay(self, config, src, dst, send_time, payload, honest):
-                return config.d + (0.5 if dst == 4 else 0.0)
+            members = frozenset({4})
+
+            def slow(self, src_in, dst_in, send_time, link_is_honest):
+                return dst_in
+
+            def levels(self, low, high):
+                return high, high + 0.5
 
         config = NetworkConfig(n=self.N, d=1.0, u=0.02)
         senders = list(range(self.N))
@@ -729,6 +813,38 @@ class TestDelayMatrix:
         )
         with pytest.raises(ModelViolation, match="outside"):
             simulation.run(max_pulses=3)
+
+    def test_a_delay_only_policy_is_refused_at_construction(self):
+        # A delay() override has no rule this engine could evaluate;
+        # running it as the inherited maximum would be a silent
+        # fallback.  The event engine still takes it.
+        class Custom(DelayPolicy):
+            def delay(self, config, src, dst, send_time, payload, honest):
+                return config.d - config.u
+
+        class Reseeded(RandomDelayPolicy):
+            def delay(self, config, src, dst, send_time, payload, honest):
+                return config.d
+
+        class Renamed(RandomDelayPolicy):
+            """Inherits the draw, which this engine makes itself."""
+
+        params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=self.N)
+        clocks = REGISTRY.create("drift", "extreme", params, 0)
+        for policy in (Custom(), Reseeded()):
+            with pytest.raises(
+                UnsupportedScenarioError, match="overrides delay"
+            ):
+                VectorizedSimulation(
+                    params, clocks, faulty=[5], delay_policy=policy
+                )
+            assert assemble_cps_simulation(
+                params, clocks, faulty=[5], delay_policy=policy
+            ).run(max_pulses=3).pulses
+        for policy in (RandomDelayPolicy(3), Renamed()):
+            VectorizedSimulation(
+                params, clocks, faulty=[5], delay_policy=policy
+            )
 
 
 class TestHashStability:
@@ -784,8 +900,6 @@ class TestCliBackendFlag:
             )
 
     def test_check_matrix_refuses_default_out(self, capsys, tmp_path):
-        import os
-
         cwd = os.getcwd()
         os.chdir(tmp_path)
         try:
