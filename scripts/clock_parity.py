@@ -19,6 +19,10 @@ segment tables (PR 17) and compared against ever since by
 A third capture, ``tests/data/clock_parity_full.txt``, holds the 48
 ``--full`` lines (taken at the commit before the vote read row
 extremes); CI's ``vectorized-diff`` job diffs a fresh run against it.
+Those runs are unobserved, so a deterministic policy's rounds are read
+from class extremes; ``tests/test_clock_table.py`` replays the n = 30
+lines under ``trace="full"``, which evaluates every round as dense
+blocks, so both sources answer to the one file.
 
 Usage::
 
@@ -85,13 +89,13 @@ def drift_payload():
     }
 
 
-def run_entry(n, delay, drift, block_size, seed=3, pulses=12):
+def run_entry(n, delay, drift, block_size, seed=3, pulses=12, trace="none"):
     case = {
         "n": n, "theta": 1.001, "d": 1.0, "u": 0.01,
         "adversary": "silent", "delay": delay, "drift": drift,
     }
     simulation = build_simulation(
-        case, backend="vectorized", seed=seed, trace="none"
+        case, backend="vectorized", seed=seed, trace=trace
     ).simulation
     if block_size is not None:
         simulation.block_size = block_size

@@ -18,10 +18,11 @@ violations are caught at construction time rather than mid-simulation.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections import abc
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat, starmap
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -117,6 +118,28 @@ def rate_row(
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _drift_schedule(
+    horizon: float, segment_length: float
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """``(durations, starts)`` of a wandering clock: one
+    ``segment_length`` piece per step until ``horizon`` is reached,
+    and the running sums :func:`rate_row` takes of them."""
+    if not (math.isfinite(segment_length) and segment_length > 0):
+        raise ClockError(
+            "segment_length must be positive and finite, got "
+            f"{segment_length}"
+        )
+    if not math.isfinite(horizon):
+        raise ClockError(f"horizon must be finite, got {horizon}")
+    durations: List[float] = []
+    t = 0.0
+    while t < horizon:
+        durations.append(segment_length)
+        t += segment_length
+    return tuple(durations), tuple(accumulate(durations, initial=0.0))
+
+
 def random_drift_row(
     rng,
     theta: float,
@@ -126,14 +149,22 @@ def random_drift_row(
 ) -> Row:
     """A row whose rate re-draws uniformly from ``[1, theta]`` every
     ``segment_length`` over ``[0, horizon]`` and is 1 afterwards — the
-    one place the draw schedule of a wandering clock is written."""
-    durations: List[float] = []
-    t = 0.0
-    while t < horizon:
-        durations.append(segment_length)
-        t += segment_length
-    rates = [rng.uniform(1.0, theta) for _ in durations]
-    return rate_row(durations, rates, 1.0, offset)
+    one place the draw schedule of a wandering clock is written.
+
+    ``rng`` is a :class:`random.Random`: each rate is
+    ``1 + (theta - 1) * rng.random()``, which is ``rng.uniform(1,
+    theta)`` bit for bit, and the row is :func:`rate_row`'s over the
+    schedule, which is computed once per ``(horizon, segment_length)``.
+    """
+    durations, starts = _drift_schedule(horizon, segment_length)
+    spread = theta - 1.0
+    draws = starmap(rng.random, repeat((), len(durations)))
+    rates = [1.0 + spread * draw for draw in draws]
+    return (
+        list(starts),
+        list(accumulate(map(mul, rates, durations), initial=offset)),
+        [*rates, 1.0],
+    )
 
 
 class HardwareClock:
@@ -270,9 +301,9 @@ class HardwareClock:
     ) -> "HardwareClock":
         """A clock whose rate re-draws uniformly from ``[1, theta]``.
 
-        ``rng`` is a :class:`random.Random` (or API-compatible) instance;
-        the draw schedule covers ``[0, horizon]`` and continues at rate 1
-        afterwards.
+        ``rng`` is a :class:`random.Random` (or anything with its
+        ``random()``); the draw schedule covers ``[0, horizon]`` and
+        continues at rate 1 afterwards (:func:`random_drift_row`).
         """
         row = random_drift_row(rng, theta, offset, horizon, segment_length)
         return cls.over_row(check_row(row, theta), theta)

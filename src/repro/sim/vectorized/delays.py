@@ -10,7 +10,9 @@ alone, so :func:`round_delays` evaluates it once a round over the
 senders, for a non-member and for a member receiver, and returns the
 function the engine calls per block of receiver rows, which picks each
 row from those two; :func:`delay_matrix` is that function at one
-block.  The engine refuses a policy that overrides ``delay()`` (but
+block.  :func:`class_delays` hands the engine the two rows themselves,
+for the rounds it evaluates per receiver class instead of per block.
+The engine refuses a policy that overrides ``delay()`` (but
 :class:`~repro.sim.network.RandomDelayPolicy`) at construction.
 
 Two deliberate semantic notes:
@@ -30,7 +32,7 @@ Two deliberate semantic notes:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, Tuple
 
 try:  # gated dependency: the event engine must work without numpy
     import numpy as np
@@ -51,6 +53,42 @@ def _membership(nodes: Sequence[int], members) -> "np.ndarray":
     return np.fromiter(
         (node in members for node in nodes), dtype=bool, count=len(nodes)
     )
+
+
+def _class_rows(
+    policy: DelayPolicy,
+    low: float,
+    high: float,
+    src_in: "np.ndarray",
+    send_real: "np.ndarray",
+) -> "np.ndarray":
+    """The rule over the senders: row 0 holds the delays to a
+    non-member receiver, row 1 to a member."""
+    levels = policy.levels
+    fast, slow = (low, high) if levels is None else levels(low, high)
+    width = len(src_in)
+    return np.array([
+        np.where(
+            np.broadcast_to(
+                policy.slow(src_in, dst_in, send_real, True), width
+            ),
+            slow,
+            fast,
+        )
+        for dst_in in (False, True)
+    ])
+
+
+def _check_admissible(
+    policy: DelayPolicy, low: float, high: float, matrix: "np.ndarray"
+) -> None:
+    if matrix.size and (
+        matrix.min() < low - EPS or matrix.max() > high + EPS
+    ):
+        raise ModelViolation(
+            f"{policy.describe()} produced a delay outside "
+            f"[{low}, {high}]"
+        )
 
 
 def round_delays(
@@ -85,37 +123,42 @@ def round_delays(
         def fill(receivers):
             return rng.uniform(low, high, size=(len(receivers), width))
     else:
-        levels = policy.levels
-        fast, slow = (low, high) if levels is None else levels(low, high)
         members = policy.members
-        src_in = _membership(senders, members)
-        # Row 0: the delays to a non-member receiver; row 1: to a member.
-        by_class = np.array([
-            np.where(
-                np.broadcast_to(
-                    policy.slow(src_in, dst_in, send_real, True), width
-                ),
-                slow,
-                fast,
-            )
-            for dst_in in (False, True)
-        ])
+        by_class = _class_rows(
+            policy, low, high, _membership(senders, members), send_real
+        )
 
         def fill(receivers):
             return by_class[_membership(receivers, members).astype(np.intp)]
 
     def block(receivers: Sequence[int]) -> "np.ndarray":
         matrix = fill(receivers)
-        if matrix.size and (
-            matrix.min() < low - EPS or matrix.max() > high + EPS
-        ):
-            raise ModelViolation(
-                f"{policy.describe()} produced a delay outside "
-                f"[{low}, {high}]"
-            )
+        _check_admissible(policy, low, high, matrix)
         return matrix
 
     return block
+
+
+def class_delays(
+    policy: DelayPolicy,
+    config: NetworkConfig,
+    nodes: Sequence[int],
+    send_real: "np.ndarray",
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """A deterministic rule's round when ``nodes`` both send and
+    receive, by receiver class: ``(rows, member)``, where
+    ``rows[member[i]]`` is the row :func:`round_delays` gives receiver
+    ``nodes[i]`` — row 0 for a non-member, row 1 for a member.
+
+    The rows some receiver takes are checked for admissibility, as
+    ``round_delays`` checks the blocks it is asked for.
+    """
+    low, high = config.delay_bounds(True)
+    src_in = _membership(nodes, policy.members)
+    rows = _class_rows(policy, low, high, src_in, send_real)
+    member = src_in.astype(np.intp)
+    _check_admissible(policy, low, high, rows[np.unique(member)])
+    return rows, member
 
 
 def delay_matrix(

@@ -5,17 +5,21 @@ full CPS round with array operations:
 
 1. pulse — evaluate each node's next pulse (real, local) time;
 2. broadcast — each honest dealer's ``<r>_v`` leaves at local
-   ``H_v(p^r_v) + theta S``; a per-round delay matrix
-   (:mod:`repro.sim.vectorized.delays`) gives every arrival time;
+   ``H_v(p^r_v) + theta S``; the round's delays
+   (:mod:`repro.sim.vectorized.delays`) give every arrival time;
 3. accept — Lemma 10 puts every other honest dealer's message inside
-   the TCB window ``P < h <= P + window``; two row reductions (the
-   earliest and latest ``h`` per receiver) check it, and a message
-   outside raises :class:`SimulationError`;
+   the TCB window ``P < h <= P + window``; each receiver's earliest and
+   latest ``h`` check it, and a message outside raises
+   :class:`SimulationError`.  A deterministic, unobserved round that
+   discards nothing reads the two from its receiver class's sorted
+   arrivals (two delay rows, one per class); a ``random`` round, an
+   observed round and a discarding vote need every arrival and reduce
+   a dense (rows × honest) block instead;
 4. vote — offset estimates ``h - P - d + u - S`` (⊥ for each faulty
    dealer, 0 for self); per receiver the two order statistics the
-   ``f - b`` discard leaves outermost are read — the row extremes when
-   nothing is discarded, a selection otherwise (nothing is sorted) —
-   and their midpoint taken;
+   ``f - b`` discard leaves outermost are read — the extremes of step
+   3 when nothing is discarded, a selection otherwise (nothing is
+   sorted) — and their midpoint taken;
 5. advance — next pulse at local ``P + Delta + T``.
 
 This is exact — not approximate — for the scenarios the backend
@@ -26,14 +30,19 @@ provably never fires, so simulating echoes (and per-message event
 interleavings generally) cannot change any output.  Scenarios where
 that argument breaks — actively Byzantine behaviours, membership churn
 — raise :class:`UnsupportedScenarioError` instead of silently
-degrading.
+degrading.  The two sources of step 3 agree bit for bit: within one
+clock segment the rounded ``t -> (t - s) r + l`` is monotone, so the
+local time of the earliest arrival is the earliest local time, and a
+receiver whose extremes fall in different segments is evaluated as a
+dense row.
 
-Receivers are processed in blocks of rows sized so that one
+Dense receivers are processed in blocks of rows sized so that one
 (rows × honest) float64 array stays near :data:`BLOCK_BYTES` — small
 enough to live in cache and to be reused instead of mapped afresh for
 every elementwise step, and never n × n, which is what lets n = 10,000
 runs fit in a few dozen MiB.  Every quantity is computed per receiver
-row, so no output depends on where the block boundaries fall.
+row, so no output depends on where the block boundaries fall, nor on
+which source served a row.
 """
 
 from __future__ import annotations
@@ -63,7 +72,11 @@ from repro.sim.network import (
 )
 from repro.sim.scheduler import SimulationResult
 from repro.sim.trace import Trace, TraceLevel, TraceSpec
-from repro.sim.vectorized.delays import delay_rng, round_delays
+from repro.sim.vectorized.delays import (
+    class_delays,
+    delay_rng,
+    round_delays,
+)
 from repro.sync.crusader import BOT
 from repro.telemetry.context import active_telemetry
 
@@ -71,6 +84,16 @@ from repro.telemetry.context import active_telemetry
 #: flat from 256 KiB to 1 MiB and 10-30 % slower at 4 MiB for n >= 2,500
 #: (docs/PERFORMANCE.md, "The vectorized engine's blocks").
 BLOCK_BYTES = 1 << 20
+
+
+def _row_extremes(
+    local_rx: "np.ndarray",
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Each row's smallest and largest entry, NaN ignored."""
+    return (
+        np.fmin.reduce(local_rx, axis=1, initial=np.inf),
+        np.fmax.reduce(local_rx, axis=1, initial=-np.inf),
+    )
 
 
 class UnsupportedScenarioError(ConfigurationError):
@@ -132,9 +155,19 @@ class ClockTable:
             local - self.locals[row, index]
         ) / self.rates[row, index]
 
-    def local_times(self, rows: slice, t: "np.ndarray") -> "np.ndarray":
-        """``H_i(t[i - rows.start, j])`` for each row ``i`` in ``rows``,
-        for real times ``t >= 0`` (one block of arrivals).
+    def segments(self, rows, t: "np.ndarray") -> "np.ndarray":
+        """The segment of the ``k``-th row of ``rows`` (a slice or an
+        index array) that real time ``t[k] >= 0`` falls in."""
+        if self.width == 1:
+            return np.zeros(len(t), dtype=np.intp)
+        index = (self.starts[rows] <= t[:, None]).sum(axis=1) - 1
+        np.maximum(index, 0, out=index)
+        return index
+
+    def local_times(self, rows, t: "np.ndarray") -> "np.ndarray":
+        """``H(t[k, j])`` on the clock of the ``k``-th row of ``rows``
+        (a slice or an index array), for real times ``t >= 0`` (one
+        block of arrivals).
 
         One block's arrivals span at most a segment or two, so the
         segment index is each row's index at its earliest query plus
@@ -150,9 +183,8 @@ class ClockTable:
             out *= rates
             out += locals_
             return out
-        first = (starts <= t.min(axis=1)[:, None]).sum(axis=1) - 1
-        np.maximum(first, 0, out=first)
-        reach = (starts <= t.max(axis=1)[:, None]).sum(axis=1) - 1 - first
+        first = self.segments(rows, t.min(axis=1))
+        reach = self.segments(rows, t.max(axis=1)) - first
         row = np.arange(len(first))
         out = t - starts[row, first, None]
         out *= rates[row, first, None]
@@ -315,7 +347,7 @@ class VectorizedSimulation:
         window = params.tcb_window
         fin_wait = params.tcb_finalize_wait
         offset_shift = params.d - params.u + params.S
-        # Lemma 10 (checked every block): each receiver accepts every
+        # Lemma 10 (checked every round): each receiver accepts every
         # other honest dealer and a ⊥ for each faulty one, so the vote
         # sizes are per run.  The midpoint needs nh > 2 * discard, which
         # always holds: discard is 0 for num_bot >= f, and otherwise
@@ -326,6 +358,13 @@ class VectorizedSimulation:
         kth = sorted({discard, top})
         accepted = nh * (nh - 1)
         accepted_total = 0
+        # Only three inputs need every arrival of a receiver, not just
+        # its earliest and latest: random delays (the block is the
+        # stream), observers (handed every estimate) and a vote that
+        # discards (a selection).  Every other round is read per
+        # receiver class.
+        dense = rng is not None or observing or discard > 0
+        rows_dense = rows_extremes = 0
         pulses: Dict[int, List[float]] = {v: [] for v in range(n)}
         trains = [pulses[v] for v in honest]
         events = 0
@@ -367,69 +406,87 @@ class VectorizedSimulation:
                 end_time = max(end_time, float(pulse_real.max()))
                 break
             send_real = table.real_times(local + params.dealer_send_offset)
-            block_delays = round_delays(
-                self.delay_policy, self.config, honest, send_real, rng
-            )
             # Per-receiver vectors of the round.  The association is
             # part of the pinned arithmetic: (P + window) + EPS.
             window_end = local + window + EPS
             window_close = local + window + 2.0 * EPS
-            correction = np.empty(nh)
-            completion_local = np.empty(nh)
-            accepts: List[Any] = []
-            summaries: List[Any] = []
-            for start in range(0, nh, block_rows):
-                stop = min(start + block_rows, nh)
-                rows = np.arange(start, stop)
-                self_cells = (rows - start, rows)
-                receivers = honest[start:stop]
-                # Two float buffers a block: delays become arrivals,
-                # local receive times become estimates.
-                arrival = block_delays(receivers)
-                np.add(send_real, arrival, out=arrival)
-                local_rx = table.local_times(slice(start, stop), arrival)
-                local_rx[self_cells] = np.nan  # no self-message
-                base = local[start:stop]
-                first, last = self._window_extremes(
-                    local_rx, start, pulse_round, base,
-                    window_end[start:stop],
+            if dense:
+                block_delays = round_delays(
+                    self.delay_policy, self.config, honest, send_real, rng
                 )
-                # Rounding is monotone, so the latest h + wait is the
-                # latest h, plus the wait.
-                latest = last + fin_wait
-                completion_local[start:stop] = (
-                    np.maximum(latest, window_close[start:stop])
-                    if num_bot else latest
-                )
-                if observing or discard:
+                first = np.empty(nh)
+                last = np.empty(nh)
+                if discard:
+                    low = np.empty(nh)
+                    high = np.empty(nh)
+                blocks: List[Any] = []
+                for start in range(0, nh, block_rows):
+                    stop = min(start + block_rows, nh)
+                    rows = np.arange(start, stop)
+                    receivers = honest[start:stop]
+                    # Two float buffers a block: delays become
+                    # arrivals, local receive times become estimates.
+                    arrival = block_delays(receivers)
+                    local_rx = self._receive_times(
+                        table, rows, arrival, send_real
+                    )
+                    base = local[start:stop]
+                    first[start:stop], last[start:stop] = (
+                        self._window_extremes(
+                            local_rx, rows, pulse_round, base,
+                            window_end[start:stop],
+                        )
+                    )
+                    if not (observing or discard):
+                        continue
                     estimates = local_rx  # overwritten from here on
                     estimates -= base[:, None]
                     estimates -= offset_shift
-                    estimates[self_cells] = 0.0
-                if discard:
-                    # Select the two order statistics the vote reads.
-                    # Observers are handed the estimates by dealer, so
-                    # then the selection shuffles a copy.
-                    ordered = estimates.copy() if observing else estimates
-                    ordered.partition(kth, axis=1)
-                    low = ordered[:, discard]
-                    high = ordered[:, top]
-                else:
-                    # x -> (x - P) - shift is monotone under rounding,
-                    # so the extreme estimates are the extreme h's,
-                    # shifted; 0 is the self-estimate.
-                    low = np.minimum(0.0, (first - base) - offset_shift)
-                    high = np.maximum(0.0, (last - base) - offset_shift)
-                correction[start:stop] = (low + high) / 2.0
-                if observing:
-                    self._collect_round(
-                        accepts, summaries, rows, receivers, arrival,
-                        estimates, low, high, correction, pulse_round,
-                        local,
-                    )
+                    estimates[rows - start, rows] = 0.0
+                    if discard:
+                        # Select the two order statistics the vote
+                        # reads.  Observers are handed the estimates by
+                        # dealer, so then the selection shuffles a copy.
+                        ordered = (
+                            estimates.copy() if observing else estimates
+                        )
+                        ordered.partition(kth, axis=1)
+                        low[start:stop] = ordered[:, discard]
+                        high[start:stop] = ordered[:, top]
+                    if observing:
+                        blocks.append((rows, receivers, arrival, estimates))
+                rows_dense += nh
+            else:
+                first, last, straddling = self._class_extremes(
+                    table, send_real, local, window_end, pulse_round,
+                    block_rows,
+                )
+                rows_dense += straddling
+                rows_extremes += nh - straddling
+            # The round tail, one for both sources.  Rounding is
+            # monotone, so the latest h + wait is the latest h, plus
+            # the wait.
+            latest = last + fin_wait
+            completion_local = (
+                np.maximum(latest, window_close) if num_bot else latest
+            )
+            if not discard:
+                # x -> (x - P) - shift is monotone under rounding, so
+                # the extreme estimates are the extreme h's, shifted;
+                # 0 is the self-estimate.
+                low = np.minimum(0.0, (first - local) - offset_shift)
+                high = np.maximum(0.0, (last - local) - offset_shift)
+            correction = (low + high) / 2.0
             completion_real = table.real_times(completion_local)
             end_time = max(end_time, float(completion_real.max()))
             if observing:
+                accepts: List[Any] = []
+                summaries: List[Any] = []
+                for block in blocks:
+                    self._collect_round(
+                        accepts, summaries, *block, low, high, correction,
+                        pulse_round, local,
+                    )
                 self._emit_round(
                     accepts, summaries, completion_real, honest
                 )
@@ -450,6 +507,8 @@ class VectorizedSimulation:
                 "pulses.recorded", sum(len(train) for train in trains)
             )
             telemetry.incr("tcb.accepts", accepted_total)
+            telemetry.incr("vectorized.rows.extremes", rows_extremes)
+            telemetry.incr("vectorized.rows.dense", rows_dense)
             telemetry.gauges["events.processed"] = events
             telemetry.gauges["sim.end_time"] = end_time
             telemetry.observe_span("sim.run")
@@ -479,26 +538,104 @@ class VectorizedSimulation:
         if self.checks is not None:
             self.checks.on_pulse(time, node, index, local_time)
 
+    def _receive_times(
+        self,
+        table: ClockTable,
+        rows: "np.ndarray",
+        arrival: "np.ndarray",
+        send_real: "np.ndarray",
+    ) -> "np.ndarray":
+        """The dense ``(rows, honest)`` local receive times of receiver
+        ``rows``: ``arrival`` holds their delays and is overwritten with
+        the arrival times; the self column is NaN (no self-message)."""
+        np.add(send_real, arrival, out=arrival)
+        local_rx = table.local_times(rows, arrival)
+        local_rx[np.arange(len(rows)), rows] = np.nan
+        return local_rx
+
+    def _class_extremes(
+        self,
+        table: ClockTable,
+        send_real: "np.ndarray",
+        local: "np.ndarray",
+        window_end: "np.ndarray",
+        pulse_round: int,
+        block_rows: int,
+    ) -> Tuple["np.ndarray", "np.ndarray", int]:
+        """``(first, last, straddling)`` of a deterministic round, read
+        per receiver class instead of from a dense block.
+
+        Every receiver of a class gets the same delay row, so its
+        arrivals are the class's ``send + delay`` minus its own: the
+        earliest and latest of them come from the class's sorted
+        arrivals and are evaluated on the receiver's clock.  Within one
+        segment the rounded ``t -> (t - s) r + l`` is monotone, so they
+        are the earliest and latest local receive times, bit for bit.
+        A receiver whose two fall in different segments is evaluated as
+        one dense row instead (``straddling`` counts them).  Lemma 10 is
+        then checked, and a violation re-evaluates the offending row
+        densely, so it is named as the dense block names it.
+        """
+        delays, member = class_delays(
+            self.delay_policy, self.config, self.honest, send_real
+        )
+        nh = len(local)
+        if nh == 1:  # no other honest dealer
+            return np.array([np.inf]), np.array([-np.inf]), 0
+        arrival = send_real + delays
+        # Per receiver, its class's two earliest and two latest
+        # dealers; the second of a pair stands in for the receiver.
+        ranks = np.argsort(arrival, axis=1)[:, [0, 1, -1, -2]][member]
+        everyone = np.arange(nh)
+        early = np.where(ranks[:, 0] == everyone, ranks[:, 1], ranks[:, 0])
+        late = np.where(ranks[:, 2] == everyone, ranks[:, 3], ranks[:, 2])
+        times = np.stack(
+            (arrival[member, early], arrival[member, late]), axis=1
+        )
+        first, last = table.local_times(slice(None), times).T
+        straddling = np.flatnonzero(
+            table.segments(slice(None), times[:, 0])
+            != table.segments(slice(None), times[:, 1])
+        )
+        for start in range(0, len(straddling), block_rows):
+            rows = straddling[start:start + block_rows]
+            first[rows], last[rows] = _row_extremes(
+                self._receive_times(
+                    table, rows, delays[member[rows]], send_real
+                )
+            )
+        outside = first <= local
+        outside |= last > window_end
+        if outside.any():
+            rows = np.flatnonzero(outside)[:1]
+            self._window_extremes(
+                self._receive_times(
+                    table, rows, delays[member[rows]], send_real
+                ),
+                rows, pulse_round, local[rows], window_end[rows],
+            )
+        return first, last, len(straddling)
+
     def _window_extremes(
         self,
         local_rx: "np.ndarray",
-        start: int,
+        rows: "np.ndarray",
         pulse_round: int,
         base: "np.ndarray",
         window_end: "np.ndarray",
     ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """``(first, last)``: per receiver row, the earliest and latest
-        local receive time of the other honest dealers' broadcasts (the
-        self column is NaN and ignored) — after checking Lemma 10, i.e.
-        that every one lies in the row's window ``P < h <= window_end``.
+        """``(first, last)``: per receiver row (of ``rows``), the
+        earliest and latest local receive time of the other honest
+        dealers' broadcasts (the self column is NaN and ignored) — after
+        checking Lemma 10, i.e. that every one lies in the row's window
+        ``P < h <= window_end``.
 
         A message outside it would meet the event engine's early/stale
         guards or echo rejection, which this engine does not model, so
         the run raises instead of computing something else.  A row with
         no other honest dealer reads ``(+inf, -inf)`` and passes.
         """
-        first = np.fmin.reduce(local_rx, axis=1, initial=np.inf)
-        last = np.fmax.reduce(local_rx, axis=1, initial=-np.inf)
+        first, last = _row_extremes(local_rx)
         outside = first <= base
         outside |= last > window_end
         if outside.any():
@@ -506,7 +643,7 @@ class VectorizedSimulation:
             row = local_rx[i]
             j = int(np.argmax((row <= base[i]) | (row > window_end[i])))
             raise SimulationError(
-                f"round {pulse_round}: node {self.honest[start + i]} "
+                f"round {pulse_round}: node {self.honest[rows[i]]} "
                 f"received dealer {self.honest[j]}'s broadcast at local "
                 f"time {row[j]}, outside its window ({base[i]}, "
                 f"{window_end[i]}] — Lemma 10 fails, so this backend "
@@ -528,7 +665,9 @@ class VectorizedSimulation:
         pulse_round: int,
         local: "np.ndarray",
     ) -> None:
-        """Materialize per-node annotations (small-n observation path).
+        """Materialize one block's per-node annotations (small-n
+        observation path); ``low`` / ``high`` / ``correction`` are the
+        round's, indexed by row.
 
         Every honest dealer but the node itself is accepted (Lemma 10,
         checked by the kernel).  Only runs when checks or a FULL trace
@@ -552,16 +691,17 @@ class VectorizedSimulation:
                     )
             for dealer in self.faulty:
                 row_estimates[dealer] = BOT
+            row = int(rows[i])
             summaries.append(
                 (
-                    int(rows[i]),
+                    row,
                     CpsRoundSummary(
                         pulse_round=pulse_round,
-                        pulse_local=float(local[rows[i]]),
+                        pulse_local=float(local[row]),
                         estimates=row_estimates,
                         num_bot=len(self.faulty),
-                        interval=(float(low[i]), float(high[i])),
-                        correction=float(correction[rows[i]]),
+                        interval=(float(low[row]), float(high[row])),
+                        correction=float(correction[row]),
                     ),
                 )
             )

@@ -92,6 +92,10 @@ METRIC_CATALOG: Dict[str, str] = {
     "knowledge.signatures.known": "honest signatures the adversary learned",
     "knowledge.payloads.memoized": "payload walks memoized (gauge)",
     "sim.end_time": "simulated real time when the run stopped (gauge)",
+    "vectorized.rows.extremes": "voting-round receiver rows read from "
+    "their class's arrival extremes",
+    "vectorized.rows.dense": "voting-round receiver rows evaluated over "
+    "every arrival",
 }
 
 

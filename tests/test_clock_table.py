@@ -13,7 +13,9 @@ table replaced:
   beyond the last segment — and raise the same ``ClockError``;
 * whole vectorized runs (pulse streams, ``events_processed``,
   ``end_time``) are bit-identical to the parent's
-  (``tests/data/vectorized_runs.json``).
+  (``tests/data/vectorized_runs.json``), and the n = 30 runs of CI's
+  ``clock_parity.py --full`` capture replay under a full trace, whose
+  dense blocks are the other source of each receiver's window extremes.
 """
 
 import importlib.util
@@ -52,9 +54,22 @@ def _parity_script():
     return module
 
 
+def _full_capture(n):
+    """The ``n{n}/...`` lines of ``tests/data/clock_parity_full.txt``."""
+    path = os.path.join(ROOT, "tests", "data", "clock_parity_full.txt")
+    with open(path) as handle:
+        entries = dict(line.split(" ", 1) for line in handle)
+    return {
+        key: json.loads(entry)
+        for key, entry in entries.items()
+        if key.startswith(f"n{n}/")
+    }
+
+
 PARITY = _parity_script()
 DRIFT_ROWS = _load("drift_rows.json")
 VECTORIZED_RUNS = _load("vectorized_runs.json")
+FULL_CAPTURE_N30 = _full_capture(30)
 
 
 class TestRowsAreTheOldClocks:
@@ -248,3 +263,13 @@ class TestRunsMatchTheParent:
         assert PARITY.run_entry(
             int(n[1:]), delay, drift, block_size
         ) == VECTORIZED_RUNS[key]
+
+    @pytest.mark.parametrize("key", sorted(FULL_CAPTURE_N30))
+    def test_dense_blocks_replay_the_full_capture(self, key):
+        # CI diffs the unobserved runs against this file; observed, the
+        # same runs take the dense block for every round.
+        _, delay, drift = key.split("/")
+        assert len(FULL_CAPTURE_N30) == 16
+        assert PARITY.run_entry(
+            30, delay, drift, None, trace="full"
+        ) == FULL_CAPTURE_N30[key]

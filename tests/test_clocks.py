@@ -1,6 +1,7 @@
 """Unit and property tests for hardware clocks."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from repro.sim.clocks import (
     ClockSegment,
     HardwareClock,
+    random_drift_row,
+    rate_row,
     validate_initial_skew,
 )
 from repro.sim.errors import ClockError
@@ -111,6 +114,58 @@ class TestRandomDrift:
         b = HardwareClock.random_drift(random.Random(42), 1.05)
         for t in (0.0, 10.0, 99.0, 500.0):
             assert a.local_time(t) == b.local_time(t)
+
+    @pytest.mark.parametrize(
+        "horizon,segment_length",
+        [(200.0, 5.0), (1000.0, 10.0), (7.5, 2.0), (0.0, 1.0), (3.0, 7.0)],
+    )
+    def test_rows_are_the_uniform_draws_over_the_schedule(
+        self, horizon, segment_length
+    ):
+        # The row random.uniform and a per-row schedule loop built, bit
+        # for bit, from the same stream; each call hands out fresh
+        # lists although the schedule is computed once.
+        drawn, reference = random.Random(5), random.Random(5)
+        for offset in (0.0, 0.03):
+            durations = []
+            t = 0.0
+            while t < horizon:
+                durations.append(segment_length)
+                t += segment_length
+            rates = [reference.uniform(1.0, 1.001) for _ in durations]
+            row = random_drift_row(
+                drawn, 1.001, offset, horizon, segment_length
+            )
+            assert row == rate_row(durations, rates, 1.0, offset)
+            row[0].append(-1.0)
+        assert drawn.random() == reference.random()
+
+    @pytest.mark.parametrize(
+        "keywords,named",
+        [
+            ({"segment_length": 0.0}, "segment_length .* got 0.0"),
+            ({"segment_length": -2.5}, "segment_length .* got -2.5"),
+            ({"segment_length": float("nan")}, "segment_length .* got nan"),
+            ({"segment_length": float("inf")}, "segment_length .* got inf"),
+            ({"horizon": float("inf")}, "horizon .* got inf"),
+            ({"horizon": float("nan")}, "horizon .* got nan"),
+        ],
+    )
+    def test_a_schedule_that_never_ends_is_refused(self, keywords, named):
+        # A non-positive step never reaches the horizon, and no step
+        # reaches an infinite one: both used to append forever.
+        def expire(signum, frame):
+            raise AssertionError("random_drift_row did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(3)
+        try:
+            for build in (random_drift_row, HardwareClock.random_drift):
+                with pytest.raises(ClockError, match=named):
+                    build(random.Random(0), 1.01, **keywords)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestHelpers:

@@ -47,7 +47,7 @@ from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
 from repro.scenarios import REGISTRY
-from repro.sim.clocks import HardwareClock
+from repro.sim.clocks import ClockEnsemble, HardwareClock
 from repro.sim.errors import (
     ConfigurationError,
     ModelViolation,
@@ -64,6 +64,7 @@ from repro.sim.vectorized import (
     VectorizedSimulation,
 )
 from repro.sim.vectorized.delays import (
+    class_delays,
     delay_matrix,
     delay_rng,
     round_delays,
@@ -487,7 +488,13 @@ class TestLemma10:
     receiver's window raises, naming the round, receiver and dealer,
     instead of being voted on."""
 
-    def test_a_late_broadcast_raises_and_names_it(self):
+    LATE = (
+        r"round 1: node 2 received dealer 4's broadcast .* "
+        r"outside its window"
+    )
+
+    @staticmethod
+    def _late_pairs(faulty, trace="pulses", cut=True):
         # Perfect clocks, so every round-1 message arrives theta S +
         # delay after the receiver's pulse.  A window cut between d - u
         # and d (parameters Lemma 10 does not cover; the links keep the
@@ -497,19 +504,96 @@ class TestLemma10:
         simulation = VectorizedSimulation(
             params,
             clocks=_perfect_clocks(6),
-            faulty=[5],
+            faulty=faulty,
             delay_policy=_LatePairs({2, 4}),
+            trace=trace,
         )
-        theta, S = params.theta, params.S
-        simulation.params = dataclasses.replace(
-            params, d=(theta * S + 0.99) / theta - (theta + 1.0) * S
-        )
-        with pytest.raises(
-            SimulationError,
-            match=r"round 1: node 2 received dealer 4's broadcast .* "
-            r"outside its window",
-        ):
-            simulation.run(max_pulses=3)
+        if cut:
+            theta, S = params.theta, params.S
+            simulation.params = dataclasses.replace(
+                params, d=(theta * S + 0.99) / theta - (theta + 1.0) * S
+            )
+        return simulation
+
+    def test_a_late_broadcast_raises_and_names_it(self):
+        with pytest.raises(SimulationError, match=self.LATE):
+            self._late_pairs(faulty=[5]).run(max_pulses=3)
+
+    def test_the_class_source_names_it_as_the_dense_block_does(self):
+        # faulty = f, so the vote discards nothing: unobserved, the
+        # round is read from class extremes; under a full trace, from
+        # the dense block.  The violation is one message either way.
+        f = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6).f
+        faulty = [0, 5][:f]
+        telemetry = Telemetry()
+        with telemetry_session(telemetry):
+            uncut = self._late_pairs(faulty, trace="none", cut=False)
+        uncut.run(max_pulses=3)
+        assert telemetry.counters["vectorized.rows.dense"] == 0
+        assert telemetry.counters["vectorized.rows.extremes"] == 2 * 4
+        messages = []
+        for trace in ("none", "full"):
+            with pytest.raises(SimulationError, match=self.LATE) as error:
+                self._late_pairs(faulty, trace=trace).run(max_pulses=3)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+
+    def test_a_row_across_a_segment_start_is_evaluated_densely(self):
+        # `random` clocks re-draw their rate every 5.0 time units.  At
+        # u = 0.0265 (seed 0) the round whose broadcasts arrive around
+        # t = 5.0 has three receivers whose earliest and latest arrival
+        # straddle that segment start: they take the dense fallback,
+        # the fourth and every other round read class extremes, and the
+        # run is the observed (all-dense) run, bit for bit.
+        params = derive_parameters(theta=1.001, d=1.0, u=0.0265, n=7)
+        results, counters = {}, {}
+        for trace in ("none", "full"):
+            telemetry = Telemetry()
+            with telemetry_session(telemetry):
+                simulation = VectorizedSimulation(
+                    params,
+                    clocks=REGISTRY.create("drift", "random", params, 0),
+                    faulty=range(params.n - params.f, params.n),
+                    trace=trace,
+                )
+            results[trace] = simulation.run(max_pulses=8)
+            counters[trace] = (
+                telemetry.counters["vectorized.rows.extremes"],
+                telemetry.counters["vectorized.rows.dense"],
+            )
+        voted = (params.n - params.f) * 7
+        assert counters["none"] == (voted - 3, 3)
+        assert counters["full"] == (0, voted)
+        assert _same_execution(results["none"], results["full"])
+
+    def test_a_clock_that_steps_back_at_a_segment_start(self):
+        # Where the map is not monotone the fallback is load-bearing.
+        # Node 0's clock steps back 5e-7 at `start` (inside the 1e-6
+        # continuity tolerance), and dealer 2 sends 3e-7 earlier than
+        # dealers 1 and 3, so node 0's round-1 arrivals straddle
+        # `start`: its earliest local receive time is the *later*
+        # arrival's.  Reading H(earliest arrival) would vote otherwise.
+        params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6)
+        early = 3e-7
+        start = params.S + params.dealer_send_offset + params.d - early / 2
+        rows = [([0.0, start], [0.0, start - 5e-7], [1.0, 1.0])] + [
+            ([0.0], [early if node == 2 else 0.0], [1.0])
+            for node in range(1, 6)
+        ]
+        results, dense = {}, {}
+        for trace in ("none", "full"):
+            telemetry = Telemetry()
+            with telemetry_session(telemetry):
+                simulation = VectorizedSimulation(
+                    params,
+                    clocks=ClockEnsemble(rows, params.theta),
+                    faulty=[4, 5],
+                    trace=trace,
+                )
+            results[trace] = simulation.run(max_pulses=4)
+            dense[trace] = telemetry.counters["vectorized.rows.dense"]
+        assert dense == {"none": 1, "full": 4 * 3}
+        assert _same_execution(results["none"], results["full"])
 
     def test_window_bounds_are_the_event_engines(self):
         # P < h <= window_end: the end is in, P itself and one ulp past
@@ -527,8 +611,9 @@ class TestLemma10:
             [1.5, nan, 1.5, 1.5, 1.5],
         ])
         base, window_end = np.array([1.0, 1.0]), np.array([2.0, 2.0])
+        rows = np.arange(2)
         first, last = simulation._window_extremes(
-            local_rx, 0, 3, base, window_end
+            local_rx, rows, 3, base, window_end
         )
         assert first.tolist() == [1.25, 1.5]
         assert last.tolist() == [2.0, 1.5]
@@ -540,11 +625,11 @@ class TestLemma10:
                 match=rf"round 3: node {i} received dealer {j}'s",
             ):
                 simulation._window_extremes(
-                    outside, 0, 3, base, window_end
+                    outside, rows, 3, base, window_end
                 )
         alone = np.full((1, 1), nan)
         first, last = simulation._window_extremes(
-            alone, 0, 1, base[:1], window_end[:1]
+            alone, rows[:1], 1, base[:1], window_end[:1]
         )
         assert (first.tolist(), last.tolist()) == ([np.inf], [-np.inf])
 
@@ -783,6 +868,17 @@ class TestDelayMatrix:
                 ])
                 assert stacked.tolist() == whole.tolist(), (key, rows)
 
+    def test_class_rows_are_the_rows_blocks_pick(self):
+        config = NetworkConfig(n=self.N, d=1.0, u=0.02)
+        nodes = list(range(self.N))
+        send_real = np.array(self.SEND_REAL)
+        for key, policy in self._policies():
+            if isinstance(policy, RandomDelayPolicy):
+                continue
+            rows, member = class_delays(policy, config, nodes, send_real)
+            whole = delay_matrix(policy, config, nodes, nodes, send_real)
+            assert rows[member].tolist() == whole.tolist(), key
+
     def test_every_block_is_checked_for_admissibility(self):
         class LateToOne(DelayPolicy):
             """A custom policy, inadmissible towards one receiver."""
@@ -803,6 +899,12 @@ class TestDelayMatrix:
         assert block(senders[:3]).tolist() == [[1.0] * self.N] * 3
         with pytest.raises(ModelViolation, match="outside"):
             block(senders[3:])
+        # By class: only a row some receiver takes is checked.
+        send_real = np.array(self.SEND_REAL)
+        rows, _ = class_delays(LateToOne(), config, senders[:4], send_real[:4])
+        assert rows[0].tolist() == [1.0] * 4
+        with pytest.raises(ModelViolation, match="outside"):
+            class_delays(LateToOne(), config, senders, send_real)
         params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=self.N)
         simulation = VectorizedSimulation(
             params,
