@@ -35,9 +35,9 @@ from repro.core.tcb import TcbInstance, offset_estimate
 from repro.sim.clocks import (
     EPS,
     ClockEnsemble,
+    Draws,
     HardwareClock,
     Row,
-    random_drift_row,
     validate_initial_skew,
 )
 from repro.sim.errors import ConfigurationError
@@ -257,34 +257,34 @@ class CpsNode(TimedProtocol):
 # Simulation assembly helpers
 
 
-def wandering_row(rng, params: ProtocolParameters, horizon: float) -> Row:
-    """One node of the ``random`` ensemble: offset drawn first, then
-    its rates (the order every seeded artifact depends on)."""
-    return random_drift_row(
-        rng,
-        params.theta,
-        offset=rng.uniform(0.0, params.S),
-        horizon=horizon,
-        segment_length=max(horizon / 40.0, params.d),
+def wandering_clocks(
+    params: ProtocolParameters, seed: int, entries: List[Optional[Row]]
+) -> ClockEnsemble:
+    """The ensemble of ``entries``, each ``None`` a wandering clock:
+    offset in ``[0, S]``, then rates in ``[1, theta]`` re-drawn over
+    ``[0, 200 d]`` — drawn from ``Random(seed)`` clock by clock in node
+    order, offset first (the order every seeded artifact depends on).
+    """
+    horizon = 200.0 * params.d
+    schedule = (horizon, max(horizon / 40.0, params.d))
+    draws = Draws.take(
+        random.Random(seed), entries.count(None), schedule, params.S
     )
+    return ClockEnsemble(entries, params.theta, draws)
 
 
 def default_clocks(
     params: ProtocolParameters, seed: int = 0
 ) -> ClockEnsemble:
     """The ``random`` clock ensemble (the drift registry's default):
-    initial offsets in ``[0, S]`` and wandering rates in ``[1, theta]``.
+    every clock wanders (:func:`wandering_clocks`).
 
-    Rates are re-drawn over ``[0, 200 d]`` and stay at rate 1
-    afterwards: the ensemble stops drifting after about 94 pulses at
-    ``theta = 1.001``.  Every committed run is shorter and nothing
-    warns.  The other ensembles are registry entries
-    (:mod:`repro.scenarios.drift`).
+    Rates stay at 1 after ``200 d``: the ensemble stops drifting after
+    about 94 pulses at ``theta = 1.001``.  Every committed run is
+    shorter and nothing warns.  The other ensembles are registry
+    entries (:mod:`repro.scenarios.drift`).
     """
-    rng = random.Random(seed)
-    horizon = 200.0 * params.d
-    rows = [wandering_row(rng, params, horizon) for _ in range(params.n)]
-    return ClockEnsemble(rows, params.theta)
+    return wandering_clocks(params, seed, [None] * params.n)
 
 
 def assemble_cps_simulation(

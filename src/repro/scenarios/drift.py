@@ -3,10 +3,11 @@
 Factories follow the ``drift`` convention of
 :mod:`repro.scenarios.registry`: ``factory(params, seed, **overrides)``
 returns a :class:`~repro.sim.clocks.ClockEnsemble` — a
-``Sequence[HardwareClock]`` held as one table of segment rows, built
-without per-node objects.  Every ensemble honours the model
-assumptions the simulations validate at start-up: initial offsets
-``H_v(0) in [0, S]`` and rates in ``[1, theta]``.
+``Sequence[HardwareClock]`` held as one table of segment rows and
+wandering clocks' draws, built without per-node objects.  Every
+ensemble honours the model assumptions the simulations validate at
+start-up: initial offsets ``H_v(0) in [0, S]`` and rates in
+``[1, theta]``.
 
 ``random`` is also the ensemble the low-level
 ``assemble_cps_simulation`` builds when given no clocks; ``extreme`` is
@@ -17,8 +18,7 @@ in one system.
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.scenarios.registry import register_scenario
 
@@ -72,21 +72,19 @@ def _extreme_profile(params, seed: int = 0) -> ClockEnsemble:
     tags=("stress", "new"),
 )
 def _mixed_profile(params, seed: int = 0) -> ClockEnsemble:
-    from repro.core.cps import wandering_row
-    from repro.sim.clocks import ClockEnsemble, constant_row
+    from repro.core.cps import wandering_clocks
+    from repro.sim.clocks import constant_row
 
-    rng = random.Random(seed)
-    horizon = 200.0 * params.d
-    rows: List[Row] = []
+    entries: List[Optional[Row]] = []
     for node in range(params.n):
         style = node % 3
         if style == 0:
-            rows.append(constant_row(1.0, 0.0))
+            entries.append(constant_row(1.0, 0.0))
         elif style == 1:
-            rows.append(constant_row(params.theta, params.S))
+            entries.append(constant_row(params.theta, params.S))
         else:
-            rows.append(wandering_row(rng, params, horizon))
-    return ClockEnsemble(rows, params.theta)
+            entries.append(None)  # wandering
+    return wandering_clocks(params, seed, entries)
 
 
 @register_scenario(

@@ -22,9 +22,17 @@ import functools
 import math
 from collections import abc
 from dataclasses import dataclass
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, chain, count, repeat, starmap
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.sim.errors import ClockError
 
@@ -47,8 +55,8 @@ class ClockSegment:
 
 
 #: One clock as three parallel columns: every segment's ``t_start``,
-#: ``local_start`` and ``rate``.  The form ensembles are built and
-#: batch-evaluated in; a :class:`ClockSegment` is one column slice.
+#: ``local_start`` and ``rate``; a :class:`ClockSegment` is one column
+#: slice.
 Row = Tuple[List[float], List[float], List[float]]
 
 
@@ -62,11 +70,21 @@ def _row_of(segments: Sequence[ClockSegment]) -> Row:
 
 def check_row(row: Row, theta: Optional[float] = None) -> Row:
     """``row``, or :class:`ClockError` unless it is an admissible clock:
-    first start at 0, positive rates (in ``[1, theta]`` when ``theta``
-    is given), strictly increasing starts, continuous, ``H(0) >= 0``."""
+    finite values, first start at 0, positive rates (in ``[1, theta]``
+    when ``theta`` is given), strictly increasing starts, continuous,
+    ``H(0) >= 0``."""
     starts, local_starts, rates = row
     if not starts:
         raise ClockError("a clock needs at least one segment")
+    if not all(map(math.isfinite, chain(starts, local_starts, rates))):
+        segment = next(
+            piece
+            for piece in zip(starts, local_starts, rates)
+            if not all(map(math.isfinite, piece))
+        )
+        raise ClockError(
+            f"clock values must be finite: {ClockSegment(*segment)}"
+        )
     if abs(starts[0]) > EPS:
         raise ClockError(
             f"first segment must start at t=0, got {starts[0]}"
@@ -118,8 +136,14 @@ def rate_row(
     )
 
 
+#: ``(horizon, segment_length)``: a wandering clock re-draws its rate
+#: every ``segment_length`` over ``[0, horizon]`` and runs at rate 1
+#: afterwards.
+Schedule = Tuple[float, float]
+
+
 @functools.lru_cache(maxsize=32)
-def _drift_schedule(
+def drift_schedule(
     horizon: float, segment_length: float
 ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """``(durations, starts)`` of a wandering clock: one
@@ -140,6 +164,55 @@ def _drift_schedule(
     return tuple(durations), tuple(accumulate(durations, initial=0.0))
 
 
+def drift_row(
+    offset: float, draws: Iterable[float], theta: float, schedule: Schedule
+) -> Row:
+    """The segment row of a wandering clock: ``H(0) = offset``, then
+    rate ``1 + (theta - 1) * draw`` for each step of ``schedule`` (which
+    is ``rng.uniform(1, theta)`` bit for bit) and 1 after it; the locals
+    are :func:`rate_row`'s running sums."""
+    durations, starts = drift_schedule(*schedule)
+    spread = theta - 1.0
+    rates = [1.0 + spread * draw for draw in draws]
+    return (
+        list(starts),
+        list(accumulate(map(mul, rates, durations), initial=offset)),
+        [*rates, 1.0],
+    )
+
+
+class Draws(NamedTuple):
+    """Wandering clocks as the ``rng.random()`` stream they were drawn
+    from.  Per clock, in order, ``1 + steps`` values: the first makes
+    ``H(0) = offset_scale * value`` (``rng.uniform(0, offset_scale)``
+    bit for bit), the rest are its rate draws over ``schedule``
+    (:func:`drift_row`)."""
+
+    schedule: Schedule
+    offset_scale: float
+    stream: List[float]
+
+    @classmethod
+    def take(
+        cls, rng, clocks: int, schedule: Schedule, offset_scale: float
+    ) -> "Draws":
+        """The next ``clocks`` wandering clocks drawn from ``rng``."""
+        steps = len(drift_schedule(*schedule)[0])
+        stream = starmap(rng.random, repeat((), clocks * (1 + steps)))
+        return cls(schedule, offset_scale, list(stream))
+
+    def row(self, clock: int, theta: float) -> Row:
+        """The segment row of wandering clock ``clock``."""
+        steps = len(drift_schedule(*self.schedule)[0])
+        first = clock * (1 + steps)
+        return drift_row(
+            self.offset_scale * self.stream[first],
+            self.stream[first + 1:first + 1 + steps],
+            theta,
+            self.schedule,
+        )
+
+
 def random_drift_row(
     rng,
     theta: float,
@@ -148,23 +221,13 @@ def random_drift_row(
     segment_length: float = 10.0,
 ) -> Row:
     """A row whose rate re-draws uniformly from ``[1, theta]`` every
-    ``segment_length`` over ``[0, horizon]`` and is 1 afterwards — the
-    one place the draw schedule of a wandering clock is written.
-
-    ``rng`` is a :class:`random.Random`: each rate is
-    ``1 + (theta - 1) * rng.random()``, which is ``rng.uniform(1,
-    theta)`` bit for bit, and the row is :func:`rate_row`'s over the
-    schedule, which is computed once per ``(horizon, segment_length)``.
-    """
-    durations, starts = _drift_schedule(horizon, segment_length)
-    spread = theta - 1.0
+    ``segment_length`` over ``[0, horizon]`` and is 1 afterwards: the
+    :func:`drift_row` of ``rng``'s next draws.  The schedule is
+    computed once per ``(horizon, segment_length)``."""
+    schedule = (horizon, segment_length)
+    durations, _ = drift_schedule(*schedule)
     draws = starmap(rng.random, repeat((), len(durations)))
-    rates = [1.0 + spread * draw for draw in draws]
-    return (
-        list(starts),
-        list(accumulate(map(mul, rates, durations), initial=offset)),
-        [*rates, 1.0],
-    )
+    return drift_row(offset, draws, theta, schedule)
 
 
 class HardwareClock:
@@ -242,7 +305,7 @@ class HardwareClock:
 
         Consumers that batch-evaluate clocks read the piecewise form
         through this accessor (or, for a whole :class:`ClockEnsemble`,
-        its ``rows``) instead of re-deriving it by sampling.
+        its ``entries``) instead of re-deriving it by sampling.
         """
         return [
             ClockSegment(*piece)
@@ -338,21 +401,32 @@ class HardwareClock:
 
 
 class ClockEnsemble(abc.Sequence):
-    """The clocks of a whole system as a table of segment rows.
+    """The clocks of a whole system, held in the form they were made in.
 
-    Drift profiles build one row per node directly (no per-node
-    objects), each row is validated once, here, by :func:`check_row`,
-    and the two engines read the same table: the vectorized engine lays
-    ``rows`` out as arrays, everything else treats the ensemble as the
-    ``Sequence[HardwareClock]`` it is — indexing and iteration hand out
-    a :class:`HardwareClock` over the already-validated row.
+    ``entries`` holds a segment :data:`Row` per node, or ``None`` for a
+    wandering node: the next clock of ``draws``.  Nothing is derived or
+    validated here — each engine lays the ensemble out the way it reads
+    it and checks that layout once.  Indexing hands out a
+    :class:`HardwareClock` over the node's row, built and passed
+    through :func:`check_row` on first use: the event engine's layout,
+    which needs no numpy.  The vectorized engine's ``ClockTable``
+    derives and checks every row at once as ``(n, K)`` columns.
     """
 
     def __init__(
-        self, rows: Sequence[Row], theta: Optional[float] = None
+        self,
+        entries: Sequence[Optional[Row]],
+        theta: Optional[float] = None,
+        draws: Optional[Draws] = None,
     ) -> None:
-        self.rows: List[Row] = [check_row(row, theta) for row in rows]
+        wandering = count()
+        #: Each node's row, or the index of its clock in ``draws``.
+        self.entries: List[Union[Row, int]] = [
+            next(wandering) if entry is None else entry for entry in entries
+        ]
         self.theta = theta
+        self.draws = draws
+        self._rows: List[Optional[Row]] = [None] * len(self.entries)
 
     @classmethod
     def of(cls, clocks: Sequence[HardwareClock]) -> "ClockEnsemble":
@@ -361,17 +435,24 @@ class ClockEnsemble(abc.Sequence):
             return clocks
         return cls([_row_of(clock.segments()) for clock in clocks])
 
+    def row(self, node: int) -> Row:
+        """Node ``node``'s segment row, checked by :func:`check_row`
+        (built and checked once, then kept)."""
+        row = self._rows[node]
+        if row is None:
+            entry = self.entries[node]
+            if isinstance(entry, int):
+                entry = self.draws.row(entry, self.theta)
+            row = self._rows[node] = check_row(entry, self.theta)
+        return row
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ClockEnsemble(self.rows[index], self.theta)
-        return HardwareClock.over_row(self.rows[index], self.theta)
-
-    def offsets(self, nodes: Sequence[int]) -> List[float]:
-        """``H_v(0)`` for each ``v`` in ``nodes``."""
-        return [self.rows[v][1][0] for v in nodes]
+            return [self[v] for v in range(len(self))[index]]
+        return HardwareClock.over_row(self.row(index), self.theta)
 
 
 def validate_offset_spread(

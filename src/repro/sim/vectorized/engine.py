@@ -60,7 +60,7 @@ from repro.sim.clocks import (
     EPS,
     ClockEnsemble,
     HardwareClock,
-    Row,
+    drift_schedule,
     validate_offset_spread,
 )
 from repro.sim.errors import ClockError, ConfigurationError, SimulationError
@@ -119,24 +119,118 @@ def require_numpy() -> None:
         )
 
 
+def _ensemble_columns(
+    ensemble: ClockEnsemble,
+) -> Tuple[Tuple["np.ndarray", "np.ndarray", "np.ndarray"], "np.ndarray"]:
+    """``((starts, locals, rates), length)`` of every node: ``(n, K)``
+    columns padded with ``+inf``, and each row's segment count.
+
+    A segment row is copied.  Wandering rows are derived from the
+    ensemble's draw stream with the event layout's arithmetic
+    (:meth:`Draws.row`): ``H(0) = offset_scale * x``, rates ``1 +
+    (theta - 1) x``, and locals the running sums of ``rate * duration``
+    from ``H(0)``, taken by a row-wise ``np.cumsum`` — sequential, so
+    equal to ``accumulate`` bit for bit.
+    """
+    entries = ensemble.entries
+    drawn = [v for v, entry in enumerate(entries) if isinstance(entry, int)]
+    given = [
+        v for v, entry in enumerate(entries) if not isinstance(entry, int)
+    ]
+    length = np.zeros(len(entries), dtype=np.intp)
+    length[given] = [len(entries[v][0]) for v in given]
+    if drawn:
+        draws = ensemble.draws
+        durations, grid = drift_schedule(*draws.schedule)
+        length[drawn] = len(grid)
+    columns = np.full((3, len(entries), max(int(length.max()), 1)), np.inf)
+    starts, locals_, rates = columns
+    if given:
+        pad = [np.inf] * columns.shape[2]
+        for k in range(3):
+            columns[k, given] = [
+                [*entries[v][k], *pad[len(entries[v][k]):]] for v in given
+            ]
+    if drawn:
+        stream = np.fromiter(draws.stream, float, len(draws.stream))
+        block = stream.reshape(-1, len(grid))[[entries[v] for v in drawn]]
+        rate = block[:, 1:] * (ensemble.theta - 1.0)
+        rate += 1.0
+        local = np.empty_like(block)
+        np.multiply(block[:, 0], draws.offset_scale, out=local[:, 0])
+        np.multiply(rate, durations, out=local[:, 1:])
+        np.cumsum(local, axis=1, out=local)
+        starts[drawn, :len(grid)] = grid
+        locals_[drawn, :len(grid)] = local
+        rates[drawn, :len(durations)] = rate
+        rates[drawn, len(durations)] = 1.0
+    return (starts, locals_, rates), length
+
+
+def _inadmissible(
+    starts: "np.ndarray",
+    locals_: "np.ndarray",
+    rates: "np.ndarray",
+    length: "np.ndarray",
+    theta: Optional[float],
+) -> "np.ndarray":
+    """Per row, whether :func:`check_row` rejects it: its conditions as
+    reductions over the ``(n, K)`` columns, padding masked out."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = ~np.isfinite(starts)
+        bad |= ~np.isfinite(locals_)
+        bad |= ~np.isfinite(rates)
+        bad |= rates <= 0
+        if theta is not None:
+            bad |= ~((1.0 - EPS <= rates) & (rates <= theta + EPS))
+        elapsed = starts[:, 1:] - starts[:, :-1]
+        later = bad[:, 1:]
+        later |= elapsed <= 0
+        expected = locals_[:, :-1] + rates[:, :-1] * elapsed
+        later |= np.abs(expected - locals_[:, 1:]) > 1e-6
+    bad &= np.arange(starts.shape[1]) < length[:, None]
+    failing = bad.any(axis=1)
+    failing |= length == 0
+    failing |= np.abs(starts[:, 0]) > EPS
+    failing |= locals_[:, 0] < -EPS
+    return failing
+
+
 class ClockTable:
     """Clock rows as ``(rows, K)`` arrays, evaluated in batches.
 
+    The vectorized engine's layout of a :class:`ClockEnsemble`, derived
+    from its entries in one pass over all n rows
+    (:func:`_ensemble_columns`) and checked once
+    (:func:`_inadmissible`); a violation re-runs :func:`check_row` on
+    the first failing row, so the :class:`ClockError` is the one
+    indexing the ensemble raises.  The table keeps the rows of
+    ``nodes`` (every node by default), in that order.
+
     Row ``i`` holds one clock's segment ``starts`` / ``locals`` /
-    ``rates``; shorter rows are padded with ``+inf`` starts and locals,
-    which no finite query reaches.  Both evaluators choose a segment
-    as the scalar clock does — ``bisect_right(...) - 1`` clamped at 0,
-    i.e. the count of starts ``<= t``, minus one — and apply the same
-    arithmetic to it, so every result is bit-equal to
-    :meth:`HardwareClock.local_time` / :meth:`HardwareClock.real_time`.
+    ``rates``; shorter rows are padded with ``+inf``, which no finite
+    query reaches.  Both evaluators choose a segment as the scalar
+    clock does — ``bisect_right(...) - 1`` clamped at 0, i.e. the count
+    of starts ``<= t``, minus one — and apply the same arithmetic to
+    it, so every result is bit-equal to :meth:`HardwareClock.local_time`
+    / :meth:`HardwareClock.real_time`.
     """
 
-    def __init__(self, rows: Sequence[Row]) -> None:
-        self.width = max(len(starts) for starts, _, _ in rows)
-        pad = [np.inf] * self.width
+    def __init__(
+        self,
+        ensemble: ClockEnsemble,
+        nodes: Optional[Sequence[int]] = None,
+    ) -> None:
+        columns, length = _ensemble_columns(ensemble)
+        failing = _inadmissible(*columns, length, ensemble.theta)
+        if failing.any():
+            ensemble.row(int(np.argmax(failing)))  # raises its ClockError
+        if nodes is None:
+            nodes = range(len(length))
+        nodes = np.asarray(nodes, dtype=np.intp)
+        self.width = int(length[nodes].max())
         self.starts, self.locals, self.rates = (
-            np.array([row[k] + pad[len(row[k]):] for row in rows])
-            for k in range(3)
+            column[nodes, :self.width] for column in columns
         )
 
     def real_times(self, local: "np.ndarray") -> "np.ndarray":
@@ -271,9 +365,10 @@ class VectorizedSimulation:
         self.block_size = block_size
         self.warnings: List[str] = []
         self._ran = False
-        validate_offset_spread(
-            self.clocks.offsets(self.honest), params.S
-        )
+        #: The clocks of the honest nodes, laid out (and every row
+        #: checked) once, here.
+        self.table = ClockTable(self.clocks, self.honest)
+        validate_offset_spread(self.table.locals[:, 0].tolist(), params.S)
         # The ambient session, adopted as the event engine adopts it;
         # run() records its round totals once, at the end.
         self.telemetry = active_telemetry()
@@ -338,7 +433,7 @@ class VectorizedSimulation:
         pulses_observed = self.checks is not None or (
             self.trace.level >= TraceLevel.PULSES
         )
-        table = ClockTable([self.clocks.rows[v] for v in honest])
+        table = self.table
         rng = (
             delay_rng(self.delay_policy)
             if isinstance(self.delay_policy, RandomDelayPolicy)

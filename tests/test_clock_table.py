@@ -1,7 +1,7 @@
 """Clock ensembles as segment tables: the table is the old clocks.
 
-Three things are pinned here, each against the per-object code the
-table replaced:
+Four things are pinned here, each against the per-object code the
+table replaced or against the other layout:
 
 * the rows every drift profile builds equal, float for float, the
   segments of the ``HardwareClock`` objects the profiles built one at a
@@ -11,6 +11,10 @@ table replaced:
   floats to ``HardwareClock.local_time`` / ``real_time`` — on segment
   starts, one ulp either side, at 0, inside ``EPS`` below ``H(0)`` and
   beyond the last segment — and raise the same ``ClockError``;
+* the two layouts of one ensemble — ``ensemble[v]`` (the event
+  engine's) and ``ClockTable`` (the vectorized engine's) — are equal by
+  ``float.hex`` and raise the same ``ClockError`` for a violation
+  planted in a row or a draw;
 * whole vectorized runs (pulse streams, ``events_processed``,
   ``end_time``) are bit-identical to the parent's
   (``tests/data/vectorized_runs.json``), and the n = 30 runs of CI's
@@ -25,13 +29,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.clocks import (
     EPS,
     ClockEnsemble,
     ClockSegment,
+    Draws,
     HardwareClock,
 )
 from repro.sim.errors import ClockError
@@ -83,16 +88,20 @@ class TestRowsAreTheOldClocks:
         params = PARITY.derive_parameters(theta=1.001, d=1.0, u=0.01, n=7)
         ensemble = PARITY.scenarios.create("drift", "mixed", params, 2)
         assert isinstance(ensemble, ClockEnsemble)
-        for row, clock in zip(ensemble.rows, ensemble):
+        for v, clock in enumerate(ensemble):
             assert clock.theta == params.theta
             assert clock.segments() == [
-                ClockSegment(*piece) for piece in zip(*row)
+                ClockSegment(*piece) for piece in zip(*ensemble.row(v))
             ]
         assert ClockEnsemble.of(ensemble) is ensemble
-        assert ClockEnsemble.of(list(ensemble)).rows == ensemble.rows
+        tabulated = ClockEnsemble.of(list(ensemble))
+        assert [tabulated.row(v) for v in range(7)] == [
+            ensemble.row(v) for v in range(7)
+        ]
 
 
-#: ``(segments, theta, the parent's message)``.
+#: ``(segments, theta, message)``: the parent's messages, then the
+#: non-finite rows it admitted.
 BAD_CLOCKS = [
     ([], None, "a clock needs at least one segment"),
     (
@@ -128,7 +137,28 @@ BAD_CLOCKS = [
         "discontinuous clock: expected local 1.0, got 5.0",
     ),
     ([(0.0, -1.0, 1.0)], None, "clock must be non-negative at t=0"),
+    # Non-finite values, which every other condition lets through.
+    (
+        [(0.0, 0.0, 1.0), (math.nan, math.nan, 1.0)], 1.001,
+        "clock values must be finite: "
+        "ClockSegment(t_start=nan, local_start=nan, rate=1.0)",
+    ),
+    (
+        [(0.0, math.nan, 1.0)], None,
+        "clock values must be finite: "
+        "ClockSegment(t_start=0.0, local_start=nan, rate=1.0)",
+    ),
+    (
+        [(0.0, 0.0, math.inf)], None,
+        "clock values must be finite: "
+        "ClockSegment(t_start=0.0, local_start=0.0, rate=inf)",
+    ),
 ]
+
+
+def _row(segments):
+    """The segment row of ``(t_start, local_start, rate)`` tuples."""
+    return tuple(list(column) for column in zip(*segments)) or ([], [], [])
 
 
 class TestSameErrors:
@@ -140,19 +170,118 @@ class TestSameErrors:
     ):
         with pytest.raises(ClockError) as from_clock:
             HardwareClock([ClockSegment(*s) for s in segments], theta)
-        row = tuple(list(column) for column in zip(*segments)) or (
-            [], [], [],
-        )
+        row = _row(segments)
         good = ([0.0], [0.0], [1.0])
+        with pytest.raises(ClockError) as from_ensemble:
+            ClockEnsemble([good, row], theta)[1]
         with pytest.raises(ClockError) as from_table:
-            ClockEnsemble([good, row], theta)
-        assert str(from_clock.value) == str(from_table.value) == message
+            ClockTable(ClockEnsemble([good, row], theta))
+        assert str(from_clock.value) == message
+        assert str(from_ensemble.value) == str(from_table.value) == message
 
     def test_piece_duration_message(self):
         with pytest.raises(
             ClockError, match="piece duration must be positive: 0.0"
         ):
             HardwareClock.from_rates([(0.0, 1.0)])
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+def _raised(build):
+    """The text of the :class:`ClockError` ``build()`` raises."""
+    with pytest.raises(ClockError) as raised:
+        build()
+    return str(raised.value)
+
+
+class TestLayoutsAgree:
+    """The two layouts of one ensemble: ``ensemble[v]`` (the event
+    engine's, numpy-free) and the vectorized engine's ``ClockTable``."""
+
+    @given(
+        st.sampled_from(PARITY.PROFILES),
+        st.integers(min_value=4, max_value=40),
+        st.floats(min_value=1.0001, max_value=1.05),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_table_columns_are_the_indexed_rows(
+        self, profile, n, theta, seed
+    ):
+        params = PARITY.derive_parameters(theta=theta, d=1.0, u=0.01, n=n)
+        ensemble = PARITY.scenarios.create("drift", profile, params, seed)
+        table = ClockTable(ensemble)
+        columns = (table.starts, table.locals, table.rates)
+        for v, clock in enumerate(ensemble):
+            segments = [
+                (s.t_start, s.local_start, s.rate) for s in clock.segments()
+            ]
+            k = len(segments)  # mixed rows are ragged: 1 or K segments
+            for column, values in zip(columns, zip(*segments)):
+                assert _hex(column[v, :k]) == _hex(values)
+                assert np.isposinf(column[v, k:]).all()
+        nodes = list(range(n - 1, -1, -2))
+        subset = ClockTable(ensemble, nodes)
+        assert subset.width == max(len(ensemble.row(v)[0]) for v in nodes)
+        for got, whole in zip(
+            (subset.starts, subset.locals, subset.rates), columns
+        ):
+            assert got.tolist() == whole[nodes, :subset.width].tolist()
+
+    N = 500
+    #: ``(position in a wandering clock's block, value)``: H(0)'s draw,
+    #: then rate draws.  Each breaks one condition of ``check_row``.
+    BAD_DRAWS = [
+        (0, -1.0),  # H(0) = -S
+        (0, math.nan),
+        (3, 2.0),  # rate 1 + 2 (theta - 1) > theta
+        (3, -1.0),  # rate 1 - (theta - 1) < 1
+        (5, math.inf),
+    ]
+
+    def _base(self):
+        params = PARITY.derive_parameters(
+            theta=1.001, d=1.0, u=0.01, n=self.N
+        )
+        return PARITY.scenarios.create("drift", "random", params, 0)
+
+    @pytest.mark.parametrize(
+        "segments", [bad for bad, _, _ in BAD_CLOCKS],
+        ids=lambda v: str(v)[:40],
+    )
+    @settings(max_examples=5)
+    @given(st.integers(min_value=0, max_value=N - 1))
+    def test_a_planted_row_is_named_alike(self, segments, node):
+        base = self._base()
+        row = _row(segments)
+
+        def planted():
+            entries = [None] * self.N
+            entries[node] = row
+            return ClockEnsemble(entries, base.theta, base.draws)
+
+        event = _raised(lambda: list(planted()))
+        assert _raised(lambda: ClockTable(planted())) == event
+        assert _raised(lambda: planted()[node]) == event
+
+    @pytest.mark.parametrize("position,value", BAD_DRAWS)
+    @settings(max_examples=5)
+    @given(st.integers(min_value=0, max_value=N - 1))
+    def test_a_planted_draw_is_named_alike(self, position, value, node):
+        base = self._base()
+        schedule, scale, stream = base.draws
+        stream = list(stream)
+        stream[node * (len(stream) // self.N) + position] = value
+
+        def planted():
+            draws = Draws(schedule, scale, stream)
+            return ClockEnsemble([None] * self.N, base.theta, draws)
+
+        event = _raised(lambda: list(planted()))
+        assert _raised(lambda: ClockTable(planted())) == event
+        assert _raised(lambda: planted()[node]) == event
 
 
 @st.composite
@@ -201,7 +330,7 @@ class TestBatchedEvaluators:
         st.lists(st.floats(min_value=0.0, max_value=150.0), max_size=4),
     )
     def test_local_times_bit_equal(self, clocks, extra):
-        table = ClockTable(ClockEnsemble.of(clocks).rows)
+        table = ClockTable(ClockEnsemble.of(clocks))
         starts = [s.t_start for c in clocks for s in c.segments()]
         points = sorted(t for t in _around(starts) | set(extra) if t >= 0)
         queries = np.array([points] * len(clocks))
@@ -223,7 +352,7 @@ class TestBatchedEvaluators:
         st.lists(st.floats(min_value=0.0, max_value=150.0), max_size=4),
     )
     def test_real_times_bit_equal(self, clocks, extra):
-        table = ClockTable(ClockEnsemble.of(clocks).rows)
+        table = ClockTable(ClockEnsemble.of(clocks))
         columns = []
         for clock in clocks:
             local_starts = [s.local_start for s in clock.segments()]
@@ -244,7 +373,7 @@ class TestBatchedEvaluators:
             HardwareClock.constant_rate(1.0, offset=0.0),
             HardwareClock.from_rates([(5.0, 1.01)], offset=2.0),
         ]
-        table = ClockTable(ClockEnsemble.of(clocks).rows)
+        table = ClockTable(ClockEnsemble.of(clocks))
         with pytest.raises(ClockError) as scalar:
             clocks[1].real_time(1.0)
         with pytest.raises(ClockError) as batch:

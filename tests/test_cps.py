@@ -270,10 +270,12 @@ class TestAblationsAndConfig:
             assemble_cps_simulation(params6, clocks=clocks)
 
     def test_default_clocks_are_the_random_profile(self, params6):
-        assert (
-            default_clocks(params6, seed=4).rows
-            == scenarios.create("drift", "random", params6, 4).rows
-        )
+        assert [
+            clock.segments() for clock in default_clocks(params6, seed=4)
+        ] == [
+            clock.segments()
+            for clock in scenarios.create("drift", "random", params6, 4)
+        ]
         assert len(scenarios.create("drift", "extreme", params6)) == 6
 
     def test_round_summaries_record_corrections(self, params6):
