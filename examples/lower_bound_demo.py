@@ -14,7 +14,7 @@ through what each execution looks like, verifying:
 """
 
 from repro.core.cps import CpsNode
-from repro.core.lower_bound import LowerBoundEngine
+from repro.core.lower_bound import ShiftFunction, run_lower_bound
 from repro.core.params import derive_parameters
 
 THETA = 1.02
@@ -33,13 +33,13 @@ def main() -> None:
         f"= {D - U_TILDE:.2f} (u~ = {U_TILDE})"
     )
 
-    engine = LowerBoundEngine(
-        lambda v: CpsNode(params), THETA, D, U_TILDE
-    )
-    saturation = engine.shift.saturation_time
+    saturation = ShiftFunction(THETA, 2 * U_TILDE / 3).saturation_time
     pulses = int(saturation / 1.5) + 6
-    result = engine.run(max_pulses=pulses)
-    engine.check_well_defined()
+    # check=True (the default) raises unless the construction is well
+    # defined.
+    result = run_lower_bound(
+        lambda v: CpsNode(params), THETA, D, U_TILDE, max_pulses=pulses
+    )
     print(
         f"\nShared local-time execution: {len(result.messages)} messages, "
         f"{result.common_pulse_count()} pulses per node; "

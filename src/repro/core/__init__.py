@@ -28,7 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "lower_bound": (
             "FixedPeriodProtocol",
-            "LowerBoundEngine",
             "LowerBoundResult",
             "ShiftFunction",
             "run_lower_bound",

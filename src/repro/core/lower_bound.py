@@ -24,10 +24,13 @@ endpoints are honest (delay ``d``):
 
 with ``F(x) = min(theta x, x + 2 u_tilde / 3)``.
 
-This module runs that local-time execution for any
-:class:`~repro.sim.runtime.TimedProtocol` (the same protocol classes that
-run in the honest simulator — Algorithm CPS included), reconstructs the
-three executions' real pulse times, verifies the construction is
+:func:`run_lower_bound` runs that local-time execution on the event
+engine for any :class:`~repro.sim.runtime.TimedProtocol` (the same
+protocol classes that run in the honest simulator — Algorithm CPS
+included): three rate-1 clocks, so real time *is* the shared local time,
+and :class:`ShiftedDelays`, which gives each message the delay
+``T(l) - l``.  Its :class:`LowerBoundResult` reconstructs the three
+executions' real pulse times, verifies the construction is
 *well-defined* (the faulty node learns every honest signature early enough
 to send its messages on schedule — the content of Lemma 18), and evaluates
 the skew each execution exhibits.  Theorem 5 predicts
@@ -36,16 +39,16 @@ the skew each execution exhibits.  Theorem 5 predicts
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Tuple
 
-from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.signatures import Signature, collect_signatures
-from repro.sim.clocks import EPS
+from repro.crypto.signatures import collect_signatures
+from repro.sim.clocks import EPS, HardwareClock
 from repro.sim.errors import ConfigurationError, SimulationError
+from repro.sim.network import DelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
+from repro.sim.scheduler import Simulation
+from repro.sim.trace import SendRecord, Trace
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,24 @@ class ShiftFunction:
         return self.shift / (self.theta - 1.0)
 
 
-@dataclass(frozen=True)
-class LbMessage:
-    """A logged message of the local-time execution."""
+class ShiftedDelays(DelayPolicy):
+    """The delays ``T(l) - l`` of the shared local-time execution.
 
-    sender: int
-    receiver: int
-    send_local: float
-    recv_local: float
-    payload: Any
+    A message sent at ``l`` on edge ``j -> j + 1`` takes
+    ``F(l + d) - l``, in ``[d, d + shift]``; on edge ``j -> j + 2`` it
+    takes ``F^{-1}(l) + d - l``, in ``[d - shift, d]``.  The rule reads
+    the send time and the edge, so it overrides :meth:`delay` and runs
+    on the event engine only.
+    """
+
+    def __init__(self, shift: ShiftFunction, d: float) -> None:
+        self.shift = shift
+        self.d = d
+
+    def delay(self, config, src, dst, send_time, payload, link_is_honest):
+        if dst == (src + 1) % 3:
+            return self.shift(send_time + self.d) - send_time
+        return self.shift.inverse(send_time) + self.d - send_time
 
 
 @dataclass
@@ -96,9 +108,34 @@ class LowerBoundResult:
     d: float
     u_tilde: float
     pulses_local: Dict[int, List[float]]
-    messages: List[LbMessage]
+    #: the shared execution's sends: one sent at local ``time`` arrives
+    #: at local ``time + delay``
+    messages: List[SendRecord]
+    shift: ShiftFunction = field(init=False, repr=False)
     #: per execution k: {node: [real pulse times]} for the two honest nodes
-    execution_pulses: Dict[int, Dict[int, List[float]]]
+    execution_pulses: Dict[int, Dict[int, List[float]]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.shift = ShiftFunction(self.theta, 2.0 * self.u_tilde / 3.0)
+        common = self.common_pulse_count()
+        self.execution_pulses = {
+            k: {
+                node: [
+                    self.real_time(k, node, local)
+                    for local in self.pulses_local[node][:common]
+                ]
+                for node in ((k + 1) % 3, (k + 2) % 3)
+            }
+            for k in range(3)
+        }
+
+    def real_time(self, k: int, node: int, local: float) -> float:
+        """Real time in ``Ex^k`` when honest ``node`` reads ``local``."""
+        if node == (k + 1) % 3:
+            return local  # identity clock
+        if node == (k + 2) % 3:
+            return self.shift.inverse(local)
+        raise SimulationError(f"node {node} is faulty in Ex^{k}")
 
     def skew_of_execution(self, k: int, pulse_index: int) -> float:
         """``|p^k_{k+1, i} - p^k_{k+2, i}|`` (0-based pulse index)."""
@@ -122,8 +159,7 @@ class LowerBoundResult:
         For these indices the Theorem 5 identity (the three signed
         differences sum to ``2 u_tilde``) holds exactly.
         """
-        shift = ShiftFunction(self.theta, 2.0 * self.u_tilde / 3.0)
-        saturation = shift.saturation_time
+        saturation = self.shift.saturation_time
         indices = []
         for i in range(self.common_pulse_count()):
             real_times = [
@@ -151,184 +187,6 @@ class LowerBoundResult:
             )
         return total
 
-
-class _LbEvent:
-    """Queue entry: (local_time, seq) ordering; kind in {timer, message}."""
-
-    __slots__ = ("local_time", "seq", "node", "kind", "data")
-
-    def __init__(self, local_time, seq, node, kind, data):
-        self.local_time = local_time
-        self.seq = seq
-        self.node = node
-        self.kind = kind
-        self.data = data
-
-    def __lt__(self, other: "_LbEvent") -> bool:
-        return (self.local_time, self.seq) < (other.local_time, other.seq)
-
-
-class _LbNodeAPI(NodeAPI):
-    """Local-time :class:`NodeAPI` for the lower-bound engine."""
-
-    def __init__(self, engine: "LowerBoundEngine", node_id: int) -> None:
-        self._engine = engine
-        self.node_id = node_id
-        self.n = 3
-        self.f = 1
-        self._key_pair = engine.pki.key_pair(node_id)
-
-    def local_time(self) -> float:
-        return self._engine.current_local[self.node_id]
-
-    def set_timer(self, local_when: float, tag: Any) -> None:
-        now = self._engine.current_local[self.node_id]
-        self._engine.push(
-            self.node_id, max(local_when, now), "timer", tag
-        )
-
-    def send(self, dst: int, payload: Any) -> None:
-        self._engine.send(self.node_id, dst, payload)
-
-    def broadcast(self, payload: Any) -> None:
-        for dst in range(3):
-            if dst != self.node_id:
-                self.send(dst, payload)
-
-    def sign(self, value: Hashable) -> Signature:
-        return self._key_pair.sign(value)
-
-    def pulse(self) -> None:
-        self._engine.pulses_local[self.node_id].append(
-            self._engine.current_local[self.node_id]
-        )
-
-    def annotate(self, kind: str, details: Any) -> None:
-        pass
-
-
-class LowerBoundEngine:
-    """Runs the shared local-time execution behind ``Ex^0, Ex^1, Ex^2``."""
-
-    def __init__(
-        self,
-        protocol_factory: Callable[[int], TimedProtocol],
-        theta: float,
-        d: float,
-        u_tilde: float,
-    ) -> None:
-        if theta <= 1.0:
-            raise ConfigurationError(
-                "the lower-bound construction needs theta > 1 "
-                "(the adversary hides the shift inside clock drift)"
-            )
-        if not 0.0 < u_tilde <= d:
-            raise ConfigurationError(
-                f"u_tilde must lie in (0, d={d}], got {u_tilde}"
-            )
-        if d <= 2.0 * u_tilde / 3.0:
-            raise ConfigurationError(
-                "need d > 2*u_tilde/3 for the causal event ordering"
-            )
-        self.theta = theta
-        self.d = d
-        self.u_tilde = u_tilde
-        self.shift = ShiftFunction(theta, 2.0 * u_tilde / 3.0)
-        self.pki = PublicKeyInfrastructure(3)
-        self._seq = itertools.count()
-        self._queue: List[_LbEvent] = []
-        self.current_local = {j: 0.0 for j in range(3)}
-        self.pulses_local: Dict[int, List[float]] = {j: [] for j in range(3)}
-        self.messages: List[LbMessage] = []
-        self._protocols = {j: protocol_factory(j) for j in range(3)}
-        self._apis = {j: _LbNodeAPI(self, j) for j in range(3)}
-
-    # ------------------------------------------------------------------
-
-    def push(self, node: int, local_time: float, kind: str, data: Any):
-        heapq.heappush(
-            self._queue,
-            _LbEvent(local_time, next(self._seq), node, kind, data),
-        )
-
-    def reception_local_time(self, src: int, dst: int, send_local: float):
-        """``T_{src->dst}``: consistent local reception time (see module
-        docstring)."""
-        if dst == (src + 1) % 3:
-            return self.shift(send_local + self.d)
-        if dst == (src + 2) % 3:
-            return self.shift.inverse(send_local) + self.d
-        raise SimulationError(f"no edge {src}->{dst}")
-
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        send_local = self.current_local[src]
-        recv_local = self.reception_local_time(src, dst, send_local)
-        self.messages.append(
-            LbMessage(src, dst, send_local, recv_local, payload)
-        )
-        self.push(dst, recv_local, "message", (src, payload))
-
-    # ------------------------------------------------------------------
-
-    def run(
-        self, max_pulses: int, max_events: int = 2_000_000
-    ) -> LowerBoundResult:
-        """Drive the shared execution until every node pulsed enough."""
-        for j in range(3):
-            self._protocols[j].on_start(self._apis[j])
-        processed = 0
-        while self._queue:
-            if all(
-                len(self.pulses_local[j]) >= max_pulses for j in range(3)
-            ):
-                break
-            event = heapq.heappop(self._queue)
-            processed += 1
-            if processed > max_events:
-                raise SimulationError("lower-bound engine event cap hit")
-            self.current_local[event.node] = max(
-                self.current_local[event.node], event.local_time
-            )
-            api = self._apis[event.node]
-            if event.kind == "timer":
-                self._protocols[event.node].on_timer(api, event.data)
-            else:
-                src, payload = event.data
-                self._protocols[event.node].on_message(api, src, payload)
-        return self._build_result()
-
-    # ------------------------------------------------------------------
-
-    def _honest_clock_inverse(self, k: int, node: int, local: float):
-        """Real time in ``Ex^k`` when honest ``node`` reads ``local``."""
-        if node == (k + 1) % 3:
-            return local  # identity clock
-        if node == (k + 2) % 3:
-            return self.shift.inverse(local)
-        raise SimulationError(f"node {node} is faulty in Ex^{k}")
-
-    def _build_result(self) -> LowerBoundResult:
-        execution_pulses: Dict[int, Dict[int, List[float]]] = {}
-        common = min(len(self.pulses_local[j]) for j in range(3))
-        for k in range(3):
-            per_node: Dict[int, List[float]] = {}
-            for node in ((k + 1) % 3, (k + 2) % 3):
-                per_node[node] = [
-                    self._honest_clock_inverse(
-                        k, node, self.pulses_local[node][i]
-                    )
-                    for i in range(common)
-                ]
-            execution_pulses[k] = per_node
-        return LowerBoundResult(
-            theta=self.theta,
-            d=self.d,
-            u_tilde=self.u_tilde,
-            pulses_local={j: list(v) for j, v in self.pulses_local.items()},
-            messages=list(self.messages),
-            execution_pulses=execution_pulses,
-        )
-
     # ------------------------------------------------------------------
     # Well-definedness (Lemma 18's bookkeeping, checked concretely)
 
@@ -345,19 +203,17 @@ class LowerBoundEngine:
         """
         for k in range(3):
             knowledge: Dict[Tuple[int, Hashable], float] = {}
-            outgoing: List[Tuple[float, LbMessage]] = []
+            outgoing: List[Tuple[float, SendRecord]] = []
             for message in self.messages:
-                if message.sender == k:
-                    recv_real = self._honest_clock_inverse(
-                        k, message.receiver, message.recv_local
+                if message.src == k:
+                    recv_real = self.real_time(
+                        k, message.dst, message.time + message.delay
                     )
                     outgoing.append(
                         (recv_real - (self.d - self.u_tilde), message)
                     )
-                elif message.receiver == k:
-                    send_real = self._honest_clock_inverse(
-                        k, message.sender, message.send_local
-                    )
+                elif message.dst == k:
+                    send_real = self.real_time(k, message.src, message.time)
                     arrival = send_real + (self.d - self.u_tilde)
                     for signature in collect_signatures(message.payload):
                         key = signature.key()
@@ -384,11 +240,40 @@ def run_lower_bound(
     max_pulses: int = 12,
     check: bool = True,
 ) -> LowerBoundResult:
-    """Convenience wrapper: build, run, and (optionally) well-check."""
-    engine = LowerBoundEngine(protocol_factory, theta, d, u_tilde)
-    result = engine.run(max_pulses=max_pulses)
+    """Run the shared local-time execution and (optionally) check that
+    it defines all three executions.
+
+    The run is an event-engine :class:`Simulation` of three honest nodes
+    on rate-1 clocks under :class:`ShiftedDelays`; its network admits
+    ``[d - shift, d + shift]``, which holds every ``T(l) - l``.
+    """
+    if theta <= 1.0:
+        raise ConfigurationError(
+            "the lower-bound construction needs theta > 1 "
+            "(the adversary hides the shift inside clock drift)"
+        )
+    if not 0.0 < u_tilde <= d:
+        raise ConfigurationError(
+            f"u_tilde must lie in (0, d={d}], got {u_tilde}"
+        )
+    shift = ShiftFunction(theta, 2.0 * u_tilde / 3.0)
+    run = Simulation(
+        config=NetworkConfig(3, d + shift.shift, 2.0 * shift.shift),
+        clocks=[HardwareClock.constant_rate() for _ in range(3)],
+        protocol_factory=protocol_factory,
+        delay_policy=ShiftedDelays(shift, d),
+        f=1,
+        trace=Trace("full"),
+    ).run(max_pulses=max_pulses)
+    result = LowerBoundResult(
+        theta=theta,
+        d=d,
+        u_tilde=u_tilde,
+        pulses_local=run.pulses,
+        messages=list(run.trace.of_type(SendRecord)),
+    )
     if check:
-        engine.check_well_defined()
+        result.check_well_defined()
     return result
 
 

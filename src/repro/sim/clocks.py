@@ -241,9 +241,7 @@ class HardwareClock:
         must start at ``t = 0``, and all rates must be positive.
     theta:
         If given, every rate must lie in ``[1, theta]`` (up to ``EPS``);
-        otherwise rates only need to be positive.  The lower-bound engine
-        constructs clocks without a theta check because it evaluates clocks
-        of *other executions* whose theta is checked elsewhere.
+        otherwise rates only need to be positive.
     """
 
     def __init__(

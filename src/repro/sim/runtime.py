@@ -1,11 +1,11 @@
 """Protocol-facing runtime interface.
 
 Timed protocols (Algorithm CPS and the baselines) are written as
-engine-agnostic state machines against :class:`NodeAPI`.  The honest
-simulator (:mod:`repro.sim.scheduler`) and the lower-bound construction
-(:mod:`repro.core.lower_bound`) both provide implementations, so the *same*
-protocol code runs in both worlds — which is essential for Theorem 5
-experiments, where a faulty node must simulate its own honest behaviour.
+state machines against :class:`NodeAPI`, which the event engine
+(:mod:`repro.sim.scheduler`) implements.  The lower-bound construction
+(:mod:`repro.core.lower_bound`) runs on that engine too, so the *same*
+protocol code runs in honest executions and in Theorem 5's, where a
+faulty node must simulate its own honest behaviour.
 
 A protocol may only observe time through :meth:`NodeAPI.local_time` and may
 only schedule future work through local-time timers; it has no access to

@@ -34,6 +34,9 @@ QUICK_TABLE_DIGESTS = {
     "ABLATION": "1a3016b715ed6451",
 }
 IDS = (*QUICK_TABLE_DIGESTS, "FUZZ", "E9-SCALE")
+# The same digest at full scale, for tables that stay cheap there; E7's
+# full scale is the only one covering all six u_tilde values.
+FULL_TABLE_DIGESTS = {"E7": "35aebb234072976d"}
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,12 @@ class TestRegistry:
         rendered = tables[name].render()
         digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
         assert digest[:16] == QUICK_TABLE_DIGESTS[name], rendered
+
+    @pytest.mark.parametrize("name", FULL_TABLE_DIGESTS)
+    def test_full_table_is_byte_stable(self, name):
+        rendered = run_experiment(name, scale="full").render()
+        digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        assert digest[:16] == FULL_TABLE_DIGESTS[name], rendered
 
 
 class TestClaims:

@@ -5,12 +5,15 @@ import pytest
 from repro.core.cps import CpsNode
 from repro.core.lower_bound import (
     FixedPeriodProtocol,
-    LowerBoundEngine,
+    LowerBoundResult,
+    ShiftedDelays,
     ShiftFunction,
     run_lower_bound,
 )
 from repro.core.params import derive_parameters
-from repro.sim.errors import ConfigurationError
+from repro.crypto.pki import PublicKeyInfrastructure
+from repro.sim.errors import ConfigurationError, SimulationError
+from repro.sim.trace import SendRecord
 
 
 class TestShiftFunction:
@@ -41,17 +44,17 @@ class TestShiftFunction:
 class TestEngineValidation:
     def test_requires_drift(self):
         with pytest.raises(ConfigurationError):
-            LowerBoundEngine(lambda v: FixedPeriodProtocol(1.0), 1.0, 1.0, 0.5)
+            run_lower_bound(lambda v: FixedPeriodProtocol(1.0), 1.0, 1.0, 0.5)
 
     def test_requires_positive_u_tilde(self):
         with pytest.raises(ConfigurationError):
-            LowerBoundEngine(
+            run_lower_bound(
                 lambda v: FixedPeriodProtocol(1.0), 1.05, 1.0, 0.0
             )
 
     def test_requires_u_tilde_at_most_d(self):
         with pytest.raises(ConfigurationError):
-            LowerBoundEngine(
+            run_lower_bound(
                 lambda v: FixedPeriodProtocol(1.0), 1.05, 1.0, 1.5
             )
 
@@ -60,33 +63,34 @@ class TestEngineValidation:
             FixedPeriodProtocol(0.0)
 
 
+def reception(theta, d, u_tilde, src, dst, local):
+    """``T_{src->dst}(local)``: send time plus the construction's delay."""
+    policy = ShiftedDelays(ShiftFunction(theta, 2.0 * u_tilde / 3.0), d)
+    return local + policy.delay(None, src, dst, local, None, True)
+
+
 class TestTranslationMaps:
     def test_next_neighbour_uses_fast_receiver(self):
-        engine = LowerBoundEngine(
-            lambda v: FixedPeriodProtocol(1.0), 1.1, 1.0, 0.3
-        )
         # T(l) = F(l + d); before saturation F multiplies by theta.
-        assert engine.reception_local_time(0, 1, 0.0) == pytest.approx(1.1)
+        assert reception(1.1, 1.0, 0.3, 0, 1, 0.0) == pytest.approx(1.1)
 
     def test_prev_neighbour_uses_fast_sender_inverse(self):
-        engine = LowerBoundEngine(
-            lambda v: FixedPeriodProtocol(1.0), 1.1, 1.0, 0.3
-        )
         # T(l) = F^{-1}(l) + d.
-        assert engine.reception_local_time(0, 2, 1.1) == pytest.approx(2.0)
+        assert reception(1.1, 1.0, 0.3, 0, 2, 1.1) == pytest.approx(2.0)
 
     def test_reception_always_after_send(self):
-        engine = LowerBoundEngine(
-            lambda v: FixedPeriodProtocol(1.0), 1.05, 1.0, 0.9
-        )
+        theta, d, u_tilde = 1.05, 1.0, 0.9
+        shift = 2.0 * u_tilde / 3.0
         for src in range(3):
             for dst in range(3):
                 if src == dst:
                     continue
                 for local in (0.0, 1.0, 17.3, 200.0):
-                    assert (
-                        engine.reception_local_time(src, dst, local) > local
-                    )
+                    delay = reception(theta, d, u_tilde, src, dst, local)
+                    delay -= local
+                    assert delay > 0
+                    # Inside the network the construction runs on.
+                    assert d - shift - 1e-12 <= delay <= d + shift + 1e-12
 
 
 class TestTheorem5:
@@ -135,12 +139,37 @@ class TestTheorem5:
         """Lemma 18's bookkeeping: every faulty send only uses signatures
         the adversary received early enough (raises otherwise)."""
         params = derive_parameters(1.02, 1.0, 0.0, 3, f=1)
-        engine = LowerBoundEngine(
-            lambda v: CpsNode(params), 1.02, 1.0, 0.45
+        result = run_lower_bound(
+            lambda v: CpsNode(params), 1.02, 1.0, 0.45, max_pulses=8,
+            check=False,
         )
-        engine.run(max_pulses=8)
-        engine.check_well_defined()  # must not raise
-        assert engine.messages  # CPS actually communicates
+        result.check_well_defined()  # must not raise
+        assert result.messages  # CPS actually communicates
+
+    @staticmethod
+    def _forwarding_log(learn_at, forward_at):
+        """Node 1 signs and sends to node 0 at ``learn_at``; node 0
+        forwards the signature to node 2 at ``forward_at``."""
+        signature = PublicKeyInfrastructure(3).key_pair(1).sign("pulse")
+        return LowerBoundResult(
+            theta=1.02,
+            d=1.0,
+            u_tilde=0.3,
+            pulses_local={0: [], 1: [], 2: []},
+            messages=[
+                SendRecord(learn_at, 1, 0, signature, 1.0, True),
+                SendRecord(forward_at, 0, 2, signature, 1.0, True),
+            ],
+        )
+
+    def test_well_definedness_check_can_fail(self):
+        """In Ex^0, node 0 relays node 1's signature before any message
+        carrying it reached node 0: the construction is ill-defined."""
+        early = self._forwarding_log(learn_at=5.0, forward_at=1.0)
+        with pytest.raises(SimulationError, match=r"Ex\^0 ill-defined"):
+            early.check_well_defined()
+        # Relayed after it arrived: well defined.
+        self._forwarding_log(learn_at=1.0, forward_at=5.0).check_well_defined()
 
     def test_liveness_inside_the_construction(self):
         params = derive_parameters(1.02, 1.0, 0.0, 3, f=1)

@@ -297,6 +297,18 @@ class TestCampaignSidecars:
         instrumented = self._run(workers=1)
         assert all("telemetry" in r.metrics for r in instrumented.records)
 
+    def test_lower_bound_trials_are_instrumented(self):
+        # The Theorem 5 construction runs on the event engine, so an E7
+        # sidecar counts its pulses and messages.
+        run = execute_campaign(
+            campaign_definition("E7").spec(), scale="quick", telemetry=True
+        )
+        payload = campaign_telemetry(run)
+        assert payload["instrumented"] == payload["trials"]
+        counters = payload["aggregate"]["counters"]
+        assert counters["pulses.recorded"] > 0
+        assert counters["messages.sent.honest"] > 0
+
 
 class _Record:
     def __init__(self, events, duration, ok=True, cached=False):
