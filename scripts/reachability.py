@@ -109,7 +109,7 @@ repro fuzz run --strategy known-bad --budget 25 --out {tmp}/fuzz
 repro fuzz run --strategy churn --budget 25 --out {tmp}/fuzz
 repro fuzz replay {tmp}/fuzz/*.json
 repro fuzz promote {tmp}/fuzz/*.json --dest {tmp}/promoted
-repro campaign run STRESS --workers 2 --store {tmp}/s --check --perf \
+repro campaign run STRESS --workers 2 --store {tmp}/s --perf \
     --telemetry --progress
 repro campaign run STRESS --backend event --csv {tmp}/s.csv
 repro campaign run STRESS --workers 2 --timeout 30

@@ -23,8 +23,10 @@ report's numbers plus the Theorem 17 monitors' verdicts; only E5's CPS
 arm and the A-series builder wire
 :func:`~repro.core.cps.assemble_cps_simulation` themselves, for the
 reasons their docstrings give.  No builder compares a measurement with
-a bound except through :mod:`repro.checks` or
-:func:`repro.analysis.metrics.within`.
+a bound: a builder returns measurements, and every verdict in its row
+is a judge's from :mod:`repro.checks.conformance` (``judge_pulses``,
+``judge_apa``, ``judge_crusader``, ``judge_estimates``,
+``judge_steady_skew``, ``judge_lower_bound``).
 
 Scenario-typed case keys (``adversary``, ``delay``, ``topology``,
 ``drift``) are resolved through the scenario registry
@@ -59,6 +61,16 @@ from repro.baselines.srikanth_toueg import (
     derive_st_parameters,
 )
 from repro.campaigns.spec import MeasurementSpec
+from repro.checks.conformance import (
+    apa_reference_run,
+    judge_apa,
+    judge_crusader,
+    judge_estimates,
+    judge_lower_bound,
+    judge_pulses,
+    judge_steady_skew,
+    judged_run,
+)
 from repro.core.attacks import timing_split_group
 from repro.core.cps import CpsNode, assemble_cps_simulation
 from repro.core.lower_bound import FixedPeriodProtocol, run_lower_bound
@@ -163,8 +175,6 @@ def cps_measurement(
     ``period`` monitor's.  A dead run reports ``inf`` skews, ``nan``
     periods and ``False`` verdicts.
     """
-    from repro.checks.conformance import judge_pulses
-
     built = built_case(case, measurement, seed, **defaults)
     params = built.params
     outcome = measured_pulse_trial(built.simulation, measurement)
@@ -228,39 +238,6 @@ def _honest_rejections(simulation: Any) -> int:
     )
 
 
-def _faulty_dealer_consistency(
-    simulation: Any, honest_pulses: Dict[int, Any], pulses: int
-) -> Tuple[int, float]:
-    """Lemma 13 over the faulty dealers: ``(accepted, worst gap)``.
-
-    For every round and faulty dealer, the honest nodes that accepted
-    it must hold estimates that agree — after shifting by their own
-    pulse offset — up to ``delta``.  ``accepted`` counts the non-⊥
-    estimates, ``worst gap`` is the largest pairwise disagreement.
-    """
-    summaries = {
-        v: simulation.protocol(v).summaries for v in sorted(honest_pulses)
-    }
-    accepted, worst = 0, 0.0
-    for r in range(pulses):
-        for dealer in sorted(simulation.faulty):
-            per_node = {}
-            for v, rounds in summaries.items():
-                if r < len(rounds):
-                    estimate = rounds[r].estimates.get(dealer)
-                    if estimate is not None and estimate is not BOT:
-                        per_node[v] = estimate
-            accepted += len(per_node)
-            for v, estimate_v in per_node.items():
-                for w, estimate_w in per_node.items():
-                    if v != w:
-                        gap = estimate_v - estimate_w - (
-                            honest_pulses[w][r] - honest_pulses[v][r]
-                        )
-                        worst = max(worst, abs(gap))
-    return accepted, worst
-
-
 # ----------------------------------------------------------------------
 # E1 — APA convergence (Theorem 9 / Corollary 2)
 # ----------------------------------------------------------------------
@@ -271,8 +248,6 @@ def apa_convergence_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
     """Iterated APA from a spread of honest inputs under one adversary."""
-    from repro.checks.conformance import apa_reference_run
-
     outcome = apa_reference_run(
         case["n"],
         case["adversary"],
@@ -280,15 +255,7 @@ def apa_convergence_trial(
         case.get("target", 1.0),
     )
     ranges, iterations = outcome.ranges(), outcome.iterations
-    low, high = min(outcome.inputs.values()), max(outcome.inputs.values())
-    halved = all(
-        metrics.within(after, before / 2.0)
-        for before, after in zip(ranges, ranges[1:])
-    )
-    validity = all(
-        metrics.at_least(value, low) and metrics.within(value, high)
-        for value in outcome.outputs.values()
-    )
+    contraction, validity = judge_apa(outcome)
     return {
         "f": max_faults(case["n"]),
         "iterations": iterations,
@@ -296,7 +263,7 @@ def apa_convergence_trial(
         "initial_range": ranges[0],
         "final_range": ranges[-1],
         "halving_bound": theory.apa_halving_bound(ranges[0], iterations),
-        "halved": halved,
+        "halved": contraction.ok,
         "validity": validity,
     }
 
@@ -331,15 +298,14 @@ def crusader_broadcast_trial(
         v: CrusaderBroadcastNode(dealer, input_value=1) for v in honest
     }
     outputs = SynchronousNetwork(nodes, n, f, faulty, adversary).run(2)
-    values = set(outputs.values())
+    validity, consistency = judge_crusader(outputs, 1, dealer in faulty)
     return {
         "f": f,
         "outputs": ", ".join(
             f"{node}:{output!r}" for node, output in sorted(outputs.items())
         ),
-        # Validity is vacuous for faulty dealers.
-        "validity": dealer in faulty or values == {1},
-        "consistency": len(values - {BOT}) <= 1,
+        "validity": validity,
+        "consistency": consistency,
     }
 
 
@@ -354,29 +320,19 @@ def tcb_accuracy_trial(
 ) -> Dict[str, Any]:
     """Offset-estimate errors of one CPS run against ``delta``."""
     built, outcome, row = cps_measurement(case, measurement, seed)
-    simulation, delta = built.simulation, built.params.delta
-    honest_pulses = outcome.result.honest_pulses()
-    accepts = 0
-    validity_err = 0.0
-    for v in honest_pulses:
-        for summary in simulation.protocol(v).summaries:
-            r = summary.pulse_round - 1
-            for w, estimate in summary.estimates.items():
-                if w == v or w not in honest_pulses or estimate is BOT:
-                    continue
-                accepts += 1
-                true_offset = honest_pulses[w][r] - honest_pulses[v][r]
-                validity_err = max(validity_err, abs(estimate - true_offset))
-    _accepted, consistency_err = _faulty_dealer_consistency(
-        simulation, honest_pulses, measurement.pulses
+    estimates = judge_estimates(
+        built.simulation,
+        outcome.result.honest_pulses(),
+        measurement.pulses,
+        built.params.delta,
     )
     return {
         **row,
-        "accepts": accepts,
-        "validity_err": validity_err,
-        "validity_within": metrics.within(validity_err, delta),
-        "consistency_err": consistency_err,
-        "consistency_within": metrics.within(consistency_err, delta),
+        "accepts": estimates.accepts,
+        "validity_err": estimates.validity_err,
+        "validity_within": estimates.validity_within,
+        "consistency_err": estimates.consistency_err,
+        "consistency_within": estimates.consistency_within,
     }
 
 
@@ -454,7 +410,7 @@ def resilience_trial(
         "max_skew": report.max_skew,
         "steady_skew": report.steady_skew,
         "bound": params.S,
-        "steady_within": metrics.within(report.steady_skew, params.S),
+        "steady_within": judge_steady_skew(report.steady_skew, params),
         "events": _events_of(outcome),
     }
 
@@ -572,11 +528,11 @@ def lower_bound_trial(
     saturated = result.saturated_pulse_indices()
     index = saturated[-1] if saturated else result.common_pulse_count() - 1
     measured = result.max_skew_at(index)
-    bound = theory.lower_bound_skew(u_tilde)
+    bound, meets_bound = judge_lower_bound(measured, u_tilde)
     return {
         "max_exec_skew": measured,
         "bound": bound,
-        "meets_bound": metrics.at_least(measured, bound),
+        "meets_bound": meets_bound,
         "identity_sum": result.theorem_identity(index),
         "two_u_tilde": 2.0 * u_tilde,
         "well_defined": True,
@@ -653,8 +609,6 @@ def cps_mechanism_trial(
     A dead run tabulates: ``outcome`` carries the error, the measured
     columns fall back to their table defaults.
     """
-    from repro.checks.conformance import judge_pulses
-
     n = case["n"]
     params = derive_parameters(case["theta"], case["d"], case["u"], n)
     faulty = list(range(n - case.get("faults", params.f), n))
@@ -694,17 +648,17 @@ def cps_mechanism_trial(
     }
     if outcome.report is not None:
         honest_pulses = outcome.result.honest_pulses()
-        accepted, worst = _faulty_dealer_consistency(
-            simulation, honest_pulses, measurement.pulses
+        estimates = judge_estimates(
+            simulation, honest_pulses, measurement.pulses, params.delta
         )
         row.update(
             max_skew=outcome.report.max_skew,
             within_S=judge_pulses(
                 params, honest_pulses, measurement.pulses
             )["skew"].ok,
-            faulty_accepted=accepted,
-            consistency_err=worst,
-            consistency_within=metrics.within(worst, params.delta),
+            faulty_accepted=estimates.faulty_accepted,
+            consistency_err=estimates.consistency_err,
+            consistency_within=estimates.consistency_within,
         )
     return row
 
@@ -759,7 +713,7 @@ def cps_churn_trial(
         "envelope": envelope,
         "cohort_skew": cohort_skew,
         "bound_S": params.S,
-        "cohort_within": metrics.within(cohort_skew, params.S),
+        "cohort_within": judge_steady_skew(cohort_skew, params),
         "events": result.events_processed,
         **built.effective,
     }
@@ -853,8 +807,6 @@ def cps_ablation_trial(
     tabulates: the event queue drains, progress fails, and skews over
     the too-few pulses come back as ``inf``.
     """
-    from repro.checks.conformance import judged_run
-
     pulses = int(case.get("pulses", measurement.pulses))
     run = judged_run(
         case,

@@ -12,16 +12,13 @@ machine-checked over every scenario the engine can produce:
 ``conformance``
     :func:`judged_run` — the one monitored execution (build, attach
     the check set, run, collect verdicts) every judge in the package
-    calls, and :func:`judge_pulses`, the same monitors fed from a
-    finished run's pulse trains (what every experiment row's
-    ``within`` is); :func:`check_scenario` /
+    calls; the ``judge_*`` functions, which give every experiment
+    table its verdicts (:func:`judge_pulses` — the same monitors fed
+    from a finished run's pulse trains — for ``within``, and one named
+    judge per other paper statement); :func:`check_scenario` /
     :func:`conformance_matrix` drop every scenario-registry entry
     into a reference configuration and judge it against the
     closed-form bounds (``repro check run/matrix``).
-``campaign``
-    :func:`campaign_conformance` — verdicts for the scenarios a
-    campaign references, persisted as ``<spec_key>.check.json``
-    side-cars by ``repro campaign run --check``.
 
 The deliberately-broken executions proving the monitors actually fire
 are data, not code: ``fuzz-fixture/v1`` files under
@@ -35,15 +32,11 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "campaign": (
-            "campaign_conformance",
-            "campaign_scenarios",
-            "render_campaign_conformance",
-        ),
         "conformance": (
             "APA_MONITORS",
             "CHURN_MONITORS",
             "CPS_MONITORS",
+            "EstimateVerdict",
             "JudgedRun",
             "MODE_MONITORS",
             "MONITOR_CATALOG",
@@ -53,7 +46,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "churn_check_set",
             "conformance_matrix",
             "cps_check_set",
+            "judge_apa",
+            "judge_crusader",
+            "judge_estimates",
+            "judge_lower_bound",
             "judge_pulses",
+            "judge_steady_skew",
             "judged_run",
             "matrix_payload_bytes",
             "render_matrix",

@@ -33,7 +33,8 @@ facade, attach the check set, run, collect verdicts.  Experiment rows
 that run unobserved get the same monitors' verdicts afterwards, from
 the recorded pulse trains (:func:`judge_pulses`) — one definition of
 "within the bound" either way (docs/CONFORMANCE.md, "What *within*
-means").
+means").  Every other table verdict is a named ``judge_*`` here
+(Theorem 9, Figure 4, Lemmas 12–13, Theorem 5); builders only measure.
 
 Everything here is deterministic given ``seed`` — verdict payloads
 contain no wall-clock data — which is what makes persisted conformance
@@ -45,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.metrics import at_least, within
 from repro.campaigns.store import summary_bytes
 from repro.checks.monitors import (
     ApaContractionMonitor,
@@ -59,6 +61,7 @@ from repro.checks.monitors import (
 )
 from repro.core.params import ProtocolParameters, max_faults
 from repro.scenarios import REGISTRY
+from repro.sync.crusader import BOT
 
 if TYPE_CHECKING:
     from repro.sync.approx_agreement import ApaResult
@@ -174,6 +177,114 @@ def judge_pulses(
             # No monitor of the set reads the local-time argument.
             checks.on_pulse(time, node, index, time)
     return {verdict.monitor: verdict for verdict in checks.finish()}
+
+
+def judge_steady_skew(skew: float, params: Any) -> bool:
+    """Theorem 17's bound ``S`` over a skew the pulse monitors do not
+    see whole: E5's skew after warm-up (for Lynch–Welch, its own
+    ``S``), CHURN's stable-cohort skew."""
+    return within(skew, params.S)
+
+
+def judge_apa(result: Any) -> Tuple[MonitorVerdict, bool]:
+    """Theorem 9 over an :class:`~repro.sync.approx_agreement.ApaResult`:
+    ``(contraction, validity)`` — the ``apa-contraction`` monitor's
+    verdict on the honest range trajectory, and whether every honest
+    output lies in the honest inputs' range."""
+    monitor = ApaContractionMonitor()
+    monitor.observe_ranges(result.ranges())
+    low, high = min(result.inputs.values()), max(result.inputs.values())
+    validity = all(
+        at_least(value, low) and within(value, high)
+        for value in result.outputs.values()
+    )
+    return monitor.finish(), validity
+
+
+def judge_crusader(
+    outputs: Dict[int, Any], value: Any, dealer_faulty: bool
+) -> Tuple[bool, bool]:
+    """Figure 4 over one crusader-broadcast run: ``(validity,
+    consistency)``.  Validity — every honest node outputs an honest
+    dealer's ``value`` — is vacuous for a faulty dealer; consistency
+    allows at most one non-⊥ output."""
+    values = set(outputs.values())
+    return dealer_faulty or values == {value}, len(values - {BOT}) <= 1
+
+
+@dataclass(frozen=True)
+class EstimateVerdict:
+    """Lemmas 12–13 over one CPS run: how many estimates each lemma
+    judged, the worst error, and whether it is within δ."""
+
+    accepts: int
+    validity_err: float
+    validity_within: bool
+    faulty_accepted: int
+    consistency_err: float
+    consistency_within: bool
+
+
+def judge_estimates(
+    simulation: Any,
+    honest_pulses: Dict[int, Sequence[float]],
+    pulses: int,
+    delta: float,
+) -> EstimateVerdict:
+    """Lemmas 12–13 over a finished CPS run's ``cps-round`` summaries.
+
+    Validity: an honest node's estimate of an honest dealer is within
+    δ of their true pulse offset.  Consistency: per round, the honest
+    nodes that accepted a faulty dealer hold estimates that agree
+    within δ once each is shifted by its own pulse offset.
+    """
+    summaries = {
+        v: simulation.protocol(v).summaries for v in sorted(honest_pulses)
+    }
+    accepts, validity_err = 0, 0.0
+    for v in honest_pulses:
+        for summary in summaries[v]:
+            r = summary.pulse_round - 1
+            for w, estimate in summary.estimates.items():
+                if w == v or w not in honest_pulses or estimate is BOT:
+                    continue
+                accepts += 1
+                true_offset = honest_pulses[w][r] - honest_pulses[v][r]
+                validity_err = max(validity_err, abs(estimate - true_offset))
+    faulty_accepted, consistency_err = 0, 0.0
+    for r in range(pulses):
+        for dealer in sorted(simulation.faulty):
+            per_node = {}
+            for v, rounds in summaries.items():
+                if r < len(rounds):
+                    estimate = rounds[r].estimates.get(dealer)
+                    if estimate is not None and estimate is not BOT:
+                        per_node[v] = estimate
+            faulty_accepted += len(per_node)
+            for v, estimate_v in per_node.items():
+                for w, estimate_w in per_node.items():
+                    if v != w:
+                        gap = estimate_v - estimate_w - (
+                            honest_pulses[w][r] - honest_pulses[v][r]
+                        )
+                        consistency_err = max(consistency_err, abs(gap))
+    return EstimateVerdict(
+        accepts,
+        validity_err,
+        within(validity_err, delta),
+        faulty_accepted,
+        consistency_err,
+        within(consistency_err, delta),
+    )
+
+
+def judge_lower_bound(measured: float, u_tilde: float) -> Tuple[float, bool]:
+    """Theorem 5 over one construction run: ``(bound, met)``, the
+    bound being ``2ũ/3`` — some execution must reach it."""
+    from repro.analysis import theory
+
+    bound = theory.lower_bound_skew(u_tilde)
+    return bound, at_least(measured, bound)
 
 
 @dataclass(frozen=True)
@@ -386,13 +497,12 @@ def check_scenario(
                 f"scenarios; use backend='event'"
             )
         if mode == "apa":
-            monitor = ApaContractionMonitor()
-            monitor.observe_ranges(
+            contraction, _validity = judge_apa(
                 apa_reference_run(
                     APA_N, key, seed=scenario_seed, overrides=overrides
-                ).ranges()
+                )
             )
-            verdicts = [monitor.finish()]
+            verdicts = [contraction]
         else:
             by_scale = (
                 CHURN_PULSES_BY_SCALE if mode == "churn" else PULSES_BY_SCALE

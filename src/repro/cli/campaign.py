@@ -20,10 +20,6 @@
     Drain a work queue: claim chunk leases (reclaiming stale ones),
     run trials, write this worker's store shard.
 
-``campaign run --check`` additionally conformance-runs every scenario
-the campaign references and, with ``--store``, persists the verdicts
-as ``<spec_key>.check.json`` (mirroring ``--perf``).
-
 ``campaign run --telemetry`` instruments every executed trial with the
 metrics registry, prints the aggregated counters, and, with
 ``--store``, persists the byte-stable ``<spec_key>.telemetry.json``
@@ -138,7 +134,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
                 spec.spec_key(args.scale), throughput
             )
             print(f"wrote {path}")
-    exit_code = 0 if run.failed == 0 else 1
     if args.telemetry:
         from repro.telemetry.campaign import (
             campaign_telemetry,
@@ -154,27 +149,10 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
                 kind="telemetry",
             )
             print(f"wrote {path}")
-    if args.check:
-        from repro.checks import (
-            campaign_conformance,
-            render_campaign_conformance,
-        )
-
-        payload = campaign_conformance(spec, args.scale)
-        print(render_campaign_conformance(payload))
-        if store is not None:
-            path = store.write_summary(
-                spec.spec_key(args.scale),
-                payload,
-                kind="check",
-            )
-            print(f"wrote {path}")
-        if not payload["pass"]:
-            exit_code = 1
     if args.csv:
         table.to_csv(args.csv)
         print(f"\nwrote {args.csv}")
-    return exit_code
+    return 0 if run.failed == 0 else 1
 
 
 def _command_campaign_enqueue(args: argparse.Namespace) -> int:
@@ -263,11 +241,6 @@ def register_campaign(parser: argparse.ArgumentParser) -> None:
         "--perf", action="store_true",
         help="record per-case throughput (events/sec) and, with "
         "--store, persist it as <spec_key>.perf.json",
-    )
-    campaign_run_parser.add_argument(
-        "--check", action="store_true",
-        help="conformance-run every scenario the campaign references "
-        "and, with --store, persist verdicts as <spec_key>.check.json",
     )
     campaign_run_parser.add_argument(
         "--telemetry", action="store_true",

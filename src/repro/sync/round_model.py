@@ -7,10 +7,11 @@ round and only then chooses the faulty nodes' messages, and all messages are
 delivered before the next round.
 
 :class:`SynchronousNetwork` implements exactly that loop.  Signatures use
-the same symbolic scheme as the timed world; the adversary's knowledge
-consists of all signatures appearing in honest messages of rounds up to and
-including the current one (rushing), plus everything corrupted keys can
-sign.  Faulty messages are knowledge-checked, so forgeries raise.
+the same symbolic scheme and forgery rule as the timed world
+(:class:`~repro.sim.knowledge.SignatureKnowledge`, the round as the time):
+the adversary knows the signatures in honest messages of rounds up to and
+including the current one (rushing), plus all its corrupted keys can sign;
+a faulty message using any other raises ``ForgeryError``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.signatures import Signature, collect_signatures
-from repro.sim.errors import ConfigurationError, ForgeryError
+from repro.crypto.signatures import Signature
+from repro.sim.errors import ConfigurationError
 
 BROADCAST = "broadcast"
 
@@ -110,11 +111,6 @@ class SyncAdversaryContext:
             )
         return self._network.pki.key_pair(faulty_id).sign(value)
 
-    def knows(self, signature: Signature) -> bool:
-        if signature.signer in self._network.faulty:
-            return True
-        return signature.key() in self._network.known_signatures
-
 
 class SyncAdversary:
     """Produces the faulty nodes' messages each round (default: silent)."""
@@ -154,7 +150,11 @@ class SynchronousNetwork:
         self.nodes = {v: nodes[v] for v in self.honest}
         self.pki = PublicKeyInfrastructure(n)
         self.adversary = adversary or SyncAdversary()
-        self.known_signatures: Set[Tuple[int, Hashable]] = set()
+        # Imported here: a cold ``repro check`` loads this module but
+        # must not load the timed world's clocks.
+        from repro.sim.knowledge import SignatureKnowledge
+
+        self.knowledge = SignatureKnowledge(self.faulty)
         self._ctx = SyncAdversaryContext(self, random.Random(seed))
         self.rounds_executed = 0
         for v, node in self.nodes.items():
@@ -180,8 +180,7 @@ class SynchronousNetwork:
         # Rushing: the adversary sees this round's honest messages (and
         # thereby learns their signatures) before choosing its own.
         for message in honest_messages:
-            for signature in collect_signatures(message.payload):
-                self.known_signatures.add(signature.key())
+            self.knowledge.learn_payload(message.payload, round_no)
         faulty_messages = self.adversary.round_messages(
             self._ctx, round_no, list(honest_messages)
         )
@@ -190,12 +189,9 @@ class SynchronousNetwork:
                 raise ConfigurationError(
                     f"adversary sent from honest node {message.src}"
                 )
-            for signature in collect_signatures(message.payload):
-                if not self._ctx.knows(signature):
-                    raise ForgeryError(
-                        f"sync adversary used unknown signature "
-                        f"{signature.key()} in round {round_no}"
-                    )
+            self.knowledge.check_payload(
+                message.payload, round_no, message.src
+            )
         inboxes: Dict[int, Dict[int, Any]] = {v: {} for v in self.honest}
         for message in honest_messages + faulty_messages:
             if message.dst in inboxes:

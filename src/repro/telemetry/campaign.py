@@ -12,9 +12,9 @@ record as ``metrics["telemetry"]``.
 :class:`~repro.campaigns.executor.CampaignRun` into the
 ``<spec_key>.telemetry.json`` sidecar payload (written through
 :meth:`~repro.campaigns.store.ResultStore.write_summary`, mirroring the
-``.perf.json``/``.check.json`` pattern).  The payload contains only
-deterministic quantities, so sidecars are byte-identical across worker
-counts — asserted by ``tests/test_telemetry.py``.
+``.perf.json`` pattern).  The payload contains only deterministic
+quantities, so sidecars are byte-identical across worker counts —
+asserted by ``tests/test_telemetry.py``.
 
 Instrumentation identity note: telemetry is an *execution-time* option.
 It is deliberately not part of :class:`~repro.campaigns.spec.

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro import scenarios
-from repro.campaigns import ResultStore
 from repro.checks import (
     CPS_MONITORS,
     MONITOR_CATALOG,
@@ -20,8 +19,6 @@ from repro.checks import (
     TcbConsistencyMonitor,
     Violation,
     applicable_monitors,
-    campaign_conformance,
-    campaign_scenarios,
     check_scenario,
     conformance_matrix,
     judged_run,
@@ -472,58 +469,6 @@ class TestTraceLevelDifferential:
                 [v.as_dict() for v in run.verdicts],
             )
         assert by_level["pulses"] == by_level["full"]
-
-
-# ----------------------------------------------------------------------
-# Campaign integration: --check artifacts
-# ----------------------------------------------------------------------
-
-
-class TestCampaignConformance:
-    def test_scenarios_collected_from_grid(self):
-        from repro.analysis.experiments import e4_campaign
-
-        found = campaign_scenarios(e4_campaign(), "quick")
-        assert ("adversary", "mimic-split") in found
-        assert ("adversary", "silent") in found
-
-    def test_non_registry_axes_ignored(self):
-        from repro.analysis.experiments import e5_campaign
-
-        found = campaign_scenarios(e5_campaign(), "quick")
-        assert all(kind in ("adversary", "delay") for kind, _ in found)
-
-    def test_check_artifact_round_trips_byte_stably(self, tmp_path):
-        """The acceptance criterion: two runs with the same seed write
-        byte-identical <spec_key>.check.json artifacts."""
-        from repro.analysis.experiments import e1_campaign
-
-        spec = e1_campaign()
-        store = ResultStore(str(tmp_path))
-        key = spec.spec_key("quick")
-        contents = []
-        for _ in range(2):
-            payload = campaign_conformance(spec, "quick")
-            path = store.write_summary(key, payload, kind="check")
-            with open(path, "rb") as handle:
-                contents.append(handle.read())
-        assert contents[0] == contents[1]
-        loaded = store.load_summary(key, kind="check")
-        assert loaded["pass"] is True
-        assert loaded["campaign"] == "E1"
-        assert loaded["spec_key"] == key
-
-    def test_campaign_run_check_cli(self, tmp_path, capsys):
-        store = os.path.join(tmp_path, "store")
-        assert (
-            main(
-                ["campaign", "run", "E1", "--check", "--store", store]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "conformance [E1]: 3 referenced scenario(s)" in out
-        assert ".check.json" in out
 
 
 # ----------------------------------------------------------------------

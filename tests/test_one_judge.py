@@ -1,15 +1,20 @@
-"""One judge: a row's "within the bound" is a monitor's verdict.
+"""One judge: every table verdict comes from ``repro.checks``.
 
 Every CPS experiment row comes from
 :func:`repro.campaigns.builders.cps_measurement`, whose ``within`` /
 ``periods_within`` are the ``skew`` / ``period`` verdicts of
-:func:`repro.checks.conformance.judge_pulses`; every comparison of a
-measurement with a bound is :func:`repro.analysis.metrics.within` or
-``at_least``.  The facade is stubbed where a test needs a pulse train
-no protocol run produces.
+:func:`repro.checks.conformance.judge_pulses`; every other table
+verdict is one of the named ``judge_*`` functions beside it, and no
+module under ``repro/campaigns`` compares a measurement with a bound.
+Every comparison of a measurement with a bound is
+:func:`repro.analysis.metrics.within` or ``at_least``.  The facade is
+stubbed where a test needs a pulse train no protocol run produces, and
+each judge is fed a planted input it must reject.
 """
 
+import ast
 import math
+import pathlib
 from types import SimpleNamespace
 
 import pytest
@@ -26,11 +31,17 @@ from repro.checks import (
     SkewBoundMonitor,
     StabilizationMonitor,
     TcbConsistencyMonitor,
+    judge_apa,
+    judge_crusader,
+    judge_estimates,
+    judge_lower_bound,
+    judge_steady_skew,
 )
 from repro.core.params import derive_parameters
 from repro.dynamics.schedule import FaultEvent, FaultSchedule
 from repro.sim.scheduler import SimulationResult
 from repro.sim.vectorized import VectorizedSimulation
+from repro.sync.crusader import BOT
 
 PARAMS = derive_parameters(1.001, 1.0, 0.01, 4)
 HONEST = [0, 1, 2]
@@ -248,3 +259,148 @@ def test_within_and_at_least_flip_at_the_tolerance():
     assert within(1.0 + TOLERANCE, 1.0) and not within(1.0 + 2e-9, 1.0)
     assert at_least(1.0 - TOLERANCE, 1.0) and not at_least(1.0 - 2e-9, 1.0)
     assert not within(math.nan, 1.0) and not at_least(math.nan, 1.0)
+
+
+# ----------------------------------------------------------------------
+# Each named judge rejects a planted input
+# ----------------------------------------------------------------------
+
+
+def _apa_result(ranges, outputs, inputs=(0.0, 4.0)):
+    return SimpleNamespace(
+        ranges=lambda: list(ranges),
+        inputs=dict(enumerate(inputs)),
+        outputs=dict(enumerate(outputs)),
+    )
+
+
+class TestJudgeApa:
+    def test_a_halving_run_inside_the_inputs_passes(self):
+        contraction, validity = judge_apa(
+            _apa_result([4.0, 2.0, 1.0], [1.0, 2.0])
+        )
+        assert contraction.ok and contraction.checked == 3 and validity
+
+    def test_a_range_that_does_not_halve_fails(self):
+        # Iteration 1 does not halve; the cumulative bound 4 / 2^2 holds.
+        contraction, validity = judge_apa(
+            _apa_result([4.0, 3.0, 0.5], [1.0, 2.0])
+        )
+        assert contraction.monitor == ApaContractionMonitor.name
+        assert not contraction.ok and validity
+        assert [
+            (v.pulse, v.observed, v.bound) for v in contraction.violations
+        ] == [(1, 3.0, 2.0)]
+
+    @pytest.mark.parametrize("outside", [-0.5, 4.5])
+    def test_an_output_outside_the_inputs_range_fails(self, outside):
+        contraction, validity = judge_apa(_apa_result([4.0, 1.0], [outside]))
+        assert contraction.ok and not validity
+
+
+class TestJudgeCrusader:
+    def test_agreement_and_bot_pass(self):
+        assert judge_crusader({0: 1, 1: 1}, 1, False) == (True, True)
+        assert judge_crusader({0: 0, 1: BOT}, 1, True) == (True, True)
+
+    def test_two_non_bot_outputs_fail_consistency(self):
+        assert judge_crusader({0: 0, 1: 1, 2: BOT}, 1, True) == (
+            True,
+            False,
+        )
+
+    def test_an_honest_dealer_with_the_wrong_value_fails_validity(self):
+        assert judge_crusader({0: 0, 1: 0}, 1, False) == (False, True)
+
+
+class TestJudgeEstimates:
+    DELTA = 0.1
+    #: Node w's pulse is at 10 + w / 2, so w's true offset from v is
+    #: (w - v) / 2.
+    PULSES = {0: [10.0], 1: [10.5], 2: [11.0]}
+
+    def _judge(self, estimates):
+        protocols = {
+            v: SimpleNamespace(
+                summaries=[SimpleNamespace(pulse_round=1, estimates=e)]
+            )
+            for v, e in estimates.items()
+        }
+        simulation = SimpleNamespace(
+            faulty=[3], protocol=protocols.__getitem__
+        )
+        return judge_estimates(simulation, self.PULSES, 1, self.DELTA)
+
+    def _estimates(self, honest_error=0.0, faulty_gap=0.0):
+        """Exact estimates, plus one planted error of each lemma."""
+        return {
+            v: {
+                **{w: (w - v) / 2.0 for w in self.PULSES if w != v},
+                # Faulty dealer 3 looks 1.0 after node 0's pulse.
+                3: 1.0 - v / 2.0 + (faulty_gap if v == 1 else 0.0),
+            }
+            for v in self.PULSES
+        }
+
+    def test_exact_estimates_pass(self):
+        verdict = self._judge(self._estimates())
+        assert verdict.accepts == 6 and verdict.faulty_accepted == 3
+        assert verdict.validity_within and verdict.consistency_within
+        assert verdict.validity_err == pytest.approx(0.0)
+        assert verdict.consistency_err == pytest.approx(0.0)
+
+    def test_an_honest_dealer_estimate_off_by_more_than_delta(self):
+        estimates = self._estimates()
+        estimates[0][1] += 2.0 * self.DELTA
+        verdict = self._judge(estimates)
+        assert verdict.validity_err == pytest.approx(2.0 * self.DELTA)
+        assert not verdict.validity_within
+        assert verdict.consistency_within
+
+    def test_a_faulty_dealer_pair_more_than_delta_apart(self):
+        verdict = self._judge(self._estimates(faulty_gap=3 * self.DELTA))
+        assert verdict.consistency_err == pytest.approx(3 * self.DELTA)
+        assert not verdict.consistency_within
+        assert verdict.validity_within
+
+    def test_bot_estimates_are_not_judged(self):
+        estimates = self._estimates(faulty_gap=3 * self.DELTA)
+        estimates[1][3] = BOT
+        estimates[0][1] = BOT
+        verdict = self._judge(estimates)
+        assert verdict.accepts == 5 and verdict.faulty_accepted == 2
+        assert verdict.validity_within and verdict.consistency_within
+
+
+def test_judge_lower_bound_owns_two_thirds_u_tilde():
+    assert judge_lower_bound(0.6, 0.9) == (pytest.approx(0.6), True)
+    bound, met = judge_lower_bound(0.5, 0.9)
+    assert bound == pytest.approx(0.6) and not met
+
+
+def test_judge_steady_skew_holds_a_skew_to_s():
+    params = SimpleNamespace(S=1.0)
+    assert judge_steady_skew(1.0, params)
+    assert not judge_steady_skew(1.5, params)
+
+
+# ----------------------------------------------------------------------
+# No builder judges
+# ----------------------------------------------------------------------
+
+CAMPAIGNS = (
+    pathlib.Path(__file__).resolve().parents[1] / "src" / "repro" / "campaigns"
+)
+
+
+def test_no_campaign_module_calls_within_or_at_least():
+    calls = []
+    for path in sorted(CAMPAIGNS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            function = node.func
+            name = getattr(function, "id", getattr(function, "attr", None))
+            if name in ("within", "at_least"):
+                calls.append(f"{path.name}:{node.lineno} {name}()")
+    assert sorted(CAMPAIGNS.glob("*.py")) and calls == []
