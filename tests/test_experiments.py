@@ -35,8 +35,16 @@ QUICK_TABLE_DIGESTS = {
 }
 IDS = (*QUICK_TABLE_DIGESTS, "FUZZ", "E9-SCALE")
 # The same digest at full scale, for tables that stay cheap there; E7's
-# full scale is the only one covering all six u_tilde values.
-FULL_TABLE_DIGESTS = {"E7": "35aebb234072976d"}
+# full scale is the only one covering all six u_tilde values.  The CPS
+# builder tables (E3, E4, E8, E9, E10) take about 2 s together.
+FULL_TABLE_DIGESTS = {
+    "E3": "9dea1462ffca4db5",
+    "E4": "d7cc0824dcf4fbe3",
+    "E7": "35aebb234072976d",
+    "E8": "d47a15b41f923bb2",
+    "E9": "ab35b66d829b6ce6",
+    "E10": "a8928fdec268437f",
+}
 
 
 @pytest.fixture(scope="module")
