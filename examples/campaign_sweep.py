@@ -27,8 +27,8 @@ def build_campaign() -> CampaignSpec:
         seed=2024,
         scenarios=(
             ScenarioSpec(
-                builder="cps-skew",
-                base={"d": 1.0, "clock_style": "extreme"},
+                builder="cps-run",
+                base={"d": 1.0, "delay": "skewing", "drift": "extreme"},
                 axes={
                     # Per-scale tiers: a new tier is one entry here.
                     "quick": {

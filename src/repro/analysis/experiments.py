@@ -234,7 +234,7 @@ def e3_campaign() -> CampaignSpec:
     """Measured estimate errors against the delta bound."""
     return _campaign(
         "E3",
-        "tcb-accuracy",
+        "cps-run",
         (10, 2),
         liveness="require",
         base={
@@ -286,12 +286,7 @@ e3_table = _table(
 
 def e4_campaign() -> CampaignSpec:
     """Measured worst-case skew against the proven bound S: (n, u,
-    theta) systems crossed with the attack suite.
-
-    The cases predate the scenario registry (``clock_style`` where the
-    facade says ``drift``, an implied ``skewing`` delay); the builder
-    maps them, so the case keys stay what every store already holds.
-    """
+    theta) systems crossed with the attack suite."""
     systems = (
         {"n": 6, "u": 0.01, "theta": 1.001},
         {"n": 9, "u": 0.05, "theta": 1.002},
@@ -300,9 +295,9 @@ def e4_campaign() -> CampaignSpec:
     )
     return _campaign(
         "E4",
-        "cps-skew",
+        "cps-run",
         {"quick": (15, 5), "full": (30, 5)},
-        base={"d": 1.0, "seed": 3, "clock_style": "extreme"},
+        base={"d": 1.0, "seed": 3, "delay": "skewing", "drift": "extreme"},
         axes={"*": {"adversary": CPS_ADVERSARIES}},
         cases={"quick": systems[:2], "full": systems},
     )
@@ -468,25 +463,32 @@ def e7_table(run: CampaignRun) -> Table:
 
 
 def e8_campaign() -> CampaignSpec:
-    """CPS under the rushing-echo attack for growing u_tilde / u."""
+    """CPS under the rushing-echo attack for growing u_tilde / u: faulty
+    links ``multiplier`` times faster than ``u`` permits, capped at
+    0.45 d."""
+    d, u = 1.0, 0.01
+
+    def links(*multipliers: int) -> Tuple[Mapping[str, Any], ...]:
+        return tuple(
+            {"multiplier": m, "u_tilde": min(u * m, 0.45 * d)}
+            for m in multipliers
+        )
+
     return _campaign(
         "E8",
-        "cps-fast-faulty-links",
+        "cps-run",
         {"quick": (12, 2), "full": (25, 2)},
         base={
             "n": 6,
             "theta": 1.0005,
-            "d": 1.0,
-            "u": 0.01,
+            "d": d,
+            "u": u,
             "adversary": "rushing-echo",
             "delay": "fast-to-faulty",
             "drift": "extreme",
             "seed": 2,
         },
-        axes={
-            "quick": {"multiplier": (1, 4, 16)},
-            "full": {"multiplier": (1, 2, 4, 8, 16, 32)},
-        },
+        cases={"quick": links(1, 4, 16), "full": links(1, 2, 4, 8, 16, 32)},
     )
 
 
@@ -518,7 +520,7 @@ def e9_campaign() -> CampaignSpec:
     )
     return _campaign(
         "E9",
-        "cps-skew",
+        "cps-run",
         {"quick": (15, 2), "full": (30, 2)},
         base={
             "d": 1.0,
@@ -553,7 +555,7 @@ def e10_campaign() -> CampaignSpec:
     """Per-pulse skew trajectory from maximal initial offsets."""
     return _campaign(
         "E10",
-        "cps-convergence",
+        "cps-run",
         {"quick": (12, 0), "full": (25, 0)},
         liveness="require",
         base={

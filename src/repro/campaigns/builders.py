@@ -19,8 +19,10 @@ tiers, the ablation matrix, and the sharded ``fuzz-probe`` budgets);
 ``analysis/experiments.py`` declares the grids and the table columns.
 A CPS run is a case dict through :func:`repro.build.build_simulation`
 (see :func:`built_case`) and its row is :func:`cps_measurement` — the
-report's numbers plus the Theorem 17 monitors' verdicts; only E5's CPS
-arm and the A-series builder wire
+report's numbers plus the Theorem 17 monitors' verdicts.  E3, E4, E8,
+E9 and E10 share one builder, ``cps-run``, and differ only in their
+cases and table columns; only E5's CPS arm and the A-series builder
+wire
 :func:`~repro.core.cps.assemble_cps_simulation` themselves, for the
 reasons their docstrings give.  No builder compares a measurement with
 a bound: a builder returns measurements, and every verdict in its row
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import importlib
 import math
+from dataclasses import asdict
 from typing import Any, Callable, Dict, Tuple
 
 from repro import scenarios
@@ -129,10 +132,9 @@ def built_case(
     """The case through the build facade, on the measurement's backend.
 
     ``defaults`` fill registry keys the case leaves out *without
-    entering its hash*: E4's cases predate the registry and say
-    ``clock_style`` where the facade says ``drift``, so the builder
-    supplies the mapping here and every committed case key, derived
-    seed and store stays valid.
+    entering its hash*: E6's cases are shared by four algorithms, and
+    only its CPS arm reads ``adversary`` / ``delay`` / ``drift`` the
+    way the facade does.
     """
     # Resolved per call: the repo benchmark times this entry point by
     # patching the module attribute.
@@ -159,10 +161,7 @@ def measured_pulse_trial(
 
 
 def cps_measurement(
-    case: Dict[str, Any],
-    measurement: MeasurementSpec,
-    seed: int,
-    **defaults: Any,
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Tuple[Any, TrialOutcome, Dict[str, Any]]:
     """One CPS pulse trial through the facade: ``(built, outcome, row)``.
 
@@ -175,7 +174,7 @@ def cps_measurement(
     ``period`` monitor's.  A dead run reports ``inf`` skews, ``nan``
     periods and ``False`` verdicts.
     """
-    built = built_case(case, measurement, seed, **defaults)
+    built = built_case(case, measurement, seed)
     params = built.params
     outcome = measured_pulse_trial(built.simulation, measurement)
     # A report exists iff the run was live (run_pulse_trial).
@@ -310,50 +309,36 @@ def crusader_broadcast_trial(
 
 
 # ----------------------------------------------------------------------
-# E3 — TCB acceptance and estimate accuracy (Lemmas 10-13)
+# E3, E4, E8, E9, E10 — one CPS run (Theorem 17, Lemmas 10-16)
 # ----------------------------------------------------------------------
 
 
-@register_builder("tcb-accuracy")
-def tcb_accuracy_trial(
+@register_builder("cps-run")
+def cps_run_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
-    """Offset-estimate errors of one CPS run against ``delta``."""
+    """One CPS run: the :func:`cps_measurement` row plus Lemma 10's
+    honest-dealer ``rejections`` and, for a live run, the Lemma 12-13
+    estimate verdicts and the per-pulse skew ``trajectory``.
+
+    Each table reads its own columns: E3 the estimates, E4 the skew,
+    E8 the rejections, E9 the periods and E10 the trajectory.
+    """
     built, outcome, row = cps_measurement(case, measurement, seed)
-    estimates = judge_estimates(
-        built.simulation,
-        outcome.result.honest_pulses(),
-        measurement.pulses,
-        built.params.delta,
-    )
-    return {
-        **row,
-        "accepts": estimates.accepts,
-        "validity_err": estimates.validity_err,
-        "validity_within": estimates.validity_within,
-        "consistency_err": estimates.consistency_err,
-        "consistency_within": estimates.consistency_within,
-    }
-
-
-# ----------------------------------------------------------------------
-# E4 / E9 — CPS against the Theorem 17 skew and period bounds
-# ----------------------------------------------------------------------
-
-
-@register_builder("cps-skew")
-def cps_skew_trial(
-    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
-) -> Dict[str, Any]:
-    """One CPS system under one adversary, judged against Theorem 17:
-    the skew bound ``S`` (E4) and the period bounds (E9)."""
-    return cps_measurement(
-        case,
-        measurement,
-        seed,
-        delay="skewing",
-        drift=case.get("clock_style", "extreme"),
-    )[2]
+    row["rejections"] = _honest_rejections(built.simulation)
+    if outcome.live:
+        honest_pulses = outcome.result.honest_pulses()
+        estimates = judge_estimates(
+            built.simulation,
+            honest_pulses,
+            measurement.pulses,
+            built.params.delta,
+        )
+        row.update(
+            asdict(estimates),
+            trajectory=metrics.skew_trajectory(honest_pulses),
+        )
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -536,47 +521,6 @@ def lower_bound_trial(
         "identity_sum": result.theorem_identity(index),
         "two_u_tilde": 2.0 * u_tilde,
         "well_defined": True,
-    }
-
-
-# ----------------------------------------------------------------------
-# E8 — skew degradation when faulty links undercut d - u
-# ----------------------------------------------------------------------
-
-
-@register_builder("cps-fast-faulty-links")
-def fast_faulty_links_trial(
-    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
-) -> Dict[str, Any]:
-    """CPS with faulty links ``multiplier`` times faster than ``u``
-    permits (capped at 0.45 d), judged on skew and Lemma 10."""
-    u_tilde = min(case["u"] * case["multiplier"], 0.45 * case["d"])
-    built, _outcome, row = cps_measurement(
-        {**case, "u_tilde": u_tilde}, measurement, seed
-    )
-    return {
-        **row,
-        "u_tilde": u_tilde,
-        "rejections": _honest_rejections(built.simulation),
-    }
-
-
-# ----------------------------------------------------------------------
-# E10 — Lemma 16 dynamics: convergence from the worst allowed start
-# ----------------------------------------------------------------------
-
-
-@register_builder("cps-convergence")
-def convergence_trial(
-    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
-) -> Dict[str, Any]:
-    """The per-pulse skew trajectory of one CPS run."""
-    _built, outcome, row = cps_measurement(case, measurement, seed)
-    return {
-        **row,
-        "trajectory": metrics.skew_trajectory(
-            outcome.result.honest_pulses()
-        ),
     }
 
 

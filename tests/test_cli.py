@@ -68,7 +68,7 @@ class TestCampaign:
     def test_show_describes_grid(self, capsys):
         assert main(["campaign", "show", "E4"]) == 0
         out = capsys.readouterr().out
-        assert "cps-skew: 6 cases" in out
+        assert "cps-run: 6 cases" in out
         assert "spec key" in out
 
     def test_run_prints_table_and_summary(self, capsys):

@@ -45,9 +45,9 @@ from repro.sync.crusader import BOT
 
 PARAMS = derive_parameters(1.001, 1.0, 0.01, 4)
 HONEST = [0, 1, 2]
-CASE = {"n": 4, "theta": 1.001, "d": 1.0, "u": 0.01, "multiplier": 1}
+CASE = {"n": 4, "theta": 1.001, "d": 1.0, "u": 0.01}
 MEASUREMENT = MeasurementSpec(pulses=6, warmup=2)
-CPS_ROW_BUILDERS = ("cps-stress", "cps-skew", "cps-fast-faulty-links")
+CPS_ROW_BUILDERS = ("cps-stress", "cps-run")
 
 
 class _StubSimulation:
@@ -128,6 +128,20 @@ def test_a_dead_run_tabulates(monkeypatch, name, pulses):
     if name != "cps-stress":
         assert math.isnan(row["min_period"])
         assert row["live"] is False and row["periods_within"] is False
+
+
+@pytest.mark.parametrize("pulses", [None, _train(0.5 * PARAMS.S)])
+def test_one_cps_run_row_serves_five_tables(monkeypatch, pulses):
+    # E3 reads the estimates, E8 the rejections, E10 the trajectory;
+    # the last two exist only for a live run.
+    _stub_facade(monkeypatch, pulses)
+    row = resolve_builder("cps-run")(CASE, MEASUREMENT, 0)
+    assert row["rejections"] == 0
+    if pulses is None:
+        assert "trajectory" not in row and "accepts" not in row
+    else:
+        assert row["validity_within"] and row["consistency_within"]
+        assert len(row["trajectory"]) == MEASUREMENT.pulses
 
 
 def test_stress_records_keep_their_nine_keys():

@@ -476,7 +476,7 @@ class TestCampaignThroughput:
             name="PERF-T",
             scenarios=(
                 ScenarioSpec(
-                    builder="cps-skew",
+                    builder="cps-run",
                     base={"d": 1.0, "seed": 3, "adversary": "silent"},
                     cases={"*": ({"n": 5, "u": 0.01, "theta": 1.001},)},
                 ),
@@ -490,7 +490,7 @@ class TestCampaignThroughput:
         assert summary["events"] > 0
         assert summary["events_per_sec"] > 0
         assert not math.isnan(summary["duration"])
-        assert summary["cases"][0]["builder"] == "cps-skew"
+        assert summary["cases"][0]["builder"] == "cps-run"
         assert summary["peak_rss_kib"] > 0
 
     def test_peak_rss_counts_reaped_children(self, monkeypatch):
