@@ -100,6 +100,8 @@ class ExecutionPolicy:
             )
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError("timeout must be positive")
         if self.lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
 

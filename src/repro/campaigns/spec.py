@@ -9,8 +9,9 @@ jobs that used to be scattered through ``analysis/experiments.py``:
    and explicit case lists; :meth:`ScenarioSpec.grid_for` materializes
    the concrete case dicts for a scale.  Adding a new tier (say
    ``scale="stress"``) is one ``axes["stress"] = {...}`` entry per
-   experiment — unknown scales fall back to ``"*"`` and then ``"full"``,
-   matching the historical "anything but quick is full" convention.
+   experiment — a lookup for a scale the mapping lacks falls back to
+   ``"*"`` and then ``"full"``, but a scale that no tier or grid of the
+   campaign names is refused (:class:`UnknownScaleError`).
 2. **Seeds** — every trial gets a deterministic seed.  A case may pin
    its own ``seed``; otherwise one is derived from the campaign seed,
    the builder name, and the *canonical* form of the case, so the seed
@@ -31,6 +32,7 @@ single trial runs.
 
 from __future__ import annotations
 
+import difflib
 import hashlib
 import itertools
 import json
@@ -53,6 +55,11 @@ SCENARIO_CASE_KEYS: Dict[str, str] = {
     "drift": "drift",
     "churn": "churn",
 }
+
+
+class UnknownScaleError(ValueError):
+    """A scale no tier or grid of the campaign names, with a
+    did-you-mean hint."""
 
 
 def validate_scenario_names(case: Mapping[str, Any]) -> None:
@@ -242,6 +249,15 @@ class CampaignSpec:
     description: str = ""
 
     def measurement_for(self, scale: str) -> MeasurementSpec:
+        # A spec that names no scale (only "*") serves any scale.
+        scales = scales_of(self)
+        if scales and scale not in scales:
+            close = difflib.get_close_matches(scale, scales, n=1)
+            hint = f" — did you mean {close[0]!r}?" if close else ""
+            raise UnknownScaleError(
+                f"campaign {self.name!r} has no scale {scale!r}{hint} "
+                f"(available: {', '.join(scales)})"
+            )
         found = _for_scale(self.measurements, scale)
         if found is None:
             raise KeyError(

@@ -114,17 +114,20 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def _clean_exit_message(exc: Exception) -> Optional[str]:
-    """The one-line exit for the four errors that are a user's typo,
+    """The one-line exit for the five errors that are a user's typo,
     ``None`` for everything else.  Imported here, on the error path:
     ``--help`` must not load the packages that define them."""
     from repro.build import UnknownBackendError, UnknownComponentError
+    from repro.campaigns.spec import UnknownScaleError
     from repro.dynamics import MalformedScheduleError
     from repro.scenarios import UnknownScenarioError
 
     if isinstance(exc, UnknownScenarioError):
         # KeyError wraps its message in repr; unwrap for a clean line.
         return exc.args[0] if exc.args else str(exc)
-    if isinstance(exc, (UnknownBackendError, UnknownComponentError)):
+    if isinstance(
+        exc, (UnknownBackendError, UnknownComponentError, UnknownScaleError)
+    ):
         return str(exc)
     if isinstance(exc, MalformedScheduleError):
         return f"malformed fault schedule: {exc}"

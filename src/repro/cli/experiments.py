@@ -61,14 +61,19 @@ def _command_all(args: argparse.Namespace) -> int:
 
 
 def _command_params(args: argparse.Namespace) -> int:
-    params = derive_parameters(
-        theta=args.theta,
-        d=args.d,
-        u=args.u,
-        n=args.n,
-        f=args.f,
-        T=args.T,
-    )
+    from repro.sim.errors import ConfigurationError
+
+    try:
+        params = derive_parameters(
+            theta=args.theta,
+            d=args.d,
+            u=args.u,
+            n=args.n,
+            f=args.f,
+            T=args.T,
+        )
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
     print(
         f"n={params.n}  f={params.f} (max {max_faults(params.n)})  "
         f"theta={params.theta}  d={params.d}  u={params.u}"

@@ -37,7 +37,11 @@ from repro.fuzz import (
     verdict_payload,
 )
 from repro.fuzz.corpus import MalformedFixtureError
-from repro.fuzz.driver import UnknownStrategyError, available_strategies
+from repro.fuzz.driver import (
+    InvalidBudgetError,
+    UnknownStrategyError,
+    available_strategies,
+)
 
 
 def _command_fuzz_run(args: argparse.Namespace) -> int:
@@ -52,6 +56,8 @@ def _command_fuzz_run(args: argparse.Namespace) -> int:
         raise unknown_name_exit(
             args.strategy, "fuzz strategy", available_strategies()
         ) from None
+    except InvalidBudgetError as exc:
+        raise SystemExit(str(exc)) from None
     print(render_fuzz_report(report))
     fixtures = list(report.interesting)
     if report.counterexample is not None:

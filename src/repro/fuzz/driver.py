@@ -63,6 +63,10 @@ class UnknownStrategyError(KeyError):
     """Raised for strategy names outside :data:`STRATEGY_SPACES`."""
 
 
+class InvalidBudgetError(ValueError):
+    """Raised for a search budget of fewer than one example."""
+
+
 class _CounterexampleFound(Exception):
     """Internal control flow: hands a monitor FAIL to the shrinker."""
 
@@ -117,6 +121,8 @@ def search(
             f"unknown fuzz strategy {strategy!r} "
             f"(available: {', '.join(STRATEGY_SPACES)})"
         ) from None
+    if budget < 1:
+        raise InvalidBudgetError(f"fuzz budget must be >= 1, got {budget}")
     captured: Dict[str, Any] = {}
     survivors: Dict[str, Any] = {}
     counter = {"executions": 0}

@@ -34,6 +34,7 @@ from repro.campaigns.aggregate import (
     run_summary_table,
     summary_stats,
 )
+from repro.campaigns.spec import UnknownScaleError
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +203,14 @@ class TestMeasurementSpec:
             MeasurementSpec(liveness="explode")
 
     def test_measurement_fallback_chain(self):
+        # "stress" is a tier of the grid only: it is measured as "full".
         spec = CampaignSpec(
             name="m",
-            scenarios=(ScenarioSpec(builder="test-square"),),
+            scenarios=(
+                ScenarioSpec(
+                    builder="test-square", axes={"stress": {"x": (1,)}}
+                ),
+            ),
             measurements={
                 "quick": MeasurementSpec(pulses=1),
                 "full": MeasurementSpec(pulses=2),
@@ -216,11 +222,32 @@ class TestMeasurementSpec:
     def test_missing_measurement_raises(self):
         spec = CampaignSpec(
             name="m",
-            scenarios=(ScenarioSpec(builder="test-square"),),
+            scenarios=(
+                ScenarioSpec(
+                    builder="test-square", axes={"full": {"x": (1,)}}
+                ),
+            ),
             measurements={"quick": MeasurementSpec()},
         )
         with pytest.raises(KeyError):
             spec.measurement_for("full")
+
+    def test_unknown_scale_is_refused_with_a_hint(self):
+        # It used to fall back to "full" and run the whole full grid.
+        spec = campaign_definition("E4").spec()
+        with pytest.raises(UnknownScaleError, match="did you mean 'full'"):
+            spec.measurement_for("ful")
+        with pytest.raises(UnknownScaleError, match="available: full, "):
+            spec.trials_for("bogus")
+
+    def test_a_spec_that_names_no_scale_serves_every_scale(self):
+        spec = CampaignSpec(
+            name="m",
+            scenarios=(ScenarioSpec(builder="test-square"),),
+            measurements={"*": MeasurementSpec(pulses=3)},
+        )
+        assert spec.measurement_for("full").pulses == 3
+        assert spec.measurement_for("anything").pulses == 3
 
 
 # ----------------------------------------------------------------------
@@ -777,6 +804,12 @@ class TestExecutionPolicyValidation:
     def test_nonpositive_lease_ttl_rejected(self):
         with pytest.raises(ValueError, match="lease_ttl"):
             ExecutionPolicy(lease_ttl=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_nonpositive_timeout_rejected(self, timeout):
+        # It used to time out every trial and report them as failed.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            ExecutionPolicy(timeout=timeout)
 
     def test_one_worker_with_timeout_is_preempted(self):
         # Replaces test_serial_mode_warns_when_dropping_timeout: a

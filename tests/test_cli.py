@@ -124,6 +124,21 @@ class TestParams:
         )
         assert "f=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--n", "1", "n >= 2"),
+            ("--u", "0.6", "u < d/2"),
+            ("--theta", "0.9", "theta must be >= 1"),
+            ("--f", "3", "f=3 outside"),
+        ],
+    )
+    def test_invalid_input_is_a_one_line_exit(self, flag, value, message):
+        argv = {"--theta": "1.001", "--d": "1.0", "--u": "0.01", "--n": "4"}
+        argv[flag] = value
+        with pytest.raises(SystemExit, match=message):
+            main(["params", *(x for item in argv.items() for x in item)])
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -136,6 +151,15 @@ class TestErrorPaths:
     def test_unknown_experiment_suggests_close_match(self):
         with pytest.raises(SystemExit, match="did you mean 'E4'"):
             main(["run", "E44"])
+
+    @pytest.mark.parametrize("command", ["show", "run"])
+    def test_unknown_scale_suggests_close_match(self, command):
+        with pytest.raises(SystemExit, match="did you mean 'full'"):
+            main(["campaign", command, "E4", "--scale", "fulll"])
+
+    def test_nonpositive_timeout_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="timeout must be positive"):
+            main(["campaign", "run", "E4", "--timeout", "-1"])
 
     def test_unknown_campaign_suggests_close_match(self):
         with pytest.raises(SystemExit, match="did you mean 'STRESS'"):

@@ -340,6 +340,11 @@ class TestCli:
         ]) == 0
         assert "no monitor violations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("budget", ["-3", "0"])
+    def test_nonpositive_budget_exits_cleanly(self, budget):
+        with pytest.raises(SystemExit, match="budget must be >= 1"):
+            main(["fuzz", "run", "--budget", budget])
+
     def test_unknown_strategy_exits_with_hint(self):
         with pytest.raises(SystemExit, match="available"):
             main(["fuzz", "run", "--strategy", "nope"])
