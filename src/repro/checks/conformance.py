@@ -442,7 +442,6 @@ def apa_reference_run(
     adversary: str,
     initial_range: float = APA_INITIAL_RANGE,
     target: float = APA_TARGET,
-    seed: int = 0,
     overrides: Optional[Dict[str, Any]] = None,
 ) -> ApaResult:
     """Iterated APA under one registry adversary, from evenly spread
@@ -460,7 +459,6 @@ def apa_reference_run(
         list(range(honest, n)),
         REGISTRY.create("adversary", adversary, None, **(overrides or {})),
         iterations=iterations_for_target(initial_range, target),
-        seed=seed,
     )
 
 
@@ -498,9 +496,7 @@ def check_scenario(
             )
         if mode == "apa":
             contraction, _validity = judge_apa(
-                apa_reference_run(
-                    APA_N, key, seed=scenario_seed, overrides=overrides
-                )
+                apa_reference_run(APA_N, key, overrides=overrides)
             )
             verdicts = [contraction]
         else:

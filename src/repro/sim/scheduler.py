@@ -208,6 +208,10 @@ class AdversaryContext:
         return self._sim.config
 
     @property
+    def n(self) -> int:
+        return self._sim.config.n
+
+    @property
     def faulty(self) -> Set[int]:
         return set(self._sim.faulty)
 

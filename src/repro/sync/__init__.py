@@ -32,9 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "BROADCAST",
             "RoundMessage",
             "SyncAdversary",
-            "SyncAdversaryContext",
             "SyncNode",
-            "SyncNodeContext",
             "SynchronousNetwork",
         ),
     },

@@ -298,7 +298,6 @@ def run_apa(
     faulty: Iterable[int] = (),
     adversary: Optional[SyncAdversary] = None,
     iterations: int = 1,
-    seed: int = 0,
 ) -> ApaResult:
     """Run iterated APA and return outputs plus per-iteration diagnostics.
 
@@ -312,7 +311,7 @@ def run_apa(
         if v not in faulty_set
     }
     network = SynchronousNetwork(
-        dict(nodes), n, f, faulty_set, adversary, seed=seed
+        dict(nodes), n, f, faulty_set, adversary
     )
     outputs = network.run(2 * iterations)
     honest_inputs = {v: inputs[v] for v in nodes}

@@ -6,26 +6,28 @@ sends messages, the *rushing* adversary observes the honest messages of the
 round and only then chooses the faulty nodes' messages, and all messages are
 delivered before the next round.
 
-:class:`SynchronousNetwork` implements exactly that loop.  Signatures use
-the same symbolic scheme and forgery rule as the timed world
-(:class:`~repro.sim.knowledge.SignatureKnowledge`, the round as the time):
-the adversary knows the signatures in honest messages of rounds up to and
-including the current one (rushing), plus all its corrupted keys can sign;
-a faulty message using any other raises ``ForgeryError``.
+:class:`SynchronousNetwork` runs that loop on the event engine, as the
+Theorem 5 construction does: rate-1 clocks and delay ``d = 1``, with round
+``r`` spanning real time ``[ROUND (r - 1), ROUND r)``.  Honest messages
+arrive one time unit into the round; half a unit later the adversary sees
+the ones addressed to faulty nodes (whose signatures it then knows — the
+engine's forgery rule) and answers with messages that arrive before the
+round ends.
 """
 
 from __future__ import annotations
 
 import abc
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.signatures import Signature
 from repro.sim.errors import ConfigurationError
 
 BROADCAST = "broadcast"
+
+#: Real time per round: honest messages take 1, the adversary answers at
+#: 1.5 and its messages arrive at 2.5.
+ROUND = 3.0
 
 
 @dataclass(frozen=True)
@@ -37,34 +39,19 @@ class RoundMessage:
     payload: Any
 
 
-class SyncNodeContext:
-    """Per-node capabilities in the synchronous world (identity + signing)."""
-
-    def __init__(self, node_id: int, n: int, f: int, key_pair) -> None:
-        self.node_id = node_id
-        self.n = n
-        self.f = f
-        self._key_pair = key_pair
-
-    def sign(self, value: Hashable) -> Signature:
-        return self._key_pair.sign(value)
-
-
 class SyncNode(abc.ABC):
     """An honest participant of a synchronous protocol.
 
-    The network calls :meth:`attach` once, then alternates
-    :meth:`begin_round` (collect sends) and :meth:`end_round` (deliver the
-    round's inbox) until :attr:`output` is set for all honest nodes or the
-    round limit is reached.
+    A timed protocol whose every round is :meth:`begin_round` (collect
+    sends) at the round's start and :meth:`end_round` (deliver the
+    round's inbox) at its end.
     """
 
     def __init__(self) -> None:
-        self.ctx: Optional[SyncNodeContext] = None
+        self.ctx: Any = None
         self.output: Any = None
-
-    def attach(self, ctx: SyncNodeContext) -> None:
-        self.ctx = ctx
+        self._round = 0
+        self._inbox: Dict[int, Any] = {}
 
     @abc.abstractmethod
     def begin_round(self, round_no: int) -> Dict[Any, Any]:
@@ -80,48 +67,61 @@ class SyncNode(abc.ABC):
     def end_round(self, round_no: int, inbox: Dict[int, Any]) -> None:
         """Process the round's deliveries (``sender -> payload``)."""
 
+    def on_start(self, api: Any) -> None:
+        self.ctx = api
+        self._begin()
 
-class SyncAdversaryContext:
-    """Observation and action surface for the rushing adversary."""
+    def on_message(self, api: Any, sender: int, payload: Any) -> None:
+        self._inbox[sender] = payload
 
-    def __init__(
-        self,
-        network: "SynchronousNetwork",
-        rng: random.Random,
-    ) -> None:
-        self._network = network
-        self.rng = rng
+    def on_timer(self, api: Any, tag: Any) -> None:
+        self.end_round(self._round, self._inbox)
+        self._begin()
 
-    @property
-    def n(self) -> int:
-        return self._network.n
-
-    @property
-    def faulty(self) -> Set[int]:
-        return set(self._network.faulty)
-
-    @property
-    def honest(self) -> List[int]:
-        return list(self._network.honest)
-
-    def sign_as(self, faulty_id: int, value: Hashable) -> Signature:
-        if faulty_id not in self._network.faulty:
-            raise ConfigurationError(
-                f"cannot sign for honest node {faulty_id}"
-            )
-        return self._network.pki.key_pair(faulty_id).sign(value)
+    def _begin(self) -> None:
+        self._round += 1
+        self._inbox = {}
+        for dst, payload in self.begin_round(self._round).items():
+            if dst == BROADCAST:
+                self.ctx.broadcast(payload)
+                self._inbox[self.ctx.node_id] = payload
+            else:
+                self.ctx.send(int(dst), payload)
+        self.ctx.set_timer(self._round * ROUND, None)
 
 
 class SyncAdversary:
     """Produces the faulty nodes' messages each round (default: silent)."""
 
     def round_messages(
-        self,
-        ctx: SyncAdversaryContext,
-        round_no: int,
-        honest_messages: List[RoundMessage],
+        self, ctx, round_no: int, honest_messages: List[RoundMessage]
     ) -> List[RoundMessage]:
         return []
+
+
+class _Rushing:
+    """Asks a :class:`SyncAdversary` for each round's faulty messages:
+    the ``on_start`` / ``on_deliver`` / ``on_wakeup`` hooks of the run's
+    :class:`~repro.sim.adversary.ByzantineBehavior`."""
+
+    def __init__(self, adversary: SyncAdversary) -> None:
+        self.adversary = adversary
+        self._seen: List[RoundMessage] = []
+
+    def on_start(self, ctx) -> None:
+        ctx.wake_at(1.5, 1)
+
+    def on_deliver(self, ctx, record) -> None:
+        if record.src not in ctx.faulty:
+            self._seen.append(
+                RoundMessage(record.src, record.dst, record.payload)
+            )
+
+    def on_wakeup(self, ctx, round_no: int) -> None:
+        seen, self._seen = self._seen, []
+        for message in self.adversary.round_messages(ctx, round_no, seen):
+            ctx.send_from(message.src, message.dst, message.payload, 1.0)
+        ctx.wake_at(round_no * ROUND + 1.5, round_no + 1)
 
 
 class SynchronousNetwork:
@@ -134,74 +134,38 @@ class SynchronousNetwork:
         f: int,
         faulty: Iterable[int] = (),
         adversary: Optional[SyncAdversary] = None,
-        seed: int = 0,
     ) -> None:
-        self.n = n
-        self.f = f
-        self.faulty: Set[int] = set(faulty)
-        if len(self.faulty) > f:
-            raise ConfigurationError(
-                f"{len(self.faulty)} corruptions exceed declared f={f}"
-            )
-        self.honest: List[int] = [v for v in range(n) if v not in self.faulty]
+        # Imported here: a cold ``repro check`` loads this module but
+        # must not load the event engine.
+        from repro.sim.adversary import ByzantineBehavior
+        from repro.sim.clocks import HardwareClock
+        from repro.sim.network import NetworkConfig
+        from repro.sim.scheduler import Simulation
+        from repro.sim.trace import Trace
+
+        faulty = set(faulty)
+        self.honest: List[int] = [v for v in range(n) if v not in faulty]
         missing = [v for v in self.honest if v not in nodes]
         if missing:
             raise ConfigurationError(f"no protocol node for honest {missing}")
         self.nodes = {v: nodes[v] for v in self.honest}
-        self.pki = PublicKeyInfrastructure(n)
-        self.adversary = adversary or SyncAdversary()
-        # Imported here: a cold ``repro check`` loads this module but
-        # must not load the timed world's clocks.
-        from repro.sim.knowledge import SignatureKnowledge
-
-        self.knowledge = SignatureKnowledge(self.faulty)
-        self._ctx = SyncAdversaryContext(self, random.Random(seed))
-        self.rounds_executed = 0
-        for v, node in self.nodes.items():
-            node.attach(SyncNodeContext(v, n, f, self.pki.key_pair(v)))
-
-    def _expand(self, src: int, sends: Dict[Any, Any]) -> List[RoundMessage]:
-        messages: List[RoundMessage] = []
-        for dst, payload in sends.items():
-            if dst == BROADCAST:
-                for real_dst in range(self.n):
-                    messages.append(RoundMessage(src, real_dst, payload))
-            else:
-                messages.append(RoundMessage(src, int(dst), payload))
-        return messages
-
-    def run_round(self, round_no: int) -> None:
-        """Execute one compute-send-receive round."""
-        honest_messages: List[RoundMessage] = []
-        for v in self.honest:
-            honest_messages.extend(
-                self._expand(v, self.nodes[v].begin_round(round_no))
-            )
-        # Rushing: the adversary sees this round's honest messages (and
-        # thereby learns their signatures) before choosing its own.
-        for message in honest_messages:
-            self.knowledge.learn_payload(message.payload, round_no)
-        faulty_messages = self.adversary.round_messages(
-            self._ctx, round_no, list(honest_messages)
+        rushing = _Rushing(adversary or SyncAdversary())
+        behavior = ByzantineBehavior()
+        behavior.on_start = rushing.on_start
+        behavior.on_deliver = rushing.on_deliver
+        behavior.on_wakeup = rushing.on_wakeup
+        self.simulation = Simulation(
+            NetworkConfig(n, 1.0, 0.0),
+            [HardwareClock.constant_rate() for _ in range(n)],
+            self.nodes.__getitem__,
+            faulty,
+            behavior,
+            f=f,
+            trace=Trace("none"),
         )
-        for message in faulty_messages:
-            if message.src not in self.faulty:
-                raise ConfigurationError(
-                    f"adversary sent from honest node {message.src}"
-                )
-            self.knowledge.check_payload(
-                message.payload, round_no, message.src
-            )
-        inboxes: Dict[int, Dict[int, Any]] = {v: {} for v in self.honest}
-        for message in honest_messages + faulty_messages:
-            if message.dst in inboxes:
-                inboxes[message.dst][message.src] = message.payload
-        for v in self.honest:
-            self.nodes[v].end_round(round_no, inboxes[v])
-        self.rounds_executed += 1
 
     def run(self, rounds: int) -> Dict[int, Any]:
-        """Run ``rounds`` rounds; return honest outputs (may contain None)."""
-        for round_no in range(1, rounds + 1):
-            self.run_round(round_no)
+        """Run through round ``rounds``; return honest outputs (may
+        contain None).  A later call resumes."""
+        self.simulation.run(until=rounds * ROUND)
         return {v: self.nodes[v].output for v in self.honest}

@@ -1,8 +1,13 @@
-"""Tests for the synchronous round engine and its rushing adversary."""
+"""Tests for the synchronous rounds (run on the event engine) and their
+rushing adversary."""
 
 import pytest
 
-from repro.sim.errors import ConfigurationError, ForgeryError
+from repro.sim.errors import (
+    ConfigurationError,
+    ForgeryError,
+    SimulationError,
+)
 from repro.sync.round_model import (
     BROADCAST,
     RoundMessage,
@@ -42,7 +47,7 @@ def make_network(n=4, f=1, faulty=(), adversary=None, node_cls=CollectorNode):
 class TestRounds:
     def test_broadcast_reaches_everyone_including_self(self):
         network, nodes = make_network()
-        network.run_round(1)
+        network.run(1)
         for v, node in nodes.items():
             assert set(node.inboxes[0]) == {0, 1, 2, 3}
             assert node.inboxes[0][v] == ("tag", v, 1)
@@ -55,13 +60,13 @@ class TestRounds:
                 return {}
 
         network, nodes = make_network(node_cls=Directed)
-        network.run_round(1)
+        network.run(1)
         assert nodes[1].inboxes[0] == {0: "direct"}
         assert nodes[2].inboxes[0] == {}
 
     def test_faulty_nodes_do_not_run_protocol(self):
         network, nodes = make_network(faulty=[3])
-        network.run_round(1)
+        network.run(1)
         assert 3 not in nodes
         for node in nodes.values():
             assert 3 not in node.inboxes[0]
@@ -82,16 +87,20 @@ class TestRounds:
 
 class TestRushingAdversary:
     def test_adversary_sees_current_round_messages(self):
+        # It answers once the round's honest messages reached the faulty
+        # nodes, and sees exactly those.
         observed = []
 
         class Peek(SyncAdversary):
             def round_messages(self, ctx, round_no, honest_messages):
-                observed.append(len(honest_messages))
+                observed.append(
+                    [(m.src, m.dst, m.payload) for m in honest_messages]
+                )
                 return []
 
         network, _ = make_network(faulty=[3], adversary=Peek())
-        network.run_round(1)
-        assert observed == [3 * 4]  # three honest broadcast to four nodes
+        network.run(1)
+        assert observed == [[(v, 3, ("tag", v, 1)) for v in range(3)]]
 
     def test_adversary_messages_delivered_same_round(self):
         class Inject(SyncAdversary):
@@ -99,7 +108,7 @@ class TestRushingAdversary:
                 return [RoundMessage(3, 0, "injected")]
 
         network, nodes = make_network(faulty=[3], adversary=Inject())
-        network.run_round(1)
+        network.run(1)
         assert nodes[0].inboxes[0][3] == "injected"
 
     def test_adversary_cannot_send_from_honest(self):
@@ -108,8 +117,8 @@ class TestRushingAdversary:
                 return [RoundMessage(0, 1, "spoof")]
 
         network, _ = make_network(faulty=[3], adversary=Spoof())
-        with pytest.raises(ConfigurationError):
-            network.run_round(1)
+        with pytest.raises(SimulationError, match="from honest node 0"):
+            network.run(1)
 
     def test_rushing_can_replay_same_round_signature(self):
         class Replay(SyncAdversary):
@@ -120,7 +129,7 @@ class TestRushingAdversary:
         network, nodes = make_network(
             faulty=[3], adversary=Replay(), node_cls=SignerNode
         )
-        network.run_round(1)
+        network.run(1)
         sender, payload = 3, nodes[0].inboxes[0][3]
         assert payload[0] == "replay"
 
@@ -138,7 +147,7 @@ class TestRushingAdversary:
             faulty=[3], adversary=Forge(), node_cls=SignerNode
         )
         with pytest.raises(ForgeryError):
-            network.run_round(1)
+            network.run(1)
 
     def test_faulty_keys_always_available(self):
         class OwnKey(SyncAdversary):
@@ -150,5 +159,5 @@ class TestRushingAdversary:
         network, nodes = make_network(
             faulty=[3], adversary=OwnKey(), node_cls=SignerNode
         )
-        network.run_round(1)
+        network.run(1)
         assert nodes[0].inboxes[0][3].signer == 3
