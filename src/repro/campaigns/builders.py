@@ -21,10 +21,9 @@ A CPS run is a case dict through :func:`repro.build.build_simulation`
 (see :func:`built_case`) and its row is :func:`cps_measurement` — the
 report's numbers plus the Theorem 17 monitors' verdicts.  E3, E4, E8,
 E9 and E10 share one builder, ``cps-run``, and differ only in their
-cases and table columns; only E5's CPS arm and the A-series builder
-wire
-:func:`~repro.core.cps.assemble_cps_simulation` themselves, for the
-reasons their docstrings give.  No builder compares a measurement with
+cases and table columns.  Only E5's CPS arm and the A-series builder
+wire :func:`~repro.core.cps.assemble_cps_simulation` themselves, for
+the reasons their docstrings give.  No builder compares a measurement with
 a bound: a builder returns measurements, and every verdict in its row
 is a judge's from :mod:`repro.checks.conformance` (``judge_pulses``,
 ``judge_apa``, ``judge_crusader``, ``judge_estimates``,

@@ -67,6 +67,7 @@ class SyncNode(abc.ABC):
     def end_round(self, round_no: int, inbox: Dict[int, Any]) -> None:
         """Process the round's deliveries (``sender -> payload``)."""
 
+    # The event engine's TimedProtocol hooks; ``api`` is the NodeAPI.
     def on_start(self, api: Any) -> None:
         self.ctx = api
         self._begin()
