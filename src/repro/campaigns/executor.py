@@ -154,9 +154,10 @@ def prepare_tasks(
 
     The one place a plan meets the builder registry — the core and
     the queue worker both run ``function(task) for task in tasks``.
-    Resolving up front lets functions travel to pool workers by pickle
-    reference (spawn-safe for module-level builders); an unknown name
-    stays ``None`` and is tabulated in-place by :func:`run_trial`.
+    Resolving each distinct builder once, up front, lets functions
+    travel to pool workers by pickle reference (spawn-safe for
+    module-level builders); an unknown name stays ``None`` and is
+    tabulated in-place by :func:`run_trial`.
     """
     from repro.campaigns.builders import resolve_builder
 
@@ -167,14 +168,13 @@ def prepare_tasks(
         from repro.telemetry.campaign import run_instrumented
 
         function = run_instrumented
-    tasks = []
-    for plan in plans:
+    builders: Dict[str, Optional[Callable[..., Any]]] = {}
+    for name in dict.fromkeys(plan.builder for plan in plans):
         try:
-            builder = resolve_builder(plan.builder)
+            builders[name] = resolve_builder(name)
         except Exception:  # noqa: BLE001 - run_trial tabulates it
-            builder = None
-        tasks.append((plan, builder))
-    return function, tasks
+            builders[name] = None
+    return function, [(plan, builders[plan.builder]) for plan in plans]
 
 
 def _run_batch(
@@ -482,9 +482,12 @@ def execute_campaign(
             misses.append(plan)
     cached = done = len(plans) - len(misses)
     # Queue workers append to their own shards; the core persists only
-    # what its own transport ran.
+    # what its own transport ran, through one descriptor opened at the
+    # first record and closed when the run returns or raises.
     sink = None if queued else store
     transient: set = set()
+    stack = ExitStack()
+    write: Optional[Callable[[TrialRecord], None]] = None
 
     def pool_failure(task: Any, exc: BaseException) -> TrialRecord:
         plan = task[0]
@@ -492,31 +495,34 @@ def execute_campaign(
         return _timeout_record(plan, exc)
 
     def persist(record: TrialRecord) -> None:
-        nonlocal done
+        nonlocal done, write
         if sink is not None and record.case_key not in transient:
-            sink.append(key, record)
+            if write is None:
+                write = stack.enter_context(sink.appender(key))
+            write(record)
         done += 1
         if progress is not None:
             progress(done, len(plans), record)
 
-    if not misses:
-        fresh: List[TrialRecord] = []
-    elif queued:
-        from repro.campaigns.queue import run_queued
+    with stack:
+        if not misses:
+            fresh: List[TrialRecord] = []
+        elif queued:
+            from repro.campaigns.queue import run_queued
 
-        fresh = run_queued(
-            spec, scale, misses, policy, store, telemetry,
-            on_record=persist,
-        )
-    else:
-        function, tasks = prepare_tasks(misses, telemetry)
-        fresh = map_trials(
-            function,
-            tasks,
-            policy,
-            on_error=pool_failure,
-            on_result=persist,
-        )
+            fresh = run_queued(
+                spec, scale, misses, policy, store, telemetry,
+                on_record=persist,
+            )
+        else:
+            function, tasks = prepare_tasks(misses, telemetry)
+            fresh = map_trials(
+                function,
+                tasks,
+                policy,
+                on_error=pool_failure,
+                on_result=persist,
+            )
     for slot, record in zip(slots, fresh):
         records[slot] = record
     return CampaignRun(

@@ -62,12 +62,13 @@ class UnknownScaleError(ValueError):
     did-you-mean hint."""
 
 
-def validate_scenario_names(case: Mapping[str, Any]) -> None:
+def validate_scenario_names(*cases: Mapping[str, Any]) -> None:
     """Check every scenario-typed case value against the registry.
 
     Only string values are checked (non-registry experiment axes such
     as E5's ``algorithm`` use their own names and other types pass
-    through untouched).  Raises
+    through untouched); each distinct ``(key, value)`` among ``cases``
+    is looked up once.  Raises
     :class:`~repro.scenarios.registry.UnknownScenarioError` on the
     first unknown key.
     """
@@ -75,17 +76,13 @@ def validate_scenario_names(case: Mapping[str, Any]) -> None:
     # pulls in protocol modules; only plan-time validation needs it.
     from repro.scenarios import REGISTRY
 
-    for case_key, kind in SCENARIO_CASE_KEYS.items():
-        value = case.get(case_key)
-        if isinstance(value, str):
-            REGISTRY.get(kind, value)
-
-
-def canonical_json(value: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, tuples as lists."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), default=_jsonable
-    )
+    checked = set()
+    for case in cases:
+        for case_key, kind in SCENARIO_CASE_KEYS.items():
+            value = case.get(case_key)
+            if isinstance(value, str) and (case_key, value) not in checked:
+                REGISTRY.get(kind, value)
+                checked.add((case_key, value))
 
 
 def _jsonable(value: Any) -> Any:
@@ -96,14 +93,36 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"not canonicalizable: {value!r}")
 
 
+#: The one encoder behind :func:`canonical_json` (``json.dumps`` would
+#: build a new one per call).
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_jsonable
+)
+
+
+def canonical_json(value: Any) -> str:
+    """Deterministic JSON: sorted keys, no whitespace, tuples as lists."""
+    return _ENCODER.encode(value)
+
+
+def _digest(*parts: Any) -> Any:
+    """A sha256 fed each part's canonical JSON plus a NUL separator —
+    the definition :func:`stable_hash` and :func:`derive_seed` read
+    out, and a prefix :meth:`CampaignSpec.trials_for` extends."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(_part(part))
+    return digest
+
+
+def _part(value: Any) -> bytes:
+    return canonical_json(value).encode("utf-8") + b"\x00"
+
+
 def stable_hash(*parts: Any) -> str:
     """Hex digest of the canonical JSON of ``parts`` (stable across runs,
     unlike the salted builtin ``hash``)."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(canonical_json(part).encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    return _digest(*parts).hexdigest()
 
 
 def derive_seed(campaign_seed: int, builder: str, case: Mapping[str, Any]) -> int:
@@ -269,18 +288,29 @@ class CampaignSpec:
     def trials_for(self, scale: str) -> List[TrialPlan]:
         """Flatten every scenario grid into an ordered trial list."""
         measurement = self.measurement_for(scale)
+        # The same bytes stable_hash/derive_seed would hash, fed
+        # once: a per-scenario sha256 prefix for the seed
+        # (campaign seed, builder) and for the key (builder), and each
+        # case encoded once for both.
+        measurement_part = _part(measurement.as_dict())
         plans: List[TrialPlan] = []
         for scenario_index, scenario in enumerate(self.scenarios):
-            for case in scenario.grid_for(scale):
-                validate_scenario_names(case)
-                seed = (
-                    int(case["seed"])
-                    if "seed" in case
-                    else derive_seed(self.seed, scenario.builder, case)
-                )
-                case_key = stable_hash(
-                    scenario.builder, case, measurement.as_dict(), seed
-                )
+            grid = scenario.grid_for(scale)
+            validate_scenario_names(*grid)
+            seed_prefix = _digest(self.seed, scenario.builder)
+            key_prefix = _digest(scenario.builder)
+            for case in grid:
+                case_part = _part(case)
+                if "seed" in case:
+                    seed = int(case["seed"])
+                else:
+                    digest = seed_prefix.copy()
+                    digest.update(case_part)
+                    seed = int(digest.hexdigest()[:8], 16)
+                digest = key_prefix.copy()
+                digest.update(case_part)
+                digest.update(measurement_part)
+                digest.update(_part(seed))
                 plans.append(
                     TrialPlan(
                         campaign=self.name,
@@ -289,7 +319,7 @@ class CampaignSpec:
                         case=case,
                         measurement=measurement,
                         seed=seed,
-                        case_key=case_key,
+                        case_key=digest.hexdigest(),
                         index=len(plans),
                     )
                 )

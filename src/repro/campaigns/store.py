@@ -25,6 +25,15 @@ file, byte-identical to the pre-sharding layout.  ``merge`` folds the
 shards back into the base file; ``compact`` drops superseded duplicate
 lines within a file.
 
+Writes go through :meth:`ResultStore.appender`: one ``O_APPEND``
+descriptor that lives for one ``with`` block — one campaign run in
+:func:`~repro.campaigns.executor.execute_campaign`, one record in
+:meth:`ResultStore.append` — and is closed however the block exits.
+``merge`` and ``compact`` replace a file with a new one, so running
+either on a file a live writer still appends to is unsupported: the
+writer's later lines go to the replaced file and are lost (an
+``append`` between runs always opens the current file).
+
 Corruption policy: a *trailing* line that fails to decode is tolerated
 (the torn tail of an interrupted writer); any *interior* undecodable
 line raises :class:`CorruptStoreError` naming the file and line, since
@@ -42,9 +51,11 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -161,6 +172,11 @@ class ResultStore:
         # Created lazily on first write so read-only consumers (e.g.
         # ``repro campaign show --store``) have no filesystem effect.
         self.root = str(root)
+        if os.path.exists(self.root) and not os.path.isdir(self.root):
+            raise NotADirectoryError(
+                f"result store {self.root!r} exists and is not a "
+                f"directory"
+            )
         if shard is not None:
             _check_shard_name(shard)
         self.shard = shard
@@ -187,21 +203,21 @@ class ResultStore:
             if name.endswith(".jsonl")
         )
 
-    def append(
-        self,
-        key: str,
-        record: TrialRecord,
-        shard: Optional[str] = None,
-    ) -> None:
-        """Append one record as a single ``write`` (crash-resumable).
+    @contextmanager
+    def appender(
+        self, key: str, shard: Optional[str] = None
+    ) -> Iterator[Callable[[TrialRecord], None]]:
+        """Append records to one file through one descriptor.
 
-        The full line — payload plus newline — goes through one
-        ``write()`` call on an ``O_APPEND`` descriptor, so concurrent
-        appenders to the same file cannot interleave partial lines and
-        a crash can only lose the line in flight, never tear an
-        earlier one.  This instance's first append to a path repairs
-        the unterminated tail such a crash leaves (:func:`_heal_tail`),
-        so a restarted writer never glues a record onto a fragment.
+        Yields ``write(record)``; the ``O_APPEND`` descriptor it writes
+        to lives until the ``with`` block ends.  Each record's full
+        line — payload plus newline — goes through one ``os.write``,
+        so concurrent appenders to the same file cannot interleave
+        partial lines and a crash can only lose the line in flight,
+        never tear an earlier one.  This instance's first appender on
+        a path repairs the unterminated tail such a crash leaves
+        (:func:`_heal_tail`), so a restarted writer never glues a
+        record onto a fragment.
         """
         shard = shard if shard is not None else self.shard
         path = self.path_for(key, shard)
@@ -209,9 +225,32 @@ class ResultStore:
         if path not in self._appended:
             _heal_tail(path)
             self._appended.add(path)
-        line = record_line(record)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+        descriptor = os.open(
+            path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666
+        )
+
+        def write(record: TrialRecord) -> None:
+            line = memoryview(record_line(record).encode("utf-8"))
+            # One call unless the kernel takes a short write (a full
+            # disk), whose remainder then raises instead of vanishing.
+            while line:
+                line = line[os.write(descriptor, line):]
+
+        try:
+            yield write
+        finally:
+            os.close(descriptor)
+
+    def append(
+        self,
+        key: str,
+        record: TrialRecord,
+        shard: Optional[str] = None,
+    ) -> None:
+        """Append one record as a single ``write`` (crash-resumable):
+        a one-record :meth:`appender`."""
+        with self.appender(key, shard) as write:
+            write(record)
 
     # ------------------------------------------------------------------
     # Reading

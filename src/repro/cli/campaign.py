@@ -38,7 +38,11 @@ from repro.cli.execution import (
     execute_or_exit,
     execution_flags,
 )
-from repro.cli.shared import backend_parent, execution_parent
+from repro.cli.shared import (
+    backend_parent,
+    execution_parent,
+    store_or_exit,
+)
 
 
 def _command_campaign_list(_args: argparse.Namespace) -> int:
@@ -49,8 +53,7 @@ def _command_campaign_list(_args: argparse.Namespace) -> int:
 
 
 def _command_campaign_show(args: argparse.Namespace) -> int:
-    from repro.campaigns.store import ResultStore
-
+    store = store_or_exit(args.store) if args.store else None
     definition = campaign_or_exit(args.campaign)
     spec = definition.spec()
     info = spec.describe(args.scale)
@@ -68,8 +71,7 @@ def _command_campaign_show(args: argparse.Namespace) -> int:
         print(f"  scenario   {scenario['builder']}: "
               f"{scenario['cases']} cases")
     print(f"  trials     {info['trials']}")
-    if args.store:
-        store = ResultStore(args.store)
+    if store is not None:
         cached = store.count(spec.spec_key(args.scale))
         print(f"  store      {cached}/{info['trials']} trials cached "
               f"in {args.store}")
@@ -157,7 +159,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
 
 def _command_campaign_enqueue(args: argparse.Namespace) -> int:
     from repro.campaigns.queue import QueueError, WorkQueue
-    from repro.campaigns.store import ResultStore
 
     definition = campaign_or_exit(args.campaign)
     spec = definition.spec()
@@ -168,7 +169,7 @@ def _command_campaign_enqueue(args: argparse.Namespace) -> int:
             args.scale,
             plans=plans,
             chunk_size=args.chunk_size,
-            store=ResultStore(args.store) if args.store else None,
+            store=store_or_exit(args.store) if args.store else None,
         )
     except (QueueError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
@@ -187,9 +188,8 @@ def _command_campaign_enqueue(args: argparse.Namespace) -> int:
 
 def _command_campaign_worker(args: argparse.Namespace) -> int:
     from repro.campaigns.queue import QueueError, run_worker
-    from repro.campaigns.store import ResultStore
 
-    store = ResultStore(args.store)
+    store = store_or_exit(args.store)
     try:
         stats = run_worker(
             args.queue,

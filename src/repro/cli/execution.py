@@ -7,7 +7,7 @@ import argparse
 from typing import TYPE_CHECKING, Optional
 
 from repro.campaigns import available_campaigns, campaign_definition
-from repro.cli.shared import unknown_name_exit
+from repro.cli.shared import store_or_exit, unknown_name_exit
 
 if TYPE_CHECKING:
     from repro.campaigns.store import ResultStore
@@ -28,14 +28,12 @@ def execution_flags(
     """The execution flags ``campaign run`` and ``ablate run`` share,
     as :func:`execute_or_exit` keywords (``queue_flags`` names the
     extra :class:`ExecutionPolicy` fields only ``campaign run`` has)."""
-    from repro.campaigns.store import ResultStore
-
     return {
         "policy": {
             name: getattr(args, name)
             for name in ("workers", "chunk_size", "timeout", *queue_flags)
         },
-        "store": ResultStore(args.store) if args.store else None,
+        "store": store_or_exit(args.store) if args.store else None,
         "fresh": args.fresh,
         "progress": args.progress,
     }

@@ -48,6 +48,17 @@ def unknown_name_exit(
     )
 
 
+def store_or_exit(root: str):
+    """``ResultStore(root)``, or a one-line exit when ``root`` is not
+    a directory — before anything runs or reads it."""
+    from repro.campaigns.store import ResultStore
+
+    try:
+        return ResultStore(root)
+    except NotADirectoryError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def backend_parent() -> argparse.ArgumentParser:
     """The ``--backend`` flag shared by every simulation-executing
     subcommand (``campaign run``, ``check run``, ``check matrix``),

@@ -12,6 +12,7 @@ import argparse
 from typing import List
 
 from repro.campaigns import CorruptStoreError, ResultStore
+from repro.cli.shared import store_or_exit
 
 
 def _store_keys_or_exit(store: ResultStore, keys: List[str]) -> List[str]:
@@ -24,7 +25,7 @@ def _store_keys_or_exit(store: ResultStore, keys: List[str]) -> List[str]:
 
 
 def _command_store_list(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = store_or_exit(args.store)
     for key in _store_keys_or_exit(store, args.keys):
         try:
             count = store.count(key)
@@ -42,7 +43,7 @@ def _command_store_list(args: argparse.Namespace) -> int:
 
 
 def _command_store_merge(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = store_or_exit(args.store)
     for key in _store_keys_or_exit(store, args.keys):
         try:
             result = store.merge(key)
@@ -57,7 +58,7 @@ def _command_store_merge(args: argparse.Namespace) -> int:
 
 
 def _command_store_compact(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = store_or_exit(args.store)
     for key in _store_keys_or_exit(store, args.keys):
         try:
             result = store.compact(key, drop_corrupt=args.drop_corrupt)

@@ -19,10 +19,9 @@ import json
 import os
 from typing import List, Optional
 
-from repro.campaigns import ResultStore
 from repro.campaigns.store import dump_json_summary
 from repro.cli.execution import campaign_or_exit
-from repro.cli.shared import unknown_name_exit
+from repro.cli.shared import store_or_exit, unknown_name_exit
 from repro.telemetry import METRIC_CATALOG, available_metrics
 from repro.telemetry.campaign import (
     aggregate_payloads,
@@ -46,7 +45,7 @@ def _load_telemetry_sidecar(name: str, scale: str, store_dir):
             "--store is required to look up a campaign's sidecar "
             "(or pass a .telemetry.json path directly)"
         )
-    store = ResultStore(store_dir)
+    store = store_or_exit(store_dir)
     key = definition.spec().spec_key(scale)
     payload = store.load_summary(key, kind="telemetry")
     if payload is None:

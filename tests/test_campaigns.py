@@ -10,10 +10,14 @@ The satellite guarantees under test:
 * serial and process-pool execution produce identical aggregated rows.
 """
 
+import contextlib
 import math
+import os
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.campaigns import (
     CampaignSpec,
@@ -22,11 +26,14 @@ from repro.campaigns import (
     ResultStore,
     ScenarioSpec,
     TrialRecord,
+    available_campaigns,
     campaign_definition,
     derive_seed,
     execute_campaign,
     register_builder,
     resolve_builder,
+    scales_of,
+    stable_hash,
 )
 from repro.campaigns.aggregate import (
     failure_counts,
@@ -197,6 +204,102 @@ class TestKeys:
         )
 
 
+class _Point:
+    """A case value that canonicalizes through ``as_dict``."""
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def as_dict(self):
+        return {"x": self.x, "y": self.y}
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2 ** 40), 2 ** 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+)
+_VALUES = st.recursive(
+    _SCALARS
+    | st.frozensets(st.integers(-9, 9), max_size=3)
+    | st.builds(_Point, st.integers(-9, 9), _SCALARS),
+    lambda inner: st.tuples(inner, inner)
+    | st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_CASES = st.dictionaries(
+    st.sampled_from(("n", "u", "grid", "mode", "nested")),
+    _VALUES,
+    max_size=4,
+)
+
+
+def _assert_plans_match_definition(spec, scale, grids):
+    """``trials_for`` agrees with ``stable_hash``/``derive_seed`` applied
+    to each case directly (``grids``: one case list per scenario)."""
+    plans = iter(spec.trials_for(scale))
+    measurement = spec.measurement_for(scale).as_dict()
+    for scenario, grid in zip(spec.scenarios, grids):
+        for case in grid:
+            plan = next(plans)
+            seed = (
+                int(case["seed"])
+                if "seed" in case
+                else derive_seed(spec.seed, scenario.builder, case)
+            )
+            assert plan.seed == seed
+            assert plan.case_key == stable_hash(
+                scenario.builder, case, measurement, seed
+            )
+    assert next(plans, None) is None
+
+
+class TestPlanIdentity:
+    """Planning hashes each case once; the keys and seeds it produces
+    are still exactly the public definitions'."""
+
+    def test_every_catalog_plan_matches_the_definition(self):
+        for name in available_campaigns():
+            spec = campaign_definition(name).spec()
+            # A spec that names no scale serves quick and full alike.
+            for scale in scales_of(spec) or ("quick", "full"):
+                grids = [s.grid_for(scale) for s in spec.scenarios]
+                _assert_plans_match_definition(spec, scale, grids)
+
+    @given(
+        seed=st.integers(0, 2 ** 32),
+        grids=st.lists(
+            st.lists(
+                st.tuples(_CASES, st.none() | st.integers(0, 2 ** 31)),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    def test_drawn_cases_match_the_definition(self, seed, grids):
+        grids = [
+            [
+                case if pinned is None else {**case, "seed": pinned}
+                for case, pinned in grid
+            ]
+            for grid in grids
+        ]
+        spec = CampaignSpec(
+            name="drawn",
+            scenarios=tuple(
+                ScenarioSpec(builder=f"b{i}", cases={"*": grid})
+                for i, grid in enumerate(grids)
+            ),
+            seed=seed,
+        )
+        _assert_plans_match_definition(spec, "quick", grids)
+
+
 class TestMeasurementSpec:
     def test_rejects_unknown_liveness(self):
         with pytest.raises(ValueError):
@@ -319,6 +422,12 @@ class TestResultStore:
         store.append("b", _record())
         assert store.keys() == ["a", "b"]
 
+    def test_root_that_is_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        with pytest.raises(NotADirectoryError, match="not a directory"):
+            ResultStore(path)
+
 
 class TestCaching:
     def test_rerun_with_store_executes_zero_trials(self, tmp_path):
@@ -393,7 +502,11 @@ class TestExecutorSerial:
             def load(self, key):
                 return {}
 
-            def append(self, key, record):
+            @contextlib.contextmanager
+            def appender(self, key):
+                yield self.append
+
+            def append(self, record):
                 self.appends += 1
                 raise OSError("disk full")
 
@@ -765,25 +878,106 @@ class TestCorruptStore:
 
         store = ResultStore(tmp_path)
         writes = []
-        real_open = open
+        real_write = os.write
 
-        def spying_open(*args, **kwargs):
-            handle = real_open(*args, **kwargs)
-            real_write = handle.write
+        def spy(descriptor, data):
+            writes.append(bytes(data))
+            return real_write(descriptor, data)
 
-            def spy(data):
-                writes.append(data)
-                return real_write(data)
-
-            handle.write = spy
-            return handle
-
-        with unittest.mock.patch(
-            "builtins.open", side_effect=spying_open
-        ):
+        with unittest.mock.patch("os.write", side_effect=spy):
             store.append("spec", _record())
         assert len(writes) == 1
-        assert writes[0].endswith("\n")
+        assert writes[0].endswith(b"\n")
+
+
+_NEEDS_PROC_FD = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+
+
+class TestAppender:
+    """One descriptor a run: healed once, closed on every exit."""
+
+    def test_tail_is_healed_once_when_the_appender_opens(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.campaigns import store as store_module
+
+        store = ResultStore(tmp_path)
+        store.append("spec", _record(case_key="k1"))
+        with open(store.path_for("spec"), "a") as handle:
+            handle.write('{"campaign": "c", "trunc')
+        heals = []
+        real_heal = store_module._heal_tail
+
+        def counting_heal(path):
+            heals.append(path)
+            real_heal(path)
+
+        monkeypatch.setattr(store_module, "_heal_tail", counting_heal)
+        fresh = ResultStore(tmp_path)
+        with fresh.appender("spec") as write:
+            assert heals == [fresh.path_for("spec")]
+            for key in ("k2", "k3", "k4"):
+                write(_record(case_key=key))
+        assert len(heals) == 1
+        lines = (tmp_path / "spec.jsonl").read_text().splitlines()
+        assert len(lines) == 4
+        assert set(fresh.load("spec")) == {"k1", "k2", "k3", "k4"}
+
+    @pytest.mark.parametrize("maintenance", ["compact", "merge"])
+    def test_append_after_rewrite_lands_in_the_live_file(
+        self, tmp_path, maintenance
+    ):
+        # compact/merge replace the file (a new inode); an append on
+        # the same instance must reach the replacement, not the
+        # unlinked original.
+        store = ResultStore(tmp_path)
+        store.append("spec", _record(case_key="k1"))
+        store.append("spec", _record(case_key="k1"))
+        store.append("spec", _record(case_key="k2"), shard="w1")
+        getattr(store, maintenance)("spec")
+        store.append("spec", _record(case_key="k3"))
+        assert set(ResultStore(tmp_path).load("spec")) == {
+            "k1", "k2", "k3",
+        }
+
+    @staticmethod
+    def _open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    @_NEEDS_PROC_FD
+    def test_execute_campaign_closes_its_descriptor(self, tmp_path):
+        store = ResultStore(tmp_path)
+        before = self._open_descriptors()
+        run = execute_campaign(_square_spec(), store=store)
+        assert run.executed == 3
+        assert self._open_descriptors() == before
+        assert store.count(_square_spec().spec_key("quick")) == 3
+
+    @_NEEDS_PROC_FD
+    def test_execute_campaign_closes_its_descriptor_on_raise(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        calls = []
+
+        def progress(done, total, record):
+            calls.append(done)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+
+        before = self._open_descriptors()
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            execute_campaign(
+                _square_spec(), store=store, progress=progress
+            )
+        # Closed by the run itself, not by the garbage collector once
+        # the traceback (which holds the run's frames) is dropped.
+        assert excinfo.traceback
+        assert self._open_descriptors() == before
+        # The records persisted before the interrupt survive it.
+        assert store.count(_square_spec().spec_key("quick")) == 2
 
 
 class TestExecutionPolicyValidation:

@@ -161,6 +161,17 @@ class TestErrorPaths:
         with pytest.raises(SystemExit, match="timeout must be positive"):
             main(["campaign", "run", "E4", "--timeout", "-1"])
 
+    @pytest.mark.parametrize("command", ["show", "run"])
+    def test_store_that_is_a_file_exits_before_any_trial(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a store\n")
+        with pytest.raises(SystemExit, match="is not a directory"):
+            main(["campaign", command, "E4", "--store", str(path)])
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == "not a store\n"
+
     def test_unknown_campaign_suggests_close_match(self):
         with pytest.raises(SystemExit, match="did you mean 'STRESS'"):
             main(["campaign", "run", "STRES"])
