@@ -8,7 +8,8 @@ machine-checked over every scenario the engine can produce:
     streaming invariant monitors (Theorem 17 skew and periods, liveness,
     Lemma 11 TCB consistency, Theorem 9 APA contraction, churn
     stabilization), fed online through the scheduler's ``checks=`` hook
-    so they compose with the ``TraceLevel.PULSES`` fast path.
+    so they compose with the ``TraceLevel.PULSES`` fast path; each
+    verdict also carries its :class:`Headroom`.
 ``conformance``
     :func:`judged_run` — the one monitored execution (build, attach
     the check set, run, collect verdicts) every judge in the package
@@ -62,6 +63,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "monitors": (
             "ApaContractionMonitor",
             "CheckSet",
+            "Headroom",
             "Monitor",
             "MonitorVerdict",
             "PeriodWindowMonitor",

@@ -636,6 +636,8 @@ def render_report(report: ScenarioReport) -> str:
             f"  {verdict.monitor:<16} {status}  "
             f"({verdict.checked} checks) — {verdict.claim}"
         )
+        if verdict.worst is not None:
+            lines.append(f"    worst {verdict.worst.describe()}")
         for violation in verdict.violations:
             lines.append(f"    ! {violation.describe()}")
     return "\n".join(lines)

@@ -24,7 +24,8 @@ The six monitors and their claims:
                                  APA iteration
 :class:`StabilizationMonitor`    Churn — scheduled recoveries happen,
                                  disrupted nodes re-stabilize within a
-                                 pulse budget, survivors stay live
+                                 pulse budget, the stable cohort stays
+                                 within ``S``, survivors stay live
 ===================== ===============================================
 
 :class:`StabilizationMonitor` is the one monitor that stores full pulse
@@ -34,9 +35,10 @@ Churn runs are bounded (the conformance tiers cap pulses), so the state
 stays small; the other monitors keep their streaming discipline.
 
 All bounds come from :mod:`repro.analysis.theory` /
-:class:`~repro.core.params.ProtocolParameters`; every comparison is
-:func:`repro.analysis.metrics.within` / ``at_least`` — the one
-tolerance the experiment tables use too.
+:class:`~repro.core.params.ProtocolParameters`; every magnitude check is
+one :meth:`Monitor.compare` — :func:`repro.analysis.metrics.within` /
+``at_least``, the one tolerance the experiment tables use too — which
+also keeps the verdict's :class:`Headroom`: how close a run came.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import (
     at_least,
+    cohort_skew,
     stabilization_reports,
     within,
 )
@@ -77,30 +80,55 @@ class Violation:
         }
 
     def describe(self) -> str:
-        where = []
-        if self.pulse is not None:
-            where.append(f"pulse {self.pulse}")
-        if self.node is not None:
-            where.append(f"node {self.node}")
-        if self.time is not None:
-            where.append(f"t={self.time:.6g}")
-        suffix = f" [{', '.join(where)}]" if where else ""
-        return (
-            f"{self.monitor}: {self.message} "
-            f"(observed {self.observed:.6g}, bound {self.bound:.6g})"
-            f"{suffix}"
+        return f"{self.monitor}: {self.message} " + _measured(
+            self.observed, self.bound,
+            pulse=self.pulse, node=self.node, time=self.time,
+        )
+
+
+def _measured(observed: float, bound: float, **where: Any) -> str:
+    """``(observed X, bound Y) [pulse P, node N, t=T]``, known places
+    only — how a violation and a headroom print."""
+    places = ", ".join(
+        f"t={value:.6g}" if name == "time" else f"{name} {value}"
+        for name, value in where.items()
+        if value is not None
+    )
+    return f"(observed {observed:.6g}, bound {bound:.6g})" + (
+        f" [{places}]" if places else ""
+    )
+
+
+@dataclass(frozen=True)
+class Headroom:
+    """A monitor's comparison that came closest to its bound: ``ratio``
+    is observed / bound (bound / observed for a lower bound), so 1
+    grazes the bound and above 1 breaches it; never NaN."""
+
+    monitor: str
+    ratio: float
+    observed: float
+    bound: float
+    pulse: Optional[int] = None
+    node: Optional[int] = None
+
+    def describe(self) -> str:
+        return f"ratio {self.ratio:.6g} " + _measured(
+            self.observed, self.bound, pulse=self.pulse, node=self.node
         )
 
 
 @dataclass(frozen=True)
 class MonitorVerdict:
-    """A monitor's final judgement over one execution."""
+    """A monitor's final judgement over one execution (``worst``, the
+    :class:`Headroom`, stays out of the pinned :meth:`as_dict`)."""
 
     monitor: str
     claim: str
     ok: bool
     checked: int
     violations: Tuple[Violation, ...]
+    worst: Optional[Headroom] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -117,8 +145,9 @@ class Monitor(SimulationChecks):
 
     Subclasses override the event hooks they need and may implement
     :meth:`on_finish` for end-of-run checks (partial aggregates, counts).
-    ``checked`` counts the individual bound comparisons performed, so a
-    "pass" verdict distinguishes *held N times* from *never evaluated*.
+    ``checked`` counts the individual bound checks performed (each site
+    counts its own; :meth:`compare` does not), so a "pass" verdict
+    distinguishes *held N times* from *never evaluated*.
     """
 
     name: str = "monitor"
@@ -128,6 +157,7 @@ class Monitor(SimulationChecks):
         self.violations: List[Violation] = []
         self.checked = 0
         self._finished = False
+        self.worst: Optional[Headroom] = None
 
     # -- event hooks ----------------------------------------------------
 
@@ -158,6 +188,25 @@ class Monitor(SimulationChecks):
             )
         )
 
+    def compare(self, message: str, observed: float, bound: float, *,
+                lower: bool = False, **context: Any) -> bool:
+        """Judge ``observed <= bound`` (``>=`` when ``lower``), keep the
+        worst :class:`Headroom`, and :meth:`violate` when it fails."""
+        held = at_least(observed, bound) if lower else within(observed, bound)
+        top, base = (bound, observed) if lower else (observed, bound)
+        # No ratio over a non-positive base or a NaN: 1 if held, else inf.
+        ratio = top / base if base > 0 and top == top else (
+            1.0 if held else float("inf")
+        )
+        if self.worst is None or ratio > self.worst.ratio:
+            self.worst = Headroom(
+                self.name, ratio, observed, bound,
+                context.get("pulse"), context.get("node"),
+            )
+        if not held:
+            self.violate(message, observed, bound, **context)
+        return held
+
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -173,6 +222,7 @@ class Monitor(SimulationChecks):
             ok=self.ok,
             checked=self.checked,
             violations=tuple(self.violations),
+            worst=self.worst,
         )
 
 
@@ -204,7 +254,7 @@ class SkewBoundMonitor(Monitor):
     Checked incrementally — the spread of a *partial* set of honest
     pulse times only grows as more nodes contribute, so a breach can be
     flagged the instant the second offending pulse arrives.  One
-    violation is recorded per pulse index.
+    violation is recorded per pulse index, which is not compared again.
     """
 
     name = "skew"
@@ -225,19 +275,11 @@ class SkewBoundMonitor(Monitor):
             entry = self._open[index] = _PulseAggregate()
         entry.add(time)
         self.checked += 1
-        if (
-            not within(entry.spread, self.bound)
-            and index not in self._flagged
+        if index not in self._flagged and not self.compare(
+            "pulse skew exceeds the Theorem 17 bound S", entry.spread,
+            self.bound, time=time, node=node, pulse=index,
         ):
             self._flagged.add(index)
-            self.violate(
-                "pulse skew exceeds the Theorem 17 bound S",
-                observed=entry.spread,
-                bound=self.bound,
-                time=time,
-                node=node,
-                pulse=index,
-            )
         if entry.count == self.honest_count:
             del self._open[index]
 
@@ -282,24 +324,15 @@ class PeriodWindowMonitor(Monitor):
         if previous is None:
             return
         self.checked += 1
-        minimum = entry.low - previous.high
-        maximum = entry.high - previous.low
-        if not at_least(minimum, self.p_min):
-            self.violate(
-                "period below the Theorem 17 minimum P_min",
-                observed=minimum,
-                bound=self.p_min,
-                time=time,
-                pulse=index,
-            )
-        if not within(maximum, self.p_max):
-            self.violate(
-                "period above the Theorem 17 maximum P_max",
-                observed=maximum,
-                bound=self.p_max,
-                time=time,
-                pulse=index,
-            )
+        self.compare(
+            "period below the Theorem 17 minimum P_min",
+            entry.low - previous.high, self.p_min, lower=True,
+            time=time, pulse=index,
+        )
+        self.compare(
+            "period above the Theorem 17 maximum P_max",
+            entry.high - previous.low, self.p_max, time=time, pulse=index,
+        )
 
 
 class ProgressMonitor(Monitor):
@@ -328,22 +361,15 @@ class ProgressMonitor(Monitor):
         if index != previous + 1:
             self.violate(
                 f"pulse index jumped from {previous} to {index}",
-                observed=float(index),
-                bound=float(previous + 1),
-                time=time,
-                node=node,
-                pulse=index,
+                float(index), float(previous + 1),
+                time=time, node=node, pulse=index,
             )
         self._counts[node] = index
         last = self._last_time.get(node)
         if last is not None and time <= last:
             self.violate(
                 "pulse time did not strictly increase",
-                observed=time,
-                bound=last,
-                time=time,
-                node=node,
-                pulse=index,
+                time, last, time=time, node=node, pulse=index,
             )
         self._last_time[node] = time
 
@@ -355,9 +381,7 @@ class ProgressMonitor(Monitor):
                 self.violate(
                     f"node generated {count} of the expected "
                     f"{self.expected} pulses",
-                    observed=float(count),
-                    bound=float(self.expected),
-                    node=node,
+                    float(count), float(self.expected), node=node,
                 )
 
 
@@ -424,17 +448,12 @@ class TcbConsistencyMonitor(Monitor):
             if len(times) < 2:
                 continue
             self.checked += 1
-            spread = max(times) - min(times)
-            if not within(spread, self.window):
-                self.violate(
-                    f"acceptances of dealer {dealer} spread beyond the "
-                    f"Lemma 11 window",
-                    observed=spread,
-                    bound=self.window,
-                    time=max(times),
-                    node=dealer,
-                    pulse=pulse_round,
-                )
+            self.compare(
+                f"acceptances of dealer {dealer} spread beyond the "
+                f"Lemma 11 window",
+                max(times) - min(times), self.window,
+                time=max(times), node=dealer, pulse=pulse_round,
+            )
 
     def on_finish(self) -> None:
         for pulse_round in sorted(self._accepted):
@@ -457,26 +476,19 @@ class ApaContractionMonitor(Monitor):
         for index in range(len(ranges) - 1):
             self.checked += 1
             before, after = ranges[index], ranges[index + 1]
-            if not within(after, before / 2.0):
-                self.violate(
-                    f"iteration {index + 1} contracted "
-                    f"{before:.6g} -> {after:.6g} (needs halving)",
-                    observed=after,
-                    bound=before / 2.0,
-                    pulse=index + 1,
-                )
+            self.compare(
+                f"iteration {index + 1} contracted "
+                f"{before:.6g} -> {after:.6g} (needs halving)",
+                after, before / 2.0, pulse=index + 1,
+            )
         if len(ranges) >= 2:
             self.checked += 1
             iterations = len(ranges) - 1
-            cumulative = ranges[0] / (2.0 ** iterations)
-            if not within(ranges[-1], cumulative):
-                self.violate(
-                    f"final range after {iterations} iterations exceeds "
-                    f"the cumulative bound",
-                    observed=ranges[-1],
-                    bound=cumulative,
-                    pulse=iterations,
-                )
+            self.compare(
+                f"final range after {iterations} iterations exceeds "
+                f"the cumulative bound",
+                ranges[-1], ranges[0] / (2.0 ** iterations), pulse=iterations,
+            )
 
 
 class StabilizationMonitor(Monitor):
@@ -497,7 +509,10 @@ class StabilizationMonitor(Monitor):
        its post-activation pulses, its nearest-pulse alignment envelope
        against the stable cohort drops to ``envelope`` (the skew bound
        ``S`` by default) and stays there;
-    3. tail liveness: every node the schedule expects to be active at
+    3. the stable cohort (never-disturbed nodes that pulsed) keeps its
+       pulse skew within ``envelope`` over the whole run — not counted
+       in ``checked``;
+    4. tail liveness: every node the schedule expects to be active at
        the end pulsed within ``tail_window`` of the run's last pulse.
     """
 
@@ -553,7 +568,7 @@ class StabilizationMonitor(Monitor):
             if entry is not None:
                 pending.remove(entry)
             observed.append((event, entry))
-        _cohort, reports = stabilization_reports(
+        cohort, reports = stabilization_reports(
             self._pulses,
             self.schedule.stable_nodes(self.n),
             [entry for _event, entry in observed if entry is not None],
@@ -566,9 +581,7 @@ class StabilizationMonitor(Monitor):
                 self.violate(
                     f"scheduled {event.kind} of node {event.node} at "
                     f"{event.trigger()} never occurred",
-                    observed=0.0,
-                    bound=1.0,
-                    node=event.node,
+                    0.0, 1.0, node=event.node,
                 )
                 continue
             time, report = entry[0], next(reports)
@@ -585,20 +598,26 @@ class StabilizationMonitor(Monitor):
                 self.violate(
                     f"node {event.node} never re-stabilized after its "
                     f"{event.kind}",
-                    observed=worst,
-                    bound=self.envelope,
-                    time=time,
-                    node=event.node,
+                    worst, self.envelope, time=time, node=event.node,
                 )
-            elif report.pulses_to_resync > self.resync_budget:
-                self.violate(
-                    f"node {event.node} took {report.pulses_to_resync} "
-                    f"pulses to re-stabilize after its {event.kind}",
-                    observed=float(report.pulses_to_resync),
-                    bound=float(self.resync_budget),
-                    time=time,
-                    node=event.node,
-                )
+                continue
+            self.compare(
+                f"node {event.node} took {report.pulses_to_resync} "
+                f"pulses to re-stabilize after its {event.kind}",
+                float(report.pulses_to_resync), float(self.resync_budget),
+                time=time, node=event.node,
+            )
+            self.compare(
+                f"node {event.node} left the envelope after "
+                f"re-stabilizing from its {event.kind}",
+                report.envelope, self.envelope, time=time, node=event.node,
+            )
+        if cohort:
+            self.compare(
+                "stable cohort skew exceeds the Theorem 17 bound S",
+                cohort_skew(self._pulses, cohort),
+                self.envelope,
+            )
 
     def _check_tail_liveness(self) -> None:
         last_any = max(
@@ -617,9 +636,7 @@ class StabilizationMonitor(Monitor):
                     f"node {node} fell silent: last pulse "
                     f"{last_any - last:.6g} before the end of the run "
                     f"(allowed {self.tail_window:.6g})",
-                    observed=last,
-                    bound=horizon,
-                    node=node,
+                    last, horizon, node=node,
                 )
 
 

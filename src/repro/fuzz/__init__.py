@@ -20,17 +20,18 @@ gate.
 ``oracle``
     :func:`replay_fixture` — one payload through the conformance
     engine's :func:`~repro.checks.conformance.judged_run` — the
-    byte-stable :func:`verdict_payload` for deterministic replay, and
+    byte-stable :func:`verdict_payload` for deterministic replay,
     :func:`expectation_met`, the one statement of what a fixture's
-    ``expect`` field demands.
+    ``expect`` field demands, and :func:`interest_score`, the worst
+    headroom of the ``skew`` / ``stabilization`` verdicts (the fuzzer
+    derives no ratio of its own).
 ``corpus``
     Content-hashed fixture files under ``results/fuzz/`` —
     save/load/list and promotion into the replayed ``promoted/``
     directory.
 ``driver``
     :func:`search` — the budgeted Hypothesis loop with shrink capture
-    and interesting-corner scoring (near-bound skew, envelope-grazing
-    resync).
+    and interesting-corner ranking by :func:`interest_score`.
 
 See ``docs/FUZZING.md`` for the workflow.
 """

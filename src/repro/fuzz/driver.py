@@ -4,10 +4,9 @@
 space through the oracle.  A monitor FAIL raises inside the Hypothesis
 test body, which switches Hypothesis into its shrinking phase; the
 final (minimal) failing example is captured on its last execution and
-serialized as a ``shrunk`` fixture.  Surviving examples are scored by
-how hard they pressed the bounds (near-bound skew, envelope-grazing
-resync) and the best become ``interesting`` fixtures, promotable into
-the scenario registry.
+serialized as a ``shrunk`` fixture.  Surviving examples are ranked by
+the worst headroom their monitors report (near-bound skew,
+envelope-grazing resync) and the best become ``interesting`` fixtures.
 
 Determinism: the loop pins an explicit Hypothesis seed, disables the
 example database and deadlines, and restricts phases to
@@ -19,7 +18,7 @@ shard fuzz budgets across pool workers with derived seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from hypothesis import HealthCheck, Phase, Verbosity, given
@@ -64,7 +63,8 @@ class UnknownStrategyError(KeyError):
 
 
 class InvalidBudgetError(ValueError):
-    """Raised for a search budget of fewer than one example."""
+    """Raised for a search budget of fewer than one example, or a
+    negative number of interesting fixtures to keep."""
 
 
 class _CounterexampleFound(Exception):
@@ -123,6 +123,10 @@ def search(
         ) from None
     if budget < 1:
         raise InvalidBudgetError(f"fuzz budget must be >= 1, got {budget}")
+    if max_interesting < 0:
+        raise InvalidBudgetError(
+            f"max_interesting must be >= 0, got {max_interesting}"
+        )
     captured: Dict[str, Any] = {}
     survivors: Dict[str, Any] = {}
     counter = {"executions": 0}
@@ -147,13 +151,12 @@ def search(
                 violation.as_dict() for violation in run.violations()
             ]
             raise _CounterexampleFound(payload)
-        if not captured:
-            score = interest_score(run)
-            if score.score >= INTERESTING_FLOOR:
-                key = fixture_id(
-                    payload["case"], payload["pulses"], payload["seed"]
-                )
-                survivors[key] = (score, payload)
+        worst = None if captured else interest_score(run)
+        if worst is not None and worst.ratio >= INTERESTING_FLOOR:
+            key = fixture_id(
+                payload["case"], payload["pulses"], payload["seed"]
+            )
+            survivors[key] = (worst, payload)
 
     try:
         probe()
@@ -170,7 +173,7 @@ def search(
             summary={"violations": captured["violations"]},
         )
     ranked = sorted(
-        survivors.items(), key=lambda item: (-item[1][0].score, item[0])
+        survivors.items(), key=lambda item: (-item[1][0].ratio, item[0])
     )
     interesting = [
         make_fixture(
@@ -180,9 +183,9 @@ def search(
             strategy=strategy,
             origin="interesting",
             expect="pass",
-            summary={"score": score.as_dict()},
+            summary={"score": {"score": worst.ratio, **asdict(worst)}},
         )
-        for _key, (score, payload) in ranked[: max(max_interesting, 0)]
+        for _key, (worst, payload) in ranked[:max_interesting]
     ]
     return FuzzReport(
         strategy=strategy,

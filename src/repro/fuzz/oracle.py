@@ -15,14 +15,13 @@ twice, or at different trace levels, produces byte-identical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
-from repro.analysis import metrics
-from repro.checks.conformance import (
-    RESYNC_PULSE_BUDGET,
-    JudgedRun,
-    judged_run,
+from repro.checks.conformance import JudgedRun, judged_run
+from repro.checks.monitors import (
+    Headroom,
+    SkewBoundMonitor,
+    StabilizationMonitor,
 )
 
 
@@ -68,56 +67,23 @@ def verdict_payload(
     }
 
 
-@dataclass(frozen=True)
-class InterestScore:
-    """How close a *passing* run came to its bounds (0 = slack, 1 =
-    grazing)."""
-
-    skew_over_s: float = 0.0
-    resync_over_budget: float = 0.0
-    envelope_over_s: float = 0.0
-
-    @property
-    def score(self) -> float:
-        return max(
-            self.skew_over_s, self.resync_over_budget, self.envelope_over_s
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "score": self.score,
-            "skew_over_s": self.skew_over_s,
-            "resync_over_budget": self.resync_over_budget,
-            "envelope_over_s": self.envelope_over_s,
-        }
+#: The verdicts whose headroom ranks a surviving run.  The period and
+#: Lemma 11 bounds graze far more often and would flood the floor.
+SCORED_MONITORS = (SkewBoundMonitor.name, StabilizationMonitor.name)
 
 
-def interest_score(run: JudgedRun) -> InterestScore:
-    """Score a surviving example by how hard it pressed the bounds.
-
-    ``skew_over_s``
-        Worst observed honest skew over Theorem 17's ``S`` (for churn
-        runs, over the never-disturbed stable cohort).
-    ``resync_over_budget``
-        Slowest applied activation's pulses-to-resync over the
-        conformance resync budget (churn only).
-    ``envelope_over_s``
-        Worst post-resync alignment envelope over ``S`` (churn only).
-    """
-    result, params = run.result, run.built.params
-    simulation = run.built.simulation
-    cohort, reports = simulation.honest, []
-    if run.mode == "churn":
-        cohort, reports = metrics.stabilization_reports(
-            result.pulses,
-            simulation.dynamics.schedule.stable_nodes(params.n),
-            simulation.dynamics.activations_applied(),
-            params.S,
-        )
-    resync_pulses, envelope = metrics.worst_resync(reports)
-    return InterestScore(
-        skew_over_s=metrics.cohort_skew(result.pulses, cohort, default=0.0)
-        / params.S,
-        resync_over_budget=resync_pulses / RESYNC_PULSE_BUDGET,
-        envelope_over_s=envelope / params.S,
+def interest_score(run: JudgedRun) -> Optional[Headroom]:
+    """How hard a surviving run pressed its bounds: the worst
+    :class:`~repro.checks.monitors.Headroom` among the
+    :data:`SCORED_MONITORS` verdicts (``None`` when they compared
+    nothing)."""
+    return max(
+        (
+            verdict.worst
+            for verdict in run.verdicts
+            if verdict.monitor in SCORED_MONITORS
+            and verdict.worst is not None
+        ),
+        key=lambda worst: worst.ratio,
+        default=None,
     )

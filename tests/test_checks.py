@@ -16,6 +16,7 @@ from repro.checks import (
     PeriodWindowMonitor,
     ProgressMonitor,
     SkewBoundMonitor,
+    StabilizationMonitor,
     TcbConsistencyMonitor,
     Violation,
     applicable_monitors,
@@ -31,6 +32,7 @@ from repro.checks import (
 from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
+from repro.dynamics.schedule import FaultEvent, FaultSchedule
 from repro.fuzz import load_fixture, replay_fixture
 from repro.scenarios import REGISTRY
 from repro.sim.adversary import SilentAdversary
@@ -228,6 +230,174 @@ class TestCheckSet:
         assert [v.monitor for v in verdicts] == ["skew", "progress"]
         assert [v.ok for v in verdicts] == [False, True]
         assert [len(v.violations) for v in verdicts] == [1, 0]
+
+
+# ----------------------------------------------------------------------
+# Monitor.compare: every magnitude site can fail, and keeps its headroom
+# ----------------------------------------------------------------------
+
+
+def _skew_over():
+    monitor = SkewBoundMonitor(bound=1.0, honest_count=2)
+    monitor.on_pulse(0.0, 0, 1, 0.0)
+    monitor.on_pulse(1.5, 1, 1, 0.0)
+    return monitor
+
+
+def _periods(rounds):
+    monitor = PeriodWindowMonitor(1.0, 3.0, honest_count=2)
+    for index, (early, late) in enumerate(rounds, start=1):
+        monitor.on_pulse(early, 0, index, 0.0)
+        monitor.on_pulse(late, 1, index, 0.0)
+    return monitor
+
+
+def _tcb_over():
+    monitor = TcbConsistencyMonitor(window=0.1, honest_count=2)
+    monitor.on_annotate(1.0, 0, "tcb-accept", (1, 5))
+    monitor.on_annotate(1.5, 1, "tcb-accept", (1, 5))
+    summary = SimpleNamespace(pulse_round=1, estimates={5: 0.3})
+    monitor.on_annotate(2.0, 0, "cps-round", summary)
+    monitor.on_annotate(2.1, 1, "cps-round", summary)
+    return monitor
+
+
+def _apa(ranges):
+    monitor = ApaContractionMonitor()
+    monitor.observe_ranges(ranges)
+    return monitor
+
+
+def _stabilization(pulses, events=(), budget=1):
+    """Two nodes, envelope 1: ``pulses`` maps node -> train; node 1
+    recovers at t = 1 when ``events`` schedule it."""
+    monitor = StabilizationMonitor(
+        FaultSchedule(tuple(events)), 2, envelope=1.0,
+        resync_budget=budget, tail_window=100.0,
+    )
+    if events:
+        monitor.on_annotate(1.0, 1, "churn", {"action": "recover"})
+    for node, times in pulses.items():
+        for index, time in enumerate(times, start=1):
+            monitor.on_pulse(time, node, index, time)
+    return monitor
+
+
+RECOVER_1 = (FaultEvent("crash", 1, at=0.5), FaultEvent("recover", 1, at=1.0))
+
+
+def _violation(monitor, message, observed, bound, time=None, node=None,
+               pulse=None):
+    return {
+        "monitor": monitor, "message": message, "observed": observed,
+        "bound": bound, "time": time, "node": node, "pulse": pulse,
+    }
+
+
+#: One feed per compare site, each with a single value over its bound,
+#: and the violation the monitor recorded before compare existed.
+OVER_BOUND = {
+    "skew": (_skew_over, _violation(
+        "skew", "pulse skew exceeds the Theorem 17 bound S", 1.5, 1.0,
+        time=1.5, node=1, pulse=1,
+    )),
+    "p_min": (lambda: _periods([(0.0, 0.5), (1.0, 1.25)]), _violation(
+        "period", "period below the Theorem 17 minimum P_min", 0.5, 1.0,
+        time=1.25, pulse=2,
+    )),
+    "p_max": (lambda: _periods([(0.0, 0.5), (2.0, 3.5)]), _violation(
+        "period", "period above the Theorem 17 maximum P_max", 3.5, 3.0,
+        time=3.5, pulse=2,
+    )),
+    "lemma-11": (_tcb_over, _violation(
+        "tcb-consistency",
+        "acceptances of dealer 5 spread beyond the Lemma 11 window",
+        0.5, 0.1, time=1.5, node=5, pulse=1,
+    )),
+    "apa-iteration": (lambda: _apa([64.0, 16.0, 10.0]), _violation(
+        "apa-contraction", "iteration 2 contracted 16 -> 10 (needs halving)",
+        10.0, 8.0, pulse=2,
+    )),
+    # Each step halves up to the tolerance; the sum of the slack does
+    # not, so only the cumulative bound fails.
+    "apa-cumulative": (lambda: _apa([0.0, 0.8e-9, 1.2e-9]), _violation(
+        "apa-contraction",
+        "final range after 2 iterations exceeds the cumulative bound",
+        1.2e-9, 0.0, pulse=2,
+    )),
+    # Node 1's first post-recovery pulse is 2 off node 0's train: it
+    # re-stabilizes on its second pulse, over the budget of one.
+    "resync-budget": (lambda: _stabilization(
+        {0: [5.0, 10.0, 15.0, 50.0], 1: [7.0, 10.0, 15.0]}, RECOVER_1
+    ), _violation(
+        "stabilization",
+        "node 1 took 2 pulses to re-stabilize after its recover",
+        2.0, 1.0, time=1.0, node=1,
+    )),
+    # No event: both nodes are the stable cohort, 2 > S = 1 apart.
+    "stable-cohort": (lambda: _stabilization(
+        {0: [5.0, 10.0], 1: [7.0, 10.0]}
+    ), _violation(
+        "stabilization",
+        "stable cohort skew exceeds the Theorem 17 bound S", 2.0, 1.0,
+    )),
+}
+
+
+class TestCompare:
+    @pytest.mark.parametrize("site", sorted(OVER_BOUND))
+    def test_each_site_fails_with_its_violation(self, site):
+        feed, expected = OVER_BOUND[site]
+        verdict = feed().finish()
+        assert [v.as_dict() for v in verdict.violations] == [expected]
+        assert verdict.worst.monitor == expected["monitor"]
+        assert verdict.worst.ratio > 1
+        assert "worst" not in verdict.as_dict()
+
+    def test_worst_keeps_the_closest_comparison(self):
+        verdict = _periods([(0.0, 0.5), (2.0, 2.5), (4.5, 5.0)]).finish()
+        assert verdict.ok
+        # P_max's 5.0 - 2.0 = 3.0 grazes the bound at pulse 3.
+        assert (verdict.worst.ratio, verdict.worst.pulse) == (1.0, 3)
+        assert verdict.worst.node is None
+
+    def test_a_lower_bound_ratio_is_bound_over_observed(self):
+        worst = _periods([(0.0, 0.5), (1.0, 1.25)]).finish().worst
+        assert (worst.ratio, worst.observed, worst.bound) == (2.0, 0.5, 1.0)
+
+    def test_post_resync_envelope_is_compared(self):
+        # The envelope holds by construction once a node re-stabilizes
+        # (the report applies the same bound); it still sets the
+        # headroom: 0.5 of S, above the resync ratio 1/4.
+        verdict = _stabilization(
+            {0: [5.0, 10.0, 50.0], 1: [5.5, 10.5]}, RECOVER_1, budget=4
+        ).finish()
+        assert verdict.ok
+        assert (verdict.worst.ratio, verdict.worst.node) == (0.5, 1)
+
+    def test_a_bound_that_holds_at_zero_has_a_finite_ratio(self):
+        verdicts = [_apa([0.0, 0.0]).finish() for _ in range(2)]
+        assert verdicts[0].ok and verdicts[0].worst.ratio == 1.0
+        # Never NaN: equal runs give equal verdicts.
+        assert verdicts[0] == verdicts[1]
+
+    def test_a_non_positive_period_is_infinitely_over(self):
+        verdict = _periods([(0.0, 0.5), (0.5, 1.0)]).finish()
+        assert not verdict.ok
+        assert verdict.worst.ratio == float("inf")
+
+    def test_no_comparison_no_worst(self):
+        monitor = ProgressMonitor([0], expected=1)
+        monitor.on_pulse(1.0, 0, 1, 1.0)
+        assert monitor.finish().worst is None
+
+    def test_render_report_prints_each_worst(self):
+        report = check_scenario("delay", "maximum")
+        lines = render_report(report).splitlines()
+        worst = [line for line in lines if line.startswith("    worst")]
+        assert len(worst) == sum(
+            v.worst is not None for v in report.verdicts
+        ) == 3  # skew, period, tcb-consistency; progress compares none
 
 
 # ----------------------------------------------------------------------

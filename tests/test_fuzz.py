@@ -19,18 +19,28 @@ The satellite guarantees under test:
   gate command ``promote`` prints works.
 """
 
+import glob
 import json
 import os
 
 import pytest
 from hypothesis import given
 
+from repro.analysis import metrics
+from repro.checks.conformance import (
+    CHURN_PULSES_BY_SCALE,
+    CPS_BASE_CASE,
+    RESYNC_PULSE_BUDGET,
+    conformance_seed,
+    scenario_case,
+)
 from repro.cli import main
 from repro.fuzz import (
     FIXTURE_SCHEMA,
     available_strategies,
     fixture_id,
     fixture_path,
+    interest_score,
     known_bad_cases,
     list_fixtures,
     load_fixture,
@@ -44,14 +54,18 @@ from repro.fuzz import (
     verdict_payload,
 )
 from repro.fuzz.corpus import MalformedFixtureError
-from repro.fuzz.driver import UnknownStrategyError, render_fuzz_report
+from repro.fuzz.driver import (
+    InvalidBudgetError,
+    UnknownStrategyError,
+    render_fuzz_report,
+)
 from repro.fuzz.strategies import CPS_ADVERSARIES, CPS_DELAYS
 from repro.scenarios import REGISTRY
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The hand-written E8 corner (n = 6, 12 pulses), as a promoted file.
 BROKEN_FIXTURE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "results", "fuzz", "promoted", "fuzz-89ee3cb088aca93d.json",
+    ROOT, "results", "fuzz", "promoted", "fuzz-89ee3cb088aca93d.json",
 )
 
 
@@ -172,9 +186,116 @@ class TestValidSpace:
             assert fixture["origin"] == "interesting"
             assert fixture["summary"]["score"]["score"] >= 0.9
 
+    def test_negative_max_interesting_is_refused(self):
+        with pytest.raises(InvalidBudgetError, match="got -1"):
+            search("valid", budget=1, max_interesting=-1)
+
+    def test_zero_max_interesting_keeps_no_fixture(self):
+        report = search("valid", budget=5, seed=11, max_interesting=0)
+        assert report.interesting == []
+
     def test_unknown_strategy_raises_with_catalog(self):
         with pytest.raises(UnknownStrategyError, match="known-bad"):
             search("bogus", budget=1)
+
+
+# ----------------------------------------------------------------------
+# The score is the monitors' headroom, equal to the formula it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_score(run):
+    """The fuzzer's own score before headroom moved into the monitors:
+    worst skew over ``S`` (the stable cohort's for a churn run), slowest
+    resync over the budget and worst post-resync envelope over ``S``."""
+    result, params = run.result, run.built.params
+    simulation = run.built.simulation
+    cohort, reports = simulation.honest, []
+    if run.mode == "churn":
+        cohort, reports = metrics.stabilization_reports(
+            result.pulses,
+            simulation.dynamics.schedule.stable_nodes(params.n),
+            simulation.dynamics.activations_applied(),
+            params.S,
+        )
+    resync_pulses, envelope = metrics.worst_resync(reports)
+    return max(
+        metrics.cohort_skew(result.pulses, cohort, default=0.0) / params.S,
+        resync_pulses / RESYNC_PULSE_BUDGET,
+        envelope / params.S,
+    )
+
+
+COMMITTED = sorted(
+    glob.glob(os.path.join(ROOT, "results", "fuzz", "*", "fuzz-*.json"))
+)
+
+#: Explicit payloads (no Hypothesis draw): the six churn matrix rows at
+#: quick scale, CPS cases (grazing ``S`` at pulse 1 under extreme
+#: drift, 0.78 of it under random drift), and two churn runs whose
+#: score the post-resync envelope (0.475) and the resync budget (1/6)
+#: decide rather than the cohort skew.
+LOW_DRIFT = {"n": 5, "theta": 1.0, "u": 0.005, "drift": "random"}
+REPLAYED = [
+    {
+        "case": scenario_case("churn", entry.key),
+        "pulses": CHURN_PULSES_BY_SCALE["quick"],
+        "seed": conformance_seed(0, "churn", entry.key),
+    }
+    for entry in REGISTRY.entries()
+    if entry.kind == "churn"
+] + [
+    {"case": dict(CPS_BASE_CASE, **axes), "pulses": pulses, "seed": seed}
+    for axes, pulses, seed in [
+        ({}, 6, 0),
+        ({"drift": "random", "delay": "random"}, 6, 1),
+        ({"adversary": "rushing-echo", "delay": "skewing", "n": 4}, 6, 2),
+        ({"adversary": "coordinated-offset", "delay": "biased-partition"},
+         6, 3),
+        (dict(LOW_DRIFT, adversary="mimic-split", delay="minimum",
+              churn="adversary-handoff", churn_params={"at_pulse": 2}),
+         12, 5),
+        (dict(LOW_DRIFT, u=0.03826369712688534, delay="maximum",
+              churn="adversary-handoff", churn_params={"at_pulse": 2}),
+         12, 501),
+    ]
+]
+
+
+class TestInterestScore:
+    @pytest.mark.parametrize(
+        "payload",
+        [load_fixture(path) for path in COMMITTED] + REPLAYED,
+        ids=lambda payload: fixture_id(
+            payload["case"], payload["pulses"], payload["seed"]
+        ),
+    )
+    def test_score_equals_the_reference_formula(self, payload):
+        run = replay_fixture(payload)
+        worst = interest_score(run)
+        assert worst.monitor in ("skew", "stabilization")
+        assert worst.ratio == reference_score(run)
+
+    @pytest.mark.parametrize(
+        "path",
+        [p for p in COMMITTED if load_fixture(p)["origin"] == "interesting"],
+        ids=os.path.basename,
+    )
+    def test_committed_interesting_score_replays(self, path):
+        fixture = load_fixture(path)
+        worst = interest_score(replay_fixture(fixture))
+        assert fixture["summary"]["score"]["score"] == worst.ratio
+
+    def test_interesting_summary_is_the_worst_record(self):
+        report = search("valid", budget=25, seed=11, max_interesting=1)
+        (fixture,) = report.interesting
+        score = fixture["summary"]["score"]
+        worst = interest_score(replay_fixture(fixture))
+        assert score["score"] == score["ratio"] == worst.ratio
+        assert score["monitor"] == worst.monitor
+        assert (score["observed"], score["bound"]) == (
+            worst.observed, worst.bound
+        )
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +465,14 @@ class TestCli:
     def test_nonpositive_budget_exits_cleanly(self, budget):
         with pytest.raises(SystemExit, match="budget must be >= 1"):
             main(["fuzz", "run", "--budget", budget])
+
+    def test_negative_max_interesting_exits_cleanly(self, tmp_path):
+        with pytest.raises(SystemExit, match="max_interesting must be >= 0"):
+            main([
+                "fuzz", "run", "--budget", "1", "--out", str(tmp_path),
+                "--max-interesting", "-4",
+            ])
+        assert list_fixtures(str(tmp_path)) == []
 
     def test_unknown_strategy_exits_with_hint(self):
         with pytest.raises(SystemExit, match="available"):
