@@ -35,10 +35,15 @@ Churn runs are bounded (the conformance tiers cap pulses), so the state
 stays small; the other monitors keep their streaming discipline.
 
 All bounds come from :mod:`repro.analysis.theory` /
-:class:`~repro.core.params.ProtocolParameters`; every magnitude check is
-one :meth:`Monitor.compare` — :func:`repro.analysis.metrics.within` /
-``at_least``, the one tolerance the experiment tables use too — which
-also keeps the verdict's :class:`Headroom`: how close a run came.
+:class:`~repro.core.params.ProtocolParameters`; every comparison is
+:func:`repro.analysis.metrics.within` / ``at_least`` — the one
+tolerance the experiment tables use too.  The magnitude checks (skew,
+``P_min`` / ``P_max``, the Lemma 11 window, both APA bounds, the resync
+budget, the post-resync envelope, the stable cohort's skew) go through
+:meth:`Monitor.compare`, which also keeps the verdict's
+:class:`Headroom`: how close a run came.  The liveness and ordering
+checks (pulse order and counts, scheduled activations, re-stabilizing
+at all, tail liveness) stay direct :meth:`Monitor.violate` calls.
 """
 
 from __future__ import annotations
@@ -80,15 +85,15 @@ class Violation:
         }
 
     def describe(self) -> str:
-        return f"{self.monitor}: {self.message} " + _measured(
+        return f"{self.monitor}: {self.message} " + measured(
             self.observed, self.bound,
             pulse=self.pulse, node=self.node, time=self.time,
         )
 
 
-def _measured(observed: float, bound: float, **where: Any) -> str:
+def measured(observed: float, bound: float, **where: Any) -> str:
     """``(observed X, bound Y) [pulse P, node N, t=T]``, known places
-    only — how a violation and a headroom print."""
+    only — how a violation, a headroom and a fuzz report print."""
     places = ", ".join(
         f"t={value:.6g}" if name == "time" else f"{name} {value}"
         for name, value in where.items()
@@ -113,7 +118,7 @@ class Headroom:
     node: Optional[int] = None
 
     def describe(self) -> str:
-        return f"ratio {self.ratio:.6g} " + _measured(
+        return f"ratio {self.ratio:.6g} " + measured(
             self.observed, self.bound, pulse=self.pulse, node=self.node
         )
 
@@ -189,7 +194,9 @@ class Monitor(SimulationChecks):
         )
 
     def compare(self, message: str, observed: float, bound: float, *,
-                lower: bool = False, **context: Any) -> bool:
+                lower: bool = False, time: Optional[float] = None,
+                node: Optional[int] = None,
+                pulse: Optional[int] = None) -> bool:
         """Judge ``observed <= bound`` (``>=`` when ``lower``), keep the
         worst :class:`Headroom`, and :meth:`violate` when it fails."""
         held = at_least(observed, bound) if lower else within(observed, bound)
@@ -198,13 +205,15 @@ class Monitor(SimulationChecks):
         ratio = top / base if base > 0 and top == top else (
             1.0 if held else float("inf")
         )
-        if self.worst is None or ratio > self.worst.ratio:
+        worst = self.worst
+        if worst is None or ratio > worst.ratio:
             self.worst = Headroom(
-                self.name, ratio, observed, bound,
-                context.get("pulse"), context.get("node"),
+                self.name, ratio, observed, bound, pulse, node
             )
         if not held:
-            self.violate(message, observed, bound, **context)
+            self.violate(
+                message, observed, bound, time=time, node=node, pulse=pulse
+            )
         return held
 
     @property
@@ -259,6 +268,7 @@ class SkewBoundMonitor(Monitor):
 
     name = "skew"
     claim = "Theorem 17: pulse skew <= S"
+    breach = "pulse skew exceeds the Theorem 17 bound S"
 
     def __init__(self, bound: float, honest_count: int) -> None:
         super().__init__()
@@ -275,13 +285,29 @@ class SkewBoundMonitor(Monitor):
             entry = self._open[index] = _PulseAggregate()
         entry.add(time)
         self.checked += 1
-        if index not in self._flagged and not self.compare(
-            "pulse skew exceeds the Theorem 17 bound S", entry.spread,
-            self.bound, time=time, node=node, pulse=index,
+        complete = entry.count == self.honest_count
+        if complete:
+            del self._open[index]
+        # A plain ``within`` per pulse flags a breach the instant it
+        # happens; :meth:`compare` runs then, or once as the index
+        # completes (its final spread is its widest), to keep headroom.
+        if (
+            (complete or not within(entry.spread, self.bound))
+            and index not in self._flagged
+            and not self.compare(
+                self.breach, entry.spread, self.bound,
+                time=time, node=node, pulse=index,
+            )
         ):
             self._flagged.add(index)
-        if entry.count == self.honest_count:
-            del self._open[index]
+
+    def on_finish(self) -> None:
+        # Indices the run left incomplete held at each of their pulses.
+        for index, entry in self._open.items():
+            if index not in self._flagged:
+                self.compare(
+                    self.breach, entry.spread, self.bound, pulse=index
+                )
 
 
 class PeriodWindowMonitor(Monitor):
@@ -361,15 +387,22 @@ class ProgressMonitor(Monitor):
         if index != previous + 1:
             self.violate(
                 f"pulse index jumped from {previous} to {index}",
-                float(index), float(previous + 1),
-                time=time, node=node, pulse=index,
+                observed=float(index),
+                bound=float(previous + 1),
+                time=time,
+                node=node,
+                pulse=index,
             )
         self._counts[node] = index
         last = self._last_time.get(node)
         if last is not None and time <= last:
             self.violate(
                 "pulse time did not strictly increase",
-                time, last, time=time, node=node, pulse=index,
+                observed=time,
+                bound=last,
+                time=time,
+                node=node,
+                pulse=index,
             )
         self._last_time[node] = time
 
@@ -381,7 +414,9 @@ class ProgressMonitor(Monitor):
                 self.violate(
                     f"node generated {count} of the expected "
                     f"{self.expected} pulses",
-                    float(count), float(self.expected), node=node,
+                    observed=float(count),
+                    bound=float(self.expected),
+                    node=node,
                 )
 
 
@@ -581,7 +616,9 @@ class StabilizationMonitor(Monitor):
                 self.violate(
                     f"scheduled {event.kind} of node {event.node} at "
                     f"{event.trigger()} never occurred",
-                    0.0, 1.0, node=event.node,
+                    observed=0.0,
+                    bound=1.0,
+                    node=event.node,
                 )
                 continue
             time, report = entry[0], next(reports)
@@ -598,7 +635,10 @@ class StabilizationMonitor(Monitor):
                 self.violate(
                     f"node {event.node} never re-stabilized after its "
                     f"{event.kind}",
-                    worst, self.envelope, time=time, node=event.node,
+                    observed=worst,
+                    bound=self.envelope,
+                    time=time,
+                    node=event.node,
                 )
                 continue
             self.compare(
@@ -607,6 +647,8 @@ class StabilizationMonitor(Monitor):
                 float(report.pulses_to_resync), float(self.resync_budget),
                 time=time, node=event.node,
             )
+            # Records headroom only: ``report.envelope`` is the worst of
+            # values ``stabilization_reports`` already held to it.
             self.compare(
                 f"node {event.node} left the envelope after "
                 f"re-stabilizing from its {event.kind}",
@@ -636,7 +678,9 @@ class StabilizationMonitor(Monitor):
                     f"node {node} fell silent: last pulse "
                     f"{last_any - last:.6g} before the end of the run "
                     f"(allowed {self.tail_window:.6g})",
-                    last, horizon, node=node,
+                    observed=last,
+                    bound=horizon,
+                    node=node,
                 )
 
 

@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, Phase, Verbosity, given
 from hypothesis import seed as hypothesis_seed
 from hypothesis import settings as hypothesis_settings
 
+from repro.checks.monitors import measured
 from repro.fuzz.corpus import fixture_id, make_fixture
 from repro.fuzz.oracle import interest_score, replay_fixture
 from repro.fuzz.strategies import (
@@ -229,8 +230,7 @@ def render_fuzz_report(report: FuzzReport) -> str:
         for violation in violations:
             lines.append(
                 f"    ! {violation['monitor']}: {violation['message']} "
-                f"(observed {violation['observed']:.6g}, "
-                f"bound {violation['bound']:.6g})"
+                + measured(violation["observed"], violation["bound"])
             )
     else:
         lines.append("  no monitor violations found")

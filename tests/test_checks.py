@@ -233,7 +233,8 @@ class TestCheckSet:
 
 
 # ----------------------------------------------------------------------
-# Monitor.compare: every magnitude site can fail, and keeps its headroom
+# Monitor.compare: each site but the post-resync envelope can fail, and
+# every site keeps its headroom
 # ----------------------------------------------------------------------
 
 
@@ -365,10 +366,32 @@ class TestCompare:
         worst = _periods([(0.0, 0.5), (1.0, 1.25)]).finish().worst
         assert (worst.ratio, worst.observed, worst.bound) == (2.0, 0.5, 1.0)
 
+    def test_skew_headroom_is_the_widest_index(self):
+        monitor = SkewBoundMonitor(bound=1.0, honest_count=2)
+        for time, node, index in [(0.0, 0, 1), (0.0, 0, 2), (0.25, 1, 1),
+                                  (0.75, 1, 2), (1.0, 0, 3)]:
+            monitor.on_pulse(time, node, index, time)
+        # Index 2 (0.75) is complete; index 3 is left open at the end.
+        worst = monitor.finish().worst
+        assert (worst.ratio, worst.pulse, worst.node) == (0.75, 2, 1)
+        monitor = SkewBoundMonitor(bound=1.0, honest_count=3)
+        monitor.on_pulse(0.0, 0, 1, 0.0)
+        monitor.on_pulse(0.5, 1, 1, 0.5)
+        assert monitor.finish().worst.ratio == 0.5
+
+    def test_a_flagged_skew_index_is_not_compared_again(self):
+        monitor = SkewBoundMonitor(bound=1.0, honest_count=3)
+        for time, node in [(0.0, 0), (1.5, 1), (3.0, 2)]:
+            monitor.on_pulse(time, node, 1, time)
+        verdict = monitor.finish()
+        assert len(verdict.violations) == 1
+        assert verdict.worst.ratio == 1.5
+
     def test_post_resync_envelope_is_compared(self):
-        # The envelope holds by construction once a node re-stabilizes
-        # (the report applies the same bound); it still sets the
-        # headroom: 0.5 of S, above the resync ratio 1/4.
+        # This comparison only records headroom: it cannot fail, since
+        # the report's envelope is the worst of values it already held
+        # to the same bound.  It still sets the headroom: 0.5 of S,
+        # above the resync ratio 1/4.
         verdict = _stabilization(
             {0: [5.0, 10.0, 50.0], 1: [5.5, 10.5]}, RECOVER_1, budget=4
         ).finish()
