@@ -75,6 +75,23 @@ def lazy_exports(package, table, *inline):
     return __getattr__, __dir__, names
 
 
+def closest(name, choices):
+    """The one of ``choices`` closest to a mistyped ``name``, case
+    ignored, or ``None`` when none is close.  Every did-you-mean of the
+    package asks here; difflib loads on this error path only."""
+    import difflib
+
+    folded = {choice.casefold(): choice for choice in choices}
+    close = difflib.get_close_matches(name.casefold(), list(folded), n=1)
+    return folded[close[0]] if close else None
+
+
+def did_you_mean(name, choices):
+    """``" — did you mean 'x'?"`` for a close miss, else ``""``."""
+    close = closest(name, choices)
+    return f" — did you mean {close!r}?" if close else ""
+
+
 # ``import repro`` — and with it ``python -m repro --help`` — executes
 # no engine module.
 __getattr__, __dir__, __all__ = lazy_exports(

@@ -15,12 +15,15 @@ one comparison from the introduction.  An experiment is three things:
   a plain function for the irregular ones (E5's optional column, E7's
   derived note, E10's one row per pulse).
 
-:func:`run_experiment` — and with it ``repro run``, ``repro all``,
-``repro campaign run``, the benchmarks and the generated
-``docs/EXPERIMENTS.md`` — reads the campaign registry; nothing here
-runs at import time beyond the registrations at the bottom, and a
-spec or a table imports the campaign layer, builders and baselines it
-uses when it is called, so listing the catalog loads none of them.
+The ids and their one-line descriptions are
+:data:`repro.campaigns.BUILTIN_CAMPAIGNS`, which names each id's
+``<stem>_campaign`` / ``<stem>_table`` here; the campaign catalog
+imports this module the first time one of them is called, so listing
+the catalog loads none of it.  :func:`run_experiment` — and with it
+``repro run``, ``repro all``, ``repro campaign run``, the benchmarks
+and the generated ``docs/EXPERIMENTS.md`` — reads that catalog; a spec
+or a table imports the campaign layer, builders and baselines it uses
+when it is called.
 
 ``scale="quick"`` keeps runtimes in seconds (CI-friendly);
 ``scale="full"`` covers wider sweeps; any other tier a spec declares
@@ -41,11 +44,7 @@ from typing import (
     Union,
 )
 
-from repro.campaigns import (
-    CampaignDefinition,
-    campaign_definition,
-    register_campaign,
-)
+from repro.campaigns import campaign_definition
 from repro.core.params import derive_parameters, max_faults
 
 if TYPE_CHECKING:
@@ -60,35 +59,6 @@ TYPICAL = {"theta": 1.001, "d": 1.0, "u": 0.01}
 
 #: The CPS attack suite of E4 and E9, in table row order.
 CPS_ADVERSARIES = ("silent", "mimic-split", "equivocating-subset")
-
-#: id -> one-line description.  Literal on purpose: the registrations
-#: at the bottom, ``repro list`` and ``repro campaign list`` read it
-#: without building a single spec.
-DESCRIPTIONS = {
-    "E1": "APA convergence (Theorem 9, Corollary 2)",
-    "E2": "Crusader broadcast (Figure 4)",
-    "E3": "TCB estimate accuracy (Lemmas 10-13)",
-    "E4": "CPS skew vs bound (Theorem 17 / Corollary 4)",
-    "E5": "Resilience range (CPS vs Lynch-Welch)",
-    "E6": "Algorithm comparison (introduction / related work)",
-    "E7": "Lower bound (Theorem 5)",
-    "E8": "Skew vs faulty-link uncertainty (Section 1 discussion)",
-    "E9": "Period bounds (Theorem 17)",
-    "E10": "Convergence trajectory (Lemma 16)",
-    "A1": "Echo rejection ablation",
-    "A2": "Discard rule ablation (f-b vs f)",
-    "A3": "Dealer send offset ablation",
-    "STRESS": "Registry-driven stress scenarios "
-    "(adversary x delay x drift x topology)",
-    "CHURN-STRESS": "Fault-schedule stress: crash / recovery / late-join / "
-    "adversary-handoff dynamics",
-    "FUZZ": "Property-based fuzz shards: theorem-bound counterexample "
-    "search over valid and known-bad strategy spaces",
-    "E9-SCALE": "Vectorized-backend scale study: skew vs bound at "
-    "n = 100 / 1,000 / 10,000",
-    "ABLATION": "Protocol ablation matrix: per-component importance for "
-    "every theorem bound (baseline-plus-one-off)",
-}
 
 NAN, INF = float("nan"), float("inf")
 
@@ -107,8 +77,12 @@ def _design_f(case: Mapping[str, Any]) -> int:
     return max_faults(case["n"])
 
 
+def _description(name: str) -> str:
+    return campaign_definition(name).description
+
+
 def _title(name: str) -> str:
-    return f"{name} — {DESCRIPTIONS[name]}"
+    return f"{name} — {_description(name)}"
 
 
 def _table(
@@ -150,7 +124,7 @@ def _campaign(
         tiers = {"quick": tiers, "full": tiers}
     return CampaignSpec(
         name=name,
-        description=DESCRIPTIONS[name],
+        description=_description(name),
         seed=seed,
         scenarios=(ScenarioSpec(builder=builder, **grid),),
         measurements={
@@ -729,7 +703,7 @@ def stress_campaign() -> CampaignSpec:
     topologies = ("complete", "circulant", "random-regular", "small-world")
     return CampaignSpec(
         name="STRESS",
-        description=DESCRIPTIONS["STRESS"],
+        description=_description("STRESS"),
         seed=17,
         scenarios=(
             ScenarioSpec(
@@ -897,7 +871,7 @@ def fuzz_campaign() -> CampaignSpec:
 
     return CampaignSpec(
         name="FUZZ",
-        description=DESCRIPTIONS["FUZZ"],
+        description=_description("FUZZ"),
         seed=43,
         scenarios=(
             ScenarioSpec(
@@ -1015,33 +989,6 @@ def ablation_table(run: CampaignRun) -> Table:
     from repro.ablation import report
 
     return report.ablation_table(run)
-
-
-# --- Registry ---------------------------------------------------------
-
-for _name, _factory, _tabulate in (
-    ("E1", e1_campaign, e1_table),
-    ("E2", e2_campaign, e2_table),
-    ("E3", e3_campaign, e3_table),
-    ("E4", e4_campaign, e4_table),
-    ("E5", e5_campaign, e5_table),
-    ("E6", e6_campaign, e6_table),
-    ("E7", e7_campaign, e7_table),
-    ("E8", e8_campaign, e8_table),
-    ("E9", e9_campaign, e9_table),
-    ("E10", e10_campaign, e10_table),
-    ("A1", a1_campaign, a1_table),
-    ("A2", a2_campaign, a2_table),
-    ("A3", a3_campaign, a3_table),
-    ("STRESS", stress_campaign, stress_table),
-    ("CHURN-STRESS", churn_campaign, churn_table),
-    ("FUZZ", fuzz_campaign, fuzz_table),
-    ("E9-SCALE", e9_scale_campaign, e9_scale_table),
-    ("ABLATION", ablation_campaign, ablation_table),
-):
-    register_campaign(
-        CampaignDefinition(_name, _factory, _tabulate, DESCRIPTIONS[_name])
-    )
 
 
 def run_experiment(name: str, scale: str = "quick") -> Table:

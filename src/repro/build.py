@@ -36,9 +36,10 @@ did-you-mean hint for typos.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+
+from repro import closest, did_you_mean
 
 if TYPE_CHECKING:
     from repro.core.params import ProtocolParameters
@@ -87,14 +88,12 @@ def resolve_backend(name: Optional[str]) -> str:
             f"(see 'repro ablate')"
         )
     else:
-        close = difflib.get_close_matches(
-            name, BACKENDS + ABLATABLE_COMPONENTS, n=1
-        )
-        if close and close[0] in BACKENDS:
-            hint = f" — did you mean {close[0]!r}?"
+        close = closest(name, BACKENDS + ABLATABLE_COMPONENTS)
+        if close in BACKENDS:
+            hint = f" — did you mean {close!r}?"
         elif close:
             hint = (
-                f" — did you mean the ablation component {close[0]!r}? "
+                f" — did you mean the ablation component {close!r}? "
                 f"(see 'repro ablate')"
             )
     raise UnknownBackendError(
@@ -116,12 +115,7 @@ def resolve_ablation(names: Any) -> Tuple[str, ...]:
     resolved = []
     for name in names:
         if name not in ABLATABLE_COMPONENTS:
-            hint = ""
-            close = difflib.get_close_matches(
-                name, ABLATABLE_COMPONENTS, n=1
-            )
-            if close:
-                hint = f" — did you mean {close[0]!r}?"
+            hint = did_you_mean(name, ABLATABLE_COMPONENTS)
             raise UnknownComponentError(
                 f"unknown ablation component {name!r}{hint} "
                 f"(available: {list(ABLATABLE_COMPONENTS)})"

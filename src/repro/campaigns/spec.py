@@ -32,12 +32,13 @@ single trial runs.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
+
+from repro import did_you_mean
 
 CaseDict = Dict[str, Any]
 
@@ -271,8 +272,7 @@ class CampaignSpec:
         # A spec that names no scale (only "*") serves any scale.
         scales = scales_of(self)
         if scales and scale not in scales:
-            close = difflib.get_close_matches(scale, scales, n=1)
-            hint = f" — did you mean {close[0]!r}?" if close else ""
+            hint = did_you_mean(scale, scales)
             raise UnknownScaleError(
                 f"campaign {self.name!r} has no scale {scale!r}{hint} "
                 f"(available: {', '.join(scales)})"

@@ -3,6 +3,10 @@
 The paper's value is its *guarantees*; this subsystem makes them
 machine-checked over every scenario the engine can produce:
 
+``catalog``
+    :data:`MONITOR_CATALOG` (monitor name -> paper claim) and which
+    registry scenarios each monitor judges — the one source of both,
+    and all that ``repro check list`` loads.
 ``monitors``
     :class:`Violation` / :class:`Monitor` / :class:`CheckSet` — the
     streaming invariant monitors (Theorem 17 skew and periods, liveness,
@@ -33,16 +37,19 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "conformance": (
+        "catalog": (
             "APA_MONITORS",
             "CHURN_MONITORS",
             "CPS_MONITORS",
-            "EstimateVerdict",
-            "JudgedRun",
             "MODE_MONITORS",
             "MONITOR_CATALOG",
-            "ScenarioReport",
             "applicable_monitors",
+            "scenario_mode",
+        ),
+        "conformance": (
+            "EstimateVerdict",
+            "JudgedRun",
+            "ScenarioReport",
             "check_scenario",
             "churn_check_set",
             "conformance_matrix",
@@ -58,7 +65,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "render_matrix",
             "render_report",
             "scenario_case",
-            "scenario_mode",
         ),
         "monitors": (
             "ApaContractionMonitor",

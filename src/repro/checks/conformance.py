@@ -48,6 +48,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import at_least, within
 from repro.campaigns.store import summary_bytes
+from repro.checks.catalog import (
+    MODE_MONITORS,
+    MONITOR_CATALOG,
+    scenario_mode,
+)
 from repro.checks.monitors import (
     ApaContractionMonitor,
     CheckSet,
@@ -65,33 +70,6 @@ from repro.sync.crusader import BOT
 
 if TYPE_CHECKING:
     from repro.sync.approx_agreement import ApaResult
-
-#: Monitor catalog in display order: name -> claim (matrix columns).
-MONITOR_CATALOG: Dict[str, str] = {
-    SkewBoundMonitor.name: SkewBoundMonitor.claim,
-    PeriodWindowMonitor.name: PeriodWindowMonitor.claim,
-    ProgressMonitor.name: ProgressMonitor.claim,
-    TcbConsistencyMonitor.name: TcbConsistencyMonitor.claim,
-    ApaContractionMonitor.name: ApaContractionMonitor.claim,
-    StabilizationMonitor.name: StabilizationMonitor.claim,
-}
-
-#: Monitors applicable to each execution mode.
-CPS_MONITORS: Tuple[str, ...] = (
-    SkewBoundMonitor.name,
-    PeriodWindowMonitor.name,
-    ProgressMonitor.name,
-    TcbConsistencyMonitor.name,
-)
-APA_MONITORS: Tuple[str, ...] = (ApaContractionMonitor.name,)
-CHURN_MONITORS: Tuple[str, ...] = (StabilizationMonitor.name,)
-
-#: Monitors per execution mode (used by the matrix renderer too).
-MODE_MONITORS: Dict[str, Tuple[str, ...]] = {
-    "cps": CPS_MONITORS,
-    "apa": APA_MONITORS,
-    "churn": CHURN_MONITORS,
-}
 
 #: The reference configuration conformance runs drop scenarios into —
 #: the STRESS campaign's base system in the typical regime.
@@ -316,22 +294,6 @@ class ScenarioReport:
             "error": self.error,
             "verdicts": [v.as_dict() for v in self.verdicts],
         }
-
-
-def scenario_mode(kind: str, key: str) -> str:
-    """``"cps"``, ``"apa"`` or ``"churn"`` — how a registry entry is
-    conformance-run."""
-    entry = REGISTRY.get(kind, key)
-    if entry.kind == "adversary" and "apa" in entry.tags:
-        return "apa"
-    if entry.kind == "churn":
-        return "churn"
-    return "cps"
-
-
-def applicable_monitors(kind: str, key: str) -> Tuple[str, ...]:
-    """Monitor names that apply to ``(kind, key)``."""
-    return MODE_MONITORS[scenario_mode(kind, key)]
 
 
 def scenario_case(

@@ -57,6 +57,7 @@ from repro.analysis.metrics import (
     stabilization_reports,
     within,
 )
+from repro.checks.catalog import MONITOR_CATALOG
 from repro.dynamics.schedule import FaultSchedule
 from repro.sim.runtime import SimulationChecks
 from repro.sync.crusader import BOT
@@ -152,7 +153,9 @@ class Monitor(SimulationChecks):
     :meth:`on_finish` for end-of-run checks (partial aggregates, counts).
     ``checked`` counts the individual bound checks performed (each site
     counts its own; :meth:`compare` does not), so a "pass" verdict
-    distinguishes *held N times* from *never evaluated*.
+    distinguishes *held N times* from *never evaluated*.  A subclass's
+    ``claim`` is its ``name``'s entry in
+    :data:`~repro.checks.catalog.MONITOR_CATALOG`.
     """
 
     name: str = "monitor"
@@ -267,7 +270,7 @@ class SkewBoundMonitor(Monitor):
     """
 
     name = "skew"
-    claim = "Theorem 17: pulse skew <= S"
+    claim = MONITOR_CATALOG[name]
     breach = "pulse skew exceeds the Theorem 17 bound S"
 
     def __init__(self, bound: float, honest_count: int) -> None:
@@ -322,7 +325,7 @@ class PeriodWindowMonitor(Monitor):
     """
 
     name = "period"
-    claim = "Theorem 17: periods within [P_min, P_max]"
+    claim = MONITOR_CATALOG[name]
 
     def __init__(
         self, p_min: float, p_max: float, honest_count: int
@@ -370,7 +373,7 @@ class ProgressMonitor(Monitor):
     """
 
     name = "progress"
-    claim = "Theorem 17 (liveness): every honest node pulses each round"
+    claim = MONITOR_CATALOG[name]
 
     def __init__(self, honest: Sequence[int], expected: int) -> None:
         super().__init__()
@@ -436,7 +439,7 @@ class TcbConsistencyMonitor(Monitor):
     """
 
     name = "tcb-consistency"
-    claim = "Lemma 11: acceptances of a dealer within the window"
+    claim = MONITOR_CATALOG[name]
 
     def __init__(self, window: float, honest_count: int) -> None:
         super().__init__()
@@ -505,7 +508,7 @@ class ApaContractionMonitor(Monitor):
     """
 
     name = "apa-contraction"
-    claim = "Theorem 9: honest range halves per APA iteration"
+    claim = MONITOR_CATALOG[name]
 
     def observe_ranges(self, ranges: Sequence[float]) -> None:
         for index in range(len(ranges) - 1):
@@ -552,10 +555,7 @@ class StabilizationMonitor(Monitor):
     """
 
     name = "stabilization"
-    claim = (
-        "Churn: scheduled recoveries occur and disrupted nodes "
-        "re-stabilize to the cohort"
-    )
+    claim = MONITOR_CATALOG[name]
 
     def __init__(
         self,

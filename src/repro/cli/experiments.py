@@ -17,10 +17,8 @@ import argparse
 import os
 from typing import List
 
-from repro.analysis import theory
 from repro.campaigns import available_campaigns, campaign_definition
 from repro.cli.execution import campaign_or_exit, execute_or_exit
-from repro.core.params import derive_parameters, max_faults
 
 
 def _experiment_ids() -> List[str]:
@@ -61,6 +59,8 @@ def _command_all(args: argparse.Namespace) -> int:
 
 
 def _command_params(args: argparse.Namespace) -> int:
+    from repro.analysis import theory
+    from repro.core.params import derive_parameters, max_faults
     from repro.sim.errors import ConfigurationError
 
     try:

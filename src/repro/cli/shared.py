@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import difflib
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro import did_you_mean
 
 
 def artifact_out(
@@ -40,10 +41,8 @@ def unknown_name_exit(
     name: str, noun: str, available: List[str]
 ) -> SystemExit:
     """A clean CLI error with a did-you-mean hint for close misses."""
-    close = difflib.get_close_matches(name, available, n=1)
-    hint = f" — did you mean {close[0]!r}?" if close else ""
     return SystemExit(
-        f"unknown {noun} {name!r}{hint} "
+        f"unknown {noun} {name!r}{did_you_mean(name, available)} "
         f"(available: {', '.join(available)})"
     )
 

@@ -45,7 +45,6 @@ so a typo fails before any trial runs.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -57,6 +56,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from repro import did_you_mean
 
 #: The scenario kinds the registry accepts, in display order.
 KINDS: Tuple[str, ...] = (
@@ -175,12 +176,8 @@ class ScenarioRegistry:
         except KeyError:
             pass
         known = self.keys(kind)
-        hint = ""
-        close = difflib.get_close_matches(key, known, n=1)
-        if close:
-            hint = f" — did you mean {close[0]!r}?"
         raise UnknownScenarioError(
-            f"unknown {kind} scenario {key!r}{hint} "
+            f"unknown {kind} scenario {key!r}{did_you_mean(key, known)} "
             f"(registered: {known})"
         )
 

@@ -743,6 +743,41 @@ class TestCampaignPorts:
 
         assert {"E1", "E4", "E5", "E6"} <= set(available_campaigns())
 
+    def test_every_builtin_resolves_its_spec_and_table(self):
+        from repro.analysis import experiments
+        from repro.campaigns import BUILTIN_CAMPAIGNS
+
+        for name, (stem, description) in BUILTIN_CAMPAIGNS.items():
+            definition = campaign_definition(name)
+            assert definition.description == description
+            assert definition.spec().name == name
+            assert callable(getattr(experiments, f"{stem}_table"))
+
+    def test_a_registered_campaign_is_listed_beside_the_builtins(self):
+        from repro.campaigns import (
+            BUILTIN_CAMPAIGNS,
+            CATALOG,
+            CampaignDefinition,
+            available_campaigns,
+            register_campaign,
+        )
+
+        definition = register_campaign(
+            CampaignDefinition(
+                "my-sweep",
+                spec=campaign_definition("E1").spec,
+                tabulate=campaign_definition("E1").tabulate,
+                description="a user's sweep",
+            )
+        )
+        try:
+            assert available_campaigns() == sorted(
+                [*BUILTIN_CAMPAIGNS, "MY-SWEEP"]
+            )
+            assert campaign_definition("My-Sweep") is definition
+        finally:
+            del CATALOG["MY-SWEEP"]
+
     def test_e1_store_replay_is_byte_stable(self, tmp_path):
         definition = campaign_definition("E1")
         store = ResultStore(tmp_path)

@@ -500,6 +500,31 @@ class TestChecksHook:
 # ----------------------------------------------------------------------
 
 
+class TestMonitorCatalog:
+    """checks/catalog.py is the one source of names, claims and modes."""
+
+    def test_every_monitor_reads_its_claim_from_the_catalog(self):
+        from repro.checks import Monitor, monitors
+
+        classes = [
+            value for value in vars(monitors).values()
+            if isinstance(value, type)
+            and issubclass(value, Monitor)
+            and value is not Monitor
+        ]
+        assert sorted(cls.name for cls in classes) == sorted(
+            MONITOR_CATALOG
+        )
+        for cls in classes:
+            assert cls.claim is MONITOR_CATALOG[cls.name]
+
+    def test_modes_name_only_catalog_monitors(self):
+        from repro.checks import MODE_MONITORS
+
+        named = [name for names in MODE_MONITORS.values() for name in names]
+        assert sorted(named) == sorted(MONITOR_CATALOG)
+
+
 class TestScenarioApplicability:
     def test_modes_cover_the_whole_registry(self):
         from repro.checks import MODE_MONITORS

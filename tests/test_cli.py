@@ -177,6 +177,23 @@ class TestErrorPaths:
             main(["campaign", "run", "STRES"])
 
     @pytest.mark.parametrize(
+        "argv,meant",
+        [
+            (["run", "e99"], "E9"),
+            (["campaign", "show", "stres"], "STRESS"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list)
+        else value,
+    )
+    def test_campaign_hint_ignores_case_as_lookup_does(self, argv, meant):
+        # ``repro run stress`` resolves, so a lowercase near miss gets
+        # the same hint as its uppercase spelling.
+        with pytest.raises(SystemExit, match=f"did you mean '{meant}'"):
+            main(argv)
+        with pytest.raises(SystemExit, match=f"did you mean '{meant}'"):
+            main([*argv[:-1], argv[-1].upper()])
+
+    @pytest.mark.parametrize(
         "command,flag",
         [
             (command, flag)

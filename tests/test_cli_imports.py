@@ -45,7 +45,10 @@ BEHIND_CATALOGS = (
     "repro.sim.vectorized", "repro.core.cps", "repro.campaigns.executor",
     "repro.campaigns.builders",
 )
-LISTINGS = [("scenarios", "list"), ("check", "list"), ("campaign", "list")]
+LISTINGS = [
+    ("scenarios", "list"), ("check", "list"), ("campaign", "list"),
+    ("list",),
+]
 
 #: Every package whose ``__init__`` is one ``lazy_exports`` table.
 LAZY_PACKAGES = (
@@ -113,6 +116,25 @@ class TestColdStartImports:
             if module != "repro"
             and not module.startswith(("repro.cli", "repro.scenarios"))
         ] == []
+
+    def test_the_check_listing_reads_its_catalog_alone(self):
+        _out, imported = _repro("check", "list")
+        assert [
+            module for module in _loaded(imported, ("repro",))
+            if not module.startswith("repro.scenarios")
+        ] == [
+            "repro", "repro.checks", "repro.checks.catalog", "repro.cli",
+            "repro.cli.check", "repro.cli.shared",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", [("campaign", "list"), ("list",)], ids=" ".join
+    )
+    def test_the_campaign_listings_build_no_experiment(self, argv):
+        # The ids and descriptions are a literal table in
+        # repro.campaigns; the specs behind them are not loaded.
+        _out, imported = _repro(*argv)
+        assert _loaded(imported, ("repro.analysis", "repro.core")) == []
 
     def test_a_command_imports_only_its_own_group(self):
         _out, imported = _repro("scenarios", "list")
