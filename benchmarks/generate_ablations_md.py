@@ -5,12 +5,12 @@ The document is *derived, not hand-maintained*: the component catalog
 comes from :mod:`repro.ablation.components` and every measured number
 from the committed ``results/ablation.json`` (written by ``repro ablate
 run``).  Nothing is executed, so the emission is deterministic and
-cheap enough for the ``scripts/verify.sh`` freshness check.
+cheap enough for the tier-1 freshness test
+(``tests/test_generated_docs.py``).
 
 Usage::
 
-    python benchmarks/generate_ablations_md.py           # rewrite
-    python benchmarks/generate_ablations_md.py --check   # exit 1 if stale
+    python benchmarks/generate_ablations_md.py
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ hand.  Regenerate with::
     repro ablate run                  # refresh results/ablation.json
     python benchmarks/generate_ablations_md.py
 
-`scripts/verify.sh` fails if the committed document is stale
-(`--check`), and the `ablation-smoke` CI job re-runs the whole matrix
-and fails if the committed JSON is not reproduced byte-identically.
+The tier-1 suite fails if the committed document is stale
+(`tests/test_generated_docs.py`), and re-runs the whole matrix, serial
+and on two workers, failing if the committed JSON is not reproduced
+byte-identically (`tests/test_ablation.py`).
 Inspect the matrix without executing anything via `repro ablate plan`
 and `repro ablate report`; pairwise interaction runs are available
 with `repro ablate run --pairwise`.

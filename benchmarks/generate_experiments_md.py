@@ -6,12 +6,12 @@ from the declarative :class:`~repro.campaigns.spec.CampaignSpec` tiers,
 scenario entries from the scenario registry
 (:mod:`repro.scenarios`), and the paper-vs-measured commentary from the
 :data:`COMMENTARY` table below.  No trials are executed, so the output
-is deterministic and cheap enough for a CI freshness check.
+is deterministic and cheap enough for the tier-1 freshness test
+(``tests/test_generated_docs.py``).
 
 Usage::
 
-    python benchmarks/generate_experiments_md.py           # rewrite
-    python benchmarks/generate_experiments_md.py --check   # exit 1 if stale
+    python benchmarks/generate_experiments_md.py
 
 Measured tables themselves are reproduced on demand (``repro run E4``,
 ``repro campaign run STRESS``, ``repro campaign run E4 --scale full``);
@@ -235,8 +235,8 @@ COMMENTARY = {
         "the **monitor-flip set**: which theorem bounds start failing "
         "per removed component (all six components flip at least one "
         "monitor; baselines all pass).  The committed artifact is "
-        "`results/ablation.json` (byte-stable; CI re-runs the matrix "
-        "and `git diff`s it), the generated catalog is "
+        "`results/ablation.json` (byte-stable; tier-1 re-runs the "
+        "matrix and compares the bytes), the generated catalog is "
         "`docs/ABLATIONS.md`, and the surface is `repro ablate "
         "plan|run|report` (pairwise interactions via `--pairwise`).",
     ),
@@ -259,7 +259,8 @@ registry; do not edit it by hand.  Regenerate with::
 
     python benchmarks/generate_experiments_md.py
 
-CI fails if the committed copy is stale (``--check``).  Reproduce the
+Tier-1 fails if the committed copy is stale
+(``tests/test_generated_docs.py``).  Reproduce the
 measured tables with ``repro run <id>`` / ``repro campaign run <id>``
 (``--scale full`` for the wide grids); committed CSV snapshots live in
 ``results/``.

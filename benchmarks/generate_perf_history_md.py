@@ -5,12 +5,12 @@ The document is *derived, not hand-maintained*: every number comes
 from ``results/perf_history.jsonl`` (one line per ``repro perf
 baseline``), and the table is rendered by the function ``repro perf
 list`` prints.  Nothing is executed, so the emission is deterministic
-and cheap enough for the ``scripts/verify.sh`` freshness check.
+and cheap enough for the tier-1 freshness test
+(``tests/test_generated_docs.py``).
 
 Usage::
 
-    python benchmarks/generate_perf_history_md.py           # rewrite
-    python benchmarks/generate_perf_history_md.py --check   # exit 1 if stale
+    python benchmarks/generate_perf_history_md.py
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ regenerate with::
     repro perf baseline --notes "why it moved" # append a line
     python benchmarks/generate_perf_history_md.py
 
-`scripts/verify.sh` fails if the committed document is stale
-(`--check`).  `repro perf list` prints the same table.
+The tier-1 suite fails if the committed document is stale
+(`tests/test_generated_docs.py`).  `repro perf list` prints the same
+table.
 """
 
 

@@ -18,11 +18,12 @@ segment tables (PR 17) and compared against ever since by
 
 A third capture, ``tests/data/clock_parity_full.txt``, holds the 48
 ``--full`` lines (taken at the commit before the vote read row
-extremes); CI's ``vectorized-diff`` job diffs a fresh run against it.
-Those runs are unobserved, so a deterministic policy's rounds are read
-from class extremes; ``tests/test_clock_table.py`` replays the n = 30
-lines under ``trace="full"``, which evaluates every round as dense
-blocks, so both sources answer to the one file.
+extremes); ``tests/test_clock_table.py`` compares a fresh ``--full``
+run with it byte for byte.  Those runs are unobserved, so a
+deterministic policy's rounds are read from class extremes; the same
+test file replays the n = 30 lines under ``trace="full"``, which
+evaluates every round as dense blocks, so both sources answer to the
+one file.
 
 Usage::
 
@@ -31,8 +32,6 @@ Usage::
                                               # n in {30, 400, 1500},
                                               # one line each, to diff
                                               # between two checkouts
-    python scripts/clock_parity.py --full | diff - \
-        tests/data/clock_parity_full.txt      # the CI gate
 
 Only ``--dump`` (or a new ``--full`` capture) at a commit whose
 numbers are *meant* to change.

@@ -100,7 +100,7 @@ repro check fixture --fixture results/fuzz/corpus/*.json
 repro check fixture --fixture results/fuzz/promoted/*.json
 repro ablate plan
 repro ablate run --tier quick --workers 2 --out {tmp}/ablation.json
-repro ablate run --tier quick --check
+repro ablate run --tier quick --out {tmp}/serial.json
 repro ablate run --tier quick --pairwise --out {tmp}/p.json
 repro ablate report --path {tmp}/ablation.json
 repro fuzz list
@@ -133,9 +133,9 @@ repro perf compare --current {tmp}/bench
 repro perf baseline --current {tmp}/bench --out {tmp}/h.jsonl
 repro perf overhead
 python examples/*.py
-python benchmarks/generate_experiments_md.py --check
-python benchmarks/generate_ablations_md.py --check
-python benchmarks/generate_perf_history_md.py --check
+python benchmarks/generate_experiments_md.py
+python benchmarks/generate_ablations_md.py
+python benchmarks/generate_perf_history_md.py
 python -m bench --workload event-stress --seconds 2
 python -m bench --workload event-judged --seconds 2
 python -m bench --workload vector-scale --seconds 2

@@ -10,8 +10,8 @@ carries a theorem".
 
 Payloads contain no wall-clock data and all floats are produced by the
 deterministic simulator, so :func:`ablation_payload_bytes` is
-byte-stable across runs, machines, and worker counts — the property the
-``ablation-smoke`` CI job asserts with ``git diff --exit-code``.
+byte-stable across runs, machines, and worker counts — the property
+``tests/test_ablation.py`` asserts against the committed artifact.
 """
 
 from __future__ import annotations

@@ -5,13 +5,13 @@
     component, optionally pairwise) and show every planned trial with
     its content-addressed case key.
 ``ablate run [--tier quick] [--workers 8] [--store DIR]
-[--out results/ablation.json] [--check]``
+[--out results/ablation.json]``
     Execute the matrix through the campaign engine, print the
     per-component importance table (monitor flips + skew deltas), and
-    write the byte-stable committed artifact — or, with ``--check``,
-    verify the committed copy is fresh (the CI gate).  A run narrowed
-    by ``--component`` / ``--pairwise`` / ``--tier`` / ``--seed``
-    rewrites the committed file only via ``--out``.
+    write the byte-stable committed artifact (tier-1's
+    ``tests/test_ablation.py`` re-runs it and compares the bytes).  A
+    run narrowed by ``--component`` / ``--pairwise`` / ``--tier`` /
+    ``--seed`` rewrites the committed file only via ``--out``.
 ``ablate report [--path results/ablation.json]``
     Render the committed importance artifact without executing
     anything.  Catalog semantics in ``docs/ABLATIONS.md``.
@@ -26,7 +26,6 @@ import os
 from repro.ablation import (
     AblationSpec,
     ablation_campaign_spec,
-    ablation_payload_bytes,
     ablation_report,
     planned_trials,
     render_ablation_table,
@@ -88,22 +87,6 @@ def _command_ablate_run(args: argparse.Namespace) -> int:
         for record in run.failures():
             print(f"  TRIAL ERROR {record.case_key}: {record.error}")
         return 1
-    if args.check:
-        path = args.out or DEFAULT_ABLATION
-        fresh = ablation_payload_bytes(payload)
-        try:
-            with open(path, "rb") as handle:
-                committed = handle.read()
-        except FileNotFoundError:
-            print(f"{path} is missing; run 'repro ablate run' "
-                  "to create it")
-            return 1
-        if committed != fresh:
-            print(f"{path} is stale; re-run 'repro ablate run' "
-                  "and commit the result")
-            return 1
-        print(f"{path} is up to date")
-        return 0
     out = artifact_out(
         args.out,
         DEFAULT_ABLATION,
@@ -129,7 +112,22 @@ def _command_ablate_report(args: argparse.Namespace) -> int:
             f"{args.path} not found; generate it with "
             f"'repro ablate run'"
         ) from None
-    print(render_ablation_table(payload).render())
+    except OSError as exc:
+        raise SystemExit(
+            f"{args.path} cannot be read: {exc.strerror}"
+        ) from None
+    except ValueError as exc:
+        raise SystemExit(
+            f"{args.path} is not valid JSON: {exc}"
+        ) from None
+    try:
+        table = render_ablation_table(payload)
+    except (KeyError, TypeError) as exc:
+        raise SystemExit(
+            f"{args.path} is not an ablation artifact "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
+    print(table.render())
     summary = payload.get("summary", {})
     flips = summary.get("flips", {})
     print()
@@ -187,11 +185,6 @@ def register_ablate(parser: argparse.ArgumentParser) -> None:
     ablate_run_parser.add_argument(
         "--out", default=None,
         help=f"importance artifact path (default {DEFAULT_ABLATION})",
-    )
-    ablate_run_parser.add_argument(
-        "--check", action="store_true",
-        help="verify --out matches the fresh payload byte-for-byte "
-        "instead of writing it (the CI freshness gate)",
     )
     ablate_run_parser.set_defaults(handler=_command_ablate_run)
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Iterator, List, Optional, Union
 
+from repro import did_you_mean
+
 
 class TraceLevel(IntEnum):
     """How much of an execution a :class:`Trace` records."""
@@ -46,22 +48,27 @@ class TraceLevel(IntEnum):
         """
         if value is None:
             return cls.FULL
+        names = [level.name.lower() for level in cls]
         if isinstance(value, bool):
             meant = "full" if value else "none"
             raise ValueError(
                 f"trace={value!r} is not a trace level — "
-                f"did you mean {meant!r}? (choose from "
-                f"{[level.name.lower() for level in cls]})"
+                f"did you mean {meant!r}? (choose from {names})"
             )
         if isinstance(value, str):
             try:
                 return cls[value.upper()]
             except KeyError:
                 raise ValueError(
-                    f"unknown trace level {value!r}; "
-                    f"choose from {[level.name.lower() for level in cls]}"
+                    f"unknown trace level {value!r}"
+                    f"{did_you_mean(value, names)}; choose from {names}"
                 ) from None
-        return cls(value)
+        try:
+            return cls(value)
+        except ValueError:
+            raise ValueError(
+                f"{value!r} is not a valid TraceLevel; choose from {names}"
+            ) from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -223,6 +223,19 @@ class TestCommittedArtifact:
             assert entry["baseline"]["error"] is None
             assert all(entry["baseline"]["monitors"].values())
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quick_matrix_reproduces_the_committed_bytes(
+        self, workers, tmp_path, capsys
+    ):
+        # The whole quick matrix, serial and pooled: regenerating the
+        # artifact must rewrite it byte for byte.
+        out_path = tmp_path / "ablation.json"
+        argv = ["ablate", "run", "--workers", str(workers)]
+        assert main([*argv, "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        with open(self.ARTIFACT, "rb") as handle:
+            assert out_path.read_bytes() == handle.read()
+
 
 class TestCli:
     def test_plan_lists_rows_without_executing(self, capsys):
@@ -298,6 +311,26 @@ class TestCli:
         missing = os.path.join(tmp_path, "nope.json")
         with pytest.raises(SystemExit, match="repro ablate run"):
             main(["ablate", "report", "--path", missing])
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("not json\n", "is not valid JSON: Expecting value"),
+            (None, "cannot be read"),  # the path is a directory
+            ("{}\n", "is not an ablation artifact (KeyError: 'scale')"),
+        ],
+    )
+    def test_report_of_a_bad_artifact_exits_in_one_line(
+        self, tmp_path, content, message
+    ):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "artifact.json"
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit) as raised:
+            main(["ablate", "report", "--path", str(path)])
+        text = raised.value.code
+        assert text.startswith(f"{path} {message}") and "\n" not in text
 
     def test_scenarios_show_renders_churn_schedule(self, capsys):
         assert (

@@ -17,9 +17,10 @@ table replaced or against the other layout:
   planted in a row or a draw;
 * whole vectorized runs (pulse streams, ``events_processed``,
   ``end_time``) are bit-identical to the parent's
-  (``tests/data/vectorized_runs.json``), and the n = 30 runs of CI's
-  ``clock_parity.py --full`` capture replay under a full trace, whose
-  dense blocks are the other source of each receiver's window extremes.
+  (``tests/data/vectorized_runs.json``), and so are the 48 unobserved
+  runs of ``clock_parity.py --full``; its n = 30 runs also replay under
+  a full trace, whose dense blocks are the other source of each
+  receiver's window extremes.
 """
 
 import importlib.util
@@ -59,10 +60,12 @@ def _parity_script():
     return module
 
 
+FULL_CAPTURE = os.path.join(ROOT, "tests", "data", "clock_parity_full.txt")
+
+
 def _full_capture(n):
     """The ``n{n}/...`` lines of ``tests/data/clock_parity_full.txt``."""
-    path = os.path.join(ROOT, "tests", "data", "clock_parity_full.txt")
-    with open(path) as handle:
+    with open(FULL_CAPTURE) as handle:
         entries = dict(line.split(" ", 1) for line in handle)
     return {
         key: json.loads(entry)
@@ -393,10 +396,16 @@ class TestRunsMatchTheParent:
             int(n[1:]), delay, drift, block_size
         ) == VECTORIZED_RUNS[key]
 
+    def test_unobserved_runs_print_the_full_capture(self, capsys):
+        # All 48 lines of ``clock_parity.py --full``, byte for byte.
+        assert PARITY.main(["--full"]) == 0
+        with open(FULL_CAPTURE, encoding="utf-8") as handle:
+            assert capsys.readouterr().out == handle.read()
+
     @pytest.mark.parametrize("key", sorted(FULL_CAPTURE_N30))
     def test_dense_blocks_replay_the_full_capture(self, key):
-        # CI diffs the unobserved runs against this file; observed, the
-        # same runs take the dense block for every round.
+        # The test above reads the unobserved runs; observed, the same
+        # runs take the dense block for every round.
         _, delay, drift = key.split("/")
         assert len(FULL_CAPTURE_N30) == 16
         assert PARITY.run_entry(

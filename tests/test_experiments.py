@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.experiments import run_experiment
 from repro.campaigns import available_campaigns, campaign_definition
+from repro.cli import main
 
 # sha256[:16] of Table.render() at quick scale.  FUZZ rows depend on the
 # Hypothesis version and E9-SCALE floats on numpy, so those two are run
@@ -34,6 +35,12 @@ QUICK_TABLE_DIGESTS = {
     "ABLATION": "1a3016b715ed6451",
 }
 IDS = (*QUICK_TABLE_DIGESTS, "FUZZ", "E9-SCALE")
+# The order `repro all` prints them in: A-series first, E1..E10 by number.
+CLI_ORDER = (
+    "A1", "A2", "A3", "ABLATION", "CHURN-STRESS",
+    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
+    "E9-SCALE", "FUZZ", "STRESS",
+)
 # The same digest at full scale, for tables that stay cheap there; E7's
 # full scale is the only one covering all six u_tilde values.  The CPS
 # builder tables (E3, E4, E8, E9, E10) take about 2 s together.
@@ -79,6 +86,15 @@ class TestRegistry:
         for table in tables.values():
             rendered = table.render()
             assert rendered
+
+    def test_cli_all_prints_every_table(self, tables, capsys):
+        # `repro all` reaches the tables through the CLI's execution
+        # path; through the digests above its stdout is pinned for
+        # every id but FUZZ and E9-SCALE.
+        assert main(["all", "--scale", "quick"]) == 0
+        assert capsys.readouterr().out == "".join(
+            tables[name].render() + "\n\n" for name in CLI_ORDER
+        )
 
     @pytest.mark.parametrize("name", QUICK_TABLE_DIGESTS)
     def test_quick_table_is_byte_stable(self, tables, name):

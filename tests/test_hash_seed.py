@@ -40,10 +40,10 @@ def _repro(hash_seed, *argv):
 
 
 def test_gated_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    with open(
-        os.path.join(ROOT, "results", "conformance.json"), "rb"
-    ) as handle:
-        committed = handle.read()
+    committed = {}
+    for name in ("conformance.json", "ablation.json"):
+        with open(os.path.join(ROOT, "results", name), "rb") as handle:
+            committed[name] = handle.read()
     stdout = {}
     for hash_seed in HASH_SEEDS:
         matrix = tmp_path / f"conformance-{hash_seed}.json"
@@ -51,8 +51,14 @@ def test_gated_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             hash_seed, "check", "matrix", "--scale", "quick",
             "--out", str(matrix),
         )
-        assert matrix.read_bytes() == committed, hash_seed
-        _repro(hash_seed, "ablate", "run", "--check")
+        assert matrix.read_bytes() == committed["conformance.json"], (
+            hash_seed
+        )
+        ablation = tmp_path / f"ablation-{hash_seed}.json"
+        _repro(hash_seed, "ablate", "run", "--out", str(ablation))
+        assert ablation.read_bytes() == committed["ablation.json"], (
+            hash_seed
+        )
         stdout[hash_seed] = (
             _repro(hash_seed, "run", "E4"),
             _repro(hash_seed, "check", "fixture"),

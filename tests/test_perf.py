@@ -396,6 +396,25 @@ class TestTraceLevels:
         with pytest.raises(ValueError, match="did you mean 'full'"):
             Trace(True)
 
+    def test_coerce_hints_a_close_name(self):
+        with pytest.raises(ValueError) as raised:
+            TraceLevel.coerce("ful")
+        assert str(raised.value) == (
+            "unknown trace level 'ful' — did you mean 'full'?; "
+            "choose from ['none', 'pulses', 'full']"
+        )
+        with pytest.raises(ValueError) as raised:
+            TraceLevel.coerce("verbose")
+        assert "did you mean" not in str(raised.value)
+
+    def test_coerce_lists_the_choices_for_a_bad_number(self):
+        with pytest.raises(ValueError) as raised:
+            TraceLevel.coerce(7)
+        assert str(raised.value) == (
+            "7 is not a valid TraceLevel; "
+            "choose from ['none', 'pulses', 'full']"
+        )
+
     def test_levels_gate_record_kinds(self):
         pulses_only = Trace(level="pulses")
         pulses_only.protocol(time=1.0, node=0, kind="k", details=None)
