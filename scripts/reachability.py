@@ -112,8 +112,6 @@ repro fuzz promote {tmp}/fuzz/*.json --dest {tmp}/promoted
 repro campaign run STRESS --workers 2 --store {tmp}/s --perf \
     --telemetry --progress
 repro campaign run STRESS --backend event --csv {tmp}/s.csv
-repro campaign run STRESS --workers 2 --timeout 30
-repro campaign run STRESS --workers 2 --timeout 0.001
 repro campaign enqueue STRESS --queue {tmp}/q --store {tmp}/qs
 repro campaign worker --queue {tmp}/q --store {tmp}/qs
 repro store list --store {tmp}/qs

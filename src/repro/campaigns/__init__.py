@@ -8,8 +8,8 @@ transport; the subsystem's five modules are:
     per-scale tiers, deterministic per-case seeds, content hashes.
 ``executor``
     :func:`execute_campaign` — the one core: replay cached case keys,
-    run the misses in-process or on a process pool (chunking, per-trial
-    timeouts, failure tabulation), persist, assemble in plan order.
+    run the misses in-process or on a process pool (chunking, failure
+    tabulation), persist, assemble in plan order.
 ``store``
     :class:`ResultStore` — content-addressed, shard-aware JSONL
     records enabling cache replay, resume, and multi-writer merges.

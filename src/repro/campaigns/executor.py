@@ -21,20 +21,14 @@ identical records:
   execution and new records are appended as soon as their chunk
   completes, so an interrupted campaign resumes where it stopped.
 
-The pool transport is one loop over pool generations; a per-trial
-``timeout`` is a parameter of that loop, not a second one.  It always
-runs on a process pool, ``workers=1`` included (an in-process trial
-cannot be preempted): a chunk is given ``timeout * len(chunk)``,
-measured from the moment a worker actually *starts* the chunk, and
-tabulated as timeout errors if exceeded.
+The pool transport is one submit-and-read loop: every chunk is
+submitted at once and the futures are read in chunk order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import (
@@ -50,11 +44,6 @@ from typing import (
 from repro.campaigns.spec import CampaignSpec, TrialPlan
 from repro.campaigns.store import TrialRecord
 
-#: How often the parent re-checks chunk start stamps while waiting on a
-#: budgeted future.  Bounds timeout-detection latency, not throughput.
-_POLL_SECONDS = 0.05
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """How a campaign is scheduled.
@@ -62,18 +51,6 @@ class ExecutionPolicy:
     ``workers == 1`` runs in-process; larger values use a
     ``ProcessPoolExecutor`` with ``chunk_size`` plans per task: every
     chunk is submitted at once and the futures are read in order.
-    ``timeout`` is the per-trial budget in seconds; it needs a process
-    to preempt, so with a timeout ``workers == 1`` is a one-worker
-    pool.  It is enforced per *chunk* (``timeout * len(chunk)``)
-    against the chunk's own execution time (stamped by the worker when
-    it starts, so queue-wait behind a slow sibling is never charged),
-    and one slow trial can still tabulate its whole chunk as timed
-    out; pair ``timeout`` with ``chunk_size=1`` when per-trial
-    precision matters.
-    Workers hung past their budget are terminated so the pool shutdown
-    cannot block indefinitely, and the chunks they had not finished run
-    in a fresh pool generation.  Only a timeout starts the manager
-    process that carries the stamps, and only then does the parent poll.
 
     ``queue`` switches the transport to the elastic work queue: the
     run's misses are published as leases under the given directory
@@ -87,7 +64,6 @@ class ExecutionPolicy:
 
     workers: int = 1
     chunk_size: int = 4
-    timeout: Optional[float] = None
     queue: Optional[str] = None
     worker_id: Optional[str] = None
     lease_ttl: float = 60.0
@@ -100,8 +76,6 @@ class ExecutionPolicy:
             )
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
         if self.lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
 
@@ -178,23 +152,9 @@ def prepare_tasks(
 
 
 def _run_batch(
-    function: Callable[[Any], Any],
-    items: Sequence[Any],
-    stamps: Any = None,
-    index: Optional[int] = None,
+    function: Callable[[Any], Any], items: Sequence[Any]
 ) -> List[Any]:
-    """Top-level pool task (must be picklable by reference).
-
-    Under a budget ``stamps`` is a manager-dict proxy shared with the
-    parent and the task stamps its own start time before running; the
-    stamp is what lets the parent charge the chunk's budget against
-    *execution* time instead of time-in-queue — a chunk stuck behind a
-    hung sibling has no stamp and is never tabulated as timed out.
-    ``time.monotonic`` is a system-wide clock on the platforms we
-    support, so parent and worker readings are comparable.
-    """
-    if stamps is not None:
-        stamps[index] = time.monotonic()
+    """Top-level pool task (must be picklable by reference)."""
     return [function(item) for item in items]
 
 
@@ -208,21 +168,15 @@ def map_trials(
     """Order-preserving serial/pool map with pool-level failure hooks.
 
     ``on_error(item, exc)`` supplies a substitute result when an item (or
-    its whole chunk, for timeouts and broken pools) fails; the default
-    re-raises.  ``on_result`` is invoked for each result as soon as it is
-    available (the hook behind incremental store writes).  In pool mode
-    ``function`` and ``items`` must be picklable — module-level functions
-    and plain-data items.
+    its whole chunk, for a broken pool) fails; the default re-raises.
+    ``on_result`` is invoked for each result as soon as it is available
+    (the hook behind incremental store writes).  In pool mode
+    ``function`` and ``items`` must be picklable — module-level
+    functions and plain-data items.
 
-    Two paths: in-process, or pool generations
-    (:func:`_pool_generation`).  Without a timeout the pool path is one
-    generation — submit every chunk, read the futures in order — and
-    starts no manager process; with one, workers stamp each chunk's
-    start into a shared manager dict and a generation torn down for a
-    hung chunk hands its unfinished chunks to the next.  Each torn-down
-    generation tabulates at least one chunk, so the loop terminates.
-    Batches are emitted in chunk order, each as soon as every earlier
-    chunk has settled.
+    Two paths: in-process, or one pool that gets every chunk at once
+    and whose futures are read in chunk order, so each batch is
+    emitted as soon as every earlier chunk has settled.
     """
     policy = policy or ExecutionPolicy()
     if on_error is None:
@@ -236,12 +190,7 @@ def map_trials(
         if on_result is not None:
             on_result(result)
 
-    # Serial only without a budget: an in-process trial cannot be
-    # preempted, so a requested timeout always gets a pool — a
-    # one-worker pool for workers=1, a pool for a single item.
-    if policy.timeout is None and (
-        policy.workers <= 1 or len(items) <= 1
-    ):
+    if policy.workers <= 1 or len(items) <= 1:
         for item in items:
             try:
                 result = function(item)
@@ -257,122 +206,23 @@ def map_trials(
         list(items[start:start + policy.chunk_size])
         for start in range(0, len(items), policy.chunk_size)
     ]
-    batches: Dict[int, List[Any]] = {}
-    next_emit = 0
-
-    def settle(index: int, batch: List[Any]) -> None:
-        nonlocal next_emit
-        batches[index] = batch
-        while next_emit in batches:
-            for result in batches.pop(next_emit):
-                emit(result)
-            next_emit += 1
-
-    with ExitStack() as stack:
-        stamps = None
-        if policy.timeout is not None:
-            manager = stack.enter_context(multiprocessing.Manager())
-            stamps = manager.dict()
-        pending = list(range(len(chunks)))
-        while pending:
-            pending = _pool_generation(
-                function, chunks, pending, policy, stamps, settle,
-                on_error,
-            )
-            # Only a budgeted generation leaves work behind.  A stale
-            # stamp would bill a resubmitted chunk for its previous,
-            # terminated attempt.
-            for index in pending:
-                stamps.pop(index, None)
-    return results
-
-
-def _pool_generation(
-    function: Callable[[Any], Any],
-    chunks: List[List[Any]],
-    pending: List[int],
-    policy: ExecutionPolicy,
-    stamps: Any,
-    settle: Callable[[int, List[Any]], None],
-    on_error: Callable[[Any, BaseException], Any],
-) -> List[int]:
-    """One pool generation over ``pending``; returns what to resubmit.
-
-    Waits on the head future — indefinitely without a budget, in
-    ``_POLL_SECONDS`` slices with one — and settles it when done.
-    Between slices a started chunk is billed once ``now - start``
-    exceeds ``timeout * len(chunk)``; a chunk still waiting for a
-    worker carries no stamp and is never charged.  A billed chunk
-    forces the pool down: whatever else finished is harvested, and
-    every started-but-unfinished and never-started chunk is returned,
-    so innocent work queued behind the hang runs in the next
-    generation instead of being billed for it.
-    """
-    poll = None if policy.timeout is None else _POLL_SECONDS
     pool = ProcessPoolExecutor(max_workers=policy.workers)
-    overdue: set = set()
-    leftover: List[int] = []
     try:
-        futures = {
-            index: pool.submit(
-                _run_batch, function, chunks[index], stamps, index
-            )
-            for index in pending
-        }
-
-        def harvest(index: int) -> None:
+        futures = [
+            pool.submit(_run_batch, function, chunk) for chunk in chunks
+        ]
+        for chunk, future in zip(chunks, futures):
             try:
-                batch = futures[index].result()
-            except Exception as exc:  # noqa: BLE001 - broken pool
-                batch = [on_error(item, exc) for item in chunks[index]]
-            settle(index, batch)
-
-        waiting = deque(pending)
-        while waiting:
-            head = waiting[0]
-            # wait(), not result(timeout=): a TimeoutError raised by
-            # the task itself is a failure of the task, not a poll tick.
-            if wait([futures[head]], timeout=poll).done:
-                harvest(head)
-                waiting.popleft()
-                continue
-            now = time.monotonic()
-            started = stamps.copy()
-            overdue = {
-                index
-                for index in waiting
-                if not futures[index].done()
-                and index in started
-                and now - started[index]
-                > policy.timeout * len(chunks[index])
-            }
-            if not overdue:
-                continue
-            late = TimeoutError(
-                f"trial chunk exceeded {policy.timeout}s per trial"
-            )
-            for index in waiting:
-                if index in overdue:
-                    settle(
-                        index,
-                        [on_error(item, late) for item in chunks[index]],
-                    )
-                elif futures[index].done():
-                    harvest(index)
-                else:
-                    leftover.append(index)
-            break
+                batch = future.result()
+            except Exception as exc:  # noqa: BLE001 - task or broken pool
+                batch = [on_error(item, exc) for item in chunk]
+            for result in batch:
+                emit(result)
     finally:
-        if overdue:
-            # shutdown(wait=True) would block on the hung worker until
-            # its trial returns — possibly forever.  Every outstanding
-            # chunk is either settled or resubmitted, so kill the
-            # workers.
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                process.terminate()
+        # An on_result failure leaves chunks unread: drop the ones no
+        # worker has started instead of running them for nothing.
         pool.shutdown(wait=True, cancel_futures=True)
-    return leftover
+    return results
 
 
 @dataclass
@@ -400,7 +250,9 @@ class CampaignRun:
         )
 
 
-def _timeout_record(plan: TrialPlan, exc: BaseException) -> TrialRecord:
+def _pool_failure_record(
+    plan: TrialPlan, exc: BaseException
+) -> TrialRecord:
     return TrialRecord(
         campaign=plan.campaign,
         builder=plan.builder,
@@ -428,9 +280,9 @@ def execute_campaign(
     under the campaign's :meth:`~CampaignSpec.spec_key`, so re-running a
     completed campaign executes zero new trials and an interrupted one
     resumes with only the missing cases.  Builder failures are
-    deterministic and are cached like successes; pool-level failures
-    (timeouts, broken pools) are environment artifacts and are *not*
-    persisted, so a later run retries them.
+    deterministic and are cached like successes; a broken pool's
+    failures are environment artifacts and are *not* persisted, so a
+    later run retries them.
 
     ``telemetry`` routes executed trials through the telemetry wrapper
     (:func:`~repro.telemetry.campaign.run_instrumented`) — an
@@ -441,11 +293,9 @@ def execute_campaign(
     available (after the incremental store write); ``done`` counts
     cache replays as already complete.
 
-    Queue transport keeps three rules, because they are its protocol:
-    it needs a store (workers coordinate through it), always reuses it
-    (skipping persisted case keys *is* crash recovery), and excludes
-    ``timeout`` (a transient failure must not enter the store, and the
-    store is the only channel back).
+    Queue transport keeps two rules, because they are its protocol:
+    it needs a store (workers coordinate through it) and always reuses
+    it (skipping persisted case keys *is* crash recovery).
     """
     policy = policy or ExecutionPolicy()
     queued = policy.queue is not None
@@ -459,11 +309,6 @@ def execute_campaign(
             raise ValueError(
                 "queue execution always reuses the store (workers skip "
                 "persisted case keys); clear the store to force re-runs"
-            )
-        if policy.timeout is not None:
-            raise ValueError(
-                "per-trial timeouts are not supported in queue mode "
-                "(stale-lease reclaim bounds lost work instead)"
             )
     plans = spec.trials_for(scale)
     key = spec.spec_key(scale) if store is not None else None
@@ -492,7 +337,7 @@ def execute_campaign(
     def pool_failure(task: Any, exc: BaseException) -> TrialRecord:
         plan = task[0]
         transient.add(plan.case_key)
-        return _timeout_record(plan, exc)
+        return _pool_failure_record(plan, exc)
 
     def persist(record: TrialRecord) -> None:
         nonlocal done, write

@@ -32,7 +32,11 @@ from repro.ablation import (
 )
 from repro.campaigns.store import dump_json_summary
 from repro.cli.execution import execute_or_exit, execution_flags
-from repro.cli.shared import artifact_out, execution_parent
+from repro.cli.shared import (
+    artifact_out,
+    execution_parent,
+    output_or_exit,
+)
 
 DEFAULT_ABLATION = os.path.join("results", "ablation.json")
 
@@ -75,6 +79,8 @@ def _command_ablate_plan(args: argparse.Namespace) -> int:
 
 
 def _command_ablate_run(args: argparse.Namespace) -> int:
+    if args.out:
+        output_or_exit(args.out)
     spec = _ablation_spec(args)
     run = execute_or_exit(
         ablation_campaign_spec(spec), args.tier, **execution_flags(args)

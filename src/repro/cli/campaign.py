@@ -5,7 +5,7 @@
 ``campaign show E4 [--scale full] [--store results/store]``
     Describe a campaign's grid, trial count, spec key, and cache state.
 ``campaign run E4 [--scale] [--workers 8] [--store DIR] [--fresh]
-[--timeout S] [--csv out.csv]``
+[--csv out.csv]``
     Execute a campaign through the sweep engine — serially or on a
     process pool — replaying cached trials from the result store, then
     print its table and execution summary.  ``--queue DIR`` switches
@@ -41,6 +41,7 @@ from repro.cli.execution import (
 from repro.cli.shared import (
     backend_parent,
     execution_parent,
+    output_or_exit,
     store_or_exit,
 )
 
@@ -95,6 +96,8 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
             "--fresh is incompatible with --queue (workers skip "
             "persisted case keys); clear the store instead"
         )
+    if args.csv:
+        output_or_exit(args.csv)
     flags = execution_flags(args, "queue", "worker_id", "lease_ttl")
     definition = campaign_or_exit(args.campaign)
     spec = definition.spec()

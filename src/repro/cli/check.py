@@ -36,6 +36,7 @@ from repro.checks import MONITOR_CATALOG, applicable_monitors
 from repro.cli.shared import (
     artifact_out,
     backend_parent,
+    output_or_exit,
     unknown_name_exit,
 )
 
@@ -145,6 +146,8 @@ def _command_check_matrix(args: argparse.Namespace) -> int:
     from repro.campaigns.store import dump_json_summary
     from repro.checks import conformance_matrix, render_matrix
 
+    if args.out:
+        output_or_exit(args.out)
     kinds = args.kind if args.kind else None
     backend = resolve_backend(args.backend)
     payload = conformance_matrix(

@@ -31,7 +31,7 @@ def execution_flags(
     return {
         "policy": {
             name: getattr(args, name)
-            for name in ("workers", "chunk_size", "timeout", *queue_flags)
+            for name in ("workers", "chunk_size", *queue_flags)
         },
         "store": store_or_exit(args.store) if args.store else None,
         "fresh": args.fresh,

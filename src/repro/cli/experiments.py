@@ -19,6 +19,7 @@ from typing import List
 
 from repro.campaigns import available_campaigns, campaign_definition
 from repro.cli.execution import campaign_or_exit, execute_or_exit
+from repro.cli.shared import output_or_exit
 
 
 def _experiment_ids() -> List[str]:
@@ -33,6 +34,8 @@ def _command_list(_args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    if args.csv:
+        output_or_exit(args.csv)
     definition = campaign_or_exit(args.experiment, noun="experiment")
     table = definition.tabulate(
         execute_or_exit(definition.spec(), args.scale)
@@ -45,6 +48,8 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_all(args: argparse.Namespace) -> int:
+    if args.out:
+        output_or_exit(args.out, directory=True)
     for name in _experiment_ids():
         definition = campaign_definition(name)
         table = definition.tabulate(
@@ -53,7 +58,6 @@ def _command_all(args: argparse.Namespace) -> int:
         print(table.render())
         print()
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
             table.to_csv(os.path.join(args.out, f"{name.lower()}.csv"))
     return 0
 

@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 
-from repro.cli.shared import unknown_name_exit
+from repro.cli.shared import output_or_exit, unknown_name_exit
 from repro.fuzz import (
     list_fixtures,
     load_fixture,
@@ -45,6 +45,7 @@ from repro.fuzz.driver import (
 
 
 def _command_fuzz_run(args: argparse.Namespace) -> int:
+    output_or_exit(args.out, directory=True)
     try:
         report = search(
             strategy=args.strategy,
@@ -117,6 +118,7 @@ def _command_fuzz_replay(args: argparse.Namespace) -> int:
 
 
 def _command_fuzz_promote(args: argparse.Namespace) -> int:
+    output_or_exit(args.dest, directory=True)
     payload = load_fixture_or_exit(args.fixture)
     path = promote_fixture(payload, directory=args.dest)
     print(f"promoted fuzz-{payload['fixture_id']} -> {path}")

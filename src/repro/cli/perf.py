@@ -53,6 +53,10 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_baseline(args: argparse.Namespace) -> int:
+    # Imported here: ``perf list`` / ``compare`` load no other cli module.
+    from repro.cli.shared import output_or_exit
+
+    output_or_exit(args.out)
     line = recording(read_results(args.current), notes=args.notes)
     append_history(args.out, line)
     print(f"appended {len(line['workloads'])} workload(s) to {args.out}")

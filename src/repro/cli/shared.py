@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import did_you_mean
@@ -58,6 +59,21 @@ def store_or_exit(root: str):
         raise SystemExit(str(exc)) from None
 
 
+def output_or_exit(path: str, directory: bool = False) -> None:
+    """Make the directory an output goes to (``path`` itself, or its
+    parent for a file), or exit in one line naming ``path`` when that
+    cannot be done — before anything runs, not after all the work."""
+    folder = path if directory else os.path.dirname(path) or "."
+    try:
+        os.makedirs(folder, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(
+            f"cannot write {path!r}: {exc.strerror}: {exc.filename!r}"
+        ) from None
+    if not directory and os.path.isdir(path):
+        raise SystemExit(f"cannot write {path!r}: it is a directory")
+
+
 def backend_parent() -> argparse.ArgumentParser:
     """The ``--backend`` flag shared by every simulation-executing
     subcommand (``campaign run``, ``check run``, ``check matrix``),
@@ -85,10 +101,6 @@ def execution_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--chunk-size", type=int, default=4,
         help="trials per pool task",
-    )
-    parent.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial timeout in seconds (runs on a process pool)",
     )
     parent.add_argument(
         "--store", help="result-store directory (enables cache replay)"

@@ -21,7 +21,11 @@ from typing import List, Optional
 
 from repro.campaigns.store import dump_json_summary
 from repro.cli.execution import campaign_or_exit
-from repro.cli.shared import store_or_exit, unknown_name_exit
+from repro.cli.shared import (
+    output_or_exit,
+    store_or_exit,
+    unknown_name_exit,
+)
 from repro.telemetry import METRIC_CATALOG, available_metrics
 from repro.telemetry.campaign import (
     aggregate_payloads,
@@ -91,6 +95,8 @@ def _command_telemetry_show(args: argparse.Namespace) -> int:
 
 
 def _command_telemetry_aggregate(args: argparse.Namespace) -> int:
+    if args.out:
+        output_or_exit(args.out)
     paths = sorted(
         glob.glob(os.path.join(args.store, "*.telemetry.json"))
     )

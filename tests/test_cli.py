@@ -29,8 +29,30 @@ _ADAPTIVE_FLAGS = (
 #: Flags each command no longer has.
 REMOVED_FLAGS = {
     "campaign-run": _ADAPTIVE_FLAGS
-    + (["--profile"], ["--profile-top", "3"], ["--resume"]),
-    "ablate-run": _ADAPTIVE_FLAGS,
+    + (
+        ["--profile"], ["--profile-top", "3"], ["--resume"],
+        ["--timeout", "5"],
+    ),
+    "ablate-run": _ADAPTIVE_FLAGS + (["--timeout", "5"],),
+}
+
+#: Every command writing an output path, with ``{out}`` for the path.
+WRITING = {
+    "check-matrix": ["check", "matrix", "--kind", "delay", "--out", "{out}"],
+    "ablate-run": ["ablate", "run", "--out", "{out}"],
+    "run": ["run", "E2", "--csv", "{out}"],
+    "campaign-run": ["campaign", "run", "E2", "--csv", "{out}"],
+    "all": ["all", "--out", "{out}"],
+    "fuzz-run": ["fuzz", "run", "--budget", "5", "--out", "{out}"],
+    "fuzz-promote": [
+        "fuzz", "promote",
+        "results/fuzz/promoted/fuzz-89ee3cb088aca93d.json",
+        "--dest", "{out}",
+    ],
+    "telemetry-aggregate": [
+        "telemetry", "aggregate", "--store", ".", "--out", "{out}",
+    ],
+    "perf-baseline": ["perf", "baseline", "--out", "{out}"],
 }
 
 
@@ -157,10 +179,6 @@ class TestErrorPaths:
         with pytest.raises(SystemExit, match="did you mean 'full'"):
             main(["campaign", command, "E4", "--scale", "fulll"])
 
-    def test_nonpositive_timeout_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="timeout must be positive"):
-            main(["campaign", "run", "E4", "--timeout", "-1"])
-
     @pytest.mark.parametrize("command", ["show", "run"])
     def test_store_that_is_a_file_exits_before_any_trial(
         self, tmp_path, capsys, command
@@ -171,6 +189,23 @@ class TestErrorPaths:
             main(["campaign", command, "E4", "--store", str(path)])
         assert capsys.readouterr().out == ""
         assert path.read_text() == "not a store\n"
+
+    @pytest.mark.parametrize("command", sorted(WRITING))
+    def test_output_under_a_file_exits_before_any_work(
+        self, tmp_path, capsys, command
+    ):
+        # The parent is a regular file: one line naming the path, and
+        # nothing printed, run or written first.
+        parent = tmp_path / "notes.txt"
+        parent.write_text("not a directory\n")
+        out = str(parent / "out")
+        argv = [out if arg == "{out}" else arg for arg in WRITING[command]]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert str(info.value.code).startswith(f"cannot write {out!r}")
+        assert "\n" not in str(info.value.code)
+        assert capsys.readouterr().out == ""
+        assert parent.read_text() == "not a directory\n"
 
     def test_unknown_campaign_suggests_close_match(self):
         with pytest.raises(SystemExit, match="did you mean 'STRESS'"):
@@ -203,9 +238,9 @@ class TestErrorPaths:
         ids=lambda value: value if isinstance(value, str) else value[0],
     )
     def test_removed_flag_is_refused(self, capsys, command, flag):
-        # Adaptive sampling, per-trial --profile and the no-op --resume
-        # are gone: a script still passing one fails loudly in the
-        # parser instead of running something else.
+        # Adaptive sampling, per-trial --profile and --timeout and the
+        # no-op --resume are gone: a script still passing one fails
+        # loudly in the parser instead of running something else.
         with pytest.raises(SystemExit) as info:
             main(EXECUTING[command] + flag)
         assert info.value.code == 2
@@ -522,14 +557,6 @@ class TestScalingCli:
         with pytest.raises(SystemExit, match=message) as info:
             main(EXECUTING[command] + flag)
         assert "\n" not in str(info.value.code)
-
-    def test_queue_rejects_timeout(self, tmp_path):
-        # The third queue rule: the store is the only channel back, and
-        # a timeout's transient failure must not enter it.
-        args = ["campaign", "run", "E1", "--queue", str(tmp_path / "q")]
-        args += ["--store", str(tmp_path / "store"), "--timeout", "5"]
-        with pytest.raises(SystemExit, match="timeouts are not supported"):
-            main(args)
 
     def test_worker_without_enqueue_exits(self, tmp_path):
         store = os.path.join(tmp_path, "store")

@@ -5,9 +5,10 @@ parser and of every group/subcommand parser, captured at 80 columns
 from the single-module CLI; since then the top-level entry has gained
 the ``--version`` flag and a reworded ``perf`` line, and ``campaign
 run`` / ``ablate run`` have lost the adaptive-sampling, ``--profile``
-and ``--resume`` flags, and ``ablate run`` its ``--check`` (regenerate
-with ``python tests/test_cli_parity.py``, only when a flag or help
-string changes on purpose, and read the fixture's diff).  argparse's
+and ``--resume`` flags and then ``--timeout``, and ``ablate run`` its
+``--check`` (regenerate with ``python tests/test_cli_parity.py``, only
+when a flag or help string changes on purpose, and read the fixture's
+diff).  argparse's
 layout varies between Python minors, so the byte comparison runs on
 the minor the fixture was captured with; the set of parsers is
 compared everywhere.

@@ -376,21 +376,13 @@ class TestQueueCoordinator:
                 policy=ExecutionPolicy(queue=str(tmp_path / "q")),
             )
 
-    def test_queue_mode_rejects_fresh_and_timeout(self, tmp_path):
+    def test_queue_mode_rejects_fresh(self, tmp_path):
         spec = _log_spec(tmp_path / "log")
         store = ResultStore(tmp_path / "store")
         policy = ExecutionPolicy(queue=str(tmp_path / "q"))
         with pytest.raises(ValueError, match="reuses the store"):
             execute_campaign(
                 spec, policy=policy, store=store, reuse=False
-            )
-        with pytest.raises(ValueError, match="timeouts are not"):
-            execute_campaign(
-                spec,
-                policy=ExecutionPolicy(
-                    queue=str(tmp_path / "q"), timeout=1.0
-                ),
-                store=store,
             )
 
     def test_coordinator_matches_pool_run(self, tmp_path):
