@@ -599,12 +599,14 @@ class TestExecutorParallel:
         assert second.failed == 0
         assert [r.metrics for r in second.records] == [{"x": 1}, {"x": 2}]
 
-    def test_a_task_raising_timeout_error_is_a_task_failure(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_task_raising_timeout_error_is_a_task_failure(self, workers):
         # A TimeoutError is the task's own failure, tabulated through
-        # on_error like any other exception it raises.
+        # on_error like any other exception it raises, on the serial
+        # path and in the pool alike.
         from repro.campaigns import map_trials
 
-        policy = ExecutionPolicy(workers=2, chunk_size=1)
+        policy = ExecutionPolicy(workers=workers, chunk_size=1)
         assert map_trials(
             _raise_timeout, [1, 2], policy,
             on_error=lambda item, exc: (item, str(exc)),

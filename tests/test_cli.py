@@ -207,6 +207,22 @@ class TestErrorPaths:
         assert capsys.readouterr().out == ""
         assert parent.read_text() == "not a directory\n"
 
+    def test_output_that_is_a_directory_exits_before_any_work(
+        self, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "E2", "--csv", str(tmp_path)])
+        assert info.value.code == (
+            f"cannot write {str(tmp_path)!r}: it is a directory"
+        )
+        assert capsys.readouterr().out == ""
+
+    def test_output_into_a_missing_directory_makes_it(self, tmp_path, capsys):
+        out = tmp_path / "new" / "e2.csv"
+        assert main(["run", "E2", "--csv", str(out)]) == 0
+        assert "E2" in capsys.readouterr().out
+        assert out.read_text().count("\n") > 1
+
     def test_unknown_campaign_suggests_close_match(self):
         with pytest.raises(SystemExit, match="did you mean 'STRESS'"):
             main(["campaign", "run", "STRES"])
