@@ -88,9 +88,7 @@ COMMENTARY = {
         "at `f = 4` the attack pins each honest group to a different "
         "honest extreme, contraction stops, and the steady skew exceeds "
         "the bound. CPS stays within its bound for every "
-        "`f <= 4 = ceil(9/2)-1`.  The `stress` tier re-asks the question "
-        "under registry-named delay policies (eclipse, flickering "
-        "partition) instead of only the static timing split.",
+        "`f <= 4 = ceil(9/2)-1`.",
     ),
     "E6": (
         "Introduction comparison — all four algorithm families",

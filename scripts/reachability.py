@@ -103,12 +103,10 @@ repro ablate run --tier quick --workers 2 --out {tmp}/ablation.json
 repro ablate run --tier quick --out {tmp}/serial.json
 repro ablate run --tier quick --pairwise --out {tmp}/p.json
 repro ablate report --path {tmp}/ablation.json
-repro fuzz list
 repro fuzz run --strategy valid --budget 25 --out {tmp}/fuzz
 repro fuzz run --strategy known-bad --budget 25 --out {tmp}/fuzz
 repro fuzz run --strategy churn --budget 25 --out {tmp}/fuzz
-repro fuzz replay {tmp}/fuzz/*.json
-repro fuzz promote {tmp}/fuzz/*.json --dest {tmp}/promoted
+repro check fixture --fixture {tmp}/fuzz/*.json
 repro campaign run STRESS --workers 2 --store {tmp}/s --perf \
     --telemetry --progress
 repro campaign run STRESS --backend event --csv {tmp}/s.csv

@@ -26,9 +26,8 @@ or a table imports the campaign layer, builders and baselines it uses
 when it is called.
 
 ``scale="quick"`` keeps runtimes in seconds (CI-friendly);
-``scale="full"`` covers wider sweeps; any other tier a spec declares
-(E5, STRESS and E9-SCALE define ``"stress"``) is reachable through
-``repro campaign run``.
+``scale="full"`` covers wider sweeps.  Those are the only tiers: every
+one is run by a gate.
 """
 
 from __future__ import annotations
@@ -289,45 +288,32 @@ e4_table = _table(
 
 
 def e5_campaign() -> CampaignSpec:
-    """Same timing attack against CPS and LW for f = 0..ceil(n/2)-1.
-
-    The ``stress`` tier additionally crosses the grid with registry-named
-    delay policies — the same resilience question asked under an eclipse
-    and a flickering partition instead of only the static timing split.
-    """
+    """Same timing attack against CPS and LW for f = 0..ceil(n/2)-1."""
     n = 9
     grid = {
         "f": tuple(range(max_faults(n) + 1)),
         "algorithm": ("CPS", "Lynch-Welch"),
     }
-    delays = ("skewing", "eclipse", "flicker-partition")
     return _campaign(
         "E5",
         "cps-vs-lw-resilience",
-        {"quick": (30, 8), "full": (60, 8), "stress": (40, 8)},
+        {"quick": (30, 8), "full": (60, 8)},
         base={"n": n, "theta": 1.001, "d": 1.0, "u": 0.02, "seed": 5},
-        axes={"*": grid, "stress": {**grid, "delay": delays}},
+        axes={"*": grid},
     )
 
 
 def e5_table(run: CampaignRun) -> Table:
-    """Assemble the E5 table from campaign trial records.
-
-    Stress-tier records carry a registry-named ``delay`` case key; the
-    extra column appears only then, so quick/full tables stay
-    byte-identical to the pre-registry output.
-    """
+    """Assemble the E5 table from campaign trial records."""
     from repro.baselines.lynch_welch import lw_max_faults
     from repro.campaigns.aggregate import records_to_table
 
-    with_delay = any("delay" in record.case for record in run.records)
     table = records_to_table(
         run.records,
         _title("E5"),
         [
             "f",
             "algorithm",
-            *([("delay", "delay", "skewing")] if with_delay else []),
             ("tolerated by design", "tolerated", False),
             ("max skew", "max_skew", INF),
             ("steady skew", "steady_skew", INF),
@@ -727,18 +713,6 @@ def stress_campaign() -> CampaignSpec:
                         ),
                         "drift": drifts,
                     },
-                    "stress": {
-                        "n": (9, 16, 25),
-                        "adversary": (*adversaries, "rushing-echo"),
-                        "delay": (
-                            "skewing",
-                            "eclipse",
-                            "flicker-partition",
-                            "biased-partition",
-                            "random",
-                        ),
-                        "drift": drifts,
-                    },
                 },
             ),
             ScenarioSpec(
@@ -755,14 +729,12 @@ def stress_campaign() -> CampaignSpec:
                         "topology": ("circulant", "random-regular"),
                     },
                     "full": {"n": (8, 12), "topology": topologies},
-                    "stress": {"n": (12, 16), "topology": topologies},
                 },
             ),
         ),
         measurements={
             "quick": MeasurementSpec(pulses=8, warmup=3),
             "full": MeasurementSpec(pulses=15, warmup=5),
-            "stress": MeasurementSpec(pulses=25, warmup=5),
         },
     )
 
@@ -944,7 +916,7 @@ def e9_scale_campaign() -> CampaignSpec:
     return _campaign(
         "E9-SCALE",
         "cps-stress",
-        {"quick": (5, 2), "full": (8, 2), "stress": (12, 3)},
+        {"quick": (5, 2), "full": (8, 2)},
         seed=29,
         backend="vectorized",
         base={
@@ -953,11 +925,7 @@ def e9_scale_campaign() -> CampaignSpec:
             "delay": "maximum",
             "drift": "extreme",
         },
-        axes={
-            "quick": {"n": sizes},
-            "full": {"n": sizes},
-            "stress": {"n": sizes[1:]},
-        },
+        axes={"*": {"n": sizes}},
     )
 
 

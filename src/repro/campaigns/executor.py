@@ -269,20 +269,19 @@ def execute_campaign(
     scale: str = "quick",
     policy: Optional[ExecutionPolicy] = None,
     store: Optional[Any] = None,
-    reuse: bool = True,
     telemetry: bool = False,
     progress: Optional[Callable[[int, int, TrialRecord], None]] = None,
 ) -> CampaignRun:
     """Run (or replay) every trial of ``spec`` at ``scale``.
 
     With ``store`` set, cached case keys are replayed without execution
-    (unless ``reuse=False``) and fresh records are appended incrementally
-    under the campaign's :meth:`~CampaignSpec.spec_key`, so re-running a
-    completed campaign executes zero new trials and an interrupted one
-    resumes with only the missing cases.  Builder failures are
-    deterministic and are cached like successes; a broken pool's
-    failures are environment artifacts and are *not* persisted, so a
-    later run retries them.
+    and fresh records are appended incrementally under the campaign's
+    :meth:`~CampaignSpec.spec_key`, so re-running a completed campaign
+    executes zero new trials and an interrupted one resumes with only
+    the missing cases (a new store directory re-runs every trial).
+    Builder failures are deterministic and are cached like successes;
+    a broken pool's failures are environment artifacts and are *not*
+    persisted, so a later run retries them.
 
     ``telemetry`` routes executed trials through the telemetry wrapper
     (:func:`~repro.telemetry.campaign.run_instrumented`) — an
@@ -293,27 +292,21 @@ def execute_campaign(
     available (after the incremental store write); ``done`` counts
     cache replays as already complete.
 
-    Queue transport keeps two rules, because they are its protocol:
-    it needs a store (workers coordinate through it) and always reuses
-    it (skipping persisted case keys *is* crash recovery).
+    Queue transport needs a store, because that is its protocol:
+    workers coordinate through it (skipping persisted case keys *is*
+    crash recovery).
     """
     policy = policy or ExecutionPolicy()
     queued = policy.queue is not None
-    if queued:
-        if store is None:
-            raise ValueError(
-                "queue execution requires a result store: elastic "
-                "workers coordinate through it (pass store=/--store)"
-            )
-        if not reuse:
-            raise ValueError(
-                "queue execution always reuses the store (workers skip "
-                "persisted case keys); clear the store to force re-runs"
-            )
+    if queued and store is None:
+        raise ValueError(
+            "queue execution requires a result store: elastic "
+            "workers coordinate through it (pass store=/--store)"
+        )
     plans = spec.trials_for(scale)
     key = spec.spec_key(scale) if store is not None else None
     known: Dict[str, TrialRecord] = (
-        store.load(key) if store is not None and reuse else {}
+        store.load(key) if store is not None else {}
     )
     records: List[Any] = [None] * len(plans)
     slots: List[int] = []

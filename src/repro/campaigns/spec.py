@@ -7,9 +7,9 @@ jobs that used to be scattered through ``analysis/experiments.py``:
 
 1. **Grids** — each scenario holds per-scale axes (cartesian product)
    and explicit case lists; :meth:`ScenarioSpec.grid_for` materializes
-   the concrete case dicts for a scale.  Adding a new tier (say
-   ``scale="stress"``) is one ``axes["stress"] = {...}`` entry per
-   experiment — a lookup for a scale the mapping lacks falls back to
+   the concrete case dicts for a scale.  A tier is one
+   ``axes[scale] = {...}`` entry (the built-ins declare ``quick`` and
+   ``full``) — a lookup for a scale the mapping lacks falls back to
    ``"*"`` and then ``"full"``, but a scale that no tier or grid of the
    campaign names is refused (:class:`UnknownScaleError`).
 2. **Seeds** — every trial gets a deterministic seed.  A case may pin

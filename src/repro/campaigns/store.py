@@ -383,13 +383,6 @@ class ResultStore:
         """Write a JSON side-car next to the spec's trial records."""
         return dump_json_summary(self.summary_path(key, kind), payload)
 
-    def load_summary(self, key: str, kind: str = "perf") -> Optional[Dict]:
-        path = self.summary_path(key, kind)
-        if not os.path.exists(path):
-            return None
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-
 
 def _check_shard_name(shard: str) -> None:
     if not _SHARD_NAME.match(shard):

@@ -64,6 +64,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "matrix_payload_bytes",
             "render_matrix",
             "render_report",
+            "render_verdicts",
             "scenario_case",
         ),
         "monitors": (

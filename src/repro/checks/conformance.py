@@ -592,7 +592,15 @@ def render_report(report: ScenarioReport) -> str:
     ]
     if report.error is not None:
         lines.append(f"  error      {report.error}")
-    for verdict in report.verdicts:
+    return "\n".join(lines + render_verdicts(report.verdicts))
+
+
+def render_verdicts(verdicts: Sequence[MonitorVerdict]) -> List[str]:
+    """One block per monitor: status, checks, claim, worst headroom
+    and each violation — what ``check run`` and ``check fixture``
+    print."""
+    lines = []
+    for verdict in verdicts:
         status = "PASS" if verdict.ok else "FAIL"
         lines.append(
             f"  {verdict.monitor:<16} {status}  "
@@ -602,4 +610,4 @@ def render_report(report: ScenarioReport) -> str:
             lines.append(f"    worst {verdict.worst.describe()}")
         for violation in verdict.violations:
             lines.append(f"    ! {violation.describe()}")
-    return "\n".join(lines)
+    return lines

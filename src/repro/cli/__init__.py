@@ -12,7 +12,7 @@ subcommands (``repro <command> --help`` prints the flags):
 ``scenarios``       ``scenarios list|show`` — the scenario registry
 ``ablate``          ``ablate plan|run|report`` — component importance
 ``check``           ``check list|run|matrix|fixture`` — conformance
-``fuzz``            ``fuzz run|list|replay|promote`` — violation search
+``fuzz``            ``fuzz run`` — violation search
 ``perf``            ``perf compare|baseline|list|overhead`` — the perf gate
 ``telemetry``       ``telemetry list|show|aggregate|diff`` — sidecars
 ==================  =====================================================

@@ -4,7 +4,7 @@
     Show the campaign catalog (every experiment id is one).
 ``campaign show E4 [--scale full] [--store results/store]``
     Describe a campaign's grid, trial count, spec key, and cache state.
-``campaign run E4 [--scale] [--workers 8] [--store DIR] [--fresh]
+``campaign run E4 [--scale] [--workers 8] [--store DIR]
 [--csv out.csv]``
     Execute a campaign through the sweep engine — serially or on a
     process pool — replaying cached trials from the result store, then
@@ -90,11 +90,6 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--queue requires --store: elastic workers coordinate "
             "through the shared result store"
-        )
-    if args.queue and args.fresh:
-        raise SystemExit(
-            "--fresh is incompatible with --queue (workers skip "
-            "persisted case keys); clear the store instead"
         )
     if args.csv:
         output_or_exit(args.csv)

@@ -15,7 +15,8 @@
     A sweep narrowed by ``--kind`` / ``--scale`` / ``--seed`` /
     ``--backend`` rewrites the committed file only via ``--out``.
 ``check fixture [--fixture PATH ...]``
-    Replay fixture files against their recorded expectations (exit
+    Replay fixture files against their recorded expectations, printing
+    each replay's per-monitor verdicts as ``check run`` does (exit
     non-zero if any replay contradicts its file) — by default every
     file under ``results/fuzz/promoted/``, which holds the
     deliberately-broken executions proving the monitors fire (the E8
@@ -171,16 +172,19 @@ def _command_check_matrix(args: argparse.Namespace) -> int:
 
 
 def _replay_fixture_file(path: str) -> bool:
-    """Replay one fixture file; ``True`` iff the run still does what
-    the file records (a ``violation`` fixture must fire)."""
-    from repro.cli.fuzz import load_fixture_or_exit
-    from repro.fuzz import expectation_met, replay_fixture
+    """Replay one fixture file and print its verdicts; ``True`` iff the
+    run still does what the file records (a ``violation`` fixture must
+    fire)."""
+    from repro.checks import render_verdicts
+    from repro.fuzz import expectation_met, load_fixture, replay_fixture
+    from repro.fuzz.corpus import MalformedFixtureError
 
-    payload = load_fixture_or_exit(path)
+    try:
+        payload = load_fixture(path)
+    except MalformedFixtureError as exc:
+        raise SystemExit(str(exc)) from None
     run = replay_fixture(payload)
     violations = run.violations()
-    for violation in violations:
-        print(f"! {violation.describe()}")
     name = f"fuzz-{payload['fixture_id']}"
     if violations:
         print(
@@ -189,6 +193,7 @@ def _replay_fixture_file(path: str) -> bool:
         )
     else:
         print(f"{name} fixture raised NO violations")
+    print("\n".join(render_verdicts(run.verdicts)))
     if expectation_met(payload, run):
         return True
     print(

@@ -31,10 +31,9 @@ def execution_flags(
     return {
         "policy": {
             name: getattr(args, name)
-            for name in ("workers", "chunk_size", *queue_flags)
+            for name in ("workers", *queue_flags)
         },
         "store": store_or_exit(args.store) if args.store else None,
-        "fresh": args.fresh,
         "progress": args.progress,
     }
 
@@ -44,7 +43,6 @@ def execute_or_exit(
     scale: str,
     policy: Optional[dict] = None,
     store: Optional[ResultStore] = None,
-    fresh: bool = False,
     progress: bool = False,
     telemetry: bool = False,
 ):
@@ -70,7 +68,6 @@ def execute_or_exit(
             scale=scale,
             policy=ExecutionPolicy(**(policy or {})),
             store=store,
-            reuse=not fresh,
             telemetry=telemetry,
             progress=reporter.update if reporter is not None else None,
         )

@@ -99,15 +99,7 @@ def execution_parent() -> argparse.ArgumentParser:
         help="process-pool size (1 = in-process serial)",
     )
     parent.add_argument(
-        "--chunk-size", type=int, default=4,
-        help="trials per pool task",
-    )
-    parent.add_argument(
         "--store", help="result-store directory (enables cache replay)"
-    )
-    parent.add_argument(
-        "--fresh", action="store_true",
-        help="ignore cached records and re-execute every trial",
     )
     parent.add_argument(
         "--progress", action="store_true",

@@ -28,6 +28,7 @@ from repro.cli.shared import (
 )
 from repro.telemetry import METRIC_CATALOG, available_metrics
 from repro.telemetry.campaign import (
+    SIDECAR_KIND,
     aggregate_payloads,
     diff_rows,
     render_aggregate,
@@ -36,13 +37,23 @@ from repro.telemetry.campaign import (
 )
 
 
+def _read_sidecar(path: str) -> dict:
+    """One sidecar file's payload, or a one-line exit naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise SystemExit(f"telemetry sidecar not found: {path}") from None
+    except OSError as exc:
+        raise SystemExit(f"{path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:
+        raise SystemExit(f"{path} is not valid JSON: {exc}") from None
+
+
 def _load_telemetry_sidecar(name: str, scale: str, store_dir):
     """Resolve a campaign name (or a direct path) to its sidecar payload."""
     if name.endswith(".json"):
-        if not os.path.exists(name):
-            raise SystemExit(f"telemetry sidecar not found: {name}")
-        with open(name, encoding="utf-8") as handle:
-            return json.load(handle)
+        return _read_sidecar(name)
     definition = campaign_or_exit(name)
     if not store_dir:
         raise SystemExit(
@@ -50,16 +61,17 @@ def _load_telemetry_sidecar(name: str, scale: str, store_dir):
             "(or pass a .telemetry.json path directly)"
         )
     store = store_or_exit(store_dir)
-    key = definition.spec().spec_key(scale)
-    payload = store.load_summary(key, kind="telemetry")
-    if payload is None:
+    path = store.summary_path(
+        definition.spec().spec_key(scale), kind=SIDECAR_KIND
+    )
+    if not os.path.exists(path):
         raise SystemExit(
             f"no telemetry sidecar for campaign {name!r} "
             f"[{scale}] in {store_dir} — run "
             f"'repro campaign run {name} --scale {scale} "
             f"--telemetry --store {store_dir}' first"
         )
-    return payload
+    return _read_sidecar(path)
 
 
 def _check_metric_names(
@@ -106,11 +118,7 @@ def _command_telemetry_aggregate(args: argparse.Namespace) -> int:
             f"(run 'repro campaign run NAME --telemetry --store "
             f"{args.store}' first)"
         )
-    payloads = []
-    for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            payloads.append(json.load(handle))
-    merged = aggregate_payloads(payloads)
+    merged = aggregate_payloads([_read_sidecar(path) for path in paths])
     print(
         f"telemetry aggregate: {merged['sidecars']} sidecar(s), "
         f"{merged['instrumented']} instrumented trial(s) — "

@@ -8,8 +8,8 @@ adversary primitives, fault schedules validated against the ``f``
 budget — and a driver runs each one through the scheduler's ``checks=``
 hook.  Any monitor FAIL is a found counterexample; Hypothesis shrinking
 reduces it to a minimal case that is serialized as a deterministic,
-content-hashed fixture and can be promoted into
-``results/fuzz/promoted/``, which CI replays as a permanent regression
+content-hashed fixture; a fixture copied into
+``results/fuzz/promoted/`` is replayed by CI as a permanent regression
 gate.
 
 ``strategies``
@@ -19,16 +19,14 @@ gate.
     ``u_tilde >> u`` corner) used to sanity-gate the oracle.
 ``oracle``
     :func:`replay_fixture` — one payload through the conformance
-    engine's :func:`~repro.checks.conformance.judged_run` — the
-    byte-stable :func:`verdict_payload` for deterministic replay,
+    engine's :func:`~repro.checks.conformance.judged_run` —
     :func:`expectation_met`, the one statement of what a fixture's
     ``expect`` field demands, and :func:`interest_score`, the worst
     headroom of the ``skew`` / ``stabilization`` verdicts (the fuzzer
     derives no ratio of its own).
 ``corpus``
     Content-hashed fixture files under ``results/fuzz/`` —
-    save/load/list and promotion into the replayed ``promoted/``
-    directory.
+    save/load/list.
 ``driver``
     :func:`search` — the budgeted Hypothesis loop with shrink capture
     and interesting-corner ranking by :func:`interest_score`.
@@ -50,7 +48,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "list_fixtures",
             "load_fixture",
             "make_fixture",
-            "promote_fixture",
             "save_fixture",
         ),
         "driver": (
@@ -65,7 +62,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "expectation_met",
             "interest_score",
             "replay_fixture",
-            "verdict_payload",
         ),
         "strategies": (
             "fuzz_cases",

@@ -18,9 +18,9 @@ Layout under ``results/fuzz/``::
 
     corpus/    fuzz-<id>.json   found by `repro fuzz run` (seed corpus
                entries are committed; CI finds are uploaded artifacts)
-    promoted/  fuzz-<id>.json   every committed fixture, promoted via
-               `repro fuzz promote` or written by hand — regression
-               gates a bare `repro check fixture` replays
+    promoted/  fuzz-<id>.json   every committed fixture, copied here
+               from corpus/ or written by hand — regression gates a
+               bare `repro check fixture` replays
 """
 
 from __future__ import annotations
@@ -93,15 +93,21 @@ def save_fixture(payload: Dict[str, Any], directory: str) -> str:
 
 def load_fixture(path: str) -> Dict[str, Any]:
     """Parse and schema-check one fixture file."""
-    if not os.path.exists(path):
-        raise MalformedFixtureError(f"fixture file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise MalformedFixtureError(
-                f"{path} is not valid JSON: {exc}"
-            ) from None
+    except FileNotFoundError:
+        raise MalformedFixtureError(
+            f"fixture file not found: {path}"
+        ) from None
+    except OSError as exc:
+        raise MalformedFixtureError(
+            f"{path} cannot be read: {exc.strerror}"
+        ) from None
+    except ValueError as exc:
+        raise MalformedFixtureError(
+            f"{path} is not valid JSON: {exc}"
+        ) from None
     if not isinstance(payload, dict) or payload.get(
         "schema"
     ) != FIXTURE_SCHEMA:
@@ -123,11 +129,3 @@ def load_fixture(path: str) -> Dict[str, Any]:
 def list_fixtures(directory: str) -> List[str]:
     """Fixture file paths under ``directory``, sorted by name."""
     return sorted(glob.glob(os.path.join(directory, "fuzz-*.json")))
-
-
-def promote_fixture(
-    payload: Dict[str, Any], directory: str = PROMOTED_DIR
-) -> str:
-    """Persist a fixture under ``promoted/``, where CI replays it on
-    every push; returns the path."""
-    return save_fixture(payload, directory)

@@ -8,9 +8,9 @@ Lemma 11 set otherwise).  Any verdict with violations is a
 counterexample.
 
 Everything is deterministic given the payload — replaying a fixture
-twice, or at different trace levels, produces byte-identical
-:func:`verdict_payload` serializations; the determinism tests and the
-``repro fuzz replay`` CLI rely on it.
+twice, or at different trace levels, yields the same verdicts, honest
+pulse streams and event count; ``repro check fixture`` and the
+determinism tests rely on it.
 """
 
 from __future__ import annotations
@@ -42,29 +42,6 @@ def expectation_met(fixture: Dict[str, Any], run: JudgedRun) -> bool:
     pass``, the default) holds while the bounds still do.
     """
     return (not run.ok) == (fixture.get("expect", "pass") == "violation")
-
-
-def verdict_payload(
-    fixture: Dict[str, Any], run: JudgedRun
-) -> Dict[str, Any]:
-    """The canonical, byte-stable replay output of one fixture.
-
-    Contains the full verdicts *and* the honest pulse streams, so the
-    determinism test can assert byte identity across invocations and
-    across ``PULSES`` vs ``FULL`` trace levels (no wall-clock data).
-    """
-    return {
-        "fixture_id": fixture.get("fixture_id"),
-        "expect": fixture.get("expect", "pass"),
-        "ok": run.ok,
-        "expectation_met": expectation_met(fixture, run),
-        "verdicts": [verdict.as_dict() for verdict in run.verdicts],
-        "pulses": {
-            str(node): times
-            for node, times in sorted(run.result.pulses.items())
-        },
-        "events": run.result.events_processed,
-    }
 
 
 #: The verdicts whose headroom ranks a surviving run.  The period and

@@ -33,7 +33,7 @@ from repro.telemetry.context import activate, deactivate
 from repro.telemetry.metrics import Telemetry, merge_snapshots
 
 #: Sidecar kind under :meth:`ResultStore.write_summary` /
-#: :meth:`ResultStore.load_summary`.
+#: :meth:`ResultStore.summary_path`.
 SIDECAR_KIND = "telemetry"
 
 

@@ -462,13 +462,6 @@ class TestCaching:
         rerun = execute_campaign(_square_spec(xs=(5,)), store=store)
         assert rerun.executed == 1 and rerun.cached == 0
 
-    def test_fresh_ignores_cache_but_still_records(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = _square_spec()
-        execute_campaign(spec, store=store)
-        fresh = execute_campaign(spec, store=store, reuse=False)
-        assert fresh.executed == 3 and fresh.cached == 0
-
 
 # ----------------------------------------------------------------------
 # Executor
@@ -713,6 +706,13 @@ class TestCampaignPorts:
             assert definition.description == description
             assert definition.spec().name == name
             assert callable(getattr(experiments, f"{stem}_table"))
+
+    def test_every_builtin_declares_only_the_gated_tiers(self):
+        # quick and full are the tiers tier-1, CI and nightly run; a
+        # third would be a grid no gate ever executes.
+        for name in available_campaigns():
+            spec = campaign_definition(name).spec()
+            assert scales_of(spec) == ["full", "quick"], name
 
     def test_a_registered_campaign_is_listed_beside_the_builtins(self):
         from repro.campaigns import (

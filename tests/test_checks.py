@@ -768,6 +768,11 @@ class TestCheckCli:
         with pytest.raises(SystemExit, match="not found: broken"):
             main(["check", "fixture", "--fixture", "broken"])
 
+    def test_fixture_path_that_is_a_directory_exits_in_one_line(self):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "fixture", "--fixture", PROMOTED])
+        assert info.value.code == f"{PROMOTED} cannot be read: Is a directory"
+
     def test_filtered_matrix_keeps_the_committed_artifact(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -31,9 +31,10 @@ REMOVED_FLAGS = {
     "campaign-run": _ADAPTIVE_FLAGS
     + (
         ["--profile"], ["--profile-top", "3"], ["--resume"],
-        ["--timeout", "5"],
+        ["--timeout", "5"], ["--fresh"], ["--chunk-size", "2"],
     ),
-    "ablate-run": _ADAPTIVE_FLAGS + (["--timeout", "5"],),
+    "ablate-run": _ADAPTIVE_FLAGS
+    + (["--timeout", "5"], ["--fresh"], ["--chunk-size", "2"]),
 }
 
 #: Every command writing an output path, with ``{out}`` for the path.
@@ -44,11 +45,6 @@ WRITING = {
     "campaign-run": ["campaign", "run", "E2", "--csv", "{out}"],
     "all": ["all", "--out", "{out}"],
     "fuzz-run": ["fuzz", "run", "--budget", "5", "--out", "{out}"],
-    "fuzz-promote": [
-        "fuzz", "promote",
-        "results/fuzz/promoted/fuzz-89ee3cb088aca93d.json",
-        "--dest", "{out}",
-    ],
     "telemetry-aggregate": [
         "telemetry", "aggregate", "--store", ".", "--out", "{out}",
     ],
@@ -207,6 +203,22 @@ class TestErrorPaths:
         assert capsys.readouterr().out == ""
         assert parent.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command", ["show", "aggregate"])
+    def test_torn_telemetry_sidecar_exits_in_one_line(
+        self, tmp_path, command
+    ):
+        torn = tmp_path / "E4.telemetry.json"
+        torn.write_text("{")
+        argv = {
+            "show": ["telemetry", "show", str(torn)],
+            "aggregate": ["telemetry", "aggregate", "--store", str(tmp_path)],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = str(info.value.code)
+        assert message.startswith(f"{torn} is not valid JSON: ")
+        assert "\n" not in message
+
     def test_output_that_is_a_directory_exits_before_any_work(
         self, tmp_path, capsys
     ):
@@ -254,9 +266,10 @@ class TestErrorPaths:
         ids=lambda value: value if isinstance(value, str) else value[0],
     )
     def test_removed_flag_is_refused(self, capsys, command, flag):
-        # Adaptive sampling, per-trial --profile and --timeout and the
-        # no-op --resume are gone: a script still passing one fails
-        # loudly in the parser instead of running something else.
+        # Adaptive sampling, per-trial --profile and --timeout, the
+        # no-op --resume, --fresh and --chunk-size are gone: a script
+        # still passing one fails loudly in the parser instead of
+        # running something else.
         with pytest.raises(SystemExit) as info:
             main(EXECUTING[command] + flag)
         assert info.value.code == 2
@@ -542,13 +555,6 @@ class TestScalingCli:
         with pytest.raises(SystemExit, match="--queue requires"):
             main(["campaign", "run", "E1", "--queue", "/tmp/q"])
 
-    def test_queue_rejects_fresh(self, tmp_path):
-        store = os.path.join(tmp_path, "store")
-        queue = os.path.join(tmp_path, "q")
-        args = ["campaign", "run", "E1", "--queue", queue]
-        with pytest.raises(SystemExit, match="incompatible"):
-            main(args + ["--store", store, "--fresh"])
-
     def test_workers_zero_is_rejected(self):
         # Both commands reach the engine through execute_or_exit, so a
         # bad flag value is the same one-line exit, never a traceback.
@@ -560,11 +566,8 @@ class TestScalingCli:
 
     @pytest.mark.parametrize(
         "flag,message",
-        [
-            (["--workers", "-3"], "workers must be >= 1"),
-            (["--chunk-size", "0"], "chunk_size must be >= 1"),
-        ],
-        ids=["workers", "chunk-size"],
+        [(["--workers", "-3"], "workers must be >= 1")],
+        ids=["workers"],
     )
     @pytest.mark.parametrize("command", sorted(EXECUTING))
     def test_bad_execution_flag_exits_with_one_line(

@@ -11,17 +11,19 @@ The satellite guarantees under test:
   fixture no larger than the hand-written broken fixture, and
   ``repro check fixture`` confirms the monitors fire on it;
 * a default-budget search over the valid space finds nothing;
-* fixtures are content-hashed, byte-stable on disk, idempotently
-  promotable into ``promoted/``, and replay deterministically
-  — byte-identical verdicts and pulse streams across invocations and
-  across ``PULSES`` vs ``FULL`` trace levels;
-* the ``repro fuzz run/list/replay/promote`` CLI round-trips, and the
-  gate command ``promote`` prints works.
+* fixtures are content-hashed, byte-stable on disk, and replay
+  deterministically — identical verdicts, pulse streams and event
+  counts across invocations and across ``PULSES`` vs ``FULL`` trace
+  levels;
+* a ``repro fuzz run`` find, copied into a promoted directory, replays
+  through ``repro check fixture``, which prints every monitor's
+  verdict.
 """
 
 import glob
 import json
 import os
+import shutil
 
 import pytest
 from hypothesis import given
@@ -45,13 +47,11 @@ from repro.fuzz import (
     list_fixtures,
     load_fixture,
     make_fixture,
-    promote_fixture,
     replay_fixture,
     save_fixture,
     search,
     valid_churn_cases,
     valid_cps_cases,
-    verdict_payload,
 )
 from repro.fuzz.corpus import MalformedFixtureError
 from repro.fuzz.driver import (
@@ -361,28 +361,21 @@ class TestCorpus:
         with pytest.raises(MalformedFixtureError, match="seed"):
             load_fixture(str(bad))
 
-    def test_promotion_is_idempotent(self, tmp_path):
-        fixture = self.make()
-        path = promote_fixture(fixture, directory=str(tmp_path))
-        assert path == fixture_path(fixture, str(tmp_path))
-        first = open(path, "rb").read()
-        # Re-promoting rewrites the same content-addressed file.
-        assert promote_fixture(fixture, directory=str(tmp_path)) == path
-        assert open(path, "rb").read() == first
-        assert list_fixtures(str(tmp_path)) == [path]
-        assert load_fixture(path) == fixture
-
 
 # ----------------------------------------------------------------------
-# Determinism: byte-identical replay, trace-level independence
+# Determinism: identical replay, trace-level independence
 # ----------------------------------------------------------------------
 
 
-def _replay_bytes(fixture, trace):
+def _replay(fixture, trace="pulses"):
+    """What a replay must reproduce: every verdict, the honest pulse
+    streams and the number of events processed."""
     run = replay_fixture(fixture, trace=trace)
-    return json.dumps(
-        verdict_payload(fixture, run), indent=2, sort_keys=True
-    ).encode()
+    return (
+        [verdict.as_dict() for verdict in run.verdicts],
+        run.result.pulses,
+        run.result.events_processed,
+    )
 
 
 class TestDeterminism:
@@ -390,32 +383,20 @@ class TestDeterminism:
         again = search("known-bad", budget=25, seed=0)
         assert again == known_bad_report
 
-    def test_replay_is_byte_identical_across_invocations(
+    def test_replay_is_identical_across_invocations(
         self, known_bad_report
     ):
         fixture = known_bad_report.counterexample
-        assert _replay_bytes(fixture, "pulses") == _replay_bytes(
-            fixture, "pulses"
-        )
+        assert _replay(fixture) == _replay(fixture)
 
     def test_replay_is_trace_level_independent(self, known_bad_report):
         fixture = known_bad_report.counterexample
-        assert _replay_bytes(fixture, "pulses") == _replay_bytes(
-            fixture, "full"
-        )
+        assert _replay(fixture, "pulses") == _replay(fixture, "full")
 
     def test_valid_case_replay_is_deterministic(self):
         payload = {"case": CASE, "pulses": 5, "seed": 3}
-        first = replay_fixture(payload)
-        second = replay_fixture(payload)
-        fixture = make_fixture(
-            payload["case"], 5, 3,
-            strategy="valid", origin="seed", expect="pass",
-        )
-        assert verdict_payload(fixture, first) == verdict_payload(
-            fixture, second
-        )
-        assert first.ok
+        assert _replay(payload) == _replay(payload)
+        assert replay_fixture(payload).ok
 
 
 # ----------------------------------------------------------------------
@@ -424,9 +405,9 @@ class TestDeterminism:
 
 
 class TestCli:
-    def test_run_list_replay_promote_roundtrip(self, tmp_path, capsys):
+    def test_run_copy_check_roundtrip(self, tmp_path, capsys):
         corpus = str(tmp_path / "corpus")
-        promoted = str(tmp_path / "promoted")
+        promoted = tmp_path / "promoted"
         assert main([
             "fuzz", "run", "--strategy", "known-bad",
             "--budget", "15", "--seed", "0", "--out", corpus,
@@ -436,23 +417,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "COUNTEREXAMPLE" in out and paths[0] in out
 
-        assert main(["fuzz", "list", "--dir", str(tmp_path)]) == 0
-        assert "shrunk" in capsys.readouterr().out
-
-        assert main(["fuzz", "replay", paths[0]]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["expectation_met"] and not payload["ok"]
-
-        assert main([
-            "fuzz", "promote", paths[0], "--dest", promoted,
-        ]) == 0
-        (gate,) = list_fixtures(promoted)
-        # The instruction promote prints is a command that works.
-        assert (
-            f"repro check fixture --fixture {gate}"
-            in capsys.readouterr().out
-        )
+        # Promotion is a copy: the bytes are the found file's.
+        promoted.mkdir()
+        gate = shutil.copy(paths[0], promoted)
         assert main(["check", "fixture", "--fixture", gate]) == 0
+        out = capsys.readouterr().out
+        name = f"fuzz-{load_fixture(gate)['fixture_id']}"
+        assert f"{name} fixture raised" in out
+        run = replay_fixture(load_fixture(gate))
+        for verdict in run.verdicts:
+            status = "PASS" if verdict.ok else "FAIL"
+            assert f"  {verdict.monitor:<16} {status}  " in out
 
     def test_run_valid_space_exits_clean(self, tmp_path, capsys):
         assert main([

@@ -376,15 +376,6 @@ class TestQueueCoordinator:
                 policy=ExecutionPolicy(queue=str(tmp_path / "q")),
             )
 
-    def test_queue_mode_rejects_fresh(self, tmp_path):
-        spec = _log_spec(tmp_path / "log")
-        store = ResultStore(tmp_path / "store")
-        policy = ExecutionPolicy(queue=str(tmp_path / "q"))
-        with pytest.raises(ValueError, match="reuses the store"):
-            execute_campaign(
-                spec, policy=policy, store=store, reuse=False
-            )
-
     def test_coordinator_matches_pool_run(self, tmp_path):
         spec = _log_spec(tmp_path / "log-a", name="coordinated")
         pool = execute_campaign(

@@ -311,15 +311,6 @@ class TestStressCampaign:
         table = definition.tabulate(run)
         assert any(table.column("live"))
 
-    def test_e5_stress_tier_names_registry_delays(self):
-        spec = campaign_definition("E5").spec()
-        delays = {
-            plan.case["delay"] for plan in spec.trials_for("stress")
-        }
-        assert delays == {"skewing", "eclipse", "flicker-partition"}
-        for key in delays:
-            assert scenarios.has("delay", key)
-
 
 # ----------------------------------------------------------------------
 # CLI
