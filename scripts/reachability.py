@@ -11,8 +11,9 @@ referenced from a reached module (function-level tracing misses error
 paths).  ``--lines`` swaps the hook for ``sys.settrace`` and prints, per
 module, the executable lines never run, split into lines of a ``raise``
 statement, ``except`` clauses, ``__repr__``/``describe`` bodies and the
-rest (what a function-level sweep cannot see: dead branches); it gates
-nothing.  Stdlib only; about four minutes, six with ``--lines``.
+rest (what a function-level sweep cannot see: dead branches), then each
+line of the rest as ``path:line  source``; it gates nothing.  Stdlib
+only; about four minutes, six with ``--lines``.
 """
 
 import argparse
@@ -194,21 +195,28 @@ def line_kinds(tree):
 
 
 def report_lines(entered) -> None:
-    """Per module: executable lines, lines never run, and their split."""
+    """Per module: executable lines, lines never run, and their split;
+    then each never-run "other" line as ``path:line  source``."""
     header = ("executable", "never", "raise", "except", "repr", "other")
     print(f"{'module':<44}" + "".join(f"{name:>11}" for name in header))
     total = dict.fromkeys(header, 0)
+    others = []
     for path in sorted((SRC / "repro").rglob("*.py")):
         source = path.read_text()
         executable = code_lines(compile(source, str(path), "exec"))
         kinds = line_kinds(ast.parse(source))
-        never = [
-            kinds.get(line, "other")
-            for line in executable
-            if f"{path}:{line}" not in entered
+        never = sorted(
+            line for line in executable if f"{path}:{line}" not in entered
+        )
+        split = [kinds.get(line, "other") for line in never]
+        text = source.splitlines()
+        others += [
+            f"{path.relative_to(ROOT)}:{line}  {text[line - 1].strip()}"
+            for line, kind in zip(never, split)
+            if kind == "other"
         ]
         row = {"executable": len(executable), "never": len(never)}
-        row.update({kind: never.count(kind) for kind in header[2:]})
+        row.update({kind: split.count(kind) for kind in header[2:]})
         for name in header:
             total[name] += row[name]
         if never:
@@ -218,6 +226,8 @@ def report_lines(entered) -> None:
                 + "".join(f"{row[name]:>11}" for name in header)
             )
     print(f"{'total':<44}" + "".join(f"{total[n]:>11}" for n in header))
+    print()
+    print(*others, sep="\n")
 
 
 def main() -> int:

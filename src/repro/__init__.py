@@ -3,7 +3,8 @@
 
 Quickstart::
 
-    from repro import PulseReport, build_simulation
+    from repro import PulseReport
+    from repro.build import build_simulation
 
     built = build_simulation(
         {"n": 8, "adversary": "silent", "delay": "maximum"},
@@ -14,8 +15,9 @@ Quickstart::
 
 Package map:
 
-* :mod:`repro.build` — the unified :func:`build_simulation` facade:
-  registry-keyed cases on a selectable ``event``/``vectorized`` backend;
+* :mod:`repro.build` — the unified
+  :func:`~repro.build.build_simulation` facade: registry-keyed cases on
+  a selectable ``event``/``vectorized`` backend;
 * :mod:`repro.core` — Algorithm CPS, TCB, parameters, the Theorem 5 lower
   bound, and the pulse-based round synchronizer;
 * :mod:`repro.sync` — the synchronous substrate: crusader broadcast
@@ -98,22 +100,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "analysis.metrics": ("PulseReport",),
-        "build": (
-            "BACKENDS",
-            "BuiltSimulation",
-            "UnknownBackendError",
-            "build_simulation",
-            "resolve_backend",
-        ),
-        "core.cps": ("CpsNode", "assemble_cps_simulation"),
-        "core.lower_bound": ("run_lower_bound",),
-        "core.params": (
-            "ProtocolParameters",
-            "THETA_MAX",
-            "derive_parameters",
-            "max_faults",
-        ),
-        "sim.scheduler": ("Simulation", "SimulationResult"),
+        "core.cps": ("assemble_cps_simulation",),
+        "core.params": ("derive_parameters",),
     },
     "__version__",
 )

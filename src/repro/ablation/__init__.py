@@ -30,13 +30,11 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "components": ("AblationComponent", "COMPONENTS", "COMPONENT_INDEX"),
+        "components": ("COMPONENTS", "COMPONENT_INDEX"),
         "plan": (
-            "ABLATION_BUILDER",
             "ABLATION_CAMPAIGN_NAME",
             "ABLATION_SEED",
             "AblationSpec",
-            "PlannedRun",
             "ablation_campaign_spec",
             "planned_runs",
             "planned_trials",
@@ -44,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "report": (
             "ablation_payload_bytes",
             "ablation_report",
-            "ablation_table",
             "monitor_flips",
             "render_ablation_table",
         ),

@@ -52,19 +52,14 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "aggregate": (
             "campaign_throughput",
-            "failure_counts",
             "records_to_table",
             "run_summary_table",
-            "summary_stats",
         ),
         "builders": (
-            "BUILDERS",
-            "TrialFailure",
             "register_builder",
             "resolve_builder",
         ),
         "executor": (
-            "CampaignRun",
             "ExecutionPolicy",
             "execute_campaign",
             "map_trials",
@@ -73,20 +68,15 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "queue": (
             "QueueError",
             "WorkQueue",
-            "default_worker_id",
             "run_worker",
         ),
         "spec": (
-            "SCENARIO_CASE_KEYS",
             "CampaignSpec",
             "MeasurementSpec",
             "ScenarioSpec",
-            "TrialPlan",
-            "canonical_json",
             "derive_seed",
             "scales_of",
             "stable_hash",
-            "validate_scenario_names",
         ),
         "store": ("CorruptStoreError", "ResultStore", "TrialRecord"),
     },

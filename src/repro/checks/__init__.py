@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "catalog": (
-            "APA_MONITORS",
             "CHURN_MONITORS",
             "CPS_MONITORS",
             "MODE_MONITORS",
@@ -47,18 +46,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "scenario_mode",
         ),
         "conformance": (
-            "EstimateVerdict",
-            "JudgedRun",
-            "ScenarioReport",
             "check_scenario",
             "churn_check_set",
             "conformance_matrix",
-            "cps_check_set",
             "judge_apa",
             "judge_crusader",
             "judge_estimates",
             "judge_lower_bound",
-            "judge_pulses",
             "judge_steady_skew",
             "judged_run",
             "matrix_payload_bytes",
@@ -70,9 +64,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "monitors": (
             "ApaContractionMonitor",
             "CheckSet",
-            "Headroom",
             "Monitor",
-            "MonitorVerdict",
             "PeriodWindowMonitor",
             "ProgressMonitor",
             "SkewBoundMonitor",

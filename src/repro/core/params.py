@@ -72,6 +72,14 @@ def _solve_theta_max() -> float:
 THETA_MAX = _solve_theta_max()
 
 
+def _require_finite(**values: Optional[float]) -> None:
+    """Reject a NaN or infinite model parameter: NaN fails every
+    comparison, so it would slip past each range check below."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 def max_faults(n: int) -> int:
     """Optimal resilience with signatures: ``ceil(n/2) - 1`` (paper's f)."""
     if n < 1:
@@ -107,6 +115,9 @@ class ProtocolParameters:
     S: float
 
     def __post_init__(self) -> None:
+        _require_finite(
+            theta=self.theta, d=self.d, u=self.u, T=self.T, S=self.S
+        )
         if self.n < 2:
             raise ConfigurationError(f"CPS needs n >= 2, got n={self.n}")
         if not 0 <= self.f <= max_faults(self.n):
@@ -222,6 +233,7 @@ def derive_parameters(
         If ``theta >= THETA_MAX`` (no S exists) or the explicit ``T`` is
         infeasible.
     """
+    _require_finite(theta=theta, d=d, u=u, T=T)
     if theta < 1.0:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
     if slack < 1.0:

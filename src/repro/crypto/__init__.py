@@ -9,18 +9,3 @@ only be minted through a :class:`~repro.crypto.pki.KeyPair`'s signing handle,
 and the simulation layer additionally tracks *when* each signature became
 known to the adversary (see :mod:`repro.sim.knowledge`).
 """
-
-from repro import lazy_exports
-
-__getattr__, __dir__, __all__ = lazy_exports(
-    __name__,
-    {
-        "pki": ("KeyPair", "PublicKeyInfrastructure"),
-        "signatures": (
-            "Signature",
-            "SignatureError",
-            "collect_signatures",
-            "verify",
-        ),
-    },
-)

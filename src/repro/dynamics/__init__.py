@@ -30,14 +30,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "injector": ("ChurnController",),
-        "resync": ("ResyncProtocol",),
-        "schedule": (
-            "ACTIVATION_KINDS",
-            "DEACTIVATION_KINDS",
-            "EVENT_KINDS",
-            "FaultEvent",
-            "FaultSchedule",
-            "MalformedScheduleError",
-        ),
+        "schedule": ("FaultEvent", "FaultSchedule", "MalformedScheduleError"),
     },
 )

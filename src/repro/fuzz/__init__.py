@@ -40,9 +40,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "corpus": (
-            "CORPUS_DIR",
             "FIXTURE_SCHEMA",
-            "PROMOTED_DIR",
             "fixture_id",
             "fixture_path",
             "list_fixtures",
@@ -51,9 +49,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "save_fixture",
         ),
         "driver": (
-            "DEFAULT_BUDGET",
-            "FuzzReport",
-            "INTERESTING_FLOOR",
             "available_strategies",
             "render_fuzz_report",
             "search",
@@ -64,7 +59,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "replay_fixture",
         ),
         "strategies": (
-            "fuzz_cases",
             "known_bad_cases",
             "valid_churn_cases",
             "valid_cps_cases",

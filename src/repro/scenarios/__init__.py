@@ -37,9 +37,6 @@ from repro.scenarios import (  # noqa: F401
 from repro.scenarios.registry import (
     KINDS,
     REGISTRY,
-    ParamSpec,
-    ScenarioEntry,
-    ScenarioRegistry,
     UnknownScenarioError,
     register_scenario,
 )
@@ -55,9 +52,6 @@ find = REGISTRY.find
 __all__ = [
     "KINDS",
     "REGISTRY",
-    "ParamSpec",
-    "ScenarioEntry",
-    "ScenarioRegistry",
     "UnknownScenarioError",
     "create",
     "entries",

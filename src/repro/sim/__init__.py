@@ -11,38 +11,3 @@ This package realizes the paper's network and timing model:
   against the adversary;
 * :mod:`repro.sim.trace` — structured execution records.
 """
-
-from repro import lazy_exports
-
-__getattr__, __dir__, __all__ = lazy_exports(
-    __name__,
-    {
-        "adversary": (
-            "ByzantineBehavior",
-            "ReplayAdversary",
-            "ScheduledSendAdversary",
-            "SilentAdversary",
-        ),
-        "clocks": ("ClockSegment", "EPS", "HardwareClock"),
-        "errors": (
-            "ClockError",
-            "ConfigurationError",
-            "ForgeryError",
-            "ModelViolation",
-            "SimulationError",
-        ),
-        "network": (
-            "BiasedPartitionDelayPolicy",
-            "ConstantFractionDelayPolicy",
-            "DelayPolicy",
-            "MaximumDelayPolicy",
-            "MinimumDelayPolicy",
-            "NetworkConfig",
-            "RandomDelayPolicy",
-            "SkewingDelayPolicy",
-        ),
-        "runtime": ("NodeAPI", "TimedProtocol"),
-        "scheduler": ("AdversaryContext", "Simulation", "SimulationResult"),
-        "trace": ("Trace", "TraceLevel"),
-    },
-)

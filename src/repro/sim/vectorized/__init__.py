@@ -22,11 +22,6 @@ argument.
 from repro.sim.vectorized.engine import (
     UnsupportedScenarioError,
     VectorizedSimulation,
-    require_numpy,
 )
 
-__all__ = [
-    "UnsupportedScenarioError",
-    "VectorizedSimulation",
-    "require_numpy",
-]
+__all__ = ["UnsupportedScenarioError", "VectorizedSimulation"]

@@ -32,12 +32,7 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "context": (
-            "activate",
-            "active_telemetry",
-            "deactivate",
-            "telemetry_session",
-        ),
+        "context": ("active_telemetry", "telemetry_session"),
         "metrics": (
             "DELAY_BUCKETS",
             "DISPATCH_NAMES",

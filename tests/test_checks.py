@@ -36,6 +36,7 @@ from repro.dynamics.schedule import FaultEvent, FaultSchedule
 from repro.fuzz import load_fixture, replay_fixture
 from repro.scenarios import REGISTRY
 from repro.sim.adversary import SilentAdversary
+from repro.sync.crusader import BOT
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROMOTED = os.path.join(ROOT, "results", "fuzz", "promoted")
@@ -655,6 +656,38 @@ class TestBrokenFixture:
         assert all(v.observed > v.bound for v in skew)
         # The run itself stays live — only the bound breaks.
         assert run.result.honest_pulses()
+
+    @pytest.mark.parametrize(
+        "fixture,estimates",
+        [
+            ("fuzz-89ee3cb088aca93d.json", 220),
+            ("fuzz-db8544187c7276e8.json", 45),
+        ],
+    )
+    def test_lemma11_pass_is_vacuous_under_the_rushing_echo(
+        self, fixture, estimates
+    ):
+        """The rushing echo gets every dealer rejected: each honest
+        node's estimate of every other dealer is ⊥, so no acceptance
+        survives for the Lemma 11 monitor to compare and its PASS
+        checks nothing."""
+        payload = load_fixture(os.path.join(PROMOTED, fixture))
+        assert payload["case"]["adversary"] == "rushing-echo"
+        run = replay_fixture(payload, trace="full")
+        others = [
+            estimate
+            for record in run.result.trace.protocol_events("cps-round")
+            for dealer, estimate in record.details.estimates.items()
+            if dealer != record.node
+        ]
+        assert len(others) == estimates
+        assert all(estimate is BOT for estimate in others)
+        (lemma11,) = [
+            verdict
+            for verdict in run.verdicts
+            if verdict.monitor == TcbConsistencyMonitor.name
+        ]
+        assert lemma11.ok and lemma11.checked == 0
 
 
 # ----------------------------------------------------------------------

@@ -157,6 +157,17 @@ class TestParams:
         with pytest.raises(SystemExit, match=message):
             main(["params", *(x for item in argv.items() for x in item)])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("field", ["theta", "d", "u", "T"])
+    def test_non_finite_input_is_a_one_line_exit(self, field, value):
+        # NaN fails every range check, so each field is tested for
+        # finiteness first; a str exit code is process exit status 1.
+        argv = {"--theta": "1.001", "--d": "1.0", "--u": "0.01", "--n": "4"}
+        argv[f"--{field}"] = value
+        with pytest.raises(SystemExit) as info:
+            main(["params", *(x for item in argv.items() for x in item)])
+        assert info.value.code == f"{field} must be finite, got {value}"
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -555,24 +566,20 @@ class TestScalingCli:
         with pytest.raises(SystemExit, match="--queue requires"):
             main(["campaign", "run", "E1", "--queue", "/tmp/q"])
 
-    def test_workers_zero_is_rejected(self):
-        # Both commands reach the engine through execute_or_exit, so a
-        # bad flag value is the same one-line exit, never a traceback.
-        for command in (["campaign", "run", "E1"], ["ablate", "run"]):
-            with pytest.raises(
-                SystemExit, match="workers must be >= 1"
-            ):
-                main(command + ["--workers", "0"])
-
     @pytest.mark.parametrize(
         "flag,message",
-        [(["--workers", "-3"], "workers must be >= 1")],
-        ids=["workers"],
+        [
+            (["--workers", "-3"], "workers must be >= 1"),
+            (["--workers", "0"], "workers must be >= 1"),
+        ],
+        ids=["workers", "workers-zero"],
     )
     @pytest.mark.parametrize("command", sorted(EXECUTING))
     def test_bad_execution_flag_exits_with_one_line(
         self, command, flag, message
     ):
+        # Both commands reach the engine through execute_or_exit, so a
+        # bad flag value is the same one-line exit, never a traceback.
         with pytest.raises(SystemExit, match=message) as info:
             main(EXECUTING[command] + flag)
         assert "\n" not in str(info.value.code)

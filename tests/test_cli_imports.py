@@ -50,12 +50,12 @@ LISTINGS = [
     ("list",),
 ]
 
-#: Every package whose ``__init__`` is one ``lazy_exports`` table.
+#: Every package whose ``__init__`` holds a ``lazy_exports`` table
+#: (``analysis``, ``baselines``, ``core``, ``crypto``, ``sim`` and
+#: ``sync`` re-list no name: their ``__init__`` is a docstring).
 LAZY_PACKAGES = (
-    "repro", "repro.ablation", "repro.analysis", "repro.baselines",
-    "repro.campaigns", "repro.checks", "repro.core", "repro.crypto",
-    "repro.dynamics", "repro.fuzz", "repro.sim", "repro.sync",
-    "repro.telemetry",
+    "repro", "repro.ablation", "repro.campaigns", "repro.checks",
+    "repro.dynamics", "repro.fuzz", "repro.telemetry",
 )
 
 

@@ -1,5 +1,7 @@
 """Tests for the Theorem 17 / Lemma 16 parameter derivation."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -147,6 +149,16 @@ class TestDerivedQuantities:
         assert p.consistency_window == pytest.approx(
             (1 - 1 / p.theta) * p.d + 2 * p.u / p.theta
         )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["theta", "d", "u", "T", "S"])
+    def test_non_finite_field_rejected(self, field, value):
+        fields = dict(n=6, f=2, theta=1.002, d=1.0, u=0.05, T=3.0, S=0.1)
+        fields[field] = value
+        with pytest.raises(
+            ConfigurationError, match=f"^{field} must be finite"
+        ):
+            ProtocolParameters(**fields)
 
     def test_invalid_direct_construction_rejected(self):
         with pytest.raises(ConfigurationError):

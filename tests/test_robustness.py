@@ -159,19 +159,93 @@ def test_larger_system_spot_checks(seed):
     assert max_skew(pulses) <= params.S + 1e-9
 
 
-def _packages():
-    """The root and every ``repro.*`` package that declares exports."""
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Every tree whose code may import through a package.
+CALLER_TREES = ("src", "tests", "bench", "examples", "scripts", "benchmarks")
+
+
+def _modules():
+    """``repro`` and every module under it."""
     import importlib
     import pkgutil
 
     import repro
 
-    packages = [repro] + [
+    return [repro] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(repro.__path__, "repro.")
-        if info.ispkg
     ]
-    return [p for p in packages if hasattr(p, "__all__")]
+
+
+def _packages():
+    """The root and every ``repro.*`` package that declares exports."""
+    return [
+        module
+        for module in _modules()
+        if hasattr(module, "__path__") and hasattr(module, "__all__")
+    ]
+
+
+def _imported_through(packages):
+    """``{package: names}`` that some caller under :data:`CALLER_TREES`
+    reads through the package: ``from repro.pkg import name``, or
+    ``pkg.name`` on a module bound by ``import repro.pkg`` / ``import
+    repro.pkg as alias`` / ``from repro import pkg``."""
+    import ast
+    import glob
+
+    used = {package: set() for package in packages}
+    for tree in CALLER_TREES:
+        pattern = os.path.join(ROOT, tree, "**", "*.py")
+        for path in glob.glob(pattern, recursive=True):
+            with open(path) as handle:
+                nodes = list(ast.walk(ast.parse(handle.read())))
+            bound = {}  # local dotted name -> package
+            for node in nodes:
+                if isinstance(node, ast.ImportFrom) and not node.level:
+                    for alias in node.names:
+                        if node.module in used:
+                            used[node.module].add(alias.name)
+                        full = f"{node.module}.{alias.name}"
+                        if full in used:
+                            bound[alias.asname or alias.name] = full
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.asname:
+                            bound[alias.asname] = alias.name
+                            continue
+                        parts = alias.name.split(".")
+                        for end in range(1, len(parts) + 1):
+                            prefix = ".".join(parts[:end])
+                            bound[prefix] = prefix
+            for node in nodes:
+                if not isinstance(node, ast.Attribute):
+                    continue
+                owner, chain = node.value, []
+                while isinstance(owner, ast.Attribute):
+                    chain.append(owner.attr)
+                    owner = owner.value
+                if isinstance(owner, ast.Name):
+                    dotted = ".".join([owner.id, *reversed(chain)])
+                    if bound.get(dotted) in used:
+                        used[bound[dotted]].add(node.attr)
+    return used
+
+
+def _type_checking_namespace(module):
+    """What a type checker sees in ``module`` beyond its globals: the
+    imports under its top-level ``if TYPE_CHECKING:`` blocks (deferred
+    there for cold start)."""
+    import ast
+    import inspect
+
+    namespace = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        test = ast.unparse(node.test) if isinstance(node, ast.If) else ""
+        if test == "TYPE_CHECKING":
+            code = compile(ast.Module(node.body, []), module.__file__, "exec")
+            exec(code, namespace)
+    return namespace
 
 
 class TestPublicApi:
@@ -184,10 +258,15 @@ class TestPublicApi:
             assert getattr(repro, name) is not None
 
     def test_subpackage_exports(self):
-        """Every ``__all__`` entry resolves and none is listed twice —
-        a re-export of a deleted name cannot linger."""
+        """Exactly the lazy tables and the two packages with a body
+        export; every ``__all__`` entry resolves and none is listed
+        twice — a re-export of a deleted name cannot linger."""
+        from test_cli_imports import LAZY_PACKAGES
+
         packages = _packages()
-        assert len(packages) >= 15
+        assert sorted(p.__name__ for p in packages) == sorted(
+            [*LAZY_PACKAGES, "repro.scenarios", "repro.sim.vectorized"]
+        )
         for package in packages:
             names = list(package.__all__)
             assert len(set(names)) == len(names), package.__name__
@@ -197,23 +276,46 @@ class TestPublicApi:
                     name,
                 )
 
+    def test_every_export_has_an_importer(self):
+        """A package lists a name only if some caller imports it
+        through the package; every other caller imports the name from
+        the submodule that defines it, its one home."""
+        packages = {p.__name__: set(p.__all__) for p in _packages()}
+        used = _imported_through(packages)
+        unused = {
+            package: sorted(names - used[package])
+            for package, names in packages.items()
+            if names - used[package]
+        }
+        assert unused == {}
+
     def test_exported_functions_resolve_their_annotations(self):
-        """``typing.get_type_hints`` works on every exported function:
-        an annotation naming something the module never imported
-        (ruff's F821, which no tier-1 tool reports) fails here."""
+        """``typing.get_type_hints`` works on every public function of
+        every module: an annotation naming something the module never
+        imported (ruff's F821, which no tier-1 tool reports) fails
+        here."""
         import inspect
         import typing
 
-        import networkx
-
-        # core/topology.py imports networkx under TYPE_CHECKING only
-        # (cold start); supply what the checker would see.
-        deferred = {"nx": networkx}
+        checked = set()
+        for module in _modules():
+            deferred = None
+            for name, value in vars(module).items():
+                if (
+                    name.startswith("_")
+                    or not inspect.isfunction(value)
+                    or value.__module__ != module.__name__
+                ):
+                    continue
+                if deferred is None:
+                    deferred = _type_checking_namespace(module)
+                typing.get_type_hints(value, localns=deferred)
+                checked.add(value)
         for package in _packages():
             for name in package.__all__:
                 exported = getattr(package, name)
                 if inspect.isfunction(exported):
-                    typing.get_type_hints(exported, localns=deferred)
+                    assert exported in checked, (package.__name__, name)
 
     def test_version(self):
         # pyproject.toml reads the version from the package (one
@@ -223,8 +325,7 @@ class TestPublicApi:
         import repro
 
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "pyproject.toml")) as handle:
+        with open(os.path.join(ROOT, "pyproject.toml")) as handle:
             pyproject = handle.read()
         assert 'dynamic = ["version"]' in pyproject
         assert 'version = {attr = "repro.__version__"}' in pyproject
