@@ -76,8 +76,10 @@ class ExecutionPolicy:
             )
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
+        if not self.lease_ttl > 0:
+            raise ValueError(
+                f"lease_ttl must be positive, got {self.lease_ttl}"
+            )
 
 
 def run_trial(

@@ -25,11 +25,12 @@ fleet):
   leaves when every published chunk is done.
 * Every worker writes records to its *own shard* of the shared
   :class:`~repro.campaigns.store.ResultStore`
-  (``<spec_key>/<worker_id>.jsonl``) — appends never interleave across
-  writers, and :meth:`~repro.campaigns.store.ResultStore.load` dedups
-  across shards by case key, so the rare double-execution after a
-  reclaim race (a zombie worker finishing a chunk someone else
-  re-claimed) is idempotent: records are deterministic per case key.
+  (``<spec_key>/<worker_id>.jsonl``, one append descriptor a chunk)
+  — appends never interleave across writers, and
+  :meth:`~repro.campaigns.store.ResultStore.load` dedups across shards
+  by case key, so the rare double-execution after a reclaim race (a
+  zombie worker finishing a chunk someone else re-claimed) is
+  idempotent: records are deterministic per case key.
 * :func:`run_queued` is what :func:`~repro.campaigns.executor.
   execute_campaign` calls for ``ExecutionPolicy(queue=...)``: publish
   the run's misses, join the queue as one more worker — the only one
@@ -38,9 +39,14 @@ fleet):
 
 Crash recovery falls out of the store contract: a worker killed
 mid-chunk leaves a stale claim and a partial shard; the reclaiming
-worker re-runs only the trials of that chunk not already in the store
-(each chunk starts with a cache check), so lost work is bounded by one
-trial per crash.
+worker re-runs only the trials of that chunk not already in the store,
+so lost work is bounded by one trial per crash.  Each chunk starts
+from the case keys a fresh ``load`` would return, without paying for
+one: a worker re-reads the store only when
+:meth:`~repro.campaigns.store.ResultStore.stamp` shows that a file
+other than its own shard changed since its last read, and adds the
+key of every record it appends.  A lone worker reads the store once
+per run; concurrent workers re-read after each other's appends.
 
 Queue directory layout::
 
@@ -61,7 +67,7 @@ import re
 import socket
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.campaigns.executor import ExecutionPolicy, prepare_tasks
 from repro.campaigns.spec import CampaignSpec, TrialPlan
@@ -353,11 +359,22 @@ def run_worker(
     catalog campaign named by the queue manifest; passing it explicitly
     supports ad-hoc specs whose builders are registered in this
     process.  Trials run instrumented iff the manifest says so, so
-    every worker produces what the core would.  Each chunk starts with
-    a store cache check, so trials another worker (or a previous life
-    of this chunk's lease) already persisted are skipped — crash recovery re-executes at most the one
-    trial that was in flight.
+    every worker produces what the core would.  Trials another worker
+    (or a previous life of this chunk's lease) already persisted are
+    skipped — crash recovery re-executes at most the one trial that
+    was in flight.  The skip set is the worker's last ``load`` plus
+    its own appends, re-read before a chunk whenever the store's
+    :meth:`~repro.campaigns.store.ResultStore.stamp` without this
+    worker's shard differs from the one taken at that ``load``; only
+    this worker writes its shard, so the set always equals a fresh
+    ``load``'s keys, whether the chunk was reclaimed or not.
+    ``lease_ttl`` must be positive and ``max_chunks``, if given, at
+    least 1 (``ValueError`` before any chunk is claimed).
     """
+    if not lease_ttl > 0:
+        raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
+    if max_chunks is not None and max_chunks < 1:
+        raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
     queue = WorkQueue(queue_dir)
     manifest = queue.manifest()
     if manifest is None:
@@ -388,6 +405,10 @@ def run_worker(
         "skipped": 0,
         "reclaimed": 0,
     }
+    # The stamp is taken before the read it describes, so an append
+    # racing that read costs one more read, never a missed record.
+    known: Set[str] = set()
+    seen = None
     while True:
         lease = queue.claim(worker, lease_ttl=lease_ttl)
         if lease is None:
@@ -397,7 +418,9 @@ def run_worker(
             continue
         if lease.reclaimed:
             stats["reclaimed"] += 1
-        known = store.load(key)
+        stamp = store.stamp(key, exclude=worker)
+        if stamp != seen:
+            known, seen = set(store.load(key)), stamp
         plans = []
         for index, case_key in lease.entries:
             if case_key in known:
@@ -418,13 +441,15 @@ def run_worker(
                 )
             plans.append(plan)
         function, tasks = prepare_tasks(plans, manifest["telemetry"])
-        for task in tasks:
-            record = function(task)
-            store.append(key, record, shard=worker)
-            stats["trials"] += 1
-            if on_record is not None:
-                on_record(record)
-            queue.heartbeat(lease)
+        with store.appender(key, worker) as write:
+            for task in tasks:
+                record = function(task)
+                write(record)
+                known.add(record.case_key)
+                stats["trials"] += 1
+                if on_record is not None:
+                    on_record(record)
+                queue.heartbeat(lease)
         queue.complete(lease)
         stats["chunks"] += 1
         if max_chunks is not None and stats["chunks"] >= max_chunks:

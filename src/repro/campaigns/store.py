@@ -27,7 +27,8 @@ lines within a file.
 
 Writes go through :meth:`ResultStore.appender`: one ``O_APPEND``
 descriptor that lives for one ``with`` block — one campaign run in
-:func:`~repro.campaigns.executor.execute_campaign`, one record in
+:func:`~repro.campaigns.executor.execute_campaign`, one chunk in
+:func:`~repro.campaigns.queue.run_worker`, one record in
 :meth:`ResultStore.append` — and is closed however the block exits.
 ``merge`` and ``compact`` replace a file with a new one, so running
 either on a file a live writer still appends to is unsupported: the
@@ -290,6 +291,34 @@ class ResultStore:
         for record in self.iter_records(key):
             records[record.case_key] = record
         return records
+
+    def stamp(
+        self, key: str, exclude: Optional[str] = None
+    ) -> Tuple[Tuple[str, int, int, int], ...]:
+        """What :meth:`load` would read, one ``os.stat`` a file.
+
+        ``(path, size, st_mtime_ns, inode)`` of the base file and of
+        every shard but ``exclude``: an append changes a size, a new
+        shard or base file adds an entry, and ``merge`` / ``compact``
+        replace a file (a new inode).  A stamp taken before a ``load``
+        and equal to a later one means that ``load`` is still current,
+        apart from what the ``exclude`` shard's one writer appended.
+        """
+        paths = [self.path_for(key)] + [
+            self.path_for(key, shard)
+            for shard in self.shards(key)
+            if shard != exclude
+        ]
+        stamp = []
+        for path in paths:
+            try:
+                info = os.stat(path)
+            except FileNotFoundError:
+                continue  # no base file, or a shard merged away
+            stamp.append(
+                (path, info.st_size, info.st_mtime_ns, info.st_ino)
+            )
+        return tuple(stamp)
 
     def count(self, key: str) -> int:
         return len(self.load(key))

@@ -232,8 +232,11 @@ def derive_parameters(
     InfeasibleParameters
         If ``theta >= THETA_MAX`` (no S exists) or the explicit ``T`` is
         infeasible.
+    ConfigurationError
+        If an input is out of range or not finite, or the derived ``S``
+        or ``T`` overflows a float (the message names the inputs).
     """
-    _require_finite(theta=theta, d=d, u=u, T=T)
+    _require_finite(theta=theta, d=d, u=u, T=T, slack=slack)
     if theta < 1.0:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
     if slack < 1.0:
@@ -274,6 +277,16 @@ def derive_parameters(
         if s_value <= 0:
             s_value = 1e-9 * d
         t_value = T
+    for name, value in (("S", s_value), ("T", t_value)):
+        if not math.isfinite(value):
+            given = f"theta={theta}, d={d}, u={u}"
+            if T is not None:
+                given += f", T={T}"
+            if slack != 1.0:
+                given += f", slack={slack}"
+            raise ConfigurationError(
+                f"derived {name} overflowed to {value} from {given}"
+            )
 
     params = ProtocolParameters(
         n=n, f=f, theta=theta, d=d, u=u, T=t_value, S=s_value

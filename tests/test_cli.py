@@ -149,6 +149,7 @@ class TestParams:
             ("--u", "0.6", "u < d/2"),
             ("--theta", "0.9", "theta must be >= 1"),
             ("--f", "3", "f=3 outside"),
+            ("--d", "1e308", "derived S overflowed to inf"),
         ],
     )
     def test_invalid_input_is_a_one_line_exit(self, flag, value, message):
@@ -583,6 +584,30 @@ class TestScalingCli:
         with pytest.raises(SystemExit, match=message) as info:
             main(EXECUTING[command] + flag)
         assert "\n" not in str(info.value.code)
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            (["--max-chunks", "0"], "max_chunks must be >= 1, got 0"),
+            (["--max-chunks", "-1"], "max_chunks must be >= 1, got -1"),
+            (["--lease-ttl", "0"], "lease_ttl must be positive, got 0.0"),
+            (["--lease-ttl", "-5"], "lease_ttl must be positive, got -5"),
+        ],
+        ids=["chunks-zero", "chunks-negative", "ttl-zero", "ttl-negative"],
+    )
+    def test_bad_worker_flag_exits_before_a_claim(
+        self, tmp_path, flag, message
+    ):
+        queue = os.path.join(tmp_path, "q")
+        assert main(["campaign", "enqueue", "E1", "--queue", queue]) == 0
+        worker = ["campaign", "worker", "--queue", queue, "--store"]
+        with pytest.raises(SystemExit, match=message) as info:
+            main(worker + [os.path.join(tmp_path, "store")] + flag)
+        assert "\n" not in str(info.value.code)
+        assert not [
+            name for name in os.listdir(queue)
+            if name.endswith((".claim", ".done"))
+        ]
 
     def test_worker_without_enqueue_exits(self, tmp_path):
         store = os.path.join(tmp_path, "store")

@@ -74,6 +74,23 @@ class TestDerivation:
         with pytest.raises(InfeasibleParameters):
             derive_parameters(1.001, 1.0, 0.01, 8, T=0.5)
 
+    @pytest.mark.parametrize(
+        "d,name", [(1e308, "S"), (8.9e307, "T")], ids=["S", "T"]
+    )
+    def test_overflowed_derivation_names_its_inputs(self, d, name):
+        # (theta + 1) d overflows in S's numerator at d = 1e308; at
+        # 8.9e307 S is finite and only T's sum passes the largest float.
+        with pytest.raises(ConfigurationError) as info:
+            derive_parameters(1.001, d, 0.01, 4)
+        assert str(info.value) == (
+            f"derived {name} overflowed to inf from theta=1.001, "
+            f"d={d}, u=0.01"
+        )
+
+    def test_non_finite_slack_rejected(self):
+        with pytest.raises(ConfigurationError, match="^slack must be"):
+            derive_parameters(1.001, 1.0, 0.01, 4, slack=math.nan)
+
     def test_slack_scales_s(self):
         tight = derive_parameters(1.001, 1.0, 0.01, 8)
         loose = derive_parameters(1.001, 1.0, 0.01, 8, slack=2.0)

@@ -404,3 +404,98 @@ class TestTornWrites:
             case_key: (record.metrics, record.error)
             for case_key, record in store.load(key).items()
         } == serial
+
+
+# ----------------------------------------------------------------------
+# The refresh rule
+# ----------------------------------------------------------------------
+
+
+class CountingStore(ResultStore):
+    """A store that counts its full reads."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.loads = 0
+
+    def load(self, key):
+        self.loads += 1
+        return super().load(key)
+
+
+class TestRefreshRule:
+    """A worker re-reads the store only when a file other than its own
+    shard changed, and skips exactly what a fresh read would."""
+
+    def _queue(self, root):
+        queue = WorkQueue(os.path.join(root, "q"))
+        queue.enqueue(SPEC, "quick", chunk_size=2)
+        return queue, CountingStore(os.path.join(root, "store"))
+
+    def _drain(self, queue, store, on_record=None):
+        return run_worker(
+            queue.root,
+            store,
+            spec=SPEC,
+            worker_id="w",
+            on_record=on_record,
+        )
+
+    def _assert_serial(self, store):
+        assert {
+            case_key: (record.metrics, record.error)
+            for case_key, record in store.load(KEY).items()
+        } == REFERENCE
+
+    def test_a_lone_worker_reads_the_store_once(self, tmp_path):
+        queue, store = self._queue(str(tmp_path))
+        stats = self._drain(queue, store)
+        assert (stats["chunks"], stats["trials"]) == (8, len(TIER))
+        assert store.loads == 1
+        self._assert_serial(store)
+
+    @pytest.mark.parametrize("shard", ["other", None], ids=["shard", "base"])
+    def test_a_foreign_append_costs_one_reload(self, tmp_path, shard):
+        # After chunk-00000's last record, another writer persists the
+        # first case of chunk-00001 (a new shard, or a new base file).
+        queue, store = self._queue(str(tmp_path))
+        foreign = TIER[2]
+        ran = []
+
+        def on_record(record):
+            ran.append(record.case_key)
+            if len(ran) == 2:
+                ResultStore(store.root).append(
+                    KEY, run_trial(foreign), shard=shard
+                )
+
+        stats = self._drain(queue, store, on_record)
+        assert store.loads == 2
+        assert foreign.case_key not in ran
+        assert (stats["skipped"], stats["trials"]) == (1, len(TIER) - 1)
+        self._assert_serial(store)
+
+    def test_a_chunk_won_after_a_stale_claim_was_removed(self, tmp_path):
+        # ``wa`` holds chunk-00000, so ``w`` starts on chunk-00001 and
+        # reads the empty store.  Then ``wa`` persists one trial and
+        # dies, and a third worker removes its claim but loses the
+        # re-create to ``w``: ``w``'s lease is not ``reclaimed``, yet
+        # it must skip what ``wa`` persisted.
+        queue, store = self._queue(str(tmp_path))
+        held = queue.claim("wa")
+        assert held.chunk == "chunk-00000"
+        index, persisted = held.entries[0]
+        ran = []
+
+        def on_record(record):
+            ran.append(record.case_key)
+            if record.case_key == TIER[2].case_key:
+                store.append(KEY, run_trial(TIER[index]), shard="wa")
+                os.remove(queue.claim_path(held.chunk))
+
+        stats = self._drain(queue, store, on_record)
+        assert (stats["reclaimed"], stats["skipped"]) == (0, 1)
+        assert persisted not in ran
+        assert stats["trials"] == len(ran) == len(TIER) - 1
+        assert store.loads == 2
+        self._assert_serial(store)
