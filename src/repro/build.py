@@ -164,6 +164,7 @@ def _case_parameters(
     from repro import scenarios
     from repro.core.params import derive_parameters, max_faults
     from repro.core.topology import (
+        node_connectivity,
         simulate_full_connectivity,
         uniform_timings,
     )
@@ -175,15 +176,13 @@ def _case_parameters(
     topology_key = case.get("topology")
     network_timing: Optional[Tuple[float, float]] = None
     if topology_key is not None:
-        import networkx as nx
-
         graph = scenarios.create(
             "topology", topology_key, n,
             **case.get("topology_params", {})
         )
         # The one connectivity sweep of the build; the overlay's own
         # check reuses the number.
-        connectivity = nx.node_connectivity(graph)
+        connectivity = node_connectivity(graph)
         f = case.get("f")
         if f is None:
             f = min(max_faults(n), connectivity - 1)

@@ -188,7 +188,9 @@ class ProtocolParameters:
             + (self.theta + 1.0) * self.d
             - 2.0 * self.u
         )
-        if self.T < t_floor - 1e-9:
+        # The slack is 1e-9 relative to the bound once it exceeds 1, so
+        # the derivation's own rounding at large d is not a violation.
+        if self.T < t_floor - 1e-9 * max(1.0, abs(t_floor)):
             raise InfeasibleParameters(
                 f"T={self.T} below Corollary 15 floor {t_floor}"
             )
@@ -197,7 +199,7 @@ class ProtocolParameters:
             2.0 * (2.0 * self.theta - 1.0) * self.delta
             + 2.0 * (self.theta - 1.0) * self.T
         )
-        if lhs < rhs - 1e-9:
+        if lhs < rhs - 1e-9 * max(1.0, abs(rhs)):
             raise InfeasibleParameters(
                 f"Lemma 16 contraction violated: S(2-theta)={lhs} < {rhs}"
             )

@@ -12,7 +12,8 @@ This module implements that translation layer:
 * verify the `(f+1)`-connectivity requirement (and the `(2f+1)` bound the
   signature-free setting would need instead);
 * pick, for every node pair, `f + 1` vertex-disjoint simulation paths
-  (via networkx's disjoint-path machinery) — with signatures, a message
+  (networkx's node-split Edmonds–Karp flow, ported to integer arrays so
+  that it finds the same paths) — with signatures, a message
   routed along `f + 1` vertex-disjoint paths reaches its target on at
   least one fully honest path, and the signature authenticates it
   regardless of which path delivered it first;
@@ -38,7 +39,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -91,15 +91,13 @@ def check_connectivity(
     ``connectivity`` is ``graph``'s node connectivity when the caller
     already knows it (the sweep is the expensive part of the check).
     """
-    import networkx as nx
-
     needed = required_connectivity(f, with_signatures)
     if graph.number_of_nodes() <= needed:
         raise ConfigurationError(
             f"need more than {needed} nodes for connectivity {needed}"
         )
     actual = (
-        nx.node_connectivity(graph) if connectivity is None else connectivity
+        node_connectivity(graph) if connectivity is None else connectivity
     )
     if actual < needed:
         raise ConfigurationError(
@@ -174,22 +172,171 @@ class SimulatedTopology:
         )
 
 
-def _path_timing(
-    nodes: Sequence[int], timings: Dict[Edge, LinkTiming]
-) -> PathTiming:
-    total_max = 0.0
-    total_min = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        key = (a, b) if (a, b) in timings else (b, a)
-        try:
-            link = timings[key]
-        except KeyError:
-            raise ConfigurationError(
-                f"no timing given for link {a}-{b}"
-            ) from None
-        total_max += link.d
-        total_min += link.d - link.u
-    return PathTiming(tuple(nodes), total_max, total_min)
+class _SplitNetwork:
+    """networkx's node-split flow network of a graph, on integer arrays.
+
+    A port of ``build_auxiliary_node_connectivity``,
+    ``build_residual_network`` and ``edmonds_karp`` that finds the same
+    paths as ``nx.node_disjoint_paths`` and the same values as
+    ``local_node_connectivity``.  Node ``i`` (in the graph's iteration
+    order) splits into ``iA = 2i`` and ``iB = 2i + 1``, and every
+    adjacency list keeps networkx's insertion order, so each search
+    breaks ties as networkx does.  Residual edge ``e``'s reverse is
+    ``e ^ 1``.
+    """
+
+    def __init__(self, graph: nx.Graph) -> None:
+        self.nodes = list(graph)
+        self.index = {node: i for i, node in enumerate(self.nodes)}
+        # The auxiliary digraph: iA -> iB, then aB -> bA and bB -> aA
+        # for each graph edge (a, b).
+        self.auxiliary: List[List[int]] = []
+        for i in range(len(self.nodes)):
+            self.auxiliary += [[2 * i + 1], []]
+        for a, b in graph.edges():
+            a, b = self.index[a], self.index[b]
+            for x, y in ((a, b), (b, a)):
+                if 2 * y not in self.auxiliary[2 * x + 1]:
+                    self.auxiliary[2 * x + 1].append(2 * y)
+        # The residual network: (neighbour, edge) lists in R.succ and
+        # R.pred order.
+        self.head: List[int] = []
+        self.capacity: List[int] = []
+        self.out: List[List[Tuple[int, int]]] = [[] for _ in self.auxiliary]
+        self.into: List[List[Tuple[int, int]]] = [[] for _ in self.auxiliary]
+        edges: Dict[Edge, int] = {}
+        for u, successors in enumerate(self.auxiliary):
+            for v in successors:
+                if (u, v) in edges:  # the reverse of an earlier edge
+                    self.capacity[edges[u, v]] = 1
+                    continue
+                for tail, head, capacity in ((u, v, 1), (v, u, 0)):
+                    edges[tail, head] = len(self.head)
+                    self.out[tail].append((head, len(self.head)))
+                    self.into[head].append((tail, len(self.head)))
+                    self.head.append(head)
+                    self.capacity.append(capacity)
+
+    def _augmenting_path(
+        self, s: int, t: int, residual: List[int]
+    ) -> Optional[List[int]]:
+        """The edges of networkx's bidirectional-BFS path, or ``None``."""
+        pred: List[Optional[int]] = [None] * len(self.out)
+        succ = pred[:]
+        pred[s] = succ[t] = -1
+        forward, backward = [s], [t]
+
+        def grow(frontier, arcs, mine, theirs):
+            grown = []
+            for u in frontier:
+                for v, e in arcs[u]:
+                    if mine[v] is None and residual[e] > 0:
+                        mine[v] = e
+                        if theirs[v] is not None:
+                            return v, grown
+                        grown.append(v)
+            return None, grown
+
+        while True:
+            if len(forward) <= len(backward):
+                meet, forward = grow(forward, self.out, pred, succ)
+                frontier = forward
+            else:
+                meet, backward = grow(backward, self.into, succ, pred)
+                frontier = backward
+            if meet is not None:
+                break
+            if not frontier:
+                return None
+        path = []
+        v = meet
+        while v != s:
+            path.append(pred[v])
+            v = self.head[pred[v] ^ 1]
+        v = meet
+        while v != t:
+            path.append(succ[v])
+            v = self.head[succ[v]]
+        return path
+
+    def max_flow(self, s: int, t: int, cutoff: int) -> Tuple[int, List[int]]:
+        """Edmonds–Karp from auxiliary node ``s`` to ``t``, stopping once
+        the value reaches ``cutoff``: the value and each edge's residual
+        capacity (capacity minus flow)."""
+        residual = self.capacity[:]
+        value = 0
+        while value < cutoff:
+            path = self._augmenting_path(s, t, residual)
+            if path is None:
+                break
+            amount = min(residual[e] for e in path)
+            for e in path:
+                residual[e] -= amount
+                residual[e ^ 1] += amount
+            value += amount
+        return value, residual
+
+    def disjoint_paths(self, source: int, target: int) -> List[List[int]]:
+        """``list(nx.node_disjoint_paths(graph, source, target))``, or
+        ``[]`` where networkx raises ``NetworkXNoPath``."""
+        s, t = 2 * self.index[source] + 1, 2 * self.index[target]
+        # min(out-degree of sB, in-degree of tA) = min(deg s, deg t)
+        cutoff = min(len(self.auxiliary[s]), len(self.auxiliary[t + 1]))
+        residual = self.max_flow(s, t, cutoff)[1]
+        out, capacity = self.out, self.capacity
+        # networkx's flow_dict, filled on first use: the heads of each
+        # node's saturated edges (flow == capacity > 0), in R.edges order.
+        saturated: Dict[int, List[int]] = {}
+
+        def heads(u: int) -> List[int]:
+            if u not in saturated:
+                saturated[u] = [
+                    v for v, e in out[u] if residual[e] == 0 < capacity[e]
+                ]
+            return saturated[u]
+
+        # networkx also stops after ``cutoff`` paths (direct edges
+        # uncounted), which never binds: sB has ``value <= cutoff``
+        # saturated edges.
+        found: List[List[int]] = []
+        for v in list(heads(s)):
+            path = [s]
+            while v != t:
+                path.append(v)
+                successors = heads(v)
+                if not successors:
+                    break
+                v = successors.pop()  # dict.popitem: the last inserted
+            else:
+                found.append(path + [t])
+        return [
+            [self.nodes[i] for i in dict.fromkeys(a >> 1 for a in path)]
+            for path in found
+        ]
+
+
+def node_connectivity(graph: nx.Graph) -> int:
+    """``nx.node_connectivity(graph)``, 0 for a disconnected graph.
+
+    networkx's sweep: the minimum degree, lowered by the flow from a
+    minimum-degree node ``v`` to each node not adjacent to it and
+    between each non-adjacent pair of ``v``'s neighbours.  A node in
+    another component than ``v`` is one such node, with flow 0.
+    """
+    if not graph:
+        return 0
+    network = _SplitNetwork(graph)
+    v, k = min(graph.degree(), key=lambda item: item[1])
+    pairs = [(v, w) for w in graph if w != v and w not in graph[v]]
+    pairs += [
+        (x, y)
+        for x, y in itertools.combinations(graph[v], 2)
+        if y not in graph[x]
+    ]
+    for x, y in pairs:
+        s, t = 2 * network.index[x] + 1, 2 * network.index[y]
+        k = min(k, network.max_flow(s, t, k)[0])
+    return k
 
 
 def simulate_full_connectivity(
@@ -228,44 +375,46 @@ def simulate_full_connectivity(
     Raises :class:`ConfigurationError` if the graph's connectivity is
     insufficient or a link's timing is missing.
     """
-    import networkx as nx
-    from networkx.algorithms import connectivity as nx_connectivity
-    from networkx.algorithms import flow
-
     if theta < 1.0:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
     check_connectivity(graph, f, with_signatures, connectivity)
     needed = required_connectivity(f, with_signatures)
-    missing = [
-        edge
-        for edge in graph.edges
-        if edge not in timings and (edge[1], edge[0]) not in timings
-    ]
+    hops: Dict[Edge, Tuple[float, float]] = {}
+    missing = []
+    for edge in graph.edges:
+        for a, b in (edge, edge[::-1]):
+            link = timings.get((a, b)) or timings.get((b, a))
+            if link is None:
+                missing.append(edge)
+                break
+            hops[a, b] = (link.d, link.d - link.u)
     if missing:
         raise ConfigurationError(f"links without timing: {missing}")
 
-    # One flow network for all n(n-1) pairs: networkx would otherwise
-    # rebuild both per call.  Every ordered pair is still solved on its
-    # own and without a cutoff — reversing (dst, src) or stopping at
-    # f + 1 paths changes which paths are found, hence d_eff/u_eff.
-    auxiliary = nx_connectivity.build_auxiliary_node_connectivity(graph)
-    residual = flow.build_residual_network(auxiliary, "capacity")
+    # One flow network for all n(n-1) pairs.  Every ordered pair is
+    # still solved on its own and without a cutoff below min(deg s,
+    # deg t) — reversing (dst, src) or stopping at f + 1 paths changes
+    # which paths are found, hence d_eff/u_eff.
+    network = _SplitNetwork(graph)
     paths: Dict[Tuple[int, int], List[PathTiming]] = {}
     for src, dst in itertools.permutations(sorted(graph.nodes), 2):
-        disjoint = list(
-            nx.node_disjoint_paths(
-                graph, src, dst, auxiliary=auxiliary, residual=residual
-            )
-        )
-        if len(disjoint) < needed:  # pragma: no cover - connectivity checked
+        found = []
+        for nodes in network.disjoint_paths(src, dst):
+            d = d_min = 0.0
+            for hop in zip(nodes, nodes[1:]):
+                d += hops[hop][0]
+                d_min += hops[hop][1]
+            found.append((d, d_min, nodes))
+        if len(found) < needed:  # pragma: no cover - connectivity checked
             raise ConfigurationError(
-                f"only {len(disjoint)} disjoint paths between {src} and "
+                f"only {len(found)} disjoint paths between {src} and "
                 f"{dst}, need {needed}"
             )
-        paths[(src, dst)] = sorted(
-            (_path_timing(p, timings) for p in disjoint),
-            key=lambda timing: timing.d,
-        )[:needed]
+        found.sort(key=lambda path: path[0])
+        paths[(src, dst)] = [
+            PathTiming(tuple(nodes), d, d_min)
+            for d, d_min, nodes in found[:needed]
+        ]
 
     d_eff = max(
         timing.d for path_list in paths.values() for timing in path_list
@@ -324,9 +473,7 @@ def random_regular(n: int, degree: int = 4, seed: int = 0) -> nx.Graph:
         )
     for attempt in range(64):
         graph = nx.random_regular_graph(degree, n, seed=seed + attempt)
-        if nx.is_connected(graph) and (
-            nx.node_connectivity(graph) == degree
-        ):
+        if node_connectivity(graph) == degree:
             return graph
     raise ConfigurationError(  # pragma: no cover - vanishing probability
         f"no {degree}-connected {degree}-regular graph on {n} nodes "

@@ -129,6 +129,42 @@ class TestDerivation:
         assert params.p_max_bound >= params.p_min_bound
 
 
+    @pytest.mark.parametrize("k", range(13))
+    def test_derivation_feasible_at_every_scale_of_d(self, k):
+        """The slack scales with the bound: rounding in the derivation at
+        large ``d`` (Lemma 16 missed by 1.3e-9 at d = 7e7) is no
+        violation."""
+        derive_parameters(1.001, 10.0**k, 0.01, 4).check_feasible()
+        derive_parameters(1.001, 7.0 * 10.0**k, 0.01, 4).check_feasible()
+
+    @pytest.mark.parametrize(
+        "d,shortfall,feasible",
+        [
+            (0.1, 0.5e-9, True),
+            (0.1, 2e-9, False),
+            (1e6, 1e-4, True),
+            (1e6, 1e-2, False),
+        ],
+    )
+    def test_floor_slack_is_absolute_below_one(self, d, shortfall, feasible):
+        derived = derive_parameters(1.001, d, d / 100, 4)
+        t_floor = (
+            (derived.theta**2 + derived.theta + 1.0) * derived.S
+            + (derived.theta + 1.0) * derived.d
+            - 2.0 * derived.u
+        )
+        assert (t_floor <= 1.0) == (d < 1.0)
+        params = ProtocolParameters(
+            n=4, f=1, theta=1.001, d=d, u=d / 100,
+            T=t_floor - shortfall, S=derived.S,
+        )
+        if feasible:
+            params.check_feasible()
+        else:
+            with pytest.raises(InfeasibleParameters, match="Corollary 15"):
+                params.check_feasible()
+
+
 class TestDerivedQuantities:
     def setup_method(self):
         self.params = derive_parameters(1.002, 1.0, 0.05, 6)

@@ -4,16 +4,18 @@ import itertools
 
 import networkx as nx
 import pytest
-from networkx.algorithms import flow
-from networkx.algorithms.flow import edmondskarp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import build, scenarios
+from repro.core import topology
 from repro.core.params import max_faults
 from repro.core.topology import (
     LinkTiming,
     PathTiming,
     check_connectivity,
     circulant,
+    node_connectivity,
     required_connectivity,
     simulate_full_connectivity,
     uniform_timings,
@@ -222,42 +224,114 @@ TOPOLOGY_CELLS = [
 ]
 
 
+@st.composite
+def shuffled_graphs(draw):
+    """A 2-connected graph (a Hamiltonian cycle plus random chords) whose
+    node and edge insertion orders, and edge orientations, are drawn, with
+    a non-uniform timing on every link."""
+    n = draw(st.integers(4, 11))
+    labels = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    chords = draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+    edges += [(labels[a], labels[b]) for a, b in chords]
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges),
+                          max_size=len(edges)))
+    graph = nx.Graph()
+    graph.add_nodes_from(draw(st.permutations(labels)))
+    graph.add_edges_from(
+        (b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)
+    )
+    timings = {}
+    for edge in graph.edges:
+        d = draw(st.sampled_from([0.5, 1.0, 1.25, 3.0]))
+        u = draw(st.sampled_from([0.0, 0.01, 0.1])) * d
+        timings[edge if draw(st.booleans()) else edge[::-1]] = (
+            LinkTiming(d, u)
+        )
+    return graph, timings
+
+
 class TestFlowNetworkReuse:
-    """One auxiliary digraph + residual network per overlay, one
-    connectivity sweep per build — with the per-pair results intact."""
+    """One integer-array flow network per overlay, one connectivity sweep
+    per build — with networkx's per-pair paths and connectivity intact."""
 
     @pytest.mark.parametrize("key,n", TOPOLOGY_CELLS)
-    def test_matches_fresh_network_per_pair(self, key, n, monkeypatch):
+    def test_matches_fresh_network_per_pair(self, key, n):
         graph = scenarios.create("topology", key, n)
         timings = uniform_timings(graph, 1.0, 0.01)
         f = min(max_faults(n), nx.node_connectivity(graph) - 1)
         paths, d_eff, u_eff = _reference_overlay(graph, timings, f, 1.001)
-
-        # The overlay calls the flow package's attribute; networkx's
-        # own per-pair fallback calls its solver module's alias.
-        ours = _counting(monkeypatch, flow, "build_residual_network")
-        theirs = _counting(
-            monkeypatch, edmondskarp, "build_residual_network"
-        )
         overlay = simulate_full_connectivity(
             graph, timings, f, theta=1.001, connectivity=f + 1
         )
         assert overlay.paths == paths
         assert (overlay.d_eff, overlay.u_eff) == (d_eff, u_eff)
-        assert (len(ours), len(theirs)) == (1, 0)
+
+    @given(shuffled_graphs(), st.data())
+    def test_matches_networkx_on_shuffled_graphs(self, drawn, data):
+        graph, timings = drawn
+        connectivity = nx.node_connectivity(graph)
+        assert node_connectivity(graph) == connectivity
+        f = data.draw(st.integers(0, connectivity - 1))
+        paths, d_eff, u_eff = _reference_overlay(graph, timings, f, 1.001)
+        overlay = simulate_full_connectivity(graph, timings, f, theta=1.001)
+        assert overlay.paths == paths
+        assert (overlay.d_eff, overlay.u_eff) == (d_eff, u_eff)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            nx.empty_graph(1),
+            nx.empty_graph(2),
+            nx.path_graph(2),
+            nx.path_graph(5),
+            nx.disjoint_union(nx.complete_graph(4), nx.complete_graph(3)),
+            nx.barbell_graph(4, 1),
+            nx.petersen_graph(),
+            nx.complete_bipartite_graph(3, 5),
+        ],
+        ids=lambda graph: f"{graph.number_of_nodes()}-"
+        f"{graph.number_of_edges()}",
+    )
+    def test_node_connectivity_matches_networkx(self, graph):
+        assert node_connectivity(graph) == nx.node_connectivity(graph)
+
+    @pytest.mark.parametrize(
+        "graph,f,connectivity",
+        [
+            (nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(4)), 1, 0),
+            (nx.cycle_graph(8), 2, 2),
+            (nx.barbell_graph(4, 0), 1, 1),
+        ],
+    )
+    def test_under_connected_graph_is_refused(self, graph, f, connectivity):
+        needs = f + 1
+        message = (
+            f"graph has node connectivity {connectivity}, but tolerating "
+            f"f={f} faults with signatures needs {needs}"
+        )
+        with pytest.raises(ConfigurationError) as raised:
+            simulate_full_connectivity(
+                graph, uniform_timings(graph, 1.0, 0.01), f
+            )
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("key,n", TOPOLOGY_CELLS)
     def test_one_connectivity_sweep_per_build(self, key, n, monkeypatch):
-        sweeps = _counting(monkeypatch, nx, "node_connectivity")
+        sweeps = _counting(monkeypatch, topology, "node_connectivity")
+        networkx_sweeps = _counting(monkeypatch, nx, "node_connectivity")
         # What the factory sweeps for itself (random-regular verifies
         # every candidate it draws) is not the builder's to save.
         scenarios.create("topology", key, n)
         by_factory = len(sweeps)
         build.build_simulation({"n": n, "topology": key})
         assert len(sweeps) == 2 * by_factory + 1
+        assert not networkx_sweeps
 
     def test_known_connectivity_is_trusted_by_the_check(self, monkeypatch):
-        sweeps = _counting(monkeypatch, nx, "node_connectivity")
+        sweeps = _counting(monkeypatch, topology, "node_connectivity")
         graph = nx.cycle_graph(8)
         check_connectivity(graph, f=1, connectivity=2)
         with pytest.raises(ConfigurationError):
