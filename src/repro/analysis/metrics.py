@@ -10,24 +10,28 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.params import RELATIVE_TOLERANCE
 from repro.sim.errors import ConfigurationError
 
 Pulses = Dict[int, List[float]]
 
-#: Numerical slack of every comparison of a measurement with a bound —
-#: experiment tables and conformance monitors alike, through the two
-#: functions below and nowhere else.
-TOLERANCE = 1e-9
+# Every comparison of a measurement with a bound — experiment tables and
+# conformance monitors alike — goes through the two functions below, up
+# to the run's time tolerance (``ProtocolParameters.tolerance``).
 
 
-def within(observed: float, bound: float) -> bool:
-    """``observed <= bound``, up to :data:`TOLERANCE` (False for NaN)."""
-    return observed <= bound + TOLERANCE
+def within(
+    observed: float, bound: float, tolerance: float = RELATIVE_TOLERANCE
+) -> bool:
+    """``observed <= bound``, up to ``tolerance`` (False for NaN)."""
+    return observed <= bound + tolerance
 
 
-def at_least(observed: float, bound: float) -> bool:
-    """``observed >= bound``, up to :data:`TOLERANCE` (False for NaN)."""
-    return observed >= bound - TOLERANCE
+def at_least(
+    observed: float, bound: float, tolerance: float = RELATIVE_TOLERANCE
+) -> bool:
+    """``observed >= bound``, up to ``tolerance`` (False for NaN)."""
+    return observed >= bound - tolerance
 
 
 def common_pulse_count(pulses: Pulses) -> int:
@@ -219,6 +223,7 @@ def stabilization_report(
     activated_at: float,
     reference: Sequence[int],
     bound: float,
+    tolerance: float = RELATIVE_TOLERANCE,
 ) -> StabilizationReport:
     """Judge one node's re-synchronization after an activation at
     ``activated_at`` against the ``reference`` cohort (nodes active and
@@ -232,7 +237,7 @@ def stabilization_report(
     # non-evaluable pulses (run truncation) are neutral.
     resync_index: Optional[int] = 0 if post else None
     for index, value in enumerate(envelopes):
-        if value is not None and not within(value, bound):
+        if value is not None and not within(value, bound, tolerance):
             resync_index = index + 1
     if resync_index is not None and resync_index >= len(post):
         resync_index = None  # never settled (or never pulsed again)
@@ -263,13 +268,14 @@ def stabilization_reports(
     stable_nodes: Sequence[int],
     activations: Sequence[Tuple[float, str, int]],
     bound: float,
+    tolerance: float = RELATIVE_TOLERANCE,
 ) -> Tuple[List[int], List[StabilizationReport]]:
     """The reference cohort (stable nodes that pulsed) and one
     :func:`stabilization_report` against it per applied
     ``(time, kind, node)`` activation."""
     cohort = [v for v in stable_nodes if pulses.get(v)]
     return cohort, [
-        stabilization_report(pulses, node, time, cohort, bound)
+        stabilization_report(pulses, node, time, cohort, bound, tolerance)
         for time, _kind, node in activations
     ]
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro.baselines.relay import relay_simulation
+from repro.core.params import time_tolerance
 from repro.crypto.signatures import Signature, verify
 from repro.sim.adversary import ByzantineBehavior
 from repro.sim.clocks import HardwareClock
@@ -227,7 +228,7 @@ class ChainRelayNode(TimedProtocol):
             return
         origin = self._origin_estimate.get(pulse_round)
         target = origin + self.params.pulse_delay
-        if api.local_time() < target - 1e-9:
+        if api.local_time() < target - time_tolerance(self.params.d):
             return  # superseded by an earlier adopted origin
         self._pulsed.add(pulse_round)
         api.pulse()

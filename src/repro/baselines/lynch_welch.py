@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 from repro.core.params import ProtocolParameters, derive_parameters
 from repro.core.tcb import offset_estimate
 from repro.sim.adversary import ByzantineBehavior
-from repro.sim.clocks import EPS, HardwareClock, validate_initial_skew
+from repro.sim.clocks import HardwareClock, validate_initial_skew
 from repro.sim.network import DelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation
@@ -92,10 +92,9 @@ class LynchWelchNode(TimedProtocol):
         if payload.pulse_round != self.pulse_round:
             return
         local = api.local_time()
+        window_end = self.pulse_local + self.params.tcb_window
         in_window = (
-            self.pulse_local
-            < local
-            <= self.pulse_local + self.params.tcb_window + EPS
+            self.pulse_local < local <= window_end + self.params.tolerance
         )
         if in_window and sender not in self._arrivals:
             self._arrivals[sender] = local
@@ -110,7 +109,9 @@ class LynchWelchNode(TimedProtocol):
             ("send", self.pulse_round),
         )
         api.set_timer(
-            self.pulse_local + self.params.tcb_window + 2.0 * EPS,
+            self.pulse_local
+            + self.params.tcb_window
+            + 2.0 * self.params.tolerance,
             ("window-end", self.pulse_round),
         )
 

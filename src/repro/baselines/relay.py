@@ -41,6 +41,7 @@ def relay_simulation(
     ``[1, theta]`` per period for ``drift_periods`` periods (the order
     every seeded E6 row depends on).
     """
+    config = NetworkConfig(params.n, params.d, params.u)
     if clocks is None:
         rng = random.Random(seed)
         clocks = ClockEnsemble(
@@ -55,6 +56,7 @@ def relay_simulation(
                 for _ in range(params.n)
             ],
             params.theta,
+            tolerance=config.tolerance,
         )
     excluded = set(faulty)
     validate_initial_skew(
@@ -62,7 +64,7 @@ def relay_simulation(
         params.initial_skew,
     )
     return Simulation(
-        config=NetworkConfig(params.n, params.d, params.u),
+        config=config,
         clocks=clocks,
         protocol_factory=lambda v: node(params),
         faulty=faulty,

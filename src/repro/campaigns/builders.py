@@ -332,6 +332,7 @@ def cps_run_trial(
             honest_pulses,
             measurement.pulses,
             built.params.delta,
+            built.params.tolerance,
         )
         row.update(
             asdict(estimates),
@@ -512,7 +513,9 @@ def lower_bound_trial(
     saturated = result.saturated_pulse_indices()
     index = saturated[-1] if saturated else result.common_pulse_count() - 1
     measured = result.max_skew_at(index)
-    bound, meets_bound = judge_lower_bound(measured, u_tilde)
+    bound, meets_bound = judge_lower_bound(
+        measured, u_tilde, result.tolerance
+    )
     return {
         "max_exec_skew": measured,
         "bound": bound,
@@ -592,7 +595,11 @@ def cps_mechanism_trial(
     if outcome.report is not None:
         honest_pulses = outcome.result.honest_pulses()
         estimates = judge_estimates(
-            simulation, honest_pulses, measurement.pulses, params.delta
+            simulation,
+            honest_pulses,
+            measurement.pulses,
+            params.delta,
+            params.tolerance,
         )
         row.update(
             max_skew=outcome.report.max_skew,
@@ -636,6 +643,7 @@ def cps_churn_trial(
         schedule.stable_nodes(params.n),
         controller.activations_applied(),
         params.S,
+        params.tolerance,
     )
     cohort_skew = metrics.cohort_skew(
         result.pulses, stable, skip=measurement.warmup

@@ -64,7 +64,11 @@ from repro.checks.monitors import (
     TcbConsistencyMonitor,
     Violation,
 )
-from repro.core.params import ProtocolParameters, max_faults
+from repro.core.params import (
+    RELATIVE_TOLERANCE,
+    ProtocolParameters,
+    max_faults,
+)
 from repro.scenarios import REGISTRY
 from repro.sync.crusader import BOT
 
@@ -117,17 +121,21 @@ def cps_check_set(
     from repro.analysis import theory
 
     honest = list(honest)
+    tolerance = params.tolerance
     return CheckSet(
         [
-            SkewBoundMonitor(theory.cps_skew_bound(params), len(honest)),
+            SkewBoundMonitor(
+                theory.cps_skew_bound(params), len(honest), tolerance
+            ),
             PeriodWindowMonitor(
                 theory.cps_min_period_bound(params),
                 theory.cps_max_period_bound(params),
                 len(honest),
+                tolerance,
             ),
             ProgressMonitor(honest, expected_pulses),
             TcbConsistencyMonitor(
-                theory.tcb_consistency_bound(params), len(honest)
+                theory.tcb_consistency_bound(params), len(honest), tolerance
             ),
         ]
     )
@@ -157,11 +165,11 @@ def judge_pulses(
     return {verdict.monitor: verdict for verdict in checks.finish()}
 
 
-def judge_steady_skew(skew: float, params: Any) -> bool:
+def judge_steady_skew(skew: float, params: ProtocolParameters) -> bool:
     """Theorem 17's bound ``S`` over a skew the pulse monitors do not
     see whole: E5's skew after warm-up (for Lynch–Welch, its own
     ``S``), CHURN's stable-cohort skew."""
-    return within(skew, params.S)
+    return within(skew, params.S, params.tolerance)
 
 
 def judge_apa(result: Any) -> Tuple[MonitorVerdict, bool]:
@@ -208,6 +216,7 @@ def judge_estimates(
     honest_pulses: Dict[int, Sequence[float]],
     pulses: int,
     delta: float,
+    tolerance: float = RELATIVE_TOLERANCE,
 ) -> EstimateVerdict:
     """Lemmas 12–13 over a finished CPS run's ``cps-round`` summaries.
 
@@ -249,20 +258,22 @@ def judge_estimates(
     return EstimateVerdict(
         accepts,
         validity_err,
-        within(validity_err, delta),
+        within(validity_err, delta, tolerance),
         faulty_accepted,
         consistency_err,
-        within(consistency_err, delta),
+        within(consistency_err, delta, tolerance),
     )
 
 
-def judge_lower_bound(measured: float, u_tilde: float) -> Tuple[float, bool]:
+def judge_lower_bound(
+    measured: float, u_tilde: float, tolerance: float = RELATIVE_TOLERANCE
+) -> Tuple[float, bool]:
     """Theorem 5 over one construction run: ``(bound, met)``, the
     bound being ``2ũ/3`` — some execution must reach it."""
     from repro.analysis import theory
 
     bound = theory.lower_bound_skew(u_tilde)
-    return bound, at_least(measured, bound)
+    return bound, at_least(measured, bound, tolerance)
 
 
 @dataclass(frozen=True)
@@ -334,6 +345,7 @@ def churn_check_set(
                 envelope=params.S,
                 resync_budget=RESYNC_PULSE_BUDGET,
                 tail_window=TAIL_WINDOW_PERIODS * params.p_max_bound,
+                tolerance=params.tolerance,
             )
         ]
     )

@@ -58,6 +58,7 @@ from repro.analysis.metrics import (
     within,
 )
 from repro.checks.catalog import MONITOR_CATALOG
+from repro.core.params import RELATIVE_TOLERANCE
 from repro.dynamics.schedule import FaultSchedule
 from repro.sim.runtime import SimulationChecks
 from repro.sync.crusader import BOT
@@ -155,13 +156,15 @@ class Monitor(SimulationChecks):
     counts its own; :meth:`compare` does not), so a "pass" verdict
     distinguishes *held N times* from *never evaluated*.  A subclass's
     ``claim`` is its ``name``'s entry in
-    :data:`~repro.checks.catalog.MONITOR_CATALOG`.
+    :data:`~repro.checks.catalog.MONITOR_CATALOG`.  Every comparison
+    holds up to ``tolerance``, the run's ``ProtocolParameters.tolerance``.
     """
 
     name: str = "monitor"
     claim: str = ""
 
-    def __init__(self) -> None:
+    def __init__(self, tolerance: float = RELATIVE_TOLERANCE) -> None:
+        self.tolerance = tolerance
         self.violations: List[Violation] = []
         self.checked = 0
         self._finished = False
@@ -202,7 +205,9 @@ class Monitor(SimulationChecks):
                 pulse: Optional[int] = None) -> bool:
         """Judge ``observed <= bound`` (``>=`` when ``lower``), keep the
         worst :class:`Headroom`, and :meth:`violate` when it fails."""
-        held = at_least(observed, bound) if lower else within(observed, bound)
+        held = (at_least if lower else within)(
+            observed, bound, self.tolerance
+        )
         top, base = (bound, observed) if lower else (observed, bound)
         # No ratio over a non-positive base or a NaN: 1 if held, else inf.
         ratio = top / base if base > 0 and top == top else (
@@ -273,8 +278,13 @@ class SkewBoundMonitor(Monitor):
     claim = MONITOR_CATALOG[name]
     breach = "pulse skew exceeds the Theorem 17 bound S"
 
-    def __init__(self, bound: float, honest_count: int) -> None:
-        super().__init__()
+    def __init__(
+        self,
+        bound: float,
+        honest_count: int,
+        tolerance: float = RELATIVE_TOLERANCE,
+    ) -> None:
+        super().__init__(tolerance)
         self.bound = bound
         self.honest_count = honest_count
         self._open: Dict[int, _PulseAggregate] = {}
@@ -295,7 +305,7 @@ class SkewBoundMonitor(Monitor):
         # happens; :meth:`compare` runs then, or once as the index
         # completes (its final spread is its widest), to keep headroom.
         if (
-            (complete or not within(entry.spread, self.bound))
+            (complete or not within(entry.spread, self.bound, self.tolerance))
             and index not in self._flagged
             and not self.compare(
                 self.breach, entry.spread, self.bound,
@@ -328,9 +338,13 @@ class PeriodWindowMonitor(Monitor):
     claim = MONITOR_CATALOG[name]
 
     def __init__(
-        self, p_min: float, p_max: float, honest_count: int
+        self,
+        p_min: float,
+        p_max: float,
+        honest_count: int,
+        tolerance: float = RELATIVE_TOLERANCE,
     ) -> None:
-        super().__init__()
+        super().__init__(tolerance)
         self.p_min = p_min
         self.p_max = p_max
         self.honest_count = honest_count
@@ -441,8 +455,13 @@ class TcbConsistencyMonitor(Monitor):
     name = "tcb-consistency"
     claim = MONITOR_CATALOG[name]
 
-    def __init__(self, window: float, honest_count: int) -> None:
-        super().__init__()
+    def __init__(
+        self,
+        window: float,
+        honest_count: int,
+        tolerance: float = RELATIVE_TOLERANCE,
+    ) -> None:
+        super().__init__(tolerance)
         self.window = window
         self.honest_count = honest_count
         # round -> dealer -> node -> acceptance real time
@@ -564,8 +583,9 @@ class StabilizationMonitor(Monitor):
         envelope: float,
         resync_budget: int,
         tail_window: float,
+        tolerance: float = RELATIVE_TOLERANCE,
     ) -> None:
-        super().__init__()
+        super().__init__(tolerance)
         self.schedule = schedule
         self.n = n
         self.envelope = envelope
@@ -608,6 +628,7 @@ class StabilizationMonitor(Monitor):
             self.schedule.stable_nodes(self.n),
             [entry for _event, entry in observed if entry is not None],
             self.envelope,
+            self.tolerance,
         )
         reports = iter(reports)
         for event, entry in observed:
@@ -673,7 +694,7 @@ class StabilizationMonitor(Monitor):
             self.checked += 1
             times = self._pulses.get(node, [])
             last = times[-1] if times else float("-inf")
-            if not at_least(last, horizon):
+            if not at_least(last, horizon, self.tolerance):
                 self.violate(
                     f"node {node} fell silent: last pulse "
                     f"{last_any - last:.6g} before the end of the run "

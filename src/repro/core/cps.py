@@ -33,7 +33,6 @@ from repro.core.messages import TcbMessage, tcb_tag
 from repro.core.params import ProtocolParameters
 from repro.core.tcb import TcbInstance, offset_estimate
 from repro.sim.clocks import (
-    EPS,
     ClockEnsemble,
     Draws,
     HardwareClock,
@@ -197,6 +196,7 @@ class CpsNode(TimedProtocol):
                 finalize_wait=self.params.tcb_finalize_wait,
                 echo_rejection=self.echo_rejection,
                 window_filter=self.window_filter,
+                tolerance=self.params.tolerance,
             )
             for w in range(api.n)
             if w != api.node_id
@@ -205,7 +205,9 @@ class CpsNode(TimedProtocol):
         # message arriving exactly at the bound (the Lemma 10 worst case)
         # is still processed first and accepted.
         api.set_timer(
-            self.pulse_local + self.params.tcb_window + 2.0 * EPS,
+            self.pulse_local
+            + self.params.tcb_window
+            + 2.0 * self.params.tolerance,
             ("window-end", self.pulse_round),
         )
 
@@ -270,7 +272,7 @@ def wandering_clocks(
     draws = Draws.take(
         random.Random(seed), entries.count(None), schedule, params.S
     )
-    return ClockEnsemble(entries, params.theta, draws)
+    return ClockEnsemble(entries, params.theta, draws, params.tolerance)
 
 
 def default_clocks(

@@ -42,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Tuple
 
+from repro.core.params import time_tolerance
 from repro.crypto.signatures import collect_signatures
-from repro.sim.clocks import EPS, HardwareClock
+from repro.sim.clocks import HardwareClock
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.network import DelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
@@ -129,6 +130,11 @@ class LowerBoundResult:
             for k in range(3)
         }
 
+    @property
+    def tolerance(self) -> float:
+        """How close two times must be to count as equal."""
+        return time_tolerance(self.d)
+
     def real_time(self, k: int, node: int, local: float) -> float:
         """Real time in ``Ex^k`` when honest ``node`` reads ``local``."""
         if node == (k + 1) % 3:
@@ -159,7 +165,7 @@ class LowerBoundResult:
         For these indices the Theorem 5 identity (the three signed
         differences sum to ``2 u_tilde``) holds exactly.
         """
-        saturation = self.shift.saturation_time
+        floor = self.shift.saturation_time - self.tolerance
         indices = []
         for i in range(self.common_pulse_count()):
             real_times = [
@@ -167,7 +173,7 @@ class LowerBoundResult:
                 for per_node in self.execution_pulses.values()
                 for times in per_node.values()
             ]
-            if min(real_times) >= saturation - EPS:
+            if min(real_times) >= floor:
                 indices.append(i)
         return indices
 
@@ -201,6 +207,7 @@ class LowerBoundResult:
 
         Raises :class:`SimulationError` with a counterexample otherwise.
         """
+        tolerance = self.tolerance
         for k in range(3):
             knowledge: Dict[Tuple[int, Hashable], float] = {}
             outgoing: List[Tuple[float, SendRecord]] = []
@@ -224,7 +231,7 @@ class LowerBoundResult:
                     if signature.signer == k:
                         continue
                     earliest = knowledge.get(signature.key())
-                    if earliest is None or earliest > send_real + EPS:
+                    if earliest is None or earliest > send_real + tolerance:
                         raise SimulationError(
                             f"Ex^{k} ill-defined: node {k} sends "
                             f"{signature.key()} at {send_real} but first "

@@ -38,6 +38,19 @@ from typing import Optional
 from repro.sim.errors import ConfigurationError
 
 
+#: How close counts as equal: rates compare up to this, times up to this
+#: many ``d`` (:attr:`ProtocolParameters.tolerance`; ``d = 1`` where no
+#: ``d`` is given).  The model has no time unit, so a run with every time
+#: input scaled by 2^k compares exactly as the unscaled one.
+RELATIVE_TOLERANCE = 1e-9
+
+
+def time_tolerance(d: float) -> float:
+    """How close two times count as equal where the maximum delay is
+    ``d``: :data:`RELATIVE_TOLERANCE` in units of ``d``."""
+    return RELATIVE_TOLERANCE * d
+
+
 class InfeasibleParameters(ConfigurationError):
     """The requested (theta, d, u, T) admit no valid skew bound S."""
 
@@ -104,6 +117,8 @@ class ProtocolParameters:
         correction ``Delta``).
     S:
         The proven skew bound; also the assumed bound on initial offsets.
+    tolerance:
+        ``time_tolerance(d)`` (an attribute, not a field).
     """
 
     n: int
@@ -137,6 +152,7 @@ class ProtocolParameters:
             )
         if self.S <= 0 or self.T <= 0:
             raise ConfigurationError("S and T must be positive")
+        object.__setattr__(self, "tolerance", time_tolerance(self.d))
 
     # -- derived quantities (all straight from the paper) ---------------
 
@@ -188,9 +204,10 @@ class ProtocolParameters:
             + (self.theta + 1.0) * self.d
             - 2.0 * self.u
         )
-        # The slack is 1e-9 relative to the bound once it exceeds 1, so
+        # Each slack is relative to its bound once that exceeds d, so
         # the derivation's own rounding at large d is not a violation.
-        if self.T < t_floor - 1e-9 * max(1.0, abs(t_floor)):
+        slack = time_tolerance(max(self.d, abs(t_floor)))
+        if self.T < t_floor - slack:
             raise InfeasibleParameters(
                 f"T={self.T} below Corollary 15 floor {t_floor}"
             )
@@ -199,7 +216,8 @@ class ProtocolParameters:
             2.0 * (2.0 * self.theta - 1.0) * self.delta
             + 2.0 * (self.theta - 1.0) * self.T
         )
-        if lhs < rhs - 1e-9 * max(1.0, abs(rhs)):
+        slack = time_tolerance(max(self.d, abs(rhs)))
+        if lhs < rhs - slack:
             raise InfeasibleParameters(
                 f"Lemma 16 contraction violated: S(2-theta)={lhs} < {rhs}"
             )
@@ -263,7 +281,7 @@ def derive_parameters(
             # Degenerate corner: theta == 1 and u == 0 — perfect clocks and
             # exact delays need no correction, but S must stay positive for
             # the algorithm's windows; pick a tiny S relative to d.
-            s_value = 1e-9 * d
+            s_value = time_tolerance(d)
         t_value = (
             (theta**2 + theta + 1.0) * s_value + (theta + 1.0) * d - 2.0 * u
         )
@@ -277,7 +295,7 @@ def derive_parameters(
             (amplification * base + 2.0 * (theta - 1.0) * T) / denominator
         )
         if s_value <= 0:
-            s_value = 1e-9 * d
+            s_value = time_tolerance(d)
         t_value = T
     for name, value in (("S", s_value), ("T", t_value)):
         if not math.isfinite(value):

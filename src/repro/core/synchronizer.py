@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.params import ProtocolParameters
-from repro.sim.clocks import EPS
+from repro.core.params import ProtocolParameters, time_tolerance
 from repro.sim.errors import ConfigurationError
 
 
 def supports_round_simulation(params: ProtocolParameters) -> bool:
     """Does ``P_min >= S + d`` hold for these parameters?"""
-    return params.p_min_bound >= params.S + params.d - EPS
+    return params.p_min_bound >= params.S + params.d - params.tolerance
 
 
 @dataclass
@@ -67,7 +66,7 @@ def verify_round_separation(
         end = min(times[i + 1] for times in pulses.values())
         starts.append(start)
         ends.append(end)
-        if end - start < d - EPS:
+        if end - start < d - time_tolerance(d):
             violations.append(i)
     return RoundSchedule(starts, ends, violations)
 

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.clocks import EPS
+from repro.core.params import RELATIVE_TOLERANCE
 from repro.sync.crusader import BOT
 
 
@@ -69,6 +69,8 @@ class TcbInstance:
         a silent dealer's instance to ⊥ (the instance simply stays
         WAITING forever).  This is the paper-true cost of removing the
         window: per-round termination is exactly what it buys.
+    tolerance:
+        ``ProtocolParameters.tolerance``: how close counts as equal.
     """
 
     dealer: int
@@ -78,6 +80,7 @@ class TcbInstance:
     finalize_wait: float
     echo_rejection: bool = True
     window_filter: bool = True
+    tolerance: float = RELATIVE_TOLERANCE
     state: TcbState = TcbState.WAITING
     accept_local: Optional[float] = None
     earliest_echo: Optional[float] = None
@@ -100,7 +103,7 @@ class TcbInstance:
         if self.state is not TcbState.WAITING:
             return actions
         if self.window_filter and not (
-            self.pulse_local < local_time <= self.window_end + EPS
+            self.pulse_local < local_time <= self.window_end + self.tolerance
         ):
             # Outside the acceptance window: ignored.  (A too-early message
             # cannot be accepted later; the dealer would have to send again
@@ -117,7 +120,7 @@ class TcbInstance:
         if (
             self.echo_rejection
             and self.earliest_echo is not None
-            and self.earliest_echo < deadline - EPS
+            and self.earliest_echo < deadline - self.tolerance
         ):
             self._reject("echo-before-acceptance")
             return actions
@@ -129,7 +132,7 @@ class TcbInstance:
         actions = TcbActions()
         if self.state is TcbState.DONE:
             return actions
-        if local_time <= self.pulse_local + EPS:
+        if local_time <= self.pulse_local + self.tolerance:
             # Strictly before (or at) the window origin: outside the open
             # rejection interval, ignored.
             return actions
@@ -139,7 +142,8 @@ class TcbInstance:
             self.echo_rejection
             and self.state is TcbState.ACCEPTED
             and self.accept_local is not None
-            and local_time < self.accept_local + self.finalize_wait - EPS
+            and local_time
+            < self.accept_local + self.finalize_wait - self.tolerance
         ):
             self._reject("echo-within-guard")
         return actions

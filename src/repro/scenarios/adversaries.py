@@ -65,6 +65,7 @@ def _replay(params=None, seed: int = 0, copies: int = 1):
         ParamSpec(
             "stagger", 0.0,
             "extra real-time gap before the slow copies (ablation A1)",
+            unit="time",
         ),
     ),
     tags=("cps",),
@@ -92,6 +93,7 @@ def _mimic_split(params, spread_fraction: float = 0.9, stagger: float = 0.0):
         ParamSpec(
             "lateness", 0.0,
             "extra real-time delay of the subset's copies",
+            unit="time",
         ),
     ),
     tags=("cps",),
@@ -160,6 +162,7 @@ def _coordinated_offset(
             "margin", None,
             "real-time arrival margin after the predicted first pulse "
             "(None = 2S)",
+            unit="time",
         ),
     ),
     tags=("cps", "new"),

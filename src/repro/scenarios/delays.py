@@ -175,7 +175,9 @@ def _eclipse(n, victims: Optional[Sequence[int]] = None):
     "worst case",
     params=(
         ParamSpec("group", None, "ids of group A (None = even half)"),
-        ParamSpec("period", 10.0, "real-time length of each phase"),
+        ParamSpec(
+            "period", 10.0, "real-time length of each phase", unit="time"
+        ),
     ),
     tags=("adversarial", "new"),
 )

@@ -59,7 +59,7 @@ def _extreme_profile(params, seed: int = 0) -> ClockEnsemble:
         else constant_row(params.theta, params.S)
         for node in range(params.n)
     ]
-    return ClockEnsemble(rows, params.theta)
+    return ClockEnsemble(rows, params.theta, tolerance=params.tolerance)
 
 
 @register_scenario(
@@ -105,4 +105,4 @@ def _staggered_profile(params, seed: int = 0) -> ClockEnsemble:
         offset = params.S * node / max(n - 1, 1)
         rate = 1.0 if node % 2 == 0 else params.theta
         rows.append(constant_row(rate, offset))
-    return ClockEnsemble(rows, params.theta)
+    return ClockEnsemble(rows, params.theta, tolerance=params.tolerance)

@@ -83,12 +83,15 @@ class ParamSpec:
 
     ``default`` documents the value the factory uses when a case omits
     the parameter (factories own the actual defaulting; the spec is
-    metadata for the CLI and the generated docs).
+    metadata for the CLI and the generated docs).  ``unit`` is
+    ``"time"`` for a real-time length, which scales with ``d`` and
+    ``u`` (the model has no time unit), and empty otherwise.
     """
 
     name: str
     default: Any = None
     doc: str = ""
+    unit: str = ""
 
     def render(self) -> str:
         """``name=default`` form used by ``repro scenarios show``."""

@@ -34,10 +34,8 @@ from typing import (
     Union,
 )
 
+from repro.core.params import RELATIVE_TOLERANCE
 from repro.sim.errors import ClockError
-
-#: Tolerance for floating-point comparisons of times and rates.
-EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,11 +66,16 @@ def _row_of(segments: Sequence[ClockSegment]) -> Row:
     )
 
 
-def check_row(row: Row, theta: Optional[float] = None) -> Row:
+def check_row(
+    row: Row,
+    theta: Optional[float] = None,
+    tolerance: float = RELATIVE_TOLERANCE,
+) -> Row:
     """``row``, or :class:`ClockError` unless it is an admissible clock:
     finite values, first start at 0, positive rates (in ``[1, theta]``
     when ``theta`` is given), strictly increasing starts, continuous,
-    ``H(0) >= 0``."""
+    ``H(0) >= 0`` — times to within ``tolerance``, rates to within
+    :data:`~repro.core.params.RELATIVE_TOLERANCE`."""
     starts, local_starts, rates = row
     if not starts:
         raise ClockError("a clock needs at least one segment")
@@ -85,7 +88,7 @@ def check_row(row: Row, theta: Optional[float] = None) -> Row:
         raise ClockError(
             f"clock values must be finite: {ClockSegment(*segment)}"
         )
-    if abs(starts[0]) > EPS:
+    if abs(starts[0]) > tolerance:
         raise ClockError(
             f"first segment must start at t=0, got {starts[0]}"
         )
@@ -95,7 +98,9 @@ def check_row(row: Row, theta: Optional[float] = None) -> Row:
                 "clock rate must be positive: "
                 f"{ClockSegment(starts[index], local_starts[index], rate)}"
             )
-        if theta is not None and not (1.0 - EPS <= rate <= theta + EPS):
+        if theta is not None and not (
+            1.0 - RELATIVE_TOLERANCE <= rate <= theta + RELATIVE_TOLERANCE
+        ):
             raise ClockError(
                 f"rate {rate} outside [1, {theta}]: "
                 f"{ClockSegment(starts[index], local_starts[index], rate)}"
@@ -105,12 +110,12 @@ def check_row(row: Row, theta: Optional[float] = None) -> Row:
             if elapsed <= 0:
                 raise ClockError("segments must have increasing t_start")
             expected = local_starts[index - 1] + rates[index - 1] * elapsed
-            if abs(expected - local_starts[index]) > 1e-6:
+            if abs(expected - local_starts[index]) > tolerance:
                 raise ClockError(
                     "discontinuous clock: expected local "
                     f"{expected}, got {local_starts[index]}"
                 )
-    if local_starts[0] < -EPS:
+    if local_starts[0] < -tolerance:
         raise ClockError("clock must be non-negative at t=0")
     return row
 
@@ -240,28 +245,36 @@ class HardwareClock:
         segments must agree at the junction (continuity), the first segment
         must start at ``t = 0``, and all rates must be positive.
     theta:
-        If given, every rate must lie in ``[1, theta]`` (up to ``EPS``);
-        otherwise rates only need to be positive.
+        If given, every rate must lie in ``[1, theta]``; otherwise rates
+        only need to be positive.
+    tolerance:
+        How close two times must be to count as equal.
     """
 
     def __init__(
         self,
         segments: Sequence[ClockSegment],
         theta: Optional[float] = None,
+        tolerance: float = RELATIVE_TOLERANCE,
     ) -> None:
         self._starts, self._local_starts, self._rates = check_row(
-            _row_of(segments), theta
+            _row_of(segments), theta, tolerance
         )
         self.theta = theta
+        self.tolerance = tolerance
 
     @classmethod
     def over_row(
-        cls, row: Row, theta: Optional[float] = None
+        cls,
+        row: Row,
+        theta: Optional[float] = None,
+        tolerance: float = RELATIVE_TOLERANCE,
     ) -> "HardwareClock":
         """A clock over a row that :func:`check_row` already passed."""
         clock = cls.__new__(cls)
         clock._starts, clock._local_starts, clock._rates = row
         clock.theta = theta
+        clock.tolerance = tolerance
         return clock
 
     # ------------------------------------------------------------------
@@ -269,7 +282,7 @@ class HardwareClock:
 
     def local_time(self, t: float) -> float:
         """Evaluate ``H(t)`` for real time ``t >= 0``."""
-        if t < -EPS:
+        if t < -self.tolerance:
             raise ClockError(f"real time must be non-negative, got {t}")
         t = max(t, 0.0)
         index = bisect.bisect_right(self._starts, t) - 1
@@ -282,7 +295,7 @@ class HardwareClock:
 
         Requires ``local >= H(0)`` (the clock never reads earlier values).
         """
-        if local < self._local_starts[0] - EPS:
+        if local < self._local_starts[0] - self.tolerance:
             raise ClockError(
                 f"local time {local} precedes clock start "
                 f"{self._local_starts[0]}"
@@ -416,6 +429,7 @@ class ClockEnsemble(abc.Sequence):
         entries: Sequence[Optional[Row]],
         theta: Optional[float] = None,
         draws: Optional[Draws] = None,
+        tolerance: float = RELATIVE_TOLERANCE,
     ) -> None:
         wandering = count()
         #: Each node's row, or the index of its clock in ``draws``.
@@ -424,6 +438,7 @@ class ClockEnsemble(abc.Sequence):
         ]
         self.theta = theta
         self.draws = draws
+        self.tolerance = tolerance
         self._rows: List[Optional[Row]] = [None] * len(self.entries)
 
     @classmethod
@@ -441,7 +456,9 @@ class ClockEnsemble(abc.Sequence):
             entry = self.entries[node]
             if isinstance(entry, int):
                 entry = self.draws.row(entry, self.theta)
-            row = self._rows[node] = check_row(entry, self.theta)
+            row = self._rows[node] = check_row(
+                entry, self.theta, self.tolerance
+            )
         return row
 
     def __len__(self) -> int:
@@ -450,16 +467,18 @@ class ClockEnsemble(abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[v] for v in range(len(self))[index]]
-        return HardwareClock.over_row(self.row(index), self.theta)
+        return HardwareClock.over_row(
+            self.row(index), self.theta, self.tolerance
+        )
 
 
 def validate_offset_spread(
     offsets: Sequence[float], bound: float
 ) -> None:
     """Check the initialization assumption on the ``H_v(0)`` column:
-    ``max |H_v(0) - H_w(0)| <= bound``."""
+    ``max |H_v(0) - H_w(0)| <= bound``, relative to ``bound``."""
     spread = max(offsets) - min(offsets)
-    if spread > bound + EPS:
+    if spread > bound + RELATIVE_TOLERANCE * bound:
         raise ClockError(
             f"initial clock skew {spread} exceeds allowed bound {bound}"
         )

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, Set, Tuple
 
+from repro.core.params import RELATIVE_TOLERANCE
 from repro.crypto.signatures import Signature, collect_signatures
-from repro.sim.clocks import EPS
 from repro.sim.errors import ForgeryError
 
 SignatureKey = Tuple[int, Hashable]
@@ -26,8 +26,11 @@ SignatureKey = Tuple[int, Hashable]
 class SignatureKnowledge:
     """Earliest-knowledge table for the (pooled) adversary."""
 
-    def __init__(self, faulty: Iterable[int]) -> None:
+    def __init__(
+        self, faulty: Iterable[int], tolerance: float = RELATIVE_TOLERANCE
+    ) -> None:
         self.faulty: Set[int] = set(faulty)
+        self.tolerance = tolerance
         self._earliest: Dict[SignatureKey, float] = {}
         # Content-addressed memo of collect_signatures(): a broadcast
         # payload reaches every faulty node, so the identical (hashable)
@@ -86,7 +89,7 @@ class SignatureKnowledge:
         if signature.signer in self.faulty:
             return True
         earliest = self._earliest.get(signature.key())
-        return earliest is not None and earliest <= time + EPS
+        return earliest is not None and earliest <= time + self.tolerance
 
     def earliest_known(self, signature: Signature) -> float:
         """When the adversary first learned ``signature``.

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, Iterable, Optional, Tuple
 
-from repro.sim.clocks import EPS
+from repro.core.params import time_tolerance
 from repro.sim.errors import ConfigurationError, ModelViolation
 
 
@@ -42,6 +42,8 @@ class NetworkConfig:
         Delay uncertainty on links with at least one faulty endpoint
         (defaults to ``u``).  Setting ``u_tilde > u`` reproduces the lower
         bound's weaker guarantee for faulty links.
+    tolerance:
+        ``time_tolerance(d)`` (an attribute, not a field).
     """
 
     n: int
@@ -58,17 +60,19 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"u must lie in [0, d={self.d}], got {self.u}"
             )
+        tolerance = time_tolerance(self.d)
         if self.u_tilde is not None and not (
-            self.u - EPS <= self.u_tilde <= self.d + EPS
+            self.u - tolerance <= self.u_tilde <= self.d + tolerance
         ):
             raise ConfigurationError(
                 f"u_tilde must lie in [u={self.u}, d={self.d}], "
                 f"got {self.u_tilde}"
             )
-        # The two admissible intervals, computed once: delay_bounds runs
-        # per message (policy + validation).  Plain instance attributes,
-        # not fields, so equality, repr and replace() see only the model
-        # parameters.
+        # The tolerance and the two admissible intervals, computed once:
+        # delay_bounds runs per message (policy + validation).  Plain
+        # instance attributes, not fields, so equality, repr and
+        # replace() see only the model parameters.
+        object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(
             self, "_honest_bounds", (self.d - self.u, self.d)
         )
@@ -96,7 +100,7 @@ class NetworkConfig:
         admissible interval by more than the floating tolerance.
         """
         low, high = self.delay_bounds(src_honest and dst_honest)
-        if delay < low - EPS or delay > high + EPS:
+        if delay < low - self.tolerance or delay > high + self.tolerance:
             raise ModelViolation(
                 f"delay {delay} outside [{low}, {high}] "
                 f"(src_honest={src_honest}, dst_honest={dst_honest})"

@@ -54,7 +54,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.signatures import Signature
 from repro.sim.adversary import ByzantineBehavior
-from repro.sim.clocks import EPS, HardwareClock
+from repro.sim.clocks import HardwareClock
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.events import (
     PRIORITY_ADVERSARY,
@@ -142,7 +142,7 @@ class _SimNodeAPI(NodeAPI):
     def set_timer(self, local_when: float, tag: Any) -> None:
         sim = self._sim
         real = self._clock.real_time(local_when)
-        if real < sim.now - 1e-6:
+        if real < sim.now - sim.config.tolerance:
             sim.warnings.append(
                 f"node {self.node_id}: timer target local {local_when} "
                 f"(real {real}) is in the past at {sim.now}"
@@ -265,7 +265,7 @@ class AdversaryContext:
 
     def wake_at(self, time: float, tag: Any = None) -> None:
         """Request an ``on_wakeup(tag)`` callback at real ``time``."""
-        if time < self._sim.now - EPS:
+        if time < self._sim.now - self._sim.config.tolerance:
             raise SimulationError(
                 f"cannot schedule adversary wakeup in the past: {time}"
             )
@@ -309,7 +309,7 @@ class Simulation:
             )
         self.delay_policy = delay_policy or MaximumDelayPolicy()
         self.pki = PublicKeyInfrastructure(config.n)
-        self.knowledge = SignatureKnowledge(self.faulty)
+        self.knowledge = SignatureKnowledge(self.faulty, config.tolerance)
         self.queue = EventQueue()
         self.trace = trace if trace is not None else Trace()
         self.checks = checks
@@ -499,7 +499,7 @@ class Simulation:
             )
             low, high = honest_bounds if link_is_honest else faulty_bounds
             if not low <= delay <= high:
-                # Raises ModelViolation beyond the EPS tolerance,
+                # Raises ModelViolation beyond the time tolerance,
                 # clamps float noise within it.
                 delay = validate_delay(delay, True, link_is_honest)
             if recorded:
@@ -646,7 +646,7 @@ class Simulation:
         # `self.honest and all(...)` check: an all-faulty run ignores it).
         quota_gated = max_pulses is not None and bool(self.honest)
         events_processed = self.events_processed
-        until_cutoff = None if until is None else until + EPS
+        until_cutoff = None if until is None else until + self.config.tolerance
 
         try:
             while True:

@@ -39,7 +39,6 @@ try:  # gated dependency: the event engine must work without numpy
 except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
 
-from repro.sim.clocks import EPS
 from repro.sim.errors import ModelViolation
 from repro.sim.network import DelayPolicy, NetworkConfig, RandomDelayPolicy
 
@@ -80,10 +79,12 @@ def _class_rows(
 
 
 def _check_admissible(
-    policy: DelayPolicy, low: float, high: float, matrix: "np.ndarray"
+    policy: DelayPolicy, config: NetworkConfig, matrix: "np.ndarray"
 ) -> None:
+    low, high = config.delay_bounds(True)
     if matrix.size and (
-        matrix.min() < low - EPS or matrix.max() > high + EPS
+        matrix.min() < low - config.tolerance
+        or matrix.max() > high + config.tolerance
     ):
         raise ModelViolation(
             f"{policy.describe()} produced a delay outside "
@@ -133,7 +134,7 @@ def round_delays(
 
     def block(receivers: Sequence[int]) -> "np.ndarray":
         matrix = fill(receivers)
-        _check_admissible(policy, low, high, matrix)
+        _check_admissible(policy, config, matrix)
         return matrix
 
     return block
@@ -157,7 +158,7 @@ def class_delays(
     src_in = _membership(nodes, policy.members)
     rows = _class_rows(policy, low, high, src_in, send_real)
     member = src_in.astype(np.intp)
-    _check_admissible(policy, low, high, rows[np.unique(member)])
+    _check_admissible(policy, config, rows[np.unique(member)])
     return rows, member
 
 

@@ -55,9 +55,8 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
 
 from repro.core.cps import CpsRoundSummary
-from repro.core.params import ProtocolParameters
+from repro.core.params import RELATIVE_TOLERANCE, ProtocolParameters
 from repro.sim.clocks import (
-    EPS,
     ClockEnsemble,
     HardwareClock,
     drift_schedule,
@@ -173,6 +172,7 @@ def _inadmissible(
     rates: "np.ndarray",
     length: "np.ndarray",
     theta: Optional[float],
+    tolerance: float,
 ) -> "np.ndarray":
     """Per row, whether :func:`check_row` rejects it: its conditions as
     reductions over the ``(n, K)`` columns, padding masked out."""
@@ -182,17 +182,20 @@ def _inadmissible(
         bad |= ~np.isfinite(rates)
         bad |= rates <= 0
         if theta is not None:
-            bad |= ~((1.0 - EPS <= rates) & (rates <= theta + EPS))
+            bad |= ~(
+                (1.0 - RELATIVE_TOLERANCE <= rates)
+                & (rates <= theta + RELATIVE_TOLERANCE)
+            )
         elapsed = starts[:, 1:] - starts[:, :-1]
         later = bad[:, 1:]
         later |= elapsed <= 0
         expected = locals_[:, :-1] + rates[:, :-1] * elapsed
-        later |= np.abs(expected - locals_[:, 1:]) > 1e-6
+        later |= np.abs(expected - locals_[:, 1:]) > tolerance
     bad &= np.arange(starts.shape[1]) < length[:, None]
     failing = bad.any(axis=1)
     failing |= length == 0
-    failing |= np.abs(starts[:, 0]) > EPS
-    failing |= locals_[:, 0] < -EPS
+    failing |= np.abs(starts[:, 0]) > tolerance
+    failing |= locals_[:, 0] < -tolerance
     return failing
 
 
@@ -222,20 +225,23 @@ class ClockTable:
         nodes: Optional[Sequence[int]] = None,
     ) -> None:
         columns, length = _ensemble_columns(ensemble)
-        failing = _inadmissible(*columns, length, ensemble.theta)
+        failing = _inadmissible(
+            *columns, length, ensemble.theta, ensemble.tolerance
+        )
         if failing.any():
             ensemble.row(int(np.argmax(failing)))  # raises its ClockError
         if nodes is None:
             nodes = range(len(length))
         nodes = np.asarray(nodes, dtype=np.intp)
         self.width = int(length[nodes].max())
+        self.tolerance = ensemble.tolerance
         self.starts, self.locals, self.rates = (
             column[nodes, :self.width] for column in columns
         )
 
     def real_times(self, local: "np.ndarray") -> "np.ndarray":
         """``H_i^{-1}(local[i])`` for every row ``i``."""
-        early = local < self.locals[:, 0] - EPS
+        early = local < self.locals[:, 0] - self.tolerance
         if early.any():
             i = int(np.argmax(early))
             raise ClockError(
@@ -441,6 +447,7 @@ class VectorizedSimulation:
         )
         window = params.tcb_window
         fin_wait = params.tcb_finalize_wait
+        tolerance = params.tolerance
         offset_shift = params.d - params.u + params.S
         # Lemma 10 (checked every round): each receiver accepts every
         # other honest dealer and a ⊥ for each faulty one, so the vote
@@ -471,7 +478,7 @@ class VectorizedSimulation:
             pulse_round += 1
             pulse_real = table.real_times(local)
             if until is not None:
-                inside = pulse_real <= until + EPS
+                inside = pulse_real <= until + tolerance
                 if not inside.all():
                     for i in np.argsort(pulse_real, kind="stable"):
                         if inside[i]:
@@ -502,9 +509,9 @@ class VectorizedSimulation:
                 break
             send_real = table.real_times(local + params.dealer_send_offset)
             # Per-receiver vectors of the round.  The association is
-            # part of the pinned arithmetic: (P + window) + EPS.
-            window_end = local + window + EPS
-            window_close = local + window + 2.0 * EPS
+            # part of the pinned arithmetic: (P + window) + tolerance.
+            window_end = local + window + tolerance
+            window_close = local + window + 2.0 * tolerance
             if dense:
                 block_delays = round_delays(
                     self.delay_policy, self.config, honest, send_real, rng

@@ -33,8 +33,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.params import RELATIVE_TOLERANCE as EPS
 from repro.sim.clocks import (
-    EPS,
     ClockEnsemble,
     ClockSegment,
     Draws,

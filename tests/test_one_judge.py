@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import TOLERANCE, at_least, within
+from repro.analysis.metrics import at_least, within
 from repro.build import BuiltSimulation
 from repro.campaigns.builders import STRESS_KEYS, resolve_builder
 from repro.campaigns.spec import MeasurementSpec
@@ -37,6 +37,7 @@ from repro.checks import (
     judge_lower_bound,
     judge_steady_skew,
 )
+from repro.core.params import RELATIVE_TOLERANCE as TOLERANCE
 from repro.core.params import derive_parameters
 from repro.dynamics.schedule import FaultEvent, FaultSchedule
 from repro.sim.scheduler import SimulationResult
@@ -393,7 +394,7 @@ def test_judge_lower_bound_owns_two_thirds_u_tilde():
 
 
 def test_judge_steady_skew_holds_a_skew_to_s():
-    params = SimpleNamespace(S=1.0)
+    params = SimpleNamespace(S=1.0, tolerance=TOLERANCE)
     assert judge_steady_skew(1.0, params)
     assert not judge_steady_skew(1.5, params)
 

@@ -138,25 +138,28 @@ class TestDerivation:
         derive_parameters(1.001, 7.0 * 10.0**k, 0.01, 4).check_feasible()
 
     @pytest.mark.parametrize(
-        "d,shortfall,feasible",
+        "d,fraction,shortfall,feasible",
         [
-            (0.1, 0.5e-9, True),
-            (0.1, 2e-9, False),
-            (1e6, 1e-4, True),
-            (1e6, 1e-2, False),
+            # Below d the slack is relative to d: no absolute floor.
+            (0.1, 1.0, 1e-10, True),
+            (0.1, 1.0, 0.5e-9, False),
+            (1e6, 1.0, 1e-4, True),
+            (1e6, 1.0, 1e-2, False),
+            *((2.0**k, 0.9, 0.0, False) for k in (-30, 0, 30)),
         ],
     )
-    def test_floor_slack_is_absolute_below_one(self, d, shortfall, feasible):
+    def test_floor_slack_is_relative_to_d(
+        self, d, fraction, shortfall, feasible
+    ):
         derived = derive_parameters(1.001, d, d / 100, 4)
         t_floor = (
             (derived.theta**2 + derived.theta + 1.0) * derived.S
             + (derived.theta + 1.0) * derived.d
             - 2.0 * derived.u
         )
-        assert (t_floor <= 1.0) == (d < 1.0)
         params = ProtocolParameters(
             n=4, f=1, theta=1.001, d=d, u=d / 100,
-            T=t_floor - shortfall, S=derived.S,
+            T=fraction * t_floor - shortfall, S=derived.S,
         )
         if feasible:
             params.check_feasible()

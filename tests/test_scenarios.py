@@ -28,9 +28,9 @@ from repro.campaigns import (
     execute_campaign,
 )
 from repro.cli import main
+from repro.core.params import RELATIVE_TOLERANCE as EPS
 from repro.core.params import derive_parameters
 from repro.scenarios import UnknownScenarioError
-from repro.sim.clocks import EPS
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import NetworkConfig
 

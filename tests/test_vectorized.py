@@ -568,15 +568,15 @@ class TestLemma10:
 
     def test_a_clock_that_steps_back_at_a_segment_start(self):
         # Where the map is not monotone the fallback is load-bearing.
-        # Node 0's clock steps back 5e-7 at `start` (inside the 1e-6
-        # continuity tolerance), and dealer 2 sends 3e-7 earlier than
-        # dealers 1 and 3, so node 0's round-1 arrivals straddle
+        # Node 0's clock steps back 5e-10 at `start` (inside the 1e-9
+        # continuity tolerance, d = 1), and dealer 2 sends 3e-10 earlier
+        # than dealers 1 and 3, so node 0's round-1 arrivals straddle
         # `start`: its earliest local receive time is the *later*
         # arrival's.  Reading H(earliest arrival) would vote otherwise.
         params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6)
-        early = 3e-7
+        early = 3e-10
         start = params.S + params.dealer_send_offset + params.d - early / 2
-        rows = [([0.0, start], [0.0, start - 5e-7], [1.0, 1.0])] + [
+        rows = [([0.0, start], [0.0, start - 5e-10], [1.0, 1.0])] + [
             ([0.0], [early if node == 2 else 0.0], [1.0])
             for node in range(1, 6)
         ]
