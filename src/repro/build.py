@@ -240,7 +240,9 @@ def build_simulation(
     :class:`~repro.sim.vectorized.UnsupportedScenarioError` at build
     time, never mid-run.  Identical ``(case, seed)`` inputs resolve
     identical clocks and parameters on both backends, which is what
-    the cross-backend differential suite leans on.
+    the cross-backend differential suite leans on.  An ``apa``-tagged
+    adversary (a Section 2 round-model behaviour) raises
+    :class:`~repro.sim.errors.ConfigurationError` on either backend.
     """
     from repro import scenarios
     from repro.core.cps import assemble_cps_simulation
@@ -252,7 +254,14 @@ def build_simulation(
     adversary_key = case.get("adversary", "silent")
     # Resolve through the registry first so typos keep their
     # did-you-mean behaviour on every backend.
-    scenarios.REGISTRY.get("adversary", adversary_key)
+    if "apa" in scenarios.REGISTRY.get("adversary", adversary_key).tags:
+        from repro.sim.errors import ConfigurationError
+
+        raise ConfigurationError(
+            f"adversary {adversary_key!r} is tagged 'apa': it runs on the "
+            f"APA round model (repro.sync.approx_agreement.run_apa), not "
+            f"in a CPS simulation"
+        )
     churn_key = case.get("churn")
     clocks = scenarios.create(
         "drift", case.get("drift", "random"), params, seed,

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import TcbMessage, tcb_tag
 from repro.core.params import ProtocolParameters
-from repro.core.tcb import TcbInstance, offset_estimate
+from repro.core.tcb import TcbInstance, TcbState, offset_estimate
 from repro.sim.clocks import (
     ClockEnsemble,
     Draws,
@@ -103,6 +103,9 @@ class CpsNode(TimedProtocol):
         self.pulse_round = 0
         self.pulse_local = 0.0
         self.instances: Dict[int, TcbInstance] = {}
+        # Instances of this round not yet DONE: decremented where one
+        # resolves, so completion is an int test, not a scan.
+        self.open_instances = 0
         self.round_complete = True
         self.summaries: List[CpsRoundSummary] = []
 
@@ -131,13 +134,16 @@ class CpsNode(TimedProtocol):
             )
         elif kind == "window-end":
             for instance in self.instances.values():
-                instance.on_window_end()
+                if instance.state is TcbState.WAITING:
+                    instance.on_window_end()
+                    if instance.state is TcbState.DONE:
+                        self.open_instances -= 1
             self._maybe_complete(api)
         elif kind == "finalize":
-            dealer = tag[2]
-            instance = self.instances.get(dealer)
-            if instance is not None:
+            instance = self.instances.get(tag[2])
+            if instance is not None and instance.state is TcbState.ACCEPTED:
                 instance.on_finalize()
+                self.open_instances -= 1
             self._maybe_complete(api)
 
     def on_message(self, api: NodeAPI, sender: int, payload: Any) -> None:
@@ -173,6 +179,7 @@ class CpsNode(TimedProtocol):
             # via the round summary's estimates.
             api.annotate("tcb-accept", (self.pulse_round, dealer))
         if instance.resolved():
+            self.open_instances -= 1
             self._maybe_complete(api)
 
     # ------------------------------------------------------------------
@@ -187,34 +194,36 @@ class CpsNode(TimedProtocol):
             self.pulse_local + self.dealer_send_offset,
             ("dealer-send", self.pulse_round),
         )
+        # Read once a round: the window and wait are derived properties.
+        params = self.params
+        window = params.tcb_window
+        finalize_wait = params.tcb_finalize_wait
+        tolerance = params.tolerance
         self.instances = {
             w: TcbInstance(
                 dealer=w,
                 pulse_round=self.pulse_round,
                 pulse_local=self.pulse_local,
-                window=self.params.tcb_window,
-                finalize_wait=self.params.tcb_finalize_wait,
+                window=window,
+                finalize_wait=finalize_wait,
                 echo_rejection=self.echo_rejection,
                 window_filter=self.window_filter,
-                tolerance=self.params.tolerance,
+                tolerance=tolerance,
             )
             for w in range(api.n)
             if w != api.node_id
         }
+        self.open_instances = len(self.instances)
         # The closing timer fires a hair *after* the window bound so that a
         # message arriving exactly at the bound (the Lemma 10 worst case)
         # is still processed first and accepted.
         api.set_timer(
-            self.pulse_local
-            + self.params.tcb_window
-            + 2.0 * self.params.tolerance,
+            self.pulse_local + window + 2.0 * tolerance,
             ("window-end", self.pulse_round),
         )
 
     def _maybe_complete(self, api: NodeAPI) -> None:
-        if self.round_complete:
-            return
-        if not all(inst.resolved() for inst in self.instances.values()):
+        if self.round_complete or self.open_instances:
             return
         self.round_complete = True
         estimates: Dict[int, Any] = {api.node_id: 0.0}

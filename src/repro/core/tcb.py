@@ -47,7 +47,7 @@ class TcbActions:
     set_finalize_timer: Optional[float] = None  # local time for finalize
 
 
-@dataclass
+@dataclass(slots=True)
 class TcbInstance:
     """One receiver-side instance of TCB for (pulse_round, dealer).
 

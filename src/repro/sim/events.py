@@ -43,9 +43,17 @@ PRIORITY_ADVERSARY = 2
 PRIORITY_CHURN = 3
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TimerEvent:
-    """A local timer of an honest node coming due."""
+    """A local timer of an honest node coming due.
+
+    Not frozen, for the reason :class:`DeliveryEvent` is not: a CPS
+    round sets Θ(n) timers a node, and a frozen ``__init__`` assigns
+    each field through ``object.__setattr__``, which makes the
+    allocation about three times as slow (≈ 240 ns against 75 ns on
+    an AMD EPYC core, Python 3.11).  Nothing mutates a timer once
+    queued.
+    """
 
     node: int
     tag: Any

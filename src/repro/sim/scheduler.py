@@ -147,12 +147,12 @@ class _SimNodeAPI(NodeAPI):
                 f"node {self.node_id}: timer target local {local_when} "
                 f"(real {real}) is in the past at {sim.now}"
             )
-        real = max(real, sim.now)
-        sim.queue.push(
-            real,
-            PRIORITY_TIMER,
-            TimerEvent(self.node_id, tag, local_when),
-        )
+        # Push in place (EventQueue.push, inlined), as honest_fanout does.
+        queue = sim.queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        queue._slab[seq] = TimerEvent(self.node_id, tag, local_when)
+        heappush(queue._heap, (max(real, sim.now), PRIORITY_TIMER, seq))
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.incr("timers.set")
@@ -342,6 +342,9 @@ class Simulation:
 
         self.behavior = behavior
         self._adversary_ctx = AdversaryContext(self)
+        # The behaviour's live send and pulse hooks (_live_hook),
+        # resolved by each run() for the sends and pulses it makes.
+        self._on_honest_send = self._on_pulse = None
 
         # Membership dynamics (churn) install last: the controller may
         # deactivate late joiners and seed absolute-time churn events.
@@ -479,7 +482,7 @@ class Simulation:
         honest_bounds = config.delay_bounds(True)
         faulty_bounds = config.delay_bounds(False)
         faulty = self.faulty
-        on_honest_send = _live_hook(self.behavior, "on_honest_send")
+        on_honest_send = self._on_honest_send
         ctx = self._adversary_ctx
         telemetry = self.telemetry
         trace_full = self.trace.level >= TraceLevel.FULL
@@ -573,7 +576,7 @@ class Simulation:
         trace = self.trace
         if trace.level >= TraceLevel.PULSES:
             trace.records.append(PulseRecord(now, node, index, local))
-        on_pulse = _live_hook(self.behavior, "on_pulse")
+        on_pulse = self._on_pulse
         if on_pulse is not None and node not in self.faulty:
             on_pulse(self._adversary_ctx, node, index, now)
 
@@ -612,6 +615,13 @@ class Simulation:
                 for v in self.honest
                 if v in self._protocols and len(self.pulses[v]) < max_pulses
             )
+        # Hooks are resolved once a run, before any protocol starts: a
+        # behaviour that gains or loses one between runs is heard, or
+        # not, from the next run on.
+        behavior = self.behavior
+        self._on_honest_send = _live_hook(behavior, "on_honest_send")
+        self._on_pulse = _live_hook(behavior, "on_pulse")
+        on_deliver = _live_hook(behavior, "on_deliver")
         if not self._started:
             # Once per Simulation: a later run() resumes from the queue.
             self._started = True
@@ -619,8 +629,8 @@ class Simulation:
                 protocol = self._protocols.get(v)
                 if protocol is not None:  # dormant late joiners skip start
                     protocol.on_start(self._apis[v])
-            if self.behavior is not None:
-                self.behavior.on_start(self._adversary_ctx)
+            if behavior is not None:
+                behavior.on_start(self._adversary_ctx)
 
         # Hot loop: everything dereferenced per event is hoisted into
         # locals; the queue's heap/slab are accessed directly (peek +
@@ -631,8 +641,6 @@ class Simulation:
         apis = self._apis
         faulty = self.faulty
         knowledge = self.knowledge
-        behavior = self.behavior
-        on_deliver = _live_hook(behavior, "on_deliver")
         ctx = self._adversary_ctx
         trace_full = self.trace.level >= TraceLevel.FULL
         trace_records = self.trace.records

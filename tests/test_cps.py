@@ -10,6 +10,7 @@ from repro.analysis.metrics import (
     min_period,
     skew_trajectory,
 )
+from repro.build import build_simulation
 from repro.core.attacks import (
     CpsEquivocatingSubsetAttack,
     CpsMimicDealerAttack,
@@ -20,7 +21,7 @@ from repro.core.cps import CpsNode, assemble_cps_simulation, default_clocks
 from repro.core.params import derive_parameters
 from repro.sim.adversary import ReplayAdversary, SilentAdversary
 from repro.sim.clocks import HardwareClock
-from repro.sim.errors import ConfigurationError
+from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.network import (
     BiasedPartitionDelayPolicy,
     RandomDelayPolicy,
@@ -285,3 +286,92 @@ class TestAblationsAndConfig:
         for summary in node.summaries:
             low, high = summary.interval
             assert low <= summary.correction <= high
+
+
+# ----------------------------------------------------------------------
+# The open-instance counter against the O(n) scan it replaced
+
+CPS_ADVERSARIES = [
+    entry.key
+    for entry in scenarios.REGISTRY.entries("adversary")
+    if "cps" in entry.tags
+]
+#: The default node, then the two ablation hooks that change how a
+#: round resolves: no ⊥-aware discard, and no window (a silent
+#: dealer's instance never resolves).
+NODE_VARIANTS = {
+    "default": {},
+    "discard-f": {"discard_rule": "f"},
+    "no-window": {"window_filter": False},
+}
+
+
+def _scan(node):
+    return sum(not i.resolved() for i in node.instances.values())
+
+
+class _CheckedNode(CpsNode):
+    """Asserts the counter equals the scan after every event it sees
+    (a node's instances change only in its own handlers)."""
+
+    def on_timer(self, api, tag):
+        super().on_timer(api, tag)
+        assert self.open_instances == _scan(self), (api.node_id, tag)
+
+    def on_message(self, api, sender, payload):
+        super().on_message(api, sender, payload)
+        assert self.open_instances == _scan(self), (api.node_id, payload)
+
+
+class _ScanningNode(CpsNode):
+    """The reference: a round completes when the scan finds every
+    instance resolved, whatever the counter says."""
+
+    def _maybe_complete(self, api):
+        self.open_instances = _scan(self)
+        super()._maybe_complete(api)
+
+
+def _cps_outputs(monkeypatch, node_class, case, variant):
+    import repro.core.cps as cps
+
+    monkeypatch.setattr(
+        cps, "CpsNode",
+        lambda params, **kwargs: node_class(params, **kwargs, **variant),
+    )
+    simulation = build_simulation(case, seed=2, trace="pulses").simulation
+    try:
+        simulation.run(max_pulses=4)
+        error = None
+    except SimulationError as exc:  # discard-f may break the model
+        error = f"{type(exc).__name__}: {exc}"
+    return (
+        error,
+        simulation.events_processed,
+        simulation.pulses,
+        {v: simulation.protocol(v).summaries for v in simulation.honest},
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(NODE_VARIANTS))
+@pytest.mark.parametrize("adversary", CPS_ADVERSARIES)
+def test_open_count_matches_the_scan(monkeypatch, adversary, variant):
+    completed = 0
+    for delay in scenarios.REGISTRY.keys("delay"):
+        # u_tilde = u, and E8's 8u: there echoes reject honest dealers
+        # (echo-within-guard under replay, mimic-split, rushing-echo).
+        for u_tilde in (None, 0.08):
+            case = {
+                "n": 7, "adversary": adversary, "delay": delay,
+                "u_tilde": u_tilde,
+            }
+            counted = _cps_outputs(
+                monkeypatch, _CheckedNode, case, NODE_VARIANTS[variant]
+            )
+            scanned = _cps_outputs(
+                monkeypatch, _ScanningNode, case, NODE_VARIANTS[variant]
+            )
+            assert counted == scanned, (delay, u_tilde)
+            completed += sum(map(len, counted[3].values()))
+    # The default node completes rounds under every adversary.
+    assert completed or variant != "default"

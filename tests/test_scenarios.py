@@ -191,6 +191,32 @@ class TestDelayEntries:
         assert policy.delay(config, 0, 1, 6.0, None, True) == low
 
 
+APA_ADVERSARIES = [
+    entry.key
+    for entry in scenarios.REGISTRY.entries("adversary")
+    if "apa" in entry.tags
+]
+
+
+class TestAdversaryEntries:
+    def test_the_round_model_adversaries_are_tagged(self):
+        assert sorted(APA_ADVERSARIES) == [
+            "equivocating", "extreme-values", "split-bot"
+        ]
+
+    @pytest.mark.parametrize("backend", ["event", "vectorized"])
+    @pytest.mark.parametrize("key", APA_ADVERSARIES)
+    def test_a_round_model_adversary_is_refused_at_build(self, key, backend):
+        """An ``apa`` behaviour has none of the timed hooks: refused
+        before anything runs, in one line naming key, tag and model."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            build_simulation({"n": 7, "adversary": key}, backend=backend)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert repr(key) in message and "'apa'" in message
+        assert "APA round model" in message and "run_apa" in message
+
+
 class TestTopologyEntries:
     def test_topologies_meet_advertised_connectivity(self):
         import networkx as nx

@@ -333,6 +333,36 @@ class TestHookLiveness:
         assert _ids(full.sends) == _ids(traced_sends)
         assert _ids(full.deliveries) == _ids(traced_deliveries)
 
+    def test_hooks_are_resolved_by_each_run(self):
+        """A send or pulse hook gained between two runs of one
+        simulation is heard from the second on; one lost is not."""
+        behavior = ByzantineBehavior()
+        sim = Simulation(
+            NetworkConfig(5, d=1.0, u=0.2),
+            [HardwareClock.constant_rate() for _ in range(5)],
+            protocol_factory=lambda v: _Chatter(_fan_broadcast),
+            faulty=(4,),
+            behavior=behavior,
+        )
+        sends, pulses = [], []
+        sim.run(until=15.0)
+        assert sim.pulses[0] and sends == pulses == []
+        behavior.on_honest_send = lambda ctx, record: sends.append(
+            record.time
+        )
+        behavior.on_pulse = lambda ctx, node, index, time: pulses.append(
+            time
+        )
+        sim.run(until=35.0)
+        assert sends and pulses
+        assert min(sends + pulses) > 15.0
+        heard = len(sends), len(pulses)
+        del behavior.on_honest_send, behavior.on_pulse
+        before = len(sim.pulses[0])
+        sim.run(until=55.0)
+        assert len(sim.pulses[0]) > before
+        assert (len(sends), len(pulses)) == heard
+
 
 class _Chatter(TimedProtocol):
     """Pulse each period with a hello to all; echo each origin's first
