@@ -93,13 +93,13 @@ def run_trial(
     under spawn/forkserver start methods (where worker processes do not
     inherit registrations made outside :mod:`repro.campaigns.builders`).
     """
-    from repro.campaigns.builders import resolve_builder
-
     start = time.perf_counter()
     metrics: Dict[str, Any] = {}
     error: Optional[str] = None
     try:
         if builder is None:
+            from repro.campaigns.builders import resolve_builder
+
             builder = resolve_builder(plan.builder)
         metrics = builder(dict(plan.case), plan.measurement, plan.seed)
     except Exception as exc:  # noqa: BLE001 - sweeps tabulate failures
@@ -316,7 +316,14 @@ def execute_campaign(
     for slot, plan in enumerate(plans):
         hit = known.get(plan.case_key)
         if hit is not None:
-            records[slot] = replace(hit, index=plan.index, cached=True)
+            # ``store.load`` returned fresh records, so the hit is ours
+            # to re-index; one a repeated case already replayed is
+            # copied first.
+            if hit.cached:
+                hit = replace(hit)
+            hit.index = plan.index
+            hit.cached = True
+            records[slot] = hit
         else:
             slots.append(slot)
             misses.append(plan)

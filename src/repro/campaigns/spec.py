@@ -32,11 +32,21 @@ single trial runs.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 from repro import did_you_mean
 
@@ -63,27 +73,26 @@ class UnknownScaleError(ValueError):
     did-you-mean hint."""
 
 
-def validate_scenario_names(*cases: Mapping[str, Any]) -> None:
-    """Check every scenario-typed case value against the registry.
+def validate_scenario_names(pairs: Iterable[Tuple[str, Any]]) -> None:
+    """Check scenario-typed ``(case_key, value)`` pairs against the
+    registry, in the order given.
 
     Only string values are checked (non-registry experiment axes such
     as E5's ``algorithm`` use their own names and other types pass
-    through untouched); each distinct ``(key, value)`` among ``cases``
-    is looked up once.  Raises
+    through untouched); each distinct pair is looked up once.  Raises
     :class:`~repro.scenarios.registry.UnknownScenarioError` on the
-    first unknown key.
+    first unknown pair (:meth:`ScenarioSpec.scenario_values` orders a
+    grid's pairs so that it is the grid's first).
     """
     # Imported lazily: the spec layer is plain data and the registry
     # pulls in protocol modules; only plan-time validation needs it.
     from repro.scenarios import REGISTRY
 
     checked = set()
-    for case in cases:
-        for case_key, kind in SCENARIO_CASE_KEYS.items():
-            value = case.get(case_key)
-            if isinstance(value, str) and (case_key, value) not in checked:
-                REGISTRY.get(kind, value)
-                checked.add((case_key, value))
+    for case_key, value in pairs:
+        if isinstance(value, str) and (case_key, value) not in checked:
+            REGISTRY.get(SCENARIO_CASE_KEYS[case_key], value)
+            checked.add((case_key, value))
 
 
 def _jsonable(value: Any) -> Any:
@@ -241,10 +250,47 @@ class ScenarioSpec:
                 grid.append(case)
         return grid
 
+    def scenario_values(self, scale: str) -> Iterator[Tuple[str, Any]]:
+        """The scenario-typed ``(case_key, value)`` pairs of
+        :meth:`grid_for`'s cases, without building the grid.
 
-@dataclass(frozen=True)
+        An explicit case contributes its block's first case (axes at
+        their first values); the first block then contributes the
+        other values of each scenario-typed axis, last axis first.
+        In that order the first unknown pair is the first a walk of
+        the grid in order meets: a block whose first case is clean
+        first goes wrong where the last axis holding an unknown
+        reaches it, every other axis still at its first value.  An
+        empty axis makes the grid, and so the pairs, empty.
+        """
+        axes = self.axes_for(scale)
+        if not all(axes.values()):
+            return
+        names = list(axes)
+        first = {name: next(iter(axes[name])) for name in names}
+        for block, explicit in enumerate(self.cases_for(scale)):
+            case = {**self.base, **explicit, **first}
+            for case_key in SCENARIO_CASE_KEYS:
+                if case_key in case:
+                    yield case_key, case[case_key]
+            if block == 0:
+                for name in reversed(names):
+                    if name in SCENARIO_CASE_KEYS:
+                        for value in itertools.islice(axes[name], 1, None):
+                            yield name, value
+
+
+@dataclass
 class TrialPlan:
-    """One fully-resolved trial: what to run, with what, keyed how."""
+    """One fully-resolved trial: what to run, with what, keyed how.
+
+    Not frozen: planning builds one per trial, and a frozen
+    ``__init__`` assigns each field through ``object.__setattr__``,
+    which makes the construction about three times as slow (≈ 610 ns
+    against 200 ns on an AMD EPYC core, Python 3.11).  Nothing hashes
+    or mutates a plan.  No ``slots`` either: the pool ships every
+    plan, and a slots dataclass's pickle round trip is ≈ 35 % slower.
+    """
 
     campaign: str
     scenario: int
@@ -296,7 +342,7 @@ class CampaignSpec:
         plans: List[TrialPlan] = []
         for scenario_index, scenario in enumerate(self.scenarios):
             grid = scenario.grid_for(scale)
-            validate_scenario_names(*grid)
+            validate_scenario_names(scenario.scenario_values(scale))
             seed_prefix = _digest(self.seed, scenario.builder)
             key_prefix = _digest(scenario.builder)
             for case in grid:
@@ -310,7 +356,8 @@ class CampaignSpec:
                 digest = key_prefix.copy()
                 digest.update(case_part)
                 digest.update(measurement_part)
-                digest.update(_part(seed))
+                # _part(seed): an int's canonical JSON is its decimal repr.
+                digest.update(b"%d\x00" % seed)
                 plans.append(
                     TrialPlan(
                         campaign=self.name,
@@ -345,6 +392,8 @@ class CampaignSpec:
 
     def describe(self, scale: str) -> Dict[str, Any]:
         """Human-oriented summary used by ``repro campaign show``."""
+        plans = self.trials_for(scale)
+        cases = collections.Counter(plan.scenario for plan in plans)
         return {
             "name": self.name,
             "description": self.description,
@@ -353,13 +402,10 @@ class CampaignSpec:
             "measurement": self.measurement_for(scale).as_dict(),
             "spec_key": self.spec_key(scale),
             "scenarios": [
-                {
-                    "builder": scenario.builder,
-                    "cases": len(scenario.grid_for(scale)),
-                }
-                for scenario in self.scenarios
+                {"builder": scenario.builder, "cases": cases[index]}
+                for index, scenario in enumerate(self.scenarios)
             ],
-            "trials": len(self.trials_for(scale)),
+            "trials": len(plans),
         }
 
 

@@ -40,7 +40,8 @@ from repro.campaigns.aggregate import (
     run_summary_table,
     summary_stats,
 )
-from repro.campaigns.spec import UnknownScaleError
+from repro.campaigns.spec import SCENARIO_CASE_KEYS, UnknownScaleError
+from repro.scenarios import UnknownScenarioError
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +306,121 @@ class TestPlanIdentity:
         _assert_plans_match_definition(spec, "quick", grids)
 
 
+def _grid_walk(scenario, scale):
+    """Plan-time validation by definition: every case of
+    ``grid_for`` in order, each case's scenario keys in
+    ``SCENARIO_CASE_KEYS`` order, the first unknown raising."""
+    from repro.scenarios import REGISTRY
+
+    for case in scenario.grid_for(scale):
+        for case_key, kind in SCENARIO_CASE_KEYS.items():
+            value = case.get(case_key)
+            if isinstance(value, str):
+                REGISTRY.get(kind, value)
+
+
+def _raised(call):
+    """The ``UnknownScenarioError`` message ``call()`` raises, or None."""
+    try:
+        call()
+    except UnknownScenarioError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_validation_matches_the_grid_walk(scenario):
+    spec = CampaignSpec(name="names", scenarios=(scenario,))
+    planned = _raised(lambda: spec.trials_for("quick"))
+    assert planned == _raised(lambda: _grid_walk(scenario, "quick"))
+    return planned
+
+
+_NAMES = st.sampled_from(
+    ("silent", "sielnt", "maximum", "maximun", "random", "randomm", 3)
+)
+_NAMED_CASES = st.dictionaries(
+    st.sampled_from(("adversary", "delay", "drift", "x")),
+    _NAMES,
+    max_size=3,
+)
+
+
+class TestPlanValidation:
+    """``trials_for`` checks each distinct scenario name once, without
+    walking the grid, and raises exactly what the walk raises."""
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            # One unknown: in base, in an explicit case, in an axis.
+            ({"base": {"delay": "maximun"},
+              "axes": {"*": {"x": (1, 2)}}}, "maximun"),
+            ({"cases": {"*": ({"adversary": "silent"},
+                              {"adversary": "sielnt"})}}, "sielnt"),
+            ({"axes": {"*": {"drift": ("random", "randomm")}}},
+             "randomm"),
+            # Two unknowns: the walk names the first case's first key.
+            ({"base": {"delay": "maximun"},
+              "axes": {"*": {"adversary": ("sielnt",)}}}, "sielnt"),
+            ({"base": {"drift": "randomm"},
+              "axes": {"*": {"adversary": ("silent", "sielnt")}}},
+             "randomm"),
+            ({"axes": {"*": {"delay": ("maximum", "maximun"),
+                             "drift": ("random", "randomm")}}},
+             "randomm"),
+            ({"cases": {"*": ({"adversary": "silent"},
+                              {"adversary": "sielnt"})},
+              "axes": {"*": {"delay": ("maximum", "maximun")}}},
+             "maximun"),
+            # A base value every case or axis overrides is never run.
+            ({"base": {"delay": "maximun"},
+              "cases": {"*": ({"delay": "maximum"},)}}, None),
+            ({"base": {"delay": "maximun"},
+              "axes": {"*": {"delay": ("maximum", "minimum")}}}, None),
+            # An empty axis makes an empty grid.
+            ({"base": {"delay": "maximun"},
+              "axes": {"*": {"x": ()}}}, None),
+            ({"axes": {"*": {"adversary": ("sielnt",), "x": ()}}}, None),
+        ],
+    )
+    def test_raises_what_the_grid_walk_raises(self, kwargs, named):
+        scenario = ScenarioSpec(builder="b", **kwargs)
+        planned = _assert_validation_matches_the_grid_walk(scenario)
+        if named is None:
+            assert planned is None
+        else:
+            assert repr(named) in planned
+
+    @given(
+        base=_NAMED_CASES,
+        cases=st.lists(_NAMED_CASES, max_size=3),
+        axes=st.dictionaries(
+            st.sampled_from(("adversary", "delay", "drift", "x")),
+            st.lists(_NAMES, max_size=3).map(tuple),
+            max_size=3,
+        ),
+    )
+    def test_drawn_grids_raise_what_the_walk_raises(
+        self, base, cases, axes
+    ):
+        scenario = ScenarioSpec(
+            builder="b",
+            base=base,
+            axes={"*": axes},
+            cases={"*": tuple(cases)},
+        )
+        _assert_validation_matches_the_grid_walk(scenario)
+
+    def test_describe_counts_each_scenarios_grid(self):
+        for name in available_campaigns():
+            spec = campaign_definition(name).spec()
+            for scale in scales_of(spec) or ("quick", "full"):
+                described = spec.describe(scale)["scenarios"]
+                assert [s["cases"] for s in described] == [
+                    len(s.grid_for(scale)) for s in spec.scenarios
+                ]
+
+
 class TestMeasurementSpec:
     def test_rejects_unknown_liveness(self):
         with pytest.raises(ValueError):
@@ -455,6 +571,17 @@ class TestCaching:
         assert [r.metrics["square"] for r in resumed.records] == [
             1, 4, 9, 16,
         ]
+
+    def test_repeated_case_replays_as_distinct_records(self, tmp_path):
+        # Two plans share a case key: each replay is its own record.
+        store = ResultStore(tmp_path)
+        spec = _square_spec(xs=(1, 1, 2))
+        execute_campaign(spec, store=store)
+        again = execute_campaign(spec, store=store)
+        assert again.executed == 0 and again.cached == 3
+        assert [r.index for r in again.records] == [0, 1, 2]
+        assert len({id(r) for r in again.records}) == 3
+        assert [r.metrics["square"] for r in again.records] == [1, 1, 4]
 
     def test_changed_parameter_is_a_cache_miss(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -89,6 +89,24 @@ class TestCampaign:
         assert "cps-run: 6 cases" in out
         assert "spec key" in out
 
+    def test_show_stress_full_prints_each_scenarios_case_count(
+        self, capsys
+    ):
+        # Each scenario's count is read off the plans, not a second
+        # grid; the output is the one the grid walk printed.
+        assert main(["campaign", "show", "STRESS", "--scale", "full"]) == 0
+        assert capsys.readouterr().out == (
+            "campaign STRESS [full] — Registry-driven stress scenarios "
+            "(adversary x delay x drift x topology)\n"
+            "  seed       17\n"
+            "  spec key   0e8aea00601d597bbb39e508224835982f441c78458bdd"
+            "84331e3b4af6b2abfb\n"
+            "  measure    pulses=15 warmup=5 liveness=tabulate\n"
+            "  scenario   cps-stress: 120 cases\n"
+            "  scenario   cps-stress: 8 cases\n"
+            "  trials     128\n"
+        )
+
     def test_run_prints_table_and_summary(self, capsys):
         assert main(["campaign", "run", "E1"]) == 0
         out = capsys.readouterr().out
