@@ -26,7 +26,7 @@ from typing import List
 from docgen import emit
 
 from repro import scenarios
-from repro.campaigns import campaign_definition, scales_of
+from repro.campaigns import BUILTIN_CAMPAIGNS, campaign_definition, scales_of
 from repro.core.params import THETA_MAX
 
 COMMENTARY = {
@@ -75,8 +75,8 @@ COMMENTARY = {
         "allowed `S`, rates pinned at 1 and theta), adversarial delay "
         "policies, and each attack strategy, the worst pulse skew equals "
         "the initial offset `S` (attained at pulse 1, as allowed) and "
-        "*never* exceeds it afterwards; steady-state skew sits an order "
-        "of magnitude below the bound.",
+        "*never* exceeds it afterwards; steady-state skew sits at least "
+        "five times below the bound.",
     ),
     "E5": (
         "Resilience range — CPS vs Lynch-Welch",
@@ -143,19 +143,19 @@ COMMENTARY = {
         "skew contracts geometrically until the measurement-error floor."
         "\n\n**Measured:** starting from the worst allowed initial state "
         "(offsets spread across the full `S`), the per-pulse skew drops "
-        "below `S/4` within three pulses and oscillates at a floor two "
-        "orders of magnitude below `2*delta` under benign randomness "
+        "below `S/4` within three pulses and oscillates at a floor an "
+        "order of magnitude below `2*delta` under benign randomness "
         "(the floor bound is worst-case).",
     ),
     "A1": (
         "Ablation — echo-rejection rule (the crusader part of TCB)",
         "Disabling the Figure 2 rejection rule and letting faulty dealers "
         "stagger their sends by `1.5*delta` breaks the Lemma 13 "
-        "consistency invariant (observed error ≈ the stagger, i.e. ~2x "
-        "`delta`), while with the rule enabled the staggered copies are "
-        "rejected and consistency holds with three orders of magnitude "
-        "to spare. The echo rule is what makes the dealer's timing a "
-        "*crusader* broadcast.",
+        "consistency invariant (observed error ≈ 2x `delta`, past the "
+        "stagger itself), while with the rule enabled the staggered "
+        "copies are rejected and consistency holds with more than an "
+        "order of magnitude to spare. The echo rule is what makes the "
+        "dealer's timing a *crusader* broadcast.",
     ),
     "A2": (
         "Ablation — the ⊥-aware discard rule (f-b vs f)",
@@ -201,6 +201,18 @@ COMMENTARY = {
         "monitor (`repro check run <profile>`); semantics in "
         "`docs/DYNAMICS.md`.",
     ),
+    "FUZZ": (
+        "Property-based counterexample search over strategy spaces",
+        "Campaign-native: each shard runs the fuzzer "
+        "(`repro fuzz run`) over one strategy space and reports whether "
+        "it ended the way that space predicts.  Valid spaces (delays "
+        "inside the `d`/`u` envelope, `cps`-tagged adversaries, fault "
+        "schedules that fit the `f` budget) find nothing; "
+        "each known-bad shard (E8's `u_tilde >> u` regime) finds a "
+        "counterexample and shrinks it.  The table is not pinned by "
+        "digest, since its rows depend on the Hypothesis version; the "
+        "two polarities are asserted instead.",
+    ),
     "E9-SCALE": (
         "Vectorized-backend scale study to n = 10,000",
         "**Paper:** Theorem 17's skew bound `S` is independent of `n` — "
@@ -239,10 +251,6 @@ COMMENTARY = {
         "plan|run|report` (pairwise interactions via `--pairwise`).",
     ),
 }
-
-ORDER = ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
-         "A1", "A2", "A3", "STRESS", "CHURN-STRESS", "E9-SCALE",
-         "ABLATION"]
 
 HEADER = f"""# EXPERIMENTS — paper claims, grids, and scenarios
 
@@ -286,7 +294,7 @@ def catalog_table() -> List[str]:
         "| id | claim | campaign engine |",
         "|----|-------|-----------------|",
     ]
-    for name in ORDER:
+    for name in BUILTIN_CAMPAIGNS:
         title = COMMENTARY[name][0]
         lines.append(
             f"| {name} | {title} | `repro campaign run {name}` |"
@@ -349,7 +357,7 @@ def scenario_registry_section() -> List[str]:
 def generate() -> str:
     sections = [HEADER, "\n## Catalog\n"]
     sections.extend(catalog_table())
-    for name in ORDER:
+    for name in BUILTIN_CAMPAIGNS:
         title, commentary = COMMENTARY[name]
         sections.append(f"\n## {name} — {title}\n")
         sections.append(commentary + "\n")

@@ -1,39 +1,17 @@
 """Closed-form bounds from the paper (the "paper" column of every table).
 
 Everything here is a direct transcription of a stated claim; experiments
-compare these numbers against measurements.
+compare these numbers against measurements.  A bound that a derived
+parameter set already holds (``S``, ``p_min_bound``, ``p_max_bound``,
+``consistency_window``, a baseline's ``skew_bound``) is read off the
+parameters, not wrapped here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import Dict
 
 from repro.core.params import ProtocolParameters
-
-if TYPE_CHECKING:
-    from repro.baselines.chain_relay import ChainParameters
-    from repro.baselines.srikanth_toueg import StParameters
-
-
-def cps_skew_bound(params: ProtocolParameters) -> float:
-    """Theorem 17: skew at most ``S``."""
-    return params.S
-
-
-def cps_min_period_bound(params: ProtocolParameters) -> float:
-    """Theorem 17: ``P_min >= (T - (theta+1) S) / theta``."""
-    return params.p_min_bound
-
-
-def cps_max_period_bound(params: ProtocolParameters) -> float:
-    """Theorem 17: ``P_max <= T + 3 S``."""
-    return params.p_max_bound
-
-
-def tcb_consistency_bound(params: ProtocolParameters) -> float:
-    """Lemma 11: honest acceptances of one dealer within
-    ``(1 - 1/theta) d + 2u/theta`` real time."""
-    return params.consistency_window
 
 
 def apa_halving_bound(initial_range: float, iteration: int) -> float:
@@ -52,16 +30,6 @@ def fault_free_lower_bound(u: float, theta: float, d: float) -> float:
     ``u/2 + (1 - 1/theta) d / 2``-style constants loosely; reported as the
     order term the paper quotes)."""
     return u + (theta - 1.0) * d
-
-
-def st_skew_bound(params: StParameters) -> float:
-    """Θ(d) for threshold-relay pulsers ([28]/[21]/[2])."""
-    return params.skew_bound
-
-
-def chain_skew_bound(params: ChainParameters) -> float:
-    """Θ(f (u + (theta-1) d)) for chain-relay timing."""
-    return params.skew_bound
 
 
 def summary(params: ProtocolParameters) -> Dict[str, float]:

@@ -459,7 +459,7 @@ def algorithm_comparison_trial(
             seed=seed,
             trace=measurement.trace,
         )
-        theory_skew = theory.st_skew_bound(params)
+        theory_skew = params.skew_bound
     elif algorithm == "Chain relay [2]-style":
         params = derive_chain_parameters(theta, d, u, n)
         simulation = build_chain_simulation(
@@ -470,7 +470,7 @@ def algorithm_comparison_trial(
             seed=seed,
             trace=measurement.trace,
         )
-        theory_skew = theory.chain_skew_bound(params)
+        theory_skew = params.skew_bound
     else:
         raise TrialFailure(f"unknown algorithm {algorithm!r}")
     outcome = measured_pulse_trial(simulation, measurement)

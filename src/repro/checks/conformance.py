@@ -3,7 +3,8 @@
 The conformance engine turns the scenario registry into a test matrix:
 each entry is dropped into a fixed reference configuration, executed at
 a CI-friendly scale with streaming monitors attached, and judged
-against the closed-form bounds of :mod:`repro.analysis.theory`.  Two
+against the paper's closed-form bounds (the derived
+:class:`~repro.core.params.ProtocolParameters`).  Two
 execution modes cover the catalog:
 
 ``cps``
@@ -118,24 +119,20 @@ def cps_check_set(
     expected_pulses: int,
 ) -> CheckSet:
     """The Theorem 17 / Lemma 11 monitors for one CPS deployment."""
-    from repro.analysis import theory
-
     honest = list(honest)
     tolerance = params.tolerance
     return CheckSet(
         [
-            SkewBoundMonitor(
-                theory.cps_skew_bound(params), len(honest), tolerance
-            ),
+            SkewBoundMonitor(params.S, len(honest), tolerance),
             PeriodWindowMonitor(
-                theory.cps_min_period_bound(params),
-                theory.cps_max_period_bound(params),
+                params.p_min_bound,
+                params.p_max_bound,
                 len(honest),
                 tolerance,
             ),
             ProgressMonitor(honest, expected_pulses),
             TcbConsistencyMonitor(
-                theory.tcb_consistency_bound(params), len(honest), tolerance
+                params.consistency_window, len(honest), tolerance
             ),
         ]
     )

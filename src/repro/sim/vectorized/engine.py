@@ -79,9 +79,9 @@ from repro.sim.vectorized.delays import (
 from repro.sync.crusader import BOT
 from repro.telemetry.context import active_telemetry
 
-#: Target size of one (rows x honest) float64 block array.  Measured
-#: flat from 256 KiB to 1 MiB and 10-30 % slower at 4 MiB for n >= 2,500
-#: (docs/PERFORMANCE.md, "The vectorized engine's blocks").
+#: Target size of one (rows x honest) float64 block array; the sweep
+#: that chose it is docs/PERFORMANCE.md, "`BLOCK_BYTES` is a constant,
+#: not a knob".
 BLOCK_BYTES = 1 << 20
 
 

@@ -23,8 +23,8 @@ Only the light layers (metrics, context) are exported here, and only
 on first use; the simulator imports :mod:`repro.telemetry.context` at
 module load, so this package must not pull in the campaign stack.
 
-See ``docs/OBSERVABILITY.md`` for the metric catalog and sidecar
-format.
+See ``docs/OBSERVABILITY.md`` for the metric semantics and sidecar
+format; ``repro telemetry list`` prints the catalog.
 """
 
 from repro import lazy_exports

@@ -57,8 +57,8 @@ HOT_COUNTERS: Tuple[str, ...] = (
 DELAY_BUCKETS: Tuple[float, ...] = (0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5)
 
 #: Every fixed metric name with a one-line description — the source of
-#: truth for ``repro telemetry list``, the ``--metric`` did-you-mean
-#: validation, and the catalog table in ``docs/OBSERVABILITY.md``.
+#: truth for ``repro telemetry list`` (the catalog the docs point at)
+#: and the ``--metric`` did-you-mean validation.
 #: Dynamic families (``annotations.<kind>``, ``dynamics.applied.<kind>``)
 #: are validated against the loaded payload instead.
 METRIC_CATALOG: Dict[str, str] = {

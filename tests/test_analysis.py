@@ -137,17 +137,6 @@ class TestTheory:
     def setup_method(self):
         self.params = derive_parameters(1.001, 1.0, 0.01, 8)
 
-    def test_cps_bounds_delegate_to_params(self):
-        assert theory.cps_skew_bound(self.params) == self.params.S
-        assert (
-            theory.cps_min_period_bound(self.params)
-            == self.params.p_min_bound
-        )
-        assert (
-            theory.cps_max_period_bound(self.params)
-            == self.params.p_max_bound
-        )
-
     def test_apa_halving_bound(self):
         assert theory.apa_halving_bound(8.0, 3) == 1.0
 

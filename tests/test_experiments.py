@@ -129,11 +129,12 @@ class TestClaims:
         table = tables["E4"]
         assert all(table.column("within"))
         assert all(table.column("live"))
-        # Steady-state skew sits well below the worst-case bound.
+        # Steady-state skew sits at least five times below the bound
+        # (docs/EXPERIMENTS.md, E4; n = 9 mimic-split is the closest).
         for steady, bound in zip(
             table.column("steady skew"), table.column("bound S")
         ):
-            assert steady < bound
+            assert 5 * steady < bound
 
     def test_e5_resilience_gap(self, tables):
         table = tables["E5"]
@@ -153,14 +154,17 @@ class TestClaims:
         by_algo = {}
         for row in table.rows:
             by_algo.setdefault(row[0], []).append(row)
-        # Signed relay skew is order d (>= 0.3 d), CPS well below.
+        # The figures docs/EXPERIMENTS.md quotes for E6 (skew / d):
+        # signed relays near 0.8, CPS at about 0.008, and the chain
+        # relay growing with f from 0.034 (f = 2) to 0.056 (f = 4).
         for row in by_algo["Signed relay [28]/[21]"]:
-            assert row[4] > 0.3
+            assert row[4] == pytest.approx(0.8, abs=0.06)
         for row in by_algo["CPS (this paper)"]:
-            assert row[4] < 0.05
-        # Chain relay grows with n.
+            assert round(row[4], 3) == 0.008
         chain = by_algo["Chain relay [2]-style"]
-        assert chain[-1][4] > chain[0][4]
+        assert [(row[2], round(row[4], 3)) for row in chain] == [
+            (2, 0.034), (4, 0.056)
+        ]
 
     def test_e7_lower_bound_met_exactly(self, tables):
         table = tables["E7"]
@@ -188,8 +192,12 @@ class TestClaims:
         skews = table.column("skew")
         bound = table.column("bound S")[0]
         assert skews[0] == pytest.approx(bound, rel=0.1)  # worst start
-        assert min(skews) < skews[0] / 4                  # contraction
+        assert min(skews[:3]) < bound / 4                 # contraction
         assert all(s <= bound + 1e-9 for s in skews)
+        # After the first pulse the skew sits an order of magnitude
+        # below the worst-case floor 2*delta (docs/EXPERIMENTS.md, E10).
+        floor = table.column("floor 2*delta")[0]
+        assert all(10 * s < floor for s in skews[1:])
 
     def test_a1_echo_rejection_matters(self, tables):
         table = tables["A1"]
@@ -197,6 +205,13 @@ class TestClaims:
         assert rows[True][5]       # with the rule: Lemma 13 holds
         assert not rows[False][5]  # without: consistency broken
         assert rows[False][2] > 0  # the staggered dealer was accepted
+        # docs/EXPERIMENTS.md, A1: without the rule the error is about
+        # 2x delta, past the stagger itself; with it, the error is more
+        # than an order of magnitude inside delta.
+        stagger, delta = rows[False][1], rows[False][4]
+        assert rows[False][3] == pytest.approx(2 * delta, rel=0.1)
+        assert rows[False][3] > stagger
+        assert 10 * rows[True][3] < delta
 
     def test_a2_discard_rule_matters(self, tables):
         table = tables["A2"]

@@ -25,8 +25,7 @@ GENERATORS = [
 ]
 
 
-@pytest.mark.parametrize("generator, document", GENERATORS)
-def test_committed_document_is_fresh(generator, document, monkeypatch):
+def _generator(generator, monkeypatch):
     # The generators import their shared ``docgen`` module by name.
     monkeypatch.syspath_prepend(BENCHMARKS)
     spec = importlib.util.spec_from_file_location(
@@ -34,9 +33,24 @@ def test_committed_document_is_fresh(generator, document, monkeypatch):
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("generator, document", GENERATORS)
+def test_committed_document_is_fresh(generator, document, monkeypatch):
+    module = _generator(generator, monkeypatch)
     path = os.path.join(ROOT, "docs", document)
     with open(path, encoding="utf-8") as handle:
         assert module.generate() == handle.read(), (
             f"docs/{document} is stale; regenerate with "
             f"'python benchmarks/{generator}'"
         )
+
+
+def test_experiments_commentary_covers_every_builtin(monkeypatch):
+    # docs/EXPERIMENTS.md walks the registry, so an experiment id
+    # without commentary fails to generate and a stale entry is dead.
+    from repro.campaigns import BUILTIN_CAMPAIGNS
+
+    module = _generator("generate_experiments_md.py", monkeypatch)
+    assert list(module.COMMENTARY) == list(BUILTIN_CAMPAIGNS)
