@@ -4,9 +4,11 @@
 The catalog is *derived, not hand-maintained*: experiment grids come
 from the declarative :class:`~repro.campaigns.spec.CampaignSpec` tiers,
 scenario entries from the scenario registry
-(:mod:`repro.scenarios`), and the paper-vs-measured commentary from the
-:data:`COMMENTARY` table below.  No trials are executed, so the output
-is deterministic and cheap enough for the tier-1 freshness test
+(:mod:`repro.scenarios`), the paper statements from the
+:data:`COMMENTARY` table below, and each measured sentence from the
+experiment's claim (:func:`repro.analysis.experiments.check_claim`) on
+one deterministic quick run — about a second for the whole catalog,
+cheap enough for the tier-1 freshness test
 (``tests/test_generated_docs.py``).
 
 Usage::
@@ -14,8 +16,7 @@ Usage::
     python benchmarks/generate_experiments_md.py
 
 Measured tables themselves are reproduced on demand (``repro run E4``,
-``repro campaign run STRESS``, ``repro campaign run E4 --scale full``);
-the committed CSV snapshots live in ``results/``.
+``repro campaign run STRESS``, ``repro campaign run E4 --scale full``).
 """
 
 from __future__ import annotations
@@ -26,32 +27,26 @@ from typing import List
 from docgen import emit
 
 from repro import scenarios
+from repro.analysis.experiments import check_claim
 from repro.campaigns import BUILTIN_CAMPAIGNS, campaign_definition, scales_of
+from repro.campaigns.executor import execute_campaign
 from repro.core.params import THETA_MAX
 
+#: id -> (title, the paper's statement, or what a campaign-native id runs).
 COMMENTARY = {
     "E1": (
         "Theorem 9 / Corollary 2 — APA convergence",
         "**Paper:** one APA iteration (2 rounds) halves the honest value "
         "range at resilience `ceil(n/2)-1`; `2*ceil(log2(l/eps))` rounds "
         "reach any target `eps`, and outputs stay inside the honest input "
-        "range (validity).\n\n**Measured:** the range at least halves in "
-        "*every* iteration under all three Byzantine strategies "
-        "(consistent extreme values, subset sends producing asymmetric ⊥ "
-        "patterns, and full equivocation), and validity holds throughout. "
-        "The final range is at or below the `l/2^k` guarantee.",
+        "range (validity).",
     ),
     "E2": (
         "Figure 4 — Crusader broadcast",
         "**Paper:** with signatures, 2 synchronous rounds give validity "
         "(honest dealer's value delivered everywhere) and crusader "
         "consistency (no two honest nodes output different non-⊥ values) "
-        "at `f = ceil(n/2)-1`.\n\n**Measured:** honest dealers are always "
-        "delivered; an equivocating dealer is degraded to ⊥ at every "
-        "honest node that sees the conflicting signatures; a dealer that "
-        "addresses only a subset yields the legal value/⊥ mix. No "
-        "consistency violation is observable (also fuzzed in the test "
-        "suite).",
+        "at `f = ceil(n/2)-1`.",
     ),
     "E3": (
         "Lemmas 10-13 — Timed crusader broadcast accuracy",
@@ -60,63 +55,31 @@ COMMENTARY = {
         "`Delta in [true, true + delta)` (Lemma 12) and non-⊥ estimates "
         "of *any* dealer agree across honest receivers up to `delta` "
         "(Lemma 13), with `delta = 2u + (theta^2-1)d + "
-        "2(theta^3-theta^2)S`.\n\n**Measured:** across the (theta, u) "
-        "sweep under the timing-split attack and random delays, the worst "
-        "validity error and the worst faulty-dealer consistency error "
-        "both stay strictly below `delta`; the test suite additionally "
-        "asserts zero honest-dealer rejections when faulty links respect "
-        "`d-u`.",
+        "2(theta^3-theta^2)S`.",
     ),
     "E4": (
         "Theorem 17 / Corollary 4 — CPS skew",
         "**Paper:** CPS is a `(ceil(n/2)-1)`-secure pulse-synchronization "
-        "protocol with skew `S in Theta(u + (theta-1) d)`.\n\n"
-        "**Measured:** with extreme clock ensembles (offsets at the full "
-        "allowed `S`, rates pinned at 1 and theta), adversarial delay "
-        "policies, and each attack strategy, the worst pulse skew equals "
-        "the initial offset `S` (attained at pulse 1, as allowed) and "
-        "*never* exceeds it afterwards; steady-state skew sits at least "
-        "five times below the bound.",
+        "protocol with skew `S in Theta(u + (theta-1) d)`.",
     ),
     "E5": (
         "Resilience range — CPS vs Lynch-Welch",
         "**Paper (introduction):** without signatures, `ceil(n/3)-1` is "
         "tight; signatures lift the bound to `ceil(n/2)-1` with the same "
-        "asymptotic skew.\n\n**Measured (n=9):** the analogous timing "
-        "attack is run against both algorithms for every `f`. Lynch-Welch "
-        "holds up to its design resilience `f <= 2` and fails beyond it — "
-        "at `f = 4` the attack pins each honest group to a different "
-        "honest extreme, contraction stops, and the steady skew exceeds "
-        "the bound. CPS stays within its bound for every "
-        "`f <= 4 = ceil(9/2)-1`.",
+        "asymptotic skew.",
     ),
     "E6": (
         "Introduction comparison — all four algorithm families",
         "**Paper:** at optimal resilience, prior signed algorithms have "
         "skew `Theta(d)` ([28]/[21]/[2]) or `O(n(u+(theta-1)d))` "
-        "(consensus-based), versus this paper's `Theta(u+(theta-1)d)`.\n\n"
-        "**Measured (typical regime u = d/100, theta-1 = 1e-3):** "
-        "threshold-relay pulsers sit near `0.8 d` regardless of `u`; the "
-        "chain-relay construction grows roughly linearly with `f` "
-        "(0.034d at f=2 → 0.056d at f=4); CPS sits at ~0.008d — the "
-        "order-of-magnitude separation the paper's question is about — "
-        "while matching Lynch-Welch's skew at double the resilience.",
+        "(consensus-based), versus this paper's `Theta(u+(theta-1)d)`.",
     ),
     "E7": (
         "Theorem 5 — the 2*u_tilde/3 lower bound",
         "**Paper:** if links with a faulty endpoint only guarantee delay "
         "`>= d - u_tilde`, any `ceil(n/3)`-secure pulse synchronization "
         "has (expected) skew `>= 2*u_tilde/3`, even with `u = 0` and "
-        "perfect initial synchrony.\n\n**Measured:** the three-execution "
-        "construction is run as a real adversary around CPS (n=3, f=1, "
-        "u=0) and around a communication-free fixed-period pulser. After "
-        "the adversarial clocks saturate, the worst execution skew equals "
-        "`2*u_tilde/3` *exactly*, the telescoping identity of the proof "
-        "evaluates to exactly `2*u_tilde`, and the well-definedness "
-        "checker confirms the faulty node always obtained the signatures "
-        "it forwarded in time (Lemma 18). For `u_tilde` large enough, "
-        "the forced skew exceeds the `S` CPS could promise on honest "
-        "links alone — the skew is governed by `u_tilde`, not `u`.",
+        "perfect initial synchrony.",
     ),
     "E8": (
         "Section 1 discussion — degradation when faulty links undercut "
@@ -124,56 +87,40 @@ COMMENTARY = {
         "**Paper:** CPS's guarantee *requires* faulty nodes to obey the "
         "minimum delay `d - u`; otherwise they can echo a correct "
         "sender's signature so early that honest broadcasts are "
-        "rejected.\n\n**Measured:** with `u_tilde = u` the rushing-echo "
-        "attack is harmless (zero honest rejections, skew within S). As "
-        "soon as `u_tilde > u` the same attack forces honest-dealer "
-        "rejections and pushes the skew past the bound — the concrete "
-        "mechanism behind the Theorem 5 limit and the paper's deployment "
-        "warning.",
+        "rejected.",
     ),
     "E9": (
         "Theorem 17 — period bounds",
         "**Paper:** `P_min >= (T - (theta+1)S)/theta` and "
-        "`P_max <= T + 3S`.\n\n**Measured:** across system sizes and all "
-        "attack strategies, every realized period honours both bounds.",
+        "`P_max <= T + 3S`.",
     ),
     "E10": (
         "Lemma 16 — convergence dynamics",
         "**Paper:** `skew' <= skew/2 + delta` (plus drift terms): the "
-        "skew contracts geometrically until the measurement-error floor."
-        "\n\n**Measured:** starting from the worst allowed initial state "
-        "(offsets spread across the full `S`), the per-pulse skew drops "
-        "below `S/4` within three pulses and oscillates at a floor an "
-        "order of magnitude below `2*delta` under benign randomness "
-        "(the floor bound is worst-case).",
+        "skew contracts geometrically until the measurement-error floor.",
     ),
     "A1": (
         "Ablation — echo-rejection rule (the crusader part of TCB)",
-        "Disabling the Figure 2 rejection rule and letting faulty dealers "
-        "stagger their sends by `1.5*delta` breaks the Lemma 13 "
-        "consistency invariant (observed error ≈ 2x `delta`, past the "
-        "stagger itself), while with the rule enabled the staggered "
-        "copies are rejected and consistency holds with more than an "
-        "order of magnitude to spare. The echo rule is what makes the "
-        "dealer's timing a *crusader* broadcast.",
+        "**Paper:** Figure 2's echo-rejection rule is what makes the "
+        "dealer's timing a *crusader* broadcast: two honest nodes that "
+        "accept the same dealer compute estimates that agree up to "
+        "`delta` (Lemma 13).  The ablation disables the rule and lets "
+        "faulty dealers stagger their sends.",
     ),
     "A2": (
         "Ablation — the ⊥-aware discard rule (f-b vs f)",
-        "Replacing APA's `f - b` discard with the signature-free fixed "
-        "`f` discard makes CPS fail outright at `f = ceil(n/2)-1` under "
-        "silent faults: after `f` ⊥ outputs there are only `n - f` "
-        "estimates, and discarding `f` from each side leaves nothing — "
-        "the midpoint rule is under-determined. Counting proven-faulty "
-        "⊥s against the discard budget is exactly what buys optimal "
-        "resilience.",
+        "**Paper:** APA discards `f - b` values per side, counting the "
+        "`b` proven-faulty ⊥ outputs against the discard budget, where "
+        "the signature-free rule discards a fixed `f`, which leaves no "
+        "midpoint once `f` nodes output ⊥.",
     ),
     "A3": (
         "Ablation — the theta*S dealer send offset",
-        "In a regime where `S > d - u`, dealers that broadcast *at* their "
-        "pulse (offset 0) reach fast nodes before slow nodes have pulsed; "
+        "**Paper:** an honest dealer broadcasts `theta*S` after its "
+        "pulse.  In a regime where `S > d - u`, a dealer that broadcasts "
+        "*at* its pulse reaches fast nodes before slow nodes have pulsed; "
         "those receptions fall outside the acceptance window and honest "
-        "dealers get ⊥-ed (Lemma 10 breaks). With the prescribed "
-        "`theta*S` wait, zero honest rejections occur.",
+        "dealers get ⊥-ed (Lemma 10 breaks).",
     ),
     "STRESS": (
         "Scenario-registry stress campaign",
@@ -207,32 +154,28 @@ COMMENTARY = {
         "(`repro fuzz run`) over one strategy space and reports whether "
         "it ended the way that space predicts.  Valid spaces (delays "
         "inside the `d`/`u` envelope, `cps`-tagged adversaries, fault "
-        "schedules that fit the `f` budget) find nothing; "
-        "each known-bad shard (E8's `u_tilde >> u` regime) finds a "
-        "counterexample and shrinks it.  The table is not pinned by "
-        "digest, since its rows depend on the Hypothesis version; the "
-        "two polarities are asserted instead.",
+        "schedules that fit the `f` budget) must find nothing; "
+        "each known-bad shard (E8's `u_tilde >> u` regime) must find a "
+        "counterexample and shrink it.  The rows depend on the Hypothesis "
+        "version, so the sentence below states outcomes only.",
     ),
     "E9-SCALE": (
         "Vectorized-backend scale study to n = 10,000",
         "**Paper:** Theorem 17's skew bound `S` is independent of `n` — "
         "the protocol is all-to-all, so nothing in the bound degrades "
-        "as the system grows.\n\n**Measured:** skew vs `S` at "
-        "`n = 100 / 1,000 / 10,000` (silent adversary, maximum delays, "
-        "extreme drift) on the round-batched numpy backend "
-        "(`repro.sim.vectorized`, selected via "
-        "`build_simulation(case, backend=\"vectorized\")`).  The event "
-        "engine dispatches every delivery individually — about 10^8 "
-        "modeled messages per round at `n = 10,000` — so this regime "
-        "is unreachable for it; the vectorized engine computes the "
-        "same protocol semantics in a handful of block operations per "
-        "round, and the differential suite "
-        "(`tests/test_vectorized.py`) pins the two engines verdict- "
-        "and pulse-identical at small `n`.  Exactness argument and "
-        "supported-scenario envelope in `docs/VECTORIZED.md`; "
-        "throughput at n = 1,000 and 2,500 is tracked by the "
-        "`vector-scale` workload of the repo benchmark (`python3 -m "
-        "bench run --workload vector-scale`).",
+        "as the system grows.\n\nThe campaign measures skew against `S` "
+        "on the round-batched numpy backend (`repro.sim.vectorized`, "
+        "selected via `build_simulation(case, backend=\"vectorized\")`). "
+        " The event engine dispatches every delivery individually — "
+        "about 10^8 modeled messages per round at `n = 10,000` — so this "
+        "regime is unreachable for it; the vectorized engine computes "
+        "the same protocol semantics in a handful of block operations "
+        "per round.  The differential suite (`tests/test_vectorized.py`) "
+        "pins the two engines verdict-identical at small `n`, and "
+        "pulse-identical for deterministic delay policies (`random` "
+        "delays are compared by verdict only; `docs/VECTORIZED.md`).  The "
+        "rows' floats depend on numpy, so the sentence below states `n` "
+        "and outcomes only.",
     ),
     "ABLATION": (
         "Protocol ablation engine — per-component importance",
@@ -243,8 +186,7 @@ COMMENTARY = {
         "twice — full protocol vs that one component removed — and "
         "judged by the conformance monitors.  The headline result is "
         "the **monitor-flip set**: which theorem bounds start failing "
-        "per removed component (all six components flip at least one "
-        "monitor; baselines all pass).  The committed artifact is "
+        "per removed component.  The committed artifact is "
         "`results/ablation.json` (byte-stable; tier-1 re-runs the "
         "matrix and compares the bytes), the generated catalog is "
         "`docs/ABLATIONS.md`, and the surface is `repro ablate "
@@ -260,16 +202,21 @@ claims.  This catalog records, for every claim, what the paper states,
 what this reproduction measures, and — every experiment being a
 registered campaign — the exact declarative grid behind each tier.
 
-This file is **generated** from the campaign specs and the scenario
-registry; do not edit it by hand.  Regenerate with::
+This file is **generated** from the campaign specs, the scenario
+registry and one quick run of every experiment; do not edit it by
+hand.  Each **Measured** sentence is returned by the experiment's claim
+(`<stem>_claim` in `repro.analysis.experiments`), which reads every
+figure it quotes from that run's table and raises when the table
+contradicts it; tier-1 checks every claim at quick scale and, for E3,
+E4, E7, E8, E9 and E10, at full scale (`tests/test_experiments.py`).
+Regenerate with::
 
     python benchmarks/generate_experiments_md.py
 
 Tier-1 fails if the committed copy is stale
 (``tests/test_generated_docs.py``).  Reproduce the
 measured tables with ``repro run <id>`` / ``repro campaign run <id>``
-(``--scale full`` for the wide grids); committed CSV snapshots live in
-``results/``.
+(``--scale full`` for the wide grids).
 
 **Global fidelity note.** Our parameter constants follow the appendix
 derivation (Lemma 16 fixed point, Corollary 15 floor for `T`) exactly as
@@ -354,13 +301,21 @@ def scenario_registry_section() -> List[str]:
     return lines
 
 
+def measured(name: str) -> str:
+    """The claim's sentence on one quick run of ``name``."""
+    run = execute_campaign(campaign_definition(name).spec(), scale="quick")
+    return check_claim(name, run)
+
+
 def generate() -> str:
     sections = [HEADER, "\n## Catalog\n"]
     sections.extend(catalog_table())
     for name in BUILTIN_CAMPAIGNS:
         title, commentary = COMMENTARY[name]
         sections.append(f"\n## {name} — {title}\n")
-        sections.append(commentary + "\n")
+        sections.append(
+            f"{commentary}\n\n**Measured:** {measured(name)}\n"
+        )
         sections.extend(campaign_grid_section(name))
     sections.extend(scenario_registry_section())
     sections.append("")

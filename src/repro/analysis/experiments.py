@@ -3,7 +3,7 @@ E9-SCALE, ABLATION — declared one way: a registered campaign.
 
 The paper is a theory paper without an empirical section, so each
 experiment operationalizes one stated claim (theorem/lemma/corollary) or
-one comparison from the introduction.  An experiment is three things:
+one comparison from the introduction.  An experiment is four things:
 
 * a **spec** (``eN_campaign()``): the declarative grid per scale, with
   any pinned seeds in the case and per-scale pulse counts in the
@@ -13,17 +13,23 @@ one comparison from the introduction.  An experiment is three things:
 * a **table** (``eN_table(run)``): for the regular tables one
   declarative column list (``header <- metric | case key, default``),
   a plain function for the irregular ones (E5's optional column, E7's
-  derived note, E10's one row per pulse).
+  derived note, E10's one row per pulse);
+* a **claim** (``eN_claim(run)``): reads the figures its sentence
+  quotes from the table (E3's rejections from the records), raises
+  ``AssertionError`` naming the id, the figure and the bound when the
+  claim fails, and returns the measured sentence of
+  ``docs/EXPERIMENTS.md`` with those figures in it.
 
 The ids and their one-line descriptions are
 :data:`repro.campaigns.BUILTIN_CAMPAIGNS`, which names each id's
-``<stem>_campaign`` / ``<stem>_table`` here; the campaign catalog
+``<stem>_campaign`` / ``<stem>_table`` / ``<stem>_claim`` here
+(:func:`check_claim` finds the last); the campaign catalog
 imports this module the first time one of them is called, so listing
-the catalog loads none of it.  :func:`run_experiment` — and with it
-``repro run``, ``repro all``, ``repro campaign run``, the benchmarks
-and the generated ``docs/EXPERIMENTS.md`` — reads that catalog; a spec
-or a table imports the campaign layer, builders and baselines it uses
-when it is called.
+the catalog loads none of it.  ``repro run``, ``repro all``, ``repro
+campaign run``, the benchmarks and the generated
+``docs/EXPERIMENTS.md`` read that catalog; a spec, table or claim
+imports the campaign layer, builders and baselines it uses when it is
+called.
 
 ``scale="quick"`` keeps runtimes in seconds (CI-friendly);
 ``scale="full"`` covers wider sweeps.  Those are the only tiers: every
@@ -36,6 +42,8 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -43,8 +51,9 @@ from typing import (
     Union,
 )
 
-from repro.campaigns import campaign_definition
-from repro.core.params import derive_parameters, max_faults
+from repro.analysis.metrics import at_least, within
+from repro.campaigns import BUILTIN_CAMPAIGNS, campaign_definition
+from repro.core.params import derive_parameters, max_faults, time_tolerance
 
 if TYPE_CHECKING:
     from repro.analysis.reporting import Table
@@ -98,6 +107,43 @@ def _table(
         return table
 
     return tabulate
+
+
+def _rows(table: Table) -> List[Dict[str, Any]]:
+    """The table's rows, each keyed by column header."""
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def _require(name: str, holds: Any, figure: str, bound: str) -> None:
+    """Fail ``name``'s claim unless ``holds``: ``figure`` against
+    ``bound``."""
+    if not holds:
+        raise AssertionError(f"{name} claim fails: {figure} against {bound}")
+
+
+def _each(
+    name: str,
+    rows: Sequence[Mapping[str, Any]],
+    figure: str,
+    bound: str,
+    holds: Optional[Callable[[Mapping[str, Any]], Any]] = None,
+) -> None:
+    """``holds(row)``, by default the row's ``figure`` cell, on every
+    row; else ``name``'s claim fails on the first row that breaks,
+    named by its first cell: its ``figure`` cell against ``bound``,
+    formatted with the row's cells."""
+    for row in rows:
+        key, value = next(iter(row.items()))
+        _require(
+            name, holds(row) if holds else row[figure],
+            f"{key} {value!r}: {figure} {row[figure]!r}",
+            bound.format_map(row),
+        )
+
+
+def _tolerance(run: CampaignRun) -> float:
+    """The run's time tolerance, in units of its cases' ``d``."""
+    return time_tolerance(run.records[0].case["d"])
 
 
 def _campaign(
@@ -171,6 +217,19 @@ e1_table = _table(
 )
 
 
+def e1_claim(run: CampaignRun) -> str:
+    rows = _rows(e1_table(run))
+    _each("E1", rows, "halved every iter", "Theorem 9")
+    _each("E1", rows, "validity ok", "Theorem 9")
+    _each("E1", rows, "final range", "l/2^k = {bound (l/2^k)}",
+          lambda row: within(row["final range"], row["bound (l/2^k)"]))
+    return (
+        f"on all {len(rows)} rows the honest range at least halves in every "
+        "iteration and validity holds; the largest final range, "
+        f"{max(row['final range'] for row in rows):g}, is within `l/2^k`."
+    )
+
+
 # --- E2 — Figure 4: crusader broadcast properties ---------------------
 
 
@@ -198,6 +257,22 @@ e2_table = _table(
         ("consistency ok", "consistency", False),
     ],
 )
+
+
+def e2_claim(run: CampaignRun) -> str:
+    rows = _rows(e2_table(run))
+    _each("E2", rows, "validity ok", "Figure 4")
+    _each("E2", rows, "consistency ok", "Figure 4")
+    bots = {row["scenario"]: 0 for row in rows}
+    for row in rows:
+        bots[row["scenario"]] += row["outputs"].count("⊥")
+    _require("E2", not bots["honest-dealer"], "honest ⊥ outputs", "none")
+    return (
+        f"validity and crusader consistency hold on all {len(rows)} rows; "
+        "honest nodes output ⊥ "
+        + ", ".join(f"{bots[key]} times for `{key}`" for key in bots)
+        + " (a subset dealer yields the legal value/⊥ mix)."
+    )
 
 
 # --- E3 — Lemmas 10-13: TCB acceptance and estimate accuracy ----------
@@ -254,6 +329,22 @@ e3_table = _table(
 )
 
 
+def e3_claim(run: CampaignRun) -> str:
+    rows = _rows(e3_table(run))
+    _each("E3", rows, "within (L12)", "Lemma 12")
+    _each("E3", rows, "within (L13)", "Lemma 13")
+    rejections = [record.metrics.get("rejections") for record in run.records]
+    _require("E3", set(rejections) == {0}, f"rejections {rejections}",
+             "Lemma 10 (none)")
+    worst = max(r["validity err max"] / r["delta bound"] for r in rows)
+    return (
+        f"across the {len(rows)} (theta, u) cases the worst validity error "
+        f"is {worst:.3g} `delta`, every consistency error stays within "
+        f"`delta`, and honest-dealer rejections total {sum(rejections)} "
+        "(Lemma 10: faulty links respect `d-u`)."
+    )
+
+
 # --- E4 — Theorem 17 / Corollary 4: CPS skew --------------------------
 
 
@@ -282,6 +373,19 @@ e4_table = _table(
     note="f = ceil(n/2)-1 everywhere — beyond the ceil(n/3)-1 barrier of "
     "the signature-free setting.",
 )
+
+
+def e4_claim(run: CampaignRun) -> str:
+    rows, tolerance = _rows(e4_table(run)), _tolerance(run)
+    _each("E4", rows, "live", "Theorem 17")
+    _each("E4", rows, "max skew", "S = {bound S}", lambda row: row["within"]
+          and at_least(row["max skew"], row["bound S"], tolerance))
+    ratio = min(row["bound S"] / row["steady skew"] for row in rows)
+    return (
+        f"on all {len(rows)} rows (offsets spread across the full `S`) the "
+        "worst pulse skew equals `S` and never exceeds it; steady-state "
+        f"skew sits at least {ratio:.3g}× below the bound."
+    )
 
 
 # --- E5 — resilience range: CPS vs Lynch-Welch across f ---------------
@@ -332,6 +436,22 @@ def e5_table(run: CampaignRun) -> Table:
     return table
 
 
+def e5_claim(run: CampaignRun) -> str:
+    rows = _rows(e5_table(run))
+    _each("E5", rows, "steady skew", "bound {bound} ({algorithm} f={f})",
+          lambda row: row["steady within"] or not row["tolerated by design"])
+    lw = [row for row in rows if row["algorithm"] == "Lynch-Welch"]
+    broken = [row["f"] for row in lw if not row["steady within"]]
+    _require("E5", broken, "Lynch-Welch within at every f", "a break")
+    return (
+        "under the same timing attack, Lynch-Welch keeps its bound at every "
+        f"`f` it tolerates by design and exceeds it at f = "
+        f"{', '.join(map(str, broken))}, where the split pins each honest "
+        "group to a different extreme; CPS keeps its bound at every "
+        f"f <= {max(row['f'] for row in rows)} = ceil(n/2)-1."
+    )
+
+
 # --- E6 — introduction comparison table: all four algorithms ----------
 
 
@@ -364,6 +484,35 @@ e6_table = _table(
     note="Typical regime u << d, theta-1 << 1: CPS and LW sit near "
     "u + (theta-1)d, signed relays near d, chain relays grow with f.",
 )
+
+
+def e6_claim(run: CampaignRun) -> str:
+    from repro.campaigns.builders import E6_ALGORITHMS
+
+    rows, tolerance = _rows(e6_table(run)), _tolerance(run)
+    cps, lw, signed, chain = (
+        [row for row in rows if row["algorithm"] == algorithm]
+        for algorithm in E6_ALGORITHMS
+    )
+    _each("E6", cps + lw, "steady skew", "theory skew {theory skew}",
+          lambda r: within(r["steady skew"], r["theory skew"], tolerance))
+    _require("E6", all(a["f"] > b["f"] for a, b in zip(cps, lw)),
+             "CPS's f", "Lynch-Welch's f")
+    ours, relays, chained = (
+        [row["skew / d"] for row in group] for group in (cps, signed, chain)
+    )
+    _require("E6", max(ours) < min(chained) <= max(chained) < min(relays)
+             and chained == sorted(chained),
+             f"skews / d {ours}, {chained}, {relays}",
+             "CPS < chain relay (growing with f) < signed relay")
+    return (
+        f"signed relays sit at {min(relays):.3g}–{max(relays):.3g} d, the "
+        f"chain relay grows with `f` from {chained[0]:.3g} to "
+        f"{chained[-1]:.3g} d, and CPS sits at {max(ours):.3g} d, "
+        f"{min(relays) / max(ours):.3g}× below the signed relays, beside "
+        "Lynch-Welch's "
+        f"{max(row['skew / d'] for row in lw):.3g} d at lower resilience."
+    )
 
 
 # --- E7 — Theorem 5: lower bound construction -------------------------
@@ -419,6 +568,35 @@ def e7_table(run: CampaignRun) -> Table:
     return table
 
 
+def e7_claim(run: CampaignRun) -> str:
+    rows, tolerance = _rows(e7_table(run)), _tolerance(run)
+    _each("E7", rows, "well-defined", "Lemma 18")
+    _each("E7", rows, "max exec skew", "2u~/3 = {bound 2u~/3!r}",
+          lambda row: row[">= bound"]
+          and within(row["max exec skew"], row["bound 2u~/3"], tolerance))
+    _each("E7", rows, "identity sum", "2u~ = {2u~!r}",
+          lambda row: within(row["identity sum"], row["2u~"], tolerance)
+          and at_least(row["identity sum"], row["2u~"], tolerance))
+    case = run.records[0].case
+    claimed = derive_parameters(case["theta"], case["d"], 0.0, 3, f=1).S
+    forced = [
+        row["u~"] for row in rows
+        if not within(row["max exec skew"], claimed, tolerance)
+    ]
+    _require("E7", forced, "every forced skew", f"S = {claimed:.6g}")
+    protocols = dict.fromkeys(row["protocol"] for row in rows)
+    return (
+        f"run as a real adversary around {' and '.join(protocols)}, the "
+        f"construction forces, on all {len(rows)} rows, a worst "
+        "execution skew equal to `2*u_tilde/3`; the telescoping identity "
+        "of the proof evaluates to "
+        f"`2*u_tilde`, to within {tolerance:g} d, with every forwarded "
+        f"signature obtained in time (Lemma 18); from u~ = {min(forced):g} "
+        f"on the forced skew exceeds the S = {claimed:.4f} CPS derives on "
+        "honest links alone."
+    )
+
+
 # --- E8 — skew degradation when faulty links undercut d - u -----------
 
 
@@ -468,6 +646,23 @@ e8_table = _table(
 )
 
 
+def e8_claim(run: CampaignRun) -> str:
+    rows = _rows(e8_table(run))
+    _each("E8", rows, "within S", "S exactly at u~ = u",
+          lambda row: row["within S"] == (row["u~/u"] == 1))
+    _each("E8", rows, "honest-dealer rejections", "none exactly at u~ = u",
+          lambda row: (row["honest-dealer rejections"] == 0)
+          == (row["u~/u"] == 1))
+    worst = max(row["measured skew"] / row["bound S (for u)"] for row in rows)
+    return (
+        f"with `u_tilde = u` the `{run.records[0].case['adversary']}` "
+        "attack is harmless (no honest-dealer rejection, skew within S); "
+        "every `u_tilde > u` forces honest-dealer rejections (up to "
+        f"{max(row['honest-dealer rejections'] for row in rows)}) and "
+        f"pushes the skew past the bound, up to {worst:.3g} S."
+    )
+
+
 # --- E9 — Theorem 17 period bounds ------------------------------------
 
 
@@ -506,6 +701,18 @@ e9_table = _table(
         ("within", "periods_within", False),
     ],
 )
+
+
+def e9_claim(run: CampaignRun) -> str:
+    rows = _rows(e9_table(run))
+    _each("E9", rows, "within", "P_min {P_min bound}, P_max {P_max bound}")
+    low = min(row["P_min measured"] - row["P_min bound"] for row in rows)
+    high = min(row["P_max bound"] - row["P_max measured"] for row in rows)
+    return (
+        f"every realized period of the {len(rows)} runs honours both bounds, "
+        f"`P_min` with at least {low:.3g} d to spare and `P_max` with "
+        f"{high:.3g} d."
+    )
 
 
 # --- E10 — Lemma 16 dynamics: convergence from the worst allowed start
@@ -559,6 +766,25 @@ def e10_table(run: CampaignRun) -> Table:
     return table
 
 
+def e10_claim(run: CampaignRun) -> str:
+    first, *later = rows = _rows(e10_table(run))
+    tolerance = _tolerance(run)
+    _each("E10", rows[:1], "skew", "S = {bound S}",
+          lambda row: at_least(row["skew"], row["bound S"], tolerance))
+    _each("E10", rows, "skew", "the halving reference {halving ref}",
+          lambda row: within(row["skew"], row["halving ref"], tolerance))
+    _each("E10", later, "skew", "2*delta = {floor 2*delta}",
+          lambda row: within(row["skew"], row["floor 2*delta"], tolerance))
+    ratio = min(row["floor 2*delta"] / row["skew"] for row in later)
+    return (
+        f"the skew starts at `S` = {first['skew']:.3g}, every pulse stays "
+        "under the halving reference `max(skew_1/2^(i-1), 2*delta)`, and "
+        f"from pulse {later[0]['pulse']} on the skew sits at least "
+        f"{ratio:.3g}× below the floor `2*delta` under benign randomness "
+        "(the floor is worst-case)."
+    )
+
+
 # --- A1-A3 — ablations: one CpsNode mechanism overridden per row ------
 
 
@@ -607,6 +833,23 @@ a1_table = _table(
 )
 
 
+def a1_claim(run: CampaignRun) -> str:
+    on, off = _rows(a1_table(run))
+    _each("A1", [on], "within delta", "Lemma 13 with the rule")
+    _each("A1", [off], "max consistency err", "the stagger {stagger}",
+          lambda row: row["faulty accepted"] and not row["within delta"]
+          and not within(row["max consistency err"], row["stagger"],
+                         _tolerance(run)))
+    delta = off["delta bound"]
+    return (
+        f"with a stagger of {off['stagger'] / delta:.3g} `delta` and the "
+        "rule disabled, the worst consistency error reaches "
+        f"{off['max consistency err'] / delta:.3g} `delta`, past the stagger; "
+        f"with the rule it stays {delta / on['max consistency err']:.3g}× "
+        "inside `delta`."
+    )
+
+
 def a2_campaign() -> CampaignSpec:
     """Replace the f-b discard with the signature-free fixed-f discard."""
     return _mechanism_campaign(
@@ -628,6 +871,20 @@ a2_table = _table(
     "per side leaves no values at all: the ⊥-aware rule is what makes "
     "optimal resilience possible.",
 )
+
+
+def a2_claim(run: CampaignRun) -> str:
+    ours, fixed = _rows(a2_table(run))
+    _each("A2", [ours], "measured skew", "S = {bound S}",
+          lambda row: within(row["measured skew"], row["bound S"],
+                             _tolerance(run)))
+    _each("A2", [fixed], "outcome", "a failed run",
+          lambda row: row["outcome"] != "ok")
+    return (
+        f"at f = {fixed['f']} the `f - b` rule runs with skew "
+        f"{ours['measured skew']:.3g} within S, while the fixed-`f` "
+        f"discard fails: `{fixed['outcome']}`."
+    )
 
 
 def a3_campaign() -> CampaignSpec:
@@ -656,6 +913,20 @@ a3_table = _table(
     "before slow nodes have pulsed; the theta*S wait is what makes "
     "Lemma 10 hold.",
 )
+
+
+def a3_claim(run: CampaignRun) -> str:
+    ours, zero = _rows(a3_table(run))
+    _each("A3", [ours], "honest ⊥ outputs", "none, within S {S} > d-u",
+          lambda row: not row["honest ⊥ outputs"] and row["within S"]
+          and row["S"] > row["d-u"])
+    _each("A3", [zero], "honest ⊥ outputs", "some without the offset")
+    return (
+        f"with S = {ours['S']:.3g} > d-u = {ours['d-u']:.3g}, dealers "
+        f"broadcasting at their pulse cause {zero['honest ⊥ outputs']} "
+        "honest ⊥ outputs; the `theta*S` wait causes none and keeps the "
+        "skew within S."
+    )
 
 
 # --- STRESS — registry-driven scenario campaign -----------------------
@@ -757,6 +1028,13 @@ stress_table = _table(
 )
 
 
+def stress_claim(run: CampaignRun) -> str:
+    rows = _rows(stress_table(run))
+    _each("STRESS", rows, "max skew", "bound S {bound S}, live",
+          lambda row: row["within"] and row["live"])
+    return f"all {len(rows)} rows are live and within their bound."
+
+
 # --- CHURN-STRESS — fault schedules over the registry scenarios -------
 
 
@@ -820,6 +1098,17 @@ churn_table = _table(
     "cohort), 'cohort skew' the index-aligned Definition 3 skew of "
     "the never-disturbed nodes.",
 )
+
+
+def churn_claim(run: CampaignRun) -> str:
+    rows = _rows(churn_table(run))
+    _each("CHURN-STRESS", rows, "resynced", "the stabilization monitor")
+    _each("CHURN-STRESS", rows, "cohort within", "S = {bound S}")
+    worst = max(row["cohort skew"] / row["bound S"] for row in rows)
+    return (
+        f"on all {len(rows)} rows every recovering or joining node resyncs, "
+        f"and the stable cohort's skew stays within {worst:.3g} S."
+    )
 
 
 # --- FUZZ — sharded property-based search for bound violations --------
@@ -894,6 +1183,19 @@ fuzz_table = _table(
 )
 
 
+def fuzz_claim(run: CampaignRun) -> str:
+    # Outcomes only: the rows' figures depend on the Hypothesis version.
+    rows = _rows(fuzz_table(run))
+    _each("FUZZ", rows, "ok", "the outcome its space predicts")
+    bad = sum(row["strategy"] == "known-bad" for row in rows)
+    _require("FUZZ", 0 < bad < len(rows), f"{bad} known-bad", "both kinds")
+    return (
+        f"{len(rows) - bad} of {len(rows) - bad} valid-space shards found "
+        f"nothing and {bad} of {bad} known-bad shards found and shrank a "
+        "counterexample."
+    )
+
+
 # --- E9-SCALE — vectorized-backend scale study to n = 10,000 ----------
 
 
@@ -908,9 +1210,10 @@ def e9_scale_campaign() -> CampaignSpec:
     ``backend="vectorized"``: the round-batched numpy engine
     (:mod:`repro.sim.vectorized`) computes the same protocol semantics
     in a handful of block operations per round, and the differential
-    suite pins it verdict- and pulse-identical to the event engine at
-    small n.  The u = 0.01 base keeps theta = 1.001 feasible while the
-    extreme drift profile exercises the piecewise clock fast paths.
+    suite pins it verdict-identical to the event engine at small n (and
+    pulse-identical for deterministic delays).  The u = 0.01 base keeps
+    theta = 1.001 feasible while the extreme drift profile exercises the
+    piecewise clock fast paths.
     """
     sizes = (100, 1000, 10000)
     return _campaign(
@@ -942,6 +1245,16 @@ e9_scale_table = _table(
 )
 
 
+def e9_scale_claim(run: CampaignRun) -> str:
+    # ``n`` and outcomes only: the rows' floats depend on numpy.
+    rows = _rows(e9_scale_table(run))
+    _each("E9-SCALE", rows, "max skew", "S = {bound S}, live",
+          lambda row: row["within"] and row["live"]
+          and row["bound S"] == rows[0]["bound S"])
+    sizes = " / ".join(f"{row['n']:,}" for row in rows)
+    return f"at n = {sizes} every row is live and within the same `S`."
+
+
 # --- ABLATION — per-component importance (see repro.ablation) ---------
 
 
@@ -959,10 +1272,23 @@ def ablation_table(run: CampaignRun) -> Table:
     return report.ablation_table(run)
 
 
-def run_experiment(name: str, scale: str = "quick") -> Table:
-    """Run one registered experiment by id and assemble its table."""
-    from repro.campaigns.executor import execute_campaign
+def ablation_claim(run: CampaignRun) -> str:
+    from repro.ablation import plan, report
 
-    definition = campaign_definition(name)
-    run = execute_campaign(definition.spec(), scale=scale)
-    return definition.tabulate(run)
+    entries = report.ablation_report(plan.AblationSpec(), run)["components"]
+    _each("ABLATION", entries, "component", "every baseline monitor passing",
+          lambda entry: entry["baseline"]["error"] is None
+          and all(entry["baseline"]["monitors"].values()))
+    _each("ABLATION", entries, "monitor_flips", "at least one flip")
+    return (
+        f"all {len(entries)} components flip at least one monitor when "
+        f"removed, and all {len(entries)} baselines pass every monitor."
+    )
+
+
+def check_claim(name: str, run: CampaignRun) -> str:
+    """Experiment ``name``'s measured sentence on ``run`` — its
+    ``<stem>_claim``, which raises ``AssertionError`` when the claim
+    fails."""
+    stem, _ = BUILTIN_CAMPAIGNS[name.upper()]
+    return globals()[f"{stem}_claim"](run)

@@ -17,6 +17,7 @@ fixture was captured with; the set of parsers is compared everywhere.
 import argparse
 import json
 import os
+import re
 import sys
 import unittest.mock as mock
 
@@ -24,7 +25,8 @@ import pytest
 
 import repro.cli as cli
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cli_help.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURE = os.path.join(ROOT, "tests", "data", "cli_help.json")
 
 COMMANDS = (
     "list", "run", "all", "params", "campaign", "store", "scenarios",
@@ -69,6 +71,30 @@ class TestHelpParity:
         texts = _help_texts()
         for prog, expected in fixture["help"].items():
             assert texts[prog] == expected, prog
+
+
+#: A row of docs/ARCHITECTURE.md's `cli/` table: (module, commands).
+ROW = re.compile(r"^\| `cli/(\w+)\.py` \| ([^|]*) \|", re.M)
+
+
+def test_the_architecture_table_names_every_command():
+    # docs/ARCHITECTURE.md's `cli/` table: a group module's row names
+    # exactly the leaf commands it registers (`store list/merge` is
+    # `store list` and `store merge`).
+    with open(os.path.join(ROOT, "docs", "ARCHITECTURE.md")) as handle:
+        cells = dict(ROW.findall(handle.read()))
+    progs = sorted(_parsers(cli.build_parser()))
+    for group in {group for group, _ in cli.COMMANDS.values()}:
+        named = set()
+        for token in re.findall(r"`([^`]+)`", cells[group]):
+            *head, tail = token.split()
+            named.update(" ".join([*head, leaf]) for leaf in tail.split("/"))
+        leaves = {
+            prog[len("repro "):] for prog in progs
+            if prog != "repro" and cli.COMMANDS[prog.split()[1]][0] == group
+            and not any(other.startswith(prog + " ") for other in progs)
+        }
+        assert named == leaves, group
 
 
 class TestUnknownCommand:

@@ -1,7 +1,9 @@
-"""End-to-end assertions on every experiment's quick-scale output.
+"""Every experiment's quick-scale output, and its claim.
 
-These check the *scientific claims* each table is supposed to exhibit —
-not just that code runs.
+The digests pin each table's bytes; the claims check the *scientific
+statement* each table is supposed to exhibit — the predicate behind
+each measured sentence of ``docs/EXPERIMENTS.md`` — at quick scale for
+every id and at full scale for the six full runs pinned here.
 """
 
 
@@ -9,8 +11,9 @@ import hashlib
 
 import pytest
 
-from repro.analysis.experiments import run_experiment
+from repro.analysis.experiments import check_claim
 from repro.campaigns import available_campaigns, campaign_definition
+from repro.campaigns.executor import execute_campaign
 from repro.cli import main
 
 # sha256[:16] of Table.render() at quick scale.  FUZZ rows depend on the
@@ -55,8 +58,23 @@ FULL_TABLE_DIGESTS = {
 
 
 @pytest.fixture(scope="module")
-def tables():
-    return {name: run_experiment(name) for name in IDS}
+def runs():
+    # Each experiment runs once per scale: every id at quick, six at full.
+    return {
+        scale: {
+            name: execute_campaign(campaign_definition(name).spec(), scale)
+            for name in names
+        }
+        for scale, names in (("quick", IDS), ("full", FULL_TABLE_DIGESTS))
+    }
+
+
+@pytest.fixture(scope="module")
+def tables(runs):
+    return {
+        name: campaign_definition(name).tabulate(run)
+        for name, run in runs["quick"].items()
+    }
 
 
 class TestRegistry:
@@ -74,18 +92,12 @@ class TestRegistry:
             spec.name, spec.description
         )
 
-    def test_unknown_experiment_rejected(self):
+    def test_unknown_experiment_rejected(self, runs):
         with pytest.raises(KeyError):
-            run_experiment("E99")
+            check_claim("E99", runs["quick"]["E2"])
 
-    def test_case_insensitive(self):
-        table = run_experiment("e2")
-        assert table.rows
-
-    def test_every_table_renders(self, tables):
-        for table in tables.values():
-            rendered = table.render()
-            assert rendered
+    def test_case_insensitive(self, runs):
+        assert check_claim("e2", runs["quick"]["E2"])
 
     def test_cli_all_prints_every_table(self, tables, capsys):
         # `repro all` reaches the tables through the CLI's execution
@@ -103,156 +115,18 @@ class TestRegistry:
         assert digest[:16] == QUICK_TABLE_DIGESTS[name], rendered
 
     @pytest.mark.parametrize("name", FULL_TABLE_DIGESTS)
-    def test_full_table_is_byte_stable(self, name):
-        rendered = run_experiment(name, scale="full").render()
+    def test_full_table_is_byte_stable(self, runs, name):
+        run = runs["full"][name]
+        rendered = campaign_definition(name).tabulate(run).render()
         digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
         assert digest[:16] == FULL_TABLE_DIGESTS[name], rendered
 
 
-class TestClaims:
-    def test_e1_halving_and_validity_hold(self, tables):
-        table = tables["E1"]
-        assert all(tables["E1"].column("halved every iter"))
-        assert all(table.column("validity ok"))
-
-    def test_e2_validity_and_consistency_hold(self, tables):
-        table = tables["E2"]
-        assert all(table.column("validity ok"))
-        assert all(table.column("consistency ok"))
-
-    def test_e3_estimates_within_delta(self, tables):
-        table = tables["E3"]
-        assert all(table.column("within (L12)"))
-        assert all(table.column("within (L13)"))
-
-    def test_e4_skew_within_bound(self, tables):
-        table = tables["E4"]
-        assert all(table.column("within"))
-        assert all(table.column("live"))
-        # Steady-state skew sits at least five times below the bound
-        # (docs/EXPERIMENTS.md, E4; n = 9 mimic-split is the closest).
-        for steady, bound in zip(
-            table.column("steady skew"), table.column("bound S")
-        ):
-            assert 5 * steady < bound
-
-    def test_e5_resilience_gap(self, tables):
-        table = tables["E5"]
-        rows = {
-            (row[0], row[1]): row for row in table.rows
-        }  # (f, algorithm)
-        # CPS holds everywhere.
-        for (f, algorithm), row in rows.items():
-            if algorithm == "CPS":
-                assert row[6], f"CPS broke at f={f}"
-        # LW holds at its design resilience and breaks at f = 4 >= n/3.
-        assert rows[(2, "Lynch-Welch")][6]
-        assert not rows[(4, "Lynch-Welch")][6]
-
-    def test_e6_ordering_of_algorithms(self, tables):
-        table = tables["E6"]
-        by_algo = {}
-        for row in table.rows:
-            by_algo.setdefault(row[0], []).append(row)
-        # The figures docs/EXPERIMENTS.md quotes for E6 (skew / d):
-        # signed relays near 0.8, CPS at about 0.008, and the chain
-        # relay growing with f from 0.034 (f = 2) to 0.056 (f = 4).
-        for row in by_algo["Signed relay [28]/[21]"]:
-            assert row[4] == pytest.approx(0.8, abs=0.06)
-        for row in by_algo["CPS (this paper)"]:
-            assert round(row[4], 3) == 0.008
-        chain = by_algo["Chain relay [2]-style"]
-        assert [(row[2], round(row[4], 3)) for row in chain] == [
-            (2, 0.034), (4, 0.056)
-        ]
-
-    def test_e7_lower_bound_met_exactly(self, tables):
-        table = tables["E7"]
-        assert all(table.column(">= bound"))
-        for identity, expected in zip(
-            table.column("identity sum"), table.column("2u~")
-        ):
-            assert identity == pytest.approx(expected, abs=1e-6)
-
-    def test_e8_degradation_with_u_tilde(self, tables):
-        table = tables["E8"]
-        rows = table.rows
-        # u~ = u: within S, zero rejections.
-        assert rows[0][4]
-        assert rows[0][5] == 0
-        # u~ >> u: bound violated, rejections of honest dealers happen.
-        assert not rows[-1][4]
-        assert rows[-1][5] > 0
-
-    def test_e9_periods_within_bounds(self, tables):
-        assert all(tables["E9"].column("within"))
-
-    def test_e10_contracts_to_floor(self, tables):
-        table = tables["E10"]
-        skews = table.column("skew")
-        bound = table.column("bound S")[0]
-        assert skews[0] == pytest.approx(bound, rel=0.1)  # worst start
-        assert min(skews[:3]) < bound / 4                 # contraction
-        assert all(s <= bound + 1e-9 for s in skews)
-        # After the first pulse the skew sits an order of magnitude
-        # below the worst-case floor 2*delta (docs/EXPERIMENTS.md, E10).
-        floor = table.column("floor 2*delta")[0]
-        assert all(10 * s < floor for s in skews[1:])
-
-    def test_a1_echo_rejection_matters(self, tables):
-        table = tables["A1"]
-        rows = {row[0]: row for row in table.rows}
-        assert rows[True][5]       # with the rule: Lemma 13 holds
-        assert not rows[False][5]  # without: consistency broken
-        assert rows[False][2] > 0  # the staggered dealer was accepted
-        # docs/EXPERIMENTS.md, A1: without the rule the error is about
-        # 2x delta, past the stagger itself; with it, the error is more
-        # than an order of magnitude inside delta.
-        stagger, delta = rows[False][1], rows[False][4]
-        assert rows[False][3] == pytest.approx(2 * delta, rel=0.1)
-        assert rows[False][3] > stagger
-        assert 10 * rows[True][3] < delta
-
-    def test_a2_discard_rule_matters(self, tables):
-        table = tables["A2"]
-        rows = {row[0]: row for row in table.rows}
-        assert rows["f-b"][2] == "ok"
-        assert rows["f"][2] != "ok"
-
-    def test_stress_live_rows_within_their_bound(self, tables):
-        # Every live run stays within its derived bound S (topology
-        # rows are judged against the *overlay* bound); some run is live.
-        table = tables["STRESS"]
-        live = table.column("live")
-        assert any(live)
-        assert all(
-            within
-            for within, alive in zip(table.column("within"), live)
-            if alive
-        )
-
-    def test_e9_scale_bound_holds_at_all_sizes(self, tables):
-        table = tables["E9-SCALE"]
-        assert sorted(table.column("n")) == [100, 1000, 10000]
-        assert all(table.column("within"))
-        assert all(table.column("live"))
-        # S is n-independent: every row reports the same bound.
-        assert len(set(table.column("bound S"))) == 1
-
-    def test_fuzz_shards_end_as_their_space_predicts(self, tables):
-        table = tables["FUZZ"]
-        assert all(table.column("ok"))
-        # The quick grid carries both polarities: valid shards find
-        # nothing, the known-bad shard always finds a counterexample.
-        by_strategy = dict(
-            zip(table.column("strategy"), table.column("found"))
-        )
-        assert by_strategy["valid"] is False
-        assert by_strategy["known-bad"] is True
-
-    def test_a3_send_offset_matters(self, tables):
-        table = tables["A3"]
-        with_offset, without_offset = table.rows
-        assert with_offset[3] == 0       # no honest ⊥ with the offset
-        assert without_offset[3] > 0     # rejections without it
-        assert with_offset[5]
+@pytest.mark.parametrize(
+    "scale, name",
+    [("quick", name) for name in IDS]
+    + [("full", name) for name in FULL_TABLE_DIGESTS],
+)
+def test_claim_holds(runs, scale, name):
+    # The claim raises naming the id, the figure and the bound.
+    assert check_claim(name, runs[scale][name])

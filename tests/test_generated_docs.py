@@ -49,8 +49,14 @@ def test_committed_document_is_fresh(generator, document, monkeypatch):
 
 def test_experiments_commentary_covers_every_builtin(monkeypatch):
     # docs/EXPERIMENTS.md walks the registry, so an experiment id
-    # without commentary fails to generate and a stale entry is dead.
+    # without commentary or a claim fails to generate and a stale
+    # entry is dead.
+    from repro.analysis import experiments
     from repro.campaigns import BUILTIN_CAMPAIGNS
 
     module = _generator("generate_experiments_md.py", monkeypatch)
     assert list(module.COMMENTARY) == list(BUILTIN_CAMPAIGNS)
+    assert all(
+        callable(getattr(experiments, f"{stem}_claim", None))
+        for stem, _ in BUILTIN_CAMPAIGNS.values()
+    )

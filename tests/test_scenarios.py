@@ -24,7 +24,6 @@ from repro.campaigns import (
     MeasurementSpec,
     ResultStore,
     ScenarioSpec,
-    campaign_definition,
     execute_campaign,
 )
 from repro.cli import main
@@ -327,15 +326,6 @@ class TestRegistryCampaignRoundTrip:
         (record,) = run.records
         assert record.metrics["d_eff"] > 1.0  # multi-hop overlay
         assert record.metrics["live"]
-
-
-class TestStressCampaign:
-    def test_registered_and_quick_tier_clean(self):
-        definition = campaign_definition("STRESS")
-        run = execute_campaign(definition.spec(), scale="quick")
-        assert run.failed == 0
-        table = definition.tabulate(run)
-        assert any(table.column("live"))
 
 
 # ----------------------------------------------------------------------
