@@ -27,9 +27,8 @@ from typing import List
 from docgen import emit
 
 from repro import scenarios
-from repro.analysis.experiments import check_claim
+from repro.analysis.experiments import check_claim, run_experiment
 from repro.campaigns import BUILTIN_CAMPAIGNS, campaign_definition, scales_of
-from repro.campaigns.executor import execute_campaign
 from repro.core.params import THETA_MAX
 
 #: id -> (title, the paper's statement, or what a campaign-native id runs).
@@ -301,21 +300,14 @@ def scenario_registry_section() -> List[str]:
     return lines
 
 
-def measured(name: str) -> str:
-    """The claim's sentence on one quick run of ``name``."""
-    run = execute_campaign(campaign_definition(name).spec(), scale="quick")
-    return check_claim(name, run)
-
-
 def generate() -> str:
     sections = [HEADER, "\n## Catalog\n"]
     sections.extend(catalog_table())
     for name in BUILTIN_CAMPAIGNS:
         title, commentary = COMMENTARY[name]
         sections.append(f"\n## {name} — {title}\n")
-        sections.append(
-            f"{commentary}\n\n**Measured:** {measured(name)}\n"
-        )
+        measured = check_claim(name, run_experiment(name))
+        sections.append(f"{commentary}\n\n**Measured:** {measured}\n")
         sections.extend(campaign_grid_section(name))
     sections.extend(scenario_registry_section())
     sections.append("")

@@ -25,11 +25,11 @@ The ids and their one-line descriptions are
 ``<stem>_campaign`` / ``<stem>_table`` / ``<stem>_claim`` here
 (:func:`check_claim` finds the last); the campaign catalog
 imports this module the first time one of them is called, so listing
-the catalog loads none of it.  ``repro run``, ``repro all``, ``repro
-campaign run``, the benchmarks and the generated
-``docs/EXPERIMENTS.md`` read that catalog; a spec, table or claim
-imports the campaign layer, builders and baselines it uses when it is
-called.
+the catalog loads none of it.  :func:`run_experiment` — and with it
+the generated ``docs/EXPERIMENTS.md`` — ``repro run``, ``repro all``,
+``repro campaign run`` and the benchmarks read that catalog; a spec,
+table or claim imports the campaign layer, builders and baselines it
+uses when it is called.
 
 ``scale="quick"`` keeps runtimes in seconds (CI-friendly);
 ``scale="full"`` covers wider sweeps.  Those are the only tiers: every
@@ -60,6 +60,7 @@ if TYPE_CHECKING:
     from repro.campaigns.aggregate import Column
     from repro.campaigns.executor import CampaignRun
     from repro.campaigns.spec import CampaignSpec
+    from repro.campaigns.store import ResultStore
 
 # Canonical model parameters of the "typical regime" (u << d, theta-1 << 1)
 # the introduction argues about.  d normalizes the time unit.
@@ -119,26 +120,6 @@ def _require(name: str, holds: Any, figure: str, bound: str) -> None:
     ``bound``."""
     if not holds:
         raise AssertionError(f"{name} claim fails: {figure} against {bound}")
-
-
-def _each(
-    name: str,
-    rows: Sequence[Mapping[str, Any]],
-    figure: str,
-    bound: str,
-    holds: Optional[Callable[[Mapping[str, Any]], Any]] = None,
-) -> None:
-    """``holds(row)``, by default the row's ``figure`` cell, on every
-    row; else ``name``'s claim fails on the first row that breaks,
-    named by its first cell: its ``figure`` cell against ``bound``,
-    formatted with the row's cells."""
-    for row in rows:
-        key, value = next(iter(row.items()))
-        _require(
-            name, holds(row) if holds else row[figure],
-            f"{key} {value!r}: {figure} {row[figure]!r}",
-            bound.format_map(row),
-        )
 
 
 def _tolerance(run: CampaignRun) -> float:
@@ -219,10 +200,11 @@ e1_table = _table(
 
 def e1_claim(run: CampaignRun) -> str:
     rows = _rows(e1_table(run))
-    _each("E1", rows, "halved every iter", "Theorem 9")
-    _each("E1", rows, "validity ok", "Theorem 9")
-    _each("E1", rows, "final range", "l/2^k = {bound (l/2^k)}",
-          lambda row: within(row["final range"], row["bound (l/2^k)"]))
+    holds = all(
+        row["halved every iter"] and row["validity ok"]
+        and within(row["final range"], row["bound (l/2^k)"]) for row in rows
+    )
+    _require("E1", holds, "halving, validity, final range", "Theorem 9")
     return (
         f"on all {len(rows)} rows the honest range at least halves in every "
         "iteration and validity holds; the largest final range, "
@@ -261,12 +243,12 @@ e2_table = _table(
 
 def e2_claim(run: CampaignRun) -> str:
     rows = _rows(e2_table(run))
-    _each("E2", rows, "validity ok", "Figure 4")
-    _each("E2", rows, "consistency ok", "Figure 4")
     bots = {row["scenario"]: 0 for row in rows}
     for row in rows:
         bots[row["scenario"]] += row["outputs"].count("⊥")
-    _require("E2", not bots["honest-dealer"], "honest ⊥ outputs", "none")
+    holds = all(row["validity ok"] and row["consistency ok"] for row in rows)
+    _require("E2", holds and not bots["honest-dealer"],
+             f"validity, consistency, ⊥ outputs {bots}", "Figure 4")
     return (
         f"validity and crusader consistency hold on all {len(rows)} rows; "
         "honest nodes output ⊥ "
@@ -331,11 +313,10 @@ e3_table = _table(
 
 def e3_claim(run: CampaignRun) -> str:
     rows = _rows(e3_table(run))
-    _each("E3", rows, "within (L12)", "Lemma 12")
-    _each("E3", rows, "within (L13)", "Lemma 13")
     rejections = [record.metrics.get("rejections") for record in run.records]
-    _require("E3", set(rejections) == {0}, f"rejections {rejections}",
-             "Lemma 10 (none)")
+    holds = all(row["within (L12)"] and row["within (L13)"] for row in rows)
+    _require("E3", holds and set(rejections) == {0},
+             f"estimate errors, rejections {rejections}", "Lemmas 10-13")
     worst = max(r["validity err max"] / r["delta bound"] for r in rows)
     return (
         f"across the {len(rows)} (theta, u) cases the worst validity error "
@@ -377,14 +358,19 @@ e4_table = _table(
 
 def e4_claim(run: CampaignRun) -> str:
     rows, tolerance = _rows(e4_table(run)), _tolerance(run)
-    _each("E4", rows, "live", "Theorem 17")
-    _each("E4", rows, "max skew", "S = {bound S}", lambda row: row["within"]
-          and at_least(row["max skew"], row["bound S"], tolerance))
+    holds = all(
+        row["within"] and row["live"]
+        and at_least(row["max skew"], row["bound S"], tolerance)
+        for row in rows
+    )
+    _require("E4", holds, "max skew", "S, live (Theorem 17)")
     ratio = min(row["bound S"] / row["steady skew"] for row in rows)
+    _require("E4", ratio > 5, f"steady skew {ratio:.3g}× below S", "5×")
     return (
         f"on all {len(rows)} rows (offsets spread across the full `S`) the "
         "worst pulse skew equals `S` and never exceeds it; steady-state "
-        f"skew sits at least {ratio:.3g}× below the bound."
+        f"skew sits more than five times below the bound (at least "
+        f"{ratio:.3g}×)."
     )
 
 
@@ -438,11 +424,14 @@ def e5_table(run: CampaignRun) -> Table:
 
 def e5_claim(run: CampaignRun) -> str:
     rows = _rows(e5_table(run))
-    _each("E5", rows, "steady skew", "bound {bound} ({algorithm} f={f})",
-          lambda row: row["steady within"] or not row["tolerated by design"])
-    lw = [row for row in rows if row["algorithm"] == "Lynch-Welch"]
-    broken = [row["f"] for row in lw if not row["steady within"]]
-    _require("E5", broken, "Lynch-Welch within at every f", "a break")
+    broken = [
+        row["f"] for row in rows
+        if row["algorithm"] == "Lynch-Welch" and not row["steady within"]
+    ]
+    holds = all(row["steady within"] or not row["tolerated by design"]
+                for row in rows)
+    _require("E5", holds and broken, f"Lynch-Welch breaking at f {broken}",
+             "within wherever tolerated, a break beyond")
     return (
         "under the same timing attack, Lynch-Welch keeps its bound at every "
         f"`f` it tolerates by design and exceeds it at f = "
@@ -494,8 +483,9 @@ def e6_claim(run: CampaignRun) -> str:
         [row for row in rows if row["algorithm"] == algorithm]
         for algorithm in E6_ALGORITHMS
     )
-    _each("E6", cps + lw, "steady skew", "theory skew {theory skew}",
-          lambda r: within(r["steady skew"], r["theory skew"], tolerance))
+    holds = all(within(r["steady skew"], r["theory skew"], tolerance)
+                for r in cps + lw)
+    _require("E6", holds, "CPS and LW steady skew", "theory skew")
     _require("E6", all(a["f"] > b["f"] for a, b in zip(cps, lw)),
              "CPS's f", "Lynch-Welch's f")
     ours, relays, chained = (
@@ -539,6 +529,11 @@ def e7_campaign() -> CampaignSpec:
     )
 
 
+def _honest_links_S(case: Mapping[str, Any]) -> float:
+    """The ``S`` CPS derives for E7's system on honest links alone."""
+    return derive_parameters(case["theta"], case["d"], 0.0, 3, f=1).S
+
+
 def e7_table(run: CampaignRun) -> Table:
     """The note quotes the ``S`` CPS would claim on honest links alone."""
     from repro.campaigns.aggregate import records_to_table
@@ -558,8 +553,7 @@ def e7_table(run: CampaignRun) -> Table:
         ],
     )
     if run.records:
-        case = run.records[0].case
-        claimed = derive_parameters(case["theta"], case["d"], 0.0, 3, f=1).S
+        claimed = _honest_links_S(run.records[0].case)
         table.add_note(
             "CPS derived with u=0: its claimed S is "
             f"{claimed:.4f} — the adversary exceeds it whenever "
@@ -570,20 +564,20 @@ def e7_table(run: CampaignRun) -> Table:
 
 def e7_claim(run: CampaignRun) -> str:
     rows, tolerance = _rows(e7_table(run)), _tolerance(run)
-    _each("E7", rows, "well-defined", "Lemma 18")
-    _each("E7", rows, "max exec skew", "2u~/3 = {bound 2u~/3!r}",
-          lambda row: row[">= bound"]
-          and within(row["max exec skew"], row["bound 2u~/3"], tolerance))
-    _each("E7", rows, "identity sum", "2u~ = {2u~!r}",
-          lambda row: within(row["identity sum"], row["2u~"], tolerance)
-          and at_least(row["identity sum"], row["2u~"], tolerance))
-    case = run.records[0].case
-    claimed = derive_parameters(case["theta"], case["d"], 0.0, 3, f=1).S
+    holds = all(
+        row["well-defined"] and row[">= bound"]
+        and within(row["max exec skew"], row["bound 2u~/3"], tolerance)
+        and within(row["identity sum"], row["2u~"], tolerance)
+        and at_least(row["identity sum"], row["2u~"], tolerance)
+        for row in rows
+    )
+    claimed = _honest_links_S(run.records[0].case)
     forced = [
         row["u~"] for row in rows
         if not within(row["max exec skew"], claimed, tolerance)
     ]
-    _require("E7", forced, "every forced skew", f"S = {claimed:.6g}")
+    _require("E7", holds and forced, f"exec skews, forced from u~ {forced}",
+             f"2u~/3 exactly, identity sum 2u~, S = {claimed:.6g}")
     protocols = dict.fromkeys(row["protocol"] for row in rows)
     return (
         f"run as a real adversary around {' and '.join(protocols)}, the "
@@ -648,11 +642,12 @@ e8_table = _table(
 
 def e8_claim(run: CampaignRun) -> str:
     rows = _rows(e8_table(run))
-    _each("E8", rows, "within S", "S exactly at u~ = u",
-          lambda row: row["within S"] == (row["u~/u"] == 1))
-    _each("E8", rows, "honest-dealer rejections", "none exactly at u~ = u",
-          lambda row: (row["honest-dealer rejections"] == 0)
-          == (row["u~/u"] == 1))
+    # Within S, no honest-dealer rejection, and u~ = u: all or none.
+    holds = all(
+        row["within S"] == (row["honest-dealer rejections"] == 0)
+        == (row["u~/u"] == 1) for row in rows
+    )
+    _require("E8", holds, "skew and rejections", "within S exactly at u~ = u")
     worst = max(row["measured skew"] / row["bound S (for u)"] for row in rows)
     return (
         f"with `u_tilde = u` the `{run.records[0].case['adversary']}` "
@@ -705,7 +700,8 @@ e9_table = _table(
 
 def e9_claim(run: CampaignRun) -> str:
     rows = _rows(e9_table(run))
-    _each("E9", rows, "within", "P_min {P_min bound}, P_max {P_max bound}")
+    _require("E9", all(row["within"] for row in rows), "periods",
+             "P_min and P_max bounds")
     low = min(row["P_min measured"] - row["P_min bound"] for row in rows)
     high = min(row["P_max bound"] - row["P_max measured"] for row in rows)
     return (
@@ -768,20 +764,21 @@ def e10_table(run: CampaignRun) -> Table:
 
 def e10_claim(run: CampaignRun) -> str:
     first, *later = rows = _rows(e10_table(run))
-    tolerance = _tolerance(run)
-    _each("E10", rows[:1], "skew", "S = {bound S}",
-          lambda row: at_least(row["skew"], row["bound S"], tolerance))
-    _each("E10", rows, "skew", "the halving reference {halving ref}",
-          lambda row: within(row["skew"], row["halving ref"], tolerance))
-    _each("E10", later, "skew", "2*delta = {floor 2*delta}",
-          lambda row: within(row["skew"], row["floor 2*delta"], tolerance))
+    tolerance, bound = _tolerance(run), first["bound S"]
+    _require("E10", within(first["skew"], bound, tolerance)
+             and at_least(first["skew"], bound, tolerance),
+             f"pulse 1 skew {first['skew']!r}", f"S = {bound!r}")
+    below = next((r["pulse"] for r in rows if r["skew"] < bound / 4), INF)
+    _require("E10", below <= 3, f"first pulse below S/4 {below}", "pulse 3")
     ratio = min(row["floor 2*delta"] / row["skew"] for row in later)
+    _require("E10", all(within(row["skew"], row["floor 2*delta"], tolerance)
+                        for row in later),
+             f"smallest 2*delta / skew {ratio:.3g}", "1 from pulse 2 on")
     return (
-        f"the skew starts at `S` = {first['skew']:.3g}, every pulse stays "
-        "under the halving reference `max(skew_1/2^(i-1), 2*delta)`, and "
-        f"from pulse {later[0]['pulse']} on the skew sits at least "
-        f"{ratio:.3g}× below the floor `2*delta` under benign randomness "
-        "(the floor is worst-case)."
+        f"the skew starts at `S` = {first['skew']:.3g}, drops below `S/4` "
+        f"at pulse {below} (within three pulses), and from pulse "
+        f"{later[0]['pulse']} on sits at least {ratio:.3g}× below the floor "
+        "`2*delta` under benign randomness (the floor is worst-case)."
     )
 
 
@@ -835,18 +832,22 @@ a1_table = _table(
 
 def a1_claim(run: CampaignRun) -> str:
     on, off = _rows(a1_table(run))
-    _each("A1", [on], "within delta", "Lemma 13 with the rule")
-    _each("A1", [off], "max consistency err", "the stagger {stagger}",
-          lambda row: row["faulty accepted"] and not row["within delta"]
-          and not within(row["max consistency err"], row["stagger"],
-                         _tolerance(run)))
     delta = off["delta bound"]
+    inside = delta / on["max consistency err"]
+    error = off["max consistency err"] / delta
+    _require("A1", on["within delta"] and inside > 10,
+             f"error {inside:.3g}× inside delta with the rule", "10×")
+    _require("A1", off["faulty accepted"] and abs(error - 2) <= 0.2
+             and not within(off["max consistency err"], off["stagger"],
+                            _tolerance(run)),
+             f"error {error:.3g} delta without the rule",
+             "2 delta ± 10%, past the stagger")
     return (
         f"with a stagger of {off['stagger'] / delta:.3g} `delta` and the "
-        "rule disabled, the worst consistency error reaches "
-        f"{off['max consistency err'] / delta:.3g} `delta`, past the stagger; "
-        f"with the rule it stays {delta / on['max consistency err']:.3g}× "
-        "inside `delta`."
+        f"rule disabled, the worst consistency error reaches {error:.3g} "
+        "`delta` (about `2*delta`), past the stagger; with the rule it "
+        f"stays {inside:.3g}× inside `delta`, more than an order of "
+        "magnitude."
     )
 
 
@@ -875,11 +876,10 @@ a2_table = _table(
 
 def a2_claim(run: CampaignRun) -> str:
     ours, fixed = _rows(a2_table(run))
-    _each("A2", [ours], "measured skew", "S = {bound S}",
-          lambda row: within(row["measured skew"], row["bound S"],
-                             _tolerance(run)))
-    _each("A2", [fixed], "outcome", "a failed run",
-          lambda row: row["outcome"] != "ok")
+    _require("A2", fixed["outcome"] != "ok" and within(
+        ours["measured skew"], ours["bound S"], _tolerance(run)),
+        f"outcomes {ours['outcome']!r}, {fixed['outcome']!r}",
+        "f-b within S, fixed f failing")
     return (
         f"at f = {fixed['f']} the `f - b` rule runs with skew "
         f"{ours['measured skew']:.3g} within S, while the fixed-`f` "
@@ -917,10 +917,11 @@ a3_table = _table(
 
 def a3_claim(run: CampaignRun) -> str:
     ours, zero = _rows(a3_table(run))
-    _each("A3", [ours], "honest ⊥ outputs", "none, within S {S} > d-u",
-          lambda row: not row["honest ⊥ outputs"] and row["within S"]
-          and row["S"] > row["d-u"])
-    _each("A3", [zero], "honest ⊥ outputs", "some without the offset")
+    holds = ours["within S"] and ours["S"] > ours["d-u"]
+    _require("A3", holds and zero["honest ⊥ outputs"]
+             and not ours["honest ⊥ outputs"],
+             f"honest ⊥ outputs {ours['honest ⊥ outputs']}, "
+             f"{zero['honest ⊥ outputs']}", "none only with the offset")
     return (
         f"with S = {ours['S']:.3g} > d-u = {ours['d-u']:.3g}, dealers "
         f"broadcasting at their pulse cause {zero['honest ⊥ outputs']} "
@@ -1030,8 +1031,8 @@ stress_table = _table(
 
 def stress_claim(run: CampaignRun) -> str:
     rows = _rows(stress_table(run))
-    _each("STRESS", rows, "max skew", "bound S {bound S}, live",
-          lambda row: row["within"] and row["live"])
+    _require("STRESS", all(row["within"] and row["live"] for row in rows),
+             "max skew", "bound S, live")
     return f"all {len(rows)} rows are live and within their bound."
 
 
@@ -1102,8 +1103,9 @@ churn_table = _table(
 
 def churn_claim(run: CampaignRun) -> str:
     rows = _rows(churn_table(run))
-    _each("CHURN-STRESS", rows, "resynced", "the stabilization monitor")
-    _each("CHURN-STRESS", rows, "cohort within", "S = {bound S}")
+    holds = all(row["resynced"] and row["cohort within"] for row in rows)
+    _require("CHURN-STRESS", holds, "resyncs and cohort skew",
+             "the stabilization monitor, S")
     worst = max(row["cohort skew"] / row["bound S"] for row in rows)
     return (
         f"on all {len(rows)} rows every recovering or joining node resyncs, "
@@ -1186,9 +1188,10 @@ fuzz_table = _table(
 def fuzz_claim(run: CampaignRun) -> str:
     # Outcomes only: the rows' figures depend on the Hypothesis version.
     rows = _rows(fuzz_table(run))
-    _each("FUZZ", rows, "ok", "the outcome its space predicts")
     bad = sum(row["strategy"] == "known-bad" for row in rows)
-    _require("FUZZ", 0 < bad < len(rows), f"{bad} known-bad", "both kinds")
+    _require("FUZZ", all(row["ok"] for row in rows) and 0 < bad < len(rows),
+             f"outcomes of {len(rows)} shards, {bad} known-bad",
+             "the outcome each space predicts, both kinds")
     return (
         f"{len(rows) - bad} of {len(rows) - bad} valid-space shards found "
         f"nothing and {bad} of {bad} known-bad shards found and shrank a "
@@ -1248,9 +1251,9 @@ e9_scale_table = _table(
 def e9_scale_claim(run: CampaignRun) -> str:
     # ``n`` and outcomes only: the rows' floats depend on numpy.
     rows = _rows(e9_scale_table(run))
-    _each("E9-SCALE", rows, "max skew", "S = {bound S}, live",
-          lambda row: row["within"] and row["live"]
-          and row["bound S"] == rows[0]["bound S"])
+    holds = all(row["within"] and row["live"]
+                and row["bound S"] == rows[0]["bound S"] for row in rows)
+    _require("E9-SCALE", holds, "max skew", "one S for every n, live")
     sizes = " / ".join(f"{row['n']:,}" for row in rows)
     return f"at n = {sizes} every row is live and within the same `S`."
 
@@ -1276,14 +1279,27 @@ def ablation_claim(run: CampaignRun) -> str:
     from repro.ablation import plan, report
 
     entries = report.ablation_report(plan.AblationSpec(), run)["components"]
-    _each("ABLATION", entries, "component", "every baseline monitor passing",
-          lambda entry: entry["baseline"]["error"] is None
-          and all(entry["baseline"]["monitors"].values()))
-    _each("ABLATION", entries, "monitor_flips", "at least one flip")
+    holds = all(
+        entry["monitor_flips"] and entry["baseline"]["error"] is None
+        and all(entry["baseline"]["monitors"].values()) for entry in entries
+    )
+    _require("ABLATION", holds, "monitor flips and baselines",
+             "a flip per component, every baseline passing")
     return (
         f"all {len(entries)} components flip at least one monitor when "
         f"removed, and all {len(entries)} baselines pass every monitor."
     )
+
+
+def run_experiment(
+    name: str, scale: str = "quick", store: Optional[ResultStore] = None
+) -> CampaignRun:
+    """Run experiment ``name`` at ``scale``; with ``store`` set, replay
+    the trials it holds."""
+    from repro.campaigns.executor import execute_campaign
+
+    spec = campaign_definition(name).spec()
+    return execute_campaign(spec, scale, store=store)
 
 
 def check_claim(name: str, run: CampaignRun) -> str:

@@ -46,10 +46,6 @@ class Table:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def column(self, name: str) -> List[Any]:
-        index = list(self.columns).index(name)
-        return [row[index] for row in self.rows]
-
     def render(self, precision: int = 6) -> str:
         """ASCII rendering with aligned columns."""
         header = [str(c) for c in self.columns]

@@ -216,9 +216,6 @@ class TestCommittedArtifact:
             entry["component"] for entry in payload["components"]
         ]
         assert names == list(ABLATABLE_COMPONENTS)
-        # Every component flipping, every baseline passing: the
-        # ABLATION claim (tests/test_experiments.py), on the run whose
-        # bytes the next test compares with this file.
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_quick_matrix_reproduces_the_committed_bytes(

@@ -109,12 +109,6 @@ class TestReporting:
         with pytest.raises(ValueError):
             table.add_row(1)
 
-    def test_column_access(self):
-        table = Table("T", ["a", "b"])
-        table.add_row(1, 2)
-        table.add_row(3, 4)
-        assert table.column("b") == [2, 4]
-
     def test_csv_roundtrip(self, tmp_path):
         table = Table("T", ["a", "b"])
         table.add_row(1, 2.5)

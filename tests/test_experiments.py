@@ -11,9 +11,8 @@ import hashlib
 
 import pytest
 
-from repro.analysis.experiments import check_claim
+from repro.analysis.experiments import check_claim, run_experiment
 from repro.campaigns import available_campaigns, campaign_definition
-from repro.campaigns.executor import execute_campaign
 from repro.cli import main
 
 # sha256[:16] of Table.render() at quick scale.  FUZZ rows depend on the
@@ -61,10 +60,7 @@ FULL_TABLE_DIGESTS = {
 def runs():
     # Each experiment runs once per scale: every id at quick, six at full.
     return {
-        scale: {
-            name: execute_campaign(campaign_definition(name).spec(), scale)
-            for name in names
-        }
+        scale: {name: run_experiment(name, scale) for name in names}
         for scale, names in (("quick", IDS), ("full", FULL_TABLE_DIGESTS))
     }
 
@@ -92,12 +88,12 @@ class TestRegistry:
             spec.name, spec.description
         )
 
-    def test_unknown_experiment_rejected(self, runs):
+    def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
-            check_claim("E99", runs["quick"]["E2"])
+            run_experiment("E99")
 
-    def test_case_insensitive(self, runs):
-        assert check_claim("e2", runs["quick"]["E2"])
+    def test_case_insensitive(self):
+        assert check_claim("e2", run_experiment("e2"))
 
     def test_cli_all_prints_every_table(self, tables, capsys):
         # `repro all` reaches the tables through the CLI's execution
