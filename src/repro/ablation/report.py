@@ -243,13 +243,38 @@ def render_ablation_table(payload: Mapping[str, Any]) -> Table:
             pair["summary"]["live"],
         )
     summary = payload["summary"]
+    failing = _baseline_failures(payload["components"])
     table.add_note(
         f"{summary['flipping']}/{summary['components']} components "
         "flip at least one conformance monitor when removed; a "
         "baseline row failing any monitor would invalidate its "
-        "component's challenge (none do)."
+        f"component's challenge ({'; '.join(failing) or 'none do'})."
     )
     return table
+
+
+def _baseline_failures(
+    components: Sequence[Mapping[str, Any]]
+) -> List[str]:
+    """One phrase per component whose baseline row failed a monitor or
+    raised, in payload order (``"the apa baseline fails period,
+    skew"``)."""
+    failures = []
+    for entry in components:
+        baseline = entry["baseline"]
+        failed = sorted(
+            name
+            for name, ok in (baseline.get("monitors") or {}).items()
+            if not ok
+        )
+        parts = ["fails " + ", ".join(failed)] if failed else []
+        if baseline.get("error"):
+            parts.append(f"raised {baseline['error']}")
+        if parts:
+            failures.append(
+                f"the {entry['component']} baseline " + " and ".join(parts)
+            )
+    return failures
 
 
 def _cell_skew(summary: Mapping[str, Any]) -> Any:

@@ -415,9 +415,7 @@ def e5_table(run: CampaignRun) -> Table:
         n = run.records[-1].case["n"]
         table.add_note(
             f"n={n}: LW tolerates f <= {lw_max_faults(n)}; CPS tolerates "
-            f"f <= {max_faults(n)} (Theorem 17).  Beyond its tolerance LW "
-            "stops contracting: the timing split pins each group to a "
-            "different honest extreme and drift accumulates unchecked."
+            f"f <= {max_faults(n)} (Theorem 17)."
         )
     return table
 

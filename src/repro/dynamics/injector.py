@@ -36,7 +36,7 @@ from repro.dynamics.schedule import (
     FaultSchedule,
     MalformedScheduleError,
 )
-from repro.sim.events import PRIORITY_CHURN, ChurnEvent
+from repro.sim.events import PRIORITY_CHURN
 from repro.sim.runtime import DynamicsHook
 
 
@@ -84,7 +84,7 @@ class ChurnController(DynamicsHook):
             sim.deactivate_node(node)
         for event in self.schedule.events:
             if event.at is not None:
-                sim.queue.push(event.at, PRIORITY_CHURN, ChurnEvent(event))
+                sim.queue.push(event.at, PRIORITY_CHURN, event)
             else:
                 self._by_pulse.setdefault(event.at_pulse, []).append(event)
 
@@ -100,7 +100,7 @@ class ChurnController(DynamicsHook):
             if threshold <= self._horizon:
                 continue
             for event in self._by_pulse.pop(threshold):
-                sim.queue.push(time, PRIORITY_CHURN, ChurnEvent(event))
+                sim.queue.push(time, PRIORITY_CHURN, event)
         self._horizon = index
 
     def apply(self, sim: Any, action: FaultEvent) -> None:

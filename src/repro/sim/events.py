@@ -1,4 +1,4 @@
-"""Event records and deterministic ordering for the discrete-event engine.
+"""Event entries and deterministic ordering for the discrete-event engine.
 
 Continuous real time is represented by floats.  At equal timestamps, events
 are ordered by *kind priority* and then by insertion sequence number:
@@ -17,20 +17,23 @@ everything that happened "at" that instant, which only makes it stronger.
 Queue representation
 --------------------
 
-The heap holds bare ``(time, priority, seq)`` tuples — never the event
-objects themselves — and a slab dict maps ``seq`` to the event payload.
-Tuple keys compare in C (``seq`` is unique, so the event is never
-compared), which removes the Python-level ``__lt__`` dispatch that used
-to dominate ``heappush``/``heappop``; cancellation is O(1) slab removal
-with lazy heap cleanup.  Event records are ``__slots__`` dataclasses, so
-the per-message allocation in the simulator's inner loop stays small.
+A heap entry is the event itself: the tuple ``(time, priority, seq,
+*fields)``.  The simulator pushes a timer as ``(node, tag,
+local_time)`` and a delivery as ``(src, dst, payload)``, with no
+object allocated per message; :meth:`EventQueue.push` stores one field,
+the event it is given (an adversary wakeup's tag, a churn event's
+:class:`~repro.dynamics.schedule.FaultEvent`).  ``seq`` is unique, so
+tuple comparison runs in C and never reaches the fields.  Cancellation
+records the entry's ``seq`` in a set; the entry is dropped when it
+reaches the front, and a consumer tests the set only while it is
+non-empty.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 #: Event-kind priorities (lower fires first at equal time).
 PRIORITY_TIMER = 0
@@ -45,14 +48,11 @@ PRIORITY_CHURN = 3
 
 @dataclass(slots=True)
 class TimerEvent:
-    """A local timer of an honest node coming due.
+    """A local timer of an honest node coming due, as one record.
 
-    Not frozen, for the reason :class:`DeliveryEvent` is not: a CPS
-    round sets Θ(n) timers a node, and a frozen ``__init__`` assigns
-    each field through ``object.__setattr__``, which makes the
-    allocation about three times as slow (≈ 240 ns against 75 ns on
-    an AMD EPYC core, Python 3.11).  Nothing mutates a timer once
-    queued.
+    The simulator never builds it: a timer is the fields ``(node, tag,
+    local_time)`` of its heap entry.  ``bench/probes.py`` pushes one as
+    the event of its queue probe.
     """
 
     node: int
@@ -60,63 +60,30 @@ class TimerEvent:
     local_time: float
 
 
-@dataclass(slots=True)
-class DeliveryEvent:
-    """A message delivery: ``payload`` from ``src`` arriving at ``dst``.
+#: A queue entry as stored on the heap: ``(time, priority, seq,
+#: *fields)``.
+HeapEntry = Tuple[Any, ...]
 
-    Not frozen, unlike its siblings: a run allocates one per message
-    (Θ(n³) a CPS round) and a frozen ``__init__`` assigns each field
-    through ``object.__setattr__``.  Nothing mutates a delivery once
-    it is on the queue.
-    """
-
-    src: int
-    dst: int
-    payload: Any
-    send_time: float
-
-
-@dataclass(frozen=True, slots=True)
-class AdversaryEvent:
-    """A scheduled callback into the Byzantine behaviour."""
-
-    tag: Any
-
-
-@dataclass(frozen=True, slots=True)
-class ChurnEvent:
-    """A scheduled membership change (crash/recover/join/corrupt/restore).
-
-    ``action`` is the :class:`~repro.dynamics.schedule.FaultEvent` to
-    execute; the scheduler hands it to the installed
-    :class:`~repro.sim.runtime.DynamicsHook`.
-    """
-
-    action: Any
-
-
-#: A queue entry as stored on the heap: ``(time, priority, seq)``.
-HeapKey = Tuple[float, int, int]
-
-#: Opaque handle returned by :meth:`EventQueue.push` (the slab sequence
-#: number); pass it to :meth:`EventQueue.cancel`.
+#: Opaque handle returned by :meth:`EventQueue.push` (the entry's
+#: sequence number); pass it to :meth:`EventQueue.cancel`.
 CancelHandle = int
 
 
 class EventQueue:
     """A deterministic priority queue over simulation events.
 
-    ``_heap`` stores ``(time, priority, seq)`` keys; ``_slab`` maps live
-    ``seq`` values to their event objects.  A cancelled entry is simply
-    removed from the slab — its heap key is discarded lazily when it
-    reaches the front.
+    ``_heap`` stores ``(time, priority, seq, *fields)`` entries;
+    ``_cancelled`` holds the ``seq`` of every cancelled entry still on
+    the heap, which :meth:`pop_entry` and :meth:`peek_time` (and the
+    simulator's main loop) drop when it reaches the front.  The set is
+    mutated in place, never rebound, so a hoisted reference stays live.
     """
 
-    __slots__ = ("_heap", "_slab", "_next_seq", "cancelled")
+    __slots__ = ("_heap", "_cancelled", "_next_seq", "cancelled")
 
     def __init__(self) -> None:
-        self._heap: List[HeapKey] = []
-        self._slab: Dict[int, Any] = {}
+        self._heap: List[HeapEntry] = []
+        self._cancelled: Set[int] = set()
         self._next_seq = 0
         #: Successful :meth:`cancel` calls — a deterministic tally the
         #: telemetry layer reads as ``events.cancelled.requested``.
@@ -126,8 +93,7 @@ class EventQueue:
         """Schedule ``event`` at ``time`` with the given kind priority."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._slab[seq] = event
-        heapq.heappush(self._heap, (time, priority, seq))
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return seq
 
     def pop(self) -> Optional[Tuple[float, Any]]:
@@ -140,36 +106,44 @@ class EventQueue:
 
     def pop_entry(self) -> Optional[Tuple[float, int, Any]]:
         """Remove and return ``(time, priority, event)`` for the next live
-        event.
+        event pushed by :meth:`push`.
 
         The priority doubles as the event kind (timers, deliveries, and
         adversary wakeups are pushed with distinct priorities), which lets
         the scheduler dispatch on an int instead of ``isinstance`` checks.
         """
-        heap, slab = self._heap, self._slab
+        heap, cancelled = self._heap, self._cancelled
         while heap:
-            time, priority, seq = heapq.heappop(heap)
-            event = slab.pop(seq, None)
-            if event is not None:
-                return time, priority, event
+            entry = heapq.heappop(heap)
+            if cancelled and entry[2] in cancelled:
+                cancelled.discard(entry[2])
+                continue
+            return entry[0], entry[1], entry[3]
         return None
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if empty."""
-        heap, slab = self._heap, self._slab
-        while heap and heap[0][2] not in slab:
-            heapq.heappop(heap)
+        heap, cancelled = self._heap, self._cancelled
+        while cancelled and heap and heap[0][2] in cancelled:
+            cancelled.discard(heapq.heappop(heap)[2])
         return heap[0][0] if heap else None
 
     def cancel(self, handle: CancelHandle) -> bool:
-        """Cancel a scheduled event; returns whether it was still live."""
-        if self._slab.pop(handle, None) is None:
+        """Cancel a scheduled event; returns whether it was still live.
+
+        O(heap): the entry is looked up by a scan, so this serves tests
+        and probes, not a per-event path.
+        """
+        if handle in self._cancelled:
             return False
+        if not any(entry[2] == handle for entry in self._heap):
+            return False
+        self._cancelled.add(handle)
         self.cancelled += 1
         return True
 
     def __len__(self) -> int:
-        return len(self._slab)
+        return len(self._heap) - len(self._cancelled)
 
     def __bool__(self) -> bool:
-        return bool(self._slab)
+        return len(self._heap) > len(self._cancelled)

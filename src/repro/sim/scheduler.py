@@ -19,11 +19,13 @@ The run is deterministic given the configuration and all seeds.
 Hot path
 --------
 
-The main loop is written for throughput: events are dispatched on the
-integer kind priority carried by the heap key (no ``isinstance``), the
+The main loop is written for throughput: a heap entry is the event
+itself (``(time, priority, seq, *fields)``, :mod:`repro.sim.events`), so
+a message costs one tuple and no event object; events are dispatched on
+the integer kind priority the entry carries (no ``isinstance``), the
 pulse-quota stop condition is maintained as a counter instead of an
-O(honest) scan per event, and the queue's heap/slab are accessed through
-locals hoisted out of the loop.  One rule holds at every per-message
+O(honest) scan per event, and the queue's heap is accessed through a
+local hoisted out of the loop.  One rule holds at every per-message
 site: *work is done for a consumer only if the consumer exists* — a
 record is built for the trace at the level that stores it
 (:class:`~repro.sim.trace.TraceLevel`) or for an adversary hook that
@@ -31,7 +33,7 @@ somebody overrode (:func:`_live_hook`), and for nobody else.  Sends
 are a fan-out: a broadcast enters the simulation once
 (:meth:`Simulation.honest_fanout`; a unicast is its one-destination
 case), which hoists everything invariant across destinations and
-pushes onto the heap/slab directly.  None of this changes semantics:
+pushes its entries onto the heap directly.  None of this changes semantics:
 event order is still (time, priority, insertion seq), each message
 still gets its own ``policy.delay`` call and admissibility check in
 ascending ``dst`` order, and pulse outputs are byte-identical across
@@ -61,10 +63,7 @@ from repro.sim.events import (
     PRIORITY_CHURN,
     PRIORITY_DELIVERY,
     PRIORITY_TIMER,
-    AdversaryEvent,
-    DeliveryEvent,
     EventQueue,
-    TimerEvent,
 )
 from repro.sim.knowledge import SignatureKnowledge
 from repro.sim.network import DelayPolicy, MaximumDelayPolicy, NetworkConfig
@@ -147,12 +146,17 @@ class _SimNodeAPI(NodeAPI):
                 f"node {self.node_id}: timer target local {local_when} "
                 f"(real {real}) is in the past at {sim.now}"
             )
-        # Push in place (EventQueue.push, inlined), as honest_fanout does.
+        # Push the entry in place, as honest_fanout does.
         queue = sim.queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        queue._slab[seq] = TimerEvent(self.node_id, tag, local_when)
-        heappush(queue._heap, (max(real, sim.now), PRIORITY_TIMER, seq))
+        heappush(
+            queue._heap,
+            (
+                max(real, sim.now), PRIORITY_TIMER, seq,
+                self.node_id, tag, local_when,
+            ),
+        )
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.incr("timers.set")
@@ -270,7 +274,7 @@ class AdversaryContext:
                 f"cannot schedule adversary wakeup in the past: {time}"
             )
         self._sim.queue.push(
-            max(time, self._sim.now), PRIORITY_ADVERSARY, AdversaryEvent(tag)
+            max(time, self._sim.now), PRIORITY_ADVERSARY, tag
         )
 
 
@@ -490,11 +494,10 @@ class Simulation:
         # The SendRecord doubles as the trace entry and the adversary's
         # observation; build it once, and only when someone consumes it.
         recorded = trace_full or on_honest_send is not None
-        # Push in place (EventQueue.push, inlined): the sequence counter
-        # is re-read per message because on_honest_send may send too.
+        # Push each entry in place: the sequence counter is re-read per
+        # message because on_honest_send may send too.
         queue = self.queue
         heap = queue._heap
-        slab = queue._slab
         for dst in dsts:
             link_is_honest = dst not in faulty  # src is honest here
             delay = policy_delay(
@@ -511,8 +514,9 @@ class Simulation:
                     trace_records.append(record)
             seq = queue._next_seq
             queue._next_seq = seq + 1
-            slab[seq] = DeliveryEvent(src, dst, payload, now)
-            heappush(heap, (now + delay, PRIORITY_DELIVERY, seq))
+            heappush(
+                heap, (now + delay, PRIORITY_DELIVERY, seq, src, dst, payload)
+            )
             if telemetry is not None:
                 telemetry.on_honest_send(src, payload, delay)
             if on_honest_send is not None:
@@ -537,7 +541,9 @@ class Simulation:
         policy_delay = self.delay_policy.delay
         validate_delay = config.validate_delay
         faulty = self.faulty
-        push = self.queue.push
+        # Push in place, as honest_fanout does.
+        queue = self.queue
+        heap = queue._heap
         telemetry = self.telemetry
         trace_full = self.trace.level >= TraceLevel.FULL
         trace_records = self.trace.records
@@ -551,10 +557,11 @@ class Simulation:
                 trace_records.append(
                     SendRecord(now, src, dst, payload, chosen, False)
                 )
-            push(
-                now + chosen,
-                PRIORITY_DELIVERY,
-                DeliveryEvent(src, dst, payload, now),
+            seq = queue._next_seq
+            queue._next_seq = seq + 1
+            heappush(
+                heap,
+                (now + chosen, PRIORITY_DELIVERY, seq, src, dst, payload),
             )
             if telemetry is not None:
                 telemetry.on_faulty_send(chosen)
@@ -633,10 +640,11 @@ class Simulation:
                 behavior.on_start(self._adversary_ctx)
 
         # Hot loop: everything dereferenced per event is hoisted into
-        # locals; the queue's heap/slab are accessed directly (peek +
-        # pop fused); dispatch keys on the heap priority int.
+        # locals; one heappop yields the whole event (a cancelled entry
+        # is looked up only while some entry is cancelled); dispatch
+        # keys on the entry's priority int and unpacks its fields.
         heap = self.queue._heap
-        slab = self.queue._slab
+        cancelled = self.queue._cancelled
         protocols = self._protocols
         apis = self._apis
         faulty = self.faulty
@@ -657,25 +665,22 @@ class Simulation:
         until_cutoff = None if until is None else until + self.config.tolerance
 
         try:
-            while True:
+            while heap:
                 if quota_gated and self._quota_open == 0:
                     break
-                # Inline peek: drop cancelled keys, stop when empty.
-                while heap:
-                    key = heap[0]
-                    if key[2] in slab:
-                        break
-                    heappop(heap)
+                entry = heappop(heap)
+                if cancelled and entry[2] in cancelled:
+                    cancelled.discard(entry[2])
                     if telem_counters is not None:
                         telem_counters["events.cancelled.lazy"] += 1
-                else:
-                    break
-                time = key[0]
+                    continue
+                time = entry[0]
                 if until_cutoff is not None and time > until_cutoff:
+                    # Back where it was: seq is unique, so the order of
+                    # what is left is unchanged.
+                    heappush(heap, entry)
                     break
-                heappop(heap)
-                priority = key[1]
-                event = slab.pop(key[2])
+                priority = entry[1]
                 self.now = time
                 events_processed += 1
                 if telem_dispatch is not None:
@@ -685,29 +690,15 @@ class Simulation:
                         f"event cap of {max_events} exceeded — "
                         f"runaway execution?"
                     )
-                if priority == PRIORITY_TIMER:
+                if priority == PRIORITY_DELIVERY:
+                    _t, _p, _s, src, dst, payload = entry
                     if trace_full:
-                        trace_records.append(
-                            TimerRecord(
-                                time, event.node, event.tag, event.local_time
-                            )
-                        )
-                    protocol = protocols.get(event.node)
-                    if protocol is not None:
-                        protocol.on_timer(apis[event.node], event.tag)
-                    elif telem_counters is not None:
-                        telem_counters["timers.dropped.inactive"] += 1
-                elif priority == PRIORITY_DELIVERY:
-                    dst = event.dst
-                    if trace_full:
-                        record = DeliveryRecord(
-                            time, event.src, dst, event.payload
-                        )
+                        record = DeliveryRecord(time, src, dst, payload)
                         trace_records.append(record)
                     if dst in faulty:
                         # Knowledge pools across faulty nodes at
                         # reception time.
-                        knowledge.learn_payload(event.payload, time)
+                        knowledge.learn_payload(payload, time)
                         if telem_counters is not None:
                             telem_counters[
                                 "messages.delivered.adversary"
@@ -716,7 +707,7 @@ class Simulation:
                             # One record serves the trace and the hook.
                             if not trace_full:
                                 record = DeliveryRecord(
-                                    time, event.src, dst, event.payload
+                                    time, src, dst, payload
                                 )
                             on_deliver(ctx, record)
                     else:
@@ -726,21 +717,30 @@ class Simulation:
                                 telem_counters[
                                     "messages.delivered.honest"
                                 ] += 1
-                            protocol.on_message(
-                                apis[dst], event.src, event.payload
-                            )
+                            protocol.on_message(apis[dst], src, payload)
                         elif telem_counters is not None:
                             telem_counters["messages.dropped.inactive"] += 1
+                elif priority == PRIORITY_TIMER:
+                    _t, _p, _s, node, tag, local_time = entry
+                    if trace_full:
+                        trace_records.append(
+                            TimerRecord(time, node, tag, local_time)
+                        )
+                    protocol = protocols.get(node)
+                    if protocol is not None:
+                        protocol.on_timer(apis[node], tag)
+                    elif telem_counters is not None:
+                        telem_counters["timers.dropped.inactive"] += 1
                 elif priority == PRIORITY_ADVERSARY:
                     if behavior is not None:
-                        behavior.on_wakeup(ctx, event.tag)
+                        behavior.on_wakeup(ctx, entry[3])
                 elif priority == PRIORITY_CHURN:
                     # Reached only for events pushed by a DynamicsHook,
                     # so the hook is present whenever this fires.
-                    self.dynamics.apply(self, event.action)
+                    self.dynamics.apply(self, entry[3])
                 else:  # pragma: no cover - defensive
                     raise SimulationError(
-                        f"unknown event priority {priority}: {event!r}"
+                        f"unknown event priority {priority}: {entry!r}"
                     )
         finally:
             self.events_processed = events_processed

@@ -66,7 +66,7 @@ METRIC_CATALOG: Dict[str, str] = {
     "events.dispatched.delivery": "message deliveries processed",
     "events.dispatched.adversary": "adversary wakeups processed",
     "events.dispatched.churn": "membership-change events processed",
-    "events.cancelled.lazy": "cancelled heap keys dropped at the front",
+    "events.cancelled.lazy": "cancelled heap entries dropped at the front",
     "events.cancelled.requested": "EventQueue.cancel() calls that hit",
     "events.processed": "total events the simulation processed (gauge)",
     "messages.sent.honest": "sends dispatched by honest protocol code",

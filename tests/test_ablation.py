@@ -231,6 +231,35 @@ class TestCommittedArtifact:
             assert out_path.read_bytes() == handle.read()
 
 
+class TestTableNote:
+    """The note under the importance table reports the baselines that
+    fail, from the payload's verdicts, not as fixed text."""
+
+    @staticmethod
+    def payload():
+        with open(TestCommittedArtifact.ARTIFACT, encoding="utf-8") as f:
+            return json.load(f)
+
+    def test_passing_baselines_read_none_do(self):
+        (note,) = render_ablation_table(self.payload()).notes
+        assert note.endswith("challenge (none do).")
+
+    def test_a_failing_baseline_is_named(self):
+        payload = self.payload()
+        apa, resync = (
+            entry
+            for entry in payload["components"]
+            if entry["component"] in ("apa", "resync")
+        )
+        apa["baseline"]["monitors"]["skew"] = False
+        resync["baseline"]["error"] = "SimulationError: boom"
+        (note,) = render_ablation_table(payload).notes
+        assert note.endswith(
+            "challenge (the apa baseline fails skew; the resync "
+            "baseline raised SimulationError: boom)."
+        )
+
+
 class TestCli:
     def test_plan_lists_rows_without_executing(self, capsys):
         assert main(["ablate", "plan"]) == 0

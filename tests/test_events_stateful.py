@@ -1,19 +1,19 @@
-"""Hypothesis stateful model test for the slab-heap event queue.
+"""Hypothesis stateful model test for the event queue.
 
-PR 3 rewrote :class:`~repro.sim.events.EventQueue` as a tuple-keyed
-heap over a slab dict (O(1) cancellation, lazy heap cleanup, no
-Python-level ``__lt__`` dispatch).  This machine drives the real queue
-and a naive sorted-list model through interleaved push / pop /
-pop_entry / cancel / reschedule / peek sequences and demands they never
-disagree — covering in particular:
+:class:`~repro.sim.events.EventQueue` keeps ``(time, priority, seq,
+event)`` entries on a heap (no Python-level ``__lt__`` dispatch) and
+cancels by recording ``seq``, dropping the entry lazily when it reaches
+the front.  This machine drives the real queue and a naive sorted-list
+model through interleaved push / pop / pop_entry / cancel / reschedule /
+peek sequences and demands they never disagree — covering in
+particular:
 
-* the ``(time, priority, seq)`` tuple-key tie-break: equal times and
-  equal priorities must pop in insertion order;
-* O(1) cancellation semantics: cancelled entries are dead immediately,
+* the ``(time, priority, seq)`` tie-break: equal times and equal
+  priorities must pop in insertion order;
+* cancellation semantics: cancelled entries are dead immediately,
   double-cancels and cancel-after-pop report ``False``, and lazily
-  discarded heap keys never resurrect an event;
-* reschedule (cancel + re-push) — the pattern the simulator's timer
-  logic relies on.
+  discarded heap entries never resurrect an event;
+* reschedule (cancel + re-push) — the pattern a timer reset follows.
 
 Times are drawn from a small discrete pool *and* a continuous range so
 collisions (the tie-break path) occur in nearly every run.

@@ -23,7 +23,7 @@ QUICK_TABLE_DIGESTS = {
     "E2": "611922195661115c",
     "E3": "5330a8563fe80957",
     "E4": "e87e1eb721204fcd",
-    "E5": "4c76d84a7b15620b",
+    "E5": "c8d246614ade0267",
     "E6": "4dfde5c931930f4b",
     "E7": "5ad2feed8ec9f813",
     "E8": "c6ba7d17645be752",

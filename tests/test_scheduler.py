@@ -5,6 +5,7 @@ import pytest
 from repro import scenarios
 from repro.build import build_simulation
 from repro.crypto.pki import PublicKeyInfrastructure
+from repro.dynamics import ChurnController, FaultEvent, FaultSchedule
 from repro.sim import scheduler
 from repro.sim.adversary import (
     ByzantineBehavior,
@@ -17,10 +18,12 @@ from repro.sim.errors import (
     ModelViolation,
     SimulationError,
 )
+from repro.sim.events import PRIORITY_ADVERSARY, PRIORITY_CHURN
 from repro.sim.network import DelayPolicy, MaximumDelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation, _SimNodeAPI
 from repro.sim.trace import DeliveryRecord, SendRecord, Trace
+from repro.telemetry import Telemetry, telemetry_session
 
 
 class EchoProtocol(TimedProtocol):
@@ -445,8 +448,7 @@ BEHAVIOR_SHAPES = {
 
 def _queue_state(sim):
     """What is still queued when the run stops, and under which seqs."""
-    queue = sim.queue
-    return list(queue._heap), dict(queue._slab), queue._next_seq
+    return list(sim.queue._heap), sim.queue._next_seq
 
 
 DELAY_KEYS = scenarios.REGISTRY.keys("delay")
@@ -574,3 +576,80 @@ class TestBroadcastFrom:
                 sim.run(max_pulses=1)
             # Raised before the first send.
             assert not list(sim.trace.of_type(SendRecord))
+
+
+class _Waker(ByzantineBehavior):
+    """Asks for a wakeup at each ``(time, tag)`` and records the tags."""
+
+    def __init__(self, wakeups):
+        self.wakeups = wakeups
+        self.woken = []
+
+    def on_start(self, ctx):
+        for time, tag in self.wakeups:
+            ctx.wake_at(time, tag)
+
+    def on_wakeup(self, ctx, tag):
+        self.woken.append(tag)
+
+
+class TestCancelledEntries:
+    """The main loop's cancelled-entry branch, which no workload takes:
+    an entry cancelled through ``sim.queue.cancel`` is dropped unseen
+    and uncounted when it reaches the front."""
+
+    @staticmethod
+    def two_stage_run(wakeups, crashes, cancel=()):
+        """Run to t=1 (the behaviour's wakeups are then queued), cancel
+        the queued entries that ``cancel`` picks, and run to t=40."""
+        controller = ChurnController(
+            FaultSchedule(tuple(
+                FaultEvent("crash", node, at=at) for node, at in crashes
+            )),
+            None,
+        )
+        behavior = _Waker(wakeups)
+        telemetry = Telemetry(label="test")
+        with telemetry_session(telemetry):
+            sim = Simulation(
+                NetworkConfig(3, d=1.0, u=0.2),
+                [HardwareClock.constant_rate() for _ in range(3)],
+                protocol_factory=lambda v: EchoProtocol(),
+                behavior=behavior,
+                f=1,
+                dynamics=controller,
+            )
+            sim.run(until=1.0)
+            for pick in cancel:
+                (handle,) = [e[2] for e in sim.queue._heap if pick(e)]
+                assert sim.queue.cancel(handle)
+                assert not sim.queue.cancel(handle)  # already cancelled
+            result = sim.run(until=40.0)
+        return behavior, controller, result, telemetry.as_dict()
+
+    def test_cancelled_wakeup_and_churn_event_never_run(self):
+        behavior, controller, result, snapshot = self.two_stage_run(
+            [(3.0, "doomed"), (4.0, "kept")],
+            [(0, 5.0)],
+            cancel=(
+                lambda e: e[1] == PRIORITY_ADVERSARY and e[3] == "doomed",
+                lambda e: e[1] == PRIORITY_CHURN,
+            ),
+        )
+        assert behavior.woken == ["kept"]
+        assert controller.applied == []
+        # Node 0 was never crashed: it pulsed as often as its peers.
+        assert len({len(times) for times in result.pulses.values()}) == 1
+        # Exactly the run in which neither entry was ever queued.
+        _b, _c, bare, bare_snapshot = self.two_stage_run(
+            [(4.0, "kept")], []
+        )
+        assert result.events_processed == bare.events_processed
+        assert result.pulses == bare.pulses
+        counters = snapshot["counters"]
+        assert counters["events.dispatched.adversary"] == 1
+        assert "events.dispatched.churn" not in counters
+        assert counters["events.cancelled.lazy"] == 2
+        assert snapshot["gauges"]["events.cancelled.requested"] == 2
+        assert bare_snapshot["counters"]["events.cancelled.lazy"] == 0
+        assert bare_snapshot["gauges"]["events.cancelled.requested"] == 0
