@@ -159,8 +159,7 @@ class CpsEquivocatingSubsetAttack(ByzantineBehavior):
             message = TcbMessage(
                 pulse_round, src, ctx.sign_as(src, tcb_tag(pulse_round))
             )
-            for dst in subset:
-                ctx.send_from(src, dst, message, ctx.config.d)
+            ctx.broadcast_from(src, message, ctx.config.d, subset)
 
 
 class CpsRushingEchoAttack(ByzantineBehavior):
@@ -284,8 +283,7 @@ class CpsCoordinatedOffsetAttack(ByzantineBehavior):
             message = TcbMessage(
                 pulse_round, src, ctx.sign_as(src, tcb_tag(pulse_round))
             )
-            for dst in ctx.honest:
-                ctx.send_from(src, dst, message, delay)
+            ctx.broadcast_from(src, message, delay, ctx.honest)
 
 
 class CpsEarlyExtremeAttack(ByzantineBehavior):
@@ -347,8 +345,7 @@ class CpsEarlyExtremeAttack(ByzantineBehavior):
             message = TcbMessage(
                 pulse_round, src, ctx.sign_as(src, tcb_tag(pulse_round))
             )
-            for dst in targets:
-                ctx.send_from(src, dst, message, low)
+            ctx.broadcast_from(src, message, low, targets)
 
 
 class CpsForgingImpersonatorAttack(ByzantineBehavior):
@@ -401,6 +398,6 @@ class CpsForgingImpersonatorAttack(ByzantineBehavior):
             signature = ctx.sign_as(src, tcb_tag(pulse_round))
             for victim in ctx.honest:
                 forged = TcbMessage(pulse_round, victim, signature)
-                for dst in ctx.honest:
-                    if dst != victim:
-                        ctx.send_from(src, dst, forged, low)
+                ctx.broadcast_from(
+                    src, forged, low, [v for v in ctx.honest if v != victim]
+                )

@@ -39,12 +39,17 @@ class TcbState(enum.Enum):
     DONE = "done"                # output fixed (a local time, or BOT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcbActions:
     """What the enclosing node must do after feeding an event."""
 
     echo: bool = False                      # forward <r>_u to all nodes now
     set_finalize_timer: Optional[float] = None  # local time for finalize
+
+
+#: The feeds' shared "nothing to do" (most echoes): frozen, so one
+#: instance serves every call.
+_NOTHING = TcbActions()
 
 
 @dataclass(slots=True)
@@ -91,17 +96,13 @@ class TcbInstance:
     def window_end(self) -> float:
         return self.pulse_local + self.window
 
-    def resolved(self) -> bool:
-        return self.state is TcbState.DONE
-
     # ------------------------------------------------------------------
     # Event feeds (all return the actions the caller must perform)
 
     def on_direct(self, local_time: float) -> TcbActions:
         """A valid ``<r>_u`` arrived from the dealer itself."""
-        actions = TcbActions()
         if self.state is not TcbState.WAITING:
-            return actions
+            return _NOTHING
         if self.window_filter and not (
             self.pulse_local < local_time <= self.window_end + self.tolerance
         ):
@@ -112,10 +113,9 @@ class TcbInstance:
             # the window bound, and the worst case (slowest admissible
             # dealer, fastest receiver, maximal delay, maximal skew) hits
             # the bound exactly.
-            return actions
+            return _NOTHING
         self.accept_local = local_time
         self.state = TcbState.ACCEPTED
-        actions.echo = True
         deadline = local_time + self.finalize_wait
         if (
             self.echo_rejection
@@ -123,19 +123,17 @@ class TcbInstance:
             and self.earliest_echo < deadline - self.tolerance
         ):
             self._reject("echo-before-acceptance")
-            return actions
-        actions.set_finalize_timer = deadline
-        return actions
+            return TcbActions(echo=True)
+        return TcbActions(True, deadline)
 
     def on_echo(self, local_time: float) -> TcbActions:
         """A valid ``<r>_u`` arrived from some node other than the dealer."""
-        actions = TcbActions()
         if self.state is TcbState.DONE:
-            return actions
+            return _NOTHING
         if local_time <= self.pulse_local + self.tolerance:
             # Strictly before (or at) the window origin: outside the open
             # rejection interval, ignored.
-            return actions
+            return _NOTHING
         if self.earliest_echo is None or local_time < self.earliest_echo:
             self.earliest_echo = local_time
         if (
@@ -146,7 +144,7 @@ class TcbInstance:
             < self.accept_local + self.finalize_wait - self.tolerance
         ):
             self._reject("echo-within-guard")
-        return actions
+        return _NOTHING
 
     def on_window_end(self) -> TcbActions:
         """The acceptance window elapsed."""
@@ -154,14 +152,14 @@ class TcbInstance:
             self.state = TcbState.DONE
             self.output = BOT
             self.reject_reason = "timeout"
-        return TcbActions()
+        return _NOTHING
 
     def on_finalize(self) -> TcbActions:
         """Local time reached ``h + d - 2u`` after an acceptance."""
         if self.state is TcbState.ACCEPTED:
             self.state = TcbState.DONE
             self.output = self.accept_local
-        return TcbActions()
+        return _NOTHING
 
     # ------------------------------------------------------------------
 

@@ -71,11 +71,16 @@ class ReplayAdversary(ByzantineBehavior):
         self.copies = copies
 
     def on_deliver(self, ctx, record: DeliveryRecord) -> None:
+        # Read once a call: a send changes neither the bounds nor the
+        # context's views.  The draws are the same calls, in order.
         low, high = ctx.config.delay_bounds(False)
+        rng = self._rng
+        faulty = sorted(ctx.faulty)
+        honest = ctx.honest
         for _ in range(self.copies):
-            src = self._rng.choice(sorted(ctx.faulty))
-            dst = self._rng.choice(ctx.honest)
-            delay = self._rng.uniform(low, high)
+            src = rng.choice(faulty)
+            dst = rng.choice(honest)
+            delay = rng.uniform(low, high)
             ctx.send_from(src, dst, record.payload, delay)
 
 

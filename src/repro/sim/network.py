@@ -211,11 +211,17 @@ class RandomDelayPolicy(DelayPolicy):
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
+        self._random = self._rng.random
         self.seed = seed
 
     def delay(self, config, src, dst, send_time, payload, link_is_honest):
-        low, high = config.delay_bounds(link_is_honest)
-        return self._rng.uniform(low, high)
+        # delay_bounds and Random.uniform inlined: this runs once per
+        # message, and ``low + (high - low) * random()`` is uniform's
+        # own formula, so the stream of delays is unchanged bit for bit.
+        low, high = (
+            config._honest_bounds if link_is_honest else config._faulty_bounds
+        )
+        return low + (high - low) * self._random()
 
     def describe(self) -> str:
         return f"random(seed={self.seed})"

@@ -51,7 +51,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.signatures import Signature
@@ -140,20 +151,22 @@ class _SimNodeAPI(NodeAPI):
 
     def set_timer(self, local_when: float, tag: Any) -> None:
         sim = self._sim
+        now = sim.now
         real = self._clock.real_time(local_when)
-        if real < sim.now - sim.config.tolerance:
+        if real < now - sim.config.tolerance:
             sim.warnings.append(
                 f"node {self.node_id}: timer target local {local_when} "
-                f"(real {real}) is in the past at {sim.now}"
+                f"(real {real}) is in the past at {now}"
             )
-        # Push the entry in place, as honest_fanout does.
+        # Push the entry in place, as honest_fanout does, no earlier
+        # than now.
         queue = sim.queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
         heappush(
             queue._heap,
             (
-                max(real, sim.now), PRIORITY_TIMER, seq,
+                now if now > real else real, PRIORITY_TIMER, seq,
                 self.node_id, tag, local_when,
             ),
         )
@@ -196,10 +209,22 @@ class AdversaryContext:
     signatures it includes must already be known (no forgery), explicit
     delays must respect the faulty-link bounds, and it can only send from
     corrupted identities.
+
+    ``faulty`` and ``honest`` are immutable views cached on the
+    context (a frozenset, and a tuple in ascending order), so a
+    behaviour reads them per message without copying;
+    :meth:`Simulation.corrupt_node` and :meth:`Simulation.restore_node`,
+    the only mutators of the faulty set, refresh them.
     """
 
     def __init__(self, sim: "Simulation") -> None:
         self._sim = sim
+        self._refresh_views()
+
+    def _refresh_views(self) -> None:
+        sim = self._sim
+        self._faulty = frozenset(sim.faulty)
+        self._honest = tuple(sim.honest)
 
     # -- observation ----------------------------------------------------
 
@@ -216,12 +241,12 @@ class AdversaryContext:
         return self._sim.config.n
 
     @property
-    def faulty(self) -> Set[int]:
-        return set(self._sim.faulty)
+    def faulty(self) -> FrozenSet[int]:
+        return self._faulty
 
     @property
-    def honest(self) -> List[int]:
-        return list(self._sim.honest)
+    def honest(self) -> Tuple[int, ...]:
+        return self._honest
 
     # -- actions ----------------------------------------------------------
 
@@ -245,7 +270,11 @@ class AdversaryContext:
         ``delay=None`` defers to the delay policy; an explicit delay is
         validated against the faulty-link bounds ``[d - u_tilde, d]``.
         """
-        self.broadcast_from(src, payload, delay, (dst,))
+        if src not in self._faulty:
+            raise SimulationError(
+                f"adversary cannot send from honest node {src}"
+            )
+        self._sim.faulty_fanout(src, (dst,), payload, delay)
 
     def broadcast_from(
         self,
@@ -259,7 +288,7 @@ class AdversaryContext:
         The sender and the payload's signatures are checked once, before
         the first send; each recipient's delay is validated as it goes.
         """
-        if src not in self._sim.faulty:
+        if src not in self._faulty:
             raise SimulationError(
                 f"adversary cannot send from honest node {src}"
             )
@@ -440,6 +469,7 @@ class Simulation:
         self.faulty.add(node)
         self.knowledge.faulty.add(node)
         self.honest.remove(node)
+        self._adversary_ctx._refresh_views()
         if self.telemetry is not None:
             self.telemetry.incr("dynamics.corrupt")
 
@@ -457,6 +487,7 @@ class Simulation:
         self.knowledge.faulty.discard(node)
         self.honest.append(node)
         self.honest.sort()
+        self._adversary_ctx._refresh_views()
         if self.telemetry is not None:
             self.telemetry.incr("dynamics.restore")
         self.activate_node(node, protocol)

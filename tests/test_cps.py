@@ -1,5 +1,7 @@
 """Integration tests for Algorithm CPS against Theorem 17's guarantees."""
 
+import collections
+
 import pytest
 
 from repro import scenarios
@@ -18,7 +20,9 @@ from repro.core.attacks import (
     FastToFaultyDelayPolicy,
 )
 from repro.core.cps import CpsNode, assemble_cps_simulation, default_clocks
+from repro.core.messages import TcbMessage
 from repro.core.params import derive_parameters
+from repro.core.tcb import TcbState
 from repro.sim.adversary import ReplayAdversary, SilentAdversary
 from repro.sim.clocks import HardwareClock
 from repro.sim.errors import ConfigurationError, SimulationError
@@ -307,7 +311,9 @@ NODE_VARIANTS = {
 
 
 def _scan(node):
-    return sum(not i.resolved() for i in node.instances.values())
+    return sum(
+        i.state is not TcbState.DONE for i in node.instances.values()
+    )
 
 
 class _CheckedNode(CpsNode):
@@ -375,3 +381,66 @@ def test_open_count_matches_the_scan(monkeypatch, adversary, variant):
             completed += sum(map(len, counted[3].values()))
     # The default node completes rounds under every adversary.
     assert completed or variant != "default"
+
+
+# ----------------------------------------------------------------------
+# The reception's no-op exits against the verify-first order they replaced
+
+class _VerifyFirstNode(CpsNode):
+    """The reference: the former order of the reception's checks, the
+    signature verified before the message is found to change nothing.
+    A reception that passes them all is handed to the node under test,
+    whose own checks then pass too.  ``exits`` counts the receptions
+    that reach the signature check, fail it, and pass every check."""
+
+    def __init__(self, params, exits, **kwargs):
+        super().__init__(params, **kwargs)
+        self.exits = exits
+
+    def on_message(self, api, sender, payload):
+        if not isinstance(payload, TcbMessage):
+            return
+        if payload.pulse_round != self.pulse_round or self.round_complete:
+            return
+        self.exits["verified"] += 1
+        if self.verify_signatures and not payload.is_valid():
+            self.exits["invalid"] += 1
+            return
+        dealer = payload.dealer
+        if dealer == api.node_id:
+            return
+        instance = self.instances.get(dealer)
+        if instance is None or instance.state is TcbState.DONE:
+            return
+        self.exits["live"] += 1
+        super().on_message(api, sender, payload)
+
+
+@pytest.mark.parametrize("adversary", CPS_ADVERSARIES)
+def test_no_op_exits_come_before_the_signature_check(monkeypatch, adversary):
+    exits = collections.Counter()
+    verified = collections.Counter()
+    is_valid = TcbMessage.is_valid
+
+    def counted(payload):
+        valid = is_valid(payload)
+        verified[valid] += 1
+        return valid
+
+    for delay in scenarios.REGISTRY.keys("delay"):
+        case = {"n": 7, "adversary": adversary, "delay": delay}
+        reference = _cps_outputs(
+            monkeypatch, _VerifyFirstNode, case, {"exits": exits}
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(TcbMessage, "is_valid", counted)
+            reordered = _cps_outputs(monkeypatch, CpsNode, case, {})
+        # Same pulses, summaries, errors and event counts.
+        assert reordered == reference, delay
+    # Only a reception that can change an instance is verified: every
+    # valid one the reference let through, and the invalid ones that
+    # reach an open instance.  The stale, own and resolved receptions
+    # the reference verified are not.
+    assert verified[True] == exits["live"]
+    assert verified[False] <= exits["invalid"]
+    assert sum(verified.values()) < exits["verified"]

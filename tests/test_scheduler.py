@@ -256,6 +256,40 @@ class TestAdversaryContext:
         with pytest.raises(ModelViolation):
             build(faulty=[2], behavior=TooFast()).run(max_pulses=1)
 
+    def test_views_follow_corrupt_and_restore(self):
+        class Holder(ByzantineBehavior):
+            def on_start(self, ctx):
+                self.ctx = ctx
+
+        behavior = Holder()
+        sim = build(n=5, faulty=[3], behavior=behavior, f=2)
+        sim.run(max_pulses=1)
+        ctx = behavior.ctx
+
+        def agree():
+            assert ctx.faulty == sim.faulty
+            assert ctx.honest == tuple(sorted(sim.honest))
+            # Cached: the same objects on every read, not copies.
+            assert ctx.faulty is ctx.faulty and ctx.honest is ctx.honest
+
+        agree()
+        sim.corrupt_node(1)
+        agree()
+        assert ctx.faulty == {1, 3} and ctx.honest == (0, 2, 4)
+        sim.restore_node(1, EchoProtocol())
+        agree()
+        assert ctx.faulty == {3} and ctx.honest == (0, 1, 2, 4)
+        sim.run(max_pulses=3)
+        agree()
+        with pytest.raises(AttributeError):
+            ctx.faulty.add(0)
+        with pytest.raises(AttributeError):
+            ctx.honest.append(3)
+        with pytest.raises(TypeError):
+            ctx.honest[0] = 3
+        with pytest.raises(AttributeError):
+            ctx.faulty = {0}
+
 
 def _counted(monkeypatch, name):
     """Every ``name`` record the scheduler constructs from here on."""

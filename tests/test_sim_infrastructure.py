@@ -1,5 +1,7 @@
 """Unit tests for events, network/delay policies, knowledge, and traces."""
 
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -136,6 +138,22 @@ class TestDelayPolicies:
             da = self._delay(a)
             assert 0.8 - 1e-9 <= da <= 1.0 + 1e-9
             assert da == self._delay(b)
+
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.lists(st.booleans(), min_size=1, max_size=50),
+    )
+    def test_random_delay_is_uniform_bit_for_bit(self, seed, links):
+        # The per-message draw inlines Random.uniform's formula: over any
+        # stream of honest and faulty links it returns exactly the floats
+        # uniform(low, high) returns from the same seed.
+        config = NetworkConfig(4, 1.0, 0.2, u_tilde=0.7)
+        policy = RandomDelayPolicy(seed)
+        reference = random.Random(seed)
+        for honest in links:
+            low, high = config.delay_bounds(honest)
+            drawn = policy.delay(config, 0, 1, 0.0, None, honest)
+            assert drawn.hex() == reference.uniform(low, high).hex()
 
     def test_biased_partition(self):
         policy = BiasedPartitionDelayPolicy([0, 1])

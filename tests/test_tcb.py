@@ -31,7 +31,7 @@ class TestAcceptance:
         instance = make_instance()
         instance.on_direct(11.0)
         instance.on_finalize()
-        assert instance.resolved()
+        assert instance.state is TcbState.DONE
         assert instance.output == 11.0
 
     def test_ignores_direct_at_or_before_pulse(self):
@@ -63,7 +63,7 @@ class TestAcceptance:
     def test_timeout_outputs_bot(self):
         instance = make_instance()
         instance.on_window_end()
-        assert instance.resolved()
+        assert instance.state is TcbState.DONE
         assert instance.output is BOT
         assert instance.reject_reason == "timeout"
 
