@@ -17,7 +17,7 @@ from repro import assemble_cps_simulation, derive_parameters
 from repro.analysis.metrics import PulseReport
 from repro.analysis.reporting import Table
 from repro.baselines.lynch_welch import (
-    build_lw_simulation,
+    LynchWelchNode,
     derive_lw_parameters,
     lw_max_faults,
 )
@@ -66,11 +66,12 @@ def main() -> None:
 
     lw_f = lw_max_faults(N)
     lw_params = derive_lw_parameters(THETA, D, U, N, f=lw_f)
-    lw_sim = build_lw_simulation(
+    lw_sim = assemble_cps_simulation(
         lw_params,
         faulty=list(range(N - lw_f, N)),
         delay_policy=RandomDelayPolicy(seed=1),
         seed=1,
+        node=LynchWelchNode,
     )
     lw_result = lw_sim.run(max_pulses=PULSES)
     lw_report = PulseReport.from_pulses(lw_result.honest_pulses(), warmup=4)

@@ -13,8 +13,8 @@ segment tables (PR 17) and compared against ever since by
 ``tests/data/vectorized_runs.json``
     pulse streams, ``events_processed`` and ``end_time`` of vectorized
     runs over four delay policies x all four drift profiles, 12 pulses
-    (so segment boundaries are crossed), at n = 130 with a small
-    ``block_size`` (so block boundaries are too).  The n = 30 runs are
+    (so segment boundaries are crossed), at n = 130 in blocks of 37
+    receiver rows (so block boundaries are too).  The n = 30 runs are
     not repeated there: they are lines of the third capture.
 
 A third capture, ``tests/data/clock_parity_full.txt``, holds the 48
@@ -43,6 +43,7 @@ import hashlib
 import json
 import os
 import sys
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -50,11 +51,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from repro import scenarios  # noqa: E402
 from repro.build import build_simulation  # noqa: E402
 from repro.core.params import derive_parameters  # noqa: E402
+from repro.sim.vectorized import engine  # noqa: E402
 
 DATA = os.path.join(ROOT, "tests", "data")
 PROFILES = ("extreme", "random", "mixed", "staggered")
 DELAYS = ("maximum", "random", "flicker-partition", "eclipse")
-#: ``(n, block_size)``; ``None`` keeps the engine's default.
+#: ``(n, receiver rows a block)``; ``None`` keeps the engine's
+#: default :data:`~repro.sim.vectorized.engine.BLOCK_BYTES`.
 TIER1_SIZES = ((130, 37),)
 FULL_SIZES = ((30, None), (400, 37), (1500, None))
 
@@ -89,7 +92,7 @@ def drift_payload():
     }
 
 
-def run_entry(n, delay, drift, block_size, seed=3, pulses=12, trace="none"):
+def run_entry(n, delay, drift, rows, seed=3, pulses=12, trace="none"):
     case = {
         "n": n, "theta": 1.001, "d": 1.0, "u": 0.01,
         "adversary": "silent", "delay": delay, "drift": drift,
@@ -97,9 +100,12 @@ def run_entry(n, delay, drift, block_size, seed=3, pulses=12, trace="none"):
     simulation = build_simulation(
         case, backend="vectorized", seed=seed, trace=trace
     ).simulation
-    if block_size is not None:
-        simulation.block_size = block_size
-    result = simulation.run(max_pulses=pulses)
+    block_bytes = (
+        engine.BLOCK_BYTES if rows is None
+        else rows * 8 * len(simulation.honest)
+    )
+    with mock.patch.object(engine, "BLOCK_BYTES", block_bytes):
+        result = simulation.run(max_pulses=pulses)
     return {
         "pulses_sha256": _sha(
             t for node in sorted(result.pulses)
@@ -112,8 +118,8 @@ def run_entry(n, delay, drift, block_size, seed=3, pulses=12, trace="none"):
 
 def runs_payload(sizes):
     return {
-        f"n{n}/{delay}/{drift}": run_entry(n, delay, drift, block_size)
-        for n, block_size in sizes
+        f"n{n}/{delay}/{drift}": run_entry(n, delay, drift, rows)
+        for n, rows in sizes
         for delay in DELAYS for drift in PROFILES
     }
 

@@ -23,7 +23,6 @@ def run_pulse_trial(
     simulation: Simulation,
     pulses: int,
     warmup: int = 2,
-    until: Optional[float] = None,
 ) -> TrialOutcome:
     """Run a wired simulation for ``pulses`` pulses and summarize it.
 
@@ -32,7 +31,7 @@ def run_pulse_trial(
     propagated, so sweeps can tabulate them.
     """
     try:
-        result = simulation.run(max_pulses=pulses, until=until)
+        result = simulation.run(max_pulses=pulses)
     except Exception as exc:  # noqa: BLE001 - sweeps tabulate failures
         return TrialOutcome(None, None, False, f"{type(exc).__name__}: {exc}")
     honest = result.honest_pulses()

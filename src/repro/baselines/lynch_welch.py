@@ -31,11 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 from repro.core.params import ProtocolParameters, derive_parameters
 from repro.core.tcb import offset_estimate
 from repro.sim.adversary import ByzantineBehavior
-from repro.sim.clocks import HardwareClock, validate_initial_skew
-from repro.sim.network import DelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
-from repro.sim.scheduler import Simulation
-from repro.sim.trace import Trace, TraceSpec
 from repro.sync.approx_agreement import midpoint_rule
 
 
@@ -198,33 +194,3 @@ class LwTimingAttack(ByzantineBehavior):
                     low if phase == "early" else high,
                 )
 
-
-def build_lw_simulation(
-    params: ProtocolParameters,
-    clocks: Optional[Sequence[HardwareClock]] = None,
-    faulty: Sequence[int] = (),
-    behavior=None,
-    delay_policy: Optional[DelayPolicy] = None,
-    seed: int = 0,
-    trace: TraceSpec = "full",
-) -> Simulation:
-    """Wire a ready-to-run Lynch-Welch simulation (mirrors the CPS one)."""
-    from repro.core.cps import default_clocks
-
-    config = NetworkConfig(params.n, params.d, params.u)
-    if clocks is None:
-        clocks = default_clocks(params, seed=seed)
-    validate_initial_skew(
-        [clocks[v] for v in range(params.n) if v not in set(faulty)],
-        params.S,
-    )
-    return Simulation(
-        config=config,
-        clocks=clocks,
-        protocol_factory=lambda v: LynchWelchNode(params),
-        faulty=faulty,
-        behavior=behavior,
-        delay_policy=delay_policy,
-        f=params.f,
-        trace=Trace(trace),
-    )

@@ -53,7 +53,7 @@ from repro.baselines.chain_relay import (
 )
 from repro.baselines.lynch_welch import (
     LwTimingAttack,
-    build_lw_simulation,
+    LynchWelchNode,
     derive_lw_parameters,
     lw_max_faults,
 )
@@ -367,7 +367,7 @@ def resilience_trial(
             if f
             else None
         )
-        assemble = assemble_cps_simulation
+        node = CpsNode
         tolerated = f <= max_faults(n)
     elif algorithm == "Lynch-Welch":
         # The protocol is told the true f so it can discard.
@@ -375,11 +375,11 @@ def resilience_trial(
         behavior = (
             LwTimingAttack(params, timing_split_group(n)) if f else None
         )
-        assemble = build_lw_simulation
+        node = LynchWelchNode
         tolerated = f <= lw_max_faults(n)
     else:
         raise TrialFailure(f"unknown algorithm {algorithm!r}")
-    simulation = assemble(
+    simulation = assemble_cps_simulation(
         params,
         clocks=scenarios.create("drift", "extreme", params, seed),
         faulty=list(range(n - f, n)),
@@ -387,6 +387,7 @@ def resilience_trial(
         delay_policy=case_delay_policy(case, n),
         seed=seed,
         trace=measurement.trace,
+        node=node,
     )
     outcome = measured_pulse_trial(simulation, measurement)
     report = outcome.report or metrics.DEAD_REPORT
@@ -436,7 +437,7 @@ def algorithm_comparison_trial(
         # Lynch-Welch runs at its own maximum resilience.
         f = lw_max_faults(n)
         params = derive_lw_parameters(theta, d, u, n, f=f)
-        simulation = build_lw_simulation(
+        simulation = assemble_cps_simulation(
             params,
             faulty=list(range(n - f, n)),
             behavior=(
@@ -447,6 +448,7 @@ def algorithm_comparison_trial(
             delay_policy=case_delay_policy(case, n),
             seed=seed,
             trace=measurement.trace,
+            node=LynchWelchNode,
         )
         theory_skew = params.S
     elif algorithm == "Signed relay [28]/[21]":

@@ -438,7 +438,6 @@ def check_scenario(
     key: str,
     scale: str = "quick",
     seed: int = 0,
-    trace: Any = "pulses",
     overrides: Optional[Dict[str, Any]] = None,
     backend: str = "event",
 ) -> ScenarioReport:
@@ -479,7 +478,6 @@ def check_scenario(
                 by_scale.get(scale, by_scale["quick"]),
                 scenario_seed,
                 backend=backend,
-                trace=trace,
             ).verdicts
         error = None
     except Exception as exc:  # noqa: BLE001 - sweeps tabulate failures

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import TcbMessage, tcb_tag
 from repro.core.params import ProtocolParameters
@@ -316,6 +316,7 @@ def assemble_cps_simulation(
     checks=None,
     dynamics=None,
     network_timing: Optional[Tuple[float, float]] = None,
+    node: Callable[..., TimedProtocol] = CpsNode,
     **node_kwargs: Any,
 ) -> Simulation:
     """Wire a ready-to-run event-engine CPS simulation.
@@ -326,7 +327,9 @@ def assemble_cps_simulation(
     :func:`repro.build.build_simulation`, which most callers should
     use instead.
 
-    ``node_kwargs`` are forwarded to :class:`CpsNode` (ablation hooks).
+    Every node runs ``node(params, **node_kwargs)``: :class:`CpsNode`
+    with its ablation hooks, or another protocol on the same wiring
+    (:class:`~repro.baselines.lynch_welch.LynchWelchNode`).
     ``clocks`` defaults to the seeded ``random`` ensemble; any other
     comes from the drift registry
     (``scenarios.create("drift", key, params, seed)``).  Initial clock
@@ -355,7 +358,7 @@ def assemble_cps_simulation(
     return Simulation(
         config=config,
         clocks=clocks,
-        protocol_factory=lambda v: CpsNode(params, **node_kwargs),
+        protocol_factory=lambda v: node(params, **node_kwargs),
         faulty=faulty,
         behavior=behavior,
         delay_policy=delay_policy,

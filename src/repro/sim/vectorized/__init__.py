@@ -12,9 +12,10 @@ which is what lets the monitor matrix double as a cross-backend
 differential oracle.
 
 Scope: the vectorized backend covers the *silent-adversary* regime
-(faulty nodes contribute ⊥ masks and nothing else) with every delay
-policy and drift profile; churn and actively-Byzantine behaviours stay
-on the event engine and raise :class:`UnsupportedScenarioError` here.
+(at least ``f`` faulty nodes, each contributing a ⊥ and nothing else)
+with every delay policy and drift profile; fewer faulty nodes, churn
+and actively-Byzantine behaviours stay on the event engine and raise
+:class:`UnsupportedScenarioError` here.
 See ``docs/VECTORIZED.md`` for the batching model and its exactness
 argument.
 """

@@ -10,16 +10,15 @@ full CPS round with array operations:
 3. accept — Lemma 10 puts every other honest dealer's message inside
    the TCB window ``P < h <= P + window``; each receiver's earliest and
    latest ``h`` check it, and a message outside raises
-   :class:`SimulationError`.  A deterministic, unobserved round that
-   discards nothing reads the two from its receiver class's sorted
-   arrivals (two delay rows, one per class); a ``random`` round, an
-   observed round and a discarding vote need every arrival and reduce
-   a dense (rows × honest) block instead;
+   :class:`SimulationError`.  A deterministic, unobserved round reads
+   the two from its receiver class's sorted arrivals (two delay rows,
+   one per class); a ``random`` round and an observed round need every
+   arrival and reduce a dense (rows × honest) block instead;
 4. vote — offset estimates ``h - P - d + u - S`` (⊥ for each faulty
-   dealer, 0 for self); per receiver the two order statistics the
-   ``f - b`` discard leaves outermost are read — the extremes of step
-   3 when nothing is discarded, a selection otherwise (nothing is
-   sorted) — and their midpoint taken;
+   dealer, 0 for self).  At least ``f`` dealers are silent, so the
+   ``f - b`` discard is empty and the vote reads the extreme estimates
+   — step 3's extremes, shifted, and the self-estimate — and takes
+   their midpoint;
 5. advance — next pulse at local ``P + Delta + T``.
 
 This is exact — not approximate — for the scenarios the backend
@@ -315,7 +314,8 @@ class VectorizedSimulation:
     Faulty nodes are *silent*: they never pulse, never send, and each
     contributes one ⊥ to every honest node's vote — exactly the
     ``silent`` registry adversary.  Anything else is rejected by the
-    facade before construction.
+    facade before construction, and fewer than ``f`` faulty nodes (a
+    vote that discards) here.
     """
 
     def __init__(
@@ -327,7 +327,6 @@ class VectorizedSimulation:
         u_tilde: Optional[float] = None,
         seed: int = 0,
         trace: TraceSpec = "pulses",
-        block_size: Optional[int] = None,
     ) -> None:
         require_numpy()
         if len(clocks) != params.n:
@@ -347,6 +346,12 @@ class VectorizedSimulation:
             raise ConfigurationError(
                 f"faulty set {faulty_set} out of range"
             )
+        if len(faulty_set) < params.f:
+            raise UnsupportedScenarioError(
+                f"{len(faulty_set)} faulty nodes, fewer than f = "
+                f"{params.f}: the vote would discard values, which only "
+                "backend='event' runs"
+            )
         self.faulty = sorted(faulty_set)
         self.honest = [v for v in range(params.n) if v not in faulty_set]
         if not self.honest:
@@ -365,10 +370,6 @@ class VectorizedSimulation:
         #: Surface parity with the scheduler: the vectorized backend
         #: never carries membership dynamics (the facade rejects churn).
         self.dynamics = None
-        #: Optional cap on the receiver rows of one block; ``None``
-        #: derives them from :data:`BLOCK_BYTES` alone.  Read (and
-        #: validated) by :meth:`run`, so assigning it afterwards works.
-        self.block_size = block_size
         self.warnings: List[str] = []
         self._ran = False
         #: The clocks of the honest nodes, laid out (and every row
@@ -389,37 +390,14 @@ class VectorizedSimulation:
 
     def _rows_per_block(self) -> int:
         """Receiver rows per block: as many as keep one (rows x honest)
-        float64 array near :data:`BLOCK_BYTES`, at least one, at most
-        ``block_size`` when that is set."""
-        rows = max(1, BLOCK_BYTES // (8 * len(self.honest)))
-        if self.block_size is None:
-            return rows
-        if self.block_size < 1:
-            raise ConfigurationError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
-        return min(rows, self.block_size)
+        float64 array near :data:`BLOCK_BYTES`, at least one."""
+        return max(1, BLOCK_BYTES // (8 * len(self.honest)))
 
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_pulses: Optional[int] = None,
-    ) -> SimulationResult:
-        """Execute whole pulse rounds until a stop condition.
-
-        ``max_pulses`` counts rounds (every honest node pulses once per
-        round).  ``until`` stops before the first round whose pulses
-        are not all within the horizon — pulses beyond ``until`` are
-        never recorded, but the cutoff is per *round*, not per event
-        (the batching granularity of this backend).
-        """
-        if max_pulses is None and until is None:
-            raise ConfigurationError(
-                "vectorized runs need max_pulses and/or until"
-            )
-        block_rows = self._rows_per_block()
+    def run(self, max_pulses: int) -> SimulationResult:
+        """Execute ``max_pulses`` whole pulse rounds (every honest node
+        pulses once per round)."""
         if self._ran:
             raise ConfigurationError(
                 "a vectorized simulation runs once: a second run() would "
@@ -427,6 +405,7 @@ class VectorizedSimulation:
                 "new simulation, or use backend='event' to resume)"
             )
         self._ran = True
+        block_rows = self._rows_per_block()
         params = self.params
         honest = self.honest
         nh = len(honest)
@@ -451,21 +430,15 @@ class VectorizedSimulation:
         offset_shift = params.d - params.u + params.S
         # Lemma 10 (checked every round): each receiver accepts every
         # other honest dealer and a ⊥ for each faulty one, so the vote
-        # sizes are per run.  The midpoint needs nh > 2 * discard, which
-        # always holds: discard is 0 for num_bot >= f, and otherwise
-        # nh - 2 * discard = n + num_bot - 2f > 0 as 2f < n.
+        # sizes are per run.
         num_bot = n - nh
-        discard = max(params.f - num_bot, 0)
-        top = nh - 1 - discard
-        kth = sorted({discard, top})
         accepted = nh * (nh - 1)
         accepted_total = 0
-        # Only three inputs need every arrival of a receiver, not just
+        # Only two inputs need every arrival of a receiver, not just
         # its earliest and latest: random delays (the block is the
-        # stream), observers (handed every estimate) and a vote that
-        # discards (a selection).  Every other round is read per
-        # receiver class.
-        dense = rng is not None or observing or discard > 0
+        # stream) and observers (handed every estimate).  Every other
+        # round is read per receiver class.
+        dense = rng is not None or observing
         rows_dense = rows_extremes = 0
         pulses: Dict[int, List[float]] = {v: [] for v in range(n)}
         trains = [pulses[v] for v in honest]
@@ -473,22 +446,8 @@ class VectorizedSimulation:
         end_time = 0.0
         # Next-pulse local targets; Figure 3 starts at local time S.
         local = np.full(nh, params.S)
-        pulse_round = 0
-        while max_pulses is None or pulse_round < max_pulses:
-            pulse_round += 1
+        for pulse_round in range(1, max_pulses + 1):
             pulse_real = table.real_times(local)
-            if until is not None:
-                inside = pulse_real <= until + tolerance
-                if not inside.all():
-                    for i in np.argsort(pulse_real, kind="stable"):
-                        if inside[i]:
-                            self._emit_pulse(
-                                pulses, float(pulse_real[i]), honest[i],
-                                pulse_round, float(local[i]),
-                            )
-                            events += 1
-                    end_time = until
-                    break
             if pulses_observed:
                 for i in np.argsort(pulse_real, kind="stable"):
                     self._emit_pulse(
@@ -498,7 +457,7 @@ class VectorizedSimulation:
             else:
                 for train, time in zip(trains, pulse_real.tolist()):
                     train.append(time)
-            if max_pulses is not None and pulse_round >= max_pulses:
+            if pulse_round == max_pulses:
                 # The event engine halts the instant the slowest node
                 # emits its quota-filling pulse, so the final round's
                 # broadcasts, votes, and summaries never happen — match
@@ -518,9 +477,6 @@ class VectorizedSimulation:
                 )
                 first = np.empty(nh)
                 last = np.empty(nh)
-                if discard:
-                    low = np.empty(nh)
-                    high = np.empty(nh)
                 blocks: List[Any] = []
                 for start in range(0, nh, block_rows):
                     stop = min(start + block_rows, nh)
@@ -539,24 +495,13 @@ class VectorizedSimulation:
                             window_end[start:stop],
                         )
                     )
-                    if not (observing or discard):
+                    if not observing:
                         continue
                     estimates = local_rx  # overwritten from here on
                     estimates -= base[:, None]
                     estimates -= offset_shift
                     estimates[rows - start, rows] = 0.0
-                    if discard:
-                        # Select the two order statistics the vote
-                        # reads.  Observers are handed the estimates by
-                        # dealer, so then the selection shuffles a copy.
-                        ordered = (
-                            estimates.copy() if observing else estimates
-                        )
-                        ordered.partition(kth, axis=1)
-                        low[start:stop] = ordered[:, discard]
-                        high[start:stop] = ordered[:, top]
-                    if observing:
-                        blocks.append((rows, receivers, arrival, estimates))
+                    blocks.append((rows, receivers, arrival, estimates))
                 rows_dense += nh
             else:
                 first, last, straddling = self._class_extremes(
@@ -572,12 +517,11 @@ class VectorizedSimulation:
             completion_local = (
                 np.maximum(latest, window_close) if num_bot else latest
             )
-            if not discard:
-                # x -> (x - P) - shift is monotone under rounding, so
-                # the extreme estimates are the extreme h's, shifted;
-                # 0 is the self-estimate.
-                low = np.minimum(0.0, (first - local) - offset_shift)
-                high = np.maximum(0.0, (last - local) - offset_shift)
+            # x -> (x - P) - shift is monotone under rounding, so the
+            # extreme estimates are the extreme h's, shifted; 0 is the
+            # self-estimate.
+            low = np.minimum(0.0, (first - local) - offset_shift)
+            high = np.maximum(0.0, (last - local) - offset_shift)
             correction = (low + high) / 2.0
             completion_real = table.real_times(completion_local)
             end_time = max(end_time, float(completion_real.max()))

@@ -16,7 +16,7 @@ from repro.baselines.chain_relay import (
 )
 from repro.baselines.lynch_welch import (
     LwTimingAttack,
-    build_lw_simulation,
+    LynchWelchNode,
     derive_lw_parameters,
     lw_max_faults,
 )
@@ -25,6 +25,7 @@ from repro.baselines.srikanth_toueg import (
     build_st_simulation,
     derive_st_parameters,
 )
+from repro.core.cps import assemble_cps_simulation
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.sim.clocks import HardwareClock
 from repro.sim.errors import ConfigurationError
@@ -57,8 +58,11 @@ class TestLynchWelch:
 
     def test_fault_free_bounds(self):
         params = derive_lw_parameters(1.001, 1.0, 0.02, 7)
-        simulation = build_lw_simulation(
-            params, delay_policy=RandomDelayPolicy(seed=2), seed=2
+        simulation = assemble_cps_simulation(
+            params,
+            delay_policy=RandomDelayPolicy(seed=2),
+            seed=2,
+            node=LynchWelchNode,
         )
         result = simulation.run(max_pulses=PULSES)
         honest = result.honest_pulses()
@@ -69,12 +73,13 @@ class TestLynchWelch:
         n = 7
         f = lw_max_faults(n)
         params = derive_lw_parameters(1.001, 1.0, 0.02, n, f=f)
-        simulation = build_lw_simulation(
+        simulation = assemble_cps_simulation(
             params,
             clocks=extreme_clocks(n, params.theta, params.S),
             faulty=list(range(n - f, n)),
             behavior=LwTimingAttack(params, group_a(n)),
             delay_policy=SkewingDelayPolicy(group_a(n)),
+            node=LynchWelchNode,
         )
         result = simulation.run(max_pulses=PULSES)
         honest = result.honest_pulses()
@@ -87,12 +92,13 @@ class TestLynchWelch:
         n = 9
         f = 4
         params = derive_lw_parameters(1.001, 1.0, 0.02, n, f=f)
-        simulation = build_lw_simulation(
+        simulation = assemble_cps_simulation(
             params,
             clocks=extreme_clocks(n, params.theta, params.S),
             faulty=list(range(n - f, n)),
             behavior=LwTimingAttack(params, group_a(n)),
             delay_policy=SkewingDelayPolicy(group_a(n)),
+            node=LynchWelchNode,
         )
         result = simulation.run(max_pulses=40)
         trajectory = skew_trajectory(result.honest_pulses())
@@ -100,7 +106,6 @@ class TestLynchWelch:
 
     def test_contrast_cps_survives_same_setting(self):
         from repro.core.attacks import CpsMimicDealerAttack
-        from repro.core.cps import assemble_cps_simulation
         from repro.core.params import derive_parameters
 
         n, f = 9, 4

@@ -391,9 +391,9 @@ class TestRunsMatchTheParent:
     @pytest.mark.parametrize("key", sorted(VECTORIZED_RUNS))
     def test_pulses_events_end_time(self, key):
         n, delay, drift = key.split("/")
-        block_size = dict(PARITY.TIER1_SIZES)[int(n[1:])]
+        rows = dict(PARITY.TIER1_SIZES)[int(n[1:])]
         assert PARITY.run_entry(
-            int(n[1:]), delay, drift, block_size
+            int(n[1:]), delay, drift, rows
         ) == VECTORIZED_RUNS[key]
 
     def test_unobserved_runs_print_the_full_capture(self, capsys):

@@ -1,6 +1,7 @@
 """Integration tests for Algorithm CPS against Theorem 17's guarantees."""
 
 import collections
+import functools
 
 import pytest
 
@@ -342,8 +343,13 @@ def _cps_outputs(monkeypatch, node_class, case, variant):
     import repro.core.cps as cps
 
     monkeypatch.setattr(
-        cps, "CpsNode",
-        lambda params, **kwargs: node_class(params, **kwargs, **variant),
+        cps, "assemble_cps_simulation",
+        functools.partial(
+            assemble_cps_simulation,
+            node=lambda params, **kwargs: node_class(
+                params, **kwargs, **variant
+            ),
+        ),
     )
     simulation = build_simulation(case, seed=2, trace="pulses").simulation
     try:

@@ -3,7 +3,7 @@
 The digests pin each table's bytes; the claims check the *scientific
 statement* each table is supposed to exhibit — the predicate behind
 each measured sentence of ``docs/EXPERIMENTS.md`` — at quick scale for
-every id and at full scale for the six full runs pinned here.
+every id and at full scale for the eight full runs pinned here.
 """
 
 
@@ -44,11 +44,15 @@ CLI_ORDER = (
     "E9-SCALE", "FUZZ", "STRESS",
 )
 # The same digest at full scale, for tables that stay cheap there; E7's
-# full scale is the only one covering all six u_tilde values.  The CPS
-# builder tables (E3, E4, E8, E9, E10) take about 2 s together.
+# full scale is the only one covering all six u_tilde values, and E6's
+# the only pin of the baselines' wiring at n = 13 and 17.  The CPS
+# builder tables (E3, E4, E8, E9, E10) take about 2 s together, E5 and
+# E6 about 0.5 s.
 FULL_TABLE_DIGESTS = {
     "E3": "9dea1462ffca4db5",
     "E4": "d7cc0824dcf4fbe3",
+    "E5": "c8d246614ade0267",
+    "E6": "876342a0c473a88a",
     "E7": "35aebb234072976d",
     "E8": "d47a15b41f923bb2",
     "E9": "ab35b66d829b6ce6",
@@ -58,7 +62,8 @@ FULL_TABLE_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def runs():
-    # Each experiment runs once per scale: every id at quick, six at full.
+    # Each experiment runs once per scale: every id at quick, eight at
+    # full.
     return {
         scale: {name: run_experiment(name, scale) for name in names}
         for scale, names in (("quick", IDS), ("full", FULL_TABLE_DIGESTS))

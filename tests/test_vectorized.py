@@ -22,6 +22,7 @@ import dataclasses
 import json
 import os
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ from repro.sim.trace import PulseRecord
 from repro.sim.vectorized import (
     UnsupportedScenarioError,
     VectorizedSimulation,
+    engine,
 )
 from repro.sim.vectorized.delays import (
     class_delays,
@@ -111,6 +113,14 @@ def _run_both(case, pulses=6, seed=11):
 
 def _pulse_records(simulation):
     return len(list(simulation.trace.of_type(PulseRecord)))
+
+
+def _blocks_of(rows, simulation):
+    """Size the engine's blocks so ``simulation`` splits its receivers
+    into blocks of ``rows`` (the engine sizes a block by bytes)."""
+    return mock.patch.object(
+        engine, "BLOCK_BYTES", rows * 8 * len(simulation.honest)
+    )
 
 
 class TestDifferentialOracle:
@@ -210,8 +220,8 @@ class TestDifferentialOracle:
         small = build_simulation(
             case, backend="vectorized", seed=11, trace="none"
         ).simulation
-        small.block_size = 5
-        assert small.run(max_pulses=14).pulses == vec_result.pulses
+        with _blocks_of(5, small):
+            assert small.run(max_pulses=14).pulses == vec_result.pulses
 
     def test_conformance_slice_equals_the_committed_event_rows(self):
         # `repro check matrix --backend vectorized --kind delay --kind
@@ -304,28 +314,24 @@ class TestDelaySearch:
 
 @st.composite
 def _block_specs(draw):
-    """One vectorized system and a ``block_size`` to split it by.
-
-    The faulty *set* has 0, 1 or ``f`` members while ``params.f`` stays
-    at its maximum, so the vote discards ``f``, ``f - 1`` and 0 values
-    a side and the selected positions differ.
-    """
+    """One vectorized system and the receiver rows a block to split it
+    by."""
     n = draw(st.integers(6, 40))
     params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=n)
-    faulty = draw(st.sampled_from([0, 1, params.f]))
     return {
         "params": params,
         "delay": draw(st.sampled_from(sorted(REGISTRY.keys("delay")))),
         "drift": draw(st.sampled_from(sorted(REGISTRY.keys("drift")))),
-        "faulty": list(range(n - faulty, n)),
+        "faulty": list(range(n - params.f, n)),
         "pulses": draw(st.integers(3, 14)),
         "seed": draw(st.integers(0, 5)),
-        "block_size": draw(st.integers(1, n - faulty + 2)),
+        "rows": draw(st.integers(1, n - params.f + 2)),
     }
 
 
-def _block_run(spec, block_size, trace="none", judged=False):
-    """``(result, verdict dicts or None)`` of one run of ``spec``."""
+def _block_run(spec, rows, trace="none", judged=False):
+    """``(result, verdict dicts or None)`` of one run of ``spec`` in
+    blocks of ``rows`` receivers (``None``: the engine's default)."""
     params = spec["params"]
     simulation = VectorizedSimulation(
         params,
@@ -333,13 +339,16 @@ def _block_run(spec, block_size, trace="none", judged=False):
         faulty=spec["faulty"],
         delay_policy=REGISTRY.create("delay", spec["delay"], params.n),
         trace=trace,
-        block_size=block_size,
     )
     checks = None
     if judged:
         checks = cps_check_set(params, simulation.honest, spec["pulses"])
         simulation.attach_checks(checks)
-    result = simulation.run(max_pulses=spec["pulses"])
+    if rows is None:
+        result = simulation.run(max_pulses=spec["pulses"])
+    else:
+        with _blocks_of(rows, simulation):
+            result = simulation.run(max_pulses=spec["pulses"])
     verdicts = _verdict_dicts(checks.finish()) if judged else None
     return result, verdicts
 
@@ -365,23 +374,23 @@ class TestBlocks:
 
     @given(_block_specs())
     def test_block_invariance(self, spec):
-        block_size = spec["block_size"]
+        rows = spec["rows"]
         whole, _ = _block_run(spec, None)
-        split, _ = _block_run(spec, block_size)
+        split, _ = _block_run(spec, rows)
         assert _same_execution(whole, split)
 
         whole_judged, whole_verdicts = _block_run(
             spec, None, trace="pulses", judged=True
         )
         split_judged, split_verdicts = _block_run(
-            spec, block_size, trace="pulses", judged=True
+            spec, rows, trace="pulses", judged=True
         )
         assert whole_verdicts == split_verdicts
         assert _same_execution(whole, whole_judged)
         assert _same_execution(whole, split_judged)
 
         whole_full, _ = _block_run(spec, None, trace="full")
-        split_full, _ = _block_run(spec, block_size, trace="full")
+        split_full, _ = _block_run(spec, rows, trace="full")
         assert _same_execution(whole, split_full)
         for kind in ("tcb-accept", "cps-round"):
             assert split_full.trace.protocol_events(
@@ -393,8 +402,7 @@ class TestBlocks:
     def _annotations_are_the_kernels(spec, trace):
         # Recompute every summary from the scalar clock and the
         # acceptance times: an `arrival` or `estimates` array that was
-        # overwritten (or reordered by the selection) before
-        # `_collect_round` read it cannot pass.
+        # overwritten before `_collect_round` read it cannot pass.
         params = spec["params"]
         clocks = _block_clocks(spec)
         offset_shift = params.d - params.u + params.S
@@ -420,40 +428,16 @@ class TestBlocks:
                     assert estimate == (
                         clock.local_time(arrival) - summary.pulse_local
                     ) - offset_shift
-            assert summary.num_bot == len(spec["faulty"])
+            assert summary.num_bot == len(spec["faulty"]) == params.f
             ordered = sorted(
                 e for e in summary.estimates.values() if e is not BOT
             )
-            discard = params.f - summary.num_bot
-            low, high = ordered[discard], ordered[-1 - discard]
+            low, high = ordered[0], ordered[-1]
             assert summary.interval == (low, high)
             assert summary.correction == (low + high) / 2.0
 
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_block_size_is_validated_where_it_is_used(self, bad):
-        # Every caller that sets a block size assigns the attribute
-        # after construction; a bad one must be refused by run() before
-        # any round is computed, not die in range() mid-run.
-        case = _case(n=9, delay="random", drift="mixed")
-        simulation = build_simulation(
-            case, backend="vectorized", seed=2
-        ).simulation
-        simulation.block_size = bad
-        with pytest.raises(ConfigurationError, match="block_size"):
-            simulation.run(max_pulses=4)
-        assert _pulse_records(simulation) == 0
-        simulation.block_size = 2
-        fresh = build_simulation(
-            case, backend="vectorized", seed=2
-        ).simulation
-        assert _same_execution(
-            simulation.run(max_pulses=4), fresh.run(max_pulses=4)
-        )
-
     @pytest.mark.parametrize("n", [30, 2500])
     def test_default_blocks_are_sized_by_bytes(self, n):
-        from repro.sim.vectorized.engine import BLOCK_BYTES
-
         params = derive_parameters(theta=1.001, d=1.0, u=0.01, n=n)
         simulation = VectorizedSimulation(
             params,
@@ -462,10 +446,10 @@ class TestBlocks:
         )
         row_bytes = 8 * len(simulation.honest)
         derived = simulation._rows_per_block()
-        assert derived * row_bytes <= BLOCK_BYTES < (derived + 1) * row_bytes
-        for cap, rows in ((5, 5), (10 ** 9, derived)):
-            simulation.block_size = cap
-            assert simulation._rows_per_block() == rows
+        assert derived * row_bytes <= engine.BLOCK_BYTES
+        assert engine.BLOCK_BYTES < (derived + 1) * row_bytes
+        with _blocks_of(5, simulation):
+            assert simulation._rows_per_block() == 5
 
 
 class _LatePairs(DelayPolicy):
@@ -517,7 +501,7 @@ class TestLemma10:
 
     def test_a_late_broadcast_raises_and_names_it(self):
         with pytest.raises(SimulationError, match=self.LATE):
-            self._late_pairs(faulty=[5]).run(max_pulses=3)
+            self._late_pairs(faulty=[0, 5]).run(max_pulses=3)
 
     def test_the_class_source_names_it_as_the_dense_block_does(self):
         # faulty = f, so the vote discards nothing: unobserved, the
@@ -603,12 +587,12 @@ class TestLemma10:
         simulation = VectorizedSimulation(
             params,
             clocks=REGISTRY.create("drift", "extreme", params, 0),
-            faulty=[5],
+            faulty=[4, 5],
         )
         nan = np.nan
         local_rx = np.array([
-            [nan, 1.5, 2.0, 1.25, 1.75],
-            [1.5, nan, 1.5, 1.5, 1.5],
+            [nan, 1.5, 2.0, 1.25],
+            [1.5, nan, 1.5, 1.5],
         ])
         base, window_end = np.array([1.0, 1.0]), np.array([2.0, 2.0])
         rows = np.arange(2)
@@ -811,6 +795,27 @@ class TestUnsupportedScenarios:
         # The same case builds fine on the event engine.
         assert build_simulation(case, backend="event").simulation
 
+    def test_fewer_than_f_faulty_nodes_are_refused(self):
+        # Fewer than f silent dealers leave the vote values to discard;
+        # the event engine is the reference for that vote.
+        params = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6)
+        assert params.f == 2
+        clocks = REGISTRY.create("drift", "extreme", params, 0)
+        for faulty in ([], [5]):
+            with pytest.raises(
+                UnsupportedScenarioError,
+                match=rf"{len(faulty)} faulty nodes, fewer than f = 2.*"
+                r"backend='event'",
+            ):
+                VectorizedSimulation(params, clocks, faulty=faulty)
+            assert assemble_cps_simulation(
+                params, clocks, faulty=faulty
+            ).run(max_pulses=3).pulses
+        for faulty in ([4, 5], [3, 4, 5]):
+            assert VectorizedSimulation(
+                params, clocks, faulty=faulty
+            ).run(max_pulses=3).pulses
+
     def test_non_cps_modes_tabulated_as_errors(self):
         report = check_scenario(
             "churn", "single-crash", backend="vectorized"
@@ -909,12 +914,13 @@ class TestDelayMatrix:
         simulation = VectorizedSimulation(
             params,
             clocks=REGISTRY.create("drift", "extreme", params, 0),
-            faulty=[5],
+            faulty=[0, 5],
             delay_policy=LateToOne(),
-            block_size=2,
+            trace="full",  # every round dense, so read in blocks
         )
-        with pytest.raises(ModelViolation, match="outside"):
-            simulation.run(max_pulses=3)
+        with _blocks_of(2, simulation):
+            with pytest.raises(ModelViolation, match="outside"):
+                simulation.run(max_pulses=3)
 
     def test_a_delay_only_policy_is_refused_at_construction(self):
         # A delay() override has no rule this engine could evaluate;
@@ -938,14 +944,14 @@ class TestDelayMatrix:
                 UnsupportedScenarioError, match="overrides delay"
             ):
                 VectorizedSimulation(
-                    params, clocks, faulty=[5], delay_policy=policy
+                    params, clocks, faulty=[4, 5], delay_policy=policy
                 )
             assert assemble_cps_simulation(
-                params, clocks, faulty=[5], delay_policy=policy
+                params, clocks, faulty=[4, 5], delay_policy=policy
             ).run(max_pulses=3).pulses
         for policy in (RandomDelayPolicy(3), Renamed()):
             VectorizedSimulation(
-                params, clocks, faulty=[5], delay_policy=policy
+                params, clocks, faulty=[4, 5], delay_policy=policy
             )
 
 
