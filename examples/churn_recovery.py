@@ -64,7 +64,6 @@ simulation = assemble_cps_simulation(
     faulty=schedule.initially_corrupted(params.n),
     seed=11,
     clocks=scenarios.create("drift", "extreme", params),
-    trace="pulses",
     dynamics=controller,
 )
 result = simulation.run(max_pulses=14)

@@ -43,7 +43,7 @@ from repro.sim.errors import ConfigurationError
 from repro.sim.network import DelayPolicy
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation
-from repro.sim.trace import DeliveryRecord, TraceSpec
+from repro.sim.trace import DeliveryRecord
 
 
 def chain_tag(pulse_round: int) -> Tuple[str, int]:
@@ -305,7 +305,7 @@ def build_chain_simulation(
     behavior=None,
     delay_policy: Optional[DelayPolicy] = None,
     seed: int = 0,
-    trace: TraceSpec = "full",
+    trace: str = "full",
 ) -> Simulation:
     """Wire a ready-to-run chain-relay simulation."""
     return relay_simulation(

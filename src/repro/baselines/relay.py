@@ -20,7 +20,7 @@ from repro.sim.clocks import (
 from repro.sim.network import DelayPolicy, NetworkConfig
 from repro.sim.runtime import TimedProtocol
 from repro.sim.scheduler import Simulation
-from repro.sim.trace import Trace, TraceSpec
+from repro.sim.trace import Trace
 
 
 def relay_simulation(
@@ -32,7 +32,7 @@ def relay_simulation(
     behavior: Any,
     delay_policy: Optional[DelayPolicy],
     seed: int,
-    trace: TraceSpec,
+    trace: str,
 ) -> Simulation:
     """A ready-to-run simulation of ``node(params)`` at every node.
 

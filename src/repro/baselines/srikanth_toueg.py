@@ -29,7 +29,6 @@ from repro.sim.errors import ConfigurationError
 from repro.sim.network import DelayPolicy
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation
-from repro.sim.trace import TraceSpec
 
 
 def st_tag(pulse_round: int) -> Tuple[str, int]:
@@ -224,7 +223,7 @@ def build_st_simulation(
     behavior=None,
     delay_policy: Optional[DelayPolicy] = None,
     seed: int = 0,
-    trace: TraceSpec = "full",
+    trace: str = "full",
 ) -> Simulation:
     """Wire a ready-to-run signed-relay pulser simulation."""
     return relay_simulation(

@@ -210,7 +210,7 @@ def build_simulation(
     case: Dict[str, Any],
     backend: str = DEFAULT_BACKEND,
     seed: int = 0,
-    trace: Any = "pulses",
+    trace: str = "none",
 ) -> BuiltSimulation:
     """Assemble a CPS simulation from scenario-registry keys.
 
@@ -298,7 +298,6 @@ def build_simulation(
             faulty=list(range(n - f, n)) if f else [],
             delay_policy=delay_policy,
             u_tilde=case.get("u_tilde"),
-            seed=seed,
             trace=trace,
         )
         return BuiltSimulation(simulation, params, f, effective, backend)

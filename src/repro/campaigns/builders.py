@@ -140,10 +140,7 @@ def built_case(
     from repro.build import build_simulation
 
     return build_simulation(
-        {**defaults, **case},
-        backend=measurement.backend,
-        seed=seed,
-        trace=measurement.trace,
+        {**defaults, **case}, backend=measurement.backend, seed=seed
     )
 
 
@@ -386,7 +383,7 @@ def resilience_trial(
         behavior=behavior,
         delay_policy=case_delay_policy(case, n),
         seed=seed,
-        trace=measurement.trace,
+        trace="none",
         node=node,
     )
     outcome = measured_pulse_trial(simulation, measurement)
@@ -447,7 +444,7 @@ def algorithm_comparison_trial(
             ),
             delay_policy=case_delay_policy(case, n),
             seed=seed,
-            trace=measurement.trace,
+            trace="none",
             node=LynchWelchNode,
         )
         theory_skew = params.S
@@ -459,7 +456,7 @@ def algorithm_comparison_trial(
             behavior=StRushAttack(params),
             delay_policy=case_delay_policy(case, n, default="maximum"),
             seed=seed,
-            trace=measurement.trace,
+            trace="none",
         )
         theory_skew = params.skew_bound
     elif algorithm == "Chain relay [2]-style":
@@ -470,7 +467,7 @@ def algorithm_comparison_trial(
             behavior=ChainStretchAttack(params),
             delay_policy=case_delay_policy(case, n, default="maximum"),
             seed=seed,
-            trace=measurement.trace,
+            trace="none",
         )
         theory_skew = params.skew_bound
     else:
@@ -578,7 +575,7 @@ def cps_mechanism_trial(
             "drift", case.get("drift", "random"), params, seed
         ),
         seed=seed,
-        trace=measurement.trace,
+        trace="none",
         **{key: case[key] for key in MECHANISM_KEYS if key in case},
     )
     outcome = measured_pulse_trial(simulation, measurement)
@@ -697,7 +694,6 @@ def fuzz_probe_trial(
         budget=int(case.get("budget", 50)),
         seed=seed,
         max_interesting=int(case.get("max_interesting", 1)),
-        trace=measurement.trace,
     )
     counterexample = report.counterexample
     return {
@@ -761,13 +757,7 @@ def cps_ablation_trial(
     the too-few pulses come back as ``inf``.
     """
     pulses = int(case.get("pulses", measurement.pulses))
-    run = judged_run(
-        case,
-        pulses,
-        seed,
-        backend=measurement.backend,
-        trace=measurement.trace,
-    )
+    run = judged_run(case, pulses, seed, backend=measurement.backend)
     built, result, verdicts = run.built, run.result, run.verdicts
     simulation, params = built.simulation, built.params
     return {

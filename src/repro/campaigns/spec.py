@@ -160,13 +160,6 @@ class MeasurementSpec:
     ``"tabulate"`` records dead runs as rows (NaN/inf skews, ``live``
     False) while ``"require"`` turns them into error records.
 
-    ``trace`` names the :class:`~repro.sim.trace.TraceLevel` simulations
-    run at.  Campaign builders only tabulate pulse-derived metrics, so
-    the default is ``"pulses"`` — per-message trace records are never
-    allocated, which is a large share of simulator runtime.  Pulse
-    outputs (and therefore every table) are identical across levels;
-    set ``"full"`` only for a campaign whose builder inspects the trace.
-
     ``backend`` selects the execution engine
     (:data:`repro.build.BACKENDS`); ``"event"`` is the historical
     default and is omitted from :meth:`as_dict` so that every
@@ -176,7 +169,6 @@ class MeasurementSpec:
     pulses: int = 10
     warmup: int = 2
     liveness: str = "tabulate"  # "tabulate" | "require"
-    trace: str = "pulses"  # "none" | "pulses" | "full"
     backend: str = "event"  # see repro.build.BACKENDS
 
     def __post_init__(self) -> None:
@@ -184,11 +176,6 @@ class MeasurementSpec:
             raise ValueError(
                 f"liveness must be 'tabulate' or 'require', "
                 f"got {self.liveness!r}"
-            )
-        if self.trace not in ("none", "pulses", "full"):
-            raise ValueError(
-                f"trace must be 'none', 'pulses', or 'full', "
-                f"got {self.trace!r}"
             )
         from repro.build import resolve_backend
 
@@ -199,7 +186,10 @@ class MeasurementSpec:
             "pulses": self.pulses,
             "warmup": self.warmup,
             "liveness": self.liveness,
-            "trace": self.trace,
+            # Hash compatibility: the campaign trace level this field
+            # once named is gone (builders record no trace), but every
+            # committed case/spec key hashes it.
+            "trace": "pulses",
         }
         # Hash compatibility: the default backend stays implicit so
         # that committed case/spec keys predating the facade are

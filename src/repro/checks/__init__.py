@@ -11,8 +11,8 @@ machine-checked over every scenario the engine can produce:
     :class:`Violation` / :class:`Monitor` / :class:`CheckSet` — the
     streaming invariant monitors (Theorem 17 skew and periods, liveness,
     Lemma 11 TCB consistency, Theorem 9 APA contraction, churn
-    stabilization), fed online through the scheduler's ``checks=`` hook
-    so they compose with the ``TraceLevel.PULSES`` fast path; each
+    stabilization), fed online through either engine's
+    ``attach_checks`` so they judge a run at ``trace="none"``; each
     verdict also carries its :class:`Headroom`.
 ``conformance``
     :func:`judged_run` — the one monitored execution (build, attach

@@ -382,7 +382,7 @@ def judged_run(
     seed: int,
     *,
     backend: str = "event",
-    trace: Any = "pulses",
+    trace: str = "none",
 ) -> JudgedRun:
     """Build one registry-keyed CPS case, attach its monitors, run it.
 

@@ -6,8 +6,8 @@ the :class:`~repro.sim.runtime.SimulationChecks` hook) and emits
 structured :class:`Violation` records the moment a bound is exceeded.
 Monitors hold only the state a streaming evaluation needs — per-pulse
 aggregates are discarded as soon as every honest node has contributed —
-so they compose with arbitrarily long runs and with the
-``TraceLevel.PULSES`` fast path (no full trace is ever allocated).
+so they compose with arbitrarily long runs and with ``trace="none"``
+(no trace record is ever allocated).
 
 The six monitors and their claims:
 

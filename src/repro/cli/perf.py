@@ -11,7 +11,7 @@
 ``perf list``
     Print the history: the trajectory of every workload.
 ``perf overhead``
-    Telemetry on/off and trace ``full``/``pulses`` as ratios against a
+    Telemetry on/off and trace ``full``/``none`` as ratios against a
     bare run; exits non-zero when observing changed a pulse or costs
     more than its limit.
 """

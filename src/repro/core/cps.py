@@ -43,7 +43,7 @@ from repro.sim.errors import ConfigurationError
 from repro.sim.network import DelayPolicy, NetworkConfig
 from repro.sim.runtime import NodeAPI, TimedProtocol
 from repro.sim.scheduler import Simulation
-from repro.sim.trace import Trace, TraceSpec
+from repro.sim.trace import Trace
 from repro.sync.approx_agreement import midpoint_rule
 from repro.sync.crusader import BOT
 
@@ -312,8 +312,7 @@ def assemble_cps_simulation(
     delay_policy: Optional[DelayPolicy] = None,
     u_tilde: Optional[float] = None,
     seed: int = 0,
-    trace: TraceSpec = "full",
-    checks=None,
+    trace: str = "full",
     dynamics=None,
     network_timing: Optional[Tuple[float, float]] = None,
     node: Callable[..., TimedProtocol] = CpsNode,
@@ -334,11 +333,10 @@ def assemble_cps_simulation(
     comes from the drift registry
     (``scenarios.create("drift", key, params, seed)``).  Initial clock
     offsets are validated against the ``H_v(0) in [0, S]``
-    assumption of Figure 3.  ``checks`` installs a streaming
-    :class:`~repro.sim.runtime.SimulationChecks` observer (conformance
-    monitors; see :mod:`repro.checks`); ``dynamics`` installs a
+    assumption of Figure 3.  ``dynamics`` installs a
     :class:`~repro.sim.runtime.DynamicsHook` (churn schedules; see
-    :mod:`repro.dynamics`).
+    :mod:`repro.dynamics`); monitors are attached afterwards through
+    ``simulation.attach_checks``.
 
     ``network_timing`` overrides the network's ``(d, u)`` independently
     of the protocol parameters — the ``overlay=off`` ablation runs the
@@ -364,6 +362,5 @@ def assemble_cps_simulation(
         delay_policy=delay_policy,
         f=params.f,
         trace=Trace(trace),
-        checks=checks,
         dynamics=dynamics,
     )

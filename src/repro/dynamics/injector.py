@@ -13,8 +13,7 @@ Every applied change is recorded (``applied``) and announced through
 *both* observation channels: the streaming-checks hook (``checks
 .on_annotate(..., "churn", ...)``, trace-level independent — this is
 what the :class:`~repro.checks.monitors.StabilizationMonitor` consumes)
-and the trace (a ``ProtocolRecord`` of kind ``"churn"`` at ``FULL``
-level).
+and a full trace (a ``ProtocolRecord`` of kind ``"churn"``).
 
 Churn events carry :data:`~repro.sim.events.PRIORITY_CHURN`, the lowest
 dispatch priority, so a membership change "at t" happens after every
@@ -38,6 +37,7 @@ from repro.dynamics.schedule import (
 )
 from repro.sim.events import PRIORITY_CHURN
 from repro.sim.runtime import DynamicsHook
+from repro.sim.trace import ProtocolRecord
 
 
 class ChurnController(DynamicsHook):
@@ -125,9 +125,10 @@ class ChurnController(DynamicsHook):
         details = {"action": kind, "node": node}
         if sim.checks is not None:
             sim.checks.on_annotate(sim.now, node, "churn", details)
-        sim.trace.protocol(
-            time=sim.now, node=node, kind="churn", details=details
-        )
+        if sim.trace.full:
+            sim.trace.records.append(
+                ProtocolRecord(sim.now, node, "churn", details)
+            )
 
     # ------------------------------------------------------------------
     # Helpers

@@ -5,12 +5,13 @@ turns the monitors into a counterexample **oracle**: Hypothesis
 strategies synthesize registry-keyed cases — delay policies within the
 ``d``/``u`` envelope, Byzantine behaviours composed from the registry's
 adversary primitives, fault schedules validated against the ``f``
-budget — and a driver runs each one through the scheduler's ``checks=``
-hook.  Any monitor FAIL is a found counterexample; Hypothesis shrinking
-reduces it to a minimal case that is serialized as a deterministic,
-content-hashed fixture; a fixture copied into
-``results/fuzz/promoted/`` is replayed by CI as a permanent regression
-gate.
+budget — and a driver judges each one with the monitors attached
+through ``attach_checks``
+(:func:`~repro.checks.conformance.judged_run`).  Any monitor FAIL is a
+found counterexample; Hypothesis shrinking reduces it to a minimal
+case that is serialized as a deterministic, content-hashed fixture; a
+fixture copied into ``results/fuzz/promoted/`` is replayed by CI as a
+permanent regression gate.
 
 ``strategies``
     The search spaces: :func:`valid_cps_cases`,

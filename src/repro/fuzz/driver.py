@@ -106,7 +106,6 @@ def search(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     max_interesting: int = DEFAULT_MAX_INTERESTING,
-    trace: Any = "pulses",
 ) -> FuzzReport:
     """Run ``budget`` examples of ``strategy`` through the oracle.
 
@@ -145,7 +144,7 @@ def search(
     @given(payload=space())
     def probe(payload: Dict[str, Any]) -> None:
         counter["executions"] += 1
-        run = replay_fixture(payload, trace=trace)
+        run = replay_fixture(payload)
         if not run.ok:
             captured["payload"] = payload
             captured["violations"] = [

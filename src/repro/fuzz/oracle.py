@@ -25,13 +25,9 @@ from repro.checks.monitors import (
 )
 
 
-def replay_fixture(
-    payload: Dict[str, Any], trace: Any = "pulses"
-) -> JudgedRun:
+def replay_fixture(payload: Dict[str, Any]) -> JudgedRun:
     """Re-execute a serialized fixture (same engine path as the search)."""
-    return judged_run(
-        payload["case"], payload["pulses"], payload["seed"], trace=trace
-    )
+    return judged_run(payload["case"], payload["pulses"], payload["seed"])
 
 
 def expectation_met(fixture: Dict[str, Any], run: JudgedRun) -> bool:

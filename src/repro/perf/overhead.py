@@ -1,6 +1,6 @@
 """What observing a run costs: two ratios against a bare run.
 
-One CPS system is run *bare* (``trace="pulses"``, no telemetry), under
+One CPS system is run *bare* (``trace="none"``, no telemetry), under
 an active telemetry session, and at ``trace="full"``, each the fastest
 of :data:`REPEATS` interleaved repeats in this process.  Both gates are
 ratios of walls taken seconds apart on one machine, so they need no
@@ -26,10 +26,10 @@ CASE = {
     "n": 9, "theta": 1.001, "d": 1.0, "u": 0.02,
     "adversary": "mimic-split", "delay": "skewing", "drift": "extreme",
 }
-BARE = ("pulses", False)
+BARE = ("none", False)
 #: label → ((trace level, telemetry on), ratio limit against BARE).
 OBSERVED = {
-    "telemetry on": (("pulses", True), MAX_TELEMETRY_RATIO),
+    "telemetry on": (("none", True), MAX_TELEMETRY_RATIO),
     "trace full": (("full", False), MAX_FULL_TRACE_RATIO),
 }
 

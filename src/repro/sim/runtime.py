@@ -12,7 +12,7 @@ only schedule future work through local-time timers; it has no access to
 real time, matching the model ("nodes have no access to the true time").
 
 Observation hooks stack on this interface without touching protocol
-code: ``checks=`` (streaming conformance monitors), ``dynamics=``
+code: ``attach_checks`` (streaming conformance monitors), ``dynamics=``
 (membership churn), and the telemetry handle
 (:mod:`repro.telemetry`, adopted from the ambient session) are all
 zero-cost when unused — each instrumentation site in the scheduler is
@@ -31,11 +31,10 @@ class SimulationChecks(abc.ABC):
     """Streaming observer the simulator feeds as an execution unfolds.
 
     Conformance monitors (:mod:`repro.checks`) implement this interface
-    and are attached to a :class:`~repro.sim.scheduler.Simulation` via
-    its ``checks=`` parameter (or :meth:`Simulation.attach_checks`).
-    The hook is fed directly from the scheduler — *independently of the
-    trace level* — so theorem-bound monitors compose with the
-    ``TraceLevel.PULSES``/``NONE`` fast paths without forcing full
+    and are attached to either engine through its ``attach_checks``
+    (:meth:`Simulation.attach_checks`).  The hook is fed directly from
+    the scheduler — *independently of the trace level* — so
+    theorem-bound monitors run at ``trace="none"`` without forcing full
     per-message trace allocation.
 
     Implementations must be passive: they may accumulate state and

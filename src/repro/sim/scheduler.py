@@ -27,8 +27,8 @@ pulse-quota stop condition is maintained as a counter instead of an
 O(honest) scan per event, and the queue's heap is accessed through a
 local hoisted out of the loop.  One rule holds at every per-message
 site: *work is done for a consumer only if the consumer exists* — a
-record is built for the trace at the level that stores it
-(:class:`~repro.sim.trace.TraceLevel`) or for an adversary hook that
+record is built for a trace that stores it (``trace.full``,
+:class:`~repro.sim.trace.Trace`) or for an adversary hook that
 somebody overrode (:func:`_live_hook`), and for nobody else.  Sends
 are a fan-out: a broadcast enters the simulation once
 (:meth:`Simulation.honest_fanout`; a unicast is its one-destination
@@ -40,11 +40,12 @@ ascending ``dst`` order, and pulse outputs are byte-identical across
 trace levels.
 
 Telemetry (:mod:`repro.telemetry`) follows the same
-zero-cost-when-unused contract as ``checks=`` and ``dynamics=``: with no
-handle attached every instrumentation site is a single ``is None`` test
-on a hoisted local, and with one attached the hot loop increments
-pre-hoisted counter slots — never allocating, never perturbing event
-order, so instrumented runs stay byte-identical to bare ones.
+zero-cost-when-unused contract as :meth:`Simulation.attach_checks` and
+``dynamics=``: with no handle attached every instrumentation site is a
+single ``is None`` test on a hoisted local, and with one attached the
+hot loop increments pre-hoisted counter slots — never allocating, never
+perturbing event order, so instrumented runs stay byte-identical to
+bare ones.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ from repro.sim.trace import (
     SendRecord,
     TimerRecord,
     Trace,
-    TraceLevel,
 )
 from repro.telemetry.context import active_telemetry
 
@@ -195,7 +195,7 @@ class _SimNodeAPI(NodeAPI):
         if checks is not None:
             checks.on_annotate(sim.now, self.node_id, kind, details)
         trace = sim.trace
-        if trace.level >= TraceLevel.FULL:
+        if trace.full:
             trace.records.append(
                 ProtocolRecord(sim.now, self.node_id, kind, details)
             )
@@ -320,7 +320,6 @@ class Simulation:
         delay_policy: Optional[DelayPolicy] = None,
         f: Optional[int] = None,
         trace: Optional[Trace] = None,
-        checks: Optional[SimulationChecks] = None,
         dynamics: Optional[DynamicsHook] = None,
     ) -> None:
         self.config = config
@@ -345,7 +344,7 @@ class Simulation:
         self.knowledge = SignatureKnowledge(self.faulty, config.tolerance)
         self.queue = EventQueue()
         self.trace = trace if trace is not None else Trace()
-        self.checks = checks
+        self.checks: Optional[SimulationChecks] = None
         # Telemetry: the ambient per-process session (how campaign
         # trials instrument simulations built inside registered
         # builders).  None without one, so uninstrumented runs pay a
@@ -520,7 +519,7 @@ class Simulation:
         on_honest_send = self._on_honest_send
         ctx = self._adversary_ctx
         telemetry = self.telemetry
-        trace_full = self.trace.level >= TraceLevel.FULL
+        trace_full = self.trace.full
         trace_records = self.trace.records
         # The SendRecord doubles as the trace entry and the adversary's
         # observation; build it once, and only when someone consumes it.
@@ -576,7 +575,7 @@ class Simulation:
         queue = self.queue
         heap = queue._heap
         telemetry = self.telemetry
-        trace_full = self.trace.level >= TraceLevel.FULL
+        trace_full = self.trace.full
         trace_records = self.trace.records
         for dst in dsts:
             chosen = delay
@@ -612,7 +611,7 @@ class Simulation:
         if self.dynamics is not None:
             self.dynamics.on_pulse(self, now, node, index)
         trace = self.trace
-        if trace.level >= TraceLevel.PULSES:
+        if trace.full:
             trace.records.append(PulseRecord(now, node, index, local))
         on_pulse = self._on_pulse
         if on_pulse is not None and node not in self.faulty:
@@ -681,7 +680,7 @@ class Simulation:
         faulty = self.faulty
         knowledge = self.knowledge
         ctx = self._adversary_ctx
-        trace_full = self.trace.level >= TraceLevel.FULL
+        trace_full = self.trace.full
         trace_records = self.trace.records
         # Telemetry hot-path slots: the loop indexes `telem_dispatch`
         # by event priority and bumps plain dict entries — no method

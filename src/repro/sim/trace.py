@@ -1,4 +1,4 @@
-"""Structured execution traces with selectable recording levels.
+"""Structured execution traces: a trace records everything or nothing.
 
 A :class:`Trace` collects typed records of everything observable in a
 simulation: sends, deliveries, timers, pulses, and protocol-specific events
@@ -6,69 +6,32 @@ simulation: sends, deliveries, timers, pulses, and protocol-specific events
 the examples' narrative output, and several tests that assert on *how* an
 outcome was reached rather than just on the outcome.
 
-Recording is tiered by :class:`TraceLevel`:
+A trace has one of two levels (:data:`LEVELS`):
 
-* ``FULL`` — every record type (the default; what tests and examples use).
-* ``PULSES`` — only :class:`PulseRecord` entries.  Campaign sweeps that
-  only tabulate skew metrics run here: no per-message ``SendRecord`` /
-  ``DeliveryRecord`` is allocated, except for an adversary hook that
-  was overridden to receive it — a large fraction of the simulator's
-  inner-loop cost.
-* ``NONE`` — nothing is recorded.
+* ``"full"`` — every record type (the default; what tests and examples
+  use).
+* ``"none"`` — nothing is recorded.  Campaign builders, the judges and
+  :func:`repro.build.build_simulation` run here: no per-message
+  ``SendRecord`` / ``DeliveryRecord`` is allocated, except for an
+  adversary hook that was overridden to receive it — a large fraction
+  of the simulator's inner-loop cost.
 
 The level only controls *recording*; pulse times themselves live on the
-simulation (``SimulationResult.pulses``) and are byte-identical across
-levels — asserted by ``tests/test_perf.py``.
+simulation (``SimulationResult.pulses``), stream to attached monitors at
+both levels, and are byte-identical across them — asserted by
+``tests/test_perf.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
-from typing import Any, Iterator, List, Optional, Union
+from typing import Any, Iterator, List, Optional
 
 from repro import did_you_mean
 
-
-class TraceLevel(IntEnum):
-    """How much of an execution a :class:`Trace` records."""
-
-    NONE = 0
-    PULSES = 1
-    FULL = 2
-
-    @classmethod
-    def coerce(
-        cls, value: Union["TraceLevel", str, int, None]
-    ) -> "TraceLevel":
-        """Accept a level, its lowercase name, or ``None`` (``FULL``).
-
-        Bools are rejected by name: ``bool`` is an ``int``, so
-        ``True`` would otherwise silently mean ``PULSES``.
-        """
-        if value is None:
-            return cls.FULL
-        names = [level.name.lower() for level in cls]
-        if isinstance(value, bool):
-            meant = "full" if value else "none"
-            raise ValueError(
-                f"trace={value!r} is not a trace level — "
-                f"did you mean {meant!r}? (choose from {names})"
-            )
-        if isinstance(value, str):
-            try:
-                return cls[value.upper()]
-            except KeyError:
-                raise ValueError(
-                    f"unknown trace level {value!r}"
-                    f"{did_you_mean(value, names)}; choose from {names}"
-                ) from None
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                f"{value!r} is not a valid TraceLevel; choose from {names}"
-            ) from None
+#: The names a :class:`Trace` (and every simulation builder's
+#: ``trace`` parameter) accepts.
+LEVELS = ("none", "full")
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,29 +88,22 @@ class ProtocolRecord:
 
 TraceRecord = Any
 
-#: What simulation builders accept for their ``trace`` parameter: a
-#: :class:`TraceLevel` or its lowercase name.
-TraceSpec = Union[TraceLevel, str]
-
 
 class Trace:
-    """An append-only, level-gated log of simulation records."""
+    """An append-only log of simulation records; ``full`` is False for
+    a trace that records nothing."""
 
-    __slots__ = ("level", "records")
+    __slots__ = ("full", "records")
 
-    def __init__(self, level: Union[TraceLevel, str, None] = None) -> None:
-        self.level = TraceLevel.coerce(level)
+    def __init__(self, level: str = "full") -> None:
+        if level not in LEVELS:
+            raise ValueError(
+                f"unknown trace level {level!r}"
+                f"{did_you_mean(str(level), LEVELS)}; "
+                f"choose from {list(LEVELS)}"
+            )
+        self.full = level == "full"
         self.records: List[TraceRecord] = []
-
-    # Convenience constructors -----------------------------------------
-
-    def pulse(self, **kwargs: Any) -> None:
-        if self.level >= TraceLevel.PULSES:
-            self.records.append(PulseRecord(**kwargs))
-
-    def protocol(self, **kwargs: Any) -> None:
-        if self.level >= TraceLevel.FULL:
-            self.records.append(ProtocolRecord(**kwargs))
 
     # Queries -----------------------------------------------------------
 

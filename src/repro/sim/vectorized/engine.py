@@ -69,7 +69,7 @@ from repro.sim.network import (
     RandomDelayPolicy,
 )
 from repro.sim.scheduler import SimulationResult
-from repro.sim.trace import Trace, TraceLevel, TraceSpec
+from repro.sim.trace import ProtocolRecord, PulseRecord, Trace
 from repro.sim.vectorized.delays import (
     class_delays,
     delay_rng,
@@ -325,8 +325,7 @@ class VectorizedSimulation:
         faulty: Sequence[int] = (),
         delay_policy: Optional[DelayPolicy] = None,
         u_tilde: Optional[float] = None,
-        seed: int = 0,
-        trace: TraceSpec = "pulses",
+        trace: str = "none",
     ) -> None:
         require_numpy()
         if len(clocks) != params.n:
@@ -364,7 +363,6 @@ class VectorizedSimulation:
                 f"delay policy {self.delay_policy.describe()} overrides "
                 "delay(), which only backend='event' evaluates"
             )
-        self.seed = seed
         self.trace = Trace(trace)
         self.checks: Any = None
         #: Surface parity with the scheduler: the vectorized backend
@@ -410,14 +408,11 @@ class VectorizedSimulation:
         honest = self.honest
         nh = len(honest)
         n = params.n
-        observing = self.checks is not None or (
-            self.trace.level >= TraceLevel.FULL
-        )
-        # Unobserved pulses are appended a round at a time; the trains
-        # of one node do not depend on the order a round emits them.
-        pulses_observed = self.checks is not None or (
-            self.trace.level >= TraceLevel.PULSES
-        )
+        # Observers (checks, a full trace) get every pulse in time
+        # order and every estimate.  Unobserved pulses are appended a
+        # round at a time: the trains of one node do not depend on the
+        # order a round emits them.
+        observing = self.checks is not None or self.trace.full
         table = self.table
         rng = (
             delay_rng(self.delay_policy)
@@ -448,7 +443,7 @@ class VectorizedSimulation:
         local = np.full(nh, params.S)
         for pulse_round in range(1, max_pulses + 1):
             pulse_real = table.real_times(local)
-            if pulses_observed:
+            if observing:
                 for i in np.argsort(pulse_real, kind="stable"):
                     self._emit_pulse(
                         pulses, float(pulse_real[i]), honest[i],
@@ -578,9 +573,9 @@ class VectorizedSimulation:
         local_time: float,
     ) -> None:
         pulses[node].append(time)
-        self.trace.pulse(
-            time=time, node=node, index=index, local_time=local_time
-        )
+        trace = self.trace
+        if trace.full:
+            trace.records.append(PulseRecord(time, node, index, local_time))
         if self.checks is not None:
             self.checks.on_pulse(time, node, index, local_time)
 
@@ -778,8 +773,8 @@ class VectorizedSimulation:
     def _annotate(
         self, time: float, node: int, kind: str, details: Any
     ) -> None:
-        self.trace.protocol(
-            time=time, node=node, kind=kind, details=details
-        )
+        trace = self.trace
+        if trace.full:
+            trace.records.append(ProtocolRecord(time, node, kind, details))
         if self.checks is not None:
             self.checks.on_annotate(time, node, kind, details)

@@ -19,7 +19,7 @@ model: pool workers are separate processes, each activating its own
 handle around its own trial, and serial mode runs trials one at a time.
 With no active session ``active_telemetry()`` returns ``None`` and the
 simulator's instrumentation reduces to ``is None`` tests — the same
-zero-cost-when-unused contract as ``checks=`` and ``dynamics=``.
+zero-cost-when-unused contract as ``attach_checks`` and ``dynamics=``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ trial, a perf-case run, an ad-hoc simulation).  The simulator feeds it
 from the hot path through pre-hoisted references — see
 ``Simulation.run`` — so the enabled-mode overhead is a dict increment
 per event and the disabled mode pays a single ``is None`` test, the
-same contract as the ``checks=`` and ``dynamics=`` hooks.
+same contract as the ``attach_checks`` and ``dynamics=`` hooks.
 
 Determinism contract
 --------------------

@@ -425,7 +425,7 @@ class TestCompare:
 
 
 # ----------------------------------------------------------------------
-# Scheduler integration: the checks= hook
+# Scheduler integration: attach_checks
 # ----------------------------------------------------------------------
 
 
@@ -449,18 +449,19 @@ class _RecordingChecks(CheckSet):
 
 
 class TestChecksHook:
-    def _build(self, checks=None, trace="pulses"):
+    def _build(self, checks=None, trace="none"):
         params = derive_parameters(1.001, 1.0, 0.02, 6)
         faulty = list(range(6 - params.f, 6))
-        return assemble_cps_simulation(
+        simulation = assemble_cps_simulation(
             params,
             faulty=faulty,
             behavior=SilentAdversary(),
             seed=7,
             clocks=scenarios.create("drift", "extreme", params),
             trace=trace,
-            checks=checks,
         )
+        simulation.attach_checks(checks)
+        return simulation
 
     def test_hook_sees_every_pulse_and_annotation(self):
         checks = _RecordingChecks()
@@ -478,11 +479,11 @@ class TestChecksHook:
         assert plain.pulses == checked.pulses
         assert plain.events_processed == checked.events_processed
 
-    def test_annotations_flow_at_pulses_trace_level(self):
+    def test_annotations_flow_at_none_trace_level(self):
         """The hook is independent of the trace level: Lemma 11 data
         arrives even when no ProtocolRecord is ever allocated."""
         checks = _RecordingChecks()
-        result = self._build(checks=checks, trace="pulses").run(
+        result = self._build(checks=checks, trace="none").run(
             max_pulses=5
         )
         assert "tcb-accept" in checks.annotations
@@ -673,7 +674,10 @@ class TestBrokenFixture:
         checks nothing."""
         payload = load_fixture(os.path.join(PROMOTED, fixture))
         assert payload["case"]["adversary"] == "rushing-echo"
-        run = replay_fixture(payload, trace="full")
+        run = judged_run(
+            payload["case"], payload["pulses"], payload["seed"],
+            trace="full",
+        )
         others = [
             estimate
             for record in run.result.trace.protocol_events("cps-round")
@@ -712,14 +716,14 @@ class TestTraceLevelDifferential:
     ):
         case = scenario_case(kind, key)
         by_level = {}
-        for level in ("pulses", "full"):
+        for level in ("none", "full"):
             run = judged_run(case, pulses=6, seed=seed, trace=level)
             by_level[level] = (
                 run.result.pulses,
                 run.result.events_processed,
                 [v.as_dict() for v in run.verdicts],
             )
-        assert by_level["pulses"] == by_level["full"]
+        assert by_level["none"] == by_level["full"]
 
 
 # ----------------------------------------------------------------------

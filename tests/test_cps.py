@@ -351,7 +351,7 @@ def _cps_outputs(monkeypatch, node_class, case, variant):
             ),
         ),
     )
-    simulation = build_simulation(case, seed=2, trace="pulses").simulation
+    simulation = build_simulation(case, seed=2).simulation
     try:
         simulation.run(max_pulses=4)
         error = None

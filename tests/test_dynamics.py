@@ -66,7 +66,7 @@ def _crash_recover_schedule():
     )
 
 
-def _run(schedule, pulses=14, seed=0, n=6, trace="pulses"):
+def _run(schedule, pulses=14, seed=0, n=6, trace="none"):
     params = _params(n=n)
     controller = ChurnController(schedule, params)
     simulation = assemble_cps_simulation(
@@ -454,13 +454,13 @@ class TestChurnDeterminism:
                 "churn": key,
             }
             by_level = {}
-            for level in ("pulses", "full"):
+            for level in ("none", "full"):
                 run = judged_run(case, pulses=12, seed=7, trace=level)
                 by_level[level] = (
                     [v.as_dict() for v in run.verdicts],
                     run.result.pulses,
                 )
-            assert by_level["pulses"] == by_level["full"]
+            assert by_level["none"] == by_level["full"]
 
     def test_serial_and_pool_records_agree(self):
         definition = campaign_definition("CHURN-STRESS")

@@ -13,7 +13,7 @@ The satellite guarantees under test:
 * a default-budget search over the valid space finds nothing;
 * fixtures are content-hashed, byte-stable on disk, and replay
   deterministically — identical verdicts, pulse streams and event
-  counts across invocations and across ``PULSES`` vs ``FULL`` trace
+  counts across invocations and across the ``none`` and ``full`` trace
   levels;
 * a ``repro fuzz run`` find, copied into a promoted directory, replays
   through ``repro check fixture``, which prints every monitor's
@@ -34,6 +34,7 @@ from repro.checks.conformance import (
     CPS_BASE_CASE,
     RESYNC_PULSE_BUDGET,
     conformance_seed,
+    judged_run,
     scenario_case,
 )
 from repro.cli import main
@@ -367,10 +368,12 @@ class TestCorpus:
 # ----------------------------------------------------------------------
 
 
-def _replay(fixture, trace="pulses"):
+def _replay(fixture, trace="none"):
     """What a replay must reproduce: every verdict, the honest pulse
     streams and the number of events processed."""
-    run = replay_fixture(fixture, trace=trace)
+    run = judged_run(
+        fixture["case"], fixture["pulses"], fixture["seed"], trace=trace
+    )
     return (
         [verdict.as_dict() for verdict in run.verdicts],
         run.result.pulses,
@@ -391,7 +394,7 @@ class TestDeterminism:
 
     def test_replay_is_trace_level_independent(self, known_bad_report):
         fixture = known_bad_report.counterexample
-        assert _replay(fixture, "pulses") == _replay(fixture, "full")
+        assert _replay(fixture, "none") == _replay(fixture, "full")
 
     def test_valid_case_replay_is_deterministic(self):
         payload = {"case": CASE, "pulses": 5, "seed": 3}

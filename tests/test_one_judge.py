@@ -76,7 +76,7 @@ class _StubSimulation:
 
 
 def _stub_facade(monkeypatch, pulses):
-    def build_simulation(case, backend="event", seed=0, trace="pulses"):
+    def build_simulation(case, backend="event", seed=0, trace="none"):
         return BuiltSimulation(
             _StubSimulation(pulses),
             PARAMS,
@@ -167,8 +167,7 @@ def test_a_vectorized_stress_trial_runs_unobserved(monkeypatch):
     monkeypatch.setattr(VectorizedSimulation, "attach_checks", refuse)
     row = resolve_builder("cps-stress")(
         {"n": 40, "theta": 1.001, "d": 1.0, "u": 0.01},
-        MeasurementSpec(pulses=5, warmup=2, trace="none",
-                        backend="vectorized"),
+        MeasurementSpec(pulses=5, warmup=2, backend="vectorized"),
         0,
     )
     assert row["within"] and row["live"]

@@ -8,6 +8,7 @@ import pytest
 
 from repro import scenarios
 from repro.analysis.runner import run_pulse_trial
+from repro.build import build_simulation
 from repro.cli import main
 from repro.core.cps import assemble_cps_simulation
 from repro.core.params import derive_parameters
@@ -22,7 +23,7 @@ from repro.perf.history import (
     recording,
     trajectory,
 )
-from repro.sim.trace import Trace, TraceLevel
+from repro.sim.trace import Trace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -330,8 +331,8 @@ class TestOverhead:
     def fake_runs(self, monkeypatch):
         """``timed_run`` replaced by a table of (wall, pulses, events)."""
         table = {
-            ("pulses", False): (1.0, {0: [1.0, 2.0]}, 100),
-            ("pulses", True): (1.2, {0: [1.0, 2.0]}, 100),
+            ("none", False): (1.0, {0: [1.0, 2.0]}, 100),
+            ("none", True): (1.2, {0: [1.0, 2.0]}, 100),
             ("full", False): (1.5, {0: [1.0, 2.0]}, 100),
         }
         monkeypatch.setattr(
@@ -346,7 +347,7 @@ class TestOverhead:
         assert "trace full / bare: ratio 1.500" in out
 
     def test_dropped_pulse_exits_one(self, fake_runs, capsys):
-        fake_runs[("pulses", True)] = (1.2, {0: [1.0]}, 100)
+        fake_runs[("none", True)] = (1.2, {0: [1.0]}, 100)
         assert main(["perf", "overhead"]) == 1
         assert "pulses or event count differ" in capsys.readouterr().out
 
@@ -357,7 +358,7 @@ class TestOverhead:
     @pytest.mark.parametrize(
         "variant, limit",
         [
-            (("pulses", True), overhead.MAX_TELEMETRY_RATIO),
+            (("none", True), overhead.MAX_TELEMETRY_RATIO),
             (("full", False), overhead.MAX_FULL_TRACE_RATIO),
         ],
     )
@@ -378,49 +379,31 @@ class TestOverhead:
 
 
 class TestTraceLevels:
-    def test_coerce(self):
-        assert TraceLevel.coerce(None) is TraceLevel.FULL
-        assert TraceLevel.coerce("pulses") is TraceLevel.PULSES
-        assert TraceLevel.coerce(TraceLevel.FULL) is TraceLevel.FULL
-        assert TraceLevel.coerce(1) is TraceLevel.PULSES
-        with pytest.raises(ValueError):
-            TraceLevel.coerce("verbose")
-
-    def test_coerce_rejects_bools_by_name(self):
-        # bool is an int: without the explicit check True would
-        # silently mean PULSES (it used to mean FULL).
+    def test_two_names_accepted_others_refused(self):
+        assert Trace().full and Trace("full").full
+        assert not Trace("none").full
+        # "pulses" was a level; bool is an int, ints were levels too.
+        for value in ("pulses", "ful", 1, 7, True, False, None):
+            with pytest.raises(ValueError) as raised:
+                Trace(value)
+            assert str(raised.value).endswith(
+                "; choose from ['none', 'full']"
+            ), value
         with pytest.raises(ValueError, match="did you mean 'full'"):
-            TraceLevel.coerce(True)
-        with pytest.raises(ValueError, match="did you mean 'none'"):
-            TraceLevel.coerce(False)
-        with pytest.raises(ValueError, match="did you mean 'full'"):
-            Trace(True)
+            Trace("ful")
 
-    def test_coerce_hints_a_close_name(self):
-        with pytest.raises(ValueError) as raised:
-            TraceLevel.coerce("ful")
-        assert str(raised.value) == (
-            "unknown trace level 'ful' — did you mean 'full'?; "
-            "choose from ['none', 'pulses', 'full']"
-        )
-        with pytest.raises(ValueError) as raised:
-            TraceLevel.coerce("verbose")
-        assert "did you mean" not in str(raised.value)
-
-    def test_coerce_lists_the_choices_for_a_bad_number(self):
-        with pytest.raises(ValueError) as raised:
-            TraceLevel.coerce(7)
-        assert str(raised.value) == (
-            "7 is not a valid TraceLevel; "
-            "choose from ['none', 'pulses', 'full']"
-        )
-
-    def test_levels_gate_record_kinds(self):
-        pulses_only = Trace(level="pulses")
-        pulses_only.protocol(time=1.0, node=0, kind="k", details=None)
-        assert pulses_only.records == []
-        pulses_only.pulse(time=1.0, node=0, index=1, local_time=1.0)
-        assert len(pulses_only.records) == 1
+    @pytest.mark.parametrize("backend", ["event", "vectorized"])
+    def test_pulses_level_is_refused_by_the_facade(self, backend):
+        case = {"n": 4, "theta": 1.001, "d": 1.0, "u": 0.02}
+        for build in (
+            lambda: build_simulation(case, backend, trace="pulses"),
+            lambda: Trace("pulses"),
+        ):
+            with pytest.raises(ValueError) as raised:
+                build()
+            message = str(raised.value)
+            assert "'pulses'" in message
+            assert "'none'" in message and "'full'" in message
 
     def test_trace_level_none_matches_full_pulses(self):
         """The fast path is semantics-preserving: under every registry
@@ -451,19 +434,11 @@ class TestTraceLevels:
         for adversary in adversaries:
             full = run(adversary, "full")
             none = run(adversary, "none")
-            pulses = run(adversary, "pulses")
             assert none.pulses == full.pulses, adversary
-            assert pulses.pulses == full.pulses, adversary
-            assert (
-                none.events_processed
-                == pulses.events_processed
-                == full.events_processed
-            ), adversary
-            assert none.end_time == pulses.end_time == full.end_time
+            assert none.events_processed == full.events_processed
+            assert none.end_time == full.end_time
             assert none.trace.records == []
-            assert (
-                len(full.trace.records) > len(pulses.trace.records) > 0
-            )
+            assert full.trace.records
 
 
 class TestVerifyCache:

@@ -318,13 +318,13 @@ class TestHookLiveness:
         sends = _counted(monkeypatch, "SendRecord")
         deliveries = _counted(monkeypatch, "DeliveryRecord")
         silent = build_simulation(
-            {**self.CASE, "adversary": "silent"}, seed=3, trace="pulses"
+            {**self.CASE, "adversary": "silent"}, seed=3, trace="none"
         ).simulation
         assert silent.run(max_pulses=4).events_processed > 100
         assert sends == [] and deliveries == []
 
         replay = build_simulation(
-            {**self.CASE, "adversary": "replay"}, seed=3, trace="pulses"
+            {**self.CASE, "adversary": "replay"}, seed=3, trace="none"
         ).simulation
         heard = []
         on_deliver = replay.behavior.on_deliver
@@ -354,7 +354,7 @@ class TestHookLiveness:
             sim.behavior = observer = Observer()
             return sim, observer, sim.run(max_pulses=3)
 
-        sim, lean, lean_result = run("pulses")
+        sim, lean, lean_result = run("none")
         full_sim, full, full_result = run("full")
         assert lean_result.pulses == full_result.pulses
         traced_sends = list(full_sim.trace.of_type(SendRecord))
@@ -524,16 +524,16 @@ class TestFanOutEquivalence:
         """A hook runs iff it is overridden, however that was done, and
         with no record in the trace to pay for it."""
         one, one_result = self.chatter_run(
-            delay_key, _fan_broadcast, shape, "pulses"
+            delay_key, _fan_broadcast, shape, "none"
         )
         many, many_result = self.chatter_run(
-            delay_key, _fan_unicast, shape, "pulses"
+            delay_key, _fan_unicast, shape, "none"
         )
         assert _queue_state(one) == _queue_state(many)
         assert one_result.pulses == many_result.pulses
         assert one_result.events_processed == many_result.events_processed
         _unheard, quiet = self.chatter_run(
-            delay_key, _fan_broadcast, "none", "pulses"
+            delay_key, _fan_broadcast, "none", "none"
         )
         rushed = one_result.events_processed > quiet.events_processed
         assert rushed == (shape != "none")

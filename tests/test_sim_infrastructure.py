@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.build import build_simulation
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.sim.errors import ConfigurationError, ForgeryError, ModelViolation
 from repro.sim.events import (
@@ -25,6 +26,7 @@ from repro.sim.network import (
     SkewingDelayPolicy,
 )
 from repro.sim.trace import (
+    ProtocolRecord,
     PulseRecord,
     SendRecord,
     TimerRecord,
@@ -321,8 +323,8 @@ class TestTrace:
         trace = Trace()
         trace.records.append(SendRecord(0.0, 0, 1, "m", 1.0, True))
         trace.records.append(TimerRecord(1.0, 1, "t", 1.1))
-        trace.pulse(time=1.5, node=1, index=1, local_time=1.6)
-        trace.protocol(time=2.0, node=1, kind="cps-round", details={})
+        trace.records.append(PulseRecord(1.5, 1, 1, 1.6))
+        trace.records.append(ProtocolRecord(2.0, 1, "cps-round", {}))
         assert len(trace.records) == 4
         assert len(list(trace.of_type(SendRecord))) == 1
         assert len(list(trace.of_type(TimerRecord))) == 1
@@ -331,6 +333,7 @@ class TestTrace:
         assert trace.protocol_events("other") == []
 
     def test_disabled_trace_records_nothing(self):
-        trace = Trace("none")
-        trace.pulse(time=1.0, node=0, index=1, local_time=1.0)
-        assert trace.records == []
+        simulation = build_simulation({"n": 4}, trace="none").simulation
+        result = simulation.run(max_pulses=3)
+        assert not simulation.trace.full
+        assert result.pulses[0] and result.trace.records == []

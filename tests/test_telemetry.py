@@ -3,8 +3,9 @@
 The load-bearing guarantees:
 
 * **Zero perturbation** — instrumented and bare runs of the same
-  simulation produce identical pulse streams and event counts; PULSES
-  and FULL trace levels produce identical telemetry snapshots.
+  simulation produce identical pulse streams and event counts; the
+  ``none`` and ``full`` trace levels produce identical telemetry
+  snapshots.
 * **Sidecar determinism** — campaign ``.telemetry.json`` payloads are
   byte-identical across worker counts.
 """
@@ -48,7 +49,7 @@ from repro.telemetry.progress import ProgressReporter
 PULSES = 8
 
 
-def build_small_cps(trace="pulses", n=5, seed=7):
+def build_small_cps(trace="none", n=5, seed=7):
     params = derive_parameters(1.001, 1.0, 0.02, n)
     faulty = list(range(n - params.f, n))
     return assemble_cps_simulation(
@@ -60,7 +61,7 @@ def build_small_cps(trace="pulses", n=5, seed=7):
     )
 
 
-def run_instrumented_cps(trace="pulses", **kwargs):
+def run_instrumented_cps(trace="none", **kwargs):
     clear_verify_cache()
     telemetry = Telemetry(label="test")
     with telemetry_session(telemetry):
@@ -102,12 +103,12 @@ class TestZeroPerturbation:
         assert snapshot["spans"] == {"sim.run": 1}
 
     def test_trace_level_does_not_change_telemetry(self):
-        """The PULSES fast path and FULL tracing observe the same
+        """An unrecorded and a fully traced run observe the same
         execution, so their snapshots must be identical."""
-        pulses_telemetry, pulses_result = run_instrumented_cps("pulses")
+        none_telemetry, none_result = run_instrumented_cps("none")
         full_telemetry, full_result = run_instrumented_cps("full")
-        assert pulses_result.pulses == full_result.pulses
-        assert pulses_telemetry.as_dict() == full_telemetry.as_dict()
+        assert none_result.pulses == full_result.pulses
+        assert none_telemetry.as_dict() == full_telemetry.as_dict()
 
     def test_snapshot_counts_spans_and_carries_no_wall_clock(self):
         telemetry, _result = run_instrumented_cps()

@@ -379,12 +379,8 @@ class TestBlocks:
         split, _ = _block_run(spec, rows)
         assert _same_execution(whole, split)
 
-        whole_judged, whole_verdicts = _block_run(
-            spec, None, trace="pulses", judged=True
-        )
-        split_judged, split_verdicts = _block_run(
-            spec, rows, trace="pulses", judged=True
-        )
+        whole_judged, whole_verdicts = _block_run(spec, None, judged=True)
+        split_judged, split_verdicts = _block_run(spec, rows, judged=True)
         assert whole_verdicts == split_verdicts
         assert _same_execution(whole, whole_judged)
         assert _same_execution(whole, split_judged)
@@ -478,7 +474,7 @@ class TestLemma10:
     )
 
     @staticmethod
-    def _late_pairs(faulty, trace="pulses", cut=True):
+    def _late_pairs(faulty, trace="none", cut=True):
         # Perfect clocks, so every round-1 message arrives theta S +
         # delay after the receiver's pulse.  A window cut between d - u
         # and d (parameters Lemma 10 does not cover; the links keep the
@@ -754,12 +750,14 @@ class TestEnginesRefuseAlike:
                   drift="extreme"),
             case,
         ):
-            event = build_simulation(event_case, seed=1).simulation
+            event = build_simulation(
+                event_case, seed=1, trace="full"
+            ).simulation
             event.run(max_pulses=3)
             resumed = event.run(max_pulses=6)
-            fresh = build_simulation(event_case, seed=1).simulation.run(
-                max_pulses=6
-            )
+            fresh = build_simulation(
+                event_case, seed=1, trace="full"
+            ).simulation.run(max_pulses=6)
             assert resumed.pulses == fresh.pulses
             assert resumed.events_processed == fresh.events_processed
             assert resumed.end_time == fresh.end_time
@@ -767,7 +765,7 @@ class TestEnginesRefuseAlike:
             assert resumed.trace.records == fresh.trace.records
             assert _pulse_records(event) == 6 * len(event.honest)
         vector = build_simulation(
-            case, seed=1, backend="vectorized"
+            case, seed=1, backend="vectorized", trace="full"
         ).simulation
         first = vector.run(max_pulses=3)
         with pytest.raises(ConfigurationError, match="runs once"):
