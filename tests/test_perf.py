@@ -389,8 +389,64 @@ class TestTraceLevels:
             assert str(raised.value).endswith(
                 "; choose from ['none', 'full']"
             ), value
-        with pytest.raises(ValueError, match="did you mean 'full'"):
+
+    def test_refuses_bools_by_name(self):
+        # bool is an int: True once meant FULL, and a numbered level
+        # would have read it as 1.
+        for value in (True, False):
+            with pytest.raises(ValueError) as raised:
+                Trace(value)
+            assert str(raised.value) == (
+                f"unknown trace level {value}; choose from ['none', 'full']"
+            )
+
+    def test_hints_a_close_name(self):
+        with pytest.raises(ValueError) as raised:
             Trace("ful")
+        assert str(raised.value) == (
+            "unknown trace level 'ful' — did you mean 'full'?; "
+            "choose from ['none', 'full']"
+        )
+        with pytest.raises(ValueError) as raised:
+            Trace("verbose")
+        assert "did you mean" not in str(raised.value)
+
+    def test_lists_the_choices_for_a_bad_number(self):
+        with pytest.raises(ValueError) as raised:
+            Trace(7)
+        assert str(raised.value) == (
+            "unknown trace level 7; choose from ['none', 'full']"
+        )
+
+    @pytest.mark.parametrize(
+        "backend, kinds",
+        [
+            (
+                "event",
+                {
+                    "DeliveryRecord",
+                    "ProtocolRecord",
+                    "PulseRecord",
+                    "SendRecord",
+                    "TimerRecord",
+                },
+            ),
+            ("vectorized", {"ProtocolRecord", "PulseRecord"}),
+        ],
+    )
+    def test_levels_gate_record_kinds(self, backend, kinds):
+        """``full`` keeps every kind the engine emits; ``none`` keeps
+        nothing, pulse records included."""
+        case = {"n": 4, "theta": 1.001, "d": 1.0, "u": 0.02}
+
+        def kinds_at(level):
+            built = build_simulation(case, backend, trace=level)
+            outcome = run_pulse_trial(built.simulation, 4, warmup=1)
+            assert outcome.result is not None, outcome.error
+            return {type(r).__name__ for r in outcome.result.trace.records}
+
+        assert kinds_at("full") == kinds
+        assert kinds_at("none") == set()
 
     @pytest.mark.parametrize("backend", ["event", "vectorized"])
     def test_pulses_level_is_refused_by_the_facade(self, backend):
