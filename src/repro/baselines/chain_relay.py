@@ -26,6 +26,12 @@ Honest estimates of the same origination differ by up to
 ``(u + (theta-1) d)`` *per hop*, and the adversary can stretch chains to
 length ``f + 1``, so the skew is Θ(f (u + (theta-1) d)) — reproduced by
 experiment E6 as the linear-in-n column between Θ(d) relays and CPS.
+
+In every committed run each node reaches its own due time before the
+first chain arrives, so nobody relays: E6 measures adoption of origins
+from one-hop chains, and only a unit test drives the relay branch.
+:func:`build_chain_simulation` runs it on CPS's wiring,
+``assemble_cps_simulation(..., node=ChainRelayNode)``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
-from repro.baselines.relay import relay_simulation
+from repro.core.cps import assemble_cps_simulation, wandering_clocks
 from repro.core.params import time_tolerance
 from repro.crypto.signatures import Signature, verify
 from repro.sim.adversary import ByzantineBehavior
@@ -73,7 +79,8 @@ class ChainMessage:
 
 @dataclass(frozen=True)
 class ChainParameters:
-    """Timing for the chain-relay pulser."""
+    """Timing for the chain-relay pulser; ``S`` bounds the initial
+    clock offsets, ``H_v(0) in [0, S]``."""
 
     n: int
     f: int
@@ -81,9 +88,11 @@ class ChainParameters:
     d: float
     u: float
     period: float
-    initial_skew: float
+    S: float
 
     def __post_init__(self) -> None:
+        if self.theta < 1.0:
+            raise ConfigurationError(f"theta must be >= 1, got {self.theta}")
         if self.f > math.ceil(self.n / 2) - 1:
             raise ConfigurationError(
                 f"chain pulser needs f <= ceil(n/2)-1, got f={self.f}"
@@ -117,7 +126,7 @@ class ChainParameters:
         the drift over a period and the current pulse spread (the initial
         offset bound in round 1, the steady-state bound afterwards).
         """
-        base = self.initial_skew if pulse_round <= 1 else self.skew_bound
+        base = self.S if pulse_round <= 1 else self.skew_bound
         return (hops + 1) * self.hop_slack + self.drift_per_period + base
 
     @property
@@ -137,15 +146,15 @@ def derive_chain_parameters(
     u: float,
     n: int,
     f: Optional[int] = None,
-    initial_skew: Optional[float] = None,
+    S: Optional[float] = None,
 ) -> ChainParameters:
     """Defaults with a comfortably feasible period."""
     if f is None:
         f = math.ceil(n / 2) - 1
-    if initial_skew is None:
-        initial_skew = d
-    period = 4.0 * theta * (f + 2.0) * theta * d + 4.0 * initial_skew
-    return ChainParameters(n, f, theta, d, u, period, initial_skew)
+    if S is None:
+        S = d
+    period = 4.0 * theta * (f + 2.0) * theta * d + 4.0 * S
+    return ChainParameters(n, f, theta, d, u, period, S)
 
 
 class ChainRelayNode(TimedProtocol):
@@ -160,7 +169,7 @@ class ChainRelayNode(TimedProtocol):
         self._pulsed: Set[int] = set()
 
     def on_start(self, api: NodeAPI) -> None:
-        due = self.params.initial_skew + self.params.period
+        due = self.params.S + self.params.period
         self._due_local[1] = due
         api.set_timer(due, ("due", 1))
 
@@ -307,8 +316,18 @@ def build_chain_simulation(
     seed: int = 0,
     trace: str = "full",
 ) -> Simulation:
-    """Wire a ready-to-run chain-relay simulation."""
-    return relay_simulation(
-        params, ChainRelayNode, 60.0, clocks, faulty, behavior,
-        delay_policy, seed, trace,
+    """Wire a ready-to-run chain-relay simulation.  The default clocks
+    are CPS's wandering draw, one rate a period for 60 periods."""
+    if clocks is None:
+        schedule = (60.0 * params.period, params.period)
+        clocks = wandering_clocks(params, seed, [None] * params.n, schedule)
+    return assemble_cps_simulation(
+        params,
+        clocks,
+        faulty,
+        behavior,
+        delay_policy,
+        seed=seed,
+        trace=trace,
+        node=ChainRelayNode,
     )

@@ -14,6 +14,9 @@ uncertainty ``u`` is.  This is exactly the baseline the paper's
 introduction calls out ("these algorithms have skew Θ(d) >> u"); CPS's
 whole contribution is replacing this one-shot threshold trigger with a
 measured approximate-agreement step to get skew ``Θ(u + (theta-1) d)``.
+
+:func:`build_st_simulation` runs it on CPS's wiring,
+``assemble_cps_simulation(..., node=SrikanthTouegNode)``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
-from repro.baselines.relay import relay_simulation
+from repro.core.cps import assemble_cps_simulation, wandering_clocks
 from repro.crypto.signatures import Signature, verify
 from repro.sim.adversary import ByzantineBehavior
 from repro.sim.clocks import HardwareClock
@@ -64,7 +67,8 @@ class StParameters:
 
     ``period`` is the local time between a pulse and the next round
     becoming due; it must exceed the worst-case catch-up lag
-    (``theta * (d + initial_skew)``) for liveness.
+    (``theta * (d + S)``) for liveness.  ``S`` bounds the initial
+    clock offsets, ``H_v(0) in [0, S]``, as CPS's ``S`` does.
     """
 
     n: int
@@ -73,17 +77,19 @@ class StParameters:
     d: float
     u: float
     period: float
-    initial_skew: float
+    S: float
 
     def __post_init__(self) -> None:
         import math
 
+        if self.theta < 1.0:
+            raise ConfigurationError(f"theta must be >= 1, got {self.theta}")
         if self.f > math.ceil(self.n / 2) - 1:
             raise ConfigurationError(
                 f"signed-relay pulser needs f <= ceil(n/2)-1, got "
                 f"f={self.f}, n={self.n}"
             )
-        floor = self.theta * (self.d + self.initial_skew) * 2.0
+        floor = self.theta * (self.d + self.S) * 2.0
         if self.period < floor:
             raise ConfigurationError(
                 f"period {self.period} below liveness floor {floor}"
@@ -101,17 +107,17 @@ def derive_st_parameters(
     u: float,
     n: int,
     f: Optional[int] = None,
-    initial_skew: Optional[float] = None,
+    S: Optional[float] = None,
 ) -> StParameters:
     """Reasonable defaults: period at twice the liveness floor."""
     import math
 
     if f is None:
         f = math.ceil(n / 2) - 1
-    if initial_skew is None:
-        initial_skew = d
-    period = 4.0 * theta * (d + initial_skew)
-    return StParameters(n, f, theta, d, u, period, initial_skew)
+    if S is None:
+        S = d
+    period = 4.0 * theta * (d + S)
+    return StParameters(n, f, theta, d, u, period, S)
 
 
 class SrikanthTouegNode(TimedProtocol):
@@ -124,7 +130,7 @@ class SrikanthTouegNode(TimedProtocol):
         self._votes: Dict[int, Dict[int, Signature]] = {}
 
     def on_start(self, api: NodeAPI) -> None:
-        api.set_timer(self.params.initial_skew + self.params.period, ("due", 1))
+        api.set_timer(self.params.S + self.params.period, ("due", 1))
 
     def on_timer(self, api: NodeAPI, tag: Any) -> None:
         kind, pulse_round = tag
@@ -225,8 +231,19 @@ def build_st_simulation(
     seed: int = 0,
     trace: str = "full",
 ) -> Simulation:
-    """Wire a ready-to-run signed-relay pulser simulation."""
-    return relay_simulation(
-        params, SrikanthTouegNode, 100.0, clocks, faulty, behavior,
-        delay_policy, seed, trace,
+    """Wire a ready-to-run signed-relay pulser simulation.  The
+    default clocks are CPS's wandering draw, one rate a period for 100
+    periods."""
+    if clocks is None:
+        schedule = (100.0 * params.period, params.period)
+        clocks = wandering_clocks(params, seed, [None] * params.n, schedule)
+    return assemble_cps_simulation(
+        params,
+        clocks,
+        faulty,
+        behavior,
+        delay_policy,
+        seed=seed,
+        trace=trace,
+        node=SrikanthTouegNode,
     )

@@ -30,13 +30,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.messages import TcbMessage, tcb_tag
-from repro.core.params import ProtocolParameters
+from repro.core.params import ProtocolParameters, time_tolerance
 from repro.core.tcb import TcbInstance, TcbState, offset_estimate
 from repro.sim.clocks import (
     ClockEnsemble,
     Draws,
     HardwareClock,
     Row,
+    Schedule,
     validate_initial_skew,
 )
 from repro.sim.errors import ConfigurationError
@@ -275,19 +276,28 @@ class CpsNode(TimedProtocol):
 
 
 def wandering_clocks(
-    params: ProtocolParameters, seed: int, entries: List[Optional[Row]]
+    params: Any,
+    seed: int,
+    entries: List[Optional[Row]],
+    schedule: Optional[Schedule] = None,
 ) -> ClockEnsemble:
     """The ensemble of ``entries``, each ``None`` a wandering clock:
-    offset in ``[0, S]``, then rates in ``[1, theta]`` re-drawn over
-    ``[0, 200 d]`` — drawn from ``Random(seed)`` clock by clock in node
-    order, offset first (the order every seeded artifact depends on).
+    offset in ``[0, S]``, then a rate in ``[1, theta]`` per step of
+    ``schedule`` — CPS's default is every ``5 d`` over ``[0, 200 d]``
+    — drawn from ``Random(seed)`` clock by clock in node order, offset
+    first (the order every seeded artifact depends on).  ``params`` is
+    any record with ``theta``, ``d`` and ``S``: the relay baselines
+    draw their clocks here too, on their own schedule.
     """
-    horizon = 200.0 * params.d
-    schedule = (horizon, max(horizon / 40.0, params.d))
+    if schedule is None:
+        horizon = 200.0 * params.d
+        schedule = (horizon, max(horizon / 40.0, params.d))
     draws = Draws.take(
         random.Random(seed), entries.count(None), schedule, params.S
     )
-    return ClockEnsemble(entries, params.theta, draws, params.tolerance)
+    return ClockEnsemble(
+        entries, params.theta, draws, time_tolerance(params.d)
+    )
 
 
 def default_clocks(
@@ -328,7 +338,9 @@ def assemble_cps_simulation(
 
     Every node runs ``node(params, **node_kwargs)``: :class:`CpsNode`
     with its ablation hooks, or another protocol on the same wiring
-    (:class:`~repro.baselines.lynch_welch.LynchWelchNode`).
+    (:class:`~repro.baselines.lynch_welch.LynchWelchNode`, or a relay
+    baseline's node with its own record of ``n``, ``f``, ``theta``,
+    ``d``, ``u`` and ``S``).
     ``clocks`` defaults to the seeded ``random`` ensemble; any other
     comes from the drift registry
     (``scenarios.create("drift", key, params, seed)``).  Initial clock
@@ -349,8 +361,9 @@ def assemble_cps_simulation(
     config = NetworkConfig(params.n, net_d, net_u, u_tilde)
     if clocks is None:
         clocks = default_clocks(params, seed=seed)
+    excluded = set(faulty)
     validate_initial_skew(
-        [clocks[v] for v in range(params.n) if v not in set(faulty)],
+        [clocks[v] for v in range(params.n) if v not in excluded],
         params.S,
     )
     return Simulation(

@@ -218,23 +218,6 @@ class Draws(NamedTuple):
         )
 
 
-def random_drift_row(
-    rng,
-    theta: float,
-    offset: float = 0.0,
-    horizon: float = 1000.0,
-    segment_length: float = 10.0,
-) -> Row:
-    """A row whose rate re-draws uniformly from ``[1, theta]`` every
-    ``segment_length`` over ``[0, horizon]`` and is 1 afterwards: the
-    :func:`drift_row` of ``rng``'s next draws.  The schedule is
-    computed once per ``(horizon, segment_length)``."""
-    schedule = (horizon, segment_length)
-    durations, _ = drift_schedule(*schedule)
-    draws = starmap(rng.random, repeat((), len(durations)))
-    return drift_row(offset, draws, theta, schedule)
-
-
 class HardwareClock:
     """A strictly increasing piecewise-linear hardware clock.
 
@@ -376,10 +359,13 @@ class HardwareClock:
         """A clock whose rate re-draws uniformly from ``[1, theta]``.
 
         ``rng`` is a :class:`random.Random` (or anything with its
-        ``random()``); the draw schedule covers ``[0, horizon]`` and
-        continues at rate 1 afterwards (:func:`random_drift_row`).
+        ``random()``); the rate re-draws every ``segment_length`` over
+        ``[0, horizon]`` and is 1 afterwards: the :func:`drift_row` of
+        ``rng``'s next draws.
         """
-        row = random_drift_row(rng, theta, offset, horizon, segment_length)
+        schedule = (horizon, segment_length)
+        draws = [rng.random() for _ in drift_schedule(*schedule)[0]]
+        row = drift_row(offset, draws, theta, schedule)
         return cls.over_row(check_row(row, theta), theta)
 
     @classmethod

@@ -9,6 +9,7 @@ from repro.analysis.metrics import (
 )
 from repro.baselines.chain_relay import (
     ChainMessage,
+    ChainRelayNode,
     ChainStretchAttack,
     build_chain_simulation,
     chain_tag,
@@ -47,6 +48,39 @@ def extreme_clocks(n, theta, offset):
         )
         for v in range(n)
     ]
+
+
+@pytest.mark.parametrize(
+    "derive", [derive_st_parameters, derive_chain_parameters]
+)
+def test_relay_records_refuse_theta_below_one(derive):
+    # A rate below 1 is no hardware clock: the record refuses it, as
+    # ProtocolParameters does, before any clock is drawn.
+    with pytest.raises(ConfigurationError, match="theta must be >= 1"):
+        derive(0.9, 1.0, 0.01, 4)
+
+
+class _RecordingApi:
+    """The calls a :class:`ChainRelayNode` makes, recorded."""
+
+    def __init__(self, pki, node_id, now):
+        self.node_id = node_id
+        self.now = now
+        self.key = pki.key_pair(node_id)
+        self.timers = []
+        self.sent = []
+
+    def local_time(self):
+        return self.now
+
+    def set_timer(self, local_when, tag):
+        self.timers.append((local_when, tag))
+
+    def broadcast(self, payload):
+        self.sent.append(payload)
+
+    def sign(self, value):
+        return self.key.sign(value)
 
 
 class TestLynchWelch:
@@ -133,7 +167,7 @@ class TestSrikanthToueg:
         honest = result.honest_pulses()
         assert check_liveness(honest, PULSES)
         # Relay propagation bounds the skew by ~d (plus slack).
-        assert max_skew(honest) <= params.d + params.initial_skew + 1e-9
+        assert max_skew(honest) <= params.d + params.S + 1e-9
 
     def test_rush_attack_keeps_liveness_but_skew_order_d(self):
         n = 6
@@ -150,7 +184,7 @@ class TestSrikanthToueg:
         honest = result.honest_pulses()
         assert check_liveness(honest, PULSES)
         measured = max_skew(honest)
-        assert measured <= params.d + params.initial_skew + 1e-9
+        assert measured <= params.d + params.S + 1e-9
         # The point of E6: the skew is Theta(d), nowhere near u.
         assert measured > 10 * params.u
 
@@ -196,6 +230,39 @@ class TestChainRelay:
             2, (pki.key_pair(0).sign(chain_tag(1)),)
         )
         assert not wrong_round.is_valid(3)
+
+    def test_a_received_chain_is_extended_and_accepted(self):
+        # No committed run gets here: every node reaches its own due
+        # time, and originates, before the first chain arrives.  Here
+        # both nodes receive d / 2 before they are due; S = 3 d widens
+        # the plausibility window enough to take such a chain.
+        params = derive_chain_parameters(1.001, 1.0, 0.02, 4, S=3.0)
+        assert params.f == 1
+        pki = PublicKeyInfrastructure(4)
+        now = params.S + params.period - params.d / 2
+        one_hop = ChainMessage(1, (pki.key_pair(0).sign(chain_tag(1)),))
+        relay = ChainRelayNode(params)
+        relay_api = _RecordingApi(pki, 1, now)
+        relay.on_start(relay_api)
+        relay.on_message(relay_api, 0, one_hop)
+        two_hop = ChainMessage(
+            1, one_hop.chain + (pki.key_pair(1).sign(chain_tag(1)),)
+        )
+        assert relay_api.sent == [two_hop]
+        origin = now - params.d
+        assert relay_api.timers[-1] == (
+            origin + params.pulse_delay, ("pulse", 1)
+        )
+        # A second node accepts the two-hop chain (it adopts the origin
+        # two delays back) and does not extend it past f + 1 signers.
+        acceptor = ChainRelayNode(params)
+        acceptor_api = _RecordingApi(pki, 2, now)
+        acceptor.on_start(acceptor_api)
+        acceptor.on_message(acceptor_api, 1, two_hop)
+        assert acceptor_api.timers[-1] == (
+            now - 2 * params.d + params.pulse_delay, ("pulse", 1)
+        )
+        assert acceptor_api.sent == []
 
     def test_fault_free_liveness(self):
         params = derive_chain_parameters(1.001, 1.0, 0.02, 6)

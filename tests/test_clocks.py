@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.sim.clocks import (
     ClockSegment,
     HardwareClock,
-    random_drift_row,
     rate_row,
     validate_initial_skew,
 )
@@ -123,8 +122,8 @@ class TestRandomDrift:
         self, horizon, segment_length
     ):
         # The row random.uniform and a per-row schedule loop built, bit
-        # for bit, from the same stream; each call hands out fresh
-        # lists although the schedule is computed once.
+        # for bit, from the same stream, clock after clock although the
+        # schedule is computed once.
         drawn, reference = random.Random(5), random.Random(5)
         for offset in (0.0, 0.03):
             durations = []
@@ -133,11 +132,13 @@ class TestRandomDrift:
                 durations.append(segment_length)
                 t += segment_length
             rates = [reference.uniform(1.0, 1.001) for _ in durations]
-            row = random_drift_row(
+            clock = HardwareClock.random_drift(
                 drawn, 1.001, offset, horizon, segment_length
             )
-            assert row == rate_row(durations, rates, 1.0, offset)
-            row[0].append(-1.0)
+            row = rate_row(durations, rates, 1.0, offset)
+            assert clock.segments() == [
+                ClockSegment(*piece) for piece in zip(*row)
+            ]
         assert drawn.random() == reference.random()
 
     @pytest.mark.parametrize(
@@ -155,14 +156,13 @@ class TestRandomDrift:
         # A non-positive step never reaches the horizon, and no step
         # reaches an infinite one: both used to append forever.
         def expire(signum, frame):
-            raise AssertionError("random_drift_row did not return")
+            raise AssertionError("random_drift did not return")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(3)
         try:
-            for build in (random_drift_row, HardwareClock.random_drift):
-                with pytest.raises(ClockError, match=named):
-                    build(random.Random(0), 1.01, **keywords)
+            with pytest.raises(ClockError, match=named):
+                HardwareClock.random_drift(random.Random(0), 1.01, **keywords)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
