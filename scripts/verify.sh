@@ -31,4 +31,13 @@ if [[ "$COV" -eq 1 ]]; then
   PYTEST_ARGS+=(--cov --cov-report=term-missing:skip-covered)
 fi
 
-python -m pytest "${PYTEST_ARGS[@]}"
+# The wall time of the whole pytest process, printed pass or fail:
+# pytest's own summary line is read before its exit-time cleanup of
+# old temporary directories, which can take longer than the tests.
+start_ns=$(date +%s%N)
+status=0
+python -m pytest "${PYTEST_ARGS[@]}" || status=$?
+wall_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+printf 'tier-1 process wall time: %d.%03d s (exit %d)\n' \
+  $((wall_ms / 1000)) $((wall_ms % 1000)) "$status"
+exit "$status"

@@ -805,9 +805,12 @@ def a1_campaign() -> CampaignSpec:
     the stagger amount — unless the rushed echo of the early copy gets
     it rejected.
     """
+    theta, u = 1.0005, 0.01
+    delta = derive_parameters(theta, 1.0, u, 6).delta
     return _mechanism_campaign(
         "A1", 10, "echo_rejection", (True, False),
-        theta=1.0005, u=0.01, adversary="mimic-split", stagger=1.5, seed=6,
+        theta=theta, u=u, adversary="mimic-split",
+        adversary_params={"stagger": 1.5 * delta}, seed=6,
     )
 
 
@@ -893,7 +896,7 @@ def a3_campaign() -> CampaignSpec:
     """
     return _mechanism_campaign(
         "A3", 8, "dealer_send_offset", (None, 0.0),
-        theta=1.04, u=0.45, faults=0, drift="extreme", seed=9,
+        theta=1.04, u=0.45, f=0, drift="extreme", seed=9,
     )
 
 
@@ -903,9 +906,9 @@ a3_table = _table(
         ("send offset", "send_offset", NAN),
         ("S", "bound_S", NAN),
         ("d-u", "d_minus_u", NAN),
-        ("honest ⊥ outputs", "honest_rejections", 0),
+        ("honest ⊥ outputs", "rejections", 0),
         ("measured skew", "max_skew", INF),
-        ("within S", "within_S", False),
+        ("within S", "within", False),
     ],
     note="With S > d-u, a dealer sending at its pulse reaches fast nodes "
     "before slow nodes have pulsed; the theta*S wait is what makes "

@@ -15,12 +15,12 @@ simulation from a registry-keyed case dict on either execution backend:
     adversary; churn and active Byzantine behaviours raise
     :class:`~repro.sim.vectorized.UnsupportedScenarioError`.
 
-Every CPS run in :mod:`repro` goes through this facade; the one
-low-level step underneath it is
+Every CPS run in :mod:`repro` goes through this facade, with no
+exception.  The one low-level step underneath it,
 :func:`repro.core.cps.assemble_cps_simulation` (explicit clocks,
-behaviours and hooks, event engine only), which code outside this
-module calls directly only where it needs something no case key names.
-The case-dict conventions:
+behaviours and hooks, event engine only), is called elsewhere in the
+package only to run another node on the same wiring (Lynch–Welch and
+the two signature relays pass ``node=``).  The case-dict conventions:
 
 >>> built = build_simulation(
 ...     {"n": 6, "adversary": "silent", "delay": "maximum",
@@ -64,6 +64,17 @@ ABLATABLE_COMPONENTS: Tuple[str, ...] = (
     "resync",
     "signatures",
     "tcb-filter",
+)
+
+
+#: The :class:`~repro.core.cps.CpsNode` constructor overrides a case may
+#: carry, each named as the constructor names it: Figure 2's echo
+#: rejection, Figure 3's ⊥-aware discard and the ``theta*S`` dealer send
+#: offset (experiments A1-A3).
+MECHANISM_KEYS: Tuple[str, ...] = (
+    "echo_rejection",
+    "discard_rule",
+    "dealer_send_offset",
 )
 
 
@@ -132,8 +143,10 @@ class BuiltSimulation:
     ``simulation`` exposes the engine-agnostic surface (``run`` /
     ``attach_checks`` / ``honest`` / ``dynamics``); ``params`` are the
     derived protocol parameters (the *overlay's* parameters when the
-    case names a topology); ``effective`` carries the effective
-    ``d_eff``/``u_eff`` the measurement should be judged against.
+    case names a topology); ``f`` is the resilience they are derived
+    for, whatever the case's ``f`` made faulty; ``effective`` carries
+    the effective ``d_eff``/``u_eff`` the measurement should be judged
+    against.
     """
 
     simulation: Any
@@ -183,9 +196,7 @@ def _case_parameters(
         # The one connectivity sweep of the build; the overlay's own
         # check reuses the number.
         connectivity = node_connectivity(graph)
-        f = case.get("f")
-        if f is None:
-            f = min(max_faults(n), connectivity - 1)
+        f = min(max_faults(n), connectivity - 1)
         overlay = simulate_full_connectivity(
             graph,
             uniform_timings(graph, d, u),
@@ -200,7 +211,7 @@ def _case_parameters(
         else:
             params = overlay.derive_parameters(theta)
     else:
-        params = derive_parameters(theta, d, u, n, f=case.get("f"))
+        params = derive_parameters(theta, d, u, n)
         f = params.f
         effective = {"d_eff": d, "u_eff": u}
     return params, f, effective, network_timing
@@ -214,55 +225,90 @@ def build_simulation(
 ) -> BuiltSimulation:
     """Assemble a CPS simulation from scenario-registry keys.
 
-    The case names each behaviour by registry key — ``adversary``,
-    ``delay``, ``drift``, optionally ``topology``, and optionally
-    ``churn`` — with optional ``*_params`` dicts forwarded to the
-    factories.  Without a topology the run uses the paper's base model
-    (a clique with the given ``d``/``u``); with one, the Appendix A
-    translation is applied first and CPS runs with the effective
-    ``(d_eff, u_eff)``.  The case dict is the whole description: no
-    object hook rides beside it, and monitors are attached afterwards
-    through ``simulation.attach_checks``.
+    The case dict is the whole description: no object hook rides
+    beside it, and monitors are attached afterwards through
+    ``simulation.attach_checks``.  The keys read:
 
-    A ``churn`` key attaches a fault schedule through the scheduler's
-    dynamics hook (event backend only).  An optional ``u_tilde`` case
-    key overrides the faulty-link uncertainty (experiment E8's
-    model-violation regime when ``u_tilde > u``).
+    ``n`` (required), ``theta``, ``d``, ``u``
+        The model (defaults ``1.001``, ``1.0``, ``0.01``).  Without a
+        ``topology`` the run uses the paper's base model, a clique with
+        these ``d``/``u``.
+    ``adversary``, ``delay``, ``drift``, ``topology``, ``churn``
+        Behaviours by registry key (defaults ``silent``, ``maximum``,
+        ``random``; no topology, no churn), each with an optional
+        ``<kind>_params`` dict forwarded to its factory.  A topology
+        applies the Appendix A translation first, and CPS runs with
+        the overlay's effective ``(d_eff, u_eff)``.  A churn schedule
+        attaches through the scheduler's dynamics hook and picks the
+        faulty nodes itself.
+    ``f``
+        How many nodes are faulty (the last ``f`` ids), from 0 up to
+        the derived resilience: ``max_faults(n)``, or at most the
+        overlay's ``connectivity - 1``.  It defaults to all of them.
+        The protocol is always parameterized for the derived
+        resilience, which ``BuiltSimulation.f`` and ``params.f``
+        report.
+    ``u_tilde``
+        Overrides the faulty-link uncertainty (experiment E8's
+        model-violation regime when ``u_tilde > u``).
+    ``ablate``
+        Protocol components to switch *off* (see
+        :data:`ABLATABLE_COMPONENTS` and :mod:`repro.ablation`);
+        unknown names raise :class:`UnknownComponentError`.
+    ``echo_rejection``, ``discard_rule``, ``dealer_send_offset``
+        :class:`~repro.core.cps.CpsNode` overrides
+        (:data:`MECHANISM_KEYS`), passed to every node as given.
 
-    An optional ``ablate`` key lists protocol components to switch
-    *off* (see :data:`ABLATABLE_COMPONENTS` and :mod:`repro.ablation`);
-    unknown names raise :class:`UnknownComponentError`.  Ablations are
-    event-backend only.
+    ``f`` out of range, ``f`` beside ``churn``, and ``discard_rule``
+    beside ``ablate: ["apa"]`` (both set the discard) raise
+    :class:`~repro.sim.errors.ConfigurationError`, as does an
+    ``apa``-tagged adversary (a Section 2 round-model behaviour), on
+    either backend.
 
     ``backend`` selects the engine; resolution failures raise
-    :class:`UnknownBackendError` and scenarios outside the vectorized
-    backend's support raise
+    :class:`UnknownBackendError`.  Scenarios outside the vectorized
+    backend's support (churn, an active adversary, fewer than all
+    faulty nodes, ``ablate`` or a mechanism key) raise
     :class:`~repro.sim.vectorized.UnsupportedScenarioError` at build
     time, never mid-run.  Identical ``(case, seed)`` inputs resolve
     identical clocks and parameters on both backends, which is what
-    the cross-backend differential suite leans on.  An ``apa``-tagged
-    adversary (a Section 2 round-model behaviour) raises
-    :class:`~repro.sim.errors.ConfigurationError` on either backend.
+    the cross-backend differential suite leans on.
     """
     from repro import scenarios
     from repro.core.cps import assemble_cps_simulation
+    from repro.sim.errors import ConfigurationError
 
     backend = resolve_backend(backend)
     n = case["n"]
     ablate = resolve_ablation(case.get("ablate"))
     params, f, effective, network_timing = _case_parameters(case, ablate)
+    faults = case.get("f", f)
+    if not 0 <= faults <= f:
+        raise ConfigurationError(
+            f"case key 'f' = {faults} faulty nodes is outside 0..{f}, "
+            f"the derived resilience"
+        )
+    churn_key = case.get("churn")
+    if churn_key is not None and "f" in case:
+        raise ConfigurationError(
+            "case keys 'f' and 'churn' exclude each other: the churn "
+            "schedule picks the faulty nodes"
+        )
+    mechanisms = {key: case[key] for key in MECHANISM_KEYS if key in case}
+    if "apa" in ablate and "discard_rule" in mechanisms:
+        raise ConfigurationError(
+            "case key 'discard_rule' and ablate 'apa' both set the "
+            "discard rule; name one"
+        )
     adversary_key = case.get("adversary", "silent")
     # Resolve through the registry first so typos keep their
     # did-you-mean behaviour on every backend.
     if "apa" in scenarios.REGISTRY.get("adversary", adversary_key).tags:
-        from repro.sim.errors import ConfigurationError
-
         raise ConfigurationError(
             f"adversary {adversary_key!r} is tagged 'apa': it runs on the "
             f"APA round model (repro.sync.approx_agreement.run_apa), not "
             f"in a CPS simulation"
         )
-    churn_key = case.get("churn")
     clocks = scenarios.create(
         "drift", case.get("drift", "random"), params, seed,
         **case.get("drift_params", {})
@@ -271,6 +317,7 @@ def build_simulation(
         "delay", case.get("delay", "maximum"), n,
         **case.get("delay_params", {})
     )
+    faulty = list(range(n - faults, n))
     if backend == "vectorized":
         from repro.sim.vectorized import (
             UnsupportedScenarioError,
@@ -281,6 +328,11 @@ def build_simulation(
             raise UnsupportedScenarioError(
                 "the vectorized backend does not support ablated "
                 "protocol components; use backend='event'"
+            )
+        if mechanisms:
+            raise UnsupportedScenarioError(
+                f"the vectorized backend does not support the CpsNode "
+                f"overrides {sorted(mechanisms)}; use backend='event'"
             )
         if churn_key is not None:
             raise UnsupportedScenarioError(
@@ -295,7 +347,7 @@ def build_simulation(
         simulation: Any = VectorizedSimulation(
             params,
             clocks=clocks,
-            faulty=list(range(n - f, n)) if f else [],
+            faulty=faulty,
             delay_policy=delay_policy,
             u_tilde=case.get("u_tilde"),
             trace=trace,
@@ -315,13 +367,11 @@ def build_simulation(
         resync_params = None if "resync" in ablate else params
         dynamics = ChurnController(schedule, resync_params)
         faulty = schedule.initially_corrupted(n)
-    else:
-        faulty = list(range(n - f, n)) if f else []
     behavior = scenarios.create(
         "adversary", adversary_key, params,
         **case.get("adversary_params", {})
     )
-    node_kwargs: Dict[str, Any] = {}
+    node_kwargs: Dict[str, Any] = dict(mechanisms)
     if "signatures" in ablate:
         node_kwargs["verify_signatures"] = False
     if "echo-amplification" in ablate:

@@ -17,15 +17,16 @@ The built-in builders carry the measurement logic of every experiment
 id (E1-E10, A1-A3, the registry-driven ``cps-stress``/``cps-churn``
 tiers, the ablation matrix, and the sharded ``fuzz-probe`` budgets);
 ``analysis/experiments.py`` declares the grids and the table columns.
-A CPS run is a case dict through :func:`repro.build.build_simulation`
-(see :func:`built_case`) and its row is :func:`cps_measurement` — the
+Every CPS run, E5's and E6's CPS arms included, is a case dict through
+:func:`repro.build.build_simulation` (see :func:`built_case`); only the
+Lynch–Welch arms call :func:`~repro.core.cps.assemble_cps_simulation`,
+with their own node.  A CPS row is :func:`cps_measurement` — the
 report's numbers plus the Theorem 17 monitors' verdicts.  E3, E4, E8,
 E9 and E10 share one builder, ``cps-run``, and differ only in their
-cases and table columns.  Only E5's CPS arm and the A-series builder
-wire :func:`~repro.core.cps.assemble_cps_simulation` themselves, for
-the reasons their docstrings give.  No builder compares a measurement with
-a bound: a builder returns measurements, and every verdict in its row
-is a judge's from :mod:`repro.checks.conformance` (``judge_pulses``,
+cases and table columns; A1-A3's ``cps-mechanism`` adds four columns
+to its row.  No builder compares a measurement with a bound: a builder
+returns measurements, and every verdict in its row is a judge's from
+:mod:`repro.checks.conformance` (``judge_pulses``,
 ``judge_apa``, ``judge_crusader``, ``judge_estimates``,
 ``judge_steady_skew``, ``judge_lower_bound``).
 
@@ -309,17 +310,12 @@ def crusader_broadcast_trial(
 # ----------------------------------------------------------------------
 
 
-@register_builder("cps-run")
-def cps_run_trial(
+def cps_run_measurement(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
-) -> Dict[str, Any]:
-    """One CPS run: the :func:`cps_measurement` row plus Lemma 10's
-    honest-dealer ``rejections`` and, for a live run, the Lemma 12-13
-    estimate verdicts and the per-pulse skew ``trajectory``.
-
-    Each table reads its own columns: E3 the estimates, E4 the skew,
-    E8 the rejections, E9 the periods and E10 the trajectory.
-    """
+) -> Tuple[Any, TrialOutcome, Dict[str, Any]]:
+    """:func:`cps_measurement` plus Lemma 10's honest-dealer
+    ``rejections`` and, for a live run, the Lemma 12-13 estimate
+    verdicts and the per-pulse skew ``trajectory``."""
     built, outcome, row = cps_measurement(case, measurement, seed)
     row["rejections"] = _honest_rejections(built.simulation)
     if outcome.live:
@@ -335,7 +331,19 @@ def cps_run_trial(
             asdict(estimates),
             trajectory=metrics.skew_trajectory(honest_pulses),
         )
-    return row
+    return built, outcome, row
+
+
+@register_builder("cps-run")
+def cps_run_trial(
+    case: Dict[str, Any], measurement: MeasurementSpec, seed: int
+) -> Dict[str, Any]:
+    """One CPS run: the :func:`cps_run_measurement` row.
+
+    Each table reads its own columns: E3 the estimates, E4 the skew,
+    E8 the rejections, E9 the periods and E10 the trajectory.
+    """
+    return cps_run_measurement(case, measurement, seed)[2]
 
 
 # ----------------------------------------------------------------------
@@ -349,43 +357,38 @@ def resilience_trial(
 ) -> Dict[str, Any]:
     """The same timing attack against one algorithm at one fault count.
 
-    The CPS arm wires the simulation itself rather than going through
-    the build facade: the *actual* fault count ``case["f"]`` sweeps
-    below the *design* resilience the protocol is parameterized for,
-    and the facade has (deliberately) one ``f`` for both.
+    Both algorithms are parameterized for their own resilience, and
+    ``case["f"]`` of their nodes are faulty.
     """
     n, theta, d, u = case["n"], case["theta"], case["d"], case["u"]
     f = case["f"]
     algorithm = case["algorithm"]
     if algorithm == "CPS":
-        params = derive_parameters(theta, d, u, n, f=max_faults(n))
-        behavior = (
-            scenarios.create("adversary", "mimic-split", params)
-            if f
-            else None
+        built = built_case(
+            case, measurement, seed, delay="skewing", drift="extreme",
+            adversary="mimic-split" if f else "silent",
         )
-        node = CpsNode
-        tolerated = f <= max_faults(n)
+        simulation, params = built.simulation, built.params
+        tolerated = f <= built.f
     elif algorithm == "Lynch-Welch":
         # The protocol is told the true f so it can discard.
         params = derive_lw_parameters(theta, d, u, n, f=max(f, 1))
         behavior = (
             LwTimingAttack(params, timing_split_group(n)) if f else None
         )
-        node = LynchWelchNode
+        simulation = assemble_cps_simulation(
+            params,
+            clocks=scenarios.create("drift", "extreme", params, seed),
+            faulty=list(range(n - f, n)),
+            behavior=behavior,
+            delay_policy=case_delay_policy(case, n),
+            seed=seed,
+            trace="none",
+            node=LynchWelchNode,
+        )
         tolerated = f <= lw_max_faults(n)
     else:
         raise TrialFailure(f"unknown algorithm {algorithm!r}")
-    simulation = assemble_cps_simulation(
-        params,
-        clocks=scenarios.create("drift", "extreme", params, seed),
-        faulty=list(range(n - f, n)),
-        behavior=behavior,
-        delay_policy=case_delay_policy(case, n),
-        seed=seed,
-        trace="none",
-        node=node,
-    )
     outcome = measured_pulse_trial(simulation, measurement)
     report = outcome.report or metrics.DEAD_REPORT
     return {
@@ -529,86 +532,23 @@ def lower_bound_trial(
 # A1-A3 — one CpsNode mechanism overridden
 # ----------------------------------------------------------------------
 
-#: The :class:`~repro.core.cps.CpsNode` keyword arguments an A-series
-#: case may carry (each named exactly as the constructor names it).
-MECHANISM_KEYS: Tuple[str, ...] = (
-    "echo_rejection",
-    "discard_rule",
-    "dealer_send_offset",
-)
-
 
 @register_builder("cps-mechanism")
 def cps_mechanism_trial(
     case: Dict[str, Any], measurement: MeasurementSpec, seed: int
 ) -> Dict[str, Any]:
-    """One CPS run with a Figure 2/3 mechanism overridden (A1-A3).
-
-    Wires the simulation itself: the overrides are ``CpsNode``
-    constructor arguments that no build-facade case key names (the
-    ablation catalog's ``echo-amplification`` and ``apa`` switch
-    *different* toggles — see docs/ARCHITECTURE.md).  ``faults`` caps the
-    number of actually-faulty nodes below the design ``f`` (A3 runs
-    fault-free) and ``stagger`` is in units of ``delta``.
-
-    A dead run tabulates: ``outcome`` carries the error, the measured
-    columns fall back to their table defaults.
-    """
-    n = case["n"]
-    params = derive_parameters(case["theta"], case["d"], case["u"], n)
-    faulty = list(range(n - case.get("faults", params.f), n))
-    stagger = case.get("stagger", 0.0) * params.delta
-    simulation = assemble_cps_simulation(
-        params,
-        faulty=faulty,
-        behavior=(
-            scenarios.create(
-                "adversary",
-                case.get("adversary", "silent"),
-                params,
-                **({"stagger": stagger} if stagger else {}),
-            )
-            if faulty
-            else None
-        ),
-        clocks=scenarios.create(
-            "drift", case.get("drift", "random"), params, seed
-        ),
-        seed=seed,
-        trace="none",
-        **{key: case[key] for key in MECHANISM_KEYS if key in case},
+    """One CPS run with a Figure 2/3 mechanism overridden (A1-A3): the
+    ``cps-run`` row plus the columns only the A-series reads — the
+    adversary's ``stagger``, the nodes' ``send_offset``, ``d_minus_u``
+    and the run's ``outcome`` (``"ok"`` or its error)."""
+    built, outcome, row = cps_run_measurement(case, measurement, seed)
+    params = built.params
+    row.update(
+        stagger=case.get("adversary_params", {}).get("stagger", 0.0),
+        send_offset=built.simulation.protocol(0).dealer_send_offset,
+        d_minus_u=params.d - params.u,
+        outcome="ok" if outcome.report else outcome.error,
     )
-    outcome = measured_pulse_trial(simulation, measurement)
-    row = {
-        "f": params.f,
-        "stagger": stagger,
-        "delta": params.delta,
-        "bound_S": params.S,
-        "d_minus_u": params.d - params.u,
-        "send_offset": simulation.protocol(0).dealer_send_offset,
-        "outcome": "ok" if outcome.report else outcome.error,
-        "honest_rejections": _honest_rejections(simulation),
-        "within_S": False,
-        "events": _events_of(outcome),
-    }
-    if outcome.report is not None:
-        honest_pulses = outcome.result.honest_pulses()
-        estimates = judge_estimates(
-            simulation,
-            honest_pulses,
-            measurement.pulses,
-            params.delta,
-            params.tolerance,
-        )
-        row.update(
-            max_skew=outcome.report.max_skew,
-            within_S=judge_pulses(
-                params, honest_pulses, measurement.pulses
-            )["skew"].ok,
-            faulty_accepted=estimates.faulty_accepted,
-            consistency_err=estimates.consistency_err,
-            consistency_within=estimates.consistency_within,
-        )
     return row
 
 

@@ -30,7 +30,7 @@ QUICK_TABLE_DIGESTS = {
     "E9": "668b936d43e76a04",
     "E10": "8ab63d95698f7cca",
     "A1": "b58a2f10afeabde9",
-    "A2": "85fba2c2b27ecdfb",
+    "A2": "3f5782b69cf427d0",
     "A3": "efdbf15da9a075ec",
     "STRESS": "9abf3d6c619e2b16",
     "CHURN-STRESS": "3a8c5a2c3712ef30",

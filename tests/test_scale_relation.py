@@ -2,11 +2,12 @@
 
 The model has no natural time unit: the skew bound and every window
 derived from it are homogeneous of degree 1 in ``(d, u)``.  So scaling
-every time-valued input — ``d``, ``u``, ``u_tilde`` and each scenario
-parameter whose :class:`~repro.scenarios.registry.ParamSpec` has
-``unit="time"`` — by ``2^k`` must scale every pulse time and every
-monitor's observed and bound values by exactly ``2^k``, and leave every
-verdict, check count and headroom ratio as it was.  A power of two is
+every time-valued input — ``d``, ``u``, ``u_tilde``, the
+``dealer_send_offset`` override and each scenario parameter whose
+:class:`~repro.scenarios.registry.ParamSpec` has ``unit="time"`` — by
+``2^k`` must scale every pulse time and every monitor's observed and
+bound values by exactly ``2^k``, and leave every verdict, check count
+and headroom ratio as it was.  A power of two is
 exact in binary floating point, so "the same" means bit-equal, and the
 relation needs no reference output (Chen, Cheung & Yiu's metamorphic
 testing).  It holds only because every "close enough" comparison is in
@@ -24,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import scenarios
+from repro.build import MECHANISM_KEYS
 from repro.checks.conformance import judged_run
 from repro.fuzz.oracle import expectation_met, replay_fixture
 
@@ -43,13 +45,15 @@ TIMED = [
     },
     {"adversary": "early-extreme", "adversary_params": {"margin": 0.05}},
     {"delay": "flicker-partition", "delay_params": {"period": 3.0}},
+    {"echo_rejection": False, "dealer_send_offset": 0.05},
 ]
 
 
 def _variants():
     """Every CPS adversary, delay, drift, topology and churn key, varied
     one at a time from :data:`BASE`, on each engine that supports the
-    case (churn and active adversaries run on the event engine only)."""
+    case (churn, active adversaries and ``CpsNode`` overrides run on
+    the event engine only)."""
     cases = [dict(BASE)]
     for kind in ("adversary", "delay", "drift", "topology", "churn"):
         for entry in scenarios.entries(kind):
@@ -64,7 +68,11 @@ def _variants():
         for case in cases
         for backend in ("event", "vectorized")
         if backend == "event"
-        or (case["adversary"] == "silent" and "churn" not in case)
+        or (
+            case["adversary"] == "silent"
+            and "churn" not in case
+            and not set(MECHANISM_KEYS) & set(case)
+        )
     ]
 
 
@@ -75,8 +83,8 @@ def scaled(case, k):
     """``case`` with every time-valued input multiplied by ``2^k``."""
     factor = 2.0**k
     out = dict(case)
-    for key in ("d", "u", "u_tilde"):
-        if key in case:
+    for key in ("d", "u", "u_tilde", "dealer_send_offset"):
+        if case.get(key) is not None:
             out[key] = case[key] * factor
     for kind in scenarios.KINDS:
         if kind not in case:
@@ -145,7 +153,10 @@ def _variant_id(index):
         case.get(kind) or "-"
         for kind in ("delay", "drift", "topology", "churn")
     ]
-    timed = [name for name in case if name.endswith("_params")]
+    timed = [
+        name for name in case
+        if name.endswith("_params") or name in MECHANISM_KEYS
+    ]
     return "/".join([backend, case["adversary"], *keys, *timed])
 
 

@@ -13,12 +13,14 @@ The satellite guarantees under test:
 * ``repro scenarios list/show`` renders the catalog.
 """
 
+import ast
 import inspect
+import pathlib
 
 import pytest
 
 from repro import scenarios
-from repro.build import build_simulation
+from repro.build import MECHANISM_KEYS, build_simulation
 from repro.campaigns import (
     CampaignSpec,
     MeasurementSpec,
@@ -32,6 +34,7 @@ from repro.core.params import derive_parameters
 from repro.scenarios import UnknownScenarioError
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import NetworkConfig
+from repro.sim.vectorized import UnsupportedScenarioError
 
 
 PARAMS = derive_parameters(1.001, 1.0, 0.01, 6)
@@ -214,6 +217,95 @@ class TestAdversaryEntries:
         assert "\n" not in message
         assert repr(key) in message and "'apa'" in message
         assert "APA round model" in message and "run_apa" in message
+
+
+class TestFacadeCaseKeys:
+    """``f`` counts the faulty nodes and the three ``CpsNode`` overrides
+    are case keys; each misuse is refused at build, in one line naming
+    the key."""
+
+    @staticmethod
+    def _refusal(error, case, backend="event"):
+        with pytest.raises(error) as excinfo:
+            build_simulation(case, backend=backend)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("f", [-1, 4])
+    def test_f_outside_the_resilience_is_refused(self, f):
+        message = self._refusal(ConfigurationError, {"n": 7, "f": f})
+        assert "'f'" in message and "0..3" in message
+
+    def test_the_overlay_bounds_f_by_its_connectivity(self):
+        # circulant(9, jumps 1 and 2) has connectivity 4, so f <= 3,
+        # below max_faults(9) = 4.
+        case = {"n": 9, "topology": "circulant", "f": 4}
+        assert "0..3" in self._refusal(ConfigurationError, case)
+
+    def test_f_beside_churn_is_refused(self):
+        case = {"n": 7, "f": 1, "churn": "single-crash"}
+        message = self._refusal(ConfigurationError, case)
+        assert "'f'" in message and "'churn'" in message
+
+    def test_discard_rule_beside_the_apa_ablation_is_refused(self):
+        case = {"n": 7, "ablate": ["apa"], "discard_rule": "f"}
+        message = self._refusal(ConfigurationError, case)
+        assert "'discard_rule'" in message and "'apa'" in message
+
+    @pytest.mark.parametrize("key", MECHANISM_KEYS)
+    def test_the_vectorized_backend_refuses_each_mechanism_key(self, key):
+        case = {"n": 7, key: None}
+        message = self._refusal(UnsupportedScenarioError, case, "vectorized")
+        assert repr(key) in message and "backend='event'" in message
+
+    def test_f_zero_runs_every_node_honest(self):
+        built = build_simulation({"n": 7, "f": 0})
+        simulation = built.simulation
+        assert list(simulation.honest) == list(range(7))
+        assert not simulation.faulty
+        # The protocol keeps the derived resilience.
+        assert built.f == built.params.f == 3
+        result = simulation.run(max_pulses=3)
+        assert all(len(result.pulses[v]) >= 3 for v in range(7))
+
+    def test_each_mechanism_key_reaches_every_node(self):
+        overrides = {
+            "echo_rejection": False,
+            "discard_rule": "f",
+            "dealer_send_offset": 0.25,
+        }
+        simulation = build_simulation({"n": 7, **overrides}).simulation
+        for v in simulation.honest:
+            protocol = simulation.protocol(v)
+            assert {key: getattr(protocol, key) for key in overrides} == (
+                overrides
+            )
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def test_only_the_facade_assembles_a_cps_node():
+    # A CpsNode run is a case dict through build_simulation; any other
+    # caller of the low-level assembler runs another protocol on the
+    # same wiring and says which (``node=LynchWelchNode``, a relay's).
+    checked, stray = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "build.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            function = getattr(node, "func", None)
+            name = getattr(function, "id", getattr(function, "attr", None))
+            if name != "assemble_cps_simulation":
+                continue
+            where = f"{path.relative_to(SRC)}:{node.lineno}"
+            protocol = [k.value for k in node.keywords if k.arg == "node"]
+            if protocol and ast.unparse(protocol[0]) != "CpsNode":
+                checked.append(where)
+            else:
+                stray.append(where)
+    assert checked and stray == []
 
 
 class TestTopologyEntries:
