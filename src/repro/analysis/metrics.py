@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import ge, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import RELATIVE_TOLERANCE
@@ -38,27 +40,45 @@ def common_pulse_count(pulses: Pulses) -> int:
     """Number of pulses every node has generated."""
     if not pulses:
         raise ConfigurationError("no pulse data")
-    return min(len(times) for times in pulses.values())
+    return min(map(len, pulses.values()))
 
 
-def pulse_skew(pulses: Pulses, index: int) -> float:
-    """``max_v p_{v,i} - min_v p_{v,i}`` (0-based ``index``)."""
-    values = [times[index] for times in pulses.values()]
-    return max(values) - min(values)
+def _extremes(pulses: Pulses) -> Tuple[List[float], List[float]]:
+    """``min_v p_{v,i}`` and ``max_v p_{v,i}`` of each common pulse index
+    ``i``, the nodes taken in ``pulses``' order: the one pass every
+    statistic below reads."""
+    common_pulse_count(pulses)  # an empty map has no pulse data
+    columns = list(zip(*pulses.values()))
+    return list(map(min, columns)), list(map(max, columns))
+
+
+def _skews(lows: List[float], highs: List[float], skip: int) -> List[float]:
+    return list(map(sub, highs[skip:], lows[skip:]))
+
+
+def _max_skew(lows: List[float], highs: List[float], skip: int) -> float:
+    trajectory = _skews(lows, highs, skip)
+    if not trajectory:
+        raise ConfigurationError(f"no pulses left after skipping {skip}")
+    return max(trajectory)
+
+
+def _periods(lows: List[float], highs: List[float]) -> Tuple[float, float]:
+    """Definition 3's ``(min_period, max_period)`` from the extremes."""
+    if len(lows) < 2:
+        raise ConfigurationError("need two pulses for a period")
+    return min(map(sub, lows[1:], highs)), max(map(sub, highs[1:], lows))
 
 
 def skew_trajectory(pulses: Pulses, skip: int = 0) -> List[float]:
-    """Per-pulse skew, optionally skipping warm-up pulses."""
-    count = common_pulse_count(pulses)
-    return [pulse_skew(pulses, i) for i in range(skip, count)]
+    """Per-pulse skew ``max_v p_{v,i} - min_v p_{v,i}``, optionally
+    skipping warm-up pulses."""
+    return _skews(*_extremes(pulses), skip)
 
 
 def max_skew(pulses: Pulses, skip: int = 0) -> float:
     """Worst per-pulse skew (Definition 3's S, measured)."""
-    trajectory = skew_trajectory(pulses, skip)
-    if not trajectory:
-        raise ConfigurationError(f"no pulses left after skipping {skip}")
-    return max(trajectory)
+    return _max_skew(*_extremes(pulses), skip)
 
 
 def cohort_skew(
@@ -80,26 +100,12 @@ def cohort_skew(
 
 def min_period(pulses: Pulses) -> float:
     """``inf_i (min_v p_{v,i+1} - max_v p_{v,i})`` — Definition 3."""
-    count = common_pulse_count(pulses)
-    if count < 2:
-        raise ConfigurationError("need two pulses for a period")
-    return min(
-        min(times[i + 1] for times in pulses.values())
-        - max(times[i] for times in pulses.values())
-        for i in range(count - 1)
-    )
+    return _periods(*_extremes(pulses))[0]
 
 
 def max_period(pulses: Pulses) -> float:
     """``sup_i (max_v p_{v,i+1} - min_v p_{v,i})`` — Definition 3."""
-    count = common_pulse_count(pulses)
-    if count < 2:
-        raise ConfigurationError("need two pulses for a period")
-    return max(
-        max(times[i + 1] for times in pulses.values())
-        - min(times[i] for times in pulses.values())
-        for i in range(count - 1)
-    )
+    return _periods(*_extremes(pulses))[1]
 
 
 def check_liveness(pulses: Pulses, expected: int) -> bool:
@@ -107,7 +113,7 @@ def check_liveness(pulses: Pulses, expected: int) -> bool:
     for times in pulses.values():
         if len(times) < expected:
             return False
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(map(ge, times, islice(times, 1, None))):
             return False
     return True
 
@@ -125,15 +131,21 @@ class PulseReport:
 
     @staticmethod
     def from_pulses(pulses: Pulses, warmup: int = 2) -> "PulseReport":
-        count = common_pulse_count(pulses)
+        lows, highs = _extremes(pulses)
+        count = len(lows)
         warmup = min(warmup, max(count - 1, 0))
+        # The skews first: with no common pulse they raise before the
+        # periods do.
+        skew = _max_skew(lows, highs, 0)
+        steady = _max_skew(lows, highs, warmup)
+        p_min, p_max = _periods(lows, highs)
         return PulseReport(
             nodes=len(pulses),
             pulses=count,
-            max_skew=max_skew(pulses),
-            steady_skew=max_skew(pulses, skip=warmup),
-            min_period=min_period(pulses),
-            max_period=max_period(pulses),
+            max_skew=skew,
+            steady_skew=steady,
+            min_period=p_min,
+            max_period=p_max,
         )
 
 

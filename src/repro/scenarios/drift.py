@@ -53,12 +53,10 @@ def _random_profile(params, seed: int = 0) -> ClockEnsemble:
 def _extreme_profile(params, seed: int = 0) -> ClockEnsemble:
     from repro.sim.clocks import ClockEnsemble, constant_row
 
-    rows = [
-        constant_row(1.0, 0.0)
-        if node % 2 == 0
-        else constant_row(params.theta, params.S)
-        for node in range(params.n)
-    ]
+    # Every even node shares one row and every odd node the other:
+    # nothing mutates a row.
+    pair = (constant_row(1.0, 0.0), constant_row(params.theta, params.S))
+    rows = [pair[node % 2] for node in range(params.n)]
     return ClockEnsemble(rows, params.theta, tolerance=params.tolerance)
 
 

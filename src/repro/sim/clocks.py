@@ -468,7 +468,7 @@ def validate_offset_spread(
         raise ClockError(
             f"initial clock skew {spread} exceeds allowed bound {bound}"
         )
-    if not all(math.isfinite(offset) for offset in offsets):
+    if not all(map(math.isfinite, offsets)):
         raise ClockError("clock offsets must be finite")
 
 

@@ -49,9 +49,7 @@ def delay_rng(policy: RandomDelayPolicy):
 
 
 def _membership(nodes: Sequence[int], members) -> "np.ndarray":
-    return np.fromiter(
-        (node in members for node in nodes), dtype=bool, count=len(nodes)
-    )
+    return np.isin(nodes, np.fromiter(members, np.intp, len(members)))
 
 
 def _class_rows(

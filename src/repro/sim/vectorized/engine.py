@@ -46,6 +46,7 @@ which source served a row.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 try:  # gated dependency: the event engine must work without numpy
@@ -123,35 +124,44 @@ def _ensemble_columns(
     """``((starts, locals, rates), length)`` of every node: ``(n, K)``
     columns padded with ``+inf``, and each row's segment count.
 
-    A segment row is copied.  Wandering rows are derived from the
-    ensemble's draw stream with the event layout's arithmetic
-    (:meth:`Draws.row`): ``H(0) = offset_scale * x``, rates ``1 +
-    (theta - 1) x``, and locals the running sums of ``rate * duration``
-    from ``H(0)``, taken by a row-wise ``np.cumsum`` — sequential, so
-    equal to ``accumulate`` bit for bit.
+    Segment rows are laid out with one scatter: each row's values land
+    at ``(node, 0..len-1)``, read by one ``np.fromiter`` per column over
+    the chained rows (the three lists of a row have one length).
+    Wandering rows are derived from the ensemble's draw stream with the
+    event layout's arithmetic (:meth:`Draws.row`): ``H(0) =
+    offset_scale * x``, rates ``1 + (theta - 1) x``, and locals the
+    running sums of ``rate * duration`` from ``H(0)``, taken by a
+    row-wise ``np.cumsum`` — sequential, so equal to ``accumulate`` bit
+    for bit.  The ensemble numbers its wandering nodes' clocks 0, 1, ...
+    in node order, so they read the stream's leading blocks.
     """
     entries = ensemble.entries
-    drawn = [v for v, entry in enumerate(entries) if isinstance(entry, int)]
-    given = [
-        v for v, entry in enumerate(entries) if not isinstance(entry, int)
-    ]
+    wandering = np.array(
+        [isinstance(entry, int) for entry in entries], dtype=bool
+    )
+    drawn = np.flatnonzero(wandering)
+    given = np.flatnonzero(~wandering)
+    rows = [entries[v] for v in given.tolist()]
+    sizes = np.fromiter((len(row[0]) for row in rows), np.intp, len(rows))
     length = np.zeros(len(entries), dtype=np.intp)
-    length[given] = [len(entries[v][0]) for v in given]
-    if drawn:
+    length[given] = sizes
+    if len(drawn):
         draws = ensemble.draws
         durations, grid = drift_schedule(*draws.schedule)
         length[drawn] = len(grid)
     columns = np.full((3, len(entries), max(int(length.max()), 1)), np.inf)
     starts, locals_, rates = columns
-    if given:
-        pad = [np.inf] * columns.shape[2]
-        for k in range(3):
-            columns[k, given] = [
-                [*entries[v][k], *pad[len(entries[v][k]):]] for v in given
-            ]
-    if drawn:
+    if rows:
+        at = np.repeat(given, sizes)
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        segment = np.arange(len(at)) - first
+        for column, values in zip(columns, zip(*rows)):
+            column[at, segment] = np.fromiter(
+                chain.from_iterable(values), float, len(at)
+            )
+    if len(drawn):
         stream = np.fromiter(draws.stream, float, len(draws.stream))
-        block = stream.reshape(-1, len(grid))[[entries[v] for v in drawn]]
+        block = stream.reshape(-1, len(grid))[:len(drawn)]
         rate = block[:, 1:] * (ensemble.theta - 1.0)
         rate += 1.0
         local = np.empty_like(block)

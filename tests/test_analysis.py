@@ -14,7 +14,6 @@ from repro.analysis.metrics import (
     max_period,
     max_skew,
     min_period,
-    pulse_skew,
     skew_trajectory,
 )
 from repro.analysis.reporting import Table, format_value
@@ -36,9 +35,10 @@ class TestMetrics:
             common_pulse_count({})
 
     def test_pulse_skew(self):
-        assert pulse_skew(PULSES, 0) == pytest.approx(0.3)
-        assert pulse_skew(PULSES, 1) == pytest.approx(0.3)
-        assert pulse_skew(PULSES, 2) == pytest.approx(0.4)
+        # Pulse i's skew is the first entry of the trajectory from i.
+        assert skew_trajectory(PULSES, 0)[0] == pytest.approx(0.3)
+        assert skew_trajectory(PULSES, 1)[0] == pytest.approx(0.3)
+        assert skew_trajectory(PULSES, 2)[0] == pytest.approx(0.4)
 
     def test_trajectory_and_max(self):
         assert skew_trajectory(PULSES) == pytest.approx([0.3, 0.3, 0.4])
@@ -87,9 +87,116 @@ class TestMetrics:
             k: [t + i * 1e-6 for i, t in enumerate(v)]
             for k, v in pulses.items()
         }
+        trajectory = skew_trajectory(pulses)
+        assert len(trajectory) == common_pulse_count(pulses)
+        assert all(skew >= 0.0 for skew in trajectory)
+
+
+# Pulse times from a small grid, so that trains often share a time with
+# another node's or repeat their own.
+TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 4.0]) | st.floats(
+    min_value=0.0, max_value=50.0
+)
+
+
+def _column(pulses, i):
+    return [times[i] for times in pulses.values()]
+
+
+def _skews(pulses):
+    """Definition 3's skew of each common pulse index, one by one."""
+    count = min(len(times) for times in pulses.values())
+    return [
+        max(_column(pulses, i)) - min(_column(pulses, i))
+        for i in range(count)
+    ]
+
+
+def _definition3(pulses, warmup):
+    """``PulseReport``'s fields, each written as Definition 3 states it
+    per pulse index."""
+    skews = _skews(pulses)
+    count = len(skews)
+    warmup = min(warmup, max(count - 1, 0))
+    return (
+        len(pulses),
+        count,
+        max(skews),
+        max(skews[warmup:]),
+        min(
+            min(_column(pulses, i + 1)) - max(_column(pulses, i))
+            for i in range(count - 1)
+        ),
+        max(
+            max(_column(pulses, i + 1)) - min(_column(pulses, i))
+            for i in range(count - 1)
+        ),
+    )
+
+
+def _fields(report):
+    return (
+        report.nodes, report.pulses, report.max_skew, report.steady_skew,
+        report.min_period, report.max_period,
+    )
+
+
+def _hex(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestOnePassReport:
+    """``PulseReport.from_pulses`` reads each index's extremes once; its
+    fields equal Definition 3's per-index statistics bit for bit, and
+    it raises what the per-statistic functions raise."""
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 5),
+            st.lists(TIMES, max_size=8).map(sorted),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 4),
+    )
+    def test_fields_equal_definition3(self, pulses, warmup):
         count = common_pulse_count(pulses)
-        for i in range(count):
-            assert pulse_skew(pulses, i) >= 0.0
+        if count < 2:
+            message = (
+                "no pulses left after skipping 0" if count == 0
+                else "need two pulses for a period"
+            )
+            with pytest.raises(ConfigurationError) as raised:
+                PulseReport.from_pulses(pulses, warmup=warmup)
+            assert str(raised.value) == message
+            return
+        report = PulseReport.from_pulses(pulses, warmup=warmup)
+        assert _hex(_fields(report)) == _hex(_definition3(pulses, warmup))
+        assert _hex(skew_trajectory(pulses, warmup)) == _hex(
+            _skews(pulses)[warmup:]
+        )
+
+    @pytest.mark.parametrize(
+        "pulses, message",
+        [
+            ({}, "no pulse data"),
+            ({0: [1.0, 2.0], 1: []}, "no pulses left after skipping 0"),
+            ({0: [1.0], 1: [1.0, 2.0]}, "need two pulses for a period"),
+        ],
+    )
+    def test_refusals(self, pulses, message):
+        with pytest.raises(ConfigurationError) as raised:
+            PulseReport.from_pulses(pulses)
+        assert str(raised.value) == message
+
+    def test_liveness_on_equal_neighbours_and_nan(self):
+        # A repeated time is not a later pulse; NaN compares false
+        # either way, so a train holding one is not refused for it.
+        assert not check_liveness({0: [0.5, 1.5, 3.0], 1: [1.0, 1.0, 2.0]}, 3)
+        nan = float("nan")
+        assert check_liveness({0: [1.0, nan, 2.0], 1: [0.5, 1.5, 2.5]}, 3)
+        assert check_liveness({0: [nan, nan]}, 2)
+        assert not check_liveness({0: [nan, 1.0, 1.0]}, 3)
 
 
 class TestReporting:

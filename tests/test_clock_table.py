@@ -39,6 +39,7 @@ from repro.sim.clocks import (
     ClockSegment,
     Draws,
     HardwareClock,
+    rate_row,
 )
 from repro.sim.errors import ClockError
 from repro.sim.vectorized.engine import ClockTable
@@ -232,6 +233,46 @@ class TestLayoutsAgree:
             (subset.starts, subset.locals, subset.rates), columns
         ):
             assert got.tolist() == whole[nodes, :subset.width].tolist()
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_ragged_given_rows_scatter_to_their_nodes(self, data):
+        # Segment rows of 1-5 segments between wandering clocks: each
+        # given row lands at its own node, padded with +inf.
+        base = self._base()
+        speed = st.floats(min_value=1.0, max_value=base.theta)
+        entries = []
+        for segments in data.draw(
+            st.lists(st.none() | st.integers(1, 5), min_size=1, max_size=12)
+        ):
+            if segments is None:
+                entries.append(None)
+                continue
+            steps = data.draw(st.lists(
+                st.tuples(st.floats(min_value=0.5, max_value=50.0), speed),
+                min_size=segments - 1,
+                max_size=segments - 1,
+            ))
+            entries.append(rate_row(
+                [duration for duration, _ in steps],
+                [rate for _, rate in steps],
+                data.draw(speed),
+                data.draw(st.floats(min_value=0.0, max_value=1.0)),
+            ))
+        ensemble = ClockEnsemble(entries, base.theta, base.draws)
+        nodes = data.draw(st.permutations(range(len(entries))))
+        nodes = nodes[:data.draw(st.integers(1, len(entries)))]
+        for table, order in (
+            (ClockTable(ensemble), range(len(entries))),
+            (ClockTable(ensemble, nodes), nodes),
+        ):
+            columns = (table.starts, table.locals, table.rates)
+            for i, v in enumerate(order):
+                row = ensemble.row(v)
+                k = len(row[0])
+                for column, values in zip(columns, row):
+                    assert _hex(column[i, :k]) == _hex(values)
+                    assert np.isposinf(column[i, k:]).all()
 
     N = 500
     #: ``(position in a wandering clock's block, value)``: H(0)'s draw,
