@@ -20,10 +20,11 @@ segment tables (PR 17) and compared against ever since by
 A third capture, ``tests/data/clock_parity_full.txt``, holds the 48
 ``--full`` lines (taken at the commit before the vote read row
 extremes); ``tests/test_clock_table.py`` compares a fresh ``--full``
-run with it byte for byte.  Those runs are unobserved, so a
-deterministic policy's rounds are read from class extremes; the same
+run with it byte for byte.  Those runs are unobserved, so each round
+evaluates only each receiver's earliest and latest arrival (per class
+for a deterministic policy, per drawn row for ``random``); the same
 test file replays the n = 30 lines under ``trace="full"``, which
-evaluates every round as dense blocks, so both sources answer to the
+evaluates every round as dense blocks, so every source answers to the
 one file.
 
 Usage::

@@ -109,13 +109,22 @@ def max_period(pulses: Pulses) -> float:
 
 
 def check_liveness(pulses: Pulses, expected: int) -> bool:
-    """Did every node output at least ``expected`` pulses, in order?"""
-    for times in pulses.values():
-        if len(times) < expected:
-            return False
-        if any(map(ge, times, islice(times, 1, None))):
-            return False
-    return True
+    """Did every node output at least ``expected`` pulses, in order?
+
+    Compared a column pair at a time over the common prefix, then node
+    by node over the tails of the longer trains."""
+    trains = list(pulses.values())
+    shortest = min(map(len, trains), default=expected)
+    if shortest < expected:
+        return False
+    columns = list(zip(*trains))
+    if any(any(map(ge, a, b)) for a, b in zip(columns, columns[1:])):
+        return False
+    tail = max(shortest - 1, 0)
+    return not any(
+        any(map(ge, islice(t, tail, None), islice(t, tail + 1, None)))
+        for t in trains if len(t) > shortest
+    )
 
 
 @dataclass(frozen=True)

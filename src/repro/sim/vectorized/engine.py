@@ -10,10 +10,10 @@ full CPS round with array operations:
 3. accept — Lemma 10 puts every other honest dealer's message inside
    the TCB window ``P < h <= P + window``; each receiver's earliest and
    latest ``h`` check it, and a message outside raises
-   :class:`SimulationError`.  A deterministic, unobserved round reads
-   the two from its receiver class's sorted arrivals (two delay rows,
-   one per class); a ``random`` round and an observed round need every
-   arrival and reduce a dense (rows × honest) block instead;
+   :class:`SimulationError`.  An unobserved round evaluates only the
+   two arrivals, read from its receiver class's sorted arrivals (two
+   delay rows) or, for ``random`` delays, from each drawn row; an
+   observed round reduces a dense (rows × honest) block instead;
 4. vote — offset estimates ``h - P - d + u - S`` (⊥ for each faulty
    dealer, 0 for self).  At least ``f`` dealers are silent, so the
    ``f - b`` discard is empty and the vote reads the extreme estimates
@@ -86,12 +86,12 @@ BLOCK_BYTES = 1 << 20
 
 
 def _row_extremes(
-    local_rx: "np.ndarray",
+    block: "np.ndarray",
 ) -> Tuple["np.ndarray", "np.ndarray"]:
     """Each row's smallest and largest entry, NaN ignored."""
     return (
-        np.fmin.reduce(local_rx, axis=1, initial=np.inf),
-        np.fmax.reduce(local_rx, axis=1, initial=-np.inf),
+        np.fmin.reduce(block, axis=1, initial=np.inf),
+        np.fmax.reduce(block, axis=1, initial=-np.inf),
     )
 
 
@@ -439,11 +439,9 @@ class VectorizedSimulation:
         num_bot = n - nh
         accepted = nh * (nh - 1)
         accepted_total = 0
-        # Only two inputs need every arrival of a receiver, not just
-        # its earliest and latest: random delays (the block is the
-        # stream) and observers (handed every estimate).  Every other
-        # round is read per receiver class.
-        dense = rng is not None or observing
+        # Only observers (handed every estimate) need the local time of
+        # every arrival; every other round evaluates each receiver's
+        # earliest and latest.
         rows_dense = rows_extremes = 0
         pulses: Dict[int, List[float]] = {v: [] for v in range(n)}
         trains = [pulses[v] for v in honest]
@@ -476,7 +474,7 @@ class VectorizedSimulation:
             # part of the pinned arithmetic: (P + window) + tolerance.
             window_end = local + window + tolerance
             window_close = local + window + 2.0 * tolerance
-            if dense:
+            if observing:
                 block_delays = round_delays(
                     self.delay_policy, self.config, honest, send_real, rng
                 )
@@ -490,9 +488,8 @@ class VectorizedSimulation:
                     # Two float buffers a block: delays become
                     # arrivals, local receive times become estimates.
                     arrival = block_delays(receivers)
-                    local_rx = self._receive_times(
-                        table, rows, arrival, send_real
-                    )
+                    np.add(send_real, arrival, out=arrival)
+                    local_rx = self._receive_times(rows, arrival)
                     base = local[start:stop]
                     first[start:stop], last[start:stop] = (
                         self._window_extremes(
@@ -500,8 +497,6 @@ class VectorizedSimulation:
                             window_end[start:stop],
                         )
                     )
-                    if not observing:
-                        continue
                     estimates = local_rx  # overwritten from here on
                     estimates -= base[:, None]
                     estimates -= offset_shift
@@ -509,9 +504,13 @@ class VectorizedSimulation:
                     blocks.append((rows, receivers, arrival, estimates))
                 rows_dense += nh
             else:
-                first, last, straddling = self._class_extremes(
-                    table, send_real, local, window_end, pulse_round,
-                    block_rows,
+                # The round's windows (P, window_end] for Lemma 10.
+                windows = (pulse_round, local, window_end)
+                first, last, straddling = (
+                    self._class_extremes(send_real, windows, block_rows)
+                    if rng is None else self._drawn_extremes(
+                        send_real, windows, block_rows, rng
+                    )
                 )
                 rows_dense += straddling
                 rows_extremes += nh - straddling
@@ -590,47 +589,25 @@ class VectorizedSimulation:
             self.checks.on_pulse(time, node, index, local_time)
 
     def _receive_times(
-        self,
-        table: ClockTable,
-        rows: "np.ndarray",
-        arrival: "np.ndarray",
-        send_real: "np.ndarray",
+        self, rows: "np.ndarray", arrival: "np.ndarray"
     ) -> "np.ndarray":
         """The dense ``(rows, honest)`` local receive times of receiver
-        ``rows``: ``arrival`` holds their delays and is overwritten with
-        the arrival times; the self column is NaN (no self-message)."""
-        np.add(send_real, arrival, out=arrival)
-        local_rx = table.local_times(rows, arrival)
+        ``rows`` at real times ``arrival``; the self column is set NaN
+        (no self-message) after, as a NaN would mislead the segment pick."""
+        local_rx = self.table.local_times(rows, arrival)
         local_rx[np.arange(len(rows)), rows] = np.nan
         return local_rx
 
     def _class_extremes(
-        self,
-        table: ClockTable,
-        send_real: "np.ndarray",
-        local: "np.ndarray",
-        window_end: "np.ndarray",
-        pulse_round: int,
-        block_rows: int,
+        self, send_real: "np.ndarray", windows: Tuple, block_rows: int
     ) -> Tuple["np.ndarray", "np.ndarray", int]:
-        """``(first, last, straddling)`` of a deterministic round, read
-        per receiver class instead of from a dense block.
-
-        Every receiver of a class gets the same delay row, so its
-        arrivals are the class's ``send + delay`` minus its own: the
-        earliest and latest of them come from the class's sorted
-        arrivals and are evaluated on the receiver's clock.  Within one
-        segment the rounded ``t -> (t - s) r + l`` is monotone, so they
-        are the earliest and latest local receive times, bit for bit.
-        A receiver whose two fall in different segments is evaluated as
-        one dense row instead (``straddling`` counts them).  Lemma 10 is
-        then checked, and a violation re-evaluates the offending row
-        densely, so it is named as the dense block names it.
-        """
+        """``(first, last, straddling)`` of a deterministic round: a
+        receiver's arrivals are its class's ``send + delay`` minus its
+        own, so its extremes come from the class's sorted arrivals."""
         delays, member = class_delays(
             self.delay_policy, self.config, self.honest, send_real
         )
-        nh = len(local)
+        nh = len(send_real)
         if nh == 1:  # no other honest dealer
             return np.array([np.inf]), np.array([-np.inf]), 0
         arrival = send_real + delays
@@ -643,27 +620,80 @@ class VectorizedSimulation:
         times = np.stack(
             (arrival[member, early], arrival[member, late]), axis=1
         )
-        first, last = table.local_times(slice(None), times).T
-        straddling = np.flatnonzero(
-            table.segments(slice(None), times[:, 0])
-            != table.segments(slice(None), times[:, 1])
+        return self._two_points(
+            0, times, lambda k: arrival[member[k]], windows, block_rows
         )
-        for start in range(0, len(straddling), block_rows):
-            rows = straddling[start:start + block_rows]
-            first[rows], last[rows] = _row_extremes(
-                self._receive_times(
-                    table, rows, delays[member[rows]], send_real
-                )
+
+    def _drawn_extremes(
+        self,
+        send_real: "np.ndarray",
+        windows: Tuple,
+        block_rows: int,
+        rng: Any,
+    ) -> Tuple["np.ndarray", "np.ndarray", int]:
+        """``(first, last, straddling)`` of a ``random`` round: each
+        block is drawn as an observed round draws it, and each row's
+        extremes are its earliest and latest other arrival."""
+        block_delays = round_delays(
+            self.delay_policy, self.config, self.honest, send_real, rng
+        )
+        nh = len(send_real)
+        first, last = np.empty(nh), np.empty(nh)
+        straddling = 0
+        for start in range(0, nh, block_rows):
+            stop = min(start + block_rows, nh)
+            arrival = block_delays(self.honest[start:stop])
+            np.add(send_real, arrival, out=arrival)
+            own = (np.arange(stop - start), np.arange(start, stop))
+            kept, arrival[own] = arrival[own], np.nan
+            times = np.stack(_row_extremes(arrival), axis=1)
+            arrival[own] = kept
+            first[start:stop], last[start:stop], count = self._two_points(
+                start, times, lambda k: arrival[k], windows, block_rows
             )
-        outside = first <= local
-        outside |= last > window_end
+            straddling += count
+        return first, last, straddling
+
+    def _two_points(
+        self,
+        start: int,
+        times: "np.ndarray",
+        arrivals: Any,
+        windows: Tuple,
+        block_rows: int,
+    ) -> Tuple["np.ndarray", "np.ndarray", int]:
+        """What both extreme sources share: ``(first, last, straddling)``
+        of rows ``start + k`` from ``times[k]``, their earliest and
+        latest real arrival from another honest dealer.
+
+        Within one segment the rounded ``t -> (t - s) r + l`` is
+        monotone, so the two's local times are the extremes, bit for
+        bit; a row whose two straddle a segment start is evaluated
+        densely from ``arrivals(k)`` (its real arrival rows).  Lemma 10
+        is then checked against ``windows``; an offending row is
+        re-evaluated densely, so it is named as the dense block names it.
+        """
+        table = self.table
+        span = slice(start, start + len(times))
+        first, last = table.local_times(span, times).T
+        straddling = np.flatnonzero(
+            table.segments(span, times[:, 0])
+            != table.segments(span, times[:, 1])
+        )
+        for at in range(0, len(straddling), block_rows):
+            k = straddling[at:at + block_rows]
+            first[k], last[k] = _row_extremes(
+                self._receive_times(start + k, arrivals(k))
+            )
+        pulse_round, local, window_end = windows
+        base, end = local[span], window_end[span]
+        outside = first <= base
+        outside |= last > end
         if outside.any():
-            rows = np.flatnonzero(outside)[:1]
+            k = np.flatnonzero(outside)[:1]
             self._window_extremes(
-                self._receive_times(
-                    table, rows, delays[member[rows]], send_real
-                ),
-                rows, pulse_round, local[rows], window_end[rows],
+                self._receive_times(start + k, arrivals(k)),
+                start + k, pulse_round, base[k], end[k],
             )
         return first, last, len(straddling)
 

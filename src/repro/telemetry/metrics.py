@@ -93,7 +93,7 @@ METRIC_CATALOG: Dict[str, str] = {
     "knowledge.payloads.memoized": "payload walks memoized (gauge)",
     "sim.end_time": "simulated real time when the run stopped (gauge)",
     "vectorized.rows.extremes": "voting-round receiver rows read from "
-    "their class's arrival extremes",
+    "their arrival extremes",
     "vectorized.rows.dense": "voting-round receiver rows evaluated over "
     "every arrival",
 }

@@ -1,9 +1,11 @@
 """Tests for metrics, reporting, theory bounds, and the trial runner."""
 
 import os
+from itertools import islice
+from operator import ge
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import theory
@@ -145,6 +147,37 @@ def _hex(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
+@st.composite
+def _ragged_trains(draw):
+    """Pulse trains of ragged lengths, each in order but for at most
+    one flaw: an equal neighbour, a swapped pair or a NaN."""
+    pulses = {}
+    for node in range(draw(st.integers(0, 5))):
+        times = draw(st.sets(st.integers(0, 9), min_size=1, max_size=6))
+        train = sorted(map(float, times))
+        flaw = draw(st.sampled_from([None, "equal", "swap", "nan"]))
+        if flaw and len(train) > 1:
+            i = draw(st.integers(0, len(train) - 2))
+            if flaw == "equal":
+                train[i + 1] = train[i]
+            elif flaw == "swap":
+                train[i], train[i + 1] = train[i + 1], train[i]
+            else:
+                train[i] = float("nan")
+        pulses[node] = train
+    return pulses
+
+
+def _liveness_by_node(pulses, expected):
+    """``check_liveness`` as it was: every train, one at a time."""
+    for times in pulses.values():
+        if len(times) < expected:
+            return False
+        if any(map(ge, times, islice(times, 1, None))):
+            return False
+    return True
+
+
 class TestOnePassReport:
     """``PulseReport.from_pulses`` reads each index's extremes once; its
     fields equal Definition 3's per-index statistics bit for bit, and
@@ -197,6 +230,15 @@ class TestOnePassReport:
         assert check_liveness({0: [1.0, nan, 2.0], 1: [0.5, 1.5, 2.5]}, 3)
         assert check_liveness({0: [nan, nan]}, 2)
         assert not check_liveness({0: [nan, 1.0, 1.0]}, 3)
+
+    @settings(max_examples=100)  # a call costs microseconds
+    @given(_ragged_trains(), st.integers(-1, 4))
+    def test_liveness_is_the_per_node_loop(self, pulses, expected):
+        # The column pairs of the common prefix and the longer trains'
+        # tails answer what checking node by node did.
+        assert check_liveness(pulses, expected) == _liveness_by_node(
+            pulses, expected
+        )
 
 
 class TestReporting:

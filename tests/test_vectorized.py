@@ -474,7 +474,7 @@ class TestLemma10:
     )
 
     @staticmethod
-    def _late_pairs(faulty, trace="none", cut=True):
+    def _late_pairs(faulty, trace="none", cut=True, delays=None):
         # Perfect clocks, so every round-1 message arrives theta S +
         # delay after the receiver's pulse.  A window cut between d - u
         # and d (parameters Lemma 10 does not cover; the links keep the
@@ -485,7 +485,7 @@ class TestLemma10:
             params,
             clocks=_perfect_clocks(6),
             faulty=faulty,
-            delay_policy=_LatePairs({2, 4}),
+            delay_policy=delays or _LatePairs({2, 4}),
             trace=trace,
         )
         if cut:
@@ -518,6 +518,25 @@ class TestLemma10:
             messages.append(str(error.value))
         assert messages[0] == messages[1]
 
+    def test_both_sources_name_the_same_late_random_message(self):
+        # Under `random` delays the cut leaves about half the messages
+        # late.  Unobserved, the round reads each drawn row's extremes;
+        # under a full trace, the dense block.  Both name one message:
+        # at seed 16 receiver 1's row is inside its window, and
+        # receiver 2's first late dealer is 1, its latest dealer 3.
+        f = derive_parameters(theta=1.001, d=1.0, u=0.02, n=6).f
+        messages = []
+        for trace in ("none", "full"):
+            with pytest.raises(SimulationError) as error:
+                self._late_pairs(
+                    [0, 5][:f], trace=trace, delays=RandomDelayPolicy(16)
+                ).run(max_pulses=3)
+            messages.append(str(error.value))
+        assert messages[0].startswith(
+            "round 1: node 2 received dealer 1's broadcast"
+        )
+        assert messages[0] == messages[1]
+
     def test_a_row_across_a_segment_start_is_evaluated_densely(self):
         # `random` clocks re-draw their rate every 5.0 time units.  At
         # u = 0.0265 (seed 0) the round whose broadcasts arrive around
@@ -525,6 +544,17 @@ class TestLemma10:
         # straddle that segment start: they take the dense fallback,
         # the fourth and every other round read class extremes, and the
         # run is the observed (all-dense) run, bit for bit.
+        self._three_rows_straddle(seed=0)
+
+    def test_a_random_delay_row_across_a_segment_start(self):
+        # The same straddle under `random` delays: at clock and delay
+        # seed 3, three receivers' earliest and latest drawn arrival
+        # fall on both sides of a segment start and are evaluated
+        # densely; every other row reads its two extremes.
+        self._three_rows_straddle(seed=3, delays=RandomDelayPolicy(3))
+
+    @staticmethod
+    def _three_rows_straddle(seed, delays=None):
         params = derive_parameters(theta=1.001, d=1.0, u=0.0265, n=7)
         results, counters = {}, {}
         for trace in ("none", "full"):
@@ -532,8 +562,9 @@ class TestLemma10:
             with telemetry_session(telemetry):
                 simulation = VectorizedSimulation(
                     params,
-                    clocks=REGISTRY.create("drift", "random", params, 0),
+                    clocks=REGISTRY.create("drift", "random", params, seed),
                     faulty=range(params.n - params.f, params.n),
+                    delay_policy=delays,
                     trace=trace,
                 )
             results[trace] = simulation.run(max_pulses=8)
